@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet locusvet vet-stats test race invariants bench benchsmoke benchjson benchdiff workloadsmoke profile chaos ci
+.PHONY: all build vet locusvet vet-stats test race invariants bench benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
 
 all: ci
 
@@ -53,10 +53,9 @@ benchjson:
 	$(GO) run ./cmd/locus-bench -json BENCH_locus.json > experiments_output.txt
 
 # benchdiff is the perf-regression gate: re-run the full experiment
-# suite (including the million-op E16 workload) and diff the
-# deterministic message/byte counters against the committed
-# BENCH_locus.json, failing on >10% regression in any pinned
-# experiment. It then runs the wall-clock throughput gate: the E16
+# suite (including the million-op E16 workload) and compare every
+# deterministic counter against the committed BENCH_locus.json at
+# exact equality. It then runs the wall-clock throughput gate: the E16
 # workload at a moderate fixed op budget must sustain the ops/sec
 # floor committed in BENCH_throughput.json (25% tolerance).
 # Regenerate the counter baseline with `make benchjson` when a
@@ -64,6 +63,13 @@ benchjson:
 # `go run ./cmd/locus-bench -workload -workload-ops 20000`.
 benchdiff:
 	$(GO) run ./cmd/benchdiff
+
+# benchmarkcheck vets and tests the repository benchmark. benchmark/ is
+# its own module (repro/benchmark, replace repro => ../), so the root
+# `go build ./... && go test ./...` does not compile it: an API change
+# here would otherwise break it unnoticed.
+benchmarkcheck:
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # workloadsmoke runs the workload engine's own tests — histogram math,
 # Zipf determinism, engine schedule determinism — plus the sized E16
@@ -90,4 +96,4 @@ profile:
 chaos:
 	$(GO) test -run TestChaos -race -tags locusinvariants -count=1 ./internal/chaos
 
-ci: build vet locusvet test race invariants benchsmoke workloadsmoke benchdiff chaos
+ci: build vet locusvet test race invariants benchsmoke workloadsmoke benchmarkcheck benchdiff chaos

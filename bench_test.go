@@ -408,13 +408,13 @@ func BenchmarkE11_SequentialRemoteScan(b *testing.B) {
 		}
 		return c, c.Site(2).FS, r.ID
 	}
-	scan := func(b *testing.B, k *fs.Kernel, id storage.FileID, ra bool) {
+	scan := func(b *testing.B, k *fs.Kernel, id storage.FileID, ft fs.Features) {
 		b.Helper()
+		k.SetFeatures(ft)
 		f, err := k.OpenID(id, fs.ModeRead)
 		if err != nil {
 			b.Fatal(err)
 		}
-		f.SetReadahead(ra)
 		if _, err := f.ReadAll(); err != nil {
 			b.Fatal(err)
 		}
@@ -424,11 +424,10 @@ func BenchmarkE11_SequentialRemoteScan(b *testing.B) {
 	}
 	b.Run("no-cache", func(b *testing.B) {
 		c, k, id := setup(b)
-		k.SetPageCache(false)
 		start := c.Stats().Msgs
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			scan(b, k, id, false)
+			scan(b, k, id, fs.Features{NoPageCache: true})
 		}
 		b.StopTimer()
 		reportSim(b, c, start, int64(b.N))
@@ -439,21 +438,20 @@ func BenchmarkE11_SequentialRemoteScan(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			k.SetPageCache(false) // flush so every iteration starts cold
-			k.SetPageCache(true)
+			k.SetFeatures(fs.Features{NoPageCache: true}) // flush so every iteration starts cold
 			b.StartTimer()
-			scan(b, k, id, true)
+			scan(b, k, id, fs.Features{Readahead: true})
 		}
 		b.StopTimer()
 		reportSim(b, c, start, int64(b.N))
 	})
 	b.Run("warm-cache", func(b *testing.B) {
 		c, k, id := setup(b)
-		scan(b, k, id, true) // warm the using-site cache
+		scan(b, k, id, fs.Features{Readahead: true}) // warm the using-site cache
 		start := c.Stats().Msgs
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			scan(b, k, id, false)
+			scan(b, k, id, fs.Features{})
 		}
 		b.StopTimer()
 		reportSim(b, c, start, int64(b.N))
@@ -469,11 +467,7 @@ func BenchmarkE14_HotFileOpenStorm(b *testing.B) {
 	setup := func(b *testing.B, leases bool) (*locus.Cluster, *fs.Kernel, storage.FileID) {
 		b.Helper()
 		c := mustSimple(b, 3)
-		if leases {
-			for _, id := range c.Sites() {
-				c.Site(id).FS.SetLeases(true)
-			}
-		}
+		c.SetFeatures(fs.Features{Leases: leases})
 		u := c.Site(1).Login("u")
 		mustWrite(b, u, "/hot", pageOf('h'))
 		if err := c.Site(1).FS.SetReplication(u.Cred(), "/hot", []fs.SiteID{1}); err != nil {
@@ -663,28 +657,23 @@ func TestExperimentTables(t *testing.T) {
 
 	// E13: bulk pipelined propagation must bring the 2 stale replicas
 	// of the 32-page file current with ≥4x fewer messages than the
-	// serial per-page pull, and the parallel worker pool must not
-	// change the deterministic message counts.
+	// serial per-page pull.
 	e13 := byID["E13"]
-	if len(e13.Rows) != 3 {
-		t.Fatalf("E13: %d rows, want 3 (regimes)", len(e13.Rows))
+	if len(e13.Rows) != 2 {
+		t.Fatalf("E13: %d rows, want 2 (regimes)", len(e13.Rows))
 	}
 	serialMsgs, _ := strconv.ParseInt(e13.Rows[0][2], 10, 64)
 	bulkMsgs, _ := strconv.ParseInt(e13.Rows[1][2], 10, 64)
-	parMsgs, _ := strconv.ParseInt(e13.Rows[2][2], 10, 64)
 	if serialMsgs != 2*66 {
 		t.Errorf("E13 serial pull = %d msgs, want 132 (2 replicas x (1+32) exchanges): the ablation no longer reproduces the per-page protocol", serialMsgs)
 	}
-	if parMsgs == 0 || serialMsgs < 4*parMsgs {
-		t.Errorf("E13 bulk+parallel = %d msgs vs serial %d: want >= 4x fewer", parMsgs, serialMsgs)
-	}
-	if bulkMsgs != parMsgs {
-		t.Errorf("E13 parallel drain changed message counts: bulk=%d parallel=%d", bulkMsgs, parMsgs)
+	if bulkMsgs == 0 || serialMsgs < 4*bulkMsgs {
+		t.Errorf("E13 bulk = %d msgs vs serial %d: want >= 4x fewer", bulkMsgs, serialMsgs)
 	}
 	serialWins := e13.Rows[0][4]
-	parPages, _ := strconv.ParseInt(e13.Rows[2][5], 10, 64)
-	if serialWins != "0" || parPages != 2*32 {
-		t.Errorf("E13 window counters: serial windows=%s (want 0), parallel pages=%d (want 64)", serialWins, parPages)
+	bulkPages, _ := strconv.ParseInt(e13.Rows[1][5], 10, 64)
+	if serialWins != "0" || bulkPages != 2*32 {
+		t.Errorf("E13 window counters: serial windows=%s (want 0), bulk pages=%d (want 64)", serialWins, bulkPages)
 	}
 
 	// E14: under read delegations the 28 reopens of the hot file must

@@ -1,13 +1,13 @@
 // Command benchdiff is the perf-regression gate: it re-runs the full
-// experiment suite and diffs the deterministic message and byte
-// counters against the committed BENCH_locus.json baseline, failing
-// when any pinned experiment regresses by more than the tolerance.
+// experiment suite and compares every integer counter of every
+// experiment's bench.Result against the committed BENCH_locus.json
+// baseline, failing on any difference.
 //
-// Only simulated, scheduling-invariant counters are compared (wire
-// messages and wire bytes): they are exact across machines and across
-// the parallel drain pool, so any drift is a real protocol change —
-// either commit a regenerated baseline with the PR that explains it,
-// or fix the regression.
+// The counters are simulated and deterministic by construction — same
+// code, same counts, on any machine — so the comparison is exact
+// equality: any drift, up or down, is a real protocol change. Either
+// commit a regenerated baseline (`make benchjson`) with the PR that
+// explains it, or fix the regression.
 //
 // benchdiff also gates wall-clock throughput: it runs the E16
 // multi-tenant workload at a moderate fixed op budget, measures real
@@ -25,7 +25,6 @@
 //
 //	benchdiff                         # compare against BENCH_locus.json
 //	benchdiff -baseline FILE          # compare against FILE
-//	benchdiff -tolerance 0.10         # allowed relative growth (default 10%)
 //	benchdiff -no-throughput          # skip the wall-clock throughput gate
 package main
 
@@ -34,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"time"
 
 	"repro/internal/bench"
@@ -48,7 +48,6 @@ type throughputBaseline struct {
 
 func main() {
 	baseline := flag.String("baseline", "BENCH_locus.json", "committed baseline to diff against")
-	tolerance := flag.Float64("tolerance", 0.10, "maximum allowed relative regression per counter")
 	tpBaseline := flag.String("throughput-baseline", "BENCH_throughput.json", "committed wall-clock throughput floor")
 	tpTolerance := flag.Float64("throughput-tolerance", 0.25, "allowed relative shortfall below the throughput floor")
 	noThroughput := flag.Bool("no-throughput", false, "skip the wall-clock throughput gate")
@@ -72,22 +71,6 @@ func main() {
 
 	_, current := bench.AllWithMetrics()
 	failures := 0
-	check := func(id, counter string, baseV, curV int64) {
-		if baseV == 0 {
-			if curV != 0 {
-				fmt.Printf("FAIL %-4s %-6s %8d -> %8d (baseline was zero)\n", id, counter, baseV, curV)
-				failures++
-			}
-			return
-		}
-		growth := float64(curV-baseV) / float64(baseV)
-		mark := "ok  "
-		if growth > *tolerance {
-			mark = "FAIL"
-			failures++
-		}
-		fmt.Printf("%s %-4s %-6s %8d -> %8d (%+.1f%%)\n", mark, id, counter, baseV, curV, growth*100)
-	}
 	for _, cur := range current {
 		b, ok := baseByID[cur.ID]
 		if !ok {
@@ -97,8 +80,20 @@ func main() {
 			continue
 		}
 		delete(baseByID, cur.ID)
-		check(cur.ID, "msgs", b.Msgs, cur.Msgs)
-		check(cur.ID, "bytes", b.Bytes, cur.Bytes)
+		// Every int64 field of Result is a deterministic counter.
+		bv, cv := reflect.ValueOf(b), reflect.ValueOf(cur)
+		drift := 0
+		for i := 0; i < bv.NumField(); i++ {
+			if bv.Field(i).Kind() != reflect.Int64 || bv.Field(i).Int() == cv.Field(i).Int() {
+				continue
+			}
+			fmt.Printf("FAIL %-4s %-20s %10d -> %10d\n", cur.ID, bv.Type().Field(i).Tag.Get("json"), bv.Field(i).Int(), cv.Field(i).Int())
+			drift++
+		}
+		if drift == 0 {
+			fmt.Printf("ok   %-4s msgs=%d bytes=%d\n", cur.ID, cur.Msgs, cur.Bytes)
+		}
+		failures += drift
 	}
 	// An experiment present in the baseline but gone from the suite is
 	// a silent loss of coverage: fail so the baseline gets regenerated
@@ -109,11 +104,10 @@ func main() {
 	}
 
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d counter(s) regressed beyond %.0f%% (regenerate BENCH_locus.json via `make benchjson` if the change is intended and explained)\n",
-			failures, *tolerance*100)
+		fmt.Fprintf(os.Stderr, "benchdiff: %d counter(s) differ from the baseline (regenerate BENCH_locus.json via `make benchjson` if the change is intended and explained)\n", failures)
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %d experiments within %.0f%% of baseline\n", len(current), *tolerance*100)
+	fmt.Printf("benchdiff: %d experiments equal to baseline on every counter\n", len(current))
 
 	if !*noThroughput {
 		if err := gateThroughput(*tpBaseline, *tpTolerance); err != nil {

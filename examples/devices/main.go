@@ -10,6 +10,7 @@ import (
 	"log"
 	"sync"
 
+	"repro/internal/fs"
 	"repro/internal/storage"
 	"repro/locus"
 )
@@ -72,10 +73,10 @@ func main() {
 	c.Settle()
 	reader := c.Site(2).Login("reader")
 	scan := func(ra bool) int64 {
+		c.Site(2).FS.SetFeatures(fs.Features{Readahead: ra})
 		f, err := reader.Open("/big.dat", locus.Read)
 		must(err)
 		defer f.Close() //locus:vet-allow uncheckedcall example: read-only handle, nothing to lose
-		f.SetReadahead(ra)
 		before := c.Stats().Msgs
 		buf := make([]byte, storage.PageSize)
 		for pn := 0; pn < 16; pn++ {
@@ -101,7 +102,7 @@ func main() {
 	_, err = k2.Resolve(reader.Cred(), "/deep/er/est/leaf")
 	must(err)
 	plain := c.Stats().Msgs - before
-	k2.SetPathShipping(true)
+	k2.SetFeatures(fs.Features{PathShipping: true})
 	before = c.Stats().Msgs
 	_, err = k2.Resolve(reader.Cred(), "/deep/er/est/leaf")
 	must(err)

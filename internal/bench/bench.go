@@ -266,8 +266,8 @@ func E3() *Table {
 		// cache on, every repeat read after the first is a cache hit and
 		// the remote/local ratio collapses to ≈1 (that effect is E11's
 		// subject, not this table's).
-		k.SetPageCache(false)
-		defer k.SetPageCache(true)
+		k.SetFeatures(fs.Features{NoPageCache: true})
+		defer k.SetFeatures(fs.Features{})
 		// Warm CSS state.
 		f, err := k.OpenID(rl.ID, fs.ModeRead)
 		if err != nil {
@@ -897,12 +897,12 @@ func E11() *Table {
 	}
 	k := c.Site(2).FS
 
-	scan := func(readahead bool) netsim.Snapshot {
+	scan := func(ft fs.Features) netsim.Snapshot {
+		k.SetFeatures(ft)
 		f, err := k.OpenID(rid.ID, fs.ModeRead)
 		if err != nil {
 			must(err)
 		}
-		f.SetReadahead(readahead)
 		before := c.Stats()
 		got, err := f.ReadAll()
 		if err != nil {
@@ -916,11 +916,9 @@ func E11() *Table {
 		return d
 	}
 
-	k.SetPageCache(false)
-	base := scan(false) // pure §2.3.3: 2 messages per page
-	k.SetPageCache(true)
-	cold := scan(true)  // streaming readahead fills the US cache
-	warm := scan(false) // second pass served entirely from the cache
+	base := scan(fs.Features{NoPageCache: true}) // pure §2.3.3: 2 messages per page
+	cold := scan(fs.Features{Readahead: true})   // streaming readahead fills the US cache
+	warm := scan(fs.Features{})                  // second pass served entirely from the cache
 
 	t := &Table{
 		ID:      "E11",
@@ -1031,10 +1029,9 @@ func E12() *Table {
 // E13 measures bulk pipelined replica propagation (§2.3.6): commit a
 // 32-page file replicated at 3 sites, drain the propagation queues,
 // and compare the wire cost of bringing the 2 stale replicas current
-// under three regimes — the legacy serial one-exchange-per-page pull,
+// under two regimes — the legacy serial one-exchange-per-page pull and
 // the bulk windowed protocol (first window piggybacked on fs.pullopen,
-// the rest in PullWindow-page fs.pullpages exchanges), and bulk with
-// the parallel drain worker pool.
+// the rest in PullWindow-page fs.pullpages exchanges).
 func E13() *Table {
 	const filePages = 32
 	type outcome struct {
@@ -1042,13 +1039,10 @@ func E13() *Table {
 		virtUs int64
 		pulls  int
 	}
-	run := func(bulk bool, workers int) outcome {
+	run := func(serial bool) outcome {
 		c := mustCluster(3)
 		defer c.Close()
-		for _, id := range c.Sites() {
-			c.Site(id).FS.SetBulkPull(bulk)
-			c.Site(id).FS.SetPropagationWorkers(workers)
-		}
+		c.SetFeatures(fs.Features{SerialPull: serial})
 		u := c.Site(1).Login("u")
 		// Seed the file and let the creation propagate so every site
 		// holds a replica; the measured run is then a pure pull of the
@@ -1064,43 +1058,23 @@ func E13() *Table {
 
 	t := &Table{
 		ID:      "E13",
-		Title:   "§2.3.6 — replica propagation: serial per-page vs bulk windowed vs bulk+parallel",
+		Title:   "§2.3.6 — replica propagation: serial per-page vs bulk windowed",
 		Paper:   "a kernel process services the propagation queue; pulling pages one exchange at a time is the naive cost",
 		Headers: []string{"regime", "pulls", "msgs", "KB", "pull windows", "pull pages", "virtual ms"},
 	}
-	regimes := []struct {
-		name    string
-		bulk    bool
-		workers int
-	}{
-		{"serial per-page", false, 1},
-		{"bulk windowed", true, 1},
-		{"bulk + 4 workers", true, 4},
-	}
-	var serial, parallel outcome
-	for _, r := range regimes {
-		o := run(r.bulk, r.workers)
-		switch r.name {
-		case "serial per-page":
-			serial = o
-		case "bulk + 4 workers":
-			parallel = o
-		}
+	row := func(name string, o outcome) {
 		t.Rows = append(t.Rows, []string{
-			r.name,
-			cell("%d", o.pulls),
-			cell("%d", o.d.Msgs),
-			cell("%.1f", float64(o.d.Bytes)/1024),
-			cell("%d", o.d.PullWindowsSent),
-			cell("%d", o.d.PullPagesSent),
-			cell("%.1f", float64(o.virtUs)/1000),
+			name, cell("%d", o.pulls), cell("%d", o.d.Msgs), cell("%.1f", float64(o.d.Bytes)/1024),
+			cell("%d", o.d.PullWindowsSent), cell("%d", o.d.PullPagesSent), cell("%.1f", float64(o.virtUs)/1000),
 		})
 	}
+	serial, bulk := run(true), run(false)
+	row("serial per-page", serial)
+	row("bulk windowed", bulk)
 	t.Notes = append(t.Notes,
-		cell("bulk+parallel uses %.2fx fewer messages and %.2fx less virtual time than serial per-page",
-			float64(serial.d.Msgs)/float64(parallel.d.Msgs),
-			float64(serial.virtUs)/float64(parallel.virtUs)),
-		"the simulated cost model charges per message, so the worker pool changes no counters; its row pins that parallel drain stays count-deterministic")
+		cell("bulk uses %.2fx fewer messages and %.2fx less virtual time than serial per-page",
+			float64(serial.d.Msgs)/float64(bulk.d.Msgs),
+			float64(serial.virtUs)/float64(bulk.virtUs)))
 	return t
 }
 
@@ -1127,11 +1101,7 @@ func E14() *Table {
 	run := func(leases bool) outcome {
 		c := mustCluster(6)
 		defer c.Close()
-		if leases {
-			for _, id := range c.Sites() {
-				c.Site(id).FS.SetLeases(true)
-			}
-		}
+		c.SetFeatures(fs.Features{Leases: leases})
 		u := c.Site(6).Login("u")
 		mustWrite(u, "/hot", page('a'))
 		must(c.Site(6).FS.SetReplication(u.Cred(), "/hot", []SiteID{6}))

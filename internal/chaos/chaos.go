@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/fs"
 	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -41,15 +42,13 @@ type Config struct {
 	// deliberate regression the harness exists to catch: retried
 	// mutations replay and the invariant checks report the damage.
 	DisableDedup bool
-	// SerialPull disables bulk windowed propagation at every site,
-	// forcing the legacy one-exchange-per-page pull path, so the pinned
-	// seeds exercise both protocol variants under faults.
-	SerialPull bool
-	// Leases enables the lease/intent layer at every site, so the pinned
-	// seeds exercise delegation grants, batched revocation, and lease
-	// reclaim across crashes and partitions. The post-heal fsck then also
-	// checks for stranded lease records.
-	Leases bool
+	// Features is installed at every site. The pinned seeds run
+	// SerialPull (the legacy one-exchange-per-page pull path, so both
+	// protocol variants are exercised under faults) and Leases
+	// (delegation grants, batched revocation, and lease reclaim across
+	// crashes and partitions; the post-heal fsck then also checks for
+	// stranded lease records).
+	Features fs.Features
 	// Procs enables the process-level adversarial plane: remote run,
 	// cross-site signals, named pipes spanning sites, migration, and
 	// nested transactions interleave with the topology events, and a
@@ -115,10 +114,10 @@ func (r *Result) ReplayCommand() string {
 	if c.DisableDedup {
 		b.WriteString(" -chaos.dedupoff")
 	}
-	if c.SerialPull {
+	if c.Features.SerialPull {
 		b.WriteString(" -chaos.serialpull")
 	}
-	if c.Leases {
+	if c.Features.Leases {
 		b.WriteString(" -chaos.leases")
 	}
 	if c.Procs {
@@ -239,16 +238,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.DisableDedup {
 		c.Network().SetDedup(false)
 	}
-	if cfg.SerialPull {
-		for _, id := range c.Sites() {
-			c.Site(id).FS.SetBulkPull(false)
-		}
-	}
-	if cfg.Leases {
-		for _, id := range c.Sites() {
-			c.Site(id).FS.SetLeases(true)
-		}
-	}
+	c.SetFeatures(cfg.Features)
 
 	r := &run{
 		cfg:       cfg,
@@ -319,6 +309,11 @@ func (r *run) upSites() []locus.SiteID {
 // step runs one schedule step: usually a workload op, sometimes a
 // topology or fault event.
 func (r *run) step() {
+	// Start every step from a quiescent network: whether a one-way
+	// cast of the previous step (a commit notification, say) has
+	// landed yet is goroutine luck, and the next op's outcome — and so
+	// the schedule log — must be a pure function of the seed.
+	r.c.Network().Quiesce()
 	switch roll := r.rng.Intn(100); {
 	case roll < 8:
 		r.eventPartition()

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/fs"
 )
 
 // chaosSeeds are the fixed seeds CI runs (`make chaos`). They were
@@ -81,7 +83,7 @@ func TestChaosSerialPullSeeds(t *testing.T) {
 		seed := seed
 		t.Run(fmtSeed(seed), func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{Seed: seed, SerialPull: true})
+			res, err := Run(Config{Seed: seed, Features: fs.Features{SerialPull: true}})
 			if err != nil {
 				t.Fatalf("chaos run failed to execute: %v", err)
 			}
@@ -103,7 +105,7 @@ func TestChaosLeaseSeeds(t *testing.T) {
 		seed := seed
 		t.Run(fmtSeed(seed), func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{Seed: seed, Leases: true})
+			res, err := Run(Config{Seed: seed, Features: fs.Features{Leases: true}})
 			if err != nil {
 				t.Fatalf("chaos run failed to execute: %v", err)
 			}
@@ -223,8 +225,7 @@ func TestChaosExtraSeed(t *testing.T) {
 		Dup:          *dupFlag,
 		Delay:        *delayFlag,
 		DisableDedup: *dedupOffFlag,
-		SerialPull:   *serialPullFlag,
-		Leases:       *leasesFlag,
+		Features:     fs.Features{SerialPull: *serialPullFlag, Leases: *leasesFlag},
 		Procs:        *procsFlag,
 		Workload:     *workloadFlag,
 	})

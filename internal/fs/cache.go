@@ -41,36 +41,18 @@ type pageEnt struct {
 // its open synchronized on. Invalidation happens on commit through this
 // US, on an incoming commit notification (§2.3.6), and on modify-open.
 type pageCache struct {
-	mu      sync.Mutex
-	enabled bool
-	ents    map[pageKey]*list.Element
-	lru     *list.List // front = most recently used
-	stats   *netsim.Stats
+	mu    sync.Mutex
+	ents  map[pageKey]*list.Element
+	lru   *list.List // front = most recently used
+	stats *netsim.Stats
 }
 
 func newPageCache(stats *netsim.Stats) *pageCache {
 	return &pageCache{
-		enabled: true,
-		ents:    make(map[pageKey]*list.Element),
-		lru:     list.New(),
-		stats:   stats,
+		ents:  make(map[pageKey]*list.Element),
+		lru:   list.New(),
+		stats: stats,
 	}
-}
-
-func (pc *pageCache) setEnabled(on bool) {
-	pc.mu.Lock()
-	pc.enabled = on
-	if !on {
-		pc.ents = make(map[pageKey]*list.Element)
-		pc.lru.Init()
-	}
-	pc.mu.Unlock()
-}
-
-func (pc *pageCache) isEnabled() bool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.enabled
 }
 
 // get returns the cached page when it is present and at least as new as
@@ -116,9 +98,6 @@ func (pc *pageCache) put(id storage.FileID, pn storage.PageNo, data []byte, size
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if !pc.enabled {
-		return
-	}
 	key := pageKey{id, pn}
 	if el, ok := pc.ents[key]; ok {
 		e := el.Value.(*pageEnt)
@@ -155,7 +134,8 @@ func (pc *pageCache) invalidateFile(id storage.FileID) int {
 	return n
 }
 
-// purge empties the cache (site crash: all volatile state is lost).
+// purge empties the cache (site crash: all volatile state is lost; or
+// Features.NoPageCache switched on).
 func (pc *pageCache) purge() {
 	pc.mu.Lock()
 	pc.ents = make(map[pageKey]*list.Element)

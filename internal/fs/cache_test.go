@@ -97,20 +97,6 @@ func TestPageCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestPageCacheDisableFlushesAndBypasses(t *testing.T) {
-	pc := testCache()
-	v1 := vclock.New().Bump(1)
-	pc.put(fid(1), 0, pageBytes('a'), storage.PageSize, v1, false)
-	pc.setEnabled(false)
-	if pc.len() != 0 {
-		t.Fatal("disabling must flush the cache")
-	}
-	pc.put(fid(1), 0, pageBytes('a'), storage.PageSize, v1, false)
-	if pc.len() != 0 {
-		t.Fatal("disabled cache must not accept pages")
-	}
-}
-
 // TestMergePartialPageCopies is the regression test for the WriteAt
 // partial-page merge: the fetched page may alias a cached committed
 // page, so the merge must never mutate its input in place.

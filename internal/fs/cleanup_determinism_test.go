@@ -30,19 +30,8 @@ func runPartitionCleanupSchedule(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := netsim.New(netsim.DefaultCosts())
-	t.Cleanup(nw.Close)
-	k1 := mustBoot(t, nw.AddSite(1), cfg, nil)
-	packKernels := map[fs.SiteID]*fs.Kernel{
-		2: mustBoot(t, nw.AddSite(2), cfg, nil),
-		3: mustBoot(t, nw.AddSite(3), cfg, nil),
-	}
-	if err := fs.Format(packKernels, cfg); err != nil {
-		t.Fatal(err)
-	}
-	c := &testCluster{net: nw, cfg: cfg, kernels: map[fs.SiteID]*fs.Kernel{
-		1: k1, 2: packKernels[2], 3: packKernels[3],
-	}}
+	c := newClusterCfg(t, cfg, 1, 2, 3)
+	nw, k1 := c.Net, c.K(1)
 
 	// Open the handles before propagation replicates the files: every
 	// handle is then served remotely by the pack that stored the create.
@@ -66,7 +55,7 @@ func runPartitionCleanupSchedule(t *testing.T) []string {
 
 	// Replicate so site 3 holds the same versions, then lose the
 	// serving site.
-	c.settle(t)
+	settle(t, c)
 	var servedBy2 int
 	for _, f := range open {
 		if f.SS() == 2 {
@@ -114,7 +103,7 @@ func TestPartitionCleanupScheduleDeterministic(t *testing.T) {
 // map-ordered.
 func TestCommitPageListSorted(t *testing.T) {
 	c := newCluster(t, 2)
-	f, err := c.kernels[1].Create(cred(), "/big", storage.TypeRegular, 0644)
+	f, err := c.K(1).Create(cred(), "/big", storage.TypeRegular, 0644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +116,10 @@ func TestCommitPageListSorted(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 	// The committed copy propagated page-complete to site 2; a garbled
 	// page list would have dropped or duplicated pulls.
-	got := readFile(t, c.kernels[2], "/big")
+	got := readFile(t, c.K(2), "/big")
 	if len(got) != 4*storage.PageSize+1 {
 		t.Fatalf("replica length %d, want %d", len(got), 4*storage.PageSize+1)
 	}

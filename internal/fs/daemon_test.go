@@ -10,17 +10,18 @@ import (
 
 func TestPropagationDaemonDrivesReplication(t *testing.T) {
 	c := newCluster(t, 3)
-	for _, k := range c.kernels {
+	for _, s := range c.Sites() {
+		k := c.K(s)
 		k.StartPropagationDaemon(time.Millisecond)
 		defer k.StopPropagationDaemon()
 	}
-	writeFile(t, c.kernels[1], "/f", []byte("auto"))
+	writeFile(t, c.K(1), "/f", []byte("auto"))
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ok := true
 		for s := fs.SiteID(1); s <= 3; s++ {
-			f, err := c.kernels[s].Open(cred(), "/f", fs.ModeRead)
+			f, err := c.K(s).Open(cred(), "/f", fs.ModeRead)
 			if err != nil {
 				ok = false
 				break
@@ -44,7 +45,7 @@ func TestPropagationDaemonDrivesReplication(t *testing.T) {
 
 func TestPropagationDaemonIdempotentStartStop(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	k.StartPropagationDaemon(time.Millisecond)
 	k.StartPropagationDaemon(time.Millisecond) // no double start
 	k.StopPropagationDaemon()
@@ -59,7 +60,7 @@ func TestPropagationDaemonIdempotentStartStop(t *testing.T) {
 // propWG wiring statically.
 func TestStopPropagationDaemonJoins(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	base := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		k.StartPropagationDaemon(time.Millisecond)

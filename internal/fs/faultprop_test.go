@@ -19,13 +19,13 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	c := newCluster(t, 2)
 	const pages = 20
 	oldData := bytes.Repeat([]byte{'o'}, pages*storage.PageSize)
-	writeFile(t, c.kernels[1], "/f", oldData)
-	c.settle(t)
-	r, err := c.kernels[1].Resolve(cred(), "/f")
+	writeFile(t, c.K(1), "/f", oldData)
+	settle(t, c)
+	r, err := c.K(1).Resolve(cred(), "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack2 := c.kernels[2].Store().Container(r.ID.FG)
+	pack2 := c.K(2).Store().Container(r.ID.FG)
 	oldIno, err := pack2.GetInode(r.ID.Inode)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	// 20-page pull at site 2: an 8-page window piggybacked on the open,
 	// then fs.pullpages windows of 8 and 4.
 	newData := bytes.Repeat([]byte{'n'}, pages*storage.PageSize)
-	w, err := c.kernels[1].OpenID(r.ID, fs.ModeModify)
+	w, err := c.K(1).OpenID(r.ID, fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.net.Quiesce()
+	c.Net.Quiesce()
 
 	// Drop the second fs.pullpages window and every at-most-once retry
 	// of it (sends 2..9 of the method on the 2→1 link: the retry budget
@@ -57,12 +57,12 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		pts = append(pts, netsim.FaultPoint{From: 2, To: 1, Method: "fs.pullpages", Nth: 2, Action: netsim.FaultDropRequest})
 	}
-	c.net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-	if n := c.kernels[2].DrainPropagation(); n != 0 {
+	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+	if n := c.K(2).DrainPropagation(); n != 0 {
 		t.Fatalf("pull succeeded through a dead window: %d", n)
 	}
-	c.net.Quiesce()
-	c.net.DisableFaults()
+	c.Net.Quiesce()
+	c.Net.DisableFaults()
 
 	// The interrupted pull must not have touched the committed copy:
 	// same version vector, same readable bytes, no conflict.
@@ -86,12 +86,12 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	// The retry resumes: the open is re-sent windowless (the 16 pages
 	// that already landed are staged locally and must not travel
 	// again), and only the missing 4-page window crosses the wire.
-	before := c.net.Stats()
-	if n := c.kernels[2].DrainPropagation(); n != 1 {
-		t.Fatalf("resumed pull drained %d files, want 1: %s", n, c.kernels[2].DebugPendingPropagations())
+	before := c.Net.Stats()
+	if n := c.K(2).DrainPropagation(); n != 1 {
+		t.Fatalf("resumed pull drained %d files, want 1: %s", n, c.K(2).DebugPendingPropagations())
 	}
-	c.net.Quiesce()
-	d := c.net.Stats().Sub(before)
+	c.Net.Quiesce()
+	d := c.Net.Stats().Sub(before)
 	if d.ByMethod["fs.pullopen"] != 2 || d.ByMethod["fs.pullpages"] != 2 || d.ByMethod["fs.readphys"] != 0 {
 		t.Fatalf("resume traffic = %v, want exactly one pullopen and one pullpages exchange", d.ByMethod)
 	}
@@ -114,11 +114,7 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 			t.Fatalf("new copy page %d has stale content", i)
 		}
 	}
-	var kernels []*fs.Kernel
-	for _, k := range c.kernels {
-		kernels = append(kernels, k)
-	}
-	if findings := fs.FsckCluster(kernels, fs.FsckOptions{Converged: true}); len(findings) != 0 {
+	if findings := c.Fsck(true); len(findings) != 0 {
 		t.Fatalf("fsck after resumed pull: %v", findings)
 	}
 }

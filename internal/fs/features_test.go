@@ -12,42 +12,40 @@ import (
 func TestStreamingReadaheadCutsSequentialReadMessages(t *testing.T) {
 	c := newCluster(t, 2)
 	data := bytes.Repeat([]byte{'s'}, 8*storage.PageSize)
-	writeFile(t, c.kernels[1], "/seq", data)
-	if err := c.kernels[1].SetReplication(cred(), "/seq", []fs.SiteID{1}); err != nil {
+	writeFile(t, c.K(1), "/seq", data)
+	if err := c.K(1).SetReplication(cred(), "/seq", []fs.SiteID{1}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 
-	scan := func(readahead bool) (msgs, reads int64) {
-		f, err := c.kernels[2].Open(cred(), "/seq", fs.ModeRead)
+	scan := func(ft fs.Features) (msgs, reads int64) {
+		c.K(2).SetFeatures(ft)
+		f, err := c.K(2).Open(cred(), "/seq", fs.ModeRead)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer f.Close() //nolint:errcheck
-		f.SetReadahead(readahead)
-		before := c.net.Stats()
+		before := c.Net.Stats()
 		buf := make([]byte, storage.PageSize)
 		for pn := 0; pn < 8; pn++ {
 			if _, err := f.ReadAt(buf, int64(pn)*storage.PageSize); err != nil {
 				t.Fatal(err)
 			}
 		}
-		d := c.net.Stats().Sub(before)
+		d := c.Net.Stats().Sub(before)
 		return d.Msgs, d.ByMethod["fs.read"]
 	}
 
 	// Baseline: no US cache, no readahead — the pure §2.3.3 protocol.
-	c.kernels[2].SetPageCache(false)
-	plain, _ := scan(false)
+	plain, _ := scan(fs.Features{NoPageCache: true})
 	if plain != 16 {
 		t.Fatalf("plain sequential scan = %d msgs, want 16 (2/page)", plain)
 	}
-	c.kernels[2].SetPageCache(true)
 
 	// Streaming readahead: the window doubles on sequential hits
 	// (1 extra at page 0, 4 at page 2, and page 7 is the last page), so
 	// the 8-page scan takes 3 exchanges = 6 messages.
-	ra, raReads := scan(true)
+	ra, raReads := scan(fs.Features{Readahead: true})
 	if ra != 6 || raReads != 6 {
 		t.Fatalf("streaming readahead scan = %d msgs (%d fs.read), want 6 (3 exchanges)", ra, raReads)
 	}
@@ -57,37 +55,81 @@ func TestStreamingReadaheadCutsSequentialReadMessages(t *testing.T) {
 
 	// Second sequential pass through a fresh handle: every page is
 	// served from the using-site cache with zero mRead calls.
-	warm, warmReads := scan(false)
+	warm, warmReads := scan(fs.Features{})
 	if warmReads != 0 || warm != 0 {
 		t.Fatalf("warm re-read = %d msgs (%d fs.read), want 0 (all from US cache)", warm, warmReads)
 	}
 
 	// Content correctness through the cache + readahead path.
-	f, err := c.kernels[2].Open(cred(), "/seq", fs.ModeRead)
+	c.K(2).SetFeatures(fs.Features{Readahead: true})
+	f, err := c.K(2).Open(cred(), "/seq", fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close() //nolint:errcheck
-	f.SetReadahead(true)
 	got, err := f.ReadAll()
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("readahead content mismatch (%d vs %d bytes), err=%v", len(got), len(data), err)
 	}
 }
 
+// TestSetFeaturesTransitions pins the two state transitions
+// SetFeatures owns: switching leases off leaves no held lease and no
+// CSS delegate record, and switching the page cache off flushes it and
+// keeps it empty.
+func TestSetFeaturesTransitions(t *testing.T) {
+	c, id := leaseCluster(t) // leases on; file stored at sites 3, 4; CSS = 1
+	openClose(t, c.K(2), id, fs.ModeRead)
+	if len(c.K(2).Leases()) != 1 || len(c.K(1).Delegates()) != 1 {
+		t.Fatalf("setup: want one delegation at site 2 recorded at the CSS, got %v / %v",
+			c.K(2).Leases(), c.K(1).Delegates())
+	}
+	c.SetFeatures(fs.Features{})
+	c.Net.Quiesce()
+	for _, s := range c.Sites() {
+		if l, d := c.K(s).Leases(), c.K(s).Delegates(); len(l) != 0 || len(d) != 0 {
+			t.Fatalf("site %d after {Leases} -> {}: leases %v, delegates %v", s, l, d)
+		}
+	}
+
+	readAll := func() {
+		t.Helper()
+		f, err := c.K(2).OpenID(id, fs.ModeRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close() //nolint:errcheck
+		if _, err := f.ReadAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAll()
+	if c.K(2).CachedPages() == 0 {
+		t.Fatal("setup: a remote read should have populated the using-site cache")
+	}
+	c.K(2).SetFeatures(fs.Features{NoPageCache: true})
+	if n := c.K(2).CachedPages(); n != 0 {
+		t.Fatalf("{} -> {NoPageCache}: %d pages still cached", n)
+	}
+	readAll()
+	if n := c.K(2).CachedPages(); n != 0 {
+		t.Fatalf("cache accepted %d pages while off", n)
+	}
+}
+
 func TestReadaheadWriterSeesOwnWrites(t *testing.T) {
 	c := newCluster(t, 2)
-	writeFile(t, c.kernels[1], "/f", bytes.Repeat([]byte{'a'}, 2*storage.PageSize))
-	if err := c.kernels[1].SetReplication(cred(), "/f", []fs.SiteID{1}); err != nil {
+	writeFile(t, c.K(1), "/f", bytes.Repeat([]byte{'a'}, 2*storage.PageSize))
+	if err := c.K(1).SetReplication(cred(), "/f", []fs.SiteID{1}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
-	w, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	settle(t, c)
+	c.K(2).SetFeatures(fs.Features{Readahead: true})
+	w, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close() //nolint:errcheck
-	w.SetReadahead(true)
 	buf := make([]byte, 4)
 	if _, err := w.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
@@ -110,24 +152,24 @@ func TestReadaheadWriterSeesOwnWrites(t *testing.T) {
 func TestPageCacheInvalidatedByRemoteCommit(t *testing.T) {
 	c := newCluster(t, 3)
 	oldData := bytes.Repeat([]byte{'1'}, 2*storage.PageSize)
-	writeFile(t, c.kernels[1], "/inv", oldData)
-	if err := c.kernels[1].SetReplication(cred(), "/inv", []fs.SiteID{1}); err != nil {
+	writeFile(t, c.K(1), "/inv", oldData)
+	if err := c.K(1).SetReplication(cred(), "/inv", []fs.SiteID{1}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 
 	readAll := func() ([]byte, int64) {
-		f, err := c.kernels[3].Open(cred(), "/inv", fs.ModeRead)
+		f, err := c.K(3).Open(cred(), "/inv", fs.ModeRead)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer f.Close() //nolint:errcheck
-		before := c.net.Stats()
+		before := c.Net.Stats()
 		got, err := f.ReadAll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got, c.net.Stats().Sub(before).ByMethod["fs.read"]
+		return got, c.Net.Stats().Sub(before).ByMethod["fs.read"]
 	}
 
 	// Warm site 3's cache, then prove a re-read is served from it.
@@ -140,7 +182,7 @@ func TestPageCacheInvalidatedByRemoteCommit(t *testing.T) {
 
 	// Another US commits a new version.
 	newData := bytes.Repeat([]byte{'2'}, 2*storage.PageSize)
-	w, err := c.kernels[2].Open(cred(), "/inv", fs.ModeModify)
+	w, err := c.K(2).Open(cred(), "/inv", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +192,7 @@ func TestPageCacheInvalidatedByRemoteCommit(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 
 	// Site 3's next open synchronizes on the new version; its cached v1
 	// pages are stale and must not be served.
@@ -175,7 +217,7 @@ func TestPathShippingResolvesRemoteTreeInOneExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newClusterCfg(t, cfg)
-	k1, k2 := c.kernels[1], c.kernels[2]
+	k1, k2 := c.K(1), c.K(2)
 	for _, d := range []string{"/a", "/a/b", "/a/b/c", "/a/b/c/d"} {
 		if err := k1.Mkdir(cred(), d, 0755); err != nil {
 			t.Fatal(err)
@@ -191,25 +233,25 @@ func TestPathShippingResolvesRemoteTreeInOneExchange(t *testing.T) {
 	if err := k1.SetReplication(cred(), "/", []fs.SiteID{1}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 
 	// Baseline: remote walk.
-	before := c.net.Stats()
+	before := c.Net.Stats()
 	r1, err := k2.Resolve(cred(), "/a/b/c/d/leaf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainMsgs := c.net.Stats().Sub(before).Msgs
+	plainMsgs := c.Net.Stats().Sub(before).Msgs
 
 	// Shipped: CSS (site 1) stores the whole tree, so one exchange
 	// resolves everything.
-	k2.SetPathShipping(true)
-	before = c.net.Stats()
+	k2.SetFeatures(fs.Features{PathShipping: true})
+	before = c.Net.Stats()
 	r2, err := k2.Resolve(cred(), "/a/b/c/d/leaf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipMsgs := c.net.Stats().Sub(before).Msgs
+	shipMsgs := c.Net.Stats().Sub(before).Msgs
 
 	if r1.ID != r2.ID || r2.Type != storage.TypeRegular {
 		t.Fatalf("shipped resolution differs: %+v vs %+v", r1, r2)
@@ -235,7 +277,7 @@ func TestPathShippingMatchesPlainResolutionEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newClusterCfg(t, cfg)
-	k1 := c.kernels[1]
+	k1 := c.K(1)
 	if err := k1.Mkdir(cred(), "/bin", 0755); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +286,7 @@ func TestPathShippingMatchesPlainResolutionEverywhere(t *testing.T) {
 	}
 	writeFile(t, k1, "/bin/tool@@/vax", []byte("vax tool"))
 	writeFile(t, k1, "/vol/data", []byte("mounted"))
-	c.settle(t)
+	settle(t, c)
 
 	hidden := &fs.Cred{User: "u", HiddenCtx: []string{"vax"}}
 	paths := []struct {
@@ -258,12 +300,12 @@ func TestPathShippingMatchesPlainResolutionEverywhere(t *testing.T) {
 		{"/vol", cred()},
 		{"/vol/data", cred()},
 	}
-	for _, k := range []*fs.Kernel{k1, c.kernels[2]} {
+	for _, k := range []*fs.Kernel{k1, c.K(2)} {
 		for _, tc := range paths {
 			plain, err1 := k.Resolve(tc.cred, tc.p)
-			k.SetPathShipping(true)
+			k.SetFeatures(fs.Features{PathShipping: true})
 			shipped, err2 := k.Resolve(tc.cred, tc.p)
-			k.SetPathShipping(false)
+			k.SetFeatures(fs.Features{})
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("site %d %s: plain err=%v shipped err=%v", k.Site(), tc.p, err1, err2)
 			}
@@ -272,9 +314,9 @@ func TestPathShippingMatchesPlainResolutionEverywhere(t *testing.T) {
 			}
 		}
 		// Errors agree too.
-		k.SetPathShipping(true)
+		k.SetFeatures(fs.Features{PathShipping: true})
 		_, errShip := k.Resolve(cred(), "/bin/missing")
-		k.SetPathShipping(false)
+		k.SetFeatures(fs.Features{})
 		if !errors.Is(errShip, fs.ErrNotFound) {
 			t.Fatalf("site %d: shipped missing-name error = %v", k.Site(), errShip)
 		}
@@ -283,12 +325,12 @@ func TestPathShippingMatchesPlainResolutionEverywhere(t *testing.T) {
 
 func TestMknodAnnotations(t *testing.T) {
 	c := newCluster(t, 2)
-	k := c.kernels[1]
+	k := c.K(1)
 	if err := k.Mknod(cred(), "/dev-lp", 2, "lineprinter", 0666); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
-	ino, err := c.kernels[2].Stat(cred(), "/dev-lp")
+	settle(t, c)
+	ino, err := c.K(2).Stat(cred(), "/dev-lp")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestConcurrentWritersDifferentFilesAcrossSites(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			k := c.kernels[fs.SiteID(1+w%4)]
+			k := c.K(fs.SiteID(1 + w%4))
 			path := fmt.Sprintf("/file-%02d", w)
 			f, err := k.Create(cred(), path, storage.TypeRegular, 0644)
 			if err != nil {
@@ -46,9 +46,9 @@ func TestConcurrentWritersDifferentFilesAcrossSites(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	c.settle(t)
+	settle(t, c)
 	for w := 0; w < 16; w++ {
-		got := readFile(t, c.kernels[fs.SiteID(1+(w+2)%4)], fmt.Sprintf("/file-%02d", w))
+		got := readFile(t, c.K(fs.SiteID(1+(w+2)%4)), fmt.Sprintf("/file-%02d", w))
 		want := fmt.Sprintf("/file-%02d rev 4", w)
 		if string(got) != want {
 			t.Errorf("file %d: %q want %q", w, got, want)
@@ -58,10 +58,10 @@ func TestConcurrentWritersDifferentFilesAcrossSites(t *testing.T) {
 
 func TestConcurrentReadersDuringModify(t *testing.T) {
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("committed-v1"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("committed-v1"))
+	settle(t, c)
 
-	w, err := c.kernels[1].Open(cred(), "/f", fs.ModeModify)
+	w, err := c.K(1).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestConcurrentReadersDuringModify(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			k := c.kernels[fs.SiteID(1+i%3)]
+			k := c.K(fs.SiteID(1 + i%3))
 			f, err := k.Open(cred(), "/f", fs.ModeRead)
 			if err != nil {
 				t.Errorf("reader %d: %v", i, err)
@@ -106,21 +106,21 @@ func TestNestedMounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newClusterCfg(t, cfg)
-	writeFile(t, c.kernels[1], "/a/b/deep", []byte("nested"))
-	c.settle(t)
-	r, err := c.kernels[3].Resolve(cred(), "/a/b/deep")
+	writeFile(t, c.K(1), "/a/b/deep", []byte("nested"))
+	settle(t, c)
+	r, err := c.K(3).Resolve(cred(), "/a/b/deep")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.ID.FG != 3 {
 		t.Fatalf("deep file in fg %d, want 3", r.ID.FG)
 	}
-	if got := readFile(t, c.kernels[2], "/a/b/deep"); string(got) != "nested" {
+	if got := readFile(t, c.K(2), "/a/b/deep"); string(got) != "nested" {
 		t.Fatalf("read %q", got)
 	}
 	// The intermediate mounted fg works too.
-	writeFile(t, c.kernels[1], "/a/mid", []byte("m"))
-	r, err = c.kernels[1].Resolve(cred(), "/a/mid")
+	writeFile(t, c.K(1), "/a/mid", []byte("m"))
+	r, err = c.K(1).Resolve(cred(), "/a/mid")
 	if err != nil || r.ID.FG != 2 {
 		t.Fatalf("mid: %+v %v", r, err)
 	}
@@ -128,7 +128,7 @@ func TestNestedMounts(t *testing.T) {
 
 func TestRenameDirectoryKeepsSubtree(t *testing.T) {
 	c := newCluster(t, 2)
-	k := c.kernels[1]
+	k := c.K(1)
 	if err := k.Mkdir(cred(), "/old", 0755); err != nil {
 		t.Fatal(err)
 	}
@@ -142,15 +142,15 @@ func TestRenameDirectoryKeepsSubtree(t *testing.T) {
 	if _, err := k.Stat(cred(), "/old"); !errors.Is(err, fs.ErrNotFound) {
 		t.Fatalf("old name: %v", err)
 	}
-	c.settle(t)
-	if got := readFile(t, c.kernels[2], "/new/child"); string(got) != "x" {
+	settle(t, c)
+	if got := readFile(t, c.K(2), "/new/child"); string(got) != "x" {
 		t.Fatalf("site 2 read %q", got)
 	}
 }
 
 func TestRenameOntoExistingNameFails(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/a", []byte("a"))
 	writeFile(t, k, "/b", []byte("b"))
 	if err := k.Rename(cred(), "/a", "/b"); !errors.Is(err, fs.ErrExists) {
@@ -169,7 +169,7 @@ func TestInodeExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newClusterCfg(t, cfg)
-	k := c.kernels[1]
+	k := c.K(1)
 	// Root uses inode 1; four remain.
 	made := 0
 	for i := 0; i < 10; i++ {
@@ -206,7 +206,7 @@ func TestInodeExhaustion(t *testing.T) {
 
 func TestHiddenDirNestedUnderHidden(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	if err := k.MkHidden(cred(), "/cmd", 0755); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestHiddenDirNestedUnderHidden(t *testing.T) {
 
 func TestAbortReleasesShadowPagesNoLeak(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/f", bytes.Repeat([]byte{'x'}, storage.PageSize))
 	cont := k.Store().Container(1)
 	base := cont.PageCount()
@@ -258,8 +258,8 @@ func TestCloseWithoutCommitDiscardsNothingCommitted(t *testing.T) {
 	// Close auto-commits dirty pages; but a handle that wrote then
 	// aborted, then closed, leaves the old version.
 	c := newCluster(t, 2)
-	writeFile(t, c.kernels[1], "/f", []byte("keep"))
-	f, err := c.kernels[1].Open(cred(), "/f", fs.ModeModify)
+	writeFile(t, c.K(1), "/f", []byte("keep"))
+	f, err := c.K(1).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,16 +272,16 @@ func TestCloseWithoutCommitDiscardsNothingCommitted(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFile(t, c.kernels[1], "/f"); string(got) != "keep" {
+	if got := readFile(t, c.K(1), "/f"); string(got) != "keep" {
 		t.Fatalf("got %q", got)
 	}
 }
 
 func TestSecondOpenAfterCommitSeesNewSize(t *testing.T) {
 	c := newCluster(t, 2)
-	writeFile(t, c.kernels[1], "/f", []byte("12345"))
-	c.settle(t)
-	f, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	writeFile(t, c.K(1), "/f", []byte("12345"))
+	settle(t, c)
+	f, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSecondOpenAfterCommitSeesNewSize(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g, err := c.kernels[2].Open(cred(), "/f", fs.ModeRead)
+	g, err := c.K(2).Open(cred(), "/f", fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,21 +304,21 @@ func TestSecondOpenAfterCommitSeesNewSize(t *testing.T) {
 
 func TestManyFilesGCAfterMassUnlink(t *testing.T) {
 	c := newCluster(t, 3)
-	k := c.kernels[1]
+	k := c.K(1)
 	const n = 30
 	for i := 0; i < n; i++ {
 		writeFile(t, k, fmt.Sprintf("/f%02d", i), []byte("data"))
 	}
-	c.settle(t)
+	settle(t, c)
 	for i := 0; i < n; i++ {
 		if err := k.Unlink(cred(), fmt.Sprintf("/f%02d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.settle(t)
+	settle(t, c)
 	total := 0
-	for _, kk := range c.kernels {
-		total += kk.CollectGarbage()
+	for _, s := range c.Sites() {
+		total += c.K(s).CollectGarbage()
 	}
 	if total != n {
 		t.Fatalf("gc reclaimed %d, want %d", total, n)
@@ -334,27 +334,27 @@ func TestManyFilesGCAfterMassUnlink(t *testing.T) {
 
 func TestGCDeferredWhileSiteUnreachable(t *testing.T) {
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("x"))
-	c.settle(t)
-	c.partition([]fs.SiteID{1, 2}, []fs.SiteID{3})
-	if err := c.kernels[1].Unlink(cred(), "/f"); err != nil {
+	writeFile(t, c.K(1), "/f", []byte("x"))
+	settle(t, c)
+	c.Partition([]fs.SiteID{1, 2}, []fs.SiteID{3})
+	if err := c.K(1).Unlink(cred(), "/f"); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 	// Site 3 has not seen the delete: GC must hold off.
-	if n := c.kernels[1].CollectGarbage(); n != 0 {
+	if n := c.K(1).CollectGarbage(); n != 0 {
 		t.Fatalf("gc reclaimed %d with a pack unreachable, want 0", n)
 	}
-	c.heal()
-	c.settle(t)
+	c.Heal()
+	settle(t, c)
 	// The first GC pass after heal discovers site 3's stale live copy
 	// and schedules the tombstone pull; after it lands, collection
 	// succeeds.
-	if n := c.kernels[1].CollectGarbage(); n != 0 {
+	if n := c.K(1).CollectGarbage(); n != 0 {
 		t.Fatalf("first gc after heal = %d, want 0 (nudge only)", n)
 	}
-	c.settle(t)
-	if n := c.kernels[1].CollectGarbage(); n != 1 {
+	settle(t, c)
+	if n := c.K(1).CollectGarbage(); n != 1 {
 		t.Fatalf("gc after tombstone propagation = %d, want 1", n)
 	}
 }
@@ -370,7 +370,7 @@ func TestStatAndReadDirOnMountPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newClusterCfg(t, cfg)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/mnt/inside", []byte("z"))
 	ino, err := k.Stat(cred(), "/mnt")
 	if err != nil {
@@ -387,7 +387,7 @@ func TestStatAndReadDirOnMountPoint(t *testing.T) {
 
 func TestWriteAtSparseThenTruncateGrow(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	f, err := k.Create(cred(), "/s", storage.TypeRegular, 0644)
 	if err != nil {
 		t.Fatal(err)
@@ -417,10 +417,10 @@ func TestVersionVectorGrowthAcrossSites(t *testing.T) {
 	// Updates committed at different storage sites bump different
 	// vector entries.
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("v0"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("v0"))
+	settle(t, c)
 	for _, s := range []fs.SiteID{2, 3, 1} {
-		f, err := c.kernels[s].Open(cred(), "/f", fs.ModeModify)
+		f, err := c.K(s).Open(cred(), "/f", fs.ModeModify)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,9 +430,9 @@ func TestVersionVectorGrowthAcrossSites(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		c.settle(t)
+		settle(t, c)
 	}
-	ino, err := c.kernels[1].Stat(cred(), "/f")
+	ino, err := c.K(1).Stat(cred(), "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,22 +447,22 @@ func TestVersionVectorGrowthAcrossSites(t *testing.T) {
 
 func TestOpenModifyWhileWriterAtAnotherSiteThenRetry(t *testing.T) {
 	c := newCluster(t, 2)
-	writeFile(t, c.kernels[1], "/f", []byte("x"))
-	c.settle(t)
-	w1, err := c.kernels[1].Open(cred(), "/f", fs.ModeModify)
+	writeFile(t, c.K(1), "/f", []byte("x"))
+	settle(t, c)
+	w1, err := c.K(1).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 20 denied attempts do not corrupt lock state.
 	for i := 0; i < 20; i++ {
-		if _, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify); !errors.Is(err, fs.ErrBusy) {
+		if _, err := c.K(2).Open(cred(), "/f", fs.ModeModify); !errors.Is(err, fs.ErrBusy) {
 			t.Fatalf("attempt %d: %v", i, err)
 		}
 	}
 	if err := w1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	w2, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}

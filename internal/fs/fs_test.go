@@ -6,108 +6,41 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/fs"
-	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
-// testCluster is a minimal harness local to the fs tests (the shared
-// one in internal/cluster depends on fs and would cycle in-package).
-type testCluster struct {
-	net     *netsim.Network
-	kernels map[fs.SiteID]*fs.Kernel
-	cfg     *fs.Config
+// newCluster builds an nSites-site single-filegroup cluster through
+// internal/cluster, the one assembly (an external test package may
+// import it), and closes it at test cleanup.
+func newCluster(t *testing.T, nSites int) *cluster.Cluster {
+	t.Helper()
+	return newClusterCfg(t, cluster.SimpleConfig(nSites))
 }
 
-func newCluster(t *testing.T, nSites int) *testCluster {
+// newClusterCfg builds a cluster for cfg. sites, when given, is the
+// explicit boot list (it may include sites that hold no pack).
+func newClusterCfg(t *testing.T, cfg *fs.Config, sites ...fs.SiteID) *cluster.Cluster {
 	t.Helper()
-	packs := make([]fs.PackDesc, nSites)
-	for i := 0; i < nSites; i++ {
-		packs[i] = fs.PackDesc{Site: fs.SiteID(i + 1),
-			Lo: storage.InodeNum(i*1000 + 1), Hi: storage.InodeNum((i + 1) * 1000)}
-	}
-	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: packs}})
+	c, err := cluster.New(cfg, cluster.Options{Sites: sites})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newClusterCfg(t, cfg)
-}
-
-func mustBoot(t *testing.T, node *netsim.Node, cfg *fs.Config, meter storage.Meter) *fs.Kernel {
-	t.Helper()
-	k, err := fs.BootSite(node, cfg, meter, storage.Costs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
-}
-
-func newClusterCfg(t *testing.T, cfg *fs.Config) *testCluster {
-	t.Helper()
-	nw := netsim.New(netsim.DefaultCosts())
-	t.Cleanup(nw.Close)
-	c := &testCluster{net: nw, kernels: make(map[fs.SiteID]*fs.Kernel), cfg: cfg}
-	seen := map[fs.SiteID]bool{}
-	for _, d := range cfg.Filegroups {
-		for _, p := range d.Packs {
-			if !seen[p.Site] {
-				seen[p.Site] = true
-				c.kernels[p.Site] = mustBoot(t, nw.AddSite(p.Site), cfg, nw.Meter())
-			}
-		}
-	}
-	if err := fs.Format(c.kernels, cfg); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(c.Close)
 	return c
 }
 
-func (c *testCluster) settle(t *testing.T) {
+// settle drains propagation and fails the test if pulls stay queued.
+func settle(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
-	for pass := 0; pass < 50; pass++ {
-		c.net.Quiesce()
-		n := 0
-		for _, k := range c.kernels {
-			n += k.DrainPropagation()
-		}
-		if n == 0 {
-			c.net.Quiesce()
-			pending := 0
-			for _, k := range c.kernels {
-				pending += k.PendingPropagations()
-			}
-			if pending == 0 {
-				return
-			}
-		}
-	}
+	c.Settle()
 	msg := ""
-	for _, k := range c.kernels {
-		msg += k.DebugPendingPropagations()
+	for _, s := range c.Sites() {
+		msg += c.K(s).DebugPendingPropagations()
 	}
-	t.Fatalf("cluster did not settle: %s", msg)
-}
-
-func (c *testCluster) partition(groups ...[]fs.SiteID) {
-	c.net.PartitionGroups(groups...)
-	for _, g := range groups {
-		for _, s := range g {
-			c.kernels[s].CleanupAfterPartitionChange(g)
-		}
-	}
-}
-
-func (c *testCluster) heal() {
-	c.net.HealAll()
-	var all []fs.SiteID
-	for s := range c.kernels {
-		if c.net.Up(s) {
-			all = append(all, s)
-		}
-	}
-	for _, s := range all {
-		c.kernels[s].CleanupAfterPartitionChange(all)
-		c.kernels[s].RequeueStalledPropagations()
+	if msg != "" {
+		t.Fatalf("cluster did not settle: %s", msg)
 	}
 }
 
@@ -145,7 +78,7 @@ func readFile(t *testing.T, k *fs.Kernel, path string) []byte {
 
 func TestCreateWriteReadLocal(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/hello.txt", []byte("hello, LOCUS"))
 	got := readFile(t, k, "/hello.txt")
 	if !bytes.Equal(got, []byte("hello, LOCUS")) {
@@ -157,10 +90,10 @@ func TestTransparentRemoteAccess(t *testing.T) {
 	// Location transparency (§2.1): the same calls work regardless of
 	// where the file is stored.
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("made at site 1"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("made at site 1"))
+	settle(t, c)
 	for s := fs.SiteID(1); s <= 3; s++ {
-		got := readFile(t, c.kernels[s], "/f")
+		got := readFile(t, c.K(s), "/f")
 		if !bytes.Equal(got, []byte("made at site 1")) {
 			t.Fatalf("site %d read %q", s, got)
 		}
@@ -169,10 +102,10 @@ func TestTransparentRemoteAccess(t *testing.T) {
 
 func TestMultiPageFile(t *testing.T) {
 	c := newCluster(t, 2)
-	k := c.kernels[2]
+	k := c.K(2)
 	data := bytes.Repeat([]byte("0123456789abcdef"), 1024) // 16 KiB = 4 pages
 	writeFile(t, k, "/big", data)
-	got := readFile(t, c.kernels[1], "/big")
+	got := readFile(t, c.K(1), "/big")
 	if !bytes.Equal(got, data) {
 		t.Fatalf("multi-page read mismatch: %d vs %d bytes", len(got), len(data))
 	}
@@ -180,7 +113,7 @@ func TestMultiPageFile(t *testing.T) {
 
 func TestPartialPageOverwrite(t *testing.T) {
 	c := newCluster(t, 2)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/f", []byte("aaaaaaaaaa"))
 	f, err := k.Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
@@ -200,7 +133,7 @@ func TestPartialPageOverwrite(t *testing.T) {
 
 func TestCommitAbortSemantics(t *testing.T) {
 	c := newCluster(t, 2)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/f", []byte("original"))
 
 	f, err := k.Open(cred(), "/f", fs.ModeModify)
@@ -242,18 +175,18 @@ func TestCommitAbortSemantics(t *testing.T) {
 
 func TestSingleWriterPolicy(t *testing.T) {
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("x"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("x"))
+	settle(t, c)
 
-	f1, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	f1, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.kernels[3].Open(cred(), "/f", fs.ModeModify); !errors.Is(err, fs.ErrBusy) {
+	if _, err := c.K(3).Open(cred(), "/f", fs.ModeModify); !errors.Is(err, fs.ErrBusy) {
 		t.Fatalf("second modify open: err = %v, want ErrBusy", err)
 	}
 	// Readers are still admitted while the writer is active.
-	r, err := c.kernels[3].Open(cred(), "/f", fs.ModeRead)
+	r, err := c.K(3).Open(cred(), "/f", fs.ModeRead)
 	if err != nil {
 		t.Fatalf("concurrent read open: %v", err)
 	}
@@ -264,7 +197,7 @@ func TestSingleWriterPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Lock released: modify open succeeds now.
-	f2, err := c.kernels[3].Open(cred(), "/f", fs.ModeModify)
+	f2, err := c.K(3).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatalf("after close: %v", err)
 	}
@@ -275,13 +208,13 @@ func TestSingleWriterPolicy(t *testing.T) {
 
 func TestPropagationBringsReplicasUpToDate(t *testing.T) {
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("v1"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("v1"))
+	settle(t, c)
 
 	// Every pack should now store identical copies with equal vectors.
 	var vv0 string
 	for s := fs.SiteID(1); s <= 3; s++ {
-		ino, err := c.kernels[s].Stat(cred(), "/f")
+		ino, err := c.K(s).Stat(cred(), "/f")
 		if err != nil {
 			t.Fatalf("site %d stat: %v", s, err)
 		}
@@ -293,7 +226,7 @@ func TestPropagationBringsReplicasUpToDate(t *testing.T) {
 	}
 
 	// Update at site 2; settle; all read v2.
-	f, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	f, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +236,9 @@ func TestPropagationBringsReplicasUpToDate(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 	for s := fs.SiteID(1); s <= 3; s++ {
-		if got := readFile(t, c.kernels[s], "/f"); string(got) != "v2" {
+		if got := readFile(t, c.K(s), "/f"); string(got) != "v2" {
 			t.Fatalf("site %d read %q", s, got)
 		}
 	}
@@ -315,10 +248,10 @@ func TestPageLevelPropagation(t *testing.T) {
 	// Only modified pages travel when the base copy is current.
 	c := newCluster(t, 2)
 	data := bytes.Repeat([]byte{'a'}, 3*storage.PageSize)
-	writeFile(t, c.kernels[1], "/f", data)
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", data)
+	settle(t, c)
 
-	f, err := c.kernels[1].Open(cred(), "/f", fs.ModeModify)
+	f, err := c.K(1).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +262,9 @@ func TestPageLevelPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := c.net.Stats()
-	c.settle(t)
-	d := c.net.Stats().Sub(before)
+	before := c.Net.Stats()
+	settle(t, c)
+	d := c.Net.Stats().Sub(before)
 	// The pull should transfer ~1 page, not 3. With bulk pull the one
 	// modified page rides the fs.pullopen piggyback window, so the
 	// whole pull is a single exchange and no separate page reads occur.
@@ -341,7 +274,7 @@ func TestPageLevelPropagation(t *testing.T) {
 	if d.PullPagesSent != 1 {
 		t.Fatalf("page-level propagation transferred %d pages, want 1 (only the modified page): %v", d.PullPagesSent, d.ByMethod)
 	}
-	got := readFile(t, c.kernels[2], "/f")
+	got := readFile(t, c.K(2), "/f")
 	want := append(append(bytes.Repeat([]byte{'a'}, storage.PageSize),
 		bytes.Repeat([]byte{'b'}, storage.PageSize)...), bytes.Repeat([]byte{'a'}, storage.PageSize)...)
 	if !bytes.Equal(got, want) {
@@ -351,7 +284,7 @@ func TestPageLevelPropagation(t *testing.T) {
 
 func TestMkdirReadDirUnlink(t *testing.T) {
 	c := newCluster(t, 2)
-	k := c.kernels[1]
+	k := c.K(1)
 	if err := k.Mkdir(cred(), "/dir", 0755); err != nil {
 		t.Fatal(err)
 	}
@@ -384,21 +317,21 @@ func TestMkdirReadDirUnlink(t *testing.T) {
 
 func TestUnlinkPropagatesAndGC(t *testing.T) {
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", bytes.Repeat([]byte{'x'}, storage.PageSize*2))
-	c.settle(t)
-	if err := c.kernels[2].Unlink(cred(), "/f"); err != nil {
+	writeFile(t, c.K(1), "/f", bytes.Repeat([]byte{'x'}, storage.PageSize*2))
+	settle(t, c)
+	if err := c.K(2).Unlink(cred(), "/f"); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 	for s := fs.SiteID(1); s <= 3; s++ {
-		if _, err := c.kernels[s].Open(cred(), "/f", fs.ModeRead); !errors.Is(err, fs.ErrNotFound) {
+		if _, err := c.K(s).Open(cred(), "/f", fs.ModeRead); !errors.Is(err, fs.ErrNotFound) {
 			t.Fatalf("site %d open deleted file: %v", s, err)
 		}
 	}
 	// GC reclaims the tombstone once all packs saw the delete.
 	total := 0
 	for s := fs.SiteID(1); s <= 3; s++ {
-		total += c.kernels[s].CollectGarbage()
+		total += c.K(s).CollectGarbage()
 	}
 	if total != 1 {
 		t.Fatalf("CollectGarbage reclaimed %d inodes, want 1", total)
@@ -407,7 +340,7 @@ func TestUnlinkPropagatesAndGC(t *testing.T) {
 
 func TestCreateExistsFails(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/f", nil)
 	if _, err := k.Create(cred(), "/f", storage.TypeRegular, 0644); !errors.Is(err, fs.ErrExists) {
 		t.Fatalf("err = %v, want ErrExists", err)
@@ -416,7 +349,7 @@ func TestCreateExistsFails(t *testing.T) {
 
 func TestResolveErrors(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/file", []byte("x"))
 	cases := []struct {
 		path string
@@ -436,7 +369,7 @@ func TestResolveErrors(t *testing.T) {
 
 func TestLinkAndRename(t *testing.T) {
 	c := newCluster(t, 2)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/f", []byte("data"))
 	if err := k.Link(cred(), "/f", "/g"); err != nil {
 		t.Fatal(err)
@@ -469,16 +402,16 @@ func TestLinkAndRename(t *testing.T) {
 
 func TestChmodChownPropagate(t *testing.T) {
 	c := newCluster(t, 2)
-	writeFile(t, c.kernels[1], "/f", []byte("x"))
-	c.settle(t)
-	if err := c.kernels[1].Chmod(cred(), "/f", 0600); err != nil {
+	writeFile(t, c.K(1), "/f", []byte("x"))
+	settle(t, c)
+	if err := c.K(1).Chmod(cred(), "/f", 0600); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.kernels[1].Chown(cred(), "/f", "alice"); err != nil {
+	if err := c.K(1).Chown(cred(), "/f", "alice"); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
-	ino, err := c.kernels[2].Stat(cred(), "/f")
+	settle(t, c)
+	ino, err := c.K(2).Stat(cred(), "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +424,7 @@ func TestHiddenDirectories(t *testing.T) {
 	// §2.4.1: /bin/who is a hidden directory with per-machine-type load
 	// modules; resolution substitutes the process context.
 	c := newCluster(t, 2)
-	k := c.kernels[1]
+	k := c.K(1)
 	if err := k.Mkdir(cred(), "/bin", 0755); err != nil {
 		t.Fatal(err)
 	}
@@ -560,11 +493,11 @@ func TestMultipleFilegroupsAndMounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newClusterCfg(t, cfg)
-	k1 := c.kernels[1]
+	k1 := c.K(1)
 	// A file under /usr lives in filegroup 2, stored at sites 2,3 —
 	// but naming is fully transparent from site 1.
 	writeFile(t, k1, "/usr/f", []byte("cross-filegroup"))
-	c.settle(t)
+	settle(t, c)
 	r, err := k1.Resolve(cred(), "/usr/f")
 	if err != nil {
 		t.Fatal(err)
@@ -572,7 +505,7 @@ func TestMultipleFilegroupsAndMounts(t *testing.T) {
 	if r.ID.FG != 2 {
 		t.Fatalf("file created in filegroup %d, want 2", r.ID.FG)
 	}
-	if got := readFile(t, c.kernels[3], "/usr/f"); string(got) != "cross-filegroup" {
+	if got := readFile(t, c.K(3), "/usr/f"); string(got) != "cross-filegroup" {
 		t.Fatalf("site 3 read %q", got)
 	}
 	// Hard links across the mount fail.
@@ -587,14 +520,14 @@ func TestReplicationFactorPlacement(t *testing.T) {
 	// NCopies=2: file should be placed at exactly 2 sites, the creating
 	// site first.
 	cr := &fs.Cred{User: "u", NCopies: 2}
-	f, err := c.kernels[3].Create(cr, "/twocopy", storage.TypeRegular, 0644)
+	f, err := c.K(3).Create(cr, "/twocopy", storage.TypeRegular, 0644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ino, err := c.kernels[3].Stat(cred(), "/twocopy")
+	ino, err := c.K(3).Stat(cred(), "/twocopy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,13 +542,13 @@ func TestReplicationFactorPlacement(t *testing.T) {
 func TestStaleReplicaRefusesToServe(t *testing.T) {
 	// A pack holding an old version must refuse to act as SS (§2.3.3).
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("v1"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("v1"))
+	settle(t, c)
 
 	// Site 3 misses the v2 update (isolated), then the writer's sites
 	// stay up: readers must get v2, never v1.
-	c.partition([]fs.SiteID{1, 2}, []fs.SiteID{3})
-	f, err := c.kernels[1].Open(cred(), "/f", fs.ModeModify)
+	c.Partition([]fs.SiteID{1, 2}, []fs.SiteID{3})
+	f, err := c.K(1).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,11 +558,11 @@ func TestStaleReplicaRefusesToServe(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
-	c.heal()
+	settle(t, c)
+	c.Heal()
 	// Before site 3 pulls, a read from site 3 must be served by a
 	// current site (1 or 2), not its own stale copy.
-	g, err := c.kernels[3].Open(cred(), "/f", fs.ModeRead)
+	g, err := c.K(3).Open(cred(), "/f", fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,22 +584,22 @@ func TestOpenMessageCountMatrix(t *testing.T) {
 	// US/CSS/SS coincide. CSS is site 1 (lowest pack site).
 	c := newCluster(t, 3)
 	// fileA stored only at site 3: the CSS never stores it.
-	writeFile(t, c.kernels[1], "/a", []byte("A"))
-	if err := c.kernels[1].SetReplication(cred(), "/a", []fs.SiteID{3}); err != nil {
+	writeFile(t, c.K(1), "/a", []byte("A"))
+	if err := c.K(1).SetReplication(cred(), "/a", []fs.SiteID{3}); err != nil {
 		t.Fatal(err)
 	}
 	// fileB stored at sites 1 and 3.
-	writeFile(t, c.kernels[1], "/b", []byte("B"))
-	if err := c.kernels[1].SetReplication(cred(), "/b", []fs.SiteID{1, 3}); err != nil {
+	writeFile(t, c.K(1), "/b", []byte("B"))
+	if err := c.K(1).SetReplication(cred(), "/b", []fs.SiteID{1, 3}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 
-	ra, err := c.kernels[1].Resolve(cred(), "/a")
+	ra, err := c.K(1).Resolve(cred(), "/a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := c.kernels[1].Resolve(cred(), "/b")
+	rb, err := c.K(1).Resolve(cred(), "/b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,12 +625,12 @@ func TestOpenMessageCountMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := c.net.Stats()
-			g, err := c.kernels[tc.us].OpenID(tc.id, fs.ModeRead)
+			before := c.Net.Stats()
+			g, err := c.K(tc.us).OpenID(tc.id, fs.ModeRead)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := c.net.Stats().Sub(before)
+			d := c.Net.Stats().Sub(before)
 			if d.Msgs != tc.wantMsgs {
 				t.Fatalf("open from site %d: %d messages, want %d (%v)", tc.us, d.Msgs, tc.wantMsgs, d.ByMethod)
 			}
@@ -713,48 +646,48 @@ func TestReadWriteCloseMessageCounts(t *testing.T) {
 	// §2.3.3/.5: network read = 2 messages, write = 1 message, close of
 	// a remotely stored file = 4 messages (US, SS, CSS all distinct).
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", bytes.Repeat([]byte{'x'}, storage.PageSize))
-	if err := c.kernels[1].SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
+	writeFile(t, c.K(1), "/f", bytes.Repeat([]byte{'x'}, storage.PageSize))
+	if err := c.K(1).SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 
 	// US=2; CSS=1; the only current pack is 3 after replication change.
-	g, err := c.kernels[2].Open(cred(), "/f", fs.ModeRead)
+	g, err := c.K(2).Open(cred(), "/f", fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.SS() != 3 {
 		t.Fatalf("SS = %d, want 3", g.SS())
 	}
-	before := c.net.Stats()
+	before := c.Net.Stats()
 	buf := make([]byte, 100)
 	if _, err := g.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	d := c.net.Stats().Sub(before)
+	d := c.Net.Stats().Sub(before)
 	if d.Msgs != 2 {
 		t.Fatalf("read: %d messages, want 2 (%v)", d.Msgs, d.ByMethod)
 	}
-	before = c.net.Stats()
+	before = c.Net.Stats()
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d = c.net.Stats().Sub(before)
+	d = c.Net.Stats().Sub(before)
 	if d.Msgs != 4 {
 		t.Fatalf("close: %d messages, want 4 (%v)", d.Msgs, d.ByMethod)
 	}
 
 	// Write: one message per full-page write.
-	w, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	w, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = c.net.Stats()
+	before = c.Net.Stats()
 	if _, err := w.WriteAt(bytes.Repeat([]byte{'y'}, storage.PageSize), 0); err != nil {
 		t.Fatal(err)
 	}
-	d = c.net.Stats().Sub(before)
+	d = c.Net.Stats().Sub(before)
 	if d.Msgs != 1 {
 		t.Fatalf("write: %d messages, want 1 (%v)", d.Msgs, d.ByMethod)
 	}
@@ -767,13 +700,13 @@ func TestCleanupModifyOpenOnSSLoss(t *testing.T) {
 	// §5.6 table: remote resource in use locally, file open for update
 	// -> discard pages, set error in local file descriptor.
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("v1"))
-	if err := c.kernels[1].SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
+	writeFile(t, c.K(1), "/f", []byte("v1"))
+	if err := c.K(1).SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 
-	w, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	w, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -784,7 +717,7 @@ func TestCleanupModifyOpenOnSSLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Site 3 (the SS) is cut off before commit.
-	c.partition([]fs.SiteID{1, 2}, []fs.SiteID{3})
+	c.Partition([]fs.SiteID{1, 2}, []fs.SiteID{3})
 	if !w.Stale() {
 		t.Fatal("modify handle not marked stale after SS loss")
 	}
@@ -797,9 +730,9 @@ func TestCleanupModifyOpenOnSSLoss(t *testing.T) {
 	w.Close() //nolint:errcheck
 
 	// The uncommitted version never becomes visible anywhere.
-	c.heal()
-	c.settle(t)
-	if got := readFile(t, c.kernels[3], "/f"); string(got) != "v1" {
+	c.Heal()
+	settle(t, c)
+	if got := readFile(t, c.K(3), "/f"); string(got) != "v1" {
 		t.Fatalf("after heal read %q, want v1", got)
 	}
 }
@@ -808,10 +741,10 @@ func TestCleanupReadOpenFailsOverToOtherCopy(t *testing.T) {
 	// §5.6 table: file open for read -> internal close, attempt to
 	// reopen at another site with the same version.
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("stable"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("stable"))
+	settle(t, c)
 
-	r, err := c.kernels[2].Open(cred(), "/f", fs.ModeRead)
+	r, err := c.K(2).Open(cred(), "/f", fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -827,7 +760,7 @@ func TestCleanupReadOpenFailsOverToOtherCopy(t *testing.T) {
 			rest = append(rest, s)
 		}
 	}
-	c.partition(rest, []fs.SiteID{lostSS})
+	c.Partition(rest, []fs.SiteID{lostSS})
 	if r.Stale() {
 		t.Fatal("read handle should have failed over, not gone stale")
 	}
@@ -845,12 +778,12 @@ func TestConflictDetectionOnPartitionedUpdate(t *testing.T) {
 	// §4.2: copies modified in different partitions are in conflict
 	// after merge; normal opens fail until reconciled.
 	c := newCluster(t, 2)
-	writeFile(t, c.kernels[1], "/f", []byte("base"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("base"))
+	settle(t, c)
 
-	c.partition([]fs.SiteID{1}, []fs.SiteID{2})
+	c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	for s := fs.SiteID(1); s <= 2; s++ {
-		f, err := c.kernels[s].Open(cred(), "/f", fs.ModeModify)
+		f, err := c.K(s).Open(cred(), "/f", fs.ModeModify)
 		if err != nil {
 			t.Fatalf("site %d open during partition: %v", s, err)
 		}
@@ -861,11 +794,11 @@ func TestConflictDetectionOnPartitionedUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.heal()
-	c.settle(t)
+	c.Heal()
+	settle(t, c)
 
 	// Any open in the merged partition now reports the conflict.
-	_, err := c.kernels[1].Open(cred(), "/f", fs.ModeRead)
+	_, err := c.K(1).Open(cred(), "/f", fs.ModeRead)
 	if !errors.Is(err, fs.ErrConflict) {
 		t.Fatalf("open of conflicted file: %v, want ErrConflict", err)
 	}
@@ -875,11 +808,11 @@ func TestAvailabilityDuringPartition(t *testing.T) {
 	// §4.1: a replicated file remains updatable in every partition that
 	// stores a copy.
 	c := newCluster(t, 4)
-	writeFile(t, c.kernels[1], "/f", []byte("base"))
-	c.settle(t)
-	c.partition([]fs.SiteID{1, 2}, []fs.SiteID{3, 4})
+	writeFile(t, c.K(1), "/f", []byte("base"))
+	settle(t, c)
+	c.Partition([]fs.SiteID{1, 2}, []fs.SiteID{3, 4})
 	for _, s := range []fs.SiteID{2, 4} {
-		f, err := c.kernels[s].Open(cred(), "/f", fs.ModeModify)
+		f, err := c.K(s).Open(cred(), "/f", fs.ModeModify)
 		if err != nil {
 			t.Fatalf("site %d: %v", s, err)
 		}
@@ -898,17 +831,9 @@ func TestNoCSSWhenNoPackInPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := netsim.New(netsim.DefaultCosts())
-	t.Cleanup(nw.Close)
-	kernels := map[fs.SiteID]*fs.Kernel{
-		1: mustBoot(t, nw.AddSite(1), cfg, nil),
-		2: mustBoot(t, nw.AddSite(2), cfg, nil),
-	}
 	// Site 3 stores no pack at all.
-	k3 := mustBoot(t, nw.AddSite(3), cfg, nil)
-	if err := fs.Format(kernels, cfg); err != nil {
-		t.Fatal(err)
-	}
+	c := newClusterCfg(t, cfg, 1, 2, 3)
+	k3 := c.K(3)
 	// With packs reachable, site 3 can use the filesystem.
 	f, err := k3.Create(fs.DefaultCred("u"), "/f", storage.TypeRegular, 0644)
 	if err != nil {
@@ -918,8 +843,7 @@ func TestNoCSSWhenNoPackInPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cut site 3 off from both packs: no CSS reachable.
-	nw.PartitionGroups([]fs.SiteID{1, 2}, []fs.SiteID{3})
-	k3.CleanupAfterPartitionChange([]fs.SiteID{3})
+	c.Partition([]fs.SiteID{1, 2}, []fs.SiteID{3})
 	if _, err := k3.Open(fs.DefaultCred("u"), "/f", fs.ModeRead); !errors.Is(err, fs.ErrNoCSS) {
 		t.Fatalf("open with no CSS: %v", err)
 	}
@@ -930,10 +854,10 @@ func TestCrashDuringModifyLeavesCommittedVersion(t *testing.T) {
 	// always left with either the original file or a completely changed
 	// file" (§2.3.6).
 	c := newCluster(t, 2)
-	writeFile(t, c.kernels[1], "/f", []byte("committed"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("committed"))
+	settle(t, c)
 
-	w, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	w, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -944,20 +868,20 @@ func TestCrashDuringModifyLeavesCommittedVersion(t *testing.T) {
 	if err := w.WriteAll([]byte("never committed")); err != nil {
 		t.Fatal(err)
 	}
-	c.net.Crash(2)
-	c.kernels[1].CleanupAfterPartitionChange([]fs.SiteID{1})
-	c.net.Restart(2)
+	c.Net.Crash(2)
+	c.K(1).CleanupAfterPartitionChange([]fs.SiteID{1})
+	c.Net.Restart(2)
 	for _, s := range []fs.SiteID{1, 2} {
-		c.kernels[s].CleanupAfterPartitionChange([]fs.SiteID{1, 2})
+		c.K(s).CleanupAfterPartitionChange([]fs.SiteID{1, 2})
 	}
-	if got := readFile(t, c.kernels[2], "/f"); string(got) != "committed" {
+	if got := readFile(t, c.K(2), "/f"); string(got) != "committed" {
 		t.Fatalf("after crash read %q, want committed", got)
 	}
 }
 
 func TestTruncate(t *testing.T) {
 	c := newCluster(t, 2)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/f", bytes.Repeat([]byte{'z'}, storage.PageSize*2+100))
 	f, err := k.Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
@@ -973,8 +897,8 @@ func TestTruncate(t *testing.T) {
 	if string(got) != "zzzzzzzzzz" {
 		t.Fatalf("after truncate read %q", got)
 	}
-	c.settle(t)
-	got2 := readFile(t, c.kernels[2], "/f")
+	settle(t, c)
+	got2 := readFile(t, c.K(2), "/f")
 	if !bytes.Equal(got, got2) {
 		t.Fatalf("truncate did not propagate: %q vs %q", got, got2)
 	}
@@ -982,7 +906,7 @@ func TestTruncate(t *testing.T) {
 
 func TestReadAcrossEOFAndSparse(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	f, err := k.Create(cred(), "/sparse", storage.TypeRegular, 0644)
 	if err != nil {
 		t.Fatal(err)

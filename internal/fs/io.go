@@ -115,8 +115,9 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 	// advancing page by page and resets on a seek.
 	sequential := pn == f.raNext
 	f.raNext = pn + 1
-	cached := k.cache.isEnabled()
-	if f.readahead && cached {
+	cached := !k.Features().NoPageCache
+	ra := f.readahead && cached
+	if ra {
 		if !sequential {
 			f.raWindow = 0
 		} else if f.raWindow == 0 {
@@ -136,7 +137,7 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 	}
 
 	req := &readReq{ID: f.id, Page: pn}
-	if f.readahead && cached {
+	if ra {
 		req.Readahead = f.raWindow
 	}
 	resp, err := k.call(f.ss, mRead, req)
@@ -144,9 +145,11 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 		return nil, 0, false, err
 	}
 	r := resp.(*readResp)
-	k.cache.put(f.id, pn, r.Data, r.Size, r.VV, false)
-	for i, extra := range r.Extra {
-		k.cache.put(f.id, pn+1+storage.PageNo(i), extra, r.Size, r.VV, true)
+	if cached {
+		k.cache.put(f.id, pn, r.Data, r.Size, r.VV, false)
+		for i, extra := range r.Extra {
+			k.cache.put(f.id, pn+1+storage.PageNo(i), extra, r.Size, r.VV, true)
+		}
 	}
 	return r.Data, r.Size, false, nil
 }

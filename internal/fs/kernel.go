@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/netsim"
 	"repro/internal/storage"
@@ -280,67 +281,50 @@ type Kernel struct {
 	// every component of every path (see dircache.go).
 	dirs dirCache
 
-	// Ablation switches (benchmarks only; production behavior is both
-	// enabled, as in LOCUS).
-	noOpenOpt     bool // disable the §2.3.3 US-is-SS / CSS-is-SS shortcuts
-	noLocalSearch bool // disable the §2.3.4 local unsynchronized search
-	noBulkPull    bool // disable the windowed fs.pullpages propagation protocol
-	// noLeases disables the lease/intent layer. Unlike the other
-	// switches this one defaults *on* (leases off): the paper's
-	// protocol, and every pinned message count derived from it, is the
-	// lease-free one. SetLeases(true) opts a kernel in.
-	noLeases bool
-	// pathShip enables the §2.3.4 "ship partial pathnames" strategy.
-	pathShip bool
-	// propWorkers bounds the parallel pull-worker pool DrainPropagation
-	// runs; pulls are partitioned by (origin, filegroup) so distinct
-	// origins overlap while per-file ordering is preserved.
-	propWorkers int
+	// features is the protocol-extension selection (see Features). It
+	// is never nil; readers load it without taking mu.
+	features atomic.Pointer[Features]
 }
 
-// SetOpenOptimizations enables/disables the two §2.3.3 open-protocol
-// optimizations (ablation benchmarks; enabled by default).
-func (k *Kernel) SetOpenOptimizations(on bool) {
-	k.mu.Lock()
-	k.noOpenOpt = !on
-	k.mu.Unlock()
+// Features selects the protocol extensions a kernel runs. The zero
+// value is the paper's protocol plus bulk pull and the using-site page
+// cache: what every pin and every benchmark workload runs.
+type Features struct {
+	// SerialPull makes pullFile pay the original one-fs.readphys-
+	// exchange-per-page cost instead of the windowed fs.pullpages
+	// protocol.
+	SerialPull bool
+	// NoPageCache turns the using-site page cache (§2.2.1) off;
+	// streaming readahead deposits into the cache and is inert without
+	// it.
+	NoPageCache bool
+	// Readahead gives read handles adaptive streaming readahead
+	// (§2.3.3). A handle reads this when it opens.
+	Readahead bool
+	// Leases enables the lease/intent layer (lease.go).
+	Leases bool
+	// PathShipping enables the §2.3.4 "ship partial pathnames" strategy
+	// (pathship.go).
+	PathShipping bool
 }
 
-// SetLocalSearchFastPath enables/disables the zero-message local
-// directory search of §2.3.4 (ablation benchmarks; enabled by default).
-func (k *Kernel) SetLocalSearchFastPath(on bool) {
-	k.mu.Lock()
-	k.noLocalSearch = !on
-	k.mu.Unlock()
-}
+// Features returns the kernel's current feature selection.
+func (k *Kernel) Features() Features { return *k.features.Load() }
 
-// SetBulkPull enables/disables the windowed bulk-pull propagation
-// protocol (ablation benchmarks; enabled by default). Disabled,
-// pullFile pays the original one-fs.readphys-exchange-per-page cost,
-// so the old protocol economics stay pinnable.
-func (k *Kernel) SetBulkPull(on bool) {
-	k.mu.Lock()
-	k.noBulkPull = !on
-	k.mu.Unlock()
-}
-
-// SetPropagationWorkers bounds the parallel pull-worker pool used by
-// DrainPropagation (n < 1 means serial). The default is
-// defaultPropWorkers.
-func (k *Kernel) SetPropagationWorkers(n int) {
-	if n < 1 {
-		n = 1
+// SetFeatures installs a feature selection on a live kernel.
+// Switching the page cache off flushes it. Switching leases off
+// releases every held lease — read delegations are returned to the CSS
+// and writer leases perform their deferred close — so the cluster drops
+// back to exactly the lease-free protocol state.
+func (k *Kernel) SetFeatures(f Features) {
+	old := *k.features.Swap(&f)
+	if f.NoPageCache && !old.NoPageCache {
+		k.cache.purge()
 	}
-	k.mu.Lock()
-	k.propWorkers = n
-	k.mu.Unlock()
+	if old.Leases && !f.Leases {
+		k.releaseAllLeases()
+	}
 }
-
-// SetPageCache enables/disables the using-site page cache (ablation
-// benchmarks; enabled by default, as the paper's US buffer management
-// is — §2.2.1). Disabling flushes it; streaming readahead deposits
-// into the cache and is therefore inert while it is off.
-func (k *Kernel) SetPageCache(on bool) { k.cache.setEnabled(on) }
 
 // meter returns the network-wide cost meter (cache/readahead counters).
 func (k *Kernel) meter() *netsim.Stats { return k.node.Network().Meter() }
@@ -361,9 +345,8 @@ func NewKernel(node *netsim.Node, store *storage.Store, cfg *Config) *Kernel {
 		inflightOpens: make(map[storage.FileID]int),
 		leases:        make(map[storage.FileID]*usLease),
 		leaseDropped:  make(map[storage.FileID]bool),
-		propWorkers:   defaultPropWorkers,
-		noLeases:      true, // lease layer is opt-in (SetLeases)
 	}
+	k.features.Store(&Features{})
 	k.cache = newPageCache(node.Network().Meter())
 	seen := map[SiteID]bool{}
 	for _, d := range cfg.Filegroups {
@@ -575,7 +558,8 @@ type File struct {
 	leased bool
 	// readahead enables adaptive streaming readahead (§2.3.3): the SS
 	// piggybacks up to raWindow following pages on each read response,
-	// deposited into the using-site page cache.
+	// deposited into the using-site page cache. Fixed at open from
+	// Features.Readahead.
 	readahead bool
 	// raNext is the page a sequential reader would fetch next; raWindow
 	// is the current readahead window (doubles on sequential access up
@@ -592,15 +576,6 @@ func (k *Kernel) registerOpenLocked(f *File) {
 	k.openSerial++
 	f.serial = k.openSerial
 	k.openFiles[f] = true
-}
-
-// SetReadahead enables adaptive streaming readahead for this handle
-// (off by default so message accounting stays exact).
-func (f *File) SetReadahead(on bool) {
-	f.readahead = on
-	if !on {
-		f.raWindow = 0
-	}
 }
 
 // Stale reports whether the handle lost its storage site to a failure.

@@ -38,9 +38,9 @@ package fs
 // lock-table records; a propagation notification whose VV dominates a
 // delegation's stamp invalidates it.
 //
-// The layer is strictly opt-in: noLeases defaults to true, and with
-// SetLeases(false) every pinned message count of the paper's protocol
-// is reproduced exactly (protocolcost_test.go re-pins this).
+// The layer is strictly opt-in (Features.Leases): without it every
+// pinned message count of the paper's protocol is reproduced exactly
+// (protocolcost_test.go re-pins this).
 
 import (
 	"sort"
@@ -67,23 +67,15 @@ type usLease struct {
 	opens int
 }
 
-// SetLeases enables/disables the lease/intent layer for this kernel.
-// Unlike the other ablation switches the layer defaults *off*: the
-// paper's protocol (and every message count pinned from it) is the
-// lease-free one. Disabling releases all held leases: read delegations
-// are returned to the CSS and writer leases perform their deferred
-// close, so the cluster drops back to exactly the legacy protocol
-// state.
-func (k *Kernel) SetLeases(on bool) {
+// releaseAllLeases returns every lease this site holds (SetFeatures
+// switching the layer off), in file-id order.
+func (k *Kernel) releaseAllLeases() {
 	k.mu.Lock()
-	k.noLeases = !on
-	var drop []*usLease
-	if !on {
-		for _, l := range k.leases {
-			drop = append(drop, l)
-		}
-		k.leases = make(map[storage.FileID]*usLease)
+	drop := make([]*usLease, 0, len(k.leases))
+	for _, l := range k.leases {
+		drop = append(drop, l)
 	}
+	k.leases = make(map[storage.FileID]*usLease)
 	k.mu.Unlock()
 	sort.Slice(drop, func(i, j int) bool {
 		a, b := drop[i].id, drop[j].id
@@ -95,13 +87,6 @@ func (k *Kernel) SetLeases(on bool) {
 	for _, l := range drop {
 		k.releaseLease(l)
 	}
-}
-
-func (k *Kernel) leasesEnabled() bool {
-	k.mu.Lock()
-	on := !k.noLeases
-	k.mu.Unlock()
-	return on
 }
 
 // releaseLease voluntarily returns one lease. A read delegation is
@@ -288,7 +273,7 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, except SiteID) 
 func (k *Kernel) recordLease(id storage.FileID, mode OpenMode, g *leaseGrant, ss, css SiteID, ino *storage.Inode) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.noLeases || k.leaseDropped[id] {
+	if !k.Features().Leases || k.leaseDropped[id] {
 		delete(k.leaseDropped, id)
 		return false
 	}
@@ -312,11 +297,12 @@ func (k *Kernel) recordLease(id storage.FileID, mode OpenMode, g *leaseGrant, ss
 // in which case the delegation is discarded first, since the CSS will
 // drop its record when the modify open arrives).
 func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode) *File {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.noLeases {
+	ft := k.Features()
+	if !ft.Leases {
 		return nil
 	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	l := k.leases[id]
 	if l == nil {
 		return nil
@@ -342,6 +328,7 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode) *File {
 		f.leased = true
 	} else {
 		f.delegated = true
+		f.readahead = ft.Readahead
 	}
 	l.opens++
 	k.registerOpenLocked(f)

@@ -3,9 +3,9 @@ package fs_test
 import (
 	"bytes"
 	"errors"
-	"sort"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/fs"
 	"repro/internal/storage"
 )
@@ -13,36 +13,20 @@ import (
 // leaseCluster builds the standard 4-site lease fixture: /pin stored at
 // sites 3 and 4 (CSS = 1, site 2 a pure using site), leases enabled
 // everywhere after the setup writes so no setup lease lingers.
-func leaseCluster(t *testing.T) (*testCluster, storage.FileID) {
+func leaseCluster(t *testing.T) (*cluster.Cluster, storage.FileID) {
 	t.Helper()
 	c := newCluster(t, 4)
-	writeFile(t, c.kernels[3], "/pin", bytes.Repeat([]byte{'p'}, storage.PageSize))
-	if err := c.kernels[3].SetReplication(cred(), "/pin", []fs.SiteID{3, 4}); err != nil {
+	writeFile(t, c.K(3), "/pin", bytes.Repeat([]byte{'p'}, storage.PageSize))
+	if err := c.K(3).SetReplication(cred(), "/pin", []fs.SiteID{3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
-	for _, k := range c.kernels {
-		k.SetLeases(true)
-	}
-	r, err := c.kernels[2].Resolve(cred(), "/pin")
+	settle(t, c)
+	c.SetFeatures(fs.Features{Leases: true})
+	r, err := c.K(2).Resolve(cred(), "/pin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, r.ID
-}
-
-func fsckAll(t *testing.T, c *testCluster, converged bool) []fs.FsckFinding {
-	t.Helper()
-	var sites []fs.SiteID
-	for s := range c.kernels {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	kernels := make([]*fs.Kernel, 0, len(sites))
-	for _, s := range sites {
-		kernels = append(kernels, c.kernels[s])
-	}
-	return fs.FsckCluster(kernels, fs.FsckOptions{Converged: converged})
 }
 
 func openClose(t *testing.T, k *fs.Kernel, id storage.FileID, mode fs.OpenMode) {
@@ -66,16 +50,16 @@ func TestLeaseHolderCrashDuringRevoke(t *testing.T) {
 	c, id := leaseCluster(t)
 
 	// Delegations at sites 2 and 4.
-	openClose(t, c.kernels[2], id, fs.ModeRead)
-	openClose(t, c.kernels[4], id, fs.ModeRead)
-	if got := len(c.kernels[1].Delegates()[id]); got != 2 {
+	openClose(t, c.K(2), id, fs.ModeRead)
+	openClose(t, c.K(4), id, fs.ModeRead)
+	if got := len(c.K(1).Delegates()[id]); got != 2 {
 		t.Fatalf("CSS records %d delegates, want 2", got)
 	}
 
 	// Site 2 dies holding its delegation; the writer's revoke round
 	// finds it unreachable and proceeds without an answer.
-	c.net.Crash(2)
-	w, err := c.kernels[3].OpenID(id, fs.ModeModify)
+	c.Net.Crash(2)
+	w, err := c.K(3).OpenID(id, fs.ModeModify)
 	if err != nil {
 		t.Fatalf("modify open with a crashed delegate: %v", err)
 	}
@@ -85,23 +69,23 @@ func TestLeaseHolderCrashDuringRevoke(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.kernels[1].Delegates()[id]); got != 0 {
+	if got := len(c.K(1).Delegates()[id]); got != 0 {
 		t.Fatalf("CSS still records %d delegates after the revoke round", got)
 	}
 
 	// Heal: restart the crashed site, run the §5.6 cleanup everywhere,
 	// settle propagation.
-	c.net.Restart(2)
+	c.Net.Restart(2)
 	all := []fs.SiteID{1, 2, 3, 4}
 	for _, s := range all {
-		c.kernels[s].CleanupAfterPartitionChange(all)
+		c.K(s).CleanupAfterPartitionChange(all)
 	}
-	c.settle(t)
+	settle(t, c)
 
-	if got := readFile(t, c.kernels[2], "/pin"); !bytes.Equal(got, bytes.Repeat([]byte{'n'}, storage.PageSize)) {
+	if got := readFile(t, c.K(2), "/pin"); !bytes.Equal(got, bytes.Repeat([]byte{'n'}, storage.PageSize)) {
 		t.Fatalf("post-heal read at the crashed site did not see the writer's commit")
 	}
-	if findings := fsckAll(t, c, true); len(findings) != 0 {
+	if findings := c.Fsck(true); len(findings) != 0 {
 		t.Fatalf("fsck after holder crash: %v", findings)
 	}
 }
@@ -117,7 +101,7 @@ func TestWriterLeaseUnreachableHolderRefusesThenCleanupReclaims(t *testing.T) {
 	c, id := leaseCluster(t)
 
 	// Writer lease at site 2 (leased close keeps it).
-	w, err := c.kernels[2].OpenID(id, fs.ModeModify)
+	w, err := c.K(2).OpenID(id, fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,23 +111,23 @@ func TestWriterLeaseUnreachableHolderRefusesThenCleanupReclaims(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c.kernels[2].Leases()[id] != fs.ModeModify {
+	if c.K(2).Leases()[id] != fs.ModeModify {
 		t.Fatal("site 2 holds no writer lease after the leased close")
 	}
 
-	c.net.Crash(2)
+	c.Net.Crash(2)
 	// No cleanup has run yet: the holder is unreachable, the revoke is
 	// unanswered, and unreachable counts as still holding.
-	if _, err := c.kernels[4].OpenID(id, fs.ModeModify); !errors.Is(err, fs.ErrBusy) {
+	if _, err := c.K(4).OpenID(id, fs.ModeModify); !errors.Is(err, fs.ErrBusy) {
 		t.Fatalf("modify open with unreachable lease holder: %v, want ErrBusy", err)
 	}
 
 	// The partition protocol observes the change: cleanup reclaims the
 	// writer slot for the lost site and the open proceeds.
 	for _, s := range []fs.SiteID{1, 3, 4} {
-		c.kernels[s].CleanupAfterPartitionChange([]fs.SiteID{1, 3, 4})
+		c.K(s).CleanupAfterPartitionChange([]fs.SiteID{1, 3, 4})
 	}
-	w2, err := c.kernels[4].OpenID(id, fs.ModeModify)
+	w2, err := c.K(4).OpenID(id, fs.ModeModify)
 	if err != nil {
 		t.Fatalf("modify open after cleanup: %v", err)
 	}
@@ -153,13 +137,13 @@ func TestWriterLeaseUnreachableHolderRefusesThenCleanupReclaims(t *testing.T) {
 
 	// Heal. The restarted site lost its lease table with the rest of
 	// its volatile state; nothing may be stranded.
-	c.net.Restart(2)
+	c.Net.Restart(2)
 	all := []fs.SiteID{1, 2, 3, 4}
 	for _, s := range all {
-		c.kernels[s].CleanupAfterPartitionChange(all)
+		c.K(s).CleanupAfterPartitionChange(all)
 	}
-	c.settle(t)
-	if findings := fsckAll(t, c, true); len(findings) != 0 {
+	settle(t, c)
+	if findings := c.Fsck(true); len(findings) != 0 {
 		t.Fatalf("fsck after writer-holder crash: %v", findings)
 	}
 }
@@ -172,23 +156,23 @@ func TestWriterLeaseUnreachableHolderRefusesThenCleanupReclaims(t *testing.T) {
 func TestPartitionMergeDiscardsLeases(t *testing.T) {
 	c, id := leaseCluster(t)
 
-	openClose(t, c.kernels[2], id, fs.ModeRead)
-	if c.kernels[2].Leases()[id] != fs.ModeRead {
+	openClose(t, c.K(2), id, fs.ModeRead)
+	if c.K(2).Leases()[id] != fs.ModeRead {
 		t.Fatal("site 2 holds no read delegation")
 	}
 
 	// Partition site 2 away. Its own cleanup reclaims the held lease;
 	// the CSS side discards the delegate record.
-	c.partition([]fs.SiteID{1, 3, 4}, []fs.SiteID{2})
-	if n := len(c.kernels[2].Leases()); n != 0 {
+	c.Partition([]fs.SiteID{1, 3, 4}, []fs.SiteID{2})
+	if n := len(c.K(2).Leases()); n != 0 {
 		t.Fatalf("site 2 still holds %d lease(s) after partition cleanup", n)
 	}
-	if n := len(c.kernels[1].Delegates()); n != 0 {
+	if n := len(c.K(1).Delegates()); n != 0 {
 		t.Fatalf("CSS still records %d delegate file(s) after partition cleanup", n)
 	}
 
 	// Majority side writes a new version while 2 is away.
-	w, err := c.kernels[3].OpenID(id, fs.ModeModify)
+	w, err := c.K(3).OpenID(id, fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +183,12 @@ func TestPartitionMergeDiscardsLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.heal()
-	c.settle(t)
-	if got := readFile(t, c.kernels[2], "/pin"); !bytes.Equal(got, bytes.Repeat([]byte{'z'}, storage.PageSize)) {
+	c.Heal()
+	settle(t, c)
+	if got := readFile(t, c.K(2), "/pin"); !bytes.Equal(got, bytes.Repeat([]byte{'z'}, storage.PageSize)) {
 		t.Fatalf("post-merge read at the partitioned site did not see the new version")
 	}
-	if findings := fsckAll(t, c, true); len(findings) != 0 {
+	if findings := c.Fsck(true); len(findings) != 0 {
 		t.Fatalf("fsck after merge: %v", findings)
 	}
 }
@@ -216,19 +200,19 @@ func TestPartitionMergeDiscardsLeases(t *testing.T) {
 func TestFsckFlagsStrandedLease(t *testing.T) {
 	c, id := leaseCluster(t)
 
-	openClose(t, c.kernels[2], id, fs.ModeRead)
+	openClose(t, c.K(2), id, fs.ModeRead)
 
 	// Strand it: wipe the CSS record from behind the holder's back (the
 	// damage a lost cleanup or a buggy merge would leave).
-	c.kernels[1].SetLeases(false)
-	c.kernels[1].SetLeases(true)
-	// SetLeases only drops the CSS's own held leases; force the
+	c.K(1).SetFeatures(fs.Features{})
+	c.K(1).SetFeatures(fs.Features{Leases: true})
+	// Switching leases off only drops the CSS's own held leases; force the
 	// delegate record away via a partition change the holder never
 	// observes.
-	c.kernels[1].CleanupAfterPartitionChange([]fs.SiteID{1, 3, 4})
-	c.net.HealAll()
+	c.K(1).CleanupAfterPartitionChange([]fs.SiteID{1, 3, 4})
+	c.Net.HealAll()
 
-	findings := fsckAll(t, c, false)
+	findings := c.Fsck(false)
 	found := false
 	for _, f := range findings {
 		if f.Kind == "stranded-lease" && f.Site == 2 && f.ID == id {

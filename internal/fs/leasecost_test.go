@@ -28,30 +28,28 @@ import (
 // fs.leaserelease must add no wire traffic of its own.
 func TestLeaseProtocolCostsPinned(t *testing.T) {
 	c := newCluster(t, 4) // CSS = site 1
-	c.net.EnableFaults(netsim.FaultConfig{Seed: 1})
-	writeFile(t, c.kernels[3], "/pin", bytes.Repeat([]byte{'p'}, 2*storage.PageSize))
+	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1})
+	writeFile(t, c.K(3), "/pin", bytes.Repeat([]byte{'p'}, 2*storage.PageSize))
 	// Store the file at sites 3 and 4 only: the CSS (1) holds no copy
 	// and site 2 is purely a using site (same layout the legacy pins
 	// use, so the deltas are directly comparable).
-	if err := c.kernels[3].SetReplication(cred(), "/pin", []fs.SiteID{3, 4}); err != nil {
+	if err := c.K(3).SetReplication(cred(), "/pin", []fs.SiteID{3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 	// Enable leases only now: the setup writes above must not leave a
 	// writer lease parked on the file before the measured sequence.
-	for _, k := range c.kernels {
-		k.SetLeases(true)
-	}
-	r, err := c.kernels[2].Resolve(cred(), "/pin")
+	c.SetFeatures(fs.Features{Leases: true})
+	r, err := c.K(2).Resolve(cred(), "/pin")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	delta := func(op func()) netsim.Snapshot {
-		before := c.net.Stats()
+		before := c.Net.Stats()
 		op()
-		c.net.Quiesce()
-		return c.net.Stats().Sub(before)
+		c.Net.Quiesce()
+		return c.Net.Stats().Sub(before)
 	}
 	check := func(what string, d netsim.Snapshot, msgs int64, byMeth map[string]int64, granted, revoked, rounds int64) {
 		t.Helper()
@@ -77,7 +75,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 	// open, with the read delegation piggybacked on the reply for free.
 	var f *fs.File
 	d := delta(func() {
-		f, err = c.kernels[2].OpenID(r.ID, fs.ModeRead)
+		f, err = c.K(2).OpenID(r.ID, fs.ModeRead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +102,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 	// The steady state the layer buys: open, re-read (US cache, still
 	// valid under the delegation's VV stamp), close — zero messages.
 	d = delta(func() {
-		g, err := c.kernels[2].OpenID(r.ID, fs.ModeRead)
+		g, err := c.K(2).OpenID(r.ID, fs.ModeRead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +116,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 	check("reopen+read+close under delegation", d, 0, nil, 0, 0, 0)
 
 	// A second using site gets its own delegation the same way.
-	g4, err := c.kernels[4].OpenID(r.ID, fs.ModeRead)
+	g4, err := c.K(4).OpenID(r.ID, fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +129,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 	// the writer lease rides back on the open reply.
 	var w *fs.File
 	d = delta(func() {
-		w, err = c.kernels[3].OpenID(r.ID, fs.ModeModify)
+		w, err = c.K(3).OpenID(r.ID, fs.ModeModify)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +161,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 
 	// Repeat modify opens at the leaseholder are free.
 	d = delta(func() {
-		w2, err := c.kernels[3].OpenID(r.ID, fs.ModeModify)
+		w2, err := c.K(3).OpenID(r.ID, fs.ModeModify)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +176,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 	// skipped close left at the writer's SS), then proceeds as an
 	// ordinary delegated open.
 	d = delta(func() {
-		f2, err := c.kernels[2].OpenID(r.ID, fs.ModeRead)
+		f2, err := c.K(2).OpenID(r.ID, fs.ModeRead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +194,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 
 	// And the delegation economics have resumed.
 	d = delta(func() {
-		f3, err := c.kernels[2].OpenID(r.ID, fs.ModeRead)
+		f3, err := c.K(2).OpenID(r.ID, fs.ModeRead)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,12 +16,12 @@ import (
 // holder on refusal and reclaim the stale lock.
 func TestStrandedWriterLockReclaimedOnOpen(t *testing.T) {
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("v1"))
-	c.settle(t)
+	writeFile(t, c.K(1), "/f", []byte("v1"))
+	settle(t, c)
 
 	// Site 3 opens for modify; its copy is current, so it serves itself
 	// (SS = 3). CSS for the root filegroup is site 1.
-	w, err := c.kernels[3].Open(cred(), "/f", fs.ModeModify)
+	w, err := c.K(3).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,19 +32,19 @@ func TestStrandedWriterLockReclaimedOnOpen(t *testing.T) {
 	// Every message from 3 to the CSS is lost: handleClose's mSSClose
 	// exhausts its retries, the error is swallowed (the US cannot act on
 	// it), and the CSS writer record is stranded.
-	c.net.EnableFaults(netsim.FaultConfig{
+	c.Net.EnableFaults(netsim.FaultConfig{
 		Seed:  1,
 		Links: map[[2]fs.SiteID]netsim.FaultRates{{3, 1}: {Drop: 1}},
 	})
 	if err := w.Close(); err != nil {
 		t.Fatalf("close with lost mSSClose: %v", err)
 	}
-	c.net.DisableFaults()
+	c.Net.DisableFaults()
 
 	// A later open for modification from another site must reclaim the
 	// stale lock (probe site 3, find no live handle) instead of
 	// refusing with ErrBusy forever.
-	g, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	g, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatalf("open after stranded lock: %v", err)
 	}
@@ -54,8 +54,8 @@ func TestStrandedWriterLockReclaimedOnOpen(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
-	if got := readFile(t, c.kernels[1], "/f"); string(got) != "v2" {
+	settle(t, c)
+	if got := readFile(t, c.K(1), "/f"); string(got) != "v2" {
 		t.Fatalf("after reclaim read %q, want v2", got)
 	}
 }
@@ -66,14 +66,14 @@ func TestStrandedWriterLockReclaimedOnOpen(t *testing.T) {
 // evidence that the old handle is still alive.
 func TestStrandedWriterLockReclaimedBySameSite(t *testing.T) {
 	c := newCluster(t, 3)
-	writeFile(t, c.kernels[1], "/f", []byte("v1"))
-	if err := c.kernels[1].SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
+	writeFile(t, c.K(1), "/f", []byte("v1"))
+	if err := c.K(1).SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
+	settle(t, c)
 
 	// US = 2, SS = 3 (only copy), CSS = 1.
-	w, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	w, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,19 +83,19 @@ func TestStrandedWriterLockReclaimedBySameSite(t *testing.T) {
 
 	// The close itself is lost on the wire: the US sees a timeout, and
 	// both the SS serving state and the CSS writer record are stranded.
-	c.net.EnableFaults(netsim.FaultConfig{
+	c.Net.EnableFaults(netsim.FaultConfig{
 		Seed:  1,
 		Links: map[[2]fs.SiteID]netsim.FaultRates{{2, 3}: {Drop: 1}},
 	})
 	if err := w.Close(); !errors.Is(err, netsim.ErrTimeout) {
 		t.Fatalf("close over dead link: %v, want ErrTimeout", err)
 	}
-	c.net.DisableFaults()
+	c.Net.DisableFaults()
 
 	// The same site reopens: the CSS probes the recorded holder (site 2
 	// itself); the probing open's own in-flight record is excluded, the
 	// stale lock is reclaimed and the SS serving state revoked.
-	g, err := c.kernels[2].Open(cred(), "/f", fs.ModeModify)
+	g, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatalf("reopen after lost close: %v", err)
 	}
@@ -105,8 +105,8 @@ func TestStrandedWriterLockReclaimedBySameSite(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
-	if got := readFile(t, c.kernels[2], "/f"); string(got) != "v2" {
+	settle(t, c)
+	if got := readFile(t, c.K(2), "/f"); string(got) != "v2" {
 		t.Fatalf("after reclaim read %q, want v2", got)
 	}
 }

@@ -166,8 +166,8 @@ func sameErrClass(a, b error) bool {
 func TestModelBasedRandomOperations(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := newClusterQ(t, 3)
-		defer c.net.Close()
+		c := newCluster(t, 3)
+		defer c.Net.Close()
 		model := newModelFS()
 
 		dirs := []string{"/"}
@@ -182,7 +182,7 @@ func TestModelBasedRandomOperations(t *testing.T) {
 		}
 
 		for step := 0; step < 30; step++ {
-			k := c.kernels[fs.SiteID(1+r.Intn(3))]
+			k := c.K(fs.SiteID(1 + r.Intn(3)))
 			switch r.Intn(6) {
 			case 0: // create file
 				p := join(pick(dirs), newName())
@@ -267,11 +267,11 @@ func TestModelBasedRandomOperations(t *testing.T) {
 			case 5: // read everything and compare from a random site
 				// handled by the verification below
 			}
-			c.settleQ()
+			c.Settle()
 
 			// Verify all model files readable with identical content
 			// from a random site.
-			vk := c.kernels[fs.SiteID(1+r.Intn(3))]
+			vk := c.K(fs.SiteID(1 + r.Intn(3)))
 			for p, want := range model.files {
 				fh, err := vk.Open(cred(), p, fs.ModeRead)
 				if err != nil {
@@ -323,32 +323,5 @@ func TestModelBasedRandomOperations(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// newClusterQ / settleQ: quiet variants without testing.T fatals (for
-// use inside quick.Check closures).
-func newClusterQ(t *testing.T, n int) *testCluster {
-	t.Helper()
-	return newCluster(t, n)
-}
-
-func (c *testCluster) settleQ() {
-	for pass := 0; pass < 50; pass++ {
-		c.net.Quiesce()
-		n := 0
-		for _, k := range c.kernels {
-			n += k.DrainPropagation()
-		}
-		if n == 0 {
-			c.net.Quiesce()
-			pending := 0
-			for _, k := range c.kernels {
-				pending += k.PendingPropagations()
-			}
-			if pending == 0 {
-				return
-			}
-		}
 	}
 }

@@ -134,8 +134,8 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 	}
 
 	// Policy check + writer reservation.
+	leasesOn := k.Features().Leases
 	k.mu.Lock()
-	leasesOn := !k.noLeases
 	if req.Mode == ModeModify {
 		if holder := e.writerUS; holder != vclock.NoSite {
 			ssHolder := e.writerSS
@@ -248,18 +248,14 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 		return nil
 	}
 
-	k.mu.Lock()
-	noOpt := k.noOpenOpt
-	k.mu.Unlock()
-
 	// Optimization 1 (§2.3.3): the US's own copy is the latest — tell
 	// it to serve itself; no storage-site message needed.
-	if !noOpt && pollFirst == vclock.NoSite && req.USVV != nil && req.USVV.DominatesOrEqual(latest) && containsSite(sites, req.US) {
+	if pollFirst == vclock.NoSite && req.USVV != nil && req.USVV.DominatesOrEqual(latest) && containsSite(sites, req.US) {
 		return &openResp{SS: req.US, Delegation: register(req.US)}, nil
 	}
 
 	// Optimization 2: the CSS itself stores the latest version.
-	if r := k.localGetVV(req.ID); !noOpt && pollFirst == vclock.NoSite && r.Has && !r.Deleted && r.VV.DominatesOrEqual(latest) {
+	if r := k.localGetVV(req.ID); pollFirst == vclock.NoSite && r.Has && !r.Deleted && r.VV.DominatesOrEqual(latest) {
 		// A delegated read installs no serving state: committed pages
 		// are served statelessly and the delegate closes locally.
 		if !wantDelegate {
@@ -290,15 +286,15 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 			continue
 		}
 		polled[cand] = true
-		if !noOpt && pollFirst == vclock.NoSite && (cand == k.site || cand == req.US) {
+		if pollFirst == vclock.NoSite && (cand == k.site || cand == req.US) {
 			continue // both already ruled out above
 		}
 		if !k.inPartition(cand) {
 			continue // unreachable
 		}
 		if cand == k.site {
-			// CSS as SS through the local handler (ablation path, or a
-			// read forced onto the writer's SS).
+			// CSS as SS through the local handler (a read forced onto
+			// the writer's SS).
 			if !wantDelegate {
 				if err := k.setupServe(req.ID, req.Mode, req.US); err != nil {
 					continue
@@ -459,13 +455,8 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	// directory with no pending propagations is searched without
 	// informing the CSS.
 	if mode == ModeInternal {
-		k.mu.Lock()
-		noLocal := k.noLocalSearch
-		k.mu.Unlock()
-		if !noLocal {
-			if f := k.tryLocalInternal(id); f != nil {
-				return f, nil
-			}
+		if f := k.tryLocalInternal(id); f != nil {
+			return f, nil
 		}
 	}
 	// Lease fast path: a held writer lease serves any open, a read
@@ -517,8 +508,9 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	}
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: r.SS, css: css,
-		dirty:    make(map[storage.PageNo]bool),
-		internal: mode == ModeInternal,
+		dirty:     make(map[storage.PageNo]bool),
+		internal:  mode == ModeInternal,
+		readahead: mode == ModeRead && k.Features().Readahead,
 	}
 	// A read open answered with a delegation holds no serving state
 	// anywhere; don't install any locally either.

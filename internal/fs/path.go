@@ -63,7 +63,22 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 // readDirByID reads and decodes a directory through an internal
 // unsynchronized open (§2.3.4). The returned Directory may be shared
 // with the kernel's directory cache and must not be mutated.
-func (k *Kernel) readDirByID(id storage.FileID) (*format.Directory, *storage.Inode, error) {
+//
+// Unsynchronized means a newer version can be committed (a propagation
+// pull landing, say) between the open and a page read: each page is
+// served from whatever is committed when it is read, so the bytes can
+// mix versions or be cut at the old size. Such a read is retried on a
+// fresh open rather than surfaced as a corrupt directory.
+func (k *Kernel) readDirByID(id storage.FileID) (d *format.Directory, ino *storage.Inode, err error) {
+	for attempt := 0; attempt < 4; attempt++ {
+		if d, ino, err = k.readDirOnce(id); !errors.Is(err, format.ErrCorrupt) {
+			break
+		}
+	}
+	return d, ino, err
+}
+
+func (k *Kernel) readDirOnce(id storage.FileID) (*format.Directory, *storage.Inode, error) {
 	f, err := k.OpenID(id, ModeInternal)
 	if err != nil {
 		return nil, nil, err
@@ -79,6 +94,10 @@ func (k *Kernel) readDirByID(id storage.FileID) (*format.Directory, *storage.Ino
 	raw, err := f.ReadAll()
 	if err != nil {
 		return nil, nil, err
+	}
+	// ReadAt refreshed the handle's size from what the SS served.
+	if f.ino.Size != ino.Size {
+		return nil, nil, fmt.Errorf("%w: %v changed during an unsynchronized read", format.ErrCorrupt, id)
 	}
 	d, err := format.DecodeDir(raw)
 	if err != nil {
@@ -112,10 +131,7 @@ func (k *Kernel) statType(id storage.FileID) (storage.FileType, error) {
 // hidden directories are expanded through the per-process context
 // (§2.4.1) unless the component carries the escape suffix.
 func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
-	k.mu.Lock()
-	ship := k.pathShip
-	k.mu.Unlock()
-	if ship {
+	if k.Features().PathShipping {
 		return k.resolveShipped(cred, path)
 	}
 	comps, err := splitPath(path)

@@ -11,7 +11,7 @@ import (
 
 func TestSplitPathNormalization(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	writeFile(t, k, "/f", []byte("x"))
 	// Redundant slashes and "." components are ignored.
 	for _, p := range []string{"/f", "//f", "/./f", "/f/", "///f//"} {
@@ -32,7 +32,7 @@ func TestSplitPathNormalization(t *testing.T) {
 
 func TestLongPathComponentsAndNames(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	long := strings.Repeat("x", 200)
 	writeFile(t, k, "/"+long, []byte("long"))
 	if got := readFile(t, k, "/"+long); string(got) != "long" {
@@ -63,8 +63,8 @@ func TestCSSIndependencePerFilegroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newClusterCfg(t, cfg)
-	c.settle(t) // let the formatted mount-point entries replicate
-	k := c.kernels[2]
+	settle(t, c) // let the formatted mount-point entries replicate
+	k := c.K(2)
 	if css, _ := k.CSSOf(1); css != 1 {
 		t.Fatalf("CSS(fg1) = %d", css)
 	}
@@ -72,7 +72,7 @@ func TestCSSIndependencePerFilegroup(t *testing.T) {
 		t.Fatalf("CSS(fg2) = %d", css)
 	}
 	// Cut site 1 off: fg1's CSS migrates to 2; fg2 unchanged.
-	c.partition([]fs.SiteID{2, 3}, []fs.SiteID{1})
+	c.Partition([]fs.SiteID{2, 3}, []fs.SiteID{1})
 	if css, _ := k.CSSOf(1); css != 2 {
 		t.Fatalf("CSS(fg1) after partition = %d", css)
 	}
@@ -81,25 +81,25 @@ func TestCSSIndependencePerFilegroup(t *testing.T) {
 	}
 	// fg2 files stay fully usable in the majority partition.
 	writeFile(t, k, "/b/ok", []byte("usable"))
-	c.settle(t)
-	if got := readFile(t, c.kernels[3], "/b/ok"); string(got) != "usable" {
+	settle(t, c)
+	if got := readFile(t, c.K(3), "/b/ok"); string(got) != "usable" {
 		t.Fatalf("read %q", got)
 	}
 }
 
 func TestResolveParentOfRootRejected(t *testing.T) {
 	c := newCluster(t, 1)
-	if _, _, _, err := c.kernels[1].ResolveParent(cred(), "/"); !errors.Is(err, fs.ErrBadName) {
+	if _, _, _, err := c.K(1).ResolveParent(cred(), "/"); !errors.Is(err, fs.ErrBadName) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := c.kernels[1].Unlink(cred(), "/"); !errors.Is(err, fs.ErrBadName) {
+	if err := c.K(1).Unlink(cred(), "/"); !errors.Is(err, fs.ErrBadName) {
 		t.Fatalf("unlink root: %v", err)
 	}
 }
 
 func TestInvalidCreateNames(t *testing.T) {
 	c := newCluster(t, 1)
-	k := c.kernels[1]
+	k := c.K(1)
 	for _, p := range []string{"relative", "/..", "/."} {
 		if _, err := k.Create(cred(), p, storage.TypeRegular, 0644); !errors.Is(err, fs.ErrBadName) {
 			t.Errorf("Create(%q) = %v", p, err)

@@ -17,7 +17,8 @@ import (
 // for each intermediate directory could be different."
 //
 // This file implements that strategy as an opt-in feature
-// (SetPathShipping). The using site walks components locally for as
+// (Features.PathShipping; the default walk matches the paper's
+// deployed system). The using site walks components locally for as
 // long as the directories are stored locally; when it gets stuck it
 // ships the remaining components to the filegroup's CSS, which expands
 // as many as *it* can locally and returns the progress; any component
@@ -27,15 +28,6 @@ import (
 // different SS — is exactly what the per-hop fallback handles.
 
 const mResolveShip = "fs.resolvepath"
-
-// SetPathShipping enables shipping partial pathnames to remote sites
-// during resolution (off by default; the default walk matches the
-// paper's deployed system).
-func (k *Kernel) SetPathShipping(on bool) {
-	k.mu.Lock()
-	k.pathShip = on
-	k.mu.Unlock()
-}
 
 type resolveShipReq struct {
 	Start     storage.FileID

@@ -13,10 +13,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// defaultPropWorkers is the default size of the parallel pull-worker
-// pool DrainPropagation runs (tunable via SetPropagationWorkers).
-const defaultPropWorkers = 4
-
 // handlePropNotify receives the one-way commit notification (§2.3.6).
 func (k *Kernel) handlePropNotify(from SiteID, p any) (any, error) {
 	k.applyPropNotify(from, p.(*propNotify))
@@ -130,24 +126,15 @@ func (k *Kernel) PendingPropagations() int {
 // the local copy remains a coherent, complete, albeit old version
 // (§2.3.6).
 //
-// Pulls are serviced by a bounded worker pool, partitioned by
-// (origin, filegroup): pulls from distinct origins overlap, while
-// tasks sharing an origin and filegroup keep their queue order on one
-// worker — so per-file snapshot/evolved-task bookkeeping never runs
-// concurrently with itself. All workers join before the call returns,
-// which is what keeps Settle/Quiesce deterministic.
+// Jobs are served in queue order on the calling goroutine, so the wire
+// schedule of a drain is a pure function of the queue.
 func (k *Kernel) DrainPropagation() int {
-	type job struct {
-		id   storage.FileID
-		live *propTask
-		snap *propTask
-	}
+	type job struct{ live, snap *propTask }
 	// Dequeue up to the current queue length and snapshot each task: a
 	// late notification may fold newer state into a queued task while
 	// its pull runs, and items requeued during this drain (retries)
 	// wait for the next drain, so one call always terminates.
 	k.mu.Lock()
-	workers := k.propWorkers
 	var jobs []job
 	for budget := len(k.propQueue); budget > 0 && len(k.propQueue) > 0; budget-- {
 		id := k.propQueue[0]
@@ -164,77 +151,33 @@ func (k *Kernel) DrainPropagation() int {
 		if t.pages == nil {
 			snap.pages = nil
 		}
-		jobs = append(jobs, job{id: id, live: t, snap: snap})
+		jobs = append(jobs, job{live: t, snap: snap})
 	}
 	k.mu.Unlock()
-	if len(jobs) == 0 {
-		return 0
-	}
 
-	// Partition into lanes by (origin, filegroup), preserving queue
-	// order within each lane.
-	type laneKey struct {
-		origin SiteID
-		fg     storage.FilegroupID
-	}
-	var order []laneKey
-	lanes := make(map[laneKey][]job)
+	done := 0
 	for _, j := range jobs {
-		lk := laneKey{origin: j.snap.origin, fg: j.id.FG}
-		if _, ok := lanes[lk]; !ok {
-			order = append(order, lk)
-		}
-		lanes[lk] = append(lanes[lk], j)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-
-	var done atomic.Int64
-	runLane := func(lk laneKey) {
-		for _, j := range lanes[lk] {
-			ok := k.pullFile(j.snap)
-			k.mu.Lock()
-			cur := k.pendingProp[j.id]
-			if cur == j.live {
-				evolved := !cur.vv.Equal(j.snap.vv) || cur.drop != j.snap.drop
-				switch {
-				case ok && !evolved:
-					delete(k.pendingProp, j.id)
-					done.Add(1)
-				case !ok && !k.inPartitionLocked(j.snap.origin):
-					// Origin gone: keep the task but stop spinning; a merge
-					// or fresh notification requeues it.
-					delete(k.pendingProp, j.id)
-					k.stalledProp = append(k.stalledProp, j.live)
-				default:
-					k.propQueue = append(k.propQueue, j.id)
-				}
+		ok := k.pullFile(j.snap)
+		k.mu.Lock()
+		cur := k.pendingProp[j.snap.id]
+		if cur == j.live {
+			evolved := !cur.vv.Equal(j.snap.vv) || cur.drop != j.snap.drop
+			switch {
+			case ok && !evolved:
+				delete(k.pendingProp, j.snap.id)
+				done++
+			case !ok && !k.inPartitionLocked(j.snap.origin):
+				// Origin gone: keep the task but stop spinning; a merge
+				// or fresh notification requeues it.
+				delete(k.pendingProp, j.snap.id)
+				k.stalledProp = append(k.stalledProp, j.live)
+			default:
+				k.propQueue = append(k.propQueue, j.snap.id)
 			}
-			k.mu.Unlock()
 		}
+		k.mu.Unlock()
 	}
-
-	laneCh := make(chan laneKey)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for lk := range laneCh {
-				runLane(lk)
-			}
-		}()
-	}
-	for _, lk := range order {
-		laneCh <- lk
-	}
-	close(laneCh)
-	wg.Wait()
-	return int(done.Load())
+	return done
 }
 
 // DebugPendingPropagations describes the queued tasks (test diagnostics).
@@ -414,11 +357,12 @@ func (k *Kernel) recordStaged(id storage.FileID, vv vclock.VV, from, to storage.
 // old coherent copy (§2.3.6: "this propagation-in procedure uses the
 // standard commit mechanism").
 //
-// With bulk pull enabled (the default), the open piggybacks the first
-// window of data pages and the rest arrive PullWindow pages per
-// fs.pullpages exchange, so a pull of K pages costs 1+⌈(K−W)/W⌉ round
-// trips instead of 1+K. Transferred pages are staged on the live task
-// as they land: an interrupted pull resumes without re-sending them.
+// With bulk pull (the default; Features.SerialPull turns it off) the
+// open piggybacks the first window of data pages and the rest arrive
+// PullWindow pages per fs.pullpages exchange, so a pull of K pages
+// costs 1+⌈(K−W)/W⌉ round trips instead of 1+K. Transferred pages are
+// staged on the live task as they land: an interrupted pull resumes
+// without re-sending them.
 func (k *Kernel) pullFile(t *propTask) bool {
 	c := k.container(t.id.FG)
 	if c == nil {
@@ -428,8 +372,8 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		return k.retireReplica(c, t)
 	}
 
+	bulk := !k.Features().SerialPull
 	k.mu.Lock()
-	bulk := !k.noBulkPull
 	resuming := false
 	if live := k.pendingProp[t.id]; live != nil && len(live.staged) > 0 {
 		resuming = true
@@ -626,7 +570,7 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		for _, i := range fetch {
 			// Read the immutable physical page from the origin snapshot,
 			// one two-message exchange per page (the pre-bulk protocol,
-			// kept pinnable behind SetBulkPull).
+			// kept pinnable behind Features.SerialPull).
 			r, err := k.call(t.origin, mReadPhys, &readPhysReq{FG: t.id.FG, Phys: src.Pages[i]})
 			if err != nil {
 				return false

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/fs"
 	"repro/internal/netsim"
 	"repro/internal/storage"
@@ -28,86 +29,101 @@ func TestProtocolCostsUnchangedWithFaultPlaneArmed(t *testing.T) {
 }
 
 // TestProtocolCostsUnchangedAfterLeaseCycle re-pins the exact legacy
-// counts on a cluster that ran a full lease cycle first — delegations
-// granted and revoked, a writer lease taken and released — and was then
-// switched back with SetLeases(false). The ablation must reproduce the
-// paper's protocol byte for byte: no lease state may linger and change
-// a single wire message.
+// counts on a cluster that ran a full lease cycle first and was then
+// switched back with SetFeatures(Features{}). The zero value must
+// reproduce the paper's protocol byte for byte: no lease state may
+// linger and change a single wire message.
 func TestProtocolCostsUnchangedAfterLeaseCycle(t *testing.T) {
-	pinProtocolCosts(t, false, func(c *testCluster) {
-		for _, k := range c.kernels {
-			k.SetLeases(true)
-		}
-		writeFile(t, c.kernels[1], "/warm", bytes.Repeat([]byte{'w'}, storage.PageSize))
-		c.settle(t)
-		r, err := c.kernels[2].Resolve(cred(), "/warm")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Read delegation at site 2: grant, local reopen, local closes.
-		for i := 0; i < 2; i++ {
-			f, err := c.kernels[2].OpenID(r.ID, fs.ModeRead)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Writer lease at site 3: recalls the delegation, then a leased
-		// (wire-free) close.
-		w, err := c.kernels[3].OpenID(r.ID, fs.ModeModify)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.WriteAt(bytes.Repeat([]byte{'x'}, storage.PageSize), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Ablation: drop back to the paper's protocol. Disabling releases
-		// every held lease (the writer lease performs its deferred close).
-		for _, k := range c.kernels {
-			k.SetLeases(false)
-		}
-		c.settle(t)
-		for site, k := range c.kernels {
-			if n := len(k.Leases()); n != 0 {
-				t.Fatalf("site %d still holds %d lease(s) after SetLeases(false)", site, n)
-			}
-			if n := len(k.Delegates()); n != 0 {
-				t.Fatalf("site %d still records %d delegate file(s) after SetLeases(false)", site, n)
-			}
-		}
+	pinProtocolCosts(t, false, func(c *cluster.Cluster) {
+		featureCycle(t, c, fs.Features{Leases: true}, 2, 3)
 	})
 }
 
-func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *testCluster)) {
+// TestPinsUnchangedAfterAllFeaturesCycle does the same with every
+// Features field on during the cycle, and re-pins the bulk-pull costs
+// as well as the 4/2/1/4 protocol costs afterwards.
+func TestPinsUnchangedAfterAllFeaturesCycle(t *testing.T) {
+	all := fs.Features{SerialPull: true, NoPageCache: true, Readahead: true, Leases: true, PathShipping: true}
+	pinProtocolCosts(t, false, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 3) })
+	pinPropagationCosts(t, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 1) })
+}
+
+// featureCycle runs ft on every site of c through an
+// open/read/write/commit/close cycle — a read delegation at the reader
+// site (grant, local reopen, local closes), then a writer lease at the
+// writer site (recalls the delegation, then a leased wire-free close)
+// — and switches back to Features{}, which releases every held lease
+// (the writer lease performs its deferred close). No lease state may
+// be left anywhere.
+func featureCycle(t *testing.T, c *cluster.Cluster, ft fs.Features, readerSite, writerSite fs.SiteID) {
+	t.Helper()
+	reader, writer := c.K(readerSite), c.K(writerSite)
+	c.SetFeatures(ft)
+	writeFile(t, c.K(1), "/warm", bytes.Repeat([]byte{'w'}, storage.PageSize))
+	settle(t, c)
+	r, err := reader.Resolve(cred(), "/warm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		f, err := reader.OpenID(r.ID, fs.ModeRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.ReadAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := writer.OpenID(r.ID, fs.ModeModify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt(bytes.Repeat([]byte{'x'}, storage.PageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.SetFeatures(fs.Features{})
+	settle(t, c)
+	for _, s := range c.Sites() {
+		if n := len(c.K(s).Leases()); n != 0 {
+			t.Fatalf("site %d still holds %d lease(s) after SetFeatures(Features{})", s, n)
+		}
+		if n := len(c.K(s).Delegates()); n != 0 {
+			t.Fatalf("site %d still records %d delegate file(s) after SetFeatures(Features{})", s, n)
+		}
+	}
+}
+
+func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *cluster.Cluster)) {
 	c := newCluster(t, 4) // CSS = site 1
 	if armFaultPlane {
-		c.net.EnableFaults(netsim.FaultConfig{Seed: 1})
+		c.Net.EnableFaults(netsim.FaultConfig{Seed: 1})
 	}
 	if prepare != nil {
 		prepare(c)
 	}
-	writeFile(t, c.kernels[3], "/pin", bytes.Repeat([]byte{'p'}, 2*storage.PageSize))
+	writeFile(t, c.K(3), "/pin", bytes.Repeat([]byte{'p'}, 2*storage.PageSize))
 	// Store the file at sites 3 and 4 only: the CSS (1) holds no copy
 	// and US = 2 is purely a using site.
-	if err := c.kernels[3].SetReplication(cred(), "/pin", []fs.SiteID{3, 4}); err != nil {
+	if err := c.K(3).SetReplication(cred(), "/pin", []fs.SiteID{3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	c.settle(t)
-	r, err := c.kernels[2].Resolve(cred(), "/pin")
+	settle(t, c)
+	r, err := c.K(2).Resolve(cred(), "/pin")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	delta := func(op func()) netsim.Snapshot {
-		before := c.net.Stats()
+		before := c.Net.Stats()
 		op()
-		c.net.Quiesce() // casts are in flight only briefly; settle them
-		return c.net.Stats().Sub(before)
+		c.Net.Quiesce() // casts are in flight only briefly; settle them
+		return c.Net.Stats().Sub(before)
 	}
 	check := func(what string, d netsim.Snapshot, msgs int64, byMeth map[string]int64) {
 		t.Helper()
@@ -128,7 +144,7 @@ func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *testClus
 	// General open (US=2, CSS=1, SS=3): request to CSS + CSS polls SS.
 	var f *fs.File
 	d := delta(func() {
-		f, err = c.kernels[2].OpenID(r.ID, fs.ModeRead)
+		f, err = c.K(2).OpenID(r.ID, fs.ModeRead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +170,7 @@ func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *testClus
 	check("close(read)", d, 4, map[string]int64{"fs.close": 2, "fs.ssclose": 2})
 
 	// Open for modify, then a whole-page write: one one-way message.
-	w, err := c.kernels[2].OpenID(r.ID, fs.ModeModify)
+	w, err := c.K(2).OpenID(r.ID, fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,15 +204,21 @@ func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *testClus
 // current (§2.3.6 pull propagation). With bulk pull on, the open
 // piggybacks the first window, so a pull of P modified pages costs
 // 1+⌈max(0,P−W)/W⌉ request/response pairs — at or under the 1+⌈P/W⌉
-// bound of the windowed protocol. With the SetBulkPull ablation off it
-// costs the legacy 1+P pairs, so the old per-page accounting stays
-// pinnable.
+// bound of the windowed protocol. Under Features.SerialPull it costs
+// the legacy 1+P pairs, so the old per-page accounting stays pinnable.
 func TestPropagationCostsPinned(t *testing.T) {
+	pinPropagationCosts(t, nil)
+}
+
+func pinPropagationCosts(t *testing.T, prepare func(c *cluster.Cluster)) {
 	const W = fs.PullWindow // 8
 	c := newCluster(t, 2)
-	writeFile(t, c.kernels[1], "/pin", bytes.Repeat([]byte{'a'}, 12*storage.PageSize))
-	c.settle(t)
-	r, err := c.kernels[1].Resolve(cred(), "/pin")
+	if prepare != nil {
+		prepare(c)
+	}
+	writeFile(t, c.K(1), "/pin", bytes.Repeat([]byte{'a'}, 12*storage.PageSize))
+	settle(t, c)
+	r, err := c.K(1).Resolve(cred(), "/pin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +226,7 @@ func TestPropagationCostsPinned(t *testing.T) {
 	// modify overwrites the first p pages at site 1 and commits.
 	modify := func(p int, fill byte) {
 		t.Helper()
-		w, err := c.kernels[1].OpenID(r.ID, fs.ModeModify)
+		w, err := c.K(1).OpenID(r.ID, fs.ModeModify)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,9 +240,9 @@ func TestPropagationCostsPinned(t *testing.T) {
 		}
 	}
 	pull := func() netsim.Snapshot {
-		before := c.net.Stats()
-		c.settle(t)
-		return c.net.Stats().Sub(before)
+		before := c.Net.Stats()
+		settle(t, c)
+		return c.Net.Stats().Sub(before)
 	}
 	check := func(what string, d netsim.Snapshot, msgs int64, byMeth map[string]int64, windows, pages int64) {
 		t.Helper()
@@ -252,13 +274,13 @@ func TestPropagationCostsPinned(t *testing.T) {
 
 	// Ablation: the legacy protocol pays 1+P pairs, one fs.readphys
 	// exchange per modified page, and sends no bulk windows.
-	c.kernels[2].SetBulkPull(false)
+	c.K(2).SetFeatures(fs.Features{SerialPull: true})
 	modify(10, 'd')
 	check("serial pull P=10", pull(), 22,
 		map[string]int64{"fs.pullopen": 2, "fs.readphys": 20}, 0, 0)
-	c.kernels[2].SetBulkPull(true)
+	c.K(2).SetFeatures(fs.Features{})
 
-	got := readFile(t, c.kernels[2], "/pin")
+	got := readFile(t, c.K(2), "/pin")
 	want := append(bytes.Repeat([]byte{'d'}, 10*storage.PageSize), bytes.Repeat([]byte{'a'}, 2*storage.PageSize)...)
 	if !bytes.Equal(got, want) {
 		t.Fatal("replica content diverged across pull variants")

@@ -63,7 +63,7 @@ func (k *Kernel) call(to SiteID, method string, payload any) (any, error) {
 	var err error
 	for attempt := 0; attempt < rpcRetryBudget; attempt++ {
 		var v any
-		v, err = k.node.CallSeq(to, method, payload, seq) //locusvet:allow rawcall // the one legitimate raw transport use in fs
+		v, err = k.node.CallSeq(to, method, payload, seq) //locus:vet-allow rawcall the one legitimate raw transport use in fs: this is the retrying wrapper
 		if err == nil || !errors.Is(err, netsim.ErrTimeout) {
 			return v, err
 		}
@@ -80,7 +80,7 @@ func (k *Kernel) cast(to SiteID, method string, payload any) error {
 	clk := k.node.Network().Clock()
 	var err error
 	for attempt := 0; attempt < rpcRetryBudget; attempt++ {
-		err = k.node.Cast(to, method, payload) //locusvet:allow rawcall // see call
+		err = k.node.Cast(to, method, payload) //locus:vet-allow rawcall the retrying wrapper itself; see call
 		if err == nil || !errors.Is(err, netsim.ErrTimeout) {
 			return err
 		}

@@ -25,11 +25,10 @@
 //     spuriously or replays a mutation.
 //
 // Findings are suppressed line-by-line with a trailing
-// `//locus:vet-allow <analyzer> <reason>` comment (the original
-// `//locusvet:allow` spelling is also recognized). Every suppression
-// must carry a justification; the pre-history `//nolint:errcheck`
-// convention no longer suppresses anything and is itself flagged by
-// the allow-directive audit.
+// `//locus:vet-allow <analyzer> <reason>` comment. Every suppression
+// must carry a justification; the retired `//locusvet:allow` and
+// `//nolint:errcheck` spellings no longer suppress anything and are
+// themselves flagged by the allow-directive audit.
 package lint
 
 import (
@@ -371,6 +370,7 @@ func DefaultConfig() *Config {
 		},
 		MapOrderPackages: []string{
 			"internal/fs", "internal/proc", "internal/netsim", "internal/chaos",
+			"internal/cluster", "locus",
 		},
 
 		// §5.6 failure-action discipline: proc's exported API promises
@@ -465,8 +465,7 @@ func hasPathSuffix(p, suffix string) bool {
 	return p == suffix || strings.HasSuffix(p, "/"+suffix)
 }
 
-// suppressions indexes `//locusvet:allow` (and `//nolint:`) comments by
-// file and line.
+// suppressions indexes `//locus:vet-allow` comments by file and line.
 type suppressions struct {
 	// byLine maps filename -> line -> set of allowed analyzer names.
 	byLine map[string]map[int]map[string]bool
@@ -506,45 +505,49 @@ func suppressionsFor(prog *Program, pkg *Package, cfg *Config) *suppressions {
 }
 
 // directiveNames extracts analyzer names from a suppression comment.
-// Only the locus directive spellings suppress; `//nolint:errcheck` was
-// grandfathered once but is now inert (and flagged by the audit).
+// Only `//locus:vet-allow` suppresses; the retired spellings are inert
+// (and flagged by the audit).
 func directiveNames(text string) []string {
-	names, _ := parseAllowDirective(text)
+	names, _ := parseDirective(text, allowMarker)
 	return names
 }
 
-// allowMarkers are the recognized suppression directive spellings:
-// the original `//locusvet:allow` and the auditable
-// `//locus:vet-allow <analyzer> <reason>` form.
-var allowMarkers = []string{"locus:vet-allow", "locusvet:allow"}
+// allowMarker opens the one suppression directive spelling,
+// `//locus:vet-allow <analyzer> <reason>`. legacyAllowMarker is the
+// original spelling of the same syntax; it no longer suppresses.
+const (
+	allowMarker       = "locus:vet-allow"
+	legacyAllowMarker = "locusvet:allow"
+)
 
-// parseAllowDirective splits a suppression comment into analyzer names
-// and the trailing justification. The argument list ends at the first
-// space; everything after is the reason. The marker must open the
-// comment body — prose that merely mentions the directive syntax (an
-// analyzer's doc comment, say) is not itself a directive.
-func parseAllowDirective(text string) (names []string, reason string) {
-	body := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/"))
-	body = strings.TrimSpace(strings.TrimPrefix(body, "//"))
-	for _, marker := range allowMarkers {
-		rest, ok := strings.CutPrefix(body, marker)
-		if !ok {
-			continue
-		}
-		rest = strings.TrimLeft(rest, " \t")
-		args := rest
-		if j := strings.IndexAny(rest, " \t"); j >= 0 {
-			args = rest[:j]
-			reason = strings.TrimSpace(rest[j:])
-		}
-		for _, n := range strings.Split(args, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-		return names, reason
+// parseDirective splits a comment opening with marker into analyzer
+// names and the trailing justification. The argument list ends at the
+// first space; everything after is the reason. The marker must open
+// the comment body — prose that merely mentions the directive syntax
+// (an analyzer's doc comment, say) is not itself a directive.
+func parseDirective(text, marker string) (names []string, reason string) {
+	rest, ok := strings.CutPrefix(commentBody(text), marker)
+	if !ok {
+		return nil, ""
 	}
-	return nil, ""
+	rest = strings.TrimLeft(rest, " \t")
+	args := rest
+	if j := strings.IndexAny(rest, " \t"); j >= 0 {
+		args = rest[:j]
+		reason = strings.TrimSpace(rest[j:])
+	}
+	for _, n := range strings.Split(args, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
+		}
+	}
+	return names, reason
+}
+
+// commentBody strips the comment delimiters and surrounding space.
+func commentBody(text string) string {
+	body := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/"))
+	return strings.TrimSpace(strings.TrimPrefix(body, "//"))
 }
 
 // Allow is one audited suppression directive found in the tree.
@@ -552,31 +555,34 @@ type Allow struct {
 	Pos       token.Position `json:"pos"`
 	Analyzers []string       `json:"analyzers"`
 	Reason    string         `json:"reason"`
-	// Legacy marks a `//nolint:errcheck` comment. Those no longer
-	// suppress anything; CollectAllows still surfaces them so the
-	// policy audit can point each one at the migration path.
+	// Legacy marks a retired spelling (`//nolint:errcheck`,
+	// `//locusvet:allow`). Those no longer suppress anything;
+	// CollectAllows still surfaces them so the policy audit can point
+	// each one at the migration path.
 	Legacy bool `json:"legacy,omitempty"`
 }
 
 // CollectAllows scans every target package for allow directives so the
 // driver can count them and enforce that each carries a reason.
-// `//nolint:errcheck` comments are collected (as Legacy) purely so the
-// audit can flag them; they do not suppress findings.
+// Retired spellings are collected (as Legacy) purely so the audit can
+// flag them; they do not suppress findings.
 func CollectAllows(prog *Program) []Allow {
 	var out []Allow
 	for _, pkg := range prog.Targets {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					names, reason := parseAllowDirective(c.Text)
+					names, reason := parseDirective(c.Text, allowMarker)
 					legacy := false
 					if len(names) == 0 {
-						// Like parseAllowDirective, the marker must open
-						// the comment body: prose that merely mentions
-						// the retired spelling is not a directive.
-						body := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(c.Text, "/*"), "*/"))
-						body = strings.TrimSpace(strings.TrimPrefix(body, "//"))
-						if rest, ok := strings.CutPrefix(body, "nolint:errcheck"); ok {
+						names, reason = parseDirective(c.Text, legacyAllowMarker)
+						legacy = len(names) > 0
+					}
+					if len(names) == 0 {
+						// Like parseDirective, the marker must open the
+						// comment body: prose that merely mentions the
+						// retired spelling is not a directive.
+						if rest, ok := strings.CutPrefix(commentBody(c.Text), "nolint:errcheck"); ok {
 							names = []string{"uncheckedcall"}
 							legacy = true
 							reason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), "//"))
@@ -606,8 +612,9 @@ func CollectAllows(prog *Program) []Allow {
 
 // AllowPolicyFindings flags allow directives that carry no reason — a
 // suppression without a justification is unauditable — and every
-// remaining `//nolint:errcheck` comment, which no longer suppresses
-// anything and must be migrated to the audited spelling.
+// remaining `//nolint:errcheck` or `//locusvet:allow` comment, which
+// no longer suppresses anything and must be migrated to the audited
+// spelling.
 func AllowPolicyFindings(prog *Program) []Finding {
 	var out []Finding
 	for _, a := range CollectAllows(prog) {
@@ -616,7 +623,8 @@ func AllowPolicyFindings(prog *Program) []Finding {
 			out = append(out, Finding{
 				Pos:      a.Pos,
 				Analyzer: "vet-allow",
-				Message:  "legacy `//nolint:errcheck` directive suppresses nothing; migrate to `//locus:vet-allow uncheckedcall <reason>`",
+				Message: fmt.Sprintf("legacy directive (`//nolint:errcheck` or `//locusvet:allow`) suppresses nothing; migrate to `//locus:vet-allow %s <reason>`",
+					strings.Join(a.Analyzers, ",")),
 			})
 		case a.Reason == "":
 			out = append(out, Finding{

@@ -17,7 +17,7 @@ import (
 // failure, and a raw retry without a sequence number re-runs the
 // mutation (the double-commit/double-create bugs the dedup tables
 // exist to prevent). The wrapper implementations themselves carry a
-// `//locusvet:allow rawcall` justification.
+// `//locus:vet-allow rawcall` justification.
 func RawCallAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "rawcall",

@@ -70,6 +70,6 @@ func okViaCall(o *Outer, m *Middle) {
 func okSuppressed(o *Outer, i *Inner) {
 	i.Lock()
 	defer i.Unlock()
-	o.mu.Lock() //locusvet:allow lockorder fixture: documented exception
+	o.mu.Lock() //locus:vet-allow lockorder fixture: documented exception
 	o.mu.Unlock()
 }

@@ -45,7 +45,7 @@ func okMarkedAbove(n int) {
 }
 
 func okSuppressed() {
-	panic("legacy") //locusvet:allow panicdiscipline fixture: grandfathered
+	panic("legacy") //locus:vet-allow panicdiscipline fixture: grandfathered
 }
 
 var errSentinel = errors.New("sentinel")

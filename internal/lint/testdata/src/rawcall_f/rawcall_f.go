@@ -37,7 +37,7 @@ func badRawCast(k *Kernel) error {
 
 // The wrapper itself is the one sanctioned raw use.
 func (k *Kernel) call(to int, method string, payload any) (any, error) {
-	return k.node.Call(to, method, payload) //locusvet:allow rawcall fixture: this is the wrapper
+	return k.node.Call(to, method, payload) //locus:vet-allow rawcall fixture: this is the wrapper
 }
 
 func okThroughWrapper(k *Kernel) (any, error) {

@@ -35,5 +35,5 @@ func okDuration(us int64) time.Duration {
 }
 
 func okSuppressed() time.Time {
-	return time.Now() //locusvet:allow simclock fixture: sanctioned wall-clock read
+	return time.Now() //locus:vet-allow simclock fixture: sanctioned wall-clock read
 }

@@ -35,14 +35,15 @@ func okChecked(c *Conn) error {
 }
 
 func badLegacySuppression(c *Conn) {
-	// The retired //nolint:errcheck convention no longer suppresses
-	// anything (and the allow audit flags it for migration).
+	// The retired //nolint:errcheck and //locusvet:allow spellings no
+	// longer suppress anything (and the allow audit flags each for
+	// migration).
 	c.Cast("best-effort") //nolint:errcheck fixture: inert spelling // want "error result of Conn.Cast is discarded"
+	c.Cast("best-effort") //locusvet:allow uncheckedcall fixture: inert original spelling // want "error result of Conn.Cast is discarded"
 }
 
 func okSuppressed(c *Conn) {
 	c.Cast("best-effort") //locus:vet-allow uncheckedcall fixture: delivery is advisory here
-	c.Cast("best-effort") //locusvet:allow uncheckedcall fixture: same, original spelling
 }
 
 // Unrelated methods with the same name on other types are not flagged.

@@ -24,7 +24,7 @@ func (m *Manager) call(to SiteID, method string, payload any) (any, error) {
 	var err error
 	for attempt := 0; attempt < rpcRetryBudget; attempt++ {
 		var v any
-		v, err = m.node.CallSeq(to, method, payload, seq) //locusvet:allow rawcall // the one legitimate raw transport use in proc
+		v, err = m.node.CallSeq(to, method, payload, seq) //locus:vet-allow rawcall the one legitimate raw transport use in proc: this is the retrying wrapper
 		if err == nil || !errors.Is(err, netsim.ErrTimeout) {
 			return v, err
 		}
@@ -39,7 +39,7 @@ func (m *Manager) cast(to SiteID, method string, payload any) error {
 	clk := m.node.Network().Clock()
 	var err error
 	for attempt := 0; attempt < rpcRetryBudget; attempt++ {
-		err = m.node.Cast(to, method, payload) //locusvet:allow rawcall // see call
+		err = m.node.Cast(to, method, payload) //locus:vet-allow rawcall the retrying wrapper itself; see call
 		if err == nil || !errors.Is(err, netsim.ErrTimeout) {
 			return err
 		}

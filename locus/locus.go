@@ -27,8 +27,8 @@ package locus
 import (
 	"errors"
 	"fmt"
-	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/fs"
 	"repro/internal/netsim"
 	"repro/internal/proc"
@@ -95,12 +95,12 @@ type ClusterSpec struct {
 	Costs *netsim.CostModel
 }
 
-// Cluster is a running LOCUS network.
+// Cluster is a running LOCUS network: the internal/cluster assembly
+// (network, kernels, format) with the process, transaction,
+// reconciliation and topology layers attached to every site.
 type Cluster struct {
-	net   *netsim.Network
-	cfg   *fs.Config
+	cl    *cluster.Cluster
 	sites map[SiteID]*Site
-	order []SiteID
 }
 
 // Site is one machine running the LOCUS kernel stack.
@@ -130,41 +130,26 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	}
 	var fgs []fs.FilegroupDesc
 	for _, f := range spec.Filegroups {
-		var packs []fs.PackDesc
-		for i, s := range f.Replicas {
-			packs = append(packs, fs.PackDesc{
-				Site: s,
-				Lo:   storage.InodeNum(i*1_000_000 + 1),
-				Hi:   storage.InodeNum((i + 1) * 1_000_000),
-			})
-		}
-		fgs = append(fgs, fs.FilegroupDesc{FG: f.ID, MountPath: f.MountPath, Packs: packs})
+		fgs = append(fgs, fs.FilegroupDesc{FG: f.ID, MountPath: f.MountPath, Packs: cluster.Packs(f.Replicas)})
 	}
 	cfg, err := fs.NewConfig(fgs)
 	if err != nil {
 		return nil, err
 	}
-	costs := netsim.DefaultCosts()
+	opts := cluster.Options{}
 	if spec.Costs != nil {
-		costs = *spec.Costs
+		opts.Costs = *spec.Costs
 	}
-	nw := netsim.New(costs)
-	c := &Cluster{net: nw, cfg: cfg, sites: make(map[SiteID]*Site)}
-
-	var allSites []SiteID
 	for _, ss := range spec.Sites {
-		allSites = append(allSites, ss.ID)
+		opts.Sites = append(opts.Sites, ss.ID)
 	}
-	sort.Slice(allSites, func(i, j int) bool { return allSites[i] < allSites[j] })
-
-	kernels := make(map[SiteID]*fs.Kernel)
+	cl, err := cluster.New(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	c := &Cluster{cl: cl, sites: make(map[SiteID]*Site)}
 	for _, ss := range spec.Sites {
-		node := nw.AddSite(ss.ID)
-		k, err := fs.BootSite(node, cfg, nw.Meter(), storage.Costs{DiskUs: costs.DiskUs, PageCPU: costs.PageCPU})
-		if err != nil {
-			nw.Close()
-			return nil, err
-		}
+		k := cl.K(ss.ID)
 		mt := ss.MachineType
 		if mt == "" {
 			mt = "vax"
@@ -173,10 +158,10 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			id:      ss.ID,
 			cluster: c,
 			FS:      k,
-			Proc:    proc.NewManager(node, k, mt),
+			Proc:    proc.NewManager(k.Node(), k, mt),
 			Txn:     txn.NewManager(k),
 			Recon:   recon.New(k),
-			Topo:    topology.New(node, allSites),
+			Topo:    topology.New(k.Node(), cl.Sites()),
 		}
 		// Membership changes drive the §5.6 cleanup procedure in every
 		// kernel layer.
@@ -188,15 +173,8 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		})
 		// A crash additionally discards the volatile transaction tables
 		// (proc registers its own crash hook in NewManager).
-		node.OnCrash(site.Txn.CrashLocal)
-		kernels[ss.ID] = k
+		k.Node().OnCrash(site.Txn.CrashLocal)
 		c.sites[ss.ID] = site
-		c.order = append(c.order, ss.ID)
-	}
-	sort.Slice(c.order, func(i, j int) bool { return c.order[i] < c.order[j] })
-	if err := fs.Format(kernels, cfg); err != nil {
-		nw.Close()
-		return nil, err
 	}
 	return c, nil
 }
@@ -217,20 +195,23 @@ func Simple(n int) (*Cluster, error) {
 }
 
 // Close shuts the cluster down.
-func (c *Cluster) Close() { c.net.Close() }
+func (c *Cluster) Close() { c.cl.Net.Close() }
 
 // Site returns a site by id (nil if unknown).
 func (c *Cluster) Site(id SiteID) *Site { return c.sites[id] }
 
 // Sites returns all site ids, ascending.
-func (c *Cluster) Sites() []SiteID { return append([]SiteID(nil), c.order...) }
+func (c *Cluster) Sites() []SiteID { return c.cl.Sites() }
+
+// SetFeatures installs one fs feature selection at every site.
+func (c *Cluster) SetFeatures(f fs.Features) { c.cl.SetFeatures(f) }
 
 // Network exposes the underlying simulated network (for tests,
 // benchmarks, and fault injection).
-func (c *Cluster) Network() *netsim.Network { return c.net }
+func (c *Cluster) Network() *netsim.Network { return c.cl.Net }
 
 // Stats returns a snapshot of network traffic and simulated costs.
-func (c *Cluster) Stats() netsim.Snapshot { return c.net.Stats() }
+func (c *Cluster) Stats() netsim.Snapshot { return c.cl.Net.Stats() }
 
 // Fsck runs the deep structural check (page leaks, orphan inodes,
 // dangling directory entries, corrupt directories) across every site's
@@ -238,82 +219,46 @@ func (c *Cluster) Stats() netsim.Snapshot { return c.net.Stats() }
 // merge, and settle — it additionally requires all copies of every file
 // to agree (equal version vectors, identical content, no unresolved
 // conflict flags). A nil result means clean.
-func (c *Cluster) Fsck(converged bool) []fs.FsckFinding {
-	kernels := make([]*fs.Kernel, 0, len(c.order))
-	for _, id := range c.order {
-		kernels = append(kernels, c.sites[id].FS)
-	}
-	return fs.FsckCluster(kernels, fs.FsckOptions{Converged: converged})
-}
+func (c *Cluster) Fsck(converged bool) []fs.FsckFinding { return c.cl.Fsck(converged) }
 
 // Settle drains all background propagation until quiescent, returning
 // the number of pulls completed.
-func (c *Cluster) Settle() int {
-	total := 0
-	for pass := 0; pass < 100; pass++ {
-		c.net.Quiesce()
-		n := 0
-		for _, id := range c.order {
-			n += c.sites[id].FS.DrainPropagation()
-		}
-		total += n
-		if n == 0 {
-			c.net.Quiesce()
-			pending := 0
-			for _, id := range c.order {
-				pending += c.sites[id].FS.PendingPropagations()
-			}
-			if pending == 0 {
-				return total
-			}
-		}
-	}
-	return total
-}
+func (c *Cluster) Settle() int { return c.cl.Settle() }
 
 // Partition severs the network into the given groups and runs the
 // partition protocol in each; every site's kernel runs the cleanup
 // procedure via the topology callback.
 func (c *Cluster) Partition(groups ...[]SiteID) {
-	c.net.PartitionGroups(groups...)
-	c.net.Quiesce()
+	c.cl.Net.PartitionGroups(groups...)
+	c.cl.Net.Quiesce()
 	for _, g := range groups {
 		if len(g) > 0 {
 			c.sites[g[0]].Topo.RunPartitionProtocol()
 		}
 	}
-	c.net.Quiesce()
+	c.cl.Net.Quiesce()
 }
 
 // Merge heals the physical network, runs the merge protocol from the
 // lowest up site, reconciles every filegroup, and settles propagation.
 // It returns the combined reconciliation report.
 func (c *Cluster) Merge() (recon.Report, error) {
-	c.net.HealAll()
-	var initiator *Site
-	for _, id := range c.order {
-		if c.net.Up(id) {
-			initiator = c.sites[id]
-			break
-		}
-	}
+	c.cl.Net.HealAll()
+	up := c.cl.UpSites()
 	var rep recon.Report
-	if initiator == nil {
+	if len(up) == 0 {
 		return rep, errors.New("locus: no site up")
 	}
-	if _, err := initiator.Topo.RunMergeProtocol(); err != nil {
+	if _, err := c.sites[up[0]].Topo.RunMergeProtocol(); err != nil {
 		return rep, err
 	}
-	c.net.Quiesce()
+	c.cl.Net.Quiesce()
 	c.Settle()
 	// Reconciliation runs at every site; each file is merged once (by
 	// its lowest storing site). Two passes let directory merges expose
 	// files that then propagate.
 	for pass := 0; pass < 2; pass++ {
-		for _, id := range c.order {
-			if !c.net.Up(id) {
-				continue
-			}
+		for _, id := range up {
 			r, err := c.sites[id].Recon.ReconcileAll()
 			rep = addReports(rep, r)
 			if err != nil {
@@ -339,24 +284,21 @@ func addReports(a, b recon.Report) recon.Report {
 // Crash abruptly takes a site down (volatile state lost, disk kept);
 // the survivors run the partition protocol.
 func (c *Cluster) Crash(id SiteID) {
-	c.net.Crash(id)
-	c.net.Quiesce()
-	for _, sid := range c.order {
-		if c.net.Up(sid) {
-			c.sites[sid].Topo.RunPartitionProtocol()
-			break
-		}
+	c.cl.Net.Crash(id)
+	c.cl.Net.Quiesce()
+	if up := c.cl.UpSites(); len(up) > 0 {
+		c.sites[up[0]].Topo.RunPartitionProtocol()
 	}
-	c.net.Quiesce()
+	c.cl.Net.Quiesce()
 }
 
 // Restart brings a crashed site back and merges it into the partition.
 func (c *Cluster) Restart(id SiteID) (recon.Report, error) {
-	c.net.Restart(id)
+	c.cl.Net.Restart(id)
 	return c.Merge()
 }
 
 // String describes the cluster.
 func (c *Cluster) String() string {
-	return fmt.Sprintf("locus.Cluster{%d sites, %d filegroups}", len(c.sites), len(c.cfg.Filegroups))
+	return fmt.Sprintf("locus.Cluster{%d sites, %d filegroups}", len(c.sites), len(c.cl.Cfg.Filegroups))
 }
