@@ -13,14 +13,12 @@ vet:
 # locus-vet is this repository's own analyzer suite (cmd/locus-vet),
 # three tiers: syntactic (simclock, uncheckedcall, lockorder, rawcall,
 # panicdiscipline), intraprocedural dataflow (pageleak, inodealias,
-# goroutinejoin, rpcconsistency, blockinglock), and interprocedural
-# summaries (maporder, sentinelerr, vvmutation, atomiccounter), plus
-# the suppression audits (vet-allow reasons, staleallow). The -cache
-# stamp skips the whole-program load when neither the sources nor the
-# analyzer registry changed since the last clean run; delete
-# .locusvet.cache to force a full run.
+# goroutinejoin, blockinglock), and interprocedural summaries
+# (maporder, sentinelerr, vvmutation, atomiccounter), plus the
+# suppression audits (vet-allow reasons, staleallow). Always a full
+# whole-module run (about 3 s); ci.yml runs the same with -json.
 locusvet:
-	$(GO) run ./cmd/locus-vet -cache .locusvet.cache ./...
+	$(GO) run ./cmd/locus-vet ./...
 
 # vet-stats prints the analyzer-suite telemetry: findings and audited
 # suppressions per analyzer plus the interprocedural summary-cache hit

@@ -1,46 +1,38 @@
 // Command locus-vet runs the repository's custom static analyzers (see
 // internal/lint): the syntactic tier (simclock, uncheckedcall,
 // lockorder, panicdiscipline, rawcall), the intraprocedural dataflow
-// tier (pageleak, inodealias, goroutinejoin, rpcconsistency,
-// blockinglock), and the interprocedural summary tier (maporder,
-// sentinelerr, vvmutation, atomiccounter), plus the allow-directive
-// audits: every suppression must carry a reason, and a suppression that
-// hides no finding is itself reported (staleallow).
+// tier (pageleak, inodealias, goroutinejoin, blockinglock), and the
+// interprocedural summary tier (maporder, sentinelerr, vvmutation,
+// atomiccounter), plus the allow-directive audits: every suppression
+// must carry a reason, and a suppression that hides no finding is
+// itself reported (staleallow).
 //
 // Usage:
 //
-//	go run ./cmd/locus-vet [-json] [-allows] [-stats] [-cache FILE] ./...
+//	go run ./cmd/locus-vet [-json] [-stats] ./...
 //
 // The package pattern argument is accepted for familiarity but the tool
 // always analyzes the whole module containing the working directory —
 // several analyses are whole-program fixpoints and partial runs would
-// under-report. For the same reason -cache is a whole-module stamp: the
-// digest covers every non-test .go file plus go.mod and the analyzer
-// registry fingerprint, and only a clean run writes it, so a hit can
-// only ever mean "unchanged since last clean run with this analyzer
-// set".
+// under-report.
 //
-// -allows prints the audited suppression inventory (per-analyzer counts
-// plus every directive's position and reason) instead of running the
-// analyzers. -stats appends run telemetry to a normal run: findings and
-// allows per analyzer and the interprocedural summary-cache hit rate.
+// -json emits the findings plus every allow directive with its
+// position and reason. -stats appends run telemetry to a normal run:
+// findings and allows per analyzer and the interprocedural
+// summary-cache hit rate.
 //
 // Exit status: 0 clean, 1 findings, 2 load failure (any package that
 // fails to parse or type-check).
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -67,23 +59,18 @@ type report struct {
 	AllowedBy  map[string]int      `json:"allows_by_analyzer"`
 	Summary    *summaryStats       `json:"summary_cache,omitempty"`
 	LoadErrors []lint.PackageError `json:"load_errors,omitempty"`
-	Cached     bool                `json:"cached,omitempty"`
 }
 
 // options are the parsed command-line flags.
 type options struct {
-	jsonOut   bool
-	allowsOut bool
-	statsOut  bool
-	cachePath string
+	jsonOut  bool
+	statsOut bool
 }
 
 func main() {
 	var opts options
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit findings, allow directives, and load errors as JSON on stdout")
-	flag.BoolVar(&opts.allowsOut, "allows", false, "print the audited suppression inventory (per-analyzer counts and every directive) instead of findings")
 	flag.BoolVar(&opts.statsOut, "stats", false, "append run telemetry: findings and allows per analyzer plus the summary-cache hit rate")
-	flag.StringVar(&opts.cachePath, "cache", "", "whole-module content-hash stamp file; skip the run when unchanged since the last clean run")
 	flag.Parse()
 	os.Exit(run(opts, os.Stdout))
 }
@@ -92,26 +79,6 @@ func run(opts options, stdout io.Writer) int {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
 		return loadFailure(opts.jsonOut, stdout, []lint.PackageError{{Path: "(module)", Err: err.Error()}})
-	}
-
-	var digest string
-	if opts.cachePath != "" && !opts.allowsOut && !opts.statsOut {
-		if digest, err = moduleDigest(root); err != nil {
-			fmt.Fprintln(os.Stderr, "locus-vet: cache digest:", err)
-			digest = "" // fall through to a full run, never a stale hit
-		} else if prev, rerr := os.ReadFile(opts.cachePath); rerr == nil && strings.TrimSpace(string(prev)) == digest {
-			if opts.jsonOut {
-				emit(stdout, report{
-					Findings: []jsonFinding{}, ByAnalyzer: map[string]int{},
-					Allows: []lint.Allow{}, AllowedBy: map[string]int{}, Cached: true,
-				})
-			} else {
-				fmt.Fprintln(os.Stderr, "locus-vet: module unchanged since last clean run (cache hit)")
-			}
-			return 0
-		}
-	} else if opts.cachePath != "" {
-		digest, _ = moduleDigest(root) // stamp a clean -stats run too
 	}
 
 	prog, err := lint.LoadAll(root, nil)
@@ -124,11 +91,6 @@ func run(opts options, stdout io.Writer) int {
 	}
 
 	allows := lint.CollectAllows(prog)
-	if opts.allowsOut {
-		printAllowInventory(stdout, allows)
-		return 0
-	}
-
 	cfg := lint.DefaultConfig()
 	findings := lint.Run(prog, cfg, lint.Analyzers())
 	findings = append(findings, lint.AllowPolicyFindings(prog)...)
@@ -179,41 +141,7 @@ func run(opts options, stdout io.Writer) int {
 		fmt.Fprintf(os.Stderr, "locus-vet: %d finding(s)\n", len(findings))
 		return 1
 	}
-	if opts.cachePath != "" && digest != "" {
-		if werr := os.WriteFile(opts.cachePath, []byte(digest+"\n"), 0o644); werr != nil {
-			fmt.Fprintln(os.Stderr, "locus-vet: writing cache:", werr)
-		}
-	}
 	return 0
-}
-
-// printAllowInventory lists every audited suppression with per-analyzer
-// counts, so reviewers can read the repository's exception surface in
-// one screen.
-func printAllowInventory(w io.Writer, allows []lint.Allow) {
-	counts := map[string]int{}
-	for _, a := range allows {
-		for _, name := range a.Analyzers {
-			counts[name]++
-		}
-	}
-	names := make([]string, 0, len(counts))
-	for name := range counts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "%d allow directive(s)\n", len(allows))
-	for _, name := range names {
-		fmt.Fprintf(w, "  %-16s %d\n", name, counts[name])
-	}
-	for _, a := range allows {
-		tag := ""
-		if a.Legacy {
-			tag = " [legacy //nolint]"
-		}
-		fmt.Fprintf(w, "%s:%d: %s%s: %s\n",
-			a.Pos.Filename, a.Pos.Line, strings.Join(a.Analyzers, ","), tag, a.Reason)
-	}
 }
 
 // printStats summarizes a run: findings and allows per analyzer plus
@@ -269,55 +197,4 @@ func emit(w io.Writer, r report) {
 	if err := enc.Encode(r); err != nil {
 		fmt.Fprintln(os.Stderr, "locus-vet: encoding report:", err)
 	}
-}
-
-// moduleDigest hashes the analyzer registry fingerprint plus every
-// non-test .go file under root and go.mod, keyed by repo-relative path,
-// so the stamp changes whenever any input to the analysis — the
-// sources, the analyzers' own sources, or the set of enabled analyzers
-// — changes.
-func moduleDigest(root string) (string, error) {
-	return moduleDigestWith(root, lint.RegistryFingerprint())
-}
-
-// moduleDigestWith is moduleDigest with the registry fingerprint
-// injected (separated so the cache-staleness regression test can prove
-// the fingerprint participates in the stamp).
-func moduleDigestWith(root, registry string) (string, error) {
-	var paths []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if name == "go.mod" || (strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")) {
-			paths = append(paths, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	sort.Strings(paths)
-	h := sha256.New()
-	fmt.Fprintf(h, "registry %s\n", registry)
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return "", err
-		}
-		rel, err := filepath.Rel(root, p)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "%s %d\n", filepath.ToSlash(rel), len(data))
-		h.Write(data)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/proc"
 	"repro/internal/recon"
 	"repro/internal/storage"
-	"repro/internal/topology"
 	"repro/internal/txn"
 	"repro/internal/vclock"
 	"repro/locus"
@@ -1338,10 +1337,3 @@ func E15() *Table {
 		cell("commit after the partition abort returned %q; the merge-replayed SIGTERM terminated the surviving sitter", commitErr))
 	return t
 }
-
-func All() []*Table {
-	return []*Table{E1(), E2(), E3(), E4(), E5(), E6(), E7(), E8(), E9(), E10(), E11(), E12(), E13(), E14(), E15()}
-}
-
-// keep imports referenced in all build configurations
-var _ = topology.StageNormal

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/format"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -241,9 +242,9 @@ func (f *File) setAttr(req *setAttrReq) error {
 	k := f.k
 	var err error
 	if f.ss == k.site {
-		_, err = k.handleSetAttr(k.site, req)
+		err = k.handleSetAttr(k.site, req)
 	} else {
-		err = k.cast(f.ss, mSetAttr, req)
+		err = netsim.Cast(k.node, f.ss, mSetAttr, req)
 	}
 	if err != nil {
 		return err
@@ -281,13 +282,12 @@ func applyAttr(ino *storage.Inode, req *setAttrReq) {
 	}
 }
 
-func (k *Kernel) handleSetAttr(from SiteID, p any) (any, error) {
-	req := p.(*setAttrReq)
+func (k *Kernel) handleSetAttr(from SiteID, req *setAttrReq) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	sv := k.ssState[req.ID]
 	if sv == nil || sv.writerUS != from || sv.incore == nil {
-		return nil, nil // modify open gone; drop like a late write
+		return nil // modify open gone; drop like a late write
 	}
 	if req.SetDeleted {
 		// Data pages are released at commit; mark for whole-state prop.
@@ -295,7 +295,7 @@ func (k *Kernel) handleSetAttr(from SiteID, p any) (any, error) {
 	}
 	applyAttr(sv.incore, req)
 	sv.dirty[0] = true
-	return nil, nil
+	return nil
 }
 
 // Chmod changes permission bits — an inode-only modification

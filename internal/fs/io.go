@@ -5,16 +5,10 @@ import (
 	"sort"
 
 	"repro/internal/lint/invariant"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
-
-// pageSpan computes the logical pages covering [off, off+n).
-func pageSpan(off int64, n int) (first, last storage.PageNo) {
-	first = storage.PageNo(off / storage.PageSize)
-	last = storage.PageNo((off + int64(n) - 1) / storage.PageSize)
-	return first, last
-}
 
 // ReadAt reads up to len(p) bytes at offset off, returning the count
 // read. Reads past end of file return a short count (0 at or past EOF).
@@ -103,11 +97,10 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 	if incore {
 		// The writer reads its own in-core (shadowed) state at the SS;
 		// uncommitted data never enters the committed-page cache.
-		resp, err := k.call(f.ss, mRead, &readReq{ID: f.id, Page: pn, Incore: true})
+		r, err := netsim.Call(k.node, f.ss, mRead, &readReq{ID: f.id, Page: pn, Incore: true})
 		if err != nil {
 			return nil, 0, false, err
 		}
-		r := resp.(*readResp)
 		return r.Data, r.Size, false, nil
 	}
 
@@ -140,11 +133,10 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 	if ra {
 		req.Readahead = f.raWindow
 	}
-	resp, err := k.call(f.ss, mRead, req)
+	r, err := netsim.Call(k.node, f.ss, mRead, req)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	r := resp.(*readResp)
 	if cached {
 		k.cache.put(f.id, pn, r.Data, r.Size, r.VV, false)
 		for i, extra := range r.Extra {
@@ -219,8 +211,7 @@ func (k *Kernel) localPage(id storage.FileID, pn storage.PageNo, incore bool, us
 	return data, ino.Size, vv, nil
 }
 
-func (k *Kernel) handleRead(from SiteID, p any) (any, error) {
-	req := p.(*readReq)
+func (k *Kernel) handleRead(from SiteID, req *readReq) (*readResp, error) {
 	data, size, vv, err := k.localPage(req.ID, req.Page, req.Incore, from, true)
 	if err != nil {
 		return nil, err
@@ -334,26 +325,25 @@ func (f *File) Append(p []byte) (int, error) { return f.WriteAt(p, f.ino.Size) }
 func (f *File) sendWrite(pn storage.PageNo, page []byte, size int64) error {
 	k := f.k
 	if f.ss == k.site {
-		// Local SS: applyWrite copies the data into a pooled shadow-page
+		// Local SS: handleWrite copies the data into a pooled shadow-page
 		// buffer before returning, so the caller's buffer crosses without
 		// a defensive copy.
-		_, err := k.applyWrite(k.site, &writeReq{ID: f.id, Page: pn, Data: page, Size: size})
-		return err
+		return k.handleWrite(k.site, &writeReq{ID: f.id, Page: pn, Data: page, Size: size})
 	}
 	// Remote SS: the cast is delivered asynchronously and the caller may
 	// reuse its buffer the moment we return, so ship a private copy.
 	req := &writeReq{ID: f.id, Page: pn, Data: append([]byte(nil), page...), Size: size}
-	return k.cast(f.ss, mWrite, req)
+	return netsim.Cast(k.node, f.ss, mWrite, req)
 }
 
-// applyWrite is the SS side of the write protocol: allocate a shadow
+// handleWrite is the SS side of the write protocol: allocate a shadow
 // page, install it in the in-core inode. "The entire shadow page
 // mechanism is implemented at the SS and is transparent to the US"
 // (§2.3.6).
-func (k *Kernel) applyWrite(from SiteID, req *writeReq) (any, error) {
+func (k *Kernel) handleWrite(from SiteID, req *writeReq) error {
 	c := k.container(req.ID.FG)
 	if c == nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoStorageSite, req.ID)
+		return fmt.Errorf("%w: %v", ErrNoStorageSite, req.ID)
 	}
 	k.mu.Lock()
 	sv := k.ssState[req.ID]
@@ -362,7 +352,7 @@ func (k *Kernel) applyWrite(from SiteID, req *writeReq) (any, error) {
 		// The modify open is gone (e.g. cleaned up after a partition
 		// change); the one-way write is dropped, and the US will learn
 		// at commit/close.
-		return nil, nil
+		return nil
 	}
 	ino := sv.incore
 	if req.Data == nil {
@@ -380,7 +370,7 @@ func (k *Kernel) applyWrite(from SiteID, req *writeReq) (any, error) {
 		sv.truncated = true
 		k.mu.Unlock()
 		c.FreePages(drop...)
-		return nil, nil
+		return nil
 	}
 	k.mu.Unlock()
 
@@ -399,14 +389,14 @@ func (k *Kernel) applyWrite(from SiteID, req *writeReq) (any, error) {
 
 	pp, err := c.WritePage(req.Data)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.ssState[req.ID] != sv || sv.writerUS != from {
 		// Serving state torn down while we wrote: discard the page.
 		c.FreePages(pp)
-		return nil, nil
+		return nil
 	}
 	for int(req.Page) >= len(ino.Pages) {
 		ino.Pages = append(ino.Pages, storage.PhysPageNil)
@@ -417,11 +407,7 @@ func (k *Kernel) applyWrite(from SiteID, req *writeReq) (any, error) {
 	}
 	ino.Size = req.Size
 	sv.dirty[req.Page] = true
-	return nil, nil
-}
-
-func (k *Kernel) handleWrite(from SiteID, p any) (any, error) {
-	return k.applyWrite(from, p.(*writeReq))
+	return nil
 }
 
 // Truncate sets the file size (shrinking drops whole pages past the new
@@ -442,9 +428,9 @@ func (f *File) Truncate(size int64) error {
 	req := &writeReq{ID: f.id, Page: 0, Data: nil, Size: size}
 	var err error
 	if f.ss == k.site {
-		_, err = k.applyWrite(k.site, req)
+		err = k.handleWrite(k.site, req)
 	} else {
-		err = k.cast(f.ss, mWrite, req)
+		err = netsim.Cast(k.node, f.ss, mWrite, req)
 	}
 	if err != nil {
 		return err
@@ -478,17 +464,10 @@ func (f *File) commitOrAbort(abort bool) error {
 	}
 	k := f.k
 	req := &commitReq{ID: f.id, US: f.us, Abort: abort}
-	var resp any
-	var err error
-	if f.ss == k.site {
-		resp, err = k.handleCommit(k.site, req)
-	} else {
-		resp, err = k.call(f.ss, mCommit, req)
-	}
+	r, err := netsim.CallAt(k.node, f.ss, mCommit, k.handleCommit, req)
 	if err != nil {
 		return err
 	}
-	r := resp.(*commitResp)
 	f.ino.VV = r.VV.Copy()
 	// The committed image changed (or, on abort, reverted): any pages
 	// this US cached for the file are out of date.
@@ -511,8 +490,8 @@ func (f *File) refreshFromSS() {
 		}
 		return
 	}
-	if resp, err := k.call(f.ss, mPullOpen, &pullOpenReq{ID: f.id}); err == nil {
-		f.ino = resp.(*pullOpenResp).Ino.Clone()
+	if resp, err := netsim.Call(k.node, f.ss, mPullOpen, &pullOpenReq{ID: f.id}); err == nil {
+		f.ino = resp.Ino.Clone()
 	}
 }
 
@@ -520,8 +499,7 @@ func (f *File) refreshFromSS() {
 // in-core inode as the disk inode (atomic), bumps the version vector at
 // this site, and notifies the file's other storage sites and the CSS
 // (§2.3.6). Abort discards the in-core state and frees shadow pages.
-func (k *Kernel) handleCommit(from SiteID, p any) (any, error) {
-	req := p.(*commitReq)
+func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) {
 	c := k.container(req.ID.FG)
 	if c == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoStorageSite, req.ID)
@@ -610,11 +588,11 @@ func (k *Kernel) notifyCommit(id storage.FileID, ino *storage.Inode, pages []sto
 	for _, s := range ino.Sites {
 		if !sent[s] && k.inPartition(s) {
 			sent[s] = true
-			k.cast(s, mPropNotify, note) //locus:vet-allow uncheckedcall unreachable peers pull at merge
+			netsim.Cast(k.node, s, mPropNotify, note) //locus:vet-allow uncheckedcall unreachable peers pull at merge
 		}
 	}
 	if css, err := k.CSSOf(id.FG); err == nil && !sent[css] {
-		k.cast(css, mPropNotify, note) //locus:vet-allow uncheckedcall see above
+		netsim.Cast(k.node, css, mPropNotify, note) //locus:vet-allow uncheckedcall see above
 	}
 	// The committing site applies its own notification locally (updates
 	// CSS knowledge if this site is the CSS; the pull is a no-op since
@@ -657,26 +635,20 @@ func (f *File) Close() error {
 		// it.
 		return nil
 	}
-	req := &closeReq{ID: f.id, US: f.us, Mode: f.mode}
-	var err error
-	if f.ss == k.site {
-		_, err = k.handleClose(k.site, req)
-	} else {
-		_, err = k.call(f.ss, mClose, req)
-	}
+	_, err := netsim.CallAt(k.node, f.ss, mClose, k.handleClose,
+		&closeReq{ID: f.id, US: f.us, Mode: f.mode, Serial: f.wserial})
 	return err
 }
 
 // handleClose is the SS side of the close protocol: release serving
 // state, then inform the CSS (the response ordering fixes the reopen
 // race described in the paper's close footnote).
-func (k *Kernel) handleClose(from SiteID, p any) (any, error) {
-	req := p.(*closeReq)
+func (k *Kernel) handleClose(from SiteID, req *closeReq) (*netsim.Ack, error) {
 	k.mu.Lock()
 	sv := k.ssState[req.ID]
 	var freed []storage.PhysPage
 	if sv != nil {
-		if req.Mode == ModeModify && sv.writerUS == from {
+		if req.Mode == ModeModify && sv.writerUS == from && sv.writerSerial == req.Serial {
 			// Uncommitted changes at close are discarded (the US
 			// commits before closing in the normal path).
 			if sv.incore != nil {
@@ -715,7 +687,7 @@ func (k *Kernel) handleClose(from SiteID, p any) (any, error) {
 	if err != nil {
 		return nil, nil // no CSS in partition: nothing to tell
 	}
-	screq := &ssCloseReq{ID: req.ID, SS: k.site, US: from, Mode: req.Mode}
+	screq := &ssCloseReq{ID: req.ID, SS: k.site, US: from, Mode: req.Mode, Serial: req.Serial}
 	if c := k.container(req.ID.FG); c != nil {
 		if ino, err := c.GetInode(req.ID.Inode); err == nil {
 			screq.VV = ino.VV
@@ -725,15 +697,14 @@ func (k *Kernel) handleClose(from SiteID, p any) (any, error) {
 	if css == k.site {
 		return k.handleSSClose(k.site, screq)
 	}
-	if _, err := k.call(css, mSSClose, screq); err != nil {
+	if _, err := netsim.Call(k.node, css, mSSClose, screq); err != nil {
 		return nil, nil // CSS unreachable: partition cleanup will fix the lock table
 	}
 	return nil, nil
 }
 
 // handleSSClose is the CSS side of the close protocol.
-func (k *Kernel) handleSSClose(_ SiteID, p any) (any, error) {
-	req := p.(*ssCloseReq)
+func (k *Kernel) handleSSClose(_ SiteID, req *ssCloseReq) (*netsim.Ack, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	e := k.cssState[req.ID]
@@ -749,9 +720,8 @@ func (k *Kernel) handleSSClose(_ SiteID, p any) (any, error) {
 			e.sites = append([]SiteID(nil), req.Sites...)
 		}
 	}
-	if req.Mode == ModeModify && e.writerUS == req.US {
-		e.writerUS = vclock.NoSite
-		e.writerSS = vclock.NoSite
+	if req.Mode == ModeModify {
+		e.releaseWriter(req.US, req.Serial)
 	} else if req.Mode == ModeRead {
 		if e.readers[req.US] > 1 {
 			e.readers[req.US]--

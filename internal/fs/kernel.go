@@ -170,6 +170,7 @@ type ssServe struct {
 	// abort can release only true shadow pages.
 	committedPages map[storage.PhysPage]bool
 	writerUS       SiteID // NoSite when no open-for-modify in progress
+	writerSerial   uint64 // that open's registration serial at writerUS
 	dirty          map[storage.PageNo]bool
 	truncated      bool           // a truncate happened: propagate the whole file
 	readers        map[SiteID]int // US -> open count being served
@@ -179,10 +180,14 @@ type ssServe struct {
 // table entry rebuilt on reconfiguration (§5.6).
 type cssEntry struct {
 	id       storage.FileID
-	writerUS SiteID         // site with the single open-for-modify
-	writerSS SiteID         // storage site serving that writer
-	readers  map[SiteID]int // US -> count of read opens
-	readerSS map[SiteID]SiteID
+	writerUS SiteID // site with the single open-for-modify
+	writerSS SiteID // storage site serving that writer
+	// writerSerial is that open's registration serial at writerUS. A
+	// site re-opens a hot directory within microseconds of closing it,
+	// so the site id alone cannot tell a registration from its successor.
+	writerSerial uint64
+	readers      map[SiteID]int // US -> count of read opens
+	readerSS     map[SiteID]SiteID
 	// latestVV is the most current version the CSS knows of (§2.3.1:
 	// the CSS "must have knowledge of ... what the most current
 	// version of the file is").
@@ -193,6 +198,17 @@ type cssEntry struct {
 	// and closes locally, and the CSS only hears from it again on a
 	// revoke round or a voluntary release.
 	delegates map[SiteID]vclock.VV
+}
+
+// releaseWriter frees the writer slot if it still records the
+// registration (us, serial); a release naming a registration that has
+// since been replaced — even by the same site — changes nothing.
+// Caller holds k.mu.
+func (e *cssEntry) releaseWriter(us SiteID, serial uint64) {
+	if e.writerUS == us && e.writerSerial == serial {
+		e.writerUS = vclock.NoSite
+		e.writerSS = vclock.NoSite
+	}
 }
 
 // propTask is one queued propagation pull (§2.3.6: "A queue of
@@ -253,7 +269,9 @@ type Kernel struct {
 	openFiles map[*File]bool
 	// openSerial numbers handles as they register, giving cleanup a
 	// total iteration order (two handles on one file are otherwise
-	// indistinguishable and map order is random).
+	// indistinguishable and map order is random). A modify open also
+	// draws one before it asks the CSS, to name its writer registration
+	// (openReq.Serial).
 	openSerial uint64
 	// inflightOpens counts modify opens this site has requested but not
 	// yet recorded in openFiles, so a lock-table validation probe
@@ -465,21 +483,6 @@ func (k *Kernel) inPartitionLocked(s SiteID) bool {
 	return false
 }
 
-// DebugLocks renders the kernel's serve/lock state (test diagnostics).
-func (k *Kernel) DebugLocks() string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	s := fmt.Sprintf("site %d:", k.site)
-	for id, sv := range k.ssState {
-		s += fmt.Sprintf(" ss[%v]{writer=%d readers=%v}", id, sv.writerUS, sv.readers)
-	}
-	for id, e := range k.cssState {
-		s += fmt.Sprintf(" css[%v]{writer=%d@%d readers=%v vv=%v}", id, e.writerUS, e.writerSS, e.readers, e.latestVV)
-	}
-	s += fmt.Sprintf(" open=%d", len(k.openFiles))
-	return s
-}
-
 // CSSOf returns the current synchronization site for a filegroup: the
 // lowest-numbered pack site present in this kernel's partition. Every
 // kernel in a partition computes the same answer from the same view,
@@ -568,6 +571,10 @@ type File struct {
 	raWindow int
 	// serial is the handle's registration number (see Kernel.openSerial).
 	serial uint64
+	// wserial names the writer registration a modify handle writes
+	// through (openReq.Serial): drawn for this open, or inherited from
+	// the writer lease it was opened under.
+	wserial uint64
 }
 
 // registerOpenLocked records an open handle for partition cleanup and

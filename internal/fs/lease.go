@@ -22,7 +22,7 @@ package fs
 //     the next local modify open costs zero wire messages.
 //
 // Revocation is the VV-stamped fs.leaserevoke callback, pushed through
-// the ordinary at-most-once RPC wrappers. A modify open recalls all
+// the ordinary at-most-once call path. A modify open recalls all
 // read delegations in one *batched* round (one round per writer
 // transition, however many delegates exist) and recalls a previous
 // writer lease with a single callback whose response carries the
@@ -45,6 +45,7 @@ package fs
 import (
 	"sort"
 
+	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -65,6 +66,9 @@ type usLease struct {
 	ino *storage.Inode
 	// opens counts live local handles opened under the lease.
 	opens int
+	// wserial is the writer registration a writer lease keeps alive at
+	// the SS and CSS: the serial of the open it was granted on.
+	wserial uint64
 }
 
 // releaseAllLeases returns every lease this site holds (SetFeatures
@@ -109,12 +113,12 @@ func (k *Kernel) releaseLease(l *usLease) {
 		if live {
 			return
 		}
-		req := &closeReq{ID: l.id, US: k.site, Mode: ModeModify}
+		req := &closeReq{ID: l.id, US: k.site, Mode: ModeModify, Serial: l.wserial}
 		if l.ss == k.site {
 			k.handleClose(k.site, req) // error unchecked by design: best-effort deferred close; partition cleanup reclaims on failure
 			return
 		}
-		k.call(l.ss, mClose, req) //locus:vet-allow uncheckedcall best-effort deferred close; partition cleanup reclaims on failure
+		netsim.Call(k.node, l.ss, mClose, req) //locus:vet-allow uncheckedcall best-effort deferred close; partition cleanup reclaims on failure
 		return
 	}
 	req := &leaseReleaseReq{ID: l.id, US: k.site}
@@ -122,12 +126,11 @@ func (k *Kernel) releaseLease(l *usLease) {
 		k.handleLeaseRelease(k.site, req) // error unchecked by design: release of a local delegation cannot fail
 		return
 	}
-	k.call(l.css, mLeaseRelease, req) //locus:vet-allow uncheckedcall best-effort return; the CSS record self-heals on its next revoke round
+	netsim.Call(k.node, l.css, mLeaseRelease, req) //locus:vet-allow uncheckedcall best-effort return; the CSS record self-heals on its next revoke round
 }
 
 // handleLeaseRelease is the CSS side of a voluntary delegation return.
-func (k *Kernel) handleLeaseRelease(_ SiteID, p any) (any, error) {
-	req := p.(*leaseReleaseReq)
+func (k *Kernel) handleLeaseRelease(_ SiteID, req *leaseReleaseReq) (*netsim.Ack, error) {
 	k.mu.Lock()
 	if e := k.cssState[req.ID]; e != nil {
 		delete(e.delegates, req.US)
@@ -142,8 +145,7 @@ func (k *Kernel) handleLeaseRelease(_ SiteID, p any) (any, error) {
 // conflicting open fails busy, exactly as the legacy probeWriterOpen
 // path would have refused. Releasing returns the holder's committed
 // VV so the CSS can fold the final writer state into its lock table.
-func (k *Kernel) handleLeaseRevoke(_ SiteID, p any) (any, error) {
-	req := p.(*leaseRevokeReq)
+func (k *Kernel) handleLeaseRevoke(_ SiteID, req *leaseRevokeReq) (*leaseRevokeResp, error) {
 	k.mu.Lock()
 	if req.Mode == ModeModify {
 		floor := 0
@@ -193,23 +195,10 @@ func (k *Kernel) handleLeaseRevoke(_ SiteID, p any) (any, error) {
 // lease (its committed VV has been absorbed) and the serving state it
 // left at ssHolder has been torn down. An unreachable holder counts as
 // still holding, exactly like the legacy probe.
-func (k *Kernel) revokeWriterLease(id storage.FileID, e *cssEntry, holder, ssHolder SiteID, selfProbe bool) bool {
+func (k *Kernel) revokeWriterLease(id storage.FileID, e *cssEntry, holder SiteID, serial uint64, ssHolder SiteID, selfProbe bool) bool {
 	req := &leaseRevokeReq{ID: id, Mode: ModeModify, SelfProbe: selfProbe}
-	var resp *leaseRevokeResp
-	if holder == k.site {
-		r, err := k.handleLeaseRevoke(k.site, req)
-		if err != nil {
-			return false
-		}
-		resp = r.(*leaseRevokeResp)
-	} else {
-		r, err := k.call(holder, mLeaseRevoke, req)
-		if err != nil {
-			return false
-		}
-		resp = r.(*leaseRevokeResp)
-	}
-	if !resp.Released {
+	resp, err := netsim.CallAt(k.node, holder, mLeaseRevoke, k.handleLeaseRevoke, req)
+	if err != nil || !resp.Released {
 		return false
 	}
 	k.meter().AddLeasesRevoked(1)
@@ -223,11 +212,11 @@ func (k *Kernel) revokeWriterLease(id storage.FileID, e *cssEntry, holder, ssHol
 	k.mu.Unlock()
 	if ssHolder != vclock.NoSite {
 		// Tear down the serving state the skipped close left behind.
-		rreq := &revokeServeReq{ID: id, US: holder}
+		rreq := &revokeServeReq{ID: id, US: holder, Serial: serial}
 		if ssHolder == k.site {
 			k.handleRevokeServe(k.site, rreq) // error unchecked by design: best effort: the SS validates the writer itself on the next open
 		} else {
-			k.call(ssHolder, mRevokeServe, rreq) //locus:vet-allow uncheckedcall best effort: the SS validates the writer itself on the next open
+			netsim.Call(k.node, ssHolder, mRevokeServe, rreq) //locus:vet-allow uncheckedcall best effort: the SS validates the writer itself on the next open
 		}
 	}
 	return true
@@ -261,31 +250,33 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, except SiteID) 
 			k.handleLeaseRevoke(k.site, req) // error unchecked by design: read-delegation revokes always release
 			continue
 		}
-		k.call(us, mLeaseRevoke, req) //locus:vet-allow uncheckedcall unreachable delegates are reclaimed by partition cleanup
+		netsim.Call(k.node, us, mLeaseRevoke, req) //locus:vet-allow uncheckedcall unreachable delegates are reclaimed by partition cleanup
 	}
 	k.meter().AddLeasesRevoked(len(targets))
 	k.meter().AddBatchedRevoke()
 }
 
-// recordLease installs a granted lease at the using site. The grant is
-// declined when the layer was switched off while the open was in
-// flight, or when a revoke overtook the grant (leaseDropped).
-func (k *Kernel) recordLease(id storage.FileID, mode OpenMode, g *leaseGrant, ss, css SiteID, ino *storage.Inode) bool {
+// recordLease installs the lease granted on f's open at the using
+// site. The grant is declined when the layer was switched off while
+// the open was in flight, or when a revoke overtook the grant
+// (leaseDropped).
+func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if !k.Features().Leases || k.leaseDropped[id] {
-		delete(k.leaseDropped, id)
+	if !k.Features().Leases || k.leaseDropped[f.id] {
+		delete(k.leaseDropped, f.id)
 		return false
 	}
-	k.leases[id] = &usLease{
-		id:    id,
-		mode:  mode,
-		vv:    g.VV.Copy(),
-		sites: append([]SiteID(nil), g.Sites...),
-		ss:    ss,
-		css:   css,
-		ino:   ino.Clone(),
-		opens: 1,
+	k.leases[f.id] = &usLease{
+		id:      f.id,
+		mode:    f.mode,
+		vv:      g.VV.Copy(),
+		sites:   append([]SiteID(nil), g.Sites...),
+		ss:      f.ss,
+		css:     f.css,
+		ino:     f.ino.Clone(),
+		opens:   1,
+		wserial: f.wserial,
 	}
 	return true
 }
@@ -326,6 +317,7 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode) *File {
 	}
 	if mode == ModeModify {
 		f.leased = true
+		f.wserial = l.wserial
 	} else {
 		f.delegated = true
 		f.readahead = ft.Readahead

@@ -14,6 +14,7 @@ package fs
 // revoking any serving state left at the storage site.
 
 import (
+	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -22,8 +23,7 @@ import (
 // site: does a live (or in-flight) modify handle for the file exist
 // here? Stale handles do not count — their close sends no messages, so
 // nothing will ever release a lock recorded for them.
-func (k *Kernel) handleProbeOpen(_ SiteID, p any) (any, error) {
-	req := p.(*probeOpenReq)
+func (k *Kernel) handleProbeOpen(_ SiteID, req *probeOpenReq) (*probeOpenResp, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	floor := 0
@@ -49,21 +49,22 @@ func (k *Kernel) handleProbeOpen(_ SiteID, p any) (any, error) {
 
 // handleRevokeServe discards SS serving state for a writer whose
 // handle the CSS has validated as gone.
-func (k *Kernel) handleRevokeServe(_ SiteID, p any) (any, error) {
-	req := p.(*revokeServeReq)
-	k.revokeServeLocal(req.ID, req.US)
+func (k *Kernel) handleRevokeServe(_ SiteID, req *revokeServeReq) (*netsim.Ack, error) {
+	k.revokeServeLocal(req.ID, req.US, req.Serial)
 	return nil, nil
 }
 
 // revokeServeLocal reclaims local serving state held for a vanished
-// writer: uncommitted shadow pages are freed and the writer slot
-// cleared, exactly as handleClose would have done had the close
-// arrived.
-func (k *Kernel) revokeServeLocal(id storage.FileID, us SiteID) {
+// writer registration: uncommitted shadow pages are freed and the
+// writer slot cleared, exactly as handleClose would have done had the
+// close arrived. The validation that led here ran unlocked, so by now
+// the registration may have closed normally and the same site opened
+// again; the serial is what keeps the revoke off that successor.
+func (k *Kernel) revokeServeLocal(id storage.FileID, us SiteID, serial uint64) {
 	k.mu.Lock()
 	sv := k.ssState[id]
 	var freed []storage.PhysPage
-	if sv != nil && sv.writerUS == us {
+	if sv != nil && sv.writerUS == us && sv.writerSerial == serial {
 		if sv.incore != nil {
 			for _, pp := range sv.incore.Pages {
 				if pp != storage.PhysPageNil && !sv.committedPages[pp] {
@@ -92,33 +93,29 @@ func (k *Kernel) revokeServeLocal(id storage.FileID, us SiteID) {
 // tell a lost close from a slow one, so the lock is kept and the
 // partition protocol decides when the topology actually changes.
 func (k *Kernel) probeWriterOpen(id storage.FileID, holder SiteID, selfProbe bool) bool {
-	req := &probeOpenReq{ID: id, SelfProbe: selfProbe}
-	if holder == k.site {
-		resp, _ := k.handleProbeOpen(k.site, req)
-		return resp.(*probeOpenResp).Open
-	}
-	resp, err := k.call(holder, mProbeOpen, req)
+	resp, err := netsim.CallAt(k.node, holder, mProbeOpen, k.handleProbeOpen,
+		&probeOpenReq{ID: id, SelfProbe: selfProbe})
 	if err != nil {
 		return true
 	}
-	return resp.(*probeOpenResp).Open
+	return resp.Open
 }
 
 // writerVanished validates a refused open at the CSS: true when the
-// recorded writer's handle is gone, in which case any serving state at
-// the recorded storage site has been revoked and the caller may
-// reclaim the lock record.
-func (k *Kernel) writerVanished(id storage.FileID, holder, ssHolder SiteID, selfProbe bool) bool {
+// recorded writer's handle is gone, in which case any serving state the
+// registration (holder, serial) left at the recorded storage site has
+// been revoked and the caller may reclaim that lock record.
+func (k *Kernel) writerVanished(id storage.FileID, holder SiteID, serial uint64, ssHolder SiteID, selfProbe bool) bool {
 	if k.probeWriterOpen(id, holder, selfProbe) {
 		return false
 	}
 	if ssHolder != vclock.NoSite {
 		if ssHolder == k.site {
-			k.revokeServeLocal(id, holder)
+			k.revokeServeLocal(id, holder, serial)
 		} else {
 			// Best effort: if the revoke is lost too, the SS validates
 			// the writer itself on the next open (setupServe).
-			k.call(ssHolder, mRevokeServe, &revokeServeReq{ID: id, US: holder}) //locus:vet-allow uncheckedcall best-effort revoke: an unreachable SS is reclaimed by the partition protocol
+			netsim.Call(k.node, ssHolder, mRevokeServe, &revokeServeReq{ID: id, US: holder, Serial: serial}) //locus:vet-allow uncheckedcall best-effort revoke: an unreachable SS is reclaimed by the partition protocol
 		}
 	}
 	return true

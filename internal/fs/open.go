@@ -4,32 +4,33 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
 
 // registerHandlers binds this kernel's network protocol handlers.
 func (k *Kernel) registerHandlers() {
-	k.node.Handle(mOpen, k.handleOpen)
-	k.node.Handle(mSSOpen, k.handleSSOpen)
-	k.node.Handle(mRead, k.handleRead)
-	k.node.Handle(mWrite, k.handleWrite)
-	k.node.Handle(mCommit, k.handleCommit)
-	k.node.Handle(mClose, k.handleClose)
-	k.node.Handle(mSSClose, k.handleSSClose)
-	k.node.Handle(mCreate, k.handleCreate)
-	k.node.Handle(mSSCreate, k.handleSSCreate)
-	k.node.Handle(mPropNotify, k.handlePropNotify)
-	k.node.Handle(mPullOpen, k.handlePullOpen)
-	k.node.Handle(mReadPhys, k.handleReadPhys)
-	k.node.Handle(mPullPages, k.handlePullPages)
-	k.node.Handle(mGetVV, k.handleGetVV)
-	k.node.Handle(mSetAttr, k.handleSetAttr)
-	k.node.Handle(mResolveShip, k.handleResolveShip)
-	k.node.Handle(mProbeOpen, k.handleProbeOpen)
-	k.node.Handle(mRevokeServe, k.handleRevokeServe)
-	k.node.Handle(mLeaseRevoke, k.handleLeaseRevoke)
-	k.node.Handle(mLeaseRelease, k.handleLeaseRelease)
+	netsim.Handle(k.node, mOpen, k.handleOpen)
+	netsim.Handle(k.node, mSSOpen, k.handleSSOpen)
+	netsim.Handle(k.node, mRead, k.handleRead)
+	netsim.HandleCast(k.node, mWrite, k.handleWrite)
+	netsim.Handle(k.node, mCommit, k.handleCommit)
+	netsim.Handle(k.node, mClose, k.handleClose)
+	netsim.Handle(k.node, mSSClose, k.handleSSClose)
+	netsim.Handle(k.node, mCreate, k.handleCreate)
+	netsim.Handle(k.node, mSSCreate, k.handleSSCreate)
+	netsim.HandleCast(k.node, mPropNotify, k.handlePropNotify)
+	netsim.Handle(k.node, mPullOpen, k.handlePullOpen)
+	netsim.Handle(k.node, mReadPhys, k.handleReadPhys)
+	netsim.Handle(k.node, mPullPages, k.handlePullPages)
+	netsim.Handle(k.node, mGetVV, k.handleGetVV)
+	netsim.HandleCast(k.node, mSetAttr, k.handleSetAttr)
+	netsim.Handle(k.node, mResolveShip, k.handleResolveShip)
+	netsim.Handle(k.node, mProbeOpen, k.handleProbeOpen)
+	netsim.Handle(k.node, mRevokeServe, k.handleRevokeServe)
+	netsim.Handle(k.node, mLeaseRevoke, k.handleLeaseRevoke)
+	netsim.Handle(k.node, mLeaseRelease, k.handleLeaseRelease)
 	k.registerReconHandlers()
 }
 
@@ -46,8 +47,7 @@ func (k *Kernel) localGetVV(id storage.FileID) getVVResp {
 	return getVVResp{Has: true, VV: ino.VV, Deleted: ino.Deleted, Sites: ino.Sites, Type: ino.Type}
 }
 
-func (k *Kernel) handleGetVV(_ SiteID, p any) (any, error) {
-	req := p.(*getVVReq)
+func (k *Kernel) handleGetVV(_ SiteID, req *getVVReq) (*getVVResp, error) {
 	r := k.localGetVV(req.ID)
 	return &r, nil
 }
@@ -68,11 +68,11 @@ func (k *Kernel) buildCSSEntry(id storage.FileID) (*cssEntry, error) {
 		if s == k.site {
 			r = k.localGetVV(id)
 		} else {
-			resp, err := k.call(s, mGetVV, &getVVReq{ID: id})
+			resp, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: id})
 			if err != nil {
 				continue // unreachable pack: proceed with what we have
 			}
-			r = *resp.(*getVVResp)
+			r = *resp
 		}
 		if !r.Has {
 			continue
@@ -126,8 +126,7 @@ func (k *Kernel) cssEntryFor(id storage.FileID) (*cssEntry, error) {
 // enforces the synchronization policy (a single simultaneous open for
 // modification), selects a storage site holding the latest version,
 // and records the open in the lock table.
-func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
-	req := p.(*openReq)
+func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	e, err := k.cssEntryFor(req.ID)
 	if err != nil {
 		return nil, err
@@ -138,7 +137,7 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 	k.mu.Lock()
 	if req.Mode == ModeModify {
 		if holder := e.writerUS; holder != vclock.NoSite {
-			ssHolder := e.writerSS
+			hserial, ssHolder := e.writerSerial, e.writerSS
 			k.mu.Unlock()
 			// Before refusing, validate the record. Under leases the
 			// revocation callback recalls the holder's writer lease (or
@@ -147,25 +146,24 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 			// strands the writer slot forever otherwise.
 			var reclaimed bool
 			if leasesOn {
-				reclaimed = k.revokeWriterLease(req.ID, e, holder, ssHolder, holder == req.US)
+				reclaimed = k.revokeWriterLease(req.ID, e, holder, hserial, ssHolder, holder == req.US)
 			} else {
-				reclaimed = k.writerVanished(req.ID, holder, ssHolder, holder == req.US)
+				reclaimed = k.writerVanished(req.ID, holder, hserial, ssHolder, holder == req.US)
 			}
 			if !reclaimed {
 				return nil, fmt.Errorf("%w: %v open for modification at site %d", ErrBusy, req.ID, holder)
 			}
 			k.mu.Lock()
-			if e.writerUS == holder {
-				e.writerUS = vclock.NoSite
-				e.writerSS = vclock.NoSite
-			}
+			e.releaseWriter(holder, hserial)
 			if h := e.writerUS; h != vclock.NoSite {
-				// Someone else claimed the slot while we validated.
+				// Someone else claimed the slot while we validated — or
+				// the holder closed normally and re-opened, which is why
+				// the probe found the registration we read gone.
 				k.mu.Unlock()
 				return nil, fmt.Errorf("%w: %v open for modification at site %d", ErrBusy, req.ID, h)
 			}
 		}
-		e.writerUS = req.US
+		e.writerUS, e.writerSerial = req.US, req.Serial
 	}
 	// Under leases a recorded writer hides the newest committed version
 	// from the lock table (its close was skipped), and its presence
@@ -177,14 +175,13 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 	// §2.3.3 shortcuts are unsafe and no delegation is granted.
 	pollFirst := vclock.NoSite
 	if leasesOn && req.Mode != ModeModify && e.writerUS != vclock.NoSite {
-		holder, ssHolder := e.writerUS, e.writerSS
+		holder, hserial, ssHolder := e.writerUS, e.writerSerial, e.writerSS
 		if req.Mode == ModeRead && holder != req.US {
 			k.mu.Unlock()
-			revoked := k.revokeWriterLease(req.ID, e, holder, ssHolder, false)
+			revoked := k.revokeWriterLease(req.ID, e, holder, hserial, ssHolder, false)
 			k.mu.Lock()
-			if revoked && e.writerUS == holder {
-				e.writerUS = vclock.NoSite
-				e.writerSS = vclock.NoSite
+			if revoked {
+				e.releaseWriter(holder, hserial)
 			}
 		}
 		if e.writerUS != vclock.NoSite {
@@ -208,10 +205,7 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 	rollback := func() {
 		if req.Mode == ModeModify {
 			k.mu.Lock()
-			if e.writerUS == req.US {
-				e.writerUS = vclock.NoSite
-				e.writerSS = vclock.NoSite
-			}
+			e.releaseWriter(req.US, req.Serial)
 			k.mu.Unlock()
 		}
 	}
@@ -259,7 +253,7 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 		// A delegated read installs no serving state: committed pages
 		// are served statelessly and the delegate closes locally.
 		if !wantDelegate {
-			if err := k.setupServe(req.ID, req.Mode, req.US); err != nil {
+			if err := k.setupServe(req.ID, req.Mode, req.US, req.Serial); err != nil {
 				rollback()
 				return nil, err
 			}
@@ -296,7 +290,7 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 			// CSS as SS through the local handler (a read forced onto
 			// the writer's SS).
 			if !wantDelegate {
-				if err := k.setupServe(req.ID, req.Mode, req.US); err != nil {
+				if err := k.setupServe(req.ID, req.Mode, req.US, req.Serial); err != nil {
 					continue
 				}
 			}
@@ -306,11 +300,10 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 			}
 			return &openResp{SS: k.site, Ino: ino, ServeReady: true, Delegation: register(k.site)}, nil
 		}
-		resp, err := k.call(cand, mSSOpen, &ssOpenReq{ID: req.ID, Mode: req.Mode, US: req.US, NeedVV: latest, Delegated: wantDelegate})
+		r, err := netsim.Call(k.node, cand, mSSOpen, &ssOpenReq{ID: req.ID, Mode: req.Mode, US: req.US, Serial: req.Serial, NeedVV: latest, Delegated: wantDelegate})
 		if err != nil {
 			continue
 		}
-		r := resp.(*ssOpenResp)
 		// Clone at the boundary: the decoded inode aliases the SS's
 		// reply (in-memory transport passes pointers), and the US will
 		// treat the returned inode as its own in-core copy.
@@ -322,8 +315,7 @@ func (k *Kernel) handleOpen(_ SiteID, p any) (any, error) {
 
 // handleSSOpen is the SS function: verify our copy is current, set up
 // serving state, and return the disk inode information.
-func (k *Kernel) handleSSOpen(_ SiteID, p any) (any, error) {
-	req := p.(*ssOpenReq)
+func (k *Kernel) handleSSOpen(_ SiteID, req *ssOpenReq) (*ssOpenResp, error) {
 	c := k.container(req.ID.FG)
 	if c == nil || !c.HasInode(req.ID.Inode) {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, req.ID)
@@ -339,16 +331,17 @@ func (k *Kernel) handleSSOpen(_ SiteID, p any) (any, error) {
 	if !req.Delegated {
 		// A delegated read installs no reader serving state: committed
 		// pages are served statelessly and the delegate closes locally.
-		if err := k.setupServe(req.ID, req.Mode, req.US); err != nil {
+		if err := k.setupServe(req.ID, req.Mode, req.US, req.Serial); err != nil {
 			return nil, err
 		}
 	}
 	return &ssOpenResp{Ino: ino}, nil
 }
 
-// setupServe installs SS-side serving state for an open. Internal
-// (unsynchronized) opens take no serving state.
-func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID) error {
+// setupServe installs SS-side serving state for an open; serial is a
+// modify open's registration serial at us. Internal (unsynchronized)
+// opens take no serving state.
+func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID, serial uint64) error {
 	if mode == ModeInternal {
 		return nil
 	}
@@ -369,14 +362,14 @@ func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID) error {
 	k.mu.Lock()
 	if mode == ModeModify {
 		if sv := k.ssState[id]; sv != nil && sv.writerUS != vclock.NoSite {
-			holder := sv.writerUS
+			holder, hserial := sv.writerUS, sv.writerSerial
 			k.mu.Unlock()
 			// Validate before refusing (see lockvalid.go): a lost close
 			// leaves serving state for a writer that no longer exists.
 			if k.probeWriterOpen(id, holder, holder == us) {
 				return fmt.Errorf("%w: %v already being modified", ErrBusy, id)
 			}
-			k.revokeServeLocal(id, holder)
+			k.revokeServeLocal(id, holder, hserial)
 			k.mu.Lock()
 		}
 	}
@@ -390,7 +383,7 @@ func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID) error {
 		if sv.writerUS != vclock.NoSite {
 			return fmt.Errorf("%w: %v already being modified", ErrBusy, id)
 		}
-		sv.writerUS = us
+		sv.writerUS, sv.writerSerial = us, serial
 		sv.incore = ino.Clone()
 		sv.committedPages = pageSet(ino.Pages)
 		sv.dirty = make(map[storage.PageNo]bool)
@@ -474,11 +467,14 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	var wserial uint64
 	if mode == ModeModify {
 		// Mark the open in flight so a lock-table validation probe racing
 		// the CSS's response does not reclaim the grant (lockvalid.go).
 		k.mu.Lock()
 		k.inflightOpens[id]++
+		k.openSerial++
+		wserial = k.openSerial
 		k.mu.Unlock()
 		defer func() {
 			k.mu.Lock()
@@ -496,11 +492,10 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 			usvv = ino.VV
 		}
 	}
-	resp, err := k.call(css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, USVV: usvv})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: usvv})
 	if err != nil {
 		return nil, err
 	}
-	r := resp.(*openResp)
 	if mode == ModeModify {
 		// The file is about to change through this US; cached committed
 		// pages must not survive into the modify session.
@@ -508,6 +503,7 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	}
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: r.SS, css: css,
+		wserial:   wserial,
 		dirty:     make(map[storage.PageNo]bool),
 		internal:  mode == ModeInternal,
 		readahead: mode == ModeRead && k.Features().Readahead,
@@ -521,21 +517,21 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 		// selected itself) or the open is a delegated read, set it up
 		// now.
 		if !r.ServeReady && !delegatedRead {
-			if err := k.setupServe(id, mode, k.site); err != nil {
-				k.releaseCSSLock(css, id, mode)
+			if err := k.setupServe(id, mode, k.site, wserial); err != nil {
+				k.releaseCSSLock(css, id, mode, wserial)
 				return nil, err
 			}
 		}
 		ino, err := k.container(id.FG).GetInode(id.Inode)
 		if err != nil {
-			k.releaseCSSLock(css, id, mode)
+			k.releaseCSSLock(css, id, mode, wserial)
 			return nil, err
 		}
 		f.ino = ino
 	} else {
 		f.ino = r.Ino.Clone()
 	}
-	if r.Delegation != nil && k.recordLease(id, mode, r.Delegation, r.SS, css, f.ino) {
+	if r.Delegation != nil && k.recordLease(f, r.Delegation) {
 		if mode == ModeModify {
 			f.leased = true
 		} else {
@@ -550,16 +546,16 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 
 // releaseCSSLock undoes a CSS open registration after a local failure
 // to finish the open (so the lock table does not leak a phantom open).
-func (k *Kernel) releaseCSSLock(css SiteID, id storage.FileID, mode OpenMode) {
+func (k *Kernel) releaseCSSLock(css SiteID, id storage.FileID, mode OpenMode, serial uint64) {
 	if mode == ModeInternal {
 		return
 	}
-	req := &ssCloseReq{ID: id, SS: k.site, US: k.site, Mode: mode}
+	req := &ssCloseReq{ID: id, SS: k.site, US: k.site, Mode: mode, Serial: serial}
 	if css == k.site {
 		k.handleSSClose(k.site, req) // error unchecked by design: best-effort release
 		return
 	}
-	k.call(css, mSSClose, req) //locus:vet-allow uncheckedcall best-effort release
+	netsim.Call(k.node, css, mSSClose, req) //locus:vet-allow uncheckedcall best-effort release
 }
 
 // tryLocalInternal returns a zero-message internal handle when the
@@ -592,36 +588,27 @@ func (k *Kernel) tryLocalInternal(id storage.FileID) *File {
 // handleCreate is the CSS side of file creation (§2.3.7): choose the
 // initial storage sites, have the birth pack allocate an inode from its
 // private pool, and register the creating US as the writer.
-func (k *Kernel) handleCreate(_ SiteID, p any) (any, error) {
-	req := p.(*createReq)
+func (k *Kernel) handleCreate(_ SiteID, req *createReq) (*createResp, error) {
 	sites, birth, err := k.chooseStorageSites(req)
 	if err != nil {
 		return nil, err
 	}
-	var ino *storage.Inode
-	screq := &ssCreateReq{FG: req.FG, Type: req.Type, Owner: req.Owner, Mode: req.Mode, Sites: sites, US: req.US}
-	if birth == k.site {
-		r, err := k.handleSSCreate(k.site, screq)
-		if err != nil {
-			return nil, err
-		}
-		ino = r.(*ssCreateResp).Ino
-	} else {
-		r, err := k.call(birth, mSSCreate, screq)
-		if err != nil {
-			return nil, err
-		}
-		ino = r.(*ssCreateResp).Ino
+	r, err := netsim.CallAt(k.node, birth, mSSCreate, k.handleSSCreate,
+		&ssCreateReq{FG: req.FG, Type: req.Type, Owner: req.Owner, Mode: req.Mode, Sites: sites, US: req.US, Serial: req.Serial})
+	if err != nil {
+		return nil, err
 	}
+	ino := r.Ino
 	id := storage.FileID{FG: req.FG, Inode: ino.Num}
 	e := &cssEntry{
-		id:       id,
-		writerUS: req.US,
-		writerSS: birth,
-		readers:  make(map[SiteID]int),
-		readerSS: make(map[SiteID]SiteID),
-		latestVV: ino.VV.Copy(),
-		sites:    sites,
+		id:           id,
+		writerUS:     req.US,
+		writerSS:     birth,
+		writerSerial: req.Serial,
+		readers:      make(map[SiteID]int),
+		readerSS:     make(map[SiteID]SiteID),
+		latestVV:     ino.VV.Copy(),
+		sites:        sites,
 	}
 	k.mu.Lock()
 	k.cssState[id] = e
@@ -675,8 +662,7 @@ func (k *Kernel) chooseStorageSites(req *createReq) (sites []SiteID, birth SiteI
 
 // handleSSCreate allocates the inode at the birth pack and commits the
 // empty file so it is durable before any data is written.
-func (k *Kernel) handleSSCreate(_ SiteID, p any) (any, error) {
-	req := p.(*ssCreateReq)
+func (k *Kernel) handleSSCreate(_ SiteID, req *ssCreateReq) (*ssCreateResp, error) {
 	c := k.container(req.FG)
 	if c == nil {
 		return nil, fmt.Errorf("%w: site %d has no pack of filegroup %d", ErrNoStorageSite, k.site, req.FG)
@@ -698,7 +684,7 @@ func (k *Kernel) handleSSCreate(_ SiteID, p any) (any, error) {
 		return nil, err
 	}
 	id := storage.FileID{FG: req.FG, Inode: num}
-	if err := k.setupServe(id, ModeModify, req.US); err != nil {
+	if err := k.setupServe(id, ModeModify, req.US, req.Serial); err != nil {
 		return nil, err
 	}
 	// Announce the birth so the other chosen storage sites replicate
@@ -716,17 +702,21 @@ func (k *Kernel) CreateID(fg storage.FilegroupID, typ storage.FileType, cred *Cr
 	if err != nil {
 		return nil, err
 	}
-	resp, err := k.call(css, mCreate, &createReq{
+	k.mu.Lock()
+	k.openSerial++
+	wserial := k.openSerial
+	k.mu.Unlock()
+	r, err := netsim.Call(k.node, css, mCreate, &createReq{
 		FG: fg, Type: typ, US: k.site, Owner: cred.User, Mode: mode,
-		NCopies: ncopies, ParentSites: parentSites,
+		NCopies: ncopies, ParentSites: parentSites, Serial: wserial,
 	})
 	if err != nil {
 		return nil, err
 	}
-	r := resp.(*createResp)
 	f := &File{
 		k: k, id: r.ID, mode: ModeModify, us: k.site, ss: r.SS, css: css,
-		ino: r.Ino.Clone(), dirty: make(map[storage.PageNo]bool),
+		wserial: wserial,
+		ino:     r.Ino.Clone(), dirty: make(map[storage.PageNo]bool),
 	}
 	k.mu.Lock()
 	k.registerOpenLocked(f)

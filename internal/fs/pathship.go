@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/format"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -27,7 +28,9 @@ import (
 // paper warns about — each intermediate directory possibly having a
 // different SS — is exactly what the per-hop fallback handles.
 
-const mResolveShip = "fs.resolvepath"
+// mResolveShip is US → CSS: expand the shipped components locally. It
+// may perform dirops at the shipped-to site.
+var mResolveShip = netsim.Method[resolveShipReq, resolveShipResp]{Name: "fs.resolvepath", AtMostOnce: true}
 
 type resolveShipReq struct {
 	Start     storage.FileID
@@ -44,8 +47,7 @@ type resolveShipResp struct {
 	Final *Resolved
 }
 
-func (k *Kernel) handleResolveShip(_ SiteID, p any) (any, error) {
-	req := p.(*resolveShipReq)
+func (k *Kernel) handleResolveShip(_ SiteID, req *resolveShipReq) (*resolveShipResp, error) {
 	cred := &Cred{HiddenCtx: req.HiddenCtx}
 	consumed, cur, curPath, final, err := k.walkLocal(cred, req.Start, req.StartPath, req.Comps)
 	if err != nil {
@@ -227,7 +229,7 @@ func (k *Kernel) resolveShipped(cred *Cred, path string) (*Resolved, error) {
 			return nil, err
 		}
 		if css != k.site {
-			resp, err := k.call(css, mResolveShip, &resolveShipReq{
+			r, err := netsim.Call(k.node, css, mResolveShip, &resolveShipReq{
 				Start: cur, StartPath: curPath, Comps: comps[i:], HiddenCtx: cred.HiddenCtx,
 			})
 			if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrNotDir) {
@@ -236,7 +238,6 @@ func (k *Kernel) resolveShipped(cred *Cred, path string) (*Resolved, error) {
 			if err != nil {
 				return nil, err // authoritative naming error from remote walk
 			}
-			r := resp.(*resolveShipResp)
 			if r.Consumed > 0 {
 				i += r.Consumed
 				cur, curPath = r.Cur, r.CurPath

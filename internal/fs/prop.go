@@ -9,14 +9,15 @@ import (
 	"time"
 
 	"repro/internal/lint/invariant"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
 
 // handlePropNotify receives the one-way commit notification (§2.3.6).
-func (k *Kernel) handlePropNotify(from SiteID, p any) (any, error) {
-	k.applyPropNotify(from, p.(*propNotify))
-	return nil, nil
+func (k *Kernel) handlePropNotify(from SiteID, note *propNotify) error {
+	k.applyPropNotify(from, note)
+	return nil
 }
 
 // applyPropNotify updates CSS knowledge and queues a propagation pull
@@ -387,7 +388,7 @@ func (k *Kernel) pullFile(t *propTask) bool {
 			req.Need = uniquePages(t.pages)
 		}
 	}
-	resp, err := k.call(t.origin, mPullOpen, req)
+	por, err := netsim.Call(k.node, t.origin, mPullOpen, req)
 	if err != nil {
 		if errors.Is(err, storage.ErrNoInode) || errors.Is(err, ErrNotFound) {
 			// The origin retired its replica before we pulled.
@@ -420,7 +421,6 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		}
 		return false
 	}
-	por := resp.(*pullOpenResp)
 	src := por.Ino
 	if src == nil {
 		return false
@@ -552,12 +552,8 @@ func (k *Kernel) pullFile(t *propTask) bool {
 			for _, i := range win {
 				preq.Phys = append(preq.Phys, src.Pages[i])
 			}
-			r, err := k.call(t.origin, mPullPages, preq)
-			if err != nil {
-				return false
-			}
-			pr, ok := r.(*pullPagesResp)
-			if !ok || len(pr.Pages) != len(win) {
+			pr, err := netsim.Call(k.node, t.origin, mPullPages, preq)
+			if err != nil || len(pr.Pages) != len(win) {
 				return false
 			}
 			for j, i := range win {
@@ -571,12 +567,8 @@ func (k *Kernel) pullFile(t *propTask) bool {
 			// Read the immutable physical page from the origin snapshot,
 			// one two-message exchange per page (the pre-bulk protocol,
 			// kept pinnable behind Features.SerialPull).
-			r, err := k.call(t.origin, mReadPhys, &readPhysReq{FG: t.id.FG, Phys: src.Pages[i]})
-			if err != nil {
-				return false
-			}
-			rp, ok := r.(*readResp)
-			if !ok || rp.Data == nil {
+			rp, err := netsim.Call(k.node, t.origin, mReadPhys, &readPhysReq{FG: t.id.FG, Phys: src.Pages[i]})
+			if err != nil || rp.Data == nil {
 				return false
 			}
 			if !install(i, rp.Data) {
@@ -641,12 +633,11 @@ func (k *Kernel) retireReplica(c *storage.Container, t *propTask) bool {
 		wg.Add(1)
 		go func(s SiteID) {
 			defer wg.Done()
-			resp, err := k.call(s, mGetVV, &getVVReq{ID: t.id})
+			r, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: t.id})
 			if err != nil {
 				ok.Store(false)
 				return
 			}
-			r := resp.(*getVVResp)
 			if !r.Has || !r.VV.DominatesOrEqual(t.vv) {
 				ok.Store(false) // that site hasn't pulled the version yet
 			}
@@ -663,8 +654,7 @@ func (k *Kernel) retireReplica(c *storage.Container, t *propTask) bool {
 // handlePullOpen returns a committed snapshot of the file for a
 // propagation pull, piggybacking the first window of data pages when
 // the puller asked for one.
-func (k *Kernel) handlePullOpen(_ SiteID, p any) (any, error) {
-	req := p.(*pullOpenReq)
+func (k *Kernel) handlePullOpen(_ SiteID, req *pullOpenReq) (*pullOpenResp, error) {
 	c := k.container(req.ID.FG)
 	if c == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, req.ID)
@@ -716,8 +706,7 @@ func (k *Kernel) handlePullOpen(_ SiteID, p any) (any, error) {
 }
 
 // handleReadPhys reads one immutable physical page for a pull.
-func (k *Kernel) handleReadPhys(_ SiteID, p any) (any, error) {
-	req := p.(*readPhysReq)
+func (k *Kernel) handleReadPhys(_ SiteID, req *readPhysReq) (*readResp, error) {
 	c := k.container(req.FG)
 	if c == nil {
 		return nil, fmt.Errorf("fs: site %d has no pack of filegroup %d", k.site, req.FG)
@@ -733,8 +722,7 @@ func (k *Kernel) handleReadPhys(_ SiteID, p any) (any, error) {
 // bulk pull. Shadow paging keeps the snapshot's pages immutable while
 // any committed inode references them, so the window is torn-write-free
 // without holding any lock across the reads.
-func (k *Kernel) handlePullPages(_ SiteID, p any) (any, error) {
-	req := p.(*pullPagesReq)
+func (k *Kernel) handlePullPages(_ SiteID, req *pullPagesReq) (*pullPagesResp, error) {
 	if len(req.Phys) > PullWindow {
 		return nil, fmt.Errorf("fs: pull window of %d pages exceeds limit %d", len(req.Phys), PullWindow)
 	}
@@ -781,12 +769,11 @@ func (k *Kernel) CollectGarbage() int {
 					allSeen = false
 					break
 				}
-				resp, err := k.call(s, mGetVV, &getVVReq{ID: id})
+				r, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: id})
 				if err != nil {
 					allSeen = false
 					break
 				}
-				r := resp.(*getVVResp)
 				if r.Has && !r.Deleted {
 					// The pack missed the delete (it was partitioned
 					// away when the tombstone was committed): nudge it

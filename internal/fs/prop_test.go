@@ -56,11 +56,10 @@ func TestHandlePullOpenClonesInode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := k.handlePullOpen(1, &pullOpenReq{ID: r.ID, Window: PullWindow})
+	por, err := k.handlePullOpen(1, &pullOpenReq{ID: r.ID, Window: PullWindow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	por := resp.(*pullOpenResp)
 	if len(por.First) != 2 || len(por.FirstPhys) != 2 {
 		t.Fatalf("piggyback window has %d/%d pages, want 2/2", len(por.First), len(por.FirstPhys))
 	}

@@ -14,67 +14,28 @@ var (
 	_ netsim.ImmutablePayload = (*pullPagesResp)(nil)
 )
 
-// Network method names. The protocols are the paper's specialized
-// kernel-to-kernel exchanges (§2.3.3–§2.3.7): no general-purpose RPC
-// layers, no extra acknowledgements.
-const (
-	// mOpen is US → CSS: the OPEN request of Figure 2.
-	mOpen = "fs.open"
-	// mSSOpen is CSS → SS: "request for storage site" of Figure 2.
-	mSSOpen = "fs.ssopen"
-	// mRead is US → SS: "request for page x of file y".
-	mRead = "fs.read"
-	// mWrite is US → SS (one-way): "Write logical page x in file y".
-	mWrite = "fs.write"
-	// mCommit is US → SS: commit or abort the in-core changes.
-	mCommit = "fs.commit"
-	// mClose is US → SS: first message of the 4-message close protocol.
-	mClose = "fs.close"
-	// mSSClose is SS → CSS: second message of the close protocol.
-	mSSClose = "fs.ssclose"
-	// mCreate is US → CSS: create a new file (placeholder for inode).
-	mCreate = "fs.create"
-	// mSSCreate is CSS → SS: allocate the inode at the birth pack.
-	mSSCreate = "fs.sscreate"
-	// mPropNotify is SS → {other packs, CSS} (one-way): a new version
-	// exists; bring your copy up to date by pulling.
-	mPropNotify = "fs.propnotify"
-	// mPullOpen is puller → origin: internal open returning a committed
-	// inode snapshot for propagation.
-	mPullOpen = "fs.pullopen"
-	// mReadPhys is puller → origin: read an immutable physical page of
-	// the snapshot (shadow paging makes this torn-write-free).
-	mReadPhys = "fs.readphys"
-	// mPullPages is puller → origin: read a window of up to PullWindow
-	// immutable physical pages of the snapshot in one exchange (the
-	// bulk half of pipelined propagation).
-	mPullPages = "fs.pullpages"
-	// mGetVV asks a pack for its committed version vector of a file
-	// (lock-table rebuild, garbage collection, reconciliation).
-	mGetVV = "fs.getvv"
-	// mSetAttr is US → SS (one-way): descriptive inode change.
-	mSetAttr = "fs.setattr"
-	// mProbeOpen is CSS/SS → US: lock-table validation (§5.6 applied on
-	// demand) — does the using site still hold a live modify handle?
-	mProbeOpen = "fs.probeopen"
-	// mRevokeServe is CSS → SS: discard serving state for a writer whose
-	// handle is gone (its close was lost to the network).
-	mRevokeServe = "fs.revokeserve"
-	// mLeaseRevoke is CSS → lease holder: a VV-stamped callback demanding
-	// a read delegation or writer lease back (the Lustre-style intent
-	// lock revocation). The holder answers with its committed version so
-	// the CSS can fold the writer's final state into its lock table
-	// before granting the conflicting open.
-	mLeaseRevoke = "fs.leaserevoke"
-	// mLeaseRelease is US → CSS: voluntary return of a lease (ablation
-	// switch-off, or a delegate upgrading itself to a writer).
-	mLeaseRelease = "fs.leaserelease"
-)
+// The kernel-to-kernel messages. The protocols are the paper's
+// specialized exchanges (§2.3.3–§2.3.7): no general-purpose RPC layers,
+// no extra acknowledgements. Each message is declared once, beside its
+// structs; AtMostOnce marks the requests that change remote state and
+// must not run twice when retransmitted. The rest — reads of immutable
+// snapshot pages, version probes, the pull protocol, the best-effort
+// revoke (revoking twice leaves the same state) — are safe to replay,
+// and exempting them keeps page payloads out of the dedup tables.
+
+// mOpen is US → CSS: the OPEN request of Figure 2. It installs CSS
+// lock-table and SS serving state.
+var mOpen = netsim.Method[openReq, openResp]{Name: "fs.open", AtMostOnce: true}
 
 type openReq struct {
 	ID   storage.FileID
 	Mode OpenMode
 	US   SiteID
+	// Serial is the using site's registration serial for a modify open.
+	// (US, Serial) names this open's writer registration in the CSS lock
+	// table and the SS serving state, so a close or revoke that outlives
+	// the open cannot be taken for its successor from the same site.
+	Serial uint64
 	// USVV is the version vector of the copy stored at the US, if any
 	// (the first optimization of §2.3.3: "in its message to the CSS,
 	// the US includes the version vector of the copy of the file it
@@ -98,10 +59,15 @@ type openResp struct {
 	Delegation *leaseGrant
 }
 
+// mSSOpen is CSS → SS: "request for storage site" of Figure 2. It
+// installs SS serving state.
+var mSSOpen = netsim.Method[ssOpenReq, ssOpenResp]{Name: "fs.ssopen", AtMostOnce: true}
+
 type ssOpenReq struct {
-	ID   storage.FileID
-	Mode OpenMode
-	US   SiteID
+	ID     storage.FileID
+	Mode   OpenMode
+	US     SiteID
+	Serial uint64 // openReq.Serial
 	// NeedVV is the latest version known to the CSS; the polled site
 	// refuses to serve if its copy is older (§2.3.3: "If they do not
 	// yet store the latest version, they refuse to act as a storage
@@ -121,6 +87,9 @@ type ssOpenResp struct {
 // RAMax caps the number of extra pages a storage site piggybacks on one
 // read response (the streaming-readahead window limit).
 const RAMax = 8
+
+// mRead is US → SS: "request for page x of file y".
+var mRead = netsim.Method[readReq, readResp]{Name: "fs.read"}
 
 type readReq struct {
 	ID   storage.FileID
@@ -168,6 +137,10 @@ func (r *readResp) WireSize() int {
 // them without copying.
 func (r *readResp) ImmutablePayload() {}
 
+// mWrite is US → SS (one-way): "Write logical page x in file y", with
+// absolute page content.
+var mWrite = netsim.OneWay[writeReq]{Name: "fs.write"}
+
 type writeReq struct {
 	ID   storage.FileID
 	Page storage.PageNo
@@ -179,6 +152,10 @@ type writeReq struct {
 // WireSize charges the page payload.
 func (w *writeReq) WireSize() int { return len(w.Data) + 32 }
 
+// mCommit is US → SS: commit or abort the in-core changes. A commit
+// bumps the version vector and installs the shadow inode.
+var mCommit = netsim.Method[commitReq, commitResp]{Name: "fs.commit", AtMostOnce: true}
+
 type commitReq struct {
 	ID    storage.FileID
 	US    SiteID
@@ -189,17 +166,30 @@ type commitResp struct {
 	VV vclock.VV
 }
 
+// mClose is US → SS: first message of the 4-message close protocol. It
+// tears down serving state.
+var mClose = netsim.Method[closeReq, netsim.Ack]{Name: "fs.close", AtMostOnce: true}
+
 type closeReq struct {
 	ID   storage.FileID
 	US   SiteID
 	Mode OpenMode
+	// Serial is the closing modify open's registration serial; a close
+	// for any other registration is ignored (its state was already
+	// reclaimed and possibly re-acquired).
+	Serial uint64
 }
 
+// mSSClose is SS → CSS: second message of the close protocol. It
+// releases the CSS lock entry.
+var mSSClose = netsim.Method[ssCloseReq, netsim.Ack]{Name: "fs.ssclose", AtMostOnce: true}
+
 type ssCloseReq struct {
-	ID   storage.FileID
-	SS   SiteID
-	US   SiteID
-	Mode OpenMode
+	ID     storage.FileID
+	SS     SiteID
+	US     SiteID
+	Mode   OpenMode
+	Serial uint64 // closeReq.Serial
 	// VV is the SS's committed version vector at close time. Carrying
 	// it on the close protocol is what lets the CSS "alter state data
 	// which might affect its next synchronization policy decision"
@@ -212,6 +202,10 @@ type ssCloseReq struct {
 	// have changed during the open).
 	Sites []SiteID
 }
+
+// mProbeOpen is CSS/SS → US: lock-table validation (§5.6 applied on
+// demand) — does the using site still hold a live modify handle?
+var mProbeOpen = netsim.Method[probeOpenReq, probeOpenResp]{Name: "fs.probeopen"}
 
 type probeOpenReq struct {
 	ID storage.FileID
@@ -228,12 +222,17 @@ type probeOpenResp struct {
 	Open bool
 }
 
+// mRevokeServe is CSS → SS: discard serving state for a writer whose
+// handle is gone (its close was lost to the network).
+var mRevokeServe = netsim.Method[revokeServeReq, netsim.Ack]{Name: "fs.revokeserve"}
+
 type revokeServeReq struct {
 	ID storage.FileID
-	// US is the writer whose serving state is to be discarded; a
-	// revoke for any other writer is ignored (the state was already
-	// reclaimed and possibly re-acquired).
-	US SiteID
+	// US and Serial name the writer registration whose serving state is
+	// to be discarded; a revoke for any other is ignored (the state was
+	// already reclaimed and possibly re-acquired, even by the same site).
+	US     SiteID
+	Serial uint64
 }
 
 // leaseGrant is the VV-stamped lease piggybacked on an open reply. The
@@ -243,6 +242,13 @@ type leaseGrant struct {
 	VV    vclock.VV
 	Sites []SiteID
 }
+
+// mLeaseRevoke is CSS → lease holder: a VV-stamped callback demanding
+// a read delegation or writer lease back (the Lustre-style intent
+// lock revocation). The holder answers with its committed version so
+// the CSS can fold the writer's final state into its lock table
+// before granting the conflicting open.
+var mLeaseRevoke = netsim.Method[leaseRevokeReq, leaseRevokeResp]{Name: "fs.leaserevoke", AtMostOnce: true}
 
 type leaseRevokeReq struct {
 	ID storage.FileID
@@ -268,10 +274,19 @@ type leaseRevokeResp struct {
 	Sites []SiteID
 }
 
+// mLeaseRelease is US → CSS: voluntary return of a lease (ablation
+// switch-off, or a delegate upgrading itself to a writer). It removes
+// the CSS delegate record.
+var mLeaseRelease = netsim.Method[leaseReleaseReq, netsim.Ack]{Name: "fs.leaserelease", AtMostOnce: true}
+
 type leaseReleaseReq struct {
 	ID storage.FileID
 	US SiteID
 }
+
+// mCreate is US → CSS: create a new file (placeholder for inode). It
+// allocates a FileID.
+var mCreate = netsim.Method[createReq, createResp]{Name: "fs.create", AtMostOnce: true}
 
 type createReq struct {
 	FG    storage.FilegroupID
@@ -285,6 +300,9 @@ type createReq struct {
 	// ParentSites is the parent directory's storage-site list; initial
 	// placement is constrained to it (§2.3.7 rule a).
 	ParentSites []SiteID
+	// Serial registers the creating US as the new file's writer (see
+	// openReq.Serial).
+	Serial uint64
 }
 
 type createResp struct {
@@ -293,6 +311,10 @@ type createResp struct {
 	Ino *storage.Inode
 }
 
+// mSSCreate is CSS → SS: allocate the inode at the birth pack and
+// durably commit it.
+var mSSCreate = netsim.Method[ssCreateReq, ssCreateResp]{Name: "fs.sscreate", AtMostOnce: true}
+
 type ssCreateReq struct {
 	FG    storage.FilegroupID
 	Type  storage.FileType
@@ -300,11 +322,17 @@ type ssCreateReq struct {
 	Mode  uint16
 	Sites []SiteID
 	US    SiteID
+	// Serial is createReq.Serial.
+	Serial uint64
 }
 
 type ssCreateResp struct {
 	Ino *storage.Inode
 }
+
+// mPropNotify is SS → {other packs, CSS} (one-way): a new version
+// exists; bring your copy up to date by pulling.
+var mPropNotify = netsim.OneWay[propNotify]{Name: "fs.propnotify"}
 
 type propNotify struct {
 	ID storage.FileID
@@ -326,6 +354,10 @@ type propNotify struct {
 // PullWindow caps the number of physical pages one bulk-pull message
 // carries (the fs.pullopen piggyback and each fs.pullpages exchange).
 const PullWindow = 8
+
+// mPullOpen is puller → origin: internal open returning a committed
+// inode snapshot for propagation.
+var mPullOpen = netsim.Method[pullOpenReq, pullOpenResp]{Name: "fs.pullopen"}
 
 type pullOpenReq struct {
 	ID storage.FileID
@@ -371,10 +403,19 @@ func (r *pullOpenResp) WireSize() int {
 // own container via WritePage.
 func (r *pullOpenResp) ImmutablePayload() {}
 
+// mReadPhys is puller → origin: read an immutable physical page of
+// the snapshot (shadow paging makes this torn-write-free).
+var mReadPhys = netsim.Method[readPhysReq, readResp]{Name: "fs.readphys"}
+
 type readPhysReq struct {
 	FG   storage.FilegroupID
 	Phys storage.PhysPage
 }
+
+// mPullPages is puller → origin: read a window of up to PullWindow
+// immutable physical pages of the snapshot in one exchange (the
+// bulk half of pipelined propagation).
+var mPullPages = netsim.Method[pullPagesReq, pullPagesResp]{Name: "fs.pullpages"}
 
 type pullPagesReq struct {
 	FG storage.FilegroupID
@@ -401,6 +442,10 @@ func (r *pullPagesResp) WireSize() int {
 // (see readResp.ImmutablePayload).
 func (r *pullPagesResp) ImmutablePayload() {}
 
+// mSetAttr is US → SS (one-way): descriptive inode change, absolute
+// values.
+var mSetAttr = netsim.OneWay[setAttrReq]{Name: "fs.setattr"}
+
 // setAttrReq updates descriptive inode information in the writer's
 // in-core inode (ownership, permissions, link count, deletion). It is
 // the "just inode information ... changed and no data" case of §2.3.6.
@@ -419,6 +464,10 @@ type setAttrReq struct {
 	// annotation map (device bindings, context labels).
 	Annotations map[string]string
 }
+
+// mGetVV asks a pack for its committed version vector of a file
+// (lock-table rebuild, garbage collection, reconciliation).
+var mGetVV = netsim.Method[getVVReq, getVVResp]{Name: "fs.getvv"}
 
 type getVVReq struct {
 	ID storage.FileID

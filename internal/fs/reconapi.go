@@ -3,6 +3,7 @@ package fs
 import (
 	"fmt"
 
+	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -14,9 +15,12 @@ import (
 // that installs a merged result with an explicitly chosen version
 // vector.
 
-const (
-	mListInodes   = "fs.listinodes"
-	mMarkConflict = "fs.markconflict"
+var (
+	// mListInodes enumerates a pack's committed inodes.
+	mListInodes = netsim.Method[listInodesReq, listInodesResp]{Name: "fs.listinodes"}
+	// mMarkConflict (one-way) sets the conflict marking on a pack's
+	// copy; marking twice leaves the same state.
+	mMarkConflict = netsim.OneWay[markConflictReq]{Name: "fs.markconflict"}
 )
 
 // InodeSummary describes one committed inode at one pack.
@@ -48,8 +52,8 @@ type markConflictReq struct {
 }
 
 func (k *Kernel) registerReconHandlers() {
-	k.node.Handle(mListInodes, k.handleListInodes)
-	k.node.Handle(mMarkConflict, k.handleMarkConflict)
+	netsim.Handle(k.node, mListInodes, k.handleListInodes)
+	netsim.HandleCast(k.node, mMarkConflict, k.handleMarkConflict)
 }
 
 // ListLocalInodes enumerates the committed inodes of this site's pack
@@ -75,8 +79,7 @@ func (k *Kernel) ListLocalInodes(fg storage.FilegroupID) []InodeSummary {
 	return out
 }
 
-func (k *Kernel) handleListInodes(_ SiteID, p any) (any, error) {
-	req := p.(*listInodesReq)
+func (k *Kernel) handleListInodes(_ SiteID, req *listInodesReq) (*listInodesResp, error) {
 	return &listInodesResp{Inodes: k.ListLocalInodes(req.FG)}, nil
 }
 
@@ -85,11 +88,11 @@ func (k *Kernel) ListInodesAt(site SiteID, fg storage.FilegroupID) ([]InodeSumma
 	if site == k.site {
 		return k.ListLocalInodes(fg), nil
 	}
-	resp, err := k.call(site, mListInodes, &listInodesReq{FG: fg})
+	resp, err := netsim.Call(k.node, site, mListInodes, &listInodesReq{FG: fg})
 	if err != nil {
 		return nil, err
 	}
-	return resp.(*listInodesResp).Inodes, nil
+	return resp.Inodes, nil
 }
 
 // FetchCopyFrom reads a specific pack's committed copy of a file — the
@@ -108,11 +111,11 @@ func (k *Kernel) FetchCopyFrom(site SiteID, id storage.FileID) (*storage.Inode, 
 			return nil, nil, err
 		}
 	} else {
-		resp, err := k.call(site, mPullOpen, &pullOpenReq{ID: id})
+		resp, err := netsim.Call(k.node, site, mPullOpen, &pullOpenReq{ID: id})
 		if err != nil {
 			return nil, nil, err
 		}
-		ino = resp.(*pullOpenResp).Ino
+		ino = resp.Ino
 	}
 	if ino.Deleted {
 		return ino.Clone(), nil, nil
@@ -131,11 +134,11 @@ func (k *Kernel) FetchCopyFrom(site SiteID, id storage.FileID) (*storage.Inode, 
 			}
 			owned = true
 		} else {
-			resp, err := k.call(site, mReadPhys, &readPhysReq{FG: id.FG, Phys: pp})
+			resp, err := netsim.Call(k.node, site, mReadPhys, &readPhysReq{FG: id.FG, Phys: pp})
 			if err != nil {
 				return nil, nil, err
 			}
-			page = resp.(*readResp).Data
+			page = resp.Data
 		}
 		data = append(data, page...)
 		if owned {
@@ -200,23 +203,22 @@ func (k *Kernel) MarkConflict(id storage.FileID, sites []SiteID) {
 			continue
 		}
 		if k.inPartition(s) {
-			k.cast(s, mMarkConflict, &markConflictReq{ID: id}) //locus:vet-allow uncheckedcall unreachable packs marked at next merge
+			netsim.Cast(k.node, s, mMarkConflict, &markConflictReq{ID: id}) //locus:vet-allow uncheckedcall unreachable packs marked at next merge
 		}
 	}
 }
 
-func (k *Kernel) handleMarkConflict(_ SiteID, p any) (any, error) {
-	req := p.(*markConflictReq)
+func (k *Kernel) handleMarkConflict(_ SiteID, req *markConflictReq) error {
 	c := k.container(req.ID.FG)
 	if c == nil || !c.HasInode(req.ID.Inode) {
-		return nil, nil
+		return nil
 	}
 	ino, err := c.GetInode(req.ID.Inode)
 	if err != nil || ino.Conflict {
-		return nil, nil
+		return nil
 	}
 	ino.Conflict = true
-	return nil, c.CommitInode(ino)
+	return c.CommitInode(ino)
 }
 
 // SchedulePullAt enqueues ordinary propagation pulls of a file at the
@@ -232,7 +234,7 @@ func (k *Kernel) SchedulePullAt(sites []SiteID, id storage.FileID, vv vclock.VV,
 		if s == k.site {
 			k.applyPropNotify(k.site, note)
 		} else if k.inPartition(s) {
-			k.cast(s, mPropNotify, note) //locus:vet-allow uncheckedcall unreachable sites retry at next merge
+			netsim.Cast(k.node, s, mPropNotify, note) //locus:vet-allow uncheckedcall unreachable sites retry at next merge
 		}
 	}
 }
@@ -247,11 +249,11 @@ func (k *Kernel) ProbeSummary(id storage.FileID) (best InodeSummary, conflict, f
 		if s == k.site {
 			r = k.localGetVV(id)
 		} else {
-			resp, err := k.call(s, mGetVV, &getVVReq{ID: id})
+			resp, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: id})
 			if err != nil {
 				continue
 			}
-			r = *resp.(*getVVResp)
+			r = *resp
 		}
 		if !r.Has {
 			continue
@@ -281,30 +283,15 @@ func (k *Kernel) ProbeAll(id storage.FileID) map[SiteID]InodeSummary {
 		if s == k.site {
 			r = k.localGetVV(id)
 		} else {
-			resp, err := k.call(s, mGetVV, &getVVReq{ID: id})
+			resp, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: id})
 			if err != nil {
 				continue
 			}
-			r = *resp.(*getVVResp)
+			r = *resp
 		}
 		if r.Has {
 			out[s] = InodeSummary{Site: s, Num: id.Inode, Type: r.Type, VV: r.VV, Deleted: r.Deleted, Sites: r.Sites}
 		}
 	}
 	return out
-}
-
-// ClearConflict removes the conflict marking from the local copy (used
-// by the manual resolution tool after the user picks a version).
-func (k *Kernel) ClearConflict(id storage.FileID) error {
-	c := k.container(id.FG)
-	if c == nil {
-		return fmt.Errorf("%w: %v", ErrNotFound, id)
-	}
-	ino, err := c.GetInode(id.Inode)
-	if err != nil {
-		return err
-	}
-	ino.Conflict = false
-	return c.CommitInode(ino)
 }

@@ -10,7 +10,7 @@ import (
 // BlockingLockAnalyzer forbids blocking on concurrent progress while
 // holding one of the BlockingGuard mutexes.
 //
-// A network exchange (Node.Call and the retrying wrappers above it) or
+// A network exchange (Node.Call and the typed netsim.Call above it) or
 // a simulated-clock Backoff parks the caller until some other
 // goroutine makes progress — and on a loaded site that other goroutine
 // is frequently the handler that needs the very mutex the caller is

@@ -20,11 +20,12 @@ import (
 // Cloned before it is mutated or before it escapes into another
 // message, a return value, long-lived structure, or goroutine.
 //
-// A value is tainted when it is produced by a field read off a type
-// assertion (`resp.(*pullOpenResp).Ino`) yielding an AliasTypes
-// pointer. Taint is tracked through local identifiers with the forward
-// may-analysis on the CFG; reassigning the identifier from a Clone (or
-// any other call) kills the taint. Findings fire on:
+// A value is tainted when it is an AliasTypes pointer read off the
+// reply of a typed exchange (Config.AliasDecodeCalls):
+// `r, err := netsim.Call(...)` makes r a decode root and `r.Ino` a
+// taint source. Taint is tracked through local identifiers with the
+// forward may-analysis on the CFG; reassigning the identifier from a
+// Clone (or any other call) kills the taint. Findings fire on:
 //
 //   - mutation through the alias (store into a field or element),
 //   - escape: returned, placed in a composite literal, stored into a
@@ -54,9 +55,9 @@ type inodeAlias struct {
 	reported map[string]bool
 }
 
-// decodeRootFact marks an identifier bound to a type-asserted message
-// (`r := resp.(*ssOpenResp)`); alias-typed field reads off it are
-// taint sources just like the inline `resp.(*T).Ino` shape.
+// decodeRootFact marks an identifier bound to a decoded reply
+// (`r, err := netsim.Call(...)`); alias-typed field reads off it are
+// taint sources.
 type decodeRootFact struct{ obj types.Object }
 
 func runInodeAlias(prog *Program, cfg *Config) []Finding {
@@ -143,7 +144,7 @@ func (a *inodeAlias) updateAtom(atom ast.Node, out factSet) {
 			out[factKey(obj)] = true
 			delete(out, factKey(decodeRootFact{obj}))
 		case a.decodeSource(rhs):
-			// r := resp.(*ssOpenResp): r roots future decode reads.
+			// r, err := netsim.Call(...): r roots future decode reads.
 			out[factKey(decodeRootFact{obj})] = true
 			delete(out, factKey(obj))
 		default:
@@ -155,9 +156,14 @@ func (a *inodeAlias) updateAtom(atom ast.Node, out factSet) {
 	}
 }
 
-// decodeSource recognizes a type assertion binding (`resp.(*T)`).
+// decodeSource recognizes a typed exchange whose first result is the
+// peer's reply.
 func (a *inodeAlias) decodeSource(e ast.Expr) bool {
-	_, ok := ast.Unparen(e).(*ast.TypeAssertExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	_, ok = matchMustCheck(a.pkg.Info, call, a.cfg.AliasDecodeCalls)
 	return ok
 }
 
@@ -229,8 +235,8 @@ func (a *inodeAlias) escapingTaint(e ast.Expr, facts factSet) bool {
 }
 
 // mutatesThroughSource reports whether an assignment target dereferences
-// an alias-typed taint-source subexpression (resp.(*T).Ino.Size = v or
-// r.Ino.Pages[i] = v for a decode root r).
+// an alias-typed taint-source subexpression (r.Ino.Pages[i] = v for a
+// decode root r).
 func (a *inodeAlias) mutatesThroughSource(lhs ast.Expr, facts factSet) bool {
 	found := false
 	ast.Inspect(lhs, func(n ast.Node) bool {
@@ -273,12 +279,10 @@ func (a *inodeAlias) checkCompositeEscape(e ast.Expr, facts factSet) {
 }
 
 // taintSource recognizes the decode shape: a field selection producing
-// an AliasTypes pointer whose base involves a type assertion — inline
-// (`resp.(*T).Ino`) or through a decode-root identifier
-// (`r := resp.(*T); ... r.Ino`).
+// an AliasTypes pointer off a decode-root identifier
+// (`r, err := netsim.Call(...); ... r.Ino`).
 func (a *inodeAlias) taintSource(e ast.Expr, facts factSet) bool {
-	e = ast.Unparen(e)
-	sel, ok := e.(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -286,18 +290,8 @@ func (a *inodeAlias) taintSource(e ast.Expr, facts factSet) bool {
 	if t == nil || !a.aliasType(t) {
 		return false
 	}
-	if obj := a.identObj(sel.X); obj != nil && facts[factKey(decodeRootFact{obj})] {
-		return true
-	}
-	hasAssert := false
-	ast.Inspect(sel.X, func(n ast.Node) bool {
-		if _, ok := n.(*ast.TypeAssertExpr); ok {
-			hasAssert = true
-			return false
-		}
-		return true
-	})
-	return hasAssert
+	obj := a.identObj(sel.X)
+	return obj != nil && facts[factKey(decodeRootFact{obj})]
 }
 
 func (a *inodeAlias) aliasType(t types.Type) bool {

@@ -20,19 +20,18 @@
 //     the internal/lint/invariant assertion layer; a bare panic in a
 //     protocol path takes down the whole simulated network.
 //   - rawcall: internal/fs and internal/proc must reach the transport
-//     through their retrying at-most-once wrappers; a direct Node.Call
-//     bypasses retry and dedup, so under message loss it fails
-//     spuriously or replays a mutation.
+//     through netsim.Handle/Call/Cast and a declared method descriptor;
+//     a direct Node.Call bypasses retry and dedup, so under message
+//     loss it fails spuriously or replays a mutation, and a direct
+//     Node.Handle or method string escapes the compiler's pairing of
+//     caller and handler types.
 //
 // Findings are suppressed line-by-line with a trailing
 // `//locus:vet-allow <analyzer> <reason>` comment. Every suppression
-// must carry a justification; the retired `//locusvet:allow` and
-// `//nolint:errcheck` spellings no longer suppress anything and are
-// themselves flagged by the allow-directive audit.
+// must carry a justification.
 package lint
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -116,11 +115,11 @@ type Config struct {
 	// violation).
 	InvariantPackages []string
 	// RawCallWrapped are import-path suffixes of packages that must
-	// reach the transport through their retrying at-most-once wrapper
+	// reach the transport through the typed at-most-once path
 	// (rawcall analyzer).
 	RawCallWrapped []string
-	// RawCallTransport are the transport methods counted as raw uses
-	// inside RawCallWrapped packages.
+	// RawCallTransport are the untyped transport methods counted as raw
+	// uses inside RawCallWrapped packages.
 	RawCallTransport []MethodSpec
 
 	// PageAlloc lists calls that hand the caller a storage resource
@@ -135,6 +134,9 @@ type Config struct {
 	// AliasTypes are pointer types that must be Cloned before mutation
 	// or escape when obtained from an RPC decode (inodealias analyzer).
 	AliasTypes []TypeSpec
+	// AliasDecodeCalls are the typed exchanges whose first result is
+	// the peer's reply: AliasTypes fields read off it alias the sender.
+	AliasDecodeCalls []MethodSpec
 	// AliasCloneMethods are the methods that produce an owned copy of an
 	// AliasTypes value ("Clone").
 	AliasCloneMethods []string
@@ -149,25 +151,6 @@ type Config struct {
 	// drained by a quiesce loop elsewhere); a goroutine whose first
 	// statement defers a negative Add on one is considered joined.
 	JoinFields []string
-
-	// RPCMethodPrefixes identify protocol method-string constants by
-	// value prefix ("fs.", "proc.") — rpcconsistency analyzer.
-	RPCMethodPrefixes []string
-	// RPCRegister are the handler-registration calls (Node.Handle).
-	RPCRegister []MethodSpec
-	// RPCInvoke are the transports and wrappers whose string argument
-	// names a protocol method.
-	RPCInvoke []MethodSpec
-	// RPCTwoWay is the subset of RPCInvoke doing request/response
-	// exchanges subject to at-most-once classification.
-	RPCTwoWay []MethodSpec
-	// RPCMutatingVar names the package-level set of deduplicated
-	// (sequence-numbered) methods; two-way methods must appear there or
-	// in RPCIdempotent.
-	RPCMutatingVar string
-	// RPCIdempotent lists method strings exempt from dedup because
-	// replaying them is harmless.
-	RPCIdempotent []string
 
 	// BlockingCalls are primitives that block on concurrent progress
 	// (network exchanges, simulated-clock backoff); the blockinglock
@@ -264,6 +247,22 @@ func (cfg *Config) allowUsed(filename string, line int) bool {
 
 // DefaultConfig is the production configuration for this repository.
 func DefaultConfig() *Config {
+	// The transport exchanges: the untyped Node methods, and the typed
+	// generic path over them that fs and proc use.
+	rawExchanges := []MethodSpec{
+		{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Call"},
+		{PkgSuffix: "internal/netsim", Recv: "Node", Name: "CallSeq"},
+		{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Cast"},
+	}
+	typedExchanges := []MethodSpec{
+		{PkgSuffix: "internal/netsim", Name: "Call"},
+		{PkgSuffix: "internal/netsim", Name: "CallAt"},
+		{PkgSuffix: "internal/netsim", Name: "Cast"},
+	}
+	exchangesAnd := func(more ...MethodSpec) []MethodSpec {
+		out := append([]MethodSpec(nil), rawExchanges...)
+		return append(append(out, typedExchanges...), more...)
+	}
 	return &Config{
 		ProtocolPackages: []string{
 			"internal/netsim",
@@ -273,19 +272,12 @@ func DefaultConfig() *Config {
 			"internal/recon",
 			"internal/topology",
 		},
-		MustCheck: []MethodSpec{
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Call"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "CallSeq"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Cast"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "call"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "cast"},
-			{PkgSuffix: "internal/proc", Recv: "Manager", Name: "call"},
-			{PkgSuffix: "internal/proc", Recv: "Manager", Name: "cast"},
-			{PkgSuffix: "internal/storage", Recv: "Container", Name: "CommitInode"},
-			{PkgSuffix: "internal/fs", Recv: "File", Name: "Commit"},
-			{PkgSuffix: "internal/fs", Recv: "File", Name: "Abort"},
-			{PkgSuffix: "internal/fs", Recv: "File", Name: "Close"},
-		},
+		MustCheck: exchangesAnd(
+			MethodSpec{PkgSuffix: "internal/storage", Recv: "Container", Name: "CommitInode"},
+			MethodSpec{PkgSuffix: "internal/fs", Recv: "File", Name: "Commit"},
+			MethodSpec{PkgSuffix: "internal/fs", Recv: "File", Name: "Abort"},
+			MethodSpec{PkgSuffix: "internal/fs", Recv: "File", Name: "Close"},
+		),
 		// The declared lock hierarchy, outermost to innermost. See
 		// DESIGN.md "Correctness tooling".
 		LockHierarchy: []LockClass{
@@ -299,11 +291,9 @@ func DefaultConfig() *Config {
 		},
 		InvariantPackages: []string{"internal/lint/invariant"},
 		RawCallWrapped:    []string{"internal/fs", "internal/proc"},
-		RawCallTransport: []MethodSpec{
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Call"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "CallSeq"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Cast"},
-		},
+		RawCallTransport: append([]MethodSpec{
+			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Handle"},
+		}, rawExchanges...),
 
 		PageAlloc: []MethodSpec{
 			{PkgSuffix: "internal/storage", Recv: "Container", Name: "WritePage"},
@@ -312,44 +302,19 @@ func DefaultConfig() *Config {
 		FreshFuncs: []string{"Clone"},
 
 		AliasTypes:        []TypeSpec{{PkgSuffix: "internal/storage", Type: "Inode"}},
+		AliasDecodeCalls: []MethodSpec{
+			{PkgSuffix: "internal/netsim", Name: "Call"},
+			{PkgSuffix: "internal/netsim", Name: "CallAt"},
+		},
 		AliasCloneMethods: []string{"Clone"},
 		AliasPackages:     []string{"internal/fs", "internal/proc"},
 
 		GoJoinPackages: []string{"internal/fs", "internal/proc", "internal/netsim"},
 		JoinFields:     []string{"active"},
 
-		RPCMethodPrefixes: []string{"fs.", "proc."},
-		RPCRegister: []MethodSpec{
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Handle"},
-		},
-		RPCInvoke: []MethodSpec{
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Call"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "CallSeq"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Cast"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "call"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "cast"},
-			{PkgSuffix: "internal/proc", Recv: "Manager", Name: "call"},
-			{PkgSuffix: "internal/proc", Recv: "Manager", Name: "cast"},
-			{PkgSuffix: "internal/proc", Recv: "Manager", Name: "pipeCall"},
-		},
-		RPCTwoWay: []MethodSpec{
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "call"},
-		},
-		RPCMutatingVar: "mutating",
-		// Replaying these two-way methods is harmless: reads, version
-		// probes, pull-protocol fetches, and the best-effort revoke
-		// (revoking twice leaves the same state).
-		RPCIdempotent: []string{
-			"fs.read", "fs.getvv", "fs.pullopen", "fs.readphys",
-			"fs.pullpages", "fs.listinodes", "fs.probeopen", "fs.revokeserve",
-		},
-
-		BlockingCalls: []MethodSpec{
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Call"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "CallSeq"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Cast"},
-			{PkgSuffix: "internal/simclock", Recv: "Clock", Name: "Backoff"},
-		},
+		BlockingCalls: exchangesAnd(
+			MethodSpec{PkgSuffix: "internal/simclock", Recv: "Clock", Name: "Backoff"},
+		),
 		BlockingGuard: []LockClass{
 			{PkgSuffix: "internal/fs", Type: "Kernel"},
 			{PkgSuffix: "internal/proc", Type: "Manager"},
@@ -361,13 +326,8 @@ func DefaultConfig() *Config {
 		// fault plane's drop/dup/delay decisions key on the per-
 		// (from,to,method) occurrence number of each send, so the order
 		// of a group of sends is part of the seed-replay contract.
-		// Wrappers (Kernel.call, Manager.cast, pipeCall...) inherit the
-		// fact through the summary closure.
-		OrderEffects: []MethodSpec{
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Call"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "CallSeq"},
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Cast"},
-		},
+		// Helpers over them inherit the fact through the summary closure.
+		OrderEffects: exchangesAnd(),
 		MapOrderPackages: []string{
 			"internal/fs", "internal/proc", "internal/netsim", "internal/chaos",
 			"internal/cluster", "locus",
@@ -391,6 +351,10 @@ func DefaultConfig() *Config {
 			{PkgSuffix: "internal/proc", Name: "wrapSiteErr"},
 			{PkgSuffix: "internal/proc", Name: "wrapFsSiteErr"},
 		},
+		// The typed exchanges surface every transport sentinel Node.CallSeq
+		// and Node.Cast can; naming them keeps the taint independent of
+		// how much of netsim's body the summary pass resolves.
+		SentinelSources:     typedExchanges,
 		SentinelAPIPackages: []string{"internal/proc"},
 
 		VVTypes:          []TypeSpec{{PkgSuffix: "internal/vclock", Type: "VV"}},
@@ -414,29 +378,12 @@ func Analyzers() []*Analyzer {
 		PageLeakAnalyzer(),
 		InodeAliasAnalyzer(),
 		GoroutineJoinAnalyzer(),
-		RPCConsistencyAnalyzer(),
 		BlockingLockAnalyzer(),
 		MapOrderAnalyzer(),
 		SentinelErrAnalyzer(),
 		VVMutationAnalyzer(),
 		AtomicCounterAnalyzer(),
 	}
-}
-
-// RegistryFingerprint digests the analyzer registry: the registered
-// analyzer names plus the policy audits every run performs. The
-// locus-vet cache mixes it into the clean-run stamp so enabling,
-// removing, or renaming an analyzer invalidates the stamp even when no
-// analyzed source file changed — a run with more checks must never
-// inherit an older registry's "clean".
-func RegistryFingerprint() string {
-	names := []string{"vet-allow", "staleallow"}
-	for _, a := range Analyzers() {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	sum := sha256.Sum256([]byte(strings.Join(names, "\n")))
-	return fmt.Sprintf("%x", sum[:8])
 }
 
 // Run executes the given analyzers and returns all findings sorted by
@@ -505,28 +452,22 @@ func suppressionsFor(prog *Program, pkg *Package, cfg *Config) *suppressions {
 }
 
 // directiveNames extracts analyzer names from a suppression comment.
-// Only `//locus:vet-allow` suppresses; the retired spellings are inert
-// (and flagged by the audit).
 func directiveNames(text string) []string {
-	names, _ := parseDirective(text, allowMarker)
+	names, _ := parseDirective(text)
 	return names
 }
 
 // allowMarker opens the one suppression directive spelling,
-// `//locus:vet-allow <analyzer> <reason>`. legacyAllowMarker is the
-// original spelling of the same syntax; it no longer suppresses.
-const (
-	allowMarker       = "locus:vet-allow"
-	legacyAllowMarker = "locusvet:allow"
-)
+// `//locus:vet-allow <analyzer> <reason>`.
+const allowMarker = "locus:vet-allow"
 
-// parseDirective splits a comment opening with marker into analyzer
-// names and the trailing justification. The argument list ends at the
-// first space; everything after is the reason. The marker must open
-// the comment body — prose that merely mentions the directive syntax
-// (an analyzer's doc comment, say) is not itself a directive.
-func parseDirective(text, marker string) (names []string, reason string) {
-	rest, ok := strings.CutPrefix(commentBody(text), marker)
+// parseDirective splits an allow directive into analyzer names and the
+// trailing justification. The argument list ends at the first space;
+// everything after is the reason. The marker must open the comment
+// body — prose that merely mentions the directive syntax (an
+// analyzer's doc comment, say) is not itself a directive.
+func parseDirective(text string) (names []string, reason string) {
+	rest, ok := strings.CutPrefix(commentBody(text), allowMarker)
 	if !ok {
 		return nil, ""
 	}
@@ -555,39 +496,17 @@ type Allow struct {
 	Pos       token.Position `json:"pos"`
 	Analyzers []string       `json:"analyzers"`
 	Reason    string         `json:"reason"`
-	// Legacy marks a retired spelling (`//nolint:errcheck`,
-	// `//locusvet:allow`). Those no longer suppress anything;
-	// CollectAllows still surfaces them so the policy audit can point
-	// each one at the migration path.
-	Legacy bool `json:"legacy,omitempty"`
 }
 
 // CollectAllows scans every target package for allow directives so the
 // driver can count them and enforce that each carries a reason.
-// Retired spellings are collected (as Legacy) purely so the audit can
-// flag them; they do not suppress findings.
 func CollectAllows(prog *Program) []Allow {
 	var out []Allow
 	for _, pkg := range prog.Targets {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					names, reason := parseDirective(c.Text, allowMarker)
-					legacy := false
-					if len(names) == 0 {
-						names, reason = parseDirective(c.Text, legacyAllowMarker)
-						legacy = len(names) > 0
-					}
-					if len(names) == 0 {
-						// Like parseDirective, the marker must open the
-						// comment body: prose that merely mentions the
-						// retired spelling is not a directive.
-						if rest, ok := strings.CutPrefix(commentBody(c.Text), "nolint:errcheck"); ok {
-							names = []string{"uncheckedcall"}
-							legacy = true
-							reason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), "//"))
-						}
-					}
+					names, reason := parseDirective(c.Text)
 					if len(names) == 0 {
 						continue
 					}
@@ -595,7 +514,6 @@ func CollectAllows(prog *Program) []Allow {
 						Pos:       prog.Fset.Position(c.Pos()),
 						Analyzers: names,
 						Reason:    reason,
-						Legacy:    legacy,
 					})
 				}
 			}
@@ -611,22 +529,11 @@ func CollectAllows(prog *Program) []Allow {
 }
 
 // AllowPolicyFindings flags allow directives that carry no reason — a
-// suppression without a justification is unauditable — and every
-// remaining `//nolint:errcheck` or `//locusvet:allow` comment, which
-// no longer suppresses anything and must be migrated to the audited
-// spelling.
+// suppression without a justification is unauditable.
 func AllowPolicyFindings(prog *Program) []Finding {
 	var out []Finding
 	for _, a := range CollectAllows(prog) {
-		switch {
-		case a.Legacy:
-			out = append(out, Finding{
-				Pos:      a.Pos,
-				Analyzer: "vet-allow",
-				Message: fmt.Sprintf("legacy directive (`//nolint:errcheck` or `//locusvet:allow`) suppresses nothing; migrate to `//locus:vet-allow %s <reason>`",
-					strings.Join(a.Analyzers, ",")),
-			})
-		case a.Reason == "":
+		if a.Reason == "" {
 			out = append(out, Finding{
 				Pos:      a.Pos,
 				Analyzer: "vet-allow",
@@ -654,12 +561,12 @@ func (s *suppressions) allowed(pos token.Position, analyzer string) bool {
 // either obsolete (the code was fixed) or mislocated (the finding it
 // meant to silence fires anyway, one line away). Call it only after
 // every analyzer has run with cfg, so the usage ledger is complete.
-// Legacy `//nolint` comments and reasonless directives are excluded:
-// AllowPolicyFindings already flags those.
+// Reasonless directives are excluded: AllowPolicyFindings already
+// flags those.
 func StaleAllowFindings(prog *Program, cfg *Config) []Finding {
 	var out []Finding
 	for _, a := range CollectAllows(prog) {
-		if a.Legacy || a.Reason == "" {
+		if a.Reason == "" {
 			continue
 		}
 		if cfg.allowUsed(a.Pos.Filename, a.Pos.Line) {
@@ -700,24 +607,31 @@ func typeMatches(t types.Type, pkgSuffix, name string) bool {
 }
 
 // funcFor resolves the called function object for a call expression, if
-// it is a static function or method call.
+// it is a static function or method call. A call of a generic function
+// or of a generic type's method — type arguments inferred or explicit —
+// resolves to the one declared object (types.Func.Origin), which is
+// what specs match and what the call graph keys bodies by.
 func funcFor(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr: // f[T](...)
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr: // f[T, U](...)
+		fun = ast.Unparen(ix.X)
+	}
+	var obj types.Object
+	switch fun := fun.(type) {
 	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
+		obj = info.Uses[fun]
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				return f
-			}
-			return nil
+			obj = sel.Obj()
+		} else {
+			obj = info.Uses[fun.Sel] // package-qualified call (pkg.Func)
 		}
-		// Package-qualified call (pkg.Func).
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
+	}
+	if f, ok := obj.(*types.Func); ok {
+		return f.Origin()
 	}
 	return nil
 }

@@ -15,7 +15,7 @@ import (
 // same whole-program view locus-vet uses.
 var fixtureLeaves = []string{
 	"simclock_f", "unchecked_f", "lockorder_f", "panic_f", "rawcall_f",
-	"pageleak_f", "inodealias_f", "gojoin_f", "rpcconsist_f", "blockinglock_f",
+	"pageleak_f", "inodealias_f", "gojoin_f", "blockinglock_f",
 	"maporder_f", "sentinelerr_f", "vvmutation_f", "atomiccounter_f",
 	"staleallow_f",
 }
@@ -140,6 +140,8 @@ func TestUncheckedCallFixture(t *testing.T) {
 	cfg := &Config{MustCheck: []MethodSpec{
 		{PkgSuffix: "unchecked_f", Recv: "Conn", Name: "Call"},
 		{PkgSuffix: "unchecked_f", Recv: "Conn", Name: "Cast"},
+		{PkgSuffix: "unchecked_f", Name: "Call"},
+		{PkgSuffix: "unchecked_f", Recv: "Method", Name: "Cast"},
 	}}
 	checkFixture(t, UncheckedCallAnalyzer(), cfg, "unchecked_f")
 }
@@ -162,6 +164,7 @@ func TestRawCallFixture(t *testing.T) {
 			{PkgSuffix: "rawcall_f", Recv: "Node", Name: "Call"},
 			{PkgSuffix: "rawcall_f", Recv: "Node", Name: "CallSeq"},
 			{PkgSuffix: "rawcall_f", Recv: "Node", Name: "Cast"},
+			{PkgSuffix: "rawcall_f", Recv: "Node", Name: "Handle"},
 		},
 	}
 	checkFixture(t, RawCallAnalyzer(), cfg, "rawcall_f")
@@ -188,6 +191,7 @@ func TestInodeAliasFixture(t *testing.T) {
 	t.Parallel()
 	cfg := &Config{
 		AliasTypes:        []TypeSpec{{PkgSuffix: "inodealias_f", Type: "Inode"}},
+		AliasDecodeCalls:  []MethodSpec{{PkgSuffix: "inodealias_f", Name: "Call"}},
 		AliasCloneMethods: []string{"Clone"},
 		AliasPackages:     []string{"inodealias_f"},
 	}
@@ -203,26 +207,13 @@ func TestGoroutineJoinFixture(t *testing.T) {
 	checkFixture(t, GoroutineJoinAnalyzer(), cfg, "gojoin_f")
 }
 
-func TestRPCConsistencyFixture(t *testing.T) {
-	t.Parallel()
-	cfg := &Config{
-		RPCMethodPrefixes: []string{"rpx."},
-		RPCRegister:       []MethodSpec{{PkgSuffix: "rpcconsist_f", Recv: "Node", Name: "Handle"}},
-		RPCInvoke: []MethodSpec{
-			{PkgSuffix: "rpcconsist_f", Recv: "Conn", Name: "Call"},
-			{PkgSuffix: "rpcconsist_f", Recv: "Conn", Name: "Cast"},
-		},
-		RPCTwoWay:      []MethodSpec{{PkgSuffix: "rpcconsist_f", Recv: "Conn", Name: "Call"}},
-		RPCMutatingVar: "mutating",
-		RPCIdempotent:  []string{"rpx.ping"},
-	}
-	checkFixture(t, RPCConsistencyAnalyzer(), cfg, "rpcconsist_f")
-}
-
 func TestBlockingLockFixture(t *testing.T) {
 	t.Parallel()
 	cfg := &Config{
-		BlockingCalls: []MethodSpec{{PkgSuffix: "blockinglock_f", Recv: "Node", Name: "Call"}},
+		BlockingCalls: []MethodSpec{
+			{PkgSuffix: "blockinglock_f", Recv: "Node", Name: "Call"},
+			{PkgSuffix: "blockinglock_f", Name: "Call"},
+		},
 		BlockingGuard: []LockClass{{PkgSuffix: "blockinglock_f", Type: "Kernel"}},
 	}
 	checkFixture(t, BlockingLockAnalyzer(), cfg, "blockinglock_f")
@@ -235,6 +226,7 @@ func TestMapOrderFixture(t *testing.T) {
 		OrderEffects: []MethodSpec{
 			{PkgSuffix: "maporder_f", Recv: "Node", Name: "Call"},
 			{PkgSuffix: "maporder_f", Recv: "Node", Name: "Cast"},
+			{PkgSuffix: "maporder_f", Name: "Cast"},
 		},
 	}
 	checkFixture(t, MapOrderAnalyzer(), cfg, "maporder_f")
@@ -353,36 +345,6 @@ func TestStaleAllowAudit(t *testing.T) {
 		}
 	}
 	t.Errorf("stale-allow finding at %s does not sit on a directive line", got.Pos)
-}
-
-// TestLegacyNolintIsPolicyFinding pins the retirement of the
-// grandfather clauses: every surviving `//nolint:errcheck` or
-// `//locusvet:allow` comment is a vet-allow policy finding directing
-// the author to the audited spelling, and none survive outside the
-// lint fixtures.
-func TestLegacyNolintIsPolicyFinding(t *testing.T) {
-	t.Parallel()
-	p := sharedProgram(t)
-	testdata := string(filepath.Separator) + "testdata" + string(filepath.Separator)
-	found := 0
-	for _, f := range AllowPolicyFindings(p) {
-		if !strings.Contains(f.Message, "legacy directive") {
-			continue
-		}
-		if !strings.Contains(f.Pos.Filename, testdata) {
-			t.Errorf("legacy suppression directive in production code: %s", f)
-			continue
-		}
-		if strings.HasSuffix(f.Pos.Filename, "unchecked_f.go") {
-			found++
-			if !strings.Contains(f.Message, "migrate to `//locus:vet-allow uncheckedcall <reason>`") {
-				t.Errorf("legacy finding does not point at the migration path: %s", f)
-			}
-		}
-	}
-	if found != 2 {
-		t.Errorf("the unchecked_f fixture's //nolint:errcheck and //locusvet:allow lines produced %d policy findings, want 2; a grandfather clause is back", found)
-	}
 }
 
 // TestLoadSurfacesTypeErrors exercises the load-failure path: a package

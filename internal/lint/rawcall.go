@@ -5,23 +5,24 @@ import (
 	"go/ast"
 )
 
-// RawCallAnalyzer flags direct uses of the netsim transport
-// (Node.Call/CallSeq/Cast) inside packages that own a retrying
-// at-most-once wrapper (internal/fs, internal/proc).
+// RawCallAnalyzer flags direct uses of the untyped netsim transport
+// (Node.Handle/Call/CallSeq/Cast) inside the protocol packages
+// (internal/fs, internal/proc).
 //
-// The wrappers (Kernel.call/cast, Manager.call/cast) are what make
-// protocol exchanges survive message loss: they tag mutating requests
-// with dedup sequence numbers and retry timeouts under the simulated
-// clock's backoff. A raw Node.Call bypasses all of that — under the
-// fault plane it turns one lost message into a spurious operation
-// failure, and a raw retry without a sequence number re-runs the
-// mutation (the double-commit/double-create bugs the dedup tables
-// exist to prevent). The wrapper implementations themselves carry a
-// `//locus:vet-allow rawcall` justification.
+// netsim.Handle/Call/Cast over a declared Method or OneWay are what
+// make protocol exchanges survive message loss: they tag at-most-once
+// requests with dedup sequence numbers and retry timeouts under the
+// simulated clock's backoff. A raw Node.Call bypasses all of that —
+// under the fault plane it turns one lost message into a spurious
+// operation failure, and a raw retry without a sequence number re-runs
+// the mutation (the double-commit/double-create bugs the dedup tables
+// exist to prevent). A raw Node.Handle or method string escapes the
+// compiler's pairing of caller and handler types, which is what lets
+// one descriptor stand for a message's whole definition.
 func RawCallAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "rawcall",
-		Doc:  "flag direct netsim transport calls that bypass the retrying at-most-once RPC wrappers",
+		Doc:  "flag untyped netsim transport calls in the protocol packages; they bypass the typed at-most-once path",
 		Run:  runRawCall,
 	}
 }
@@ -57,7 +58,7 @@ func runRawCall(prog *Program, cfg *Config) []Finding {
 				out = append(out, Finding{
 					Pos:      pos,
 					Analyzer: "rawcall",
-					Message: fmt.Sprintf("direct %s.%s bypasses the retrying at-most-once RPC wrapper; use the package's call/cast wrapper",
+					Message: fmt.Sprintf("direct %s.%s bypasses the typed at-most-once path; use netsim.Handle/Call/Cast with the message's declared descriptor",
 						spec.Recv, spec.Name),
 				})
 				return true

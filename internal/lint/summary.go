@@ -276,7 +276,7 @@ func (t *sentinelTaint) returnedErrorExprs(ret *ast.ReturnStmt) []ast.Expr {
 			out = append(out, e)
 			continue
 		}
-		// `return m.call(...)`: a single multi-result call feeding the
+		// `return netsim.Call(...)`: a single multi-result call feeding the
 		// return tuple — include the call if any element is an error.
 		if tup, ok := tv.(*types.Tuple); ok && len(ret.Results) == 1 {
 			for i := 0; i < tup.Len(); i++ {

@@ -1,6 +1,7 @@
 // Package blockinglock_f is a locus-vet fixture for the blockinglock
-// analyzer: no Node.Call exchange may run while a Kernel mutex is
-// held, directly or through any statically resolvable callee.
+// analyzer: no Node.Call exchange — raw, or through the generic typed
+// Call over it — may run while a Kernel mutex is held, directly or
+// through any statically resolvable callee.
 package blockinglock_f
 
 import "sync"
@@ -46,4 +47,55 @@ func (k *Kernel) allowedProbe() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.node.Call("probe", nil) //locus:vet-allow blockinglock fixture: the held-lock probe is this case's point
+}
+
+// Generic callees. Call is the typed path the test config names as a
+// blocking primitive; relay and Method.send are ordinary generic
+// helpers whose effect is only known through the call-graph fixpoint —
+// relay reached with explicit type arguments, send as a method of an
+// instantiated generic type, whose object differs from the declared
+// one the graph keys bodies by (types.Func.Origin).
+type Method[Req, Resp any] struct{ Name string }
+
+func Call[Req, Resp any](n *Node, m Method[Req, Resp], req *Req) (*Resp, error) {
+	v, err := n.Call(m.Name, req)
+	resp, _ := v.(*Resp)
+	return resp, err
+}
+
+func relay[Req, Resp any](n *Node, m Method[Req, Resp], req *Req) {
+	Call(n, m, req)
+}
+
+func (m Method[Req, Resp]) send(n *Node, req *Req) {
+	Call(n, m, req)
+}
+
+type probeReq struct{}
+type probeResp struct{}
+
+var mProbe = Method[probeReq, probeResp]{Name: "probe"}
+
+func (k *Kernel) badGenericDirect() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	Call(k.node, mProbe, &probeReq{}) // want "blocks on concurrent progress while holding blockinglock_f.Kernel"
+}
+
+func (k *Kernel) badGenericTransitive() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	relay[probeReq, probeResp](k.node, mProbe, &probeReq{}) // want "may transitively block on concurrent progress while holding blockinglock_f.Kernel"
+}
+
+func (k *Kernel) badGenericMethodTransitive() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	mProbe.send(k.node, &probeReq{}) // want "may transitively block on concurrent progress while holding blockinglock_f.Kernel"
+}
+
+func (k *Kernel) allowedGeneric() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	Call(k.node, mProbe, &probeReq{}) //locus:vet-allow blockinglock fixture: the held-lock typed probe is this case's point
 }

@@ -1,8 +1,9 @@
 // Package maporder_f is a locus-vet fixture for the maporder analyzer:
 // map-range statements whose iteration order reaches the wire (directly
 // or through the interprocedural wire summary) or escapes into a slice
-// that is never sorted. The test config declares Node.Call and
-// Node.Cast as the order-observable transport exchanges.
+// that is never sorted. The test config declares Node.Call, Node.Cast
+// and the generic typed Cast over it as the order-observable transport
+// exchanges.
 package maporder_f
 
 import "sort"
@@ -99,5 +100,40 @@ func (k *kernel) perIteration() int {
 func (k *kernel) drainAllowed(n *Node) {
 	for p := range k.peers { //locus:vet-allow maporder fixture: deliberate allow exercises the suppression path
 		_ = n.Cast(p, "mo.bye", nil)
+	}
+}
+
+// Generic callees. Cast is the typed one-way the test config names as
+// an order effect; announce is an ordinary generic helper that reaches
+// the wire one call deep, called with explicit type arguments.
+type OneWay[Msg any] struct{ Name string }
+
+func Cast[Msg any](n *Node, to int, m OneWay[Msg], msg *Msg) error {
+	return n.Cast(to, m.Name, msg)
+}
+
+func announce[Msg any](n *Node, to int, m OneWay[Msg], msg *Msg) {
+	_ = Cast(n, to, m, msg)
+}
+
+type pingMsg struct{}
+
+var mPing = OneWay[pingMsg]{Name: "mo.ping"}
+
+func (k *kernel) broadcastTyped(n *Node) {
+	for p := range k.peers { // want "order-observable wire send"
+		_ = Cast(n, p, mPing, &pingMsg{})
+	}
+}
+
+func (k *kernel) fanoutTyped(n *Node) {
+	for p := range k.peers { // want "order-observable wire send"
+		announce[pingMsg](n, p, mPing, &pingMsg{})
+	}
+}
+
+func (k *kernel) drainTypedAllowed(n *Node) {
+	for p := range k.peers { //locus:vet-allow maporder fixture: deliberate allow on the typed path
+		_ = Cast(n, p, mPing, &pingMsg{})
 	}
 }

@@ -1,6 +1,6 @@
 // Package rawcall_f is a locus-vet fixture: the test config declares
-// this package wrapped (its RPCs must go through the retrying wrapper)
-// and Node.Call/CallSeq/Cast as the raw transport methods.
+// this package wrapped (its RPCs must go through the typed path) and
+// Node.Handle/Call/CallSeq/Cast as the raw transport methods.
 package rawcall_f
 
 import "errors"
@@ -19,29 +19,47 @@ func (n *Node) Cast(to int, method string, payload any) error {
 	return errors.New(method)
 }
 
+func (n *Node) Handle(method string, h func(from int, p any) (any, error)) {}
+
 type Kernel struct {
 	node *Node
 }
 
 func badRawCall(k *Kernel) (any, error) {
-	return k.node.Call(2, "fs.commit", nil) // want "direct Node.Call bypasses the retrying at-most-once RPC wrapper"
+	return k.node.Call(2, "fs.commit", nil) // want "direct Node.Call bypasses the typed at-most-once path"
 }
 
 func badRawCallSeq(k *Kernel) (any, error) {
-	return k.node.CallSeq(2, "fs.commit", nil, 7) // want "direct Node.CallSeq bypasses the retrying at-most-once RPC wrapper"
+	return k.node.CallSeq(2, "fs.commit", nil, 7) // want "direct Node.CallSeq bypasses the typed at-most-once path"
 }
 
 func badRawCast(k *Kernel) error {
-	return k.node.Cast(2, "fs.write", nil) // want "direct Node.Cast bypasses the retrying at-most-once RPC wrapper"
+	return k.node.Cast(2, "fs.write", nil) // want "direct Node.Cast bypasses the typed at-most-once path"
 }
 
-// The wrapper itself is the one sanctioned raw use.
-func (k *Kernel) call(to int, method string, payload any) (any, error) {
-	return k.node.Call(to, method, payload) //locus:vet-allow rawcall fixture: this is the wrapper
+// A handler bound by raw string escapes the compiler's pairing of
+// caller and handler types.
+func badRawHandle(k *Kernel) {
+	k.node.Handle("fs.commit", nil) // want "direct Node.Handle bypasses the typed at-most-once path"
 }
 
-func okThroughWrapper(k *Kernel) (any, error) {
-	return k.call(2, "fs.commit", nil)
+// Method and Call stand in for the typed path, which in production
+// lives in netsim, outside the wrapped packages.
+type Method[Req, Resp any] struct{ Name string }
+
+func Call[Req, Resp any](n *Node, to int, m Method[Req, Resp], req *Req) (*Resp, error) {
+	v, err := n.Call(to, m.Name, req) //locus:vet-allow rawcall fixture: this is the typed path itself
+	resp, _ := v.(*Resp)
+	return resp, err
+}
+
+type commitReq struct{}
+type commitResp struct{}
+
+var mCommit = Method[commitReq, commitResp]{Name: "fs.commit"}
+
+func okThroughTypedPath(k *Kernel) (*commitResp, error) {
+	return Call(k.node, 2, mCommit, &commitReq{})
 }
 
 // A same-named method on an unrelated type is not the transport.
@@ -50,5 +68,5 @@ type Other struct{}
 func (Other) Call(to int, method string, payload any) (any, error) { return nil, nil }
 
 func okOtherType(o Other) {
-	o.Call(1, "x", nil) //nolint:errcheck fixture: not the transport type
+	o.Call(1, "x", nil) // not the transport type
 }

@@ -1,5 +1,6 @@
 // Package unchecked_f is a locus-vet fixture: the test config requires
-// Conn.Call and Conn.Cast error results to be consumed.
+// the error results of Conn.Call, Conn.Cast, the generic function Call
+// and the generic type's method Method.Cast to be consumed.
 package unchecked_f
 
 import "errors"
@@ -34,16 +35,46 @@ func okChecked(c *Conn) error {
 	return err
 }
 
-func badLegacySuppression(c *Conn) {
-	// The retired //nolint:errcheck and //locusvet:allow spellings no
-	// longer suppress anything (and the allow audit flags each for
-	// migration).
-	c.Cast("best-effort") //nolint:errcheck fixture: inert spelling // want "error result of Conn.Cast is discarded"
-	c.Cast("best-effort") //locusvet:allow uncheckedcall fixture: inert original spelling // want "error result of Conn.Cast is discarded"
-}
-
 func okSuppressed(c *Conn) {
 	c.Cast("best-effort") //locus:vet-allow uncheckedcall fixture: delivery is advisory here
+}
+
+// Generic callees: a generic function, called with inferred and with
+// explicit type arguments, and a method of a generic type all resolve
+// to their one declaration (types.Func.Origin).
+type Method[Req, Resp any] struct{ Name string }
+
+func Call[Req, Resp any](c *Conn, m Method[Req, Resp], req *Req) (*Resp, error) {
+	_, err := c.Call(m.Name)
+	return nil, err
+}
+
+func (m Method[Req, Resp]) Cast(c *Conn, req *Req) error { return c.Cast(m.Name) }
+
+type pingReq struct{}
+type pingResp struct{}
+
+var mPing = Method[pingReq, pingResp]{Name: "ping"}
+
+func badGenericDropped(c *Conn) {
+	Call(c, mPing, &pingReq{}) // want "error result of Call is discarded"
+}
+
+func badGenericExplicit(c *Conn) *pingResp {
+	r, _ := Call[pingReq, pingResp](c, mPing, &pingReq{}) // want "error result of Call is discarded"
+	return r
+}
+
+func badGenericMethod(c *Conn) {
+	mPing.Cast(c, &pingReq{}) // want "error result of Method.Cast is discarded"
+}
+
+func okGenericChecked(c *Conn) (*pingResp, error) {
+	return Call(c, mPing, &pingReq{})
+}
+
+func okGenericSuppressed(c *Conn) {
+	Call(c, mPing, &pingReq{}) //locus:vet-allow uncheckedcall fixture: delivery is advisory here
 }
 
 // Unrelated methods with the same name on other types are not flagged.

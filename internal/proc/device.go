@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/fs"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -24,9 +25,11 @@ type DeviceDriver interface {
 	DevWrite(data []byte) (int, error)
 }
 
-const (
-	mDevRead  = "proc.devread"
-	mDevWrite = "proc.devwrite"
+// Device I/O at the hosting site. A read consumes device input and a
+// write emits output, so both are at-most-once.
+var (
+	mDevRead  = netsim.Method[devReadReq, devReadResp]{Name: "proc.devread", AtMostOnce: true}
+	mDevWrite = netsim.Method[devWriteReq, devWriteResp]{Name: "proc.devwrite", AtMostOnce: true}
 )
 
 type devReadReq struct {
@@ -112,37 +115,24 @@ func (m *Manager) OpenDevice(p *Process, path string) (*DeviceHandle, error) {
 // if the device is remote, with identical semantics either way.
 func (d *DeviceHandle) Read(max int) ([]byte, error) {
 	req := &devReadReq{Name: d.name, Max: max}
-	var resp any
-	var err error
-	if d.host == d.m.site {
-		resp, err = d.m.handleDevRead(d.m.site, req)
-	} else {
-		resp, err = d.m.call(d.host, mDevRead, req)
-	}
+	resp, err := netsim.CallAt(d.m.node, d.host, mDevRead, d.m.handleDevRead, req)
 	if err != nil {
 		return nil, wrapSiteErr(err, d.host)
 	}
-	return resp.(*devReadResp).Data, nil
+	return resp.Data, nil
 }
 
 // Write writes to the device.
 func (d *DeviceHandle) Write(data []byte) (int, error) {
 	req := &devWriteReq{Name: d.name, Data: append([]byte(nil), data...)}
-	var resp any
-	var err error
-	if d.host == d.m.site {
-		resp, err = d.m.handleDevWrite(d.m.site, req)
-	} else {
-		resp, err = d.m.call(d.host, mDevWrite, req)
-	}
+	resp, err := netsim.CallAt(d.m.node, d.host, mDevWrite, d.m.handleDevWrite, req)
 	if err != nil {
 		return 0, wrapSiteErr(err, d.host)
 	}
-	return resp.(*devWriteResp).N, nil
+	return resp.N, nil
 }
 
-func (m *Manager) handleDevRead(_ SiteID, p any) (any, error) {
-	req := p.(*devReadReq)
+func (m *Manager) handleDevRead(_ SiteID, req *devReadReq) (*devReadResp, error) {
 	d, ok := m.driver(req.Name)
 	if !ok {
 		return nil, fmt.Errorf("proc: no device %q at site %d", req.Name, m.site)
@@ -154,8 +144,7 @@ func (m *Manager) handleDevRead(_ SiteID, p any) (any, error) {
 	return &devReadResp{Data: data}, nil
 }
 
-func (m *Manager) handleDevWrite(_ SiteID, p any) (any, error) {
-	req := p.(*devWriteReq)
+func (m *Manager) handleDevWrite(_ SiteID, req *devWriteReq) (*devWriteResp, error) {
 	d, ok := m.driver(req.Name)
 	if !ok {
 		return nil, fmt.Errorf("proc: no device %q at site %d", req.Name, m.site)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/fs"
+	"repro/internal/netsim"
 )
 
 // Shared open-file descriptors (§3.1 footnote): "To implement this
@@ -42,6 +43,13 @@ type fdState struct {
 type FD struct {
 	s *fdState
 }
+
+// The shared-offset token protocol (§3.2). Granting and yanking move
+// the token, so both are at-most-once.
+var (
+	mFDToken = netsim.Method[fdTokenReq, fdTokenResp]{Name: "proc.fdtoken", AtMostOnce: true}
+	mFDYank  = netsim.Method[fdYankReq, fdYankResp]{Name: "proc.fdyank", AtMostOnce: true}
+)
 
 type fdTokenReq struct {
 	ID        int
@@ -135,26 +143,18 @@ func (fd *FD) share() *FD {
 // Called without s.mu held — token negotiation crosses the network.
 func (s *fdState) fetchToken() (int64, error) {
 	m := s.m
-	var resp any
-	var err error
-	req := &fdTokenReq{ID: s.homeID, Requester: m.site}
-	if s.homeSite == m.site {
-		resp, err = m.handleFDToken(m.site, req)
-	} else {
-		resp, err = m.call(s.homeSite, mFDToken, req)
-	}
+	resp, err := netsim.CallAt(m.node, s.homeSite, mFDToken, m.handleFDToken, &fdTokenReq{ID: s.homeID, Requester: m.site})
 	if err != nil {
 		// Token negotiation failing because the home site is gone is the
 		// §5.6 "site failed" row, not a raw transport error.
 		return 0, wrapSiteErr(err, s.homeSite)
 	}
-	return resp.(*fdTokenResp).Offset, nil
+	return resp.Offset, nil
 }
 
 // handleFDToken runs at the home site: yank the token from the current
 // holder (retrieving the live offset) and grant it to the requester.
-func (m *Manager) handleFDToken(_ SiteID, p any) (any, error) {
-	req := p.(*fdTokenReq)
+func (m *Manager) handleFDToken(_ SiteID, req *fdTokenReq) (*fdTokenResp, error) {
 	m.mu.Lock()
 	home := m.fdHomes[req.ID]
 	m.mu.Unlock()
@@ -171,14 +171,14 @@ func (m *Manager) handleFDToken(_ SiteID, p any) (any, error) {
 		// We hold it locally: release from our fdState.
 		offset = m.yankLocal(req.ID)
 	default:
-		resp, err := m.call(holder, mFDYank, &fdYankReq{ID: req.ID})
+		resp, err := netsim.Call(m.node, holder, mFDYank, &fdYankReq{ID: req.ID})
 		if err != nil {
 			// Holder unreachable: the token is lost with it; regenerate
 			// at the requester with the home's last-known offset (0 —
 			// LOCUS regenerates tokens during cleanup).
 			offset = 0
 		} else {
-			offset = resp.(*fdYankResp).Offset
+			offset = resp.Offset
 		}
 	}
 	home.holder = req.Requester
@@ -210,8 +210,7 @@ func (m *Manager) yankLocal(id int) int64 {
 	return 0
 }
 
-func (m *Manager) handleFDYank(_ SiteID, p any) (any, error) {
-	req := p.(*fdYankReq)
+func (m *Manager) handleFDYank(_ SiteID, req *fdYankReq) (*fdYankResp, error) {
 	return &fdYankResp{Offset: m.yankLocal(req.ID)}, nil
 }
 

@@ -15,6 +15,14 @@ import (
 	"fmt"
 
 	"repro/internal/fs"
+	"repro/internal/netsim"
+)
+
+var (
+	// mMigrate re-instantiates a process at the target site.
+	mMigrate = netsim.Method[migrateReq, netsim.Ack]{Name: "proc.migrate", AtMostOnce: true}
+	// mMigrateGone (one-way) retires the origin's forwarding record.
+	mMigrateGone = netsim.OneWay[migrateGoneMsg]{Name: "proc.migrategone"}
 )
 
 // migrateReq ships everything needed to re-instantiate the process at
@@ -63,7 +71,7 @@ func (m *Manager) Migrate(p *Process, target SiteID) error {
 		Args: append([]string(nil), p.args...),
 	}
 	p.mu.Unlock()
-	if _, err := m.call(target, mMigrate, req); err != nil {
+	if _, err := netsim.Call(m.node, target, mMigrate, req); err != nil {
 		m.rollbackMigrate(p)
 		// §5.6: target site failed mid-migration -> error to caller; the
 		// process keeps running at the origin.
@@ -96,7 +104,7 @@ func (m *Manager) rollbackMigrate(p *Process) {
 		st.Err = nil
 		p.done <- st
 		if p.parent != (PID{}) && p.parent.Site != m.site {
-			m.cast(p.parent.Site, mChildExit, &childExitMsg{ //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
+			netsim.Cast(m.node, p.parent.Site, mChildExit, &childExitMsg{ //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
 				Child: p.pid, Parent: p.parent, Code: st.Code,
 			})
 			m.mu.Lock()
@@ -109,8 +117,7 @@ func (m *Manager) rollbackMigrate(p *Process) {
 
 // handleMigrate re-instantiates the process at the target site under
 // its unchanged network-wide PID.
-func (m *Manager) handleMigrate(_ SiteID, pl any) (any, error) {
-	req := pl.(*migrateReq)
+func (m *Manager) handleMigrate(_ SiteID, req *migrateReq) (*netsim.Ack, error) {
 	m.mu.Lock()
 	prog, ok := m.registry[req.Prog]
 	if !ok {
@@ -145,10 +152,9 @@ func (m *Manager) handleMigrate(_ SiteID, pl any) (any, error) {
 
 // handleMigrateGone retires the origin-side forwarding record after the
 // migrant exits at its host.
-func (m *Manager) handleMigrateGone(_ SiteID, pl any) (any, error) {
-	msg := pl.(*migrateGoneMsg)
+func (m *Manager) handleMigrateGone(_ SiteID, msg *migrateGoneMsg) error {
 	m.mu.Lock()
 	delete(m.migratedTo, msg.PID.Num)
 	m.mu.Unlock()
-	return nil, nil
+	return nil
 }

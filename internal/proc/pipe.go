@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/fs"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -109,6 +110,16 @@ type PipeEnd struct {
 // Server returns the site hosting the pipe's byte stream.
 func (pe *PipeEnd) Server() SiteID { return pe.server }
 
+// The pipe protocol, served at the pipe's server site. Every exchange
+// changes the stream or its endpoint registry (a read consumes buffered
+// bytes), so all are at-most-once.
+var (
+	mPipeOpen  = netsim.Method[pipeOpenMsg, netsim.Ack]{Name: "proc.pipeopen", AtMostOnce: true}
+	mPipeRead  = netsim.Method[pipeReadReq, pipeReadResp]{Name: "proc.piperead", AtMostOnce: true}
+	mPipeWrite = netsim.Method[pipeWriteReq, netsim.Ack]{Name: "proc.pipewrite", AtMostOnce: true}
+	mPipeClose = netsim.Method[pipeCloseReq, netsim.Ack]{Name: "proc.pipeclose", AtMostOnce: true}
+)
+
 type pipeOpenMsg struct {
 	ID    storage.FileID
 	Write bool
@@ -158,27 +169,10 @@ func (m *Manager) OpenPipe(p *Process, path string, write bool) (*PipeEnd, error
 		return nil, wrapFsSiteErr(err)
 	}
 	pe := &PipeEnd{m: m, id: r.ID, server: server, write: write}
-	if err := m.pipeCall(server, mPipeOpen, &pipeOpenMsg{ID: r.ID, Write: write}); err != nil {
+	if _, err := netsim.CallAt(m.node, server, mPipeOpen, m.handlePipeOpen, &pipeOpenMsg{ID: r.ID, Write: write}); err != nil {
 		return nil, wrapSiteErr(err, server)
 	}
 	return pe, nil
-}
-
-func (m *Manager) pipeCall(server SiteID, method string, req any) error {
-	if server == m.site {
-		var err error
-		switch method {
-		case mPipeOpen:
-			_, err = m.handlePipeOpen(m.site, req)
-		case mPipeWrite:
-			_, err = m.handlePipeWrite(m.site, req)
-		case mPipeClose:
-			_, err = m.handlePipeClose(m.site, req)
-		}
-		return err
-	}
-	_, err := m.call(server, method, req)
-	return err
 }
 
 func (m *Manager) pipe(id storage.FileID) *pipeState {
@@ -202,18 +196,10 @@ func (pe *PipeEnd) Read(max int) ([]byte, error) {
 	if pe.write {
 		return nil, fmt.Errorf("proc: pipe opened for writing")
 	}
-	req := &pipeReadReq{ID: pe.id, Max: max}
-	var resp any
-	var err error
-	if pe.server == pe.m.site {
-		resp, err = pe.m.handlePipeRead(pe.m.site, req)
-	} else {
-		resp, err = pe.m.call(pe.server, mPipeRead, req)
-	}
+	r, err := netsim.CallAt(pe.m.node, pe.server, mPipeRead, pe.m.handlePipeRead, &pipeReadReq{ID: pe.id, Max: max})
 	if err != nil {
 		return nil, wrapSiteErr(err, pe.server)
 	}
-	r := resp.(*pipeReadResp)
 	if r.EOF {
 		return nil, io.EOF
 	}
@@ -230,7 +216,7 @@ func (pe *PipeEnd) Write(data []byte) error {
 	if !pe.write {
 		return fmt.Errorf("proc: pipe opened for reading")
 	}
-	err := pe.m.pipeCall(pe.server, mPipeWrite, &pipeWriteReq{ID: pe.id, Data: append([]byte(nil), data...)})
+	_, err := netsim.CallAt(pe.m.node, pe.server, mPipeWrite, pe.m.handlePipeWrite, &pipeWriteReq{ID: pe.id, Data: append([]byte(nil), data...)})
 	return wrapSiteErr(err, pe.server)
 }
 
@@ -241,12 +227,11 @@ func (pe *PipeEnd) Close() error {
 		return nil
 	}
 	pe.closed = true
-	err := pe.m.pipeCall(pe.server, mPipeClose, &pipeCloseReq{ID: pe.id, Write: pe.write})
+	_, err := netsim.CallAt(pe.m.node, pe.server, mPipeClose, pe.m.handlePipeClose, &pipeCloseReq{ID: pe.id, Write: pe.write})
 	return wrapSiteErr(err, pe.server)
 }
 
-func (m *Manager) handlePipeOpen(from SiteID, p any) (any, error) {
-	msg := p.(*pipeOpenMsg)
+func (m *Manager) handlePipeOpen(from SiteID, msg *pipeOpenMsg) (*netsim.Ack, error) {
 	ps := m.pipe(msg.ID)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -271,8 +256,7 @@ func (m *Manager) handlePipeOpen(from SiteID, p any) (any, error) {
 	return nil, nil
 }
 
-func (m *Manager) handlePipeRead(from SiteID, p any) (any, error) {
-	req := p.(*pipeReadReq)
+func (m *Manager) handlePipeRead(from SiteID, req *pipeReadReq) (*pipeReadResp, error) {
 	ps := m.pipe(req.ID)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -300,8 +284,7 @@ func (m *Manager) handlePipeRead(from SiteID, p any) (any, error) {
 	return &pipeReadResp{Data: out}, nil
 }
 
-func (m *Manager) handlePipeWrite(_ SiteID, p any) (any, error) {
-	req := p.(*pipeWriteReq)
+func (m *Manager) handlePipeWrite(_ SiteID, req *pipeWriteReq) (*netsim.Ack, error) {
 	ps := m.pipe(req.ID)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -316,8 +299,7 @@ func (m *Manager) handlePipeWrite(_ SiteID, p any) (any, error) {
 	return nil, nil
 }
 
-func (m *Manager) handlePipeClose(from SiteID, p any) (any, error) {
-	req := p.(*pipeCloseReq)
+func (m *Manager) handlePipeClose(from SiteID, req *pipeCloseReq) (*netsim.Ack, error) {
 	ps := m.pipe(req.ID)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()

@@ -282,21 +282,6 @@ type migrRecord struct {
 	parent PID
 }
 
-// Protocol method names.
-const (
-	mRun         = "proc.run"
-	mSignal      = "proc.signal"
-	mChildExit   = "proc.childexit"
-	mFDToken     = "proc.fdtoken"
-	mFDYank      = "proc.fdyank"
-	mPipeOpen    = "proc.pipeopen"
-	mPipeRead    = "proc.piperead"
-	mPipeWrite   = "proc.pipewrite"
-	mPipeClose   = "proc.pipeclose"
-	mMigrate     = "proc.migrate"
-	mMigrateGone = "proc.migrategone"
-)
-
 // NewManager creates the process manager for a site.
 func NewManager(node *netsim.Node, kernel *fs.Kernel, machineType string) *Manager {
 	m := &Manager{
@@ -311,19 +296,19 @@ func NewManager(node *netsim.Node, kernel *fs.Kernel, machineType string) *Manag
 		migratedTo:  make(map[int]migrRecord),
 		migrants:    make(map[PID]*Process),
 	}
-	node.Handle(mRun, m.handleRun)
-	node.Handle(mSignal, m.handleSignal)
-	node.Handle(mChildExit, m.handleChildExit)
-	node.Handle(mFDToken, m.handleFDToken)
-	node.Handle(mFDYank, m.handleFDYank)
-	node.Handle(mPipeOpen, m.handlePipeOpen)
-	node.Handle(mPipeRead, m.handlePipeRead)
-	node.Handle(mPipeWrite, m.handlePipeWrite)
-	node.Handle(mPipeClose, m.handlePipeClose)
-	node.Handle(mMigrate, m.handleMigrate)
-	node.Handle(mMigrateGone, m.handleMigrateGone)
-	node.Handle(mDevRead, m.handleDevRead)
-	node.Handle(mDevWrite, m.handleDevWrite)
+	netsim.Handle(node, mRun, m.handleRun)
+	netsim.Handle(node, mSignal, m.handleSignal)
+	netsim.HandleCast(node, mChildExit, m.handleChildExit)
+	netsim.Handle(node, mFDToken, m.handleFDToken)
+	netsim.Handle(node, mFDYank, m.handleFDYank)
+	netsim.Handle(node, mPipeOpen, m.handlePipeOpen)
+	netsim.Handle(node, mPipeRead, m.handlePipeRead)
+	netsim.Handle(node, mPipeWrite, m.handlePipeWrite)
+	netsim.Handle(node, mPipeClose, m.handlePipeClose)
+	netsim.Handle(node, mMigrate, m.handleMigrate)
+	netsim.HandleCast(node, mMigrateGone, m.handleMigrateGone)
+	netsim.Handle(node, mDevRead, m.handleDevRead)
+	netsim.Handle(node, mDevWrite, m.handleDevWrite)
 	// A crash loses every volatile process-table structure (§5.6):
 	// processes, pipe buffers, descriptor tokens, queued signals.
 	node.OnCrash(m.crashLocal)
@@ -390,6 +375,15 @@ func (m *Manager) Process(num int) (*Process, bool) {
 	return p, ok
 }
 
+// mRun is parent site → execution site: spawn the child there. Like
+// every proc request/response message it changes remote state (run
+// spawns a process, signal delivers, the token protocol moves the
+// offset token, piperead consumes buffered bytes), so each is declared
+// AtMostOnce beside its structs: a retried exchange whose first
+// response was lost returns the recorded outcome instead of spawning a
+// second process or consuming the pipe twice.
+var mRun = netsim.Method[runReq, runResp]{Name: "proc.run", AtMostOnce: true}
+
 // runReq ships everything needed to initialize the new process's
 // environment at the destination (§3.1: "it is necessary to initialize
 // the new process' environment correctly").
@@ -419,9 +413,9 @@ func (m *Manager) Run(parent *Process, path string, args []string) (PID, error) 
 			// module's storage site or CSS may be gone (wrapFsSiteErr).
 			return PID{}, wrapFsSiteErr(err)
 		}
-		return r.(*runResp).PID, nil
+		return r.PID, nil
 	}
-	resp, err := m.call(target, mRun, req)
+	resp, err := netsim.Call(m.node, target, mRun, req)
 	if err != nil {
 		// §5.6: "Remote Fork/Exec, remote site fails -> return error to
 		// caller". wrapSiteErr also covers the retry budget exhausted by
@@ -432,12 +426,11 @@ func (m *Manager) Run(parent *Process, path string, args []string) (PID, error) 
 		// destination hit while resolving the load module.
 		return PID{}, wrapFsSiteErr(wrapSiteErr(err, target))
 	}
-	return resp.(*runResp).PID, nil
+	return resp.PID, nil
 }
 
 // handleRun allocates and starts the process at the destination site.
-func (m *Manager) handleRun(_ SiteID, p any) (any, error) {
-	req := p.(*runReq)
+func (m *Manager) handleRun(_ SiteID, req *runReq) (*runResp, error) {
 	prog, name, args, err := m.loadModule(&req.Cred, req.Path, req.Args)
 	if err != nil {
 		return nil, err
@@ -598,16 +591,16 @@ func (m *Manager) exit(p *Process, st ExitStatus) {
 			if p.parent.Site == m.site {
 				m.handleChildExit(m.site, msg) // error unchecked by design: local delivery
 			} else {
-				m.cast(p.parent.Site, mChildExit, msg) //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
+				netsim.Cast(m.node, p.parent.Site, mChildExit, msg) //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
 			}
 		}
-		m.cast(p.pid.Site, mMigrateGone, &migrateGoneMsg{PID: p.pid}) //locus:vet-allow uncheckedcall origin failure handled by partition cleanup
+		netsim.Cast(m.node, p.pid.Site, mMigrateGone, &migrateGoneMsg{PID: p.pid}) //locus:vet-allow uncheckedcall origin failure handled by partition cleanup
 		return
 	}
 	// Notify the parent's site so Wait unblocks across machines; a
 	// remotely-parented process has no local waiter, so reap it here.
 	if p.parent != (PID{}) && p.parent.Site != m.site {
-		m.cast(p.parent.Site, mChildExit, &childExitMsg{ //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
+		netsim.Cast(m.node, p.parent.Site, mChildExit, &childExitMsg{ //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
 			Child: p.pid, Parent: p.parent, Code: st.Code,
 			SiteFailed: st.Err != nil && errors.Is(st.Err, ErrSiteFailed),
 		})
@@ -616,6 +609,9 @@ func (m *Manager) exit(p *Process, st ExitStatus) {
 		m.mu.Unlock()
 	}
 }
+
+// mChildExit (one-way) tells the parent's site a child exited.
+var mChildExit = netsim.OneWay[childExitMsg]{Name: "proc.childexit"}
 
 type childExitMsg struct {
 	Child  PID
@@ -626,8 +622,7 @@ type childExitMsg struct {
 	SiteFailed bool
 }
 
-func (m *Manager) handleChildExit(_ SiteID, p any) (any, error) {
-	msg := p.(*childExitMsg)
+func (m *Manager) handleChildExit(_ SiteID, msg *childExitMsg) error {
 	st := ExitStatus{Code: msg.Code}
 	if msg.SiteFailed {
 		st.Err = fmt.Errorf("%w: child %v lost with its executing site", ErrSiteFailed, msg.Child)
@@ -640,8 +635,8 @@ func (m *Manager) handleChildExit(_ SiteID, p any) (any, error) {
 			if rec, ok := m.migratedTo[msg.Parent.Num]; ok {
 				// The parent itself migrated; chase it.
 				m.mu.Unlock()
-				m.cast(rec.host, mChildExit, msg) //locus:vet-allow uncheckedcall host failure handled by partition cleanup
-				return nil, nil
+				netsim.Cast(m.node, rec.host, mChildExit, msg) //locus:vet-allow uncheckedcall host failure handled by partition cleanup
+				return nil
 			}
 		}
 	} else {
@@ -665,7 +660,7 @@ func (m *Manager) handleChildExit(_ SiteID, p any) (any, error) {
 	if ch != nil {
 		ch <- st
 	}
-	return nil, nil
+	return nil
 }
 
 // Wait blocks until the identified child exits and returns its status.
@@ -744,6 +739,9 @@ func (m *Manager) waitRemote(parent *Process, child PID) ExitStatus {
 	return <-ch
 }
 
+// mSignal delivers a signal at the target's site.
+var mSignal = netsim.Method[signalMsg, netsim.Ack]{Name: "proc.signal", AtMostOnce: true}
+
 type signalMsg struct {
 	Target PID
 	Sig    Signal
@@ -767,12 +765,7 @@ func isSiteFailure(err error) bool {
 
 func (m *Manager) signalInfo(target PID, sig Signal, info string) error {
 	msg := &signalMsg{Target: target, Sig: sig, Info: info}
-	var err error
-	if target.Site == m.site {
-		_, err = m.handleSignal(m.site, msg)
-	} else {
-		_, err = m.call(target.Site, mSignal, msg)
-	}
+	_, err := netsim.CallAt(m.node, target.Site, mSignal, m.handleSignal, msg)
 	if err != nil && isSiteFailure(err) {
 		// §2.4.2: signals are supported across the network; a partition
 		// only defers them. Queue at the sender and replay after merge.
@@ -797,8 +790,7 @@ func (m *Manager) QueuedSignals() int {
 	return len(m.sigQueue)
 }
 
-func (m *Manager) handleSignal(_ SiteID, p any) (any, error) {
-	msg := p.(*signalMsg)
+func (m *Manager) handleSignal(_ SiteID, msg *signalMsg) (*netsim.Ack, error) {
 	m.mu.Lock()
 	var proc *Process
 	if msg.Target.Site == m.site {
@@ -808,7 +800,7 @@ func (m *Manager) handleSignal(_ SiteID, p any) (any, error) {
 				// The origin stays the network-wide name authority for the
 				// PID (§3.1); forward to the current host.
 				m.mu.Unlock()
-				_, err := m.call(rec.host, mSignal, msg)
+				_, err := netsim.Call(m.node, rec.host, mSignal, msg)
 				return nil, wrapSiteErr(err, rec.host)
 			}
 		}
@@ -952,7 +944,7 @@ func (m *Manager) CleanupAfterPartitionChange(newPartition []SiteID) {
 				m.handleChildExit(m.site, msg) // error unchecked by design: local delivery
 				m.signalInfo(lf.rec.parent, SIGCHILDERR, fmt.Sprintf("migrated child %d.%d lost: host site %d failed", m.site, lf.num, lf.rec.host)) // error unchecked by design: local delivery
 			} else if in[lf.rec.parent.Site] {
-				m.cast(lf.rec.parent.Site, mChildExit, msg) //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
+				netsim.Cast(m.node, lf.rec.parent.Site, mChildExit, msg) //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
 			}
 		}
 		meter.AddOrphanNotices(1)
@@ -982,12 +974,7 @@ func (m *Manager) replaySignals(in map[SiteID]bool, meter *netsim.Stats) {
 			keep = append(keep, msg)
 			continue
 		}
-		var err error
-		if msg.Target.Site == m.site {
-			_, err = m.handleSignal(m.site, msg)
-		} else {
-			_, err = m.call(msg.Target.Site, mSignal, msg)
-		}
+		_, err := netsim.CallAt(m.node, msg.Target.Site, mSignal, m.handleSignal, msg)
 		switch {
 		case err == nil:
 			meter.AddSignalsReplayed(1)

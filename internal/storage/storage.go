@@ -261,9 +261,6 @@ func (c *Container) FG() FilegroupID { return c.fg }
 // Site returns the site storing this container.
 func (c *Container) Site() vclock.SiteID { return c.site }
 
-// InodeRange returns the container's private inode allocation range.
-func (c *Container) InodeRange() (lo, hi InodeNum) { return c.lo, c.hi }
-
 func (c *Container) chargeDisk() {
 	if c.meter != nil {
 		c.meter.AddDisk(c.costs.DiskUs)
