@@ -14,7 +14,7 @@ vet:
 # three tiers: syntactic (simclock, uncheckedcall, lockorder, rawcall,
 # panicdiscipline), intraprocedural dataflow (pageleak, inodealias,
 # goroutinejoin, blockinglock), and interprocedural summaries
-# (maporder, sentinelerr, vvmutation, atomiccounter), plus the
+# (maporder, sentinelerr, atomiccounter), plus the
 # suppression audits (vet-allow reasons, staleallow). Always a full
 # whole-module run (about 3 s); ci.yml runs the same with -json.
 locusvet:

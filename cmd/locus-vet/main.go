@@ -2,8 +2,8 @@
 // internal/lint): the syntactic tier (simclock, uncheckedcall,
 // lockorder, panicdiscipline, rawcall), the intraprocedural dataflow
 // tier (pageleak, inodealias, goroutinejoin, blockinglock), and the
-// interprocedural summary tier (maporder, sentinelerr, vvmutation,
-// atomiccounter), plus the allow-directive audits: every suppression
+// interprocedural summary tier (maporder, sentinelerr, atomiccounter),
+// plus the allow-directive audits: every suppression
 // must carry a reason, and a suppression that hides no finding is
 // itself reported (staleallow).
 //

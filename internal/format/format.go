@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -86,6 +87,16 @@ func (d *Directory) Live() []DirEntry {
 	return out
 }
 
+// HasLive reports whether the directory has any non-tombstone entry.
+func (d *Directory) HasLive() bool {
+	for i := range d.Entries {
+		if !d.Entries[i].Deleted {
+			return true
+		}
+	}
+	return false
+}
+
 // Insert adds or replaces the entry for name. Inserting over a
 // tombstone resurrects the name. Directory operations are atomic at
 // the entry level (§2.3.4: "no system call does more than just enter,
@@ -103,7 +114,7 @@ func (d *Directory) Remove(name string, fileVV vclock.VV) bool {
 		return false
 	}
 	d.Entries[i].Deleted = true
-	d.Entries[i].DelVV = fileVV.Copy()
+	d.Entries[i].DelVV = fileVV
 	return true
 }
 
@@ -123,58 +134,40 @@ func (d *Directory) put(e DirEntry) {
 func (d *Directory) PutRaw(e DirEntry) { d.put(e) }
 
 // Clone returns a copy that can be mutated through the Directory API
-// without affecting d. The entry slice is copied; tombstone DelVV maps
-// are shared, which is safe because no Directory method mutates a
-// DelVV in place (Remove installs a fresh Copy, Insert and put replace
-// whole entries).
+// without affecting d. The entry slice is copied, with room for the
+// one insert a directory update makes (§2.3.4), so that a new name does
+// not copy the whole slice a second time. Tombstone vectors are shared:
+// a vclock.VV is immutable.
 func (d *Directory) Clone() *Directory {
-	return &Directory{Entries: append([]DirEntry(nil), d.Entries...)}
+	entries := make([]DirEntry, len(d.Entries), len(d.Entries)+1)
+	copy(entries, d.Entries)
+	return &Directory{Entries: entries}
 }
 
-func appendVV(b []byte, vv vclock.VV) []byte {
-	sites := vv.Sites()
-	b = binary.AppendUvarint(b, uint64(len(sites)))
-	for _, s := range sites {
-		b = binary.AppendUvarint(b, uint64(s))
-		b = binary.AppendUvarint(b, vv.Get(s))
-	}
-	return b
-}
-
-func readVV(b []byte) (vclock.VV, []byte, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return nil, nil, ErrCorrupt
-	}
-	b = b[k:]
-	vv := vclock.New()
-	for i := uint64(0); i < n; i++ {
-		s, k := binary.Uvarint(b)
-		if k <= 0 {
-			return nil, nil, ErrCorrupt
-		}
-		b = b[k:]
-		c, k2 := binary.Uvarint(b)
-		if k2 <= 0 {
-			return nil, nil, ErrCorrupt
-		}
-		b = b[k2:]
-		vv[vclock.SiteID(s)] = c //locus:vet-allow vvmutation wire decode builds the vector entry by entry
-	}
-	return vv, b, nil
-}
-
-// EncodeDir serializes a directory.
+// EncodeDir serializes a directory: the magic and the entry count as
+// uvarints, then per entry a length-prefixed name, the inode number, a
+// delete flag byte and, for a tombstone, its vector in vclock's wire
+// form. The size is computed first so the result is one allocation.
 func EncodeDir(d *Directory) []byte {
-	b := binary.AppendUvarint(nil, dirMagic)
+	size := uvarintLen(dirMagic) + uvarintLen(uint64(len(d.Entries)))
+	for i := range d.Entries {
+		e := &d.Entries[i]
+		size += uvarintLen(uint64(len(e.Name))) + len(e.Name) + uvarintLen(uint64(e.Inode)) + 1
+		if e.Deleted {
+			size += e.DelVV.EncodedLen()
+		}
+	}
+	b := make([]byte, 0, size)
+	b = binary.AppendUvarint(b, dirMagic)
 	b = binary.AppendUvarint(b, uint64(len(d.Entries)))
-	for _, e := range d.Entries {
+	for i := range d.Entries {
+		e := &d.Entries[i]
 		b = binary.AppendUvarint(b, uint64(len(e.Name)))
 		b = append(b, e.Name...)
 		b = binary.AppendUvarint(b, uint64(e.Inode))
 		if e.Deleted {
 			b = append(b, 1)
-			b = appendVV(b, e.DelVV)
+			b = e.DelVV.AppendBinary(b)
 		} else {
 			b = append(b, 0)
 		}
@@ -182,49 +175,71 @@ func EncodeDir(d *Directory) []byte {
 	return b
 }
 
+// uvarintLen is the length of x as binary.AppendUvarint writes it.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// minDirEntryLen is the shortest encoded entry: an empty name's length
+// byte, a one-byte inode number and the delete flag.
+const minDirEntryLen = 3
+
 // DecodeDir parses serialized directory content. Empty input decodes
 // as an empty directory (a freshly created directory has no pages).
-func DecodeDir(b []byte) (*Directory, error) {
+//
+// This is a trust boundary: the bytes may come from a torn
+// unsynchronized read (§2.3.4) or a damaged pack. Whatever decodes
+// satisfies the invariants the Directory methods search by — names
+// strictly ascending, hence unique — and anything EncodeDir could not
+// have produced is ErrCorrupt, before any allocation sized from a
+// count the input merely declares.
+func DecodeDir(raw []byte) (*Directory, error) {
 	d := &Directory{}
-	if len(b) == 0 {
+	if len(raw) == 0 {
 		return d, nil
 	}
-	magic, k := binary.Uvarint(b)
+	magic, k := binary.Uvarint(raw)
 	if k <= 0 || magic != dirMagic {
 		return nil, fmt.Errorf("%w: bad directory magic", ErrCorrupt)
 	}
-	b = b[k:]
+	b := raw[k:]
 	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return nil, ErrCorrupt
+	if k <= 0 || n > uint64(len(b)-k)/minDirEntryLen {
+		return nil, fmt.Errorf("%w: directory entry count", ErrCorrupt)
 	}
 	b = b[k:]
-	for i := uint64(0); i < n; i++ {
+	// Every name is a substring of this one conversion.
+	names := string(raw)
+	if n > 0 {
+		d.Entries = make([]DirEntry, n)
+	}
+	var vvs vclock.Decoder
+	for i := range d.Entries {
 		nameLen, k := binary.Uvarint(b)
-		if k <= 0 || uint64(len(b[k:])) < nameLen {
+		if k <= 0 || uint64(len(b)-k) < nameLen {
 			return nil, ErrCorrupt
 		}
-		b = b[k:]
-		name := string(b[:nameLen])
-		b = b[nameLen:]
+		off := len(raw) - len(b) + k // b is always a suffix of raw
+		name := names[off : off+int(nameLen)]
+		b = b[k+int(nameLen):]
+		if i > 0 && name <= d.Entries[i-1].Name {
+			return nil, fmt.Errorf("%w: directory names not strictly ascending", ErrCorrupt)
+		}
 		ino, k := binary.Uvarint(b)
-		if k <= 0 || len(b[k:]) < 1 {
+		if k <= 0 || len(b) == k || b[k] > 1 {
 			return nil, ErrCorrupt
 		}
-		b = b[k:]
-		del := b[0] == 1
-		b = b[1:]
-		e := DirEntry{Name: name, Inode: storage.InodeNum(ino), Deleted: del}
-		if del {
+		e := DirEntry{Name: name, Inode: storage.InodeNum(ino), Deleted: b[k] == 1}
+		b = b[k+1:]
+		if e.Deleted {
 			var err error
-			e.DelVV, b, err = readVV(b)
-			if err != nil {
-				return nil, err
+			if e.DelVV, b, err = vvs.Decode(b); err != nil {
+				return nil, fmt.Errorf("%w: tombstone vector", ErrCorrupt)
 			}
 		}
-		d.Entries = append(d.Entries, e)
+		d.Entries[i] = e
 	}
-	sort.Slice(d.Entries, func(i, j int) bool { return d.Entries[i].Name < d.Entries[j].Name })
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last directory entry", ErrCorrupt, len(b))
+	}
 	return d, nil
 }
 

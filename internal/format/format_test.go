@@ -183,9 +183,9 @@ func randomDir(r *rand.Rand) *Directory {
 		name := names[r.Intn(len(names))]
 		d.Insert(name, 1+randInode(r))
 		if r.Intn(3) == 0 {
-			vv := vclock.New()
+			var vv vclock.VV // an empty tombstone vector decodes as nil
 			if r.Intn(2) == 0 {
-				vv.Bump(vclock.SiteID(1 + r.Intn(3)))
+				vv = vv.Bump(vclock.SiteID(1 + r.Intn(3)))
 			}
 			d.Remove(name, vv)
 		}

@@ -1,9 +1,17 @@
 package format
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // Robustness: decoding arbitrary bytes must never panic and never
@@ -20,16 +28,208 @@ func TestDecodeDirNeverPanicsOnRandomBytes(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		// A successful decode must round-trip.
-		b2 := EncodeDir(d)
-		d2, err := DecodeDir(b2)
-		if err != nil {
-			return false
-		}
-		return len(d2.Entries) == len(d.Entries)
+		return checkDecoded(d) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkDecoded states what every successful DecodeDir owes its caller:
+// names strictly ascending (Lookup's binary search depends on it, and
+// it makes them unique), every name found by LookupAny, and a re-encode
+// that decodes to the same directory.
+func checkDecoded(d *Directory) error {
+	for i, e := range d.Entries {
+		if i > 0 && d.Entries[i-1].Name >= e.Name {
+			return fmt.Errorf("entry %d %q does not sort after %q", i, e.Name, d.Entries[i-1].Name)
+		}
+		if got, ok := d.LookupAny(e.Name); !ok || got.Inode != e.Inode {
+			return fmt.Errorf("LookupAny(%q) = %+v, %v", e.Name, got, ok)
+		}
+	}
+	again, err := DecodeDir(EncodeDir(d))
+	if err != nil {
+		return fmt.Errorf("re-encoded directory does not decode: %w", err)
+	}
+	if !reflect.DeepEqual(again, d) {
+		return errors.New("re-encoded directory decodes differently")
+	}
+	return nil
+}
+
+// shapedDir builds an n-entry directory whose every stride-th entry is
+// a tombstone carrying a three-site vector. shapedDir(1088, 17) is the
+// benchmark's build_churn directory: 1,088 entries, 64 tombstones.
+func shapedDir(n, stride int) *Directory {
+	d := &Directory{Entries: make([]DirEntry, 0, n)}
+	for i := 0; i < n; i++ {
+		e := DirEntry{Name: fmt.Sprintf("f%05d", i), Inode: storage.InodeNum(2 + i)}
+		if i%stride == 0 {
+			e.Deleted = true
+			e.DelVV = vclock.New().Bump(1).Bump(2).Bump(3)
+			for c := i % 200; c > 0; c -= 40 {
+				e.DelVV = e.DelVV.Bump(vclock.SiteID(1 + i%3))
+			}
+		}
+		d.Entries = append(d.Entries, e)
+	}
+	return d
+}
+
+// rawEntry is a directory entry as bytes on a page, written by rawDir
+// with none of EncodeDir's guarantees.
+type rawEntry struct {
+	name string
+	ino  uint64
+	flag byte
+	vv   []uint64 // site, count pairs; written only when flag != 0
+}
+
+func rawDir(count uint64, entries ...rawEntry) []byte {
+	b := binary.AppendUvarint(nil, dirMagic)
+	b = binary.AppendUvarint(b, count)
+	for _, e := range entries {
+		b = binary.AppendUvarint(b, uint64(len(e.name)))
+		b = append(b, e.name...)
+		b = binary.AppendUvarint(b, e.ino)
+		b = append(b, e.flag)
+		if e.flag != 0 {
+			b = binary.AppendUvarint(b, uint64(len(e.vv)/2))
+			for _, x := range e.vv {
+				b = binary.AppendUvarint(b, x)
+			}
+		}
+	}
+	return b
+}
+
+func setLast(b []byte, x byte) []byte {
+	b[len(b)-1] = x
+	return b
+}
+
+// malformedDirs are inputs that parse as length-prefixed records but
+// are not the encoding of any directory.
+var malformedDirs = []struct {
+	name string
+	raw  []byte
+}{
+	{"count-2^40-in-12-bytes", append(rawDir(1<<40), 0, 0, 0)},
+	{"count-one-more-than-present", rawDir(2, rawEntry{name: "a", ino: 1})},
+	{"delete-flag-2", rawDir(1, rawEntry{name: "a", ino: 1, flag: 2, vv: []uint64{1, 1}})},
+	{"delete-flag-0xff", rawDir(1, rawEntry{name: "a", ino: 1, flag: 0xff})},
+	{"names-descending", rawDir(2, rawEntry{name: "b", ino: 1}, rawEntry{name: "a", ino: 2})},
+	{"names-duplicate", rawDir(2, rawEntry{name: "a", ino: 1}, rawEntry{name: "a", ino: 2})},
+	{"tombstone-sites-unsorted", rawDir(1, rawEntry{name: "a", ino: 1, flag: 1, vv: []uint64{2, 1, 1, 1}})},
+	{"tombstone-sites-duplicate", rawDir(1, rawEntry{name: "a", ino: 1, flag: 1, vv: []uint64{2, 1, 2, 1}})},
+	{"tombstone-zero-count", rawDir(1, rawEntry{name: "a", ino: 1, flag: 1, vv: []uint64{2, 0}})},
+	{"tombstone-width-beyond-input", setLast(rawDir(1, rawEntry{name: "a", ino: 1, flag: 1}), 0x7f)},
+	{"bytes-after-last-entry", append(rawDir(1, rawEntry{name: "a", ino: 1}), 0)},
+}
+
+func TestDecodeDirRejectsMalformed(t *testing.T) {
+	for _, c := range malformedDirs {
+		if d, err := DecodeDir(c.raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeDir(%x) = %+v, %v; want ErrCorrupt", c.name, c.raw, d, err)
+		}
+	}
+	if n := len(malformedDirs[0].raw); n != 12 {
+		t.Fatalf("the 2^40 case is %d bytes, want 12", n)
+	}
+	// A declared count is refused before anything is sized from it: 2^20
+	// entries would be a 56 MB slice, and rejecting them allocates no
+	// more than the Directory header and the error value.
+	big := rawDir(1 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeDir(big)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeDir of a 2^20 count in %d bytes = %v, want ErrCorrupt", len(big), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Errorf("rejecting a count of 2^20 allocated %d bytes", grew)
+	}
+}
+
+// FuzzDecodeDir is the native fuzz target for the directory decoder.
+// Its seed corpus is the build_churn-shaped directory, small valid
+// directories and every malformed case above; `go test` runs the seeds,
+// `go test -fuzz FuzzDecodeDir ./internal/format` explores from them.
+func FuzzDecodeDir(f *testing.F) {
+	f.Add(EncodeDir(shapedDir(1088, 17)))
+	f.Add(EncodeDir(shapedDir(3, 2)))
+	f.Add(EncodeDir(&Directory{}))
+	f.Add([]byte(nil))
+	for _, c := range malformedDirs {
+		f.Add(c.raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		d, err := DecodeDir(raw)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeDir failed with %v, want an ErrCorrupt", err)
+			}
+			return
+		}
+		if err := checkDecoded(d); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+var (
+	sinkDir   *Directory
+	sinkBytes []byte
+)
+
+// TestCodecAllocationPins fixes the codec's allocation counts on the
+// build_churn-shaped directory: an encode is its result and nothing
+// else; a decode is the Directory, its entries, one string holding
+// every name, and a few backing arrays for the tombstone vectors.
+func TestCodecAllocationPins(t *testing.T) {
+	d := shapedDir(1088, 17)
+	raw := EncodeDir(d)
+	if got := testing.AllocsPerRun(20, func() { sinkBytes = EncodeDir(d) }); got != 1 {
+		t.Errorf("EncodeDir allocates %v times, want 1", got)
+	}
+	if cap(sinkBytes) != len(sinkBytes) {
+		t.Errorf("EncodeDir sized its buffer %d for %d bytes", cap(sinkBytes), len(sinkBytes))
+	}
+	if got := testing.AllocsPerRun(20, func() { sinkDir, _ = DecodeDir(raw) }); got > 8 {
+		t.Errorf("DecodeDir allocates %v times, want at most 8", got)
+	}
+	if !reflect.DeepEqual(sinkDir, d) {
+		t.Error("the pinned decode is not the directory that was encoded")
+	}
+}
+
+// The codec rows of the per-layer ledger (ROADMAP): 16, 256 and 4k
+// entries, one in sixteen a tombstone.
+func BenchmarkEncodeDir(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		d := shapedDir(n, 16)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkBytes = EncodeDir(d)
+			}
+			b.SetBytes(int64(len(sinkBytes)))
+		})
+	}
+}
+
+func BenchmarkDecodeDir(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		raw := EncodeDir(shapedDir(n, 16))
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				sinkDir, _ = DecodeDir(raw)
+			}
+		})
 	}
 }
 

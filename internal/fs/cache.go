@@ -101,11 +101,11 @@ func (pc *pageCache) put(id storage.FileID, pn storage.PageNo, data []byte, size
 	key := pageKey{id, pn}
 	if el, ok := pc.ents[key]; ok {
 		e := el.Value.(*pageEnt)
-		e.data, e.size, e.vv, e.prefetched = data, size, vv.Copy(), prefetched
+		e.data, e.size, e.vv, e.prefetched = data, size, vv, prefetched
 		pc.lru.MoveToFront(el)
 		return
 	}
-	pc.ents[key] = pc.lru.PushFront(&pageEnt{key: key, data: data, size: size, vv: vv.Copy(), prefetched: prefetched})
+	pc.ents[key] = pc.lru.PushFront(&pageEnt{key: key, data: data, size: size, vv: vv, prefetched: prefetched})
 	for pc.lru.Len() > cacheCapPages {
 		pc.removeLocked(pc.lru.Back())
 	}

@@ -26,7 +26,7 @@ func pageBytes(b byte) []byte {
 func TestPageCacheHitRequiresVVAtLeastHandleVV(t *testing.T) {
 	pc := testCache()
 	v1 := vclock.New().Bump(1)
-	v2 := v1.Copy().Bump(2)
+	v2 := v1.Bump(2)
 
 	pc.put(fid(1), 0, pageBytes('a'), storage.PageSize, v1, false)
 

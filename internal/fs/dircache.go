@@ -59,5 +59,5 @@ func (c *dirCache) put(id storage.FileID, vv vclock.VV, d *format.Directory) {
 	if c.m == nil || len(c.m) >= dirCacheCap {
 		c.m = make(map[storage.FileID]dirCacheEntry, 16)
 	}
-	c.m[id] = dirCacheEntry{vv: vv.Copy(), dir: d}
+	c.m[id] = dirCacheEntry{vv: vv, dir: d}
 }

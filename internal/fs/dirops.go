@@ -350,7 +350,7 @@ func (k *Kernel) Unlink(cred *Cred, path string) error {
 		if err != nil {
 			return err
 		}
-		if len(d.Live()) > 0 {
+		if d.HasLive() {
 			return fmt.Errorf("%w: %s", ErrNotEmpty, path)
 		}
 	}
@@ -374,7 +374,7 @@ func (k *Kernel) Unlink(cred *Cred, path string) error {
 		f.Close() //locus:vet-allow uncheckedcall see above
 		return err
 	}
-	delVV = f.ino.VV.Copy()
+	delVV = f.ino.VV
 	if err := f.Close(); err != nil {
 		return err
 	}
@@ -444,7 +444,7 @@ func (k *Kernel) Rename(cred *Cred, oldpath, newpath string) error {
 	f, err := k.OpenID(r.ID, ModeInternal)
 	var vv vclock.VV
 	if err == nil {
-		vv = f.ino.VV.Copy()
+		vv = f.ino.VV
 		f.Close() //locus:vet-allow uncheckedcall internal close
 	} else {
 		vv = vclock.New()

@@ -468,7 +468,7 @@ func (f *File) commitOrAbort(abort bool) error {
 	if err != nil {
 		return err
 	}
-	f.ino.VV = r.VV.Copy()
+	f.ino.VV = r.VV
 	// The committed image changed (or, on abort, reverted): any pages
 	// this US cached for the file are out of date.
 	k.cache.invalidateFile(f.id)
@@ -525,16 +525,16 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 			return nil, err
 		}
 		k.mu.Lock()
-		sv.incore = ino.Clone()
+		sv.incore = ino // GetInode's result is already this caller's own copy
 		sv.committedPages = pageSet(ino.Pages)
 		sv.dirty = make(map[storage.PageNo]bool)
 		k.mu.Unlock()
-		return &commitResp{VV: ino.VV.Copy()}, nil
+		return &commitResp{VV: ino.VV}, nil
 	}
 
 	// Commit: bump the version vector at this (storage) site and move
 	// the in-core inode to the disk inode.
-	sv.incore.VV = sv.incore.VV.Copy().Bump(k.site)
+	sv.incore.VV = sv.incore.VV.Bump(k.site)
 	ino := sv.incore.Clone()
 	var pages []storage.PageNo
 	if !sv.truncated {
@@ -569,7 +569,7 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 	k.mu.Unlock()
 
 	k.notifyCommit(req.ID, ino, pages)
-	return &commitResp{VV: ino.VV.Copy()}, nil
+	return &commitResp{VV: ino.VV}, nil
 }
 
 // notifyCommit sends the one-way commit notifications: to every other
@@ -577,7 +577,7 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 // CSS so its latest-version knowledge stays current.
 func (k *Kernel) notifyCommit(id storage.FileID, ino *storage.Inode, pages []storage.PageNo) {
 	note := &propNotify{
-		ID: id, VV: ino.VV.Copy(), Origin: k.site,
+		ID: id, VV: ino.VV, Origin: k.site,
 		Pages: pages, Sites: ino.Sites,
 		InodeOnly: pages != nil && len(pages) == 0,
 	}
@@ -715,7 +715,7 @@ func (k *Kernel) handleSSClose(_ SiteID, req *ssCloseReq) (*netsim.Ack, error) {
 	// lock, so the next open synchronizes against the new version even
 	// if the commit notification cast is still in flight.
 	if req.VV != nil && req.VV.Compare(e.latestVV) == vclock.Dominates {
-		e.latestVV = req.VV.Copy()
+		e.latestVV = req.VV
 		if req.Sites != nil {
 			e.sites = append([]SiteID(nil), req.Sites...)
 		}

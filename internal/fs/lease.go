@@ -178,11 +178,11 @@ func (k *Kernel) handleLeaseRevoke(_ SiteID, req *leaseRevokeReq) (*leaseRevokeR
 	resp := &leaseRevokeResp{Released: true}
 	switch {
 	case l != nil:
-		resp.VV = l.vv.Copy()
+		resp.VV = l.vv
 		resp.Sites = append([]SiteID(nil), l.sites...)
 	default:
 		if r := k.localGetVV(req.ID); r.Has {
-			resp.VV = r.VV.Copy()
+			resp.VV = r.VV
 			resp.Sites = append([]SiteID(nil), r.Sites...)
 		}
 	}
@@ -204,7 +204,7 @@ func (k *Kernel) revokeWriterLease(id storage.FileID, e *cssEntry, holder SiteID
 	k.meter().AddLeasesRevoked(1)
 	k.mu.Lock()
 	if resp.VV != nil && resp.VV.Compare(e.latestVV) == vclock.Dominates {
-		e.latestVV = resp.VV.Copy()
+		e.latestVV = resp.VV
 		if resp.Sites != nil {
 			e.sites = append([]SiteID(nil), resp.Sites...)
 		}
@@ -270,7 +270,7 @@ func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 	k.leases[f.id] = &usLease{
 		id:      f.id,
 		mode:    f.mode,
-		vv:      g.VV.Copy(),
+		vv:      g.VV,
 		sites:   append([]SiteID(nil), g.Sites...),
 		ss:      f.ss,
 		css:     f.css,
@@ -355,7 +355,7 @@ func (k *Kernel) closeUnderLease(f *File) bool {
 	// handle committed before closing, so f.ino carries the newest
 	// committed version.
 	l.ino = f.ino.Clone()
-	l.vv = f.ino.VV.Copy()
+	l.vv = f.ino.VV
 	return true
 }
 

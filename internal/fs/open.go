@@ -79,11 +79,11 @@ func (k *Kernel) buildCSSEntry(id storage.FileID) (*cssEntry, error) {
 		}
 		switch {
 		case !found:
-			latest, sites, deleted, found = r.VV.Copy(), r.Sites, r.Deleted, true
+			latest, sites, deleted, found = r.VV, r.Sites, r.Deleted, true
 		default:
 			switch r.VV.Compare(latest) {
 			case vclock.Dominates:
-				latest, sites, deleted = r.VV.Copy(), r.Sites, r.Deleted
+				latest, sites, deleted = r.VV, r.Sites, r.Deleted
 			case vclock.Concurrent:
 				return nil, fmt.Errorf("%w: %v", ErrConflict, id)
 			}
@@ -188,7 +188,7 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 			pollFirst = e.writerSS
 		}
 	}
-	latest := e.latestVV.Copy()
+	latest := e.latestVV
 	sites := append([]SiteID(nil), e.sites...)
 	k.mu.Unlock()
 
@@ -227,15 +227,15 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 				return nil
 			}
 			k.meter().AddLeaseGranted()
-			return &leaseGrant{VV: e.latestVV.Copy(), Sites: append([]SiteID(nil), e.sites...)}
+			return &leaseGrant{VV: e.latestVV, Sites: append([]SiteID(nil), e.sites...)}
 		}
 		if wantDelegate && e.writerUS == vclock.NoSite {
 			if e.delegates == nil {
 				e.delegates = make(map[SiteID]vclock.VV)
 			}
-			e.delegates[req.US] = e.latestVV.Copy()
+			e.delegates[req.US] = e.latestVV
 			k.meter().AddLeaseGranted()
-			return &leaseGrant{VV: e.latestVV.Copy(), Sites: append([]SiteID(nil), e.sites...)}
+			return &leaseGrant{VV: e.latestVV, Sites: append([]SiteID(nil), e.sites...)}
 		}
 		e.readers[req.US]++
 		e.readerSS[req.US] = ss
@@ -607,7 +607,7 @@ func (k *Kernel) handleCreate(_ SiteID, req *createReq) (*createResp, error) {
 		writerSerial: req.Serial,
 		readers:      make(map[SiteID]int),
 		readerSS:     make(map[SiteID]SiteID),
-		latestVV:     ino.VV.Copy(),
+		latestVV:     ino.VV,
 		sites:        sites,
 	}
 	k.mu.Lock()

@@ -39,7 +39,7 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 		k.mu.Lock()
 		if e := k.cssState[note.ID]; e != nil {
 			if note.VV.Compare(e.latestVV) == vclock.Dominates {
-				e.latestVV = note.VV.Copy()
+				e.latestVV = note.VV
 				e.sites = append([]SiteID(nil), note.Sites...)
 			}
 			// Delegate records stamped with an older VV are *not*
@@ -66,7 +66,7 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 		k.mu.Lock()
 		if k.pendingProp[note.ID] == nil {
 			k.pendingProp[note.ID] = &propTask{
-				id: note.ID, vv: note.VV.Copy(), origin: note.Origin,
+				id: note.ID, vv: note.VV, origin: note.Origin,
 				drop: true, sites: append([]SiteID(nil), note.Sites...),
 			}
 			k.propQueue = append(k.propQueue, note.ID)
@@ -84,7 +84,7 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 	defer k.mu.Unlock()
 	t := k.pendingProp[note.ID]
 	if t == nil {
-		t = &propTask{id: note.ID, vv: note.VV.Copy(), origin: note.Origin, pages: note.Pages}
+		t = &propTask{id: note.ID, vv: note.VV, origin: note.Origin, pages: note.Pages}
 		k.pendingProp[note.ID] = t
 		k.propQueue = append(k.propQueue, note.ID)
 		return
@@ -95,13 +95,13 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 		// retirement into an ordinary pull.
 		t.drop = false
 		t.sites = nil
-		t.vv = note.VV.Copy()
+		t.vv = note.VV
 		t.origin = note.Origin
 		t.pages = nil
 		return
 	}
 	if note.VV.Compare(t.vv) == vclock.Dominates {
-		t.vv = note.VV.Copy()
+		t.vv = note.VV
 		t.origin = note.Origin
 	}
 	if t.pages != nil {
@@ -145,7 +145,7 @@ func (k *Kernel) DrainPropagation() int {
 			continue
 		}
 		snap := &propTask{
-			id: t.id, vv: t.vv.Copy(), origin: t.origin,
+			id: t.id, vv: t.vv, origin: t.origin,
 			pages: append([]storage.PageNo(nil), t.pages...),
 			drop:  t.drop, sites: append([]SiteID(nil), t.sites...),
 		}
@@ -346,7 +346,7 @@ func (k *Kernel) recordStaged(id storage.FileID, vv vclock.VV, from, to storage.
 	}
 	if t.staged == nil {
 		t.staged = make(map[storage.PhysPage]storage.PhysPage)
-		t.stagedVV = vv.Copy()
+		t.stagedVV = vv
 	}
 	t.staged[from] = to
 	k.mu.Unlock()
@@ -435,7 +435,7 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		}
 		t.drop = true
 		t.sites = append([]SiteID(nil), src.Sites...)
-		t.vv = src.VV.Copy()
+		t.vv = src.VV
 		k.dropStaged(t.id, true)
 		return k.retireReplica(c, t)
 	}

@@ -68,7 +68,7 @@ func TestHandlePullOpenClonesInode(t *testing.T) {
 	for i := range por.Ino.Pages {
 		por.Ino.Pages[i] = storage.PhysPage(7777 + i)
 	}
-	por.Ino.VV.Bump(9)
+	por.Ino.VV = por.Ino.VV.Bump(9)
 	por.Ino.Size = 1
 
 	c := k.container(r.ID.FG)
@@ -81,7 +81,7 @@ func TestHandlePullOpenClonesInode(t *testing.T) {
 			t.Fatalf("puller-side mutation reached the origin's committed page table: %v", ino.Pages)
 		}
 	}
-	if ino.VV[9] != 0 || ino.Size != int64(len(want)) {
+	if ino.VV.Get(9) != 0 || ino.Size != int64(len(want)) {
 		t.Fatalf("puller-side mutation reached the origin's committed inode: vv=%v size=%d", ino.VV, ino.Size)
 	}
 	if got := readFileAt(t, k, cr, "/f", len(want)); !bytes.Equal(got, want) {

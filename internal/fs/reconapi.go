@@ -226,7 +226,7 @@ func (k *Kernel) handleMarkConflict(_ SiteID, req *markConflictReq) error {
 // reconciliation layer uses this when version vectors show plain
 // staleness rather than conflict.
 func (k *Kernel) SchedulePullAt(sites []SiteID, id storage.FileID, vv vclock.VV, origin SiteID) {
-	note := &propNotify{ID: id, VV: vv.Copy(), Origin: origin, Sites: sites}
+	note := &propNotify{ID: id, VV: vv, Origin: origin, Sites: sites}
 	for _, s := range sites {
 		if s == origin {
 			continue

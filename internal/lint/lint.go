@@ -188,15 +188,6 @@ type Config struct {
 	// methods must never return a raw sentinel.
 	SentinelAPIPackages []string
 
-	// VVTypes are the version-vector map types that may only be mutated
-	// through their own package's operations (vvmutation analyzer);
-	// a direct indexed write or delete() elsewhere bypasses the
-	// dominance rules §4.3's reconciliation depends on.
-	VVTypes []TypeSpec
-	// VVExemptPackages may mutate VVTypes directly (the defining
-	// package itself).
-	VVExemptPackages []string
-
 	// AtomicPackages scopes the atomiccounter analyzer: within them, a
 	// struct field accessed through sync/atomic anywhere must be
 	// accessed that way everywhere, transitively through helpers the
@@ -357,9 +348,6 @@ func DefaultConfig() *Config {
 		SentinelSources:     typedExchanges,
 		SentinelAPIPackages: []string{"internal/proc"},
 
-		VVTypes:          []TypeSpec{{PkgSuffix: "internal/vclock", Type: "VV"}},
-		VVExemptPackages: []string{"internal/vclock"},
-
 		AtomicPackages: []string{
 			"internal/fs", "internal/proc", "internal/netsim",
 			"internal/storage", "internal/chaos",
@@ -381,7 +369,6 @@ func Analyzers() []*Analyzer {
 		BlockingLockAnalyzer(),
 		MapOrderAnalyzer(),
 		SentinelErrAnalyzer(),
-		VVMutationAnalyzer(),
 		AtomicCounterAnalyzer(),
 	}
 }

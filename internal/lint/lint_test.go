@@ -16,7 +16,7 @@ import (
 var fixtureLeaves = []string{
 	"simclock_f", "unchecked_f", "lockorder_f", "panic_f", "rawcall_f",
 	"pageleak_f", "inodealias_f", "gojoin_f", "blockinglock_f",
-	"maporder_f", "sentinelerr_f", "vvmutation_f", "atomiccounter_f",
+	"maporder_f", "sentinelerr_f", "atomiccounter_f",
 	"staleallow_f",
 }
 
@@ -242,12 +242,6 @@ func TestSentinelErrFixture(t *testing.T) {
 	checkFixture(t, SentinelErrAnalyzer(), cfg, "sentinelerr_f")
 }
 
-func TestVVMutationFixture(t *testing.T) {
-	t.Parallel()
-	cfg := &Config{VVTypes: []TypeSpec{{PkgSuffix: "vvmutation_f", Type: "VV"}}}
-	checkFixture(t, VVMutationAnalyzer(), cfg, "vvmutation_f")
-}
-
 func TestAtomicCounterFixture(t *testing.T) {
 	t.Parallel()
 	cfg := &Config{AtomicPackages: []string{"atomiccounter_f"}}
@@ -314,8 +308,8 @@ func TestStaleAllowAudit(t *testing.T) {
 	t.Parallel()
 	p := sharedProgram(t)
 	pkg := fixturePkg(t, p, "staleallow_f")
-	cfg := &Config{VVTypes: []TypeSpec{{PkgSuffix: "staleallow_f", Type: "VV"}}}
-	if fs := VVMutationAnalyzer().Run(p, cfg); len(fs) != 0 {
+	cfg := &Config{MustCheck: []MethodSpec{{PkgSuffix: "staleallow_f", Recv: "Conn", Name: "Cast"}}}
+	if fs := UncheckedCallAnalyzer().Run(p, cfg); len(fs) != 0 {
 		for _, f := range fs {
 			if filepath.Dir(f.Pos.Filename) == pkg.Dir {
 				t.Errorf("fixture's live directive did not suppress: %s", f)

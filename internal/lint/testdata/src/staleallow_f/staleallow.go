@@ -5,21 +5,23 @@
 // away) — while a directive that fires stays quiet.
 package staleallow_f
 
-type SiteID int
+import "errors"
 
-// VV mimics the version-vector map type the vvmutation analyzer
-// guards; the audit test runs that analyzer over this package first to
-// populate the usage ledger.
-type VV map[SiteID]uint64
+// Conn mimics a transport whose Cast error the uncheckedcall analyzer
+// requires callers to consume; the audit test runs that analyzer over
+// this package first to populate the usage ledger.
+type Conn struct{}
 
-// liveAllow suppresses a real vvmutation finding; the audit must stay
-// quiet about this directive.
-func liveAllow(v VV, s SiteID) {
-	v[s] = 1 //locus:vet-allow vvmutation fixture: suppresses a live finding
+func (c *Conn) Cast(op string) error { return errors.New(op) }
+
+// liveAllow suppresses a real uncheckedcall finding; the audit must
+// stay quiet about this directive.
+func liveAllow(c *Conn) {
+	c.Cast("advisory") //locus:vet-allow uncheckedcall fixture: suppresses a live finding
 }
 
 // staleAllow carries a directive on a line that produces no finding —
-// reads are legal everywhere — so the audit flags it.
-func staleAllow(v VV, s SiteID) uint64 {
-	return v[s] //locus:vet-allow vvmutation fixture: suppresses nothing
+// the error is returned — so the audit flags it.
+func staleAllow(c *Conn) error {
+	return c.Cast("checked") //locus:vet-allow uncheckedcall fixture: suppresses nothing
 }

@@ -163,12 +163,12 @@ const PhysPageNil PhysPage = 0
 // NPages returns the number of logical pages the file occupies.
 func (ino *Inode) NPages() int { return len(ino.Pages) }
 
-// Clone returns a deep copy of the inode.
+// Clone returns a deep copy of the inode. The version vector is shared:
+// a vclock.VV is immutable.
 func (ino *Inode) Clone() *Inode {
 	c := *ino
 	c.Pages = append([]PhysPage(nil), ino.Pages...)
 	c.Sites = append([]vclock.SiteID(nil), ino.Sites...)
-	c.VV = ino.VV.Copy()
 	if ino.Annotations != nil {
 		c.Annotations = make(map[string]string, len(ino.Annotations))
 		for k, v := range ino.Annotations {

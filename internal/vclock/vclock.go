@@ -10,9 +10,11 @@
 package vclock
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"math/bits"
+	"strconv"
 )
 
 // SiteID identifies a site (node) in the network. Site numbering starts
@@ -56,49 +58,92 @@ func (o Ordering) String() string {
 	}
 }
 
-// VV is a version vector: a map from site to the count of updates
-// originated at that site which this copy reflects. A nil VV is a valid
-// empty vector (no updates anywhere).
-type VV map[SiteID]uint64
+// entry is one site's update count. The fields are unexported so that
+// no package outside vclock can write to a vector.
+type entry struct {
+	site SiteID
+	n    uint64
+}
+
+// VV is a version vector: for each site, the count of updates
+// originated there which this copy reflects. It is a slice of entries
+// sorted by ascending site with no zero counts, so two vectors denote
+// the same history exactly when they are element-wise identical. A nil
+// VV is a valid empty vector (no updates anywhere).
+//
+// A VV is immutable: no method writes through its receiver, Bump and
+// Merge return a vector of their own, and the unexported entry fields
+// keep every other package from writing one. A VV may therefore be
+// shared freely between inodes, messages, caches and goroutines; there
+// is never a reason to copy one.
+type VV []entry
 
 // New returns an empty version vector.
 func New() VV { return VV{} }
 
-// Copy returns an independent deep copy of v.
-func (v VV) Copy() VV {
-	c := make(VV, len(v))
-	for s, n := range v {
-		c[s] = n
-	}
-	return c
-}
+// Copy returns v. Vectors are immutable, so the receiver is its own
+// independent copy; the method remains for callers written against the
+// earlier mutable representation.
+func (v VV) Copy() VV { return v }
 
 // Get returns the update count recorded for site s (zero if absent).
-func (v VV) Get(s SiteID) uint64 { return v[s] }
-
-// Bump records one more update originated at site s and returns v for
-// chaining. Bump mutates the receiver; callers sharing a vector must
-// Copy first.
-func (v VV) Bump(s SiteID) VV {
-	v[s]++
-	return v
-}
-
-// Compare classifies the relationship between v and o.
-func (v VV) Compare(o VV) Ordering {
-	greater, less := false, false
-	for s, n := range v {
-		m := o[s]
-		if n > m {
-			greater = true
-		} else if n < m {
-			less = true
+func (v VV) Get(s SiteID) uint64 {
+	for _, e := range v {
+		if e.site == s {
+			return e.n
 		}
 	}
-	for s, m := range o {
-		if _, ok := v[s]; !ok && m > 0 {
+	return 0
+}
+
+// Bump returns a vector recording one more update originated at site s
+// than v does. The receiver is unchanged.
+func (v VV) Bump(s SiteID) VV {
+	i := 0
+	for i < len(v) && v[i].site < s {
+		i++
+	}
+	if i < len(v) && v[i].site == s {
+		out := make(VV, len(v))
+		copy(out, v)
+		out[i].n++
+		return out
+	}
+	out := make(VV, len(v)+1)
+	copy(out, v[:i])
+	out[i] = entry{site: s, n: 1}
+	copy(out[i+1:], v[i:])
+	return out
+}
+
+// Compare classifies the relationship between v and o in one walk over
+// the two sorted vectors.
+func (v VV) Compare(o VV) Ordering {
+	greater, less := false, false
+	i, j := 0, 0
+	for i < len(v) && j < len(o) {
+		switch a, b := v[i], o[j]; {
+		case a.site < b.site:
+			greater = true
+			i++
+		case a.site > b.site:
 			less = true
+			j++
+		default:
+			if a.n > b.n {
+				greater = true
+			} else if a.n < b.n {
+				less = true
+			}
+			i++
+			j++
 		}
+	}
+	if i < len(v) {
+		greater = true
+	}
+	if j < len(o) {
+		less = true
 	}
 	switch {
 	case greater && less:
@@ -128,51 +173,144 @@ func (v VV) DominatesOrEqual(o VV) bool {
 func (v VV) Concurrent(o VV) bool { return v.Compare(o) == Concurrent }
 
 // Merge returns the least upper bound of v and o: the element-wise
-// maximum. The result is a fresh vector; neither input is mutated.
-// Reconciliation stamps the surviving copy with the merge of the
-// conflicting vectors (optionally bumped at the reconciling site) so
-// that the conflict is not re-detected.
+// maximum. Neither input is changed. Reconciliation stamps the
+// surviving copy with the merge of the conflicting vectors (optionally
+// bumped at the reconciling site) so that the conflict is not
+// re-detected.
 func (v VV) Merge(o VV) VV {
-	m := v.Copy()
-	for s, n := range o {
-		if n > m[s] {
-			m[s] = n
+	out := make(VV, 0, len(v)+len(o))
+	i, j := 0, 0
+	for i < len(v) && j < len(o) {
+		switch a, b := v[i], o[j]; {
+		case a.site < b.site:
+			out = append(out, a)
+			i++
+		case a.site > b.site:
+			out = append(out, b)
+			j++
+		default:
+			if b.n > a.n {
+				a = b
+			}
+			out = append(out, a)
+			i++
+			j++
 		}
 	}
-	return m
+	out = append(out, v[i:]...)
+	return append(out, o[j:]...)
 }
 
 // Sites returns the sites with a nonzero entry, in ascending order.
 func (v VV) Sites() []SiteID {
-	out := make([]SiteID, 0, len(v))
-	for s, n := range v {
-		if n > 0 {
-			out = append(out, s)
-		}
+	out := make([]SiteID, len(v))
+	for i, e := range v {
+		out[i] = e.site
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Total returns the total number of updates recorded across all sites.
 func (v VV) Total() uint64 {
 	var t uint64
-	for _, n := range v {
-		t += n
+	for _, e := range v {
+		t += e.n
 	}
 	return t
 }
 
 // String renders the vector as "{s1:n1 s2:n2}" with sites ascending.
 func (v VV) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, s := range v.Sites() {
+	b := make([]byte, 0, 2+8*len(v))
+	b = append(b, '{')
+	for i, e := range v {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "%d:%d", s, v[s])
+		b = strconv.AppendInt(b, int64(e.site), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, e.n, 10)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
+}
+
+// ErrCorrupt reports wire bytes that are not the encoding of a vector.
+var ErrCorrupt = errors.New("vclock: corrupt encoded vector")
+
+// EncodedLen returns the number of bytes AppendBinary appends for v.
+func (v VV) EncodedLen() int {
+	n := uvarintLen(uint64(len(v)))
+	for _, e := range v {
+		n += uvarintLen(uint64(e.site)) + uvarintLen(e.n)
+	}
+	return n
+}
+
+// AppendBinary appends v's wire form to b: a uvarint entry count, then
+// one (site, count) uvarint pair per entry, sites ascending.
+func (v VV) AppendBinary(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(v)))
+	for _, e := range v {
+		b = binary.AppendUvarint(b, uint64(e.site))
+		b = binary.AppendUvarint(b, e.n)
+	}
+	return b
+}
+
+// uvarintLen is the length of x as binary.AppendUvarint writes it.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// Decoder decodes many vectors out of a few shared backing arrays, so
+// that a directory's tombstones cost a handful of allocations rather
+// than one each. The zero value is ready to use.
+type Decoder struct {
+	free  VV  // unused tail of the newest backing array
+	chunk int // its length in entries; each new array doubles it
+}
+
+// minChunk is the smallest backing array a Decoder allocates, in
+// entries: room for a handful of replica-width vectors, so a small
+// directory with one tombstone does not pay for a large one's arena.
+const minChunk = 16
+
+// Decode parses one vector in AppendBinary's form from the front of b
+// and returns it with the bytes that follow. Anything AppendBinary
+// could not have written — a truncated pair, a zero count, sites not
+// strictly ascending, a site beyond SiteID's range, an entry count the
+// bytes present cannot hold — is ErrCorrupt; the count is checked
+// before a backing array is sized from it.
+func (d *Decoder) Decode(b []byte) (VV, []byte, error) {
+	n, k := binary.Uvarint(b)
+	// Every entry is at least two bytes.
+	if k <= 0 || n > uint64(len(b)-k)/2 {
+		return nil, nil, ErrCorrupt
+	}
+	b = b[k:]
+	if n == 0 {
+		return nil, b, nil
+	}
+	if uint64(len(d.free)) < n {
+		d.chunk = max(minChunk, 2*d.chunk, int(n))
+		d.free = make(VV, d.chunk)
+	}
+	v := d.free[:n:n]
+	d.free = d.free[n:]
+	for i := range v {
+		s, k := binary.Uvarint(b)
+		if k <= 0 {
+			return nil, nil, ErrCorrupt
+		}
+		b = b[k:]
+		c, k := binary.Uvarint(b)
+		if k <= 0 || c == 0 {
+			return nil, nil, ErrCorrupt
+		}
+		b = b[k:]
+		site := SiteID(s)
+		if site < 0 || uint64(site) != s || (i > 0 && site <= v[i-1].site) {
+			return nil, nil, ErrCorrupt
+		}
+		v[i] = entry{site: site, n: c}
+	}
+	return v, b, nil
 }
