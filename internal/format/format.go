@@ -58,18 +58,33 @@ type Directory struct {
 	Entries []DirEntry // sorted by Name
 }
 
+// searchEntries returns the index of the first entry whose name is not
+// less than name: where name is, or where it would be inserted.
+func searchEntries(es []DirEntry, name string) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].Name < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // Lookup returns the live entry for name, if any.
 func (d *Directory) Lookup(name string) (DirEntry, bool) {
-	i := sort.Search(len(d.Entries), func(i int) bool { return d.Entries[i].Name >= name })
-	if i < len(d.Entries) && d.Entries[i].Name == name && !d.Entries[i].Deleted {
-		return d.Entries[i], true
+	e, ok := d.LookupAny(name)
+	if !ok || e.Deleted {
+		return DirEntry{}, false
 	}
-	return DirEntry{}, false
+	return e, true
 }
 
 // LookupAny returns the entry for name including tombstones.
 func (d *Directory) LookupAny(name string) (DirEntry, bool) {
-	i := sort.Search(len(d.Entries), func(i int) bool { return d.Entries[i].Name >= name })
+	i := searchEntries(d.Entries, name)
 	if i < len(d.Entries) && d.Entries[i].Name == name {
 		return d.Entries[i], true
 	}
@@ -87,29 +102,19 @@ func (d *Directory) Live() []DirEntry {
 	return out
 }
 
-// HasLive reports whether the directory has any non-tombstone entry.
-func (d *Directory) HasLive() bool {
-	for i := range d.Entries {
-		if !d.Entries[i].Deleted {
-			return true
-		}
-	}
-	return false
-}
-
 // Insert adds or replaces the entry for name. Inserting over a
 // tombstone resurrects the name. Directory operations are atomic at
 // the entry level (§2.3.4: "no system call does more than just enter,
 // delete, or change an entry within a directory").
 func (d *Directory) Insert(name string, ino storage.InodeNum) {
-	d.put(DirEntry{Name: name, Inode: ino})
+	d.PutRaw(DirEntry{Name: name, Inode: ino})
 }
 
 // Remove replaces the live entry for name with a tombstone recording
 // the file's version vector at delete time. Removing a missing or
 // already-deleted name reports false.
 func (d *Directory) Remove(name string, fileVV vclock.VV) bool {
-	i := sort.Search(len(d.Entries), func(i int) bool { return d.Entries[i].Name >= name })
+	i := searchEntries(d.Entries, name)
 	if i >= len(d.Entries) || d.Entries[i].Name != name || d.Entries[i].Deleted {
 		return false
 	}
@@ -118,8 +123,10 @@ func (d *Directory) Remove(name string, fileVV vclock.VV) bool {
 	return true
 }
 
-func (d *Directory) put(e DirEntry) {
-	i := sort.Search(len(d.Entries), func(i int) bool { return d.Entries[i].Name >= e.Name })
+// PutRaw installs an entry verbatim (used by reconciliation to
+// propagate tombstones between copies).
+func (d *Directory) PutRaw(e DirEntry) {
+	i := searchEntries(d.Entries, e.Name)
 	if i < len(d.Entries) && d.Entries[i].Name == e.Name {
 		d.Entries[i] = e
 		return
@@ -129,39 +136,41 @@ func (d *Directory) put(e DirEntry) {
 	d.Entries[i] = e
 }
 
-// PutRaw installs an entry verbatim (used by reconciliation to
-// propagate tombstones between copies).
-func (d *Directory) PutRaw(e DirEntry) { d.put(e) }
-
-// Clone returns a copy that can be mutated through the Directory API
-// without affecting d. The entry slice is copied, with room for the
-// one insert a directory update makes (§2.3.4), so that a new name does
-// not copy the whole slice a second time. Tombstone vectors are shared:
-// a vclock.VV is immutable.
-func (d *Directory) Clone() *Directory {
-	entries := make([]DirEntry, len(d.Entries), len(d.Entries)+1)
-	copy(entries, d.Entries)
-	return &Directory{Entries: entries}
-}
-
 // EncodeDir serializes a directory: the magic and the entry count as
 // uvarints, then per entry a length-prefixed name, the inode number, a
 // delete flag byte and, for a tombstone, its vector in vclock's wire
 // form. The size is computed first so the result is one allocation.
 func EncodeDir(d *Directory) []byte {
-	size := uvarintLen(dirMagic) + uvarintLen(uint64(len(d.Entries)))
-	for i := range d.Entries {
-		e := &d.Entries[i]
+	b := make([]byte, 0, dirHeaderLen(len(d.Entries))+entriesLen(d.Entries))
+	b = appendDirHeader(b, len(d.Entries))
+	return appendEntries(b, d.Entries)
+}
+
+func dirHeaderLen(n int) int { return uvarintLen(dirMagic) + uvarintLen(uint64(n)) }
+
+func appendDirHeader(b []byte, n int) []byte {
+	b = binary.AppendUvarint(b, dirMagic)
+	return binary.AppendUvarint(b, uint64(n))
+}
+
+// entriesLen is the length of what appendEntries writes for es.
+func entriesLen(es []DirEntry) int {
+	size := 0
+	for i := range es {
+		e := &es[i]
 		size += uvarintLen(uint64(len(e.Name))) + len(e.Name) + uvarintLen(uint64(e.Inode)) + 1
 		if e.Deleted {
 			size += e.DelVV.EncodedLen()
 		}
 	}
-	b := make([]byte, 0, size)
-	b = binary.AppendUvarint(b, dirMagic)
-	b = binary.AppendUvarint(b, uint64(len(d.Entries)))
-	for i := range d.Entries {
-		e := &d.Entries[i]
+	return size
+}
+
+// appendEntries is the one entry encoder: the flat directory and every
+// chunk of a snapshot write their records through it.
+func appendEntries(b []byte, es []DirEntry) []byte {
+	for i := range es {
+		e := &es[i]
 		b = binary.AppendUvarint(b, uint64(len(e.Name)))
 		b = append(b, e.Name...)
 		b = binary.AppendUvarint(b, uint64(e.Inode))
@@ -178,6 +187,12 @@ func EncodeDir(d *Directory) []byte {
 // uvarintLen is the length of x as binary.AppendUvarint writes it.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
+// padded reports whether the k-byte uvarint at the front of b is longer
+// than AppendUvarint would have written it: its last group is zero.
+// The decoder refuses these, so that what decodes has exactly one
+// serialization, the bytes it came from.
+func padded(b []byte, k int) bool { return k > 1 && b[k-1] == 0 }
+
 // minDirEntryLen is the shortest encoded entry: an empty name's length
 // byte, a one-byte inode number and the delete flag.
 const minDirEntryLen = 3
@@ -192,55 +207,84 @@ const minDirEntryLen = 3
 // have produced is ErrCorrupt, before any allocation sized from a
 // count the input merely declares.
 func DecodeDir(raw []byte) (*Directory, error) {
-	d := &Directory{}
+	entries, err := decodeEntries(raw, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Directory{Entries: entries}, nil
+}
+
+// decodeEntries is the one decoder, behind DecodeDir and
+// DecodeDirSnapshot. Given a chunk table it also appends to it, as it
+// goes, one chunk per chunkTarget entries: a window on the entries, the
+// bytes of raw they were decoded from, and their live count.
+func decodeEntries(raw []byte, chunks *[]dirChunk) ([]DirEntry, error) {
 	if len(raw) == 0 {
-		return d, nil
+		return nil, nil
 	}
 	magic, k := binary.Uvarint(raw)
-	if k <= 0 || magic != dirMagic {
+	if k <= 0 || magic != dirMagic || padded(raw, k) {
 		return nil, fmt.Errorf("%w: bad directory magic", ErrCorrupt)
 	}
 	b := raw[k:]
 	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(len(b)-k)/minDirEntryLen {
+	if k <= 0 || n > uint64(len(b)-k)/minDirEntryLen || padded(b, k) {
 		return nil, fmt.Errorf("%w: directory entry count", ErrCorrupt)
 	}
 	b = b[k:]
 	// Every name is a substring of this one conversion.
 	names := string(raw)
+	var entries []DirEntry
 	if n > 0 {
-		d.Entries = make([]DirEntry, n)
+		entries = make([]DirEntry, n)
+	}
+	// The open chunk: its first entry, where that starts in raw, and the
+	// tombstones seen in it so far.
+	var first, firstOff, dead int
+	if chunks != nil {
+		*chunks = make([]dirChunk, 0, (n+chunkTarget-1)/chunkTarget)
+		firstOff = len(raw) - len(b)
 	}
 	var vvs vclock.Decoder
-	for i := range d.Entries {
+	for i := range entries {
+		if chunks != nil && i-first == chunkTarget {
+			off := len(raw) - len(b)
+			*chunks = append(*chunks, dirChunk{entries: entries[first:i:i], enc: raw[firstOff:off:off], live: i - first - dead})
+			first, firstOff, dead = i, off, 0
+		}
 		nameLen, k := binary.Uvarint(b)
-		if k <= 0 || uint64(len(b)-k) < nameLen {
+		if k <= 0 || uint64(len(b)-k) < nameLen || padded(b, k) {
 			return nil, ErrCorrupt
 		}
 		off := len(raw) - len(b) + k // b is always a suffix of raw
 		name := names[off : off+int(nameLen)]
 		b = b[k+int(nameLen):]
-		if i > 0 && name <= d.Entries[i-1].Name {
+		if i > 0 && name <= entries[i-1].Name {
 			return nil, fmt.Errorf("%w: directory names not strictly ascending", ErrCorrupt)
 		}
 		ino, k := binary.Uvarint(b)
-		if k <= 0 || len(b) == k || b[k] > 1 {
+		if k <= 0 || len(b) == k || b[k] > 1 || padded(b, k) {
 			return nil, ErrCorrupt
 		}
 		e := DirEntry{Name: name, Inode: storage.InodeNum(ino), Deleted: b[k] == 1}
 		b = b[k+1:]
 		if e.Deleted {
 			var err error
-			if e.DelVV, b, err = vvs.Decode(b); err != nil {
+			had := len(b)
+			if e.DelVV, b, err = vvs.Decode(b); err != nil || had-len(b) != e.DelVV.EncodedLen() {
 				return nil, fmt.Errorf("%w: tombstone vector", ErrCorrupt)
 			}
+			dead++
 		}
-		d.Entries[i] = e
+		entries[i] = e
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%w: %d bytes after the last directory entry", ErrCorrupt, len(b))
 	}
-	return d, nil
+	if chunks != nil && len(entries) > 0 {
+		*chunks = append(*chunks, dirChunk{entries: entries[first:], enc: raw[firstOff:], live: len(entries) - first - dead})
+	}
+	return entries, nil
 }
 
 // Message is one mail message in the default "multiple messages in a

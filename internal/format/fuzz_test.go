@@ -1,6 +1,7 @@
 package format
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -126,6 +127,11 @@ var malformedDirs = []struct {
 	{"tombstone-zero-count", rawDir(1, rawEntry{name: "a", ino: 1, flag: 1, vv: []uint64{2, 0}})},
 	{"tombstone-width-beyond-input", setLast(rawDir(1, rawEntry{name: "a", ino: 1, flag: 1}), 0x7f)},
 	{"bytes-after-last-entry", append(rawDir(1, rawEntry{name: "a", ino: 1}), 0)},
+	// The same values with a uvarint one byte longer than it need be.
+	{"count-padded", append(binary.AppendUvarint(nil, dirMagic), 0x80, 0x00)},
+	{"name-length-padded", append(rawDir(1), 0x81, 0x00, 'a', 1, 0)},
+	{"inode-padded", append(rawDir(1), 1, 'a', 0x81, 0x00, 0)},
+	{"tombstone-count-padded", append(rawDir(1), 1, 'a', 1, 1, 0x81, 0x00, 2, 1)},
 }
 
 func TestDecodeDirRejectsMalformed(t *testing.T) {
@@ -175,6 +181,21 @@ func FuzzDecodeDir(f *testing.F) {
 		}
 		if err := checkDecoded(d); err != nil {
 			t.Fatal(err)
+		}
+		// What decodes has exactly one encoding, the input, and both
+		// forms of the directory reproduce it.
+		s, err := DecodeDirSnapshot(raw)
+		if err != nil {
+			t.Fatalf("DecodeDirSnapshot fails with %v on bytes DecodeDir accepts", err)
+		}
+		if err := checkSnapshot(s, d); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkLookups(s, d, allNames(d)...); err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) > 0 && !bytes.Equal(s.AppendEncoded(nil), raw) {
+			t.Fatal("decode, snapshot, encode does not reproduce the input")
 		}
 	})
 }

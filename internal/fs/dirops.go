@@ -54,40 +54,42 @@ func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
 // the directory's writer lock the kernel sleeps and retries on behalf
 // of the process (§2.3.2: "the kernel ... can sleep on behalf of the
 // process") rather than failing the user's create/unlink with EBUSY.
-func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.Directory) error) error {
+//
+// mutate maps the directory's snapshot at the version just opened to
+// the one to commit. The write is the whole serialization, assembled
+// from the snapshot's chunk encodings: only the chunk mutate touched
+// was encoded for it.
+func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (*format.DirSnapshot, error)) error {
 	f, err := k.openDirForUpdate(id)
 	if err != nil {
 		return err
 	}
 	defer f.Close() //locus:vet-allow uncheckedcall commit already happened or failed below
-	var d *format.Directory
-	if cached, ok := k.dirs.get(id, f.ino.VV); ok {
-		// Start from the cached decode of exactly this version; the
-		// clone keeps the cached copy immutable while we mutate.
-		d = cached.Clone()
-	} else {
-		raw, err := f.ReadAll()
-		if err != nil {
-			return err
-		}
-		d, err = format.DecodeDir(raw)
-		if err != nil {
-			return err
-		}
+	d, err := k.dirs.load(id, f.ino.VV, f.ReadAll)
+	if err != nil {
+		return err
 	}
-	if err := mutate(d); err != nil {
+	if d, err = mutate(d); err != nil {
 		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
 		return err
 	}
-	if err := f.WriteAll(format.EncodeDir(d)); err != nil {
+	buf := dirEncBufs.Get().(*[]byte)
+	*buf = d.AppendEncoded((*buf)[:0])
+	err = f.WriteAll(*buf)
+	dirEncBufs.Put(buf)
+	if err != nil {
+		// WriteAll truncates first, so the handle is dirty with a cut or
+		// half-written file; without the abort the deferred Close would
+		// commit it ("closing a file commits it").
+		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
 		return err
 	}
 	if err := f.Commit(); err != nil {
 		return err
 	}
 	// Commit assigned the new content its version vector; hand the
-	// already-decoded directory to the cache so the next pathname search
-	// does not re-parse what we just wrote. d is not touched again here.
+	// snapshot to the cache so the next pathname search does not re-read
+	// and re-parse what we just wrote.
 	k.dirs.put(id, f.ino.VV, d)
 	return nil
 }
@@ -116,23 +118,23 @@ func (k *Kernel) openDirForUpdate(id storage.FileID) (*File, error) {
 
 // dirInsert adds a live entry, failing if the name exists.
 func (k *Kernel) dirInsert(dir storage.FileID, name string, ino storage.InodeNum) error {
-	return k.updateDir(dir, func(d *format.Directory) error {
+	return k.updateDir(dir, func(d *format.DirSnapshot) (*format.DirSnapshot, error) {
 		if _, exists := d.Lookup(name); exists {
-			return fmt.Errorf("%w: %q", ErrExists, name)
+			return nil, fmt.Errorf("%w: %q", ErrExists, name)
 		}
-		d.Insert(name, ino)
-		return nil
+		return d.Insert(name, ino), nil
 	})
 }
 
 // dirRemove tombstones an entry, recording the file's delete-time
 // version vector.
 func (k *Kernel) dirRemove(dir storage.FileID, name string, delVV vclock.VV) error {
-	return k.updateDir(dir, func(d *format.Directory) error {
-		if !d.Remove(name, delVV) {
-			return fmt.Errorf("%w: %q", ErrNotFound, name)
+	return k.updateDir(dir, func(d *format.DirSnapshot) (*format.DirSnapshot, error) {
+		d, ok := d.Remove(name, delVV)
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
-		return nil
+		return d, nil
 	})
 }
 

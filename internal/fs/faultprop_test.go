@@ -1,15 +1,19 @@
 package fs_test
 
-// Propagation under the fault plane: a lost bulk-pull window must
-// leave the old coherent committed copy at the puller (§2.3.6 — the
-// pull commits via the standard shadow-page mechanism, so a failure
-// mid-transfer changes nothing), and the retry must resume the
-// transfer without re-sending windows that already landed.
+// Commits under the fault plane. A lost bulk-pull window must leave the
+// old coherent committed copy at the puller (§2.3.6 — the pull commits
+// via the standard shadow-page mechanism, so a failure mid-transfer
+// changes nothing), and the retry must resume the transfer without
+// re-sending windows that already landed; a directory update whose
+// write fails must leave the directory as it was.
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/format"
 	"repro/internal/fs"
 	"repro/internal/netsim"
 	"repro/internal/storage"
@@ -116,5 +120,101 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	}
 	if findings := c.Fsck(true); len(findings) != 0 {
 		t.Fatalf("fsck after resumed pull: %v", findings)
+	}
+}
+
+// dirAtPack decodes a directory straight from one pack's committed
+// pages, bypassing every cache and protocol.
+func dirAtPack(t *testing.T, c *cluster.Cluster, site fs.SiteID, id storage.FileID) (*storage.Inode, []string) {
+	t.Helper()
+	pack := c.K(site).Store().Container(id.FG)
+	ino, err := pack.GetInode(id.Inode)
+	if err != nil {
+		t.Fatalf("site %d: %v", site, err)
+	}
+	var raw []byte
+	for _, pp := range ino.Pages {
+		data, err := pack.ReadPage(pp)
+		if err != nil {
+			t.Fatalf("site %d: %v", site, err)
+		}
+		raw = append(raw, data...)
+	}
+	d, err := format.DecodeDir(raw[:ino.Size])
+	if err != nil {
+		t.Fatalf("site %d: committed directory %v (size %d, version %v) does not decode: %v", site, id, ino.Size, ino.VV, err)
+	}
+	var names []string
+	for _, e := range d.Live() {
+		names = append(names, e.Name)
+	}
+	return ino, names
+}
+
+// A directory update whose write fails part-way must commit nothing.
+// WriteAll truncates, then writes; the last, partial page of the new
+// content is read back from the SS and merged first, and here that read
+// is dropped until its retry budget is gone. The handle is then dirty
+// with a truncated directory, and "closing a file commits it": the
+// update has to abort before its deferred close, or every name in the
+// directory is gone. The directory is stored at sites 1 and 3 and
+// updated from packless site 2, so its SS is remote from the updater.
+func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
+	packs := []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 3, Lo: 1001, Hi: 2000}}
+	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: packs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClusterCfg(t, cfg, 1, 2, 3)
+	k2 := c.K(2)
+	if err := k2.Mkdir(cred(), "/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, k2, "/d/a", []byte("a"))
+	writeFile(t, k2, "/d/b", []byte("b"))
+	settle(t, c)
+	r, err := k2.Resolve(cred(), "/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldIno, _ := dirAtPack(t, c, 1, r.ID)
+
+	// Site 2 made the last update, so its directory cache holds /d at the
+	// committed version and the next update reads nothing before it
+	// writes: the only fs.read is the read-merge inside WriteAll.
+	var pts []netsim.FaultPoint
+	for i := 0; i < 8; i++ { // the retry budget of one exchange
+		pts = append(pts, netsim.FaultPoint{From: 2, Method: "fs.read", Action: netsim.FaultDropRequest})
+	}
+	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+	f, err := k2.Create(cred(), "/d/c", storage.TypeRegular, 0644)
+	c.Net.Quiesce()
+	c.Net.DisableFaults()
+	if err == nil {
+		f.Close() //nolint:errcheck
+		t.Fatal("create succeeded although the directory's last page could not be read back")
+	}
+	if !errors.Is(err, netsim.ErrTimeout) {
+		t.Fatalf("create failed with %v, want the read's timeout", err)
+	}
+
+	settle(t, c)
+	for _, site := range []fs.SiteID{1, 3} {
+		ino, names := dirAtPack(t, c, site, r.ID)
+		if !ino.VV.Equal(oldIno.VV) || ino.Size != oldIno.Size {
+			t.Errorf("site %d: /d is at version %v size %d after the failed update, was %v size %d",
+				site, ino.VV, ino.Size, oldIno.VV, oldIno.Size)
+		}
+		if len(names) != 2 || names[0] != "a" || names[1] != "b" {
+			t.Errorf("site %d: /d lists %v after the failed update, want [a b]", site, names)
+		}
+	}
+	if findings := c.Fsck(true); len(findings) != 0 {
+		t.Fatalf("fsck after the failed update: %v", findings)
+	}
+	// The name is free and the directory writable again.
+	writeFile(t, k2, "/d/c", []byte("c"))
+	if got := readFile(t, c.K(1), "/d/c"); string(got) != "c" {
+		t.Fatalf("/d/c after the retry = %q", got)
 	}
 }

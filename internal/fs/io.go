@@ -169,35 +169,40 @@ func (k *Kernel) localPage(id storage.FileID, pn storage.PageNo, incore bool, us
 	if c == nil {
 		return nil, 0, nil, fmt.Errorf("%w: %v at site %d", ErrNoStorageSite, id, k.site)
 	}
-	var ino *storage.Inode
-	fromIncore := false
+	// All a page read needs of the inode is the page's physical address,
+	// the file size and, for committed state, the version.
+	pageOf := func(ino *storage.Inode) storage.PhysPage {
+		if int(pn) < len(ino.Pages) {
+			return ino.Pages[pn]
+		}
+		return storage.PhysPageNil
+	}
+	var (
+		pp         storage.PhysPage
+		size       int64
+		vv         vclock.VV
+		fromIncore bool
+	)
 	if incore {
 		k.mu.Lock()
-		sv := k.ssState[id]
-		if sv != nil && sv.writerUS == us && sv.incore != nil {
-			ino = sv.incore.Clone()
-			fromIncore = true
+		if sv := k.ssState[id]; sv != nil && sv.writerUS == us && sv.incore != nil {
+			pp, size, fromIncore = pageOf(sv.incore), sv.incore.Size, true
 		}
 		k.mu.Unlock()
 	}
-	if ino == nil {
-		var err error
-		ino, err = c.GetInode(id.Inode)
+	if !fromIncore {
+		ino, err := c.GetInode(id.Inode)
 		if err != nil {
 			return nil, 0, nil, err
 		}
+		pp, size, vv = pageOf(ino), ino.Size, ino.VV
 	}
-	var vv vclock.VV
-	if !fromIncore {
-		vv = ino.VV
-	}
-	if int(pn) >= len(ino.Pages) || ino.Pages[pn] == storage.PhysPageNil {
+	if pp == storage.PhysPageNil {
 		if shared {
-			return zeroPage, ino.Size, vv, nil
+			return zeroPage, size, vv, nil
 		}
-		return storage.GetPageBuf(), ino.Size, vv, nil
+		return storage.GetPageBuf(), size, vv, nil
 	}
-	pp := ino.Pages[pn]
 	var data []byte
 	var err error
 	if shared {
@@ -208,7 +213,7 @@ func (k *Kernel) localPage(id storage.FileID, pn storage.PageNo, incore bool, us
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	return data, ino.Size, vv, nil
+	return data, size, vv, nil
 }
 
 func (k *Kernel) handleRead(from SiteID, req *readReq) (*readResp, error) {

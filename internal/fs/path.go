@@ -60,16 +60,16 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 	return storage.FileID{FG: fg, Inode: RootInode}, nil
 }
 
-// readDirByID reads and decodes a directory through an internal
-// unsynchronized open (§2.3.4). The returned Directory may be shared
-// with the kernel's directory cache and must not be mutated.
+// readDirByID returns a directory's content through an internal
+// unsynchronized open (§2.3.4), from the kernel's directory cache when
+// it holds the version the open found.
 //
 // Unsynchronized means a newer version can be committed (a propagation
 // pull landing, say) between the open and a page read: each page is
 // served from whatever is committed when it is read, so the bytes can
 // mix versions or be cut at the old size. Such a read is retried on a
 // fresh open rather than surfaced as a corrupt directory.
-func (k *Kernel) readDirByID(id storage.FileID) (d *format.Directory, ino *storage.Inode, err error) {
+func (k *Kernel) readDirByID(id storage.FileID) (d *format.DirSnapshot, ino *storage.Inode, err error) {
 	for attempt := 0; attempt < 4; attempt++ {
 		if d, ino, err = k.readDirOnce(id); !errors.Is(err, format.ErrCorrupt) {
 			break
@@ -78,7 +78,7 @@ func (k *Kernel) readDirByID(id storage.FileID) (d *format.Directory, ino *stora
 	return d, ino, err
 }
 
-func (k *Kernel) readDirOnce(id storage.FileID) (*format.Directory, *storage.Inode, error) {
+func (k *Kernel) readDirOnce(id storage.FileID) (*format.DirSnapshot, *storage.Inode, error) {
 	f, err := k.OpenID(id, ModeInternal)
 	if err != nil {
 		return nil, nil, err
@@ -88,22 +88,17 @@ func (k *Kernel) readDirOnce(id storage.FileID) (*format.Directory, *storage.Ino
 		return nil, nil, fmt.Errorf("%w: %v is %v", ErrNotDir, id, f.ino.Type)
 	}
 	ino := f.ino.Clone()
-	if d, ok := k.dirs.get(id, ino.VV); ok {
-		return d, ino, nil
-	}
-	raw, err := f.ReadAll()
+	d, err := k.dirs.load(id, ino.VV, func() ([]byte, error) {
+		raw, err := f.ReadAll()
+		// ReadAt refreshed the handle's size from what the SS served.
+		if err == nil && f.ino.Size != ino.Size {
+			return nil, fmt.Errorf("%w: %v changed during an unsynchronized read", format.ErrCorrupt, id)
+		}
+		return raw, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	// ReadAt refreshed the handle's size from what the SS served.
-	if f.ino.Size != ino.Size {
-		return nil, nil, fmt.Errorf("%w: %v changed during an unsynchronized read", format.ErrCorrupt, id)
-	}
-	d, err := format.DecodeDir(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	k.dirs.put(id, ino.VV, d)
 	return d, ino, nil
 }
 

@@ -56,10 +56,10 @@ func (k *Kernel) handleResolveShip(_ SiteID, req *resolveShipReq) (*resolveShipR
 	return &resolveShipResp{Consumed: consumed, Cur: cur, CurPath: curPath, Final: final}, nil
 }
 
-// localDir decodes a directory wholly from the local container, or
-// reports false if this site cannot serve it authoritatively (not
+// localDir returns a directory served wholly from the local container,
+// or reports false if this site cannot serve it authoritatively (not
 // stored here, pending propagation, conflicted).
-func (k *Kernel) localDir(id storage.FileID) (*format.Directory, *storage.Inode, bool) {
+func (k *Kernel) localDir(id storage.FileID) (*format.DirSnapshot, *storage.Inode, bool) {
 	c := k.container(id.FG)
 	if c == nil || !c.HasInode(id.Inode) {
 		return nil, nil, false
@@ -77,25 +77,23 @@ func (k *Kernel) localDir(id storage.FileID) (*format.Directory, *storage.Inode,
 	if ino.Type != storage.TypeDirectory && ino.Type != storage.TypeHiddenDir {
 		return nil, nil, false
 	}
-	if d, ok := k.dirs.get(id, ino.VV); ok {
-		return d, ino, true
-	}
-	raw := make([]byte, 0, ino.Size)
-	for pn := range ino.Pages {
-		data, err := c.ReadLogicalPage(id.Inode, storage.PageNo(pn))
-		if err != nil {
-			return nil, nil, false
+	d, err := k.dirs.load(id, ino.VV, func() ([]byte, error) {
+		raw := make([]byte, 0, ino.Size)
+		for pn := range ino.Pages {
+			data, err := c.ReadLogicalPage(id.Inode, storage.PageNo(pn))
+			if err != nil {
+				return nil, err
+			}
+			raw = append(raw, data...)
 		}
-		raw = append(raw, data...)
-	}
-	if int64(len(raw)) > ino.Size {
-		raw = raw[:ino.Size]
-	}
-	d, err := format.DecodeDir(raw)
+		if int64(len(raw)) > ino.Size {
+			raw = raw[:ino.Size]
+		}
+		return raw, nil
+	})
 	if err != nil {
 		return nil, nil, false
 	}
-	k.dirs.put(id, ino.VV, d)
 	return d, ino, true
 }
 

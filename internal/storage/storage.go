@@ -137,14 +137,19 @@ type Inode struct {
 	VV vclock.VV
 	// Owner is the file owner (conflict mail recipient).
 	Owner string
-	// Mode holds Unix permission bits.
-	Mode uint16
 	// Nlink counts directory links to the file.
 	Nlink int
 	// Sites lists the packs intended to store a copy of this file (the
 	// CSS "has a list of packs which store the file" — §2.3.3). It is
 	// part of the disk inode and travels with every copy.
 	Sites []vclock.SiteID
+	// Annotations carries small typed metadata (e.g. hidden-directory
+	// context names, device ids). Kept string->string to stay simple.
+	Annotations map[string]string
+	// Mode holds Unix permission bits. (The three small fields sit
+	// together, unpadded, so that an inodeBlock fills its allocation
+	// size class exactly.)
+	Mode uint16
 	// Deleted marks a delete tombstone: the inode is retained until
 	// every pack storing the file has seen the delete (§2.3.7).
 	Deleted bool
@@ -152,9 +157,6 @@ type Inode struct {
 	// normal opens fail until reconciliation or manual resolution
 	// (§4.6).
 	Conflict bool
-	// Annotations carries small typed metadata (e.g. hidden-directory
-	// context names, device ids). Kept string->string to stay simple.
-	Annotations map[string]string
 }
 
 // PhysPageNil marks a hole (unallocated logical page).
@@ -163,19 +165,59 @@ const PhysPageNil PhysPage = 0
 // NPages returns the number of logical pages the file occupies.
 func (ino *Inode) NPages() int { return len(ino.Pages) }
 
+// An inodeBlock is an inode allocated together with room for a small
+// page table and site list, so that Clone of such an inode is one
+// allocation. There are two sizes so that neither costs more bytes than
+// the three allocations it replaces: 176 for a file of at most one page
+// (most files of a build tree), 192 up to four pages.
+type (
+	inodeBlock1 struct {
+		Inode
+		pages [1]PhysPage
+		sites [3]vclock.SiteID
+	}
+	inodeBlock4 struct {
+		Inode
+		pages [4]PhysPage
+		sites [3]vclock.SiteID
+	}
+)
+
 // Clone returns a deep copy of the inode. The version vector is shared:
-// a vclock.VV is immutable.
+// a vclock.VV is immutable. The copy's Pages and Sites are full (cap ==
+// len), so appending to either reallocates; empty ones are nil.
 func (ino *Inode) Clone() *Inode {
-	c := *ino
-	c.Pages = append([]PhysPage(nil), ino.Pages...)
-	c.Sites = append([]vclock.SiteID(nil), ino.Sites...)
+	var c *Inode
+	var pages []PhysPage
+	var sites []vclock.SiteID
+	np, ns := len(ino.Pages), len(ino.Sites)
+	switch {
+	case np > 4 || ns > 3:
+		c, pages, sites = new(Inode), make([]PhysPage, np), make([]vclock.SiteID, ns)
+	case np <= 1:
+		b := new(inodeBlock1)
+		c, pages, sites = &b.Inode, b.pages[:], b.sites[:]
+	default:
+		b := new(inodeBlock4)
+		c, pages, sites = &b.Inode, b.pages[:], b.sites[:]
+	}
+	*c = *ino
+	c.Pages, c.Sites = nil, nil
+	if np > 0 {
+		c.Pages = pages[:np:np]
+		copy(c.Pages, ino.Pages)
+	}
+	if ns > 0 {
+		c.Sites = sites[:ns:ns]
+		copy(c.Sites, ino.Sites)
+	}
 	if ino.Annotations != nil {
 		c.Annotations = make(map[string]string, len(ino.Annotations))
 		for k, v := range ino.Annotations {
 			c.Annotations[k] = v
 		}
 	}
-	return &c
+	return c
 }
 
 // Meter abstracts the simulated cost accounting so storage can charge

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -268,14 +269,36 @@ func TestInodeCloneIndependence(t *testing.T) {
 var sinkInode *Inode
 
 // TestInodeCloneAllocationPin: a clone of an inode without annotations
-// is the struct, its page table and its site list. The version vector
-// is immutable and shared, so it costs nothing (it was a map copy, two
-// allocations, on every GetInode).
+// whose page table and site list fit an inodeBlock is one allocation.
+// The version vector is immutable and shared, so it costs nothing. The
+// arrays are full, so growing the clone cannot write into the block's
+// spare room or into the original; a larger inode falls back to one
+// allocation per part.
 func TestInodeCloneAllocationPin(t *testing.T) {
 	ino := &Inode{Num: 1, Pages: []PhysPage{1, 2, 3, 4}, VV: vclock.New().Bump(1).Bump(2).Bump(3),
 		Sites: []vclock.SiteID{1, 2, 3}, Owner: "alice", Nlink: 1}
-	if got := testing.AllocsPerRun(100, func() { sinkInode = ino.Clone() }); got > 3 {
-		t.Fatalf("Inode.Clone allocates %v times, want at most 3", got)
+	if got := testing.AllocsPerRun(100, func() { sinkInode = ino.Clone() }); got > 1 {
+		t.Fatalf("Inode.Clone allocates %v times, want at most 1", got)
+	}
+	for _, np := range []int{0, 1, 2, 4, 5, 9} {
+		ino.Pages = nil
+		for i := 0; i < np; i++ {
+			ino.Pages = append(ino.Pages, PhysPage(10+i))
+		}
+		c := ino.Clone()
+		if !reflect.DeepEqual(c, ino) {
+			t.Fatalf("%d pages: clone %+v differs from %+v", np, c, ino)
+		}
+		if cap(c.Pages) != len(c.Pages) || cap(c.Sites) != len(c.Sites) {
+			t.Fatalf("%d pages: clone has spare capacity: pages %d/%d, sites %d/%d",
+				np, len(c.Pages), cap(c.Pages), len(c.Sites), cap(c.Sites))
+		}
+		c.Pages = append(c.Pages, 99)
+		c.Sites = append(c.Sites, 9)
+		c.Pages[0], c.Sites[0] = 77, 7
+		if d := ino.Clone(); len(d.Pages) != np || d.Sites[0] != 1 || (np > 0 && d.Pages[0] != 10) {
+			t.Fatalf("%d pages: writing through a grown clone reached the original: %+v", np, d)
+		}
 	}
 }
 
