@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet locusvet vet-stats test race invariants bench benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
+.PHONY: all build fmt vet locusvet vet-stats test race invariants bench benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any file is not gofmt-clean (it lists them); fix with
+# `gofmt -w`.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -94,4 +99,4 @@ profile:
 chaos:
 	$(GO) test -run TestChaos -race -tags locusinvariants -count=1 ./internal/chaos
 
-ci: build vet locusvet test race invariants benchsmoke workloadsmoke benchmarkcheck benchdiff chaos
+ci: build fmt vet locusvet test race invariants benchsmoke workloadsmoke benchmarkcheck benchdiff chaos

@@ -61,10 +61,9 @@ type Config struct {
 	// bound to the same cluster: Zipf-skewed reads through the pooled
 	// page path, zero-copy write casts, build-style rename cycles, and
 	// readdir/stat traffic interleave with partitions, crashes, and
-	// fault bursts. The engine runs with SkipQuiesce (chaos owns the
-	// schedule) and its site-liveness gate wired to the harness
-	// topology model; the post-heal invariant checks must still hold
-	// over the engine's tenant trees.
+	// fault bursts. The engine's site-liveness gate is wired to the
+	// harness topology model; the post-heal invariant checks must still
+	// hold over the engine's tenant trees.
 	Workload bool
 }
 
@@ -264,10 +263,9 @@ func Run(cfg Config) (*Result, error) {
 		// model, so an actor on a crashed site skips its turn instead
 		// of retrying into a dead network.
 		eng, err := workload.New(c, workload.Config{
-			Seed:        cfg.Seed,
-			SkipQuiesce: true,
-			Alive:       func(id locus.SiteID) bool { return !r.down[id] },
-			Tenants:     workload.DefaultTenants(2, cfg.Steps, 8),
+			Seed:    cfg.Seed,
+			Alive:   func(id locus.SiteID) bool { return !r.down[id] },
+			Tenants: workload.DefaultTenants(2, cfg.Steps, 8),
 		})
 		if err != nil {
 			return nil, err
@@ -309,10 +307,11 @@ func (r *run) upSites() []locus.SiteID {
 // step runs one schedule step: usually a workload op, sometimes a
 // topology or fault event.
 func (r *run) step() {
-	// Start every step from a quiescent network: whether a one-way
-	// cast of the previous step (a commit notification, say) has
-	// landed yet is goroutine luck, and the next op's outcome — and so
-	// the schedule log — must be a pure function of the seed.
+	// Start every step from a quiescent network. The previous step's
+	// casts have landed — the sender delivered them — but the
+	// reconfiguration its link-down callbacks set off may still be
+	// running, and the next op's outcome — and so the schedule log —
+	// must be a pure function of the seed.
 	r.c.Network().Quiesce()
 	switch roll := r.rng.Intn(100); {
 	case roll < 8:

@@ -16,9 +16,9 @@ package chaos
 // and the async Wait outcomes are recorded to a side list that is
 // sorted and summarized only at finish — goroutine completion order
 // never feeds the log. The plane also never issues a pipe read unless
-// the model knows bytes are buffered: a read blocked inside an RPC
-// handler counts as in-flight traffic and would deadlock the
-// Quiesce barrier every topology event runs behind.
+// the model knows bytes are buffered: a read with nothing to return
+// blocks inside its RPC handler, and the schedule's one driver
+// goroutine with it.
 
 import (
 	"bytes"

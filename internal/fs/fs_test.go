@@ -696,6 +696,48 @@ func TestReadWriteCloseMessageCounts(t *testing.T) {
 	}
 }
 
+// TestRemoteWriteDoesNotRetainCallersBuffer: the write protocol ships
+// the caller's own page to a remote SS with no private copy, because
+// the SS has copied it into a shadow page by the time WriteAt returns.
+// A caller that scribbles on its buffer the moment WriteAt returns must
+// therefore still commit the bytes it wrote — full pages (shipped as
+// they are) and the trailing partial page (merged in a pooled buffer
+// that is recycled, and poisoned under -tags locusinvariants, as soon
+// as it has been sent).
+func TestRemoteWriteDoesNotRetainCallersBuffer(t *testing.T) {
+	c := newCluster(t, 3)
+	writeFile(t, c.K(1), "/f", []byte("seed"))
+	if err := c.K(1).SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, c)
+
+	w, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.SS() != 3 {
+		t.Fatalf("SS = %d, want 3 (the write must cross the network)", w.SS())
+	}
+	want := make([]byte, 2*storage.PageSize+100)
+	for i := range want {
+		want[i] = byte('a' + i%23)
+	}
+	buf := append([]byte(nil), want...)
+	if _, err := w.WriteAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, c.K(1), "/f"); !bytes.Equal(got, want) {
+		t.Fatalf("committed bytes differ from the bytes written (first 8: % x, want % x)", got[:8], want[:8])
+	}
+}
+
 func TestCleanupModifyOpenOnSSLoss(t *testing.T) {
 	// §5.6 table: remote resource in use locally, file open for update
 	// -> discard pages, set error in local file descriptor.

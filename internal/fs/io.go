@@ -169,51 +169,46 @@ func (k *Kernel) localPage(id storage.FileID, pn storage.PageNo, incore bool, us
 	if c == nil {
 		return nil, 0, nil, fmt.Errorf("%w: %v at site %d", ErrNoStorageSite, id, k.site)
 	}
-	// All a page read needs of the inode is the page's physical address,
-	// the file size and, for committed state, the version.
-	pageOf := func(ino *storage.Inode) storage.PhysPage {
-		if int(pn) < len(ino.Pages) {
-			return ino.Pages[pn]
-		}
-		return storage.PhysPageNil
-	}
-	var (
-		pp         storage.PhysPage
-		size       int64
-		vv         vclock.VV
-		fromIncore bool
-	)
 	if incore {
 		k.mu.Lock()
 		if sv := k.ssState[id]; sv != nil && sv.writerUS == us && sv.incore != nil {
-			pp, size, fromIncore = pageOf(sv.incore), sv.incore.Size, true
+			pp, size := storage.PhysPageNil, sv.incore.Size
+			if int(pn) < len(sv.incore.Pages) {
+				pp = sv.incore.Pages[pn]
+			}
+			k.mu.Unlock()
+			// Only the writer frees its shadow pages, and it is the one
+			// reading: the physical address stays good unlocked.
+			var data []byte
+			var err error
+			switch {
+			case pp == storage.PhysPageNil:
+				data = holePage(shared)
+			case shared:
+				data, err = c.ReadPageShared(pp)
+			default:
+				data, err = c.ReadPage(pp)
+			}
+			return data, size, nil, err
 		}
 		k.mu.Unlock()
 	}
-	if !fromIncore {
-		ino, err := c.GetInode(id.Inode)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		pp, size, vv = pageOf(ino), ino.Size, ino.VV
+	// Committed state: the container finds the page and reads it under
+	// one lock hold, so no commit can free it in between.
+	data, size, vv, err := c.ReadFilePage(id.Inode, pn, shared)
+	if err == nil && data == nil {
+		data = holePage(shared)
 	}
-	if pp == storage.PhysPageNil {
-		if shared {
-			return zeroPage, size, vv, nil
-		}
-		return storage.GetPageBuf(), size, vv, nil
-	}
-	var data []byte
-	var err error
+	return data, size, vv, err
+}
+
+// holePage is what a hole reads as: the immutable zeroPage on the
+// zero-copy path, a fresh pooled page the caller owns otherwise.
+func holePage(shared bool) []byte {
 	if shared {
-		data, err = c.ReadPageShared(pp)
-	} else {
-		data, err = c.ReadPage(pp)
+		return zeroPage
 	}
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return data, size, vv, nil
+	return storage.GetPageBuf()
 }
 
 func (k *Kernel) handleRead(from SiteID, req *readReq) (*readResp, error) {
@@ -298,9 +293,9 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		}
 		err := f.sendWrite(pn, page, newSize)
 		if merged {
-			// sendWrite never retains the page (the local SS copies it
-			// into a shadow page synchronously; the remote path ships a
-			// private copy), so the merge buffer recycles.
+			// sendWrite never retains the page (the SS, local or remote,
+			// has copied it into a shadow page by the time it returns), so
+			// the merge buffer recycles.
 			storage.PutPageBuf(page)
 		}
 		if err != nil {
@@ -328,16 +323,15 @@ func mergePartialPage(old []byte, off int, src []byte) []byte {
 func (f *File) Append(p []byte) (int, error) { return f.WriteAt(p, f.ino.Size) }
 
 func (f *File) sendWrite(pn storage.PageNo, page []byte, size int64) error {
+	// The caller's buffer crosses without a defensive copy: handleWrite
+	// copies it into a pooled shadow-page buffer, and it has run — as a
+	// procedure call here, inside the Cast at a remote SS — before this
+	// returns and the caller reuses the buffer.
 	k := f.k
+	req := &writeReq{ID: f.id, Page: pn, Data: page, Size: size}
 	if f.ss == k.site {
-		// Local SS: handleWrite copies the data into a pooled shadow-page
-		// buffer before returning, so the caller's buffer crosses without
-		// a defensive copy.
-		return k.handleWrite(k.site, &writeReq{ID: f.id, Page: pn, Data: page, Size: size})
+		return k.handleWrite(k.site, req)
 	}
-	// Remote SS: the cast is delivered asynchronously and the caller may
-	// reuse its buffer the moment we return, so ship a private copy.
-	req := &writeReq{ID: f.id, Page: pn, Data: append([]byte(nil), page...), Size: size}
 	return netsim.Cast(k.node, f.ss, mWrite, req)
 }
 
@@ -699,12 +693,7 @@ func (k *Kernel) handleClose(from SiteID, req *closeReq) (*netsim.Ack, error) {
 			screq.Sites = ino.Sites
 		}
 	}
-	if css == k.site {
-		return k.handleSSClose(k.site, screq)
-	}
-	if _, err := netsim.Call(k.node, css, mSSClose, screq); err != nil {
-		return nil, nil // CSS unreachable: partition cleanup will fix the lock table
-	}
+	netsim.CallAt(k.node, css, mSSClose, k.handleSSClose, screq) //locus:vet-allow uncheckedcall CSS unreachable: partition cleanup will fix the lock table
 	return nil, nil
 }
 

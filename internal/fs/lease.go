@@ -114,19 +114,11 @@ func (k *Kernel) releaseLease(l *usLease) {
 			return
 		}
 		req := &closeReq{ID: l.id, US: k.site, Mode: ModeModify, Serial: l.wserial}
-		if l.ss == k.site {
-			k.handleClose(k.site, req) // error unchecked by design: best-effort deferred close; partition cleanup reclaims on failure
-			return
-		}
-		netsim.Call(k.node, l.ss, mClose, req) //locus:vet-allow uncheckedcall best-effort deferred close; partition cleanup reclaims on failure
+		netsim.CallAt(k.node, l.ss, mClose, k.handleClose, req) //locus:vet-allow uncheckedcall best-effort deferred close; partition cleanup reclaims on failure
 		return
 	}
 	req := &leaseReleaseReq{ID: l.id, US: k.site}
-	if l.css == k.site {
-		k.handleLeaseRelease(k.site, req) // error unchecked by design: release of a local delegation cannot fail
-		return
-	}
-	netsim.Call(k.node, l.css, mLeaseRelease, req) //locus:vet-allow uncheckedcall best-effort return; the CSS record self-heals on its next revoke round
+	netsim.CallAt(k.node, l.css, mLeaseRelease, k.handleLeaseRelease, req) //locus:vet-allow uncheckedcall best-effort return; the CSS record self-heals on its next revoke round
 }
 
 // handleLeaseRelease is the CSS side of a voluntary delegation return.
@@ -213,11 +205,7 @@ func (k *Kernel) revokeWriterLease(id storage.FileID, e *cssEntry, holder SiteID
 	if ssHolder != vclock.NoSite {
 		// Tear down the serving state the skipped close left behind.
 		rreq := &revokeServeReq{ID: id, US: holder, Serial: serial}
-		if ssHolder == k.site {
-			k.handleRevokeServe(k.site, rreq) // error unchecked by design: best effort: the SS validates the writer itself on the next open
-		} else {
-			netsim.Call(k.node, ssHolder, mRevokeServe, rreq) //locus:vet-allow uncheckedcall best effort: the SS validates the writer itself on the next open
-		}
+		netsim.CallAt(k.node, ssHolder, mRevokeServe, k.handleRevokeServe, rreq) //locus:vet-allow uncheckedcall best effort: the SS validates the writer itself on the next open
 	}
 	return true
 }
@@ -246,11 +234,7 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, except SiteID) 
 	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 	for _, us := range targets {
 		req := &leaseRevokeReq{ID: id, Mode: ModeRead}
-		if us == k.site {
-			k.handleLeaseRevoke(k.site, req) // error unchecked by design: read-delegation revokes always release
-			continue
-		}
-		netsim.Call(k.node, us, mLeaseRevoke, req) //locus:vet-allow uncheckedcall unreachable delegates are reclaimed by partition cleanup
+		netsim.CallAt(k.node, us, mLeaseRevoke, k.handleLeaseRevoke, req) //locus:vet-allow uncheckedcall unreachable delegates are reclaimed by partition cleanup
 	}
 	k.meter().AddLeasesRevoked(len(targets))
 	k.meter().AddBatchedRevoke()

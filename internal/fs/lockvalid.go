@@ -110,13 +110,9 @@ func (k *Kernel) writerVanished(id storage.FileID, holder SiteID, serial uint64,
 		return false
 	}
 	if ssHolder != vclock.NoSite {
-		if ssHolder == k.site {
-			k.revokeServeLocal(id, holder, serial)
-		} else {
-			// Best effort: if the revoke is lost too, the SS validates
-			// the writer itself on the next open (setupServe).
-			netsim.Call(k.node, ssHolder, mRevokeServe, &revokeServeReq{ID: id, US: holder, Serial: serial}) //locus:vet-allow uncheckedcall best-effort revoke: an unreachable SS is reclaimed by the partition protocol
-		}
+		// Best effort: if the revoke is lost too, the SS validates the
+		// writer itself on the next open (setupServe).
+		netsim.CallAt(k.node, ssHolder, mRevokeServe, k.handleRevokeServe, &revokeServeReq{ID: id, US: holder, Serial: serial}) //locus:vet-allow uncheckedcall best-effort revoke: an unreachable SS is reclaimed by the partition protocol
 	}
 	return true
 }

@@ -551,11 +551,7 @@ func (k *Kernel) releaseCSSLock(css SiteID, id storage.FileID, mode OpenMode, se
 		return
 	}
 	req := &ssCloseReq{ID: id, SS: k.site, US: k.site, Mode: mode, Serial: serial}
-	if css == k.site {
-		k.handleSSClose(k.site, req) // error unchecked by design: best-effort release
-		return
-	}
-	netsim.Call(k.node, css, mSSClose, req) //locus:vet-allow uncheckedcall best-effort release
+	netsim.CallAt(k.node, css, mSSClose, k.handleSSClose, req) //locus:vet-allow uncheckedcall best-effort release
 }
 
 // tryLocalInternal returns a zero-message internal handle when the

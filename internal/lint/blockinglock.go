@@ -20,6 +20,15 @@ import (
 // directly or through any statically resolvable callee, while a guard
 // class mutex is held.
 //
+// For a one-way Cast it is more than a discipline: it is the
+// precondition of netsim's sender-side delivery. Cast runs the
+// destination's handler on the caller's goroutine, and a handler may
+// Cast back to the caller's site (proc's child-exit notice chasing a
+// migrated parent does), whose handler then takes that site's guard
+// mutex on the goroutine that would already hold it. A mutex held
+// across a Cast is a certain self-deadlock, not a possible stall, and
+// this analyzer is the only thing that sees it before a run does.
+//
 // Call effects are the fixpoint of the call graph (callsummary.go):
 // a function "may block" if it calls a BlockingCalls primitive or any
 // function that transitively does. The per-body walk mirrors

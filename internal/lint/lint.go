@@ -199,8 +199,8 @@ type Config struct {
 	mu sync.Mutex
 	// summary/summaryProg cache the summary table built for a Program;
 	// summaryBuilds/summaryHits count builds and cache hits.
-	summary      *summaries
-	summaryProg  *Program
+	summary       *summaries
+	summaryProg   *Program
 	summaryBuilds int
 	summaryHits   int
 	// usedAllows records every suppression that actually fired under
@@ -292,7 +292,7 @@ func DefaultConfig() *Config {
 		},
 		FreshFuncs: []string{"Clone"},
 
-		AliasTypes:        []TypeSpec{{PkgSuffix: "internal/storage", Type: "Inode"}},
+		AliasTypes: []TypeSpec{{PkgSuffix: "internal/storage", Type: "Inode"}},
 		AliasDecodeCalls: []MethodSpec{
 			{PkgSuffix: "internal/netsim", Name: "Call"},
 			{PkgSuffix: "internal/netsim", Name: "CallAt"},

@@ -96,8 +96,8 @@ func (a *lockAnalysis) report() []Finding {
 			sups[fb.pkg] = sup
 		}
 		_ = fn
-		held := make(map[int]token.Pos)   // class -> acquire position
-		sticky := make(map[int]bool)      // classes whose Unlock is deferred
+		held := make(map[int]token.Pos) // class -> acquire position
+		sticky := make(map[int]bool)    // classes whose Unlock is deferred
 		pkg, fset := fb.pkg, a.prog.Fset
 		ast.Inspect(fb.body, func(n ast.Node) bool {
 			switch st := n.(type) {

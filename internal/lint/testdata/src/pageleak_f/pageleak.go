@@ -18,8 +18,8 @@ func (i *Inode) Clone() *Inode {
 }
 
 type Container struct {
-	pages map[PhysPage][]byte
-	next  PhysPage
+	pages  map[PhysPage][]byte
+	next   PhysPage
 	incore *Inode
 }
 

@@ -43,7 +43,8 @@ const (
 	// caller cannot know it.
 	FaultDropResponse
 	// FaultDupRequest delivers the request twice (one extra wire
-	// message). Without callee-side dedup the handler runs twice.
+	// message), the duplicate right behind the original and before the
+	// one reply. Without callee-side dedup the handler runs twice.
 	FaultDupRequest
 	// FaultCrashBeforeReply crashes the callee after the handler has
 	// run (the operation is applied, durably if the handler committed)

@@ -14,6 +14,8 @@
 //     message, one response message.
 //   - Cast implements one-way messages with low-level acknowledgement
 //     only (the write protocol of §2.3.5): one message on the wire.
+//     The sender delivers it: the destination's handler has run, on
+//     the caller's goroutine, by the time Cast returns.
 //   - Breaking a link (or crashing a site) aborts in-flight exchanges
 //     across it with ErrCircuitClosed and notifies both endpoints, which
 //     is what triggers the reconfiguration protocols of §5.
@@ -21,6 +23,11 @@
 // All traffic is metered (message counts per method, bytes, simulated
 // CPU microseconds) so the benchmark harness can regenerate the paper's
 // protocol costs without real hardware.
+//
+// No site has a queue or a goroutine. A Call's handler gets a goroutine
+// of its own (it may block, and teardown must still fail the caller);
+// otherwise only link-down callbacks are asynchronous, and Quiesce
+// waits for them.
 //
 // The send path is lock-free: connectivity lives in an immutable
 // copy-on-write snapshot (one atomic load per exchange), counters are
@@ -36,7 +43,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/lint/invariant"
 	"repro/internal/simclock"
 	"repro/internal/vclock"
 )
@@ -127,14 +133,13 @@ func DefaultCosts() CostModel {
 // time moves exactly as fast as simulated work is done. All counters
 // are atomics: charging an exchange takes no lock.
 type Stats struct {
-	clock   *simclock.Clock
-	msgs    atomic.Int64
-	bytes   atomic.Int64
-	cpuUs   atomic.Int64
-	diskUs  atomic.Int64
-	casts   atomic.Int64
-	calls   atomic.Int64
-	dropped atomic.Int64
+	clock  *simclock.Clock
+	msgs   atomic.Int64
+	bytes  atomic.Int64
+	cpuUs  atomic.Int64
+	diskUs atomic.Int64
+	casts  atomic.Int64
+	calls  atomic.Int64
 	// byMeth maps method name -> *atomic.Int64 message count.
 	byMeth sync.Map
 
@@ -191,7 +196,6 @@ type Snapshot struct {
 	DiskUs   int64
 	Casts    int64
 	Calls    int64
-	Dropped  int64
 
 	// CacheHits/CacheMisses count using-site page-cache lookups;
 	// CacheInvals counts pages discarded by commit/propagation
@@ -254,19 +258,17 @@ func (s *Stats) snapshot() Snapshot {
 	return Snapshot{
 		Msgs: s.msgs.Load(), Bytes: s.bytes.Load(), ByMethod: by,
 		CPUUs: s.cpuUs.Load(), DiskUs: s.diskUs.Load(),
-		Casts: s.casts.Load(), Calls: s.calls.Load(), Dropped: s.dropped.Load(),
+		Casts: s.casts.Load(), Calls: s.calls.Load(),
 		CacheHits: s.cacheHits.Load(), CacheMisses: s.cacheMisses.Load(),
 		CacheInvals: s.cacheInvals.Load(),
 		RAPagesSent: s.raSent.Load(), RAPagesUsed: s.raUsed.Load(),
 		PullWindowsSent: s.pullWins.Load(), PullPagesSent: s.pullPages.Load(),
-		LeasesGranted: s.leasesGranted.Load(), LeasesRevoked: s.leasesRevoked.Load(),
-		BatchedRevokes: s.batchedRevokes.Load(),
+		LeasesGranted: s.leasesGranted.Load(), LeasesRevoked: s.leasesRevoked.Load(), BatchedRevokes: s.batchedRevokes.Load(),
 		MsgsDropped: s.fltDropped.Load(), MsgsDuped: s.fltDuped.Load(),
 		MsgsDelayed: s.fltDelayed.Load(), CircuitResets: s.resets.Load(),
 		OrphanNotices: s.orphanNotices.Load(), PipeTeardowns: s.pipeTeardowns.Load(),
-		TxnPartitionAborts: s.txnPartAborts.Load(),
-		SignalsQueued:      s.sigsQueued.Load(),
-		SignalsReplayed:    s.sigsReplayed.Load(), SignalsExpired: s.sigsExpired.Load(),
+		TxnPartitionAborts: s.txnPartAborts.Load(), SignalsQueued: s.sigsQueued.Load(),
+		SignalsReplayed: s.sigsReplayed.Load(), SignalsExpired: s.sigsExpired.Load(),
 	}
 }
 
@@ -371,9 +373,6 @@ func (s *Stats) AddSignalsReplayed(n int) { s.sigsReplayed.Add(int64(n)) }
 // process is definitively dead.
 func (s *Stats) AddSignalsExpired(n int) { s.sigsExpired.Add(int64(n)) }
 
-// addDropped counts a message lost to a closed circuit.
-func (s *Stats) addDropped() { s.dropped.Add(1) }
-
 // addFaultDrop counts a message lost to injected loss; the caller's
 // circuit resets after timeoutUs of virtual time.
 func (s *Stats) addFaultDrop(timeoutUs int64) {
@@ -382,8 +381,12 @@ func (s *Stats) addFaultDrop(timeoutUs int64) {
 	s.tick(timeoutUs)
 }
 
-// addFaultDup counts a duplicated message.
-func (s *Stats) addFaultDup() { s.fltDuped.Add(1) }
+// addFaultDup counts a duplicated message: one more on the wire.
+func (s *Stats) addFaultDup(method string) {
+	s.msgs.Add(1)
+	s.methCounter(method).Add(1)
+	s.fltDuped.Add(1)
+}
 
 // addFaultDelay counts a delayed message and advances virtual time by
 // the injected latency.
@@ -414,19 +417,20 @@ func (b Snapshot) Sub(a Snapshot) Snapshot {
 		Msgs: b.Msgs - a.Msgs, Bytes: b.Bytes - a.Bytes, ByMethod: by,
 		CPUUs: b.CPUUs - a.CPUUs, DiskUs: b.DiskUs - a.DiskUs,
 		Casts: b.Casts - a.Casts, Calls: b.Calls - a.Calls,
-		Dropped:   b.Dropped - a.Dropped,
 		CacheHits: b.CacheHits - a.CacheHits, CacheMisses: b.CacheMisses - a.CacheMisses,
 		CacheInvals: b.CacheInvals - a.CacheInvals,
 		RAPagesSent: b.RAPagesSent - a.RAPagesSent, RAPagesUsed: b.RAPagesUsed - a.RAPagesUsed,
-		PullWindowsSent: b.PullWindowsSent - a.PullWindowsSent,
-		PullPagesSent:   b.PullPagesSent - a.PullPagesSent,
-		LeasesGranted:   b.LeasesGranted - a.LeasesGranted,
-		LeasesRevoked:   b.LeasesRevoked - a.LeasesRevoked,
-		BatchedRevokes:  b.BatchedRevokes - a.BatchedRevokes,
-		MsgsDropped: b.MsgsDropped - a.MsgsDropped, MsgsDuped: b.MsgsDuped - a.MsgsDuped,
-		MsgsDelayed: b.MsgsDelayed - a.MsgsDelayed, CircuitResets: b.CircuitResets - a.CircuitResets,
-		OrphanNotices: b.OrphanNotices - a.OrphanNotices,
-		PipeTeardowns: b.PipeTeardowns - a.PipeTeardowns,
+		PullWindowsSent:    b.PullWindowsSent - a.PullWindowsSent,
+		PullPagesSent:      b.PullPagesSent - a.PullPagesSent,
+		LeasesGranted:      b.LeasesGranted - a.LeasesGranted,
+		LeasesRevoked:      b.LeasesRevoked - a.LeasesRevoked,
+		BatchedRevokes:     b.BatchedRevokes - a.BatchedRevokes,
+		MsgsDropped:        b.MsgsDropped - a.MsgsDropped,
+		MsgsDuped:          b.MsgsDuped - a.MsgsDuped,
+		MsgsDelayed:        b.MsgsDelayed - a.MsgsDelayed,
+		CircuitResets:      b.CircuitResets - a.CircuitResets,
+		OrphanNotices:      b.OrphanNotices - a.OrphanNotices,
+		PipeTeardowns:      b.PipeTeardowns - a.PipeTeardowns,
 		TxnPartitionAborts: b.TxnPartitionAborts - a.TxnPartitionAborts,
 		SignalsQueued:      b.SignalsQueued - a.SignalsQueued,
 		SignalsReplayed:    b.SignalsReplayed - a.SignalsReplayed,
@@ -477,9 +481,10 @@ type Network struct {
 	cost  CostModel
 
 	callSeq atomic.Int64
-	// active counts messages enqueued but not yet fully handled, for
-	// Quiesce.
+	// active counts link-down callbacks still running, for Quiesce.
 	active atomic.Int64
+	// closed is set by Close: no circuit carries a message afterwards.
+	closed atomic.Bool
 
 	// faults is the installed fault plane; nil (the default) costs one
 	// atomic load per exchange and injects nothing.
@@ -557,9 +562,9 @@ func (nw *Network) CostUs() int64 {
 	return nw.stats.cpuUs.Load() + nw.stats.diskUs.Load()
 }
 
-// AddSite creates and starts a node for site id, fully connected to all
-// existing sites. Adding an existing id panics: site identity is
-// configuration, not runtime data.
+// AddSite creates a node for site id, fully connected to all existing
+// sites; it starts nothing. Adding an existing id panics: site identity
+// is configuration, not runtime data.
 func (nw *Network) AddSite(id SiteID) *Node {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -574,8 +579,6 @@ func (nw *Network) AddSite(id SiteID) *Node {
 		handlers: make(map[string]Handler),
 		pending:  make(map[int64]*pendingCall),
 		dedup:    make(map[SiteID]map[int64]*dedupEntry),
-		inbox:    msgQueue{notify: make(chan struct{}, 1)},
-		quit:     make(chan struct{}),
 	}
 	nw.nodes[id] = n
 	nw.up[id] = true
@@ -587,7 +590,6 @@ func (nw *Network) AddSite(id SiteID) *Node {
 		}
 	}
 	nw.publishLocked()
-	go n.dispatch() //locus:vet-allow goroutinejoin per-node message pump: exits when Close closes quit, and Quiesce accounts for every message it services via the active counter
 	return n
 }
 
@@ -599,33 +601,19 @@ func (nw *Network) Node(id SiteID) *Node {
 	return nil
 }
 
-// Quiesce blocks until no message is queued or being handled anywhere
-// in the network. It lets deterministic tests and benchmarks wait out
-// the asynchronous one-way traffic (commit notifications, writes)
-// before asserting on state.
+// Quiesce blocks until every link-down callback has returned: SetLink,
+// Crash and PartitionGroups come back before the reconfiguration they
+// set off is done. Nothing else outlives the call that started it — a
+// Cast's handler has run when Cast returns — so nothing else needs it.
 func (nw *Network) Quiesce() {
-	for i := 0; ; i++ {
-		active := nw.active.Load()
-		invariant.Assertf(active >= 0, "netsim: active message count %d < 0", active)
-		if active == 0 {
-			return
-		}
+	for i := 0; nw.active.Load() != 0; i++ {
 		nw.clock.Backoff(i)
 	}
 }
 
-// Close stops all node dispatch loops. The network is unusable after.
-func (nw *Network) Close() {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	for _, n := range nw.nodes {
-		select {
-		case <-n.quit:
-		default:
-			close(n.quit)
-		}
-	}
-}
+// Close shuts the network: remote Calls and Casts fail afterwards with
+// ErrUnreachable. Nothing needs stopping; exchanges in flight finish.
+func (nw *Network) Close() { nw.closed.Store(true) }
 
 // Sites returns all site ids ever added, in ascending order.
 func (nw *Network) Sites() []SiteID {
@@ -797,15 +785,8 @@ func payloadBytes(p any) int64 {
 	return defaultWireSize + headerWireSize
 }
 
-type msgKind int
-
-const (
-	kindRequest msgKind = iota
-	kindOneWay
-)
-
+// envelope is one request on its way to a handler.
 type envelope struct {
-	kind    msgKind
 	from    SiteID
 	method  string
 	payload any
@@ -814,12 +795,9 @@ type envelope struct {
 	// the request is idempotent and exempt from dedup. It rides in the
 	// per-message header allowance (no extra wire bytes).
 	seq int64
-	// action carries a callee-side scripted fault (response drop or
-	// crash-before-reply) decided at send time.
+	// action carries a callee-side fault (duplicate delivery, response
+	// drop or crash-before-reply) decided at send time.
 	action FaultAction
-	// tracked marks a duplicate request delivery counted in
-	// Network.active (no caller blocks on it, so Quiesce must).
-	tracked bool
 }
 
 type pendingCall struct {
@@ -843,7 +821,8 @@ func (p *pendingCall) succeed(v any, err error) {
 
 // Node is one site's attachment to the network. Upper layers register
 // handlers by method name and issue Calls and Casts; the paper's kernel
-// message analysis/dispatch loop (Figure 1) is the dispatch goroutine.
+// message analysis/dispatch loop (Figure 1) is the handler lookup the
+// sender performs on the destination node.
 type Node struct {
 	id SiteID
 	nw *Network
@@ -870,62 +849,6 @@ type Node struct {
 	// pre-crash exchanges; reconciliation handles the rest).
 	dedupMu sync.Mutex
 	dedup   map[SiteID]map[int64]*dedupEntry
-
-	inbox msgQueue
-	quit  chan struct{}
-}
-
-// msgQueue is a node's inbound message queue. Senders append under the
-// mutex and nudge the cap-1 notify channel; the dispatch pump swaps the
-// whole pending slice out and services it as a batch, so delivering N
-// queued messages costs one wakeup instead of N channel receives. Two
-// slices double-buffer: the batch being serviced and the slice being
-// appended to never share a backing array.
-type msgQueue struct {
-	mu      sync.Mutex
-	pending []*envelope
-	stopped bool
-	notify  chan struct{}
-}
-
-// push enqueues one envelope. It reports false — without enqueueing —
-// once the node's pump has stopped (network closed), mirroring the old
-// behavior of a send racing a closed quit channel.
-func (q *msgQueue) push(env *envelope) bool {
-	q.mu.Lock()
-	if q.stopped {
-		q.mu.Unlock()
-		return false
-	}
-	q.pending = append(q.pending, env)
-	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default: // pump already has a wakeup pending
-	}
-	return true
-}
-
-// swap hands the accumulated batch to the pump, recycling the pump's
-// previous batch slice as the new pending buffer.
-func (q *msgQueue) swap(spent []*envelope) []*envelope {
-	q.mu.Lock()
-	batch := q.pending
-	q.pending = spent[:0]
-	q.mu.Unlock()
-	return batch
-}
-
-// stop marks the queue dead and returns whatever was still pending so
-// the pump can settle the active-message accounting for undelivered
-// envelopes.
-func (q *msgQueue) stop() []*envelope {
-	q.mu.Lock()
-	q.stopped = true
-	rest := q.pending
-	q.pending = nil
-	q.mu.Unlock()
-	return rest
 }
 
 // dedupEntry caches the outcome of one seq-tagged request. A retry that
@@ -1097,6 +1020,20 @@ func (v *connView) unreachable(from, to SiteID) error {
 	return fmt.Errorf("%w: %d -> %d", ErrUnreachable, from, to)
 }
 
+// circuit starts a remote send: it returns the node the message is
+// delivered at, having shown the send to the trace hook, or the typed
+// error for why no circuit can carry it.
+func (n *Node) circuit(to SiteID, method string) (*Node, error) {
+	view := n.nw.view()
+	if n.nw.closed.Load() || !view.connected(n.id, to) {
+		return nil, view.unreachable(n.id, to)
+	}
+	if tr := n.nw.trace.Load(); tr != nil {
+		(*tr)(n.id, to, method)
+	}
+	return view.nodes[to], nil
+}
+
 // Call performs a request/response exchange with site to: exactly two
 // messages on the wire (request, response), or zero when to == n.ID()
 // (a local procedure call, as when "the local site is the CSS, only a
@@ -1124,13 +1061,9 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 	}
 
 	nw := n.nw
-	view := nw.view()
-	if !view.connected(n.id, to) {
-		return nil, view.unreachable(n.id, to)
-	}
-	dest := view.nodes[to]
-	if tr := nw.trace.Load(); tr != nil {
-		(*tr)(n.id, to, method)
+	dest, err := n.circuit(to, method)
+	if err != nil {
+		return nil, err
 	}
 
 	// Roll the fault plane before committing any accounting. The
@@ -1173,44 +1106,27 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 	bytes := payloadBytes(payload) + headerWireSize
 	nw.stats.chargeExchange(method, 2, bytes, 2*nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, true)
 
-	// A duplicated request means two envelopes race to serve and answer;
-	// whichever responds first unblocks the caller, so Quiesce must track
-	// both (the loser's serve can outlive the exchange).
-	env := &envelope{kind: kindRequest, from: n.id, method: method, payload: payload, callID: callID, seq: seq,
-		action: dec.action, tracked: dec.action == FaultDupRequest}
-	if env.tracked {
-		nw.active.Add(1)
-	}
-	if !dest.inbox.push(env) {
-		if env.tracked {
-			nw.active.Add(-1)
-		}
-		n.takePending(callID)
-		return nil, fmt.Errorf("%w: %d -> %d", ErrUnreachable, n.id, to)
-	}
+	// The handler may block (a pipe read, a Wait) and teardown must still
+	// be able to fail p, so it gets a goroutine of its own.
+	env := &envelope{from: n.id, method: method, payload: payload, callID: callID, seq: seq, action: dec.action}
 	if dec.action == FaultDupRequest {
-		// One extra request message on the wire; the callee sees the
-		// same (seq, callID) twice. Without dedup the handler runs
-		// twice — the hazard the at-most-once table exists to absorb.
-		nw.stats.msgs.Add(1)
-		nw.stats.methCounter(method).Add(1)
-		nw.stats.addFaultDup()
-		dupEnv := *env
-		nw.active.Add(1)
-		if !dest.inbox.push(&dupEnv) {
-			nw.active.Add(-1)
-		}
+		nw.stats.addFaultDup(method)
 	}
+	go dest.serve(env) //locus:vet-allow goroutinejoin the requester's pending-exchange entry joins the reply, and circuit teardown fails the pending call, so nothing waits on this goroutine after close
 
 	res := <-p.done
 	return res.value, res.err
 }
 
-// Cast sends a one-way message: one message on the wire, delivered in
-// order with respect to other traffic from this node to the same peer,
-// with only a low-level acknowledgement (modeled as free, per the write
-// protocol footnote in §2.3.5). Delivery is not confirmed to the
-// caller beyond circuit liveness at send time.
+// Cast sends a one-way message: one message on the wire, with only a
+// low-level acknowledgement (modeled as free, per the write protocol
+// footnote in §2.3.5). The sender delivers: the destination's handler
+// has run, on the calling goroutine, when Cast returns, so messages from
+// one goroutine are serviced in the order sent and the payload need not
+// outlive the call. The handler's error has no reply path; Cast reports
+// only the circuit: none at send time, or a message the fault plane
+// lost. A handler may Cast in turn, even back to this site, so the
+// caller must hold no lock a handler takes (blockinglock).
 func (n *Node) Cast(to SiteID, method string, payload any) error {
 	if to == n.id {
 		h := n.handler(method)
@@ -1222,18 +1138,14 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 		return err
 	}
 	nw := n.nw
-	view := nw.view()
-	if !view.connected(n.id, to) {
-		return view.unreachable(n.id, to)
-	}
-	dest := view.nodes[to]
-	if tr := nw.trace.Load(); tr != nil {
-		(*tr)(n.id, to, method)
+	dest, err := n.circuit(to, method)
+	if err != nil {
+		return err
 	}
 	bytes := payloadBytes(payload)
 	nw.stats.chargeExchange(method, 1, bytes, nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, false)
 
-	var dup bool
+	deliveries := 1
 	if f := nw.faults.Load(); f != nil {
 		dec := f.decide(n.id, to, method, false)
 		if dec.delayUs > 0 {
@@ -1247,96 +1159,34 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 			nw.stats.addFaultDrop(f.timeoutUs())
 			return fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
 		case FaultDupRequest:
-			dup = true
+			nw.stats.addFaultDup(method)
+			deliveries = 2
 		}
 	}
-
-	env := &envelope{kind: kindOneWay, from: n.id, method: method, payload: payload}
-	nw.active.Add(1)
-	if !dest.inbox.push(env) {
-		nw.active.Add(-1)
-		return fmt.Errorf("%w: %d -> %d", ErrUnreachable, n.id, to)
-	}
-	if dup {
-		nw.stats.msgs.Add(1)
-		nw.stats.methCounter(method).Add(1)
-		nw.stats.addFaultDup()
-		nw.active.Add(1)
-		if !dest.inbox.push(env) {
-			nw.active.Add(-1)
+	if h := dest.handler(method); h != nil {
+		for ; deliveries > 0; deliveries-- {
+			h(n.id, payload) // error unchecked by design: one-way: no reply path
 		}
 	}
 	return nil
 }
 
-// dispatch is the node's kernel network-message loop. One wakeup
-// drains the entire pending queue in slice batches (instead of one
-// channel receive — and one scheduler round trip — per message), then
-// services each envelope in arrival order: one-way messages inline
-// (preserving circuit ordering relative to later requests from the
-// same peer), requests in their own goroutine because servicing may
-// require nested remote service.
-func (n *Node) dispatch() {
-	var batch []*envelope
-	for {
-		select {
-		case <-n.quit:
-			// Settle accounting for anything still queued: those
-			// envelopes are lost with the network, and the sender
-			// already counted them in active.
-			for _, env := range n.inbox.stop() {
-				if env.kind == kindOneWay || env.tracked {
-					n.nw.active.Add(-1)
-				}
-			}
-			return
-		case <-n.inbox.notify:
-		}
-		for {
-			batch = n.inbox.swap(batch)
-			if len(batch) == 0 {
-				break
-			}
-			for i, env := range batch {
-				n.deliver(env)
-				batch[i] = nil
-			}
-		}
-	}
-}
-
-// deliver services one inbound envelope on the dispatch pump.
-func (n *Node) deliver(env *envelope) {
+// serve runs one request at the callee and answers the caller.
+func (n *Node) serve(env *envelope) {
 	if !n.nw.Connected(env.from, n.id) {
-		// The circuit closed while the message was queued:
-		// it is lost, and for a request the caller was
-		// already failed by the circuit teardown.
-		n.nw.stats.addDropped()
-		if env.kind == kindOneWay || env.tracked {
-			n.nw.active.Add(-1)
-		}
+		// The circuit closed before the request was serviced: it is
+		// lost, and the teardown has already failed the caller.
 		return
 	}
-	switch env.kind {
-	case kindOneWay:
-		if h := n.handler(env.method); h != nil {
-			h(env.from, env.payload) // error unchecked by design: one-way: no reply path
-		}
-		n.nw.active.Add(-1)
-	case kindRequest:
-		if env.tracked {
-			go func() { //locus:vet-allow goroutinejoin the matching active.Add(1) ran at the send site when the fault plane marked this delivery tracked; the deferred Add(-1) is its join half, drained by Quiesce
-				defer n.nw.active.Add(-1)
-				n.serve(env)
-			}()
-		} else {
-			go n.serve(env) //locus:vet-allow goroutinejoin the requester's pending-exchange entry joins the reply, and circuit teardown fails the pending call, so nothing waits on this goroutine after close
-		}
-	}
-}
-
-func (n *Node) serve(env *envelope) {
 	v, err := n.apply(env)
+	if env.action == FaultDupRequest {
+		// The duplicate arrives right behind the original: the callee
+		// sees the same (seq, callID) twice, and without dedup the
+		// handler runs twice — the hazard the at-most-once table exists
+		// to absorb. Its reply would find no pending exchange, so the
+		// one above is the reply.
+		n.apply(env) // error unchecked by design: a duplicate's reply is discarded
+	}
 
 	if env.action == FaultCrashBeforeReply {
 		// Scripted fault: the operation is applied (durably, if the

@@ -941,7 +941,7 @@ func (m *Manager) CleanupAfterPartitionChange(newPartition []SiteID) {
 		}
 		if lf.rec.parent != (PID{}) {
 			if lf.rec.parent.Site == m.site {
-				m.handleChildExit(m.site, msg) // error unchecked by design: local delivery
+				m.handleChildExit(m.site, msg)                                                                                                       // error unchecked by design: local delivery
 				m.signalInfo(lf.rec.parent, SIGCHILDERR, fmt.Sprintf("migrated child %d.%d lost: host site %d failed", m.site, lf.num, lf.rec.host)) // error unchecked by design: local delivery
 			} else if in[lf.rec.parent.Site] {
 				netsim.Cast(m.node, lf.rec.parent.Site, mChildExit, msg) //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup

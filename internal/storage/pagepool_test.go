@@ -78,7 +78,7 @@ func TestPoolPoisonCatchesWriteAfterFree(t *testing.T) {
 	buf[17] = 0x42 // write-after-free
 
 	defer func() {
-		if r := recover(); r == nil {
+		if r := recover(); r == nil && !t.Skipped() {
 			t.Fatalf("Get returned the corrupted buffer without panicking")
 		}
 	}()

@@ -370,21 +370,30 @@ func (c *Container) ListInodes() []InodeNum {
 	return out
 }
 
+// readPageLocked returns physical page p: the container's own buffer,
+// marked shared, or a pooled copy — made here, under the lock, because
+// a free that slipped in before the copy could recycle the buffer
+// mid-copy. Caller holds c.mu and charges the disk.
+func (c *Container) readPageLocked(p PhysPage, shared bool) ([]byte, error) {
+	data, ok := c.pages[p]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d at site %d", ErrNoPage, p, c.site)
+	}
+	if shared {
+		c.shared[p] = true
+		return data, nil
+	}
+	out := GetPageBuf()
+	copy(out, data)
+	return out[:len(data)], nil
+}
+
 // ReadPage returns the contents of a physical page. The returned slice
 // is a copy (pages on disk are immutable), drawn from the page pool:
 // the caller owns it exclusively and may release it with PutPageBuf
 // once done.
 func (c *Container) ReadPage(p PhysPage) ([]byte, error) {
-	c.mu.Lock()
-	data, ok := c.pages[p]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %d at site %d", ErrNoPage, p, c.site)
-	}
-	c.chargeDisk()
-	out := GetPageBuf()
-	copy(out, data)
-	return out[:len(data)], nil
+	return c.readPhys(p, false)
 }
 
 // ReadPageShared returns the container's internal buffer for a physical
@@ -395,17 +404,44 @@ func (c *Container) ReadPage(p PhysPage) ([]byte, error) {
 // it. Used by the network serve path so a remote page read costs zero
 // allocations and zero copies at the storage site.
 func (c *Container) ReadPageShared(p PhysPage) ([]byte, error) {
+	return c.readPhys(p, true)
+}
+
+func (c *Container) readPhys(p PhysPage, shared bool) ([]byte, error) {
 	c.mu.Lock()
-	data, ok := c.pages[p]
-	if ok {
-		c.shared[p] = true
+	data, err := c.readPageLocked(p, shared)
+	c.mu.Unlock()
+	if err == nil {
+		c.chargeDisk()
+	}
+	return data, err
+}
+
+// ReadFilePage reads logical page pn of the committed file n, as
+// ReadPage does or, with shared set, as ReadPageShared does. It finds
+// the physical page and reads it under one hold of the lock, so the
+// page, size and version returned all belong to one committed version
+// of the inode whatever CommitInode does around the call. (A reader
+// that takes the inode first and the page second can have the page
+// freed under it by a commit in between: §2.3.6 keeps old pages only
+// until the inode is rewritten.) A hole, or a page past the end of the
+// page table, returns nil data and charges nothing.
+func (c *Container) ReadFilePage(n InodeNum, pn PageNo, shared bool) (data []byte, size int64, vv vclock.VV, err error) {
+	c.mu.Lock()
+	ino, ok := c.inodes[n]
+	if !ok {
+		c.mu.Unlock()
+		return nil, 0, nil, fmt.Errorf("%w: %d in filegroup %d at site %d", ErrNoInode, n, c.fg, c.site)
+	}
+	size, vv = ino.Size, ino.VV
+	if pn >= 0 && int(pn) < len(ino.Pages) && ino.Pages[pn] != PhysPageNil {
+		data, err = c.readPageLocked(ino.Pages[pn], shared)
 	}
 	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %d at site %d", ErrNoPage, p, c.site)
+	if data != nil {
+		c.chargeDisk()
 	}
-	c.chargeDisk()
-	return data, nil
+	return data, size, vv, err
 }
 
 // releasePageLocked frees one physical page, recycling its buffer
@@ -428,26 +464,18 @@ func (c *Container) releasePageLocked(p PhysPage) {
 	PutPageBuf(buf)
 }
 
-// ReadLogicalPage reads logical page pn of the committed file ino.
-// Holes read as zero pages.
+// ReadLogicalPage reads logical page pn of the committed file n into a
+// pooled buffer the caller owns. Holes read as zero pages.
 func (c *Container) ReadLogicalPage(n InodeNum, pn PageNo) ([]byte, error) {
-	c.mu.Lock()
-	ino, ok := c.inodes[n]
-	if !ok {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d", ErrNoInode, n)
+	data, size, _, err := c.ReadFilePage(n, pn, false)
+	if err != nil || data != nil {
+		return data, err
 	}
-	if int(pn) < 0 || int(pn) >= len(ino.Pages) {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: page %d of %d-page file %d", ErrBadPageIndex, pn, len(ino.Pages), n)
+	if pn < 0 || int64(pn)*PageSize >= size {
+		return nil, fmt.Errorf("%w: page %d of %d-byte file %d", ErrBadPageIndex, pn, size, n)
 	}
-	pp := ino.Pages[pn]
-	c.mu.Unlock()
-	if pp == PhysPageNil {
-		c.chargeDisk()
-		return GetPageBuf(), nil
-	}
-	return c.ReadPage(pp)
+	c.chargeDisk()
+	return GetPageBuf(), nil
 }
 
 // WritePage writes data to a freshly allocated shadow page and returns

@@ -380,3 +380,69 @@ func TestPropertyCommitAbortAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadFilePageIsOneVersion is ReadFilePage's contract: the page,
+// the size and the version vector it returns belong to one committed
+// version of the inode whatever CommitInode does around the call. Every
+// version v of the file is a page of byte(v), size v, vector {1: v}; a
+// reader that resolved the inode first and read the page second (what
+// fs.localPage used to do) meets a page the commit in between freed, or
+// pairs one version's size with another's bytes.
+func TestReadFilePageIsOneVersion(t *testing.T) {
+	c := newTestContainer()
+	n, _ := c.AllocInode()
+	vv := vclock.New()
+	commit := func(v int) {
+		p, err := c.WritePage(bytes.Repeat([]byte{byte(v)}, 64))
+		if err != nil {
+			t.Error(err)
+		}
+		vv = vv.Bump(1)
+		if err := c.CommitInode(&Inode{Num: n, Size: int64(v), Pages: []PhysPage{PhysPageNil, p}, VV: vv}); err != nil {
+			t.Error(err)
+		}
+	}
+	commit(1)
+
+	const versions = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := 2; v <= versions; v++ {
+			commit(v)
+		}
+	}()
+	for i := 0; ; i++ {
+		shared := i%2 == 1
+		data, size, got, err := c.ReadFilePage(n, 1, shared)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if v := got.Get(1); int64(v) != size || data[0] != byte(size) || data[63] != byte(size) {
+			t.Fatalf("read %d mixes versions: vector %v, size %d, page of %d..%d", i, got, size, data[0], data[63])
+		}
+		if !shared {
+			PutPageBuf(data)
+		}
+		if size == versions {
+			break
+		}
+	}
+	<-done
+	if c.PageCount() != 1 {
+		t.Fatalf("%d pages allocated after %d commits, want 1 (every superseded page freed)", c.PageCount(), versions)
+	}
+
+	// A hole, and a page past the page table, are nil data with the
+	// inode's size and version and no error; a missing inode is
+	// ErrNoInode.
+	for _, pn := range []PageNo{0, 2, -1} {
+		data, size, got, err := c.ReadFilePage(n, pn, false)
+		if data != nil || err != nil || size != versions || got.Get(1) != versions {
+			t.Fatalf("page %d: data=%v size=%d vv=%v err=%v, want nil data of version %d", pn, data != nil, size, got, err, versions)
+		}
+	}
+	if _, _, _, err := c.ReadFilePage(n+1, 0, false); !errors.Is(err, ErrNoInode) {
+		t.Fatalf("missing inode: err = %v, want ErrNoInode", err)
+	}
+}

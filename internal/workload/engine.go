@@ -98,12 +98,6 @@ type Config struct {
 	// between ops (default 1000 µs). Think time shapes interleaving
 	// only; it never burns wall clock.
 	ThinkMaxUs int64
-	// SkipQuiesce leaves asynchronous traffic (write casts, commit
-	// notifications) in flight between ops instead of draining the
-	// network after every op. The chaos plane sets it: chaos owns the
-	// schedule and injects faults between steps. Deterministic-counter
-	// runs leave it false.
-	SkipQuiesce bool
 	// Alive, when set, gates each actor on its home site being up: an
 	// actor whose site fails the predicate is rescheduled without
 	// issuing or consuming op budget. The chaos plane supplies its
@@ -147,8 +141,8 @@ func (h actorHeap) Less(i, j int) bool {
 	}
 	return h[i].id < h[j].id
 }
-func (h actorHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *actorHeap) Push(x any)        { *h = append(*h, x.(*actor)) }
+func (h actorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *actorHeap) Push(x any)   { *h = append(*h, x.(*actor)) }
 func (h *actorHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -163,11 +157,11 @@ func (h *actorHeap) Pop() any {
 // time, and simclock-tick latency quantiles. Wall-clock throughput is
 // deliberately absent — callers time Run themselves.
 type Result struct {
-	Ops      int64
-	Errors   int64
-	OpCount  [nOps]int64
-	OpErrs   [nOps]int64
-	Tenant   []TenantResult
+	Ops     int64
+	Errors  int64
+	OpCount [nOps]int64
+	OpErrs  [nOps]int64
+	Tenant  []TenantResult
 	// SimUs is the simulated cost charged over the run (CPU + disk
 	// virtual µs — the deterministic component of the sim clock; idle
 	// Backoff advances are excluded so the value replays exactly).
@@ -299,7 +293,6 @@ func (e *Engine) Setup() error {
 			}
 		}
 	}
-	e.c.Network().Quiesce()
 	e.c.Settle()
 	heap.Init(&e.heap)
 	for _, a := range e.actors {
@@ -333,17 +326,12 @@ func (e *Engine) Step() bool {
 	nw := e.c.Network()
 
 	// Latency is the charged simulated cost of the op (CostUs), not a
-	// raw clock delta: the clock also moves on scheduling-dependent
-	// Backoff escalations, and those would leak wall-clock jitter into
-	// a table that must replay byte-identically.
+	// raw clock delta: the clock also moves when a wait escalates its
+	// Backoff (a lock retry loop, Quiesce behind a slow link-down
+	// callback), and that would leak wall-clock jitter into a table
+	// that must replay byte-identically.
 	start := nw.CostUs()
 	err := e.issue(a, t, op)
-	if !e.cfg.SkipQuiesce {
-		// Drain async traffic (write casts, commit notifications) so
-		// the next op observes a settled network: this is what makes
-		// message counters and cache behavior schedule-independent.
-		nw.Quiesce()
-	}
 	lat := nw.CostUs() - start
 
 	e.res.Ops++
@@ -367,8 +355,9 @@ func (e *Engine) Step() bool {
 }
 
 // fillPage returns the actor's reusable one-page write payload filled
-// with b. Session writes copy the payload before returning (local SS)
-// or before casting (remote SS), so reuse across ops is safe.
+// with b. The SS, local or remote, has copied the payload into a shadow
+// page by the time a Session write returns (a write cast is delivered
+// before it returns), so reuse across ops is safe.
 func (a *actor) fillPage(b byte) []byte {
 	if a.page == nil {
 		a.page = make([]byte, storage.PageSize)
@@ -435,7 +424,6 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	for e.Step() {
 	}
-	e.c.Network().Quiesce()
 	e.c.Settle()
 	return &e.res, nil
 }
