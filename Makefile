@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet locusvet vet-stats test race invariants bench benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
+.PHONY: all build fmt vet locusvet vet-stats test race flake invariants bench benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
 
 all: ci
 
@@ -37,6 +37,14 @@ test:
 race:
 	$(GO) test -race ./...
 
+# flake repeats the two packages whose tests change the topology:
+# link-down callbacks are the one asynchronous thing in netsim, and a
+# test that reads a site table without a Quiesce after SetLink, Crash or
+# PartitionGroups fails about one run in thirty — here, not in someone
+# else's PR (about 12 s).
+flake:
+	$(GO) test -count=200 ./internal/netsim ./internal/topology
+
 # invariants runs the suite with the runtime assertion layer compiled
 # in (internal/lint/invariant): version-vector dominance on propagation
 # and shadow-page commit/free checks in storage.
@@ -60,7 +68,8 @@ benchjson:
 # deterministic counter against the committed BENCH_locus.json at
 # exact equality. It then runs the wall-clock throughput gate: the E16
 # workload at a moderate fixed op budget must sustain the ops/sec
-# floor committed in BENCH_throughput.json (25% tolerance).
+# floor committed in BENCH_throughput.json (10,000 ops/wall-sec, 25%
+# tolerance; the slowest of three runs measured 15.9k when it was set).
 # Regenerate the counter baseline with `make benchjson` when a
 # protocol change is intended; re-measure the throughput floor with
 # `go run ./cmd/locus-bench -workload -workload-ops 20000`.
@@ -99,4 +108,4 @@ profile:
 chaos:
 	$(GO) test -run TestChaos -race -tags locusinvariants -count=1 ./internal/chaos
 
-ci: build fmt vet locusvet test race invariants benchsmoke workloadsmoke benchmarkcheck benchdiff chaos
+ci: build fmt vet locusvet test race flake invariants benchsmoke workloadsmoke benchmarkcheck benchdiff chaos

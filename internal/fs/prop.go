@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lint/invariant"
@@ -602,8 +600,7 @@ func uniquePages(pns []storage.PageNo) []storage.PageNo {
 // retireReplica drops this pack's copy of a file that moved away, but
 // only after confirming every site in the new storage list holds the
 // current version — the "delete" half of add-then-delete must never
-// destroy the last current copy. The per-site version probes are
-// independent reads, so they run concurrently.
+// destroy the last current copy. The sites are probed in list order.
 func (k *Kernel) retireReplica(c *storage.Container, t *propTask) bool {
 	if !c.HasInode(t.id.Inode) {
 		return true
@@ -626,26 +623,11 @@ func (k *Kernel) retireReplica(c *storage.Container, t *propTask) bool {
 		}
 		remote = append(remote, s)
 	}
-	var ok atomic.Bool
-	ok.Store(true)
-	var wg sync.WaitGroup
 	for _, s := range remote {
-		wg.Add(1)
-		go func(s SiteID) {
-			defer wg.Done()
-			r, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: t.id})
-			if err != nil {
-				ok.Store(false)
-				return
-			}
-			if !r.Has || !r.VV.DominatesOrEqual(t.vv) {
-				ok.Store(false) // that site hasn't pulled the version yet
-			}
-		}(s)
-	}
-	wg.Wait()
-	if !ok.Load() {
-		return false
+		r, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: t.id})
+		if err != nil || !r.Has || !r.VV.DominatesOrEqual(t.vv) {
+			return false // unreachable, or that site hasn't pulled the version yet
+		}
 	}
 	c.DropInode(t.id.Inode)
 	return true

@@ -10,24 +10,25 @@ import (
 // BlockingLockAnalyzer forbids blocking on concurrent progress while
 // holding one of the BlockingGuard mutexes.
 //
-// A network exchange (Node.Call and the typed netsim.Call above it) or
-// a simulated-clock Backoff parks the caller until some other
-// goroutine makes progress — and on a loaded site that other goroutine
-// is frequently the handler that needs the very mutex the caller is
-// holding. That is the self-deadlock shape lockvalid.go works around
-// at runtime by carefully releasing k.mu before probing; this analyzer
-// makes the discipline static: no path may reach a blocking primitive,
-// directly or through any statically resolvable callee, while a guard
-// class mutex is held.
+// A simulated-clock Backoff parks the caller until some other goroutine
+// makes progress — and on a loaded site that other goroutine is
+// frequently one that needs the very mutex the caller is holding. That
+// is the self-deadlock shape lockvalid.go works around at runtime by
+// carefully releasing k.mu before probing; this analyzer makes the
+// discipline static: no path may reach a blocking primitive, directly
+// or through any statically resolvable callee, while a guard class
+// mutex is held.
 //
-// For a one-way Cast it is more than a discipline: it is the
-// precondition of netsim's sender-side delivery. Cast runs the
-// destination's handler on the caller's goroutine, and a handler may
-// Cast back to the caller's site (proc's child-exit notice chasing a
-// migrated parent does), whose handler then takes that site's guard
-// mutex on the goroutine that would already hold it. A mutex held
-// across a Cast is a certain self-deadlock, not a possible stall, and
-// this analyzer is the only thing that sees it before a run does.
+// For a network exchange (Node.Call, Node.Cast and the typed functions
+// above them) it is more than a discipline: it is the precondition of
+// netsim's sender-side delivery. A send runs the destination's handler
+// on the caller's goroutine, and a handler may send back to the
+// caller's site (the CSS recalling a lease during an open; proc's
+// child-exit notice chasing a migrated parent), whose handler then
+// takes that site's guard mutex on the goroutine that would already
+// hold it. A mutex held across a Call or a Cast is a certain
+// self-deadlock, not a possible stall, and this analyzer is the only
+// thing that sees it before a run does.
 //
 // Call effects are the fixpoint of the call graph (callsummary.go):
 // a function "may block" if it calls a BlockingCalls primitive or any

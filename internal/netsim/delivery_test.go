@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// The contract of sender-side delivery: what a Cast has done by the
-// time it returns, with no Quiesce anywhere in this file.
+// The contract of sender-side delivery: what a Cast or a Call has done
+// by the time it returns, with no Quiesce anywhere in this file.
 
 func TestCastHandlerHasRunOnReturn(t *testing.T) {
 	t.Parallel()
@@ -126,12 +126,26 @@ func TestNetworkStartsNoGoroutine(t *testing.T) {
 	a := nw.AddSite(1)
 	b := nw.AddSite(2)
 	nw.AddSite(3)
-	b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
+	inHandler := 0
+	b.Handle("op", func(SiteID, any) (any, error) {
+		inHandler = runtime.NumGoroutine() // no lock: the handler runs on this goroutine
+		return nil, nil
+	})
 	if err := a.Cast(2, "op", nil); err != nil {
 		t.Fatal(err)
 	}
+	if inHandler == 0 || inHandler > before {
+		t.Fatalf("%d goroutines inside a cast's handler, %d before", inHandler, before)
+	}
+	inHandler = 0
+	if _, err := a.Call(2, "op", nil); err != nil {
+		t.Fatal(err)
+	}
+	if inHandler == 0 || inHandler > before {
+		t.Fatalf("%d goroutines inside a call's handler, %d before: the handler runs on its caller's", inHandler, before)
+	}
 	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines with three sites added and a cast delivered, %d before", n, before)
+		t.Fatalf("%d goroutines with three sites added, a cast delivered and a call served, %d before", n, before)
 	}
 	nw.Close()
 	if n := runtime.NumGoroutine(); n > before {
@@ -142,5 +156,134 @@ func TestNetworkStartsNoGoroutine(t *testing.T) {
 	}
 	if _, err := a.Call(2, "op", nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("call after Close: err = %v, want ErrUnreachable", err)
+	}
+}
+
+// TestCallNeedsTheCircuitItWentOutOn: a reply travels only on the
+// circuit the request used. A handler that takes its caller's link down
+// and up again leaves a circuit up but a different one; a link between
+// other sites is no concern of the exchange.
+func TestCallNeedsTheCircuitItWentOutOn(t *testing.T) {
+	t.Parallel()
+	nw := New(DefaultCosts())
+	t.Cleanup(nw.Close)
+	a, b := nw.AddSite(1), nw.AddSite(2)
+	nw.AddSite(3)
+	b.Handle("bounce", func(SiteID, any) (any, error) {
+		nw.SetLink(1, 2, false)
+		nw.SetLink(1, 2, true)
+		return "lost", nil
+	})
+	b.Handle("elsewhere", func(SiteID, any) (any, error) {
+		nw.SetLink(2, 3, false)
+		return "kept", nil
+	})
+
+	before := nw.Stats()
+	v, err := a.Call(2, "bounce", nil)
+	if !errors.Is(err, ErrCircuitClosed) || v != nil {
+		t.Fatalf("call whose circuit was replaced under it: v=%v err=%v, want ErrCircuitClosed", v, err)
+	}
+	if !nw.Connected(1, 2) {
+		t.Fatal("link 1-2 should be up again")
+	}
+	if d := nw.Stats().Sub(before); d.CircuitResets != 1 || d.Msgs != 2 {
+		t.Fatalf("resets=%d msgs=%d, want 1 reset and the 2 messages charged at send", d.CircuitResets, d.Msgs)
+	}
+
+	before = nw.Stats()
+	if v, err := a.Call(2, "elsewhere", nil); err != nil || v != "kept" {
+		t.Fatalf("call across an untouched circuit: v=%v err=%v", v, err)
+	}
+	if d := nw.Stats().Sub(before); d.CircuitResets != 0 {
+		t.Fatalf("CircuitResets = %d after an unrelated link went down, want 0", d.CircuitResets)
+	}
+	// The new circuit 1-2 carries the next call.
+	b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
+	if _, err := a.Call(2, "op", nil); err != nil {
+		t.Fatalf("call on the new circuit: %v", err)
+	}
+}
+
+// TestCrashBeforeReplyHasRunOnCrash: the scripted crash happens on the
+// caller's goroutine, so the callee's OnCrash callbacks have returned —
+// its volatile state is gone — when the caller sees ErrCircuitClosed.
+func TestCrashBeforeReplyHasRunOnCrash(t *testing.T) {
+	t.Parallel()
+	nw, a, b := twoSites(t)
+	var log []string // no lock: everything runs on this goroutine
+	b.Handle("commit", func(SiteID, any) (any, error) {
+		log = append(log, "applied")
+		return "ok", nil
+	})
+	b.OnCrash(func() { log = append(log, "fs discarded") })
+	b.OnCrash(func() { log = append(log, "proc discarded") })
+	nw.EnableFaults(FaultConfig{
+		Points: []FaultPoint{{From: 1, To: 2, Method: "commit", Action: FaultCrashBeforeReply}},
+	})
+	before := nw.Stats()
+	if _, err := a.Call(2, "commit", nil); !errors.Is(err, ErrCircuitClosed) {
+		t.Fatalf("err = %v, want ErrCircuitClosed", err)
+	}
+	if len(log) != 3 || log[0] != "applied" || log[1] != "fs discarded" || log[2] != "proc discarded" {
+		t.Fatalf("when Call returned the callee had done %v", log)
+	}
+	if d := nw.Stats().Sub(before); d.CircuitResets != 1 {
+		t.Fatalf("CircuitResets = %d, want 1", d.CircuitResets)
+	}
+}
+
+// TestNestedCallsFailFrameByFrame: in a US -> CSS -> SS chain (the open
+// protocol's shape) the SS crashes the CSS. Both exchanges lose their
+// circuit — the inner one its caller, the outer one its callee — and
+// each frame fails as it returns, innermost first.
+func TestNestedCallsFailFrameByFrame(t *testing.T) {
+	t.Parallel()
+	nw := New(DefaultCosts())
+	t.Cleanup(nw.Close)
+	us, css, ss := nw.AddSite(1), nw.AddSite(2), nw.AddSite(3)
+	var innerErr error
+	ss.Handle("storage", func(SiteID, any) (any, error) {
+		nw.Crash(2)
+		return "data", nil
+	})
+	css.Handle("open", func(SiteID, any) (any, error) {
+		var v any
+		v, innerErr = css.Call(3, "storage", nil)
+		return v, innerErr
+	})
+	before := nw.Stats()
+	_, err := us.Call(2, "open", nil)
+	if !errors.Is(innerErr, ErrCircuitClosed) {
+		t.Fatalf("inner frame: err = %v, want ErrCircuitClosed", innerErr)
+	}
+	if !errors.Is(err, ErrCircuitClosed) {
+		t.Fatalf("outer frame: err = %v, want ErrCircuitClosed", err)
+	}
+	if d := nw.Stats().Sub(before); d.CircuitResets != 2 || d.Msgs != 4 {
+		t.Fatalf("resets=%d msgs=%d, want 2 resets (one a frame) and 4 messages", d.CircuitResets, d.Msgs)
+	}
+}
+
+// TestCallAllocations pins what an exchange costs the allocator: an
+// idempotent call is a function call, and an at-most-once one adds its
+// dedup entry and that entry's channel. Not parallel: AllocsPerRun.
+func TestCallAllocations(t *testing.T) {
+	_, a, b := twoSites(t)
+	b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
+	req := &echoReq{}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := a.Call(2, "op", req); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("idempotent remote Call: %v allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := a.CallSeq(2, "op", req, a.NextSeq()); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Errorf("at-most-once remote Call: %v allocations, want <= 2", got)
 	}
 }

@@ -49,7 +49,7 @@ const (
 	// FaultCrashBeforeReply crashes the callee after the handler has
 	// run (the operation is applied, durably if the handler committed)
 	// but before the response is sent. The caller observes
-	// ErrCircuitClosed from the crash teardown.
+	// ErrCircuitClosed, after the callee's OnCrash callbacks have run.
 	FaultCrashBeforeReply
 )
 
@@ -165,8 +165,7 @@ func (f *Faults) rates(from, to SiteID) FaultRates {
 	return f.cfg.Rates
 }
 
-// decision is the fault plan for one exchange, computed at send time
-// and (for callee-side actions) stamped onto the envelope.
+// decision is the fault plan for one exchange, computed at send time.
 type decision struct {
 	action  FaultAction // FaultNone for the common path
 	delayUs int64       // >0: charge this much virtual latency

@@ -26,9 +26,10 @@ import (
 //     partition/merge protocols own recovery.
 //   - ErrCrashed:       destination down — not retried; wraps
 //     ErrUnreachable.
-//   - ErrCircuitClosed: circuit died mid-exchange — not retried blindly
-//     (the operation may have applied); cleanup (§5.6) decides per
-//     resource.
+//   - ErrCircuitClosed: the circuit the request went out on closed
+//     while the handler ran; reported when the handler returns. Not
+//     retried blindly (the operation may have applied); cleanup (§5.6)
+//     decides per resource.
 
 // Method declares one request/response message. AtMostOnce marks a
 // request that changes remote state: every transmission of one logical
@@ -64,8 +65,8 @@ func Handle[Req, Resp any](n *Node, m Method[Req, Resp], h func(from SiteID, req
 	n.Handle(m.Name, func(from SiteID, p any) (any, error) {
 		resp, err := h(from, p.(*Req))
 		if resp == nil {
-			// An untyped nil: serve probes Sizer on the interface value,
-			// and a typed nil pointer would satisfy it.
+			// An untyped nil: CallSeq probes Sizer on the interface
+			// value, and a typed nil pointer would satisfy it.
 			return nil, err
 		}
 		return resp, err

@@ -11,29 +11,32 @@
 //   - Call implements the specialized request/response protocols of
 //     §2.3 ("There are no other messages involved; no acknowledgements,
 //     flow control or any other underlying mechanism"): one request
-//     message, one response message.
+//     message, one response message. It is a procedure call: the
+//     destination's handler runs on the caller's goroutine (Figure 1 is
+//     one thread of control), and has returned when Call does.
 //   - Cast implements one-way messages with low-level acknowledgement
 //     only (the write protocol of §2.3.5): one message on the wire.
 //     The sender delivers it: the destination's handler has run, on
 //     the caller's goroutine, by the time Cast returns.
-//   - Breaking a link (or crashing a site) aborts in-flight exchanges
-//     across it with ErrCircuitClosed and notifies both endpoints, which
-//     is what triggers the reconfiguration protocols of §5.
+//   - Breaking a link (or crashing a site) closes the circuit: a Call
+//     whose circuit closed while its handler ran fails with
+//     ErrCircuitClosed when the handler returns, and both endpoints are
+//     notified, which is what triggers the reconfiguration protocols of
+//     §5.
 //
 // All traffic is metered (message counts per method, bytes, simulated
 // CPU microseconds) so the benchmark harness can regenerate the paper's
 // protocol costs without real hardware.
 //
-// No site has a queue or a goroutine. A Call's handler gets a goroutine
-// of its own (it may block, and teardown must still fail the caller);
-// otherwise only link-down callbacks are asynchronous, and Quiesce
-// waits for them.
+// No site has a queue or a goroutine, and the network keeps no record
+// of exchanges in progress: an exchange is a stack frame of its caller.
+// Nothing is asynchronous but link-down callbacks, and Quiesce waits
+// for them.
 //
 // The send path is lock-free: connectivity lives in an immutable
-// copy-on-write snapshot (one atomic load per exchange), counters are
-// plain atomics, and pending request/response exchanges are tracked
-// per-node. Network.mu is only taken by topology mutations (AddSite,
-// SetLink, Crash, Restart, Close), which republish the snapshot.
+// copy-on-write snapshot (one atomic load per exchange) and counters
+// are plain atomics. Network.mu is only taken by topology mutations
+// (AddSite, SetLink, Crash, Restart), which republish the snapshot.
 package netsim
 
 import (
@@ -166,8 +169,8 @@ type Stats struct {
 	batchedRevokes atomic.Int64
 
 	// Fault-plane counters: messages lost/duplicated/delayed by
-	// injected faults, and virtual-circuit resets (in-flight exchanges
-	// aborted by teardown or fault timeout).
+	// injected faults, and virtual-circuit resets (exchanges whose
+	// circuit closed under them, or that a fault timed out).
 	fltDropped atomic.Int64
 	fltDuped   atomic.Int64
 	fltDelayed atomic.Int64
@@ -395,7 +398,7 @@ func (s *Stats) addFaultDelay(us int64) {
 	s.tick(us)
 }
 
-// addReset counts an in-flight exchange aborted by circuit teardown.
+// addReset counts a Call whose circuit closed while its handler ran.
 func (s *Stats) addReset() { s.resets.Add(1) }
 
 // tick advances the simulated clock, when one is attached.
@@ -445,7 +448,17 @@ func (b Snapshot) Sub(a Snapshot) Snapshot {
 type connView struct {
 	nodes map[SiteID]*Node
 	up    map[SiteID]bool
-	link  map[SiteID]map[SiteID]bool
+	link  map[SiteID]map[SiteID]linkState
+}
+
+// linkState is the link between two sites. closes counts the times its
+// virtual circuit has closed — the link went down, or either site
+// crashed — so two views show the same circuit only where the link is
+// up in both with equal counts: a link that went down and came back
+// carries a new circuit, not the old one.
+type linkState struct {
+	up     bool
+	closes int64
 }
 
 func (v *connView) connected(a, b SiteID) bool {
@@ -455,7 +468,7 @@ func (v *connView) connected(a, b SiteID) bool {
 	if a == b {
 		return true
 	}
-	return v.link[a][b]
+	return v.link[a][b].up
 }
 
 // Network is the simulated internetwork: a set of sites and a symmetric
@@ -469,8 +482,8 @@ type Network struct {
 	// never takes it (it reads the conn snapshot instead).
 	mu    sync.Mutex
 	nodes map[SiteID]*Node
-	// link[a][b] reports a working circuit path between a and b.
-	link map[SiteID]map[SiteID]bool
+	// link[a][b] is the link between a and b (symmetric).
+	link map[SiteID]map[SiteID]linkState
 	up   map[SiteID]bool
 
 	// conn is the published copy-on-write topology snapshot.
@@ -480,7 +493,6 @@ type Network struct {
 	clock *simclock.Clock
 	cost  CostModel
 
-	callSeq atomic.Int64
 	// active counts link-down callbacks still running, for Quiesce.
 	active atomic.Int64
 	// closed is set by Close: no circuit carries a message afterwards.
@@ -502,7 +514,7 @@ type Network struct {
 func New(cost CostModel) *Network {
 	nw := &Network{
 		nodes: make(map[SiteID]*Node),
-		link:  make(map[SiteID]map[SiteID]bool),
+		link:  make(map[SiteID]map[SiteID]linkState),
 		up:    make(map[SiteID]bool),
 		clock: simclock.New(),
 		cost:  cost,
@@ -513,13 +525,12 @@ func New(cost CostModel) *Network {
 }
 
 // publishLocked rebuilds and publishes the connectivity snapshot from
-// the canonical maps. Callers hold nw.mu. Teardown paths must publish
-// before scanning pending tables (see Call's recheck).
+// the canonical maps. Callers hold nw.mu.
 func (nw *Network) publishLocked() {
 	v := &connView{
 		nodes: make(map[SiteID]*Node, len(nw.nodes)),
 		up:    make(map[SiteID]bool, len(nw.up)),
-		link:  make(map[SiteID]map[SiteID]bool, len(nw.link)),
+		link:  make(map[SiteID]map[SiteID]linkState, len(nw.link)),
 	}
 	for id, n := range nw.nodes {
 		v.nodes[id] = n
@@ -528,9 +539,9 @@ func (nw *Network) publishLocked() {
 		v.up[id] = u
 	}
 	for a, row := range nw.link {
-		cp := make(map[SiteID]bool, len(row))
-		for b, ok := range row {
-			cp[b] = ok
+		cp := make(map[SiteID]linkState, len(row))
+		for b, c := range row {
+			cp[b] = c
 		}
 		v.link[a] = cp
 	}
@@ -577,16 +588,15 @@ func (nw *Network) AddSite(id SiteID) *Node {
 		id:       id,
 		nw:       nw,
 		handlers: make(map[string]Handler),
-		pending:  make(map[int64]*pendingCall),
 		dedup:    make(map[SiteID]map[int64]*dedupEntry),
 	}
 	nw.nodes[id] = n
 	nw.up[id] = true
-	nw.link[id] = make(map[SiteID]bool)
+	nw.link[id] = make(map[SiteID]linkState)
 	for other := range nw.nodes {
 		if other != id {
-			nw.link[id][other] = true
-			nw.link[other][id] = true
+			nw.link[id][other] = linkState{up: true}
+			nw.link[other][id] = linkState{up: true}
 		}
 	}
 	nw.publishLocked()
@@ -639,32 +649,23 @@ func (nw *Network) Up(id SiteID) bool {
 }
 
 // SetLink sets the (symmetric) connectivity between two sites. Taking a
-// link down closes the virtual circuit: in-flight exchanges across it
-// fail and both endpoints' OnLinkDown callbacks fire.
+// link down closes the virtual circuit: an exchange across it fails
+// when its handler returns, and both endpoints' OnLinkDown callbacks
+// fire.
 func (nw *Network) SetLink(a, b SiteID, up bool) {
 	nw.mu.Lock()
-	was := nw.link[a][b]
-	nw.link[a][b] = up
-	nw.link[b][a] = up
-	// Publish the new view before scanning pending calls: a racing Call
-	// either sees the disconnect in its post-registration recheck or has
-	// already registered its pending call where the scan finds it.
+	c := nw.link[a][b]
+	closed := c.up && !up
+	if closed {
+		c.closes++
+	}
+	c.up = up
+	nw.link[a][b], nw.link[b][a] = c, c
 	nw.publishLocked()
 	na, nb := nw.nodes[a], nw.nodes[b]
 	nw.mu.Unlock()
 
-	if was && !up {
-		var fail []*pendingCall
-		if na != nil {
-			fail = append(fail, na.takePendingTo(b)...)
-		}
-		if nb != nil {
-			fail = append(fail, nb.takePendingTo(a)...)
-		}
-		for _, p := range fail {
-			nw.stats.addReset()
-			p.fail(ErrCircuitClosed)
-		}
+	if closed {
 		if na != nil {
 			na.notifyLinkDown(b)
 		}
@@ -706,9 +707,10 @@ func (nw *Network) HealAll() {
 }
 
 // Crash takes a site down abruptly: every circuit to it closes and
-// in-flight exchanges fail, exactly as when "hosts crash" in §2.3.3.
-// The node's OnCrash callback runs so upper layers can discard in-core
-// state (incore inodes, process table, tokens).
+// exchanges across them fail, exactly as when "hosts crash" in §2.3.3.
+// The node's OnCrash callbacks run, and have returned when Crash does,
+// so upper layers can discard in-core state (incore inodes, process
+// table, tokens).
 func (nw *Network) Crash(id SiteID) {
 	nw.mu.Lock()
 	if !nw.up[id] {
@@ -716,42 +718,25 @@ func (nw *Network) Crash(id SiteID) {
 		return
 	}
 	nw.up[id] = false
-	nw.publishLocked() // before the pending scan; see SetLink
-	n := nw.nodes[id]
-	// Fail circuits and fire link-down callbacks in site order: the
-	// failure schedule is visible to the layers above and must replay
-	// identically for a pinned seed.
-	ids := make([]SiteID, 0, len(nw.nodes))
-	for other := range nw.nodes {
-		if other != id {
-			ids = append(ids, other)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var peers []SiteID
-	others := make([]*Node, 0, len(ids))
-	for _, other := range ids {
-		others = append(others, nw.nodes[other])
-		if nw.link[id][other] {
+	for other, c := range nw.link[id] {
+		if c.up {
 			peers = append(peers, other)
 		}
+		c.closes++
+		nw.link[id][other], nw.link[other][id] = c, c
 	}
+	nw.publishLocked()
+	n := nw.nodes[id]
 	nw.mu.Unlock()
 
-	var fail []*pendingCall
-	if n != nil {
-		fail = append(fail, n.takeAllPending()...)
-	}
-	for _, on := range others {
-		fail = append(fail, on.takePendingTo(id)...)
-	}
-	for _, p := range fail {
-		nw.stats.addReset()
-		p.fail(ErrCircuitClosed)
-	}
 	if n != nil {
 		n.runCrash()
 	}
+	// Fire link-down callbacks in site order: the failure schedule is
+	// visible to the layers above and must replay identically for a
+	// pinned seed.
+	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 	for _, peer := range peers {
 		if pn := nw.Node(peer); pn != nil {
 			pn.notifyLinkDown(id)
@@ -785,40 +770,6 @@ func payloadBytes(p any) int64 {
 	return defaultWireSize + headerWireSize
 }
 
-// envelope is one request on its way to a handler.
-type envelope struct {
-	from    SiteID
-	method  string
-	payload any
-	callID  int64
-	// seq is the caller's at-most-once request sequence number; 0 means
-	// the request is idempotent and exempt from dedup. It rides in the
-	// per-message header allowance (no extra wire bytes).
-	seq int64
-	// action carries a callee-side fault (duplicate delivery, response
-	// drop or crash-before-reply) decided at send time.
-	action FaultAction
-}
-
-type pendingCall struct {
-	from, to SiteID
-	once     sync.Once
-	done     chan callResult
-}
-
-type callResult struct {
-	value any
-	err   error
-}
-
-func (p *pendingCall) fail(err error) {
-	p.once.Do(func() { p.done <- callResult{err: err} })
-}
-
-func (p *pendingCall) succeed(v any, err error) {
-	p.once.Do(func() { p.done <- callResult{value: v, err: err} })
-}
-
 // Node is one site's attachment to the network. Upper layers register
 // handlers by method name and issue Calls and Casts; the paper's kernel
 // message analysis/dispatch loop (Figure 1) is the handler lookup the
@@ -832,12 +783,6 @@ type Node struct {
 	onLink    func(peer SiteID)
 	onCrash   []func()
 	onRestart []func()
-
-	// pendMu guards pending: the request/response exchanges this node
-	// originated that are still in flight. Keeping the registry per-node
-	// keeps circuit teardown scans off the send path of other nodes.
-	pendMu  sync.Mutex
-	pending map[int64]*pendingCall
 
 	// seqGen issues this node's at-most-once request sequence numbers.
 	seqGen atomic.Int64
@@ -949,62 +894,6 @@ func (n *Node) runRestart() {
 	}
 }
 
-// registerPending records an in-flight call originated by this node.
-func (n *Node) registerPending(id int64, p *pendingCall) {
-	n.pendMu.Lock()
-	n.pending[id] = p
-	n.pendMu.Unlock()
-}
-
-// takePending removes and returns the in-flight call with the given id,
-// or nil if a circuit teardown already claimed it.
-func (n *Node) takePending(id int64) *pendingCall {
-	n.pendMu.Lock()
-	p := n.pending[id]
-	delete(n.pending, id)
-	n.pendMu.Unlock()
-	return p
-}
-
-// takePendingTo removes and returns all in-flight calls from this node
-// to peer (circuit teardown).
-func (n *Node) takePendingTo(peer SiteID) []*pendingCall {
-	n.pendMu.Lock()
-	var out []*pendingCall
-	for _, id := range sortedPendingIDs(n.pending) {
-		if p := n.pending[id]; p.to == peer {
-			out = append(out, p)
-			delete(n.pending, id)
-		}
-	}
-	n.pendMu.Unlock()
-	return out
-}
-
-// takeAllPending removes and returns every in-flight call from this
-// node (site crash).
-func (n *Node) takeAllPending() []*pendingCall {
-	n.pendMu.Lock()
-	out := make([]*pendingCall, 0, len(n.pending))
-	for _, id := range sortedPendingIDs(n.pending) {
-		out = append(out, n.pending[id])
-		delete(n.pending, id)
-	}
-	n.pendMu.Unlock()
-	return out
-}
-
-// sortedPendingIDs returns the pending-call ids in issue order so a
-// teardown wakes blocked callers in the order their calls went out.
-func sortedPendingIDs(pending map[int64]*pendingCall) []int64 {
-	ids := make([]int64, 0, len(pending))
-	for id := range pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // NextSeq issues a fresh at-most-once request sequence number for this
 // node. A retried request reuses the sequence number of its first
 // transmission so the callee's dedup table can recognize it.
@@ -1020,10 +909,10 @@ func (v *connView) unreachable(from, to SiteID) error {
 	return fmt.Errorf("%w: %d -> %d", ErrUnreachable, from, to)
 }
 
-// circuit starts a remote send: it returns the node the message is
-// delivered at, having shown the send to the trace hook, or the typed
-// error for why no circuit can carry it.
-func (n *Node) circuit(to SiteID, method string) (*Node, error) {
+// circuit starts a remote send: it returns the view the send goes out
+// under, having shown the send to the trace hook, or the typed error for
+// why no circuit can carry it.
+func (n *Node) circuit(to SiteID, method string) (*connView, error) {
 	view := n.nw.view()
 	if n.nw.closed.Load() || !view.connected(n.id, to) {
 		return nil, view.unreachable(n.id, to)
@@ -1031,13 +920,14 @@ func (n *Node) circuit(to SiteID, method string) (*Node, error) {
 	if tr := n.nw.trace.Load(); tr != nil {
 		(*tr)(n.id, to, method)
 	}
-	return view.nodes[to], nil
+	return view, nil
 }
 
 // Call performs a request/response exchange with site to: exactly two
 // messages on the wire (request, response), or zero when to == n.ID()
 // (a local procedure call, as when "the local site is the CSS, only a
-// procedure call is needed" — §2.3.3).
+// procedure call is needed" — §2.3.3). See CallSeq for what has
+// happened when it returns.
 func (n *Node) Call(to SiteID, method string, payload any) (any, error) {
 	return n.CallSeq(to, method, payload, 0)
 }
@@ -1047,6 +937,20 @@ func (n *Node) Call(to SiteID, method string, payload any) (any, error) {
 // and a retransmission with the same seq returns the cached response
 // instead of re-running the handler. seq == 0 marks the request
 // idempotent (reads), exempt from dedup.
+//
+// A remote call is a procedure call: the destination's handler runs on
+// the calling goroutine — message analysis and system call continuation
+// at the serving site are the same thread of control as the request
+// (Figure 1) — and has returned when CallSeq does, whatever the result.
+// The reply travels only on the circuit the request went out on: if the
+// link went down or either site crashed while the handler ran, the
+// call fails with ErrCircuitClosed even if a circuit is up again by
+// then, and the caller cannot know whether the operation happened. A
+// handler that waits (a pipe read) is therefore released by whatever
+// releases it at its own site — §5.6 cleanup, a crash callback — never
+// by the transport. A handler may call onward, even back to this site,
+// so the caller must hold no lock a handler chain can take
+// (blockinglock).
 func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, error) {
 	if to == n.id {
 		if !n.nw.Up(n.id) {
@@ -1061,16 +965,16 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 	}
 
 	nw := n.nw
-	dest, err := n.circuit(to, method)
+	view, err := n.circuit(to, method)
 	if err != nil {
 		return nil, err
 	}
 
 	// Roll the fault plane before committing any accounting. The
-	// decision covers the whole exchange: request loss is resolved
-	// here, callee-side actions ride on the envelope.
+	// decision covers the whole exchange.
 	var dec decision
-	if f := nw.faults.Load(); f != nil {
+	f := nw.faults.Load()
+	if f != nil {
 		dec = f.decide(n.id, to, method, true)
 		if dec.delayUs > 0 {
 			nw.stats.addFaultDelay(dec.delayUs)
@@ -1085,37 +989,51 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 		}
 	}
 
-	callID := nw.callSeq.Add(1)
-	p := &pendingCall{from: n.id, to: to, done: make(chan callResult, 1)}
-	n.registerPending(callID, p)
-	// Recheck connectivity after registering: teardown publishes its new
-	// view before scanning pending tables, so either we observe the
-	// disconnect here, or the scan observes our registration and fails
-	// it. Without the recheck a call could slip between a teardown's
-	// connectivity flip and its pending scan and hang forever.
-	if !nw.view().connected(n.id, to) {
-		if n.takePending(callID) != nil {
-			return nil, nw.view().unreachable(n.id, to)
-		}
-		// The teardown claimed the pending call; it delivers the failure.
-		res := <-p.done
-		return res.value, res.err
-	}
-
 	// A Call is two wire messages: the request and the response.
 	bytes := payloadBytes(payload) + headerWireSize
 	nw.stats.chargeExchange(method, 2, bytes, 2*nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, true)
 
-	// The handler may block (a pipe read, a Wait) and teardown must still
-	// be able to fail p, so it gets a goroutine of its own.
-	env := &envelope{from: n.id, method: method, payload: payload, callID: callID, seq: seq, action: dec.action}
 	if dec.action == FaultDupRequest {
 		nw.stats.addFaultDup(method)
 	}
-	go dest.serve(env) //locus:vet-allow goroutinejoin the requester's pending-exchange entry joins the reply, and circuit teardown fails the pending call, so nothing waits on this goroutine after close
+	dest := view.nodes[to]
+	v, err := dest.apply(n.id, method, payload, seq)
+	switch dec.action {
+	case FaultDupRequest:
+		// The duplicate arrives right behind the original: the callee
+		// sees the same seq twice, and without dedup the handler runs
+		// twice — the hazard the at-most-once table exists to absorb.
+		// The first run's reply is the reply.
+		dest.apply(n.id, method, payload, seq) // error unchecked by design: a duplicate's reply is discarded
+	case FaultCrashBeforeReply:
+		// The operation is applied (durably, if the handler committed)
+		// but the callee dies before the response goes out.
+		nw.Crash(to)
+	}
 
-	res := <-p.done
-	return res.value, res.err
+	// The reply needs the circuit the request went out on (no topology
+	// change republished the view, almost always).
+	if after := nw.view(); after != view &&
+		(!after.connected(n.id, to) || after.link[n.id][to].closes != view.link[n.id][to].closes) {
+		nw.stats.addReset()
+		return nil, ErrCircuitClosed
+	}
+	if dec.action == FaultDropResponse {
+		// The response went onto the wire and vanished; the circuit
+		// resets after the timeout. The handler ran — a retry with the
+		// same seq is what the dedup table absorbs.
+		nw.stats.addFaultDrop(f.timeoutUs())
+		return nil, fmt.Errorf("%w: %s response %d -> %d", ErrTimeout, method, to, n.id)
+	}
+	if err == nil {
+		// Data-carrying responses (page transfers) are byte-metered; the
+		// response header was charged with the request.
+		if sz, ok := v.(Sizer); ok {
+			bytes := int64(sz.WireSize())
+			nw.stats.chargeResponse(bytes, bytes*nw.cost.PerKBCPU/1024)
+		}
+	}
+	return v, err
 }
 
 // Cast sends a one-way message: one message on the wire, with only a
@@ -1138,7 +1056,7 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 		return err
 	}
 	nw := n.nw
-	dest, err := n.circuit(to, method)
+	view, err := n.circuit(to, method)
 	if err != nil {
 		return err
 	}
@@ -1163,7 +1081,7 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 			deliveries = 2
 		}
 	}
-	if h := dest.handler(method); h != nil {
+	if h := view.nodes[to].handler(method); h != nil {
 		for ; deliveries > 0; deliveries-- {
 			h(n.id, payload) // error unchecked by design: one-way: no reply path
 		}
@@ -1171,101 +1089,38 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 	return nil
 }
 
-// serve runs one request at the callee and answers the caller.
-func (n *Node) serve(env *envelope) {
-	if !n.nw.Connected(env.from, n.id) {
-		// The circuit closed before the request was serviced: it is
-		// lost, and the teardown has already failed the caller.
-		return
-	}
-	v, err := n.apply(env)
-	if env.action == FaultDupRequest {
-		// The duplicate arrives right behind the original: the callee
-		// sees the same (seq, callID) twice, and without dedup the
-		// handler runs twice — the hazard the at-most-once table exists
-		// to absorb. Its reply would find no pending exchange, so the
-		// one above is the reply.
-		n.apply(env) // error unchecked by design: a duplicate's reply is discarded
-	}
-
-	if env.action == FaultCrashBeforeReply {
-		// Scripted fault: the operation is applied (durably, if the
-		// handler committed) but the callee dies before the response
-		// goes out. Crash teardown fails the caller's pending exchange
-		// with ErrCircuitClosed — the caller cannot know whether the
-		// operation happened, which is the whole point.
-		n.nw.Crash(n.id)
-		return
-	}
-
-	// Deliver the response through the caller's pending registry; if the
-	// circuit closed meanwhile the pending call was already failed and
-	// removed, so the response is dropped, as on a real circuit.
-	caller := n.nw.Node(env.from)
-	if caller == nil {
-		return
-	}
-	p := caller.takePending(env.callID)
-	if p == nil {
-		return
-	}
-	if env.action == FaultDropResponse {
-		// The response went onto the wire and vanished; the caller's
-		// circuit resets after its timeout. The handler ran — a retry
-		// with the same seq is what the dedup table absorbs.
-		timeout := int64(defaultTimeoutUs)
-		if f := n.nw.faults.Load(); f != nil {
-			timeout = f.timeoutUs()
-		}
-		n.nw.stats.addFaultDrop(timeout)
-		p.fail(fmt.Errorf("%w: %s response %d -> %d", ErrTimeout, env.method, n.id, env.from))
-		return
-	}
-	if !n.nw.Connected(n.id, p.from) {
-		p.fail(ErrCircuitClosed)
-		return
-	}
-	if err == nil {
-		// Data-carrying responses (page transfers) are byte-metered; the
-		// response header was charged with the request.
-		if sz, ok := v.(Sizer); ok {
-			bytes := int64(sz.WireSize())
-			n.nw.stats.chargeResponse(bytes, bytes*n.nw.cost.PerKBCPU/1024)
-		}
-	}
-	p.succeed(v, err)
-}
-
 // apply runs the handler for a request exactly once per (caller, seq):
 // seq-tagged requests consult the callee-side dedup table, so a
 // retransmission returns the cached outcome of the original execution
 // (at-most-once), and a duplicate arriving mid-execution waits for the
-// original instead of racing it.
-func (n *Node) apply(env *envelope) (any, error) {
-	h := n.handler(env.method)
+// original instead of racing it. seq 0 marks an idempotent request,
+// exempt from dedup; the number rides in the per-message header
+// allowance (no extra wire bytes).
+func (n *Node) apply(from SiteID, method string, payload any, seq int64) (any, error) {
+	h := n.handler(method)
 	if h == nil {
-		return nil, fmt.Errorf("%w: %s at site %d", ErrNoHandler, env.method, n.id)
+		return nil, fmt.Errorf("%w: %s at site %d", ErrNoHandler, method, n.id)
 	}
-	if env.seq == 0 || n.nw.dedupOff.Load() {
-		return h(env.from, env.payload)
+	if seq == 0 || n.nw.dedupOff.Load() {
+		return h(from, payload)
 	}
 	n.dedupMu.Lock()
-	tbl := n.dedup[env.from]
+	tbl := n.dedup[from]
 	if tbl == nil {
 		tbl = make(map[int64]*dedupEntry)
-		n.dedup[env.from] = tbl
+		n.dedup[from] = tbl
 	}
-	if e, ok := tbl[env.seq]; ok {
+	if e, ok := tbl[seq]; ok {
 		n.dedupMu.Unlock()
 		<-e.done
 		return e.value, e.err
 	}
 	e := &dedupEntry{done: make(chan struct{})}
-	tbl[env.seq] = e
+	tbl[seq] = e
 	if len(tbl) > dedupWindow {
 		// Callers' retry budgets are bounded, so anything this far
 		// behind the newest sequence number can never be retried.
-		floor := env.seq - dedupWindow
+		floor := seq - dedupWindow
 		for s := range tbl {
 			if s < floor {
 				delete(tbl, s)
@@ -1273,7 +1128,7 @@ func (n *Node) apply(env *envelope) (any, error) {
 		}
 	}
 	n.dedupMu.Unlock()
-	e.value, e.err = h(env.from, env.payload)
+	e.value, e.err = h(from, payload)
 	close(e.done)
 	return e.value, e.err
 }

@@ -152,6 +152,7 @@ func TestInFlightCallFailsOnLinkBreak(t *testing.T) {
 	}()
 	<-started
 	nw.SetLink(1, 2, false)
+	close(release) // the call fails when its handler returns, not before
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrCircuitClosed) {
@@ -160,7 +161,6 @@ func TestInFlightCallFailsOnLinkBreak(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("call did not fail after circuit break")
 	}
-	close(release)
 }
 
 func TestInFlightCallFailsOnServerCrash(t *testing.T) {
@@ -180,6 +180,7 @@ func TestInFlightCallFailsOnServerCrash(t *testing.T) {
 	}()
 	<-started
 	nw.Crash(2)
+	close(release) // the call fails when its handler returns, not before
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrCircuitClosed) {
@@ -188,7 +189,6 @@ func TestInFlightCallFailsOnServerCrash(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("call did not fail after crash")
 	}
-	close(release)
 	if _, err := a.Call(2, "slow", nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("call to crashed site = %v, want ErrUnreachable", err)
 	}

@@ -261,9 +261,11 @@ func (m *Manager) handlePipeRead(from SiteID, req *pipeReadReq) (*pipeReadResp, 
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for len(ps.buf) == 0 && !ps.closed && !ps.poisoned {
-		// A remote reader blocked here while its own site left the
-		// partition could never receive the reply; fail the exchange so
-		// the server goroutine does not strand (§5.6: never hang).
+		// It is the reader's own goroutine that waits here, inside its
+		// call: the transport fails a call only once its handler has
+		// returned. §5.6 cleanup (dropSites) and a crash (poison) wake
+		// it; a reader whose site has left the partition could never
+		// receive the reply, so it gives up (§5.6: never hang).
 		if from != m.site && !m.node.Network().Connected(m.site, from) {
 			return nil, fmt.Errorf("%w: reader site %d unreachable from pipe server", ErrSiteFailed, from)
 		}

@@ -163,3 +163,70 @@ func TestPipeServerSiteCrashFailsBothEnds(t *testing.T) {
 		t.Fatalf("read from crashed server = %v, want ErrSiteFailed", err)
 	}
 }
+
+// A reader parked at a remote pipe server waits there on its own
+// goroutine, inside its call: the transport does not fail a call whose
+// handler has not returned, so §5.6 cleanup and the crash callback are
+// the only things that release it. The three tests below are the net
+// under that one release path (the third is locus's
+// TestPartitionReleasesReaderParkedAtRemotePipeServer).
+
+// parkRemoteReader opens a writer at the server (so the pipe is not at
+// EOF) and a reader at another site, starts a Read there and returns
+// once the request is on the wire and has had a moment to park.
+func parkRemoteReader(t *testing.T) (h *harness, server, rsite proc.SiteID, done <-chan error) {
+	t.Helper()
+	h, server = pipeFixture(t)
+	rsite = otherSite(t, h, server)
+	pw := h.mgrs[server].InitProcess(cred())
+	if _, err := h.mgrs[server].OpenPipe(pw, "/fifo", true); err != nil {
+		t.Fatal(err)
+	}
+	pr := h.mgrs[rsite].InitProcess(cred())
+	r, err := h.mgrs[rsite].OpenPipe(pr, "/fifo", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan struct{})
+	h.c.Net.SetTrace(func(from, to proc.SiteID, method string) {
+		if method == "proc.piperead" && from == rsite && to == server {
+			close(sent)
+		}
+	})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := r.Read(16)
+		errc <- err
+	}()
+	<-sent
+	h.c.Net.SetTrace(nil)
+	time.Sleep(10 * time.Millisecond)
+	return h, server, rsite, errc
+}
+
+func awaitSiteFailed(t *testing.T, done <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if !errors.Is(err, proc.ErrSiteFailed) {
+			t.Fatalf("parked read returned %v after %s, want ErrSiteFailed", err, what)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("reader still parked at the pipe server after %s; §5.6 requires an error, never a hang", what)
+	}
+}
+
+func TestPipeServerCrashReleasesParkedRemoteReader(t *testing.T) {
+	h, server, _, done := parkRemoteReader(t)
+	// The crash callback poisons the buffer; nothing else runs.
+	h.c.Net.Crash(server)
+	awaitSiteFailed(t, done, "the server site crashed")
+}
+
+func TestPipeServerCleanupReleasesPartitionedRemoteReader(t *testing.T) {
+	h, server, rsite, done := parkRemoteReader(t)
+	rest := survivors(h, rsite)
+	h.c.Net.PartitionGroups([]proc.SiteID{rsite}, rest)
+	h.mgrs[server].CleanupAfterPartitionChange(rest)
+	awaitSiteFailed(t, done, "the server's §5.6 cleanup dropped the reader's site")
+}

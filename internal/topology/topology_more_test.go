@@ -59,8 +59,7 @@ func TestConcurrentPartitionProtocolsConverge(t *testing.T) {
 	// Several sites run the protocol simultaneously; the site tables
 	// still converge to the same clique.
 	tn := newNet(t, 6)
-	tn.nw.PartitionGroups([]SiteID{1, 2, 3}, []SiteID{4, 5, 6})
-	tn.nw.Quiesce()
+	tn.partition([]SiteID{1, 2, 3}, []SiteID{4, 5, 6})
 	var wg sync.WaitGroup
 	for _, s := range []SiteID{1, 2, 3} {
 		wg.Add(1)
@@ -84,7 +83,7 @@ func TestConcurrentPartitionProtocolsConverge(t *testing.T) {
 func TestMergeAfterCrashAndRestart(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 4)
-	tn.nw.Crash(3)
+	tn.crash(3)
 	tn.mgrs[1].RunPartitionProtocol()
 	if !equalSets(tn.mgrs[1].Partition(), []SiteID{1, 2, 4}) {
 		t.Fatalf("after crash: %v", tn.mgrs[1].Partition())
@@ -176,8 +175,7 @@ func TestSeventeenSiteChurn(t *testing.T) {
 		splits = append(splits, [2][]SiteID{a, b})
 	}
 	for _, sp := range splits {
-		tn.nw.PartitionGroups(sp[0], sp[1])
-		tn.nw.Quiesce()
+		tn.partition(sp[0], sp[1])
 		tn.mgrs[sp[0][0]].RunPartitionProtocol()
 		tn.mgrs[sp[1][0]].RunPartitionProtocol()
 		for _, s := range sp[0] {

@@ -266,3 +266,64 @@ func TestHundredFilesAcrossSites(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionReleasesReaderParkedAtRemotePipeServer: a reader blocked
+// in a pipe read at a remote server waits inside its call, on its own
+// goroutine. When a partition takes its site away from the server, the
+// topology change callback — §5.6 cleanup at the server — is the only
+// thing that can release it, and it must: an error, never a hang.
+func TestPartitionReleasesReaderParkedAtRemotePipeServer(t *testing.T) {
+	c, err := locus.Simple(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	writer := c.Site(1).Login("w")
+	if err := writer.Mkfifo("/fifo"); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle()
+	// A writer keeps the pipe from reading EOF; its end names the server.
+	w, err := writer.OpenPipe("/fifo", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsite := locus.SiteID(3)
+	if w.Server() == rsite {
+		rsite = 2
+	}
+	r, err := c.Site(rsite).Login("r").OpenPipe("/fifo", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan struct{})
+	c.Network().SetTrace(func(from, to locus.SiteID, method string) {
+		if method == "proc.piperead" && from == rsite {
+			close(sent)
+		}
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Read(16)
+		done <- err
+	}()
+	<-sent
+	c.Network().SetTrace(nil)
+	time.Sleep(10 * time.Millisecond) // let the handler park
+
+	var rest []locus.SiteID
+	for _, s := range c.Sites() {
+		if s != rsite {
+			rest = append(rest, s)
+		}
+	}
+	c.Partition([]locus.SiteID{rsite}, rest)
+	select {
+	case err := <-done:
+		if !errors.Is(err, proc.ErrSiteFailed) {
+			t.Fatalf("parked read returned %v after the partition, want ErrSiteFailed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reader still parked at the pipe server after Cluster.Partition")
+	}
+}
