@@ -207,84 +207,92 @@ const minDirEntryLen = 3
 // have produced is ErrCorrupt, before any allocation sized from a
 // count the input merely declares.
 func DecodeDir(raw []byte) (*Directory, error) {
-	entries, err := decodeEntries(raw, nil)
+	if len(raw) == 0 {
+		return &Directory{}, nil
+	}
+	n, b, err := decodeDirHeader(raw)
 	if err != nil {
 		return nil, err
 	}
-	return &Directory{Entries: entries}, nil
-}
-
-// decodeEntries is the one decoder, behind DecodeDir and
-// DecodeDirSnapshot. Given a chunk table it also appends to it, as it
-// goes, one chunk per chunkTarget entries: a window on the entries, the
-// bytes of raw they were decoded from, and their live count.
-func decodeEntries(raw []byte, chunks *[]dirChunk) ([]DirEntry, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	magic, k := binary.Uvarint(raw)
-	if k <= 0 || magic != dirMagic || padded(raw, k) {
-		return nil, fmt.Errorf("%w: bad directory magic", ErrCorrupt)
-	}
-	b := raw[k:]
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(len(b)-k)/minDirEntryLen || padded(b, k) {
-		return nil, fmt.Errorf("%w: directory entry count", ErrCorrupt)
-	}
-	b = b[k:]
-	// Every name is a substring of this one conversion.
-	names := string(raw)
+	// One entry array, every name a substring of one conversion of raw.
 	var entries []DirEntry
 	if n > 0 {
 		entries = make([]DirEntry, n)
 	}
-	// The open chunk: its first entry, where that starts in raw, and the
-	// tombstones seen in it so far.
-	var first, firstOff, dead int
-	if chunks != nil {
-		*chunks = make([]dirChunk, 0, (n+chunkTarget-1)/chunkTarget)
-		firstOff = len(raw) - len(b)
+	var d entryDecoder
+	k, _, err := d.run(entries, b, string(raw)[len(raw)-len(b):])
+	if err != nil {
+		return nil, err
 	}
-	var vvs vclock.Decoder
+	if k != len(b) {
+		return nil, fmt.Errorf("%w: %d bytes after the last directory entry", ErrCorrupt, len(b)-k)
+	}
+	return &Directory{Entries: entries}, nil
+}
+
+// decodeDirHeader checks the magic and the entry count of a non-empty
+// serialization and returns the count with the bytes that follow. The
+// count is refused unless the bytes present could hold that many
+// entries, so a caller may size from it.
+func decodeDirHeader(raw []byte) (n int, rest []byte, err error) {
+	magic, k := binary.Uvarint(raw)
+	if k <= 0 || magic != dirMagic || padded(raw, k) {
+		return 0, nil, fmt.Errorf("%w: bad directory magic", ErrCorrupt)
+	}
+	b := raw[k:]
+	count, k := binary.Uvarint(b)
+	if k <= 0 || count > uint64(len(b)-k)/minDirEntryLen || padded(b, k) {
+		return 0, nil, fmt.Errorf("%w: directory entry count", ErrCorrupt)
+	}
+	return int(count), b[k:], nil
+}
+
+// entryDecoder is the one strict decoder, behind DecodeDir and
+// DecodeDirSnapshot. It decodes a directory's entries a run at a time
+// and holds what the runs share.
+type entryDecoder struct {
+	vvs  vclock.Decoder // the tombstone vectors' backing arrays
+	seen int            // entries of the directory passed so far
+	last string         // the name of the last of them
+}
+
+// run decodes the len(entries) entries at the front of b, whose names
+// must go on ascending from the last one seen, and returns how many
+// bytes they take and how many of them are live. names is string(b), or
+// a longer string that starts with it: each name is a substring of it,
+// not a copy.
+func (d *entryDecoder) run(entries []DirEntry, b []byte, names string) (n, live int, err error) {
+	rest, seen, last := b, d.seen, d.last
 	for i := range entries {
-		if chunks != nil && i-first == chunkTarget {
-			off := len(raw) - len(b)
-			*chunks = append(*chunks, dirChunk{entries: entries[first:i:i], enc: raw[firstOff:off:off], live: i - first - dead})
-			first, firstOff, dead = i, off, 0
+		nameLen, k := binary.Uvarint(rest)
+		if k <= 0 || uint64(len(rest)-k) < nameLen || padded(rest, k) {
+			return 0, 0, ErrCorrupt
 		}
-		nameLen, k := binary.Uvarint(b)
-		if k <= 0 || uint64(len(b)-k) < nameLen || padded(b, k) {
-			return nil, ErrCorrupt
-		}
-		off := len(raw) - len(b) + k // b is always a suffix of raw
+		off := len(b) - len(rest) + k // rest is always a suffix of b
 		name := names[off : off+int(nameLen)]
-		b = b[k+int(nameLen):]
-		if i > 0 && name <= entries[i-1].Name {
-			return nil, fmt.Errorf("%w: directory names not strictly ascending", ErrCorrupt)
+		rest = rest[k+int(nameLen):]
+		if seen > 0 && name <= last {
+			return 0, 0, fmt.Errorf("%w: directory names not strictly ascending", ErrCorrupt)
 		}
-		ino, k := binary.Uvarint(b)
-		if k <= 0 || len(b) == k || b[k] > 1 || padded(b, k) {
-			return nil, ErrCorrupt
+		seen, last = seen+1, name
+		ino, k := binary.Uvarint(rest)
+		if k <= 0 || len(rest) == k || rest[k] > 1 || padded(rest, k) {
+			return 0, 0, ErrCorrupt
 		}
-		e := DirEntry{Name: name, Inode: storage.InodeNum(ino), Deleted: b[k] == 1}
-		b = b[k+1:]
+		e := DirEntry{Name: name, Inode: storage.InodeNum(ino), Deleted: rest[k] == 1}
+		rest = rest[k+1:]
 		if e.Deleted {
-			var err error
-			had := len(b)
-			if e.DelVV, b, err = vvs.Decode(b); err != nil || had-len(b) != e.DelVV.EncodedLen() {
-				return nil, fmt.Errorf("%w: tombstone vector", ErrCorrupt)
+			had := len(rest)
+			if e.DelVV, rest, err = d.vvs.Decode(rest); err != nil || had-len(rest) != e.DelVV.EncodedLen() {
+				return 0, 0, fmt.Errorf("%w: tombstone vector", ErrCorrupt)
 			}
-			dead++
+		} else {
+			live++
 		}
 		entries[i] = e
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after the last directory entry", ErrCorrupt, len(b))
-	}
-	if chunks != nil && len(entries) > 0 {
-		*chunks = append(*chunks, dirChunk{entries: entries[first:], enc: raw[firstOff:], live: len(entries) - first - dead})
-	}
-	return entries, nil
+	d.seen, d.last = seen, last
+	return len(b) - len(rest), live, nil
 }
 
 // Message is one mail message in the default "multiple messages in a

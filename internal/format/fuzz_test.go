@@ -159,23 +159,42 @@ func TestDecodeDirRejectsMalformed(t *testing.T) {
 	}
 }
 
-// FuzzDecodeDir is the native fuzz target for the directory decoder.
-// Its seed corpus is the build_churn-shaped directory, small valid
-// directories and every malformed case above; `go test` runs the seeds,
-// `go test -fuzz FuzzDecodeDir ./internal/format` explores from them.
+// FuzzDecodeDir is the native fuzz target for the directory decoders.
+// The second input is the directory a stale site holds: where it
+// decodes, raw is also decoded against its snapshot, and whatever the
+// two have to do with each other the answer is the flat decoder's. The
+// seed corpus is the build_churn-shaped directory before and after an
+// update, small valid directories and every malformed case above, each
+// against itself, against nothing and against the big directory; `go
+// test` runs the seeds, `go test -fuzz FuzzDecodeDir -fuzzminimizetime
+// 20x ./internal/format` explores from them (with the default minute of
+// minimizing per new input, two 11 KB seeds keep the workers minimizing
+// and a 30 s run executes a few dozen inputs, not a million).
 func FuzzDecodeDir(f *testing.F) {
-	f.Add(EncodeDir(shapedDir(1088, 17)))
-	f.Add(EncodeDir(shapedDir(3, 2)))
-	f.Add(EncodeDir(&Directory{}))
-	f.Add([]byte(nil))
-	for _, c := range malformedDirs {
-		f.Add(c.raw)
+	big := shapedDir(1088, 17)
+	bigRaw := EncodeDir(big)
+	big.Insert("f00500x", 7)
+	big.Remove("f00900", vclock.New().Bump(2))
+	f.Add(bigRaw, EncodeDir(big))
+	f.Add(EncodeDir(big), bigRaw)
+	for _, raw := range [][]byte{EncodeDir(shapedDir(3, 2)), EncodeDir(&Directory{}), nil} {
+		f.Add(raw, bigRaw)
+		f.Add(raw, raw)
 	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	for _, c := range malformedDirs {
+		f.Add(c.raw, []byte(nil))
+		f.Add(c.raw, c.raw)
+		f.Add(c.raw, bigRaw)
+	}
+	f.Fuzz(func(t *testing.T, raw, held []byte) {
+		prev, _ := DecodeDirSnapshot(nil, held) // nil if held does not decode: the cold decode
 		d, err := DecodeDir(raw)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("DecodeDir failed with %v, want an ErrCorrupt", err)
+			}
+			if s, err := DecodeDirSnapshot(prev, raw); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeDirSnapshot = %+v, %v on bytes DecodeDir refuses", s, err)
 			}
 			return
 		}
@@ -184,18 +203,20 @@ func FuzzDecodeDir(f *testing.F) {
 		}
 		// What decodes has exactly one encoding, the input, and both
 		// forms of the directory reproduce it.
-		s, err := DecodeDirSnapshot(raw)
-		if err != nil {
-			t.Fatalf("DecodeDirSnapshot fails with %v on bytes DecodeDir accepts", err)
-		}
-		if err := checkSnapshot(s, d); err != nil {
-			t.Fatal(err)
-		}
-		if err := checkLookups(s, d, allNames(d)...); err != nil {
-			t.Fatal(err)
-		}
-		if len(raw) > 0 && !bytes.Equal(s.AppendEncoded(nil), raw) {
-			t.Fatal("decode, snapshot, encode does not reproduce the input")
+		for _, prev := range []*DirSnapshot{prev, nil} {
+			s, err := DecodeDirSnapshot(prev, raw)
+			if err != nil {
+				t.Fatalf("DecodeDirSnapshot fails with %v on bytes DecodeDir accepts", err)
+			}
+			if err := checkSnapshot(s, d); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkLookups(s, d, allNames(d)...); err != nil {
+				t.Fatal(err)
+			}
+			if len(raw) > 0 && !bytes.Equal(s.AppendEncoded(nil), raw) {
+				t.Fatal("decode, snapshot, encode does not reproduce the input")
+			}
 		}
 	})
 }

@@ -65,7 +65,7 @@ func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (
 		return err
 	}
 	defer f.Close() //locus:vet-allow uncheckedcall commit already happened or failed below
-	d, err := k.dirs.load(id, f.ino.VV, f.ReadAll)
+	d, err := k.dirs.load(id, f.ino.VV, f.readAllInto)
 	if err != nil {
 		return err
 	}

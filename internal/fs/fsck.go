@@ -24,6 +24,7 @@ package fs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/format"
@@ -87,7 +88,7 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 					continue
 				}
 				if ino.Type == storage.TypeDirectory || ino.Type == storage.TypeHiddenDir {
-					data, err := readWholeLocal(c, ino)
+					data, err := readWholeLocal(c, ino, nil)
 					if err != nil {
 						out = append(out, FsckFinding{Site: k.site, ID: id, Kind: "corrupt-directory",
 							Msg: fmt.Sprintf("unreadable directory content: %v", err)})
@@ -208,8 +209,8 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 					Msg: fmt.Sprintf("VV %v at site %d != %v at site %d", cp.ino.VV, cp.site, ref.ino.VV, ref.site)})
 				continue
 			}
-			a, errA := readWholeLocal(ref.k.store.Container(id.FG), ref.ino)
-			b, errB := readWholeLocal(cp.k.store.Container(id.FG), cp.ino)
+			a, errA := readWholeLocal(ref.k.store.Container(id.FG), ref.ino, nil)
+			b, errB := readWholeLocal(cp.k.store.Container(id.FG), cp.ino, nil)
 			if errA != nil || errB != nil || !bytes.Equal(a, b) {
 				out = append(out, FsckFinding{Site: cp.site, ID: id, Kind: "content-divergence",
 					Msg: fmt.Sprintf("equal VV %v but content differs between sites %d and %d", cp.ino.VV, ref.site, cp.site)})
@@ -272,21 +273,22 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 }
 
 // readWholeLocal reads a file's committed content from the local
-// container (no network, no serving state).
-func readWholeLocal(c *storage.Container, ino *storage.Inode) ([]byte, error) {
+// container (no network, no serving state) into buf, which it grows to
+// ino.Size if it is smaller. Each pooled page the container hands over
+// goes back to the pool once copied.
+func readWholeLocal(c *storage.Container, ino *storage.Inode, buf []byte) ([]byte, error) {
 	if c == nil {
 		return nil, fmt.Errorf("fs: no local container")
 	}
-	var buf []byte
+	size := int(ino.Size)
+	buf = slices.Grow(buf[:0], size)
 	for pn := 0; pn < ino.NPages(); pn++ {
 		pg, err := c.ReadLogicalPage(ino.Num, storage.PageNo(pn))
 		if err != nil {
 			return nil, err
 		}
-		buf = append(buf, pg...)
-	}
-	if int64(len(buf)) > ino.Size {
-		buf = buf[:ino.Size]
+		buf = append(buf, pg[:min(len(pg), size-len(buf))]...)
+		storage.PutPageBuf(pg)
 	}
 	return buf, nil
 }

@@ -2,7 +2,7 @@ package fs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/lint/invariant"
 	"repro/internal/netsim"
@@ -475,7 +475,7 @@ func (f *File) commitOrAbort(abort bool) error {
 		// Reload the committed inode image.
 		f.refreshFromSS()
 	}
-	f.dirty = make(map[storage.PageNo]bool)
+	clear(f.dirty)
 	return nil
 }
 
@@ -526,7 +526,7 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 		k.mu.Lock()
 		sv.incore = ino // GetInode's result is already this caller's own copy
 		sv.committedPages = pageSet(ino.Pages)
-		sv.dirty = make(map[storage.PageNo]bool)
+		clear(sv.dirty)
 		k.mu.Unlock()
 		return &commitResp{VV: ino.VV}, nil
 	}
@@ -543,9 +543,9 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 		}
 		// The page list rides the commit notifications; keep its order
 		// independent of map iteration.
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+		slices.Sort(pages)
 	}
-	sv.dirty = make(map[storage.PageNo]bool)
+	clear(sv.dirty)
 	sv.truncated = false
 	k.mu.Unlock()
 
@@ -583,14 +583,16 @@ func (k *Kernel) notifyCommit(id storage.FileID, ino *storage.Inode, pages []sto
 	if ino.Deleted {
 		note.Pages = nil // deletes always ship the whole (empty) state
 	}
-	sent := map[SiteID]bool{k.site: true}
+	// Three storage sites and the CSS at most, as a rule: a list on the
+	// stack, not a map.
+	sent := append(make([]SiteID, 0, 8), k.site)
 	for _, s := range ino.Sites {
-		if !sent[s] && k.inPartition(s) {
-			sent[s] = true
+		if !slices.Contains(sent, s) && k.inPartition(s) {
+			sent = append(sent, s)
 			netsim.Cast(k.node, s, mPropNotify, note) //locus:vet-allow uncheckedcall unreachable peers pull at merge
 		}
 	}
-	if css, err := k.CSSOf(id.FG); err == nil && !sent[css] {
+	if css, err := k.CSSOf(id.FG); err == nil && !slices.Contains(sent, css) {
 		netsim.Cast(k.node, css, mPropNotify, note) //locus:vet-allow uncheckedcall see above
 	}
 	// The committing site applies its own notification locally (updates
@@ -728,10 +730,16 @@ func (k *Kernel) handleSSClose(_ SiteID, req *ssCloseReq) (*netsim.Ack, error) {
 }
 
 // ReadAll reads the whole file through the handle.
-func (f *File) ReadAll() ([]byte, error) {
-	size := f.ino.Size
-	buf := make([]byte, size)
-	n, err := f.ReadAt(buf, 0)
+func (f *File) ReadAll() ([]byte, error) { return f.readAllInto(nil) }
+
+// readAllInto is ReadAll into buf, which it replaces with a slice of the
+// file's size if it is smaller.
+func (f *File) readAllInto(buf []byte) ([]byte, error) {
+	size := int(f.ino.Size)
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	n, err := f.ReadAt(buf[:size], 0)
 	if err != nil {
 		return nil, err
 	}

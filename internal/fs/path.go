@@ -88,8 +88,8 @@ func (k *Kernel) readDirOnce(id storage.FileID) (*format.DirSnapshot, *storage.I
 		return nil, nil, fmt.Errorf("%w: %v is %v", ErrNotDir, id, f.ino.Type)
 	}
 	ino := f.ino.Clone()
-	d, err := k.dirs.load(id, ino.VV, func() ([]byte, error) {
-		raw, err := f.ReadAll()
+	d, err := k.dirs.load(id, ino.VV, func(buf []byte) ([]byte, error) {
+		raw, err := f.readAllInto(buf)
 		// ReadAt refreshed the handle's size from what the SS served.
 		if err == nil && f.ino.Size != ino.Size {
 			return nil, fmt.Errorf("%w: %v changed during an unsynchronized read", format.ErrCorrupt, id)

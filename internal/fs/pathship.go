@@ -77,19 +77,8 @@ func (k *Kernel) localDir(id storage.FileID) (*format.DirSnapshot, *storage.Inod
 	if ino.Type != storage.TypeDirectory && ino.Type != storage.TypeHiddenDir {
 		return nil, nil, false
 	}
-	d, err := k.dirs.load(id, ino.VV, func() ([]byte, error) {
-		raw := make([]byte, 0, ino.Size)
-		for pn := range ino.Pages {
-			data, err := c.ReadLogicalPage(id.Inode, storage.PageNo(pn))
-			if err != nil {
-				return nil, err
-			}
-			raw = append(raw, data...)
-		}
-		if int64(len(raw)) > ino.Size {
-			raw = raw[:ino.Size]
-		}
-		return raw, nil
+	d, err := k.dirs.load(id, ino.VV, func(buf []byte) ([]byte, error) {
+		return readWholeLocal(c, ino, buf)
 	})
 	if err != nil {
 		return nil, nil, false
