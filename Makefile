@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet locusvet vet-stats test race flake invariants bench benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
+.PHONY: all build fmt vet locusvet vet-stats test race flake invariants bench benchonce benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
 
 all: ci
 
@@ -53,6 +53,13 @@ invariants:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# benchonce runs every benchmark of the three layer packages that have
+# them for one iteration, tests skipped: a benchmark is compiled by `go
+# test` but never run, so one that panics or fails on its set-up rots
+# unnoticed until somebody needs its number (about 2 s).
+benchonce:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/netsim ./internal/format ./internal/storage
 
 # benchsmoke is the cheap CI gate: runs the cache/readahead experiment
 # (E11) end to end and validates the BENCH_locus.json encoding.
@@ -108,4 +115,4 @@ profile:
 chaos:
 	$(GO) test -run TestChaos -race -tags locusinvariants -count=1 ./internal/chaos
 
-ci: build fmt vet locusvet test race flake invariants benchsmoke workloadsmoke benchmarkcheck benchdiff chaos
+ci: build fmt vet locusvet test race flake invariants benchonce benchsmoke workloadsmoke benchmarkcheck benchdiff chaos

@@ -488,8 +488,8 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	}
 	var usvv vclock.VV
 	if c := k.container(id.FG); c != nil {
-		if ino, err := c.GetInode(id.Inode); err == nil && !ino.Deleted && !ino.Conflict {
-			usvv = ino.VV
+		if cur, ok := c.Version(id.Inode); ok && !cur.Deleted && !cur.Conflict {
+			usvv = cur.VV
 		}
 	}
 	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: usvv})

@@ -53,7 +53,7 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 	if c == nil {
 		return
 	}
-	stores := c.HasInode(note.ID.Inode)
+	cur, stores := c.Version(note.ID.Inode)
 	should := containsSite(note.Sites, k.site)
 	if !stores && !should {
 		return
@@ -72,10 +72,8 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 		k.mu.Unlock()
 		return
 	}
-	if stores {
-		if ino, err := c.GetInode(note.ID.Inode); err == nil && ino.VV.DominatesOrEqual(note.VV) {
-			return // already current (or the origin itself)
-		}
+	if stores && cur.VV.DominatesOrEqual(note.VV) {
+		return // already current (or the origin itself)
 	}
 
 	k.mu.Lock()

@@ -267,7 +267,9 @@ func TestNestedCallsFailFrameByFrame(t *testing.T) {
 
 // TestCallAllocations pins what an exchange costs the allocator: an
 // idempotent call is a function call, and an at-most-once one adds its
-// dedup entry and that entry's channel. Not parallel: AllocsPerRun.
+// dedup entry — measured from a full window, where the entry it makes
+// evicts one, because that is where a caller spends its life. Not
+// parallel: AllocsPerRun.
 func TestCallAllocations(t *testing.T) {
 	_, a, b := twoSites(t)
 	b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
@@ -279,11 +281,60 @@ func TestCallAllocations(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("idempotent remote Call: %v allocations, want 0", got)
 	}
-	if got := testing.AllocsPerRun(200, func() {
+	atMostOnce := func() {
 		if _, err := a.CallSeq(2, "op", req, a.NextSeq()); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 2 {
-		t.Errorf("at-most-once remote Call: %v allocations, want <= 2", got)
+	}
+	for i := 0; i < 2*dedupWindow; i++ {
+		atMostOnce()
+	}
+	if got := testing.AllocsPerRun(200, atMostOnce); got > 1 {
+		t.Errorf("at-most-once remote Call from a full window: %v allocations, want <= 1", got)
+	}
+}
+
+// BenchmarkCallAtMostOnce is what one exchange costs the wall clock,
+// each row started from full windows: an idempotent call, an
+// at-most-once call when every request goes to one callee (a using site
+// and its one CSS) and when they alternate between two. The three differ
+// by the dedup entry and nothing else; a cost that grows with the window
+// shows in the one-callee row first.
+func BenchmarkCallAtMostOnce(b *testing.B) {
+	for _, bc := range []struct {
+		name       string
+		callees    int
+		atMostOnce bool
+	}{
+		{"idempotent", 1, false},
+		{"one-callee", 1, true},
+		{"two-callees", 2, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			nw := New(DefaultCosts())
+			defer nw.Close()
+			a := nw.AddSite(1)
+			for i := 0; i < bc.callees; i++ {
+				nw.AddSite(SiteID(2+i)).Handle("op", func(SiteID, any) (any, error) { return nil, nil })
+			}
+			req := &echoReq{}
+			call := func(i int) {
+				var seq int64
+				if bc.atMostOnce {
+					seq = a.NextSeq()
+				}
+				if _, err := a.CallSeq(SiteID(2+i%bc.callees), "op", req, seq); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 2*dedupWindow*bc.callees; i++ {
+				call(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call(i)
+			}
+		})
 	}
 }

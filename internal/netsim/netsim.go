@@ -42,6 +42,8 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -495,6 +497,14 @@ type Network struct {
 
 	// active counts link-down callbacks still running, for Quiesce.
 	active atomic.Int64
+	// offer paces Quiesce's offer of the processor to the runtime.
+	offer struct {
+		calls atomic.Uint64
+		// mu guards the rest; a Quiesce that finds it held skips its read.
+		mu     sync.Mutex
+		allocs [1]metrics.Sample // /gc/heap/allocs:bytes, read in place
+		at     uint64            // its value at the last offer
+	}
 	// closed is set by Close: no circuit carries a message afterwards.
 	closed atomic.Bool
 
@@ -520,6 +530,7 @@ func New(cost CostModel) *Network {
 		cost:  cost,
 	}
 	nw.stats.clock = nw.clock
+	nw.offer.allocs[0].Name = "/gc/heap/allocs:bytes"
 	nw.publishLocked()
 	return nw
 }
@@ -588,7 +599,7 @@ func (nw *Network) AddSite(id SiteID) *Node {
 		id:       id,
 		nw:       nw,
 		handlers: make(map[string]Handler),
-		dedup:    make(map[SiteID]map[int64]*dedupEntry),
+		dedup:    make(map[SiteID]*dedupTable),
 	}
 	nw.nodes[id] = n
 	nw.up[id] = true
@@ -615,11 +626,47 @@ func (nw *Network) Node(id SiteID) *Node {
 // Crash and PartitionGroups come back before the reconfiguration they
 // set off is done. Nothing else outlives the call that started it — a
 // Cast's handler has run when Cast returns — so nothing else needs it.
+//
+// It is also the op boundary of a driver that never blocks (one
+// goroutine, every exchange a procedure call), and the one place such a
+// driver offers the processor to the runtime: with a single P the
+// collector's background worker otherwise runs only at the 10 ms
+// preemption tick, a mark phase lasts that long however fast the driver
+// allocates, and everything allocated meanwhile is allocated live. The
+// offer is paced by allocation, not by call count: every offerEvery-th
+// call reads the process's allocated-bytes counter and yields once if
+// offerBytes or more were allocated since the last yield, so a driver
+// that allocates little pays a counter read per offerEvery calls and
+// never yields, and no driver yields more than once per offerBytes.
 func (nw *Network) Quiesce() {
 	for i := 0; nw.active.Load() != 0; i++ {
 		nw.clock.Backoff(i)
 	}
+	if nw.offer.calls.Add(1)%offerEvery == 0 && nw.offer.mu.TryLock() {
+		metrics.Read(nw.offer.allocs[:])
+		now := nw.offer.allocs[0].Value.Uint64()
+		due := now-nw.offer.at >= offerBytes
+		if due {
+			nw.offer.at = now
+		}
+		nw.offer.mu.Unlock()
+		if due {
+			runtime.Gosched()
+		}
+	}
 }
+
+const (
+	// offerEvery is how many Quiesce calls share one read of the
+	// allocation counter (≈ 350 ns a read, so ≈ 11 ns a call).
+	offerEvery = 32
+	// offerBytes is the allocation that earns one yield: about what the
+	// repository benchmark's workloads allocate during one mark phase
+	// when the worker is scheduled promptly, so a phase ends within that
+	// much allocation instead of at the next preemption tick. Yielding
+	// on every call was measured and rejected (DESIGN §9).
+	offerBytes = 4 << 20
+)
 
 // Close shuts the network: remote Calls and Casts fail afterwards with
 // ErrUnreachable. Nothing needs stopping; exchanges in flight finish.
@@ -787,28 +834,51 @@ type Node struct {
 	// seqGen issues this node's at-most-once request sequence numbers.
 	seqGen atomic.Int64
 
-	// dedupMu guards the callee-side at-most-once tables: completed (or
-	// in-flight) responses for seq-tagged requests, keyed per caller.
-	// The tables are volatile kernel state — a crash clears them, which
-	// is exactly the paper's model (a rebooted site has no memory of
-	// pre-crash exchanges; reconciliation handles the rest).
+	// dedupMu guards the callee-side at-most-once tables: one window per
+	// caller, made on that caller's first seq-tagged request, and every
+	// entry's done and finished. The tables are volatile kernel state —
+	// a crash drops them, which is exactly the paper's model (a rebooted
+	// site has no memory of pre-crash exchanges; reconciliation handles
+	// the rest).
 	dedupMu sync.Mutex
-	dedup   map[SiteID]map[int64]*dedupEntry
+	dedup   map[SiteID]*dedupTable
 }
 
-// dedupEntry caches the outcome of one seq-tagged request. A retry that
-// arrives while the original is still executing waits on done rather
-// than re-running the handler.
-type dedupEntry struct {
-	done  chan struct{}
-	value any
-	err   error
-}
-
-// dedupWindow bounds the per-caller dedup table: entries more than this
-// many sequence numbers behind the newest are evicted (the caller's
-// bounded retry budget guarantees it never retries that far back).
+// dedupWindow is how many sequence numbers of one caller a callee
+// remembers: request seq is found again until a request dedupWindow or
+// more sequence numbers later, from the same caller, has arrived — that
+// one lands on its slot — so a retransmission fewer than dedupWindow
+// behind the newest request seen gets the recorded reply and one a full
+// window behind runs again. A caller draws its numbers from one counter
+// for all its callees (NextSeq), retries a request at most 8 times and
+// has one logical request in flight per goroutine, so it never
+// retransmits that far back.
 const dedupWindow = 1024
+
+// dedupTable is one caller's window at one callee: slot seq mod
+// dedupWindow holds request seq until a later request of that caller
+// lands on it. Lookup, insert and eviction are that one index and one
+// compare; no request looks at another's slot. A slot's seq is 0 while
+// it is empty (0 is the idempotent class and never gets here).
+type dedupTable [dedupWindow]struct {
+	seq int64
+	e   *dedupEntry
+}
+
+// dedupEntry is the outcome of one seq-tagged request, held by its slot
+// and by every apply of that request. value and err are written once,
+// by the apply that ran the handler, before finished is set; a
+// duplicate that finds the request still executing makes done (if no
+// earlier duplicate did) and waits on it rather than re-running the
+// handler. An entry evicted from its slot or dropped by a crash while
+// its handler runs still completes: whoever holds it gets the reply,
+// nobody can find it again.
+type dedupEntry struct {
+	finished bool
+	done     chan struct{}
+	value    any
+	err      error
+}
 
 // ID returns the node's site id.
 func (n *Node) ID() SiteID { return n.id }
@@ -875,7 +945,7 @@ func (n *Node) runCrash() {
 	// requests re-run after restart, and the reconciliation layer is
 	// what makes that safe (§4).
 	n.dedupMu.Lock()
-	n.dedup = make(map[SiteID]map[int64]*dedupEntry)
+	clear(n.dedup)
 	n.dedupMu.Unlock()
 	n.mu.Lock()
 	fs := append([]func(){}, n.onCrash...)
@@ -1089,9 +1159,9 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 	return nil
 }
 
-// apply runs the handler for a request exactly once per (caller, seq):
-// seq-tagged requests consult the callee-side dedup table, so a
-// retransmission returns the cached outcome of the original execution
+// apply runs the handler for a request at most once per (caller, seq):
+// a seq-tagged request looks in its slot of the caller's window, so a
+// retransmission returns the recorded outcome of the original execution
 // (at-most-once), and a duplicate arriving mid-execution waits for the
 // original instead of racing it. seq 0 marks an idempotent request,
 // exempt from dedup; the number rides in the per-message header
@@ -1107,28 +1177,35 @@ func (n *Node) apply(from SiteID, method string, payload any, seq int64) (any, e
 	n.dedupMu.Lock()
 	tbl := n.dedup[from]
 	if tbl == nil {
-		tbl = make(map[int64]*dedupEntry)
+		tbl = new(dedupTable)
 		n.dedup[from] = tbl
 	}
-	if e, ok := tbl[seq]; ok {
+	slot := &tbl[uint64(seq)%dedupWindow]
+	if slot.seq == seq {
+		e := slot.e
+		if e.finished {
+			n.dedupMu.Unlock()
+			return e.value, e.err
+		}
+		if e.done == nil {
+			e.done = make(chan struct{})
+		}
+		done := e.done
 		n.dedupMu.Unlock()
-		<-e.done
+		<-done
 		return e.value, e.err
 	}
-	e := &dedupEntry{done: make(chan struct{})}
-	tbl[seq] = e
-	if len(tbl) > dedupWindow {
-		// Callers' retry budgets are bounded, so anything this far
-		// behind the newest sequence number can never be retried.
-		floor := seq - dedupWindow
-		for s := range tbl {
-			if s < floor {
-				delete(tbl, s)
-			}
-		}
+	e := &dedupEntry{}
+	slot.seq, slot.e = seq, e
+	n.dedupMu.Unlock()
+
+	e.value, e.err = h(from, payload)
+
+	n.dedupMu.Lock()
+	e.finished = true
+	if e.done != nil {
+		close(e.done)
 	}
 	n.dedupMu.Unlock()
-	e.value, e.err = h(from, payload)
-	close(e.done)
 	return e.value, e.err
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -148,6 +149,186 @@ func TestDupRequestWithoutSeqRunsTwice(t *testing.T) {
 	nw.Quiesce()
 	if served.Load() != 2 {
 		t.Fatalf("seq-less duplicate ran handler %d times, want 2 (idempotent reads are exempt from dedup)", served.Load())
+	}
+}
+
+// TestDedupWindowContract is what the at-most-once table promises, row by
+// row, on raw CallSeq with a handler that replies with how many times it
+// has run: site 1 sends request 1, then the next `behind` sequence
+// numbers (round-robin over the callees, as a using site spreads its
+// opens and closes over several CSSs), then retransmits the oldest. A
+// retransmission fewer than dedupWindow behind the newest request the
+// callee has seen gets the recorded reply; a full window behind, after a
+// crash of the callee, or with dedup off, the handler runs again.
+func TestDedupWindowContract(t *testing.T) {
+	t.Parallel()
+	const (
+		noCrash = iota
+		crashAfterReply
+		crashBeforeReply // FaultCrashBeforeReply on the request itself
+	)
+	for _, tc := range []struct {
+		name     string
+		callees  int
+		behind   int
+		crash    int
+		dedupOff bool
+		replayed bool
+	}{
+		{name: "distance 1", callees: 1, behind: 1, replayed: true},
+		{name: "distance window-1", callees: 1, behind: dedupWindow - 1, replayed: true},
+		{name: "a full window behind", callees: 1, behind: dedupWindow},
+		// Alternating, each callee sees every other number: its oldest
+		// request is window-2, then a full window, behind its newest.
+		{name: "two callees, distance window-2", callees: 2, behind: dedupWindow - 1, replayed: true},
+		{name: "two callees, a full window behind", callees: 2, behind: dedupWindow + 1},
+		{name: "callee crashed and restarted", callees: 1, behind: 1, crash: crashAfterReply},
+		{name: "callee crashed before its reply", callees: 1, behind: 0, crash: crashBeforeReply},
+		{name: "dedup off", callees: 1, behind: 1, dedupOff: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			nw := New(DefaultCosts())
+			t.Cleanup(nw.Close)
+			a := nw.AddSite(1)
+			runs := make([]int, tc.callees)
+			for i := range runs {
+				nw.AddSite(SiteID(2+i)).Handle("op", func(SiteID, any) (any, error) {
+					runs[i]++
+					return runs[i], nil
+				})
+			}
+			nw.SetDedup(!tc.dedupOff)
+			if tc.crash == crashBeforeReply {
+				nw.EnableFaults(FaultConfig{
+					Points: []FaultPoint{{From: 1, To: 2, Method: "op", Nth: 1, Action: FaultCrashBeforeReply}},
+				})
+			}
+
+			// Requests 1 .. 1+behind; request 1+i goes to callee i mod
+			// callees, so callee c's oldest is 1+c.
+			for i := 0; i <= tc.behind; i++ {
+				seq := int64(1 + i)
+				v, err := a.CallSeq(SiteID(2+i%tc.callees), "op", nil, seq)
+				if i == 0 && tc.crash == crashBeforeReply {
+					if !errors.Is(err, ErrCircuitClosed) {
+						t.Fatalf("request %d: err = %v, want ErrCircuitClosed", seq, err)
+					}
+					continue
+				}
+				if want := i/tc.callees + 1; err != nil || v != want {
+					t.Fatalf("request %d: v=%v err=%v, want run %d", seq, v, err, want)
+				}
+			}
+			if tc.crash != noCrash {
+				nw.Crash(2) // a no-op after FaultCrashBeforeReply
+				nw.Restart(2)
+			}
+
+			// Retransmit each callee's oldest request.
+			for c := 0; c < tc.callees && c <= tc.behind; c++ {
+				before := runs[c]
+				v, err := a.CallSeq(SiteID(2+c), "op", nil, int64(1+c))
+				if err != nil {
+					t.Fatalf("retransmission to site %d: %v", 2+c, err)
+				}
+				switch {
+				case tc.replayed && (v != 1 || runs[c] != before):
+					t.Fatalf("site %d: retransmission got %v and the handler ran %d more times, want the recorded reply 1 and no run",
+						2+c, v, runs[c]-before)
+				case !tc.replayed && (v != before+1 || runs[c] != before+1):
+					t.Fatalf("site %d: retransmission got %v after %d runs (%d before), want a fresh run",
+						2+c, v, runs[c], before)
+				}
+			}
+		})
+	}
+}
+
+// TestDedupForgetsARequestRunningAtTheCrash: a handler that was running
+// when its site crashed leaves nothing a retry after the restart can
+// find — not while it is still running, and not when it returns.
+func TestDedupForgetsARequestRunningAtTheCrash(t *testing.T) {
+	t.Parallel()
+	nw, a, b := twoSites(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var runs atomic.Int64
+	b.Handle("commit", func(SiteID, any) (any, error) {
+		n := runs.Add(1)
+		if n == 1 {
+			close(entered)
+			<-release
+		}
+		return n, nil
+	})
+	seq := a.NextSeq()
+	first := make(chan error, 1)
+	go func() {
+		_, err := a.CallSeq(2, "commit", nil, seq)
+		first <- err
+	}()
+	<-entered
+	nw.Crash(2)
+	nw.Restart(2)
+	nw.Quiesce()
+
+	// The retry neither waits for the pre-crash execution nor replays it.
+	if v, err := a.CallSeq(2, "commit", nil, seq); err != nil || v != int64(2) {
+		t.Fatalf("retry after restart: v=%v err=%v, want a second run", v, err)
+	}
+	close(release)
+	if err := <-first; !errors.Is(err, ErrCircuitClosed) {
+		t.Fatalf("the call across the crash: err = %v, want ErrCircuitClosed", err)
+	}
+	// The pre-crash execution's outcome went nowhere: what is recorded
+	// is the retry's.
+	if v, err := a.CallSeq(2, "commit", nil, seq); err != nil || v != int64(2) || runs.Load() != 2 {
+		t.Fatalf("retransmission: v=%v err=%v after %d runs, want the retry's recorded 2", v, err, runs.Load())
+	}
+}
+
+// TestDedupDuplicateWaitsForTheOriginal: a duplicate that arrives while
+// the original is still executing waits for it; the handler runs once
+// and both get its reply. The wait channel is made by the duplicate, so
+// the test can hold the handler until the duplicate is waiting.
+func TestDedupDuplicateWaitsForTheOriginal(t *testing.T) {
+	t.Parallel()
+	_, a, b := twoSites(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var runs atomic.Int64
+	b.Handle("commit", func(SiteID, any) (any, error) {
+		if runs.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return "applied", nil
+	})
+	seq := a.NextSeq()
+	type reply struct {
+		v   any
+		err error
+	}
+	replies := make(chan reply, 2)
+	send := func() {
+		v, err := a.CallSeq(2, "commit", nil, seq)
+		replies <- reply{v, err}
+	}
+	go send()
+	<-entered
+	go send()
+	for waiting := false; !waiting; runtime.Gosched() {
+		b.dedupMu.Lock()
+		waiting = b.dedup[1][seq%dedupWindow].e.done != nil
+		b.dedupMu.Unlock()
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if r := <-replies; r.err != nil || r.v != "applied" {
+			t.Fatalf("reply %d: v=%v err=%v, want the one execution's reply", i, r.v, r.err)
+		}
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("handler ran %d times, want 1", runs.Load())
 	}
 }
 

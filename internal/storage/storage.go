@@ -358,6 +358,30 @@ func (c *Container) GetInode(n InodeNum) (*Inode, error) {
 	return ino.Clone(), nil
 }
 
+// Version is what places a stored copy among the file's other copies:
+// its version vector and the two marks that take it out of normal
+// service.
+type Version struct {
+	VV       vclock.VV
+	Deleted  bool
+	Conflict bool
+}
+
+// Version returns the version of the stored copy of file n, by value —
+// the vector is immutable, so nothing of the disk inode is aliased and
+// nothing is allocated — and whether the container stores a copy at all
+// (as HasInode). For a caller that would read nothing else of GetInode's
+// clone.
+func (c *Container) Version(n InodeNum) (Version, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ino, ok := c.inodes[n]
+	if !ok {
+		return Version{}, false
+	}
+	return Version{VV: ino.VV, Deleted: ino.Deleted, Conflict: ino.Conflict}, true
+}
+
 // ListInodes returns the numbers of all stored inodes, ascending.
 func (c *Container) ListInodes() []InodeNum {
 	c.mu.Lock()

@@ -302,6 +302,64 @@ func TestInodeCloneAllocationPin(t *testing.T) {
 	}
 }
 
+// TestVersionRead: Version is the vector and the two marks of the stored
+// copy, by value and with no allocation, where GetInode clones the whole
+// inode; a file the container does not store is reported as HasInode
+// reports it.
+func TestVersionRead(t *testing.T) {
+	c := newTestContainer()
+	n, _ := c.AllocInode()
+	if _, ok := c.Version(n); ok {
+		t.Fatal("Version found a copy of a file that was never committed")
+	}
+	ino := &Inode{Num: n, VV: vclock.New().Bump(1).Bump(3), Sites: []vclock.SiteID{1, 3}, Conflict: true}
+	if err := c.CommitInode(ino); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.Version(n)
+	if !ok || got.VV.Compare(ino.VV) != vclock.Equal || got.Deleted || !got.Conflict {
+		t.Fatalf("Version = %+v, %v; want %v with Conflict set", got, ok, ino.VV)
+	}
+	ino.VV, ino.Deleted, ino.Conflict = ino.VV.Bump(1), true, false
+	if err := c.CommitInode(ino); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := c.Version(n); !now.Deleted || now.Conflict || now.VV.Get(1) != 2 {
+		t.Fatalf("Version after the next commit = %+v", now)
+	}
+	if got.VV.Get(1) != 1 || !got.Conflict {
+		t.Fatalf("an earlier Version changed under a commit: %+v", got)
+	}
+	if a := testing.AllocsPerRun(100, func() { sinkVersion, _ = c.Version(n) }); a != 0 {
+		t.Fatalf("Version allocates %v times, want 0", a)
+	}
+}
+
+var sinkVersion Version
+
+// BenchmarkInodeRead sets the two reads of a stored inode side by side:
+// GetInode's clone and Version's three fields.
+func BenchmarkInodeRead(b *testing.B) {
+	c := newTestContainer()
+	n, _ := c.AllocInode()
+	if err := c.CommitInode(&Inode{Num: n, Pages: []PhysPage{PhysPageNil, PhysPageNil, PhysPageNil, PhysPageNil},
+		VV: vclock.New().Bump(1).Bump(2).Bump(3), Sites: []vclock.SiteID{1, 2, 3}, Owner: "alice", Nlink: 1}); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("GetInode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkInode, _ = c.GetInode(n)
+		}
+	})
+	b.Run("Version", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkVersion, _ = c.Version(n)
+		}
+	})
+}
+
 // Property: partitioned inode ranges at different packs never collide.
 func TestPropertyInodeRangesDisjoint(t *testing.T) {
 	f := func(seed int64) bool {
