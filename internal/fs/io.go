@@ -690,9 +690,9 @@ func (k *Kernel) handleClose(from SiteID, req *closeReq) (*netsim.Ack, error) {
 	}
 	screq := &ssCloseReq{ID: req.ID, SS: k.site, US: from, Mode: req.Mode, Serial: req.Serial}
 	if c := k.container(req.ID.FG); c != nil {
-		if ino, err := c.GetInode(req.ID.Inode); err == nil {
-			screq.VV = ino.VV
-			screq.Sites = ino.Sites
+		if cur, ok := c.Version(req.ID.Inode); ok {
+			screq.VV = cur.VV
+			screq.Sites = cur.Sites
 		}
 	}
 	netsim.CallAt(k.node, css, mSSClose, k.handleSSClose, screq) //locus:vet-allow uncheckedcall CSS unreachable: partition cleanup will fix the lock table

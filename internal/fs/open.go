@@ -37,14 +37,14 @@ func (k *Kernel) registerHandlers() {
 // localGetVV reads the local committed copy's version information.
 func (k *Kernel) localGetVV(id storage.FileID) getVVResp {
 	c := k.container(id.FG)
-	if c == nil || !c.HasInode(id.Inode) {
+	if c == nil {
 		return getVVResp{}
 	}
-	ino, err := c.GetInode(id.Inode)
-	if err != nil {
+	cur, ok := c.Version(id.Inode)
+	if !ok {
 		return getVVResp{}
 	}
-	return getVVResp{Has: true, VV: ino.VV, Deleted: ino.Deleted, Sites: ino.Sites, Type: ino.Type}
+	return getVVResp{Has: true, VV: cur.VV, Deleted: cur.Deleted, Sites: cur.Sites, Type: cur.Type}
 }
 
 func (k *Kernel) handleGetVV(_ SiteID, req *getVVReq) (*getVVResp, error) {
@@ -349,14 +349,28 @@ func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID, serial 
 	if c == nil {
 		return fmt.Errorf("%w: site %d stores no pack of filegroup %d", ErrNoStorageSite, k.site, id.FG)
 	}
-	ino, err := c.GetInode(id.Inode)
-	if err != nil {
-		return err
+	// A read open needs only the two marks that take a copy out of
+	// service; a modify open also needs an in-core inode of its own, and
+	// GetInode's deep copy is one.
+	var incore *storage.Inode
+	var deleted, conflict bool
+	if mode == ModeModify {
+		ino, err := c.GetInode(id.Inode)
+		if err != nil {
+			return err
+		}
+		incore, deleted, conflict = ino, ino.Deleted, ino.Conflict
+	} else {
+		cur, ok := c.Version(id.Inode)
+		if !ok {
+			return fmt.Errorf("%w: %v at site %d", storage.ErrNoInode, id, k.site)
+		}
+		deleted, conflict = cur.Deleted, cur.Conflict
 	}
-	if ino.Deleted {
+	if deleted {
 		return fmt.Errorf("%w: %v", ErrDeleted, id)
 	}
-	if ino.Conflict {
+	if conflict {
 		return fmt.Errorf("%w: %v", ErrConflict, id)
 	}
 	k.mu.Lock()
@@ -384,8 +398,8 @@ func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID, serial 
 			return fmt.Errorf("%w: %v already being modified", ErrBusy, id)
 		}
 		sv.writerUS, sv.writerSerial = us, serial
-		sv.incore = ino.Clone()
-		sv.committedPages = pageSet(ino.Pages)
+		sv.incore = incore
+		sv.committedPages = pageSet(incore.Pages)
 		sv.dirty = make(map[storage.PageNo]bool)
 	} else {
 		sv.readers[us]++

@@ -417,6 +417,10 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		}
 		return false
 	}
+	// The piggybacked pages are this site's now (the origin served
+	// copies): install adopts the ones the pull uses and clears their
+	// slots, and whatever is left on any way out goes back to the pool.
+	defer putPageBufs(por.First)
 	src := por.Ino
 	if src == nil {
 		return false
@@ -436,13 +440,12 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		return k.retireReplica(c, t)
 	}
 
-	var local *storage.Inode
-	if c.HasInode(t.id.Inode) {
-		local, err = c.GetInode(t.id.Inode)
-		if err != nil {
-			return false
-		}
-		switch src.VV.Compare(local.VV) {
+	// The local copy is read for its version here and, below, for its
+	// page table when the pull keeps unchanged pages; only the rare
+	// concurrent-version path needs a copy of the inode to change.
+	cur, stores := c.Version(t.id.Inode)
+	if stores {
+		switch src.VV.Compare(cur.VV) {
 		case vclock.Equal, vclock.Dominated:
 			k.dropStaged(t.id, true)
 			return true // already current
@@ -450,6 +453,10 @@ func (k *Kernel) pullFile(t *propTask) bool {
 			// Divergent copies: this is a merge-time conflict; mark the
 			// local copy so normal opens fail and leave resolution to
 			// the reconciliation layer (§4.6).
+			local, err := c.GetInode(t.id.Inode)
+			if err != nil {
+				return false
+			}
 			local.Conflict = true
 			if err := c.CommitInode(local); err != nil {
 				return false
@@ -463,8 +470,8 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	// must strictly dominate it: propagation only ever moves a replica
 	// forward in version-vector order (§4.2). The concurrent and
 	// dominated cases were dispatched above.
-	invariant.Assertf(local == nil || src.VV.Compare(local.VV) == vclock.Dominates,
-		"fs: pull of %v would install %v over non-dominated local %v", t.id, src.VV, local)
+	invariant.Assertf(!stores || src.VV.Compare(cur.VV) == vclock.Dominates,
+		"fs: pull of %v would install %v over non-dominated local %v", t.id, src.VV, cur.VV)
 
 	// Deleted versions propagate as tombstones; pages are released.
 	if src.Deleted {
@@ -481,20 +488,27 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	// Build the new local page table. When the notification named the
 	// modified pages and we have a current base copy, only those pages
 	// are pulled; otherwise the whole file is.
-	pullAll := t.pages == nil || local == nil
+	pullAll := t.pages == nil || !stores
 	need := make(map[storage.PageNo]bool)
+	var localPages []storage.PhysPage
 	if !pullAll {
 		for _, pn := range t.pages {
 			need[pn] = true
 		}
+		local, err := c.GetInode(t.id.Inode)
+		if err != nil {
+			return false
+		}
+		localPages = local.Pages
 	}
 	// Resume state from earlier interrupted attempts at this exact
-	// source version, plus the window piggybacked on the open.
+	// source version, plus the window piggybacked on the open (by index
+	// into por.First; a slot is nil once its page is installed).
 	staged := k.stagedFor(t.id, src.VV)
-	prefetched := make(map[storage.PhysPage][]byte, len(por.First))
+	prefetched := make(map[storage.PhysPage]int, len(por.First))
 	for i, pp := range por.FirstPhys {
 		if i < len(por.First) {
-			prefetched[pp] = por.First[i]
+			prefetched[pp] = i
 		}
 	}
 
@@ -502,9 +516,11 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	newIno.Pages = make([]storage.PhysPage, len(src.Pages))
 	// install renames one arrived page to local secondary storage
 	// ("when each page arrives, the buffer that contains it is renamed
-	// and sent out to secondary storage") and stages it for resume.
+	// and sent out to secondary storage": the container adopts the
+	// buffer, nothing is copied) and stages it for resume. A buffer it
+	// refuses is not a page, so there is nothing to give back.
 	install := func(i int, data []byte) bool {
-		pp, err := c.WritePage(data)
+		pp, err := c.AdoptPage(data)
 		if err != nil {
 			return false
 		}
@@ -518,14 +534,16 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		switch {
 		case src.Pages[i] == storage.PhysPageNil:
 			newIno.Pages[i] = storage.PhysPageNil
-		case !pullAll && !need[pn] && local != nil && i < len(local.Pages) && local.Pages[i] != storage.PhysPageNil:
+		case !pullAll && !need[pn] && i < len(localPages) && localPages[i] != storage.PhysPageNil:
 			// Unchanged page: keep the local physical page.
-			newIno.Pages[i] = local.Pages[i]
+			newIno.Pages[i] = localPages[i]
 		case staged[src.Pages[i]] != storage.PhysPageNil:
 			// Already transferred by an interrupted attempt.
 			newIno.Pages[i] = staged[src.Pages[i]]
 		default:
-			if data, ok := prefetched[src.Pages[i]]; ok {
+			if j, ok := prefetched[src.Pages[i]]; ok && por.First[j] != nil {
+				data := por.First[j]
+				por.First[j] = nil
 				if !install(i, data) {
 					return false
 				}
@@ -549,13 +567,21 @@ func (k *Kernel) pullFile(t *propTask) bool {
 				preq.Phys = append(preq.Phys, src.Pages[i])
 			}
 			pr, err := netsim.Call(k.node, t.origin, mPullPages, preq)
-			if err != nil || len(pr.Pages) != len(win) {
+			if err != nil {
 				return false
 			}
-			for j, i := range win {
-				if pr.Pages[j] == nil || !install(i, pr.Pages[j]) {
-					return false
+			// The window's pages are ours: each is installed or, once
+			// the pull has failed, handed back.
+			ok := len(pr.Pages) == len(win)
+			for j, data := range pr.Pages {
+				if ok {
+					ok = install(win[j], data)
+				} else {
+					storage.PutPageBuf(data)
 				}
+			}
+			if !ok {
+				return false
 			}
 		}
 	} else {
@@ -564,10 +590,7 @@ func (k *Kernel) pullFile(t *propTask) bool {
 			// one two-message exchange per page (the pre-bulk protocol,
 			// kept pinnable behind Features.SerialPull).
 			rp, err := netsim.Call(k.node, t.origin, mReadPhys, &readPhysReq{FG: t.id.FG, Phys: src.Pages[i]})
-			if err != nil || rp.Data == nil {
-				return false
-			}
-			if !install(i, rp.Data) {
+			if err != nil || !install(i, rp.Data) {
 				return false
 			}
 		}
@@ -579,6 +602,14 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	// state without freeing them.
 	k.dropStaged(t.id, false)
 	return true
+}
+
+// putPageBufs returns page buffers the caller owns to the pool; nil
+// slots (pages that found another owner) are skipped.
+func putPageBufs(pages [][]byte) {
+	for _, buf := range pages {
+		storage.PutPageBuf(buf)
+	}
 }
 
 // uniquePages returns the sorted distinct page numbers of pns.
@@ -643,12 +674,10 @@ func (k *Kernel) handlePullOpen(_ SiteID, req *pullOpenReq) (*pullOpenResp, erro
 	if err != nil {
 		return nil, err
 	}
-	// Clone at the transport boundary: the response crosses the
-	// in-process transport by pointer and pullers rewrite the page
-	// table of the inode they receive. GetInode hands out a deep copy
-	// today, but the aliasing guarantee belongs to this handler, not to
-	// a storage-layer implementation detail.
-	resp := &pullOpenResp{Ino: ino.Clone()}
+	// The response crosses the in-process transport by pointer and the
+	// puller treats the inode it receives as its own: GetInode's
+	// documented deep copy is the transport-boundary copy.
+	resp := &pullOpenResp{Ino: ino}
 	if req.Window > 0 && !ino.Deleted {
 		w := req.Window
 		if w > PullWindow {
@@ -671,7 +700,9 @@ func (k *Kernel) handlePullOpen(_ SiteID, req *pullOpenReq) (*pullOpenResp, erro
 			if need != nil && !need[storage.PageNo(i)] {
 				continue
 			}
-			data, err := c.ReadPageShared(ino.Pages[i])
+			// A pooled copy the response owns: the puller adopts it or
+			// Puts it, and the committed page stays this container's alone.
+			data, err := c.ReadPage(ino.Pages[i])
 			if err != nil {
 				break // partial window is fine; the puller fetches the rest
 			}
@@ -691,7 +722,7 @@ func (k *Kernel) handleReadPhys(_ SiteID, req *readPhysReq) (*readResp, error) {
 	if c == nil {
 		return nil, fmt.Errorf("fs: site %d has no pack of filegroup %d", k.site, req.FG)
 	}
-	data, err := c.ReadPageShared(req.Phys)
+	data, err := c.ReadPage(req.Phys)
 	if err != nil {
 		return nil, err
 	}
@@ -712,8 +743,9 @@ func (k *Kernel) handlePullPages(_ SiteID, req *pullPagesReq) (*pullPagesResp, e
 	}
 	resp := &pullPagesResp{Pages: make([][]byte, 0, len(req.Phys))}
 	for _, pp := range req.Phys {
-		data, err := c.ReadPageShared(pp)
+		data, err := c.ReadPage(pp)
 		if err != nil {
+			putPageBufs(resp.Pages) // no response will carry them
 			return nil, err
 		}
 		resp.Pages = append(resp.Pages, data)

@@ -34,9 +34,10 @@ func bootSolo(t *testing.T) *Kernel {
 
 // TestHandlePullOpenClonesInode is the regression test for the pull
 // handler returning the origin's inode by pointer: a puller rewrites
-// the page table of the inode it receives, and without a defensive
-// Clone at the handler boundary that rewrite would corrupt the
-// origin's committed state through the in-process transport.
+// the page table of the inode it receives, and unless what the handler
+// sends is a copy (GetInode's deep copy is the one) that rewrite would
+// corrupt the origin's committed state through the in-process
+// transport.
 func TestHandlePullOpenClonesInode(t *testing.T) {
 	k := bootSolo(t)
 	cr := DefaultCred("tester")

@@ -6,8 +6,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// The page-carrying responses are served zero-copy from committed
-// storage buffers and declare so to the transport.
+// The page-carrying responses declare to the transport that nobody
+// writes their buffers after the send. A read response aliases committed
+// storage buffers (zero-copy); a pull response carries copies made for
+// it, which pass to the receiver.
 var (
 	_ netsim.ImmutablePayload = (*readResp)(nil)
 	_ netsim.ImmutablePayload = (*pullOpenResp)(nil)
@@ -131,10 +133,12 @@ func (r *readResp) WireSize() int {
 }
 
 // ImmutablePayload declares the zero-copy handoff contract
-// (netsim.ImmutablePayload): Data and Extra alias the storage site's
-// committed page buffers, which shadow paging never rewrites and the
-// shared-page tracking never recycles, so the US page cache may retain
-// them without copying.
+// (netsim.ImmutablePayload): from handleRead, Data and Extra alias the
+// storage site's committed page buffers, which shadow paging never
+// rewrites and the shared-page tracking never recycles, so the US page
+// cache may retain them without copying (and must never Put them). From
+// handleReadPhys, Data is a pooled copy the response owns: the receiver
+// adopts it or Puts it.
 func (r *readResp) ImmutablePayload() {}
 
 // mWrite is US → SS (one-way): "Write logical page x in file y", with
@@ -398,9 +402,14 @@ func (r *pullOpenResp) WireSize() int {
 	return n
 }
 
-// ImmutablePayload: First aliases the origin's committed page buffers
-// (see readResp.ImmutablePayload); pullers copy each page into their
-// own container via WritePage.
+// ImmutablePayload: First holds pooled copies of the origin's committed
+// pages, made for this response, which owns them; the origin keeps no
+// reference and never writes them. The receiver owns them from
+// delivery: the puller's container adopts each page it installs
+// (storage.Container.AdoptPage) and the rest go back with
+// storage.PutPageBuf. That needs every delivered response to be a fresh
+// one: fs.pullopen must stay out of the at-most-once class, whose
+// dedup window replays a cached reply (TestMethodTable).
 func (r *pullOpenResp) ImmutablePayload() {}
 
 // mReadPhys is puller → origin: read an immutable physical page of
@@ -438,8 +447,8 @@ func (r *pullPagesResp) WireSize() int {
 	return n
 }
 
-// ImmutablePayload: Pages aliases the origin's committed page buffers
-// (see readResp.ImmutablePayload).
+// ImmutablePayload: Pages holds pooled copies the response owns and the
+// receiver adopts or Puts (see pullOpenResp.ImmutablePayload).
 func (r *pullPagesResp) ImmutablePayload() {}
 
 // mSetAttr is US → SS (one-way): descriptive inode change, absolute

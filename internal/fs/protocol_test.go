@@ -2,6 +2,7 @@ package fs
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -68,6 +69,15 @@ func TestMethodTable(t *testing.T) {
 	sort.Strings(atMostOnce)
 	if !reflect.DeepEqual(atMostOnce, want) {
 		t.Errorf("at-most-once set changed:\n got  %v\n want %v", atMostOnce, want)
+	}
+	// The page-carrying pull responses hand their buffers over: the
+	// puller's container adopts them (storage.Container.AdoptPage).
+	for _, name := range []string{mPullOpen.Name, mPullPages.Name, mReadPhys.Name} {
+		if slices.Contains(atMostOnce, name) {
+			t.Errorf("%s is at-most-once: the dedup window would replay its cached response to a retry, "+
+				"and the page buffers in it already belong to the container that adopted them from the first delivery — "+
+				"one buffer, two owners, put in the pool twice. A pull response must be made for one receiver", name)
+		}
 	}
 }
 

@@ -122,17 +122,19 @@ func (k *Kernel) FetchCopyFrom(site SiteID, id storage.FileID) (*storage.Inode, 
 	}
 	data := make([]byte, 0, ino.Size)
 	for _, pp := range ino.Pages {
-		var page []byte
-		var owned bool
 		if pp == storage.PhysPageNil {
-			page = zeroPage
-		} else if site == k.site {
+			data = append(data, zeroPage...)
+			continue
+		}
+		// Local or remote, the page read is a pooled copy made for this
+		// caller, who gives it back once the bytes are out.
+		var page []byte
+		if site == k.site {
 			var err error
 			page, err = k.container(id.FG).ReadPage(pp)
 			if err != nil {
 				return nil, nil, err
 			}
-			owned = true
 		} else {
 			resp, err := netsim.Call(k.node, site, mReadPhys, &readPhysReq{FG: id.FG, Phys: pp})
 			if err != nil {
@@ -141,9 +143,7 @@ func (k *Kernel) FetchCopyFrom(site SiteID, id storage.FileID) (*storage.Inode, 
 			page = resp.Data
 		}
 		data = append(data, page...)
-		if owned {
-			storage.PutPageBuf(page)
-		}
+		storage.PutPageBuf(page)
 	}
 	if int64(len(data)) > ino.Size {
 		data = data[:ino.Size]

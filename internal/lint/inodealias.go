@@ -15,10 +15,10 @@ import (
 // copy — often a pointer straight into the remote kernel's in-core
 // state. Mutating it, or forwarding it into another response where a
 // third site will mutate it, silently corrupts replica state that no
-// version vector records (the bug class behind the defensive Clone in
-// handlePullOpen). The rule: a decoded alias may be read, but must be
-// Cloned before it is mutated or before it escapes into another
-// message, a return value, long-lived structure, or goroutine.
+// version vector records (the bug class handlePullOpen avoids by
+// sending GetInode's deep copy). The rule: a decoded alias may be read,
+// but must be Cloned before it is mutated or before it escapes into
+// another message, a return value, long-lived structure, or goroutine.
 //
 // A value is tainted when it is an AliasTypes pointer read off the
 // reply of a typed exchange (Config.AliasDecodeCalls):

@@ -288,6 +288,7 @@ func DefaultConfig() *Config {
 
 		PageAlloc: []MethodSpec{
 			{PkgSuffix: "internal/storage", Recv: "Container", Name: "WritePage"},
+			{PkgSuffix: "internal/storage", Recv: "Container", Name: "AdoptPage"},
 			{PkgSuffix: "internal/storage", Recv: "Container", Name: "AllocInode"},
 		},
 		FreshFuncs: []string{"Clone"},

@@ -180,6 +180,7 @@ func TestPageLeakFixture(t *testing.T) {
 	cfg := &Config{
 		PageAlloc: []MethodSpec{
 			{PkgSuffix: "pageleak_f", Recv: "Container", Name: "WritePage"},
+			{PkgSuffix: "pageleak_f", Recv: "Container", Name: "AdoptPage"},
 			{PkgSuffix: "pageleak_f", Recv: "Container", Name: "AllocInode"},
 		},
 		FreshFuncs: []string{"Clone"},

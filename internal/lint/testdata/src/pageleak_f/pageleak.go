@@ -1,7 +1,7 @@
 // Package pageleak_f is a locus-vet fixture for the pageleak analyzer:
-// the test config tracks Container.WritePage and Container.AllocInode
-// as storage allocations. Every path out of the allocating function
-// must free, commit, or hand off the result.
+// the test config tracks Container.WritePage, Container.AdoptPage and
+// Container.AllocInode as storage allocations. Every path out of the
+// allocating function must free, commit, or hand off the result.
 package pageleak_f
 
 type PhysPage int
@@ -26,6 +26,14 @@ type Container struct {
 func (c *Container) WritePage(data []byte) (PhysPage, error) {
 	c.next++
 	c.pages[c.next] = data
+	return c.next, nil
+}
+
+// AdoptPage is WritePage without the copy: the container takes the
+// caller's buffer as the new page.
+func (c *Container) AdoptPage(buf []byte) (PhysPage, error) {
+	c.next++
+	c.pages[c.next] = buf
 	return c.next, nil
 }
 
@@ -116,6 +124,32 @@ func badLoopAbandons(c *Container, chunks [][]byte) error {
 		}
 		ino.Pages = append(ino.Pages, pp)
 	}
+	return c.CommitInode(ino)
+}
+
+// okAdoptStages hands the adopted page to a helper (a pull's
+// recordStaged), which takes over responsibility for it.
+func okAdoptStages(c *Container, arrived []byte, stage func(PhysPage)) error {
+	pp, err := c.AdoptPage(arrived)
+	if err != nil {
+		return err
+	}
+	stage(pp)
+	return nil
+}
+
+// badAdoptedPageDropped leaks: a pulled page the container adopted is
+// as much an allocation as one it wrote, and the short-file path
+// forgets it.
+func badAdoptedPageDropped(c *Container, arrived []byte, npages int) error {
+	pp, err := c.AdoptPage(arrived) // want "result of Container.AdoptPage may leak"
+	if err != nil {
+		return err
+	}
+	if npages == 0 {
+		return nil
+	}
+	ino := &Inode{Pages: []PhysPage{pp}}
 	return c.CommitInode(ino)
 }
 

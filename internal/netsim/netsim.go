@@ -98,10 +98,15 @@ type Sizer interface{ WireSize() int }
 // the sender reuses the buffer. A payload declaring ImmutablePayload
 // waives that: the receiver may alias its buffers indefinitely without
 // copying (zero-copy handoff). Senders must guarantee the buffers are
-// frozen — in this codebase that is the shadow-page rule (committed
-// page buffers are never rewritten) plus the storage layer's shared-
-// page tracking (a buffer served zero-copy is never recycled through
-// the page pool).
+// frozen. In this codebase there are two ways. A read response
+// (fs.read) aliases committed page buffers: the shadow-page rule
+// (committed page buffers are never rewritten) plus the storage
+// layer's shared-page tracking (a buffer served zero-copy is never
+// recycled through the page pool) freeze them. A propagation-pull
+// response (fs.pullopen, fs.pullpages, fs.readphys) aliases nothing:
+// its pages are copies made for it, the sender keeps no reference, and
+// the receiver becomes their owner — which holds only because those
+// methods are not at-most-once, so no cached reply is delivered twice.
 type ImmutablePayload interface{ ImmutablePayload() }
 
 const (

@@ -9,21 +9,32 @@ import (
 
 // Page-buffer pool. Every data page in the system is exactly PageSize
 // bytes, and the simulator's hot paths (WritePage shadow allocation,
-// ReadPage copies served to local readers) used to allocate a fresh
-// 4 KB slice per call — the dominant allocation source under a
-// million-op workload. The pool recycles those buffers.
+// ReadPage copies served to local readers and to propagation pulls)
+// used to allocate a fresh 4 KB slice per call — the dominant
+// allocation source under a million-op workload. The pool recycles
+// those buffers.
 //
 // Ownership rules (the pool is safe only because these are narrow):
 //
-//   - GetPageBuf returns a zeroed PageSize buffer owned exclusively by
-//     the caller.
-//   - PutPageBuf may be called only by the buffer's exclusive owner,
-//     after which the buffer must never be touched again. Callers that
-//     cannot prove exclusive ownership simply don't Put — the buffer
+//  1. A buffer has one owner at each moment. GetPageBuf returns a zeroed
+//     PageSize buffer owned exclusively by the caller; WritePage copies
+//     into one the container owns; AdoptPage makes the caller's buffer
+//     the container's. PutPageBuf may be called only by the owner, after
+//     which the buffer must never be touched again. An owner that
+//     cannot prove it is the only one simply doesn't Put — the buffer
 //     falls to the garbage collector, which is always correct.
-//   - Buffers that have been aliased across the network (zero-copy
-//     page serves, US cache entries) are never Put; the container
-//     tracks those via the shared-page set (see ReadPageShared).
+//  2. A buffer that has escaped is never Put. Escaped means aliased by
+//     someone the container cannot see: a remote read served zero-copy
+//     into a using-site cache, the writer's in-core page read in place.
+//     The container marks those pages shared (see ReadPageShared) and
+//     drops their buffers to the collector when the page is freed.
+//  3. A page served to a pull is a copy the response owns (ReadPage,
+//     made under the container lock). The receiver adopts it
+//     (AdoptPage) or Puts it; the origin's committed page was never
+//     marked shared, so the commit that supersedes it Puts its buffer.
+//     This is sound only while no reply that carries pages is cached
+//     and replayed (fs.pullopen, fs.pullpages and fs.readphys are not
+//     at-most-once): a replayed response would reach two adopters.
 //
 // Under -tags locusinvariants every buffer is filled with a poison
 // pattern on Put and checked on Get, so a write-after-free (a stale

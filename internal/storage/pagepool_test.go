@@ -146,3 +146,87 @@ func TestReadPageExclusiveCopy(t *testing.T) {
 	PutPageBuf(a)
 	PutPageBuf(b)
 }
+
+// diskMeter counts what a container charges.
+type diskMeter struct{ cpu, disk int64 }
+
+func (m *diskMeter) AddCPU(us int64)  { m.cpu += us }
+func (m *diskMeter) AddDisk(us int64) { m.disk += us }
+
+// TestAdoptPageContract pins the hand-off a pulled page makes: the
+// container stores the caller's buffer itself (no copy), charges the
+// disk once, exactly as WritePage does, recycles the buffer through the
+// pool when the page is freed (nothing shared it), and refuses anything
+// that is not a whole page.
+func TestAdoptPageContract(t *testing.T) {
+	var wm, am diskMeter
+	costs := Costs{DiskUs: 26000, PageCPU: 400}
+	w := MustContainer(1, 1, 1, 100, &wm, costs)
+	a := MustContainer(1, 2, 101, 200, &am, costs)
+
+	payload := bytes.Repeat([]byte{0x5A}, PageSize)
+	if _, err := w.WritePage(payload); err != nil {
+		t.Fatal(err)
+	}
+	buf := GetPageBuf()
+	copy(buf, payload)
+	pp, err := a.AdoptPage(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if am != wm || am.disk != costs.DiskUs {
+		t.Fatalf("AdoptPage charged %+v, WritePage %+v; want one page transfer each", am, wm)
+	}
+	if a.PageCount() != 1 {
+		t.Fatalf("adopted page not stored: %d pages", a.PageCount())
+	}
+	stored, err := a.ReadPageShared(pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &stored[0] != &buf[0] {
+		t.Fatal("AdoptPage copied the buffer; the container must store the one it was handed")
+	}
+	// The peek above marked the page shared. Adopt another, which nothing
+	// has looked at, to see the pool take it back.
+	buf2 := GetPageBuf()
+	pp2, err := a.AdoptPage(buf2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, puts0, _ := PagePoolStats()
+	a.FreePages(pp2)
+	if _, puts1, _ := PagePoolStats(); puts1 != puts0+1 {
+		t.Fatalf("freeing an adopted page put %d buffers back, want 1", puts1-puts0)
+	}
+
+	for _, bad := range [][]byte{nil, make([]byte, PageSize-1), make([]byte, PageSize+1), make([]byte, PageSize, 2*PageSize)[:3]} {
+		before := a.PageCount()
+		if _, err := a.AdoptPage(bad); err == nil {
+			t.Fatalf("AdoptPage accepted a %d-byte buffer", len(bad))
+		}
+		if a.PageCount() != before {
+			t.Fatalf("a refused %d-byte buffer was stored", len(bad))
+		}
+	}
+}
+
+// TestAdoptPageTwicePanics: a buffer that is already one of the
+// container's pages must not get a second page number — freeing both
+// would put one buffer in the pool twice.
+func TestAdoptPageTwicePanics(t *testing.T) {
+	if !invariant.Enabled {
+		t.Skip("needs -tags locusinvariants")
+	}
+	c := MustContainer(1, 1, 1, 100, nil, Costs{})
+	buf := GetPageBuf()
+	if _, err := c.AdoptPage(buf); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second adoption of one buffer did not trip the invariant")
+		}
+	}()
+	_, _ = c.AdoptPage(buf) // panics before it returns
+}

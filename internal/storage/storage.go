@@ -247,7 +247,8 @@ type Container struct {
 	inodes map[InodeNum]*Inode
 	pages  map[PhysPage][]byte
 	// shared marks pages whose internal buffer has been handed out by
-	// ReadPageShared (zero-copy network serve). A shared buffer may be
+	// ReadPageShared (the zero-copy serve of a remote read; a pull is
+	// served a copy and marks nothing). A shared buffer may be
 	// aliased by a remote page cache, so freeing the page must drop the
 	// buffer to the garbage collector instead of recycling it through
 	// the page pool — recycling would let a new writer scribble over
@@ -359,16 +360,22 @@ func (c *Container) GetInode(n InodeNum) (*Inode, error) {
 }
 
 // Version is what places a stored copy among the file's other copies:
-// its version vector and the two marks that take it out of normal
-// service.
+// its version vector, the two marks that take it out of normal service,
+// and the type and storage-site list that every copy carries.
 type Version struct {
 	VV       vclock.VV
 	Deleted  bool
 	Conflict bool
+	Type     FileType
+	// Sites is the committed inode's own list, not a copy: read it, pass
+	// it on, append to it (it is full, so an append reallocates), but
+	// never write an element. That is safe because a committed inode is
+	// never changed in place — CommitInode installs a new one.
+	Sites []vclock.SiteID
 }
 
 // Version returns the version of the stored copy of file n, by value —
-// the vector is immutable, so nothing of the disk inode is aliased and
+// the vector is immutable and Sites is read-only (see Version), so
 // nothing is allocated — and whether the container stores a copy at all
 // (as HasInode). For a caller that would read nothing else of GetInode's
 // clone.
@@ -379,7 +386,7 @@ func (c *Container) Version(n InodeNum) (Version, bool) {
 	if !ok {
 		return Version{}, false
 	}
-	return Version{VV: ino.VV, Deleted: ino.Deleted, Conflict: ino.Conflict}, true
+	return Version{VV: ino.VV, Deleted: ino.Deleted, Conflict: ino.Conflict, Type: ino.Type, Sites: ino.Sites}, true
 }
 
 // ListInodes returns the numbers of all stored inodes, ascending.
@@ -425,8 +432,10 @@ func (c *Container) ReadPage(p PhysPage) ([]byte, error) {
 // allocate new physical pages, never touch old ones) and remains valid
 // even after the page is freed: serving it marks the page shared, and
 // freeing a shared page drops its buffer to the GC instead of recycling
-// it. Used by the network serve path so a remote page read costs zero
-// allocations and zero copies at the storage site.
+// it. Used by the read serve path (fs.read, and the writer's in-core
+// pages) so a remote page read costs zero allocations and zero copies
+// at the storage site; a propagation pull is served ReadPage's copy,
+// which the puller adopts.
 func (c *Container) ReadPageShared(p PhysPage) ([]byte, error) {
 	return c.readPhys(p, true)
 }
@@ -512,13 +521,43 @@ func (c *Container) WritePage(data []byte) (PhysPage, error) {
 	}
 	buf := GetPageBuf()
 	copy(buf, data)
+	return c.storePage(buf), nil
+}
+
+// storePage files buf, which the container owns from here on, under a
+// fresh physical page number and charges the page's transfer to disk.
+func (c *Container) storePage(buf []byte) PhysPage {
 	c.mu.Lock()
 	p := c.nextPage
 	c.nextPage++
 	c.pages[p] = buf
 	c.mu.Unlock()
 	c.chargeDisk()
-	return p, nil
+	return p
+}
+
+// AdoptPage makes buf, a PageSize buffer the caller owns exclusively
+// (a page that arrived in a pull response), a freshly allocated shadow
+// page without copying it: "when each page arrives, the buffer that
+// contains it is renamed and sent out to secondary storage" (§2.3.6).
+// The container owns buf from here on — the caller must not touch it
+// again — and charges the disk exactly as WritePage does. Anything but
+// a whole page is refused: a short buffer is a protocol bug, not
+// something to paper over with a copy.
+func (c *Container) AdoptPage(buf []byte) (PhysPage, error) {
+	if len(buf) != PageSize {
+		return 0, fmt.Errorf("storage: adopting a %d-byte buffer as a %d-byte page", len(buf), PageSize)
+	}
+	if invariant.Enabled {
+		// Two page numbers over one buffer would Put it twice.
+		c.mu.Lock()
+		for p, have := range c.pages {
+			invariant.Assertf(&have[0] != &buf[0],
+				"storage: adopting a buffer that is already page %d (fg %d site %d)", p, c.fg, c.site)
+		}
+		c.mu.Unlock()
+	}
+	return c.storePage(buf), nil
 }
 
 // FreePages releases physical pages (used on abort for shadow pages and

@@ -302,33 +302,37 @@ func TestInodeCloneAllocationPin(t *testing.T) {
 	}
 }
 
-// TestVersionRead: Version is the vector and the two marks of the stored
-// copy, by value and with no allocation, where GetInode clones the whole
-// inode; a file the container does not store is reported as HasInode
-// reports it.
+// TestVersionRead: Version is the vector, the two marks, the type and the
+// site list of the stored copy, with no allocation, where GetInode clones
+// the whole inode; a file the container does not store is reported as
+// HasInode reports it. The site list is the committed inode's own, which
+// no later commit changes in place.
 func TestVersionRead(t *testing.T) {
 	c := newTestContainer()
 	n, _ := c.AllocInode()
 	if _, ok := c.Version(n); ok {
 		t.Fatal("Version found a copy of a file that was never committed")
 	}
-	ino := &Inode{Num: n, VV: vclock.New().Bump(1).Bump(3), Sites: []vclock.SiteID{1, 3}, Conflict: true}
+	ino := &Inode{Num: n, Type: TypeDirectory, VV: vclock.New().Bump(1).Bump(3), Sites: []vclock.SiteID{1, 3}, Conflict: true}
 	if err := c.CommitInode(ino); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := c.Version(n)
-	if !ok || got.VV.Compare(ino.VV) != vclock.Equal || got.Deleted || !got.Conflict {
-		t.Fatalf("Version = %+v, %v; want %v with Conflict set", got, ok, ino.VV)
+	if !ok || got.VV.Compare(ino.VV) != vclock.Equal || got.Deleted || !got.Conflict ||
+		got.Type != TypeDirectory || !reflect.DeepEqual(got.Sites, []vclock.SiteID{1, 3}) {
+		t.Fatalf("Version = %+v, %v; want a directory at %v on sites [1 3] with Conflict set", got, ok, ino.VV)
 	}
 	ino.VV, ino.Deleted, ino.Conflict = ino.VV.Bump(1), true, false
+	ino.Sites[1] = 2
+	ino.Sites = append(ino.Sites, 3)
 	if err := c.CommitInode(ino); err != nil {
 		t.Fatal(err)
 	}
-	if now, _ := c.Version(n); !now.Deleted || now.Conflict || now.VV.Get(1) != 2 {
+	if now, _ := c.Version(n); !now.Deleted || now.Conflict || now.VV.Get(1) != 2 || !reflect.DeepEqual(now.Sites, []vclock.SiteID{1, 2, 3}) {
 		t.Fatalf("Version after the next commit = %+v", now)
 	}
-	if got.VV.Get(1) != 1 || !got.Conflict {
-		t.Fatalf("an earlier Version changed under a commit: %+v", got)
+	if got.VV.Get(1) != 1 || !got.Conflict || !reflect.DeepEqual(got.Sites, []vclock.SiteID{1, 3}) || cap(got.Sites) != 2 {
+		t.Fatalf("an earlier Version changed under a commit (or its site list has room to append into): %+v", got)
 	}
 	if a := testing.AllocsPerRun(100, func() { sinkVersion, _ = c.Version(n) }); a != 0 {
 		t.Fatalf("Version allocates %v times, want 0", a)
