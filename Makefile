@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet locusvet vet-stats test race flake invariants bench benchonce benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
+.PHONY: all build fmt vet locusvet vet-stats test race invariants bench benchonce benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
 
 all: ci
 
@@ -16,12 +16,12 @@ vet:
 	$(GO) vet ./...
 
 # locus-vet is this repository's own analyzer suite (cmd/locus-vet),
-# three tiers: syntactic (simclock, uncheckedcall, lockorder, rawcall,
-# panicdiscipline), intraprocedural dataflow (pageleak, inodealias,
-# goroutinejoin, blockinglock), and interprocedural summaries
-# (maporder, sentinelerr, atomiccounter), plus the
-# suppression audits (vet-allow reasons, staleallow). Always a full
-# whole-module run (about 3 s); ci.yml runs the same with -json.
+# eleven analyzers in three tiers: syntactic (simclock, uncheckedcall,
+# lockorder, rawcall, panicdiscipline), intraprocedural dataflow
+# (pageleak, inodealias, blockinglock), and interprocedural summaries
+# (maporder, sentinelerr, atomiccounter), plus the suppression audits
+# (vet-allow reasons, staleallow). Always a full whole-module run
+# (about 3 s); ci.yml runs the same with -json.
 locusvet:
 	$(GO) run ./cmd/locus-vet ./...
 
@@ -36,14 +36,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# flake repeats the two packages whose tests change the topology:
-# link-down callbacks are the one asynchronous thing in netsim, and a
-# test that reads a site table without a Quiesce after SetLink, Crash or
-# PartitionGroups fails about one run in thirty — here, not in someone
-# else's PR (about 12 s).
-flake:
-	$(GO) test -count=200 ./internal/netsim ./internal/topology
 
 # invariants runs the suite with the runtime assertion layer compiled
 # in (internal/lint/invariant): version-vector dominance on propagation
@@ -115,4 +107,4 @@ profile:
 chaos:
 	$(GO) test -run TestChaos -race -tags locusinvariants -count=1 ./internal/chaos
 
-ci: build fmt vet locusvet test race flake invariants benchonce benchsmoke workloadsmoke benchmarkcheck benchdiff chaos
+ci: build fmt vet locusvet test race invariants benchonce benchsmoke workloadsmoke benchmarkcheck benchdiff chaos

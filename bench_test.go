@@ -196,11 +196,9 @@ func BenchmarkE5_ReconfigurationScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Network().PartitionGroups(a2, b2)
-				c.Network().Quiesce()
 				c.Site(a2[0]).Topo.RunPartitionProtocol()
 				c.Site(b2[0]).Topo.RunPartitionProtocol()
 				c.Network().HealAll()
-				c.Network().Quiesce()
 				if _, err := c.Site(a2[0]).Topo.RunMergeProtocol(); err != nil {
 					b.Fatal(err)
 				}

@@ -1,9 +1,9 @@
 // Command locus-vet runs the repository's custom static analyzers (see
-// internal/lint): the syntactic tier (simclock, uncheckedcall,
-// lockorder, panicdiscipline, rawcall), the intraprocedural dataflow
-// tier (pageleak, inodealias, goroutinejoin, blockinglock), and the
-// interprocedural summary tier (maporder, sentinelerr, atomiccounter),
-// plus the allow-directive audits: every suppression
+// internal/lint), eleven of them: the syntactic tier (simclock,
+// uncheckedcall, lockorder, panicdiscipline, rawcall), the
+// intraprocedural dataflow tier (pageleak, inodealias, blockinglock),
+// and the interprocedural summary tier (maporder, sentinelerr,
+// atomiccounter), plus the allow-directive audits: every suppression
 // must carry a reason, and a suppression that hides no finding is
 // itself reported (staleallow).
 //

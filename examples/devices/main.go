@@ -119,9 +119,7 @@ func main() {
 	// Heal the wire without the full reconciliation sweep, then pull
 	// just /hot forward on demand.
 	c.Network().HealAll()
-	c.Network().Quiesce()
 	c.Site(1).Topo.RunMergeProtocol() // error unchecked by design: example: merge outcome is shown by the reads below
-	c.Network().Quiesce()
 	c.Settle()
 	rep, err := c.Site(1).Recon.DemandReconcilePath(op.Cred(), "/hot")
 	must(err)

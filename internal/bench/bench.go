@@ -472,14 +472,12 @@ func E5() *Table {
 			}
 		}
 		c.Network().PartitionGroups(a, b)
-		c.Network().Quiesce()
 		partMsgs := h.MsgDelta(func() {
 			c.Site(a[0]).Topo.RunPartitionProtocol()
 			c.Site(b[0]).Topo.RunPartitionProtocol()
 		})
 
 		c.Network().HealAll()
-		c.Network().Quiesce()
 		mergeMsgs := h.MsgDelta(func() {
 			if _, err := c.Site(a[0]).Topo.RunMergeProtocol(); err != nil {
 				must(err)
@@ -531,9 +529,7 @@ func E6() *Table {
 			mustWrite(b, cell("/b%04d", i), []byte("y"))
 		}
 		c.Network().HealAll()
-		c.Network().Quiesce()
 		c.Site(1).Topo.RunMergeProtocol() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
-		c.Network().Quiesce()
 		c.Settle()
 		before := c.Stats()
 		ra.ReconcileAll() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
@@ -767,9 +763,7 @@ func E9() *Table {
 		}
 		rb.DeleteMail("bob", pre[0].ID) // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
 		c.Network().HealAll()
-		c.Network().Quiesce()
 		c.Site(1).Topo.RunMergeProtocol() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
-		c.Network().Quiesce()
 		c.Settle()
 		ra.ReconcileAll() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
 		rb.ReconcileAll() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
@@ -1276,7 +1270,6 @@ func E15() *Table {
 	// site 3 are notified, wake, and exit.
 	c.Crash(2)
 	c.Site(3).Proc.DrainPrograms()
-	c.Network().Quiesce()
 	row("crash site 2: survivors run the §5.6 cleanup procedure")
 
 	// Stage 3: the survivors observe the failure synchronously — every
@@ -1328,7 +1321,6 @@ func E15() *Table {
 		must(err)
 	}
 	c.Site(3).Proc.DrainPrograms()
-	c.Network().Quiesce()
 	row("partition, signal a live process, merge: queued signal replays")
 
 	t.Notes = append(t.Notes,

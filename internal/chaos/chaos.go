@@ -307,12 +307,6 @@ func (r *run) upSites() []locus.SiteID {
 // step runs one schedule step: usually a workload op, sometimes a
 // topology or fault event.
 func (r *run) step() {
-	// Start every step from a quiescent network. The previous step's
-	// casts have landed — the sender delivered them — but the
-	// reconfiguration its link-down callbacks set off may still be
-	// running, and the next op's outcome — and so the schedule log —
-	// must be a pure function of the seed.
-	r.c.Network().Quiesce()
 	switch roll := r.rng.Intn(100); {
 	case roll < 8:
 		r.eventPartition()
@@ -625,7 +619,6 @@ func (r *run) heal() {
 		r.c.Settle()
 	}
 	r.c.Settle()
-	r.c.Network().Quiesce()
 }
 
 // check asserts the global invariants after the final heal.

@@ -102,7 +102,6 @@ func settleSchedule(t *testing.T) string {
 			}
 		}
 	}
-	c.Net.Quiesce()
 	var sched strings.Builder
 	c.Net.SetTrace(func(from, to netsim.SiteID, method string) {
 		fmt.Fprintf(&sched, "%d->%d %s\n", from, to, method)

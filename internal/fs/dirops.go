@@ -96,9 +96,9 @@ func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (
 
 // openDirForUpdate opens a directory for modification, retrying while
 // another updater briefly holds the writer lock. (Transient
-// no-storage-site windows are retried inside OpenID itself.) The wait
-// goes through the simulated clock's backoff so the kernel never
-// consults the wall clock (the simclock analyzer enforces this).
+// no-storage-site windows are retried inside OpenID itself.) Each retry
+// yields to the holder (Clock.Backoff); the kernel never consults the
+// wall clock (the simclock analyzer enforces this).
 func (k *Kernel) openDirForUpdate(id storage.FileID) (*File, error) {
 	clock := k.node.Network().Clock()
 	var err error
@@ -111,7 +111,7 @@ func (k *Kernel) openDirForUpdate(id storage.FileID) (*File, error) {
 		if !errors.Is(err, ErrBusy) {
 			return nil, err
 		}
-		clock.Backoff(attempt)
+		clock.Backoff()
 	}
 	return nil, err
 }

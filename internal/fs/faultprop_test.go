@@ -49,7 +49,6 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.Net.Quiesce()
 
 	// Drop the second fs.pullpages window and every at-most-once retry
 	// of it (sends 2..9 of the method on the 2→1 link: the retry budget
@@ -65,7 +64,6 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	if n := c.K(2).DrainPropagation(); n != 0 {
 		t.Fatalf("pull succeeded through a dead window: %d", n)
 	}
-	c.Net.Quiesce()
 	c.Net.DisableFaults()
 
 	// The interrupted pull must not have touched the committed copy:
@@ -94,7 +92,6 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	if n := c.K(2).DrainPropagation(); n != 1 {
 		t.Fatalf("resumed pull drained %d files, want 1: %s", n, c.K(2).DebugPendingPropagations())
 	}
-	c.Net.Quiesce()
 	d := c.Net.Stats().Sub(before)
 	if d.ByMethod["fs.pullopen"] != 2 || d.ByMethod["fs.pullpages"] != 2 || d.ByMethod["fs.readphys"] != 0 {
 		t.Fatalf("resume traffic = %v, want exactly one pullopen and one pullpages exchange", d.ByMethod)
@@ -188,7 +185,6 @@ func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
 	}
 	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
 	f, err := k2.Create(cred(), "/d/c", storage.TypeRegular, 0644)
-	c.Net.Quiesce()
 	c.Net.DisableFaults()
 	if err == nil {
 		f.Close() //nolint:errcheck

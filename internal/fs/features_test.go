@@ -85,7 +85,6 @@ func TestSetFeaturesTransitions(t *testing.T) {
 			c.K(2).Leases(), c.K(1).Delegates())
 	}
 	c.SetFeatures(fs.Features{})
-	c.Net.Quiesce()
 	for _, s := range c.Sites() {
 		if l, d := c.K(s).Leases(), c.K(s).Delegates(); len(l) != 0 || len(d) != 0 {
 			t.Fatalf("site %d after {Leases} -> {}: leases %v, delegates %v", s, l, d)

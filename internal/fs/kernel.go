@@ -257,13 +257,6 @@ type Kernel struct {
 	// stalledProp holds pulls whose origin left the partition; they are
 	// requeued when a merge restores connectivity.
 	stalledProp []*propTask
-	// propStop terminates the background propagation daemon, when one
-	// is running.
-	propStop chan struct{}
-	// propWG joins the daemon goroutine: StopPropagationDaemon returns
-	// only after the daemon has fully exited, so no drain can mutate
-	// kernel state after a caller tears the site down.
-	propWG sync.WaitGroup
 	// openFiles tracks US-side open handles for cleanup on partition
 	// change.
 	openFiles map[*File]bool
@@ -414,10 +407,6 @@ func (k *Kernel) crashLocal() {
 	k.propQueue = nil
 	k.stalledProp = nil
 	k.partition = []SiteID{k.site}
-	if k.propStop != nil {
-		close(k.propStop)
-		k.propStop = nil
-	}
 	k.cache.purge()
 }
 

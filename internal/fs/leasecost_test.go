@@ -48,7 +48,6 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 	delta := func(op func()) netsim.Snapshot {
 		before := c.Net.Stats()
 		op()
-		c.Net.Quiesce()
 		return c.Net.Stats().Sub(before)
 	}
 	check := func(what string, d netsim.Snapshot, msgs int64, byMeth map[string]int64, granted, revoked, rounds int64) {

@@ -430,16 +430,16 @@ func containsSite(ss []SiteID, s SiteID) bool {
 // callers use Open (pathname) instead; benchmarks and pathname
 // searching use OpenID directly.
 //
-// A failure with ErrNoStorageSite is retried on the simulated clock's
-// backoff: under concurrent cross-site updates the CSS's poll can
-// momentarily find no usable storage site — the replica holding the
-// just-committed version is still busy serving its committing writer,
-// and every other replica is one propagation pull away from current —
-// and that window closes as soon as the async propagations land. In a
-// partition that genuinely holds no current copy the retries burn out
-// and the error surfaces as before, just later; retries consume no
-// charged simulated cost and send no messages unless they run, so
-// settled deterministic runs are unaffected.
+// A failure with ErrNoStorageSite is retried, yielding the processor
+// between tries (Clock.Backoff): under concurrent cross-site updates
+// the CSS's poll can momentarily find no usable storage site — the
+// replica holding the just-committed version is still busy serving its
+// committing writer, and every other replica is one propagation pull
+// away from current — and that window closes as soon as a concurrent
+// process lands the propagations. In a partition that genuinely holds
+// no current copy, or with no concurrent process at all, the retries
+// burn out and the error surfaces as before: that costs 2,000 yields
+// and polls, no sleep and no virtual time beyond what the polls charge.
 func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
 	clock := k.node.Network().Clock()
 	var err error
@@ -452,7 +452,7 @@ func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
 		if !errors.Is(err, ErrNoStorageSite) {
 			return nil, err
 		}
-		clock.Backoff(attempt)
+		clock.Backoff()
 	}
 	return nil, err
 }

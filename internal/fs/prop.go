@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/lint/invariant"
 	"repro/internal/netsim"
@@ -186,67 +185,6 @@ func (k *Kernel) DebugPendingPropagations() string {
 		s += fmt.Sprintf("[site %d: %v vv=%v origin=%d drop=%v sites=%v] ", k.site, id, t.vv, t.origin, t.drop, t.sites)
 	}
 	return s
-}
-
-// StartPropagationDaemon launches the kernel propagation process
-// (§2.3.6: "A queue of propagation requests is kept by the kernel at
-// each site and a kernel process services the queue"), draining the
-// queue every interval until StopPropagationDaemon or site crash.
-// The interval is measured on the simulated clock, so a daemon never
-// couples test or benchmark behavior to wall-clock scheduling; the
-// clock keeps advancing during idle waits via Backoff's charged
-// sleeps. Deterministic tests and benchmarks use DrainPropagation
-// directly instead.
-func (k *Kernel) StartPropagationDaemon(interval time.Duration) {
-	k.mu.Lock()
-	if k.propStop != nil {
-		k.mu.Unlock()
-		return // already running
-	}
-	stop := make(chan struct{})
-	k.propStop = stop
-	k.mu.Unlock()
-	clk := k.node.Network().Clock()
-	ivUs := int64(interval / time.Microsecond)
-	if ivUs < 1 {
-		ivUs = 1
-	}
-	k.propWG.Add(1)
-	go func() {
-		defer k.propWG.Done()
-		for {
-			next := clk.NowUs() + ivUs
-			for attempt := 0; clk.NowUs() < next; attempt++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				clk.Backoff(attempt)
-			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			k.DrainPropagation()
-		}
-	}()
-}
-
-// StopPropagationDaemon halts the background propagation process and
-// waits for it to exit: once this returns, no daemon-driven drain can
-// still be mutating kernel state. The wait happens with k.mu released
-// — a mid-drain daemon needs the mutex to finish.
-func (k *Kernel) StopPropagationDaemon() {
-	k.mu.Lock()
-	stop := k.propStop
-	k.propStop = nil
-	k.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
-	k.propWG.Wait()
 }
 
 // RequeueStalledPropagations puts stalled pulls back on the queue

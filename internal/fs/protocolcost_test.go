@@ -122,7 +122,6 @@ func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *cluster.
 	delta := func(op func()) netsim.Snapshot {
 		before := c.Net.Stats()
 		op()
-		c.Net.Quiesce() // casts are in flight only briefly; settle them
 		return c.Net.Stats().Sub(before)
 	}
 	check := func(what string, d netsim.Snapshot, msgs int64, byMeth map[string]int64) {

@@ -239,7 +239,6 @@ func (p *pullOnce) commit(tb testing.TB) {
 	p.n++
 	p.data[0] = byte(p.n)
 	rewriteFile(tb, p.c.K(1), "/f", p.data)
-	p.c.Net.Quiesce()
 	if n := p.c.K(3).DrainPropagation(); n != 1 {
 		tb.Fatalf("site 3 completed %d pulls, want 1", n)
 	}

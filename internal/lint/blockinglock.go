@@ -10,9 +10,10 @@ import (
 // BlockingLockAnalyzer forbids blocking on concurrent progress while
 // holding one of the BlockingGuard mutexes.
 //
-// A simulated-clock Backoff parks the caller until some other goroutine
-// makes progress — and on a loaded site that other goroutine is
-// frequently one that needs the very mutex the caller is holding. That
+// A simulated-clock Backoff yields the caller's turn so some other
+// goroutine can make progress — and on a loaded site that other
+// goroutine is frequently one that needs the very mutex the caller is
+// holding, so the retry loop around the Backoff never ends. That
 // is the self-deadlock shape lockvalid.go works around at runtime by
 // carefully releasing k.mu before probing; this analyzer makes the
 // discipline static: no path may reach a blocking primitive, directly
@@ -28,7 +29,10 @@ import (
 // takes that site's guard mutex on the goroutine that would already
 // hold it. A mutex held across a Call or a Cast is a certain
 // self-deadlock, not a possible stall, and this analyzer is the only
-// thing that sees it before a run does.
+// thing that sees it before a run does. A circuit that closes under a
+// Call (a fault crashes the callee) runs the caller's link-down
+// callback on the same goroutine too, which is why the mutex that
+// callback takes — topology.Manager's mu — is a guard class.
 //
 // Call effects are the fixpoint of the call graph (callsummary.go):
 // a function "may block" if it calls a BlockingCalls primitive or any

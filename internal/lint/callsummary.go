@@ -8,8 +8,8 @@ import (
 // callGraph is the shared call-graph summary layer: every analyzed
 // function body in the loaded program, its statically resolved callees,
 // and a name index for interface-method dispatch. lockorder built this
-// machinery first; blockinglock and goroutinejoin reuse it so all
-// whole-program analyzers agree on what a call can reach.
+// machinery first; blockinglock reuses it so all whole-program
+// analyzers agree on what a call can reach.
 //
 // Resolution is conservative in the same way lockorder always was:
 // concrete functions resolve to themselves, interface methods resolve

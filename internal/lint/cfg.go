@@ -5,9 +5,9 @@ import (
 )
 
 // This file is the shared control-flow layer for the dataflow
-// analyzers (pageleak, inodealias, goroutinejoin). It builds a basic-
-// block CFG for one function body over the plain go/ast tree, then
-// runs forward may-analyses and dominator queries on it.
+// analyzers (pageleak, inodealias). It builds a basic-block CFG for
+// one function body over the plain go/ast tree, then runs forward
+// may-analyses on it.
 //
 // Design notes:
 //
@@ -54,7 +54,6 @@ type cfgBlock struct {
 	idx   int
 	atoms []ast.Node
 	succs []cfgEdge
-	preds []*cfgBlock
 }
 
 // funcCFG is the control-flow graph of one function body.
@@ -105,11 +104,6 @@ func buildCFG(body *ast.BlockStmt, isPanic func(*ast.CallExpr) bool) *funcCFG {
 	b.stmtList(body.List)
 	if b.cur != nil {
 		b.edge(b.cur, b.g.exit, edgeSeq, nil)
-	}
-	for _, blk := range b.g.blocks {
-		for _, e := range blk.succs {
-			e.to.preds = append(e.to.preds, blk)
-		}
 	}
 	return b.g
 }
@@ -498,110 +492,4 @@ func (g *funcCFG) forwardMay(
 		}
 	}
 	return in
-}
-
-// ---------------------------------------------------------------------
-// Dominators.
-
-// dominators computes the dominator sets of every reachable block with
-// the classic iterative algorithm; the graphs here are tiny. Blocks
-// unreachable from entry get nil (treated as dominated by everything).
-func (g *funcCFG) dominators() map[*cfgBlock]map[*cfgBlock]bool {
-	all := make(map[*cfgBlock]bool, len(g.blocks))
-	reach := map[*cfgBlock]bool{}
-	var walk func(*cfgBlock)
-	walk = func(blk *cfgBlock) {
-		if reach[blk] {
-			return
-		}
-		reach[blk] = true
-		for _, e := range blk.succs {
-			walk(e.to)
-		}
-	}
-	walk(g.entry)
-	for blk := range reach {
-		all[blk] = true
-	}
-	dom := make(map[*cfgBlock]map[*cfgBlock]bool, len(g.blocks))
-	for blk := range reach {
-		if blk == g.entry {
-			dom[blk] = map[*cfgBlock]bool{blk: true}
-			continue
-		}
-		full := make(map[*cfgBlock]bool, len(all))
-		for b := range all {
-			full[b] = true
-		}
-		dom[blk] = full
-	}
-	for changed := true; changed; {
-		changed = false
-		for blk := range reach {
-			if blk == g.entry {
-				continue
-			}
-			var meet map[*cfgBlock]bool
-			for _, p := range blk.preds {
-				if !reach[p] {
-					continue
-				}
-				if meet == nil {
-					meet = make(map[*cfgBlock]bool, len(dom[p]))
-					for d := range dom[p] {
-						meet[d] = true
-					}
-					continue
-				}
-				for d := range meet {
-					if !dom[p][d] {
-						delete(meet, d)
-					}
-				}
-			}
-			if meet == nil {
-				meet = map[*cfgBlock]bool{}
-			}
-			meet[blk] = true
-			if len(meet) != len(dom[blk]) {
-				dom[blk] = meet
-				changed = true
-				continue
-			}
-			for d := range meet {
-				if !dom[blk][d] {
-					dom[blk] = meet
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return dom
-}
-
-// blockOf returns the block whose atoms contain a node with the given
-// position range, by linear scan over atom subtrees.
-func (g *funcCFG) blockOf(target ast.Node) *cfgBlock {
-	for _, blk := range g.blocks {
-		for _, a := range blk.atoms {
-			found := false
-			ast.Inspect(a, func(n ast.Node) bool {
-				if n == target {
-					found = true
-					return false
-				}
-				// Do not descend into nested function literals; their
-				// statements belong to a different CFG.
-				if _, ok := n.(*ast.FuncLit); ok && n != a {
-					return false
-				}
-				return !found
-			})
-			if found {
-				return blk
-			}
-		}
-	}
-	return nil
 }

@@ -40,46 +40,6 @@ func blockWithAssign(g *funcCFG, name string) *cfgBlock {
 	return nil
 }
 
-func TestCFGDiamondDominators(t *testing.T) {
-	t.Parallel()
-	body := parseBody(t, `
-func f(a bool) int {
-	x := 0
-	if a {
-		y := 1
-		_ = y
-	} else {
-		z := 2
-		_ = z
-	}
-	w := 3
-	return w
-}`)
-	g := buildCFG(body, nil)
-	dom := g.dominators()
-
-	thenB := blockWithAssign(g, "y")
-	elseB := blockWithAssign(g, "z")
-	joinB := blockWithAssign(g, "w")
-	if thenB == nil || elseB == nil || joinB == nil {
-		t.Fatal("expected then/else/join blocks with their assignments")
-	}
-	// The entry dominates everything reachable.
-	for _, blk := range []*cfgBlock{thenB, elseB, joinB, g.exit} {
-		if !dom[blk][g.entry] {
-			t.Errorf("entry should dominate block %d", blk.idx)
-		}
-	}
-	// Neither branch dominates the join — control can take the other arm.
-	if dom[joinB][thenB] || dom[joinB][elseB] {
-		t.Error("a single branch arm must not dominate the join")
-	}
-	// The join dominates the exit: every path funnels through it.
-	if !dom[g.exit][joinB] {
-		t.Error("join block should dominate the exit")
-	}
-}
-
 // TestCFGForwardMayUnion checks the may-union at a join: a fact
 // generated in one branch is live at the join and at exit even though
 // the other branch never generated it.

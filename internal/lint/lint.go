@@ -76,9 +76,18 @@ type LockClass struct {
 	PkgSuffix string
 	// Type is the struct type whose mutex fields this class covers.
 	Type string
+	// Field, when set, narrows the class to that one mutex field of
+	// Type (topology.Manager's mu guards its tables; its protoMu is
+	// held across a whole protocol run by design).
+	Field string
 }
 
-func (c LockClass) String() string { return c.PkgSuffix + "." + c.Type }
+func (c LockClass) String() string {
+	if c.Field != "" {
+		return c.PkgSuffix + "." + c.Type + "." + c.Field
+	}
+	return c.PkgSuffix + "." + c.Type
+}
 
 // TypeSpec names a type by defining-package suffix and type name.
 type TypeSpec struct {
@@ -142,15 +151,6 @@ type Config struct {
 	AliasCloneMethods []string
 	// AliasPackages scopes the inodealias analyzer.
 	AliasPackages []string
-
-	// GoJoinPackages scopes the goroutinejoin analyzer: every `go`
-	// statement there must be registered with a join the function (or
-	// the owning struct) provably waits on.
-	GoJoinPackages []string
-	// JoinFields are field names of lane-join counters (atomic counters
-	// drained by a quiesce loop elsewhere); a goroutine whose first
-	// statement defers a negative Add on one is considered joined.
-	JoinFields []string
 
 	// BlockingCalls are primitives that block on concurrent progress
 	// (network exchanges, simulated-clock backoff); the blockinglock
@@ -301,9 +301,6 @@ func DefaultConfig() *Config {
 		AliasCloneMethods: []string{"Clone"},
 		AliasPackages:     []string{"internal/fs", "internal/proc"},
 
-		GoJoinPackages: []string{"internal/fs", "internal/proc", "internal/netsim"},
-		JoinFields:     []string{"active"},
-
 		BlockingCalls: exchangesAnd(
 			MethodSpec{PkgSuffix: "internal/simclock", Recv: "Clock", Name: "Backoff"},
 		),
@@ -312,6 +309,9 @@ func DefaultConfig() *Config {
 			{PkgSuffix: "internal/proc", Type: "Manager"},
 			{PkgSuffix: "internal/storage", Type: "Store"},
 			{PkgSuffix: "internal/storage", Type: "Container"},
+			// noteLinkDown takes it on the goroutine that closed the
+			// circuit, which may be inside a Call this manager made.
+			{PkgSuffix: "internal/topology", Type: "Manager", Field: "mu"},
 		},
 
 		// The transport exchanges are the order-observable effects: the
@@ -366,7 +366,6 @@ func Analyzers() []*Analyzer {
 		RawCallAnalyzer(),
 		PageLeakAnalyzer(),
 		InodeAliasAnalyzer(),
-		GoroutineJoinAnalyzer(),
 		BlockingLockAnalyzer(),
 		MapOrderAnalyzer(),
 		SentinelErrAnalyzer(),

@@ -15,7 +15,7 @@ import (
 // same whole-program view locus-vet uses.
 var fixtureLeaves = []string{
 	"simclock_f", "unchecked_f", "lockorder_f", "panic_f", "rawcall_f",
-	"pageleak_f", "inodealias_f", "gojoin_f", "blockinglock_f",
+	"pageleak_f", "inodealias_f", "blockinglock_f",
 	"maporder_f", "sentinelerr_f", "atomiccounter_f",
 	"staleallow_f",
 }
@@ -199,15 +199,6 @@ func TestInodeAliasFixture(t *testing.T) {
 	checkFixture(t, InodeAliasAnalyzer(), cfg, "inodealias_f")
 }
 
-func TestGoroutineJoinFixture(t *testing.T) {
-	t.Parallel()
-	cfg := &Config{
-		GoJoinPackages: []string{"gojoin_f"},
-		JoinFields:     []string{"active"},
-	}
-	checkFixture(t, GoroutineJoinAnalyzer(), cfg, "gojoin_f")
-}
-
 func TestBlockingLockFixture(t *testing.T) {
 	t.Parallel()
 	cfg := &Config{
@@ -215,7 +206,10 @@ func TestBlockingLockFixture(t *testing.T) {
 			{PkgSuffix: "blockinglock_f", Recv: "Node", Name: "Call"},
 			{PkgSuffix: "blockinglock_f", Name: "Call"},
 		},
-		BlockingGuard: []LockClass{{PkgSuffix: "blockinglock_f", Type: "Kernel"}},
+		BlockingGuard: []LockClass{
+			{PkgSuffix: "blockinglock_f", Type: "Kernel"},
+			{PkgSuffix: "blockinglock_f", Type: "Manager", Field: "mu"},
+		},
 	}
 	checkFixture(t, BlockingLockAnalyzer(), cfg, "blockinglock_f")
 }

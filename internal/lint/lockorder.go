@@ -202,12 +202,14 @@ func lockOpOn(pkg *Package, call *ast.CallExpr, classes []LockClass) (int, strin
 		}
 		ownerType := pkg.Info.TypeOf(owner.X)
 		if class, ok := classIndexIn(ownerType, classes); ok {
-			return class, op, true
+			if f := classes[class].Field; f == "" || f == owner.Sel.Name {
+				return class, op, true
+			}
 		}
 		return 0, "", false
 	}
 	// owner.Lock() via an embedded mutex: the receiver itself is the class.
-	if class, ok := classIndexIn(recvType, classes); ok {
+	if class, ok := classIndexIn(recvType, classes); ok && classes[class].Field == "" {
 		if f, ok := pkg.Info.Selections[sel]; ok {
 			if m, ok := f.Obj().(*types.Func); ok && m.Pkg() != nil && m.Pkg().Path() == "sync" {
 				return class, op, true

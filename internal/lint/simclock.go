@@ -25,7 +25,8 @@ var forbiddenTimeFuncs = map[string]string{
 // accounting). A wall-clock read in a protocol package either leaks
 // host timing into deterministic partition/merge tests or silently
 // diverges from the counted cost model. internal/simclock is the one
-// sanctioned bridge to real sleeping, and it is audited separately.
+// place simulated time meets the real scheduler (a yield; it does not
+// sleep), and it is audited separately.
 func SimClockAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "simclock",

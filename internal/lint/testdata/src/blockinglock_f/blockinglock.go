@@ -99,3 +99,25 @@ func (k *Kernel) allowedGeneric() {
 	defer k.mu.Unlock()
 	Call(k.node, mProbe, &probeReq{}) //locus:vet-allow blockinglock fixture: the held-lock typed probe is this case's point
 }
+
+// Manager is a guard class narrowed to one field: mu guards the site
+// table and is taken by a link-down callback that can run inside a Call
+// the manager itself made; protoMu is held for a whole protocol run,
+// sends included, by design.
+type Manager struct {
+	mu      sync.Mutex
+	protoMu sync.Mutex
+	node    *Node
+}
+
+func (m *Manager) okProtocolRun() {
+	m.protoMu.Lock()
+	defer m.protoMu.Unlock()
+	m.node.Call("poll", nil)
+}
+
+func (m *Manager) badTableHeld() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.node.Call("poll", nil) // want "blocks on concurrent progress while holding blockinglock_f.Manager.mu"
+}

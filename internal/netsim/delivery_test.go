@@ -2,12 +2,15 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// The contract of sender-side delivery: what a Cast or a Call has done
-// by the time it returns, with no Quiesce anywhere in this file.
+// The contract of sender-side delivery: what a Cast, a Call or a
+// topology change has done by the time it returns, with no Quiesce
+// anywhere in this file.
 
 func TestCastHandlerHasRunOnReturn(t *testing.T) {
 	t.Parallel()
@@ -230,6 +233,55 @@ func TestCrashBeforeReplyHasRunOnCrash(t *testing.T) {
 	}
 	if d := nw.Stats().Sub(before); d.CircuitResets != 1 {
 		t.Fatalf("CircuitResets = %d, want 1", d.CircuitResets)
+	}
+}
+
+// TestLinkDownCallbacksHaveRunOnReturn: whatever closes a circuit runs
+// the link-down callbacks on its own goroutine, in the documented
+// order, before it returns — SetLink a-told-of-b then b-told-of-a;
+// PartitionGroups pair by pair, ascending; Crash the site's OnCrash
+// callbacks, then its peers in ascending site order, also when it is a
+// Call's fault that crashes the callee.
+func TestLinkDownCallbacksHaveRunOnReturn(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name   string
+		change func(t *testing.T, nw *Network)
+		want   string
+	}{
+		{"SetLink", func(_ *testing.T, nw *Network) { nw.SetLink(3, 1, false) },
+			"3<-1 1<-3"},
+		{"PartitionGroups", func(_ *testing.T, nw *Network) { nw.PartitionGroups([]SiteID{1, 4}, []SiteID{3}) },
+			"1<-2 2<-1 1<-3 3<-1 2<-3 3<-2 2<-4 4<-2 3<-4 4<-3"},
+		{"Crash", func(_ *testing.T, nw *Network) { nw.Crash(2) },
+			"crash2 1<-2 3<-2 4<-2"},
+		{"CrashBeforeReply", func(t *testing.T, nw *Network) {
+			nw.EnableFaults(FaultConfig{
+				Points: []FaultPoint{{From: 4, To: 2, Method: "op", Action: FaultCrashBeforeReply}},
+			})
+			if _, err := nw.Node(4).Call(2, "op", nil); !errors.Is(err, ErrCircuitClosed) {
+				t.Fatalf("err = %v, want ErrCircuitClosed", err)
+			}
+		}, "op crash2 1<-2 3<-2 4<-2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := New(DefaultCosts())
+			t.Cleanup(nw.Close)
+			var log []string // no lock: everything runs on this goroutine
+			for id := SiteID(1); id <= 4; id++ {
+				n := nw.AddSite(id)
+				n.OnLinkDown(func(peer SiteID) { log = append(log, fmt.Sprintf("%d<-%d", n.ID(), peer)) })
+				n.OnCrash(func() { log = append(log, fmt.Sprintf("crash%d", n.ID())) })
+				n.Handle("op", func(SiteID, any) (any, error) {
+					log = append(log, "op")
+					return nil, nil
+				})
+			}
+			tc.change(t, nw)
+			if got := strings.Join(log, " "); got != tc.want {
+				t.Fatalf("when the change returned:\n got %s\nwant %s", got, tc.want)
+			}
+		})
 	}
 }
 

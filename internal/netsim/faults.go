@@ -49,7 +49,9 @@ const (
 	// FaultCrashBeforeReply crashes the callee after the handler has
 	// run (the operation is applied, durably if the handler committed)
 	// but before the response is sent. The caller observes
-	// ErrCircuitClosed, after the callee's OnCrash callbacks have run.
+	// ErrCircuitClosed, after the callee's OnCrash callbacks and its
+	// peers' link-down callbacks (the caller's own among them) have run
+	// on the caller's goroutine.
 	FaultCrashBeforeReply
 )
 

@@ -99,7 +99,7 @@ func Call[Req, Resp any](n *Node, to SiteID, m Method[Req, Resp], req *Req) (*Re
 			}
 			return v.(*Resp), err
 		}
-		n.nw.clock.Backoff(attempt)
+		n.nw.clock.Backoff()
 	}
 	return nil, err
 }
@@ -124,7 +124,7 @@ func Cast[Msg any](n *Node, to SiteID, m OneWay[Msg], msg *Msg) error {
 		if err == nil || !errors.Is(err, ErrTimeout) {
 			return err
 		}
-		n.nw.clock.Backoff(attempt)
+		n.nw.clock.Backoff()
 	}
 	return err
 }

@@ -30,8 +30,8 @@
 //
 // No site has a queue or a goroutine, and the network keeps no record
 // of exchanges in progress: an exchange is a stack frame of its caller.
-// Nothing is asynchronous but link-down callbacks, and Quiesce waits
-// for them.
+// Nothing is asynchronous: a link-down callback runs on the goroutine
+// that closed the circuit and has returned when SetLink or Crash does.
 //
 // The send path is lock-free: connectivity lives in an immutable
 // copy-on-write snapshot (one atomic load per exchange) and counters
@@ -500,8 +500,6 @@ type Network struct {
 	clock *simclock.Clock
 	cost  CostModel
 
-	// active counts link-down callbacks still running, for Quiesce.
-	active atomic.Int64
 	// offer paces Quiesce's offer of the processor to the runtime.
 	offer struct {
 		calls atomic.Uint64
@@ -570,8 +568,9 @@ func (nw *Network) view() *connView { return nw.conn.Load() }
 func (nw *Network) Cost() CostModel { return nw.cost }
 
 // Clock returns the network's simulated clock. It advances as simulated
-// cost (CPU, disk, messages) is charged; protocol layers use it instead
-// of the wall clock for timestamps and backoff waits.
+// cost (CPU, disk, messages) is charged, by the fault plane's timeouts
+// and delays, and on nothing else; protocol layers use it instead of
+// the wall clock for timestamps.
 func (nw *Network) Clock() *simclock.Clock { return nw.clock }
 
 // Stats returns a snapshot of the traffic counters.
@@ -581,10 +580,10 @@ func (nw *Network) Stats() Snapshot { return nw.stats.snapshot() }
 func (nw *Network) Meter() *Stats { return &nw.stats }
 
 // CostUs returns the total charged simulated cost (CPU + disk virtual
-// microseconds) so far. Unlike Clock().NowUs() it moves only on
-// deterministic charges, never on idle-wait Backoff escalations, so
-// deltas of CostUs replay byte-identically for a deterministic
-// schedule — the workload engine's latency histograms depend on that.
+// microseconds) so far. Clock().NowUs() is this plus the fault plane's
+// timeouts and injected delays; both are functions of the schedule, so
+// deltas of either replay byte-identically for a deterministic schedule
+// — the workload engine's latency histograms depend on that.
 func (nw *Network) CostUs() int64 {
 	return nw.stats.cpuUs.Load() + nw.stats.diskUs.Load()
 }
@@ -627,14 +626,13 @@ func (nw *Network) Node(id SiteID) *Node {
 	return nil
 }
 
-// Quiesce blocks until every link-down callback has returned: SetLink,
-// Crash and PartitionGroups come back before the reconfiguration they
-// set off is done. Nothing else outlives the call that started it — a
-// Cast's handler has run when Cast returns — so nothing else needs it.
+// Quiesce waits for nothing: nothing outlives the call that started it
+// (a Cast's handler has run when Cast returns, a link-down callback
+// when SetLink or Crash does), so no caller needs it to see an effect.
 //
-// It is also the op boundary of a driver that never blocks (one
-// goroutine, every exchange a procedure call), and the one place such a
-// driver offers the processor to the runtime: with a single P the
+// It is the op boundary of a driver that never blocks (one goroutine,
+// every exchange a procedure call), and the one place such a driver
+// offers the processor to the runtime: with a single P the
 // collector's background worker otherwise runs only at the 10 ms
 // preemption tick, a mark phase lasts that long however fast the driver
 // allocates, and everything allocated meanwhile is allocated live. The
@@ -644,9 +642,6 @@ func (nw *Network) Node(id SiteID) *Node {
 // that allocates little pays a counter read per offerEvery calls and
 // never yields, and no driver yields more than once per offerBytes.
 func (nw *Network) Quiesce() {
-	for i := 0; nw.active.Load() != 0; i++ {
-		nw.clock.Backoff(i)
-	}
 	if nw.offer.calls.Add(1)%offerEvery == 0 && nw.offer.mu.TryLock() {
 		metrics.Read(nw.offer.allocs[:])
 		now := nw.offer.allocs[0].Value.Uint64()
@@ -703,7 +698,7 @@ func (nw *Network) Up(id SiteID) bool {
 // SetLink sets the (symmetric) connectivity between two sites. Taking a
 // link down closes the virtual circuit: an exchange across it fails
 // when its handler returns, and both endpoints' OnLinkDown callbacks
-// fire.
+// run — a's (told of b), then b's — before SetLink returns.
 func (nw *Network) SetLink(a, b SiteID, up bool) {
 	nw.mu.Lock()
 	c := nw.link[a][b]
@@ -729,8 +724,8 @@ func (nw *Network) SetLink(a, b SiteID, up bool) {
 
 // PartitionGroups reconfigures connectivity so each group is a fully
 // connected clique and no circuits cross groups. Sites not mentioned in
-// any group are isolated. Circuit-close notifications fire for every
-// severed pair.
+// any group are isolated. Circuit-close notifications run for every
+// severed pair, in SetLink's order, pairs ascending.
 func (nw *Network) PartitionGroups(groups ...[]SiteID) {
 	group := make(map[SiteID]int)
 	for gi, g := range groups {
@@ -760,9 +755,10 @@ func (nw *Network) HealAll() {
 
 // Crash takes a site down abruptly: every circuit to it closes and
 // exchanges across them fail, exactly as when "hosts crash" in §2.3.3.
-// The node's OnCrash callbacks run, and have returned when Crash does,
-// so upper layers can discard in-core state (incore inodes, process
-// table, tokens).
+// The node's OnCrash callbacks run, so upper layers can discard in-core
+// state (incore inodes, process table, tokens), then the OnLinkDown
+// callback of every peer it had a circuit to, in ascending site order;
+// all have returned when Crash does.
 func (nw *Network) Crash(id SiteID) {
 	nw.mu.Lock()
 	if !nw.up[id] {
@@ -785,9 +781,8 @@ func (nw *Network) Crash(id SiteID) {
 	if n != nil {
 		n.runCrash()
 	}
-	// Fire link-down callbacks in site order: the failure schedule is
-	// visible to the layers above and must replay identically for a
-	// pinned seed.
+	// Site order: the failure schedule is visible to the layers above
+	// and must replay identically for a pinned seed.
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 	for _, peer := range peers {
 		if pn := nw.Node(peer); pn != nil {
@@ -899,9 +894,12 @@ func (n *Node) Handle(method string, h Handler) {
 	n.mu.Unlock()
 }
 
-// OnLinkDown registers a callback invoked (asynchronously) whenever the
-// virtual circuit to peer closes. The reconfiguration layer uses this
-// to trigger the partition protocol.
+// OnLinkDown registers the callback run whenever the virtual circuit to
+// peer closes, on the goroutine that closed it — the caller of SetLink
+// or Crash, or a Call whose fault crashed its callee — and before that
+// call returns. The reconfiguration layer uses it to keep its site
+// table. The callback may take no lock its site holds across a send: it
+// can run inside that send.
 func (n *Node) OnLinkDown(f func(peer SiteID)) {
 	n.mu.Lock()
 	n.onLink = f
@@ -936,11 +934,7 @@ func (n *Node) notifyLinkDown(peer SiteID) {
 	f := n.onLink
 	n.mu.Unlock()
 	if f != nil {
-		n.nw.active.Add(1)
-		go func() {
-			defer n.nw.active.Add(-1)
-			f(peer)
-		}()
+		f(peer)
 	}
 }
 

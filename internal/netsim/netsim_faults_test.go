@@ -119,7 +119,6 @@ func TestDupRequestDedupAbsorbsDuplicate(t *testing.T) {
 	if _, err := a.CallSeq(2, "mkdir", nil, a.NextSeq()); err != nil {
 		t.Fatal(err)
 	}
-	nw.Quiesce()
 	d := nw.Stats().Sub(before)
 	if d.MsgsDuped != 1 {
 		t.Fatalf("MsgsDuped = %d, want 1", d.MsgsDuped)
@@ -146,7 +145,6 @@ func TestDupRequestWithoutSeqRunsTwice(t *testing.T) {
 	if _, err := a.Call(2, "read", nil); err != nil {
 		t.Fatal(err)
 	}
-	nw.Quiesce()
 	if served.Load() != 2 {
 		t.Fatalf("seq-less duplicate ran handler %d times, want 2 (idempotent reads are exempt from dedup)", served.Load())
 	}
@@ -270,7 +268,6 @@ func TestDedupForgetsARequestRunningAtTheCrash(t *testing.T) {
 	<-entered
 	nw.Crash(2)
 	nw.Restart(2)
-	nw.Quiesce()
 
 	// The retry neither waits for the pre-crash execution nor replays it.
 	if v, err := a.CallSeq(2, "commit", nil, seq); err != nil || v != int64(2) {
@@ -408,7 +405,6 @@ func TestCastDropReturnsTimeout(t *testing.T) {
 	if err := a.Cast(2, "write", nil); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("2nd cast: err = %v, want ErrTimeout", err)
 	}
-	nw.Quiesce()
 	if served.Load() != 1 {
 		t.Fatalf("handler ran %d times, want 1", served.Load())
 	}
@@ -431,7 +427,6 @@ func TestProbabilisticFaultsAreDeterministic(t *testing.T) {
 			a.Cast(2, "op", nil)                 //nolint:errcheck
 			a.CallSeq(2, "op", nil, a.NextSeq()) //nolint:errcheck
 		}
-		nw.Quiesce()
 		return nw.Stats()
 	}
 	s1, s2 := run(42), run(42)

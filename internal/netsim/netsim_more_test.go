@@ -2,36 +2,48 @@ package netsim
 
 import (
 	"errors"
-	"sync"
 	"testing"
-	"time"
 )
 
+// TestQuiesceWaitsForCasts keeps its name from when Quiesce had casts
+// to wait for. It waits for nothing now — every cast was handled when
+// its Cast returned — and all it does is yield the processor once per
+// offerBytes the process allocated. Not parallel: the allocation
+// counter is the process's.
 func TestQuiesceWaitsForCasts(t *testing.T) {
-	t.Parallel()
 	nw, a, b := twoSites(t)
-	var mu sync.Mutex
 	handled := 0
-	b.Handle("slowcast", func(SiteID, any) (any, error) {
-		time.Sleep(2 * time.Millisecond)
-		mu.Lock()
+	b.Handle("cast", func(SiteID, any) (any, error) {
 		handled++
-		mu.Unlock()
 		return nil, nil
 	})
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := a.Cast(2, "slowcast", nil); err != nil {
+		if err := a.Cast(2, "cast", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	nw.Quiesce()
-	mu.Lock()
-	defer mu.Unlock()
 	if handled != n {
-		t.Fatalf("Quiesce returned with %d/%d casts handled", handled, n)
+		t.Fatalf("%d/%d casts handled before any Quiesce", handled, n)
+	}
+	quiesce := func() uint64 {
+		for i := 0; i < offerEvery; i++ {
+			nw.Quiesce()
+		}
+		return nw.offer.at
+	}
+	at := quiesce()
+	offerSink = make([]byte, offerBytes)
+	offered := quiesce()
+	if offered == at {
+		t.Fatalf("no offer after %d bytes allocated", offerBytes)
+	}
+	if again := quiesce(); again != offered {
+		t.Fatal("offered again with next to nothing allocated since")
 	}
 }
+
+var offerSink []byte
 
 func TestCastToUnreachableFailsImmediately(t *testing.T) {
 	t.Parallel()
@@ -82,7 +94,6 @@ func TestStatsByMethodAndBytes(t *testing.T) {
 	if err := a.Cast(2, "m2", nil); err != nil {
 		t.Fatal(err)
 	}
-	nw.Quiesce()
 	d := nw.Stats().Sub(before)
 	if d.ByMethod["m1"] != 6 || d.ByMethod["m2"] != 1 {
 		t.Fatalf("ByMethod = %v", d.ByMethod)

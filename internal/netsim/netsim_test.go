@@ -222,16 +222,17 @@ func TestCrashRunsCallbackAndRestartRejoins(t *testing.T) {
 func TestLinkDownNotification(t *testing.T) {
 	t.Parallel()
 	nw, a, _ := twoSites(t)
-	ch := make(chan SiteID, 1)
-	a.OnLinkDown(func(peer SiteID) { ch <- peer })
+	var told []SiteID // no lock: the callback runs on this goroutine
+	a.OnLinkDown(func(peer SiteID) { told = append(told, peer) })
 	nw.SetLink(1, 2, false)
-	select {
-	case p := <-ch:
-		if p != 2 {
-			t.Fatalf("peer = %d, want 2", p)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no link-down notification")
+	if len(told) != 1 || told[0] != 2 {
+		t.Fatalf("when SetLink returned site 1 had been told of %v, want [2]", told)
+	}
+	// Only a closing circuit notifies: down again, and up, do not.
+	nw.SetLink(1, 2, false)
+	nw.SetLink(1, 2, true)
+	if len(told) != 1 {
+		t.Fatalf("told of %v, want one notification", told)
 	}
 }
 

@@ -189,13 +189,34 @@ type Process struct {
 	// migrated marks the old incarnation after a migration handoff: its
 	// exit is a handoff, not a death, and must not notify the parent.
 	migrated bool
-	// waitFor registers channels for exit notifications of remote
-	// children.
-	waitFor map[PID]chan ExitStatus
-	// earlyExits banks exit notifications that arrive before the parent
-	// calls Wait, so the status is not lost when the child finishes
-	// first.
-	earlyExits map[PID]ExitStatus
+	// remote holds one entry per child whose exit arrives as a message
+	// (run at another site, or migrated away), from the moment Run
+	// returns its pid — so a site failure reaches a Wait not yet made —
+	// until a Wait consumes its status.
+	remote map[PID]*remoteChild
+}
+
+// remoteChild is what a parent knows of one remote child: the channel
+// of a parked Wait, or the status that beat the parent's Wait — the
+// child's exit notification, or ErrSiteFailed once cleanup found its
+// site lost. Both nil: running, nobody waiting yet.
+type remoteChild struct {
+	wait   chan ExitStatus
+	exited *ExitStatus
+}
+
+// remoteChildLocked returns p's record of child, making it if need be.
+// Caller holds p.mu.
+func (p *Process) remoteChildLocked(child PID) *remoteChild {
+	rc := p.remote[child]
+	if rc == nil {
+		if p.remote == nil {
+			p.remote = make(map[PID]*remoteChild)
+		}
+		rc = &remoteChild{}
+		p.remote[child] = rc
+	}
+	return rc
 }
 
 // PID returns the process id.
@@ -426,6 +447,9 @@ func (m *Manager) Run(parent *Process, path string, args []string) (PID, error) 
 		// destination hit while resolving the load module.
 		return PID{}, wrapFsSiteErr(wrapSiteErr(err, target))
 	}
+	parent.mu.Lock()
+	parent.remoteChildLocked(resp.PID)
+	parent.mu.Unlock()
 	return resp.PID, nil
 }
 
@@ -645,14 +669,12 @@ func (m *Manager) handleChildExit(_ SiteID, msg *childExitMsg) error {
 	var ch chan ExitStatus
 	if parent != nil {
 		parent.mu.Lock()
-		ch = parent.waitFor[msg.Child]
-		delete(parent.waitFor, msg.Child)
-		if ch == nil {
+		if rc := parent.remoteChildLocked(msg.Child); rc.wait != nil {
+			ch = rc.wait
+			delete(parent.remote, msg.Child)
+		} else {
 			// The child beat the parent's Wait; bank the status.
-			if parent.earlyExits == nil {
-				parent.earlyExits = make(map[PID]ExitStatus)
-			}
-			parent.earlyExits[msg.Child] = st
+			rc.exited = &st
 		}
 		parent.mu.Unlock()
 	}
@@ -693,10 +715,12 @@ func (m *Manager) Wait(parent *Process, child PID) ExitStatus {
 
 // waitRemote registers for the child's exit notification, then rechecks
 // reachability. The register-then-recheck order closes the race with
-// CleanupAfterPartitionChange: if the child's site died before we
+// CleanupAfterPartitionChange: if the child's host died before we
 // registered, the cleanup scan that fails pending waits has already
 // run, so without the recheck this wait would hang forever (§5.6:
-// "return error to caller", never hang).
+// "return error to caller", never hang). The recheck sees only a host
+// that is unreachable now; one that was lost and has come back is why
+// Run records its children and cleanup banks their loss.
 func (m *Manager) waitRemote(parent *Process, child PID) ExitStatus {
 	ch := make(chan ExitStatus, 1)
 	parent.mu.Lock()
@@ -709,15 +733,13 @@ func (m *Manager) waitRemote(parent *Process, child PID) ExitStatus {
 		parent.mu.Unlock()
 		return ExitStatus{Code: -1, Err: fmt.Errorf("%w: waiting process %v died with its site", ErrSiteFailed, parent.pid)}
 	}
-	if st, ok := parent.earlyExits[child]; ok {
-		delete(parent.earlyExits, child)
+	rc := parent.remoteChildLocked(child)
+	if rc.exited != nil {
+		delete(parent.remote, child)
 		parent.mu.Unlock()
-		return st
+		return *rc.exited
 	}
-	if parent.waitFor == nil {
-		parent.waitFor = make(map[PID]chan ExitStatus)
-	}
-	parent.waitFor[child] = ch
+	rc.wait = ch
 	parent.mu.Unlock()
 	host := child.Site
 	m.mu.Lock()
@@ -727,8 +749,8 @@ func (m *Manager) waitRemote(parent *Process, child PID) ExitStatus {
 	m.mu.Unlock()
 	if host != m.site && !m.node.Network().Connected(m.site, host) {
 		parent.mu.Lock()
-		if parent.waitFor[child] == ch {
-			delete(parent.waitFor, child)
+		if parent.remote[child] == rc {
+			delete(parent.remote, child)
 			parent.mu.Unlock()
 			return ExitStatus{Code: -1, Err: fmt.Errorf("%w: child %v at site %d unreachable", ErrSiteFailed, child, host)}
 		}
@@ -817,14 +839,7 @@ func (m *Manager) handleSignal(_ SiteID, msg *signalMsg) (*netsim.Ack, error) {
 		proc.mu.Unlock()
 	}
 	if msg.Sig == SIGKILL {
-		// Nudge the signal channel first so a cooperative program body
-		// blocked on <-ctx.Signals() returns and DrainPrograms can join
-		// it; exit() is idempotent when the body then exits on its own.
-		select {
-		case proc.sigCh <- SIGKILL:
-		default:
-		}
-		m.exit(proc, ExitStatus{Code: -int(SIGKILL)})
+		m.kill(proc, ExitStatus{Code: -int(SIGKILL)})
 		return nil, nil
 	}
 	select {
@@ -832,6 +847,19 @@ func (m *Manager) handleSignal(_ SiteID, msg *signalMsg) (*netsim.Ack, error) {
 	default: // queue full: drop, like Unix pending-signal collapse
 	}
 	return nil, nil
+}
+
+// kill ends p with status st, then nudges its signal channel so a
+// cooperative program body blocked on <-ctx.Signals() returns and
+// DrainPrograms can join it. In that order: exit is idempotent and the
+// first status wins, so a body nudged first could wake, return 0 and
+// record that instead of the kill.
+func (m *Manager) kill(p *Process, st ExitStatus) {
+	m.exit(p, st)
+	select {
+	case p.sigCh <- SIGKILL:
+	default:
+	}
 }
 
 // CleanupAfterPartitionChange reflects site failures into process state
@@ -898,18 +926,25 @@ func (m *Manager) CleanupAfterPartitionChange(newPartition []SiteID) {
 	m.mu.Unlock()
 	for _, p := range procs {
 		// Children at lost sites: fail pending waits and signal the
-		// parent.
+		// parent; for a child nobody waits for yet, bank the failure so
+		// a Wait made after the site is back still gets it (unless its
+		// exit notification got here first).
 		p.mu.Lock()
 		var lostChildren []PID
-		for child := range p.waitFor {
-			if !in[child.Site] {
+		for child, rc := range p.remote {
+			switch {
+			case in[child.Site]:
+			case rc.wait != nil:
 				lostChildren = append(lostChildren, child)
+			case rc.exited == nil:
+				st := lostStatus(child)
+				rc.exited = &st
 			}
 		}
 		sort.Slice(lostChildren, func(i, j int) bool { return pidLess(lostChildren[i], lostChildren[j]) })
 		for _, child := range lostChildren {
-			p.waitFor[child] <- ExitStatus{Code: -1, Err: fmt.Errorf("%w: child %v", ErrSiteFailed, child)}
-			delete(p.waitFor, child)
+			p.remote[child].wait <- lostStatus(child)
+			delete(p.remote, child)
 		}
 		parentLost := p.parent != (PID{}) && p.parent.Site != m.site && !in[p.parent.Site]
 		p.mu.Unlock()
@@ -925,11 +960,7 @@ func (m *Manager) CleanupAfterPartitionChange(newPartition []SiteID) {
 	for _, p := range doomedMigrants {
 		// Home-site failure kills the migrant: with the name authority
 		// gone, no signal or wait can ever reach this incarnation again.
-		select {
-		case p.sigCh <- SIGKILL:
-		default:
-		}
-		m.exit(p, ExitStatus{Code: -1, Err: fmt.Errorf("%w: origin site %d lost", ErrSiteFailed, p.pid.Site)})
+		m.kill(p, ExitStatus{Code: -1, Err: fmt.Errorf("%w: origin site %d lost", ErrSiteFailed, p.pid.Site)})
 		meter.AddOrphanNotices(1)
 	}
 	for _, lf := range lostFwds {
@@ -957,6 +988,11 @@ func (m *Manager) CleanupAfterPartitionChange(newPartition []SiteID) {
 		meter.AddPipeTeardowns(torn)
 	}
 	m.replaySignals(in, meter)
+}
+
+// lostStatus is what a Wait for a child at a lost site returns.
+func lostStatus(child PID) ExitStatus {
+	return ExitStatus{Code: -1, Err: fmt.Errorf("%w: child %v", ErrSiteFailed, child)}
 }
 
 // replaySignals redelivers queued cross-partition signals whose target
@@ -1011,20 +1047,16 @@ func (m *Manager) crashLocal() {
 	m.sigMu.Unlock()
 	crashErr := fmt.Errorf("%w: site %d crashed", ErrSiteFailed, m.site)
 	kill := func(p *Process) {
-		// Unblock a cooperative body stuck on <-ctx.Signals() so
-		// DrainPrograms can join it, then mark the process dead and fail
-		// any local waiters (harness goroutines survive the simulated
-		// crash even though "processes" do not).
-		select {
-		case p.sigCh <- SIGKILL:
-		default:
-		}
+		// Mark the process dead and fail any local waiters (harness
+		// goroutines survive the simulated crash even though "processes"
+		// do not), then unblock a cooperative body stuck on
+		// <-ctx.Signals() so DrainPrograms can join it — in that order,
+		// as in kill.
 		p.mu.Lock()
 		already := p.exited
 		p.exited = true
-		waiters := p.waitFor
-		p.waitFor = nil
-		p.earlyExits = nil
+		children := p.remote
+		p.remote = nil
 		p.mu.Unlock()
 		if !already {
 			select {
@@ -1032,8 +1064,14 @@ func (m *Manager) crashLocal() {
 			default:
 			}
 		}
-		for _, ch := range waiters {
-			ch <- ExitStatus{Code: -1, Err: crashErr}
+		for _, rc := range children {
+			if rc.wait != nil {
+				rc.wait <- ExitStatus{Code: -1, Err: crashErr}
+			}
+		}
+		select {
+		case p.sigCh <- SIGKILL:
+		default:
 		}
 	}
 	for _, p := range procs {
@@ -1087,10 +1125,6 @@ func (m *Manager) KillLocal(pid PID) bool {
 	if p == nil {
 		return false
 	}
-	select {
-	case p.sigCh <- SIGKILL:
-	default:
-	}
-	m.exit(p, ExitStatus{Code: -9})
+	m.kill(p, ExitStatus{Code: -9})
 	return true
 }

@@ -297,6 +297,9 @@ func TestSignalsAcrossNetwork(t *testing.T) {
 	}
 }
 
+// TestKill runs 200 rounds: the kill's status must be the one Wait
+// returns however the scheduler interleaves the killer with the body
+// the kill wakes, whose own "return 0" must never win.
 func TestKill(t *testing.T) {
 	h := newHarness(t, 1)
 	installModule(t, h.c.K(1), "/sleeper", "sleeper")
@@ -305,17 +308,20 @@ func TestKill(t *testing.T) {
 		return 0
 	})
 	shell := h.mgrs[1].InitProcess(cred())
-	pid, err := h.mgrs[1].Run(shell, "/sleeper", nil)
-	if err != nil {
-		t.Fatal(err)
+	for round := 0; round < 200; round++ {
+		pid, err := h.mgrs[1].Run(shell, "/sleeper", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.mgrs[1].Signal(pid, proc.SIGKILL); err != nil {
+			t.Fatal(err)
+		}
+		st := h.mgrs[1].Wait(shell, pid)
+		if st.Code != -int(proc.SIGKILL) {
+			t.Fatalf("round %d: status %+v", round, st)
+		}
 	}
-	if err := h.mgrs[1].Signal(pid, proc.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	st := h.mgrs[1].Wait(shell, pid)
-	if st.Code != -int(proc.SIGKILL) {
-		t.Fatalf("status %+v", st)
-	}
+	h.mgrs[1].DrainPrograms()
 }
 
 func TestNamedPipeAcrossSites(t *testing.T) {
@@ -416,6 +422,44 @@ func TestChildSiteFailureSignalsParent(t *testing.T) {
 	if !strings.Contains(shell.ErrInfo(), "site failed") {
 		t.Fatalf("ErrInfo = %q", shell.ErrInfo())
 	}
+}
+
+// TestWaitAfterChildSiteRestarted: a parent that starts waiting only
+// after the child's site crashed and came back must still be told
+// (§5.6: "return error to caller", never hang). Nothing here depends on
+// timing; the goroutine is only the guard that turns a hang into a
+// failure.
+func TestWaitAfterChildSiteRestarted(t *testing.T) {
+	h := newHarness(t, 2)
+	installModule(t, h.c.K(1), "/sitter", "sitter")
+	h.c.Settle()
+	h.mgrs[2].Register("sitter", func(ctx *proc.Ctx) int {
+		<-ctx.Signals()
+		return 0
+	})
+	shell := h.mgrs[1].InitProcess(cred())
+	shell.SetAdvice(2)
+	pid, err := h.mgrs[1].Run(shell, "/sitter", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.c.Crash(2)
+	h.mgrs[1].CleanupAfterPartitionChange([]proc.SiteID{1})
+	h.c.Restart(2)
+	h.mgrs[1].CleanupAfterPartitionChange([]proc.SiteID{1, 2})
+	h.mgrs[2].CleanupAfterPartitionChange([]proc.SiteID{1, 2})
+
+	waitDone := make(chan proc.ExitStatus, 1)
+	go func() { waitDone <- h.mgrs[1].Wait(shell, pid) }()
+	select {
+	case st := <-waitDone:
+		if !errors.Is(st.Err, proc.ErrSiteFailed) {
+			t.Fatalf("wait status %+v, want ErrSiteFailed", st)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait made after the child's site crashed and restarted never returned")
+	}
+	h.mgrs[2].DrainPrograms()
 }
 
 func TestRunToDownSiteReturnsError(t *testing.T) {

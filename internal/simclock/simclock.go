@@ -12,11 +12,12 @@
 //
 // A Clock is a monotonic virtual-microsecond counter. The network
 // substrate advances it as simulated cost is charged (per message, per
-// disk transfer), so Now reflects the same cost model the benchmarks
-// report. Backoff is the sanctioned replacement for ad-hoc
-// spin/sleep loops in protocol code: it yields the Go scheduler and,
-// for long waits, parks the OS thread briefly — charging the wait to
-// virtual time so the clock keeps moving while the simulation idles.
+// disk transfer) and by the timeouts and delays its fault plane
+// injects, so Now reflects the same cost model the benchmarks report;
+// nothing else moves it, so virtual time is a function of the schedule.
+// Backoff is the sanctioned replacement for ad-hoc spin/sleep loops in
+// protocol code: it yields the Go scheduler. Nothing here sleeps on, or
+// reads, the wall clock.
 package simclock
 
 import (
@@ -28,14 +29,6 @@ import (
 // Epoch is the fixed origin of simulated time. (The paper was presented
 // at SOSP on 10 October 1983.)
 var Epoch = time.Date(1983, time.October, 10, 0, 0, 0, 0, time.UTC)
-
-// spinAttempts is the number of Backoff attempts serviced by a pure
-// scheduler yield before escalating to a real sleep.
-const spinAttempts = 100
-
-// backoffSleep is the real (and charged virtual) duration of one
-// escalated Backoff step.
-const backoffSleep = 100 * time.Microsecond
 
 // Clock is a monotonic simulated clock counting virtual microseconds.
 // The zero value is ready to use. All methods are safe for concurrent
@@ -73,20 +66,11 @@ func (c *Clock) Elapsed() time.Duration {
 	return time.Duration(c.us.Load()) * time.Microsecond
 }
 
-// Backoff yields while a caller waits for concurrent progress it cannot
-// observe through a channel (lock retry loops, quiesce polls). Low
-// attempt numbers cost only a scheduler yield; past spinAttempts each
-// call sleeps briefly so a long wait does not burn a core. The sleep is
-// charged to virtual time, keeping Now moving during idle waits.
-//
-// This is the single sanctioned wall-clock sleep in the simulation
-// substrate; protocol packages are forbidden (by the simclock analyzer)
-// from calling time.Sleep directly.
-func (c *Clock) Backoff(attempt int) {
-	if attempt < spinAttempts {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(backoffSleep)
-	c.Advance(int64(backoffSleep / time.Microsecond))
-}
+// Backoff gives a concurrent goroutine its turn while a caller waits
+// for progress it cannot observe through a channel (lock retry loops,
+// transport retransmissions): one scheduler yield. It never sleeps and
+// never moves the clock, so a wait that nobody can end costs its retry
+// budget in yields, not in wall or virtual time. Protocol packages are
+// forbidden (by the simclock analyzer) from sleeping on the wall clock
+// themselves.
+func (c *Clock) Backoff() { runtime.Gosched() }

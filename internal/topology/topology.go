@@ -107,8 +107,6 @@ type Manager struct {
 	// onChange is invoked (outside the lock) whenever a new partition
 	// set is installed; wired to fs cleanup + recon scheduling.
 	onChange func(p []SiteID)
-	// auto makes circuit failures trigger the partition protocol.
-	auto bool
 
 	// protoMu serializes protocol runs at this site: "a site can only
 	// participate in one protocol at a time".
@@ -136,19 +134,15 @@ func New(node *netsim.Node, allSites []SiteID) *Manager {
 	return m
 }
 
-// noteLinkDown records an observed circuit failure and, in auto mode,
-// runs the partition protocol.
+// noteLinkDown records an observed circuit failure. It runs on the
+// goroutine that closed the circuit — possibly inside a Call this
+// manager made (a fault that crashes the polled site) — so it takes mu
+// only, which is never held across a send (blockinglock checks), and
+// starts no protocol: whoever changes the topology runs them (§5.1).
 func (m *Manager) noteLinkDown(peer SiteID) {
 	m.mu.Lock()
-	was := contains(m.partition, peer)
-	if was {
-		m.partition = remove(m.partition, peer)
-	}
-	auto := m.auto
+	m.partition = remove(m.partition, peer)
 	m.mu.Unlock()
-	if was && auto {
-		m.RunPartitionProtocol()
-	}
 }
 
 // OnChange installs the membership-change callback.
@@ -416,16 +410,6 @@ func (m *Manager) announce(p []SiteID) {
 		m.node.Call(s, mAnnounce, req) //locus:vet-allow uncheckedcall a site lost here is caught by the next protocol round
 	}
 	m.install(req.P, gen)
-}
-
-// EnableAutoReconfiguration makes circuit failures trigger the
-// partition protocol automatically, as in production LOCUS where "all
-// changes in partitions invoke the protocols" (§5.1). Tests usually
-// drive the protocols explicitly for determinism.
-func (m *Manager) EnableAutoReconfiguration() {
-	m.mu.Lock()
-	m.auto = true
-	m.mu.Unlock()
 }
 
 // CheckActive is the passive-site failure detection of §5.7: a site

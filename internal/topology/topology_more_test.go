@@ -3,63 +3,16 @@ package topology
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
 )
-
-func TestAutoReconfigurationOnLinkFailure(t *testing.T) {
-	t.Parallel()
-	tn := newNet(t, 4)
-	for _, m := range tn.mgrs {
-		m.EnableAutoReconfiguration()
-	}
-	tn.nw.PartitionGroups([]SiteID{1, 2}, []SiteID{3, 4})
-	// Auto mode: the link-down observations trigger the partition
-	// protocol without any explicit call.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		tn.nw.Quiesce()
-		ok := equalSets(tn.mgrs[1].Partition(), []SiteID{1, 2}) &&
-			equalSets(tn.mgrs[3].Partition(), []SiteID{3, 4})
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto reconfiguration did not converge: 1=%v 3=%v",
-				tn.mgrs[1].Partition(), tn.mgrs[3].Partition())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestAutoReconfigurationOnCrash(t *testing.T) {
-	t.Parallel()
-	tn := newNet(t, 3)
-	for _, m := range tn.mgrs {
-		m.EnableAutoReconfiguration()
-	}
-	tn.nw.Crash(2)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		tn.nw.Quiesce()
-		if equalSets(tn.mgrs[1].Partition(), []SiteID{1, 3}) &&
-			equalSets(tn.mgrs[3].Partition(), []SiteID{1, 3}) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("crash not detected: 1=%v 3=%v", tn.mgrs[1].Partition(), tn.mgrs[3].Partition())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 func TestConcurrentPartitionProtocolsConverge(t *testing.T) {
 	t.Parallel()
 	// Several sites run the protocol simultaneously; the site tables
 	// still converge to the same clique.
 	tn := newNet(t, 6)
-	tn.partition([]SiteID{1, 2, 3}, []SiteID{4, 5, 6})
+	tn.nw.PartitionGroups([]SiteID{1, 2, 3}, []SiteID{4, 5, 6})
 	var wg sync.WaitGroup
 	for _, s := range []SiteID{1, 2, 3} {
 		wg.Add(1)
@@ -69,7 +22,6 @@ func TestConcurrentPartitionProtocolsConverge(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	tn.nw.Quiesce()
 	// All of {1,2,3} agree after the dust settles (re-run once from the
 	// lowest site to normalize any interleaving).
 	tn.mgrs[1].RunPartitionProtocol()
@@ -83,7 +35,7 @@ func TestConcurrentPartitionProtocolsConverge(t *testing.T) {
 func TestMergeAfterCrashAndRestart(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 4)
-	tn.crash(3)
+	tn.nw.Crash(3)
 	tn.mgrs[1].RunPartitionProtocol()
 	if !equalSets(tn.mgrs[1].Partition(), []SiteID{1, 2, 4}) {
 		t.Fatalf("after crash: %v", tn.mgrs[1].Partition())
@@ -144,7 +96,6 @@ func TestLinkDownUpdatesBeliefWithoutProtocol(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 3)
 	tn.nw.SetLink(1, 3, false)
-	tn.nw.Quiesce()
 	if contains(tn.mgrs[1].Partition(), 3) {
 		t.Fatalf("site 1 still believes 3 up: %v", tn.mgrs[1].Partition())
 	}
@@ -155,6 +106,22 @@ func TestLinkDownUpdatesBeliefWithoutProtocol(t *testing.T) {
 	if !equalSets(tn.mgrs[2].Partition(), []SiteID{1, 2, 3}) {
 		t.Fatalf("site 2 belief: %v", tn.mgrs[2].Partition())
 	}
+}
+
+// TestPollCrashesPolledSite: a fault crashes site 2 as it answers the
+// poll, so site 1's link-down callback runs inside the Call its own
+// protocol run made (protoMu held, mu not). The run must come back, and
+// with the clique that is left.
+func TestPollCrashesPolledSite(t *testing.T) {
+	t.Parallel()
+	tn := newNet(t, 3)
+	tn.nw.EnableFaults(netsim.FaultConfig{
+		Points: []netsim.FaultPoint{{From: 1, To: 2, Method: mPoll, Action: netsim.FaultCrashBeforeReply}},
+	})
+	if p := tn.mgrs[1].RunPartitionProtocol(); !equalSets(p, []SiteID{1, 3}) {
+		t.Fatalf("announced %v, want [1 3]", p)
+	}
+	tn.assertConverged(t, map[SiteID][]SiteID{1: {1, 3}, 3: {1, 3}})
 }
 
 func TestSeventeenSiteChurn(t *testing.T) {
@@ -175,7 +142,7 @@ func TestSeventeenSiteChurn(t *testing.T) {
 		splits = append(splits, [2][]SiteID{a, b})
 	}
 	for _, sp := range splits {
-		tn.partition(sp[0], sp[1])
+		tn.nw.PartitionGroups(sp[0], sp[1])
 		tn.mgrs[sp[0][0]].RunPartitionProtocol()
 		tn.mgrs[sp[1][0]].RunPartitionProtocol()
 		for _, s := range sp[0] {
@@ -184,7 +151,6 @@ func TestSeventeenSiteChurn(t *testing.T) {
 			}
 		}
 		tn.nw.HealAll()
-		tn.nw.Quiesce()
 		if _, err := tn.mgrs[1].RunMergeProtocol(); err != nil {
 			t.Fatal(err)
 		}

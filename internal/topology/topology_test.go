@@ -30,20 +30,6 @@ func newNet(t *testing.T, n int) *testNet {
 	return tn
 }
 
-// partition and crash change the topology and wait for the link-down
-// callbacks the change set off: PartitionGroups and Crash return before
-// those have run, and one that lands after a later protocol run has
-// installed its table takes a site back out of it.
-func (tn *testNet) partition(groups ...[]SiteID) {
-	tn.nw.PartitionGroups(groups...)
-	tn.nw.Quiesce()
-}
-
-func (tn *testNet) crash(s SiteID) {
-	tn.nw.Crash(s)
-	tn.nw.Quiesce()
-}
-
 func (tn *testNet) assertConverged(t *testing.T, want map[SiteID][]SiteID) {
 	t.Helper()
 	for s, p := range want {
@@ -57,7 +43,7 @@ func (tn *testNet) assertConverged(t *testing.T, want map[SiteID][]SiteID) {
 func TestPartitionProtocolDetectsSplit(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 5)
-	tn.partition([]SiteID{1, 2, 3}, []SiteID{4, 5})
+	tn.nw.PartitionGroups([]SiteID{1, 2, 3}, []SiteID{4, 5})
 
 	p := tn.mgrs[1].RunPartitionProtocol()
 	if !equalSets(p, []SiteID{1, 2, 3}) {
@@ -76,7 +62,7 @@ func TestPartitionProtocolDetectsSplit(t *testing.T) {
 func TestPartitionProtocolSingleSite(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 3)
-	tn.partition([]SiteID{1}, []SiteID{2, 3})
+	tn.nw.PartitionGroups([]SiteID{1}, []SiteID{2, 3})
 	p := tn.mgrs[1].RunPartitionProtocol()
 	if !equalSets(p, []SiteID{1}) {
 		t.Fatalf("partition = %v, want [1]", p)
@@ -86,7 +72,7 @@ func TestPartitionProtocolSingleSite(t *testing.T) {
 func TestPartitionProtocolAfterCrash(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 4)
-	tn.crash(3)
+	tn.nw.Crash(3)
 	p := tn.mgrs[1].RunPartitionProtocol()
 	if !equalSets(p, []SiteID{1, 2, 4}) {
 		t.Fatalf("partition = %v, want [1 2 4]", p)
@@ -99,7 +85,7 @@ func TestPartitionProtocolAfterCrash(t *testing.T) {
 func TestMergeProtocolJoinsPartitions(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 5)
-	tn.partition([]SiteID{1, 2}, []SiteID{3, 4, 5})
+	tn.nw.PartitionGroups([]SiteID{1, 2}, []SiteID{3, 4, 5})
 	tn.mgrs[1].RunPartitionProtocol()
 	tn.mgrs[3].RunPartitionProtocol()
 
@@ -121,7 +107,7 @@ func TestMergeProtocolJoinsPartitions(t *testing.T) {
 func TestMergeSkipsDownSites(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 4)
-	tn.crash(4)
+	tn.nw.Crash(4)
 	p, err := tn.mgrs[2].RunMergeProtocol()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +178,7 @@ func TestOnChangeCallbackFires(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	tn.partition([]SiteID{1, 2}, []SiteID{3})
+	tn.nw.PartitionGroups([]SiteID{1, 2}, []SiteID{3})
 	tn.mgrs[1].RunPartitionProtocol()
 	mu.Lock()
 	defer mu.Unlock()
@@ -213,7 +199,7 @@ func TestCheckActiveRestartsOnActiveFailure(t *testing.T) {
 	tn.mgrs[2].stage = StagePartition
 	tn.mgrs[2].active = 3
 	tn.mgrs[2].mu.Unlock()
-	tn.crash(3)
+	tn.nw.Crash(3)
 
 	if !tn.mgrs[2].CheckActive() {
 		t.Fatal("CheckActive should have restarted the protocol")
@@ -248,7 +234,7 @@ func TestGenerationMonotonic(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 3)
 	g0 := tn.mgrs[1].Generation()
-	tn.partition([]SiteID{1, 2}, []SiteID{3})
+	tn.nw.PartitionGroups([]SiteID{1, 2}, []SiteID{3})
 	tn.mgrs[1].RunPartitionProtocol()
 	g1 := tn.mgrs[1].Generation()
 	if g1 <= g0 {
@@ -267,7 +253,7 @@ func TestRepeatedSplitMergeCycles(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 6)
 	for cycle := 0; cycle < 5; cycle++ {
-		tn.partition([]SiteID{1, 2, 3}, []SiteID{4, 5, 6})
+		tn.nw.PartitionGroups([]SiteID{1, 2, 3}, []SiteID{4, 5, 6})
 		tn.mgrs[1].RunPartitionProtocol()
 		tn.mgrs[4].RunPartitionProtocol()
 		tn.assertConverged(t, map[SiteID][]SiteID{1: {1, 2, 3}, 4: {4, 5, 6}})
@@ -312,7 +298,6 @@ func TestPropertyPartitionConvergence(t *testing.T) {
 			}
 		}
 		nw.PartitionGroups(nonEmpty...)
-		nw.Quiesce()
 		for _, g := range nonEmpty {
 			mgrs[g[0]].RunPartitionProtocol()
 		}
@@ -357,7 +342,6 @@ func TestPropertyPartitionIsClique(t *testing.T) {
 				}
 			}
 		}
-		nw.Quiesce() // let link-down observations land in the site tables
 		initiator := SiteID(1 + r.Intn(n))
 		p := mgrs[initiator].RunPartitionProtocol()
 		for i, a := range p {

@@ -163,8 +163,8 @@ type Result struct {
 	OpErrs  [nOps]int64
 	Tenant  []TenantResult
 	// SimUs is the simulated cost charged over the run (CPU + disk
-	// virtual µs — the deterministic component of the sim clock; idle
-	// Backoff advances are excluded so the value replays exactly).
+	// virtual µs: the sim clock less the fault plane's timeouts and
+	// delays).
 	SimUs int64
 	Lat   Hist // per-op latency in charged simulated µs
 }
@@ -325,11 +325,9 @@ func (e *Engine) Step() bool {
 	op := t.Mix.pick(&a.rng)
 	nw := e.c.Network()
 
-	// Latency is the charged simulated cost of the op (CostUs), not a
-	// raw clock delta: the clock also moves when a wait escalates its
-	// Backoff (a lock retry loop, Quiesce behind a slow link-down
-	// callback), and that would leak wall-clock jitter into a table
-	// that must replay byte-identically.
+	// Latency is the charged simulated cost of the op (CostUs): what
+	// the op's own CPU, disk and messages cost, without the time a
+	// fault-plane timeout or delay adds to the clock.
 	start := nw.CostUs()
 	err := e.issue(a, t, op)
 	lat := nw.CostUs() - start

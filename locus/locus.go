@@ -230,13 +230,11 @@ func (c *Cluster) Settle() int { return c.cl.Settle() }
 // procedure via the topology callback.
 func (c *Cluster) Partition(groups ...[]SiteID) {
 	c.cl.Net.PartitionGroups(groups...)
-	c.cl.Net.Quiesce()
 	for _, g := range groups {
 		if len(g) > 0 {
 			c.sites[g[0]].Topo.RunPartitionProtocol()
 		}
 	}
-	c.cl.Net.Quiesce()
 }
 
 // Merge heals the physical network, runs the merge protocol from the
@@ -252,7 +250,6 @@ func (c *Cluster) Merge() (recon.Report, error) {
 	if _, err := c.sites[up[0]].Topo.RunMergeProtocol(); err != nil {
 		return rep, err
 	}
-	c.cl.Net.Quiesce()
 	c.Settle()
 	// Reconciliation runs at every site; each file is merged once (by
 	// its lowest storing site). Two passes let directory merges expose
@@ -285,11 +282,9 @@ func addReports(a, b recon.Report) recon.Report {
 // the survivors run the partition protocol.
 func (c *Cluster) Crash(id SiteID) {
 	c.cl.Net.Crash(id)
-	c.cl.Net.Quiesce()
 	if up := c.cl.UpSites(); len(up) > 0 {
 		c.sites[up[0]].Topo.RunPartitionProtocol()
 	}
-	c.cl.Net.Quiesce()
 }
 
 // Restart brings a crashed site back and merges it into the partition.

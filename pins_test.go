@@ -15,8 +15,12 @@ import (
 // is a correctness property of the simulator, and one run cannot check
 // it: the three cells that were not a function of the seed (E4's
 // cpu_us, E12's and E13's virtual ms, each decided by which goroutine
-// ran first) moved in one run of 15 to 40. E16 is left to `make
-// benchdiff`: it is the million-op run.
+// ran first) moved in one run of 15 to 40. The virtual clock now moves
+// on charged cost and fault-plane timeouts only (simclock's Backoff is a
+// yield), so E12's and E13's "virtual ms" are a function of the seed by
+// construction; these twenty passes are the double-run check of that,
+// and there is no separate one. E16 is left to `make benchdiff`: it is
+// the million-op run.
 func TestCommittedArtifactsReproduce(t *testing.T) {
 	f, err := os.Open("BENCH_locus.json")
 	if err != nil {
