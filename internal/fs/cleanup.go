@@ -99,7 +99,7 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 			// Updates in progress are lost with the storage site.
 			k.mu.Lock()
 			f.stale = true
-			f.dirty = make(map[storage.PageNo]bool)
+			clear(f.dirty)
 			k.mu.Unlock()
 			rep.ModifyOpensAborted++
 		default: // ModeRead
@@ -273,8 +273,7 @@ func (k *Kernel) reopenElsewhere(f *File) bool {
 		g.Close() //locus:vet-allow uncheckedcall substitute rejected
 		return false
 	}
-	f.ss = g.ss
-	f.ino = g.ino
+	f.ss, f.ino, f.size = g.ss, g.ino, g.size
 	// Transfer the registration made by g to f and retire g silently.
 	k.mu.Lock()
 	delete(k.openFiles, g)

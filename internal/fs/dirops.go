@@ -252,6 +252,7 @@ func (f *File) setAttr(req *setAttrReq) error {
 		return err
 	}
 	applyAttr(f.ino, req)
+	f.size = f.ino.Size // a delete empties the file
 	f.dirty[0] = true
 	return nil
 }

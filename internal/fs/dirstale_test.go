@@ -1,12 +1,14 @@
 package fs_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/format"
 	"repro/internal/fs"
 	"repro/internal/lint/invariant"
 	"repro/internal/storage"
@@ -127,5 +129,53 @@ func TestStaleSiteDecodesAgainstItsSnapshot(t *testing.T) {
 
 	if findings := c.Fsck(true); len(findings) > 0 {
 		t.Fatalf("fsck: %v", findings)
+	}
+}
+
+// TestUnsynchronizedReadChecksVersion: an internal handle holds no lock,
+// so an update can be committed between two of its page reads. When the
+// update keeps the size, nothing but the version tells: the second page
+// must fail the read as corrupt (which pathname search retries on a
+// fresh open), not be stitched onto the first.
+func TestUnsynchronizedReadChecksVersion(t *testing.T) {
+	for _, where := range []struct {
+		name   string
+		reader fs.SiteID // site 1 stores the file
+	}{{"local", 1}, {"remote", 2}} {
+		t.Run(where.name, func(t *testing.T) {
+			cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
+				Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := newClusterCfg(t, cfg, 1, 2)
+			old := bytes.Repeat([]byte{'o'}, 2*storage.PageSize)
+			writeFile(t, c.K(1), "/f", old)
+			r, err := c.K(1).Resolve(cred(), "/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := c.K(where.reader)
+			f, err := k.OpenID(r.ID, fs.ModeInternal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close() //nolint:errcheck
+			page := make([]byte, storage.PageSize)
+			if n, err := f.ReadAt(page, 0); err != nil || n != storage.PageSize || page[0] != 'o' {
+				t.Fatalf("first page: %d bytes, %v", n, err)
+			}
+			rewriteFile(t, c.K(1), "/f", bytes.Repeat([]byte{'n'}, 2*storage.PageSize))
+			cached := k.CachedPages()
+			if _, err := f.ReadAt(page, storage.PageSize); !errors.Is(err, format.ErrCorrupt) {
+				t.Fatalf("second page, read after a same-size commit: err = %v, want format.ErrCorrupt", err)
+			}
+			if got := k.CachedPages(); got != cached {
+				t.Fatalf("the refused page was cached: %d pages, were %d", got, cached)
+			}
+			if got := readFile(t, k, "/f"); got[0] != 'n' || got[len(got)-1] != 'n' {
+				t.Fatal("a fresh open does not read the new version")
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/format"
 	"repro/internal/lint/invariant"
 	"repro/internal/netsim"
 	"repro/internal/storage"
@@ -29,7 +30,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	// For the writer, EOF is the in-core size this handle maintains;
 	// for readers it is discovered from the SS per page.
-	size := f.ino.Size
+	size := f.size
 	total := 0
 	for total < len(p) {
 		cur := off + int64(total)
@@ -43,7 +44,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		}
 		size = ssSize
 		if f.mode != ModeModify {
-			f.ino.Size = ssSize
+			f.size = ssSize
 		}
 		if cur >= size {
 			if owned {
@@ -87,11 +88,22 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // storage.PutPageBuf once it has copied the bytes out; a remote or
 // cached page aliases an immutable shared buffer (readResp declares
 // netsim.ImmutablePayload) and must never be released.
+//
+// An internal handle holds no lock, so a commit can land between its
+// open and a page read, or between two page reads, and a same-size
+// update read half old, half new would decode as a directory nobody
+// wrote. Every page comes with the vector of the version it was read
+// from: one that is not the open's is refused as format.ErrCorrupt
+// (readDirByID retries on a fresh open) and not cached.
 func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool, err error) {
 	k := f.k
 	incore := f.mode == ModeModify
 	if f.ss == k.site {
-		data, size, _, err := k.localPage(f.id, pn, incore, f.us, false)
+		data, size, vv, err := k.localPage(f.id, pn, incore, f.us, false)
+		if err == nil && f.internal && !vv.Equal(f.ino.VV) {
+			storage.PutPageBuf(data)
+			return nil, 0, false, f.errChangedUnderRead()
+		}
 		return data, size, true, err
 	}
 	if incore {
@@ -137,6 +149,9 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 	if err != nil {
 		return nil, 0, false, err
 	}
+	if f.internal && !r.VV.Equal(f.ino.VV) {
+		return nil, 0, false, f.errChangedUnderRead()
+	}
 	if cached {
 		k.cache.put(f.id, pn, r.Data, r.Size, r.VV, false)
 		for i, extra := range r.Extra {
@@ -144,6 +159,10 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 		}
 	}
 	return r.Data, r.Size, false, nil
+}
+
+func (f *File) errChangedUnderRead() error {
+	return fmt.Errorf("%w: %v changed during an unsynchronized read", format.ErrCorrupt, f.id)
 }
 
 // zeroPage is the page served for holes on the zero-copy path. It is
@@ -287,7 +306,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 				storage.PutPageBuf(old)
 			}
 		}
-		newSize := f.ino.Size
+		newSize := f.size
 		if end := cur + int64(n); end > newSize {
 			newSize = end
 		}
@@ -301,7 +320,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		if err != nil {
 			return total, err
 		}
-		f.ino.Size = newSize
+		f.size, f.ino.Size = newSize, newSize
 		f.dirty[pn] = true
 		total += n
 	}
@@ -320,7 +339,7 @@ func mergePartialPage(old []byte, off int, src []byte) []byte {
 }
 
 // Append writes p at the current end of file.
-func (f *File) Append(p []byte) (int, error) { return f.WriteAt(p, f.ino.Size) }
+func (f *File) Append(p []byte) (int, error) { return f.WriteAt(p, f.size) }
 
 func (f *File) sendWrite(pn storage.PageNo, page []byte, size int64) error {
 	// The caller's buffer crosses without a defensive copy: handleWrite
@@ -434,7 +453,7 @@ func (f *File) Truncate(size int64) error {
 	if err != nil {
 		return err
 	}
-	f.ino.Size = size
+	f.size, f.ino.Size = size, size
 	f.dirty[0] = true
 	return nil
 }
@@ -479,18 +498,20 @@ func (f *File) commitOrAbort(abort bool) error {
 	return nil
 }
 
+// refreshFromSS reloads a modify handle's in-core inode from the
+// committed one at the SS.
 func (f *File) refreshFromSS() {
 	k := f.k
 	if f.ss == k.site {
 		if c := k.container(f.id.FG); c != nil {
 			if ino, err := c.GetInode(f.id.Inode); err == nil {
-				f.ino = ino
+				f.ino, f.size = ino.Clone(), ino.Size
 			}
 		}
 		return
 	}
 	if resp, err := netsim.Call(k.node, f.ss, mPullOpen, &pullOpenReq{ID: f.id}); err == nil {
-		f.ino = resp.Ino.Clone()
+		f.ino, f.size = resp.Ino.Clone(), resp.Ino.Size
 	}
 }
 
@@ -524,7 +545,7 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 			return nil, err
 		}
 		k.mu.Lock()
-		sv.incore = ino // GetInode's result is already this caller's own copy
+		sv.incore = ino.Clone()
 		sv.committedPages = pageSet(ino.Pages)
 		clear(sv.dirty)
 		k.mu.Unlock()
@@ -735,7 +756,7 @@ func (f *File) ReadAll() ([]byte, error) { return f.readAllInto(nil) }
 // readAllInto is ReadAll into buf, which it replaces with a slice of the
 // file's size if it is smaller.
 func (f *File) readAllInto(buf []byte) ([]byte, error) {
-	size := int(f.ino.Size)
+	size := int(f.size)
 	if cap(buf) < size {
 		buf = make([]byte, size)
 	}

@@ -515,7 +515,7 @@ func (k *Kernel) container(fg storage.FilegroupID) *storage.Container {
 	return k.store.Container(fg)
 }
 
-// File is a US-side open file handle (the in-core inode plus open
+// File is a US-side open file handle (the inode plus open
 // bookkeeping). It is not safe for concurrent use by multiple
 // goroutines without external synchronization — matching a Unix file
 // descriptor, whose sharing semantics the process layer provides via
@@ -527,8 +527,19 @@ type File struct {
 	us   SiteID
 	ss   SiteID
 	css  SiteID
-	ino  *storage.Inode // in-core inode copy at the US
-	// dirty tracks logical pages modified through this handle.
+	// ino is the file's inode as the open found it. A read or internal
+	// handle shares the committed inode the storage site handed out
+	// (storage.Inode: frozen, never written through); a modify handle
+	// owns a Clone of it, the in-core inode at the US, and keeps its Size
+	// equal to size.
+	ino *storage.Inode
+	// size is the file size this handle sees: for a writer what it has
+	// written so far, for a reader what the SS reported with the last
+	// page it served (the committed size can move under an open reader,
+	// the shared inode cannot).
+	size int64
+	// dirty tracks logical pages modified through this handle; nil on a
+	// handle that is not open for modification, which never writes it.
 	dirty  map[storage.PageNo]bool
 	closed bool
 	// internal marks pathname-search opens (no CSS lock held).
@@ -587,10 +598,14 @@ func (f *File) Mode() OpenMode { return f.mode }
 func (f *File) SS() SiteID { return f.ss }
 
 // Size returns the file size seen by this handle.
-func (f *File) Size() int64 { return f.ino.Size }
+func (f *File) Size() int64 { return f.size }
 
 // Type returns the file type.
 func (f *File) Type() storage.FileType { return f.ino.Type }
 
-// Inode returns a snapshot of the handle's in-core inode.
-func (f *File) Inode() *storage.Inode { return f.ino.Clone() }
+// Inode returns a snapshot of the handle's inode, the caller's own.
+func (f *File) Inode() *storage.Inode {
+	ino := f.ino.Clone()
+	ino.Size = f.size
+	return ino
+}

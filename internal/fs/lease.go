@@ -62,7 +62,9 @@ type usLease struct {
 	sites []SiteID
 	ss    SiteID // storage site serving opens under this lease
 	css   SiteID // grantor
-	// ino is the committed inode snapshot local re-opens are built from.
+	// ino is the committed inode snapshot local re-opens are built from,
+	// frozen like any committed inode: a read re-open shares it, a modify
+	// re-open takes a Clone.
 	ino *storage.Inode
 	// opens counts live local handles opened under the lease.
 	opens int
@@ -251,6 +253,10 @@ func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 		delete(k.leaseDropped, f.id)
 		return false
 	}
+	ino := f.ino
+	if f.mode == ModeModify {
+		ino = ino.Clone() // the handle goes on changing its own
+	}
 	k.leases[f.id] = &usLease{
 		id:      f.id,
 		mode:    f.mode,
@@ -258,7 +264,7 @@ func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 		sites:   append([]SiteID(nil), g.Sites...),
 		ss:      f.ss,
 		css:     f.css,
-		ino:     f.ino.Clone(),
+		ino:     ino,
 		opens:   1,
 		wserial: f.wserial,
 	}
@@ -296,10 +302,10 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode) *File {
 	}
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: l.ss, css: l.css,
-		ino:   l.ino.Clone(),
-		dirty: make(map[storage.PageNo]bool),
+		ino: l.ino, size: l.ino.Size,
 	}
 	if mode == ModeModify {
+		f.ino, f.dirty = l.ino.Clone(), make(map[storage.PageNo]bool)
 		f.leased = true
 		f.wserial = l.wserial
 	} else {

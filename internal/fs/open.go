@@ -304,10 +304,7 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 		if err != nil {
 			continue
 		}
-		// Clone at the boundary: the decoded inode aliases the SS's
-		// reply (in-memory transport passes pointers), and the US will
-		// treat the returned inode as its own in-core copy.
-		return &openResp{SS: cand, Ino: r.Ino.Clone(), ServeReady: true, Delegation: register(cand)}, nil
+		return &openResp{SS: cand, Ino: r.Ino, ServeReady: true, Delegation: register(cand)}, nil
 	}
 	rollback()
 	return nil, fmt.Errorf("%w: %v (latest %v)", ErrNoStorageSite, req.ID, latest)
@@ -350,16 +347,17 @@ func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID, serial 
 		return fmt.Errorf("%w: site %d stores no pack of filegroup %d", ErrNoStorageSite, k.site, id.FG)
 	}
 	// A read open needs only the two marks that take a copy out of
-	// service; a modify open also needs an in-core inode of its own, and
-	// GetInode's deep copy is one.
-	var incore *storage.Inode
+	// service; a modify open also needs the storage site's in-core inode
+	// (§2.3.6), which shadow pages are written into: a Clone of the
+	// committed one.
+	var committed *storage.Inode
 	var deleted, conflict bool
 	if mode == ModeModify {
 		ino, err := c.GetInode(id.Inode)
 		if err != nil {
 			return err
 		}
-		incore, deleted, conflict = ino, ino.Deleted, ino.Conflict
+		committed, deleted, conflict = ino, ino.Deleted, ino.Conflict
 	} else {
 		cur, ok := c.Version(id.Inode)
 		if !ok {
@@ -398,8 +396,8 @@ func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID, serial 
 			return fmt.Errorf("%w: %v already being modified", ErrBusy, id)
 		}
 		sv.writerUS, sv.writerSerial = us, serial
-		sv.incore = incore
-		sv.committedPages = pageSet(incore.Pages)
+		sv.incore = committed.Clone()
+		sv.committedPages = pageSet(committed.Pages)
 		sv.dirty = make(map[storage.PageNo]bool)
 	} else {
 		sv.readers[us]++
@@ -518,7 +516,6 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: r.SS, css: css,
 		wserial:   wserial,
-		dirty:     make(map[storage.PageNo]bool),
 		internal:  mode == ModeInternal,
 		readahead: mode == ModeRead && k.Features().Readahead,
 	}
@@ -543,7 +540,13 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 		}
 		f.ino = ino
 	} else {
-		f.ino = r.Ino.Clone()
+		f.ino = r.Ino
+	}
+	f.size = f.ino.Size
+	if mode == ModeModify {
+		// The in-core inode at the US is this handle's to change; any
+		// other handle reads the committed one where it lies.
+		f.ino, f.dirty = f.ino.Clone(), make(map[storage.PageNo]bool)
 	}
 	if r.Delegation != nil && k.recordLease(f, r.Delegation) {
 		if mode == ModeModify {
@@ -572,7 +575,7 @@ func (k *Kernel) releaseCSSLock(css SiteID, id storage.FileID, mode OpenMode, se
 // local committed copy is safe to use.
 func (k *Kernel) tryLocalInternal(id storage.FileID) *File {
 	c := k.container(id.FG)
-	if c == nil || !c.HasInode(id.Inode) {
+	if c == nil {
 		return nil
 	}
 	k.mu.Lock()
@@ -587,7 +590,7 @@ func (k *Kernel) tryLocalInternal(id storage.FileID) *File {
 	}
 	f := &File{
 		k: k, id: id, mode: ModeInternal, us: k.site, ss: k.site,
-		ino: ino, dirty: make(map[storage.PageNo]bool), internal: true,
+		ino: ino, size: ino.Size, internal: true,
 	}
 	k.mu.Lock()
 	k.registerOpenLocked(f)
@@ -623,10 +626,7 @@ func (k *Kernel) handleCreate(_ SiteID, req *createReq) (*createResp, error) {
 	k.mu.Lock()
 	k.cssState[id] = e
 	k.mu.Unlock()
-	// Clone at the boundary: ino aliases the birth SS's reply (or its
-	// local handler result); the creating US mutates its copy as the
-	// in-core inode of the open file.
-	return &createResp{ID: id, SS: birth, Ino: ino.Clone()}, nil
+	return &createResp{ID: id, SS: birth, Ino: ino}, nil
 }
 
 // chooseStorageSites applies the placement algorithm of §2.3.7:
@@ -700,7 +700,7 @@ func (k *Kernel) handleSSCreate(_ SiteID, req *ssCreateReq) (*ssCreateResp, erro
 	// Announce the birth so the other chosen storage sites replicate
 	// the file even if it is never written (an empty directory, say).
 	k.notifyCommit(id, ino, nil)
-	return &ssCreateResp{Ino: ino.Clone()}, nil
+	return &ssCreateResp{Ino: ino}, nil
 }
 
 // CreateID creates a new file in a filegroup (the caller links it into
@@ -726,7 +726,7 @@ func (k *Kernel) CreateID(fg storage.FilegroupID, typ storage.FileType, cred *Cr
 	f := &File{
 		k: k, id: r.ID, mode: ModeModify, us: k.site, ss: r.SS, css: css,
 		wserial: wserial,
-		ino:     r.Ino.Clone(), dirty: make(map[storage.PageNo]bool),
+		ino:     r.Ino.Clone(), size: r.Ino.Size, dirty: make(map[storage.PageNo]bool),
 	}
 	k.mu.Lock()
 	k.registerOpenLocked(f)

@@ -66,9 +66,11 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 //
 // Unsynchronized means a newer version can be committed (a propagation
 // pull landing, say) between the open and a page read: each page is
-// served from whatever is committed when it is read, so the bytes can
-// mix versions or be cut at the old size. Such a read is retried on a
-// fresh open rather than surfaced as a corrupt directory.
+// served from whatever is committed when it is read, and one that is not
+// of the version the open found fails the read as corrupt (fetchPage).
+// Such a read is retried on a fresh open rather than surfaced as a
+// corrupt directory. The inode returned is the committed one, shared:
+// read it, never write through it.
 func (k *Kernel) readDirByID(id storage.FileID) (d *format.DirSnapshot, ino *storage.Inode, err error) {
 	for attempt := 0; attempt < 4; attempt++ {
 		if d, ino, err = k.readDirOnce(id); !errors.Is(err, format.ErrCorrupt) {
@@ -87,19 +89,11 @@ func (k *Kernel) readDirOnce(id storage.FileID) (*format.DirSnapshot, *storage.I
 	if f.ino.Type != storage.TypeDirectory && f.ino.Type != storage.TypeHiddenDir {
 		return nil, nil, fmt.Errorf("%w: %v is %v", ErrNotDir, id, f.ino.Type)
 	}
-	ino := f.ino.Clone()
-	d, err := k.dirs.load(id, ino.VV, func(buf []byte) ([]byte, error) {
-		raw, err := f.readAllInto(buf)
-		// ReadAt refreshed the handle's size from what the SS served.
-		if err == nil && f.ino.Size != ino.Size {
-			return nil, fmt.Errorf("%w: %v changed during an unsynchronized read", format.ErrCorrupt, id)
-		}
-		return raw, err
-	})
+	d, err := k.dirs.load(id, f.ino.VV, f.readAllInto)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d, ino, nil
+	return d, f.ino, nil
 }
 
 // statType returns a file's type via an internal open. A conflicted

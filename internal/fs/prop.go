@@ -391,10 +391,11 @@ func (k *Kernel) pullFile(t *propTask) bool {
 			// Divergent copies: this is a merge-time conflict; mark the
 			// local copy so normal opens fail and leave resolution to
 			// the reconciliation layer (§4.6).
-			local, err := c.GetInode(t.id.Inode)
+			committed, err := c.GetInode(t.id.Inode)
 			if err != nil {
 				return false
 			}
+			local := committed.Clone()
 			local.Conflict = true
 			if err := c.CommitInode(local); err != nil {
 				return false
@@ -612,9 +613,9 @@ func (k *Kernel) handlePullOpen(_ SiteID, req *pullOpenReq) (*pullOpenResp, erro
 	if err != nil {
 		return nil, err
 	}
-	// The response crosses the in-process transport by pointer and the
-	// puller treats the inode it receives as its own: GetInode's
-	// documented deep copy is the transport-boundary copy.
+	// The response crosses the in-process transport by pointer: the
+	// puller reads this site's committed inode where it lies and Clones it
+	// for the copy it installs.
 	resp := &pullOpenResp{Ino: ino}
 	if req.Window > 0 && !ino.Deleted {
 		w := req.Window

@@ -1,11 +1,12 @@
 package fs
 
-// White-box propagation tests: the pull-open handler sits on the
-// in-process transport, where a returned pointer aliases origin state
-// unless the handler clones it.
+// White-box tests of who holds which inode: the in-process transport
+// passes pointers, so a handle built from an open reply holds the very
+// inode the storage site committed unless somebody copies it.
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/netsim"
@@ -13,7 +14,7 @@ import (
 )
 
 // bootSolo brings up a one-site cluster for direct handler calls.
-func bootSolo(t *testing.T) *Kernel {
+func bootSolo(t testing.TB) *Kernel {
 	t.Helper()
 	nw := netsim.New(netsim.DefaultCosts())
 	t.Cleanup(nw.Close)
@@ -32,61 +33,102 @@ func bootSolo(t *testing.T) *Kernel {
 	return k
 }
 
-// TestHandlePullOpenClonesInode is the regression test for the pull
-// handler returning the origin's inode by pointer: a puller rewrites
-// the page table of the inode it receives, and unless what the handler
-// sends is a copy (GetInode's deep copy is the one) that rewrite would
-// corrupt the origin's committed state through the in-process
-// transport.
-func TestHandlePullOpenClonesInode(t *testing.T) {
-	k := bootSolo(t)
+// solo4 is a one-site kernel holding a committed 4-page file /f, for the
+// tests that watch what an open does with the file's inode.
+func solo4(tb testing.TB) (k *Kernel, id storage.FileID, data []byte) {
+	k = bootSolo(tb)
 	cr := DefaultCred("tester")
 	f, err := k.Create(cr, "/f", storage.TypeRegular, 0644)
 	if err != nil {
+		tb.Fatal(err)
+	}
+	data = bytes.Repeat([]byte{'x'}, 4*storage.PageSize)
+	if _, err := f.WriteAt(data, 0); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return k, f.ID(), data
+}
+
+// TestOpenSharesOrOwnsItsInode: a read or internal handle holds the
+// committed inode itself, a modify open makes exactly two copies of it —
+// the in-core inode at the US and the one at the SS — and File.Inode
+// hands the caller a third that is nobody else's.
+func TestOpenSharesOrOwnsItsInode(t *testing.T) {
+	k, id, _ := solo4(t)
+	committed, err := k.container(id.FG).GetInode(id.Inode)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := bytes.Repeat([]byte{'x'}, 2*storage.PageSize)
-	if _, err := f.WriteAt(want, 0); err != nil {
+	for _, mode := range []OpenMode{ModeRead, ModeInternal} {
+		f, err := k.OpenID(id, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.ino != committed {
+			t.Errorf("a mode-%d handle holds a copy of the committed inode", mode)
+		}
+		if f.dirty != nil {
+			t.Errorf("a mode-%d handle was given a dirty-page map it never writes", mode)
+		}
+		if pub := f.Inode(); pub == committed || !reflect.DeepEqual(pub, committed) {
+			t.Errorf("File.Inode of a mode-%d handle = %+v, want a copy of %+v", mode, pub, committed)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	f, err := k.OpenID(id, ModeModify)
+	if err != nil {
 		t.Fatal(err)
+	}
+	incore := k.ssState[id].incore
+	if f.ino == committed || incore == committed || f.ino == incore {
+		t.Fatalf("modify open: handle %p, SS in-core %p and committed %p inodes must be three", f.ino, incore, committed)
+	}
+	if err := f.Truncate(5); err != nil {
+		t.Fatal(err)
+	}
+	if f.Size() != 5 || f.Inode().Size != 5 || committed.Size != 4*storage.PageSize {
+		t.Fatalf("after Truncate(5): handle sees %d, its inode %d, the committed inode %d", f.Size(), f.Inode().Size, committed.Size)
+	}
+	if err := f.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Size() != committed.Size || f.ino == committed || k.ssState[id].incore == committed {
+		t.Fatalf("after Abort: size %d, want %d, and both in-core inodes fresh copies", f.Size(), committed.Size)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := k.Resolve(cr, "/f")
-	if err != nil {
-		t.Fatal(err)
+	if now, _ := k.container(id.FG).GetInode(id.Inode); now != committed {
+		t.Fatal("an aborted modify open replaced the committed inode")
 	}
+}
 
-	por, err := k.handlePullOpen(1, &pullOpenReq{ID: r.ID, Window: PullWindow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(por.First) != 2 || len(por.FirstPhys) != 2 {
-		t.Fatalf("piggyback window has %d/%d pages, want 2/2", len(por.First), len(por.FirstPhys))
-	}
-	// Do what a puller does: rewrite the received inode's page table
-	// (and, for good measure, its version vector).
-	for i := range por.Ino.Pages {
-		por.Ino.Pages[i] = storage.PhysPage(7777 + i)
-	}
-	por.Ino.VV = por.Ino.VV.Bump(9)
-	por.Ino.Size = 1
-
-	c := k.container(r.ID.FG)
-	ino, err := c.GetInode(r.ID.Inode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pp := range ino.Pages {
-		if pp == storage.PhysPage(7777+i) {
-			t.Fatalf("puller-side mutation reached the origin's committed page table: %v", ino.Pages)
+// BenchmarkOpenReadClose is the scan workloads' inner step by pathname:
+// Kernel.Open, ReadAll and Close of a local 4-page file.
+func BenchmarkOpenReadClose(b *testing.B) {
+	k, _, data := solo4(b)
+	cr := DefaultCred("tester")
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := k.Open(cr, "/f", ModeRead)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-	if ino.VV.Get(9) != 0 || ino.Size != int64(len(want)) {
-		t.Fatalf("puller-side mutation reached the origin's committed inode: vv=%v size=%d", ino.VV, ino.Size)
-	}
-	if got := readFileAt(t, k, cr, "/f", len(want)); !bytes.Equal(got, want) {
-		t.Fatal("origin content corrupted by puller-side mutation")
+		got, err := f.ReadAll()
+		if err != nil || len(got) != len(data) {
+			b.Fatalf("ReadAll = %d bytes, %v", len(got), err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

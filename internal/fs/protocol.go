@@ -46,7 +46,11 @@ type openReq struct {
 }
 
 type openResp struct {
-	SS  SiteID
+	SS SiteID
+	// Ino is the storage site's committed inode itself (nil when the US
+	// is its own SS and reads its own): frozen, so the reply, a replay of
+	// it and every handle built from it may share it. A modify open
+	// Clones it for its in-core inode.
 	Ino *storage.Inode
 	// ServeReady reports that the serving state already exists at the
 	// SS (the CSS installed it, either at itself or via the SS poll);
@@ -83,7 +87,7 @@ type ssOpenReq struct {
 }
 
 type ssOpenResp struct {
-	Ino *storage.Inode
+	Ino *storage.Inode // the committed inode, as openResp.Ino
 }
 
 // RAMax caps the number of extra pages a storage site piggybacks on one
@@ -310,8 +314,10 @@ type createReq struct {
 }
 
 type createResp struct {
-	ID  storage.FileID
-	SS  SiteID
+	ID storage.FileID
+	SS SiteID
+	// Ino is the inode the birth pack committed (ssCreateResp.Ino passed
+	// on): the creating US Clones it for its in-core inode.
 	Ino *storage.Inode
 }
 
@@ -331,6 +337,8 @@ type ssCreateReq struct {
 }
 
 type ssCreateResp struct {
+	// Ino is the literal handleSSCreate committed a copy of, which
+	// nothing writes again: read-only to whoever the reply reaches.
 	Ino *storage.Inode
 }
 
@@ -380,7 +388,10 @@ type pullOpenReq struct {
 }
 
 type pullOpenResp struct {
-	Ino *storage.Inode // committed snapshot, physical page table included
+	// Ino is the origin's committed inode itself, physical page table
+	// included: frozen (storage.Inode), so the puller reads it in place
+	// and Clones it for the copy it installs.
+	Ino *storage.Inode
 	// FirstPhys/First are the piggybacked first window: First[i] holds
 	// the contents of physical page FirstPhys[i] of the snapshot's page
 	// table. Empty when no window was requested (or the file is a

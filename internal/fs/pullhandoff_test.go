@@ -12,6 +12,7 @@ package fs_test
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -162,6 +163,49 @@ func TestPulledPagesHaveOneOwner(t *testing.T) {
 	}
 }
 
+// TestPullLeavesOriginInodeAlone: the pull-open reply carries the
+// origin's committed inode itself through the in-process transport, and
+// the puller builds its own page table. A real pull of a 2-page file at
+// two sites leaves the origin's inode the same inode, reading as it did.
+func TestPullLeavesOriginInodeAlone(t *testing.T) {
+	c := newCluster(t, 3)
+	want := bytes.Repeat([]byte{'x'}, 2*storage.PageSize)
+	writeFile(t, c.K(1), "/f", want)
+	r, err := c.K(1).Resolve(cred(), "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := c.K(1).Store().Container(r.ID.FG)
+	before, err := origin.GetInode(r.ID.Inode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	was := before.Clone()
+	settle(t, c)
+
+	after, err := origin.GetInode(r.ID.Inode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before || !reflect.DeepEqual(after, was) {
+		t.Fatalf("two pulls changed the origin's committed inode:\n got %+v\nwant %+v", after, was)
+	}
+	if after.Size != int64(len(want)) || len(after.Pages) != 2 {
+		t.Fatalf("origin stores %d bytes in %d pages, want %d in 2", after.Size, len(after.Pages), len(want))
+	}
+	for _, site := range []fs.SiteID{2, 3} {
+		pulled, err := c.K(site).Store().Container(r.ID.FG).GetInode(r.ID.Inode)
+		if err != nil {
+			t.Fatalf("site %d: %v", site, err)
+		}
+		if pulled == after || !pulled.VV.Equal(after.VV) || pulled.Size != after.Size {
+			t.Fatalf("site %d installed %+v (the origin has %+v)", site, pulled, after)
+		}
+		committedBufs(t, c, site, r.ID, want)
+	}
+	committedBufs(t, c, 1, r.ID, want)
+}
+
 // TestPoolReachesSteadyState: with every superseded page going back to
 // the pool, whole-file rewrites of a replicated file stop asking the
 // allocator for pages once the pool holds one round's worth. (Where a
@@ -279,6 +323,61 @@ func TestPullAllocations(t *testing.T) {
 	// stray one in fifty runs (a map that grows) is not the pull's.
 	if got := mallocs / runs; got > 16 {
 		t.Errorf("one settled 4-page pull makes %d allocations, want at most 16", got)
+	}
+}
+
+// TestOpenAllocations pins what an open costs the allocator now that it
+// copies no inode it only reads and makes a dirty-page map for a writer
+// alone: open + ReadAll + close of a local 4-page file by low-level name
+// allocates the handle and the result buffer on the unsynchronized path
+// (4 where GetInode cloned), and through the CSS the open and close
+// messages and the SS's reader record besides (10, was 12). A modify
+// open and its close make 14 as they did: the two in-core inodes (US and
+// SS), the SS's page set and the two dirty maps are a writer's to have.
+// One P and no collector, as in TestPullAllocations: the pages ReadAll
+// copies out of come from the page pool.
+func TestOpenAllocations(t *testing.T) {
+	if invariant.Enabled || raceEnabled {
+		t.Skip("the storage assertions allocate on their own account; the race detector's sync.Pool drops buffers")
+	}
+	c := newCluster(t, 1)
+	k := c.K(1)
+	data := bytes.Repeat([]byte{'x'}, 4*storage.PageSize)
+	writeFile(t, k, "/f", data)
+	r, err := k.Resolve(cred(), "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	openClose := func(mode fs.OpenMode, read bool) func() {
+		return func() {
+			f, err := k.OpenID(r.ID, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if read {
+				if got, err := f.ReadAll(); err != nil || len(got) != len(data) {
+					t.Fatalf("ReadAll = %d bytes, %v", len(got), err)
+				}
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	defer holdCollector()()
+	for _, pin := range []struct {
+		what string
+		run  func()
+		max  float64
+	}{
+		{"internal open + ReadAll + close", openClose(fs.ModeInternal, true), 2},
+		{"read open + ReadAll + close", openClose(fs.ModeRead, true), 10},
+		{"modify open + close", openClose(fs.ModeModify, false), 14},
+	} {
+		pin.run() // size the kernel's maps
+		if got := testing.AllocsPerRun(200, pin.run); got > pin.max {
+			t.Errorf("%s makes %v allocations, want at most %v", pin.what, got, pin.max)
+		}
 	}
 }
 

@@ -213,10 +213,11 @@ func (k *Kernel) handleMarkConflict(_ SiteID, req *markConflictReq) error {
 	if c == nil || !c.HasInode(req.ID.Inode) {
 		return nil
 	}
-	ino, err := c.GetInode(req.ID.Inode)
-	if err != nil || ino.Conflict {
+	committed, err := c.GetInode(req.ID.Inode)
+	if err != nil || committed.Conflict {
 		return nil
 	}
+	ino := committed.Clone()
 	ino.Conflict = true
 	return c.CommitInode(ino)
 }

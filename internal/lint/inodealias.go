@@ -7,38 +7,33 @@ import (
 	"go/types"
 )
 
-// InodeAliasAnalyzer enforces the Clone-at-the-boundary discipline for
-// shared metadata pointers.
+// InodeAliasAnalyzer enforces the one rule of a shared inode: read it
+// where it lies, Clone it before you write.
 //
-// The simulated network passes message payloads by pointer, so an
-// *storage.Inode pulled out of an RPC response aliases the sender's
-// copy — often a pointer straight into the remote kernel's in-core
-// state. Mutating it, or forwarding it into another response where a
-// third site will mutate it, silently corrupts replica state that no
-// version vector records (the bug class handlePullOpen avoids by
-// sending GetInode's deep copy). The rule: a decoded alias may be read,
-// but must be Cloned before it is mutated or before it escapes into
-// another message, a return value, long-lived structure, or goroutine.
+// A committed *storage.Inode is shared by everyone who reads it: the
+// container hands out the very inode CommitInode installed, and the
+// simulated network passes reply payloads by pointer, so the inode in an
+// open, create or pull reply is the storage site's committed one too.
+// Passing it on — into the next reply, a handle, a lease — is the
+// design. Writing through it changes a committed version behind every
+// other holder's back, in a way no version vector records.
 //
-// A value is tainted when it is an AliasTypes pointer read off the
-// reply of a typed exchange (Config.AliasDecodeCalls):
-// `r, err := netsim.Call(...)` makes r a decode root and `r.Ino` a
-// taint source. Taint is tracked through local identifiers with the
-// forward may-analysis on the CFG; reassigning the identifier from a
-// Clone (or any other call) kills the taint. Findings fire on:
+// A value is tainted when it is an AliasTypes pointer that is the first
+// result of a Config.AliasSourceCalls call (`ino, err := c.GetInode(n)`)
+// or is read off the reply of a typed exchange
+// (Config.AliasDecodeCalls): `r, err := netsim.Call(...)` makes r a
+// decode root and `r.Ino` a taint source. Taint is tracked through local
+// identifiers with the forward may-analysis on the CFG; reassigning the
+// identifier from a Clone (or any other call) kills the taint. A finding
+// fires on a store into a field or element through the alias.
 //
-//   - mutation through the alias (store into a field or element),
-//   - escape: returned, placed in a composite literal, stored into a
-//     non-local structure, sent on a channel, or referenced from a `go`
-//     statement.
-//
-// Plain call arguments, field reads, and captures by synchronously
-// invoked helper closures are not escapes: handlers legitimately read
-// decoded metadata in place.
+// The analysis is intraprocedural and follows no structure field: an
+// inode that reaches a writer through a handle or a helper's parameter
+// is the business of the locusinvariants twin check in storage.
 func InodeAliasAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "inodealias",
-		Doc:  "Clone RPC-decoded inode pointers before mutating them or passing them on",
+		Doc:  "Clone a shared inode pointer (GetInode's, or an RPC reply's) before writing through it",
 		Run:  runInodeAlias,
 	}
 }
@@ -49,8 +44,7 @@ type inodeAlias struct {
 	pkg  *Package
 	sup  *suppressions
 
-	bodyPos, bodyEnd token.Pos
-	findings         []Finding
+	findings []Finding
 	// reported dedups findings per position.
 	reported map[string]bool
 }
@@ -92,8 +86,6 @@ func analyzeInodeAliasBody(prog *Program, cfg *Config, pkg *Package, sup *suppre
 		cfg:      cfg,
 		pkg:      pkg,
 		sup:      sup,
-		bodyPos:  body.Pos(),
-		bodyEnd:  body.End(),
 		reported: make(map[string]bool),
 	}
 	g := buildCFG(body, nil)
@@ -105,7 +97,8 @@ func analyzeInodeAliasBody(prog *Program, cfg *Config, pkg *Package, sup *suppre
 }
 
 // transfer both propagates taint facts (keys are types.Object) and
-// reports misuse of live taints and of direct taint-source expressions.
+// reports writes through live taints and through direct taint-source
+// expressions.
 func (a *inodeAlias) transfer(b *cfgBlock, in factSet) factSet {
 	out := in.clone()
 	for _, atom := range b.atoms {
@@ -148,8 +141,8 @@ func (a *inodeAlias) updateAtom(atom ast.Node, out factSet) {
 			out[factKey(decodeRootFact{obj})] = true
 			delete(out, factKey(obj))
 		default:
-			// Reassigned from anything else (Clone, fresh fetch, nil):
-			// the identifier no longer aliases the decode.
+			// Reassigned from anything else (a Clone, a literal, nil): the
+			// identifier no longer names a shared inode.
 			delete(out, factKey(obj))
 			delete(out, factKey(decodeRootFact{obj}))
 		}
@@ -167,71 +160,21 @@ func (a *inodeAlias) decodeSource(e ast.Expr) bool {
 	return ok
 }
 
-// checkAtom reports mutation/escape of tainted values within one atom.
+// checkAtom reports a store through a tainted value: ino.F = v,
+// ino.Pages[i] = v, r.Ino.F = v.
 func (a *inodeAlias) checkAtom(atom ast.Node, facts factSet) {
-	switch st := atom.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range st.Lhs {
-			// Mutation through the alias: ino.F = v, ino.Pages[i] = v.
-			if !isPlainIdent(lhs) {
-				root := exprRoot(lhs)
-				if a.taintedExpr(root, facts) || a.mutatesThroughSource(lhs, facts) {
-					a.report(lhs.Pos(), "mutates an RPC-decoded %s without Clone; the sender's copy is aliased")
-				}
-			}
-			// Escape by storing a taint into a foreign structure.
-			var rhs ast.Expr
-			if len(st.Rhs) == len(st.Lhs) {
-				rhs = st.Rhs[i]
-			} else if len(st.Rhs) == 1 {
-				rhs = st.Rhs[0]
-			}
-			if rhs == nil {
-				continue
-			}
-			if isPlainIdent(lhs) {
-				continue // pure aliasing, tracked by updateAtom
-			}
-			rootObj := a.identObj(exprRoot(lhs))
-			local := rootObj != nil && a.isLocal(rootObj)
-			if !local && (a.escapingTaint(rhs, facts)) {
-				a.report(rhs.Pos(), "stores an RPC-decoded %s into shared state without Clone")
-			}
-		}
-		for _, rhs := range st.Rhs {
-			a.checkCompositeEscape(rhs, facts)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			if a.escapingTaint(r, facts) {
-				a.report(r.Pos(), "returns an RPC-decoded %s without Clone; the callee and sender now share it")
-			}
-			a.checkCompositeEscape(r, facts)
-		}
-	case *ast.SendStmt:
-		if a.escapingTaint(st.Value, facts) {
-			a.report(st.Value.Pos(), "sends an RPC-decoded %s without Clone")
-		}
-		a.checkCompositeEscape(st.Value, facts)
-	case *ast.GoStmt:
-		if a.mentionsTaint(st, facts) {
-			a.report(st.Pos(), "shares an RPC-decoded %s with a goroutine without Clone")
-		}
-	case *ast.ExprStmt:
-		a.checkCompositeEscape(st.X, facts)
-	case ast.Expr:
-		a.checkCompositeEscape(st, facts)
+	st, ok := atom.(*ast.AssignStmt)
+	if !ok {
+		return
 	}
-}
-
-// escapingTaint reports whether e is itself a tainted value: a tainted
-// identifier or a direct taint-source expression (not a Clone of one).
-func (a *inodeAlias) escapingTaint(e ast.Expr, facts factSet) bool {
-	e = ast.Unparen(e)
-	if obj := a.identObj(e); obj != nil {
-		return facts[factKey(obj)]
+	for _, lhs := range st.Lhs {
+		if isPlainIdent(lhs) {
+			continue // rebinding the identifier, tracked by updateAtom
+		}
+		if a.taintedExpr(exprRoot(lhs), facts) || a.mutatesThroughSource(lhs, facts) {
+			a.report(lhs.Pos(), "writes through a shared %s without Clone; every other holder of it sees the write")
+		}
 	}
-	return a.taintSource(e, facts)
 }
 
 // mutatesThroughSource reports whether an assignment target dereferences
@@ -248,40 +191,15 @@ func (a *inodeAlias) mutatesThroughSource(lhs ast.Expr, facts factSet) bool {
 	return found
 }
 
-// checkCompositeEscape flags tainted values used as composite-literal
-// elements — the `&openResp{Ino: r.Ino}` shape that forwards a decoded
-// pointer into the next response.
-func (a *inodeAlias) checkCompositeEscape(e ast.Expr, facts factSet) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			// A synchronously invoked helper closure may read captured
-			// taints; concurrent sharing is caught at the go statement.
-			return false
-		}
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		for _, el := range lit.Elts {
-			v := el
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				v = kv.Value
-			}
-			if a.escapingTaint(v, facts) {
-				a.report(v.Pos(), "forwards an RPC-decoded %s into a composite literal without Clone")
-			}
-		}
-		return true
-	})
-}
-
-// taintSource recognizes the decode shape: a field selection producing
-// an AliasTypes pointer off a decode-root identifier
+// taintSource recognizes the two shapes a shared inode arrives in: a
+// call that hands one out (`c.GetInode(n)`), and a field selection
+// producing an AliasTypes pointer off a decode-root identifier
 // (`r, err := netsim.Call(...); ... r.Ino`).
 func (a *inodeAlias) taintSource(e ast.Expr, facts factSet) bool {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+		_, ok = matchMustCheck(a.pkg.Info, call, a.cfg.AliasSourceCalls)
+		return ok
+	}
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return false
@@ -313,19 +231,6 @@ func (a *inodeAlias) taintedExpr(e ast.Expr, facts factSet) bool {
 	return obj != nil && facts[factKey(obj)]
 }
 
-func (a *inodeAlias) mentionsTaint(n ast.Node, facts factSet) bool {
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if id, ok := x.(*ast.Ident); ok {
-			if obj := a.identObj(id); obj != nil && facts[factKey(obj)] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
 func (a *inodeAlias) report(pos token.Pos, msgFmt string) {
 	p := a.prog.Fset.Position(pos)
 	key := p.String()
@@ -353,10 +258,6 @@ func (a *inodeAlias) identObj(e ast.Expr) types.Object {
 		return obj
 	}
 	return a.pkg.Info.Uses[id]
-}
-
-func (a *inodeAlias) isLocal(obj types.Object) bool {
-	return obj.Pos() >= a.bodyPos && obj.Pos() <= a.bodyEnd
 }
 
 // pkgInScope reports whether a package matches any of the suffixes.

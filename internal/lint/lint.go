@@ -140,11 +140,14 @@ type Config struct {
 	// facts may be parked in without counting as a release.
 	FreshFuncs []string
 
-	// AliasTypes are pointer types that must be Cloned before mutation
-	// or escape when obtained from an RPC decode (inodealias analyzer).
+	// AliasTypes are pointer types that must be Cloned before a write
+	// through them when they name a shared value (inodealias analyzer).
 	AliasTypes []TypeSpec
+	// AliasSourceCalls are the calls whose first result is a shared
+	// AliasTypes pointer (the container's committed inode).
+	AliasSourceCalls []MethodSpec
 	// AliasDecodeCalls are the typed exchanges whose first result is
-	// the peer's reply: AliasTypes fields read off it alias the sender.
+	// the peer's reply: AliasTypes fields read off it are the sender's.
 	AliasDecodeCalls []MethodSpec
 	// AliasCloneMethods are the methods that produce an owned copy of an
 	// AliasTypes value ("Clone").
@@ -294,6 +297,9 @@ func DefaultConfig() *Config {
 		FreshFuncs: []string{"Clone"},
 
 		AliasTypes: []TypeSpec{{PkgSuffix: "internal/storage", Type: "Inode"}},
+		AliasSourceCalls: []MethodSpec{
+			{PkgSuffix: "internal/storage", Recv: "Container", Name: "GetInode"},
+		},
 		AliasDecodeCalls: []MethodSpec{
 			{PkgSuffix: "internal/netsim", Name: "Call"},
 			{PkgSuffix: "internal/netsim", Name: "CallAt"},

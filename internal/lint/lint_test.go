@@ -192,6 +192,7 @@ func TestInodeAliasFixture(t *testing.T) {
 	t.Parallel()
 	cfg := &Config{
 		AliasTypes:        []TypeSpec{{PkgSuffix: "inodealias_f", Type: "Inode"}},
+		AliasSourceCalls:  []MethodSpec{{PkgSuffix: "inodealias_f", Recv: "Container", Name: "GetInode"}},
 		AliasDecodeCalls:  []MethodSpec{{PkgSuffix: "inodealias_f", Name: "Call"}},
 		AliasCloneMethods: []string{"Clone"},
 		AliasPackages:     []string{"inodealias_f"},

@@ -1,7 +1,9 @@
 // Package inodealias_f is a locus-vet fixture for the inodealias
-// analyzer: an *Inode read off the reply of a typed exchange aliases
-// the sender's copy and must be Cloned before it is mutated or escapes.
-// The test config names the generic function Call as the exchange.
+// analyzer: an *Inode handed out by Container.GetInode, or read off the
+// reply of a typed exchange, is shared with its other holders and must
+// be Cloned before it is written through; passing it on is fine. The
+// test config names the generic function Call as the exchange and
+// Container.GetInode as the source call.
 package inodealias_f
 
 type VV map[int]int
@@ -37,12 +39,18 @@ type openResp struct {
 
 var mOpen = Method[openReq, openResp]{Name: "open"}
 
+type Container struct{ inodes map[int]*Inode }
+
+func (c *Container) GetInode(n int) (*Inode, error) { return c.inodes[n], nil }
+
+func (c *Container) CommitInode(*Inode) error { return nil }
+
 var cache = map[int]*Inode{}
 
 func use(*Inode) {}
 
-// okReads: reading decoded metadata in place is legitimate; plain call
-// arguments are not escapes either.
+// okReads: reading a shared inode in place is legitimate, and so is
+// handing it to a callee.
 func okReads(n *Node) int64 {
 	r, err := Call(n, mOpen, &openReq{})
 	if err != nil {
@@ -53,8 +61,16 @@ func okReads(n *Node) int64 {
 	return ino.Size
 }
 
-// okClones: a Clone result is an owned copy; mutation and return are
-// fine.
+// okForwards: a shared inode may go wherever a reader may hold it — the
+// next reply, a long-lived structure, the caller.
+func okForwards(n *Node, c *Container) (*openResp, *Inode) {
+	r, _ := Call(n, mOpen, &openReq{})
+	ino, _ := c.GetInode(1)
+	cache[ino.Num] = ino
+	return &openResp{Ino: r.Ino}, ino
+}
+
+// okClones: a Clone result is an owned copy; writing it is fine.
 func okClones(n *Node) *Inode {
 	r, _ := Call(n, mOpen, &openReq{})
 	ino := r.Ino.Clone()
@@ -62,75 +78,69 @@ func okClones(n *Node) *Inode {
 	return ino
 }
 
-// okCloneBeforeEscape: reassigning the identifier from Clone kills the
-// taint before the mutation and the forward.
-func okCloneBeforeEscape(n *Node) *openResp {
-	r, _ := Call(n, mOpen, &openReq{})
-	ino := r.Ino
+// okCloneThenWrite: the read-modify-commit shape. Reassigning the
+// identifier from Clone kills the taint before the write.
+func okCloneThenWrite(c *Container) error {
+	ino, err := c.GetInode(1)
+	if err != nil {
+		return err
+	}
 	ino = ino.Clone()
 	ino.Size = 9
-	return &openResp{Ino: ino}
+	return c.CommitInode(ino)
 }
 
 // okLocalHandler: a reply built by this site's own handler is not a
-// decode; only the exchange's result aliases a peer.
-func okLocalHandler(h func(*openReq) (*openResp, error)) *Inode {
+// decode; only the exchange's result is rooted.
+func okLocalHandler(h func(*openReq) (*openResp, error)) {
 	r, _ := h(&openReq{})
-	return r.Ino
+	r.Ino.Size = 7
+}
+
+func badWriteThroughGetInode(c *Container) error {
+	ino, err := c.GetInode(1)
+	if err != nil {
+		return err
+	}
+	ino.Size = 9 // want "writes through a shared Inode without Clone"
+	return c.CommitInode(ino)
+}
+
+// badWriteThroughAlias: an alias of an alias is as shared.
+func badWriteThroughAlias(c *Container) {
+	ino, _ := c.GetInode(1)
+	same := ino
+	same.VV[1] = 2 // want "writes through a shared Inode without Clone"
 }
 
 func badMutates(n *Node) {
 	r, _ := Call(n, mOpen, &openReq{})
 	ino := r.Ino
-	ino.Size = 7 // want "mutates an RPC-decoded Inode without Clone"
+	ino.Size = 7 // want "writes through a shared Inode without Clone"
 }
 
 func badMutatesInline(n *Node) {
 	r, _ := Call(n, mOpen, &openReq{})
-	r.Ino.Size = 7 // want "mutates an RPC-decoded Inode without Clone"
+	r.Ino.Size = 7 // want "writes through a shared Inode without Clone"
 }
 
-// badExplicitReturn: explicit type arguments resolve to the same
+// badExplicitTypeArgs: explicit type arguments resolve to the same
 // declared exchange.
-func badExplicitReturn(n *Node) *Inode {
+func badExplicitTypeArgs(n *Node) {
 	r, _ := Call[openReq, openResp](n, mOpen, &openReq{})
-	return r.Ino // want "returns an RPC-decoded Inode without Clone"
+	r.Ino.Size = 7 // want "writes through a shared Inode without Clone"
 }
 
-// badAssignedReturn: the reply bound by plain assignment to a
+// badAssignedReply: the reply bound by plain assignment to a
 // predeclared variable roots the decode just the same.
-func badAssignedReturn(n *Node) *Inode {
+func badAssignedReply(n *Node) {
 	var r *openResp
 	r, _ = Call(n, mOpen, &openReq{})
-	return r.Ino // want "returns an RPC-decoded Inode without Clone"
+	r.Ino.Size = 7 // want "writes through a shared Inode without Clone"
 }
 
-func badStores(n *Node) {
-	r, _ := Call(n, mOpen, &openReq{})
-	ino := r.Ino
-	cache[ino.Num] = ino // want "stores an RPC-decoded Inode into shared state without Clone"
-}
-
-func badForwards(n *Node) *openResp {
-	r, _ := Call(n, mOpen, &openReq{})
-	return &openResp{Ino: r.Ino} // want "forwards an RPC-decoded Inode into a composite literal without Clone"
-}
-
-func badSends(n *Node, ch chan *Inode) {
-	r, _ := Call(n, mOpen, &openReq{})
-	ino := r.Ino
-	ch <- ino // want "sends an RPC-decoded Inode without Clone"
-}
-
-func badShares(n *Node) {
-	r, _ := Call(n, mOpen, &openReq{})
-	ino := r.Ino
-	go func() { cache[0] = ino }() // want "shares an RPC-decoded Inode with a goroutine without Clone"
-}
-
-// allowedReturn exercises the suppression path.
-func allowedReturn(n *Node) *Inode {
-	r, _ := Call(n, mOpen, &openReq{})
-	ino := r.Ino
-	return ino //locus:vet-allow inodealias fixture: forwarding the alias is this case's point
+// allowedWrite exercises the suppression path.
+func allowedWrite(c *Container) {
+	ino, _ := c.GetInode(1)
+	ino.Size = 7 //locus:vet-allow inodealias fixture: writing through the alias is this case's point
 }

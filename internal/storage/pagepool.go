@@ -22,7 +22,12 @@ import (
 //     the container's. PutPageBuf may be called only by the owner, after
 //     which the buffer must never be touched again. An owner that
 //     cannot prove it is the only one simply doesn't Put — the buffer
-//     falls to the garbage collector, which is always correct.
+//     falls to the garbage collector, which is always correct. A buffer
+//     in the pool keeps its last owner's bytes: Put clears nothing (the
+//     page it frees is cold, and most takers overwrite all of it), so
+//     the taker does — GetPageBuf the whole page, and WritePage and
+//     ReadPage, which take theirs through getDirtyPageBuf, only the tail
+//     their copy leaves.
 //  2. A buffer that has escaped is never Put. Escaped means aliased by
 //     someone the container cannot see: a remote read served zero-copy
 //     into a using-site cache, the writer's in-core page read in place.
@@ -72,6 +77,16 @@ func newPoisonedPage() *[PageSize]byte {
 // caller owns it exclusively until PutPageBuf (or forever, if it never
 // Puts).
 func GetPageBuf() []byte {
+	buf := getDirtyPageBuf()
+	clear(buf)
+	return buf
+}
+
+// getDirtyPageBuf is GetPageBuf without the clear: the buffer holds
+// whatever its last owner left (the poison pattern under
+// locusinvariants), for a caller that overwrites it at once and clears
+// the tail its copy leaves.
+func getDirtyPageBuf() []byte {
 	pagePoolGets.Add(1)
 	p := pagePool.Get().(*[PageSize]byte)
 	if invariant.Enabled {
@@ -79,14 +94,15 @@ func GetPageBuf() []byte {
 			invariant.Assertf(b == pagePoisonByte,
 				"storage: pooled page buffer corrupted at byte %d (0x%02x): write-after-free on a recycled page", i, b)
 		}
-		*p = [PageSize]byte{}
 	}
 	return p[:]
 }
 
 // PutPageBuf returns an exclusively owned page buffer to the pool. The
 // buffer must be exactly PageSize bytes (anything else is quietly left
-// to the GC) and must not be used after the call.
+// to the GC) and must not be used after the call. Its bytes are left as
+// they are (poisoned under locusinvariants): whoever takes it next
+// clears what it needs.
 func PutPageBuf(buf []byte) {
 	if len(buf) != PageSize || cap(buf) < PageSize {
 		return
@@ -97,8 +113,6 @@ func PutPageBuf(buf []byte) {
 		for i := range p {
 			p[i] = pagePoisonByte
 		}
-	} else {
-		*p = [PageSize]byte{}
 	}
 	pagePool.Put(p)
 }

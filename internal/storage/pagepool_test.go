@@ -25,22 +25,47 @@ func TestPageBufGetZeroed(t *testing.T) {
 	}
 }
 
+// TestPutPageBufScrubs: no payload survives a trip through the pool,
+// though Put itself clears nothing (it poisons, under locusinvariants).
+// Whoever takes the buffer next clears what its own copy leaves: all of
+// it (GetPageBuf), or the tail past a short WritePage.
 func TestPutPageBufScrubs(t *testing.T) {
-	buf := GetPageBuf()
-	for i := range buf {
-		buf[i] = 0x55
-	}
-	PutPageBuf(buf)
-	// After Put the buffer is either poisoned (invariants build) or
-	// zeroed (normal build) — in neither case does payload survive.
-	want := byte(0)
-	if invariant.Enabled {
-		want = pagePoisonByte
-	}
-	for i, b := range buf {
-		if b != want {
-			t.Fatalf("byte %d after Put = 0x%02x, want 0x%02x", i, b, want)
+	dirty := func() {
+		buf := GetPageBuf()
+		for i := range buf {
+			buf[i] = 0x55
 		}
+		PutPageBuf(buf)
+		if invariant.Enabled {
+			for i, b := range buf {
+				if b != pagePoisonByte {
+					t.Fatalf("byte %d after Put = 0x%02x, want the poison 0x%02x", i, b, pagePoisonByte)
+				}
+			}
+		}
+	}
+	c := MustContainer(1, 1, 1, 100, nil, Costs{})
+	for round := 0; round < 8; round++ {
+		dirty()
+		p, err := c.WritePage([]byte("short"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty()
+		got, err := c.ReadPage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != PageSize || !bytes.Equal(got[:5], []byte("short")) {
+			t.Fatalf("page reads %q (%d bytes)", got[:5], len(got))
+		}
+		for i, b := range got[5:] {
+			if b != 0 {
+				t.Fatalf("byte %d past a 5-byte WritePage = 0x%02x: a recycled buffer's bytes leaked into the page", 5+i, b)
+			}
+		}
+		PutPageBuf(got)
+		c.FreePages(p)
 	}
 }
 

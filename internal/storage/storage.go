@@ -27,8 +27,11 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lint/invariant"
 	"repro/internal/vclock"
@@ -124,9 +127,22 @@ var (
 	ErrDupContainer = errors.New("storage: duplicate container for filegroup")
 )
 
-// Inode is a file descriptor. The container hands out deep copies; the
-// filesystem layer keeps an in-core copy that accumulates shadow pages
-// and is installed atomically by CommitInode.
+// Inode is a file descriptor. One is either committed or in-core, and
+// the two are owned differently.
+//
+// A committed inode is the one CommitInode installed: the container
+// hands out that very inode (GetInode) and it is shared by everyone who
+// reads it — open replies, read handles, pulls — so it is frozen: read
+// any field, pass the pointer on, but never write through it, not a
+// field, not an element of Pages or Sites, not a key of Annotations.
+// That costs no lock because a disk inode is replaced, never edited
+// (§2.3.6). Under -tags locusinvariants the container checks it.
+//
+// An in-core inode has one owner who may change it: a modify handle's
+// copy at the using site, the storage site's shadow-page inode, a
+// literal about to be committed. It is made with Clone (or as a
+// literal), and CommitInode installs a copy of it, so the owner may go
+// on changing it afterwards.
 type Inode struct {
 	Num   InodeNum
 	Type  FileType
@@ -183,9 +199,10 @@ type (
 	}
 )
 
-// Clone returns a deep copy of the inode. The version vector is shared:
-// a vclock.VV is immutable. The copy's Pages and Sites are full (cap ==
-// len), so appending to either reallocates; empty ones are nil.
+// Clone returns a deep copy of the inode: the in-core inode of a caller
+// who means to change what it got (see Inode). The version vector is
+// shared: a vclock.VV is immutable. The copy's Pages and Sites are full
+// (cap == len), so appending to either reallocates; empty ones are nil.
 func (ino *Inode) Clone() *Inode {
 	var c *Inode
 	var pages []PhysPage
@@ -245,7 +262,12 @@ type Container struct {
 	site vclock.SiteID
 
 	inodes map[InodeNum]*Inode
-	pages  map[PhysPage][]byte
+	// twins holds, under locusinvariants (empty otherwise), a private copy
+	// of each committed inode: checkFrozenLocked compares the two whenever the
+	// committed one is handed out or replaced, so a write through a shared
+	// inode panics at its next use.
+	twins map[InodeNum]*Inode
+	pages map[PhysPage][]byte
 	// shared marks pages whose internal buffer has been handed out by
 	// ReadPageShared (the zero-copy serve of a remote read; a pull is
 	// served a copy and marks nothing). A shared buffer may be
@@ -277,6 +299,7 @@ func NewContainer(fg FilegroupID, site vclock.SiteID, lo, hi InodeNum, meter Met
 		fg:       fg,
 		site:     site,
 		inodes:   make(map[InodeNum]*Inode),
+		twins:    make(map[InodeNum]*Inode),
 		pages:    make(map[PhysPage][]byte),
 		shared:   make(map[PhysPage]bool),
 		reserved: make(map[InodeNum]bool),
@@ -348,7 +371,11 @@ func (c *Container) HasInode(n InodeNum) bool {
 	return ok
 }
 
-// GetInode returns a deep copy of the file's disk inode.
+// GetInode returns the file's disk inode: the committed inode itself,
+// shared and frozen (see Inode), which stays as it is whatever is
+// committed later — nothing is copied. A caller that wants to change
+// what it got takes a Clone. ErrNoInode reports that the container
+// stores no copy (as HasInode would).
 func (c *Container) GetInode(n InodeNum) (*Inode, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -356,7 +383,19 @@ func (c *Container) GetInode(n InodeNum) (*Inode, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d in filegroup %d at site %d", ErrNoInode, n, c.fg, c.site)
 	}
-	return ino.Clone(), nil
+	c.checkFrozenLocked(ino)
+	return ino, nil
+}
+
+// checkFrozenLocked asserts, under locusinvariants, that the committed
+// inode ino still reads as CommitInode installed it. Caller holds c.mu.
+func (c *Container) checkFrozenLocked(ino *Inode) {
+	if invariant.Enabled {
+		twin := c.twins[ino.Num]
+		invariant.Assertf(reflect.DeepEqual(ino, twin),
+			"storage: committed inode %d was written through a shared pointer (fg %d site %d): reads %+v, committed as %+v",
+			ino.Num, c.fg, c.site, ino, twin)
+	}
 }
 
 // Version is what places a stored copy among the file's other copies:
@@ -367,18 +406,15 @@ type Version struct {
 	Deleted  bool
 	Conflict bool
 	Type     FileType
-	// Sites is the committed inode's own list, not a copy: read it, pass
-	// it on, append to it (it is full, so an append reallocates), but
-	// never write an element. That is safe because a committed inode is
-	// never changed in place — CommitInode installs a new one.
+	// Sites is the committed inode's own list, frozen with it (see
+	// Inode): read it, pass it on, append to it (it is full, so an append
+	// reallocates), but never write an element.
 	Sites []vclock.SiteID
 }
 
-// Version returns the version of the stored copy of file n, by value —
-// the vector is immutable and Sites is read-only (see Version), so
-// nothing is allocated — and whether the container stores a copy at all
-// (as HasInode). For a caller that would read nothing else of GetInode's
-// clone.
+// Version returns the version of the stored copy of file n, by value,
+// and whether the container stores a copy at all (as HasInode): for a
+// caller that wants these five fields and not a pointer to hold.
 func (c *Container) Version(n InodeNum) (Version, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -386,6 +422,7 @@ func (c *Container) Version(n InodeNum) (Version, bool) {
 	if !ok {
 		return Version{}, false
 	}
+	c.checkFrozenLocked(ino)
 	return Version{VV: ino.VV, Deleted: ino.Deleted, Conflict: ino.Conflict, Type: ino.Type, Sites: ino.Sites}, true
 }
 
@@ -414,8 +451,8 @@ func (c *Container) readPageLocked(p PhysPage, shared bool) ([]byte, error) {
 		c.shared[p] = true
 		return data, nil
 	}
-	out := GetPageBuf()
-	copy(out, data)
+	out := getDirtyPageBuf()
+	clear(out[copy(out, data):])
 	return out[:len(data)], nil
 }
 
@@ -519,8 +556,8 @@ func (c *Container) WritePage(data []byte) (PhysPage, error) {
 	if len(data) > PageSize {
 		return 0, fmt.Errorf("storage: page data %d bytes exceeds page size %d", len(data), PageSize)
 	}
-	buf := GetPageBuf()
-	copy(buf, data)
+	buf := getDirtyPageBuf()
+	clear(buf[copy(buf, data):])
 	return c.storePage(buf), nil
 }
 
@@ -601,7 +638,9 @@ func (c *Container) referencedPagesLocked() map[PhysPage]bool {
 // incore inode information to the disk inode" (§2.3.6). Pages
 // referenced by the previous disk inode but not by the new one are
 // released. The container stores a deep copy, so the caller may keep
-// mutating its in-core inode afterwards.
+// mutating its in-core inode afterwards; the copy is frozen from here on
+// (see Inode), and the inode it replaces stays as it was for whoever
+// still holds it.
 // Ownership (Owns) governs only allocation, not storage: a replica of a
 // file created at another pack is committed here with the same inode
 // number, so CommitInode accepts any inode number.
@@ -621,6 +660,12 @@ func (c *Container) CommitInode(ino *Inode) error {
 		}
 	}
 	old := c.inodes[ino.Num]
+	if invariant.Enabled {
+		if old != nil {
+			c.checkFrozenLocked(old)
+		}
+		c.twins[ino.Num] = clone.Clone()
+	}
 	c.inodes[ino.Num] = clone
 	delete(c.reserved, ino.Num)
 	if old != nil {
@@ -652,10 +697,12 @@ func (c *Container) DropInode(n InodeNum) {
 	if !ok {
 		return
 	}
+	c.checkFrozenLocked(ino)
 	for _, p := range ino.Pages {
 		c.releasePageLocked(p)
 	}
 	delete(c.inodes, n)
+	delete(c.twins, n)
 	delete(c.reserved, n)
 }
 
@@ -669,14 +716,19 @@ func (c *Container) PageCount() int {
 
 // Store is all the containers a single site hosts, keyed by filegroup.
 type Store struct {
-	mu         sync.Mutex
-	site       vclock.SiteID
-	containers map[FilegroupID]*Container
+	mu   sync.Mutex // serialises AddContainer
+	site vclock.SiteID
+	// containers is read on every open and every page read and changes
+	// only when a pack is added: the map is never written once published,
+	// AddContainer publishes a new one.
+	containers atomic.Pointer[map[FilegroupID]*Container]
 }
 
 // NewStore creates an empty store for a site.
 func NewStore(site vclock.SiteID) *Store {
-	return &Store{site: site, containers: make(map[FilegroupID]*Container)}
+	s := &Store{site: site}
+	s.containers.Store(&map[FilegroupID]*Container{})
+	return s
 }
 
 // Site returns the owning site.
@@ -687,28 +739,28 @@ func (s *Store) Site() vclock.SiteID { return s.site }
 func (s *Store) AddContainer(c *Container) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.containers[c.fg]; dup {
+	old := *s.containers.Load()
+	if _, dup := old[c.fg]; dup {
 		return fmt.Errorf("%w: %d at site %d", ErrDupContainer, c.fg, s.site)
 	}
-	s.containers[c.fg] = c
+	next := maps.Clone(old)
+	next[c.fg] = c
+	s.containers.Store(&next)
 	return nil
 }
 
 // Container returns the site's container for a filegroup, or nil if
 // this site stores no pack of that filegroup.
 func (s *Store) Container(fg FilegroupID) *Container {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.containers[fg]
+	return (*s.containers.Load())[fg]
 }
 
 // Filegroups lists the filegroups this site stores packs for,
 // ascending.
 func (s *Store) Filegroups() []FilegroupID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]FilegroupID, 0, len(s.containers))
-	for fg := range s.containers {
+	containers := *s.containers.Load()
+	out := make([]FilegroupID, 0, len(containers))
+	for fg := range containers {
 		out = append(out, fg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/lint/invariant"
 	"repro/internal/vclock"
 )
 
@@ -69,19 +71,82 @@ func TestCommitThenGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGetInodeReturnsCopy(t *testing.T) {
+// TestGetInodeSharesCommitted pins GetInode's contract: it hands out the
+// committed inode itself, copying nothing, and an inode handed out
+// earlier reads the same after a later commit of the same file.
+func TestGetInodeSharesCommitted(t *testing.T) {
 	c := newTestContainer()
 	n, _ := c.AllocInode()
-	ino := &Inode{Num: n, VV: vclock.New()}
-	if err := c.CommitInode(ino); err != nil {
+	p, err := c.WritePage([]byte("v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := &Inode{Num: n, Size: 2, Pages: []PhysPage{p}, VV: vclock.New().Bump(1),
+		Sites: []vclock.SiteID{1, 2}, Annotations: map[string]string{"k": "v"}}
+	if err := c.CommitInode(v1); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.GetInode(n)
-	got.Size = 999
-	got.VV = got.VV.Bump(3)
-	again, _ := c.GetInode(n)
-	if again.Size != 0 || again.VV.Get(3) != 0 {
-		t.Fatal("GetInode must return an independent copy")
+	if again, _ := c.GetInode(n); again != got {
+		t.Fatal("two GetInode calls returned different pointers: the committed inode is copied")
+	}
+	if got == v1 {
+		t.Fatal("CommitInode installed the caller's inode, not a copy")
+	}
+	if !invariant.Enabled { // the twin check's reflect.DeepEqual may allocate
+		if a := testing.AllocsPerRun(100, func() { sinkInode, _ = c.GetInode(n) }); a != 0 {
+			t.Fatalf("GetInode allocates %v times, want 0", a)
+		}
+	}
+
+	// The committer goes on changing its in-core inode and commits again.
+	p2, err := c.WritePage([]byte("v2!"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1.Size, v1.Pages[0], v1.VV, v1.Sites[1] = 3, p2, v1.VV.Bump(1), 9
+	v1.Annotations["k"] = "w"
+	if err := c.CommitInode(v1); err != nil {
+		t.Fatal(err)
+	}
+	want := &Inode{Num: n, Size: 2, Pages: []PhysPage{p}, VV: vclock.New().Bump(1),
+		Sites: []vclock.SiteID{1, 2}, Annotations: map[string]string{"k": "v"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("an inode handed out before the second commit changed under its holder:\n got %+v\nwant %+v", got, want)
+	}
+	if now, _ := c.GetInode(n); now == got || now.Size != 3 || now.Pages[0] != p2 {
+		t.Fatalf("GetInode after the second commit = %+v", now)
+	}
+}
+
+// TestSharedInodeWritePanics seeds the bug the locusinvariants twin
+// exists for: a write through the committed inode panics at its next
+// use.
+func TestSharedInodeWritePanics(t *testing.T) {
+	if !invariant.Enabled {
+		t.Skip("needs -tags locusinvariants")
+	}
+	for name, write := range map[string]func(*Inode){
+		"field":      func(ino *Inode) { ino.Size = 999 },
+		"page table": func(ino *Inode) { ino.Pages[0] = 77 },
+		"site list":  func(ino *Inode) { ino.Sites[0] = 7 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := newTestContainer()
+			n, _ := c.AllocInode()
+			p, _ := c.WritePage([]byte("x"))
+			if err := c.CommitInode(&Inode{Num: n, Size: 1, Pages: []PhysPage{p}, VV: vclock.New().Bump(1), Sites: []vclock.SiteID{1}}); err != nil {
+				t.Fatal(err)
+			}
+			shared, _ := c.GetInode(n)
+			write(shared)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a write through the committed inode went unnoticed")
+				}
+			}()
+			c.Version(n) // panics before it returns
+		})
 	}
 }
 
@@ -234,6 +299,37 @@ func TestStoreContainerLookup(t *testing.T) {
 	}
 }
 
+// TestStoreLookupDuringAdd: Container reads the published map with no
+// lock while AddContainer publishes new ones; run under -race. A
+// container, once added, is found by every later lookup.
+func TestStoreLookupDuringAdd(t *testing.T) {
+	s := NewStore(1)
+	const packs = 64
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for seen < packs {
+				seen = len(s.Filegroups())
+				for fg := 1; fg <= seen; fg++ {
+					if c := s.Container(FilegroupID(fg)); c == nil || c.FG() != FilegroupID(fg) {
+						t.Errorf("filegroup %d of %d listed: lookup = %v", fg, seen, c)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for fg := 1; fg <= packs; fg++ {
+		if err := s.AddContainer(MustContainer(FilegroupID(fg), 1, 1, 10, nil, Costs{})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+}
+
 func TestStoreDuplicateContainerRejected(t *testing.T) {
 	s := NewStore(3)
 	if err := s.AddContainer(MustContainer(1, 3, 1, 10, nil, Costs{})); err != nil {
@@ -342,7 +438,7 @@ func TestVersionRead(t *testing.T) {
 var sinkVersion Version
 
 // BenchmarkInodeRead sets the two reads of a stored inode side by side:
-// GetInode's clone and Version's three fields.
+// GetInode's pointer and Version's five fields.
 func BenchmarkInodeRead(b *testing.B) {
 	c := newTestContainer()
 	n, _ := c.AllocInode()
