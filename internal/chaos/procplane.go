@@ -224,6 +224,18 @@ func (p *procPlane) opRun() {
 	}
 }
 
+// signalClass is errClass for the outcome of a signal to rec. A body the
+// model is unsure of may be ending on its own goroutine (an orphan told
+// SIGPARENTERR, say): whether the signal still finds it in the process
+// table is scheduling, which never feeds the log, so the two outcomes
+// log as one class. The model ends up the same either way.
+func (rec *procRec) signalClass(err error) string {
+	if rec.unsure && (err == nil || errors.Is(err, proc.ErrNoProcess)) {
+		return "ok or noprocess"
+	}
+	return errClass(err)
+}
+
 // opSignal sends SIGTERM to a model process from a random sender site,
 // probing cross-site delivery, forwarding through migration records,
 // and the queued-replay path across partitions.
@@ -242,7 +254,7 @@ func (p *procPlane) opSignal() {
 	rec := cands[r.rng.Intn(len(cands))]
 	sender := up[r.rng.Intn(len(up))]
 	err := r.c.Site(sender).Proc.Signal(rec.pid, proc.SIGTERM)
-	r.log("proc signal site %d -> pid %d@%d: %s", sender, rec.pid.Num, rec.pid.Site, errClass(err))
+	r.log("proc signal site %d -> pid %d@%d: %s", sender, rec.pid.Num, rec.pid.Site, rec.signalClass(err))
 	// Delivery crosses sender -> origin (name authority) -> host.
 	healthy := r.reachable(sender, rec.pid.Site) && r.reachable(rec.pid.Site, rec.host)
 	switch {
@@ -763,12 +775,14 @@ func (p *procPlane) finish() {
 	// a full heal each signal must succeed or report a definitive
 	// ErrNoProcess — ErrSiteFailed would mean the heal left the name
 	// authority unreachable.
+	signalled := make(map[proc.PID]bool)
 	for _, rec := range p.procs {
 		if !rec.alive && !rec.unsure {
 			continue
 		}
 		err := r.c.Site(rec.parentSite).Proc.Signal(rec.pid, proc.SIGTERM)
-		r.log("proc finish signal pid %d@%d: %s", rec.pid.Num, rec.pid.Site, errClass(err))
+		r.log("proc finish signal pid %d@%d: %s", rec.pid.Num, rec.pid.Site, rec.signalClass(err))
+		signalled[rec.pid] = err == nil
 		if err != nil && !errors.Is(err, proc.ErrNoProcess) {
 			r.violate("terminating pid %d@%d after full heal: %v (want nil or ErrNoProcess)",
 				rec.pid.Num, rec.pid.Site, err)
@@ -792,11 +806,14 @@ func (p *procPlane) finish() {
 	}
 	// Sweep strays the model never learned a PID for: the far half of a
 	// migration whose reply was lost. These have no Wait caller and
-	// would block DrainPrograms forever.
+	// would block DrainPrograms forever. A body signalled just above whose
+	// Wait caller was released long ago (its parent's site failed) is
+	// joined by nobody here: it may still be on its way out, and whether
+	// the sweep gets to it first is scheduling, so that is not logged.
 	for _, id := range r.c.Sites() {
 		mgr := r.c.Site(id).Proc
 		for _, pid := range mgr.LivePIDs() {
-			if mgr.KillLocal(pid) {
+			if mgr.KillLocal(pid) && !signalled[pid] {
 				r.log("proc finish sweep pid %d@%d at site %d", pid.Num, pid.Site, id)
 			}
 		}

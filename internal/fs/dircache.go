@@ -45,6 +45,25 @@ type dirCache struct {
 	m  map[storage.FileID]dirCacheEntry
 }
 
+// get returns the cached snapshot of id at exactly version vv, or nil.
+// A pathname search asks this first, with the vector of the inode its
+// unsynchronized look found: on a hit it reads no page and so needs no
+// handle to read one through.
+func (c *dirCache) get(id storage.FileID, vv vclock.VV) *format.DirSnapshot {
+	if e := c.entry(id); e.dir != nil && e.vv.Equal(vv) {
+		return e.dir
+	}
+	return nil
+}
+
+// entry returns what the cache holds of id, at whatever version; the zero
+// entry if nothing.
+func (c *dirCache) entry(id storage.FileID) dirCacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m[id]
+}
+
 // load returns id's content at exactly version vv: the cached snapshot,
 // or on a miss the one decoded from the bytes read returns, which it
 // caches. This is the one place raw bytes become a cached snapshot, and
@@ -59,10 +78,8 @@ type dirCache struct {
 // not decode are a format.ErrCorrupt, nothing is cached, and the caller
 // may read again.
 func (c *dirCache) load(id storage.FileID, vv vclock.VV, read func(buf []byte) ([]byte, error)) (*format.DirSnapshot, error) {
-	c.mu.Lock()
-	e, ok := c.m[id]
-	c.mu.Unlock()
-	if ok && e.vv.Equal(vv) {
+	e := c.entry(id)
+	if e.dir != nil && e.vv.Equal(vv) {
 		return e.dir, nil
 	}
 	buf := dirEncBufs.Get().(*[]byte)

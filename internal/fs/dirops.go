@@ -20,18 +20,18 @@ func (k *Kernel) Open(cred *Cred, path string, mode OpenMode) (*File, error) {
 	return k.OpenID(r.ID, mode)
 }
 
-// Stat returns a snapshot of a file's inode by pathname.
+// Stat returns a snapshot of a file's inode by pathname, the caller's
+// own.
 func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
 	r, err := k.Resolve(cred, path)
 	if err != nil {
 		return nil, err
 	}
-	f, err := k.OpenID(r.ID, ModeInternal)
+	ino, _, err := k.lookInternal(r.ID)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() //locus:vet-allow uncheckedcall internal close
-	return f.Inode(), nil
+	return ino.Clone(), nil
 }
 
 // ReadDir lists the live entries of a directory.
@@ -444,13 +444,9 @@ func (k *Kernel) Rename(cred *Cred, oldpath, newpath string) error {
 	}
 	// Removing the old name is not a file delete: no delete VV applies;
 	// use the file's current vector so a tombstone survives merges.
-	f, err := k.OpenID(r.ID, ModeInternal)
-	var vv vclock.VV
-	if err == nil {
-		vv = f.ino.VV
-		f.Close() //locus:vet-allow uncheckedcall internal close
-	} else {
-		vv = vclock.New()
+	vv := vclock.New()
+	if ino, _, err := k.lookInternal(r.ID); err == nil {
+		vv = ino.VV
 	}
 	if err := k.dirRemove(r.Parent, r.Name, vv); err != nil {
 		// Roll back the insert.

@@ -21,7 +21,7 @@ func newCluster(t *testing.T, nSites int) *cluster.Cluster {
 
 // newClusterCfg builds a cluster for cfg. sites, when given, is the
 // explicit boot list (it may include sites that hold no pack).
-func newClusterCfg(t *testing.T, cfg *fs.Config, sites ...fs.SiteID) *cluster.Cluster {
+func newClusterCfg(t testing.TB, cfg *fs.Config, sites ...fs.SiteID) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cfg, cluster.Options{Sites: sites})
 	if err != nil {
@@ -46,7 +46,7 @@ func settle(t *testing.T, c *cluster.Cluster) {
 
 func cred() *fs.Cred { return fs.DefaultCred("tester") }
 
-func writeFile(t *testing.T, k *fs.Kernel, path string, data []byte) {
+func writeFile(t testing.TB, k *fs.Kernel, path string, data []byte) {
 	t.Helper()
 	f, err := k.Create(cred(), path, storage.TypeRegular, 0644)
 	if err != nil {

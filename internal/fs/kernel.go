@@ -192,7 +192,12 @@ type cssEntry struct {
 	// the CSS "must have knowledge of ... what the most current
 	// version of the file is").
 	latestVV vclock.VV
-	sites    []SiteID // packs storing the file, from the disk inode
+	// sites is the packs storing the file, from the disk inode. The list
+	// is replaced whole under k.mu and never edited in place, so an open
+	// reads the slice header under the lock and goes on using the list
+	// after it (handleOpen); what crosses to a using site that keeps it
+	// (a lease grant) is a copy.
+	sites []SiteID
 	// delegates maps using sites holding a read delegation to the VV it
 	// was stamped with. A delegate is not in readers: it opens, reads,
 	// and closes locally, and the CSS only hears from it again on a

@@ -188,8 +188,7 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 			pollFirst = e.writerSS
 		}
 	}
-	latest := e.latestVV
-	sites := append([]SiteID(nil), e.sites...)
+	latest, sites := e.latestVV, e.sites // both replaced whole, never edited: shared
 	k.mu.Unlock()
 
 	if req.Mode == ModeModify && leasesOn {
@@ -425,55 +424,134 @@ func containsSite(ss []SiteID, s SiteID) bool {
 }
 
 // OpenID opens a file by its globally unique low-level name. Most
-// callers use Open (pathname) instead; benchmarks and pathname
-// searching use OpenID directly.
+// callers use Open (pathname) instead.
 //
-// A failure with ErrNoStorageSite is retried, yielding the processor
-// between tries (Clock.Backoff): under concurrent cross-site updates
-// the CSS's poll can momentarily find no usable storage site — the
-// replica holding the just-committed version is still busy serving its
-// committing writer, and every other replica is one propagation pull
-// away from current — and that window closes as soon as a concurrent
-// process lands the propagations. In a partition that genuinely holds
-// no current copy, or with no concurrent process at all, the retries
-// burn out and the error surfaces as before: that costs 2,000 yields
-// and polls, no sleep and no virtual time beyond what the polls charge.
+// An internal open is lookInternal plus the handle: what a caller that
+// must read the file's pages without a lock needs (a pathname search
+// whose directory is not in the cache, readDirOnce). A caller that only
+// wants what the inode says calls lookInternal and makes no handle.
 func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
+	if mode == ModeInternal {
+		ino, ss, err := k.lookInternal(id)
+		if err != nil {
+			return nil, err
+		}
+		return k.internalHandle(id, ino, ss), nil
+	}
+	var f *File
+	err := k.retryNoStorageSite(func() (err error) {
+		f, err = k.openIDOnce(id, mode)
+		return err
+	})
+	return f, err
+}
+
+// retryNoStorageSite runs one try of an open until it does not fail with
+// ErrNoStorageSite, yielding the processor between tries
+// (Clock.Backoff): under concurrent cross-site updates the CSS's poll
+// can momentarily find no usable storage site — the replica holding the
+// just-committed version is still busy serving its committing writer,
+// and every other replica is one propagation pull away from current —
+// and that window closes as soon as a concurrent process lands the
+// propagations. In a partition that genuinely holds no current copy, or
+// with no concurrent process at all, the retries burn out and the error
+// surfaces as before: that costs 2,000 yields and polls, no sleep and no
+// virtual time beyond what the polls charge.
+func (k *Kernel) retryNoStorageSite(try func() error) error {
 	clock := k.node.Network().Clock()
 	var err error
 	for attempt := 0; attempt < 2000; attempt++ {
-		var f *File
-		f, err = k.openIDOnce(id, mode)
-		if err == nil {
-			return f, nil
-		}
-		if !errors.Is(err, ErrNoStorageSite) {
-			return nil, err
+		if err = try(); !errors.Is(err, ErrNoStorageSite) {
+			return err
 		}
 		clock.Backoff()
 	}
-	return nil, err
+	return err
 }
 
-func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
-	// Internal unsynchronized read fast path (§2.3.4): a locally stored
-	// directory with no pending propagations is searched without
-	// informing the CSS.
-	if mode == ModeInternal {
-		if f := k.tryLocalInternal(id); f != nil {
-			return f, nil
+// lookInternal is the internal unsynchronized open of §2.3.4 for a
+// caller that only looks: it returns the file's committed inode and the
+// site that stores it, and leaves nothing behind — no handle, no entry
+// in openFiles, no lock-table record. A locally stored file with no
+// propagation pending is looked at without informing the CSS; otherwise
+// the CSS is asked with the fs.open an internal open has always sent,
+// and answers with the inode or with "your copy is current". The inode
+// is the committed one, shared and frozen (storage.Inode): read it and
+// pass it on, Clone it before writing. Nothing holds it current: a
+// caller that goes on to read pages makes a handle (internalHandle),
+// whose reads check each page against the version found here.
+func (k *Kernel) lookInternal(id storage.FileID) (ino *storage.Inode, ss SiteID, err error) {
+	err = k.retryNoStorageSite(func() (err error) {
+		ino, ss, err = k.lookInternalOnce(id)
+		return err
+	})
+	return ino, ss, err
+}
+
+func (k *Kernel) lookInternalOnce(id storage.FileID) (*storage.Inode, SiteID, error) {
+	c := k.container(id.FG)
+	if c != nil {
+		k.mu.Lock()
+		_, pending := k.pendingProp[id]
+		k.mu.Unlock()
+		if !pending {
+			if ino, err := c.GetInode(id.Inode); err == nil && !ino.Deleted && !ino.Conflict {
+				return ino, k.site, nil
+			}
 		}
 	}
+	css, err := k.CSSOf(id.FG)
+	if err != nil {
+		return nil, 0, err
+	}
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: ModeInternal, US: k.site, USVV: k.usableVV(id)})
+	if err != nil {
+		return nil, 0, err
+	}
+	if r.SS != k.site {
+		return r.Ino, r.SS, nil
+	}
+	// The CSS found this site's copy current (a pending propagation that
+	// has in fact landed, say).
+	ino, err := c.GetInode(id.Inode)
+	return ino, k.site, err
+}
+
+// usableVV is the version vector of this site's committed copy of id, the
+// USVV of an open request, or nil when the site stores none it could serve
+// from.
+func (k *Kernel) usableVV(id storage.FileID) vclock.VV {
+	if c := k.container(id.FG); c != nil {
+		if cur, ok := c.Version(id.Inode); ok && !cur.Deleted && !cur.Conflict {
+			return cur.VV
+		}
+	}
+	return nil
+}
+
+// internalHandle makes the handle of an internal open from what
+// lookInternal found, registered for partition cleanup like any other.
+func (k *Kernel) internalHandle(id storage.FileID, ino *storage.Inode, ss SiteID) *File {
+	f := &File{
+		k: k, id: id, mode: ModeInternal, us: k.site, ss: ss,
+		ino: ino, size: ino.Size, internal: true,
+	}
+	k.mu.Lock()
+	k.registerOpenLocked(f)
+	k.mu.Unlock()
+	return f
+}
+
+// openIDOnce is one try of a read or modify open.
+func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	// Lease fast path: a held writer lease serves any open, a read
 	// delegation serves read opens — zero wire messages, no CSS round
 	// trip (the point of the lease layer).
-	if mode != ModeInternal {
-		if f := k.openUnderLease(id, mode); f != nil {
-			if mode == ModeModify {
-				k.cache.invalidateFile(id)
-			}
-			return f, nil
+	if f := k.openUnderLease(id, mode); f != nil {
+		if mode == ModeModify {
+			k.cache.invalidateFile(id)
 		}
+		return f, nil
 	}
 	css, err := k.CSSOf(id.FG)
 	if err != nil {
@@ -498,13 +576,7 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 			k.mu.Unlock()
 		}()
 	}
-	var usvv vclock.VV
-	if c := k.container(id.FG); c != nil {
-		if cur, ok := c.Version(id.Inode); ok && !cur.Deleted && !cur.Conflict {
-			usvv = cur.VV
-		}
-	}
-	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: usvv})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id)})
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +588,6 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: r.SS, css: css,
 		wserial:   wserial,
-		internal:  mode == ModeInternal,
 		readahead: mode == ModeRead && k.Features().Readahead,
 	}
 	// A read open answered with a delegation holds no serving state
@@ -564,38 +635,8 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 // releaseCSSLock undoes a CSS open registration after a local failure
 // to finish the open (so the lock table does not leak a phantom open).
 func (k *Kernel) releaseCSSLock(css SiteID, id storage.FileID, mode OpenMode, serial uint64) {
-	if mode == ModeInternal {
-		return
-	}
 	req := &ssCloseReq{ID: id, SS: k.site, US: k.site, Mode: mode, Serial: serial}
 	netsim.CallAt(k.node, css, mSSClose, k.handleSSClose, req) //locus:vet-allow uncheckedcall best-effort release
-}
-
-// tryLocalInternal returns a zero-message internal handle when the
-// local committed copy is safe to use.
-func (k *Kernel) tryLocalInternal(id storage.FileID) *File {
-	c := k.container(id.FG)
-	if c == nil {
-		return nil
-	}
-	k.mu.Lock()
-	_, pending := k.pendingProp[id]
-	k.mu.Unlock()
-	if pending {
-		return nil
-	}
-	ino, err := c.GetInode(id.Inode)
-	if err != nil || ino.Deleted || ino.Conflict {
-		return nil
-	}
-	f := &File{
-		k: k, id: id, mode: ModeInternal, us: k.site, ss: k.site,
-		ino: ino, size: ino.Size, internal: true,
-	}
-	k.mu.Lock()
-	k.registerOpenLocked(f)
-	k.mu.Unlock()
-	return f
 }
 
 // handleCreate is the CSS side of file creation (§2.3.7): choose the

@@ -179,6 +179,20 @@ func (k *Kernel) walkLocal(cred *Cred, cur storage.FileID, curPath string, comps
 	return consumed, cur, curPath, nil, nil
 }
 
+// splitPath validates an absolute path and returns its components: what
+// is shipped is a list, not a string to be parsed again at every hop.
+func splitPath(path string) ([]string, error) {
+	n, err := checkPath(path)
+	if err != nil {
+		return nil, err
+	}
+	comps := make([]string, 0, n)
+	for c, at := nextComp(path, 0); c != ""; c, at = nextComp(path, at) {
+		comps = append(comps, c)
+	}
+	return comps, nil
+}
+
 // resolveShipped is the shipping-enabled pathname search.
 func (k *Kernel) resolveShipped(cred *Cred, path string) (*Resolved, error) {
 	comps, err := splitPath(path)
@@ -190,7 +204,7 @@ func (k *Kernel) resolveShipped(cred *Cred, path string) (*Resolved, error) {
 		return nil, err
 	}
 	if len(comps) == 0 {
-		return &Resolved{ID: cur, Name: "/", ParentSites: k.fgSites(cur.FG), Type: storage.TypeDirectory}, nil
+		return k.resolvedRoot(cur), nil
 	}
 	curPath := ""
 	i := 0
@@ -237,8 +251,9 @@ func (k *Kernel) resolveShipped(cred *Cred, path string) (*Resolved, error) {
 
 		// Phase 3: neither we nor the CSS store this directory — do a
 		// single standard remote-read step (the paper's base strategy).
-		res, next, err := k.slowStep(cred, cur, curPath, comps[i])
-		if err != nil {
+		name := strings.TrimSuffix(comps[i], HiddenEscape)
+		res, next := new(Resolved), curPath+"/"+name
+		if err := k.searchDir(cred, cur, next, name, len(name) < len(comps[i]), res); err != nil {
 			return nil, err
 		}
 		i++
@@ -251,55 +266,4 @@ func (k *Kernel) resolveShipped(cred *Cred, path string) (*Resolved, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-}
-
-// slowStep expands one component with remote directory reads (the
-// deployed LOCUS strategy), returning the resolution and the new
-// current path.
-func (k *Kernel) slowStep(cred *Cred, cur storage.FileID, curPath, comp string) (*Resolved, string, error) {
-	escaped := strings.HasSuffix(comp, HiddenEscape)
-	name := strings.TrimSuffix(comp, HiddenEscape)
-	d, parentIno, err := k.readDirByID(cur)
-	if err != nil {
-		return nil, "", err
-	}
-	e, ok := d.Lookup(name)
-	if !ok {
-		return nil, "", fmt.Errorf("%w: %q in %s", ErrNotFound, name, pathSoFar(curPath))
-	}
-	child := storage.FileID{FG: cur.FG, Inode: e.Inode}
-	nextPath := curPath + "/" + name
-	if fg, mounted := k.cfg.MountAt(nextPath); mounted {
-		child = storage.FileID{FG: fg, Inode: RootInode}
-	}
-	typ, err := k.statType(child)
-	if err != nil {
-		return nil, "", err
-	}
-	res := &Resolved{ID: child, Parent: cur, Name: name, ParentSites: parentIno.Sites, Type: typ}
-	if typ == storage.TypeHiddenDir && !escaped {
-		hd, _, err := k.readDirByID(child)
-		if err != nil {
-			return nil, "", err
-		}
-		var he format.DirEntry
-		hit := false
-		for _, ctx := range cred.HiddenCtx {
-			if cand, okc := hd.Lookup(ctx); okc {
-				he, hit = cand, true
-				break
-			}
-		}
-		if !hit {
-			return nil, "", fmt.Errorf("%w: no context match in hidden directory %s", ErrNotFound, nextPath)
-		}
-		sub := storage.FileID{FG: child.FG, Inode: he.Inode}
-		typ, err = k.statType(sub)
-		if err != nil {
-			return nil, "", err
-		}
-		res = &Resolved{ID: sub, Parent: child, Name: he.Name,
-			ParentSites: k.fileSites(child), Type: typ}
-	}
-	return res, nextPath, nil
 }

@@ -2,6 +2,7 @@ package fs_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -283,5 +284,49 @@ func pinPropagationCosts(t *testing.T, prepare func(c *cluster.Cluster)) {
 	want := append(bytes.Repeat([]byte{'d'}, 10*storage.PageSize), bytes.Repeat([]byte{'a'}, 2*storage.PageSize)...)
 	if !bytes.Equal(got, want) {
 		t.Fatal("replica content diverged across pull variants")
+	}
+}
+
+// TestHiddenDirectoryOpenedOnce counts what resolving /bin/who through a
+// hidden directory costs a site that stores none of it: six internal
+// opens — each of /, /bin and the hidden directory /bin/who for its
+// content, and /bin, /bin/who and the context entry for their type —
+// where the search used to open the hidden directory a third time for
+// its site list (14 fs.open messages then). The directories' pages cross
+// on the first search only.
+func TestHiddenDirectoryOpenedOnce(t *testing.T) {
+	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
+		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClusterCfg(t, cfg, 1, 2, 3)
+	k1 := c.K(1)
+	if err := k1.Mkdir(cred(), "/bin", 0755); err != nil {
+		t.Fatal(err)
+	}
+	if err := k1.MkHidden(cred(), "/bin/who", 0755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, k1, "/bin/who@@/vax", []byte("VAX load module"))
+	settle(t, c)
+	hidden, err := k1.Resolve(cred(), "/bin/who@@")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vax := &fs.Cred{User: "u", HiddenCtx: []string{"vax"}}
+	for _, reads := range []int64{6, 0} {
+		before := c.Net.Stats()
+		r, err := c.K(3).Resolve(vax, "/bin/who")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.Net.Stats().Sub(before)
+		if r.Name != "vax" || r.Parent != hidden.ID || !reflect.DeepEqual(r.ParentSites, []fs.SiteID{1, 2}) {
+			t.Errorf("Resolve = %+v, want the vax entry of %v, stored at sites 1 and 2", *r, hidden.ID)
+		}
+		if d.ByMethod["fs.open"] != 12 || d.ByMethod["fs.read"] != reads || d.Msgs != 12+reads {
+			t.Errorf("the search sent %d messages (%v), want 12 fs.open and %d fs.read", d.Msgs, d.ByMethod, reads)
+		}
 	}
 }

@@ -329,26 +329,30 @@ func TestPullAllocations(t *testing.T) {
 // TestOpenAllocations pins what an open costs the allocator now that it
 // copies no inode it only reads and makes a dirty-page map for a writer
 // alone: open + ReadAll + close of a local 4-page file by low-level name
-// allocates the handle and the result buffer on the unsynchronized path
-// (4 where GetInode cloned), and through the CSS the open and close
-// messages and the SS's reader record besides (10, was 12). A modify
-// open and its close make 14 as they did: the two in-core inodes (US and
-// SS), the SS's page set and the two dirty maps are a writer's to have.
-// One P and no collector, as in TestPullAllocations: the pages ReadAll
-// copies out of come from the page pool.
+// allocates the handle and the result buffer on the unsynchronized path,
+// and through the CSS the open and close messages and the SS's reader
+// record besides (9, was 10: the lock table's site list is shared with
+// the open, not copied). A modify open and its close make 13 (was 14):
+// the two in-core inodes (US and SS), the SS's page set and the two dirty
+// maps are a writer's to have. Where the CSS is another site the counts
+// are the same 9 and 13 (were 12 and 16): the open and the close each
+// cross as an at-most-once call, and from a full dedup window such a call
+// reuses the entry it evicts. One P and no collector, as in
+// TestPullAllocations: the pages ReadAll copies out of come from the page
+// pool.
 func TestOpenAllocations(t *testing.T) {
 	if invariant.Enabled || raceEnabled {
 		t.Skip("the storage assertions allocate on their own account; the race detector's sync.Pool drops buffers")
 	}
-	c := newCluster(t, 1)
-	k := c.K(1)
+	c := newCluster(t, 2)
 	data := bytes.Repeat([]byte{'x'}, 4*storage.PageSize)
-	writeFile(t, k, "/f", data)
-	r, err := k.Resolve(cred(), "/f")
+	writeFile(t, c.K(1), "/f", data)
+	settle(t, c)
+	r, err := c.K(1).Resolve(cred(), "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	openClose := func(mode fs.OpenMode, read bool) func() {
+	openClose := func(k *fs.Kernel, mode fs.OpenMode, read bool) func() {
 		return func() {
 			f, err := k.OpenID(r.ID, mode)
 			if err != nil {
@@ -370,11 +374,17 @@ func TestOpenAllocations(t *testing.T) {
 		run  func()
 		max  float64
 	}{
-		{"internal open + ReadAll + close", openClose(fs.ModeInternal, true), 2},
-		{"read open + ReadAll + close", openClose(fs.ModeRead, true), 10},
-		{"modify open + close", openClose(fs.ModeModify, false), 14},
+		{"internal open + ReadAll + close", openClose(c.K(1), fs.ModeInternal, true), 2},
+		{"read open + ReadAll + close at the CSS", openClose(c.K(1), fs.ModeRead, true), 9},
+		{"modify open + close at the CSS", openClose(c.K(1), fs.ModeModify, false), 13},
+		{"read open + ReadAll + close through a remote CSS", openClose(c.K(2), fs.ModeRead, true), 9},
+		{"modify open + close through a remote CSS", openClose(c.K(2), fs.ModeModify, false), 13},
 	} {
-		pin.run() // size the kernel's maps
+		// Size the kernels' maps and fill the CSS's dedup window (1,024
+		// requests of one caller).
+		for i := 0; i < 1100; i++ {
+			pin.run()
+		}
 		if got := testing.AllocsPerRun(200, pin.run); got > pin.max {
 			t.Errorf("%s makes %v allocations, want at most %v", pin.what, got, pin.max)
 		}

@@ -144,7 +144,8 @@ type Config struct {
 	// through them when they name a shared value (inodealias analyzer).
 	AliasTypes []TypeSpec
 	// AliasSourceCalls are the calls whose first result is a shared
-	// AliasTypes pointer (the container's committed inode).
+	// AliasTypes pointer (the container's committed inode, or the one a
+	// pathname search's unsynchronized look found).
 	AliasSourceCalls []MethodSpec
 	// AliasDecodeCalls are the typed exchanges whose first result is
 	// the peer's reply: AliasTypes fields read off it are the sender's.
@@ -299,6 +300,7 @@ func DefaultConfig() *Config {
 		AliasTypes: []TypeSpec{{PkgSuffix: "internal/storage", Type: "Inode"}},
 		AliasSourceCalls: []MethodSpec{
 			{PkgSuffix: "internal/storage", Recv: "Container", Name: "GetInode"},
+			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "lookInternal"},
 		},
 		AliasDecodeCalls: []MethodSpec{
 			{PkgSuffix: "internal/netsim", Name: "Call"},

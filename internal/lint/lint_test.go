@@ -191,8 +191,11 @@ func TestPageLeakFixture(t *testing.T) {
 func TestInodeAliasFixture(t *testing.T) {
 	t.Parallel()
 	cfg := &Config{
-		AliasTypes:        []TypeSpec{{PkgSuffix: "inodealias_f", Type: "Inode"}},
-		AliasSourceCalls:  []MethodSpec{{PkgSuffix: "inodealias_f", Recv: "Container", Name: "GetInode"}},
+		AliasTypes: []TypeSpec{{PkgSuffix: "inodealias_f", Type: "Inode"}},
+		AliasSourceCalls: []MethodSpec{
+			{PkgSuffix: "inodealias_f", Recv: "Container", Name: "GetInode"},
+			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "lookInternal"},
+		},
 		AliasDecodeCalls:  []MethodSpec{{PkgSuffix: "inodealias_f", Name: "Call"}},
 		AliasCloneMethods: []string{"Clone"},
 		AliasPackages:     []string{"inodealias_f"},

@@ -3,7 +3,7 @@
 // reply of a typed exchange, is shared with its other holders and must
 // be Cloned before it is written through; passing it on is fine. The
 // test config names the generic function Call as the exchange and
-// Container.GetInode as the source call.
+// Container.GetInode and Kernel.lookInternal as the source calls.
 package inodealias_f
 
 type VV map[int]int
@@ -44,6 +44,15 @@ type Container struct{ inodes map[int]*Inode }
 func (c *Container) GetInode(n int) (*Inode, error) { return c.inodes[n], nil }
 
 func (c *Container) CommitInode(*Inode) error { return nil }
+
+// Kernel.lookInternal hands out the committed inode with the site that
+// stores it: the first of three results is the shared one.
+type Kernel struct{ c *Container }
+
+func (k *Kernel) lookInternal(n int) (*Inode, int, error) {
+	ino, err := k.c.GetInode(n)
+	return ino, 1, err
+}
 
 var cache = map[int]*Inode{}
 
@@ -104,6 +113,27 @@ func badWriteThroughGetInode(c *Container) error {
 	}
 	ino.Size = 9 // want "writes through a shared Inode without Clone"
 	return c.CommitInode(ino)
+}
+
+// badWriteThroughLookInternal: what a look found is the committed inode
+// itself.
+func badWriteThroughLookInternal(k *Kernel) {
+	ino, _, err := k.lookInternal(1)
+	if err != nil {
+		return
+	}
+	ino.Size = 9 // want "writes through a shared Inode without Clone"
+}
+
+// okCloneAfterLook: Stat's shape, the caller's own copy.
+func okCloneAfterLook(k *Kernel) (*Inode, error) {
+	ino, _, err := k.lookInternal(1)
+	if err != nil {
+		return nil, err
+	}
+	out := ino.Clone()
+	out.Size = 9
+	return out, nil
 }
 
 // badWriteThroughAlias: an alias of an alias is as shared.

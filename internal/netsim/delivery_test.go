@@ -318,10 +318,10 @@ func TestNestedCallsFailFrameByFrame(t *testing.T) {
 }
 
 // TestCallAllocations pins what an exchange costs the allocator: an
-// idempotent call is a function call, and an at-most-once one adds its
-// dedup entry — measured from a full window, where the entry it makes
-// evicts one, because that is where a caller spends its life. Not
-// parallel: AllocsPerRun.
+// idempotent call is a function call, and so is an at-most-once one
+// measured from a full window — where a caller spends its life — because
+// there the request takes over the dedup entry it evicts. Not parallel:
+// AllocsPerRun.
 func TestCallAllocations(t *testing.T) {
 	_, a, b := twoSites(t)
 	b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
@@ -341,8 +341,8 @@ func TestCallAllocations(t *testing.T) {
 	for i := 0; i < 2*dedupWindow; i++ {
 		atMostOnce()
 	}
-	if got := testing.AllocsPerRun(200, atMostOnce); got > 1 {
-		t.Errorf("at-most-once remote Call from a full window: %v allocations, want <= 1", got)
+	if got := testing.AllocsPerRun(200, atMostOnce); got != 0 {
+		t.Errorf("at-most-once remote Call from a full window: %v allocations, want 0", got)
 	}
 }
 

@@ -866,13 +866,20 @@ type dedupTable [dedupWindow]struct {
 }
 
 // dedupEntry is the outcome of one seq-tagged request, held by its slot
-// and by every apply of that request. value and err are written once,
-// by the apply that ran the handler, before finished is set; a
-// duplicate that finds the request still executing makes done (if no
-// earlier duplicate did) and waits on it rather than re-running the
-// handler. An entry evicted from its slot or dropped by a crash while
-// its handler runs still completes: whoever holds it gets the reply,
-// nobody can find it again.
+// and by every apply of that request: the one that runs the handler and
+// any duplicate that found it still running. value and err are written
+// once, under dedupMu, as finished is set; a duplicate that finds the
+// request still executing makes done (if no earlier duplicate did) and
+// waits on it rather than re-running the handler. An entry evicted from
+// its slot or dropped by a crash while its handler runs still completes:
+// whoever holds it gets the reply, nobody can find it again.
+//
+// A finished entry that nobody ever waited on (done == nil) is held by
+// its slot alone — the apply that ran it returned what it computed, not
+// what the entry says, and a late duplicate copies the outcome out under
+// dedupMu — so the request that evicts it takes it over instead of
+// allocating. One with done set is never reused: a waiter's pointer
+// stays its own.
 type dedupEntry struct {
 	finished bool
 	done     chan struct{}
@@ -1183,8 +1190,9 @@ func (n *Node) apply(from SiteID, method string, payload any, seq int64) (any, e
 	if slot.seq == seq {
 		e := slot.e
 		if e.finished {
+			value, err := e.value, e.err
 			n.dedupMu.Unlock()
-			return e.value, e.err
+			return value, err
 		}
 		if e.done == nil {
 			e.done = make(chan struct{})
@@ -1192,19 +1200,24 @@ func (n *Node) apply(from SiteID, method string, payload any, seq int64) (any, e
 		done := e.done
 		n.dedupMu.Unlock()
 		<-done
-		return e.value, e.err
+		return e.value, e.err // e.done is set: e is never reused
 	}
-	e := &dedupEntry{}
+	e := slot.e
+	if e != nil && e.finished && e.done == nil {
+		*e = dedupEntry{}
+	} else {
+		e = &dedupEntry{}
+	}
 	slot.seq, slot.e = seq, e
 	n.dedupMu.Unlock()
 
-	e.value, e.err = h(from, payload)
+	value, err := h(from, payload)
 
 	n.dedupMu.Lock()
-	e.finished = true
+	e.value, e.err, e.finished = value, err, true
 	if e.done != nil {
 		close(e.done)
 	}
 	n.dedupMu.Unlock()
-	return e.value, e.err
+	return value, err
 }
