@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet locusvet vet-stats test race invariants bench benchonce benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
+.PHONY: all build fmt vet locusvet test race invariants bench benchonce benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
 
 all: ci
 
@@ -16,20 +16,17 @@ vet:
 	$(GO) vet ./...
 
 # locus-vet is this repository's own analyzer suite (cmd/locus-vet),
-# eleven analyzers in three tiers: syntactic (simclock, uncheckedcall,
-# lockorder, rawcall, panicdiscipline), intraprocedural dataflow
-# (pageleak, inodealias, blockinglock), and interprocedural summaries
-# (maporder, sentinelerr, atomiccounter), plus the suppression audits
-# (vet-allow reasons, staleallow). Always a full whole-module run
-# (about 3 s); ci.yml runs the same with -json.
+# eight analyzers in three tiers: syntactic (the forbidden-call table,
+# whose rows report as simclock, rawcall and atomic; uncheckedcall;
+# panicdiscipline), intraprocedural dataflow (pageleak, inodealias),
+# and interprocedural summaries over the module's one call graph (the
+# lock walk, reporting lockorder and blockinglock; maporder;
+# sentinelerr), plus the suppression audits (vet-allow reasons,
+# staleallow). Always a full whole-module run (about 1.5 s); ci.yml
+# runs the same with -json, whose report tallies findings and allows
+# per analyzer.
 locusvet:
 	$(GO) run ./cmd/locus-vet ./...
-
-# vet-stats prints the analyzer-suite telemetry: findings and audited
-# suppressions per analyzer plus the interprocedural summary-cache hit
-# rate (one table build shared by maporder/sentinelerr/atomiccounter).
-vet-stats:
-	$(GO) run ./cmd/locus-vet -stats ./...
 
 test:
 	$(GO) test ./...

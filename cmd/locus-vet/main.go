@@ -1,15 +1,15 @@
 // Command locus-vet runs the repository's custom static analyzers (see
-// internal/lint), eleven of them: the syntactic tier (simclock,
-// uncheckedcall, lockorder, panicdiscipline, rawcall), the
-// intraprocedural dataflow tier (pageleak, inodealias, blockinglock),
-// and the interprocedural summary tier (maporder, sentinelerr,
-// atomiccounter), plus the allow-directive audits: every suppression
-// must carry a reason, and a suppression that hides no finding is
-// itself reported (staleallow).
+// internal/lint), eight of them: the forbidden-call table (its rows
+// report as simclock, rawcall and atomic), uncheckedcall and
+// panicdiscipline; the CFG dataflow pair pageleak and inodealias; and,
+// over the module's one call graph, the lock walk (lockorder,
+// blockinglock), maporder and sentinelerr. Then the allow-directive
+// audits: every suppression must carry a reason, and a suppression that
+// hides no finding is itself reported (staleallow).
 //
 // Usage:
 //
-//	go run ./cmd/locus-vet [-json] [-stats] ./...
+//	go run ./cmd/locus-vet [-json] ./...
 //
 // The package pattern argument is accepted for familiarity but the tool
 // always analyzes the whole module containing the working directory —
@@ -17,9 +17,7 @@
 // under-report.
 //
 // -json emits the findings plus every allow directive with its
-// position and reason. -stats appends run telemetry to a normal run:
-// findings and allows per analyzer and the interprocedural
-// summary-cache hit rate.
+// position and reason, each also tallied per analyzer.
 //
 // Exit status: 0 clean, 1 findings, 2 load failure (any package that
 // fails to parse or type-check).
@@ -45,49 +43,34 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// summaryStats is the interprocedural summary-cache telemetry.
-type summaryStats struct {
-	Builds int `json:"builds"`
-	Hits   int `json:"hits"`
-}
-
 // report is the -json output shape; CI uploads it as an artifact.
 type report struct {
 	Findings   []jsonFinding       `json:"findings"`
 	ByAnalyzer map[string]int      `json:"findings_by_analyzer"`
 	Allows     []lint.Allow        `json:"allows"`
 	AllowedBy  map[string]int      `json:"allows_by_analyzer"`
-	Summary    *summaryStats       `json:"summary_cache,omitempty"`
 	LoadErrors []lint.PackageError `json:"load_errors,omitempty"`
 }
 
-// options are the parsed command-line flags.
-type options struct {
-	jsonOut  bool
-	statsOut bool
-}
-
 func main() {
-	var opts options
-	flag.BoolVar(&opts.jsonOut, "json", false, "emit findings, allow directives, and load errors as JSON on stdout")
-	flag.BoolVar(&opts.statsOut, "stats", false, "append run telemetry: findings and allows per analyzer plus the summary-cache hit rate")
+	jsonOut := flag.Bool("json", false, "emit findings, allow directives, and load errors as JSON on stdout")
 	flag.Parse()
-	os.Exit(run(opts, os.Stdout))
+	os.Exit(run(*jsonOut, os.Stdout))
 }
 
-func run(opts options, stdout io.Writer) int {
+func run(jsonOut bool, stdout io.Writer) int {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
-		return loadFailure(opts.jsonOut, stdout, []lint.PackageError{{Path: "(module)", Err: err.Error()}})
+		return loadFailure(jsonOut, stdout, []lint.PackageError{{Path: "(module)", Err: err.Error()}})
 	}
 
 	prog, err := lint.LoadAll(root, nil)
 	if err != nil {
 		var le *lint.LoadError
 		if errors.As(err, &le) {
-			return loadFailure(opts.jsonOut, stdout, le.Packages)
+			return loadFailure(jsonOut, stdout, le.Packages)
 		}
-		return loadFailure(opts.jsonOut, stdout, []lint.PackageError{{Path: "(module)", Err: err.Error()}})
+		return loadFailure(jsonOut, stdout, []lint.PackageError{{Path: "(module)", Err: err.Error()}})
 	}
 
 	allows := lint.CollectAllows(prog)
@@ -107,14 +90,12 @@ func run(opts options, stdout io.Writer) int {
 		return findings[i].Analyzer < findings[j].Analyzer
 	})
 
-	if opts.jsonOut {
-		builds, hits := cfg.SummaryCacheStats()
+	if jsonOut {
 		r := report{
 			Findings:   []jsonFinding{},
 			ByAnalyzer: map[string]int{},
 			Allows:     allows,
 			AllowedBy:  map[string]int{},
-			Summary:    &summaryStats{Builds: builds, Hits: hits},
 		}
 		for _, f := range findings {
 			r.Findings = append(r.Findings, jsonFinding{
@@ -134,48 +115,11 @@ func run(opts options, stdout io.Writer) int {
 			fmt.Fprintln(stdout, f)
 		}
 	}
-	if opts.statsOut {
-		printStats(stdout, cfg, findings, allows)
-	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "locus-vet: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// printStats summarizes a run: findings and allows per analyzer plus
-// the interprocedural summary-cache hit rate (`make vet-stats`).
-func printStats(w io.Writer, cfg *lint.Config, findings []lint.Finding, allows []lint.Allow) {
-	byAnalyzer := map[string]int{}
-	for _, f := range findings {
-		byAnalyzer[f.Analyzer]++
-	}
-	allowedBy := map[string]int{}
-	for _, a := range allows {
-		for _, name := range a.Analyzers {
-			allowedBy[name]++
-		}
-	}
-	fmt.Fprintf(w, "findings: %d\n", len(findings))
-	for _, name := range sortedKeys(byAnalyzer) {
-		fmt.Fprintf(w, "  %-16s %d\n", name, byAnalyzer[name])
-	}
-	fmt.Fprintf(w, "allows: %d\n", len(allows))
-	for _, name := range sortedKeys(allowedBy) {
-		fmt.Fprintf(w, "  %-16s %d\n", name, allowedBy[name])
-	}
-	builds, hits := cfg.SummaryCacheStats()
-	fmt.Fprintf(w, "summary cache: %d build(s), %d hit(s)\n", builds, hits)
-}
-
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func loadFailure(jsonOut bool, stdout io.Writer, pkgErrs []lint.PackageError) int {

@@ -98,7 +98,7 @@ func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (
 // another updater briefly holds the writer lock. (Transient
 // no-storage-site windows are retried inside OpenID itself.) Each retry
 // yields to the holder (Clock.Backoff); the kernel never consults the
-// wall clock (the simclock analyzer enforces this).
+// wall clock (locus-vet's simclock rule enforces this).
 func (k *Kernel) openDirForUpdate(id storage.FileID) (*File, error) {
 	clock := k.node.Network().Clock()
 	var err error

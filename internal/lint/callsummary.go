@@ -5,19 +5,18 @@ import (
 	"go/types"
 )
 
-// callGraph is the shared call-graph summary layer: every analyzed
-// function body in the loaded program, its statically resolved callees,
-// and a name index for interface-method dispatch. lockorder built this
-// machinery first; blockinglock reuses it so all whole-program
-// analyzers agree on what a call can reach.
+// callGraph is the module's one call graph: every analyzed function
+// body in the loaded program, its statically resolved callees, and a
+// name index for interface-method dispatch. The summary tier
+// (summary.go) builds it once per Config and closes every
+// interprocedural fact over it, so all analyzers agree on what a call
+// can reach.
 //
-// Resolution is conservative in the same way lockorder always was:
-// concrete functions resolve to themselves, interface methods resolve
-// to every analyzed method with the same name, and function literals
-// are not propagated (they are analyzed as separate roots by the
-// analyzers that care).
+// Resolution is conservative: concrete functions resolve to
+// themselves, interface methods resolve to every analyzed method with
+// the same name, and function literals are not propagated (they are
+// analyzed as separate roots by the analyzers that care).
 type callGraph struct {
-	prog *Program
 	// bodies maps every analyzed function to its declaration body.
 	bodies map[*types.Func]*funcBody
 	// callees records each analyzed function's statically resolved calls.
@@ -27,13 +26,16 @@ type callGraph struct {
 	methodsByName map[string][]*types.Func
 }
 
-// buildCallGraph walks every target package once. onCall, if non-nil,
-// is invoked for every call expression outside function literals and
-// may claim the call (return true) so it is not recorded as a callee —
-// lockorder uses this to divert mutex operations into its acquire sets.
-func buildCallGraph(prog *Program, onCall func(pkg *Package, fn *types.Func, call *ast.CallExpr) bool) *callGraph {
+type funcBody struct {
+	pkg  *Package
+	body *ast.BlockStmt
+}
+
+// buildCallGraph walks every target package once. onCall is invoked
+// for every call expression outside function literals, so the caller
+// can seed direct facts in the same walk.
+func buildCallGraph(prog *Program, onCall func(pkg *Package, fn *types.Func, call *ast.CallExpr)) *callGraph {
 	g := &callGraph{
-		prog:          prog,
 		bodies:        make(map[*types.Func]*funcBody),
 		callees:       make(map[*types.Func][]*types.Func),
 		methodsByName: make(map[string][]*types.Func),
@@ -49,11 +51,10 @@ func buildCallGraph(prog *Program, onCall func(pkg *Package, fn *types.Func, cal
 				if !ok {
 					continue
 				}
-				g.bodies[obj] = &funcBody{pkg: pkg, body: fn.Body, name: funcDisplayName(obj)}
+				g.bodies[obj] = &funcBody{pkg: pkg, body: fn.Body}
 				if fn.Recv != nil {
 					g.methodsByName[fn.Name.Name] = append(g.methodsByName[fn.Name.Name], obj)
 				}
-				pkg := pkg
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
 					if _, ok := n.(*ast.FuncLit); ok {
 						return false
@@ -62,9 +63,7 @@ func buildCallGraph(prog *Program, onCall func(pkg *Package, fn *types.Func, cal
 					if !ok {
 						return true
 					}
-					if onCall != nil && onCall(pkg, obj, call) {
-						return true
-					}
+					onCall(pkg, obj, call)
 					if callee := funcFor(pkg.Info, call); callee != nil {
 						g.callees[obj] = append(g.callees[obj], callee)
 					}
@@ -92,10 +91,10 @@ func (g *callGraph) resolveTargets(callee *types.Func) []*types.Func {
 	return g.methodsByName[callee.Name()]
 }
 
-// fixpointSets closes per-function summary sets over the call graph: a
+// fixpointSets closes per-function fact sets over the call graph: a
 // function's set absorbs every resolved callee's set until nothing
-// changes. The caller seeds `sets` with direct facts (lockorder: lock
-// classes acquired; blockinglock: a single "may block" bit).
+// changes. The caller seeds `sets` with direct facts (the lock classes
+// a function acquires; a single "may send" or "may block" bit).
 func (g *callGraph) fixpointSets(sets map[*types.Func]map[int]bool) {
 	for fn := range g.bodies {
 		if sets[fn] == nil {

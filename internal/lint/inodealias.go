@@ -259,13 +259,3 @@ func (a *inodeAlias) identObj(e ast.Expr) types.Object {
 	}
 	return a.pkg.Info.Uses[id]
 }
-
-// pkgInScope reports whether a package matches any of the suffixes.
-func pkgInScope(pkg *Package, suffixes []string) bool {
-	for _, s := range suffixes {
-		if hasPathSuffix(pkg.Path, s) {
-			return true
-		}
-	}
-	return false
-}

@@ -5,26 +5,28 @@
 // General-purpose linters cannot know this repository's protocol
 // contracts; these analyzers encode them:
 //
-//   - simclock: protocol packages must use the simulated clock
-//     (internal/simclock), never the wall clock. Wall-clock reads make
-//     the deterministic partition/merge tests flaky and decouple
-//     benchmark output from the counted cost model.
+//   - the forbidden-call table (Config.Forbidden), one row per rule:
+//     simclock keeps the wall clock out of the protocol packages (it
+//     would make the deterministic partition/merge tests flaky and
+//     decouple benchmark output from the counted cost model); rawcall
+//     keeps the untyped transport out of fs and proc (a direct Node.Call
+//     bypasses retry and dedup, so under message loss it fails
+//     spuriously or replays a mutation, and a direct Node.Handle escapes
+//     the compiler's pairing of caller and handler types); atomic keeps
+//     package-level sync/atomic functions out of the concurrent packages
+//     (a shared counter is a typed atomic, so no access to it is plain).
 //   - uncheckedcall: an ignored error from a netsim exchange or a
 //     storage commit/abort silently drops a protocol transition — the
 //     failure modes (§2.3.6, §5) the paper's recovery machinery exists
 //     to handle.
-//   - lockorder: mutex acquisitions must follow the declared hierarchy
-//     (cluster → fs kernel → storage → netsim); an inversion is a
-//     latent deadlock that only manifests under partition churn.
 //   - panicdiscipline: library code must fail through typed errors or
 //     the internal/lint/invariant assertion layer; a bare panic in a
 //     protocol path takes down the whole simulated network.
-//   - rawcall: internal/fs and internal/proc must reach the transport
-//     through netsim.Handle/Call/Cast and a declared method descriptor;
-//     a direct Node.Call bypasses retry and dedup, so under message
-//     loss it fails spuriously or replays a mutation, and a direct
-//     Node.Handle or method string escapes the compiler's pairing of
-//     caller and handler types.
+//   - pageleak and inodealias, dataflow over each function's CFG.
+//   - over the module's one call graph: the lock walk (lockorder: mutex
+//     acquisitions follow the declared hierarchy; blockinglock: no guard
+//     mutex is held across a network exchange), maporder and
+//     sentinelerr.
 //
 // Findings are suppressed line-by-line with a trailing
 // `//locus:vet-allow <analyzer> <reason>` comment. Every suppression
@@ -109,9 +111,8 @@ func (v VarSpec) String() string { return v.PkgSuffix + "." + v.Name }
 // Config parameterizes the analyzers. Production runs use
 // DefaultConfig; fixture tests substitute fixture packages and types.
 type Config struct {
-	// ProtocolPackages are import-path suffixes of packages that must
-	// use the simulated clock (simclock analyzer).
-	ProtocolPackages []string
+	// Forbidden is the forbidden-call table (ForbiddenAnalyzer).
+	Forbidden []Forbidden
 	// MustCheck lists calls whose error results must be consumed
 	// (uncheckedcall analyzer).
 	MustCheck []MethodSpec
@@ -123,13 +124,6 @@ type Config struct {
 	// entire purpose is assertion (panic there is the mechanism, not a
 	// violation).
 	InvariantPackages []string
-	// RawCallWrapped are import-path suffixes of packages that must
-	// reach the transport through the typed at-most-once path
-	// (rawcall analyzer).
-	RawCallWrapped []string
-	// RawCallTransport are the untyped transport methods counted as raw
-	// uses inside RawCallWrapped packages.
-	RawCallTransport []MethodSpec
 
 	// PageAlloc lists calls that hand the caller a storage resource
 	// (shadow page, reserved inode number) that must be released,
@@ -192,21 +186,12 @@ type Config struct {
 	// methods must never return a raw sentinel.
 	SentinelAPIPackages []string
 
-	// AtomicPackages scopes the atomiccounter analyzer: within them, a
-	// struct field accessed through sync/atomic anywhere must be
-	// accessed that way everywhere, transitively through helpers the
-	// field's address is forwarded to.
-	AtomicPackages []string
-
 	// mu guards the interprocedural summary cache and the used-allow
 	// tracker below.
 	mu sync.Mutex
-	// summary/summaryProg cache the summary table built for a Program;
-	// summaryBuilds/summaryHits count builds and cache hits.
-	summary       *summaries
-	summaryProg   *Program
-	summaryBuilds int
-	summaryHits   int
+	// summary/summaryProg cache the summary table built for a Program.
+	summary     *summaries
+	summaryProg *Program
 	// usedAllows records every suppression that actually fired under
 	// this Config: filename -> line -> analyzer names suppressed there.
 	// StaleAllowFindings reports directives that never fired.
@@ -259,13 +244,42 @@ func DefaultConfig() *Config {
 		return append(append(out, typedExchanges...), more...)
 	}
 	return &Config{
-		ProtocolPackages: []string{
-			"internal/netsim",
-			"internal/fs",
-			"internal/storage",
-			"internal/txn",
-			"internal/recon",
-			"internal/topology",
+		Forbidden: []Forbidden{
+			{
+				Name: "simclock",
+				Packages: []string{
+					"internal/netsim", "internal/fs", "internal/storage",
+					"internal/txn", "internal/recon", "internal/topology",
+				},
+				Funcs: []MethodSpec{
+					{PkgSuffix: "time", Name: "Now"},
+					{PkgSuffix: "time", Name: "Sleep"},
+					{PkgSuffix: "time", Name: "After"},
+					{PkgSuffix: "time", Name: "Tick"},
+					{PkgSuffix: "time", Name: "NewTicker"},
+					{PkgSuffix: "time", Name: "NewTimer"},
+				},
+				Why: "protocol packages run on the simulated clock (read Network.Clock, wait with simclock.Clock.Backoff, charge simulated cost); " +
+					"host time would reach the deterministic tests and the counted cost model",
+			},
+			{
+				Name:     "rawcall",
+				Packages: []string{"internal/fs", "internal/proc"},
+				Funcs: append([]MethodSpec{
+					{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Handle"},
+				}, rawExchanges...),
+				Why: "the untyped transport bypasses the typed at-most-once path; use netsim.Handle/Call/Cast with the message's declared descriptor",
+			},
+			{
+				Name: "atomic",
+				Packages: []string{
+					"internal/fs", "internal/proc", "internal/netsim",
+					"internal/storage", "internal/chaos",
+				},
+				// Typed-atomic methods have receivers, so they never match.
+				Funcs: []MethodSpec{{PkgSuffix: "sync/atomic"}},
+				Why:   "a value shared between goroutines is a typed atomic (atomic.Int64, atomic.Pointer, ...), so no access to it can be plain",
+			},
 		},
 		MustCheck: exchangesAnd(
 			MethodSpec{PkgSuffix: "internal/storage", Recv: "Container", Name: "CommitInode"},
@@ -276,19 +290,13 @@ func DefaultConfig() *Config {
 		// The declared lock hierarchy, outermost to innermost. See
 		// DESIGN.md "Correctness tooling".
 		LockHierarchy: []LockClass{
-			{PkgSuffix: "internal/cluster", Type: "Cluster"},
 			{PkgSuffix: "internal/fs", Type: "Kernel"},
 			{PkgSuffix: "internal/storage", Type: "Store"},
 			{PkgSuffix: "internal/storage", Type: "Container"},
 			{PkgSuffix: "internal/netsim", Type: "Network"},
 			{PkgSuffix: "internal/netsim", Type: "Node"},
-			{PkgSuffix: "internal/netsim", Type: "Stats"},
 		},
 		InvariantPackages: []string{"internal/lint/invariant"},
-		RawCallWrapped:    []string{"internal/fs", "internal/proc"},
-		RawCallTransport: append([]MethodSpec{
-			{PkgSuffix: "internal/netsim", Recv: "Node", Name: "Handle"},
-		}, rawExchanges...),
 
 		PageAlloc: []MethodSpec{
 			{PkgSuffix: "internal/storage", Recv: "Container", Name: "WritePage"},
@@ -356,28 +364,20 @@ func DefaultConfig() *Config {
 		// how much of netsim's body the summary pass resolves.
 		SentinelSources:     typedExchanges,
 		SentinelAPIPackages: []string{"internal/proc"},
-
-		AtomicPackages: []string{
-			"internal/fs", "internal/proc", "internal/netsim",
-			"internal/storage", "internal/chaos",
-		},
 	}
 }
 
 // Analyzers returns all locus-vet analyzers.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		SimClockAnalyzer(),
+		ForbiddenAnalyzer(),
 		UncheckedCallAnalyzer(),
-		LockOrderAnalyzer(),
 		PanicDisciplineAnalyzer(),
-		RawCallAnalyzer(),
 		PageLeakAnalyzer(),
 		InodeAliasAnalyzer(),
-		BlockingLockAnalyzer(),
+		LockAnalyzer(),
 		MapOrderAnalyzer(),
 		SentinelErrAnalyzer(),
-		AtomicCounterAnalyzer(),
 	}
 }
 
@@ -405,6 +405,16 @@ func Run(prog *Program, cfg *Config, analyzers []*Analyzer) []Finding {
 // "repro/internal/fsx").
 func hasPathSuffix(p, suffix string) bool {
 	return p == suffix || strings.HasSuffix(p, "/"+suffix)
+}
+
+// pkgInScope reports whether a package matches any of the suffixes.
+func pkgInScope(pkg *Package, suffixes []string) bool {
+	for _, s := range suffixes {
+		if hasPathSuffix(pkg.Path, s) {
+			return true
+		}
+	}
+	return false
 }
 
 // suppressions indexes `//locus:vet-allow` comments by file and line.

@@ -73,23 +73,22 @@ type want struct {
 
 var wantRe = regexp.MustCompile(`//\s*want "([^"]+)"`)
 
-// wantsIn collects the `// want` expectations of a fixture package.
+// wantsIn collects the `// want` expectations of a fixture package; a
+// line that expects two findings carries two `// want`s.
 func wantsIn(t *testing.T, p *Program, pkg *Package) []*want {
 	t.Helper()
 	var out []*want
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				m := wantRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
+				for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
+					re, err := regexp.Compile(m[1])
+					if err != nil {
+						t.Fatalf("bad want regexp %q: %v", m[1], err)
+					}
+					pos := p.Fset.Position(c.Pos())
+					out = append(out, &want{file: pos.Filename, line: pos.Line, re: re})
 				}
-				re, err := regexp.Compile(m[1])
-				if err != nil {
-					t.Fatalf("bad want regexp %q: %v", m[1], err)
-				}
-				pos := p.Fset.Position(c.Pos())
-				out = append(out, &want{file: pos.Filename, line: pos.Line, re: re})
 			}
 		}
 	}
@@ -129,10 +128,29 @@ func checkFixture(t *testing.T, analyzer *Analyzer, cfg *Config, leaf string) {
 	}
 }
 
+// defaultRow is DefaultConfig's forbidden-call row `name` alone, with
+// its Packages pointed at a fixture, so a fixture test exercises the
+// production specs.
+func defaultRow(t *testing.T, name, leaf string) *Config {
+	t.Helper()
+	for _, row := range DefaultConfig().Forbidden {
+		if row.Name == name {
+			row.Packages = []string{leaf}
+			return &Config{Forbidden: []Forbidden{row}}
+		}
+	}
+	t.Fatalf("DefaultConfig has no forbidden-call row %q", name)
+	return nil
+}
+
 func TestSimClockFixture(t *testing.T) {
 	t.Parallel()
-	cfg := &Config{ProtocolPackages: []string{"simclock_f"}}
-	checkFixture(t, SimClockAnalyzer(), cfg, "simclock_f")
+	checkFixture(t, ForbiddenAnalyzer(), defaultRow(t, "simclock", "simclock_f"), "simclock_f")
+}
+
+func TestAtomicFixture(t *testing.T) {
+	t.Parallel()
+	checkFixture(t, ForbiddenAnalyzer(), defaultRow(t, "atomic", "atomiccounter_f"), "atomiccounter_f")
 }
 
 func TestUncheckedCallFixture(t *testing.T) {
@@ -153,21 +171,18 @@ func TestLockOrderFixture(t *testing.T) {
 		{PkgSuffix: "lockorder_f", Type: "Middle"},
 		{PkgSuffix: "lockorder_f", Type: "Inner"},
 	}}
-	checkFixture(t, LockOrderAnalyzer(), cfg, "lockorder_f")
+	checkFixture(t, LockAnalyzer(), cfg, "lockorder_f")
 }
 
+// TestRawCallFixture runs the production row's methods on the
+// fixture's own Node type.
 func TestRawCallFixture(t *testing.T) {
 	t.Parallel()
-	cfg := &Config{
-		RawCallWrapped: []string{"rawcall_f"},
-		RawCallTransport: []MethodSpec{
-			{PkgSuffix: "rawcall_f", Recv: "Node", Name: "Call"},
-			{PkgSuffix: "rawcall_f", Recv: "Node", Name: "CallSeq"},
-			{PkgSuffix: "rawcall_f", Recv: "Node", Name: "Cast"},
-			{PkgSuffix: "rawcall_f", Recv: "Node", Name: "Handle"},
-		},
+	cfg := defaultRow(t, "rawcall", "rawcall_f")
+	for i := range cfg.Forbidden[0].Funcs {
+		cfg.Forbidden[0].Funcs[i].PkgSuffix = "rawcall_f"
 	}
-	checkFixture(t, RawCallAnalyzer(), cfg, "rawcall_f")
+	checkFixture(t, ForbiddenAnalyzer(), cfg, "rawcall_f")
 }
 
 func TestPanicDisciplineFixture(t *testing.T) {
@@ -203,9 +218,15 @@ func TestInodeAliasFixture(t *testing.T) {
 	checkFixture(t, InodeAliasAnalyzer(), cfg, "inodealias_f")
 }
 
+// TestBlockingLockFixture puts Kernel in both class lists, as
+// production does fs.Kernel, so one walk must report both rules.
 func TestBlockingLockFixture(t *testing.T) {
 	t.Parallel()
 	cfg := &Config{
+		LockHierarchy: []LockClass{
+			{PkgSuffix: "blockinglock_f", Type: "Cluster"},
+			{PkgSuffix: "blockinglock_f", Type: "Kernel"},
+		},
 		BlockingCalls: []MethodSpec{
 			{PkgSuffix: "blockinglock_f", Recv: "Node", Name: "Call"},
 			{PkgSuffix: "blockinglock_f", Name: "Call"},
@@ -215,7 +236,7 @@ func TestBlockingLockFixture(t *testing.T) {
 			{PkgSuffix: "blockinglock_f", Type: "Manager", Field: "mu"},
 		},
 	}
-	checkFixture(t, BlockingLockAnalyzer(), cfg, "blockinglock_f")
+	checkFixture(t, LockAnalyzer(), cfg, "blockinglock_f")
 }
 
 func TestMapOrderFixture(t *testing.T) {
@@ -239,31 +260,6 @@ func TestSentinelErrFixture(t *testing.T) {
 		SentinelFunnels:     []MethodSpec{{PkgSuffix: "sentinelerr_f", Name: "wrapErr"}},
 	}
 	checkFixture(t, SentinelErrAnalyzer(), cfg, "sentinelerr_f")
-}
-
-func TestAtomicCounterFixture(t *testing.T) {
-	t.Parallel()
-	cfg := &Config{AtomicPackages: []string{"atomiccounter_f"}}
-	checkFixture(t, AtomicCounterAnalyzer(), cfg, "atomiccounter_f")
-}
-
-// TestSummaryCacheIsShared pins the summary engine's caching contract:
-// the analyzers that compose interprocedural facts share one table per
-// Config — one build, the rest hits.
-func TestSummaryCacheIsShared(t *testing.T) {
-	t.Parallel()
-	p := sharedProgram(t)
-	cfg := DefaultConfig()
-	for _, a := range []*Analyzer{MapOrderAnalyzer(), SentinelErrAnalyzer(), AtomicCounterAnalyzer()} {
-		a.Run(p, cfg)
-	}
-	builds, hits := cfg.SummaryCacheStats()
-	if builds != 1 {
-		t.Errorf("summary table built %d times for one Config, want 1", builds)
-	}
-	if hits != 2 {
-		t.Errorf("summary cache hits = %d, want 2", hits)
-	}
 }
 
 // TestRepositoryIsClean is the lint gate inside the test suite: the

@@ -34,7 +34,7 @@ func PanicDisciplineAnalyzer() *Analyzer {
 func runPanicDiscipline(prog *Program, cfg *Config) []Finding {
 	var out []Finding
 	for _, pkg := range prog.Targets {
-		if pkg.Types.Name() == "main" || suffixMatchesAny(pkg.Path, cfg.InvariantPackages) {
+		if pkg.Types.Name() == "main" || pkgInScope(pkg, cfg.InvariantPackages) {
 			continue
 		}
 		sup := suppressionsFor(prog, pkg, cfg)

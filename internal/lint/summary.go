@@ -7,12 +7,18 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural summary tier: per-function fact sets
-// richer than the one-bit closures of callsummary.go, computed bottom-up
-// over the shared call graph and composed at call sites by the CFG
-// dataflow analyzers.
+// This file is the interprocedural summary tier: per-function facts
+// computed bottom-up over the module's one call graph (callsummary.go)
+// and composed at call sites by the analyzers.
 //
-// Three summaries are computed in one pass over the module:
+// Four summaries are computed over one walk of the module:
+//
+//   - acquires: the hierarchy classes (Config.LockHierarchy) whose
+//     mutex the function may lock, directly or through any statically
+//     resolvable callee. lockorder composes it at call sites.
+//
+//   - mayBlock: the function may reach a Config.BlockingCalls
+//     primitive, transitively. blockinglock composes it at call sites.
 //
 //   - wire: the function may perform a wire send — a transport exchange
 //     (Config.OrderEffects) directly or through any statically
@@ -34,36 +40,22 @@ import (
 //     iterated to a fixpoint. sentinelerr composes this fact at the
 //     return statements of exported API functions.
 //
-//   - atomicParams: per-parameter facts — parameter i's pointee is
-//     accessed with sync/atomic operations, directly or by a callee the
-//     pointer is forwarded to. atomiccounter composes this at call
-//     sites to decide whether `&x.field` escaping into a helper is an
-//     atomic access or a plain one.
-//
-// The summary table is built once per Config and shared by every
-// analyzer that asks for it; Config.SummaryCacheStats exposes the
-// build/hit counts (`locus-vet -stats` reports the hit rate).
+// The table is built once per Config, on the first analyzer's request,
+// and shared by every later one: buildCallGraph has one caller.
 type summaries struct {
 	graph *callGraph
+	// acquires is each function's transitive may-acquire set of
+	// hierarchy class indices.
+	acquires map[*types.Func]map[int]bool
+	// mayBlock marks functions that may reach a blocking primitive,
+	// transitively.
+	mayBlock map[*types.Func]bool
 	// wire marks functions that may perform an order-observable wire
 	// send, transitively.
 	wire map[*types.Func]bool
 	// sentinel marks functions that may return a raw transport sentinel
 	// unwrapped in an error result, transitively.
 	sentinel map[*types.Func]bool
-	// atomicParams marks, per function, the parameter indices whose
-	// pointee is accessed via sync/atomic (directly or forwarded).
-	atomicParams map[*types.Func]map[int]bool
-}
-
-// SummaryCacheStats reports how the shared interprocedural summary
-// table behaved under this Config: builds is the number of full
-// bottom-up computations (at most one per Config), hits the number of
-// analyzer requests served from the cache.
-func (cfg *Config) SummaryCacheStats() (builds, hits int) {
-	cfg.mu.Lock()
-	defer cfg.mu.Unlock()
-	return cfg.summaryBuilds, cfg.summaryHits
 }
 
 // summariesFor returns the interprocedural summary table for prog,
@@ -71,116 +63,66 @@ func (cfg *Config) SummaryCacheStats() (builds, hits int) {
 // cache.
 func (cfg *Config) summariesFor(prog *Program) *summaries {
 	cfg.mu.Lock()
-	if cfg.summary != nil && cfg.summaryProg == prog {
-		cfg.summaryHits++
-		s := cfg.summary
-		cfg.mu.Unlock()
-		return s
+	defer cfg.mu.Unlock()
+	if cfg.summary == nil || cfg.summaryProg != prog {
+		cfg.summary, cfg.summaryProg = buildSummaries(prog, cfg), prog
 	}
-	cfg.mu.Unlock()
-	s := buildSummaries(prog, cfg)
-	cfg.mu.Lock()
-	cfg.summary = s
-	cfg.summaryProg = prog
-	cfg.summaryBuilds++
-	cfg.mu.Unlock()
-	return s
+	return cfg.summary
 }
 
 func buildSummaries(prog *Program, cfg *Config) *summaries {
 	s := &summaries{
-		wire:         make(map[*types.Func]bool),
-		sentinel:     make(map[*types.Func]bool),
-		atomicParams: make(map[*types.Func]map[int]bool),
+		acquires: make(map[*types.Func]map[int]bool),
+		sentinel: make(map[*types.Func]bool),
 	}
-	// Direct facts are seeded during the single call-graph walk; the
-	// calls are still recorded as callees so the transitive closures
-	// compose.
-	wireSeeds := make(map[*types.Func]map[int]bool)
-	type atomicFwd struct {
-		caller *types.Func
-		callee *types.Func
-		// argParam maps callee parameter index -> caller parameter index
-		// for pointer params forwarded verbatim.
-		argParam map[int]int
+	wire := make(map[*types.Func]map[int]bool)
+	mayBlock := make(map[*types.Func]map[int]bool)
+	seed := func(sets map[*types.Func]map[int]bool, fn *types.Func, fact int) {
+		if sets[fn] == nil {
+			sets[fn] = make(map[int]bool)
+		}
+		sets[fn][fact] = true
 	}
-	var fwds []atomicFwd
-	s.graph = buildCallGraph(prog, func(pkg *Package, fn *types.Func, call *ast.CallExpr) bool {
+	// Direct facts are seeded during the single call-graph walk.
+	s.graph = buildCallGraph(prog, func(pkg *Package, fn *types.Func, call *ast.CallExpr) {
+		if class, op, ok := lockOpOn(pkg, call, cfg.LockHierarchy); ok && (op == "Lock" || op == "RLock") {
+			seed(s.acquires, fn, class)
+		}
+		if _, ok := matchMustCheck(pkg.Info, call, cfg.BlockingCalls); ok {
+			seed(mayBlock, fn, 0)
+		}
 		if _, ok := matchMustCheck(pkg.Info, call, cfg.OrderEffects); ok {
-			if wireSeeds[fn] == nil {
-				wireSeeds[fn] = make(map[int]bool)
-			}
-			wireSeeds[fn][0] = true
+			seed(wire, fn, 0)
 		}
-		if isAtomicCall(pkg.Info, call) {
-			for _, arg := range call.Args {
-				if idx, ok := paramIndexOf(pkg.Info, fn, arg); ok {
-					if s.atomicParams[fn] == nil {
-						s.atomicParams[fn] = make(map[int]bool)
-					}
-					s.atomicParams[fn][idx] = true
-				}
-			}
-			return false
-		}
-		// Record verbatim pointer-param forwarding for the atomicParams
-		// fixpoint: caller param i passed as callee arg j.
-		if callee := funcFor(pkg.Info, call); callee != nil {
-			var m map[int]int
-			for j, arg := range call.Args {
-				if idx, ok := paramIndexOf(pkg.Info, fn, arg); ok {
-					if m == nil {
-						m = make(map[int]int)
-					}
-					m[j] = idx
-				}
-			}
-			if m != nil {
-				fwds = append(fwds, atomicFwd{caller: fn, callee: callee, argParam: m})
-			}
-		}
-		return false
 	})
 	// The effect methods themselves are wire (their bodies do the send
 	// through internal machinery the specs don't name).
 	for fn := range s.graph.bodies {
-		if funcMatchesSpec(fn, cfg.OrderEffects) {
-			if wireSeeds[fn] == nil {
-				wireSeeds[fn] = make(map[int]bool)
-			}
-			wireSeeds[fn][0] = true
+		if _, ok := matchSpec(fn, cfg.OrderEffects); ok {
+			seed(wire, fn, 0)
 		}
 	}
-	s.graph.fixpointSets(wireSeeds)
-	for fn, set := range wireSeeds {
-		if set[0] {
-			s.wire[fn] = true
-		}
-	}
-
-	// atomicParams fixpoint: a caller param forwarded into a callee's
-	// atomic param is itself atomic.
-	for changed := true; changed; {
-		changed = false
-		for _, f := range fwds {
-			for _, target := range s.graph.resolveTargets(f.callee) {
-				for j, i := range f.argParam {
-					if s.atomicParams[target][j] && !s.atomicParams[f.caller][i] {
-						if s.atomicParams[f.caller] == nil {
-							s.atomicParams[f.caller] = make(map[int]bool)
-						}
-						s.atomicParams[f.caller][i] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
+	s.graph.fixpointSets(s.acquires)
+	s.mayBlock = s.graph.closeBit(mayBlock)
+	s.wire = s.graph.closeBit(wire)
 
 	if len(cfg.SentinelVars) > 0 {
 		s.buildSentinel(prog, cfg)
 	}
 	return s
+}
+
+// closeBit closes a one-bit fact seeded as {0} sets and returns the
+// functions that have it.
+func (g *callGraph) closeBit(sets map[*types.Func]map[int]bool) map[*types.Func]bool {
+	g.fixpointSets(sets)
+	out := make(map[*types.Func]bool)
+	for fn, set := range sets {
+		if set[0] {
+			out[fn] = true
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -538,73 +480,4 @@ func wrapOperandIndexes(format string) (idxs []int, parsed bool) {
 		arg++
 	}
 	return idxs, true
-}
-
-// ---------------------------------------------------------------------
-// Atomic-call recognition (shared with atomiccounter).
-
-// isAtomicCall reports whether call is a sync/atomic package function
-// (AddInt64, LoadUint32, StoreInt64, SwapPointer, CompareAndSwap...).
-func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := funcFor(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	name := fn.Name()
-	for _, prefix := range []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "Or", "And"} {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// funcMatchesSpec reports whether fn itself is one of the named specs
-// (the call-site matcher's twin, for seeding the effect methods).
-func funcMatchesSpec(fn *types.Func, specs []MethodSpec) bool {
-	if fn.Pkg() == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for _, spec := range specs {
-		if fn.Name() != spec.Name || !hasPathSuffix(fn.Pkg().Path(), spec.PkgSuffix) {
-			continue
-		}
-		if spec.Recv == "" {
-			if sig.Recv() == nil {
-				return true
-			}
-			continue
-		}
-		if sig.Recv() != nil && typeMatches(sig.Recv().Type(), spec.PkgSuffix, spec.Recv) {
-			return true
-		}
-	}
-	return false
-}
-
-// paramIndexOf resolves arg to a parameter of fn (by identity), for
-// the pointer-forwarding facts.
-func paramIndexOf(info *types.Info, fn *types.Func, arg ast.Expr) (int, bool) {
-	id, ok := ast.Unparen(arg).(*ast.Ident)
-	if !ok {
-		return 0, false
-	}
-	obj, ok := info.Uses[id].(*types.Var)
-	if !ok {
-		return 0, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return 0, false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if sig.Params().At(i) == obj {
-			return i, true
-		}
-	}
-	return 0, false
 }

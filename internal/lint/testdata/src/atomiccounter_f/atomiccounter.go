@@ -1,59 +1,40 @@
-// Package atomiccounter_f is a locus-vet fixture for the atomiccounter
-// analyzer: a field accessed through sync/atomic anywhere must be
-// accessed that way everywhere. The bump helper exercises the
-// per-parameter summary — a field whose address is forwarded into a
-// helper that uses sync/atomic counts as atomically accessed too.
+// Package atomiccounter_f is a locus-vet fixture for the forbidden-call
+// table's atomic row: the test points the production row at it, so a
+// package-level sync/atomic function is flagged wherever it is
+// referenced, while a typed atomic's methods stay quiet.
 package atomiccounter_f
 
 import "sync/atomic"
 
 type counters struct {
-	hits   int64
-	misses int64
-	plain  int64
+	hits atomic.Int64
+	raw  int64
 }
 
+// Typed atomics: every access is atomic by construction, and their
+// methods have receivers, which the row's spec never matches.
 func (c *counters) record() {
-	atomic.AddInt64(&c.hits, 1)
+	c.hits.Add(1)
 }
 
 func (c *counters) snapshot() int64 {
-	return atomic.LoadInt64(&c.hits)
+	return c.hits.Load()
 }
 
-// bump forwards its pointer parameter to sync/atomic; the atomicParams
-// summary marks parameter 0, so call sites passing a field address are
-// sanctioned atomic accesses.
-func bump(p *int64) {
-	atomic.AddInt64(p, 1)
+// A plain int64 bumped through sync/atomic is one plain access away
+// from a race.
+func (c *counters) bumpRaw() {
+	atomic.AddInt64(&c.raw, 1) // want "atomic.AddInt64 in package atomiccounter_f: a value shared between goroutines is a typed atomic"
 }
 
-func (c *counters) miss() {
-	bump(&c.misses)
+func (c *counters) loadRaw() int64 {
+	return atomic.LoadInt64(&c.raw) // want "atomic.LoadInt64 in package atomiccounter_f"
 }
 
-// Plain write to an atomic field: a data race the race detector only
-// sees when both paths run in one test.
-func (c *counters) reset() {
-	c.hits = 0 // want "accessed atomically"
-}
+// A function value is a reference too.
+var add = atomic.AddInt64 // want "atomic.AddInt64 in package atomiccounter_f"
 
-// Plain read, same field.
-func (c *counters) logHits() int64 {
-	return c.hits // want "accessed atomically"
-}
-
-// The forwarded field is atomic transitively; a bare read races.
-func (c *counters) logMisses() int64 {
-	return c.misses // want "accessed atomically"
-}
-
-// A field never touched atomically stays plain without complaint.
-func (c *counters) bumpPlain() {
-	c.plain++
-}
-
-// The audited exception: initialization before any concurrency.
-func (c *counters) initHits(n int64) {
-	c.hits = n //locus:vet-allow atomiccounter fixture: constructor runs before any concurrency
+// The audited exception.
+func (c *counters) storeRaw(n int64) {
+	atomic.StoreInt64(&c.raw, n) //locus:vet-allow atomic fixture: the audited exception
 }

@@ -1,7 +1,9 @@
-// Package blockinglock_f is a locus-vet fixture for the blockinglock
-// analyzer: no Node.Call exchange — raw, or through the generic typed
-// Call over it — may run while a Kernel mutex is held, directly or
-// through any statically resolvable callee.
+// Package blockinglock_f is a locus-vet fixture for the lock walk's
+// blockinglock rule: no Node.Call exchange — raw, or through the
+// generic typed Call over it — may run while a Kernel mutex is held,
+// directly or through any statically resolvable callee. Kernel also
+// sits in the test's lock hierarchy, after Cluster, as fs.Kernel sits
+// in both of production's class lists.
 package blockinglock_f
 
 import "sync"
@@ -40,6 +42,24 @@ func (k *Kernel) badTransitive() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.exchange() // want "may transitively block on concurrent progress while holding blockinglock_f.Kernel"
+}
+
+// Cluster precedes Kernel in the hierarchy; poll both blocks and takes
+// its mutex.
+type Cluster struct{ mu sync.Mutex }
+
+func (c *Cluster) poll(n *Node) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n.Call("poll", nil)
+}
+
+// badBothRules holds Kernel, deferred Unlock and all, across a call
+// that breaks both rules: one finding for each, on the one line.
+func (k *Kernel) badBothRules(c *Cluster) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	c.poll(k.node) // want "call to Cluster.poll may acquire blockinglock_f.Cluster while holding blockinglock_f.Kernel" // want "may transitively block on concurrent progress while holding blockinglock_f.Kernel"
 }
 
 // allowedProbe exercises the suppression path.

@@ -1,6 +1,7 @@
-// Package rawcall_f is a locus-vet fixture: the test config declares
-// this package wrapped (its RPCs must go through the typed path) and
-// Node.Handle/Call/CallSeq/Cast as the raw transport methods.
+// Package rawcall_f is a locus-vet fixture: the test points the
+// production rawcall row at it (its RPCs must go through the typed
+// path), with the row's Node.Handle/Call/CallSeq/Cast re-homed to this
+// package's Node.
 package rawcall_f
 
 import "errors"
@@ -26,21 +27,21 @@ type Kernel struct {
 }
 
 func badRawCall(k *Kernel) (any, error) {
-	return k.node.Call(2, "fs.commit", nil) // want "direct Node.Call bypasses the typed at-most-once path"
+	return k.node.Call(2, "fs.commit", nil) // want "Node.Call in package rawcall_f: the untyped transport bypasses the typed at-most-once path"
 }
 
 func badRawCallSeq(k *Kernel) (any, error) {
-	return k.node.CallSeq(2, "fs.commit", nil, 7) // want "direct Node.CallSeq bypasses the typed at-most-once path"
+	return k.node.CallSeq(2, "fs.commit", nil, 7) // want "Node.CallSeq in package rawcall_f: the untyped transport bypasses the typed at-most-once path"
 }
 
 func badRawCast(k *Kernel) error {
-	return k.node.Cast(2, "fs.write", nil) // want "direct Node.Cast bypasses the typed at-most-once path"
+	return k.node.Cast(2, "fs.write", nil) // want "Node.Cast in package rawcall_f: the untyped transport bypasses the typed at-most-once path"
 }
 
 // A handler bound by raw string escapes the compiler's pairing of
 // caller and handler types.
 func badRawHandle(k *Kernel) {
-	k.node.Handle("fs.commit", nil) // want "direct Node.Handle bypasses the typed at-most-once path"
+	k.node.Handle("fs.commit", nil) // want "Node.Handle in package rawcall_f: the untyped transport bypasses the typed at-most-once path"
 }
 
 // Method and Call stand in for the typed path, which in production

@@ -1,31 +1,32 @@
-// Package simclock_f is a locus-vet fixture: the test config lists it
-// as a protocol package, so wall-clock uses below must be flagged.
+// Package simclock_f is a locus-vet fixture: the test points the
+// production simclock row at it, so wall-clock uses below must be
+// flagged.
 package simclock_f
 
 import "time"
 
 func badNow() time.Time {
-	return time.Now() // want "wall-clock time.Now in protocol package"
+	return time.Now() // want "time.Now in package simclock_f: protocol packages run on the simulated clock"
 }
 
 func badSleep() {
-	time.Sleep(10 * time.Millisecond) // want "wall-clock time.Sleep in protocol package"
+	time.Sleep(10 * time.Millisecond) // want "time.Sleep in package simclock_f: protocol packages run on the simulated clock"
 }
 
 func badAfter() <-chan time.Time {
-	return time.After(time.Second) // want "wall-clock time.After in protocol package"
+	return time.After(time.Second) // want "time.After in package simclock_f: protocol packages run on the simulated clock"
 }
 
 func badTick() <-chan time.Time {
-	return time.Tick(time.Second) // want "wall-clock time.Tick in protocol package"
+	return time.Tick(time.Second) // want "time.Tick in package simclock_f: protocol packages run on the simulated clock"
 }
 
 func badNewTicker() *time.Ticker {
-	return time.NewTicker(time.Second) // want "wall-clock time.NewTicker in protocol package"
+	return time.NewTicker(time.Second) // want "time.NewTicker in package simclock_f: protocol packages run on the simulated clock"
 }
 
 func badNewTimer() *time.Timer {
-	return time.NewTimer(time.Second) // want "wall-clock time.NewTimer in protocol package"
+	return time.NewTimer(time.Second) // want "time.NewTimer in package simclock_f: protocol packages run on the simulated clock"
 }
 
 // Durations and conversions are fine: only clock reads and real-time

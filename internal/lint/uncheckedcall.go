@@ -97,15 +97,21 @@ func runUncheckedCall(prog *Program, cfg *Config) []Finding {
 // matchMustCheck reports whether call resolves to one of the specs.
 func matchMustCheck(info *types.Info, call *ast.CallExpr, specs []MethodSpec) (MethodSpec, bool) {
 	fn := funcFor(info, call)
-	if fn == nil || fn.Pkg() == nil {
+	if fn == nil {
 		return MethodSpec{}, false
 	}
+	return matchSpec(fn, specs)
+}
+
+// matchSpec reports which of the specs names fn. A spec with no Name
+// names every function (or, with a Recv, every method) of its package.
+func matchSpec(fn *types.Func, specs []MethodSpec) (MethodSpec, bool) {
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
+	if !ok || fn.Pkg() == nil {
 		return MethodSpec{}, false
 	}
 	for _, spec := range specs {
-		if fn.Name() != spec.Name || !hasPathSuffix(fn.Pkg().Path(), spec.PkgSuffix) {
+		if spec.Name != "" && fn.Name() != spec.Name || !hasPathSuffix(fn.Pkg().Path(), spec.PkgSuffix) {
 			continue
 		}
 		if spec.Recv == "" {

@@ -71,6 +71,6 @@ func (c *Clock) Elapsed() time.Duration {
 // transport retransmissions): one scheduler yield. It never sleeps and
 // never moves the clock, so a wait that nobody can end costs its retry
 // budget in yields, not in wall or virtual time. Protocol packages are
-// forbidden (by the simclock analyzer) from sleeping on the wall clock
-// themselves.
+// forbidden (by locus-vet's simclock rule) from sleeping on the wall
+// clock themselves.
 func (c *Clock) Backoff() { runtime.Gosched() }
