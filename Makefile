@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet locusvet test race invariants bench benchonce benchsmoke benchjson benchdiff benchmarkcheck workloadsmoke profile chaos ci
+.PHONY: all build fmt vet locusvet test race invariants bench benchonce benchsmoke benchjson benchdiff benchmarkcheck examplesmoke workloadsmoke profile chaos ci
 
 all: ci
 
@@ -79,6 +79,12 @@ benchdiff:
 benchmarkcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
+# examplesmoke runs every program under examples/ and requires each to
+# exit 0: `go build ./...` compiles them but nothing else runs them, so
+# one whose walkthrough stops working would rot unnoticed (about 2 s).
+examplesmoke:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # workloadsmoke runs the workload engine's own tests — histogram math,
 # Zipf determinism, engine schedule determinism — plus the sized E16
 # shape/determinism assertions, under the race detector with the
@@ -104,4 +110,4 @@ profile:
 chaos:
 	$(GO) test -run TestChaos -race -tags locusinvariants -count=1 ./internal/chaos
 
-ci: build fmt vet locusvet test race invariants benchonce benchsmoke workloadsmoke benchmarkcheck benchdiff chaos
+ci: build fmt vet locusvet test race invariants benchonce benchsmoke examplesmoke workloadsmoke benchmarkcheck benchdiff chaos

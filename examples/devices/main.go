@@ -1,6 +1,5 @@
 // Devices & operations: transparent remote devices (§2.4.2),
-// sequential readahead (§2.3.3), pathname shipping (§2.3.4's
-// investigated optimization), and demand recovery (§4.4) — the
+// sequential readahead (§2.3.3) and demand recovery (§4.4) — the
 // operational machinery around the core filesystem.
 package main
 
@@ -86,28 +85,6 @@ func main() {
 		return c.Stats().Msgs - before
 	}
 	fmt.Printf("16-page remote scan: %d msgs without readahead, %d with\n", scan(false), scan(true))
-
-	// --- Pathname shipping: deep remote trees resolve in one exchange.
-	fmt.Println("== pathname shipping ==")
-	must(op.Mkdir("/deep"))
-	must(op.Mkdir("/deep/er"))
-	must(op.Mkdir("/deep/er/est"))
-	must(op.WriteFile("/deep/er/est/leaf", []byte("found")))
-	for _, p := range []string{"/deep", "/deep/er", "/deep/er/est", "/deep/er/est/leaf"} {
-		must(op.SetReplication(p, 1))
-	}
-	c.Settle()
-	k2 := c.Site(2).FS
-	before := c.Stats().Msgs
-	_, err = k2.Resolve(reader.Cred(), "/deep/er/est/leaf")
-	must(err)
-	plain := c.Stats().Msgs - before
-	k2.SetFeatures(fs.Features{PathShipping: true})
-	before = c.Stats().Msgs
-	_, err = k2.Resolve(reader.Cred(), "/deep/er/est/leaf")
-	must(err)
-	shipped := c.Stats().Msgs - before
-	fmt.Printf("resolving a 4-deep remote path: %d msgs walking, %d msgs shipping the pathname\n", plain, shipped)
 
 	// --- Demand recovery: reconcile one hot directory immediately.
 	fmt.Println("== demand recovery ==")

@@ -29,9 +29,6 @@ type Cluster struct {
 
 // Options configures cluster construction.
 type Options struct {
-	// Costs is the simulated cost model; zero value means
-	// netsim.DefaultCosts().
-	Costs netsim.CostModel
 	// Sites lists the sites to boot, in boot order; a site need not
 	// hold a pack (a pure using site). Empty means every pack site, in
 	// configuration order.
@@ -71,10 +68,7 @@ func SimpleConfig(nSites int) *fs.Config {
 // New builds and formats a cluster from a configuration; the first
 // pack of each filegroup formats the root.
 func New(cfg *fs.Config, opts Options) (*Cluster, error) {
-	costs := opts.Costs
-	if costs == (netsim.CostModel{}) {
-		costs = netsim.DefaultCosts()
-	}
+	costs := netsim.DefaultCosts()
 	boot := opts.Sites
 	if len(boot) == 0 {
 		seen := map[SiteID]bool{}

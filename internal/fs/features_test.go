@@ -2,7 +2,6 @@ package fs_test
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"repro/internal/fs"
@@ -205,120 +204,6 @@ func TestPageCacheInvalidatedByRemoteCommit(t *testing.T) {
 	// And the refreshed pages are cached for the next reader.
 	if _, reads := readAll(); reads != 0 {
 		t.Fatalf("re-read of new version used %d fs.read messages, want 0", reads)
-	}
-}
-
-func TestPathShippingResolvesRemoteTreeInOneExchange(t *testing.T) {
-	// A deep tree stored only at site 1; site 2 resolves it.
-	packs := []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}
-	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: packs}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newClusterCfg(t, cfg)
-	k1, k2 := c.K(1), c.K(2)
-	for _, d := range []string{"/a", "/a/b", "/a/b/c", "/a/b/c/d"} {
-		if err := k1.Mkdir(cred(), d, 0755); err != nil {
-			t.Fatal(err)
-		}
-		if err := k1.SetReplication(cred(), d, []fs.SiteID{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile(t, k1, "/a/b/c/d/leaf", []byte("deep"))
-	if err := k1.SetReplication(cred(), "/a/b/c/d/leaf", []fs.SiteID{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := k1.SetReplication(cred(), "/", []fs.SiteID{1}); err != nil {
-		t.Fatal(err)
-	}
-	settle(t, c)
-
-	// Baseline: remote walk.
-	before := c.Net.Stats()
-	r1, err := k2.Resolve(cred(), "/a/b/c/d/leaf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainMsgs := c.Net.Stats().Sub(before).Msgs
-
-	// Shipped: CSS (site 1) stores the whole tree, so one exchange
-	// resolves everything.
-	k2.SetFeatures(fs.Features{PathShipping: true})
-	before = c.Net.Stats()
-	r2, err := k2.Resolve(cred(), "/a/b/c/d/leaf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipMsgs := c.Net.Stats().Sub(before).Msgs
-
-	if r1.ID != r2.ID || r2.Type != storage.TypeRegular {
-		t.Fatalf("shipped resolution differs: %+v vs %+v", r1, r2)
-	}
-	if shipMsgs != 2 {
-		t.Fatalf("shipped resolve = %d msgs, want 2 (one exchange)", shipMsgs)
-	}
-	if plainMsgs <= shipMsgs {
-		t.Fatalf("plain walk (%d msgs) should cost more than shipping (%d)", plainMsgs, shipMsgs)
-	}
-}
-
-func TestPathShippingMatchesPlainResolutionEverywhere(t *testing.T) {
-	// Equivalence check across a mixed tree (local dirs, remote dirs,
-	// hidden dirs, mounts).
-	packs1 := []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}
-	packs2 := []fs.PackDesc{{Site: 2, Lo: 1, Hi: 1000}}
-	cfg, err := fs.NewConfig([]fs.FilegroupDesc{
-		{FG: 1, MountPath: "/", Packs: packs1},
-		{FG: 2, MountPath: "/vol", Packs: packs2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newClusterCfg(t, cfg)
-	k1 := c.K(1)
-	if err := k1.Mkdir(cred(), "/bin", 0755); err != nil {
-		t.Fatal(err)
-	}
-	if err := k1.MkHidden(cred(), "/bin/tool", 0755); err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, k1, "/bin/tool@@/vax", []byte("vax tool"))
-	writeFile(t, k1, "/vol/data", []byte("mounted"))
-	settle(t, c)
-
-	hidden := &fs.Cred{User: "u", HiddenCtx: []string{"vax"}}
-	paths := []struct {
-		p    string
-		cred *fs.Cred
-	}{
-		{"/bin", cred()},
-		{"/bin/tool", hidden},
-		{"/bin/tool@@", cred()},
-		{"/bin/tool@@/vax", cred()},
-		{"/vol", cred()},
-		{"/vol/data", cred()},
-	}
-	for _, k := range []*fs.Kernel{k1, c.K(2)} {
-		for _, tc := range paths {
-			plain, err1 := k.Resolve(tc.cred, tc.p)
-			k.SetFeatures(fs.Features{PathShipping: true})
-			shipped, err2 := k.Resolve(tc.cred, tc.p)
-			k.SetFeatures(fs.Features{})
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("site %d %s: plain err=%v shipped err=%v", k.Site(), tc.p, err1, err2)
-			}
-			if err1 == nil && (plain.ID != shipped.ID || plain.Type != shipped.Type) {
-				t.Fatalf("site %d %s: plain %+v shipped %+v", k.Site(), tc.p, plain, shipped)
-			}
-		}
-		// Errors agree too.
-		k.SetFeatures(fs.Features{PathShipping: true})
-		_, errShip := k.Resolve(cred(), "/bin/missing")
-		k.SetFeatures(fs.Features{})
-		if !errors.Is(errShip, fs.ErrNotFound) {
-			t.Fatalf("site %d: shipped missing-name error = %v", k.Site(), errShip)
-		}
 	}
 }
 

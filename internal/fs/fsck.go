@@ -24,7 +24,6 @@ package fs
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/format"
@@ -88,7 +87,7 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 					continue
 				}
 				if ino.Type == storage.TypeDirectory || ino.Type == storage.TypeHiddenDir {
-					data, err := readWholeLocal(c, ino, nil)
+					data, err := readWholeLocal(c, ino)
 					if err != nil {
 						out = append(out, FsckFinding{Site: k.site, ID: id, Kind: "corrupt-directory",
 							Msg: fmt.Sprintf("unreadable directory content: %v", err)})
@@ -209,8 +208,8 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 					Msg: fmt.Sprintf("VV %v at site %d != %v at site %d", cp.ino.VV, cp.site, ref.ino.VV, ref.site)})
 				continue
 			}
-			a, errA := readWholeLocal(ref.k.store.Container(id.FG), ref.ino, nil)
-			b, errB := readWholeLocal(cp.k.store.Container(id.FG), cp.ino, nil)
+			a, errA := readWholeLocal(ref.k.store.Container(id.FG), ref.ino)
+			b, errB := readWholeLocal(cp.k.store.Container(id.FG), cp.ino)
 			if errA != nil || errB != nil || !bytes.Equal(a, b) {
 				out = append(out, FsckFinding{Site: cp.site, ID: id, Kind: "content-divergence",
 					Msg: fmt.Sprintf("equal VV %v but content differs between sites %d and %d", cp.ino.VV, ref.site, cp.site)})
@@ -272,16 +271,21 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 	return out
 }
 
-// readWholeLocal reads a file's committed content from the local
-// container (no network, no serving state) into buf, which it grows to
-// ino.Size if it is smaller. Each pooled page the container hands over
-// goes back to the pool once copied.
-func readWholeLocal(c *storage.Container, ino *storage.Inode, buf []byte) ([]byte, error) {
+// readWholeLocal reads the content of committed inode ino from the local
+// container (no network, no serving state). Each pooled page the
+// container hands over goes back to the pool once copied.
+//
+// A page is read from whatever version is committed when it is reached,
+// so the read holds only if ino is still the committed inode after the
+// last page: every commit installs a new one, so then no page came from
+// another version. Otherwise it fails rather than return bytes ino never
+// described.
+func readWholeLocal(c *storage.Container, ino *storage.Inode) ([]byte, error) {
 	if c == nil {
 		return nil, fmt.Errorf("fs: no local container")
 	}
 	size := int(ino.Size)
-	buf = slices.Grow(buf[:0], size)
+	buf := make([]byte, 0, size)
 	for pn := 0; pn < ino.NPages(); pn++ {
 		pg, err := c.ReadLogicalPage(ino.Num, storage.PageNo(pn))
 		if err != nil {
@@ -289,6 +293,9 @@ func readWholeLocal(c *storage.Container, ino *storage.Inode, buf []byte) ([]byt
 		}
 		buf = append(buf, pg[:min(len(pg), size-len(buf))]...)
 		storage.PutPageBuf(pg)
+	}
+	if cur, err := c.GetInode(ino.Num); err != nil || cur != ino {
+		return nil, fmt.Errorf("%w: inode %d changed during a local read", format.ErrCorrupt, ino.Num)
 	}
 	return buf, nil
 }

@@ -319,9 +319,6 @@ type Features struct {
 	Readahead bool
 	// Leases enables the lease/intent layer (lease.go).
 	Leases bool
-	// PathShipping enables the §2.3.4 "ship partial pathnames" strategy
-	// (pathship.go).
-	PathShipping bool
 }
 
 // Features returns the kernel's current feature selection.

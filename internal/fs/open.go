@@ -26,7 +26,6 @@ func (k *Kernel) registerHandlers() {
 	netsim.Handle(k.node, mPullPages, k.handlePullPages)
 	netsim.Handle(k.node, mGetVV, k.handleGetVV)
 	netsim.HandleCast(k.node, mSetAttr, k.handleSetAttr)
-	netsim.Handle(k.node, mResolveShip, k.handleResolveShip)
 	netsim.Handle(k.node, mProbeOpen, k.handleProbeOpen)
 	netsim.Handle(k.node, mRevokeServe, k.handleRevokeServe)
 	netsim.Handle(k.node, mLeaseRevoke, k.handleLeaseRevoke)

@@ -145,9 +145,6 @@ func (k *Kernel) statType(id storage.FileID) (storage.FileType, error) {
 // returns and nothing else. The path is walked where it lies, after one
 // pass that validates all of it.
 func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
-	if k.Features().PathShipping {
-		return k.resolveShipped(cred, path)
-	}
 	n, err := checkPath(path)
 	if err != nil {
 		return nil, err

@@ -35,7 +35,6 @@ func TestMethodTable(t *testing.T) {
 		{mPullPages.Name, mPullPages.AtMostOnce},
 		{mGetVV.Name, mGetVV.AtMostOnce},
 		{mSetAttr.Name, false},
-		{mResolveShip.Name, mResolveShip.AtMostOnce},
 		{mProbeOpen.Name, mProbeOpen.AtMostOnce},
 		{mRevokeServe.Name, mRevokeServe.AtMostOnce},
 		{mLeaseRevoke.Name, mLeaseRevoke.AtMostOnce},
@@ -64,7 +63,7 @@ func TestMethodTable(t *testing.T) {
 	}
 	want := []string{
 		"fs.close", "fs.commit", "fs.create", "fs.leaserelease", "fs.leaserevoke",
-		"fs.open", "fs.resolvepath", "fs.ssclose", "fs.sscreate", "fs.ssopen",
+		"fs.open", "fs.ssclose", "fs.sscreate", "fs.ssopen",
 	}
 	sort.Strings(atMostOnce)
 	if !reflect.DeepEqual(atMostOnce, want) {

@@ -44,7 +44,7 @@ func TestProtocolCostsUnchangedAfterLeaseCycle(t *testing.T) {
 // Features field on during the cycle, and re-pins the bulk-pull costs
 // as well as the 4/2/1/4 protocol costs afterwards.
 func TestPinsUnchangedAfterAllFeaturesCycle(t *testing.T) {
-	all := fs.Features{SerialPull: true, NoPageCache: true, Readahead: true, Leases: true, PathShipping: true}
+	all := fs.Features{SerialPull: true, NoPageCache: true, Readahead: true, Leases: true}
 	pinProtocolCosts(t, false, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 3) })
 	pinPropagationCosts(t, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 1) })
 }

@@ -320,8 +320,8 @@ func TestNestedCallsFailFrameByFrame(t *testing.T) {
 // TestCallAllocations pins what an exchange costs the allocator: an
 // idempotent call is a function call, and so is an at-most-once one
 // measured from a full window — where a caller spends its life — because
-// there the request takes over the dedup entry it evicts. Not parallel:
-// AllocsPerRun.
+// there the request records its outcome in the slot it evicts. Not
+// parallel: AllocsPerRun.
 func TestCallAllocations(t *testing.T) {
 	_, a, b := twoSites(t)
 	b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
@@ -350,7 +350,7 @@ func TestCallAllocations(t *testing.T) {
 // each row started from full windows: an idempotent call, an
 // at-most-once call when every request goes to one callee (a using site
 // and its one CSS) and when they alternate between two. The three differ
-// by the dedup entry and nothing else; a cost that grows with the window
+// by the dedup slot and nothing else; a cost that grows with the window
 // shows in the one-callee row first.
 func BenchmarkCallAtMostOnce(b *testing.B) {
 	for _, bc := range []struct {

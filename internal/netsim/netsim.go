@@ -836,18 +836,17 @@ type Node struct {
 
 	// dedupMu guards the callee-side at-most-once tables: one window per
 	// caller, made on that caller's first seq-tagged request, and every
-	// entry's done and finished. The tables are volatile kernel state —
-	// a crash drops them, which is exactly the paper's model (a rebooted
-	// site has no memory of pre-crash exchanges; reconciliation handles
-	// the rest).
+	// slot in it. The tables are volatile kernel state — a crash drops
+	// them, which is exactly the paper's model (a rebooted site has no
+	// memory of pre-crash exchanges; reconciliation handles the rest).
 	dedupMu sync.Mutex
 	dedup   map[SiteID]*dedupTable
 }
 
 // dedupWindow is how many sequence numbers of one caller a callee
 // remembers: request seq is found again until a request dedupWindow or
-// more sequence numbers later, from the same caller, has arrived — that
-// one lands on its slot — so a retransmission fewer than dedupWindow
+// more sequence numbers later, from the same caller, has been answered —
+// that one lands on its slot — so a retransmission fewer than dedupWindow
 // behind the newest request seen gets the recorded reply and one a full
 // window behind runs again. A caller draws its numbers from one counter
 // for all its callees (NextSeq), retries a request at most 8 times and
@@ -856,35 +855,15 @@ type Node struct {
 const dedupWindow = 1024
 
 // dedupTable is one caller's window at one callee: slot seq mod
-// dedupWindow holds request seq until a later request of that caller
-// lands on it. Lookup, insert and eviction are that one index and one
-// compare; no request looks at another's slot. A slot's seq is 0 while
-// it is empty (0 is the idempotent class and never gets here).
+// dedupWindow holds the outcome of request seq, recorded when its handler
+// returned, until a later request of that caller lands on it. Lookup,
+// record and eviction are that one index and one compare; no request
+// looks at another's slot. A slot's seq is 0 while it is empty (0 is the
+// idempotent class and never gets here).
 type dedupTable [dedupWindow]struct {
-	seq int64
-	e   *dedupEntry
-}
-
-// dedupEntry is the outcome of one seq-tagged request, held by its slot
-// and by every apply of that request: the one that runs the handler and
-// any duplicate that found it still running. value and err are written
-// once, under dedupMu, as finished is set; a duplicate that finds the
-// request still executing makes done (if no earlier duplicate did) and
-// waits on it rather than re-running the handler. An entry evicted from
-// its slot or dropped by a crash while its handler runs still completes:
-// whoever holds it gets the reply, nobody can find it again.
-//
-// A finished entry that nobody ever waited on (done == nil) is held by
-// its slot alone — the apply that ran it returned what it computed, not
-// what the entry says, and a late duplicate copies the outcome out under
-// dedupMu — so the request that evicts it takes it over instead of
-// allocating. One with done set is never reused: a waiter's pointer
-// stays its own.
-type dedupEntry struct {
-	finished bool
-	done     chan struct{}
-	value    any
-	err      error
+	seq   int64
+	value any
+	err   error
 }
 
 // ID returns the node's site id.
@@ -1168,9 +1147,10 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 // apply runs the handler for a request at most once per (caller, seq):
 // a seq-tagged request looks in its slot of the caller's window, so a
 // retransmission returns the recorded outcome of the original execution
-// (at-most-once), and a duplicate arriving mid-execution waits for the
-// original instead of racing it. seq 0 marks an idempotent request,
-// exempt from dedup; the number rides in the per-message header
+// (at-most-once). The outcome is recorded when the handler returns: a
+// retransmission is sent after its original's reply was lost, so it
+// never finds the original still running. seq 0 marks an idempotent
+// request, exempt from dedup; the number rides in the per-message header
 // allowance (no extra wire bytes).
 func (n *Node) apply(from SiteID, method string, payload any, seq int64) (any, error) {
 	h := n.handler(method)
@@ -1180,43 +1160,28 @@ func (n *Node) apply(from SiteID, method string, payload any, seq int64) (any, e
 	if seq == 0 || n.nw.dedupOff.Load() {
 		return h(from, payload)
 	}
+	i := uint64(seq) % dedupWindow
 	n.dedupMu.Lock()
 	tbl := n.dedup[from]
 	if tbl == nil {
 		tbl = new(dedupTable)
 		n.dedup[from] = tbl
 	}
-	slot := &tbl[uint64(seq)%dedupWindow]
-	if slot.seq == seq {
-		e := slot.e
-		if e.finished {
-			value, err := e.value, e.err
-			n.dedupMu.Unlock()
-			return value, err
-		}
-		if e.done == nil {
-			e.done = make(chan struct{})
-		}
-		done := e.done
+	if slot := &tbl[i]; slot.seq == seq {
+		value, err := slot.value, slot.err
 		n.dedupMu.Unlock()
-		<-done
-		return e.value, e.err // e.done is set: e is never reused
+		return value, err
 	}
-	e := slot.e
-	if e != nil && e.finished && e.done == nil {
-		*e = dedupEntry{}
-	} else {
-		e = &dedupEntry{}
-	}
-	slot.seq, slot.e = seq, e
 	n.dedupMu.Unlock()
 
 	value, err := h(from, payload)
 
+	// The outcome goes to the table the request was looked up in: one a
+	// crash dropped meanwhile stays forgotten, and a newer request that
+	// took the slot while this one ran keeps it.
 	n.dedupMu.Lock()
-	e.value, e.err, e.finished = value, err, true
-	if e.done != nil {
-		close(e.done)
+	if slot := &tbl[i]; slot.seq < seq {
+		slot.seq, slot.value, slot.err = seq, value, err
 	}
 	n.dedupMu.Unlock()
 	return value, err

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -281,134 +280,6 @@ func TestDedupForgetsARequestRunningAtTheCrash(t *testing.T) {
 	// is the retry's.
 	if v, err := a.CallSeq(2, "commit", nil, seq); err != nil || v != int64(2) || runs.Load() != 2 {
 		t.Fatalf("retransmission: v=%v err=%v after %d runs, want the retry's recorded 2", v, err, runs.Load())
-	}
-}
-
-// TestDedupDuplicateWaitsForTheOriginal: a duplicate that arrives while
-// the original is still executing waits for it; the handler runs once
-// and both get its reply. The wait channel is made by the duplicate, so
-// the test can hold the handler until the duplicate is waiting.
-func TestDedupDuplicateWaitsForTheOriginal(t *testing.T) {
-	t.Parallel()
-	_, a, b := twoSites(t)
-	entered, release := make(chan struct{}), make(chan struct{})
-	var runs atomic.Int64
-	b.Handle("commit", func(SiteID, any) (any, error) {
-		if runs.Add(1) == 1 {
-			close(entered)
-		}
-		<-release
-		return "applied", nil
-	})
-	seq := a.NextSeq()
-	type reply struct {
-		v   any
-		err error
-	}
-	replies := make(chan reply, 2)
-	send := func() {
-		v, err := a.CallSeq(2, "commit", nil, seq)
-		replies <- reply{v, err}
-	}
-	go send()
-	<-entered
-	go send()
-	for waiting := false; !waiting; runtime.Gosched() {
-		b.dedupMu.Lock()
-		waiting = b.dedup[1][seq%dedupWindow].e.done != nil
-		b.dedupMu.Unlock()
-	}
-	close(release)
-	for i := 0; i < 2; i++ {
-		if r := <-replies; r.err != nil || r.v != "applied" {
-			t.Fatalf("reply %d: v=%v err=%v, want the one execution's reply", i, r.v, r.err)
-		}
-	}
-	if runs.Load() != 1 {
-		t.Fatalf("handler ran %d times, want 1", runs.Load())
-	}
-}
-
-// TestDedupRecycleKeepsWaitersEntry: a request that evicts a finished
-// entry reuses it, but never one a duplicate waited on. A duplicate is
-// parked on a request mid-execution, and a full window of later requests
-// lands on that request's slot — before the handler is let go, so that
-// the entry is evicted while it executes, or after it has finished, when
-// only the channel a duplicate made tells it from one that may be reused.
-// Either way the slot ends up holding another entry and both callers get
-// the original's reply, not a later request's and not a zeroed entry's.
-func TestDedupRecycleKeepsWaitersEntry(t *testing.T) {
-	t.Parallel()
-	for _, evict := range []string{"executing", "finished"} {
-		t.Run("evicted "+evict, func(t *testing.T) {
-			t.Parallel()
-			_, a, b := twoSites(t)
-			entered, release := make(chan struct{}), make(chan struct{})
-			var runs atomic.Int64
-			b.Handle("commit", func(SiteID, any) (any, error) {
-				if runs.Add(1) > 1 {
-					return "later", nil
-				}
-				close(entered)
-				<-release
-				return "original", nil
-			})
-			const seq = 7
-			type reply struct {
-				v   any
-				err error
-			}
-			replies := make(chan reply, 2)
-			send := func() {
-				v, err := a.CallSeq(2, "commit", nil, seq)
-				replies <- reply{v, err}
-			}
-			go send()
-			<-entered
-			go send()
-			slot := &b.dedup[1][seq%dedupWindow]
-			var waited *dedupEntry
-			for waited == nil {
-				runtime.Gosched()
-				b.dedupMu.Lock()
-				if slot.e.done != nil {
-					waited = slot.e
-				}
-				b.dedupMu.Unlock()
-			}
-			if evict == "finished" {
-				close(release)
-				for finished := false; !finished; runtime.Gosched() {
-					b.dedupMu.Lock()
-					finished = waited.finished
-					b.dedupMu.Unlock()
-				}
-			}
-			// Two windows: the second finds its slots full of finished
-			// entries nobody waited on, and reuses them.
-			for i := int64(1); i <= 2*dedupWindow; i++ {
-				if v, err := a.CallSeq(2, "commit", nil, seq+i); err != nil || v != "later" {
-					t.Fatalf("request %d: v=%v err=%v", seq+i, v, err)
-				}
-			}
-			b.dedupMu.Lock()
-			reused := slot.e == waited
-			b.dedupMu.Unlock()
-			if reused {
-				t.Fatal("the entry a duplicate waited on was reused by the request that evicted it")
-			}
-			if evict == "executing" {
-				close(release)
-			}
-			for i := 0; i < 2; i++ {
-				if r := <-replies; r.err != nil || r.v != "original" {
-					t.Fatalf("reply %d: v=%v err=%v, want the original execution's reply", i, r.v, r.err)
-				}
-			}
-			if got := runs.Load(); got != 1+2*dedupWindow {
-				t.Fatalf("handler ran %d times, want %d", got, 1+2*dedupWindow)
-			}
-		})
 	}
 }
 

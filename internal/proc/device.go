@@ -84,24 +84,18 @@ type DeviceHandle struct {
 // Host returns the device's hosting site.
 func (d *DeviceHandle) Host() SiteID { return d.host }
 
-// OpenDevice resolves a device special file and returns a handle
+// OpenDevice looks up a device special file and returns a handle
 // routing I/O to the hosting site's driver.
 func (m *Manager) OpenDevice(p *Process, path string) (*DeviceHandle, error) {
-	r, err := m.kernel.Resolve(p.cred, path)
+	ino, err := m.kernel.Stat(p.cred, path)
 	if err != nil {
 		// The name's CSS or storage site being gone is a §5.6 site
 		// failure, not a bad pathname.
 		return nil, wrapFsSiteErr(err)
 	}
-	if r.Type != storage.TypeDevice {
+	if ino.Type != storage.TypeDevice {
 		return nil, fmt.Errorf("proc: %s is not a device", path)
 	}
-	f, err := m.kernel.OpenID(r.ID, fs.ModeInternal)
-	if err != nil {
-		return nil, wrapFsSiteErr(err)
-	}
-	ino := f.Inode()
-	f.Close() //locus:vet-allow uncheckedcall internal close
 	hostStr := ino.Annotations[fs.DevSiteAnnotation]
 	name := ino.Annotations[fs.DevNameAnnotation]
 	host, err := strconv.Atoi(hostStr)

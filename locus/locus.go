@@ -91,8 +91,6 @@ type FilegroupSpec struct {
 type ClusterSpec struct {
 	Sites      []SiteSpec
 	Filegroups []FilegroupSpec
-	// Costs optionally overrides the simulated cost model.
-	Costs *netsim.CostModel
 }
 
 // Cluster is a running LOCUS network: the internal/cluster assembly
@@ -136,10 +134,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := cluster.Options{}
-	if spec.Costs != nil {
-		opts.Costs = *spec.Costs
-	}
+	var opts cluster.Options
 	for _, ss := range spec.Sites {
 		opts.Sites = append(opts.Sites, ss.ID)
 	}
