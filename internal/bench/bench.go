@@ -1018,7 +1018,6 @@ func E12() *Table {
 	return t
 }
 
-// All returns every experiment in order.
 // E13 measures bulk pipelined replica propagation (§2.3.6): commit a
 // 32-page file replicated at 3 sites, drain the propagation queues,
 // and compare the wire cost of bringing the 2 stale replicas current

@@ -86,12 +86,11 @@ func (pc *pageCache) get(id storage.FileID, pn storage.PageNo, needVV vclock.VV)
 
 // put deposits a committed page fetched from a storage site (directly
 // or via readahead piggyback). vv is the committed version served.
-// data is retained without copying: readResp declares
-// netsim.ImmutablePayload, so the buffer aliases the SS's committed
-// page image, which shadow paging never rewrites and the shared-page
-// tracking keeps out of the page pool. Cache entries are therefore
-// never released to the pool either — eviction just drops the
-// reference.
+// data is retained without copying: by readResp's contract the buffer
+// aliases the SS's committed page image, which shadow paging never
+// rewrites and the shared-page tracking keeps out of the page pool.
+// Cache entries are therefore never released to the pool either —
+// eviction just drops the reference.
 func (pc *pageCache) put(id storage.FileID, pn storage.PageNo, data []byte, size int64, vv vclock.VV, prefetched bool) {
 	if vv == nil {
 		return // uncommitted (in-core) data is never cached

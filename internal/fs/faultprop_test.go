@@ -1,15 +1,16 @@
 package fs_test
 
 // Commits under the fault plane. A lost bulk-pull window must leave the
-// old coherent committed copy at the puller (§2.3.6 — the pull commits
-// via the standard shadow-page mechanism, so a failure mid-transfer
-// changes nothing), and the retry must resume the transfer without
-// re-sending windows that already landed; a directory update whose
-// write fails must leave the directory as it was.
+// old coherent committed copy at the puller and nothing else (§2.3.6 —
+// the pull commits via the standard shadow-page mechanism, so a failure
+// mid-transfer changes nothing, and the pages it had adopted are freed),
+// and the retry is a whole new pull; a directory update whose write
+// fails must leave the directory as it was.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -19,7 +20,7 @@ import (
 	"repro/internal/storage"
 )
 
-func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
+func TestPullWindowLossLeavesOldCopyAndNoPages(t *testing.T) {
 	c := newCluster(t, 2)
 	const pages = 20
 	oldData := bytes.Repeat([]byte{'o'}, pages*storage.PageSize)
@@ -67,7 +68,9 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 	c.Net.DisableFaults()
 
 	// The interrupted pull must not have touched the committed copy:
-	// same version vector, same readable bytes, no conflict.
+	// same version vector, same readable bytes, no conflict. Nor may it
+	// leave anything else behind: the 16 pages that landed before the
+	// lost window are freed, so fsck finds no unreferenced page.
 	ino, err := pack2.GetInode(r.ID.Inode)
 	if err != nil {
 		t.Fatal(err)
@@ -84,24 +87,25 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 			t.Fatalf("old copy page %d corrupted after interrupted pull", i)
 		}
 	}
+	if findings := c.Fsck(false); len(findings) != 0 {
+		t.Fatalf("fsck after interrupted pull: %v", findings)
+	}
 
-	// The retry resumes: the open is re-sent windowless (the 16 pages
-	// that already landed are staged locally and must not travel
-	// again), and only the missing 4-page window crosses the wire.
+	// The retry is a whole pull: one fs.pullopen exchange with its
+	// piggybacked window, then two fs.pullpages exchanges for the rest.
 	before := c.Net.Stats()
 	if n := c.K(2).DrainPropagation(); n != 1 {
-		t.Fatalf("resumed pull drained %d files, want 1: %s", n, c.K(2).DebugPendingPropagations())
+		t.Fatalf("retried pull drained %d files, want 1: %s", n, c.K(2).DebugPendingPropagations())
 	}
 	d := c.Net.Stats().Sub(before)
-	if d.ByMethod["fs.pullopen"] != 2 || d.ByMethod["fs.pullpages"] != 2 || d.ByMethod["fs.readphys"] != 0 {
-		t.Fatalf("resume traffic = %v, want exactly one pullopen and one pullpages exchange", d.ByMethod)
+	if d.ByMethod["fs.pullopen"] != 2 || d.ByMethod["fs.pullpages"] != 4 || d.ByMethod["fs.readphys"] != 0 {
+		t.Fatalf("retry traffic = %v, want one pullopen and two pullpages exchanges", d.ByMethod)
 	}
-	if d.PullWindowsSent != 1 || d.PullPagesSent != 4 {
-		t.Fatalf("resume sent %d windows / %d pages, want 1 window with the 4 missing pages", d.PullWindowsSent, d.PullPagesSent)
+	if d.PullWindowsSent != 3 || d.PullPagesSent != pages {
+		t.Fatalf("retry sent %d windows / %d pages, want 3 windows with all %d pages", d.PullWindowsSent, d.PullPagesSent, pages)
 	}
 
-	// The replica is current, and no shadow pages leaked from either
-	// the dropped window or the staged resume bookkeeping.
+	// The replica is current, and no shadow page leaked.
 	ino, err = pack2.GetInode(r.ID.Inode)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +120,107 @@ func TestPullWindowLossLeavesOldCopyThenResumes(t *testing.T) {
 		}
 	}
 	if findings := c.Fsck(true); len(findings) != 0 {
-		t.Fatalf("fsck after resumed pull: %v", findings)
+		t.Fatalf("fsck after retried pull: %v", findings)
+	}
+}
+
+// TestPullInterruptedAtEveryExchange interrupts a 20-page pull at each
+// exchange it makes, one exchange per case: under bulk pull the
+// fs.pullopen and both fs.pullpages windows, under SerialPull the
+// fs.pullopen and each of the 20 fs.readphys. Each exchange is cut two
+// ways: all 8 transmissions of its request are dropped, or the origin
+// crashes after its handler ran and before it replied. Right after the
+// failed drain the puller must hold its old committed copy and fsck must
+// find nothing, no page leaked included; once the network heals (or the
+// origin restarts) the retry must bring the replica current.
+func TestPullInterruptedAtEveryExchange(t *testing.T) {
+	const pages = 20
+	type exchange struct {
+		method string
+		nth    int
+	}
+	regimes := []struct {
+		name      string
+		features  fs.Features
+		exchanges []exchange
+	}{
+		{"bulk", fs.Features{}, []exchange{{"fs.pullopen", 1}, {"fs.pullpages", 1}, {"fs.pullpages", 2}}},
+		{"serial", fs.Features{SerialPull: true}, []exchange{{"fs.pullopen", 1}}},
+	}
+	for n := 1; n <= pages; n++ {
+		regimes[1].exchanges = append(regimes[1].exchanges, exchange{"fs.readphys", n})
+	}
+	oldData := bytes.Repeat([]byte{'o'}, pages*storage.PageSize)
+	newData := bytes.Repeat([]byte{'n'}, pages*storage.PageSize)
+	for _, rg := range regimes {
+		for _, ex := range rg.exchanges {
+			for _, crash := range []bool{false, true} {
+				how := "drop"
+				if crash {
+					how = "crash"
+				}
+				t.Run(fmt.Sprintf("%s/%s#%d/%s", rg.name, ex.method, ex.nth, how), func(t *testing.T) {
+					c := newCluster(t, 2)
+					c.SetFeatures(rg.features)
+					writeFile(t, c.K(1), "/f", oldData)
+					settle(t, c)
+					r, err := c.K(1).Resolve(cred(), "/f")
+					if err != nil {
+						t.Fatal(err)
+					}
+					pack2 := c.K(2).Store().Container(r.ID.FG)
+					oldIno, err := pack2.GetInode(r.ID.Inode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rewriteFile(t, c.K(1), "/f", newData)
+
+					pts := []netsim.FaultPoint{{From: 2, To: 1, Method: ex.method, Nth: ex.nth, Action: netsim.FaultCrashBeforeReply}}
+					if !crash {
+						// Eight points of one Nth fire on eight consecutive
+						// sends: the request and its every retransmission.
+						pts = nil
+						for i := 0; i < 8; i++ {
+							pts = append(pts, netsim.FaultPoint{From: 2, To: 1, Method: ex.method, Nth: ex.nth, Action: netsim.FaultDropRequest})
+						}
+					}
+					before := c.Net.Stats()
+					c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+					done := c.K(2).DrainPropagation()
+					c.Net.DisableFaults()
+					if done != 0 {
+						t.Fatalf("the pull completed through the interruption")
+					}
+					if crash == c.Net.Up(1) {
+						t.Fatalf("origin up = %v after the cut, want %v: the fault missed the exchange", c.Net.Up(1), !crash)
+					}
+					if d := c.Net.Stats().Sub(before); !crash && d.MsgsDropped != 8 {
+						t.Fatalf("%d requests dropped, want 8: the fault missed the exchange", d.MsgsDropped)
+					}
+
+					ino, err := pack2.GetInode(r.ID.Inode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ino.VV.Equal(oldIno.VV) || ino.Conflict {
+						t.Fatalf("interrupted pull disturbed the committed copy: vv=%v (want %v) conflict=%v", ino.VV, oldIno.VV, ino.Conflict)
+					}
+					committedBufs(t, c, 2, r.ID, oldData)
+					if findings := c.Fsck(false); len(findings) != 0 {
+						t.Fatalf("fsck after the interrupted pull: %v", findings)
+					}
+
+					if crash {
+						c.Restart(1)
+					}
+					settle(t, c)
+					committedBufs(t, c, 2, r.ID, newData)
+					if findings := c.Fsck(true); len(findings) != 0 {
+						t.Fatalf("fsck after the retried pull: %v", findings)
+					}
+				})
+			}
+		}
 	}
 }
 

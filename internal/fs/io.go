@@ -86,8 +86,8 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // The returned owned flag reports buffer ownership: a locally served
 // page is an exclusive pooled copy the caller must release with
 // storage.PutPageBuf once it has copied the bytes out; a remote or
-// cached page aliases an immutable shared buffer (readResp declares
-// netsim.ImmutablePayload) and must never be released.
+// cached page aliases an immutable shared buffer (see readResp) and must
+// never be released.
 //
 // An internal handle holds no lock, so a commit can land between its
 // open and a page read, or between two page reads, and a same-size
@@ -182,7 +182,7 @@ var zeroPage = make([]byte, storage.PageSize)
 // container's internal buffer is returned without copying; it is
 // immutable (shadow pages are never rewritten) and is protected from
 // pool recycling by the container's shared-page tracking, so it may be
-// shipped in an ImmutablePayload response and aliased by remote caches.
+// shipped in a readResp and aliased by remote caches.
 func (k *Kernel) localPage(id storage.FileID, pn storage.PageNo, incore bool, us SiteID, shared bool) ([]byte, int64, vclock.VV, error) {
 	c := k.container(id.FG)
 	if c == nil {

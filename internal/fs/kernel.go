@@ -231,14 +231,6 @@ type propTask struct {
 	// §2.2.1).
 	drop  bool
 	sites []SiteID
-	// staged maps origin physical page -> local shadow page already
-	// transferred for the source version stagedVV. A pull that fails
-	// mid-transfer parks its windows here so the retry resumes without
-	// re-sending them; the pages become durable when the final
-	// CommitInode references them, and are freed when the task dies or
-	// the source version moves on. Guarded by Kernel.mu.
-	staged   map[storage.PhysPage]storage.PhysPage
-	stagedVV vclock.VV
 }
 
 // Kernel is the filesystem half of one site's operating system.
@@ -285,10 +277,6 @@ type Kernel struct {
 	// late grant is declined instead of installing a lease the CSS no
 	// longer tracks.
 	leaseDropped map[storage.FileID]bool
-
-	// mail delivers system notification mail (wired by the recon
-	// layer); nil-safe.
-	mail func(user, subject, body string)
 
 	// cache is the using-site page cache of committed pages (§2.2.1).
 	cache *pageCache
@@ -396,15 +384,6 @@ func (k *Kernel) crashLocal() {
 	k.cssState = make(map[storage.FileID]*cssEntry)
 	k.leases = make(map[storage.FileID]*usLease)
 	k.leaseDropped = make(map[storage.FileID]bool)
-	// Shadow pages staged by interrupted pulls are durable but
-	// unreferenced; reclaim them the way a reboot-time fsck would, or
-	// they leak when the queue state dies with the crash.
-	for _, t := range k.pendingProp {
-		k.freeStagedLocked(t)
-	}
-	for _, t := range k.stalledProp {
-		k.freeStagedLocked(t)
-	}
 	k.pendingProp = make(map[storage.FileID]*propTask)
 	k.propQueue = nil
 	k.stalledProp = nil
@@ -423,23 +402,6 @@ func (k *Kernel) Config() *Config { return k.cfg }
 
 // Node returns the site's network attachment.
 func (k *Kernel) Node() *netsim.Node { return k.node }
-
-// SetMailer installs the delivery function for system notification
-// mail (conflict reports). A nil mailer discards mail.
-func (k *Kernel) SetMailer(f func(user, subject, body string)) {
-	k.mu.Lock()
-	k.mail = f
-	k.mu.Unlock()
-}
-
-func (k *Kernel) sendMail(user, subject, body string) {
-	k.mu.Lock()
-	f := k.mail
-	k.mu.Unlock()
-	if f != nil {
-		f(user, subject, body)
-	}
-}
 
 // SetPartition installs a new partition view (sorted copy). The
 // reconfiguration layer calls this after the partition/merge protocols

@@ -3,6 +3,7 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/lint/invariant"
@@ -193,97 +194,13 @@ func (k *Kernel) RequeueStalledPropagations() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for _, t := range k.stalledProp {
+		// A stalled task a fresh notification superseded is dropped.
 		if k.pendingProp[t.id] == nil {
 			k.pendingProp[t.id] = t
 			k.propQueue = append(k.propQueue, t.id)
-		} else {
-			// A fresh task superseded the stalled one; its resume state
-			// belongs to no pull anymore.
-			k.freeStagedLocked(t)
 		}
 	}
 	k.stalledProp = nil
-}
-
-// freeStagedLocked releases a task's staged resume pages. Caller holds
-// k.mu. Staged pages are never referenced by a committed inode (the
-// commit that would reference them clears the map first), so freeing
-// is always safe.
-func (k *Kernel) freeStagedLocked(t *propTask) {
-	if t == nil || len(t.staged) == 0 {
-		return
-	}
-	if c := k.container(t.id.FG); c != nil {
-		for _, pp := range t.staged {
-			c.FreePages(pp)
-		}
-	}
-	t.staged, t.stagedVV = nil, nil
-}
-
-// dropStaged discards the live task's resume state for id; free also
-// releases the pages (every path except the commit that just made them
-// referenced).
-func (k *Kernel) dropStaged(id storage.FileID, free bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	t := k.pendingProp[id]
-	if t == nil {
-		return
-	}
-	if free {
-		k.freeStagedLocked(t)
-	} else {
-		t.staged, t.stagedVV = nil, nil
-	}
-}
-
-// stagedFor returns a copy of the resume state usable for a pull of
-// source version vv: origin-phys -> local-phys transfers parked by an
-// earlier interrupted attempt. Staged pages for any other version are
-// stale — origin physical page ids are only meaningful within one
-// committed snapshot — and are freed on the spot.
-func (k *Kernel) stagedFor(id storage.FileID, vv vclock.VV) map[storage.PhysPage]storage.PhysPage {
-	k.mu.Lock()
-	t := k.pendingProp[id]
-	if t == nil || len(t.staged) == 0 {
-		k.mu.Unlock()
-		return nil
-	}
-	if !t.stagedVV.Equal(vv) {
-		k.freeStagedLocked(t)
-		k.mu.Unlock()
-		return nil
-	}
-	out := make(map[storage.PhysPage]storage.PhysPage, len(t.staged))
-	for from, to := range t.staged {
-		out[from] = to
-	}
-	k.mu.Unlock()
-	return out
-}
-
-// recordStaged parks one transferred page (origin phys from -> local
-// shadow page to) in the live task so an interrupted pull resumes
-// without re-sending it. If the task is gone (site crashed, task
-// superseded) the page is freed immediately: nothing references it.
-func (k *Kernel) recordStaged(id storage.FileID, vv vclock.VV, from, to storage.PhysPage, c *storage.Container) {
-	k.mu.Lock()
-	t := k.pendingProp[id]
-	if t == nil {
-		k.mu.Unlock()
-		c.FreePages(to)
-		return
-	}
-	if !t.stagedVV.Equal(vv) {
-		k.freeStagedLocked(t)
-	}
-	if t.staged == nil {
-		t.staged = make(map[storage.PhysPage]storage.PhysPage)
-		t.stagedVV = vv
-	}
-	t.staged[from] = to
-	k.mu.Unlock()
 }
 
 // pullFile propagates one file in from its origin: an internal open of
@@ -295,9 +212,9 @@ func (k *Kernel) recordStaged(id storage.FileID, vv vclock.VV, from, to storage.
 // With bulk pull (the default; Features.SerialPull turns it off) the
 // open piggybacks the first window of data pages and the rest arrive
 // PullWindow pages per fs.pullpages exchange, so a pull of K pages
-// costs 1+⌈(K−W)/W⌉ round trips instead of 1+K. Transferred pages are
-// staged on the live task as they land: an interrupted pull resumes
-// without re-sending them.
+// costs 1+⌈(K−W)/W⌉ round trips instead of 1+K. A pull that fails frees
+// the pages it adopted before it returns, so the old committed copy is
+// all a failure leaves, and the retry is a whole new pull.
 func (k *Kernel) pullFile(t *propTask) bool {
 	c := k.container(t.id.FG)
 	if c == nil {
@@ -308,15 +225,8 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	}
 
 	bulk := !k.Features().SerialPull
-	k.mu.Lock()
-	resuming := false
-	if live := k.pendingProp[t.id]; live != nil && len(live.staged) > 0 {
-		resuming = true
-	}
-	k.mu.Unlock()
-
 	req := &pullOpenReq{ID: t.id}
-	if bulk && !resuming {
+	if bulk {
 		req.Window = PullWindow
 		if t.pages != nil && c.HasInode(t.id.Inode) {
 			req.Need = uniquePages(t.pages)
@@ -331,11 +241,9 @@ func (k *Kernel) pullFile(t *propTask) bool {
 			// site and never stored it).
 			best, _, found := k.ProbeSummary(t.id)
 			if !found {
-				k.dropStaged(t.id, true)
 				return true
 			}
 			if !containsSite(best.Sites, k.site) && !c.HasInode(t.id.Inode) {
-				k.dropStaged(t.id, true)
 				return true
 			}
 			if best.Site != t.origin && best.Site != k.site {
@@ -346,9 +254,6 @@ func (k *Kernel) pullFile(t *propTask) bool {
 				k.mu.Lock()
 				if live := k.pendingProp[t.id]; live != nil && live.origin == old {
 					live.origin = best.Site
-					// Staged pages are keyed by the old origin's physical
-					// page ids; they mean nothing at the new origin.
-					k.freeStagedLocked(live)
 				}
 				k.mu.Unlock()
 			}
@@ -356,8 +261,9 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		return false
 	}
 	// The piggybacked pages are this site's now (the origin served
-	// copies): install adopts the ones the pull uses and clears their
-	// slots, and whatever is left on any way out goes back to the pool.
+	// copies): the page loop below takes the ones the pull uses out of
+	// their slots, and whatever is left on any way out goes back to the
+	// pool.
 	defer putPageBufs(por.First)
 	src := por.Ino
 	if src == nil {
@@ -368,13 +274,11 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	// list; if we hold a copy but fell off the list, retire instead.
 	if !containsSite(src.Sites, k.site) {
 		if !c.HasInode(t.id.Inode) {
-			k.dropStaged(t.id, true)
 			return true
 		}
 		t.drop = true
 		t.sites = append([]SiteID(nil), src.Sites...)
 		t.vv = src.VV
-		k.dropStaged(t.id, true)
 		return k.retireReplica(c, t)
 	}
 
@@ -385,7 +289,6 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	if stores {
 		switch src.VV.Compare(cur.VV) {
 		case vclock.Equal, vclock.Dominated:
-			k.dropStaged(t.id, true)
 			return true // already current
 		case vclock.Concurrent:
 			// Divergent copies: this is a merge-time conflict; mark the
@@ -400,7 +303,6 @@ func (k *Kernel) pullFile(t *propTask) bool {
 			if err := c.CommitInode(local); err != nil {
 				return false
 			}
-			k.dropStaged(t.id, true)
 			return true
 		}
 	}
@@ -420,7 +322,6 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		if err := c.CommitInode(tomb); err != nil {
 			return false
 		}
-		k.dropStaged(t.id, true)
 		return true
 	}
 
@@ -440,107 +341,97 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		}
 		localPages = local.Pages
 	}
-	// Resume state from earlier interrupted attempts at this exact
-	// source version, plus the window piggybacked on the open (by index
-	// into por.First; a slot is nil once its page is installed).
-	staged := k.stagedFor(t.id, src.VV)
-	prefetched := make(map[storage.PhysPage]int, len(por.First))
-	for i, pp := range por.FirstPhys {
-		if i < len(por.First) {
-			prefetched[pp] = i
-		}
-	}
 
 	newIno := src.Clone()
 	newIno.Pages = make([]storage.PhysPage, len(src.Pages))
-	// install renames one arrived page to local secondary storage
-	// ("when each page arrives, the buffer that contains it is renamed
-	// and sent out to secondary storage": the container adopts the
-	// buffer, nothing is copied) and stages it for resume. A buffer it
-	// refuses is not a page, so there is nothing to give back.
-	install := func(i int, data []byte) bool {
-		pp, err := c.AdoptPage(data)
-		if err != nil {
-			return false
-		}
-		newIno.Pages[i] = pp
-		k.recordStaged(t.id, src.VV, src.Pages[i], pp, c)
-		return true
-	}
-	var fetch []int // logical page indexes still to transfer
-	for i := range src.Pages {
-		pn := storage.PageNo(i)
+	// The pages to transfer arrive in batches (idx: their logical
+	// indexes, data: their buffers), each installed before the next is
+	// asked for: first those the open piggybacked, then one batch per
+	// exchange for the rest (fetch).
+	var firstIdx [PullWindow]int
+	var firstData [PullWindow][]byte
+	idx, data := firstIdx[:0], firstData[:0]
+	var fetch []int
+	for i, phys := range src.Pages {
 		switch {
-		case src.Pages[i] == storage.PhysPageNil:
-			newIno.Pages[i] = storage.PhysPageNil
-		case !pullAll && !need[pn] && i < len(localPages) && localPages[i] != storage.PhysPageNil:
+		case phys == storage.PhysPageNil:
+			// A hole.
+		case !pullAll && !need[storage.PageNo(i)] && i < len(localPages) && localPages[i] != storage.PhysPageNil:
 			// Unchanged page: keep the local physical page.
 			newIno.Pages[i] = localPages[i]
-		case staged[src.Pages[i]] != storage.PhysPageNil:
-			// Already transferred by an interrupted attempt.
-			newIno.Pages[i] = staged[src.Pages[i]]
 		default:
-			if j, ok := prefetched[src.Pages[i]]; ok && por.First[j] != nil {
-				data := por.First[j]
+			if j := slices.Index(por.FirstPhys, phys); j >= 0 && j < len(por.First) && por.First[j] != nil {
+				idx, data = append(idx, i), append(data, por.First[j])
 				por.First[j] = nil
-				if !install(i, data) {
-					return false
-				}
-				continue
+			} else {
+				fetch = append(fetch, i)
 			}
-			fetch = append(fetch, i)
 		}
 	}
-
-	if bulk {
-		// Windowed transfer: up to PullWindow pages per exchange.
-		for len(fetch) > 0 {
-			w := len(fetch)
-			if w > PullWindow {
-				w = PullWindow
-			}
-			win := fetch[:w]
-			fetch = fetch[w:]
-			preq := &pullPagesReq{FG: t.id.FG, Phys: make([]storage.PhysPage, 0, w)}
-			for _, i := range win {
-				preq.Phys = append(preq.Phys, src.Pages[i])
-			}
-			pr, err := netsim.Call(k.node, t.origin, mPullPages, preq)
+	// adopted lists the pages installed so far. They are this pull's
+	// until the commit references them, and every failure frees them.
+	adopted := make([]storage.PhysPage, 0, len(idx)+len(fetch))
+	for {
+		// The container adopts each arrived buffer as the new page ("when
+		// each page arrives, the buffer that contains it is renamed and
+		// sent out to secondary storage"): nothing is copied.
+		for j, buf := range data {
+			pp, err := c.AdoptPage(buf)
 			if err != nil {
+				// A refused buffer is not a page; the rest go back.
+				putPageBufs(data[j+1:])
+				c.FreePages(adopted...)
 				return false
 			}
-			// The window's pages are ours: each is installed or, once
-			// the pull has failed, handed back.
-			ok := len(pr.Pages) == len(win)
-			for j, data := range pr.Pages {
-				if ok {
-					ok = install(win[j], data)
-				} else {
-					storage.PutPageBuf(data)
-				}
-			}
-			if !ok {
-				return false
-			}
+			newIno.Pages[idx[j]] = pp
+			adopted = append(adopted, pp)
 		}
-	} else {
-		for _, i := range fetch {
-			// Read the immutable physical page from the origin snapshot,
-			// one two-message exchange per page (the pre-bulk protocol,
-			// kept pinnable behind Features.SerialPull).
-			rp, err := netsim.Call(k.node, t.origin, mReadPhys, &readPhysReq{FG: t.id.FG, Phys: src.Pages[i]})
-			if err != nil || !install(i, rp.Data) {
-				return false
-			}
+		if len(fetch) == 0 {
+			break
+		}
+		w := 1
+		if bulk {
+			w = min(len(fetch), PullWindow)
+		}
+		idx, fetch = fetch[:w], fetch[w:]
+		if data, err = k.pullBatch(t, src, idx, bulk); err != nil {
+			c.FreePages(adopted...)
+			return false
 		}
 	}
 	if err := c.CommitInode(newIno); err != nil {
+		c.FreePages(adopted...)
 		return false
 	}
-	// The commit made the staged pages referenced; clear the resume
-	// state without freeing them.
-	k.dropStaged(t.id, false)
 	return true
+}
+
+// pullBatch transfers the pages of snapshot src at logical indexes idx
+// from t's origin: one fs.pullpages exchange of up to PullWindow pages,
+// or with bulk off one fs.readphys exchange for a single page (the
+// pre-bulk protocol, kept pinnable behind Features.SerialPull). The
+// caller owns the buffers returned.
+func (k *Kernel) pullBatch(t *propTask, src *storage.Inode, idx []int, bulk bool) ([][]byte, error) {
+	if !bulk {
+		rp, err := netsim.Call(k.node, t.origin, mReadPhys, &readPhysReq{FG: t.id.FG, Phys: src.Pages[idx[0]]})
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{rp.Data}, nil
+	}
+	req := &pullPagesReq{FG: t.id.FG, Phys: make([]storage.PhysPage, 0, len(idx))}
+	for _, i := range idx {
+		req.Phys = append(req.Phys, src.Pages[i])
+	}
+	pr, err := netsim.Call(k.node, t.origin, mPullPages, req)
+	if err != nil {
+		return nil, err
+	}
+	if len(pr.Pages) != len(idx) {
+		putPageBufs(pr.Pages)
+		return nil, fmt.Errorf("fs: pull window of %d pages answered with %d", len(idx), len(pr.Pages))
+	}
+	return pr.Pages, nil
 }
 
 // putPageBufs returns page buffers the caller owns to the pool; nil

@@ -6,16 +6,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// The page-carrying responses declare to the transport that nobody
-// writes their buffers after the send. A read response aliases committed
-// storage buffers (zero-copy); a pull response carries copies made for
-// it, which pass to the receiver.
-var (
-	_ netsim.ImmutablePayload = (*readResp)(nil)
-	_ netsim.ImmutablePayload = (*pullOpenResp)(nil)
-	_ netsim.ImmutablePayload = (*pullPagesResp)(nil)
-)
-
 // The kernel-to-kernel messages. The protocols are the paper's
 // specialized exchanges (§2.3.3–§2.3.7): no general-purpose RPC layers,
 // no extra acknowledgements. Each message is declared once, beside its
@@ -116,6 +106,12 @@ type readReq struct {
 	Hint int
 }
 
+// readResp carries pages by reference, never copied. From handleRead,
+// Data and Extra alias the storage site's committed page buffers, which
+// shadow paging never rewrites and the shared-page tracking never
+// recycles: the US page cache may retain them without copying, and must
+// never Put them. From handleReadPhys, Data is a pooled copy the
+// response owns: the receiver adopts it or Puts it.
 type readResp struct {
 	Data []byte
 	Size int64 // current file size at the SS
@@ -135,15 +131,6 @@ func (r *readResp) WireSize() int {
 	}
 	return n
 }
-
-// ImmutablePayload declares the zero-copy handoff contract
-// (netsim.ImmutablePayload): from handleRead, Data and Extra alias the
-// storage site's committed page buffers, which shadow paging never
-// rewrites and the shared-page tracking never recycles, so the US page
-// cache may retain them without copying (and must never Put them). From
-// handleReadPhys, Data is a pooled copy the response owns: the receiver
-// adopts it or Puts it.
-func (r *readResp) ImmutablePayload() {}
 
 // mWrite is US → SS (one-way): "Write logical page x in file y", with
 // absolute page content.
@@ -376,9 +363,8 @@ type pullOpenReq struct {
 	// Window asks the origin to piggyback the first min(Window,
 	// PullWindow) data pages of the snapshot on the response — the bulk
 	// fast path, which collapses the first pull round trip into the
-	// open itself. Zero means inode only: the legacy per-page protocol,
-	// internal refreshes, and pull resumes (which must not re-transfer
-	// pages already staged at the puller).
+	// open itself. Zero means inode only: the per-page protocol of
+	// Features.SerialPull.
 	Window int
 	// Need optionally restricts the piggybacked window to these logical
 	// pages (the commit notification's modified-page list); nil means
@@ -387,6 +373,14 @@ type pullOpenReq struct {
 	Need []storage.PageNo
 }
 
+// pullOpenResp's First holds pooled copies of the origin's committed
+// pages, made for this response, which owns them; the origin keeps no
+// reference and never writes them. The receiver owns them from delivery:
+// the puller's container adopts each page it installs
+// (storage.Container.AdoptPage) and the rest go back with
+// storage.PutPageBuf. That needs every delivered response to be a fresh
+// one: fs.pullopen must stay out of the at-most-once class, whose dedup
+// window replays a cached reply (TestMethodTable).
 type pullOpenResp struct {
 	// Ino is the origin's committed inode itself, physical page table
 	// included: frozen (storage.Inode), so the puller reads it in place
@@ -413,16 +407,6 @@ func (r *pullOpenResp) WireSize() int {
 	return n
 }
 
-// ImmutablePayload: First holds pooled copies of the origin's committed
-// pages, made for this response, which owns them; the origin keeps no
-// reference and never writes them. The receiver owns them from
-// delivery: the puller's container adopts each page it installs
-// (storage.Container.AdoptPage) and the rest go back with
-// storage.PutPageBuf. That needs every delivered response to be a fresh
-// one: fs.pullopen must stay out of the at-most-once class, whose
-// dedup window replays a cached reply (TestMethodTable).
-func (r *pullOpenResp) ImmutablePayload() {}
-
 // mReadPhys is puller → origin: read an immutable physical page of
 // the snapshot (shadow paging makes this torn-write-free).
 var mReadPhys = netsim.Method[readPhysReq, readResp]{Name: "fs.readphys"}
@@ -444,6 +428,8 @@ type pullPagesReq struct {
 	Phys []storage.PhysPage
 }
 
+// pullPagesResp's Pages are pooled copies the response owns and the
+// receiver adopts or Puts, as pullOpenResp's First.
 type pullPagesResp struct {
 	// Pages[i] holds the contents of request page Phys[i].
 	Pages [][]byte
@@ -457,10 +443,6 @@ func (r *pullPagesResp) WireSize() int {
 	}
 	return n
 }
-
-// ImmutablePayload: Pages holds pooled copies the response owns and the
-// receiver adopts or Puts (see pullOpenResp.ImmutablePayload).
-func (r *pullPagesResp) ImmutablePayload() {}
 
 // mSetAttr is US → SS (one-way): descriptive inode change, absolute
 // values.

@@ -295,11 +295,12 @@ func (p *pullOnce) pull(tb testing.TB) {
 }
 
 // TestPullAllocations pins what one settled 4-page pull allocates at
-// the puller and, in the handler it calls, at the origin: 16
-// allocations where the parent of this change made 18 (the origin's
-// handler cloned GetInode's copy, the puller cloned its local inode to
-// read the version). No page buffer is among them on either side of
-// the change — what the hand-off saves is the buffer the origin's next
+// the puller and, in the handler it calls, at the origin: 14
+// allocations. It was 18 while the origin's handler cloned GetInode's
+// copy and the puller cloned its local inode to read the version, and 15
+// while the puller recorded every page it installed in a map on its
+// queued task, so that a failed pull could resume. No page buffer is
+// among them — what the hand-off saves is the buffer the origin's next
 // write could not get back, which is TestPoolReachesSteadyState's
 // business. testing.AllocsPerRun cannot leave the rewrite that sets a
 // pull up out of its count, so the runs are counted by hand.
@@ -321,8 +322,8 @@ func TestPullAllocations(t *testing.T) {
 	}
 	// Whole allocations per run, as testing.AllocsPerRun reports them: a
 	// stray one in fifty runs (a map that grows) is not the pull's.
-	if got := mallocs / runs; got > 16 {
-		t.Errorf("one settled 4-page pull makes %d allocations, want at most 16", got)
+	if got := mallocs / runs; got > 14 {
+		t.Errorf("one settled 4-page pull makes %d allocations, want at most 14", got)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // PageLeakAnalyzer proves that every storage allocation — a shadow page
-// from Container.WritePage, a reserved inode number from
+// from Container.WritePage or AdoptPage, a reserved inode number from
 // Container.AllocInode — reaches a release, commit, or stage on every
 // path out of the allocating function.
 //
@@ -17,8 +17,8 @@ import (
 // analyzer finds the `return err` that skips the free. The bug class is
 // real here — a page written into a shadow inode that is never
 // committed or freed is invisible to every replica and survives until
-// the next garbage collection, and the propagation task-death paths in
-// prop.go are exactly where such early returns accumulate.
+// the next garbage collection, and a propagation pull's failure returns
+// in prop.go are exactly where such early returns accumulate.
 //
 // The analysis runs on the CFG (cfg.go) as a forward may-analysis:
 //
@@ -36,10 +36,10 @@ import (
 //     the classic loop shape honest: pages appended to a fresh inode's
 //     page list still leak if a later iteration fails.
 //   - kill: passing any alias as a call argument (FreePages,
-//     CommitInode, recordStaged, any helper), returning it, storing it
-//     into a root the function does not own (the in-core inode, a
-//     receiver field), sending it, or capturing it in a function
-//     literal all transfer responsibility elsewhere.
+//     CommitInode, any helper: the callee is trusted with it),
+//     returning it, storing it into a root the function does not own
+//     (the in-core inode, a receiver field), sending it, or capturing
+//     it in a function literal all transfer responsibility elsewhere.
 //   - report: a fact still live at function exit — after applying
 //     deferred calls — leaks on some path; the finding points at the
 //     allocation.

@@ -127,14 +127,16 @@ func badLoopAbandons(c *Container, chunks [][]byte) error {
 	return c.CommitInode(ino)
 }
 
-// okAdoptStages hands the adopted page to a helper (a pull's
-// recordStaged), which takes over responsibility for it.
-func okAdoptStages(c *Container, arrived []byte, stage func(PhysPage)) error {
+// okAdoptHandsOff hands the adopted page to a callee, which takes over
+// responsibility for it: the analysis does not look inside. Here the
+// callee is a function value; in fs.pullFile it is Container.FreePages,
+// which a failed transfer hands every page the pull adopted.
+func okAdoptHandsOff(c *Container, arrived []byte, release func(...PhysPage)) error {
 	pp, err := c.AdoptPage(arrived)
 	if err != nil {
 		return err
 	}
-	stage(pp)
+	release(pp)
 	return nil
 }
 

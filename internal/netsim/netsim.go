@@ -83,31 +83,15 @@ var (
 )
 
 // Handler services one inbound message. from is the requesting site.
-// For Cast messages the returned value is discarded.
+// For Cast messages the returned value is discarded. Payloads and
+// replies cross by reference, never copied: who may keep or write the
+// buffers a message carries is part of that message type's contract.
 type Handler func(from SiteID, payload any) (any, error)
 
 // Sizer lets a payload report its approximate wire size in bytes for
 // byte accounting. Payloads that do not implement Sizer are charged
 // defaultWireSize.
 type Sizer interface{ WireSize() int }
-
-// ImmutablePayload marks a payload (request, cast, or response) whose
-// referenced buffers will never be mutated after the send. The
-// simulated network passes payloads by reference; by default a careful
-// receiver must therefore copy any []byte it wants to retain, in case
-// the sender reuses the buffer. A payload declaring ImmutablePayload
-// waives that: the receiver may alias its buffers indefinitely without
-// copying (zero-copy handoff). Senders must guarantee the buffers are
-// frozen. In this codebase there are two ways. A read response
-// (fs.read) aliases committed page buffers: the shadow-page rule
-// (committed page buffers are never rewritten) plus the storage
-// layer's shared-page tracking (a buffer served zero-copy is never
-// recycled through the page pool) freeze them. A propagation-pull
-// response (fs.pullopen, fs.pullpages, fs.readphys) aliases nothing:
-// its pages are copies made for it, the sender keeps no reference, and
-// the receiver becomes their owner — which holds only because those
-// methods are not at-most-once, so no cached reply is delivered twice.
-type ImmutablePayload interface{ ImmutablePayload() }
 
 const (
 	defaultWireSize = 200 // bytes charged for an unsized payload

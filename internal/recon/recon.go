@@ -71,14 +71,9 @@ type Reconciler struct {
 
 type queuedMail struct{ user, from, body string }
 
-// New creates a reconciler bound to a kernel and installs the kernel's
-// conflict-mail hook to deliver into LOCUS mailboxes.
+// New creates a reconciler bound to a kernel.
 func New(k *fs.Kernel) *Reconciler {
-	r := &Reconciler{k: k, managers: make(map[storage.FileType]MergeManager)}
-	k.SetMailer(func(user, subject, body string) {
-		r.queueMail(user, "locus-recovery", subject+"\n"+body)
-	})
-	return r
+	return &Reconciler{k: k, managers: make(map[storage.FileType]MergeManager)}
 }
 
 // queueMail defers a notification until the current reconciliation pass
