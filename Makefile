@@ -43,12 +43,12 @@ invariants:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# benchonce runs every benchmark of the four layer packages that have
-# them for one iteration, tests skipped: a benchmark is compiled by `go
-# test` but never run, so one that panics or fails on its set-up rots
-# unnoticed until somebody needs its number (about 2 s).
+# benchonce runs every benchmark of every package for one iteration,
+# tests skipped: a benchmark is compiled by `go test` but never run, so
+# one that panics or fails on its set-up rots unnoticed until somebody
+# needs its number (about 2 s).
 benchonce:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/netsim ./internal/format ./internal/storage ./internal/fs
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # benchsmoke is the cheap CI gate: runs the cache/readahead experiment
 # (E11) end to end and validates the BENCH_locus.json encoding.

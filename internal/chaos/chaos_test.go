@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fs"
@@ -124,8 +125,17 @@ func TestChaosLeaseSeeds(t *testing.T) {
 // migration, and nested transactions interleave with the same topology
 // schedule, and the §5.6 failure-action checker must find every
 // prescribed outcome delivered (error to caller, EOF not hang,
-// exactly-once abort, queued-signal replay).
+// exactly-once abort, queued-signal replay). Every seed must also move
+// bytes through a pipe — write, read, drain to EOF — and some seed must
+// drain a reader to EOF after its writer's site was lost.
 func TestChaosProcSeeds(t *testing.T) {
+	var mu sync.Mutex
+	eofProbes := 0
+	t.Cleanup(func() {
+		if eofProbes == 0 && !t.Failed() {
+			t.Errorf("no seed of %v probed a pipe reader after its writer's site was lost", chaosSeeds)
+		}
+	})
 	for _, seed := range chaosSeeds {
 		seed := seed
 		t.Run(fmtSeed(seed), func(t *testing.T) {
@@ -137,15 +147,32 @@ func TestChaosProcSeeds(t *testing.T) {
 			if len(res.Violations) != 0 {
 				reportFailure(t, "§5.6 checker violated", res)
 			}
-			procOps := 0
+			procOps, eofs := 0, 0
+			pipeOps := map[string]int{"proc pipe-write ": 0, "proc pipe-read ": 0, "proc pipe-drain ": 0}
 			for _, line := range res.Schedule {
 				if strings.HasPrefix(line, "proc ") {
 					procOps++
+				}
+				if strings.HasPrefix(line, "proc probe pipe-eof ") {
+					eofs++
+				}
+				for op := range pipeOps {
+					if strings.HasPrefix(line, op) {
+						pipeOps[op]++
+					}
 				}
 			}
 			if procOps == 0 {
 				t.Errorf("seed %d ran no process-plane ops; the schedule never exercised the §5.6 checker", seed)
 			}
+			for op, n := range pipeOps {
+				if n == 0 {
+					t.Errorf("seed %d logged no %q; the schedule never moved bytes through a pipe that way", seed, strings.TrimSpace(op))
+				}
+			}
+			mu.Lock()
+			eofProbes += eofs
+			mu.Unlock()
 		})
 	}
 }

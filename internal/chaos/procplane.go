@@ -334,8 +334,10 @@ func (p *procPlane) opMigrate() {
 	}
 }
 
-// opPipe exercises the live named pipes: create, write, model-checked
-// read, or drain-and-close.
+// opPipe exercises the named pipes: with none live it creates one (on a
+// connected cluster; a fault burst may be on) and moves its first bytes
+// through it, otherwise it writes, model-checks a read of, or drains and
+// closes a live one.
 func (p *procPlane) opPipe() {
 	r := p.r
 	var live []*pipeRec
@@ -345,8 +347,11 @@ func (p *procPlane) opPipe() {
 		}
 	}
 	if len(live) == 0 {
-		if !r.disturbed() {
-			p.pipeCreate()
+		if !r.parted && len(r.down) == 0 {
+			if pr := p.pipeCreate(); pr != nil {
+				p.pipeWrite(pr)
+				p.pipeRead(pr)
+			}
 		}
 		return
 	}
@@ -361,22 +366,28 @@ func (p *procPlane) opPipe() {
 	}
 }
 
-func (p *procPlane) pipeCreate() {
+// pipeCreate makes a fifo and opens its two ends at two different
+// random sites; it returns the new pipe, or nil when that failed.
+func (p *procPlane) pipeCreate() *pipeRec {
 	r := p.r
 	up := r.upSites()
 	if len(up) == 0 {
-		return
+		return nil
 	}
 	p.nextPipe++
 	path := fmt.Sprintf("/pipe%d", p.nextPipe)
 	se := p.shells[up[r.rng.Intn(len(up))]]
 	if err := se.Mkfifo(path); err != nil {
 		r.log("proc mkfifo %s: %s", path, errClass(err))
-		return
+		return nil
 	}
 	r.c.Settle() // let the fifo inode replicate before opening elsewhere
-	wSite := up[r.rng.Intn(len(up))]
-	rSite := up[r.rng.Intn(len(up))]
+	wi := r.rng.Intn(len(up))
+	ri := wi
+	if len(up) > 1 {
+		ri = (wi + 1 + r.rng.Intn(len(up)-1)) % len(up)
+	}
+	wSite, rSite := up[wi], up[ri]
 	w, err := p.shells[wSite].OpenPipe(path, true)
 	if err != nil {
 		r.log("proc pipe-open-w %s at %d: %s", path, wSite, errClass(err))
@@ -386,7 +397,7 @@ func (p *procPlane) pipeCreate() {
 		if !r.strandRisk {
 			r.violate("opening pipe writer %s at site %d on a clean network: %v", path, wSite, err)
 		}
-		return
+		return nil
 	}
 	rd, err := p.shells[rSite].OpenPipe(path, false)
 	if err != nil {
@@ -395,12 +406,12 @@ func (p *procPlane) pipeCreate() {
 			r.violate("opening pipe reader %s at site %d on a clean network: %v", path, rSite, err)
 		}
 		w.Close() // error unchecked by design: abandoning half-open pipe
-		return
+		return nil
 	}
-	p.pipes = append(p.pipes, &pipeRec{
-		path: path, server: w.Server(), wSite: wSite, rSite: rSite, w: w, rd: rd,
-	})
+	pr := &pipeRec{path: path, server: w.Server(), wSite: wSite, rSite: rSite, w: w, rd: rd}
+	p.pipes = append(p.pipes, pr)
 	r.log("proc pipe %s server=%d w=%d r=%d", path, w.Server(), wSite, rSite)
+	return pr
 }
 
 func (p *procPlane) pipeWrite(pr *pipeRec) {
@@ -425,14 +436,15 @@ func (p *procPlane) pipeWrite(pr *pipeRec) {
 
 // pipeRead reads only when the model knows bytes are buffered at the
 // server, so it can never block inside the RPC handler; the bytes must
-// match what was written, in order.
+// match what was written, in order. It asks for a random share of them,
+// so a pipe can hold bytes when its writer's site is lost.
 func (p *procPlane) pipeRead(pr *pipeRec) {
 	r := p.r
 	avail := len(pr.wrote) - pr.readPos
 	if avail == 0 {
 		return
 	}
-	data, err := pr.rd.Read(avail)
+	data, err := pr.rd.Read(1 + r.rng.Intn(avail))
 	r.log("proc pipe-read %s %d bytes: %s", pr.path, len(data), errClass(err))
 	if err == nil {
 		want := pr.wrote[pr.readPos : pr.readPos+len(data)]
@@ -687,9 +699,12 @@ func (p *procPlane) probePipe(pr *pipeRec) {
 	r := p.r
 	wLost := !r.reachable(pr.wSite, pr.server) || r.down[pr.wSite]
 	rLost := !r.reachable(pr.rSite, pr.server) || r.down[pr.rSite]
-	serverLostW := !r.reachable(pr.wSite, pr.server)
+	if !wLost && !rLost {
+		return
+	}
+	pr.dead = true
 	switch {
-	case serverLostW && !r.down[pr.wSite]:
+	case wLost && !r.down[pr.wSite]:
 		// The buffer's site is gone from the writer's view: the next
 		// write must fail typed, not hang.
 		err := pr.w.Write([]byte("probe"))
@@ -697,12 +712,6 @@ func (p *procPlane) probePipe(pr *pipeRec) {
 		if err == nil || !errors.Is(err, proc.ErrSiteFailed) && !errors.Is(err, proc.ErrPipeBroken) {
 			r.violate("pipe write %s after server site lost returned %v; want ErrSiteFailed", pr.path, err)
 		}
-		pr.dead = true
-	case wLost && !rLost:
-		// Writer's site lost, reader fine: §5.6 requires the reader to
-		// see everything buffered and then EOF — never a hang.
-		p.probeReaderEOF(pr)
-		pr.dead = true
 	case rLost && !wLost:
 		// Reader's site lost, writer fine: the next write must report
 		// the pipe broken.
@@ -711,9 +720,12 @@ func (p *procPlane) probePipe(pr *pipeRec) {
 		if !errors.Is(err, proc.ErrPipeBroken) && !errors.Is(err, proc.ErrSiteFailed) {
 			r.violate("pipe write %s after reader site lost returned %v; want ErrPipeBroken", pr.path, err)
 		}
-		pr.dead = true
-	case wLost && rLost:
-		pr.dead = true
+	}
+	if wLost && !rLost {
+		// The writer's end is gone from the server — its site crashed or
+		// was cut off — and the reader's is not: §5.6 requires the reader
+		// to see everything buffered and then EOF, never a hang.
+		p.probeReaderEOF(pr)
 	}
 }
 
@@ -847,6 +859,18 @@ func (p *procPlane) finish() {
 		}
 	}
 	r.log("proc finish waits=%d", len(waits))
+	// The normal pipe rows on the healed network: one pipe made now, and
+	// every pipe the schedule left open, must carry bytes and, closed by
+	// the writer, deliver every byte written, then EOF.
+	if pr := p.pipeCreate(); pr != nil {
+		p.pipeWrite(pr)
+		p.pipeRead(pr)
+	}
+	for _, pr := range p.pipes {
+		if !pr.dead {
+			p.pipeDrainClose(pr)
+		}
+	}
 	// Commit whatever transactions are still open (their locks would
 	// otherwise hold the workload's files hostage), then assert the
 	// transaction tables and signal queues drained everywhere.

@@ -124,19 +124,7 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 	for _, id := range sortedFileIDs(k.ssState) {
 		sv := k.ssState[id]
 		if sv.writerUS != vclock.NoSite && !in[sv.writerUS] {
-			var freed []storage.PhysPage
-			if sv.incore != nil {
-				for _, pp := range sv.incore.Pages {
-					if pp != storage.PhysPageNil && !sv.committedPages[pp] {
-						freed = append(freed, pp)
-					}
-				}
-			}
-			sv.writerUS = vclock.NoSite
-			sv.incore = nil
-			sv.committedPages = nil
-			sv.dirty = nil
-			drops = append(drops, drop{id: id, pages: freed})
+			drops = append(drops, drop{id: id, pages: sv.dropWriter()})
 			rep.ServesDiscarded++
 		}
 		for _, us := range sortedSiteIDs(sv.readers) {
@@ -145,7 +133,7 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 				rep.ServesDiscarded++
 			}
 		}
-		if sv.writerUS == vclock.NoSite && len(sv.readers) == 0 {
+		if sv.idle() {
 			delete(k.ssState, id)
 		}
 	}
@@ -198,9 +186,7 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 	k.mu.Unlock()
 
 	for _, d := range drops {
-		if c := k.container(d.id.FG); c != nil && len(d.pages) > 0 {
-			c.FreePages(d.pages...)
-		}
+		k.freeShadow(d.id.FG, d.pages)
 	}
 	return rep
 }
@@ -229,32 +215,6 @@ func sortedSiteIDs[V any](m map[SiteID]V) []SiteID {
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
 	return sites
-}
-
-// cssOfLocked is CSSOf without taking k.mu (caller holds it).
-func (k *Kernel) cssOfLocked(fg storage.FilegroupID) (SiteID, error) {
-	d, ok := k.cfg.FG(fg)
-	if !ok {
-		return 0, ErrNoCSS
-	}
-	inPart := func(s SiteID) bool {
-		for _, x := range k.partition {
-			if x == s {
-				return true
-			}
-		}
-		return false
-	}
-	var best SiteID
-	for _, p := range d.Packs {
-		if inPart(p.Site) && (best == 0 || p.Site < best) {
-			best = p.Site
-		}
-	}
-	if best == 0 {
-		return 0, ErrNoCSS
-	}
-	return best, nil
 }
 
 // reopenElsewhere tries to substitute another storage site holding the

@@ -532,12 +532,7 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 	}
 	if req.Abort {
 		// Free shadow pages; keep serving state for further writes.
-		var drop []storage.PhysPage
-		for _, pp := range sv.incore.Pages {
-			if pp != storage.PhysPageNil && !sv.committedPages[pp] {
-				drop = append(drop, pp)
-			}
-		}
+		drop := sv.shadowPages()
 		k.mu.Unlock()
 		c.FreePages(drop...)
 		ino, err := c.GetInode(req.ID.Inode)
@@ -673,17 +668,7 @@ func (k *Kernel) handleClose(from SiteID, req *closeReq) (*netsim.Ack, error) {
 		if req.Mode == ModeModify && sv.writerUS == from && sv.writerSerial == req.Serial {
 			// Uncommitted changes at close are discarded (the US
 			// commits before closing in the normal path).
-			if sv.incore != nil {
-				for _, pp := range sv.incore.Pages {
-					if pp != storage.PhysPageNil && !sv.committedPages[pp] {
-						freed = append(freed, pp)
-					}
-				}
-			}
-			sv.writerUS = vclock.NoSite
-			sv.incore = nil
-			sv.committedPages = nil
-			sv.dirty = nil
+			freed = sv.dropWriter()
 		} else if req.Mode == ModeRead {
 			if sv.readers[from] > 1 {
 				sv.readers[from]--
@@ -691,16 +676,12 @@ func (k *Kernel) handleClose(from SiteID, req *closeReq) (*netsim.Ack, error) {
 				delete(sv.readers, from)
 			}
 		}
-		if sv.writerUS == vclock.NoSite && len(sv.readers) == 0 {
+		if sv.idle() {
 			delete(k.ssState, req.ID)
 		}
 	}
 	k.mu.Unlock()
-	if len(freed) > 0 {
-		if c := k.container(req.ID.FG); c != nil {
-			c.FreePages(freed...)
-		}
-	}
+	k.freeShadow(req.ID.FG, freed)
 
 	// Tell the CSS so it can deallocate in-core state and update
 	// synchronization information; we respond to the US only after the
@@ -731,12 +712,7 @@ func (k *Kernel) handleSSClose(_ SiteID, req *ssCloseReq) (*netsim.Ack, error) {
 	// Absorb the closing SS's version knowledge before releasing any
 	// lock, so the next open synchronizes against the new version even
 	// if the commit notification cast is still in flight.
-	if req.VV != nil && req.VV.Compare(e.latestVV) == vclock.Dominates {
-		e.latestVV = req.VV
-		if req.Sites != nil {
-			e.sites = append([]SiteID(nil), req.Sites...)
-		}
-	}
+	e.absorb(req.VV, req.Sites)
 	if req.Mode == ModeModify {
 		e.releaseWriter(req.US, req.Serial)
 	} else if req.Mode == ModeRead {

@@ -176,6 +176,47 @@ type ssServe struct {
 	readers        map[SiteID]int // US -> open count being served
 }
 
+// shadowPages returns the writer's uncommitted pages: those of the
+// in-core inode that the committed page table does not hold. Caller
+// holds k.mu.
+func (sv *ssServe) shadowPages() []storage.PhysPage {
+	if sv.incore == nil {
+		return nil
+	}
+	var out []storage.PhysPage
+	for _, pp := range sv.incore.Pages {
+		if pp != storage.PhysPageNil && !sv.committedPages[pp] {
+			out = append(out, pp)
+		}
+	}
+	return out
+}
+
+// dropWriter ends the writer's session at this storage site, discarding
+// its uncommitted changes, and returns the shadow pages for the caller to
+// free once k.mu is released. Every path that releases a writer's
+// serving state — close, lock-table validation's revoke, §5.6 cleanup —
+// goes through here. Caller holds k.mu.
+func (sv *ssServe) dropWriter() []storage.PhysPage {
+	pages := sv.shadowPages()
+	sv.writerUS = vclock.NoSite
+	sv.incore = nil
+	sv.committedPages = nil
+	sv.dirty = nil
+	return pages
+}
+
+// idle reports whether the entry serves nobody any more and can go.
+func (sv *ssServe) idle() bool { return sv.writerUS == vclock.NoSite && len(sv.readers) == 0 }
+
+// freeShadow frees shadow pages a dropWriter or an abort returned, with
+// k.mu released.
+func (k *Kernel) freeShadow(fg storage.FilegroupID, pages []storage.PhysPage) {
+	if c := k.container(fg); c != nil && len(pages) > 0 {
+		c.FreePages(pages...)
+	}
+}
+
 // cssEntry is CSS-side synchronization state for one file: the lock
 // table entry rebuilt on reconfiguration (§5.6).
 type cssEntry struct {
@@ -213,6 +254,19 @@ func (e *cssEntry) releaseWriter(us SiteID, serial uint64) {
 	if e.writerUS == us && e.writerSerial == serial {
 		e.writerUS = vclock.NoSite
 		e.writerSS = vclock.NoSite
+	}
+}
+
+// absorb records vv as the latest version when it is newer than the one
+// the entry knows, with sites, when given, as its storage sites (a copy:
+// the entry's list is replaced whole, never edited). Caller holds k.mu.
+func (e *cssEntry) absorb(vv vclock.VV, sites []SiteID) {
+	if vv.Compare(e.latestVV) != vclock.Dominates {
+		return
+	}
+	e.latestVV = vv
+	if sites != nil {
+		e.sites = append([]SiteID(nil), sites...)
 	}
 }
 
@@ -442,13 +496,20 @@ func (k *Kernel) inPartitionLocked(s SiteID) bool {
 // which is how "there is only one CSS for any given filegroup in any
 // set of communicating sites" (§2.3.1) is maintained.
 func (k *Kernel) CSSOf(fg storage.FilegroupID) (SiteID, error) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.cssOfLocked(fg)
+}
+
+// cssOfLocked is CSSOf for a caller that holds k.mu.
+func (k *Kernel) cssOfLocked(fg storage.FilegroupID) (SiteID, error) {
 	d, ok := k.cfg.FG(fg)
 	if !ok {
 		return 0, fmt.Errorf("fs: unknown filegroup %d", fg)
 	}
 	var best SiteID
 	for _, p := range d.Packs {
-		if k.inPartition(p.Site) && (best == 0 || p.Site < best) {
+		if k.inPartitionLocked(p.Site) && (best == 0 || p.Site < best) {
 			best = p.Site
 		}
 	}

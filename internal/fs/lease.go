@@ -197,12 +197,7 @@ func (k *Kernel) revokeWriterLease(id storage.FileID, e *cssEntry, holder SiteID
 	}
 	k.meter().AddLeasesRevoked(1)
 	k.mu.Lock()
-	if resp.VV != nil && resp.VV.Compare(e.latestVV) == vclock.Dominates {
-		e.latestVV = resp.VV
-		if resp.Sites != nil {
-			e.sites = append([]SiteID(nil), resp.Sites...)
-		}
-	}
+	e.absorb(resp.VV, resp.Sites)
 	k.mu.Unlock()
 	if ssHolder != vclock.NoSite {
 		// Tear down the serving state the skipped close left behind.

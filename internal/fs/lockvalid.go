@@ -65,27 +65,13 @@ func (k *Kernel) revokeServeLocal(id storage.FileID, us SiteID, serial uint64) {
 	sv := k.ssState[id]
 	var freed []storage.PhysPage
 	if sv != nil && sv.writerUS == us && sv.writerSerial == serial {
-		if sv.incore != nil {
-			for _, pp := range sv.incore.Pages {
-				if pp != storage.PhysPageNil && !sv.committedPages[pp] {
-					freed = append(freed, pp)
-				}
-			}
-		}
-		sv.writerUS = vclock.NoSite
-		sv.incore = nil
-		sv.committedPages = nil
-		sv.dirty = nil
-		if len(sv.readers) == 0 {
+		freed = sv.dropWriter()
+		if sv.idle() {
 			delete(k.ssState, id)
 		}
 	}
 	k.mu.Unlock()
-	if len(freed) > 0 {
-		if c := k.container(id.FG); c != nil {
-			c.FreePages(freed...)
-		}
-	}
+	k.freeShadow(id.FG, freed)
 }
 
 // probeWriterOpen asks the recorded holder whether its modify handle

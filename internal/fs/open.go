@@ -43,7 +43,7 @@ func (k *Kernel) localGetVV(id storage.FileID) getVVResp {
 	if !ok {
 		return getVVResp{}
 	}
-	return getVVResp{Has: true, VV: cur.VV, Deleted: cur.Deleted, Sites: cur.Sites, Type: cur.Type}
+	return getVVResp{Has: true, VV: cur.VV, Deleted: cur.Deleted, Conflict: cur.Conflict, Sites: cur.Sites, Type: cur.Type}
 }
 
 func (k *Kernel) handleGetVV(_ SiteID, req *getVVReq) (*getVVResp, error) {
@@ -55,51 +55,25 @@ func (k *Kernel) handleGetVV(_ SiteID, req *getVVReq) (*getVVResp, error) {
 // polling the filegroup's packs in this partition for their committed
 // version vectors — the "reconstruct the lock table ... from the
 // information remaining in the partition" step of §5.6, run lazily on
-// first use. Returns ErrConflict if the partition holds mutually
-// inconsistent copies (reconciliation must run first).
+// first use. Returns ErrConflict if no copy in the partition holds
+// every update some copy holds (reconciliation must run first).
 func (k *Kernel) buildCSSEntry(id storage.FileID) (*cssEntry, error) {
-	var latest vclock.VV
-	var sites []SiteID
-	found := false
-	deleted := false
-	for _, s := range k.packSitesInPartition(id.FG) {
-		var r getVVResp
-		if s == k.site {
-			r = k.localGetVV(id)
-		} else {
-			resp, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: id})
-			if err != nil {
-				continue // unreachable pack: proceed with what we have
-			}
-			r = *resp
-		}
-		if !r.Has {
-			continue
-		}
-		switch {
-		case !found:
-			latest, sites, deleted, found = r.VV, r.Sites, r.Deleted, true
-		default:
-			switch r.VV.Compare(latest) {
-			case vclock.Dominates:
-				latest, sites, deleted = r.VV, r.Sites, r.Deleted
-			case vclock.Concurrent:
-				return nil, fmt.Errorf("%w: %v", ErrConflict, id)
-			}
-		}
-	}
-	if !found {
+	sums := k.ProbeAll(id)
+	best, ok := LatestCopy(sums)
+	switch {
+	case len(sums) == 0:
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
-	}
-	if deleted {
+	case !ok:
+		return nil, fmt.Errorf("%w: %v", ErrConflict, id)
+	case sums[best].Deleted:
 		return nil, fmt.Errorf("%w: %v", ErrDeleted, id)
 	}
 	e := &cssEntry{
 		id:       id,
 		readers:  make(map[SiteID]int),
 		readerSS: make(map[SiteID]SiteID),
-		latestVV: latest,
-		sites:    sites,
+		latestVV: sums[best].VV,
+		sites:    sums[best].Sites,
 	}
 	k.mu.Lock()
 	if old := k.cssState[id]; old != nil {

@@ -125,8 +125,9 @@ func (k *Kernel) statType(id storage.FileID) (storage.FileType, error) {
 	ino, _, err := k.lookInternal(id)
 	if err != nil {
 		if errors.Is(err, ErrConflict) {
-			if best, _, found := k.ProbeSummary(id); found {
-				return best.Type, nil
+			if sums := k.ProbeAll(id); len(sums) > 0 {
+				best, _ := LatestCopy(sums)
+				return sums[best].Type, nil
 			}
 		}
 		return 0, err

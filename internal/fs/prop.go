@@ -36,10 +36,7 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 	if css, err := k.CSSOf(note.ID.FG); err == nil && css == k.site {
 		k.mu.Lock()
 		if e := k.cssState[note.ID]; e != nil {
-			if note.VV.Compare(e.latestVV) == vclock.Dominates {
-				e.latestVV = note.VV
-				e.sites = append([]SiteID(nil), note.Sites...)
-			}
+			e.absorb(note.VV, note.Sites)
 			// Delegate records stamped with an older VV are *not*
 			// pruned here: the CSS must stay conservative (a record
 			// without a holder is healed by the next revoke round, but
@@ -239,10 +236,12 @@ func (k *Kernel) pullFile(t *propTask) bool {
 			// Re-resolve: find the current dominant copy, or drop the
 			// task if the file is gone (or we are no longer a storage
 			// site and never stored it).
-			best, _, found := k.ProbeSummary(t.id)
-			if !found {
+			sums := k.ProbeAll(t.id)
+			if len(sums) == 0 {
 				return true
 			}
+			i, _ := LatestCopy(sums)
+			best := sums[i]
 			if !containsSite(best.Sites, k.site) && !c.HasInode(t.id.Inode) {
 				return true
 			}

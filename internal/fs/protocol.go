@@ -476,9 +476,10 @@ type getVVReq struct {
 }
 
 type getVVResp struct {
-	Has     bool
-	VV      vclock.VV
-	Deleted bool
-	Sites   []SiteID
-	Type    storage.FileType
+	Has      bool
+	VV       vclock.VV
+	Deleted  bool
+	Conflict bool
+	Sites    []SiteID
+	Type     storage.FileType
 }

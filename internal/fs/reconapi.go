@@ -25,8 +25,7 @@ var (
 
 // InodeSummary describes one committed inode at one pack.
 type InodeSummary struct {
-	// Site is the pack site this summary came from (set by the probe
-	// helpers; zero when implicit from context).
+	// Site is the pack site this summary came from.
 	Site     SiteID
 	Num      storage.InodeNum
 	Type     storage.FileType
@@ -70,7 +69,7 @@ func (k *Kernel) ListLocalInodes(fg storage.FilegroupID) []InodeSummary {
 			continue
 		}
 		out = append(out, InodeSummary{
-			Num: num, Type: ino.Type, VV: ino.VV, Size: ino.Size,
+			Site: k.site, Num: num, Type: ino.Type, VV: ino.VV, Size: ino.Size,
 			Deleted: ino.Deleted, Conflict: ino.Conflict,
 			Nlink: ino.Nlink, Owner: ino.Owner,
 			Sites: append([]SiteID(nil), ino.Sites...),
@@ -240,46 +239,15 @@ func (k *Kernel) SchedulePullAt(sites []SiteID, id storage.FileID, vv vclock.VV,
 	}
 }
 
-// ProbeSummary polls the filegroup's packs in this partition for their
-// copies of a file and returns the dominant copy's summary (merging is
-// the caller's business if vectors conflict; the second return reports
-// whether any pair was concurrent).
-func (k *Kernel) ProbeSummary(id storage.FileID) (best InodeSummary, conflict, found bool) {
-	for _, s := range k.packSitesInPartition(id.FG) {
-		var r getVVResp
-		if s == k.site {
-			r = k.localGetVV(id)
-		} else {
-			resp, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: id})
-			if err != nil {
-				continue
-			}
-			r = *resp
-		}
-		if !r.Has {
-			continue
-		}
-		cur := InodeSummary{Site: s, Num: id.Inode, Type: r.Type, VV: r.VV, Deleted: r.Deleted, Sites: r.Sites}
-		switch {
-		case !found:
-			best, found = cur, true
-		default:
-			switch cur.VV.Compare(best.VV) {
-			case vclock.Dominates:
-				best = cur
-			case vclock.Concurrent:
-				conflict = true
-			}
-		}
-	}
-	return best, conflict, found
-}
-
-// ProbeAll returns every reachable pack's copy summary for a file,
-// keyed by site.
-func (k *Kernel) ProbeAll(id storage.FileID) map[SiteID]InodeSummary {
-	out := make(map[SiteID]InodeSummary)
-	for _, s := range k.packSitesInPartition(id.FG) {
+// ProbeAll polls the filegroup's packs in this partition for their
+// copies of a file (fs.getvv; an unreachable pack is skipped) and
+// returns what each holds, in pack order. The summaries carry the
+// version fields only: type, vector, the deleted and conflict marks,
+// and storage sites.
+func (k *Kernel) ProbeAll(id storage.FileID) []InodeSummary {
+	sites := k.packSitesInPartition(id.FG)
+	out := make([]InodeSummary, 0, len(sites))
+	for _, s := range sites {
 		var r getVVResp
 		if s == k.site {
 			r = k.localGetVV(id)
@@ -291,8 +259,20 @@ func (k *Kernel) ProbeAll(id storage.FileID) map[SiteID]InodeSummary {
 			r = *resp
 		}
 		if r.Has {
-			out[s] = InodeSummary{Site: s, Num: id.Inode, Type: r.Type, VV: r.VV, Deleted: r.Deleted, Sites: r.Sites}
+			out = append(out, InodeSummary{Site: s, Num: id.Inode, Type: r.Type, VV: r.VV, Deleted: r.Deleted, Conflict: r.Conflict, Sites: r.Sites})
 		}
 	}
 	return out
+}
+
+// LatestCopy is vclock.Latest over the copies' vectors: the index of
+// the current copy and true, or, when the copies conflict, the index of
+// a maximal one and false.
+func LatestCopy(sums []InodeSummary) (int, bool) {
+	var buf [4]vclock.VV // a replica set, as a rule: on the stack
+	vvs := buf[:0]
+	for _, s := range sums {
+		vvs = append(vvs, s.VV)
+	}
+	return vclock.Latest(vvs)
 }

@@ -284,12 +284,7 @@ func (r *Reconciler) relinkResurrected(id storage.FileID) {
 	if err != nil {
 		return
 	}
-	best := 0
-	for i := 1; i < len(copies); i++ {
-		if copies[i].Inode.VV.Compare(copies[best].Inode.VV) == vclock.Dominates {
-			best = i
-		}
-	}
+	best, _ := latestCopy(copies)
 	dir, err := format.DecodeDir(copies[best].Content)
 	if err != nil {
 		return

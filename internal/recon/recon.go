@@ -59,6 +59,19 @@ type Report struct {
 	DeletesUndone int
 }
 
+// Add returns the field-by-field sum of r and o: the report of two
+// passes together.
+func (r Report) Add(o Report) Report {
+	r.DirsMerged += o.DirsMerged
+	r.MailboxesMerged += o.MailboxesMerged
+	r.ManagerMerged += o.ManagerMerged
+	r.ConflictsReported += o.ConflictsReported
+	r.Propagated += o.Propagated
+	r.NameConflicts += o.NameConflicts
+	r.DeletesUndone += o.DeletesUndone
+	return r
+}
+
 // Reconciler drives reconciliation for one site's kernel.
 type Reconciler struct {
 	k        *fs.Kernel
@@ -103,59 +116,50 @@ func (r *Reconciler) RegisterManager(t storage.FileType, m MergeManager) {
 	r.managers[t] = m
 }
 
-// executor reports whether this site is responsible for reconciling the
-// given file: the lowest pack site in the partition that stores a copy.
+// executor reports whether this site is responsible for reconciling a
+// file: the lowest pack site in the partition that stores a copy.
 // Running the pass at every site performs each merge exactly once.
-func (r *Reconciler) executor(stores []SiteID) bool {
-	me := r.k.Site()
+func (r *Reconciler) executor(sums []fs.InodeSummary) bool {
 	low := SiteID(0)
-	for _, s := range stores {
-		if low == 0 || s < low {
-			low = s
+	for _, s := range sums {
+		if low == 0 || s.Site < low {
+			low = s.Site
 		}
 	}
-	return low == me
+	return low == r.k.Site()
 }
 
 // ReconcileFilegroup runs the recovery procedure for one filegroup
-// within the current partition: enumerate every pack's inodes, compare
-// version vectors, and resolve each file according to its type. It is
-// run after the merge protocol establishes a new partition ("the
+// within the current partition: enumerate every pack's inodes and
+// reconcile each file this site is the executor for (reconcileFile). It
+// is run after the merge protocol establishes a new partition ("the
 // recovery procedure corrects any inconsistencies brought about either
 // by the reconfiguration code itself, or by activity while the network
 // was not connected" — §5.3).
 func (r *Reconciler) ReconcileFilegroup(fg storage.FilegroupID) (Report, error) {
 	var rep Report
 	k := r.k
-
-	// Gather each reachable pack's inode lists.
-	type packList struct {
-		site   SiteID
-		byNum  map[storage.InodeNum]fs.InodeSummary
-		inPart bool
-	}
-	var packs []packList
 	d, ok := k.Config().FG(fg)
 	if !ok {
 		return rep, fmt.Errorf("recon: unknown filegroup %d", fg)
 	}
-	part := make(map[SiteID]bool)
-	for _, s := range k.Partition() {
-		part[s] = true
-	}
+
+	// Gather each reachable pack's inodes, in pack order.
+	part := k.Partition()
+	var packs []map[storage.InodeNum]fs.InodeSummary
 	for _, p := range d.Packs {
-		if !part[p.Site] {
+		if !containsSite(part, p.Site) {
 			continue
 		}
 		list, err := k.ListInodesAt(p.Site, fg)
 		if err != nil {
 			continue // pack became unreachable; next merge retries
 		}
-		pl := packList{site: p.Site, byNum: make(map[storage.InodeNum]fs.InodeSummary), inPart: true}
+		byNum := make(map[storage.InodeNum]fs.InodeSummary, len(list))
 		for _, s := range list {
-			pl.byNum[s.Num] = s
+			byNum[s.Num] = s
 		}
-		packs = append(packs, pl)
+		packs = append(packs, byNum)
 	}
 	if len(packs) < 2 {
 		return rep, nil // nothing to compare against
@@ -164,7 +168,7 @@ func (r *Reconciler) ReconcileFilegroup(fg storage.FilegroupID) (Report, error) 
 	// Collect the union of inode numbers.
 	numSet := make(map[storage.InodeNum]bool)
 	for _, p := range packs {
-		for n := range p.byNum {
+		for n := range p {
 			numSet[n] = true
 		}
 	}
@@ -175,105 +179,16 @@ func (r *Reconciler) ReconcileFilegroup(fg storage.FilegroupID) (Report, error) 
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 
 	for _, num := range nums {
-		id := storage.FileID{FG: fg, Inode: num}
-		// Which packs store it, and are the copies consistent?
-		var stores []SiteID
 		var sums []fs.InodeSummary
 		for _, p := range packs {
-			if s, ok := p.byNum[num]; ok {
-				stores = append(stores, p.site)
+			if s, ok := p[num]; ok {
 				sums = append(sums, s)
 			}
 		}
-		best := 0
-		conflict := false
-		for i := 1; i < len(sums); i++ {
-			switch sums[i].VV.Compare(sums[best].VV) {
-			case vclock.Dominates:
-				best = i
-			case vclock.Concurrent:
-				conflict = true
-			}
-		}
-		if conflict {
-			// Re-check against the best copy: some copies may be
-			// dominated by best even though pairwise concurrency was
-			// seen along the way.
-			conflict = false
-			for i := range sums {
-				if sums[i].VV.Concurrent(sums[best].VV) {
-					conflict = true
-					break
-				}
-			}
-		}
-		allEqual := true
-		for i := range sums {
-			if !sums[i].VV.Equal(sums[0].VV) {
-				allEqual = false
-				break
-			}
-		}
-		// Directories run the rule-based merge whenever their vectors
-		// differ at all — §4.4: "no recovery is needed if the version
-		// vector for both copies of the directory are identical.
-		// Otherwise the basic rules are ..." — because a dominating
-		// copy may carry an entry delete that races a modification of
-		// the *file's* data done in the other partition (rule d).
-		dirTyped := sums[best].Type == storage.TypeDirectory || sums[best].Type == storage.TypeHiddenDir
-		if dirTyped && !allEqual && !sums[best].Deleted {
-			if !r.executor(stores) {
-				continue
-			}
-			if err := r.resolveConflict(id, stores, sums, &rep); err != nil {
-				return rep, err
-			}
+		if !r.executor(sums) {
 			continue
 		}
-		if !conflict {
-			// At most stale copies: schedule ordinary propagation from
-			// the dominant copy.
-			if !r.executor(stores) {
-				continue
-			}
-			// Targets: packs storing a stale copy, plus packs listed in
-			// the file's storage-site list that missed the create
-			// entirely while partitioned.
-			targets := append([]SiteID(nil), stores...)
-			for _, s := range sums[best].Sites {
-				if part[s] && !containsSite(targets, s) {
-					targets = append(targets, s)
-				}
-			}
-			moved := len(targets) > len(stores)
-			for i := range sums {
-				if i != best && !sums[i].VV.Equal(sums[best].VV) {
-					moved = true
-				}
-			}
-			if moved {
-				k.SchedulePullAt(targets, id, sums[best].VV, stores[best])
-				rep.Propagated++
-			}
-			continue
-		}
-
-		if !r.executor(stores) {
-			continue
-		}
-		// Already-marked conflicts were reported in an earlier pass and
-		// await the resolution tool; do not re-report.
-		allMarked := true
-		for i := range sums {
-			if !sums[i].Conflict {
-				allMarked = false
-				break
-			}
-		}
-		if allMarked {
-			continue
-		}
-		if err := r.resolveConflict(id, stores, sums, &rep); err != nil {
+		if err := r.reconcileFile(storage.FileID{FG: fg, Inode: num}, sums, &rep); err != nil {
 			return rep, err
 		}
 	}
@@ -281,54 +196,72 @@ func (r *Reconciler) ReconcileFilegroup(fg storage.FilegroupID) (Report, error) 
 	return rep, nil
 }
 
+// reconcileFile is the recovery procedure for one file, given the
+// partition's copies of it in pack order: the sweep runs it for every
+// file, demand recovery for one.
+//
+//   - A directory whose copies differ at all is merged. §4.4: "no
+//     recovery is needed if the version vector for both copies of the
+//     directory are identical. Otherwise the basic rules are ..." — a
+//     dominating copy may carry an entry delete that races a
+//     modification of the *file's* data done in the other partition
+//     (rule d).
+//   - Otherwise, when one copy is current (vclock.Latest), the stale
+//     copies and the packs in its storage-site list that missed the
+//     file entirely while partitioned get ordinary propagation from it.
+//   - Otherwise the copies conflict. If every copy is already marked,
+//     an earlier pass reported it and it awaits the resolution tool;
+//     anything else is resolved by type (resolveConflict).
+func (r *Reconciler) reconcileFile(id storage.FileID, sums []fs.InodeSummary, rep *Report) error {
+	best, ok := fs.LatestCopy(sums)
+	latest := sums[best]
+	stores := make([]SiteID, 0, len(sums))
+	differ, marked := false, true
+	for _, s := range sums {
+		stores = append(stores, s.Site)
+		differ = differ || !s.VV.Equal(latest.VV)
+		marked = marked && s.Conflict
+	}
+	dir := latest.Type == storage.TypeDirectory || latest.Type == storage.TypeHiddenDir
+	switch {
+	case dir && differ && !latest.Deleted:
+		return r.resolveConflict(id, stores, rep)
+	case ok:
+		part := r.k.Partition()
+		targets := stores
+		for _, s := range latest.Sites {
+			if containsSite(part, s) && !containsSite(targets, s) {
+				targets = append(targets, s)
+			}
+		}
+		if differ || len(targets) > len(sums) {
+			r.k.SchedulePullAt(targets, id, latest.VV, latest.Site)
+			rep.Propagated++
+		}
+		return nil
+	case marked:
+		return nil
+	default:
+		return r.resolveConflict(id, stores, rep)
+	}
+}
+
 // DemandReconcile reconciles a single file out of order so a user
 // request blocked on it proceeds "with only a small delay" (§4.4:
 // "we support demand recovery ... a particular directory can be
-// reconciled out of order to allow access to it"). It returns the
-// report of the one merge (or propagation) performed.
+// reconciled out of order to allow access to it"): the sweep's
+// procedure for that one file, with any propagation it schedules
+// drained before it returns.
 func (r *Reconciler) DemandReconcile(id storage.FileID) (Report, error) {
 	var rep Report
-	k := r.k
-	sums := k.ProbeAll(id)
-	if len(sums) < 2 {
+	sums := r.k.ProbeAll(id)
+	if len(sums) == 0 {
 		return rep, nil
 	}
-	var stores []SiteID
-	var list []fs.InodeSummary
-	for _, s := range sums {
-		stores = append(stores, s.Site)
-		list = append(list, s)
+	err := r.reconcileFile(id, sums, &rep)
+	if rep.Propagated > 0 {
+		r.k.DrainPropagation()
 	}
-	sort.Slice(stores, func(i, j int) bool { return stores[i] < stores[j] })
-	sort.Slice(list, func(i, j int) bool { return list[i].Site < list[j].Site })
-
-	best := 0
-	conflict := false
-	for i := 1; i < len(list); i++ {
-		switch list[i].VV.Compare(list[best].VV) {
-		case vclock.Dominates:
-			best = i
-		case vclock.Concurrent:
-			conflict = true
-		}
-	}
-	allEqual := true
-	for i := range list {
-		if !list[i].VV.Equal(list[0].VV) {
-			allEqual = false
-		}
-	}
-	if allEqual {
-		return rep, nil
-	}
-	dirTyped := list[best].Type == storage.TypeDirectory || list[best].Type == storage.TypeHiddenDir
-	if !conflict && !dirTyped {
-		k.SchedulePullAt(stores, id, list[best].VV, list[best].Site)
-		k.DrainPropagation()
-		rep.Propagated++
-		return rep, nil
-	}
-	err := r.resolveConflict(id, stores, list, &rep)
 	r.FlushMail()
 	return rep, err
 }
@@ -349,13 +282,7 @@ func (r *Reconciler) ReconcileAll() (Report, error) {
 	var total Report
 	for _, fg := range r.k.Store().Filegroups() {
 		rep, err := r.ReconcileFilegroup(fg)
-		total.DirsMerged += rep.DirsMerged
-		total.MailboxesMerged += rep.MailboxesMerged
-		total.ManagerMerged += rep.ManagerMerged
-		total.ConflictsReported += rep.ConflictsReported
-		total.Propagated += rep.Propagated
-		total.NameConflicts += rep.NameConflicts
-		total.DeletesUndone += rep.DeletesUndone
+		total = total.Add(rep)
 		if err != nil {
 			return total, err
 		}
@@ -372,8 +299,9 @@ func containsSite(set []SiteID, s SiteID) bool {
 	return false
 }
 
-// resolveConflict dispatches on file type (§4.3's type table).
-func (r *Reconciler) resolveConflict(id storage.FileID, stores []SiteID, sums []fs.InodeSummary, rep *Report) error {
+// resolveConflict dispatches on file type (§4.3's type table). stores
+// are the pack sites holding a copy.
+func (r *Reconciler) resolveConflict(id storage.FileID, stores []SiteID, rep *Report) error {
 	copies, err := r.fetchCopies(id, stores)
 	if err != nil {
 		return err
@@ -389,17 +317,7 @@ func (r *Reconciler) resolveConflict(id storage.FileID, stores []SiteID, sums []
 		}
 	}
 	if len(live) > 0 && len(live) < len(copies) {
-		best := 0
-		trueConflict := false
-		for i := 1; i < len(live); i++ {
-			switch live[i].Inode.VV.Compare(live[best].Inode.VV) {
-			case vclock.Dominates:
-				best = i
-			case vclock.Concurrent:
-				trueConflict = true
-			}
-		}
-		if !trueConflict {
+		if best, ok := latestCopy(live); ok {
 			if err := r.commitMerged(id, copies, live[best].Content, live[best].Inode); err != nil {
 				return err
 			}
@@ -462,6 +380,15 @@ func (r *Reconciler) fetchCopies(id storage.FileID, stores []SiteID) ([]Copy, er
 		return nil, fmt.Errorf("recon: could not fetch enough copies of %v", id)
 	}
 	return out, nil
+}
+
+// latestCopy is vclock.Latest over the fetched copies' vectors.
+func latestCopy(copies []Copy) (int, bool) {
+	vvs := make([]vclock.VV, len(copies))
+	for i, c := range copies {
+		vvs[i] = c.Inode.VV
+	}
+	return vclock.Latest(vvs)
 }
 
 // commitMerged installs merged content with a vector that dominates all

@@ -40,13 +40,7 @@ func (h *harness) mergeAll(t *testing.T) recon.Report {
 		if err != nil {
 			t.Fatalf("reconcile at site %d: %v", s, err)
 		}
-		total.DirsMerged += rep.DirsMerged
-		total.MailboxesMerged += rep.MailboxesMerged
-		total.ManagerMerged += rep.ManagerMerged
-		total.ConflictsReported += rep.ConflictsReported
-		total.Propagated += rep.Propagated
-		total.NameConflicts += rep.NameConflicts
-		total.DeletesUndone += rep.DeletesUndone
+		total = total.Add(rep)
 	}
 	h.c.Settle()
 	return total

@@ -147,30 +147,12 @@ func (r *Reconciler) ResolveSplit(cred *fs.Cred, path string) ([]string, error) 
 	return names, nil
 }
 
-// storesOf lists the pack sites in the partition holding a copy.
+// storesOf lists the pack sites in the partition holding a live copy.
 func (r *Reconciler) storesOf(id storage.FileID) []SiteID {
-	k := r.k
 	var out []SiteID
-	d, ok := k.Config().FG(id.FG)
-	if !ok {
-		return nil
-	}
-	part := map[SiteID]bool{}
-	for _, s := range k.Partition() {
-		part[s] = true
-	}
-	for _, p := range d.Packs {
-		if !part[p.Site] {
-			continue
-		}
-		sums, err := k.ListInodesAt(p.Site, id.FG)
-		if err != nil {
-			continue
-		}
-		for _, s := range sums {
-			if s.Num == id.Inode && !s.Deleted {
-				out = append(out, p.Site)
-			}
+	for _, s := range r.k.ProbeAll(id) {
+		if !s.Deleted {
+			out = append(out, s.Site)
 		}
 	}
 	return out

@@ -172,6 +172,37 @@ func (v VV) DominatesOrEqual(o VV) bool {
 // Concurrent reports whether v and o are in conflict.
 func (v VV) Concurrent(o VV) bool { return v.Compare(o) == Concurrent }
 
+// Latest decides which of a file's copies is current: it returns the
+// index of a vector that dominates or equals every vector in vs, and
+// true. When no vector does, the copies are in conflict (§4.2), and it
+// returns the index of a maximal vector and false; an empty vs is -1
+// and false.
+//
+// The first pass moves to any vector that strictly dominates the one in
+// hand, the second confirms that the one it ended on covers them all.
+// If some vector covers every other, the first pass ends on it or on an
+// equal vector whatever the order of vs — nothing strictly dominates
+// it, and it strictly dominates anything else in hand when the pass
+// reaches it — so the answer cannot depend on the order the copies were
+// polled in.
+func Latest(vs []VV) (int, bool) {
+	if len(vs) == 0 {
+		return -1, false
+	}
+	best := 0
+	for i := 1; i < len(vs); i++ {
+		if vs[i].Compare(vs[best]) == Dominates {
+			best = i
+		}
+	}
+	for i := range vs {
+		if !vs[best].DominatesOrEqual(vs[i]) {
+			return best, false
+		}
+	}
+	return best, true
+}
+
 // Merge returns the least upper bound of v and o: the element-wise
 // maximum. Neither input is changed. Reconciliation stamps the
 // surviving copy with the merge of the conflicting vectors (optionally

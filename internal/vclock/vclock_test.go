@@ -111,6 +111,79 @@ func TestMergeUpperBound(t *testing.T) {
 	}
 }
 
+func TestLatest(t *testing.T) {
+	t.Parallel()
+	// Two copies updated apart, and a third that has seen both: every
+	// order of polling them must pick the third.
+	a, b, c := mk(1, 1), mk(2, 1), mk(1, 1, 2, 1, 3, 1)
+	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		vs := make([]VV, 3)
+		for i, j := range order {
+			vs[i] = []VV{a, b, c}[j]
+		}
+		i, ok := Latest(vs)
+		if !ok || i < 0 || !vs[i].Equal(c) {
+			t.Errorf("Latest(%v) = %d, %v; want the index of %v, true", vs, i, ok, c)
+		}
+	}
+	cases := []struct {
+		name   string
+		vs     []VV
+		wantOK bool
+	}{
+		{"concurrent pair", []VV{a, b}, false},
+		{"equal copies", []VV{mk(1, 2), mk(1, 2), mk(1, 2)}, true},
+		{"stale then current", []VV{mk(1, 1), mk(1, 2)}, true},
+		{"single copy", []VV{b}, true},
+		{"empty", nil, false},
+	}
+	for _, tc := range cases {
+		i, ok := Latest(tc.vs)
+		if ok != tc.wantOK {
+			t.Errorf("%s: Latest(%v) = %d, %v; want ok=%v", tc.name, tc.vs, i, ok, tc.wantOK)
+		}
+		if len(tc.vs) == 0 && i != -1 {
+			t.Errorf("%s: Latest of no vectors = %d, want -1", tc.name, i)
+		}
+	}
+}
+
+// TestPropertyLatestOrderIndependent checks Latest against the
+// definition — some vector dominates or equals all the others — and
+// that reordering the vectors never changes which version it picks.
+func TestPropertyLatestOrderIndependent(t *testing.T) {
+	t.Parallel()
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		vs := make([]VV, 1+r.Intn(5))
+		for i := range vs {
+			vs[i] = randomVV(r)
+		}
+		want := -1
+		for i := range vs {
+			covers := true
+			for j := range vs {
+				covers = covers && vs[i].DominatesOrEqual(vs[j])
+			}
+			if covers {
+				want = i
+				break
+			}
+		}
+		i, ok := Latest(vs)
+		if ok != (want >= 0) || ok && !vs[i].Equal(vs[want]) {
+			return false
+		}
+		shuffled := append([]VV(nil), vs...)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		j, ok2 := Latest(shuffled)
+		return ok2 == ok && (!ok || shuffled[j].Equal(vs[i]))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBumpLeavesReceiverAlone(t *testing.T) {
 	t.Parallel()
 	a := mk(1, 1)

@@ -252,7 +252,7 @@ func (c *Cluster) Merge() (recon.Report, error) {
 	for pass := 0; pass < 2; pass++ {
 		for _, id := range up {
 			r, err := c.sites[id].Recon.ReconcileAll()
-			rep = addReports(rep, r)
+			rep = rep.Add(r)
 			if err != nil {
 				return rep, err
 			}
@@ -260,17 +260,6 @@ func (c *Cluster) Merge() (recon.Report, error) {
 		c.Settle()
 	}
 	return rep, nil
-}
-
-func addReports(a, b recon.Report) recon.Report {
-	a.DirsMerged += b.DirsMerged
-	a.MailboxesMerged += b.MailboxesMerged
-	a.ManagerMerged += b.ManagerMerged
-	a.ConflictsReported += b.ConflictsReported
-	a.Propagated += b.Propagated
-	a.NameConflicts += b.NameConflicts
-	a.DeletesUndone += b.DeletesUndone
-	return a
 }
 
 // Crash abruptly takes a site down (volatile state lost, disk kept);
