@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet locusvet test race invariants bench benchonce benchsmoke benchjson benchdiff benchmarkcheck examplesmoke workloadsmoke profile chaos ci
+.PHONY: all build fmt vet locusvet test race invariants bench benchonce benchjson benchdiff benchmarkcheck examplesmoke workloadsmoke profile chaos ci
 
 all: ci
 
@@ -50,11 +50,6 @@ bench:
 benchonce:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# benchsmoke is the cheap CI gate: runs the cache/readahead experiment
-# (E11) end to end and validates the BENCH_locus.json encoding.
-benchsmoke:
-	$(GO) test -run TestBenchSmoke -count=1 .
-
 # benchjson regenerates the committed perf baseline artifacts.
 benchjson:
 	$(GO) run ./cmd/locus-bench -json BENCH_locus.json > experiments_output.txt
@@ -86,13 +81,14 @@ examplesmoke:
 	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # workloadsmoke runs the workload engine's own tests — histogram math,
-# Zipf determinism, engine schedule determinism — plus the sized E16
-# shape/determinism assertions, under the race detector with the
-# runtime invariant layer (including page-pool poison-on-put) compiled
-# in.
+# Zipf determinism, engine schedule determinism — the bench harness's
+# tests (registry, row shapes, cluster close and counter sum, JSON
+# round trip) and the experiment shape assertions including sized E16,
+# under the race detector with the runtime invariant layer (including
+# page-pool poison-on-put) compiled in.
 workloadsmoke:
 	$(GO) test -race -tags locusinvariants -count=1 ./internal/workload ./internal/bench
-	$(GO) test -race -tags locusinvariants -run 'TestExperimentTables|TestBenchSmoke' -count=1 .
+	$(GO) test -race -tags locusinvariants -run TestExperimentTables -count=1 .
 
 # profile captures CPU and heap pprof data for a 60k-op workload run:
 # the workflow that found the directory-decode hot path documented in
@@ -110,4 +106,4 @@ profile:
 chaos:
 	$(GO) test -run TestChaos -race -tags locusinvariants -count=1 ./internal/chaos
 
-ci: build fmt vet locusvet test race invariants benchonce benchsmoke examplesmoke workloadsmoke benchmarkcheck benchdiff chaos
+ci: build fmt vet locusvet test race invariants benchonce examplesmoke workloadsmoke benchmarkcheck benchdiff chaos

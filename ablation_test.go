@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -21,10 +22,15 @@ import (
 func BenchmarkAblationPagePropagation(b *testing.B) {
 	for _, pages := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("filepages-%d", pages), func(b *testing.B) {
-			c := mustSimple(b, 2)
+			c, err := locus.Simple(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(c.Close)
 			u1 := c.Site(1).Login("u")
-			big := make([]byte, pages*storage.PageSize)
-			mustWrite(b, u1, "/big", big)
+			if err := u1.WriteFile("/big", make([]byte, pages*storage.PageSize)); err != nil {
+				b.Fatal(err)
+			}
 			if err := c.Site(1).FS.SetReplication(u1.Cred(), "/big", []locus.SiteID{1, 2}); err != nil {
 				b.Fatal(err)
 			}
@@ -40,7 +46,7 @@ func BenchmarkAblationPagePropagation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := w.WriteAt(pageOf(byte('a'+i%20)), 0); err != nil {
+				if _, err := w.WriteAt(bytes.Repeat([]byte{byte('a' + i%20)}, storage.PageSize), 0); err != nil {
 					b.Fatal(err)
 				}
 				if err := w.Close(); err != nil {
@@ -49,7 +55,7 @@ func BenchmarkAblationPagePropagation(b *testing.B) {
 				c.Settle() // pulls exactly the one modified page
 			}
 			b.StopTimer()
-			reportSim(b, c, start, int64(b.N))
+			b.ReportMetric(float64(c.Stats().Msgs-start)/float64(b.N), "msgs/op")
 		})
 	}
 }

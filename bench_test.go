@@ -1,512 +1,32 @@
 package repro_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/fs"
 	"repro/internal/proc"
-	"repro/internal/recon"
-	"repro/internal/storage"
-	"repro/internal/vclock"
 	"repro/locus"
 )
 
-// The benchmarks below regenerate the paper's evaluation artifacts:
-// one benchmark per experiment of DESIGN.md's per-experiment index
-// (E1..E10), reporting wall time plus the simulated-cost metrics the
-// paper reasons in (messages/op, sim-CPU-us/op). The companion
-// experiment *tables* — the exact rows the paper reports — come from
-// internal/bench (run `go run ./cmd/locus-bench` or the
-// TestExperimentTables test).
-
-func mustSimple(b *testing.B, n int) *locus.Cluster {
-	b.Helper()
-	c, err := locus.Simple(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(c.Close)
-	return c
-}
-
-func mustWrite(b *testing.B, se *locus.Session, path string, data []byte) {
-	b.Helper()
-	if err := se.WriteFile(path, data); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func pageOf(ch byte) []byte {
-	p := make([]byte, storage.PageSize)
-	for i := range p {
-		p[i] = ch
-	}
-	return p
-}
-
-// reportSim attaches simulated-cost metrics to a benchmark.
-func reportSim(b *testing.B, c *locus.Cluster, before, ops int64) {
-	d := c.Stats()
-	b.ReportMetric(float64(d.Msgs-before)/float64(ops), "msgs/op")
-}
-
-// BenchmarkE1_RemoteSyscallFlow measures the Figure-1 flow: a complete
-// open/read/close of a remotely stored file.
-func BenchmarkE1_RemoteSyscallFlow(b *testing.B) {
-	c := mustSimple(b, 2)
-	u1 := c.Site(1).Login("u")
-	mustWrite(b, u1, "/f", pageOf('x'))
-	if err := c.Site(1).FS.SetReplication(u1.Cred(), "/f", []locus.SiteID{1}); err != nil {
-		b.Fatal(err)
-	}
-	c.Settle()
-	r, err := c.Site(2).FS.Resolve(u1.Cred(), "/f")
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, storage.PageSize)
-	start := c.Stats().Msgs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := c.Site(2).FS.OpenID(r.ID, fs.ModeRead)
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkExperiments runs every registry entry but E16 (the million-op
+// workload) once per iteration through bench.RunWithMetrics, reporting
+// the experiment's whole message bill as msgs/op. The tables themselves
+// come from `go run ./cmd/locus-bench`; TestExperimentTables asserts
+// their shapes and TestCommittedArtifactsReproduce pins them.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		if e.ID == "E16" {
+			continue
 		}
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportSim(b, c, start, int64(b.N))
-}
-
-// BenchmarkE2_ProtocolMessageCounts measures the fully general open
-// protocol (US, CSS, SS all distinct): 4 messages for the open.
-func BenchmarkE2_ProtocolMessageCounts(b *testing.B) {
-	c := mustSimple(b, 3)
-	u1 := c.Site(1).Login("u")
-	mustWrite(b, u1, "/a", pageOf('a'))
-	if err := c.Site(1).FS.SetReplication(u1.Cred(), "/a", []locus.SiteID{3}); err != nil {
-		b.Fatal(err)
-	}
-	c.Settle()
-	r, err := c.Site(1).FS.Resolve(u1.Cred(), "/a")
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := c.Stats().Msgs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := c.Site(2).FS.OpenID(r.ID, fs.ModeRead)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportSim(b, c, start, int64(b.N)) // expect 8: open(4) + close(4)
-}
-
-// BenchmarkE3_LocalVsRemoteAccess compares page-read cost when the
-// storage site is local vs remote (the paper's 2x CPU claim).
-func BenchmarkE3_LocalVsRemoteAccess(b *testing.B) {
-	for _, mode := range []string{"local", "remote"} {
-		b.Run(mode, func(b *testing.B) {
-			c := mustSimple(b, 2)
-			u1 := c.Site(1).Login("u")
-			mustWrite(b, u1, "/f", pageOf('x'))
-			if err := c.Site(1).FS.SetReplication(u1.Cred(), "/f", []locus.SiteID{1}); err != nil {
-				b.Fatal(err)
-			}
-			c.Settle()
-			us := locus.SiteID(1)
-			if mode == "remote" {
-				us = 2
-			}
-			r, err := c.Site(us).FS.Resolve(u1.Cred(), "/f")
-			if err != nil {
-				b.Fatal(err)
-			}
-			f, err := c.Site(us).FS.OpenID(r.ID, fs.ModeRead)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close() //nolint:errcheck
-			buf := make([]byte, storage.PageSize)
-			startCPU := c.Stats().CPUUs
-			b.ResetTimer()
+		b.Run(e.ID, func(b *testing.B) {
+			var res bench.Result
 			for i := 0; i < b.N; i++ {
-				if _, err := f.ReadAt(buf, 0); err != nil {
-					b.Fatal(err)
-				}
+				_, res = bench.RunWithMetrics(e)
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(c.Stats().CPUUs-startCPU)/float64(b.N), "simCPUus/op")
-		})
-	}
-}
-
-// BenchmarkE4_CleanupCycle measures one partition/cleanup/merge cycle
-// with open files and an active transaction to clean up.
-func BenchmarkE4_CleanupCycle(b *testing.B) {
-	c := mustSimple(b, 4)
-	u1 := c.Site(1).Login("u")
-	mustWrite(b, u1, "/f", []byte("x"))
-	c.Settle()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := c.Site(2).Login("u").Open("/f", fs.ModeRead)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.Partition([]locus.SiteID{1, 2}, []locus.SiteID{3, 4})
-		r.Close() //nolint:errcheck
-		if _, err := c.Merge(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE5_ReconfigurationScaling runs the partition+merge protocol
-// pair at several network sizes (sub-benchmark per size).
-func BenchmarkE5_ReconfigurationScaling(b *testing.B) {
-	for _, n := range []int{4, 8, 17, 32} {
-		b.Run(fmt.Sprintf("sites-%d", n), func(b *testing.B) {
-			c := mustSimple(b, n)
-			var a2, b2 []locus.SiteID
-			for i := 1; i <= n; i++ {
-				if i <= n/2 {
-					a2 = append(a2, locus.SiteID(i))
-				} else {
-					b2 = append(b2, locus.SiteID(i))
-				}
-			}
-			start := c.Stats().Msgs
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Network().PartitionGroups(a2, b2)
-				c.Site(a2[0]).Topo.RunPartitionProtocol()
-				c.Site(b2[0]).Topo.RunPartitionProtocol()
-				c.Network().HealAll()
-				if _, err := c.Site(a2[0]).Topo.RunMergeProtocol(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportSim(b, c, start, int64(b.N))
-		})
-	}
-}
-
-// BenchmarkE6_DirectoryMerge reconciles a root directory with 2×16
-// divergent entries per iteration.
-func BenchmarkE6_DirectoryMerge(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c, err := locus.Simple(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a := c.Site(1).Login("u")
-		bb := c.Site(2).Login("u")
-		c.Partition([]locus.SiteID{1}, []locus.SiteID{2})
-		for j := 0; j < 16; j++ {
-			mustWrite(b, a, fmt.Sprintf("/a%02d", j), []byte("x"))
-			mustWrite(b, bb, fmt.Sprintf("/b%02d", j), []byte("y"))
-		}
-		b.StartTimer()
-		if _, err := c.Merge(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		c.Close()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkE7_ReplicationSweep measures update+propagation cost per
-// replication degree.
-func BenchmarkE7_ReplicationSweep(b *testing.B) {
-	for _, copies := range []int{1, 2, 4, 6} {
-		b.Run(fmt.Sprintf("copies-%d", copies), func(b *testing.B) {
-			c := mustSimple(b, 6)
-			u1 := c.Site(1).Login("u")
-			mustWrite(b, u1, "/f", pageOf('r'))
-			var sites []locus.SiteID
-			for i := 1; i <= copies; i++ {
-				sites = append(sites, locus.SiteID(i))
-			}
-			if err := c.Site(1).FS.SetReplication(u1.Cred(), "/f", sites); err != nil {
-				b.Fatal(err)
-			}
-			c.Settle()
-			r, err := c.Site(1).FS.Resolve(u1.Cred(), "/f")
-			if err != nil {
-				b.Fatal(err)
-			}
-			start := c.Stats().Msgs
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w, err := c.Site(1).FS.OpenID(r.ID, fs.ModeModify)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := w.WriteAt(pageOf(byte('a'+i%20)), 0); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Close(); err != nil {
-					b.Fatal(err)
-				}
-				c.Settle()
-			}
-			b.StopTimer()
-			reportSim(b, c, start, int64(b.N))
-		})
-	}
-}
-
-// BenchmarkE8_TokenThrash measures the shared-descriptor token flip
-// cost: alternating reads from two sites.
-func BenchmarkE8_TokenThrash(b *testing.B) {
-	c := mustSimple(b, 2)
-	u1 := c.Site(1).Login("u")
-	mustWrite(b, u1, "/log", make([]byte, 1<<20))
-	c.Settle()
-	p1 := c.Site(1).Proc.InitProcess(u1.Cred())
-	p2 := c.Site(2).Proc.InitProcess(c.Site(2).Login("u").Cred())
-	fd1, _, err := c.Site(1).Proc.OpenShared(p1, "/log", fs.ModeRead)
-	if err != nil {
-		b.Fatal(err)
-	}
-	home, id := fd1.HomeID()
-	fd2, _, err := c.Site(2).Proc.AttachShared(p2, home, id, "/log", fs.ModeRead)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	start := c.Stats().Msgs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fd1.Read(buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := fd2.Read(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportSim(b, c, start, int64(2*b.N))
-}
-
-// BenchmarkE9_MailboxMerge reconciles a mailbox with 2×8 partitioned
-// deliveries per iteration.
-func BenchmarkE9_MailboxMerge(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c, err := locus.Simple(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ra := recon.New(c.Site(1).FS)
-		rb := recon.New(c.Site(2).FS)
-		if err := ra.DeliverMail("bob", "seed", "seed"); err != nil {
-			b.Fatal(err)
-		}
-		c.Settle()
-		c.Partition([]locus.SiteID{1}, []locus.SiteID{2})
-		for j := 0; j < 8; j++ {
-			ra.DeliverMail("bob", "a", "a") //nolint:errcheck
-			rb.DeliverMail("bob", "b", "b") //nolint:errcheck
-		}
-		b.StartTimer()
-		if _, err := c.Merge(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		c.Close()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkE10_LocalOverhead compares the local LOCUS open/read/close
-// path against the bare storage substrate.
-func BenchmarkE10_LocalOverhead(b *testing.B) {
-	b.Run("locus-local", func(b *testing.B) {
-		c := mustSimple(b, 1)
-		u := c.Site(1).Login("u")
-		mustWrite(b, u, "/f", pageOf('x'))
-		r, err := c.Site(1).FS.Resolve(u.Cred(), "/f")
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]byte, storage.PageSize)
-		startCPU := c.Stats().CPUUs
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f, err := c.Site(1).FS.OpenID(r.ID, fs.ModeRead)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := f.ReadAt(buf, 0); err != nil {
-				b.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(c.Stats().CPUUs-startCPU)/float64(b.N), "simCPUus/op")
-	})
-	b.Run("bare-local-fs", func(b *testing.B) {
-		cont := storage.MustContainer(1, 1, 1, 1000, nil, storage.Costs{})
-		num, _ := cont.AllocInode()
-		pp, _ := cont.WritePage(pageOf('x'))
-		if err := cont.CommitInode(&storage.Inode{Num: num, Size: storage.PageSize,
-			Pages: []storage.PhysPage{pp}, VV: vclock.New()}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cont.GetInode(num); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := cont.ReadLogicalPage(num, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkE11_SequentialRemoteScan measures the 16-page sequential
-// remote read under the three cache regimes of the E11 table.
-func BenchmarkE11_SequentialRemoteScan(b *testing.B) {
-	setup := func(b *testing.B) (*locus.Cluster, *fs.Kernel, storage.FileID) {
-		b.Helper()
-		c := mustSimple(b, 2)
-		u1 := c.Site(1).Login("u")
-		mustWrite(b, u1, "/seq", make([]byte, 16*storage.PageSize))
-		if err := c.Site(1).FS.SetReplication(u1.Cred(), "/seq", []fs.SiteID{1}); err != nil {
-			b.Fatal(err)
-		}
-		c.Settle()
-		r, err := c.Site(1).FS.Resolve(u1.Cred(), "/seq")
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c, c.Site(2).FS, r.ID
-	}
-	scan := func(b *testing.B, k *fs.Kernel, id storage.FileID, ft fs.Features) {
-		b.Helper()
-		k.SetFeatures(ft)
-		f, err := k.OpenID(id, fs.ModeRead)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.ReadAll(); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("no-cache", func(b *testing.B) {
-		c, k, id := setup(b)
-		start := c.Stats().Msgs
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			scan(b, k, id, fs.Features{NoPageCache: true})
-		}
-		b.StopTimer()
-		reportSim(b, c, start, int64(b.N))
-	})
-	b.Run("cold-cache-readahead", func(b *testing.B) {
-		c, k, id := setup(b)
-		start := c.Stats().Msgs
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			k.SetFeatures(fs.Features{NoPageCache: true}) // flush so every iteration starts cold
-			b.StartTimer()
-			scan(b, k, id, fs.Features{Readahead: true})
-		}
-		b.StopTimer()
-		reportSim(b, c, start, int64(b.N))
-	})
-	b.Run("warm-cache", func(b *testing.B) {
-		c, k, id := setup(b)
-		scan(b, k, id, fs.Features{Readahead: true}) // warm the using-site cache
-		start := c.Stats().Msgs
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			scan(b, k, id, fs.Features{})
-		}
-		b.StopTimer()
-		reportSim(b, c, start, int64(b.N))
-	})
-}
-
-// BenchmarkE14_HotFileOpenStorm measures the repeat open+read+close
-// cycle of a hot remotely stored file with and without the lease/intent
-// layer: without leases every cycle pays the CSS round trip; under a
-// read delegation every cycle after the first is served site-locally
-// with zero wire messages.
-func BenchmarkE14_HotFileOpenStorm(b *testing.B) {
-	setup := func(b *testing.B, leases bool) (*locus.Cluster, *fs.Kernel, storage.FileID) {
-		b.Helper()
-		c := mustSimple(b, 3)
-		c.SetFeatures(fs.Features{Leases: leases})
-		u := c.Site(1).Login("u")
-		mustWrite(b, u, "/hot", pageOf('h'))
-		if err := c.Site(1).FS.SetReplication(u.Cred(), "/hot", []fs.SiteID{1}); err != nil {
-			b.Fatal(err)
-		}
-		c.Settle()
-		r, err := c.Site(1).FS.Resolve(u.Cred(), "/hot")
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c, c.Site(2).FS, r.ID
-	}
-	cycle := func(b *testing.B, k *fs.Kernel, id storage.FileID, buf []byte) {
-		b.Helper()
-		f, err := k.OpenID(id, fs.ModeRead)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, leases := range []bool{false, true} {
-		name := "no-leases"
-		if leases {
-			name = "delegated"
-		}
-		b.Run(name, func(b *testing.B) {
-			c, k, id := setup(b, leases)
-			buf := make([]byte, storage.PageSize)
-			cycle(b, k, id, buf) // first open: grants the delegation
-			start := c.Stats().Msgs
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cycle(b, k, id, buf)
-			}
-			b.StopTimer()
-			reportSim(b, c, start, int64(b.N))
+			b.ReportMetric(float64(res.Msgs), "msgs/op")
 		})
 	}
 }
@@ -518,20 +38,12 @@ func BenchmarkE14_HotFileOpenStorm(b *testing.B) {
 // bench.E16Sized at a small op budget, including the byte-identical
 // determinism the full run relies on.
 func TestExperimentTables(t *testing.T) {
-	exps := bench.Experiments()
-	if len(exps) != 16 {
-		t.Fatalf("expected 16 experiments in the registry, got %d", len(exps))
-	}
-	var tables []*bench.Table
-	for _, e := range exps {
+	byID := map[string]*bench.Table{}
+	for _, e := range bench.Experiments() {
 		if e.ID == "E16" {
 			continue // sized variant asserted below
 		}
-		tables = append(tables, e.Run())
-	}
-	byID := map[string]*bench.Table{}
-	for _, tb := range tables {
-		byID[tb.ID] = tb
+		byID[e.ID], _ = bench.RunWithMetrics(e)
 	}
 
 	// E2: the protocol message counts match the paper exactly.
@@ -747,7 +259,7 @@ func TestExperimentTables(t *testing.T) {
 	// table must report every pinned metric with zero errors, and two
 	// runs with the same seed must produce byte-identical rows — the
 	// property the full run's BENCH_locus.json counters depend on.
-	e16 := bench.E16Sized(300)
+	e16, _ := bench.RunWithMetrics(bench.E16Sized(300))
 	e16Vals := map[string]string{}
 	for _, row := range e16.Rows {
 		e16Vals[row[0]] = row[1]
@@ -767,55 +279,10 @@ func TestExperimentTables(t *testing.T) {
 			t.Errorf("E16 sized: tenant %s = %q, want 300 ops", tenant, got)
 		}
 	}
-	e16again := bench.E16Sized(300)
+	e16again, _ := bench.RunWithMetrics(bench.E16Sized(300))
 	if fmt.Sprint(e16.Rows) != fmt.Sprint(e16again.Rows) {
 		t.Errorf("E16 sized is nondeterministic across runs with the same seed:\n%v\nvs\n%v",
 			e16.Rows, e16again.Rows)
-	}
-}
-
-// TestBenchSmoke is the CI smoke entry point: it runs the cache/
-// readahead experiment end to end with metrics aggregation and checks
-// the BENCH_locus.json encoding round-trips.
-func TestBenchSmoke(t *testing.T) {
-	tbl, res := bench.RunWithMetrics(bench.Experiment{ID: "E11", Run: bench.E11})
-	if tbl == nil || len(tbl.Rows) != 3 {
-		t.Fatalf("E11 table malformed: %+v", tbl)
-	}
-	if res.ID != "E11" || res.Msgs == 0 || res.Bytes == 0 || res.CPUUs == 0 {
-		t.Fatalf("metrics not aggregated: %+v", res)
-	}
-	if res.CacheHits == 0 || res.CacheHitRate <= 0 || res.RAPagesSent == 0 {
-		t.Fatalf("cache/readahead counters missing: %+v", res)
-	}
-	tbl14, res14 := bench.RunWithMetrics(bench.Experiment{ID: "E14", Run: bench.E14})
-	if tbl14 == nil || len(tbl14.Rows) != 2 {
-		t.Fatalf("E14 table malformed: %+v", tbl14)
-	}
-	if res14.LeasesGranted == 0 || res14.LeasesRevoked == 0 || res14.BatchedRevokes == 0 {
-		t.Fatalf("lease counters not aggregated: %+v", res14)
-	}
-	tbl15, res15 := bench.RunWithMetrics(bench.Experiment{ID: "E15", Run: bench.E15})
-	if tbl15 == nil || len(tbl15.Rows) != 5 {
-		t.Fatalf("E15 table malformed: %+v", tbl15)
-	}
-	if res15.OrphanNotices == 0 || res15.PipeTeardowns == 0 || res15.TxnPartitionAborts == 0 ||
-		res15.SignalsQueued == 0 || res15.SignalsReplayed == 0 || res15.SignalsExpired == 0 {
-		t.Fatalf("§5.6 failure-action counters not aggregated: %+v", res15)
-	}
-	var buf bytes.Buffer
-	if err := bench.WriteJSON(&buf, []bench.Result{res}); err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Schema  string         `json:"schema"`
-		Results []bench.Result `json:"results"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("BENCH_locus.json output is not valid JSON: %v", err)
-	}
-	if decoded.Schema != "locus-bench/v1" || len(decoded.Results) != 1 || decoded.Results[0] != res {
-		t.Fatalf("JSON round-trip mismatch: %+v", decoded)
 	}
 }
 
@@ -828,8 +295,9 @@ func parseRatio(t *testing.T, s string) float64 {
 	return v
 }
 
-// TestExampleProgramsCompile ensures the examples keep building by
-// exercising their core flows through the public API (quick versions).
+// TestExampleFlows runs the examples' core flow through the public API
+// in a quick version: write a file, run a program at another site and
+// wait for it. `make examplesmoke` runs the example programs themselves.
 func TestExampleFlows(t *testing.T) {
 	c, err := locus.Simple(2)
 	if err != nil {

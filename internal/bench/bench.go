@@ -4,10 +4,11 @@
 // *shape* on the simulated substrate: who wins, by what factor, where
 // the crossovers are).
 //
-// Each experiment Exx() builds a fresh cluster, drives the workload,
-// and returns a printable table. The test suite asserts the headline
-// shapes; cmd/locus-bench prints the tables; the root bench_test.go
-// wraps the hot loops in testing.B benchmarks.
+// The registry (Experiments) is the one description of the evaluation:
+// each entry's id, title, the paper's claim and the table's headers,
+// plus a body that drives clusters built through its Harness and
+// appends rows and notes. RunWithMetrics runs an entry; the test suite
+// asserts the headline shapes; cmd/locus-bench prints the tables.
 package bench
 
 import (
@@ -20,7 +21,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/netsim"
 	"repro/internal/proc"
-	"repro/internal/recon"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/vclock"
@@ -74,6 +74,87 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// Experiment is one registry entry: everything about a table that is
+// not the run, and the body that runs it.
+type Experiment struct {
+	ID, Title, Paper string
+	Headers          []string
+	Body             func(*Harness)
+}
+
+// Experiments returns the full registry in run order.
+func Experiments() []Experiment {
+	return []Experiment{
+		{ID: "E1", Body: e1,
+			Title:   "Figure 1 — processing a system call requiring foreign service",
+			Paper:   "request: initial syscall processing, message setup; serve: message analysis, syscall continuation, return message; request: return processing, syscall completion",
+			Headers: []string{"stage", "site", "wire msgs (cum)", "sim CPU us (cum)"}},
+		{ID: "E2", Body: e2,
+			Title:   "Figure 2 — protocol message counts per operation and role assignment",
+			Paper:   "open general=4, US=SS=2, CSS=SS=2, all-local=0; network read=2; write=1; close (US,SS,CSS distinct)=4",
+			Headers: []string{"operation", "roles", "messages", "paper"}},
+		{ID: "E3", Body: e3,
+			Title:   "§2.2.1 — CPU cost of local vs remote access",
+			Paper:   "remote page ≈ 2× local CPU; remote open significantly more than local",
+			Headers: []string{"operation", "local CPU us", "remote CPU us", "ratio", "paper"}},
+		{ID: "E4", Body: e4,
+			Title:   "§5.6 — failure actions during cleanup",
+			Paper:   "update-open: discard pages + error in descriptor; read-open: reopen at other site; remote fork target lost: error to caller; parent lost: notify child; transaction: abort subtransactions in partition",
+			Headers: []string{"resource / failure", "paper action", "observed"}},
+		{ID: "E5", Body: e5,
+			Title:   "§5.4/§5.5 — partition & merge protocol cost vs network size",
+			Paper:   "all sites converge on the same answer in a rapid manner; merge polls all sites asynchronously",
+			Headers: []string{"sites", "split", "partition msgs", "merge msgs", "converged"}},
+		{ID: "E6", Body: e6,
+			Title:   "§4.4 — directory reconciliation: rule matrix and merge cost",
+			Paper:   "inserts propagate; deletes propagate unless data modified since; delete/modify races undo the delete; name conflicts renamed + owners mailed",
+			Headers: []string{"scenario / divergence", "result", "msgs", "paper"}},
+		{ID: "E7", Body: e7,
+			Title:   "§2.2.1 — replication degree vs read cost, update cost, availability",
+			Paper:   "replication improves read availability/performance; update cost and consistency burden grow with copies; update availability needs a copy in-partition",
+			Headers: []string{"copies", "read msgs/site (avg)", "update msgs", "read avail under 3/3 split", "update avail"}},
+		{ID: "E8", Body: e8,
+			Title:   "§3.2 — shared-descriptor token: alternating vs batched access",
+			Paper:   "worst case limited by token flip rate; 'virtually all processes read and write substantial amounts of data per system call' so real workloads batch",
+			Headers: []string{"pattern", "msgs/op", "CPU us/op"}},
+		{ID: "E9", Body: e9,
+			Title:   "§4.5 — mailbox reconciliation",
+			Paper:   "insert/delete union with no name conflicts; usable immediately after merge",
+			Headers: []string{"format", "delivered A/B", "deleted", "after merge", "expected"}},
+		{ID: "E10", Body: e10,
+			Title:   "§6 — local LOCUS vs conventional local filesystem",
+			Paper:   "Locus performance equals Unix in the local case",
+			Headers: []string{"system", "CPU us per open+read+close", "network msgs"}},
+		{ID: "E11", Body: e11,
+			Title:   "§2.3.3 — using-site page cache + streaming readahead, 16-page remote scan",
+			Paper:   "network read costs 2 messages per page; caching at the using site removes them",
+			Headers: []string{"pass", "msgs", "fs.read msgs", "KB moved", "cache hits", "ra pages sent/used"}},
+		{ID: "E12", Body: e12,
+			Title:   "§5.1 — remote write+commit under message loss (at-most-once retries)",
+			Paper:   "a lost message closes the circuit; protocols recover without applying an operation twice",
+			Headers: []string{"drop rate", "msgs/op", "op retries", "dropped", "duped", "delayed", "resets", "virtual ms"}},
+		{ID: "E13", Body: e13,
+			Title:   "§2.3.6 — replica propagation: serial per-page vs bulk windowed",
+			Paper:   "a kernel process services the propagation queue; pulling pages one exchange at a time is the naive cost",
+			Headers: []string{"regime", "pulls", "msgs", "KB", "pull windows", "pull pages", "virtual ms"}},
+		{ID: "E14", Body: e14,
+			Title: "§2.3.3 at scale — hot-file open storm: per-open CSS exchanges vs lease/intent delegations",
+			Paper: "every open involves the CSS; a read lease lets the using site repeat open/read/close with no network traffic until a writer appears",
+			Headers: []string{"regime", "first opens msgs", "reopen msgs", "msgs/reopen",
+				"leases granted", "writer open msgs", "revoke rounds", "writer commit+close msgs"}},
+		{ID: "E15", Body: e15,
+			Title: "§5.6 failure actions — kill the executing site: orphan notices, pipe EOF, txn aborts, signal queue/replay",
+			Paper: "remote operations return site-failure errors, orphaned processes are notified, pipes deliver EOF (never a hang), partitioned transactions abort, and undeliverable signals queue until merge",
+			Headers: []string{"stage", "msgs", "orphan notices", "pipe teardowns",
+				"txn aborts", "sigs queued", "sigs replayed", "sigs expired"}},
+		{ID: "E16", Body: e16(E16OpsPerTenant),
+			Title: "multi-tenant workload engine — throughput and latency under sustained load",
+			Paper: "the paper evaluates per-op message counts on fixed scripts; E16 holds those protocols " +
+				"under a million-op seeded workload and reports throughput + latency percentiles",
+			Headers: []string{"metric", "value"}},
+	}
+}
+
 func cell(format string, args ...any) string { return fmt.Sprintf(format, args...) }
 
 // must aborts the experiment on a setup/workload error. Benchmarks have
@@ -84,17 +165,6 @@ func must(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-func mustCluster(n int) *locus.Cluster {
-	c, err := locus.Simple(n)
-	if err != nil {
-		must(err)
-	}
-	if trackClusters != nil {
-		trackClusters(c)
-	}
-	return c
 }
 
 func mustWrite(se *locus.Session, path string, data []byte) {
@@ -111,110 +181,73 @@ func page(b byte) []byte {
 	return p
 }
 
-// E1 regenerates Figure 1: the control flow of a system call requiring
+// e1 regenerates Figure 1: the control flow of a system call requiring
 // foreign service, with per-stage message and simulated-cost deltas.
-func E1() *Table {
-	c := mustCluster(2)
-	defer c.Close()
+func e1(h *Harness) {
+	c := h.Cluster(2)
 	u1 := c.Site(1).Login("u")
 	s2 := c.Site(2).Login("u")
 	mustWrite(u1, "/f", page('x'))
-	if err := c.Site(1).FS.SetReplication(u1.Cred(), "/f", []SiteID{1}); err != nil {
-		must(err)
-	}
+	must(c.Site(1).FS.SetReplication(u1.Cred(), "/f", []SiteID{1}))
 	c.Settle()
 
-	t := &Table{
-		ID:      "E1",
-		Title:   "Figure 1 — processing a system call requiring foreign service",
-		Paper:   "request: initial syscall processing, message setup; serve: message analysis, syscall continuation, return message; request: return processing, syscall completion",
-		Headers: []string{"stage", "site", "wire msgs (cum)", "sim CPU us (cum)"},
-	}
 	r, err := c.Site(2).FS.Resolve(s2.Cred(), "/f")
-	if err != nil {
-		must(err)
-	}
+	must(err)
 	base := c.Stats()
 	add := func(stage, site string) {
 		d := c.Stats().Sub(base)
-		t.Rows = append(t.Rows, []string{stage, site, cell("%d", d.Msgs), cell("%d", d.CPUUs)})
+		h.Row(stage, site, cell("%d", d.Msgs), cell("%d", d.CPUUs))
 	}
 	add("initial system call processing", "requesting")
 	f, err := c.Site(2).FS.OpenID(r.ID, fs.ModeRead)
-	if err != nil {
-		must(err)
-	}
+	must(err)
 	add("open: message setup + remote service + return", "requesting+serving")
 	buf := make([]byte, 100)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		must(err)
-	}
+	_, err = f.ReadAt(buf, 0)
+	must(err)
 	add("read page: request/response exchange", "requesting+serving")
-	if err := f.Close(); err != nil {
-		must(err)
-	}
+	must(f.Close())
 	add("close: 4-message teardown", "requesting+serving")
-	return t
 }
 
-// E2 regenerates Figure 2 and the §2.3.3/.5 message counts: the open
+// e2 regenerates Figure 2 and the §2.3.3/.5 message counts: the open
 // protocol in every US/CSS/SS role combination, plus read, write,
 // commit and close.
-func E2() *Table {
-	h := NewHarness(3, &Table{
-		ID:      "E2",
-		Title:   "Figure 2 — protocol message counts per operation and role assignment",
-		Paper:   "open general=4, US=SS=2, CSS=SS=2, all-local=0; network read=2; write=1; close (US,SS,CSS distinct)=4",
-		Headers: []string{"operation", "roles", "messages", "paper"},
-	})
-	defer h.Close()
-	c := h.C
-	u1 := h.Login(1, "u")
+func e2(h *Harness) {
+	c := h.Cluster(3)
+	u1 := c.Site(1).Login("u")
 	// fileA stored only at site 3 (CSS=1 stores nothing): general case.
-	h.Write(u1, "/a", page('a'))
-	if err := c.Site(1).FS.SetReplication(u1.Cred(), "/a", []SiteID{3}); err != nil {
-		must(err)
-	}
+	mustWrite(u1, "/a", page('a'))
+	must(c.Site(1).FS.SetReplication(u1.Cred(), "/a", []SiteID{3}))
 	// fileB stored at 1 and 3.
-	h.Write(u1, "/b", page('b'))
-	if err := c.Site(1).FS.SetReplication(u1.Cred(), "/b", []SiteID{1, 3}); err != nil {
-		must(err)
-	}
-	h.Settle()
+	mustWrite(u1, "/b", page('b'))
+	must(c.Site(1).FS.SetReplication(u1.Cred(), "/b", []SiteID{1, 3}))
+	c.Settle()
 	ra, _ := c.Site(1).FS.Resolve(u1.Cred(), "/a")
 	rb, _ := c.Site(1).FS.Resolve(u1.Cred(), "/b")
 
 	var f *fs.File
-	h.Row("open(read)", "US=2 CSS=1 SS=3 (general)", cell("%d", h.MsgDelta(func() {
+	h.Row("open(read)", "US=2 CSS=1 SS=3 (general)", cell("%d", delta(c, func() {
 		var err error
 		f, err = c.Site(2).FS.OpenID(ra.ID, fs.ModeRead)
-		if err != nil {
-			must(err)
-		}
-	})), "4")
-	rd := h.MsgDelta(func() {
+		must(err)
+	}).Msgs), "4")
+	rd := delta(c, func() {
 		buf := make([]byte, storage.PageSize)
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			must(err)
-		}
-	})
+		_, err := f.ReadAt(buf, 0)
+		must(err)
+	}).Msgs
 	h.Row("read page", "US=2 SS=3", cell("%d", rd), "2")
-	cl := h.MsgDelta(func() {
-		if err := f.Close(); err != nil {
-			must(err)
-		}
-	})
+	cl := delta(c, func() { must(f.Close()) }).Msgs
 	h.Row("close(read)", "US=2 SS=3 CSS=1", cell("%d", cl), "4")
 
 	openCase := func(roles string, us SiteID, id storage.FileID, want string) {
 		var hf *fs.File
-		msgs := h.MsgDelta(func() {
+		msgs := delta(c, func() {
 			var err error
 			hf, err = c.Site(us).FS.OpenID(id, fs.ModeRead)
-			if err != nil {
-				must(err)
-			}
-		})
+			must(err)
+		}).Msgs
 		h.Row("open(read)", roles, cell("%d", msgs), want)
 		hf.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
 	}
@@ -224,37 +257,26 @@ func E2() *Table {
 
 	// Write: one message per full-page write (US=2, SS=3 via fileA).
 	w, err := c.Site(2).FS.OpenID(ra.ID, fs.ModeModify)
-	if err != nil {
+	must(err)
+	wr := delta(c, func() {
+		_, err := w.WriteAt(page('z'), 0)
 		must(err)
-	}
-	wr := h.MsgDelta(func() {
-		if _, err := w.WriteAt(page('z'), 0); err != nil {
-			must(err)
-		}
-	})
+	}).Msgs
 	h.Row("write page", "US=2 SS=3", cell("%d", wr), "1")
-	cm := h.MsgDelta(func() {
-		if err := w.Commit(); err != nil {
-			must(err)
-		}
-	})
+	cm := delta(c, func() { must(w.Commit()) }).Msgs
 	h.Row("commit", "US=2 SS=3 (+notify)", cell("%d", cm), "2 + 1/replica")
 	w.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
-	h.Settle()
-	return h.T
+	c.Settle()
 }
 
-// E3 reproduces the §2.2.1 cost claim: "the cpu overhead of accessing a
+// e3 reproduces the §2.2.1 cost claim: "the cpu overhead of accessing a
 // remote page is twice local access, and the cost of a remote open is
 // significantly more than ... local".
-func E3() *Table {
-	c := mustCluster(2)
-	defer c.Close()
+func e3(h *Harness) {
+	c := h.Cluster(2)
 	u1 := c.Site(1).Login("u")
 	mustWrite(u1, "/local", page('l'))
-	if err := c.Site(1).FS.SetReplication(u1.Cred(), "/local", []SiteID{1}); err != nil {
-		must(err)
-	}
+	must(c.Site(1).FS.SetReplication(u1.Cred(), "/local", []SiteID{1}))
 	c.Settle()
 	rl, _ := c.Site(1).FS.Resolve(u1.Cred(), "/local")
 
@@ -269,93 +291,65 @@ func E3() *Table {
 		defer k.SetFeatures(fs.Features{})
 		// Warm CSS state.
 		f, err := k.OpenID(rl.ID, fs.ModeRead)
-		if err != nil {
-			must(err)
-		}
+		must(err)
 		f.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
 		before := c.Stats()
 		handles := make([]*fs.File, iters)
 		for i := 0; i < iters; i++ {
-			h, err := k.OpenID(rl.ID, fs.ModeRead)
-			if err != nil {
-				must(err)
-			}
-			handles[i] = h
+			handles[i], err = k.OpenID(rl.ID, fs.ModeRead)
+			must(err)
 		}
 		openCPU = c.Stats().Sub(before).CPUUs / iters
 		before = c.Stats()
 		buf := make([]byte, storage.PageSize)
 		for i := 0; i < iters; i++ {
-			if _, err := handles[i].ReadAt(buf, 0); err != nil {
-				must(err)
-			}
+			_, err := handles[i].ReadAt(buf, 0)
+			must(err)
 		}
 		pageCPU = c.Stats().Sub(before).CPUUs / iters
-		for _, h := range handles {
-			h.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
+		for _, hf := range handles {
+			hf.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
 		}
 		return openCPU, pageCPU
 	}
 	lo, lp := measure(1) // local: US=CSS=SS=1
 	ro, rp := measure(2) // remote: US=2
 
-	t := &Table{
-		ID:      "E3",
-		Title:   "§2.2.1 — CPU cost of local vs remote access",
-		Paper:   "remote page ≈ 2× local CPU; remote open significantly more than local",
-		Headers: []string{"operation", "local CPU us", "remote CPU us", "ratio", "paper"},
-	}
-	t.Rows = append(t.Rows, []string{"page read", cell("%d", lp), cell("%d", rp), cell("%.2fx", float64(rp)/float64(lp)), "≈2x"})
-	t.Rows = append(t.Rows, []string{"open+lock", cell("%d", lo), cell("%d", ro), cell("%.2fx", float64(ro)/float64(lo)), "significantly more"})
-	return t
+	h.Row("page read", cell("%d", lp), cell("%d", rp), cell("%.2fx", float64(rp)/float64(lp)), "≈2x")
+	h.Row("open+lock", cell("%d", lo), cell("%d", ro), cell("%.2fx", float64(ro)/float64(lo)), "significantly more")
 }
 
-// E4 regenerates the §5.6 cleanup table: the action taken for each
+// e4 regenerates the §5.6 cleanup table: the action taken for each
 // resource class when a partition separates the using and serving
 // sites.
-func E4() *Table {
-	t := &Table{
-		ID:      "E4",
-		Title:   "§5.6 — failure actions during cleanup",
-		Paper:   "update-open: discard pages + error in descriptor; read-open: reopen at other site; remote fork target lost: error to caller; parent lost: notify child; transaction: abort subtransactions in partition",
-		Headers: []string{"resource / failure", "paper action", "observed"},
-	}
-
+func e4(h *Harness) {
 	// --- File open for update, SS lost.
 	{
-		c := mustCluster(3)
+		c := h.Cluster(3)
 		u1 := c.Site(1).Login("u")
 		mustWrite(u1, "/f", []byte("v1"))
-		if err := c.Site(1).FS.SetReplication(u1.Cred(), "/f", []SiteID{3}); err != nil {
-			must(err)
-		}
+		must(c.Site(1).FS.SetReplication(u1.Cred(), "/f", []SiteID{3}))
 		c.Settle()
 		w, err := c.Site(2).FS.Open(c.Site(2).Login("u").Cred(), "/f", fs.ModeModify)
-		if err != nil {
-			must(err)
-		}
-		if err := w.WriteAll([]byte("doomed")); err != nil {
-			must(err)
-		}
+		must(err)
+		must(w.WriteAll([]byte("doomed")))
 		c.Partition([]SiteID{1, 2}, []SiteID{3})
 		obs := "no action"
 		if w.Stale() {
 			obs = "pages discarded, error set in file descriptor"
 		}
-		t.Rows = append(t.Rows, []string{"file open for update, SS lost", "discard pages, set error in descriptor", obs})
+		h.Row("file open for update, SS lost", "discard pages, set error in descriptor", obs)
 		c.Close()
 	}
 
 	// --- File open for read, SS lost, another copy available.
 	{
-		c := mustCluster(3)
+		c := h.Cluster(3)
 		u1 := c.Site(1).Login("u")
 		mustWrite(u1, "/f", []byte("stable"))
 		c.Settle()
 		r, err := c.Site(2).FS.Open(c.Site(2).Login("u").Cred(), "/f", fs.ModeRead)
-		if err != nil {
-			must(err)
-		}
+		must(err)
 		lost := r.SS()
 		if lost == 2 {
 			lost = 1 // ensure we cut a remote SS; reopen below still exercises the path
@@ -373,13 +367,13 @@ func E4() *Table {
 				obs = cell("reopened at site %d, same version, read continues", r.SS())
 			}
 		}
-		t.Rows = append(t.Rows, []string{"file open for read, SS lost", "internal close, reopen at other site", obs})
+		h.Row("file open for read, SS lost", "internal close, reopen at other site", obs)
 		c.Close()
 	}
 
 	// --- Remote run, target site down.
 	{
-		c := mustCluster(2)
+		c := h.Cluster(2)
 		u1 := c.Site(1).Login("u")
 		mustWrite(u1, "/prog", []byte("go:p\n"))
 		c.Settle()
@@ -392,22 +386,21 @@ func E4() *Table {
 		if err != nil {
 			obs = "error returned to caller"
 		}
-		t.Rows = append(t.Rows, []string{"remote fork/exec, remote site fails", "return error to caller", obs})
+		h.Row("remote fork/exec, remote site fails", "return error to caller", obs)
 		c.Close()
 	}
 
 	// --- Child running remotely, child site lost: parent signalled.
 	{
-		c := mustCluster(2)
+		c := h.Cluster(2)
 		u1 := c.Site(1).Login("u")
 		mustWrite(u1, "/svc", []byte("go:svc\n"))
 		c.Settle()
 		c.Site(2).Proc.Register("svc", func(ctx *proc.Ctx) int { <-ctx.Signals(); return 0 })
 		sess := c.Site(1).Login("u")
 		sess.SetExecSite(2)
-		if _, err := sess.Run("/svc"); err != nil {
-			must(err)
-		}
+		_, err := sess.Run("/svc")
+		must(err)
 		c.Partition([]SiteID{1}, []SiteID{2})
 		obs := "no signal"
 		select {
@@ -421,48 +414,36 @@ func E4() *Table {
 			// the scenario result accordingly.
 			obs = "error reported at next wait"
 		}
-		t.Rows = append(t.Rows, []string{"interacting processes, child site fails", "parent receives error signal", obs})
+		h.Row("interacting processes, child site fails", "parent receives error signal", obs)
 		c.Close()
 	}
 
 	// --- Distributed transaction: abort subtransactions in partition.
 	{
-		c := mustCluster(3)
+		c := h.Cluster(3)
 		u1 := c.Site(1).Login("u")
 		mustWrite(u1, "/t", []byte("base"))
-		if err := c.Site(1).FS.SetReplication(u1.Cred(), "/t", []SiteID{3}); err != nil {
-			must(err)
-		}
+		must(c.Site(1).FS.SetReplication(u1.Cred(), "/t", []SiteID{3}))
 		c.Settle()
 		m := c.Site(2).Txn
 		tx := m.Begin(c.Site(2).Login("u").Cred())
-		if err := tx.WriteFile("/t", []byte("doomed")); err != nil {
-			must(err)
-		}
+		must(tx.WriteFile("/t", []byte("doomed")))
 		c.Partition([]SiteID{1, 2}, []SiteID{3})
 		obs := "still active"
 		if tx.State() == txn.Aborted {
 			obs = "transaction aborted by cleanup"
 		}
-		t.Rows = append(t.Rows, []string{"distributed transaction, SS lost", "abort all related subtransactions in partition", obs})
+		h.Row("distributed transaction, SS lost", "abort all related subtransactions in partition", obs)
 		c.Close()
 	}
-	return t
 }
 
-// E5 measures the reconfiguration protocols (§5.4–5.5): messages and
+// e5 measures the reconfiguration protocols (§5.4–5.5): messages and
 // simulated time for the partition and merge protocols as the network
 // scales, including the paper's 17-site configuration.
-func E5() *Table {
-	t := &Table{
-		ID:      "E5",
-		Title:   "§5.4/§5.5 — partition & merge protocol cost vs network size",
-		Paper:   "all sites converge on the same answer in a rapid manner; merge polls all sites asynchronously",
-		Headers: []string{"sites", "split", "partition msgs", "merge msgs", "converged"},
-	}
+func e5(h *Harness) {
 	for _, n := range []int{4, 8, 12, 16, 17, 24, 32} {
-		h := NewHarness(n, t)
-		c := h.C
+		c := h.Cluster(n)
 		var a, b []SiteID
 		for i := 1; i <= n; i++ {
 			if i <= n/2 {
@@ -472,17 +453,16 @@ func E5() *Table {
 			}
 		}
 		c.Network().PartitionGroups(a, b)
-		partMsgs := h.MsgDelta(func() {
+		partMsgs := delta(c, func() {
 			c.Site(a[0]).Topo.RunPartitionProtocol()
 			c.Site(b[0]).Topo.RunPartitionProtocol()
-		})
+		}).Msgs
 
 		c.Network().HealAll()
-		mergeMsgs := h.MsgDelta(func() {
-			if _, err := c.Site(a[0]).Topo.RunMergeProtocol(); err != nil {
-				must(err)
-			}
-		})
+		mergeMsgs := delta(c, func() {
+			_, err := c.Site(a[0]).Topo.RunMergeProtocol()
+			must(err)
+		}).Msgs
 
 		converged := true
 		want := c.Site(a[0]).Topo.Partition()
@@ -494,26 +474,16 @@ func E5() *Table {
 		}
 		h.Row(cell("%d", n), cell("%d/%d", len(a), len(b)),
 			cell("%d", partMsgs), cell("%d", mergeMsgs), cell("%v", converged))
-		h.Close()
+		c.Close()
 	}
-	t.Notes = append(t.Notes, "17 sites is the paper's UCLA configuration (17 VAX-11/750s)")
-	return t
+	h.Notef("17 sites is the paper's UCLA configuration (17 VAX-11/750s)")
 }
 
-// E6 exercises the §4.4 directory merge matrix and measures merge
+// e6 exercises the §4.4 directory merge matrix and measures merge
 // throughput for increasingly divergent directories.
-func E6() *Table {
-	t := &Table{
-		ID:      "E6",
-		Title:   "§4.4 — directory reconciliation: rule matrix and merge cost",
-		Paper:   "inserts propagate; deletes propagate unless data modified since; delete/modify races undo the delete; name conflicts renamed + owners mailed",
-		Headers: []string{"scenario / divergence", "result", "msgs", "paper"},
-	}
+func e6(h *Harness) {
 	run := func(scenario string, inserts int, setup func(a, b *locus.Session), check func(a *locus.Session) string, want string) {
-		c := mustCluster(2)
-		defer c.Close()
-		ra := recon.New(c.Site(1).FS)
-		rb := recon.New(c.Site(2).FS)
+		c := h.Cluster(2)
 		a := c.Site(1).Login("owner")
 		b := c.Site(2).Login("owner")
 		if setup != nil {
@@ -531,23 +501,21 @@ func E6() *Table {
 		c.Network().HealAll()
 		c.Site(1).Topo.RunMergeProtocol() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
 		c.Settle()
-		before := c.Stats()
-		ra.ReconcileAll() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
-		rb.ReconcileAll() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
-		c.Settle()
-		msgs := c.Stats().Sub(before).Msgs
+		msgs := delta(c, func() {
+			c.Site(1).Recon.ReconcileAll() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
+			c.Site(2).Recon.ReconcileAll() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
+			c.Settle()
+		}).Msgs
 		result := cell("%d entries merged", 2*inserts)
 		if check != nil {
 			result = check(a)
 		}
-		t.Rows = append(t.Rows, []string{scenario, result, cell("%d", msgs), want})
+		h.Row(scenario, result, cell("%d", msgs), want)
 	}
 
 	run("independent inserts ×20", 20, nil, nil, "all propagate (rule a)")
 	run("delete in one partition", 0, func(a, b *locus.Session) {
-		if err := a.Unlink("/seed"); err != nil {
-			must(err)
-		}
+		must(a.Unlink("/seed"))
 	}, func(a *locus.Session) string {
 		if _, err := a.ReadFile("/seed"); err != nil {
 			return "delete propagated"
@@ -555,9 +523,7 @@ func E6() *Table {
 		return "delete lost"
 	}, "delete propagates (rule b)")
 	run("delete vs modify race", 0, func(a, b *locus.Session) {
-		if err := a.Unlink("/seed"); err != nil {
-			must(err)
-		}
+		must(a.Unlink("/seed"))
 		mustWrite(b, "/seed", []byte("modified"))
 	}, func(a *locus.Session) string {
 		if d, err := a.ReadFile("/seed"); err == nil && string(d) == "modified" {
@@ -581,30 +547,21 @@ func E6() *Table {
 		}
 		return cell("%d renamed entries, owner mailed", n)
 	}, "both renamed, owners notified")
-	return t
 }
 
-// E7 sweeps the replication factor (§2.2.1): read locality, update
+// e7 sweeps the replication factor (§2.2.1): read locality, update
 // propagation cost, and availability under partition.
-func E7() *Table {
+func e7(h *Harness) {
 	const n = 6
-	t := &Table{
-		ID:      "E7",
-		Title:   "§2.2.1 — replication degree vs read cost, update cost, availability",
-		Paper:   "replication improves read availability/performance; update cost and consistency burden grow with copies; update availability needs a copy in-partition",
-		Headers: []string{"copies", "read msgs/site (avg)", "update msgs", "read avail under 3/3 split", "update avail"},
-	}
 	for copies := 1; copies <= n; copies++ {
-		c := mustCluster(n)
+		c := h.Cluster(n)
 		u1 := c.Site(1).Login("u")
 		var sites []SiteID
 		for i := 1; i <= copies; i++ {
 			sites = append(sites, SiteID(i))
 		}
 		mustWrite(u1, "/f", page('r'))
-		if err := c.Site(1).FS.SetReplication(u1.Cred(), "/f", sites); err != nil {
-			must(err)
-		}
+		must(c.Site(1).FS.SetReplication(u1.Cred(), "/f", sites))
 		c.Settle()
 		rid, _ := c.Site(1).FS.Resolve(u1.Cred(), "/f")
 
@@ -612,13 +569,10 @@ func E7() *Table {
 		before := c.Stats()
 		for s := 1; s <= n; s++ {
 			f, err := c.Site(SiteID(s)).FS.OpenID(rid.ID, fs.ModeRead)
-			if err != nil {
-				must(err)
-			}
+			must(err)
 			buf := make([]byte, storage.PageSize)
-			if _, err := f.ReadAt(buf, 0); err != nil {
-				must(err)
-			}
+			_, err = f.ReadAt(buf, 0)
+			must(err)
 			f.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
 		}
 		readMsgs := float64(c.Stats().Sub(before).Msgs) / float64(n)
@@ -626,15 +580,10 @@ func E7() *Table {
 		// Update cost: one page rewrite + commit + propagation.
 		before = c.Stats()
 		w, err := c.Site(1).FS.OpenID(rid.ID, fs.ModeModify)
-		if err != nil {
-			must(err)
-		}
-		if _, err := w.WriteAt(page('w'), 0); err != nil {
-			must(err)
-		}
-		if err := w.Close(); err != nil {
-			must(err)
-		}
+		must(err)
+		_, err = w.WriteAt(page('w'), 0)
+		must(err)
+		must(w.Close())
 		c.Settle()
 		updMsgs := c.Stats().Sub(before).Msgs
 
@@ -655,20 +604,16 @@ func E7() *Table {
 				f.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
 			}
 		}
-		t.Rows = append(t.Rows, []string{
-			cell("%d", copies), cell("%.1f", readMsgs), cell("%d", updMsgs),
-			cell("%d/6 sites", readOK), cell("%d/2 partitions", updOK),
-		})
+		h.Row(cell("%d", copies), cell("%.1f", readMsgs), cell("%d", updMsgs),
+			cell("%d/6 sites", readOK), cell("%d/2 partitions", updOK))
 		c.Close()
 	}
-	return t
 }
 
-// E8 measures token thrashing on a shared file descriptor (§3.2):
+// e8 measures token thrashing on a shared file descriptor (§3.2):
 // alternating access from two sites versus batched access from one.
-func E8() *Table {
-	c := mustCluster(2)
-	defer c.Close()
+func e8(h *Harness) {
+	c := h.Cluster(2)
 	u1 := c.Site(1).Login("u")
 	content := make([]byte, 64*1024)
 	mustWrite(u1, "/log", content)
@@ -677,83 +622,51 @@ func E8() *Table {
 	p1 := c.Site(1).Proc.InitProcess(u1.Cred())
 	p2 := c.Site(2).Proc.InitProcess(c.Site(2).Login("u").Cred())
 	fd1, _, err := c.Site(1).Proc.OpenShared(p1, "/log", fs.ModeRead)
-	if err != nil {
-		must(err)
-	}
+	must(err)
 	home, id := fd1.HomeID()
 	fd2, _, err := c.Site(2).Proc.AttachShared(p2, home, id, "/log", fs.ModeRead)
-	if err != nil {
-		must(err)
-	}
+	must(err)
 
 	const ops = 128
 	buf := make([]byte, 64)
-
-	before := c.Stats()
-	for i := 0; i < ops; i++ {
-		if _, err := fd1.Read(buf); err != nil {
-			must(err)
-		}
-		if _, err := fd2.Read(buf); err != nil {
-			must(err)
-		}
+	read := func(fd *proc.FD) {
+		_, err := fd.Read(buf)
+		must(err)
 	}
-	d := c.Stats().Sub(before)
+
+	d := delta(c, func() {
+		for i := 0; i < ops; i++ {
+			read(fd1)
+			read(fd2)
+		}
+	})
 	thrashMsgs := float64(d.Msgs) / float64(2*ops)
 	thrashCPU := d.CPUUs / int64(2*ops)
 
-	before = c.Stats()
-	for i := 0; i < ops; i++ {
-		if _, err := fd1.Read(buf); err != nil {
-			must(err)
+	d = delta(c, func() {
+		for i := 0; i < ops; i++ {
+			read(fd1)
 		}
-	}
-	for i := 0; i < ops; i++ {
-		if _, err := fd2.Read(buf); err != nil {
-			must(err)
+		for i := 0; i < ops; i++ {
+			read(fd2)
 		}
-	}
-	d = c.Stats().Sub(before)
+	})
 	batchMsgs := float64(d.Msgs) / float64(2*ops)
 	batchCPU := d.CPUUs / int64(2*ops)
 
-	t := &Table{
-		ID:      "E8",
-		Title:   "§3.2 — shared-descriptor token: alternating vs batched access",
-		Paper:   "worst case limited by token flip rate; 'virtually all processes read and write substantial amounts of data per system call' so real workloads batch",
-		Headers: []string{"pattern", "msgs/op", "CPU us/op"},
-	}
-	t.Rows = append(t.Rows, []string{"alternating sites (thrash)", cell("%.2f", thrashMsgs), cell("%d", thrashCPU)})
-	t.Rows = append(t.Rows, []string{"batched per site", cell("%.2f", batchMsgs), cell("%d", batchCPU)})
-	t.Notes = append(t.Notes, cell("thrash/batch message ratio = %.1fx", thrashMsgs/maxf(batchMsgs, 0.01)))
-	return t
+	h.Row("alternating sites (thrash)", cell("%.2f", thrashMsgs), cell("%d", thrashCPU))
+	h.Row("batched per site", cell("%.2f", batchMsgs), cell("%d", batchCPU))
+	h.Notef("thrash/batch message ratio = %.1fx", thrashMsgs/max(batchMsgs, 0.01))
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// E9 verifies §4.5: merged mailboxes are the union of partitioned
+// e9 verifies §4.5: merged mailboxes are the union of partitioned
 // deliveries minus deletions, for both storage formats.
-func E9() *Table {
-	t := &Table{
-		ID:      "E9",
-		Title:   "§4.5 — mailbox reconciliation",
-		Paper:   "insert/delete union with no name conflicts; usable immediately after merge",
-		Headers: []string{"format", "delivered A/B", "deleted", "after merge", "expected"},
-	}
-
+func e9(h *Harness) {
 	// Format 1: multiple messages in a single mailbox file (default).
 	{
-		c := mustCluster(2)
-		ra := recon.New(c.Site(1).FS)
-		rb := recon.New(c.Site(2).FS)
-		if err := ra.DeliverMail("bob", "pre", "hello"); err != nil {
-			must(err)
-		}
+		c := h.Cluster(2)
+		ra, rb := c.Site(1).Recon, c.Site(2).Recon
+		must(ra.DeliverMail("bob", "pre", "hello"))
 		c.Settle()
 		pre, _ := ra.ReadMail("bob")
 		c.Partition([]SiteID{1}, []SiteID{2})
@@ -769,19 +682,17 @@ func E9() *Table {
 		rb.ReconcileAll() // error unchecked by design: bench harness: a failure here surfaces as wrong pinned counts
 		c.Settle()
 		got, _ := ra.ReadMail("bob")
-		t.Rows = append(t.Rows, []string{"single-file mailbox", "5/5 (+1 pre)", "1", cell("%d live", len(got)), "10"})
+		h.Row("single-file mailbox", "5/5 (+1 pre)", "1", cell("%d live", len(got)), "10")
 		c.Close()
 	}
 
 	// Format 2: one message per file grouped by directory (mh style):
 	// the directory merge itself reconciles it.
 	{
-		c := mustCluster(2)
+		c := h.Cluster(2)
 		a := c.Site(1).Login("u")
 		b := c.Site(2).Login("u")
-		if err := a.Mkdir("/mh"); err != nil {
-			must(err)
-		}
+		must(a.Mkdir("/mh"))
 		c.Settle()
 		c.Partition([]SiteID{1}, []SiteID{2})
 		for i := 0; i < 5; i++ {
@@ -789,40 +700,33 @@ func E9() *Table {
 			mustWrite(b, cell("/mh/2-%d", i), []byte("b"))
 		}
 		rep, err := c.Merge()
-		if err != nil {
-			must(err)
-		}
+		must(err)
 		ents, _ := a.ReadDir("/mh")
-		t.Rows = append(t.Rows, []string{"message-per-file (mh)", "5/5", "0", cell("%d files (dirs merged: %d)", len(ents), rep.DirsMerged), "10"})
+		h.Row("message-per-file (mh)", "5/5", "0", cell("%d files (dirs merged: %d)", len(ents), rep.DirsMerged), "10")
 		c.Close()
 	}
-	return t
 }
 
-// E10 reproduces the §6 claim "Locus performance equals Unix in the
+// e10 reproduces the §6 claim "Locus performance equals Unix in the
 // local case": local LOCUS file operations versus the bare storage
 // substrate (the conventional single-machine filesystem baseline).
-func E10() *Table {
+func e10(h *Harness) {
 	// LOCUS local operation.
-	c := mustCluster(1)
-	defer c.Close()
+	c := h.Cluster(1)
 	u := c.Site(1).Login("u")
 	mustWrite(u, "/f", page('x'))
 	rid, _ := c.Site(1).FS.Resolve(u.Cred(), "/f")
 	const iters = 300
-	before := c.Stats()
 	buf := make([]byte, storage.PageSize)
-	for i := 0; i < iters; i++ {
-		f, err := c.Site(1).FS.OpenID(rid.ID, fs.ModeRead)
-		if err != nil {
+	d := delta(c, func() {
+		for i := 0; i < iters; i++ {
+			f, err := c.Site(1).FS.OpenID(rid.ID, fs.ModeRead)
 			must(err)
-		}
-		if _, err := f.ReadAt(buf, 0); err != nil {
+			_, err = f.ReadAt(buf, 0)
 			must(err)
+			f.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
 		}
-		f.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
-	}
-	d := c.Stats().Sub(before)
+	})
 	locusCPU := d.CPUUs / iters
 	locusMsgs := d.Msgs
 
@@ -833,32 +737,19 @@ func E10() *Table {
 	})
 	num, _ := cont.AllocInode()
 	pp, _ := cont.WritePage(page('x'))
-	if err := cont.CommitInode(&storage.Inode{Num: num, Size: storage.PageSize, Pages: []storage.PhysPage{pp}, VV: vclock.New()}); err != nil {
-		must(err)
-	}
+	must(cont.CommitInode(&storage.Inode{Num: num, Size: storage.PageSize, Pages: []storage.PhysPage{pp}, VV: vclock.New()}))
 	meter.cpu = 0
 	for i := 0; i < iters; i++ {
-		ino, err := cont.GetInode(num) // "open"
-		if err != nil {
-			must(err)
-		}
-		if _, err := cont.ReadLogicalPage(num, 0); err != nil {
-			must(err)
-		}
-		_ = ino
+		_, err := cont.GetInode(num) // "open"
+		must(err)
+		_, err = cont.ReadLogicalPage(num, 0)
+		must(err)
 	}
 	baseCPU := meter.cpu / iters
 
-	t := &Table{
-		ID:      "E10",
-		Title:   "§6 — local LOCUS vs conventional local filesystem",
-		Paper:   "Locus performance equals Unix in the local case",
-		Headers: []string{"system", "CPU us per open+read+close", "network msgs"},
-	}
-	t.Rows = append(t.Rows, []string{"LOCUS (all roles local)", cell("%d", locusCPU), cell("%d", locusMsgs)})
-	t.Rows = append(t.Rows, []string{"bare local filesystem", cell("%d", baseCPU), "0"})
-	t.Notes = append(t.Notes, cell("overhead ratio %.2fx (paper: ≈1x)", float64(locusCPU)/float64(baseCPU)))
-	return t
+	h.Row("LOCUS (all roles local)", cell("%d", locusCPU), cell("%d", locusMsgs))
+	h.Row("bare local filesystem", cell("%d", baseCPU), "0")
+	h.Notef("overhead ratio %.2fx (paper: ≈1x)", float64(locusCPU)/float64(baseCPU))
 }
 
 type localMeter struct{ cpu, disk int64 }
@@ -866,13 +757,12 @@ type localMeter struct{ cpu, disk int64 }
 func (m *localMeter) AddCPU(us int64)  { m.cpu += us }
 func (m *localMeter) AddDisk(us int64) { m.disk += us }
 
-// E11 measures the using-site page cache and streaming readahead on a
+// e11 measures the using-site page cache and streaming readahead on a
 // sequential remote read — the §2.3.3 two-message protocol is the
 // baseline, and the cache/readahead layer is the optimisation this
 // table quantifies.
-func E11() *Table {
-	c := mustCluster(2)
-	defer c.Close()
+func e11(h *Harness) {
+	c := h.Cluster(2)
 	u1 := c.Site(1).Login("u")
 	const pages = 16
 	data := make([]byte, pages*storage.PageSize)
@@ -880,31 +770,23 @@ func E11() *Table {
 		data[i] = byte('a' + i/int(storage.PageSize)%26)
 	}
 	mustWrite(u1, "/seq", data)
-	if err := c.Site(1).FS.SetReplication(u1.Cred(), "/seq", []SiteID{1}); err != nil {
-		must(err)
-	}
+	must(c.Site(1).FS.SetReplication(u1.Cred(), "/seq", []SiteID{1}))
 	c.Settle()
 	rid, err := c.Site(1).FS.Resolve(u1.Cred(), "/seq")
-	if err != nil {
-		must(err)
-	}
+	must(err)
 	k := c.Site(2).FS
 
 	scan := func(ft fs.Features) netsim.Snapshot {
 		k.SetFeatures(ft)
 		f, err := k.OpenID(rid.ID, fs.ModeRead)
-		if err != nil {
+		must(err)
+		d := delta(c, func() {
+			got, err := f.ReadAll()
 			must(err)
-		}
-		before := c.Stats()
-		got, err := f.ReadAll()
-		if err != nil {
-			must(err)
-		}
-		if len(got) != len(data) {
-			must(fmt.Errorf("E11: short read: %d of %d bytes", len(got), len(data)))
-		}
-		d := c.Stats().Sub(before)
+			if len(got) != len(data) {
+				must(fmt.Errorf("E11: short read: %d of %d bytes", len(got), len(data)))
+			}
+		})
 		f.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
 		return d
 	}
@@ -913,37 +795,27 @@ func E11() *Table {
 	cold := scan(fs.Features{Readahead: true})   // streaming readahead fills the US cache
 	warm := scan(fs.Features{})                  // second pass served entirely from the cache
 
-	t := &Table{
-		ID:      "E11",
-		Title:   "§2.3.3 — using-site page cache + streaming readahead, 16-page remote scan",
-		Paper:   "network read costs 2 messages per page; caching at the using site removes them",
-		Headers: []string{"pass", "msgs", "fs.read msgs", "KB moved", "cache hits", "ra pages sent/used"},
-	}
 	row := func(name string, d netsim.Snapshot) {
-		t.Rows = append(t.Rows, []string{
-			name, cell("%d", d.Msgs), cell("%d", d.ByMethod["fs.read"]),
+		h.Row(name, cell("%d", d.Msgs), cell("%d", d.ByMethod["fs.read"]),
 			cell("%d", d.Bytes/1024), cell("%d", d.CacheHits),
-			cell("%d/%d", d.RAPagesSent, d.RAPagesUsed),
-		})
+			cell("%d/%d", d.RAPagesSent, d.RAPagesUsed))
 	}
 	row("no US cache, no readahead", base)
 	row("cold cache + streaming readahead", cold)
 	row("warm re-read", warm)
-	t.Notes = append(t.Notes,
-		cell("%.1fx fewer fs.read messages cold (%d -> %d); warm re-read needs %d",
-			float64(base.ByMethod["fs.read"])/float64(cold.ByMethod["fs.read"]),
-			base.ByMethod["fs.read"], cold.ByMethod["fs.read"], warm.ByMethod["fs.read"]))
-	return t
+	h.Notef("%.1fx fewer fs.read messages cold (%d -> %d); warm re-read needs %d",
+		float64(base.ByMethod["fs.read"])/float64(cold.ByMethod["fs.read"]),
+		base.ByMethod["fs.read"], cold.ByMethod["fs.read"], warm.ByMethod["fs.read"])
 }
 
-// E12 measures what a lossy transport costs the paper's protocols: a
+// e12 measures what a lossy transport costs the paper's protocols: a
 // remote write+commit loop (US at site 2, the only pack at site 1) run
 // at 0%, 1% and 5% message drop with the fault plane armed throughout.
 // Sequence-numbered retries with callee-side at-most-once dedup turn
 // every loss into bounded retransmission — no operation ever applies
 // twice — and the price shows up as extra messages, op-level retries,
 // and virtual time burned in circuit-reset timeouts.
-func E12() *Table {
+func e12(h *Harness) {
 	const iters = 120
 	payload := bytes.Repeat([]byte("x"), 512)
 
@@ -953,8 +825,7 @@ func E12() *Table {
 		retries int
 	}
 	run := func(drop float64) outcome {
-		c := mustCluster(2)
-		defer c.Close()
+		c := h.Cluster(2)
 		u1 := c.Site(1).Login("u")
 		mustWrite(u1, "/w", []byte("seed"))
 		must(c.Site(1).FS.SetReplication(u1.Cred(), "/w", []SiteID{1}))
@@ -970,35 +841,29 @@ func E12() *Table {
 				Delay: drop, DelayMaxUs: 2000,
 			},
 		})
-		defer c.Network().DisableFaults()
-		before := c.Stats()
+		var o outcome
 		t0 := c.Network().Clock().NowUs()
-		retries := 0
-		for i := 0; i < iters; i++ {
-			for u2.WriteFile("/w", payload) != nil {
-				retries++
-				if retries > 10*iters {
-					must(fmt.Errorf("E12: drop=%.2f: runaway retries", drop))
+		o.d = delta(c, func() {
+			for i := 0; i < iters; i++ {
+				for u2.WriteFile("/w", payload) != nil {
+					o.retries++
+					if o.retries > 10*iters {
+						must(fmt.Errorf("E12: drop=%.2f: runaway retries", drop))
+					}
 				}
 			}
-		}
-		virt := c.Network().Clock().NowUs() - t0
-		return outcome{d: c.Stats().Sub(before), virtUs: virt, retries: retries}
+		})
+		o.virtUs = c.Network().Clock().NowUs() - t0
+		return o
 	}
 
-	t := &Table{
-		ID:      "E12",
-		Title:   "§5.1 — remote write+commit under message loss (at-most-once retries)",
-		Paper:   "a lost message closes the circuit; protocols recover without applying an operation twice",
-		Headers: []string{"drop rate", "msgs/op", "op retries", "dropped", "duped", "delayed", "resets", "virtual ms"},
-	}
 	var base outcome
 	for _, drop := range []float64{0, 0.01, 0.05} {
 		o := run(drop)
 		if drop == 0 {
 			base = o
 		}
-		t.Rows = append(t.Rows, []string{
+		h.Row(
 			cell("%.0f%%", drop*100),
 			cell("%.1f", float64(o.d.Msgs)/iters),
 			cell("%d", o.retries),
@@ -1007,24 +872,22 @@ func E12() *Table {
 			cell("%d", o.d.MsgsDelayed),
 			cell("%d", o.d.CircuitResets),
 			cell("%.1f", float64(o.virtUs)/1000),
-		})
+		)
 		if drop == 0.05 {
-			t.Notes = append(t.Notes,
-				cell("5%% loss costs %.2fx the messages and %.1fx the virtual time of the lossless run",
-					float64(o.d.Msgs)/float64(base.d.Msgs),
-					float64(o.virtUs)/float64(base.virtUs)))
+			h.Notef("5%% loss costs %.2fx the messages and %.1fx the virtual time of the lossless run",
+				float64(o.d.Msgs)/float64(base.d.Msgs),
+				float64(o.virtUs)/float64(base.virtUs))
 		}
 	}
-	return t
 }
 
-// E13 measures bulk pipelined replica propagation (§2.3.6): commit a
+// e13 measures bulk pipelined replica propagation (§2.3.6): commit a
 // 32-page file replicated at 3 sites, drain the propagation queues,
 // and compare the wire cost of bringing the 2 stale replicas current
 // under two regimes — the legacy serial one-exchange-per-page pull and
 // the bulk windowed protocol (first window piggybacked on fs.pullopen,
 // the rest in PullWindow-page fs.pullpages exchanges).
-func E13() *Table {
+func e13(h *Harness) {
 	const filePages = 32
 	type outcome struct {
 		d      netsim.Snapshot
@@ -1032,8 +895,7 @@ func E13() *Table {
 		pulls  int
 	}
 	run := func(serial bool) outcome {
-		c := mustCluster(3)
-		defer c.Close()
+		c := h.Cluster(3)
 		c.SetFeatures(fs.Features{SerialPull: serial})
 		u := c.Site(1).Login("u")
 		// Seed the file and let the creation propagate so every site
@@ -1042,35 +904,26 @@ func E13() *Table {
 		mustWrite(u, "/big", bytes.Repeat(page('a'), filePages))
 		c.Settle()
 		mustWrite(u, "/big", bytes.Repeat(page('b'), filePages))
-		before := c.Stats()
+		var o outcome
 		t0 := c.Network().Clock().NowUs()
-		pulls := c.Settle()
-		return outcome{d: c.Stats().Sub(before), virtUs: c.Network().Clock().NowUs() - t0, pulls: pulls}
+		o.d = delta(c, func() { o.pulls = c.Settle() })
+		o.virtUs = c.Network().Clock().NowUs() - t0
+		return o
 	}
 
-	t := &Table{
-		ID:      "E13",
-		Title:   "§2.3.6 — replica propagation: serial per-page vs bulk windowed",
-		Paper:   "a kernel process services the propagation queue; pulling pages one exchange at a time is the naive cost",
-		Headers: []string{"regime", "pulls", "msgs", "KB", "pull windows", "pull pages", "virtual ms"},
-	}
 	row := func(name string, o outcome) {
-		t.Rows = append(t.Rows, []string{
-			name, cell("%d", o.pulls), cell("%d", o.d.Msgs), cell("%.1f", float64(o.d.Bytes)/1024),
-			cell("%d", o.d.PullWindowsSent), cell("%d", o.d.PullPagesSent), cell("%.1f", float64(o.virtUs)/1000),
-		})
+		h.Row(name, cell("%d", o.pulls), cell("%d", o.d.Msgs), cell("%.1f", float64(o.d.Bytes)/1024),
+			cell("%d", o.d.PullWindowsSent), cell("%d", o.d.PullPagesSent), cell("%.1f", float64(o.virtUs)/1000))
 	}
 	serial, bulk := run(true), run(false)
 	row("serial per-page", serial)
 	row("bulk windowed", bulk)
-	t.Notes = append(t.Notes,
-		cell("bulk uses %.2fx fewer messages and %.2fx less virtual time than serial per-page",
-			float64(serial.d.Msgs)/float64(bulk.d.Msgs),
-			float64(serial.virtUs)/float64(bulk.virtUs)))
-	return t
+	h.Notef("bulk uses %.2fx fewer messages and %.2fx less virtual time than serial per-page",
+		float64(serial.d.Msgs)/float64(bulk.d.Msgs),
+		float64(serial.virtUs)/float64(bulk.virtUs))
 }
 
-// E14 measures the lease/intent layer on a hot-file open storm (§2.3.3
+// e14 measures the lease/intent layer on a hot-file open storm (§2.3.3
 // applied at scale): a file stored at a single site, four remote using
 // sites each opening and reading it repeatedly, then one writer
 // transition. Without leases every open is a wire exchange at the CSS;
@@ -1079,7 +932,7 @@ func E13() *Table {
 // site-locally (zero messages), while the conflicting writer recalls
 // all outstanding delegations in one batched revoke round and later
 // closes under its writer lease without a wire close.
-func E14() *Table {
+func e14(h *Harness) {
 	const (
 		readers = 4 // using sites 2..5
 		repeats = 8 // opens per reader site
@@ -1091,67 +944,52 @@ func E14() *Table {
 		wclose netsim.Snapshot // writer commit + close
 	}
 	run := func(leases bool) outcome {
-		c := mustCluster(6)
-		defer c.Close()
+		c := h.Cluster(6)
 		c.SetFeatures(fs.Features{Leases: leases})
 		u := c.Site(6).Login("u")
 		mustWrite(u, "/hot", page('a'))
 		must(c.Site(6).FS.SetReplication(u.Cred(), "/hot", []SiteID{6}))
 		c.Settle()
 		rid, err := c.Site(6).FS.Resolve(u.Cred(), "/hot")
-		if err != nil {
-			must(err)
-		}
+		must(err)
 		buf := make([]byte, storage.PageSize)
 		cycle := func(site SiteID) {
 			f, err := c.Site(site).FS.OpenID(rid.ID, fs.ModeRead)
-			if err != nil {
-				must(err)
-			}
-			if _, err := f.ReadAt(buf, 0); err != nil {
-				must(err)
-			}
+			must(err)
+			_, err = f.ReadAt(buf, 0)
+			must(err)
 			f.Close() //locus:vet-allow uncheckedcall read handle: close reports nothing actionable in a benchmark
 		}
 		var o outcome
-		before := c.Stats()
-		for s := SiteID(2); s < 2+readers; s++ {
-			cycle(s)
-		}
-		o.first = c.Stats().Sub(before)
-		before = c.Stats()
-		for s := SiteID(2); s < 2+readers; s++ {
-			for i := 1; i < repeats; i++ {
+		o.first = delta(c, func() {
+			for s := SiteID(2); s < 2+readers; s++ {
 				cycle(s)
 			}
-		}
-		o.repeat = c.Stats().Sub(before)
+		})
+		o.repeat = delta(c, func() {
+			for s := SiteID(2); s < 2+readers; s++ {
+				for i := 1; i < repeats; i++ {
+					cycle(s)
+				}
+			}
+		})
 
 		// Writer transition at site 1: the open for modification must
 		// recall every outstanding delegation before it may proceed.
-		before = c.Stats()
-		w, err := c.Site(1).FS.OpenID(rid.ID, fs.ModeModify)
-		if err != nil {
+		var w *fs.File
+		o.wopen = delta(c, func() {
+			w, err = c.Site(1).FS.OpenID(rid.ID, fs.ModeModify)
 			must(err)
-		}
-		o.wopen = c.Stats().Sub(before)
-		if _, err := w.WriteAt(page('b'), 0); err != nil {
-			must(err)
-		}
-		before = c.Stats()
-		must(w.Commit())
-		must(w.Close())
-		o.wclose = c.Stats().Sub(before)
+		})
+		_, err = w.WriteAt(page('b'), 0)
+		must(err)
+		o.wclose = delta(c, func() {
+			must(w.Commit())
+			must(w.Close())
+		})
 		return o
 	}
 
-	t := &Table{
-		ID:    "E14",
-		Title: "§2.3.3 at scale — hot-file open storm: per-open CSS exchanges vs lease/intent delegations",
-		Paper: "every open involves the CSS; a read lease lets the using site repeat open/read/close with no network traffic until a writer appears",
-		Headers: []string{"regime", "first opens msgs", "reopen msgs", "msgs/reopen",
-			"leases granted", "writer open msgs", "revoke rounds", "writer commit+close msgs"},
-	}
 	reopens := readers * (repeats - 1)
 	var off, on outcome
 	for _, leases := range []bool{false, true} {
@@ -1162,7 +1000,7 @@ func E14() *Table {
 		} else {
 			off = o
 		}
-		t.Rows = append(t.Rows, []string{
+		h.Row(
 			name,
 			cell("%d", o.first.Msgs),
 			cell("%d", o.repeat.Msgs),
@@ -1171,17 +1009,15 @@ func E14() *Table {
 			cell("%d", o.wopen.Msgs),
 			cell("%d", o.wopen.BatchedRevokes),
 			cell("%d", o.wclose.Msgs),
-		})
+		)
 	}
-	t.Notes = append(t.Notes,
-		cell("%d reopens of the delegated file cost %d wire messages (ablation: %d)",
-			reopens, on.repeat.Msgs, off.repeat.Msgs),
-		cell("the writer transition recalled %d delegations in %d batched revoke round(s); its commit+close cost %d messages (ablation: %d)",
-			on.wopen.LeasesRevoked, on.wopen.BatchedRevokes, on.wclose.Msgs, off.wclose.Msgs))
-	return t
+	h.Notef("%d reopens of the delegated file cost %d wire messages (ablation: %d)",
+		reopens, on.repeat.Msgs, off.repeat.Msgs)
+	h.Notef("the writer transition recalled %d delegations in %d batched revoke round(s); its commit+close cost %d messages (ablation: %d)",
+		on.wopen.LeasesRevoked, on.wopen.BatchedRevokes, on.wclose.Msgs, off.wclose.Msgs)
 }
 
-// E15 measures the §5.6 failure-action table end to end: kill the site
+// e15 measures the §5.6 failure-action table end to end: kill the site
 // that is executing this user's work. A 3-site cluster runs three
 // remote processes at site 2 on behalf of a site-1 shell, three
 // processes at site 3 whose parents live at site 2, a cross-site named
@@ -1191,10 +1027,9 @@ func E14() *Table {
 // bill and the failure-action counters: orphan notices delivered,
 // pipe endpoints torn down, transactions partition-aborted, and
 // cross-partition signals queued, then replayed or expired at merge.
-func E15() *Table {
+func e15(h *Harness) {
 	const sitters = 3
-	c := mustCluster(3)
-	defer c.Close()
+	c := h.Cluster(3)
 	for _, id := range c.Sites() {
 		c.Site(id).Proc.Register("sit", func(ctx *proc.Ctx) int {
 			<-ctx.Signals()
@@ -1210,18 +1045,11 @@ func E15() *Table {
 	must(u1.Mkfifo("/fifo"))
 	c.Settle()
 
-	t := &Table{
-		ID:    "E15",
-		Title: "§5.6 failure actions — kill the executing site: orphan notices, pipe EOF, txn aborts, signal queue/replay",
-		Paper: "remote operations return site-failure errors, orphaned processes are notified, pipes deliver EOF (never a hang), partitioned transactions abort, and undeliverable signals queue until merge",
-		Headers: []string{"stage", "msgs", "orphan notices", "pipe teardowns",
-			"txn aborts", "sigs queued", "sigs replayed", "sigs expired"},
-	}
 	before := c.Stats()
 	row := func(stage string) {
 		d := c.Stats().Sub(before)
 		before = c.Stats()
-		t.Rows = append(t.Rows, []string{
+		h.Row(
 			stage,
 			cell("%d", d.Msgs),
 			cell("%d", d.OrphanNotices),
@@ -1230,7 +1058,7 @@ func E15() *Table {
 			cell("%d", d.SignalsQueued),
 			cell("%d", d.SignalsReplayed),
 			cell("%d", d.SignalsExpired),
-		})
+		)
 	}
 
 	// Stage 1: the doomed workload. Site 1 runs sitters at site 2;
@@ -1302,9 +1130,8 @@ func E15() *Table {
 	// Stage 4: the crashed site returns. The merge replays the queued
 	// signals; the targets died with the site, so all of them expire
 	// with a definitive no-such-process answer.
-	if _, err := c.Restart(2); err != nil {
-		must(err)
-	}
+	_, err = c.Restart(2)
+	must(err)
 	row("restart + merge: queued signals expire (targets died with the site)")
 
 	// Stage 5: the same queue delivers when the target survives — a
@@ -1316,15 +1143,12 @@ func E15() *Table {
 	if err := u1.Signal(survivor, proc.SIGTERM); !errors.Is(err, proc.ErrSiteFailed) {
 		must(fmt.Errorf("cross-partition signal = %v, want ErrSiteFailed", err))
 	}
-	if _, err := c.Merge(); err != nil {
-		must(err)
-	}
+	_, err = c.Merge()
+	must(err)
 	c.Site(3).Proc.DrainPrograms()
 	row("partition, signal a live process, merge: queued signal replays")
 
-	t.Notes = append(t.Notes,
-		cell("%d/%d waits on the dead site returned ErrSiteFailed; the reader drained %d buffered bytes then io.EOF (eof=%v, never a hang)",
-			waitsFailed, sitters, piped, eof),
-		cell("commit after the partition abort returned %q; the merge-replayed SIGTERM terminated the surviving sitter", commitErr))
-	return t
+	h.Notef("%d/%d waits on the dead site returned ErrSiteFailed; the reader drained %d buffered bytes then io.EOF (eof=%v, never a hang)",
+		waitsFailed, sitters, piped, eof)
+	h.Notef("commit after the partition abort returned %q; the merge-replayed SIGTERM terminated the surviving sitter", commitErr)
 }

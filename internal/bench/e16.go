@@ -13,13 +13,21 @@ const (
 	e16Seed         = 1
 	e16ActorsPerTen = 700
 	e16FilesPerTen  = 64
-	e16FullOps      = 334000 // per tenant; ×3 = 1,002,000 ops
 )
 
 // E16OpsPerTenant is the full-scale per-tenant op budget of the
 // registry entry (×3 tenants = 1,002,000 ops) — exported so
 // locus-bench -workload defaults to the same scale.
-const E16OpsPerTenant = e16FullOps
+const E16OpsPerTenant = 334000
+
+// e16Config is the pinned E16 workload at opsPerTenant operations per
+// tenant: seed, tenant mixes, actor fleet and file population.
+func e16Config(opsPerTenant int) workload.Config {
+	return workload.Config{
+		Seed:    e16Seed,
+		Tenants: workload.DefaultTenants(e16ActorsPerTen, opsPerTenant, e16FilesPerTen),
+	}
+}
 
 // E16Workload runs the pinned E16 workload configuration standalone —
 // no table, no metrics aggregation — and returns the engine result.
@@ -31,71 +39,56 @@ func E16Workload(opsPerTenant int) (*workload.Result, error) {
 		return nil, err
 	}
 	defer c.Close()
-	eng, err := workload.New(c, workload.Config{
-		Seed:    e16Seed,
-		Tenants: workload.DefaultTenants(e16ActorsPerTen, opsPerTenant, e16FilesPerTen),
-	})
+	eng, err := workload.New(c, e16Config(opsPerTenant))
 	if err != nil {
 		return nil, err
 	}
 	return eng.Run()
 }
 
-// E16 runs the full million-op multi-tenant workload (§4's evaluation
-// scaled from hand-written scripts to sustained concurrent load). The
-// registry and locus-bench run this full configuration; tests assert
-// the same engine through E16Sized at a smaller op budget.
-func E16() *Table { return E16Sized(e16FullOps) }
+// E16Sized is the E16 registry entry at opsPerTenant operations per
+// tenant. The counter table is deterministic at every size: same seed,
+// same size ⇒ byte-identical rows. Tests run it at a small budget.
+func E16Sized(opsPerTenant int) Experiment {
+	reg := Experiments()
+	e := reg[len(reg)-1]
+	e.Body = e16(opsPerTenant)
+	return e
+}
 
-// E16Sized runs the E16 workload at opsPerTenant operations per tenant
-// with the pinned E16 seed, tenant mixes, actor fleet, and file
-// population. The counter table is deterministic at every size: same
-// seed, same size ⇒ byte-identical rows.
-func E16Sized(opsPerTenant int) *Table {
-	t := &Table{
-		ID:    "E16",
-		Title: "multi-tenant workload engine — throughput and latency under sustained load",
-		Paper: "the paper evaluates per-op message counts on fixed scripts; E16 holds those protocols " +
-			"under a million-op seeded workload and reports throughput + latency percentiles",
-		Headers: []string{"metric", "value"},
-	}
-	h := NewHarness(3, t)
-	defer h.Close()
-
-	eng, err := workload.New(h.C, workload.Config{
-		Seed:    e16Seed,
-		Tenants: workload.DefaultTenants(e16ActorsPerTen, opsPerTenant, e16FilesPerTen),
-	})
-	if err != nil {
+// e16 runs the multi-tenant workload (§4's evaluation scaled from
+// hand-written scripts to sustained concurrent load) at opsPerTenant
+// operations per tenant; the registry runs the full million ops.
+func e16(opsPerTenant int) func(*Harness) {
+	return func(h *Harness) {
+		c := h.Cluster(3)
+		eng, err := workload.New(c, e16Config(opsPerTenant))
 		must(err)
-	}
-	var res *workload.Result
-	d := h.Delta(func() {
-		res, err = eng.Run()
-		if err != nil {
+		var res *workload.Result
+		d := delta(c, func() {
+			res, err = eng.Run()
 			must(err)
+		})
+
+		h.Row("ops", cell("%d", res.Ops))
+		h.Row("errors", cell("%d", res.Errors))
+		h.Row("sim_cost_us", cell("%d", res.SimUs))
+		h.Row("ops/sim-sec", cell("%.0f", res.OpsPerSimSec()))
+		for op := workload.OpRead; op <= workload.OpStat; op++ {
+			h.Row("op "+op.String(), cell("%d (%d err)", res.OpCount[op], res.OpErrs[op]))
 		}
-	})
+		for _, tr := range res.Tenant {
+			h.Row("tenant "+tr.Name, cell("%d ops (%d err)", tr.Ops, tr.Errs))
+		}
+		h.Row("lat_us p50", cell("%d", res.Lat.Quantile(0.50)))
+		h.Row("lat_us p95", cell("%d", res.Lat.Quantile(0.95)))
+		h.Row("lat_us p99", cell("%d", res.Lat.Quantile(0.99)))
+		h.Row("lat_us max", cell("%d", res.Lat.Max()))
+		h.Row("msgs", cell("%d", d.Msgs))
+		h.Row("msgs/op", cell("%.2f", float64(d.Msgs)/float64(res.Ops)))
 
-	h.Row("ops", cell("%d", res.Ops))
-	h.Row("errors", cell("%d", res.Errors))
-	h.Row("sim_cost_us", cell("%d", res.SimUs))
-	h.Row("ops/sim-sec", cell("%.0f", res.OpsPerSimSec()))
-	for op := workload.OpRead; op <= workload.OpStat; op++ {
-		h.Row("op "+op.String(), cell("%d (%d err)", res.OpCount[op], res.OpErrs[op]))
+		h.Notef("%d actors (%d per tenant), %d files per tenant, seed %d; includes setup traffic in msgs",
+			3*e16ActorsPerTen, e16ActorsPerTen, e16FilesPerTen, e16Seed)
+		h.Notef("wall-clock ops/sec is deliberately absent here; cmd/benchdiff measures and gates it")
 	}
-	for _, tr := range res.Tenant {
-		h.Row("tenant "+tr.Name, cell("%d ops (%d err)", tr.Ops, tr.Errs))
-	}
-	h.Row("lat_us p50", cell("%d", res.Lat.Quantile(0.50)))
-	h.Row("lat_us p95", cell("%d", res.Lat.Quantile(0.95)))
-	h.Row("lat_us p99", cell("%d", res.Lat.Quantile(0.99)))
-	h.Row("lat_us max", cell("%d", res.Lat.Max()))
-	h.Row("msgs", cell("%d", d.Msgs))
-	h.Row("msgs/op", cell("%.2f", float64(d.Msgs)/float64(res.Ops)))
-
-	h.Notef("%d actors (%d per tenant), %d files per tenant, seed %d; includes setup traffic in msgs",
-		3*e16ActorsPerTen, e16ActorsPerTen, e16FilesPerTen, e16Seed)
-	h.Notef("wall-clock ops/sec is deliberately absent here; cmd/benchdiff measures and gates it")
-	return h.T
 }

@@ -7,55 +7,43 @@ import (
 	"repro/locus"
 )
 
-// Harness bundles the scaffolding every experiment repeats: a tracked
-// cluster, the table under construction, and stats-delta measurement.
-// The experiment functions stay focused on the protocol sequence they
-// reproduce; the harness owns the bookkeeping. Failure mode is panic,
-// like the rest of the bench package (see must).
+// Harness is what an experiment body works through: the table under
+// construction and every cluster the body built. RunWithMetrics makes
+// one per run, closes its clusters and sums their counters. Failure
+// mode is panic, like the rest of the bench package (see must).
 type Harness struct {
-	C *locus.Cluster
-	T *Table
+	tbl      *Table
+	clusters []*locus.Cluster
 }
 
-// NewHarness builds an n-site tracked cluster for table t. Callers must
-// Close (deferred, normally) so the cluster's dispatch loops stop.
-func NewHarness(n int, t *Table) *Harness {
-	return &Harness{C: mustCluster(n), T: t}
+// Cluster builds an n-site cluster (locus.Simple) and records it, so
+// RunWithMetrics closes it and counts its traffic. A body may Close it
+// early; closing twice is harmless.
+func (h *Harness) Cluster(n int) *locus.Cluster {
+	c, err := locus.Simple(n)
+	must(err)
+	h.clusters = append(h.clusters, c)
+	return c
 }
 
-// Close tears the cluster down.
-func (h *Harness) Close() { h.C.Close() }
-
-// Login opens a session for user at site.
-func (h *Harness) Login(site SiteID, user string) *locus.Session {
-	return h.C.Site(site).Login(user)
-}
-
-// Write seeds a file through se, panicking on error.
-func (h *Harness) Write(se *locus.Session, path string, data []byte) {
-	mustWrite(se, path, data)
-}
-
-// Settle drains in-flight traffic and pending propagation.
-func (h *Harness) Settle() { h.C.Settle() }
-
-// MsgDelta runs op and returns the cluster-wide message-count delta it
-// caused — the measurement at the heart of every pinned-count table.
-func (h *Harness) MsgDelta(op func()) int64 {
-	return h.Delta(op).Msgs
-}
-
-// Delta runs op and returns the full simulated-cost delta.
-func (h *Harness) Delta(op func()) netsim.Snapshot {
-	before := h.C.Stats()
-	op()
-	return h.C.Stats().Sub(before)
+func (h *Harness) closeAll() {
+	for _, c := range h.clusters {
+		c.Close()
+	}
 }
 
 // Row appends one row to the table.
-func (h *Harness) Row(cells ...string) { h.T.Rows = append(h.T.Rows, cells) }
+func (h *Harness) Row(cells ...string) { h.tbl.Rows = append(h.tbl.Rows, cells) }
 
 // Notef appends a formatted note to the table.
 func (h *Harness) Notef(format string, args ...any) {
-	h.T.Notes = append(h.T.Notes, fmt.Sprintf(format, args...))
+	h.tbl.Notes = append(h.tbl.Notes, fmt.Sprintf(format, args...))
+}
+
+// delta runs op and returns the simulated-cost delta it caused on c —
+// the measurement at the heart of every pinned-count table.
+func delta(c *locus.Cluster, op func()) netsim.Snapshot {
+	before := c.Stats()
+	op()
+	return c.Stats().Sub(before)
 }

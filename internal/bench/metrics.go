@@ -5,36 +5,15 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"repro/locus"
+	"reflect"
 )
-
-// Experiment names one runnable experiment.
-type Experiment struct {
-	ID  string
-	Run func() *Table
-}
-
-// Experiments returns the full registry in run order.
-func Experiments() []Experiment {
-	return []Experiment{
-		{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5},
-		{"E6", E6}, {"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10},
-		{"E11", E11}, {"E12", E12}, {"E13", E13}, {"E14", E14},
-		{"E15", E15},
-		{"E16", E16},
-	}
-}
-
-// trackClusters, when set, receives every cluster mustCluster builds;
-// RunWithMetrics uses it to aggregate an experiment's simulated costs.
-// Experiments run one at a time (benchmarks are sequential by design).
-var trackClusters func(*locus.Cluster)
 
 // Result is one experiment's machine-readable cost summary — the
 // per-experiment row of BENCH_locus.json. All values are simulated
 // (message counts, bytes, virtual CPU/disk microseconds); nothing here
 // depends on wall-clock time, so baselines diff cleanly across runs.
+// Every int64 field is a counter: the sum over the experiment's
+// clusters of the netsim.Snapshot field of the same name.
 type Result struct {
 	ID           string  `json:"id"`
 	Title        string  `json:"title"`
@@ -75,47 +54,30 @@ type Result struct {
 	SignalsExpired     int64 `json:"signals_expired"`
 }
 
-// RunWithMetrics runs one experiment and aggregates the final traffic
-// and cost counters of every cluster it built.
+// RunWithMetrics runs one registry entry: it builds the entry's table,
+// runs the body, closes every cluster the body built (a panicking body
+// too) and sums their final counters into the Result.
 func RunWithMetrics(e Experiment) (*Table, Result) {
-	var clusters []*locus.Cluster
-	trackClusters = func(c *locus.Cluster) { clusters = append(clusters, c) }
-	defer func() { trackClusters = nil }()
-	tbl := e.Run()
-	res := Result{ID: tbl.ID, Title: tbl.Title}
-	for _, c := range clusters {
-		s := c.Stats()
-		res.Msgs += s.Msgs
-		res.Bytes += s.Bytes
-		res.CPUUs += s.CPUUs
-		res.DiskUs += s.DiskUs
-		res.Calls += s.Calls
-		res.Casts += s.Casts
-		res.CacheHits += s.CacheHits
-		res.CacheMisses += s.CacheMisses
-		res.CacheInvals += s.CacheInvals
-		res.RAPagesSent += s.RAPagesSent
-		res.RAPagesUsed += s.RAPagesUsed
-		res.PullWindowsSent += s.PullWindowsSent
-		res.PullPagesSent += s.PullPagesSent
-		res.LeasesGranted += s.LeasesGranted
-		res.LeasesRevoked += s.LeasesRevoked
-		res.BatchedRevokes += s.BatchedRevokes
-		res.MsgsDropped += s.MsgsDropped
-		res.MsgsDuped += s.MsgsDuped
-		res.MsgsDelayed += s.MsgsDelayed
-		res.CircuitResets += s.CircuitResets
-		res.OrphanNotices += s.OrphanNotices
-		res.PipeTeardowns += s.PipeTeardowns
-		res.TxnPartitionAborts += s.TxnPartitionAborts
-		res.SignalsQueued += s.SignalsQueued
-		res.SignalsReplayed += s.SignalsReplayed
-		res.SignalsExpired += s.SignalsExpired
+	h := &Harness{tbl: &Table{ID: e.ID, Title: e.Title, Paper: e.Paper, Headers: e.Headers}}
+	defer h.closeAll()
+	e.Body(h)
+	// Close before reading: a send after Close fails uncounted, so a
+	// goroutine the body left running cannot move the sum.
+	h.closeAll()
+	res := Result{ID: e.ID, Title: e.Title}
+	rv := reflect.ValueOf(&res).Elem()
+	for _, c := range h.clusters {
+		sv := reflect.ValueOf(c.Stats())
+		for i := 0; i < rv.NumField(); i++ {
+			if f := rv.Field(i); f.Kind() == reflect.Int64 {
+				f.SetInt(f.Int() + sv.FieldByName(rv.Type().Field(i).Name).Int())
+			}
+		}
 	}
 	if lookups := res.CacheHits + res.CacheMisses; lookups > 0 {
 		res.CacheHitRate = math.Round(float64(res.CacheHits)/float64(lookups)*1e4) / 1e4
 	}
-	return tbl, res
+	return h.tbl, res
 }
 
 // AllWithMetrics runs every experiment, returning the printable tables

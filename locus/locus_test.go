@@ -50,9 +50,19 @@ func TestFullPartitionMergeStory(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Settle()
+	// A read handle held across the partition and closed before the
+	// merge: the partition's cleanup must leave it closable, and the
+	// merge below must not trip over it.
+	held, err := c.Site(2).Login("carol").Open("/proj/shared", locus.Read)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Partition {1,2} / {3,4}; both halves keep working (§4.1).
 	c.Partition([]locus.SiteID{1, 2}, []locus.SiteID{3, 4})
+	if err := held.Close(); err != nil {
+		t.Fatalf("close of a read handle held across the partition: %v", err)
+	}
 	if err := s1.WriteFile("/proj/a-side", []byte("from a")); err != nil {
 		t.Fatal(err)
 	}
