@@ -100,7 +100,10 @@ func TestChaosSerialPullSeeds(t *testing.T) {
 // writer-lease recalls, and lease reclaim across crashes, partitions,
 // and fault bursts must uphold the same invariants — including the
 // fsck stranded-lease check, which fails any run that ends with a
-// lease held at a site the CSS no longer tracks.
+// lease held at a site the CSS no longer tracks. Every seed must also
+// recall a writer registration (fs.recallwriter), the one exchange that
+// takes an idle writer lease back; the other regimes' seeds never meet
+// a recorded writer at open, so only this one can hold that line.
 func TestChaosLeaseSeeds(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		seed := seed
@@ -115,6 +118,9 @@ func TestChaosLeaseSeeds(t *testing.T) {
 			}
 			if res.Stats.LeasesGranted == 0 {
 				t.Errorf("seed %d granted no leases; the schedule never exercised the lease layer", seed)
+			}
+			if res.Stats.ByMethod["fs.recallwriter"] == 0 {
+				t.Errorf("seed %d sent no fs.recallwriter; the schedule never recalled a writer registration", seed)
 			}
 		})
 	}

@@ -1,6 +1,9 @@
 package fs
 
-import "repro/internal/storage"
+import (
+	"repro/internal/storage"
+	"repro/internal/vclock"
+)
 
 // CachedPages reports how many pages the using-site cache holds, for
 // the white-box assertions of the external test package.
@@ -12,6 +15,29 @@ func (k *Kernel) OpenHandles() (open int, registered uint64) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return len(k.openFiles), k.openSerial
+}
+
+// CSSWriter reports the writer site this kernel's lock table records
+// for id (vclock.NoSite when none): what a lost close strands at the CSS.
+func (k *Kernel) CSSWriter(id storage.FileID) SiteID {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if e := k.cssState[id]; e != nil {
+		return e.writerUS
+	}
+	return vclock.NoSite
+}
+
+// ServingWriter reports the writer site this kernel serves id for as
+// storage site (vclock.NoSite when none): what a lost close strands at
+// the SS.
+func (k *Kernel) ServingWriter(id storage.FileID) SiteID {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if sv := k.ssState[id]; sv != nil {
+		return sv.writerUS
+	}
+	return vclock.NoSite
 }
 
 // LookInternal is lookInternal, for comparison with OpenID(ModeInternal).

@@ -222,8 +222,8 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 	// is a holder the CSS no longer tracks — it would serve stale reads
 	// (or squat the writer slot) unsupervised, since no revoke round
 	// will ever visit it. The reverse direction (a CSS record with no
-	// holder) is self-healing — the next conflicting open revokes it
-	// and the holder answers Released — so it is not flagged.
+	// holder) is self-healing — the next conflicting open recalls it
+	// and the holder answers that it is gone — so it is not flagged.
 	byID := make(map[SiteID]*Kernel, len(kernels))
 	for _, k := range kernels {
 		byID[k.site] = k

@@ -648,8 +648,8 @@ func (f *File) Close() error {
 		// Zero wire messages: a delegated reader holds no serving
 		// state, and a leased writer's commit is already durable — the
 		// serving state stays live for the next local open and the CSS
-		// recalls it with fs.leaserevoke when a conflicting open needs
-		// it.
+		// recalls the registration with fs.recallwriter when a
+		// conflicting open needs it.
 		return nil
 	}
 	_, err := netsim.CallAt(k.node, f.ss, mClose, k.handleClose,

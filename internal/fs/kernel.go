@@ -317,11 +317,11 @@ type Kernel struct {
 	// draws one before it asks the CSS, to name its writer registration
 	// (openReq.Serial).
 	openSerial uint64
-	// inflightOpens counts modify opens this site has requested but not
-	// yet recorded in openFiles, so a lock-table validation probe
-	// (mProbeOpen) arriving between the CSS's grant and our receipt of
-	// the response does not mistake the open for a stale lock.
-	inflightOpens map[storage.FileID]int
+	// inflightSerials holds the registration serials of modify opens
+	// this site has requested but not yet recorded in openFiles, so a
+	// recall (mRecallWriter) arriving between the CSS's grant and our
+	// receipt of the response does not take the open for a stale lock.
+	inflightSerials map[uint64]bool
 	// leases is the US-side lease table: files this site may re-open,
 	// read, and close locally without contacting the CSS (read
 	// delegations and held writer leases).
@@ -389,17 +389,17 @@ func (k *Kernel) meter() *netsim.Stats { return k.node.Network().Meter() }
 // packs in the configuration (a fully-up network).
 func NewKernel(node *netsim.Node, store *storage.Store, cfg *Config) *Kernel {
 	k := &Kernel{
-		site:          node.ID(),
-		node:          node,
-		store:         store,
-		cfg:           cfg,
-		ssState:       make(map[storage.FileID]*ssServe),
-		cssState:      make(map[storage.FileID]*cssEntry),
-		pendingProp:   make(map[storage.FileID]*propTask),
-		openFiles:     make(map[*File]bool),
-		inflightOpens: make(map[storage.FileID]int),
-		leases:        make(map[storage.FileID]*usLease),
-		leaseDropped:  make(map[storage.FileID]bool),
+		site:            node.ID(),
+		node:            node,
+		store:           store,
+		cfg:             cfg,
+		ssState:         make(map[storage.FileID]*ssServe),
+		cssState:        make(map[storage.FileID]*cssEntry),
+		pendingProp:     make(map[storage.FileID]*propTask),
+		openFiles:       make(map[*File]bool),
+		inflightSerials: make(map[uint64]bool),
+		leases:          make(map[storage.FileID]*usLease),
+		leaseDropped:    make(map[storage.FileID]bool),
 	}
 	k.features.Store(&Features{})
 	k.cache = newPageCache(node.Network().Meter())
@@ -433,7 +433,7 @@ func (k *Kernel) crashLocal() {
 		f.closed = true
 	}
 	k.openFiles = make(map[*File]bool)
-	k.inflightOpens = make(map[storage.FileID]int)
+	k.inflightSerials = make(map[uint64]bool)
 	k.ssState = make(map[storage.FileID]*ssServe)
 	k.cssState = make(map[storage.FileID]*cssEntry)
 	k.leases = make(map[storage.FileID]*usLease)

@@ -21,18 +21,21 @@ package fs
 //     leaving the SS serving state and the CSS writer slot in place so
 //     the next local modify open costs zero wire messages.
 //
-// Revocation is the VV-stamped fs.leaserevoke callback, pushed through
-// the ordinary at-most-once call path. A modify open recalls all
-// read delegations in one *batched* round (one round per writer
-// transition, however many delegates exist) and recalls a previous
-// writer lease with a single callback whose response carries the
-// holder's committed VV — the lease-layer analogue of the close
-// protocol's VV piggyback, folded into the lock table before the
-// conflicting open proceeds.
+// Revocation rides the ordinary at-most-once call path. A modify open
+// recalls all read delegations in one *batched* round of fs.leaserevoke
+// callbacks (one round per writer transition, however many delegates
+// exist). A writer lease is not recalled as a lease at all: it keeps a
+// writer registration (US, serial) alive, and any open that meets that
+// registration recalls it by name with fs.recallwriter (lockvalid.go),
+// the same exchange that reclaims a registration whose close was lost.
+// An idle registration comes back with its lease and the holder's
+// committed VV — the lease-layer analogue of the close protocol's VV
+// piggyback, folded into the lock table before the conflicting open
+// proceeds.
 //
 // Failure handling reuses the existing reclaim machinery: a crashed
 // holder loses its lease table with the rest of its volatile state and
-// the CSS record self-heals on the next revoke (no lease, no live
+// the CSS record self-heals on the next recall (no lease, no live
 // handle → released); partition changes drop all leases and delegate
 // records on both sides (CleanupAfterPartitionChange), exactly like
 // lock-table records; a propagation notification whose VV dominates a
@@ -98,19 +101,13 @@ func (k *Kernel) releaseAllLeases() {
 // releaseLease voluntarily returns one lease. A read delegation is
 // returned to the CSS with fs.leaserelease; a writer lease performs
 // the deferred legacy close (which carries the committed VV to the CSS
-// exactly like any close) — unless a live local handle still uses the
-// lease, in which case that handle's own close will run the legacy
-// protocol now that the lease record is gone.
+// exactly like any close) — unless its registration is still live, in
+// which case the live handle's own close will run the legacy protocol
+// now that the lease record is gone.
 func (k *Kernel) releaseLease(l *usLease) {
 	if l.mode == ModeModify {
 		k.mu.Lock()
-		live := false
-		for f := range k.openFiles {
-			if f.id == l.id && f.mode == ModeModify && !f.closed && !f.stale {
-				live = true
-				break
-			}
-		}
+		live := k.writerLiveLocked(l.id, l.wserial)
 		k.mu.Unlock()
 		if live {
 			return
@@ -133,78 +130,20 @@ func (k *Kernel) handleLeaseRelease(_ SiteID, req *leaseReleaseReq) (*netsim.Ack
 	return nil, nil
 }
 
-// handleLeaseRevoke is the holder side of the revocation callback. A
-// writer-lease revoke doubles as the lock-table validation probe: a
-// live (or in-flight) modify handle refuses the revoke and the
-// conflicting open fails busy, exactly as the legacy probeWriterOpen
-// path would have refused. Releasing returns the holder's committed
-// VV so the CSS can fold the final writer state into its lock table.
-func (k *Kernel) handleLeaseRevoke(_ SiteID, req *leaseRevokeReq) (*leaseRevokeResp, error) {
+// handleLeaseRevoke is the delegate side of a batched revoke round: it
+// drops the read delegation. A revoke that finds none is remembered, so
+// a grant still in flight to this site is declined when it arrives (the
+// grant and the revoke travel on independent exchanges and may be
+// reordered).
+func (k *Kernel) handleLeaseRevoke(_ SiteID, req *leaseRevokeReq) (*netsim.Ack, error) {
 	k.mu.Lock()
-	if req.Mode == ModeModify {
-		floor := 0
-		if req.SelfProbe {
-			floor = 1
-		}
-		if k.inflightOpens[req.ID] > floor {
-			k.mu.Unlock()
-			return &leaseRevokeResp{}, nil
-		}
-		for f := range k.openFiles {
-			if f.id == req.ID && f.mode == ModeModify && !f.closed && !f.stale {
-				k.mu.Unlock()
-				return &leaseRevokeResp{}, nil
-			}
-		}
-	}
-	l := k.leases[req.ID]
-	if l != nil && l.mode == req.Mode {
+	if l := k.leases[req.ID]; l != nil && l.mode == ModeRead {
 		delete(k.leases, req.ID)
 	} else {
-		l = nil
-		// Remember the revoke so a grant still in flight to this site
-		// is declined when it arrives (the grant and the revoke travel
-		// on independent exchanges and may be reordered).
 		k.leaseDropped[req.ID] = true
 	}
 	k.mu.Unlock()
-
-	resp := &leaseRevokeResp{Released: true}
-	switch {
-	case l != nil:
-		resp.VV = l.vv
-		resp.Sites = append([]SiteID(nil), l.sites...)
-	default:
-		if r := k.localGetVV(req.ID); r.Has {
-			resp.VV = r.VV
-			resp.Sites = append([]SiteID(nil), r.Sites...)
-		}
-	}
-	return resp, nil
-}
-
-// revokeWriterLease recalls the writer lease (or validates a stale
-// writer record) at holder on behalf of a conflicting open. It returns
-// true when the writer slot may be reclaimed: the holder released the
-// lease (its committed VV has been absorbed) and the serving state it
-// left at ssHolder has been torn down. An unreachable holder counts as
-// still holding, exactly like the legacy probe.
-func (k *Kernel) revokeWriterLease(id storage.FileID, e *cssEntry, holder SiteID, serial uint64, ssHolder SiteID, selfProbe bool) bool {
-	req := &leaseRevokeReq{ID: id, Mode: ModeModify, SelfProbe: selfProbe}
-	resp, err := netsim.CallAt(k.node, holder, mLeaseRevoke, k.handleLeaseRevoke, req)
-	if err != nil || !resp.Released {
-		return false
-	}
-	k.meter().AddLeasesRevoked(1)
-	k.mu.Lock()
-	e.absorb(resp.VV, resp.Sites)
-	k.mu.Unlock()
-	if ssHolder != vclock.NoSite {
-		// Tear down the serving state the skipped close left behind.
-		rreq := &revokeServeReq{ID: id, US: holder, Serial: serial}
-		netsim.CallAt(k.node, ssHolder, mRevokeServe, k.handleRevokeServe, rreq) //locus:vet-allow uncheckedcall best effort: the SS validates the writer itself on the next open
-	}
-	return true
+	return nil, nil
 }
 
 // revokeDelegates runs one batched revoke round over every read
@@ -230,7 +169,7 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, except SiteID) 
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 	for _, us := range targets {
-		req := &leaseRevokeReq{ID: id, Mode: ModeRead}
+		req := &leaseRevokeReq{ID: id}
 		netsim.CallAt(k.node, us, mLeaseRevoke, k.handleLeaseRevoke, req) //locus:vet-allow uncheckedcall unreachable delegates are reclaimed by partition cleanup
 	}
 	k.meter().AddLeasesRevoked(len(targets))

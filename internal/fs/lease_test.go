@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fs"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // leaseCluster builds the standard 4-site lease fixture: /pin stored at
@@ -190,6 +191,92 @@ func TestPartitionMergeDiscardsLeases(t *testing.T) {
 	}
 	if findings := c.Fsck(true); len(findings) != 0 {
 		t.Fatalf("fsck after merge: %v", findings)
+	}
+}
+
+// TestPartitionChangeUnderOpenLeasedWriter: a partition change arrives
+// while a handle is open under site 2's writer lease. Cleanup discards
+// the lease but must not run its deferred close — the registration is
+// live — so the handle's own close, finding no lease, runs the full
+// close protocol and leaves no writer record at the CSS and no serving
+// state at the SS.
+func TestPartitionChangeUnderOpenLeasedWriter(t *testing.T) {
+	c, id := leaseCluster(t)
+	openClose(t, c.K(2), id, fs.ModeModify) // writer lease at site 2
+	w, err := c.K(2).OpenID(id, fs.ModeModify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := w.SS()
+
+	// Site 4 leaves; the writer, its SS (3) and the CSS stay together.
+	if ss != 3 {
+		t.Fatalf("writer's SS = %d, want 3", ss)
+	}
+	c.Partition([]fs.SiteID{1, 2, 3}, []fs.SiteID{4})
+	if _, held := c.K(2).Leases()[id]; held {
+		t.Fatal("site 2 still holds its writer lease after the partition change")
+	}
+	if c.K(1).CSSWriter(id) != 2 || c.K(ss).ServingWriter(id) != 2 {
+		t.Fatal("cleanup released the live writer's records")
+	}
+
+	if _, err := w.WriteAt(bytes.Repeat([]byte{'w'}, storage.PageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Net.Stats()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Net.Stats().Sub(before); d.ByMethod["fs.close"] != 2 || d.ByMethod["fs.ssclose"] != 2 {
+		t.Errorf("close after losing the lease sent fs.close %d, fs.ssclose %d messages; want the full close (2, 2)",
+			d.ByMethod["fs.close"], d.ByMethod["fs.ssclose"])
+	}
+	if got := c.K(1).CSSWriter(id); got != vclock.NoSite {
+		t.Errorf("CSS still records writer site %d after the close", got)
+	}
+	if got := c.K(ss).ServingWriter(id); got != vclock.NoSite {
+		t.Errorf("SS %d still serves writer site %d after the close", ss, got)
+	}
+
+	// Site 4 missed the commit while away and catches up only at
+	// reconciliation, which this test does not run: fsck without the
+	// convergence checks.
+	c.Heal()
+	if got := readFile(t, c.K(4), "/pin"); !bytes.Equal(got, bytes.Repeat([]byte{'w'}, storage.PageSize)) {
+		t.Fatal("post-heal read at site 4 did not see the writer's commit")
+	}
+	if findings := c.Fsck(false); len(findings) != 0 {
+		t.Fatalf("fsck: %v", findings)
+	}
+}
+
+// TestRevokeOvertakingGrantDeclinesOnce pins the reorder mark: a
+// delegation revoke that finds no delegation (it overtook the grant, or
+// the holder lost its lease table) makes the holder decline the next
+// grant for that file — once, and only once. Here site 2 restarts
+// holding a delegation the CSS still records, and a writer's revoke
+// round then finds it gone.
+func TestRevokeOvertakingGrantDeclinesOnce(t *testing.T) {
+	c, id := leaseCluster(t)
+	openClose(t, c.K(2), id, fs.ModeRead)
+	c.Net.Crash(2)
+	c.Net.Restart(2)
+	c.K(2).SetPartition(c.Sites())
+
+	// The writer at site 3 recalls site 2's delegation, which is gone.
+	openClose(t, c.K(3), id, fs.ModeModify)
+
+	// The next read open at site 2 is granted a delegation and declines
+	// it: the handle is an ordinary read handle.
+	openClose(t, c.K(2), id, fs.ModeRead)
+	if _, held := c.K(2).Leases()[id]; held {
+		t.Fatal("site 2 accepted the first grant after a revoke that found no lease")
+	}
+	// The one after that is accepted.
+	openClose(t, c.K(2), id, fs.ModeRead)
+	if c.K(2).Leases()[id] != fs.ModeRead {
+		t.Fatal("site 2 declined the second grant too; the mark must decline exactly one")
 	}
 }
 

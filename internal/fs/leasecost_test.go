@@ -171,7 +171,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 	check("reopen(modify) under writer lease", d, 0, nil, 0, 0, 0)
 
 	// A read open elsewhere recalls the idle writer lease with a single
-	// revoke exchange (which also tears down the serving state the
+	// recall exchange (which also tears down the serving state the
 	// skipped close left at the writer's SS), then proceeds as an
 	// ordinary delegated open.
 	d = delta(func() {
@@ -183,9 +183,9 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if d.ByMethod["fs.leaserevoke"] != 2 {
-		t.Errorf("read after writer: %d fs.leaserevoke messages, want 2 (single recall of the idle writer lease)",
-			d.ByMethod["fs.leaserevoke"])
+	if d.ByMethod["fs.recallwriter"] != 2 {
+		t.Errorf("read after writer: %d fs.recallwriter messages, want 2 (single recall of the idle writer lease)",
+			d.ByMethod["fs.recallwriter"])
 	}
 	if d.LeasesGranted != 1 || d.LeasesRevoked != 1 {
 		t.Errorf("read after writer: granted=%d revoked=%d, want 1/1", d.LeasesGranted, d.LeasesRevoked)

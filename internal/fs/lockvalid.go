@@ -7,10 +7,11 @@ package fs
 // examine: the holder is still "up", so CleanupAfterPartitionChange
 // keeps its lock forever and every later open for modification is
 // refused. The validation here applies the paper's lock-table
-// reconstruction idea at the moment it matters: when an open is
-// refused because of a recorded writer, the CSS (or SS) interrogates
-// the recorded holder; if the holder has no live — or in-flight —
-// modify handle for the file, the record is stale and is reclaimed,
+// reconstruction idea at the moment it matters: when an open meets a
+// recorded writer, the CSS (or SS) recalls that writer registration by
+// its name, (US, serial). The using site refuses while the registration
+// is live; otherwise it gives back the writer lease that kept the
+// registration alive, if it holds one, and the record is reclaimed,
 // revoking any serving state left at the storage site.
 
 import (
@@ -19,86 +20,97 @@ import (
 	"repro/internal/vclock"
 )
 
-// handleProbeOpen answers a lock-table validation probe at the using
-// site: does a live (or in-flight) modify handle for the file exist
-// here? Stale handles do not count — their close sends no messages, so
-// nothing will ever release a lock recorded for them.
-func (k *Kernel) handleProbeOpen(_ SiteID, req *probeOpenReq) (*probeOpenResp, error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	floor := 0
-	if req.SelfProbe {
-		floor = 1 // the probing open's own in-flight record
-	}
-	if k.inflightOpens[req.ID] > floor {
-		return &probeOpenResp{Open: true}, nil
+// writerLiveLocked reports whether this site's writer registration
+// serial for id is live: its open is still in flight (the CSS granted
+// it but the reply has not been recorded yet), or a modify handle
+// carrying it is open. Stale handles do not count — their close sends
+// no messages, so nothing will ever release a lock recorded for them.
+// Caller holds k.mu.
+func (k *Kernel) writerLiveLocked(id storage.FileID, serial uint64) bool {
+	if k.inflightSerials[serial] {
+		return true
 	}
 	for f := range k.openFiles {
-		if f.id == req.ID && f.mode == ModeModify && !f.closed && !f.stale {
-			return &probeOpenResp{Open: true}, nil
+		if f.id == id && f.wserial == serial && f.mode == ModeModify && !f.closed && !f.stale {
+			return true
 		}
 	}
-	// A held writer lease is a live claim on the writer slot even with
-	// no handle open: the legacy probe must not reclaim it (the lease
-	// layer's own revocation callback is the way to take it back).
-	if l := k.leases[req.ID]; l != nil && l.mode == ModeModify {
-		return &probeOpenResp{Open: true}, nil
-	}
-	return &probeOpenResp{Open: false}, nil
+	return false
 }
 
-// handleRevokeServe discards SS serving state for a writer whose
-// handle the CSS has validated as gone.
-func (k *Kernel) handleRevokeServe(_ SiteID, req *revokeServeReq) (*netsim.Ack, error) {
-	k.revokeServeLocal(req.ID, req.US, req.Serial)
-	return nil, nil
-}
-
-// revokeServeLocal reclaims local serving state held for a vanished
-// writer registration: uncommitted shadow pages are freed and the
-// writer slot cleared, exactly as handleClose would have done had the
-// close arrived. The validation that led here ran unlocked, so by now
-// the registration may have closed normally and the same site opened
-// again; the serial is what keeps the revoke off that successor.
-func (k *Kernel) revokeServeLocal(id storage.FileID, us SiteID, serial uint64) {
+// handleRecallWriter is the using site's side of a recall: refuse while
+// the named registration is live, otherwise give back the writer lease
+// that keeps it alive (if this site holds one) and report the committed
+// version.
+func (k *Kernel) handleRecallWriter(_ SiteID, req *recallWriterReq) (*recallWriterResp, error) {
 	k.mu.Lock()
-	sv := k.ssState[id]
+	if k.writerLiveLocked(req.ID, req.Serial) {
+		k.mu.Unlock()
+		return &recallWriterResp{Live: true}, nil
+	}
+	l := k.leases[req.ID]
+	if l != nil && l.mode == ModeModify && l.wserial == req.Serial {
+		delete(k.leases, req.ID)
+	} else {
+		l = nil
+	}
+	k.mu.Unlock()
+
+	// Both site lists are read-only from here on; the CSS absorbs a copy.
+	resp := &recallWriterResp{}
+	if l != nil {
+		k.meter().AddLeasesRevoked(1)
+		resp.VV, resp.Sites = l.vv, l.sites
+	} else if r := k.localGetVV(req.ID); r.Has {
+		resp.VV, resp.Sites = r.VV, r.Sites
+	}
+	return resp, nil
+}
+
+// recallWriter validates the writer registration (holder, serial)
+// recorded against id, on behalf of an open that meets it. It returns
+// true when the registration is gone: the holder's committed version
+// has been folded into e (the CSS's entry; nil at a storage site) and
+// the serving state the registration left at ss has been revoked, so
+// the caller may reclaim its record. An unreachable holder counts as
+// live: we cannot tell a lost close from a slow one, so the lock is
+// kept and the partition protocol decides when the topology changes.
+func (k *Kernel) recallWriter(id storage.FileID, e *cssEntry, holder SiteID, serial uint64, ss SiteID) bool {
+	resp, err := netsim.CallAt(k.node, holder, mRecallWriter, k.handleRecallWriter,
+		&recallWriterReq{ID: id, Serial: serial})
+	if err != nil || resp.Live {
+		return false
+	}
+	if e != nil {
+		k.mu.Lock()
+		e.absorb(resp.VV, resp.Sites)
+		k.mu.Unlock()
+	}
+	if ss != vclock.NoSite {
+		// Best effort: if the revoke is lost too, the SS validates the
+		// writer itself on the next modify open (setupServe).
+		netsim.CallAt(k.node, ss, mRevokeServe, k.handleRevokeServe, &revokeServeReq{ID: id, US: holder, Serial: serial}) //locus:vet-allow uncheckedcall best-effort revoke: an unreachable SS is reclaimed by the partition protocol
+	}
+	return true
+}
+
+// handleRevokeServe discards SS serving state for a writer registration
+// a recall found gone: uncommitted shadow pages are freed and the
+// writer slot cleared, exactly as handleClose would have done had the
+// close arrived. The recall ran unlocked, so by now the registration
+// may have closed normally and the same site opened again; the serial
+// is what keeps the revoke off that successor.
+func (k *Kernel) handleRevokeServe(_ SiteID, req *revokeServeReq) (*netsim.Ack, error) {
+	k.mu.Lock()
+	sv := k.ssState[req.ID]
 	var freed []storage.PhysPage
-	if sv != nil && sv.writerUS == us && sv.writerSerial == serial {
+	if sv != nil && sv.writerUS == req.US && sv.writerSerial == req.Serial {
 		freed = sv.dropWriter()
 		if sv.idle() {
-			delete(k.ssState, id)
+			delete(k.ssState, req.ID)
 		}
 	}
 	k.mu.Unlock()
-	k.freeShadow(id.FG, freed)
-}
-
-// probeWriterOpen asks the recorded holder whether its modify handle
-// still exists. An unreachable holder counts as still open: we cannot
-// tell a lost close from a slow one, so the lock is kept and the
-// partition protocol decides when the topology actually changes.
-func (k *Kernel) probeWriterOpen(id storage.FileID, holder SiteID, selfProbe bool) bool {
-	resp, err := netsim.CallAt(k.node, holder, mProbeOpen, k.handleProbeOpen,
-		&probeOpenReq{ID: id, SelfProbe: selfProbe})
-	if err != nil {
-		return true
-	}
-	return resp.Open
-}
-
-// writerVanished validates a refused open at the CSS: true when the
-// recorded writer's handle is gone, in which case any serving state the
-// registration (holder, serial) left at the recorded storage site has
-// been revoked and the caller may reclaim that lock record.
-func (k *Kernel) writerVanished(id storage.FileID, holder SiteID, serial uint64, ssHolder SiteID, selfProbe bool) bool {
-	if k.probeWriterOpen(id, holder, selfProbe) {
-		return false
-	}
-	if ssHolder != vclock.NoSite {
-		// Best effort: if the revoke is lost too, the SS validates the
-		// writer itself on the next open (setupServe).
-		netsim.CallAt(k.node, ssHolder, mRevokeServe, k.handleRevokeServe, &revokeServeReq{ID: id, US: holder, Serial: serial}) //locus:vet-allow uncheckedcall best-effort revoke: an unreachable SS is reclaimed by the partition protocol
-	}
-	return true
+	k.freeShadow(req.ID.FG, freed)
+	return nil, nil
 }

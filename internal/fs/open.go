@@ -26,7 +26,7 @@ func (k *Kernel) registerHandlers() {
 	netsim.Handle(k.node, mPullPages, k.handlePullPages)
 	netsim.Handle(k.node, mGetVV, k.handleGetVV)
 	netsim.HandleCast(k.node, mSetAttr, k.handleSetAttr)
-	netsim.Handle(k.node, mProbeOpen, k.handleProbeOpen)
+	netsim.Handle(k.node, mRecallWriter, k.handleRecallWriter)
 	netsim.Handle(k.node, mRevokeServe, k.handleRevokeServe)
 	netsim.Handle(k.node, mLeaseRevoke, k.handleLeaseRevoke)
 	netsim.Handle(k.node, mLeaseRelease, k.handleLeaseRelease)
@@ -112,18 +112,11 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 		if holder := e.writerUS; holder != vclock.NoSite {
 			hserial, ssHolder := e.writerSerial, e.writerSS
 			k.mu.Unlock()
-			// Before refusing, validate the record. Under leases the
-			// revocation callback recalls the holder's writer lease (or
-			// proves a live handle); without them, a close lost to the
-			// network (with no partition change to trigger §5.6 cleanup)
+			// Before refusing, recall the recorded registration: it may
+			// be an idle writer lease, or a close lost to the network
+			// (with no partition change to trigger §5.6 cleanup) that
 			// strands the writer slot forever otherwise.
-			var reclaimed bool
-			if leasesOn {
-				reclaimed = k.revokeWriterLease(req.ID, e, holder, hserial, ssHolder, holder == req.US)
-			} else {
-				reclaimed = k.writerVanished(req.ID, holder, hserial, ssHolder, holder == req.US)
-			}
-			if !reclaimed {
+			if !k.recallWriter(req.ID, e, holder, hserial, ssHolder) {
 				return nil, fmt.Errorf("%w: %v open for modification at site %d", ErrBusy, req.ID, holder)
 			}
 			k.mu.Lock()
@@ -131,7 +124,7 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 			if h := e.writerUS; h != vclock.NoSite {
 				// Someone else claimed the slot while we validated — or
 				// the holder closed normally and re-opened, which is why
-				// the probe found the registration we read gone.
+				// the recall found the registration we read gone.
 				k.mu.Unlock()
 				return nil, fmt.Errorf("%w: %v open for modification at site %d", ErrBusy, req.ID, h)
 			}
@@ -140,10 +133,10 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	}
 	// Under leases a recorded writer hides the newest committed version
 	// from the lock table (its close was skipped), and its presence
-	// blocks read delegations. A read open first tries to recall the
-	// writer lease — an idle writer releases in one revoke exchange and
+	// blocks read delegations. A read open first recalls the writer
+	// registration — an idle writer lease comes back in one exchange and
 	// the read proceeds with full delegation economics. A refused
-	// revoke means the writer handle is genuinely live: the read is
+	// recall means the writer handle is genuinely live: the read is
 	// then served through the writer's SS (the commit point), where the
 	// §2.3.3 shortcuts are unsafe and no delegation is granted.
 	pollFirst := vclock.NoSite
@@ -151,7 +144,7 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 		holder, hserial, ssHolder := e.writerUS, e.writerSerial, e.writerSS
 		if req.Mode == ModeRead && holder != req.US {
 			k.mu.Unlock()
-			revoked := k.revokeWriterLease(req.ID, e, holder, hserial, ssHolder, false)
+			revoked := k.recallWriter(req.ID, e, holder, hserial, ssHolder)
 			k.mu.Lock()
 			if revoked {
 				e.releaseWriter(holder, hserial)
@@ -350,10 +343,9 @@ func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID, serial 
 			k.mu.Unlock()
 			// Validate before refusing (see lockvalid.go): a lost close
 			// leaves serving state for a writer that no longer exists.
-			if k.probeWriterOpen(id, holder, holder == us) {
+			if !k.recallWriter(id, nil, holder, hserial, k.site) {
 				return fmt.Errorf("%w: %v already being modified", ErrBusy, id)
 			}
-			k.revokeServeLocal(id, holder, hserial)
 			k.mu.Lock()
 		}
 	}
@@ -532,20 +524,16 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	}
 	var wserial uint64
 	if mode == ModeModify {
-		// Mark the open in flight so a lock-table validation probe racing
-		// the CSS's response does not reclaim the grant (lockvalid.go).
+		// Mark the registration in flight so a recall racing the CSS's
+		// response does not reclaim the grant (lockvalid.go).
 		k.mu.Lock()
-		k.inflightOpens[id]++
 		k.openSerial++
 		wserial = k.openSerial
+		k.inflightSerials[wserial] = true
 		k.mu.Unlock()
 		defer func() {
 			k.mu.Lock()
-			if k.inflightOpens[id] <= 1 {
-				delete(k.inflightOpens, id)
-			} else {
-				k.inflightOpens[id]--
-			}
+			delete(k.inflightSerials, wserial)
 			k.mu.Unlock()
 		}()
 	}

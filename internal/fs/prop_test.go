@@ -15,22 +15,37 @@ import (
 
 // bootSolo brings up a one-site cluster for direct handler calls.
 func bootSolo(t testing.TB) *Kernel {
+	return bootSites(t, 1)[0]
+}
+
+// bootSites brings up an n-site cluster whose every site is a pack of
+// the root filegroup; the kernel of site i+1 is at index i.
+func bootSites(t testing.TB, n int) []*Kernel {
 	t.Helper()
 	nw := netsim.New(netsim.DefaultCosts())
 	t.Cleanup(nw.Close)
-	cfg, err := NewConfig([]FilegroupDesc{{FG: 1, MountPath: "/",
-		Packs: []PackDesc{{Site: 1, Lo: 1, Hi: 1000}}}})
+	packs := make([]PackDesc, n)
+	for i := range packs {
+		lo := storage.InodeNum(1 + 1000*i)
+		packs[i] = PackDesc{Site: SiteID(i + 1), Lo: lo, Hi: lo + 999}
+	}
+	cfg, err := NewConfig([]FilegroupDesc{{FG: 1, MountPath: "/", Packs: packs}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := BootSite(nw.AddSite(1), cfg, nw.Meter(), storage.Costs{})
-	if err != nil {
+	ks := make([]*Kernel, n)
+	byID := make(map[SiteID]*Kernel, n)
+	for i, p := range packs {
+		k, err := BootSite(nw.AddSite(p.Site), cfg, nw.Meter(), storage.Costs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks[i], byID[p.Site] = k, k
+	}
+	if err := Format(byID, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := Format(map[SiteID]*Kernel{1: k}, cfg); err != nil {
-		t.Fatal(err)
-	}
-	return k
+	return ks
 }
 
 // solo4 is a one-site kernel holding a committed 4-page file /f, for the

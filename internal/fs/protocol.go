@@ -198,23 +198,30 @@ type ssCloseReq struct {
 	Sites []SiteID
 }
 
-// mProbeOpen is CSS/SS → US: lock-table validation (§5.6 applied on
-// demand) — does the using site still hold a live modify handle?
-var mProbeOpen = netsim.Method[probeOpenReq, probeOpenResp]{Name: "fs.probeopen"}
+// mRecallWriter is CSS/SS → US: recall one writer registration
+// (lock-table validation, §5.6 applied on demand). The using site
+// answers whether the registration is still live; if it is not, the
+// registration's writer lease, if held, comes back with the answer.
+var mRecallWriter = netsim.Method[recallWriterReq, recallWriterResp]{Name: "fs.recallwriter", AtMostOnce: true}
 
-type probeOpenReq struct {
+type recallWriterReq struct {
 	ID storage.FileID
-	// SelfProbe marks a validation performed on behalf of a new open
-	// from the probed site itself; that open's own in-flight record
-	// must not count as evidence that the recorded holder is alive,
-	// or a site could never reclaim its own stale lock.
-	SelfProbe bool
+	// Serial names the registration at the using site (openReq.Serial);
+	// every other registration of the file there, a successor from the
+	// same site included, is none of the recall's business.
+	Serial uint64
 }
 
-type probeOpenResp struct {
-	// Open reports a live or in-flight modify handle for the file at
-	// the probed using site.
-	Open bool
+type recallWriterResp struct {
+	// Live reports the registration's open still in flight or a modify
+	// handle carrying it still open: the recall is refused.
+	Live bool
+	// VV/Sites are the holder's committed version and storage-site list
+	// (the returned writer lease's, else its stored copy's): the
+	// analogue of the close protocol's VV piggyback, folded into the CSS
+	// lock table before the slot is reclaimed.
+	VV    vclock.VV
+	Sites []SiteID
 }
 
 // mRevokeServe is CSS → SS: discard serving state for a writer whose
@@ -238,40 +245,19 @@ type leaseGrant struct {
 	Sites []SiteID
 }
 
-// mLeaseRevoke is CSS → lease holder: a VV-stamped callback demanding
-// a read delegation or writer lease back (the Lustre-style intent
-// lock revocation). The holder answers with its committed version so
-// the CSS can fold the writer's final state into its lock table
-// before granting the conflicting open.
-var mLeaseRevoke = netsim.Method[leaseRevokeReq, leaseRevokeResp]{Name: "fs.leaserevoke", AtMostOnce: true}
+// mLeaseRevoke is CSS → delegate: one callback of a batched round
+// demanding a read delegation back before a writer proceeds (the
+// Lustre-style intent lock revocation). A writer lease is recalled by
+// its registration instead (mRecallWriter).
+var mLeaseRevoke = netsim.Method[leaseRevokeReq, netsim.Ack]{Name: "fs.leaserevoke", AtMostOnce: true}
 
 type leaseRevokeReq struct {
 	ID storage.FileID
-	// Mode says what is being recalled: ModeRead for a delegate entry
-	// in a batched round, ModeModify for the writer lease. A writer
-	// revoke doubles as the lock-table validation probe, so a live
-	// modify handle at the holder refuses it.
-	Mode OpenMode
-	// SelfProbe marks a writer revoke performed on behalf of a new
-	// open from the probed site itself (see probeOpenReq.SelfProbe).
-	SelfProbe bool
 }
 
-type leaseRevokeResp struct {
-	// Released reports the lease is gone; false means a live modify
-	// handle still holds it and the revoking open must fail busy.
-	Released bool
-	// VV/Sites are the holder's committed version and storage-site list
-	// at release time — the writer-lease analogue of the close
-	// protocol's VV piggyback, folded into the CSS lock table before
-	// the conflicting open proceeds.
-	VV    vclock.VV
-	Sites []SiteID
-}
-
-// mLeaseRelease is US → CSS: voluntary return of a lease (ablation
-// switch-off, or a delegate upgrading itself to a writer). It removes
-// the CSS delegate record.
+// mLeaseRelease is US → CSS: voluntary return of a read delegation,
+// sent when §5.6 cleanup or switching the layer off discards the
+// holder's lease table. It removes the CSS delegate record.
 var mLeaseRelease = netsim.Method[leaseReleaseReq, netsim.Ack]{Name: "fs.leaserelease", AtMostOnce: true}
 
 type leaseReleaseReq struct {

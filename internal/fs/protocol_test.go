@@ -35,7 +35,7 @@ func TestMethodTable(t *testing.T) {
 		{mPullPages.Name, mPullPages.AtMostOnce},
 		{mGetVV.Name, mGetVV.AtMostOnce},
 		{mSetAttr.Name, false},
-		{mProbeOpen.Name, mProbeOpen.AtMostOnce},
+		{mRecallWriter.Name, mRecallWriter.AtMostOnce},
 		{mRevokeServe.Name, mRevokeServe.AtMostOnce},
 		{mLeaseRevoke.Name, mLeaseRevoke.AtMostOnce},
 		{mLeaseRelease.Name, mLeaseRelease.AtMostOnce},
@@ -63,7 +63,7 @@ func TestMethodTable(t *testing.T) {
 	}
 	want := []string{
 		"fs.close", "fs.commit", "fs.create", "fs.leaserelease", "fs.leaserevoke",
-		"fs.open", "fs.ssclose", "fs.sscreate", "fs.ssopen",
+		"fs.open", "fs.recallwriter", "fs.ssclose", "fs.sscreate", "fs.ssopen",
 	}
 	sort.Strings(atMostOnce)
 	if !reflect.DeepEqual(atMostOnce, want) {
@@ -101,13 +101,13 @@ func TestStaleCloseAndRevokeSpareTheSuccessorWriter(t *testing.T) {
 	id := f.ID()
 	const serialA, serialB = 1001, 1002
 
-	// Open A. No File is registered, so to the validation probe A's
-	// handle has vanished — the state a lost close leaves behind.
+	// Open A. No File is registered, so to a recall of A the
+	// registration has vanished — the state a lost close leaves behind.
 	if _, err := k.handleOpen(1, &openReq{ID: id, Mode: ModeModify, US: 1, Serial: serialA}); err != nil {
 		t.Fatalf("open A: %v", err)
 	}
-	// Open B from the same site: the CSS validates A (gone), revokes
-	// its serving state and grants B.
+	// Open B from the same site: the CSS recalls A (gone), revokes its
+	// serving state and grants B.
 	if _, err := k.handleOpen(1, &openReq{ID: id, Mode: ModeModify, US: 1, Serial: serialB}); err != nil {
 		t.Fatalf("open B after A vanished: %v", err)
 	}

@@ -210,9 +210,9 @@ type Snapshot struct {
 	PullPagesSent   int64
 
 	// LeasesGranted counts read delegations and writer leases granted
-	// by a CSS; LeasesRevoked counts leases recalled by revocation
-	// callbacks; BatchedRevokes counts batched revoke rounds (leases
-	// revoked per round = LeasesRevoked/BatchedRevokes).
+	// by a CSS; LeasesRevoked counts read delegations recalled by
+	// batched revoke rounds plus writer leases given back to a writer
+	// recall; BatchedRevokes counts batched revoke rounds.
 	LeasesGranted  int64
 	LeasesRevoked  int64
 	BatchedRevokes int64
