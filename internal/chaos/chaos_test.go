@@ -103,7 +103,10 @@ func TestChaosSerialPullSeeds(t *testing.T) {
 // lease held at a site the CSS no longer tracks. Every seed must also
 // recall a writer registration (fs.recallwriter), the one exchange that
 // takes an idle writer lease back; the other regimes' seeds never meet
-// a recorded writer at open, so only this one can hold that line.
+// a recorded writer at open, so only this one can hold that line. And
+// leases must not multiply the storage-site polls: each seed's fs.ssopen
+// count stays within 2× of the same seed's without them (an open that
+// retried a stale replica once sent 12,051 on seed 1, against 55).
 func TestChaosLeaseSeeds(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		seed := seed
@@ -112,6 +115,13 @@ func TestChaosLeaseSeeds(t *testing.T) {
 			res, err := Run(Config{Seed: seed, Features: fs.Features{Leases: true}})
 			if err != nil {
 				t.Fatalf("chaos run failed to execute: %v", err)
+			}
+			plain, err := Run(Config{Seed: seed})
+			if err != nil {
+				t.Fatalf("chaos run failed to execute: %v", err)
+			}
+			if got, base := res.Stats.ByMethod["fs.ssopen"], plain.Stats.ByMethod["fs.ssopen"]; got > 2*base {
+				t.Errorf("seed %d sent %d fs.ssopen with leases on, more than 2× the %d without", seed, got, base)
 			}
 			if len(res.Violations) != 0 {
 				reportFailure(t, "invariants violated with leases on", res)

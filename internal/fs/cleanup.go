@@ -163,16 +163,10 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 			delete(k.cssState, id)
 			continue
 		}
-		if e.writerUS != vclock.NoSite && !in[e.writerUS] {
-			e.writerUS = vclock.NoSite
-			e.writerSS = vclock.NoSite
-			rep.LocksReleased++
-		}
-		if e.writerSS != vclock.NoSite && !in[e.writerSS] {
-			// The storage site serving the writer is gone; the writer's
-			// own cleanup aborts its handle.
-			e.writerUS = vclock.NoSite
-			e.writerSS = vclock.NoSite
+		// A writer whose site is gone, or whose storage site is (the
+		// writer's own cleanup aborts its handle), is released.
+		if e.writerUS != vclock.NoSite && !in[e.writerUS] || e.writerSS != vclock.NoSite && !in[e.writerSS] {
+			k.releaseWriterLocked(e, e.writerUS, e.writerSerial)
 			rep.LocksReleased++
 		}
 		for _, us := range sortedSiteIDs(e.readers) {
@@ -183,6 +177,7 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 			}
 		}
 	}
+	k.writerFreed.Broadcast() // a waiter whose site is gone must fail
 	k.mu.Unlock()
 
 	for _, d := range drops {

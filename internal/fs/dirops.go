@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/format"
@@ -50,17 +49,18 @@ func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
 // updateDir applies a mutation to a directory through the standard
 // open-for-modify / commit machinery, so directory updates replicate
 // and synchronize exactly like file updates. Directory entry updates
-// are short kernel-internal critical sections; when another site holds
-// the directory's writer lock the kernel sleeps and retries on behalf
-// of the process (§2.3.2: "the kernel ... can sleep on behalf of the
-// process") rather than failing the user's create/unlink with EBUSY.
+// are short kernel-internal critical sections: when another directory
+// update holds the directory's writer lock, the open waits at the CSS
+// for its release (openReq.Wait; §2.3.2: "the kernel ... can sleep on
+// behalf of the process") rather than failing the user's create/unlink
+// with EBUSY. A user's modify handle on the directory is EBUSY at once.
 //
 // mutate maps the directory's snapshot at the version just opened to
 // the one to commit. The write is the whole serialization, assembled
 // from the snapshot's chunk encodings: only the chunk mutate touched
 // was encoded for it.
 func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (*format.DirSnapshot, error)) error {
-	f, err := k.openDirForUpdate(id)
+	f, err := k.openID(id, ModeModify, true)
 	if err != nil {
 		return err
 	}
@@ -92,28 +92,6 @@ func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (
 	// and re-parse what we just wrote.
 	k.dirs.put(id, f.ino.VV, d)
 	return nil
-}
-
-// openDirForUpdate opens a directory for modification, retrying while
-// another updater briefly holds the writer lock. (Transient
-// no-storage-site windows are retried inside OpenID itself.) Each retry
-// yields to the holder (Clock.Backoff); the kernel never consults the
-// wall clock (locus-vet's simclock rule enforces this).
-func (k *Kernel) openDirForUpdate(id storage.FileID) (*File, error) {
-	clock := k.node.Network().Clock()
-	var err error
-	for attempt := 0; attempt < 4000; attempt++ {
-		var f *File
-		f, err = k.OpenID(id, ModeModify)
-		if err == nil {
-			return f, nil
-		}
-		if !errors.Is(err, ErrBusy) {
-			return nil, err
-		}
-		clock.Backoff()
-	}
-	return nil, err
 }
 
 // dirInsert adds a live entry, failing if the name exists.

@@ -631,6 +631,9 @@ func (f *File) Close() error {
 		f.closed = true
 		delete(k.openFiles, f)
 		k.mu.Unlock()
+		if f.mode == ModeModify {
+			k.giveBackRecalled(f.css, f.id, f.wserial)
+		}
 	}()
 
 	if f.stale {
@@ -714,7 +717,7 @@ func (k *Kernel) handleSSClose(_ SiteID, req *ssCloseReq) (*netsim.Ack, error) {
 	// if the commit notification cast is still in flight.
 	e.absorb(req.VV, req.Sites)
 	if req.Mode == ModeModify {
-		e.releaseWriter(req.US, req.Serial)
+		k.releaseWriterLocked(e, req.US, req.Serial)
 	} else if req.Mode == ModeRead {
 		if e.readers[req.US] > 1 {
 			e.readers[req.US]--

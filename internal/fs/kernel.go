@@ -246,14 +246,15 @@ type cssEntry struct {
 	delegates map[SiteID]vclock.VV
 }
 
-// releaseWriter frees the writer slot if it still records the
-// registration (us, serial); a release naming a registration that has
-// since been replaced — even by the same site — changes nothing.
-// Caller holds k.mu.
-func (e *cssEntry) releaseWriter(us SiteID, serial uint64) {
+// releaseWriterLocked frees e's writer slot if it still records the
+// registration (us, serial) — a release naming a registration that has
+// since been replaced, even by the same site, changes nothing — and
+// wakes the opens waiting for a slot. Caller holds k.mu.
+func (k *Kernel) releaseWriterLocked(e *cssEntry, us SiteID, serial uint64) {
 	if e.writerUS == us && e.writerSerial == serial {
 		e.writerUS = vclock.NoSite
 		e.writerSS = vclock.NoSite
+		k.writerFreed.Broadcast()
 	}
 }
 
@@ -301,6 +302,9 @@ type Kernel struct {
 	// open state
 	ssState  map[storage.FileID]*ssServe
 	cssState map[storage.FileID]*cssEntry
+	// writerFreed (over mu) is where an openReq.Wait open waits for a
+	// writer slot; a release, §5.6 cleanup and a crash broadcast it.
+	writerFreed sync.Cond
 	// pendingProp marks files with propagations queued but not yet
 	// pulled in; pathname searching must not trust the local copy then.
 	pendingProp map[storage.FileID]*propTask
@@ -321,7 +325,13 @@ type Kernel struct {
 	// this site has requested but not yet recorded in openFiles, so a
 	// recall (mRecallWriter) arriving between the CSS's grant and our
 	// receipt of the response does not take the open for a stale lock.
+	// The value is the open's openReq.Wait.
 	inflightSerials map[uint64]bool
+	// recalledSerials holds the serials of this site's writer
+	// registrations that a recall found live. Each gives its slot back
+	// when it ends (giveBackRecalled), since an open may be waiting for
+	// it at the CSS.
+	recalledSerials map[uint64]bool
 	// leases is the US-side lease table: files this site may re-open,
 	// read, and close locally without contacting the CSS (read
 	// delegations and held writer leases).
@@ -398,9 +408,11 @@ func NewKernel(node *netsim.Node, store *storage.Store, cfg *Config) *Kernel {
 		pendingProp:     make(map[storage.FileID]*propTask),
 		openFiles:       make(map[*File]bool),
 		inflightSerials: make(map[uint64]bool),
+		recalledSerials: make(map[uint64]bool),
 		leases:          make(map[storage.FileID]*usLease),
 		leaseDropped:    make(map[storage.FileID]bool),
 	}
+	k.writerFreed.L = &k.mu
 	k.features.Store(&Features{})
 	k.cache = newPageCache(node.Network().Meter())
 	seen := map[SiteID]bool{}
@@ -434,6 +446,7 @@ func (k *Kernel) crashLocal() {
 	}
 	k.openFiles = make(map[*File]bool)
 	k.inflightSerials = make(map[uint64]bool)
+	k.recalledSerials = make(map[uint64]bool)
 	k.ssState = make(map[storage.FileID]*ssServe)
 	k.cssState = make(map[storage.FileID]*cssEntry)
 	k.leases = make(map[storage.FileID]*usLease)
@@ -443,6 +456,7 @@ func (k *Kernel) crashLocal() {
 	k.stalledProp = nil
 	k.partition = []SiteID{k.site}
 	k.cache.purge()
+	k.writerFreed.Broadcast() // the lock table a waiter parked on is gone
 }
 
 // Site returns this kernel's site id.
@@ -584,6 +598,9 @@ type File struct {
 	// leaving the SS serving state and CSS writer slot in place for the
 	// next local open.
 	leased bool
+	// wait marks a directory update's modify handle (openReq.Wait): the
+	// kernel closes it without user code running in between.
+	wait bool
 	// readahead enables adaptive streaming readahead (§2.3.3): the SS
 	// piggybacks up to raWindow following pages on each read response,
 	// deposited into the using-site page cache. Fixed at open from

@@ -31,7 +31,9 @@ package fs
 // An idle registration comes back with its lease and the holder's
 // committed VV — the lease-layer analogue of the close protocol's VV
 // piggyback, folded into the lock table before the conflicting open
-// proceeds.
+// proceeds. A live one is refused and marked: it serves no further
+// modify open, and when its last handle closes the lease performs its
+// deferred close (giveBackRecalled), for the open that may be waiting.
 //
 // Failure handling reuses the existing reclaim machinery: a crashed
 // holder loses its lease table with the rest of its volatile state and
@@ -69,8 +71,6 @@ type usLease struct {
 	// frozen like any committed inode: a read re-open shares it, a modify
 	// re-open takes a Clone.
 	ino *storage.Inode
-	// opens counts live local handles opened under the lease.
-	opens int
 	// wserial is the writer registration a writer lease keeps alive at
 	// the SS and CSS: the serial of the open it was granted on.
 	wserial uint64
@@ -107,7 +107,7 @@ func (k *Kernel) releaseAllLeases() {
 func (k *Kernel) releaseLease(l *usLease) {
 	if l.mode == ModeModify {
 		k.mu.Lock()
-		live := k.writerLiveLocked(l.id, l.wserial)
+		live, _ := k.writerLiveLocked(l.id, l.wserial)
 		k.mu.Unlock()
 		if live {
 			return
@@ -178,12 +178,13 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, except SiteID) 
 
 // recordLease installs the lease granted on f's open at the using
 // site. The grant is declined when the layer was switched off while
-// the open was in flight, or when a revoke overtook the grant
-// (leaseDropped).
+// the open was in flight, when a revoke overtook the grant
+// (leaseDropped), or when a recall met the writer registration in
+// flight (recalledSerials): its slot is wanted back at close.
 func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if !k.Features().Leases || k.leaseDropped[f.id] {
+	if !k.Features().Leases || k.leaseDropped[f.id] || f.mode == ModeModify && k.recalledSerials[f.wserial] {
 		delete(k.leaseDropped, f.id)
 		return false
 	}
@@ -199,7 +200,6 @@ func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 		ss:      f.ss,
 		css:     f.css,
 		ino:     ino,
-		opens:   1,
 		wserial: f.wserial,
 	}
 	return true
@@ -208,10 +208,11 @@ func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 // openUnderLease serves an open locally under a held lease, with zero
 // wire messages: any mode under this site's writer lease, read mode
 // under a read delegation. It returns nil when the open must go to the
-// CSS (no lease, layer off, or a delegation being upgraded to modify —
-// in which case the delegation is discarded first, since the CSS will
-// drop its record when the modify open arrives).
-func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode) *File {
+// CSS (no lease, layer off, a modify open under a writer lease a recall
+// asked back, or a delegation being upgraded to modify — in which case
+// the delegation is discarded first, since the CSS will drop its record
+// when the modify open arrives). wait is the open's openReq.Wait.
+func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, wait bool) *File {
 	ft := k.Features()
 	if !ft.Leases {
 		return nil
@@ -231,7 +232,7 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode) *File {
 	if mode != ModeRead && mode != ModeModify {
 		return nil // internal opens take the unsynchronized path
 	}
-	if mode == ModeModify && l.mode != ModeModify {
+	if mode == ModeModify && (l.mode != ModeModify || k.recalledSerials[l.wserial]) {
 		return nil
 	}
 	f := &File{
@@ -241,12 +242,11 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode) *File {
 	if mode == ModeModify {
 		f.ino, f.dirty = l.ino.Clone(), make(map[storage.PageNo]bool)
 		f.leased = true
-		f.wserial = l.wserial
+		f.wserial, f.wait = l.wserial, wait
 	} else {
 		f.delegated = true
 		f.readahead = ft.Readahead
 	}
-	l.opens++
 	k.registerOpenLocked(f)
 	return f
 }
@@ -257,23 +257,17 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode) *File {
 // the handle was open — and the caller must fall back to the legacy
 // close protocol so the serving state is actually torn down.
 func (k *Kernel) closeUnderLease(f *File) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	l := k.leases[f.id]
 	if f.delegated {
 		// A delegated reader holds no serving state and no CSS lock
 		// entry: its close is pure local bookkeeping even if the lease
 		// was revoked while it read its frozen snapshot.
-		if l != nil && l.opens > 0 {
-			l.opens--
-		}
 		return true
 	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	l := k.leases[f.id]
 	if l == nil || l.mode != ModeModify {
 		return false
-	}
-	if l.opens > 0 {
-		l.opens--
 	}
 	// Refresh the snapshot the next local open is built from: the
 	// handle committed before closing, so f.ino carries the newest

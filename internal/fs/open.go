@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/netsim"
@@ -108,27 +107,43 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	// Policy check + writer reservation.
 	leasesOn := k.Features().Leases
 	k.mu.Lock()
-	if req.Mode == ModeModify {
-		if holder := e.writerUS; holder != vclock.NoSite {
-			hserial, ssHolder := e.writerSerial, e.writerSS
-			k.mu.Unlock()
-			// Before refusing, recall the recorded registration: it may
-			// be an idle writer lease, or a close lost to the network
-			// (with no partition change to trigger §5.6 cleanup) that
-			// strands the writer slot forever otherwise.
-			if !k.recallWriter(req.ID, e, holder, hserial, ssHolder) {
-				return nil, fmt.Errorf("%w: %v open for modification at site %d", ErrBusy, req.ID, holder)
-			}
-			k.mu.Lock()
-			e.releaseWriter(holder, hserial)
-			if h := e.writerUS; h != vclock.NoSite {
-				// Someone else claimed the slot while we validated — or
-				// the holder closed normally and re-opened, which is why
-				// the recall found the registration we read gone.
-				k.mu.Unlock()
-				return nil, fmt.Errorf("%w: %v open for modification at site %d", ErrBusy, req.ID, h)
-			}
+	for req.Mode == ModeModify && e.writerUS != vclock.NoSite {
+		holder, hserial, ssHolder := e.writerUS, e.writerSerial, e.writerSS
+		k.mu.Unlock()
+		// Before refusing, recall the recorded registration: it may be an
+		// idle writer lease, or a close lost to the network (with no
+		// partition change to trigger §5.6 cleanup) that strands the
+		// writer slot forever otherwise.
+		gone, brief := k.recallWriter(req.ID, e, holder, hserial, ssHolder)
+		k.mu.Lock()
+		if gone {
+			k.releaseWriterLocked(e, holder, hserial)
+			continue // someone else may have claimed the slot meanwhile
 		}
+		// A user's open is refused at once (§2.3.1). A directory update
+		// waits only for another directory update, which ends without
+		// user code running in between (that user could be this very
+		// process); never for an unreachable holder, which only a
+		// partition change releases, nor for its own registration (a
+		// retransmission re-executed without dedup).
+		if !req.Wait || !brief || holder == req.US && hserial == req.Serial {
+			k.mu.Unlock()
+			return nil, fmt.Errorf("%w: %v open for modification at site %d", ErrBusy, req.ID, holder)
+		}
+		for {
+			if !k.inPartitionLocked(req.US) || k.cssState[req.ID] != e {
+				// The waiter's site left, or the lock table was rebuilt
+				// (§5.6 cleanup, a crash) under it.
+				k.mu.Unlock()
+				return nil, fmt.Errorf("%w: %v: wait for the writer slot abandoned", ErrBusy, req.ID)
+			}
+			if e.writerUS != holder || e.writerSerial != hserial {
+				break // released: check the slot again
+			}
+			k.writerFreed.Wait()
+		}
+	}
+	if req.Mode == ModeModify {
 		e.writerUS, e.writerSerial = req.US, req.Serial
 	}
 	// Under leases a recorded writer hides the newest committed version
@@ -144,10 +159,10 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 		holder, hserial, ssHolder := e.writerUS, e.writerSerial, e.writerSS
 		if req.Mode == ModeRead && holder != req.US {
 			k.mu.Unlock()
-			revoked := k.recallWriter(req.ID, e, holder, hserial, ssHolder)
+			gone, _ := k.recallWriter(req.ID, e, holder, hserial, ssHolder)
 			k.mu.Lock()
-			if revoked {
-				e.releaseWriter(holder, hserial)
+			if gone {
+				k.releaseWriterLocked(e, holder, hserial)
 			}
 		}
 		if e.writerUS != vclock.NoSite {
@@ -170,7 +185,7 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	rollback := func() {
 		if req.Mode == ModeModify {
 			k.mu.Lock()
-			e.releaseWriter(req.US, req.Serial)
+			k.releaseWriterLocked(e, req.US, req.Serial)
 			k.mu.Unlock()
 		}
 	}
@@ -235,19 +250,23 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	// potential sites are polled to see if they will act as storage
 	// sites"). A read under a held writer lease polls the writer's SS
 	// first — the commit point holds the newest committed version.
-	order := sites
+	// Otherwise the CSS's own copy was ruled out above, and the US's is
+	// polled last, not skipped: optimization 1 judged it by the USVV read
+	// before the request left, and a commit since by another process at
+	// the US can have made it the latest.
+	order := make([]SiteID, 0, 8)
 	if pollFirst != vclock.NoSite {
-		order = append([]SiteID{pollFirst}, sites...)
+		order = append(order, pollFirst)
 	}
-	polled := map[SiteID]bool{}
+	for _, s := range sites {
+		if s != pollFirst && (pollFirst != vclock.NoSite || s != k.site && s != req.US) {
+			order = append(order, s)
+		}
+	}
+	if pollFirst == vclock.NoSite && req.US != k.site && containsSite(sites, req.US) {
+		order = append(order, req.US)
+	}
 	for _, cand := range order {
-		if polled[cand] {
-			continue
-		}
-		polled[cand] = true
-		if pollFirst == vclock.NoSite && (cand == k.site || cand == req.US) {
-			continue // both already ruled out above
-		}
 		if !k.inPartition(cand) {
 			continue // unreachable
 		}
@@ -343,7 +362,7 @@ func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID, serial 
 			k.mu.Unlock()
 			// Validate before refusing (see lockvalid.go): a lost close
 			// leaves serving state for a writer that no longer exists.
-			if !k.recallWriter(id, nil, holder, hserial, k.site) {
+			if gone, _ := k.recallWriter(id, nil, holder, hserial, k.site); !gone {
 				return fmt.Errorf("%w: %v already being modified", ErrBusy, id)
 			}
 			k.mu.Lock()
@@ -388,50 +407,16 @@ func containsSite(ss []SiteID, s SiteID) bool {
 	return false
 }
 
-// OpenID opens a file by its globally unique low-level name. Most
-// callers use Open (pathname) instead.
+// OpenID opens a file by its globally unique low-level name, once: a
+// live writer is ErrBusy, no current copy ErrNoStorageSite. Most callers
+// use Open (pathname) instead.
 //
 // An internal open is lookInternal plus the handle: what a caller that
 // must read the file's pages without a lock needs (a pathname search
 // whose directory is not in the cache, readDirOnce). A caller that only
 // wants what the inode says calls lookInternal and makes no handle.
 func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
-	if mode == ModeInternal {
-		ino, ss, err := k.lookInternal(id)
-		if err != nil {
-			return nil, err
-		}
-		return k.internalHandle(id, ino, ss), nil
-	}
-	var f *File
-	err := k.retryNoStorageSite(func() (err error) {
-		f, err = k.openIDOnce(id, mode)
-		return err
-	})
-	return f, err
-}
-
-// retryNoStorageSite runs one try of an open until it does not fail with
-// ErrNoStorageSite, yielding the processor between tries
-// (Clock.Backoff): under concurrent cross-site updates the CSS's poll
-// can momentarily find no usable storage site — the replica holding the
-// just-committed version is still busy serving its committing writer,
-// and every other replica is one propagation pull away from current —
-// and that window closes as soon as a concurrent process lands the
-// propagations. In a partition that genuinely holds no current copy, or
-// with no concurrent process at all, the retries burn out and the error
-// surfaces as before: that costs 2,000 yields and polls, no sleep and no
-// virtual time beyond what the polls charge.
-func (k *Kernel) retryNoStorageSite(try func() error) error {
-	clock := k.node.Network().Clock()
-	var err error
-	for attempt := 0; attempt < 2000; attempt++ {
-		if err = try(); !errors.Is(err, ErrNoStorageSite) {
-			return err
-		}
-		clock.Backoff()
-	}
-	return err
+	return k.openID(id, mode, false)
 }
 
 // lookInternal is the internal unsynchronized open of §2.3.4 for a
@@ -445,15 +430,7 @@ func (k *Kernel) retryNoStorageSite(try func() error) error {
 // pass it on, Clone it before writing. Nothing holds it current: a
 // caller that goes on to read pages makes a handle (internalHandle),
 // whose reads check each page against the version found here.
-func (k *Kernel) lookInternal(id storage.FileID) (ino *storage.Inode, ss SiteID, err error) {
-	err = k.retryNoStorageSite(func() (err error) {
-		ino, ss, err = k.lookInternalOnce(id)
-		return err
-	})
-	return ino, ss, err
-}
-
-func (k *Kernel) lookInternalOnce(id storage.FileID) (*storage.Inode, SiteID, error) {
+func (k *Kernel) lookInternal(id storage.FileID) (*storage.Inode, SiteID, error) {
 	c := k.container(id.FG)
 	if c != nil {
 		k.mu.Lock()
@@ -507,12 +484,20 @@ func (k *Kernel) internalHandle(id storage.FileID, ino *storage.Inode, ss SiteID
 	return f
 }
 
-// openIDOnce is one try of a read or modify open.
-func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
+// openID is OpenID; wait marks a directory update's modify open, which
+// waits at the CSS for another directory update's slot (openReq.Wait).
+func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait bool) (*File, error) {
+	if mode == ModeInternal {
+		ino, ss, err := k.lookInternal(id)
+		if err != nil {
+			return nil, err
+		}
+		return k.internalHandle(id, ino, ss), nil
+	}
 	// Lease fast path: a held writer lease serves any open, a read
 	// delegation serves read opens — zero wire messages, no CSS round
 	// trip (the point of the lease layer).
-	if f := k.openUnderLease(id, mode); f != nil {
+	if f := k.openUnderLease(id, mode, wait); f != nil {
 		if mode == ModeModify {
 			k.cache.invalidateFile(id)
 		}
@@ -523,21 +508,25 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 		return nil, err
 	}
 	var wserial uint64
+	registered := false
 	if mode == ModeModify {
 		// Mark the registration in flight so a recall racing the CSS's
 		// response does not reclaim the grant (lockvalid.go).
 		k.mu.Lock()
 		k.openSerial++
 		wserial = k.openSerial
-		k.inflightSerials[wserial] = true
+		k.inflightSerials[wserial] = wait
 		k.mu.Unlock()
 		defer func() {
 			k.mu.Lock()
 			delete(k.inflightSerials, wserial)
 			k.mu.Unlock()
+			if !registered {
+				k.giveBackRecalled(css, id, wserial)
+			}
 		}()
 	}
-	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id)})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Wait: wait})
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +537,7 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	}
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: r.SS, css: css,
-		wserial:   wserial,
+		wserial: wserial, wait: wait,
 		readahead: mode == ModeRead && k.Features().Readahead,
 	}
 	// A read open answered with a delegation holds no serving state
@@ -590,11 +579,14 @@ func (k *Kernel) openIDOnce(id storage.FileID, mode OpenMode) (*File, error) {
 	k.mu.Lock()
 	k.registerOpenLocked(f)
 	k.mu.Unlock()
+	registered = true
 	return f, nil
 }
 
-// releaseCSSLock undoes a CSS open registration after a local failure
-// to finish the open (so the lock table does not leak a phantom open).
+// releaseCSSLock tells the CSS directly that this site's registration
+// has ended: after a local failure to finish the open (so the lock table
+// does not leak a phantom open), or for giveBackRecalled. A release
+// naming a registration whose slot has moved on changes nothing.
 func (k *Kernel) releaseCSSLock(css SiteID, id storage.FileID, mode OpenMode, serial uint64) {
 	req := &ssCloseReq{ID: id, SS: k.site, US: k.site, Mode: mode, Serial: serial}
 	netsim.CallAt(k.node, css, mSSClose, k.handleSSClose, req) //locus:vet-allow uncheckedcall best-effort release

@@ -67,8 +67,8 @@ func (c *Clock) Elapsed() time.Duration {
 }
 
 // Backoff gives a concurrent goroutine its turn while a caller waits
-// for progress it cannot observe through a channel (lock retry loops,
-// transport retransmissions): one scheduler yield. It never sleeps and
+// for progress it cannot observe through a channel or a condition
+// (transport retransmissions): one scheduler yield. It never sleeps and
 // never moves the clock, so a wait that nobody can end costs its retry
 // budget in yields, not in wall or virtual time. Protocol packages are
 // forbidden (by locus-vet's simclock rule) from sleeping on the wall
