@@ -20,13 +20,12 @@ func (k *Kernel) Open(cred *Cred, path string, mode OpenMode) (*File, error) {
 }
 
 // Stat returns a snapshot of a file's inode by pathname, the caller's
-// own.
+// own: a copy of what the search's last look found.
 func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
-	r, err := k.Resolve(cred, path)
-	if err != nil {
-		return nil, err
+	ino, _, r, err := k.resolve(cred, path)
+	if err == nil && ino == nil {
+		ino, _, err = k.lookInternal(r.ID)
 	}
-	ino, _, err := k.lookInternal(r.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -35,11 +34,11 @@ func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
 
 // ReadDir lists the live entries of a directory.
 func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
-	r, err := k.Resolve(cred, path)
+	ino, ss, r, err := k.resolve(cred, path)
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := k.readDirByID(r.ID)
+	d, _, err := k.readDirByID(r.ID, ino, ss)
 	if err != nil {
 		return nil, err
 	}
@@ -130,18 +129,18 @@ func effectiveNCopies(cred *Cred, parentSites []SiteID) int {
 // Create creates a regular (or typed) file at path and returns it open
 // for modification. The caller must Close (or Commit) it.
 func (k *Kernel) Create(cred *Cred, path string, typ storage.FileType, mode uint16) (*File, error) {
-	parent, name, parentSites, err := k.ResolveParent(cred, path)
+	ino, ss, parent, name, err := k.resolveParent(cred, path)
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := k.readDirByID(parent)
+	d, ino, err := k.readDirByID(parent, ino, ss)
 	if err != nil {
 		return nil, err
 	}
 	if _, exists := d.Lookup(name); exists {
 		return nil, fmt.Errorf("%w: %s", ErrExists, path)
 	}
-	f, err := k.CreateID(parent.FG, typ, cred, mode, effectiveNCopies(cred, parentSites), parentSites)
+	f, err := k.CreateID(parent.FG, typ, cred, mode, effectiveNCopies(cred, ino.Sites), ino.Sites)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +318,7 @@ func (k *Kernel) attrOp(cred *Cred, path string, req *setAttrReq) error {
 // the other storage sites release their pages as the delete propagates
 // (§2.3.7). Directories must be empty.
 func (k *Kernel) Unlink(cred *Cred, path string) error {
-	r, err := k.Resolve(cred, path)
+	ino, ss, r, err := k.resolve(cred, path)
 	if err != nil {
 		return err
 	}
@@ -327,7 +326,7 @@ func (k *Kernel) Unlink(cred *Cred, path string) error {
 		return fmt.Errorf("%w: cannot unlink a filegroup root", ErrBadName)
 	}
 	if r.Type == storage.TypeDirectory || r.Type == storage.TypeHiddenDir {
-		d, _, err := k.readDirByID(r.ID)
+		d, _, err := k.readDirByID(r.ID, ino, ss)
 		if err != nil {
 			return err
 		}

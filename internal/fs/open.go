@@ -413,7 +413,7 @@ func containsSite(ss []SiteID, s SiteID) bool {
 //
 // An internal open is lookInternal plus the handle: what a caller that
 // must read the file's pages without a lock needs (a pathname search
-// whose directory is not in the cache, readDirOnce). A caller that only
+// whose directory is not in the cache, readDirAt). A caller that only
 // wants what the inode says calls lookInternal and makes no handle.
 func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
 	return k.openID(id, mode, false)

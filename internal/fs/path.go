@@ -78,7 +78,10 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 // unsynchronized open finds it (§2.3.4): the kernel's directory cache
 // holds it, as a rule, at the version the look found, and then the search
 // holds no handle and reads no page; otherwise the directory is read
-// through an internal handle.
+// through an internal handle. ino and ss, when ino is not nil, are a look
+// at id the caller already made (as the search step that found id's type
+// does): the first attempt reads at that version rather than looking
+// again.
 //
 // Unsynchronized means a newer version can be committed (a propagation
 // pull landing, say) between the look and a page read: each page is
@@ -87,52 +90,56 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 // Such a read is retried on a fresh look rather than surfaced as a
 // corrupt directory. The inode returned is the committed one, shared:
 // read it, never write through it.
-func (k *Kernel) readDirByID(id storage.FileID) (d *format.DirSnapshot, ino *storage.Inode, err error) {
+func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (d *format.DirSnapshot, _ *storage.Inode, err error) {
 	for attempt := 0; attempt < 4; attempt++ {
-		if d, ino, err = k.readDirOnce(id); !errors.Is(err, format.ErrCorrupt) {
+		if ino == nil {
+			if ino, ss, err = k.lookInternal(id); err != nil {
+				return nil, nil, err
+			}
+		}
+		if d, err = k.readDirAt(id, ino, ss); !errors.Is(err, format.ErrCorrupt) {
 			break
 		}
+		ino = nil // the version changed under the read: look afresh
 	}
-	return d, ino, err
-}
-
-func (k *Kernel) readDirOnce(id storage.FileID) (*format.DirSnapshot, *storage.Inode, error) {
-	ino, ss, err := k.lookInternal(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ino.Type != storage.TypeDirectory && ino.Type != storage.TypeHiddenDir {
-		return nil, nil, fmt.Errorf("%w: %v is %v", ErrNotDir, id, ino.Type)
-	}
-	if d := k.dirs.get(id, ino.VV); d != nil {
-		return d, ino, nil
-	}
-	// Pages must be read: through a registered handle, whose reads check
-	// the version of every page and which partition cleanup knows of.
-	f := k.internalHandle(id, ino, ss)
-	defer f.Close() //locus:vet-allow uncheckedcall internal close is local bookkeeping
-	d, err := k.dirs.load(id, ino.VV, f.readAllInto)
 	if err != nil {
 		return nil, nil, err
 	}
 	return d, ino, nil
 }
 
-// statType returns a file's type as an internal open finds it. A
-// conflicted file still has a type: pathname searching must be able to
-// name it so the resolution tools can operate on it.
-func (k *Kernel) statType(id storage.FileID) (storage.FileType, error) {
-	ino, _, err := k.lookInternal(id)
+// readDirAt reads directory id at the version of the look (ino, ss).
+func (k *Kernel) readDirAt(id storage.FileID, ino *storage.Inode, ss SiteID) (*format.DirSnapshot, error) {
+	if ino.Type != storage.TypeDirectory && ino.Type != storage.TypeHiddenDir {
+		return nil, fmt.Errorf("%w: %v is %v", ErrNotDir, id, ino.Type)
+	}
+	if d := k.dirs.get(id, ino.VV); d != nil {
+		return d, nil
+	}
+	// Pages must be read: through a registered handle, whose reads check
+	// the version of every page and which partition cleanup knows of.
+	f := k.internalHandle(id, ino, ss)
+	defer f.Close() //locus:vet-allow uncheckedcall internal close is local bookkeeping
+	return k.dirs.load(id, ino.VV, f.readAllInto)
+}
+
+// statType is one search step's look at a file: its committed inode
+// (shared) and the site that stores it, as an internal open finds them,
+// and its type. A conflicted file still has a type — pathname searching
+// must be able to name it so the resolution tools can operate on it —
+// but no inode: whoever needs one looks again and meets the conflict.
+func (k *Kernel) statType(id storage.FileID) (*storage.Inode, SiteID, storage.FileType, error) {
+	ino, ss, err := k.lookInternal(id)
 	if err != nil {
 		if errors.Is(err, ErrConflict) {
 			if sums := k.ProbeAll(id); len(sums) > 0 {
 				best, _ := LatestCopy(sums)
-				return sums[best].Type, nil
+				return nil, 0, sums[best].Type, nil
 			}
 		}
-		return 0, err
+		return nil, 0, 0, err
 	}
-	return ino.Type, nil
+	return ino, ss, ino.Type, nil
 }
 
 // Resolve performs pathname searching (§2.3.4): starting at the root,
@@ -141,27 +148,38 @@ func (k *Kernel) statType(id storage.FileID) (storage.FileType, error) {
 // hidden directories are expanded through the per-process context
 // (§2.4.1) unless the component carries the escape suffix.
 //
-// Such an open only looks (lookInternal, searchDir): with the directories
-// in the cache a search makes no handle and allocates the Resolved it
-// returns and nothing else. The path is walked where it lies, after one
-// pass that validates all of it.
+// Such an open only looks (lookInternal, searchDir), and at each file
+// once: the look that found a component's type serves the read of its
+// content in the next step. With the directories in the cache a search
+// makes no handle and allocates the Resolved it returns and nothing else.
+// The path is walked where it lies, after one pass that validates all of
+// it.
 func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
+	_, _, r, err := k.resolve(cred, path)
+	return r, err
+}
+
+// resolve is Resolve, returning besides the look at the resolved file
+// (statType) for the caller's next step, or a nil inode where there was
+// none: "/" is resolved without a look, and a conflicted file's type
+// without an inode.
+func (k *Kernel) resolve(cred *Cred, path string) (ino *storage.Inode, ss SiteID, res *Resolved, err error) {
 	n, err := checkPath(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
 	cur, err := k.rootID()
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
 	if n == 0 {
-		return k.resolvedRoot(cur), nil
+		return nil, 0, k.resolvedRoot(cur), nil
 	}
 	// curPath is the canonical path of the component in hand, for the
 	// mount table: a prefix of path for as long as path is spelled
 	// canonically (canon), put together only from the first "//", "." or
 	// "@@" on.
-	res := new(Resolved)
+	res = new(Resolved)
 	curPath, canon := "", true
 	for i, at := 0, 0; i < n; i++ {
 		var comp string
@@ -173,17 +191,17 @@ func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
 		} else {
 			curPath, canon = curPath+"/"+name, false
 		}
-		if err := k.searchDir(cred, cur, curPath, name, escaped, res); err != nil {
-			return nil, err
+		if ino, ss, err = k.searchDir(cred, cur, ino, ss, curPath, name, escaped, res); err != nil {
+			return nil, 0, nil, err
 		}
 		if i < n-1 {
 			if res.Type != storage.TypeDirectory && res.Type != storage.TypeHiddenDir {
-				return nil, fmt.Errorf("%w: %s", ErrNotDir, curPath)
+				return nil, 0, nil, fmt.Errorf("%w: %s", ErrNotDir, curPath)
 			}
 			cur = res.ID
 		}
 	}
-	return res, nil
+	return ino, ss, res, nil
 }
 
 // resolvedRoot is what "/" resolves to.
@@ -191,18 +209,19 @@ func (k *Kernel) resolvedRoot(root storage.FileID) *Resolved {
 	return &Resolved{ID: root, Name: "/", ParentSites: k.fgSites(root.FG), Type: storage.TypeDirectory}
 }
 
-// searchDir is one step of the search: it looks name up in directory dir
-// with unsynchronized reads and sets *res to what it names. childPath is
+// searchDir is one step of the search: it looks name up in directory dir,
+// read at the look (dirIno, dirSS) when the previous step made one, sets
+// *res to what the name names and returns the look at that. childPath is
 // the canonical path of that entry (it ends in "/"+name) and escaped
 // whether the component carried the hidden escape.
-func (k *Kernel) searchDir(cred *Cred, dir storage.FileID, childPath, name string, escaped bool, res *Resolved) error {
-	d, dirIno, err := k.readDirByID(dir)
+func (k *Kernel) searchDir(cred *Cred, dir storage.FileID, dirIno *storage.Inode, dirSS SiteID, childPath, name string, escaped bool, res *Resolved) (*storage.Inode, SiteID, error) {
+	d, dirIno, err := k.readDirByID(dir, dirIno, dirSS)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	e, ok := d.Lookup(name)
 	if !ok {
-		return fmt.Errorf("%w: %q in %s", ErrNotFound, name, pathSoFar(childPath[:len(childPath)-len(name)-1]))
+		return nil, 0, fmt.Errorf("%w: %q in %s", ErrNotFound, name, pathSoFar(childPath[:len(childPath)-len(name)-1]))
 	}
 	child := storage.FileID{FG: dir.FG, Inode: e.Inode}
 
@@ -211,20 +230,21 @@ func (k *Kernel) searchDir(cred *Cred, dir storage.FileID, childPath, name strin
 	if fg, mounted := k.cfg.MountAt(childPath); mounted {
 		child = storage.FileID{FG: fg, Inode: RootInode}
 	}
-	typ, err := k.statType(child)
+	ino, ss, typ, err := k.statType(child)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	*res = Resolved{ID: child, Parent: dir, Name: name, ParentSites: dirIno.Sites, Type: typ}
 	if typ != storage.TypeHiddenDir || escaped {
-		return nil
+		return ino, ss, nil
 	}
 
 	// Hidden directory: substitute the per-process context entry (§2.4.1
-	// rule c). It is opened once, for its content and its site list both.
-	hd, hdIno, err := k.readDirByID(child)
+	// rule c). The look that found its type serves its content and its
+	// site list both.
+	hd, hdIno, err := k.readDirByID(child, ino, ss)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	for _, ctx := range cred.HiddenCtx {
 		he, ok := hd.Lookup(ctx)
@@ -232,13 +252,13 @@ func (k *Kernel) searchDir(cred *Cred, dir storage.FileID, childPath, name strin
 			continue
 		}
 		sub := storage.FileID{FG: child.FG, Inode: he.Inode}
-		if typ, err = k.statType(sub); err != nil {
-			return err
+		if ino, ss, typ, err = k.statType(sub); err != nil {
+			return nil, 0, err
 		}
 		*res = Resolved{ID: sub, Parent: child, Name: he.Name, ParentSites: hdIno.Sites, Type: typ}
-		return nil
+		return ino, ss, nil
 	}
-	return fmt.Errorf("%w: no context match in hidden directory %s (context %v)",
+	return nil, 0, fmt.Errorf("%w: no context match in hidden directory %s (context %v)",
 		ErrNotFound, childPath, cred.HiddenCtx)
 }
 
@@ -253,12 +273,24 @@ func pathSoFar(p string) string {
 // the parent directory and the (possibly nonexistent) final name. The
 // final name must not carry the hidden escape.
 func (k *Kernel) ResolveParent(cred *Cred, path string) (parent storage.FileID, name string, parentSites []SiteID, err error) {
+	ino, _, parent, name, err := k.resolveParent(cred, path)
+	if ino != nil {
+		parentSites = ino.Sites
+	}
+	return parent, name, parentSites, err
+}
+
+// resolveParent is ResolveParent, returning the parent's look (resolve)
+// for the caller's next step in place of its site list; "/" is looked at
+// here. The inode is nil when that look failed: the next step that needs
+// one looks again and reports why.
+func (k *Kernel) resolveParent(cred *Cred, path string) (ino *storage.Inode, ss SiteID, parent storage.FileID, name string, err error) {
 	n, err := checkPath(path)
 	if err != nil {
-		return storage.FileID{}, "", nil, err
+		return nil, 0, storage.FileID{}, "", err
 	}
 	if n == 0 {
-		return storage.FileID{}, "", nil, fmt.Errorf("%w: cannot operate on /", ErrBadName)
+		return nil, 0, storage.FileID{}, "", fmt.Errorf("%w: cannot operate on /", ErrBadName)
 	}
 	// The parent's path is everything before the last component, less the
 	// slash that ends it.
@@ -270,14 +302,17 @@ func (k *Kernel) ResolveParent(cred *Cred, path string) (parent storage.FileID, 
 	if start := at - len(last); start > 1 {
 		dirPath = path[:start-1]
 	}
-	r, err := k.Resolve(cred, dirPath)
+	ino, ss, r, err := k.resolve(cred, dirPath)
 	if err != nil {
-		return storage.FileID{}, "", nil, err
+		return nil, 0, storage.FileID{}, "", err
 	}
 	if r.Type != storage.TypeDirectory && r.Type != storage.TypeHiddenDir {
-		return storage.FileID{}, "", nil, fmt.Errorf("%w: %s", ErrNotDir, dirPath)
+		return nil, 0, storage.FileID{}, "", fmt.Errorf("%w: %s", ErrNotDir, dirPath)
 	}
-	return r.ID, strings.TrimSuffix(last, HiddenEscape), k.fileSites(r.ID), nil
+	if ino == nil {
+		ino, ss, _ = k.lookInternal(r.ID)
+	}
+	return ino, ss, r.ID, strings.TrimSuffix(last, HiddenEscape), nil
 }
 
 // fgSites returns a filegroup's configured pack sites.
@@ -287,14 +322,4 @@ func (k *Kernel) fgSites(fg storage.FilegroupID) []SiteID {
 		return nil
 	}
 	return d.PackSites()
-}
-
-// fileSites returns a file's storage-site list as an internal open finds
-// it: the committed inode's own, to read and pass on.
-func (k *Kernel) fileSites(id storage.FileID) []SiteID {
-	ino, _, err := k.lookInternal(id)
-	if err != nil {
-		return nil
-	}
-	return ino.Sites
 }

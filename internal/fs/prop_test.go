@@ -125,13 +125,16 @@ func TestOpenSharesOrOwnsItsInode(t *testing.T) {
 }
 
 // BenchmarkOpenReadClose is the scan workloads' inner step by pathname:
-// Kernel.Open, ReadAll and Close of a local 4-page file.
+// Kernel.Open, ReadAll and Close of a local 4-page file (no message).
 func BenchmarkOpenReadClose(b *testing.B) {
 	k, _, data := solo4(b)
 	cr := DefaultCred("tester")
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
+	nw := k.node.Network()
+	before := nw.Stats()
+	defer func() { b.ReportMetric(float64(nw.Stats().Sub(before).Msgs)/float64(b.N), "msgs/op") }()
 	for i := 0; i < b.N; i++ {
 		f, err := k.Open(cr, "/f", ModeRead)
 		if err != nil {

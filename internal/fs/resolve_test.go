@@ -288,10 +288,74 @@ func TestLookInternalSendsWhatOpenSends(t *testing.T) {
 	}
 }
 
+// TestSearchLooksEachFileOnce counts the internal opens (§2.3.4) that a
+// pathname operation sends from a site that stores no copy, with the
+// directories in its cache: every file on the path is looked at once, one
+// fs.open exchange (two messages) with the CSS, and the look that found a
+// component's type serves what comes next — the next step's read of its
+// content, Stat's inode, ReadDir's listing, Create's read of the parent
+// and its site list. Create's modify open of the parent for the new entry
+// is the one synchronized open among them.
+func TestSearchLooksEachFileOnce(t *testing.T) {
+	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
+		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClusterCfg(t, cfg, 1, 2, 3)
+	if err := c.K(1).Mkdir(cred(), "/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, c.K(1), "/d/f", []byte("f"))
+	settle(t, c)
+	k := c.K(3)
+	if _, err := k.ReadDir(cred(), "/d"); err != nil { // fills the directory cache
+		t.Fatal(err)
+	}
+	var created []*fs.File
+	create := func(path string) func() error {
+		return func() error {
+			f, err := k.Create(cred(), path, storage.TypeRegular, 0644)
+			if err == nil {
+				created = append(created, f)
+			}
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		what  string
+		op    func() error
+		opens int64
+	}{
+		// /, /d and f.
+		{`Stat("/d/f")`, func() error { _, err := k.Stat(cred(), "/d/f"); return err }, 6},
+		// / and /d.
+		{`ReadDir("/d")`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, 4},
+		{`Resolve("/d/f")`, func() error { _, err := k.Resolve(cred(), "/d/f"); return err }, 6},
+		// / and /d, then the modify open of /d.
+		{`Create("/d/g")`, create("/d/g"), 6},
+		// /, looked at by ResolveParent, then the modify open of /.
+		{`Create("/g")`, create("/g"), 4},
+	} {
+		before := c.Net.Stats()
+		if err := tc.op(); err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if d := c.Net.Stats().Sub(before); d.ByMethod["fs.open"] != tc.opens {
+			t.Errorf("%s sent %d fs.open messages (%v), want %d", tc.what, d.ByMethod["fs.open"], d.ByMethod, tc.opens)
+		}
+	}
+	for _, f := range created {
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkResolve is one pathname search of a two-component path whose
 // directories are in the cache: at a site that stores them (no message,
 // one allocation) and at one that stores no copy of the filegroup, where
-// each of the four looks is an fs.open exchange with the CSS.
+// each of the three looks is an fs.open exchange with the CSS (6 msgs/op).
 func BenchmarkResolve(b *testing.B) {
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
 		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
@@ -311,12 +375,18 @@ func BenchmarkResolve(b *testing.B) {
 	}{{"local", 2}, {"no-copy", 3}} {
 		b.Run(bc.name, func(b *testing.B) {
 			k := c.K(bc.site)
+			if _, err := k.Resolve(cr, "/d/f0007"); err != nil { // fills the directory cache
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
+			before := c.Net.Stats()
 			for i := 0; i < b.N; i++ {
 				if _, err := k.Resolve(cr, "/d/f0007"); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(c.Net.Stats().Sub(before).Msgs)/float64(b.N), "msgs/op")
 		})
 	}
 }

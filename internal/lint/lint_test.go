@@ -210,6 +210,7 @@ func TestInodeAliasFixture(t *testing.T) {
 		AliasSourceCalls: []MethodSpec{
 			{PkgSuffix: "inodealias_f", Recv: "Container", Name: "GetInode"},
 			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "lookInternal"},
+			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "resolve"},
 		},
 		AliasDecodeCalls:  []MethodSpec{{PkgSuffix: "inodealias_f", Name: "Call"}},
 		AliasCloneMethods: []string{"Clone"},

@@ -3,7 +3,8 @@
 // reply of a typed exchange, is shared with its other holders and must
 // be Cloned before it is written through; passing it on is fine. The
 // test config names the generic function Call as the exchange and
-// Container.GetInode and Kernel.lookInternal as the source calls.
+// Container.GetInode, Kernel.lookInternal and Kernel.resolve as the
+// source calls.
 package inodealias_f
 
 type VV map[int]int
@@ -52,6 +53,15 @@ type Kernel struct{ c *Container }
 func (k *Kernel) lookInternal(n int) (*Inode, int, error) {
 	ino, err := k.c.GetInode(n)
 	return ino, 1, err
+}
+
+// Kernel.resolve hands its caller, beside what a search resolved, the
+// look that found it: the first result is the committed inode again.
+type Resolved struct{ ID int }
+
+func (k *Kernel) resolve(path string) (*Inode, int, *Resolved, error) {
+	ino, ss, err := k.lookInternal(1)
+	return ino, ss, &Resolved{ID: 1}, err
 }
 
 var cache = map[int]*Inode{}
@@ -125,15 +135,26 @@ func badWriteThroughLookInternal(k *Kernel) {
 	ino.Size = 9 // want "writes through a shared Inode without Clone"
 }
 
-// okCloneAfterLook: Stat's shape, the caller's own copy.
+// okCloneAfterLook: Stat's shape, the caller's own copy of the look the
+// search carried.
 func okCloneAfterLook(k *Kernel) (*Inode, error) {
-	ino, _, err := k.lookInternal(1)
+	ino, _, _, err := k.resolve("/d/f")
 	if err != nil {
 		return nil, err
 	}
 	out := ino.Clone()
 	out.Size = 9
 	return out, nil
+}
+
+// badWriteThroughCarriedLook: the look a search carries to its caller is
+// as shared as a look the caller makes.
+func badWriteThroughCarriedLook(k *Kernel) {
+	ino, _, _, err := k.resolve("/d/f")
+	if err != nil {
+		return
+	}
+	ino.Size = 9 // want "writes through a shared Inode without Clone"
 }
 
 // badWriteThroughAlias: an alias of an alias is as shared.
