@@ -11,18 +11,27 @@ import (
 
 // Open opens a file by pathname (§2.3.3). Open for modification
 // requires the CSS to grant the single-writer lock.
+// Unless a look at the file is free, the open is the search's look at
+// it, and a hidden directory to expand comes back as that (openReq.Expand).
 func (k *Kernel) Open(cred *Cred, path string, mode OpenMode) (*File, error) {
-	r, err := k.Resolve(cred, path)
+	expand := false
+	_, _, r, err := k.resolve(cred, path, &expand)
 	if err != nil {
 		return nil, err
 	}
-	return k.OpenID(r.ID, mode)
+	f, look, ss, err := k.openID(r.ID, mode, false, expand)
+	if look != nil {
+		if _, _, err = k.expandHidden(cred, r.ID, look, ss, path, false, r); err == nil {
+			f, err = k.OpenID(r.ID, mode)
+		}
+	}
+	return f, err
 }
 
 // Stat returns a snapshot of a file's inode by pathname, the caller's
 // own: a copy of what the search's last look found.
 func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
-	ino, _, r, err := k.resolve(cred, path)
+	ino, _, r, err := k.resolve(cred, path, nil)
 	if err == nil && ino == nil {
 		ino, _, err = k.lookInternal(r.ID)
 	}
@@ -34,7 +43,7 @@ func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
 
 // ReadDir lists the live entries of a directory.
 func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
-	ino, ss, r, err := k.resolve(cred, path)
+	ino, ss, r, err := k.resolve(cred, path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +68,7 @@ func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
 // from the snapshot's chunk encodings: only the chunk mutate touched
 // was encoded for it.
 func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (*format.DirSnapshot, error)) error {
-	f, err := k.openID(id, ModeModify, true)
+	f, _, _, err := k.openID(id, ModeModify, true, false)
 	if err != nil {
 		return err
 	}
@@ -318,7 +327,7 @@ func (k *Kernel) attrOp(cred *Cred, path string, req *setAttrReq) error {
 // the other storage sites release their pages as the delete propagates
 // (§2.3.7). Directories must be empty.
 func (k *Kernel) Unlink(cred *Cred, path string) error {
-	ino, ss, r, err := k.resolve(cred, path)
+	ino, ss, r, err := k.resolve(cred, path, nil)
 	if err != nil {
 		return err
 	}

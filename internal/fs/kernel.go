@@ -221,8 +221,9 @@ func (k *Kernel) freeShadow(fg storage.FilegroupID, pages []storage.PhysPage) {
 // table entry rebuilt on reconfiguration (§5.6).
 type cssEntry struct {
 	id       storage.FileID
-	writerUS SiteID // site with the single open-for-modify
-	writerSS SiteID // storage site serving that writer
+	typ      storage.FileType // never changes for an inode
+	writerUS SiteID           // site with the single open-for-modify
+	writerSS SiteID           // storage site serving that writer
 	// writerSerial is that open's registration serial at writerUS. A
 	// site re-opens a hot directory within microseconds of closing it,
 	// so the site id alone cannot tell a registration from its successor.

@@ -211,29 +211,30 @@ func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 // CSS (no lease, layer off, a modify open under a writer lease a recall
 // asked back, or a delegation being upgraded to modify — in which case
 // the delegation is discarded first, since the CSS will drop its record
-// when the modify open arrives). wait is the open's openReq.Wait.
-func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, wait bool) *File {
+// when the modify open arrives). wait and expand are the open's openReq
+// fields: under expand a leased hidden directory is the look (openID).
+func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, wait, expand bool) (*File, *storage.Inode, SiteID) {
 	ft := k.Features()
 	if !ft.Leases {
-		return nil
+		return nil, nil, 0
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	l := k.leases[id]
-	if l == nil {
-		return nil
-	}
-	if l.mode == ModeRead && mode == ModeModify {
+	switch {
+	case l == nil:
+		return nil, nil, 0
+	case expand && l.ino.Type == storage.TypeHiddenDir:
+		return nil, l.ino, l.ss
+	case l.mode == ModeRead && mode == ModeModify:
 		// Upgrade: the delegation cannot serve a writer. Drop it; the
 		// CSS drops its own record as part of granting the writer.
 		delete(k.leases, id)
-		return nil
-	}
-	if mode != ModeRead && mode != ModeModify {
-		return nil // internal opens take the unsynchronized path
-	}
-	if mode == ModeModify && (l.mode != ModeModify || k.recalledSerials[l.wserial]) {
-		return nil
+		return nil, nil, 0
+	case mode != ModeRead && mode != ModeModify:
+		return nil, nil, 0 // internal opens take the unsynchronized path
+	case mode == ModeModify && (l.mode != ModeModify || k.recalledSerials[l.wserial]):
+		return nil, nil, 0
 	}
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: l.ss, css: l.css,
@@ -248,7 +249,7 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, wait bool) *Fi
 		f.readahead = ft.Readahead
 	}
 	k.registerOpenLocked(f)
-	return f
+	return f, nil, 0
 }
 
 // closeUnderLease finishes the close of a handle that was opened under

@@ -69,6 +69,7 @@ func (k *Kernel) buildCSSEntry(id storage.FileID) (*cssEntry, error) {
 	}
 	e := &cssEntry{
 		id:       id,
+		typ:      sums[best].Type,
 		readers:  make(map[SiteID]int),
 		readerSS: make(map[SiteID]SiteID),
 		latestVV: sums[best].VV,
@@ -102,6 +103,9 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	e, err := k.cssEntryFor(req.ID)
 	if err != nil {
 		return nil, err
+	}
+	if req.Expand && e.typ == storage.TypeHiddenDir { // a search's look, whatever the mode
+		req = &openReq{ID: req.ID, Mode: ModeInternal, US: req.US, USVV: req.USVV}
 	}
 
 	// Policy check + writer reservation.
@@ -416,7 +420,8 @@ func containsSite(ss []SiteID, s SiteID) bool {
 // whose directory is not in the cache, readDirAt). A caller that only
 // wants what the inode says calls lookInternal and makes no handle.
 func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
-	return k.openID(id, mode, false)
+	f, _, _, err := k.openID(id, mode, false, false)
+	return f, err
 }
 
 // lookInternal is the internal unsynchronized open of §2.3.4 for a
@@ -431,16 +436,8 @@ func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
 // caller that goes on to read pages makes a handle (internalHandle),
 // whose reads check each page against the version found here.
 func (k *Kernel) lookInternal(id storage.FileID) (*storage.Inode, SiteID, error) {
-	c := k.container(id.FG)
-	if c != nil {
-		k.mu.Lock()
-		_, pending := k.pendingProp[id]
-		k.mu.Unlock()
-		if !pending {
-			if ino, err := c.GetInode(id.Inode); err == nil && !ino.Deleted && !ino.Conflict {
-				return ino, k.site, nil
-			}
-		}
+	if ino := k.lookLocal(id); ino != nil {
+		return ino, k.site, nil
 	}
 	css, err := k.CSSOf(id.FG)
 	if err != nil {
@@ -455,8 +452,22 @@ func (k *Kernel) lookInternal(id storage.FileID) (*storage.Inode, SiteID, error)
 	}
 	// The CSS found this site's copy current (a pending propagation that
 	// has in fact landed, say).
-	ino, err := c.GetInode(id.Inode)
+	ino, err := k.container(id.FG).GetInode(id.Inode)
 	return ino, k.site, err
+}
+
+// lookLocal is lookInternal's free half: the committed inode of a locally
+// stored file with no propagation pending, or nil; it sends nothing.
+func (k *Kernel) lookLocal(id storage.FileID) *storage.Inode {
+	k.mu.Lock()
+	_, pending := k.pendingProp[id]
+	k.mu.Unlock()
+	if c := k.container(id.FG); c != nil && !pending {
+		if ino, err := c.GetInode(id.Inode); err == nil && !ino.Deleted && !ino.Conflict {
+			return ino
+		}
+	}
+	return nil
 }
 
 // usableVV is the version vector of this site's committed copy of id, the
@@ -485,27 +496,29 @@ func (k *Kernel) internalHandle(id storage.FileID, ino *storage.Inode, ss SiteID
 }
 
 // openID is OpenID; wait marks a directory update's modify open, which
-// waits at the CSS for another directory update's slot (openReq.Wait).
-func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait bool) (*File, error) {
+// waits at the CSS for another directory update's slot (openReq.Wait), and
+// expand an open that is a search's look (openReq.Expand): a hidden
+// directory comes back as that, inode and storage site, with no handle.
+func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait, expand bool) (*File, *storage.Inode, SiteID, error) {
 	if mode == ModeInternal {
 		ino, ss, err := k.lookInternal(id)
-		if err != nil {
-			return nil, err
+		if err != nil || expand && ino.Type == storage.TypeHiddenDir {
+			return nil, ino, ss, err
 		}
-		return k.internalHandle(id, ino, ss), nil
+		return k.internalHandle(id, ino, ss), nil, 0, nil
 	}
 	// Lease fast path: a held writer lease serves any open, a read
 	// delegation serves read opens — zero wire messages, no CSS round
 	// trip (the point of the lease layer).
-	if f := k.openUnderLease(id, mode, wait); f != nil {
-		if mode == ModeModify {
+	if f, look, ss := k.openUnderLease(id, mode, wait, expand); f != nil || look != nil {
+		if f != nil && mode == ModeModify {
 			k.cache.invalidateFile(id)
 		}
-		return f, nil
+		return f, look, ss, nil
 	}
 	css, err := k.CSSOf(id.FG)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	var wserial uint64
 	registered := false
@@ -526,9 +539,20 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait bool) (*File, err
 			}
 		}()
 	}
-	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Wait: wait})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Wait: wait, Expand: expand})
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
+	}
+	ino := r.Ino
+	if r.SS == k.site {
+		// We are our own storage site, and read our own inode.
+		if ino, err = k.container(id.FG).GetInode(id.Inode); err != nil {
+			k.releaseCSSLock(css, id, mode, wserial)
+			return nil, nil, 0, err
+		}
+	}
+	if expand && ino.Type == storage.TypeHiddenDir {
+		return nil, ino, r.SS, nil // the CSS served it as an internal open
 	}
 	if mode == ModeModify {
 		// The file is about to change through this US; cached committed
@@ -537,33 +561,19 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait bool) (*File, err
 	}
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: r.SS, css: css,
-		wserial: wserial, wait: wait,
+		ino: ino, size: ino.Size, wserial: wserial, wait: wait,
 		readahead: mode == ModeRead && k.Features().Readahead,
 	}
-	// A read open answered with a delegation holds no serving state
-	// anywhere; don't install any locally either.
-	delegatedRead := r.Delegation != nil && mode == ModeRead
-	if r.SS == k.site {
-		// We are our own storage site. Unless the CSS already installed
-		// the serving state (it did when this site is also the CSS and
-		// selected itself) or the open is a delegated read, set it up
-		// now.
-		if !r.ServeReady && !delegatedRead {
-			if err := k.setupServe(id, mode, k.site, wserial); err != nil {
-				k.releaseCSSLock(css, id, mode, wserial)
-				return nil, err
-			}
-		}
-		ino, err := k.container(id.FG).GetInode(id.Inode)
-		if err != nil {
+	// Unless the CSS already installed the serving state at this site (it
+	// did when this site is also the CSS and selected itself) or the open
+	// is a delegated read, which holds no serving state anywhere, set it
+	// up now.
+	if r.SS == k.site && !r.ServeReady && (r.Delegation == nil || mode != ModeRead) {
+		if err := k.setupServe(id, mode, k.site, wserial); err != nil {
 			k.releaseCSSLock(css, id, mode, wserial)
-			return nil, err
+			return nil, nil, 0, err
 		}
-		f.ino = ino
-	} else {
-		f.ino = r.Ino
 	}
-	f.size = f.ino.Size
 	if mode == ModeModify {
 		// The in-core inode at the US is this handle's to change; any
 		// other handle reads the committed one where it lies.
@@ -580,7 +590,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait bool) (*File, err
 	k.registerOpenLocked(f)
 	k.mu.Unlock()
 	registered = true
-	return f, nil
+	return f, nil, 0, nil
 }
 
 // releaseCSSLock tells the CSS directly that this site's registration
@@ -609,6 +619,7 @@ func (k *Kernel) handleCreate(_ SiteID, req *createReq) (*createResp, error) {
 	id := storage.FileID{FG: req.FG, Inode: ino.Num}
 	e := &cssEntry{
 		id:           id,
+		typ:          req.Type,
 		writerUS:     req.US,
 		writerSS:     birth,
 		writerSerial: req.Serial,

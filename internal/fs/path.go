@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/format"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -88,19 +89,21 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 // served from whatever is committed when it is read, and one that is not
 // of the version the look found fails the read as corrupt (fetchPage).
 // Such a read is retried on a fresh look rather than surfaced as a
-// corrupt directory. The inode returned is the committed one, shared:
-// read it, never write through it.
+// corrupt directory, as is a carried look's read from a site that has
+// become unreachable since. The inode returned is the committed one,
+// shared: read it, never write through it.
 func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (d *format.DirSnapshot, _ *storage.Inode, err error) {
 	for attempt := 0; attempt < 4; attempt++ {
-		if ino == nil {
+		carried := ino != nil
+		if !carried {
 			if ino, ss, err = k.lookInternal(id); err != nil {
 				return nil, nil, err
 			}
 		}
-		if d, err = k.readDirAt(id, ino, ss); !errors.Is(err, format.ErrCorrupt) {
+		if d, err = k.readDirAt(id, ino, ss); !errors.Is(err, format.ErrCorrupt) && !(carried && errors.Is(err, netsim.ErrUnreachable)) {
 			break
 		}
-		ino = nil // the version changed under the read: look afresh
+		ino = nil // the version changed under the read, or its site went: look afresh
 	}
 	if err != nil {
 		return nil, nil, err
@@ -155,15 +158,16 @@ func (k *Kernel) statType(id storage.FileID) (*storage.Inode, SiteID, storage.Fi
 // The path is walked where it lies, after one pass that validates all of
 // it.
 func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
-	_, _, r, err := k.resolve(cred, path)
+	_, _, r, err := k.resolve(cred, path, nil)
 	return r, err
 }
 
 // resolve is Resolve, returning besides the look at the resolved file
 // (statType) for the caller's next step, or a nil inode where there was
 // none: "/" is resolved without a look, and a conflicted file's type
-// without an inode.
-func (k *Kernel) resolve(cred *Cred, path string) (ino *storage.Inode, ss SiteID, res *Resolved, err error) {
+// without an inode. A non-nil expand makes it Open's search, whose last
+// step looks at the file only where that is free (searchDir).
+func (k *Kernel) resolve(cred *Cred, path string, expand *bool) (ino *storage.Inode, ss SiteID, res *Resolved, err error) {
 	n, err := checkPath(path)
 	if err != nil {
 		return nil, 0, nil, err
@@ -191,7 +195,11 @@ func (k *Kernel) resolve(cred *Cred, path string) (ino *storage.Inode, ss SiteID
 		} else {
 			curPath, canon = curPath+"/"+name, false
 		}
-		if ino, ss, err = k.searchDir(cred, cur, ino, ss, curPath, name, escaped, res); err != nil {
+		step := expand // Open's form is the last step's only
+		if i < n-1 {
+			step = nil
+		}
+		if ino, ss, err = k.searchDir(cred, cur, ino, ss, curPath, name, escaped, step, res); err != nil {
 			return nil, 0, nil, err
 		}
 		if i < n-1 {
@@ -214,7 +222,10 @@ func (k *Kernel) resolvedRoot(root storage.FileID) *Resolved {
 // *res to what the name names and returns the look at that. childPath is
 // the canonical path of that entry (it ends in "/"+name) and escaped
 // whether the component carried the hidden escape.
-func (k *Kernel) searchDir(cred *Cred, dir storage.FileID, dirIno *storage.Inode, dirSS SiteID, childPath, name string, escaped bool, res *Resolved) (*storage.Inode, SiteID, error) {
+// A non-nil expand makes it Open's last step, which looks only where that
+// is free (lookLocal); otherwise the open is the look, and the step sets
+// no inode and no type, and *expand unless escaped (openReq.Expand).
+func (k *Kernel) searchDir(cred *Cred, dir storage.FileID, dirIno *storage.Inode, dirSS SiteID, childPath, name string, escaped bool, expand *bool, res *Resolved) (*storage.Inode, SiteID, error) {
 	d, dirIno, err := k.readDirByID(dir, dirIno, dirSS)
 	if err != nil {
 		return nil, 0, err
@@ -230,36 +241,44 @@ func (k *Kernel) searchDir(cred *Cred, dir storage.FileID, dirIno *storage.Inode
 	if fg, mounted := k.cfg.MountAt(childPath); mounted {
 		child = storage.FileID{FG: fg, Inode: RootInode}
 	}
-	ino, ss, typ, err := k.statType(child)
-	if err != nil {
+	*res = Resolved{ID: child, Parent: dir, Name: name, ParentSites: dirIno.Sites}
+	var ino *storage.Inode
+	ss := k.site
+	if expand != nil {
+		if ino = k.lookLocal(child); ino == nil {
+			*expand = !escaped
+			return nil, 0, nil
+		}
+		res.Type = ino.Type
+	} else if ino, ss, res.Type, err = k.statType(child); err != nil {
 		return nil, 0, err
 	}
-	*res = Resolved{ID: child, Parent: dir, Name: name, ParentSites: dirIno.Sites, Type: typ}
-	if typ != storage.TypeHiddenDir || escaped {
+	if res.Type != storage.TypeHiddenDir || escaped {
 		return ino, ss, nil
 	}
+	return k.expandHidden(cred, child, ino, ss, childPath, true, res)
+}
 
-	// Hidden directory: substitute the per-process context entry (§2.4.1
-	// rule c). The look that found its type serves its content and its
-	// site list both.
-	hd, hdIno, err := k.readDirByID(child, ino, ss)
+// expandHidden substitutes the context entry of hidden directory hd
+// (§2.4.1 rule c), read at the look (ino, ss) that found its type: it sets
+// *res to the entry and, when look asks, returns the look at it.
+func (k *Kernel) expandHidden(cred *Cred, hd storage.FileID, ino *storage.Inode, ss SiteID, hdPath string, look bool, res *Resolved) (*storage.Inode, SiteID, error) {
+	d, hdIno, err := k.readDirByID(hd, ino, ss)
 	if err != nil {
 		return nil, 0, err
 	}
 	for _, ctx := range cred.HiddenCtx {
-		he, ok := hd.Lookup(ctx)
-		if !ok {
-			continue
+		if e, ok := d.Lookup(ctx); ok {
+			*res = Resolved{ID: storage.FileID{FG: hd.FG, Inode: e.Inode}, Parent: hd, Name: e.Name, ParentSites: hdIno.Sites}
+			if !look {
+				return nil, 0, nil
+			}
+			ino, ss, res.Type, err = k.statType(res.ID)
+			return ino, ss, err
 		}
-		sub := storage.FileID{FG: child.FG, Inode: he.Inode}
-		if ino, ss, typ, err = k.statType(sub); err != nil {
-			return nil, 0, err
-		}
-		*res = Resolved{ID: sub, Parent: child, Name: he.Name, ParentSites: hdIno.Sites, Type: typ}
-		return ino, ss, nil
 	}
 	return nil, 0, fmt.Errorf("%w: no context match in hidden directory %s (context %v)",
-		ErrNotFound, childPath, cred.HiddenCtx)
+		ErrNotFound, hdPath, cred.HiddenCtx)
 }
 
 func pathSoFar(p string) string {
@@ -302,7 +321,7 @@ func (k *Kernel) resolveParent(cred *Cred, path string) (ino *storage.Inode, ss 
 	if start := at - len(last); start > 1 {
 		dirPath = path[:start-1]
 	}
-	ino, ss, r, err := k.resolve(cred, dirPath)
+	ino, ss, r, err := k.resolve(cred, dirPath, nil)
 	if err != nil {
 		return nil, 0, storage.FileID{}, "", err
 	}

@@ -37,6 +37,9 @@ type openReq struct {
 	// CSS for another directory update's slot (recallWriterResp.Brief)
 	// instead of failing with ErrBusy.
 	Wait bool
+	// Expand marks an open that is Open's search's look at the file: a
+	// hidden directory to expand (§2.4.1) is served as an internal open.
+	Expand bool
 }
 
 type openResp struct {

@@ -8,6 +8,7 @@ package fs_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -349,6 +350,149 @@ func TestSearchLooksEachFileOnce(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestOpenLooksLastComponentOnce counts the fs.open messages of an open
+// by pathname, with the directories in the cache. From a site that stores
+// no copy, the synchronized open is the last component's look: / and /d
+// are looked at, and the CSS answers the open of f with the inode the look
+// used to fetch first (8 messages then, 6 now). A hidden directory comes
+// back from that open as a look, with no lock taken, and its context entry
+// is opened (10 then, 8 now). From a site with a current copy every look
+// is free, and an open sends its own exchange and nothing else, as before.
+func TestOpenLooksLastComponentOnce(t *testing.T) {
+	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
+		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClusterCfg(t, cfg, 1, 2, 3)
+	k1 := c.K(1)
+	for _, dir := range []string{"/d", "/bin"} {
+		if err := k1.Mkdir(cred(), dir, 0755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k1.MkHidden(cred(), "/bin/who", 0755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, k1, "/d/f", []byte("f"))
+	writeFile(t, k1, "/bin/who@@/vax", []byte("VAX load module"))
+	settle(t, c)
+	vax := &fs.Cred{User: "u", HiddenCtx: []string{"vax"}}
+	id := func(path string) storage.FileID {
+		t.Helper()
+		r, err := k1.Resolve(vax, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.ID
+	}
+	for _, tc := range []struct {
+		site  fs.SiteID
+		path  string
+		mode  fs.OpenMode
+		want  storage.FileID
+		opens int64
+	}{
+		// /, /d, then the open of f.
+		{3, "/d/f", fs.ModeRead, id("/d/f"), 6},
+		{3, "/d/f", fs.ModeModify, id("/d/f"), 6},
+		// /, /bin, then the open of the escaped hidden directory itself.
+		{3, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 6},
+		// /, /bin, the open that comes back as the hidden directory's look,
+		// then the open of vax.
+		{3, "/bin/who", fs.ModeRead, id("/bin/who"), 8},
+		{3, "/bin/who", fs.ModeModify, id("/bin/who"), 8},
+		// Every look free: the open alone.
+		{2, "/d/f", fs.ModeRead, id("/d/f"), 2},
+		{2, "/d/f", fs.ModeModify, id("/d/f"), 2},
+		{2, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 2},
+		{2, "/bin/who", fs.ModeRead, id("/bin/who"), 2},
+	} {
+		k := c.K(tc.site)
+		what := fmt.Sprintf("site %d: Open(%q, %v)", tc.site, tc.path, tc.mode)
+		if _, err := k.Resolve(vax, tc.path); err != nil { // fills the directory cache
+			t.Fatal(err)
+		}
+		before := c.Net.Stats()
+		f, err := k.Open(vax, tc.path, tc.mode)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		d := c.Net.Stats().Sub(before)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if f.ID() != tc.want {
+			t.Errorf("%s opened %v, want %v", what, f.ID(), tc.want)
+		}
+		if d.ByMethod["fs.open"] != tc.opens {
+			t.Errorf("%s sent %d fs.open messages (%v), want %d", what, d.ByMethod["fs.open"], d.ByMethod, tc.opens)
+		}
+	}
+}
+
+// TestHiddenDirectoryLookUnderDelegation: under leases, the open that is a
+// hidden directory's look is served by a read delegation held on the
+// directory, with no message and no handle, as the open of its context
+// entry is by the entry's. Site 2 stores the whole tree, but a pull of the
+// hidden directory is pending there, so its look is not free: only the
+// delegation saves the exchange with the CSS.
+func TestHiddenDirectoryLookUnderDelegation(t *testing.T) {
+	c := newCluster(t, 2)
+	k1, k2 := c.K(1), c.K(2)
+	if err := k1.Mkdir(cred(), "/bin", 0755); err != nil {
+		t.Fatal(err)
+	}
+	if err := k1.MkHidden(cred(), "/bin/who", 0755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, k1, "/bin/who@@/vax", []byte("VAX load module"))
+	settle(t, c)
+	writeFile(t, k1, "/bin/who@@/pdp11", []byte("PDP-11 load module"))
+	if k2.PendingPropagations() == 0 {
+		t.Fatal("site 2 has no pull pending")
+	}
+	c.SetFeatures(fs.Features{Leases: true})
+	vax := &fs.Cred{User: "u", HiddenCtx: []string{"vax"}}
+	for _, path := range []string{"/bin/who@@", "/bin/who@@/vax"} {
+		f, err := k2.Open(vax, path, fs.ModeRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := k2.ReadDir(vax, "/bin/who@@"); err != nil { // caches the new version
+		t.Fatal(err)
+	}
+	if got := k2.Leases(); len(got) != 2 {
+		t.Fatalf("site 2 holds leases %v, want read delegations on /bin/who@@ and its vax", got)
+	}
+	want, err := k1.Resolve(vax, "/bin/who")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, registered0 := k2.OpenHandles()
+	before := c.Net.Stats()
+	f, err := k2.Open(vax, "/bin/who", fs.ModeRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Net.Stats().Sub(before); d.Msgs != 0 || f.ID() != want.ID {
+		t.Errorf("Open(/bin/who) opened %v with %d messages (%v), want %v with none", f.ID(), d.Msgs, d.ByMethod, want.ID)
+	}
+	if _, registered := k2.OpenHandles(); registered != registered0+1 {
+		t.Errorf("Open(/bin/who) registered %d handles, want the vax entry's alone", registered-registered0)
+	}
+	if k2.PendingPropagations() == 0 {
+		t.Fatal("site 2's pull landed during the test: the hidden directory's look was free")
 	}
 }
 

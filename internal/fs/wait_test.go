@@ -129,7 +129,7 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 	// update may wait for.
 	updating := func(t *testing.T, k *Kernel) *File {
 		t.Helper()
-		w, err := k.openID(rootID, ModeModify, true)
+		w, _, _, err := k.openID(rootID, ModeModify, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -309,9 +309,11 @@ func DefaultConfig() *Config {
 		AliasSourceCalls: []MethodSpec{
 			{PkgSuffix: "internal/storage", Recv: "Container", Name: "GetInode"},
 			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "lookInternal"},
+			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "lookLocal"},
 			// Pathname search carries each look on to its next consumer.
 			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "statType"},
 			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "searchDir"},
+			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "expandHidden"},
 			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "resolve"},
 			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "resolveParent"},
 		},

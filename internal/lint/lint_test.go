@@ -210,7 +210,9 @@ func TestInodeAliasFixture(t *testing.T) {
 		AliasSourceCalls: []MethodSpec{
 			{PkgSuffix: "inodealias_f", Recv: "Container", Name: "GetInode"},
 			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "lookInternal"},
+			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "lookLocal"},
 			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "resolve"},
+			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "expandHidden"},
 		},
 		AliasDecodeCalls:  []MethodSpec{{PkgSuffix: "inodealias_f", Name: "Call"}},
 		AliasCloneMethods: []string{"Clone"},

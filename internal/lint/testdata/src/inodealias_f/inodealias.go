@@ -3,8 +3,8 @@
 // reply of a typed exchange, is shared with its other holders and must
 // be Cloned before it is written through; passing it on is fine. The
 // test config names the generic function Call as the exchange and
-// Container.GetInode, Kernel.lookInternal and Kernel.resolve as the
-// source calls.
+// Container.GetInode, Kernel.lookInternal, Kernel.lookLocal,
+// Kernel.resolve and Kernel.expandHidden as the source calls.
 package inodealias_f
 
 type VV map[int]int
@@ -53,6 +53,20 @@ type Kernel struct{ c *Container }
 func (k *Kernel) lookInternal(n int) (*Inode, int, error) {
 	ino, err := k.c.GetInode(n)
 	return ino, 1, err
+}
+
+// Kernel.lookLocal is the look that sends nothing, the committed inode
+// alone (nil when only the CSS can answer).
+func (k *Kernel) lookLocal(n int) *Inode {
+	ino, _ := k.c.GetInode(n)
+	return ino
+}
+
+// Kernel.expandHidden substitutes a hidden directory's context entry and
+// hands back the look at it, the entry's committed inode first.
+func (k *Kernel) expandHidden(n int) (*Inode, int, error) {
+	ino, err := k.c.GetInode(n)
+	return ino, 2, err
 }
 
 // Kernel.resolve hands its caller, beside what a search resolved, the
@@ -129,6 +143,23 @@ func badWriteThroughGetInode(c *Container) error {
 // itself.
 func badWriteThroughLookInternal(k *Kernel) {
 	ino, _, err := k.lookInternal(1)
+	if err != nil {
+		return
+	}
+	ino.Size = 9 // want "writes through a shared Inode without Clone"
+}
+
+// badWriteThroughLocalLook: the free look is the committed inode too.
+func badWriteThroughLocalLook(k *Kernel) {
+	if ino := k.lookLocal(1); ino != nil {
+		ino.Size = 9 // want "writes through a shared Inode without Clone"
+	}
+}
+
+// badWriteThroughExpandLook: so is the look at the entry a hidden
+// directory's expansion substituted.
+func badWriteThroughExpandLook(k *Kernel) {
+	ino, _, err := k.expandHidden(1)
 	if err != nil {
 		return
 	}
