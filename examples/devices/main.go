@@ -71,8 +71,8 @@ func main() {
 	must(op.SetReplication("/big.dat", 1))
 	c.Settle()
 	reader := c.Site(2).Login("reader")
-	scan := func(ra bool) int64 {
-		c.Site(2).FS.SetFeatures(fs.Features{Readahead: ra})
+	scan := func(ft fs.Features) int64 {
+		c.Site(2).FS.SetFeatures(ft)
 		f, err := reader.Open("/big.dat", locus.Read)
 		must(err)
 		defer f.Close() //locus:vet-allow uncheckedcall example: read-only handle, nothing to lose
@@ -84,7 +84,8 @@ func main() {
 		}
 		return c.Stats().Msgs - before
 	}
-	fmt.Printf("16-page remote scan: %d msgs without readahead, %d with\n", scan(false), scan(true))
+	fmt.Printf("16-page remote scan: %d msgs without readahead, %d with\n",
+		scan(fs.Features{NoPageCache: true}), scan(fs.Features{}))
 
 	// --- Demand recovery: reconcile one hot directory immediately.
 	fmt.Println("== demand recovery ==")

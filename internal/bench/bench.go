@@ -792,7 +792,7 @@ func e11(h *Harness) {
 	}
 
 	base := scan(fs.Features{NoPageCache: true}) // pure §2.3.3: 2 messages per page
-	cold := scan(fs.Features{Readahead: true})   // streaming readahead fills the US cache
+	cold := scan(fs.Features{})                  // streaming readahead fills the US cache
 	warm := scan(fs.Features{})                  // second pass served entirely from the cache
 
 	row := func(name string, d netsim.Snapshot) {

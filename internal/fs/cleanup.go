@@ -1,7 +1,8 @@
 package fs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -49,25 +50,7 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 	// records). Releasing is best-effort: an unreachable CSS or SS runs
 	// its own cleanup, which drops the matching records for sites
 	// outside *its* partition.
-	k.mu.Lock()
-	var heldLeases []*usLease
-	for _, l := range k.leases {
-		heldLeases = append(heldLeases, l)
-	}
-	k.leases = make(map[storage.FileID]*usLease)
-	k.leaseDropped = make(map[storage.FileID]bool)
-	k.mu.Unlock()
-	sort.Slice(heldLeases, func(i, j int) bool {
-		a, b := heldLeases[i].id, heldLeases[j].id
-		if a.FG != b.FG {
-			return a.FG < b.FG
-		}
-		return a.Inode < b.Inode
-	})
-	for _, l := range heldLeases {
-		k.releaseLease(l)
-		rep.LeasesReclaimed++
-	}
+	rep.LeasesReclaimed = k.releaseAllLeases(true)
 
 	// --- US side: open files whose storage site left the partition.
 	// The failover order is part of the deterministic replay schedule
@@ -81,15 +64,11 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 		}
 	}
 	k.mu.Unlock()
-	sort.Slice(affected, func(i, j int) bool {
-		a, b := affected[i], affected[j]
-		if a.id.FG != b.id.FG {
-			return a.id.FG < b.id.FG
+	slices.SortFunc(affected, func(a, b *File) int {
+		if c := a.id.Compare(b.id); c != 0 {
+			return c
 		}
-		if a.id.Inode != b.id.Inode {
-			return a.id.Inode < b.id.Inode
-		}
-		return a.serial < b.serial
+		return cmp.Compare(a.serial, b.serial)
 	})
 	for _, f := range affected {
 		switch {
@@ -193,12 +172,7 @@ func sortedFileIDs[V any](m map[storage.FileID]V) []storage.FileID {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].FG != ids[j].FG {
-			return ids[i].FG < ids[j].FG
-		}
-		return ids[i].Inode < ids[j].Inode
-	})
+	slices.SortFunc(ids, storage.FileID.Compare)
 	return ids
 }
 
@@ -208,7 +182,7 @@ func sortedSiteIDs[V any](m map[SiteID]V) []SiteID {
 	for s := range m {
 		sites = append(sites, s)
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	slices.Sort(sites)
 	return sites
 }
 

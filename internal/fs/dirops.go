@@ -228,13 +228,7 @@ func (k *Kernel) Mknod(cred *Cred, path string, host SiteID, devName string, mod
 // write protocol) and records it in the local in-core image.
 func (f *File) setAttr(req *setAttrReq) error {
 	k := f.k
-	var err error
-	if f.ss == k.site {
-		err = k.handleSetAttr(k.site, req)
-	} else {
-		err = netsim.Cast(k.node, f.ss, mSetAttr, req)
-	}
-	if err != nil {
+	if err := netsim.CastAt(k.node, f.ss, mSetAttr, k.handleSetAttr, req); err != nil {
 		return err
 	}
 	applyAttr(f.ino, req)

@@ -5,70 +5,77 @@ import (
 	"testing"
 
 	"repro/internal/fs"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
+// TestStreamingReadaheadCutsSequentialReadMessages pins the read
+// protocol on an 8-page file stored only at site 1 and read from site 2.
+// A read handle streams, whether its open went to the CSS or was served
+// under a read delegation: the window doubles on sequential hits (1
+// extra page at page 0, 4 at page 2, and page 7 is the last page), so
+// the scan takes 3 fs.read exchanges and leaves every page in the
+// using-site cache for a 0-message re-read. With the page cache off,
+// and for a modify or an internal handle, every page is the
+// two-message exchange of §2.3.3 and nothing is piggybacked.
 func TestStreamingReadaheadCutsSequentialReadMessages(t *testing.T) {
-	c := newCluster(t, 2)
 	data := bytes.Repeat([]byte{'s'}, 8*storage.PageSize)
-	writeFile(t, c.K(1), "/seq", data)
-	if err := c.K(1).SetReplication(cred(), "/seq", []fs.SiteID{1}); err != nil {
-		t.Fatal(err)
-	}
-	settle(t, c)
-
-	scan := func(ft fs.Features) (msgs, reads int64) {
-		c.K(2).SetFeatures(ft)
-		f, err := c.K(2).Open(cred(), "/seq", fs.ModeRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close() //nolint:errcheck
-		before := c.Net.Stats()
-		buf := make([]byte, storage.PageSize)
-		for pn := 0; pn < 8; pn++ {
-			if _, err := f.ReadAt(buf, int64(pn)*storage.PageSize); err != nil {
+	for _, tc := range []struct {
+		name      string
+		ft        fs.Features
+		mode      fs.OpenMode
+		delegated bool  // the read runs under a read delegation
+		reads     int64 // fs.read messages of the scan; it sends no other
+		raSent    int64 // pages piggybacked
+		rereads   int64 // fs.read messages of a scan through a second handle
+	}{
+		{"no-page-cache", fs.Features{NoPageCache: true}, fs.ModeRead, false, 16, 0, 16},
+		{"read", fs.Features{}, fs.ModeRead, false, 6, 5, 0},
+		{"delegated", fs.Features{Leases: true}, fs.ModeRead, true, 6, 5, 0},
+		{"modify", fs.Features{}, fs.ModeModify, false, 16, 0, 16},
+		{"internal", fs.Features{}, fs.ModeInternal, false, 16, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 2)
+			writeFile(t, c.K(1), "/seq", data)
+			if err := c.K(1).SetReplication(cred(), "/seq", []fs.SiteID{1}); err != nil {
 				t.Fatal(err)
 			}
-		}
-		d := c.Net.Stats().Sub(before)
-		return d.Msgs, d.ByMethod["fs.read"]
-	}
-
-	// Baseline: no US cache, no readahead — the pure §2.3.3 protocol.
-	plain, _ := scan(fs.Features{NoPageCache: true})
-	if plain != 16 {
-		t.Fatalf("plain sequential scan = %d msgs, want 16 (2/page)", plain)
-	}
-
-	// Streaming readahead: the window doubles on sequential hits
-	// (1 extra at page 0, 4 at page 2, and page 7 is the last page), so
-	// the 8-page scan takes 3 exchanges = 6 messages.
-	ra, raReads := scan(fs.Features{Readahead: true})
-	if ra != 6 || raReads != 6 {
-		t.Fatalf("streaming readahead scan = %d msgs (%d fs.read), want 6 (3 exchanges)", ra, raReads)
-	}
-	if plain < 2*ra {
-		t.Fatalf("readahead reduction %d -> %d msgs is under 2x", plain, ra)
-	}
-
-	// Second sequential pass through a fresh handle: every page is
-	// served from the using-site cache with zero mRead calls.
-	warm, warmReads := scan(fs.Features{})
-	if warmReads != 0 || warm != 0 {
-		t.Fatalf("warm re-read = %d msgs (%d fs.read), want 0 (all from US cache)", warm, warmReads)
-	}
-
-	// Content correctness through the cache + readahead path.
-	c.K(2).SetFeatures(fs.Features{Readahead: true})
-	f, err := c.K(2).Open(cred(), "/seq", fs.ModeRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close() //nolint:errcheck
-	got, err := f.ReadAll()
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("readahead content mismatch (%d vs %d bytes), err=%v", len(got), len(data), err)
+			settle(t, c)
+			c.SetFeatures(tc.ft)
+			r, err := c.K(2).Resolve(cred(), "/seq")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.delegated {
+				openClose(t, c.K(2), r.ID, fs.ModeRead)
+				if len(c.K(2).Leases()) != 1 {
+					t.Fatalf("setup: site 2 holds %v, want one read delegation", c.K(2).Leases())
+				}
+			}
+			scan := func() netsim.Snapshot {
+				t.Helper()
+				f, err := c.K(2).OpenID(r.ID, tc.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close() //nolint:errcheck
+				before := c.Net.Stats()
+				got, err := f.ReadAll()
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("scan read %d of %d bytes, err=%v", len(got), len(data), err)
+				}
+				return c.Net.Stats().Sub(before)
+			}
+			d := scan()
+			if d.Msgs != tc.reads || d.ByMethod["fs.read"] != tc.reads || d.RAPagesSent != tc.raSent {
+				t.Fatalf("scan = %d msgs (%d fs.read), %d pages piggybacked; want %d fs.read only, %d piggybacked",
+					d.Msgs, d.ByMethod["fs.read"], d.RAPagesSent, tc.reads, tc.raSent)
+			}
+			if d := scan(); d.ByMethod["fs.read"] != tc.rereads {
+				t.Fatalf("re-read = %d fs.read msgs, want %d", d.ByMethod["fs.read"], tc.rereads)
+			}
+		})
 	}
 }
 
@@ -122,7 +129,6 @@ func TestReadaheadWriterSeesOwnWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(t, c)
-	c.K(2).SetFeatures(fs.Features{Readahead: true})
 	w, err := c.K(2).Open(cred(), "/f", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)

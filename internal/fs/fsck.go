@@ -24,7 +24,7 @@ package fs
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/format"
 	"repro/internal/storage"
@@ -129,7 +129,7 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 	for fg := range fgs {
 		fgList = append(fgList, fg)
 	}
-	sort.Slice(fgList, func(i, j int) bool { return fgList[i] < fgList[j] })
+	slices.Sort(fgList)
 	for _, fg := range fgList {
 		root := storage.FileID{FG: fg, Inode: RootInode}
 		queue := []storage.FileID{root}
@@ -164,17 +164,7 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 	}
 
 	// Orphans and (optionally) convergence, in deterministic order.
-	ids := make([]storage.FileID, 0, len(copies))
-	for id := range copies {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].FG != ids[j].FG {
-			return ids[i].FG < ids[j].FG
-		}
-		return ids[i].Inode < ids[j].Inode
-	})
-	for _, id := range ids {
+	for _, id := range sortedFileIDs(copies) {
 		cps := copies[id]
 		liveSites := make([]SiteID, 0, len(cps))
 		for _, cp := range cps {
@@ -230,17 +220,7 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 	}
 	for _, k := range kernels {
 		held := k.Leases()
-		hids := make([]storage.FileID, 0, len(held))
-		for id := range held {
-			hids = append(hids, id)
-		}
-		sort.Slice(hids, func(i, j int) bool {
-			if hids[i].FG != hids[j].FG {
-				return hids[i].FG < hids[j].FG
-			}
-			return hids[i].Inode < hids[j].Inode
-		})
-		for _, id := range hids {
+		for _, id := range sortedFileIDs(held) {
 			mode := held[id]
 			css, err := k.CSSOf(id.FG)
 			if err != nil {

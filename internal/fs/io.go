@@ -117,11 +117,13 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 	}
 
 	// Track sequentiality: the window doubles while the reader keeps
-	// advancing page by page and resets on a seek.
+	// advancing page by page and resets on a seek. Only a read handle
+	// streams: its open holds commits off, while an internal handle
+	// holds no lock and a piggybacked page's version goes unchecked.
 	sequential := pn == f.raNext
 	f.raNext = pn + 1
 	cached := !k.Features().NoPageCache
-	ra := f.readahead && cached
+	ra := f.mode == ModeRead && cached
 	if ra {
 		if !sequential {
 			f.raWindow = 0
@@ -347,11 +349,7 @@ func (f *File) sendWrite(pn storage.PageNo, page []byte, size int64) error {
 	// procedure call here, inside the Cast at a remote SS — before this
 	// returns and the caller reuses the buffer.
 	k := f.k
-	req := &writeReq{ID: f.id, Page: pn, Data: page, Size: size}
-	if f.ss == k.site {
-		return k.handleWrite(k.site, req)
-	}
-	return netsim.Cast(k.node, f.ss, mWrite, req)
+	return netsim.CastAt(k.node, f.ss, mWrite, k.handleWrite, &writeReq{ID: f.id, Page: pn, Data: page, Size: size})
 }
 
 // handleWrite is the SS side of the write protocol: allocate a shadow
@@ -443,14 +441,7 @@ func (f *File) Truncate(size int64) error {
 	}
 	// Data == nil marks a truncate in the write protocol.
 	k := f.k
-	req := &writeReq{ID: f.id, Page: 0, Data: nil, Size: size}
-	var err error
-	if f.ss == k.site {
-		err = k.handleWrite(k.site, req)
-	} else {
-		err = netsim.Cast(k.node, f.ss, mWrite, req)
-	}
-	if err != nil {
+	if err := netsim.CastAt(k.node, f.ss, mWrite, k.handleWrite, &writeReq{ID: f.id, Page: 0, Data: nil, Size: size}); err != nil {
 		return err
 	}
 	f.size, f.ino.Size = size, size

@@ -356,20 +356,17 @@ type Kernel struct {
 }
 
 // Features selects the protocol extensions a kernel runs. The zero
-// value is the paper's protocol plus bulk pull and the using-site page
-// cache: what every pin and every benchmark workload runs.
+// value is the paper's protocol plus bulk pull, the using-site page
+// cache and streaming readahead: what every pin and every benchmark
+// workload runs.
 type Features struct {
 	// SerialPull makes pullFile pay the original one-fs.readphys-
 	// exchange-per-page cost instead of the windowed fs.pullpages
 	// protocol.
 	SerialPull bool
-	// NoPageCache turns the using-site page cache (§2.2.1) off;
-	// streaming readahead deposits into the cache and is inert without
-	// it.
+	// NoPageCache turns the using-site page cache (§2.2.1) off, and
+	// with it streaming readahead, which deposits into the cache.
 	NoPageCache bool
-	// Readahead gives read handles adaptive streaming readahead
-	// (§2.3.3). A handle reads this when it opens.
-	Readahead bool
 	// Leases enables the lease/intent layer (lease.go).
 	Leases bool
 }
@@ -388,7 +385,7 @@ func (k *Kernel) SetFeatures(f Features) {
 		k.cache.purge()
 	}
 	if old.Leases && !f.Leases {
-		k.releaseAllLeases()
+		k.releaseAllLeases(false)
 	}
 }
 
@@ -602,14 +599,11 @@ type File struct {
 	// wait marks a directory update's modify handle (openReq.Wait): the
 	// kernel closes it without user code running in between.
 	wait bool
-	// readahead enables adaptive streaming readahead (§2.3.3): the SS
-	// piggybacks up to raWindow following pages on each read response,
-	// deposited into the using-site page cache. Fixed at open from
-	// Features.Readahead.
-	readahead bool
 	// raNext is the page a sequential reader would fetch next; raWindow
-	// is the current readahead window (doubles on sequential access up
-	// to RAMax, resets on a seek).
+	// is the current streaming-readahead window of a read handle
+	// (§2.3.3): the SS piggybacks up to raWindow following pages on each
+	// read response, deposited into the using-site page cache. It
+	// doubles on sequential access up to RAMax and resets on a seek.
 	raNext   storage.PageNo
 	raWindow int
 	// serial is the handle's registration number (see Kernel.openSerial).

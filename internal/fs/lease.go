@@ -48,7 +48,7 @@ package fs
 // (protocolcost_test.go re-pins this).
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/storage"
@@ -76,26 +76,26 @@ type usLease struct {
 	wserial uint64
 }
 
-// releaseAllLeases returns every lease this site holds (SetFeatures
-// switching the layer off), in file-id order.
-func (k *Kernel) releaseAllLeases() {
+// releaseAllLeases returns every lease this site holds, in file-id
+// order, and reports how many: SetFeatures switching the layer off, and
+// partition cleanup, which also forgets the revocations that outran
+// their grants (forgetDropped).
+func (k *Kernel) releaseAllLeases(forgetDropped bool) int {
 	k.mu.Lock()
 	drop := make([]*usLease, 0, len(k.leases))
 	for _, l := range k.leases {
 		drop = append(drop, l)
 	}
 	k.leases = make(map[storage.FileID]*usLease)
+	if forgetDropped {
+		k.leaseDropped = make(map[storage.FileID]bool)
+	}
 	k.mu.Unlock()
-	sort.Slice(drop, func(i, j int) bool {
-		a, b := drop[i].id, drop[j].id
-		if a.FG != b.FG {
-			return a.FG < b.FG
-		}
-		return a.Inode < b.Inode
-	})
+	slices.SortFunc(drop, func(a, b *usLease) int { return a.id.Compare(b.id) })
 	for _, l := range drop {
 		k.releaseLease(l)
 	}
+	return len(drop)
 }
 
 // releaseLease voluntarily returns one lease. A read delegation is
@@ -167,7 +167,7 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, except SiteID) 
 	if len(targets) == 0 {
 		return
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+	slices.Sort(targets)
 	for _, us := range targets {
 		req := &leaseRevokeReq{ID: id}
 		netsim.CallAt(k.node, us, mLeaseRevoke, k.handleLeaseRevoke, req) //locus:vet-allow uncheckedcall unreachable delegates are reclaimed by partition cleanup
@@ -214,8 +214,7 @@ func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 // when the modify open arrives). wait and expand are the open's openReq
 // fields: under expand a leased hidden directory is the look (openID).
 func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, wait, expand bool) (*File, *storage.Inode, SiteID) {
-	ft := k.Features()
-	if !ft.Leases {
+	if !k.Features().Leases {
 		return nil, nil, 0
 	}
 	k.mu.Lock()
@@ -246,7 +245,6 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, wait, expand b
 		f.wserial, f.wait = l.wserial, wait
 	} else {
 		f.delegated = true
-		f.readahead = ft.Readahead
 	}
 	k.registerOpenLocked(f)
 	return f, nil, 0
@@ -312,12 +310,7 @@ func (k *Kernel) Delegates() map[storage.FileID][]SiteID {
 		if len(e.delegates) == 0 {
 			continue
 		}
-		sites := make([]SiteID, 0, len(e.delegates))
-		for us := range e.delegates {
-			sites = append(sites, us)
-		}
-		sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-		out[id] = sites
+		out[id] = sortedSiteIDs(e.delegates)
 	}
 	return out
 }

@@ -562,7 +562,6 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait, expand bool) (*F
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: r.SS, css: css,
 		ino: ino, size: ino.Size, wserial: wserial, wait: wait,
-		readahead: mode == ModeRead && k.Features().Readahead,
 	}
 	// Unless the CSS already installed the serving state at this site (it
 	// did when this site is also the CSS and selected itself) or the open

@@ -44,7 +44,7 @@ func TestProtocolCostsUnchangedAfterLeaseCycle(t *testing.T) {
 // Features field on during the cycle, and re-pins the bulk-pull costs
 // as well as the 4/2/1/4 protocol costs afterwards.
 func TestPinsUnchangedAfterAllFeaturesCycle(t *testing.T) {
-	all := fs.Features{SerialPull: true, NoPageCache: true, Readahead: true, Leases: true}
+	all := fs.Features{SerialPull: true, NoPageCache: true, Leases: true}
 	pinProtocolCosts(t, false, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 3) })
 	pinPropagationCosts(t, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 1) })
 }
@@ -152,7 +152,7 @@ func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *cluster.
 	check("open(read)", d, 4, map[string]int64{"fs.open": 2, "fs.ssopen": 2})
 
 	// Network read: exactly the two-message exchange of §2.3.3 (cold
-	// cache, no readahead).
+	// cache; page 1 rides along as the first readahead page).
 	buf := make([]byte, storage.PageSize)
 	d = delta(func() {
 		if _, err := f.ReadAt(buf, 0); err != nil {

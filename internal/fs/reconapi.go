@@ -84,10 +84,7 @@ func (k *Kernel) handleListInodes(_ SiteID, req *listInodesReq) (*listInodesResp
 
 // ListInodesAt enumerates a (possibly remote) pack's inodes.
 func (k *Kernel) ListInodesAt(site SiteID, fg storage.FilegroupID) ([]InodeSummary, error) {
-	if site == k.site {
-		return k.ListLocalInodes(fg), nil
-	}
-	resp, err := netsim.Call(k.node, site, mListInodes, &listInodesReq{FG: fg})
+	resp, err := netsim.CallAt(k.node, site, mListInodes, k.handleListInodes, &listInodesReq{FG: fg})
 	if err != nil {
 		return nil, err
 	}
@@ -197,12 +194,8 @@ func (k *Kernel) ReconcileCommit(id storage.FileID, ino *storage.Inode, content 
 // fail" (§4.6). The marking preserves each copy's version vector.
 func (k *Kernel) MarkConflict(id storage.FileID, sites []SiteID) {
 	for _, s := range sites {
-		if s == k.site {
-			k.handleMarkConflict(k.site, &markConflictReq{ID: id}) // error unchecked by design: local marking cannot fail usefully
-			continue
-		}
-		if k.inPartition(s) {
-			netsim.Cast(k.node, s, mMarkConflict, &markConflictReq{ID: id}) //locus:vet-allow uncheckedcall unreachable packs marked at next merge
+		if s == k.site || k.inPartition(s) {
+			netsim.CastAt(k.node, s, mMarkConflict, k.handleMarkConflict, &markConflictReq{ID: id}) //locus:vet-allow uncheckedcall unreachable packs marked at next merge
 		}
 	}
 }
@@ -231,10 +224,8 @@ func (k *Kernel) SchedulePullAt(sites []SiteID, id storage.FileID, vv vclock.VV,
 		if s == origin {
 			continue
 		}
-		if s == k.site {
-			k.applyPropNotify(k.site, note)
-		} else if k.inPartition(s) {
-			netsim.Cast(k.node, s, mPropNotify, note) //locus:vet-allow uncheckedcall unreachable sites retry at next merge
+		if s == k.site || k.inPartition(s) {
+			netsim.CastAt(k.node, s, mPropNotify, k.handlePropNotify, note) //locus:vet-allow uncheckedcall unreachable sites retry at next merge
 		}
 	}
 }
@@ -248,15 +239,9 @@ func (k *Kernel) ProbeAll(id storage.FileID) []InodeSummary {
 	sites := k.packSitesInPartition(id.FG)
 	out := make([]InodeSummary, 0, len(sites))
 	for _, s := range sites {
-		var r getVVResp
-		if s == k.site {
-			r = k.localGetVV(id)
-		} else {
-			resp, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: id})
-			if err != nil {
-				continue
-			}
-			r = *resp
+		r, err := netsim.CallAt(k.node, s, mGetVV, k.handleGetVV, &getVVReq{ID: id})
+		if err != nil {
+			continue
 		}
 		if r.Has {
 			out = append(out, InodeSummary{Site: s, Num: id.Inode, Type: r.Type, VV: r.VV, Deleted: r.Deleted, Conflict: r.Conflict, Sites: r.Sites})

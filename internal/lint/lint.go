@@ -238,6 +238,7 @@ func DefaultConfig() *Config {
 		{PkgSuffix: "internal/netsim", Name: "Call"},
 		{PkgSuffix: "internal/netsim", Name: "CallAt"},
 		{PkgSuffix: "internal/netsim", Name: "Cast"},
+		{PkgSuffix: "internal/netsim", Name: "CastAt"},
 	}
 	exchangesAnd := func(more ...MethodSpec) []MethodSpec {
 		out := append([]MethodSpec(nil), rawExchanges...)

@@ -13,11 +13,11 @@ import (
 // *operation* level must recover. A message's request/reply shape and
 // whether a retransmission may re-run it are therefore part of its
 // definition, and a Method or OneWay value is that definition, written
-// once beside the message structs. Handle, Call (CallAt) and Cast are the only
-// way the protocol packages (fs, proc) reach the transport: the
-// compiler pairs every caller with its handler's types, and the
-// at-most-once class travels with the name instead of living in a
-// side table.
+// once beside the message structs. Handle, Call (CallAt) and Cast
+// (CastAt) are the only way the protocol packages (fs, proc) reach the
+// transport: the compiler pairs every caller with its handler's types,
+// and the at-most-once class travels with the name instead of living in
+// a side table.
 //
 // Error taxonomy Call and Cast enforce for callers:
 //   - ErrTimeout:       message lost, retried here; surfaces only after
@@ -127,6 +127,16 @@ func Cast[Msg any](n *Node, to SiteID, m OneWay[Msg], msg *Msg) error {
 		n.nw.clock.Backoff()
 	}
 	return err
+}
+
+// CastAt is Cast for a caller that owns m's handler too, the one-way
+// twin of CallAt: when to is n's own site the message is a kernel
+// procedure call on local, and a network send otherwise.
+func CastAt[Msg any](n *Node, to SiteID, m OneWay[Msg], local func(from SiteID, msg *Msg) error, msg *Msg) error {
+	if to == n.id {
+		return local(n.id, msg)
+	}
+	return Cast(n, to, m, msg)
 }
 
 // Methods returns the names this node has handlers for, sorted.

@@ -166,3 +166,33 @@ func TestCallAtLocalIsAProcedureCall(t *testing.T) {
 		t.Fatalf("CallAt to site 2 = (%v, %v) after %d remote runs, want the remote handler's reply", resp, err, served.Load())
 	}
 }
+
+func TestCastAtLocalIsAProcedureCall(t *testing.T) {
+	t.Parallel()
+	nw, a, b := twoSites(t)
+	m := OneWay[echoReq]{Name: "t.note"}
+	var remote atomic.Int64
+	HandleCast(b, m, func(_ SiteID, msg *echoReq) error {
+		remote.Add(int64(msg.N))
+		return nil
+	})
+	var localFrom SiteID
+	local := func(from SiteID, msg *echoReq) error {
+		localFrom = from
+		return nil
+	}
+	before := nw.Stats()
+
+	if err := CastAt(a, 1, m, local, &echoReq{N: 7}); err != nil || localFrom != 1 || remote.Load() != 0 {
+		t.Fatalf("CastAt to own site = %v (local from %d, remote sum %d), want the local handler run from site 1", err, localFrom, remote.Load())
+	}
+	if d := nw.Stats().Sub(before); d.Msgs != 0 || d.CPUUs != 0 {
+		t.Fatalf("a local CastAt cost %d msgs, %d cpu us", d.Msgs, d.CPUUs)
+	}
+	if err := CastAt(a, 2, m, local, &echoReq{N: 7}); err != nil || remote.Load() != 7 {
+		t.Fatalf("CastAt to site 2 = %v (remote sum %d), want the remote handler run", err, remote.Load())
+	}
+	if d := nw.Stats().Sub(before); d.Msgs != 1 {
+		t.Fatalf("a remote CastAt cost %d msgs, want 1", d.Msgs)
+	}
+}

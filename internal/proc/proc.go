@@ -17,6 +17,7 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -612,11 +613,7 @@ func (m *Manager) exit(p *Process, st ExitStatus) {
 				Child: p.pid, Parent: p.parent, Code: st.Code,
 				SiteFailed: st.Err != nil && errors.Is(st.Err, ErrSiteFailed),
 			}
-			if p.parent.Site == m.site {
-				m.handleChildExit(m.site, msg) // error unchecked by design: local delivery
-			} else {
-				netsim.Cast(m.node, p.parent.Site, mChildExit, msg) //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
-			}
+			netsim.CastAt(m.node, p.parent.Site, mChildExit, m.handleChildExit, msg) //locus:vet-allow uncheckedcall parent site failure handled by its own cleanup
 		}
 		netsim.Cast(m.node, p.pid.Site, mMigrateGone, &migrateGoneMsg{PID: p.pid}) //locus:vet-allow uncheckedcall origin failure handled by partition cleanup
 		return
@@ -913,12 +910,7 @@ func (m *Manager) CleanupAfterPartitionChange(newPartition []SiteID) {
 	for id := range m.pipes {
 		pipeIDs = append(pipeIDs, id)
 	}
-	sort.Slice(pipeIDs, func(i, j int) bool {
-		if pipeIDs[i].FG != pipeIDs[j].FG {
-			return pipeIDs[i].FG < pipeIDs[j].FG
-		}
-		return pipeIDs[i].Inode < pipeIDs[j].Inode
-	})
+	slices.SortFunc(pipeIDs, storage.FileID.Compare)
 	pipes := make([]*pipeState, 0, len(pipeIDs))
 	for _, id := range pipeIDs {
 		pipes = append(pipes, m.pipes[id])

@@ -2,7 +2,7 @@ package recon
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fs"
 	"repro/internal/storage"
@@ -59,12 +59,7 @@ func (r *Reconciler) ListConflicts() []Conflict {
 	for _, c := range seen {
 		out = append(out, *c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.FG != out[j].ID.FG {
-			return out[i].ID.FG < out[j].ID.FG
-		}
-		return out[i].ID.Inode < out[j].ID.Inode
-	})
+	slices.SortFunc(out, func(a, b Conflict) int { return a.ID.Compare(b.ID) })
 	return out
 }
 

@@ -25,6 +25,7 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -63,6 +64,16 @@ type FileID struct {
 }
 
 func (f FileID) String() string { return fmt.Sprintf("<%d,%d>", f.FG, f.Inode) }
+
+// Compare orders file ids by filegroup, then inode, as slices.SortFunc
+// wants: the one order every sweep over a set of files runs in, so the
+// sweep's sends replay under a seed.
+func (f FileID) Compare(g FileID) int {
+	if c := cmp.Compare(f.FG, g.FG); c != 0 {
+		return c
+	}
+	return cmp.Compare(f.Inode, g.Inode)
+}
 
 // FileType tags every file; the recovery software uses the type to pick
 // a merge strategy (§4.3).
