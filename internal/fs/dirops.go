@@ -15,7 +15,7 @@ import (
 // it, and a hidden directory to expand comes back as that (openReq.Expand).
 func (k *Kernel) Open(cred *Cred, path string, mode OpenMode) (*File, error) {
 	expand := false
-	_, _, r, err := k.resolve(cred, path, &expand)
+	_, _, _, r, err := k.resolve(cred, path, &expand)
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +31,7 @@ func (k *Kernel) Open(cred *Cred, path string, mode OpenMode) (*File, error) {
 // Stat returns a snapshot of a file's inode by pathname, the caller's
 // own: a copy of what the search's last look found.
 func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
-	ino, _, r, err := k.resolve(cred, path, nil)
+	ino, _, _, r, err := k.resolve(cred, path, nil)
 	if err == nil && ino == nil {
 		ino, _, err = k.lookInternal(r.ID)
 	}
@@ -43,7 +43,7 @@ func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
 
 // ReadDir lists the live entries of a directory.
 func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
-	ino, ss, r, err := k.resolve(cred, path, nil)
+	ino, ss, _, r, err := k.resolve(cred, path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -105,10 +105,7 @@ func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (
 // dirInsert adds a live entry, failing if the name exists.
 func (k *Kernel) dirInsert(dir storage.FileID, name string, ino storage.InodeNum) error {
 	return k.updateDir(dir, func(d *format.DirSnapshot) (*format.DirSnapshot, error) {
-		if _, exists := d.Lookup(name); exists {
-			return nil, fmt.Errorf("%w: %q", ErrExists, name)
-		}
-		return d.Insert(name, ino), nil
+		return insertEntry(d, name, ino)
 	})
 }
 
@@ -116,12 +113,25 @@ func (k *Kernel) dirInsert(dir storage.FileID, name string, ino storage.InodeNum
 // version vector.
 func (k *Kernel) dirRemove(dir storage.FileID, name string, delVV vclock.VV) error {
 	return k.updateDir(dir, func(d *format.DirSnapshot) (*format.DirSnapshot, error) {
-		d, ok := d.Remove(name, delVV)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-		return d, nil
+		return removeEntry(d, name, delVV)
 	})
+}
+
+// insertEntry is dirInsert's mutation.
+func insertEntry(d *format.DirSnapshot, name string, ino storage.InodeNum) (*format.DirSnapshot, error) {
+	if _, exists := d.Lookup(name); exists {
+		return nil, fmt.Errorf("%w: %q", ErrExists, name)
+	}
+	return d.Insert(name, ino), nil
+}
+
+// removeEntry is dirRemove's mutation.
+func removeEntry(d *format.DirSnapshot, name string, delVV vclock.VV) (*format.DirSnapshot, error) {
+	d, ok := d.Remove(name, delVV)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	return d, nil
 }
 
 // effectiveNCopies applies §2.3.7: "the initial replication factor of a
@@ -321,7 +331,7 @@ func (k *Kernel) attrOp(cred *Cred, path string, req *setAttrReq) error {
 // the other storage sites release their pages as the delete propagates
 // (§2.3.7). Directories must be empty.
 func (k *Kernel) Unlink(cred *Cred, path string) error {
-	ino, ss, r, err := k.resolve(cred, path, nil)
+	ino, ss, _, r, err := k.resolve(cred, path, nil)
 	if err != nil {
 		return err
 	}
@@ -405,28 +415,56 @@ func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 	return nil
 }
 
-// Rename moves a name within one filegroup: the new entry is inserted
-// and the old removed; the file's inode is untouched.
+// Rename moves a name within one filegroup; the file's inode is
+// untouched. Within one directory it is one directory update, so one
+// commit (§2.3.6) inserts the new entry and tombstones the old: no cut
+// leaves both names or neither. Across directories the new entry is
+// inserted first and the old removed after, and a failed removal rolls
+// the insert back.
+//
+// newpath's parent is not searched when it is spelled as oldpath's: it
+// is then the directory oldpath's last component was found in, which is
+// not the old entry's directory when that component was a hidden
+// directory the search expanded.
 func (k *Kernel) Rename(cred *Cred, oldpath, newpath string) error {
-	r, err := k.Resolve(cred, oldpath)
+	ino, _, dir, r, err := k.resolve(cred, oldpath, nil)
 	if err != nil {
 		return err
 	}
-	newParent, newName, _, err := k.ResolveParent(cred, newpath)
+	newDir, newName, err := splitParent(newpath)
 	if err != nil {
 		return err
+	}
+	newParent := dir
+	if oldDir, _, err := splitParent(oldpath); err != nil || oldDir != newDir {
+		if _, _, newParent, newName, err = k.resolveParent(cred, newpath); err != nil {
+			return err
+		}
 	}
 	if newParent.FG != r.ID.FG {
 		return fmt.Errorf("%w: rename %s -> %s", ErrCrossFilegroup, oldpath, newpath)
 	}
+	// Removing the old name is not a file delete: no delete VV applies;
+	// the tombstone carries the file's current vector, the search's look
+	// at it, so it survives merges. Only a conflicted file is looked at
+	// again (and met as a conflict).
+	vv := vclock.New()
+	if ino != nil {
+		vv = ino.VV
+	} else if ino, _, err := k.lookInternal(r.ID); err == nil {
+		vv = ino.VV
+	}
+	if newParent == r.Parent {
+		return k.updateDir(newParent, func(d *format.DirSnapshot) (*format.DirSnapshot, error) {
+			d, err := insertEntry(d, newName, r.ID.Inode)
+			if err != nil {
+				return nil, err
+			}
+			return removeEntry(d, r.Name, vv)
+		})
+	}
 	if err := k.dirInsert(newParent, newName, r.ID.Inode); err != nil {
 		return err
-	}
-	// Removing the old name is not a file delete: no delete VV applies;
-	// use the file's current vector so a tombstone survives merges.
-	vv := vclock.New()
-	if ino, _, err := k.lookInternal(r.ID); err == nil {
-		vv = ino.VV
 	}
 	if err := k.dirRemove(r.Parent, r.Name, vv); err != nil {
 		// Roll back the insert.

@@ -158,26 +158,29 @@ func (k *Kernel) statType(id storage.FileID) (*storage.Inode, SiteID, storage.Fi
 // The path is walked where it lies, after one pass that validates all of
 // it.
 func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
-	_, _, r, err := k.resolve(cred, path, nil)
+	_, _, _, r, err := k.resolve(cred, path, nil)
 	return r, err
 }
 
 // resolve is Resolve, returning besides the look at the resolved file
 // (statType) for the caller's next step, or a nil inode where there was
 // none: "/" is resolved without a look, and a conflicted file's type
-// without an inode. A non-nil expand makes it Open's search, whose last
-// step looks at the file only where that is free (searchDir).
-func (k *Kernel) resolve(cred *Cred, path string, expand *bool) (ino *storage.Inode, ss SiteID, res *Resolved, err error) {
+// without an inode. dir is the directory the last component was found
+// in: res.Parent, unless a hidden directory was expanded (res.Parent is
+// then that hidden directory), and zero for "/". A non-nil expand makes
+// it Open's search, whose last step looks at the file only where that is
+// free (searchDir).
+func (k *Kernel) resolve(cred *Cred, path string, expand *bool) (ino *storage.Inode, ss SiteID, dir storage.FileID, res *Resolved, err error) {
 	n, err := checkPath(path)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, storage.FileID{}, nil, err
 	}
 	cur, err := k.rootID()
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, storage.FileID{}, nil, err
 	}
 	if n == 0 {
-		return nil, 0, k.resolvedRoot(cur), nil
+		return nil, 0, storage.FileID{}, k.resolvedRoot(cur), nil
 	}
 	// curPath is the canonical path of the component in hand, for the
 	// mount table: a prefix of path for as long as path is spelled
@@ -200,16 +203,16 @@ func (k *Kernel) resolve(cred *Cred, path string, expand *bool) (ino *storage.In
 			step = nil
 		}
 		if ino, ss, err = k.searchDir(cred, cur, ino, ss, curPath, name, escaped, step, res); err != nil {
-			return nil, 0, nil, err
+			return nil, 0, storage.FileID{}, nil, err
 		}
 		if i < n-1 {
 			if res.Type != storage.TypeDirectory && res.Type != storage.TypeHiddenDir {
-				return nil, 0, nil, fmt.Errorf("%w: %s", ErrNotDir, curPath)
+				return nil, 0, storage.FileID{}, nil, fmt.Errorf("%w: %s", ErrNotDir, curPath)
 			}
 			cur = res.ID
 		}
 	}
-	return ino, ss, res, nil
+	return ino, ss, cur, res, nil
 }
 
 // resolvedRoot is what "/" resolves to.
@@ -304,24 +307,11 @@ func (k *Kernel) ResolveParent(cred *Cred, path string) (parent storage.FileID, 
 // here. The inode is nil when that look failed: the next step that needs
 // one looks again and reports why.
 func (k *Kernel) resolveParent(cred *Cred, path string) (ino *storage.Inode, ss SiteID, parent storage.FileID, name string, err error) {
-	n, err := checkPath(path)
+	dirPath, name, err := splitParent(path)
 	if err != nil {
 		return nil, 0, storage.FileID{}, "", err
 	}
-	if n == 0 {
-		return nil, 0, storage.FileID{}, "", fmt.Errorf("%w: cannot operate on /", ErrBadName)
-	}
-	// The parent's path is everything before the last component, less the
-	// slash that ends it.
-	last, at := nextComp(path, 0)
-	for i := 1; i < n; i++ {
-		last, at = nextComp(path, at)
-	}
-	dirPath := "/"
-	if start := at - len(last); start > 1 {
-		dirPath = path[:start-1]
-	}
-	ino, ss, r, err := k.resolve(cred, dirPath, nil)
+	ino, ss, _, r, err := k.resolve(cred, dirPath, nil)
 	if err != nil {
 		return nil, 0, storage.FileID{}, "", err
 	}
@@ -331,7 +321,29 @@ func (k *Kernel) resolveParent(cred *Cred, path string) (ino *storage.Inode, ss 
 	if ino == nil {
 		ino, ss, _ = k.lookInternal(r.ID)
 	}
-	return ino, ss, r.ID, strings.TrimSuffix(last, HiddenEscape), nil
+	return ino, ss, r.ID, name, nil
+}
+
+// splitParent validates path and splits it into its parent's path,
+// everything before the last component less the slash that ends it, and
+// that component, the hidden escape trimmed.
+func splitParent(path string) (dirPath, name string, err error) {
+	n, err := checkPath(path)
+	if err != nil {
+		return "", "", err
+	}
+	if n == 0 {
+		return "", "", fmt.Errorf("%w: cannot operate on /", ErrBadName)
+	}
+	last, at := nextComp(path, 0)
+	for i := 1; i < n; i++ {
+		last, at = nextComp(path, at)
+	}
+	dirPath = "/"
+	if start := at - len(last); start > 1 {
+		dirPath = path[:start-1]
+	}
+	return dirPath, strings.TrimSuffix(last, HiddenEscape), nil
 }
 
 // fgSites returns a filegroup's configured pack sites.
