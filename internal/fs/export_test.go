@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -43,4 +44,23 @@ func (k *Kernel) ServingWriter(id storage.FileID) SiteID {
 // LookInternal is lookInternal, for comparison with OpenID(ModeInternal).
 func (k *Kernel) LookInternal(id storage.FileID) (*storage.Inode, SiteID, error) {
 	return k.lookInternal(id)
+}
+
+// StalledPropagations reports how many pulls wait for their origin to
+// come back into the partition.
+func (k *Kernel) StalledPropagations() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.stalledProp)
+}
+
+// NotifyTombstone sends, as site from, the note of the delete of id that
+// from committed to site to: the note the delete sent to the packs in
+// from's partition then, for a pack that was not.
+func NotifyTombstone(from *Kernel, to SiteID, id storage.FileID) error {
+	tomb, err := from.container(id.FG).GetInode(id.Inode)
+	if err != nil {
+		return err
+	}
+	return netsim.Cast(from.node, to, mPropNotify, &propNotify{ID: id, VV: tomb.VV, Origin: from.site, Sites: tomb.Sites, Tomb: tomb})
 }

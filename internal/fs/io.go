@@ -276,6 +276,9 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if f.mode != ModeModify {
 		return 0, ErrReadOnly
 	}
+	if f.dirData() {
+		return 0, ErrIsDir
+	}
 	if len(p) == 0 {
 		return 0, nil
 	}
@@ -327,6 +330,14 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		total += n
 	}
 	return total, nil
+}
+
+// dirData reports that a data write through f would write a directory
+// outside a kernel directory update. The naming catalog is the kernel's
+// to maintain, so such a write is refused, as Unix's EISDIR; an
+// attribute change through the same handle stays legal.
+func (f *File) dirData() bool {
+	return !f.wait && (f.ino.Type == storage.TypeDirectory || f.ino.Type == storage.TypeHiddenDir)
 }
 
 // mergePartialPage returns a fresh pooled page holding old with src
@@ -435,6 +446,9 @@ func (f *File) Truncate(size int64) error {
 	}
 	if f.mode != ModeModify {
 		return ErrReadOnly
+	}
+	if f.dirData() {
+		return ErrIsDir
 	}
 	if size < 0 {
 		return fmt.Errorf("fs: negative size %d", size)
@@ -588,7 +602,9 @@ func (k *Kernel) notifyCommit(id storage.FileID, ino *storage.Inode, pages []sto
 		InodeOnly: pages != nil && len(pages) == 0,
 	}
 	if ino.Deleted {
-		note.Pages = nil // deletes always ship the whole (empty) state
+		// A delete ships its whole state, the tombstone: the packs commit
+		// it with no pull.
+		note.Pages, note.Tomb = nil, ino
 	}
 	// Three storage sites and the CSS at most, as a rule: a list on the
 	// stack, not a map.

@@ -20,7 +20,8 @@ func (k *Kernel) handlePropNotify(from SiteID, note *propNotify) error {
 
 // applyPropNotify updates CSS knowledge and queues a propagation pull
 // if this site stores (or should store) the file and its copy is out of
-// date.
+// date. A delete needs no pull: its notification carries the tombstone
+// (takeTombstone).
 func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 	// A new committed version exists somewhere: drop any pages this
 	// site's using-site cache holds for the file, so a stale read
@@ -53,6 +54,12 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 	cur, stores := c.Version(note.ID.Inode)
 	should := containsSite(note.Sites, k.site)
 	if !stores && !should {
+		return
+	}
+	// A delete's copy here becomes its tombstone with no pull, a copy
+	// about to be retired included, so that the retirement need not wait
+	// for a pack that never held the file.
+	if note.Tomb != nil && k.takeTombstone(c, note, stores) && should {
 		return
 	}
 	if stores && !should && len(note.Sites) > 0 {
@@ -104,6 +111,33 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 			t.pages = append(t.pages, note.Pages...)
 		}
 	}
+}
+
+// takeTombstone is applyPropNotify's step for a delete (§2.3.7: the
+// storage sites release pages as it propagates). A copy this pack holds
+// becomes the note's tombstone by a local commit, with the checks a pull
+// of it makes (installTombstone). A pack that never held the file records
+// nothing: the directory entry's tombstone carries the delete's vector
+// for the merge (§5.5), and CollectGarbage counts a pack with no copy as
+// one that has seen the delete. Either way a queued or stalled pull the
+// tombstone supersedes is forgotten; a retirement is left to run. It
+// reports false, changing nothing, when the local commit fails, and the
+// note then queues a pull like any other.
+func (k *Kernel) takeTombstone(c *storage.Container, note *propNotify, stores bool) bool {
+	if stores && !installTombstone(c, note.ID, note.Tomb) {
+		return false
+	}
+	superseded := func(t *propTask) bool {
+		return t.id == note.ID && !t.drop && note.VV.DominatesOrEqual(t.vv)
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if t := k.pendingProp[note.ID]; t != nil && superseded(t) {
+		delete(k.pendingProp, note.ID)
+		k.propQueue = slices.DeleteFunc(k.propQueue, func(id storage.FileID) bool { return id == note.ID })
+	}
+	k.stalledProp = slices.DeleteFunc(k.stalledProp, superseded)
+	return true
 }
 
 // PendingPropagations reports how many files have queued pulls.
@@ -174,12 +208,14 @@ func (k *Kernel) DrainPropagation() int {
 	return done
 }
 
-// DebugPendingPropagations describes the queued tasks (test diagnostics).
+// DebugPendingPropagations describes the queued tasks in FileID order
+// (test diagnostics).
 func (k *Kernel) DebugPendingPropagations() string {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	s := ""
-	for id, t := range k.pendingProp {
+	for _, id := range sortedFileIDs(k.pendingProp) {
+		t := k.pendingProp[id]
 		s += fmt.Sprintf("[site %d: %v vv=%v origin=%d drop=%v sites=%v] ", k.site, id, t.vv, t.origin, t.drop, t.sites)
 	}
 	return s
@@ -275,59 +311,26 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		if !c.HasInode(t.id.Inode) {
 			return true
 		}
+		if src.Deleted && !installTombstone(c, t.id, src) {
+			return false
+		}
 		t.drop = true
 		t.sites = append([]SiteID(nil), src.Sites...)
 		t.vv = src.VV
 		return k.retireReplica(c, t)
 	}
 
-	// The local copy is read for its version here and, below, for its
-	// page table when the pull keeps unchanged pages; only the rare
-	// concurrent-version path needs a copy of the inode to change.
-	cur, stores := c.Version(t.id.Inode)
-	if stores {
-		switch src.VV.Compare(cur.VV) {
-		case vclock.Equal, vclock.Dominated:
-			return true // already current
-		case vclock.Concurrent:
-			// Divergent copies: this is a merge-time conflict; mark the
-			// local copy so normal opens fail and leave resolution to
-			// the reconciliation layer (§4.6).
-			committed, err := c.GetInode(t.id.Inode)
-			if err != nil {
-				return false
-			}
-			local := committed.Clone()
-			local.Conflict = true
-			if err := c.CommitInode(local); err != nil {
-				return false
-			}
-			return true
-		}
-	}
-
-	// From here on the pull installs src over the local copy, so src
-	// must strictly dominate it: propagation only ever moves a replica
-	// forward in version-vector order (§4.2). The concurrent and
-	// dominated cases were dispatched above.
-	invariant.Assertf(!stores || src.VV.Compare(cur.VV) == vclock.Dominates,
-		"fs: pull of %v would install %v over non-dominated local %v", t.id, src.VV, cur.VV)
-
-	// Deleted versions propagate as tombstones; pages are released.
 	if src.Deleted {
-		tomb := src.Clone()
-		tomb.Pages = nil
-		tomb.Size = 0
-		if err := c.CommitInode(tomb); err != nil {
-			return false
-		}
-		return true
+		return installTombstone(c, t.id, src)
+	}
+	if install, ok := supersedes(c, t.id, src.VV); !install {
+		return ok
 	}
 
 	// Build the new local page table. When the notification named the
 	// modified pages and we have a current base copy, only those pages
 	// are pulled; otherwise the whole file is.
-	pullAll := t.pages == nil || !stores
+	pullAll := t.pages == nil || !c.HasInode(t.id.Inode)
 	need := make(map[storage.PageNo]bool)
 	var localPages []storage.PhysPage
 	if !pullAll {
@@ -405,6 +408,52 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	return true
 }
 
+// supersedes is the version check a copy arriving at this pack passes
+// before it replaces the local one: install is true when vv strictly
+// dominates it, or there is none.
+// Otherwise nothing is installed, and ok is the arrival's result: an
+// equal or older vv is already current, and a concurrent one is a
+// merge-time conflict, which marks the local copy so normal opens fail
+// and leaves resolution to the reconciliation layer (§4.6).
+func supersedes(c *storage.Container, id storage.FileID, vv vclock.VV) (install, ok bool) {
+	cur, stores := c.Version(id.Inode)
+	if stores {
+		switch vv.Compare(cur.VV) {
+		case vclock.Equal, vclock.Dominated:
+			return false, true
+		case vclock.Concurrent:
+			committed, err := c.GetInode(id.Inode)
+			if err != nil {
+				return false, false
+			}
+			local := committed.Clone()
+			local.Conflict = true
+			return false, c.CommitInode(local) == nil
+		}
+	}
+	// Installing vv over the local copy needs it strictly to dominate:
+	// propagation only ever moves a replica forward in version-vector
+	// order (§4.2). The concurrent and dominated cases were dispatched
+	// above.
+	invariant.Assertf(!stores || vv.Compare(cur.VV) == vclock.Dominates,
+		"fs: arrival of %v would install %v over non-dominated local %v", id, vv, cur.VV)
+	return true, true
+}
+
+// installTombstone commits tomb, a deleted version of id, over this
+// pack's copy when supersedes lets it: a tombstone keeps the inode and
+// its vector, and its pages are released. A pull of a tombstone and a
+// delete's notification (takeTombstone) both install it here.
+func installTombstone(c *storage.Container, id storage.FileID, tomb *storage.Inode) bool {
+	if install, ok := supersedes(c, id, tomb.VV); !install {
+		return ok
+	}
+	local := tomb.Clone()
+	local.Pages = nil
+	local.Size = 0
+	return c.CommitInode(local) == nil
+}
+
 // pullBatch transfers the pages of snapshot src at logical indexes idx
 // from t's origin: one fs.pullpages exchange of up to PullWindow pages,
 // or with bulk off one fs.readphys exchange for a single page (the
@@ -459,8 +508,11 @@ func uniquePages(pns []storage.PageNo) []storage.PageNo {
 // only after confirming every site in the new storage list holds the
 // current version — the "delete" half of add-then-delete must never
 // destroy the last current copy. The sites are probed in list order.
+// A copy that is a tombstone holds nothing to lose, and a listed site
+// that holds no copy has seen the delete.
 func (k *Kernel) retireReplica(c *storage.Container, t *propTask) bool {
-	if !c.HasInode(t.id.Inode) {
+	local, stores := c.Version(t.id.Inode)
+	if !stores {
 		return true
 	}
 	// A file still being served from here must not vanish underneath
@@ -483,8 +535,13 @@ func (k *Kernel) retireReplica(c *storage.Container, t *propTask) bool {
 	}
 	for _, s := range remote {
 		r, err := netsim.Call(k.node, s, mGetVV, &getVVReq{ID: t.id})
-		if err != nil || !r.Has || !r.VV.DominatesOrEqual(t.vv) {
-			return false // unreachable, or that site hasn't pulled the version yet
+		if err != nil {
+			return false // unreachable
+		}
+		// A pack that never held a deleted file records nothing of the
+		// delete, and has seen it, as CollectGarbage counts it.
+		if r.Has && !r.VV.DominatesOrEqual(t.vv) || !r.Has && !local.Deleted {
+			return false // that site hasn't pulled the version yet
 		}
 	}
 	c.DropInode(t.id.Inode)

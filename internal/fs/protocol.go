@@ -328,7 +328,8 @@ type ssCreateResp struct {
 }
 
 // mPropNotify is SS → {other packs, CSS} (one-way): a new version
-// exists; bring your copy up to date by pulling.
+// exists. A pack whose copy is out of date queues a pull of it, but for
+// a delete, whose tombstone the note carries and the pack commits itself.
 var mPropNotify = netsim.OneWay[propNotify]{Name: "fs.propnotify"}
 
 type propNotify struct {
@@ -346,6 +347,11 @@ type propNotify struct {
 	// Sites is the file's storage-site list so packs that should hold
 	// a new replica know to pull it.
 	Sites []SiteID
+	// Tomb is the new version when it is a delete: the inode the origin
+	// committed a copy of, which nothing writes again, shared by pointer
+	// as pullOpenResp.Ino is. It rides in the per-message default
+	// allowance, so a delete's note costs what any other note does.
+	Tomb *storage.Inode
 }
 
 // PullWindow caps the number of physical pages one bulk-pull message

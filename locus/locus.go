@@ -68,6 +68,7 @@ var (
 	ErrStale         = fs.ErrStale
 	ErrNoCSS         = fs.ErrNoCSS
 	ErrNoStorageSite = fs.ErrNoStorageSite
+	ErrIsDir         = fs.ErrIsDir
 )
 
 // SiteSpec describes one site.

@@ -94,6 +94,62 @@ func TestErrorsAreExported(t *testing.T) {
 	}
 }
 
+// TestWriteFileOntoDirectoryIsDir: a directory is written only by the
+// kernel. A user's data write or truncate of one is refused with ErrIsDir,
+// as Unix's EISDIR, and an attribute change of it is not; the directory
+// stays readable and fsck-clean at every site.
+func TestWriteFileOntoDirectoryIsDir(t *testing.T) {
+	c, err := locus.Simple(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.Site(2).Login("u")
+	for _, dir := range []string{"/d", "/d/y"} {
+		if err := s.Mkdir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteFile("/d/y/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle()
+
+	if err := s.WriteFile("/d/y", []byte("hello")); !errors.Is(err, locus.ErrIsDir) {
+		t.Errorf("WriteFile onto a directory = %v, want ErrIsDir", err)
+	}
+	f, err := s.Open("/d/y", locus.Modify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("hello"), 4096); !errors.Is(err, locus.ErrIsDir) {
+		t.Errorf("WriteAt on a directory = %v, want ErrIsDir", err)
+	}
+	if err := f.Truncate(0); !errors.Is(err, locus.ErrIsDir) {
+		t.Errorf("Truncate of a directory = %v, want ErrIsDir", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Site().FS.Chmod(s.Cred(), "/d/y", 0700); err != nil {
+		t.Errorf("Chmod of a directory = %v", err)
+	}
+	if err := s.SetReplication("/d/y", 1, 2); err != nil {
+		t.Errorf("SetReplication of a directory = %v", err)
+	}
+	c.Settle()
+
+	for _, id := range c.Sites() {
+		ents, err := c.Site(id).Login("u").ReadDir("/d/y")
+		if err != nil || len(ents) != 1 || ents[0].Name != "f" {
+			t.Errorf("site %d lists /d/y as %v, %v; want [f]", id, ents, err)
+		}
+	}
+	if findings := c.Fsck(true); len(findings) != 0 {
+		t.Errorf("fsck: %v", findings)
+	}
+}
+
 func TestMailBetweenUsers(t *testing.T) {
 	c, err := locus.Simple(2)
 	if err != nil {
