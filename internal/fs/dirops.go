@@ -9,20 +9,25 @@ import (
 	"repro/internal/vclock"
 )
 
-// Open opens a file by pathname (§2.3.3). Open for modification
-// requires the CSS to grant the single-writer lock.
+// Open opens a file by pathname (§2.3.3). Open for modification requires
+// the CSS to grant the single-writer lock, and is ErrIsDir on a directory.
 // Unless a look at the file is free, the open is the search's look at
 // it, and a hidden directory to expand comes back as that (openReq.Expand).
 func (k *Kernel) Open(cred *Cred, path string, mode OpenMode) (*File, error) {
+	return userHandle(k.open(cred, path, mode))
+}
+
+// open is Open for the kernel, whose attrOp opens directories too.
+func (k *Kernel) open(cred *Cred, path string, mode OpenMode) (*File, error) {
 	expand := false
 	_, _, _, r, err := k.resolve(cred, path, &expand)
 	if err != nil {
 		return nil, err
 	}
-	f, look, ss, err := k.openID(r.ID, mode, false, expand)
+	f, look, ss, err := k.openID(r.ID, mode, expand)
 	if look != nil {
 		if _, _, err = k.expandHidden(cred, r.ID, look, ss, path, false, r); err == nil {
-			f, err = k.OpenID(r.ID, mode)
+			f, _, _, err = k.openID(r.ID, mode, false)
 		}
 	}
 	return f, err
@@ -57,18 +62,18 @@ func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
 // updateDir applies a mutation to a directory through the standard
 // open-for-modify / commit machinery, so directory updates replicate
 // and synchronize exactly like file updates. Directory entry updates
-// are short kernel-internal critical sections: when another directory
-// update holds the directory's writer lock, the open waits at the CSS
-// for its release (openReq.Wait; §2.3.2: "the kernel ... can sleep on
-// behalf of the process") rather than failing the user's create/unlink
-// with EBUSY. A user's modify handle on the directory is EBUSY at once.
+// are short kernel-internal critical sections, the only modify opens of
+// a directory (userHandle): when another holds the directory's writer
+// lock, the open waits at the CSS for its release (§2.3.2: "the kernel
+// ... can sleep on behalf of the process"). An update whose commit
+// fails lands nowhere: its close commits nothing.
 //
 // mutate maps the directory's snapshot at the version just opened to
 // the one to commit. The write is the whole serialization, assembled
 // from the snapshot's chunk encodings: only the chunk mutate touched
 // was encoded for it.
 func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (*format.DirSnapshot, error)) error {
-	f, _, _, err := k.openID(id, ModeModify, true, false)
+	f, _, _, err := k.openID(id, ModeModify, false)
 	if err != nil {
 		return err
 	}
@@ -93,6 +98,7 @@ func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (
 		return err
 	}
 	if err := f.Commit(); err != nil {
+		clear(f.dirty) // the storage site discards the update at close
 		return err
 	}
 	// Commit assigned the new content its version vector; hand the
@@ -146,8 +152,17 @@ func effectiveNCopies(cred *Cred, parentSites []SiteID) int {
 }
 
 // Create creates a regular (or typed) file at path and returns it open
-// for modification. The caller must Close (or Commit) it.
+// for modification. The caller must Close (or Commit) it. A directory
+// type is ErrIsDir: Mkdir and MkHidden make directories.
 func (k *Kernel) Create(cred *Cred, path string, typ storage.FileType, mode uint16) (*File, error) {
+	if typ.IsDir() {
+		return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
+	}
+	return k.create(cred, path, typ, mode)
+}
+
+// create is Create for the kernel, which makes directories too.
+func (k *Kernel) create(cred *Cred, path string, typ storage.FileType, mode uint16) (*File, error) {
 	ino, ss, parent, name, err := k.resolveParent(cred, path)
 	if err != nil {
 		return nil, err
@@ -159,7 +174,7 @@ func (k *Kernel) Create(cred *Cred, path string, typ storage.FileType, mode uint
 	if _, exists := d.Lookup(name); exists {
 		return nil, fmt.Errorf("%w: %s", ErrExists, path)
 	}
-	f, err := k.CreateID(parent.FG, typ, cred, mode, effectiveNCopies(cred, ino.Sites), ino.Sites)
+	f, err := k.createID(parent.FG, typ, cred, mode, effectiveNCopies(cred, ino.Sites), ino.Sites)
 	if err != nil {
 		return nil, err
 	}
@@ -175,28 +190,25 @@ func (k *Kernel) Create(cred *Cred, path string, typ storage.FileType, mode uint
 
 // Mkdir creates an ordinary directory.
 func (k *Kernel) Mkdir(cred *Cred, path string, mode uint16) error {
-	f, err := k.Create(cred, path, storage.TypeDirectory, mode)
-	if err != nil {
-		return err
-	}
-	return f.Close()
+	return closeMade(k.create(cred, path, storage.TypeDirectory, mode))
 }
 
 // MkHidden creates a hidden directory for context-sensitive naming
 // (§2.4.1). Populate it with per-context entries (e.g. "vax",
 // "pdp11") via Create on escaped paths: "/bin/who@@/vax".
 func (k *Kernel) MkHidden(cred *Cred, path string, mode uint16) error {
-	f, err := k.Create(cred, path, storage.TypeHiddenDir, mode)
-	if err != nil {
-		return err
-	}
-	return f.Close()
+	return closeMade(k.create(cred, path, storage.TypeHiddenDir, mode))
 }
 
 // Mkfifo creates a named pipe in the catalog; the process layer
 // provides its cross-network semantics (§2.4.2).
 func (k *Kernel) Mkfifo(cred *Cred, path string, mode uint16) error {
-	f, err := k.Create(cred, path, storage.TypePipe, mode)
+	return closeMade(k.create(cred, path, storage.TypePipe, mode))
+}
+
+// closeMade closes the handle a create returned, for a call that only
+// makes the file.
+func closeMade(f *File, err error) error {
 	if err != nil {
 		return err
 	}
@@ -314,7 +326,7 @@ func (k *Kernel) SetReplication(cred *Cred, path string, sites []SiteID) error {
 }
 
 func (k *Kernel) attrOp(cred *Cred, path string, req *setAttrReq) error {
-	f, err := k.Open(cred, path, ModeModify)
+	f, err := k.open(cred, path, ModeModify)
 	if err != nil {
 		return err
 	}
@@ -338,7 +350,7 @@ func (k *Kernel) Unlink(cred *Cred, path string) error {
 	if r.Parent == (storage.FileID{}) {
 		return fmt.Errorf("%w: cannot unlink a filegroup root", ErrBadName)
 	}
-	if r.Type == storage.TypeDirectory || r.Type == storage.TypeHiddenDir {
+	if r.Type.IsDir() {
 		d, _, err := k.readDirByID(r.ID, ino, ss)
 		if err != nil {
 			return err
@@ -348,7 +360,7 @@ func (k *Kernel) Unlink(cred *Cred, path string) error {
 		}
 	}
 
-	f, err := k.OpenID(r.ID, ModeModify)
+	f, _, _, err := k.openID(r.ID, ModeModify, false)
 	if err != nil {
 		return err
 	}
@@ -388,7 +400,7 @@ func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 	if parent.FG != r.ID.FG {
 		return fmt.Errorf("%w: %s -> %s", ErrCrossFilegroup, newpath, oldpath)
 	}
-	f, err := k.OpenID(r.ID, ModeModify)
+	f, _, _, err := k.openID(r.ID, ModeModify, false)
 	if err != nil {
 		return err
 	}
@@ -405,7 +417,7 @@ func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 	}
 	if err := k.dirInsert(parent, name, r.ID.Inode); err != nil {
 		// Roll back the link count.
-		if g, e2 := k.OpenID(r.ID, ModeModify); e2 == nil {
+		if g, _, _, e2 := k.openID(r.ID, ModeModify, false); e2 == nil {
 			g.setAttr(&setAttrReq{ID: g.id, Nlink: g.ino.Nlink - 1, Mode: -1}) // error unchecked by design: rollback
 			g.Commit()                                                         //locus:vet-allow uncheckedcall rollback
 			g.Close()                                                          //locus:vet-allow uncheckedcall rollback

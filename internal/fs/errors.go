@@ -13,8 +13,8 @@ var (
 	ErrExists = errors.New("fs: file exists")
 	// ErrNotDir: a pathname component is not a directory.
 	ErrNotDir = errors.New("fs: not a directory")
-	// ErrIsDir: a data write or truncate of a directory that is not a
-	// kernel directory update.
+	// ErrIsDir: a user's modify open or create of a directory, whose
+	// writes are the kernel's (Unix's EISDIR).
 	ErrIsDir = errors.New("fs: is a directory")
 	// ErrBusy: the CSS synchronization policy refused the open (a
 	// second simultaneous open for modification).

@@ -86,7 +86,7 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 				if ino.Deleted {
 					continue
 				}
-				if ino.Type == storage.TypeDirectory || ino.Type == storage.TypeHiddenDir {
+				if ino.Type.IsDir() {
 					data, err := readWholeLocal(c, ino)
 					if err != nil {
 						out = append(out, FsckFinding{Site: k.site, ID: id, Kind: "corrupt-directory",

@@ -276,9 +276,6 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if f.mode != ModeModify {
 		return 0, ErrReadOnly
 	}
-	if f.dirData() {
-		return 0, ErrIsDir
-	}
 	if len(p) == 0 {
 		return 0, nil
 	}
@@ -330,14 +327,6 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// dirData reports that a data write through f would write a directory
-// outside a kernel directory update. The naming catalog is the kernel's
-// to maintain, so such a write is refused, as Unix's EISDIR; an
-// attribute change through the same handle stays legal.
-func (f *File) dirData() bool {
-	return !f.wait && (f.ino.Type == storage.TypeDirectory || f.ino.Type == storage.TypeHiddenDir)
 }
 
 // mergePartialPage returns a fresh pooled page holding old with src
@@ -446,9 +435,6 @@ func (f *File) Truncate(size int64) error {
 	}
 	if f.mode != ModeModify {
 		return ErrReadOnly
-	}
-	if f.dirData() {
-		return ErrIsDir
 	}
 	if size < 0 {
 		return fmt.Errorf("fs: negative size %d", size)

@@ -303,8 +303,8 @@ type Kernel struct {
 	// open state
 	ssState  map[storage.FileID]*ssServe
 	cssState map[storage.FileID]*cssEntry
-	// writerFreed (over mu) is where an openReq.Wait open waits for a
-	// writer slot; a release, §5.6 cleanup and a crash broadcast it.
+	// writerFreed (over mu) is where a directory's modify open waits for
+	// its writer slot; a release, §5.6 cleanup and a crash broadcast it.
 	writerFreed sync.Cond
 	// pendingProp marks files with propagations queued but not yet
 	// pulled in; pathname searching must not trust the local copy then.
@@ -326,7 +326,6 @@ type Kernel struct {
 	// this site has requested but not yet recorded in openFiles, so a
 	// recall (mRecallWriter) arriving between the CSS's grant and our
 	// receipt of the response does not take the open for a stale lock.
-	// The value is the open's openReq.Wait.
 	inflightSerials map[uint64]bool
 	// recalledSerials holds the serials of this site's writer
 	// registrations that a recall found live. Each gives its slot back
@@ -596,9 +595,6 @@ type File struct {
 	// leaving the SS serving state and CSS writer slot in place for the
 	// next local open.
 	leased bool
-	// wait marks a directory update's modify handle (openReq.Wait): the
-	// kernel closes it without user code running in between.
-	wait bool
 	// raNext is the page a sequential reader would fetch next; raWindow
 	// is the current streaming-readahead window of a read handle
 	// (§2.3.3): the SS piggybacks up to raWindow following pages on each

@@ -107,7 +107,7 @@ func (k *Kernel) releaseAllLeases(forgetDropped bool) int {
 func (k *Kernel) releaseLease(l *usLease) {
 	if l.mode == ModeModify {
 		k.mu.Lock()
-		live, _ := k.writerLiveLocked(l.id, l.wserial)
+		live := k.writerLiveLocked(l.id, l.wserial)
 		k.mu.Unlock()
 		if live {
 			return
@@ -211,9 +211,9 @@ func (k *Kernel) recordLease(f *File, g *leaseGrant) bool {
 // CSS (no lease, layer off, a modify open under a writer lease a recall
 // asked back, or a delegation being upgraded to modify — in which case
 // the delegation is discarded first, since the CSS will drop its record
-// when the modify open arrives). wait and expand are the open's openReq
-// fields: under expand a leased hidden directory is the look (openID).
-func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, wait, expand bool) (*File, *storage.Inode, SiteID) {
+// when the modify open arrives). expand is the open's openReq.Expand:
+// under it a leased hidden directory is the look (openID).
+func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, expand bool) (*File, *storage.Inode, SiteID) {
 	if !k.Features().Leases {
 		return nil, nil, 0
 	}
@@ -242,7 +242,7 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, wait, expand b
 	if mode == ModeModify {
 		f.ino, f.dirty = l.ino.Clone(), make(map[storage.PageNo]bool)
 		f.leased = true
-		f.wserial, f.wait = l.wserial, wait
+		f.wserial = l.wserial
 	} else {
 		f.delegated = true
 	}

@@ -10,11 +10,11 @@ package fs
 // reconstruction idea at the moment it matters: when an open meets a
 // recorded writer, the CSS (or SS) recalls that writer registration by
 // its name, (US, serial). The using site refuses while the registration
-// is live, and then gives the slot back when the registration ends, for
-// the open that may be waiting for it; otherwise it gives back the
-// writer lease that kept the registration alive, if it holds one, and
-// the record is reclaimed, revoking any serving state left at the
-// storage site.
+// is live, and then gives the slot back when it ends, for the open that
+// may be waiting (a directory's, whose slot only a kernel update holds);
+// otherwise it gives back the writer lease that kept the registration
+// alive, if it holds one, and the record is reclaimed, revoking any
+// serving state left at the storage site.
 
 import (
 	"repro/internal/netsim"
@@ -27,19 +27,17 @@ import (
 // it but the reply has not been recorded yet), or a modify handle
 // carrying it is open. Stale handles do not count — their close sends
 // no messages, so nothing will ever release a lock recorded for them.
-// A live registration is brief when only directory updates hold it
-// (openReq.Wait). Caller holds k.mu.
-func (k *Kernel) writerLiveLocked(id storage.FileID, serial uint64) (live, brief bool) {
-	if wait, ok := k.inflightSerials[serial]; ok {
-		return true, wait
+// Caller holds k.mu.
+func (k *Kernel) writerLiveLocked(id storage.FileID, serial uint64) bool {
+	if k.inflightSerials[serial] {
+		return true
 	}
-	brief = true
 	for f := range k.openFiles {
 		if f.id == id && f.wserial == serial && f.mode == ModeModify && !f.closed && !f.stale {
-			live, brief = true, brief && f.wait
+			return true
 		}
 	}
-	return live, live && brief
+	return false
 }
 
 // handleRecallWriter is the using site's side of a recall: refuse while
@@ -48,10 +46,10 @@ func (k *Kernel) writerLiveLocked(id storage.FileID, serial uint64) (live, brief
 // alive (if this site holds one) and report the committed version.
 func (k *Kernel) handleRecallWriter(_ SiteID, req *recallWriterReq) (*recallWriterResp, error) {
 	k.mu.Lock()
-	if live, brief := k.writerLiveLocked(req.ID, req.Serial); live {
+	if k.writerLiveLocked(req.ID, req.Serial) {
 		k.recalledSerials[req.Serial] = true
 		k.mu.Unlock()
-		return &recallWriterResp{Live: true, Brief: brief}, nil
+		return &recallWriterResp{Live: true}, nil
 	}
 	l := k.takeWriterLeaseLocked(req.ID, req.Serial)
 	k.mu.Unlock()
@@ -84,16 +82,15 @@ func (k *Kernel) takeWriterLeaseLocked(id storage.FileID, serial uint64) *usLeas
 // gone when the registration is gone: the holder's committed version
 // has been folded into e (the CSS's entry; nil at a storage site) and
 // the serving state the registration left at ss has been revoked, so
-// the caller may reclaim its record; brief when the holder answered
-// that the registration is live and brief (recallWriterResp.Brief). An
-// unreachable holder is neither: we cannot tell a lost close from a
-// slow one, so the lock is kept and the partition protocol decides
-// when the topology changes.
-func (k *Kernel) recallWriter(id storage.FileID, e *cssEntry, holder SiteID, serial uint64, ss SiteID) (gone, brief bool) {
+// the caller may reclaim its record; live when the holder answered that
+// the registration is live. An unreachable holder is neither: we cannot
+// tell a lost close from a slow one, so the lock is kept and the
+// partition protocol decides when the topology changes.
+func (k *Kernel) recallWriter(id storage.FileID, e *cssEntry, holder SiteID, serial uint64, ss SiteID) (gone, live bool) {
 	resp, err := netsim.CallAt(k.node, holder, mRecallWriter, k.handleRecallWriter,
 		&recallWriterReq{ID: id, Serial: serial})
 	if err != nil || resp.Live {
-		return false, err == nil && resp.Brief
+		return false, err == nil
 	}
 	if e != nil {
 		k.mu.Lock()
@@ -122,7 +119,7 @@ func (k *Kernel) giveBackRecalled(css SiteID, id storage.FileID, serial uint64) 
 		k.mu.Unlock()
 		return
 	}
-	if live, _ := k.writerLiveLocked(id, serial); live {
+	if k.writerLiveLocked(id, serial) {
 		k.mu.Unlock()
 		return
 	}

@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/netsim"
@@ -118,19 +119,19 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 		// idle writer lease, or a close lost to the network (with no
 		// partition change to trigger §5.6 cleanup) that strands the
 		// writer slot forever otherwise.
-		gone, brief := k.recallWriter(req.ID, e, holder, hserial, ssHolder)
+		gone, live := k.recallWriter(req.ID, e, holder, hserial, ssHolder)
 		k.mu.Lock()
 		if gone {
 			k.releaseWriterLocked(e, holder, hserial)
 			continue // someone else may have claimed the slot meanwhile
 		}
-		// A user's open is refused at once (§2.3.1). A directory update
-		// waits only for another directory update, which ends without
-		// user code running in between (that user could be this very
-		// process); never for an unreachable holder, which only a
-		// partition change releases, nor for its own registration (a
-		// retransmission re-executed without dedup).
-		if !req.Wait || !brief || holder == req.US && hserial == req.Serial {
+		// A file's open is refused at once (§2.3.1). A directory's waits:
+		// only a kernel update holds its slot (userHandle), and that ends
+		// without user code running in between. It never waits for an
+		// unreachable holder, which only a partition change releases, nor
+		// for its own registration (a retransmission re-executed without
+		// dedup).
+		if !live || !e.typ.IsDir() || holder == req.US && hserial == req.Serial {
 			k.mu.Unlock()
 			return nil, fmt.Errorf("%w: %v open for modification at site %d", ErrBusy, req.ID, holder)
 		}
@@ -412,15 +413,25 @@ func containsSite(ss []SiteID, s SiteID) bool {
 }
 
 // OpenID opens a file by its globally unique low-level name, once: a
-// live writer is ErrBusy, no current copy ErrNoStorageSite. Most callers
-// use Open (pathname) instead.
+// live writer is ErrBusy, no current copy ErrNoStorageSite, a directory's
+// modify open ErrIsDir. Most callers use Open (pathname) instead.
 //
 // An internal open is lookInternal plus the handle: what a caller that
 // must read the file's pages without a lock needs (a pathname search
 // whose directory is not in the cache, readDirAt). A caller that only
 // wants what the inode says calls lookInternal and makes no handle.
 func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
-	f, _, _, err := k.openID(id, mode, false, false)
+	f, _, _, err := k.openID(id, mode, false)
+	return userHandle(f, err)
+}
+
+// userHandle is a user's open's result: a directory's modify handle is
+// closed unwritten and refused, as Unix's EISDIR, so only a kernel update,
+// which runs no user code before it closes, holds a directory's slot.
+func userHandle(f *File, err error) (*File, error) {
+	if err == nil && f.mode == ModeModify && f.ino.Type.IsDir() {
+		return nil, errors.Join(fmt.Errorf("%w: %v", ErrIsDir, f.id), f.Close())
+	}
 	return f, err
 }
 
@@ -495,11 +506,11 @@ func (k *Kernel) internalHandle(id storage.FileID, ino *storage.Inode, ss SiteID
 	return f
 }
 
-// openID is OpenID; wait marks a directory update's modify open, which
-// waits at the CSS for another directory update's slot (openReq.Wait), and
-// expand an open that is a search's look (openReq.Expand): a hidden
-// directory comes back as that, inode and storage site, with no handle.
-func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait, expand bool) (*File, *storage.Inode, SiteID, error) {
+// openID is OpenID for the kernel, which opens a directory for
+// modification too; expand marks an open that is a search's look
+// (openReq.Expand): a hidden directory comes back as that, inode and
+// storage site, with no handle.
+func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool) (*File, *storage.Inode, SiteID, error) {
 	if mode == ModeInternal {
 		ino, ss, err := k.lookInternal(id)
 		if err != nil || expand && ino.Type == storage.TypeHiddenDir {
@@ -510,7 +521,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait, expand bool) (*F
 	// Lease fast path: a held writer lease serves any open, a read
 	// delegation serves read opens — zero wire messages, no CSS round
 	// trip (the point of the lease layer).
-	if f, look, ss := k.openUnderLease(id, mode, wait, expand); f != nil || look != nil {
+	if f, look, ss := k.openUnderLease(id, mode, expand); f != nil || look != nil {
 		if f != nil && mode == ModeModify {
 			k.cache.invalidateFile(id)
 		}
@@ -528,7 +539,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait, expand bool) (*F
 		k.mu.Lock()
 		k.openSerial++
 		wserial = k.openSerial
-		k.inflightSerials[wserial] = wait
+		k.inflightSerials[wserial] = true
 		k.mu.Unlock()
 		defer func() {
 			k.mu.Lock()
@@ -539,7 +550,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait, expand bool) (*F
 			}
 		}()
 	}
-	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Wait: wait, Expand: expand})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Expand: expand})
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -561,7 +572,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, wait, expand bool) (*F
 	}
 	f := &File{
 		k: k, id: id, mode: mode, us: k.site, ss: r.SS, css: css,
-		ino: ino, size: ino.Size, wserial: wserial, wait: wait,
+		ino: ino, size: ino.Size, wserial: wserial,
 	}
 	// Unless the CSS already installed the serving state at this site (it
 	// did when this site is also the CSS and selected itself) or the open
@@ -707,10 +718,10 @@ func (k *Kernel) handleSSCreate(_ SiteID, req *ssCreateReq) (*ssCreateResp, erro
 	return &ssCreateResp{Ino: ino}, nil
 }
 
-// CreateID creates a new file in a filegroup (the caller links it into
+// createID creates a new file in a filegroup (the caller links it into
 // a directory separately). ncopies is the effective replication factor
 // and parentSites the parent directory's storage sites.
-func (k *Kernel) CreateID(fg storage.FilegroupID, typ storage.FileType, cred *Cred,
+func (k *Kernel) createID(fg storage.FilegroupID, typ storage.FileType, cred *Cred,
 	mode uint16, ncopies int, parentSites []SiteID) (*File, error) {
 	css, err := k.CSSOf(fg)
 	if err != nil {

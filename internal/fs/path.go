@@ -113,7 +113,7 @@ func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (
 
 // readDirAt reads directory id at the version of the look (ino, ss).
 func (k *Kernel) readDirAt(id storage.FileID, ino *storage.Inode, ss SiteID) (*format.DirSnapshot, error) {
-	if ino.Type != storage.TypeDirectory && ino.Type != storage.TypeHiddenDir {
+	if !ino.Type.IsDir() {
 		return nil, fmt.Errorf("%w: %v is %v", ErrNotDir, id, ino.Type)
 	}
 	if d := k.dirs.get(id, ino.VV); d != nil {
@@ -206,7 +206,7 @@ func (k *Kernel) resolve(cred *Cred, path string, expand *bool) (ino *storage.In
 			return nil, 0, storage.FileID{}, nil, err
 		}
 		if i < n-1 {
-			if res.Type != storage.TypeDirectory && res.Type != storage.TypeHiddenDir {
+			if !res.Type.IsDir() {
 				return nil, 0, storage.FileID{}, nil, fmt.Errorf("%w: %s", ErrNotDir, curPath)
 			}
 			cur = res.ID
@@ -315,7 +315,7 @@ func (k *Kernel) resolveParent(cred *Cred, path string) (ino *storage.Inode, ss 
 	if err != nil {
 		return nil, 0, storage.FileID{}, "", err
 	}
-	if r.Type != storage.TypeDirectory && r.Type != storage.TypeHiddenDir {
+	if !r.Type.IsDir() {
 		return nil, 0, storage.FileID{}, "", fmt.Errorf("%w: %s", ErrNotDir, dirPath)
 	}
 	if ino == nil {

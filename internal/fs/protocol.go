@@ -33,10 +33,6 @@ type openReq struct {
 	// the US includes the version vector of the copy of the file it
 	// stores").
 	USVV vclock.VV
-	// Wait marks a directory update's modify open, which waits at the
-	// CSS for another directory update's slot (recallWriterResp.Brief)
-	// instead of failing with ErrBusy.
-	Wait bool
 	// Expand marks an open that is Open's search's look at the file: a
 	// hidden directory to expand (§2.4.1) is served as an internal open.
 	Expand bool
@@ -224,10 +220,6 @@ type recallWriterResp struct {
 	// handle carrying it still open: the recall is refused, and the
 	// registration gives its slot back when it ends.
 	Live bool
-	// Brief reports a live registration held only by directory updates
-	// (openReq.Wait), which end it without user code running in
-	// between: a directory update may wait for it.
-	Brief bool
 	// VV/Sites are the holder's committed version and storage-site list
 	// (the returned writer lease's, else its stored copy's): the
 	// analogue of the close protocol's VV piggyback, folded into the CSS

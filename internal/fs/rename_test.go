@@ -131,10 +131,12 @@ func namesOf(t *testing.T, k *fs.Kernel, dir string, ino storage.InodeNum) []str
 // as it is sent (the request is delivered, the reply finds no caller).
 // After the network heals (or the site restarts) and propagation
 // settles, fsck must be clean and every site must name the file by
-// exactly one live entry, old or new, with a link count of 1, and a
-// rename that reported success must have left the new name. A rename
-// made of two commits, an insert and then a removal, leaves both names
-// when it is cut between them.
+// exactly one live entry, old or new, with a link count of 1; a rename
+// that reported success must have left the new name, and one whose
+// request was dropped and that reported an error the old. A rename made
+// of two commits, an insert and then a removal, leaves both names when
+// it is cut between them. The last case drops a Create's directory
+// update commit the same way: the entry must land nowhere.
 func TestRenameCutAtEveryExchange(t *testing.T) {
 	const us = 2
 	type exchange struct {
@@ -196,20 +198,7 @@ func TestRenameCutAtEveryExchange(t *testing.T) {
 					c.Crash(us) // the survivors learn of it
 					c.Net.Restart(us)
 				}
-				// Heal and merge (§5.5), as a restart does: the restarted site
-				// lost its queued pulls with the rest of its volatile state,
-				// and only the merge finds its copy of /d stale.
-				c.Heal()
-				c.Settle()
-				for _, s := range c.Sites() {
-					if _, err := recon.New(c.K(s)).ReconcileAll(); err != nil {
-						t.Fatalf("reconcile at site %d: %v", s, err)
-					}
-				}
-				settle(t, c)
-				if findings := c.Fsck(true); len(findings) != 0 {
-					t.Fatalf("fsck after the cut: %v", findings)
-				}
+				healAfterCut(t, c)
 				for _, s := range c.Sites() {
 					names := namesOf(t, c.K(s), "/d", ino)
 					if len(names) != 1 {
@@ -217,6 +206,9 @@ func TestRenameCutAtEveryExchange(t *testing.T) {
 					}
 					if err == nil && names[0] != "f0001" {
 						t.Fatalf("site %d: the rename succeeded, yet the file is named %v", s, names)
+					}
+					if err != nil && !crash && names[0] != "tmp" {
+						t.Fatalf("site %d: the rename failed (%v), yet the file is named %v", s, err, names)
 					}
 					st, err := c.K(s).Stat(cred(), "/d/"+names[0])
 					if err != nil {
@@ -228,6 +220,49 @@ func TestRenameCutAtEveryExchange(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// Every transmission of the directory update's fs.commit is lost: the
+	// create fails and rolls its inode back, and no site names it.
+	t.Run("create/fs.commit/drop", func(t *testing.T) {
+		c, _ := renameDir(t, 8, us, true)
+		var pts []netsim.FaultPoint
+		for j := 0; j < 8; j++ {
+			pts = append(pts, netsim.FaultPoint{From: us, Method: "fs.commit", Action: netsim.FaultDropRequest})
+		}
+		c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+		before := c.Net.Stats()
+		_, err := c.K(us).Create(cred(), "/d/new", storage.TypeRegular, 0644)
+		d := c.Net.Stats().Sub(before)
+		c.Net.DisableFaults()
+		if d.MsgsDropped != 8 || err == nil {
+			t.Fatalf("create = %v with %d requests dropped, want an error and 8", err, d.MsgsDropped)
+		}
+		healAfterCut(t, c)
+		for _, s := range c.Sites() {
+			if _, err := c.K(s).Stat(cred(), "/d/new"); !errors.Is(err, fs.ErrNotFound) {
+				t.Fatalf("site %d: the failed create left /d/new: %v", s, err)
+			}
+		}
+	})
+}
+
+// healAfterCut heals and merges (§5.5), as a restart does — a restarted
+// site lost its queued pulls with the rest of its volatile state, and
+// only the merge finds its copy of /d stale — and settles; fsck must
+// then be clean.
+func healAfterCut(t *testing.T, c *cluster.Cluster) {
+	t.Helper()
+	c.Heal()
+	c.Settle()
+	for _, s := range c.Sites() {
+		if _, err := recon.New(c.K(s)).ReconcileAll(); err != nil {
+			t.Fatalf("reconcile at site %d: %v", s, err)
+		}
+	}
+	settle(t, c)
+	if findings := c.Fsck(true); len(findings) != 0 {
+		t.Fatalf("fsck after the cut: %v", findings)
 	}
 }
 

@@ -1,14 +1,12 @@
 package fs
 
 // An open never polls. The CSS polls the using site last instead of
-// skipping it on a stale USVV, and a directory update's modify open
-// (openReq.Wait) waits at the CSS for another directory update's slot
-// instead of failing busy. These tests park real waiters, so run them
-// under -race.
+// skipping it on a stale USVV, and a directory's modify open waits at
+// the CSS for the directory update that holds its slot instead of
+// failing busy. These tests park real waiters, so run them under -race.
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -125,11 +123,11 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 		return ks
 	}
 	// updating opens the root directory for modification at k the way a
-	// directory update does (openReq.Wait): a registration a directory
-	// update may wait for.
+	// directory update does: a registration a directory's modify open
+	// waits for.
 	updating := func(t *testing.T, k *Kernel) *File {
 		t.Helper()
-		w, _, _, err := k.openID(rootID, ModeModify, true, false)
+		w, _, _, err := k.openID(rootID, ModeModify, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,44 +281,68 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 		}
 	})
 
-	t.Run("a user's modify open is refused at once", func(t *testing.T) {
+	// A user's modify open of a directory may wait out the update that
+	// holds the slot, and is then refused: no user holds a directory's
+	// slot, so no create in it can wait for its own process.
+	t.Run("a user's modify open of a directory is ErrIsDir", func(t *testing.T) {
 		ks, w := holdRoot(t, Features{})
-		done := make(chan error, 1)
+		done := make(chan error, 2)
 		go func() {
 			_, err := ks[2].OpenID(rootID, ModeModify)
 			done <- err
+			_, err = ks[2].Open(DefaultCred("tester"), "/", ModeModify)
+			done <- err
 		}()
-		if err := await(t, done, "user modify open behind a live writer"); !errors.Is(err, ErrBusy) {
-			t.Fatalf("user modify open behind a live writer: %v, want ErrBusy", err)
-		}
+		awaitParked(t)
 		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, what := range []string{"OpenID", "Open"} {
+			if err := await(t, done, what+" of a directory behind its update"); !errors.Is(err, ErrIsDir) {
+				t.Fatalf("%s of a directory behind its update: %v, want ErrIsDir", what, err)
+			}
+		}
+		if err := await(t, createAsync(ks[1], "/x"), "create after the refusals"); err != nil {
+			t.Fatalf("create after the refusals: %v", err)
+		}
+	})
+
+	// The wait is the directory's alone: a file's modify open behind a
+	// live writer is refused at once (§2.3.1).
+	t.Run("a file's modify open behind a live writer is ErrBusy at once", func(t *testing.T) {
+		ks := boot(t, Features{})
+		f, err := ks[1].Create(DefaultCred("tester"), "/f", storage.TypeRegular, 0644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := ks[2].OpenID(f.ID(), ModeModify)
+			done <- err
+		}()
+		if err := await(t, done, "a file's modify open behind a live writer"); !errors.Is(err, ErrBusy) {
+			t.Fatalf("a file's modify open behind a live writer: %v, want ErrBusy", err)
+		}
+		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	// A directory the user holds open for modification is never waited
-	// for: the process creating in it may be the holder itself, which
-	// closes only after the create returns.
-	t.Run("a user's handle is refused at once, not waited for", func(t *testing.T) {
-		ks := boot(t, Features{})
+	// chmod opens the directory for modification as the kernel: it waits
+	// for the update and then changes the mode.
+	t.Run("a chmod of a directory waits for its update", func(t *testing.T) {
+		ks, w := holdRoot(t, Features{})
 		done := make(chan error, 1)
-		go func() {
-			w, err := ks[1].OpenID(rootID, ModeModify)
-			if err != nil {
-				done <- err
-				return
-			}
-			defer w.Close() //locus:vet-allow uncheckedcall the test checks the creates
-			for _, k := range []*Kernel{ks[1], ks[2]} {
-				if _, err := k.Create(DefaultCred("tester"), "/x", storage.TypeRegular, 0644); !errors.Is(err, ErrBusy) {
-					done <- fmt.Errorf("create at site %d in a directory its process holds: %v, want ErrBusy", k.site, err)
-					return
-				}
-			}
-			done <- nil
-		}()
-		if err := await(t, done, "create in a directory the same process holds"); err != nil {
+		go func() { done <- ks[2].Chmod(DefaultCred("tester"), "/", 0700) }()
+		awaitParked(t)
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if err := await(t, done, "chmod behind a directory update"); err != nil {
+			t.Fatalf("chmod behind a directory update: %v", err)
+		}
+		if st, err := ks[2].Stat(DefaultCred("tester"), "/"); err != nil || st.Mode != 0700 {
+			t.Fatalf("after the chmod / is %+v, %v; want mode 0700", st, err)
 		}
 	})
 
@@ -333,7 +355,7 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 		k.mu.Lock()
 		k.inflightSerials[serial] = true // a directory update's open
 		k.mu.Unlock()
-		req := openReq{ID: rootID, Mode: ModeModify, US: 1, Serial: serial, Wait: true}
+		req := openReq{ID: rootID, Mode: ModeModify, US: 1, Serial: serial}
 		first := req
 		if _, err := k.handleOpen(1, &first); err != nil {
 			t.Fatal(err)

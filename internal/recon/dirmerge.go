@@ -243,7 +243,7 @@ func (r *Reconciler) relinkResurrected(id storage.FileID) {
 			continue
 		}
 		for _, s := range sums {
-			if s.Deleted || (s.Type != storage.TypeDirectory && s.Type != storage.TypeHiddenDir) {
+			if s.Deleted || !s.Type.IsDir() {
 				continue
 			}
 			dirID := storage.FileID{FG: id.FG, Inode: s.Num}

@@ -222,9 +222,8 @@ func (r *Reconciler) reconcileFile(id storage.FileID, sums []fs.InodeSummary, re
 		differ = differ || !s.VV.Equal(latest.VV)
 		marked = marked && s.Conflict
 	}
-	dir := latest.Type == storage.TypeDirectory || latest.Type == storage.TypeHiddenDir
 	switch {
-	case dir && differ && !latest.Deleted:
+	case latest.Type.IsDir() && differ && !latest.Deleted:
 		return r.resolveConflict(id, stores, rep)
 	case ok:
 		part := r.k.Partition()
@@ -341,10 +340,10 @@ func (r *Reconciler) resolveConflict(id storage.FileID, stores []SiteID, rep *Re
 	}
 
 	typ := live[0].Inode.Type
-	switch typ {
-	case storage.TypeDirectory, storage.TypeHiddenDir:
+	switch {
+	case typ.IsDir():
 		return r.mergeDirectories(id, copies, rep)
-	case storage.TypeMailbox:
+	case typ == storage.TypeMailbox:
 		return r.mergeMailboxes(id, copies, rep)
 	default:
 		if m, ok := r.managers[typ]; ok {

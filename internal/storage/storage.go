@@ -99,6 +99,9 @@ const (
 	TypePipe
 )
 
+// IsDir reports a directory of the naming catalog, ordinary or hidden.
+func (t FileType) IsDir() bool { return t == TypeDirectory || t == TypeHiddenDir }
+
 // String returns the type name used in listings and conflict mail.
 func (t FileType) String() string {
 	switch t {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fs"
+	"repro/internal/storage"
 	"repro/locus"
 )
 
@@ -95,9 +97,10 @@ func TestErrorsAreExported(t *testing.T) {
 }
 
 // TestWriteFileOntoDirectoryIsDir: a directory is written only by the
-// kernel. A user's data write or truncate of one is refused with ErrIsDir,
-// as Unix's EISDIR, and an attribute change of it is not; the directory
-// stays readable and fsck-clean at every site.
+// kernel. A user's modify open or create of one is refused with ErrIsDir,
+// as Unix's EISDIR, and leaves nothing behind; an attribute change of it
+// is not refused. The directory stays readable and fsck-clean at every
+// site.
 func TestWriteFileOntoDirectoryIsDir(t *testing.T) {
 	c, err := locus.Simple(3)
 	if err != nil {
@@ -118,18 +121,29 @@ func TestWriteFileOntoDirectoryIsDir(t *testing.T) {
 	if err := s.WriteFile("/d/y", []byte("hello")); !errors.Is(err, locus.ErrIsDir) {
 		t.Errorf("WriteFile onto a directory = %v, want ErrIsDir", err)
 	}
-	f, err := s.Open("/d/y", locus.Modify)
+	r, err := s.Site().FS.Resolve(s.Cred(), "/d/y")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte("hello"), 4096); !errors.Is(err, locus.ErrIsDir) {
-		t.Errorf("WriteAt on a directory = %v, want ErrIsDir", err)
+	// A handle that should not have been granted is closed, or it would
+	// hold the directory's writer slot for good.
+	refused := func(what string, f *fs.File, err error) {
+		t.Helper()
+		if !errors.Is(err, locus.ErrIsDir) {
+			t.Errorf("%s = %v, want ErrIsDir", what, err)
+		}
+		if f != nil {
+			f.Close()
+		}
 	}
-	if err := f.Truncate(0); !errors.Is(err, locus.ErrIsDir) {
-		t.Errorf("Truncate of a directory = %v, want ErrIsDir", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	f, err := s.Open("/d/y", locus.Modify)
+	refused("Open of a directory for modification", f, err)
+	f, err = s.Site().FS.OpenID(r.ID, locus.Modify)
+	refused("OpenID of a directory for modification", f, err)
+	f, err = s.Create("/d/z", storage.TypeDirectory)
+	refused("Create of a directory", f, err)
+	if _, err := s.Stat("/d/z"); !errors.Is(err, locus.ErrNotFound) {
+		t.Errorf("the refused Create left /d/z: %v", err)
 	}
 	if err := s.Site().FS.Chmod(s.Cred(), "/d/y", 0700); err != nil {
 		t.Errorf("Chmod of a directory = %v", err)
@@ -147,6 +161,32 @@ func TestWriteFileOntoDirectoryIsDir(t *testing.T) {
 	}
 	if findings := c.Fsck(true); len(findings) != 0 {
 		t.Errorf("fsck: %v", findings)
+	}
+}
+
+// TestWriteFileOfBusyFileIsBusy: WriteFile creates only where the open
+// finds no file. A file whose writer slot another site holds is ErrBusy,
+// not ErrExists from a create of a name that is there.
+func TestWriteFileOfBusyFileIsBusy(t *testing.T) {
+	c, err := locus.Simple(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.Site(1).Login("u")
+	if err := s.WriteFile("/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle()
+	f, err := s.Open("/f", locus.Modify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Site(2).Login("u").WriteFile("/f", []byte("y")); !errors.Is(err, locus.ErrBusy) {
+		t.Errorf("WriteFile of a file open for modification at another site = %v, want ErrBusy", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package locus
 
 import (
+	"errors"
+
 	"repro/internal/format"
 	"repro/internal/fs"
 	"repro/internal/proc"
@@ -59,11 +61,11 @@ func (se *Session) Open(path string, mode fs.OpenMode) (*fs.File, error) {
 // WriteFile creates-or-replaces a file's content and commits it.
 func (se *Session) WriteFile(path string, data []byte) error {
 	f, err := se.site.FS.Open(se.cred, path, fs.ModeModify)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotFound) {
 		f, err = se.site.FS.Create(se.cred, path, storage.TypeRegular, 0644)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	if err := f.WriteAll(data); err != nil {
 		f.Close() //locus:vet-allow uncheckedcall abandoning after failure
