@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -92,6 +93,10 @@ type Result struct {
 	Violations []string
 	// Stats is the network snapshot at the end of the run.
 	Stats netsim.Snapshot
+	// PartitionedCrashChecks counts the crashes, made while the network
+	// was partitioned, after which the membership check held every up
+	// site's views to the sites it reaches.
+	PartitionedCrashChecks int
 }
 
 // ReplayCommand renders the one-line command that re-runs exactly this
@@ -167,18 +172,17 @@ type run struct {
 	// disturbed: they (and thus everything beneath them) may be
 	// conflict-renamed at merge time.
 	dirtyDirs map[string]bool
-	down      map[locus.SiteID]bool
 	parted    bool
 	faulted   bool
 	// strandRisk is set while a past fault burst may have stranded an
 	// async propagation beyond the retry budget: a name committed at one
 	// site might not be visible at another until the next topology
-	// change requeues stalled propagations. Merge and restart clear it.
+	// change requeues stalled propagations. It may also have left a
+	// reachable site out of a partition view: a poll or announcement
+	// the fault plane lost is, by §5.4, a failed site, until the next
+	// merge. Merge and restart clear it.
 	strandRisk bool
 	nextID     int
-	// groups is the current partition (nil when whole), for reachability
-	// queries by the process plane.
-	groups [][]locus.SiteID
 	// plane is the process-level adversarial plane (nil unless
 	// Config.Procs).
 	plane *procPlane
@@ -188,30 +192,8 @@ type run struct {
 }
 
 // reachable reports whether sites a and b can currently exchange
-// messages, per the harness's own topology model.
-func (r *run) reachable(a, b locus.SiteID) bool {
-	if r.down[a] || r.down[b] {
-		return false
-	}
-	if a == b || r.groups == nil {
-		return true
-	}
-	for _, g := range r.groups {
-		ina, inb := false, false
-		for _, s := range g {
-			if s == a {
-				ina = true
-			}
-			if s == b {
-				inb = true
-			}
-		}
-		if ina || inb {
-			return ina && inb
-		}
-	}
-	return false
-}
+// messages.
+func (r *run) reachable(a, b locus.SiteID) bool { return r.c.Network().Connected(a, b) }
 
 // disturbed reports whether the cluster is currently in a state where a
 // successful operation can still race a conflicting update elsewhere:
@@ -221,7 +203,7 @@ func (r *run) reachable(a, b locus.SiteID) bool {
 // propagation past the retry budget, leaving a window a later
 // partition merge turns into a name conflict, so it counts too.)
 func (r *run) disturbed() bool {
-	return r.parted || len(r.down) > 0 || r.faulted
+	return r.parted || len(r.downSites()) > 0 || r.faulted
 }
 
 // Run executes one seeded chaos schedule and returns its result. The
@@ -247,7 +229,6 @@ func Run(cfg Config) (*Result, error) {
 		files:     make(map[string]*fileState),
 		dirs:      []string{"/"},
 		dirtyDirs: make(map[string]bool),
-		down:      make(map[locus.SiteID]bool),
 	}
 	if cfg.Procs {
 		plane, err := newProcPlane(r)
@@ -264,7 +245,7 @@ func Run(cfg Config) (*Result, error) {
 		// of retrying into a dead network.
 		eng, err := workload.New(c, workload.Config{
 			Seed:    cfg.Seed,
-			Alive:   func(id locus.SiteID) bool { return !r.down[id] },
+			Alive:   r.up,
 			Tenants: workload.DefaultTenants(2, cfg.Steps, 8),
 		})
 		if err != nil {
@@ -293,16 +274,16 @@ func (r *run) violate(format string, args ...any) {
 	r.res.Violations = append(r.res.Violations, fmt.Sprintf(format, args...))
 }
 
+// up reports whether a site is running (not crashed).
+func (r *run) up(id locus.SiteID) bool { return r.c.Network().Up(id) }
+
 // upSites returns the ids of sites currently up, ascending.
 func (r *run) upSites() []locus.SiteID {
-	var out []locus.SiteID
-	for _, id := range r.c.Sites() {
-		if !r.down[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.DeleteFunc(r.c.Sites(), func(id locus.SiteID) bool { return !r.up(id) })
 }
+
+// downSites returns the ids of crashed sites, ascending.
+func (r *run) downSites() []locus.SiteID { return slices.DeleteFunc(r.c.Sites(), r.up) }
 
 // step runs one schedule step: usually a workload op, sometimes a
 // topology or fault event.
@@ -358,8 +339,8 @@ func (r *run) eventPartition() {
 	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 	r.c.Partition(a, b)
 	r.parted = true
-	r.groups = [][]locus.SiteID{a, b}
 	r.log("partition %v | %v", a, b)
+	r.checkViews("the partition")
 	if r.plane != nil {
 		r.plane.afterFailure()
 	}
@@ -375,9 +356,9 @@ func (r *run) eventMerge() {
 	// Merge restarts nothing, but HealAll reconnects only up sites;
 	// crashed sites stay down.
 	r.parted = false
-	r.groups = nil
 	r.strandRisk = r.faulted
 	r.log("merge (conflicts=%d, propagated=%d, err=%v)", rep.ConflictsReported, rep.Propagated, err)
+	r.checkViews("the merge")
 	r.resolveConflicts()
 }
 
@@ -390,10 +371,12 @@ func (r *run) eventCrash() {
 	}
 	id := up[r.rng.Intn(len(up))]
 	r.c.Crash(id)
-	r.down[id] = true
-	// A crash severs the victim from everyone; from the survivors' view
-	// the network now has one active partition again.
+	// A crash severs the victim from everyone; only the survivors of
+	// its own partition run the partition protocol.
 	r.log("crash site %d", id)
+	if r.checkViews("the crash") && r.parted {
+		r.res.PartitionedCrashChecks++
+	}
 	if r.plane != nil {
 		r.plane.afterFailure()
 	}
@@ -402,23 +385,16 @@ func (r *run) eventCrash() {
 // eventRestart brings a random crashed site back (which also heals any
 // partition, since Restart runs the full merge protocol).
 func (r *run) eventRestart() {
-	var downs []locus.SiteID
-	for id, d := range r.down {
-		if d {
-			downs = append(downs, id)
-		}
-	}
+	downs := r.downSites()
 	if len(downs) == 0 {
 		return
 	}
-	sort.Slice(downs, func(i, j int) bool { return downs[i] < downs[j] })
 	id := downs[r.rng.Intn(len(downs))]
 	rep, err := r.c.Restart(id)
-	delete(r.down, id)
 	r.parted = false
-	r.groups = nil
 	r.strandRisk = r.faulted
 	r.log("restart site %d (conflicts=%d, err=%v)", id, rep.ConflictsReported, err)
+	r.checkViews("the restart")
 	if r.plane != nil {
 		r.plane.onRestart(id)
 	}
@@ -582,6 +558,25 @@ func (r *run) resolveConflicts() {
 	}
 }
 
+// checkViews asserts that a topology event left every up site's kernel
+// and topology manager holding the same partition: the up sites it can
+// reach. It reads local state only, so it draws nothing from the
+// schedule and sends nothing. It holds no claim while strandRisk is
+// set, and reports whether it checked.
+func (r *run) checkViews(event string) bool {
+	if r.strandRisk {
+		return false
+	}
+	for _, s := range r.upSites() {
+		reach := slices.DeleteFunc(r.c.Sites(), func(x locus.SiteID) bool { return !r.reachable(s, x) })
+		site := r.c.Site(s)
+		if fsView, topoView := site.FS.Partition(), site.Topo.Partition(); !slices.Equal(fsView, reach) || !slices.Equal(topoView, reach) {
+			r.violate("after %s: site %d's kernel view is %v and its topology view %v, but it reaches %v", event, s, fsView, topoView, reach)
+		}
+	}
+	return true
+}
+
 // heal ends the run: faults off, every site up, partitions merged,
 // conflicts resolved, propagation settled.
 func (r *run) heal() {
@@ -590,29 +585,22 @@ func (r *run) heal() {
 		r.faulted = false
 		r.log("faults off (final heal)")
 	}
-	var downs []locus.SiteID
-	for id, d := range r.down {
-		if d {
-			downs = append(downs, id)
-		}
-	}
-	sort.Slice(downs, func(i, j int) bool { return downs[i] < downs[j] })
-	for _, id := range downs {
+	for _, id := range r.downSites() {
 		rep, err := r.c.Restart(id)
-		delete(r.down, id)
 		r.log("final restart site %d (conflicts=%d, err=%v)", id, rep.ConflictsReported, err)
+		r.checkViews("the final restart")
 		if r.plane != nil {
 			r.plane.onRestart(id)
 		}
 	}
 	rep, err := r.c.Merge()
 	r.parted = false
-	r.groups = nil
 	r.strandRisk = r.faulted
 	r.log("final merge (conflicts=%d, propagated=%d, err=%v)", rep.ConflictsReported, rep.Propagated, err)
 	if err != nil {
 		r.violate("final merge failed: %v", err)
 	}
+	r.checkViews("the final merge")
 	r.resolveConflicts()
 	if r.plane != nil {
 		r.plane.finish()

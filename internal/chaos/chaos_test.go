@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +18,18 @@ import (
 // chosen to exercise all event kinds: each schedule includes
 // partitions, merges, crashes, restarts, and fault bursts.
 var chaosSeeds = []uint64{1, 7, 11}
+
+// crashWhilePartitionedSeed also runs in TestChaosSeeds: its schedule
+// crashes a site while the network is partitioned and no fault burst
+// has disturbed the views, so the membership check after the crash
+// covers a partition the crash did not touch.
+const crashWhilePartitionedSeed = 9
+
+// procHangSeed also runs in TestChaosProcSeeds: while a crash or a
+// partition could skip a site's §5.6 cleanup, its schedule left a pipe
+// reader parked at a server that never learned the reader's site was
+// gone, and the run hung.
+const procHangSeed = 3
 
 // Replay flags: TestChaosExtraSeed rebuilds a Config from these, so
 // Result.ReplayCommand round-trips any failing run into one
@@ -55,7 +68,7 @@ func reportFailure(t *testing.T, what string, res *Result) {
 // on, every randomized fault schedule must end with all invariants
 // intact. A failure prints the seed and the full schedule replay log.
 func TestChaosSeeds(t *testing.T) {
-	for _, seed := range chaosSeeds {
+	for _, seed := range append(slices.Clip(chaosSeeds), crashWhilePartitionedSeed) {
 		seed := seed
 		t.Run(fmtSeed(seed), func(t *testing.T) {
 			t.Parallel()
@@ -69,6 +82,9 @@ func TestChaosSeeds(t *testing.T) {
 			if res.Stats.MsgsDropped == 0 && res.Stats.MsgsDuped == 0 && res.Stats.MsgsDelayed == 0 {
 				t.Errorf("seed %d injected no faults (dropped=%d duped=%d delayed=%d); schedule never exercised the fault plane",
 					seed, res.Stats.MsgsDropped, res.Stats.MsgsDuped, res.Stats.MsgsDelayed)
+			}
+			if seed == crashWhilePartitionedSeed && res.PartitionedCrashChecks == 0 {
+				t.Errorf("seed %d no longer crashes a site while partitioned with the views checked", seed)
 			}
 		})
 	}
@@ -152,7 +168,7 @@ func TestChaosProcSeeds(t *testing.T) {
 			t.Errorf("no seed of %v probed a pipe reader after its writer's site was lost", chaosSeeds)
 		}
 	})
-	for _, seed := range chaosSeeds {
+	for _, seed := range append(slices.Clip(chaosSeeds), procHangSeed) {
 		seed := seed
 		t.Run(fmtSeed(seed), func(t *testing.T) {
 			t.Parallel()

@@ -288,7 +288,7 @@ func (p *procPlane) opMigrate() {
 	r := p.r
 	var cands []*procRec
 	for _, rec := range p.procs {
-		if rec.alive && !rec.unsure && !rec.termSent && rec.host == rec.pid.Site && !r.down[rec.pid.Site] {
+		if rec.alive && !rec.unsure && !rec.termSent && rec.host == rec.pid.Site && r.up(rec.pid.Site) {
 			cands = append(cands, rec)
 		}
 	}
@@ -347,7 +347,7 @@ func (p *procPlane) opPipe() {
 		}
 	}
 	if len(live) == 0 {
-		if !r.parted && len(r.down) == 0 {
+		if !r.parted && len(r.downSites()) == 0 {
 			if pr := p.pipeCreate(); pr != nil {
 				p.pipeWrite(pr)
 				p.pipeRead(pr)
@@ -427,7 +427,7 @@ func (p *procPlane) pipeWrite(pr *pipeRec) {
 		pr.wrote = append(pr.wrote, data...)
 		return
 	}
-	healthy := r.reachable(pr.wSite, pr.server) && !r.down[pr.rSite]
+	healthy := r.reachable(pr.wSite, pr.server) && r.up(pr.rSite)
 	if healthy && !r.faulted {
 		r.violate("pipe write %s failed on a clean network: %v", pr.path, err)
 	}
@@ -643,7 +643,7 @@ func (p *procPlane) afterFailure() {
 		if !rec.alive && !rec.unsure {
 			continue
 		}
-		if r.down[rec.host] || r.down[rec.pid.Site] {
+		if !r.up(rec.host) || !r.up(rec.pid.Site) {
 			// The executing site (or the name authority whose loss kills
 			// the migrant) is gone.
 			rec.alive = false
@@ -697,14 +697,14 @@ func (p *procPlane) probeRunToLost() {
 // severed one of its three sites.
 func (p *procPlane) probePipe(pr *pipeRec) {
 	r := p.r
-	wLost := !r.reachable(pr.wSite, pr.server) || r.down[pr.wSite]
-	rLost := !r.reachable(pr.rSite, pr.server) || r.down[pr.rSite]
+	wLost := !r.reachable(pr.wSite, pr.server) || !r.up(pr.wSite)
+	rLost := !r.reachable(pr.rSite, pr.server) || !r.up(pr.rSite)
 	if !wLost && !rLost {
 		return
 	}
 	pr.dead = true
 	switch {
-	case wLost && !r.down[pr.wSite]:
+	case wLost && r.up(pr.wSite):
 		// The buffer's site is gone from the writer's view: the next
 		// write must fail typed, not hang.
 		err := pr.w.Write([]byte("probe"))

@@ -1,19 +1,25 @@
 // Package cluster assembles a complete simulated LOCUS network: the
-// netsim substrate, one filesystem kernel per site, formatting, and
-// convenience controls for partitioning, crashing, and settling
-// background propagation. It is the only place a cluster is built:
-// locus.NewCluster layers the process, transaction, reconciliation and
-// topology managers on the kernels it returns, and every integration
-// test, example and benchmark goes through one of the two.
+// netsim substrate and, at every site, the filesystem kernel with the
+// process, transaction, reconciliation and topology layers attached;
+// the root is formatted. It is the only place a cluster is built and
+// the only place its membership changes: Partition, Heal, Merge, Crash
+// and Restart run the reconfiguration protocols of §5.4–5.5, whose
+// callback runs the §5.6 cleanup in every layer. locus is a facade
+// over it, and every integration test, example and benchmark goes
+// through one of the two.
 package cluster
 
 import (
-	"fmt"
+	"errors"
 	"sort"
 
 	"repro/internal/fs"
 	"repro/internal/netsim"
+	"repro/internal/proc"
+	"repro/internal/recon"
 	"repro/internal/storage"
+	"repro/internal/topology"
+	"repro/internal/txn"
 )
 
 // SiteID re-exports the site identifier type.
@@ -21,10 +27,32 @@ type SiteID = fs.SiteID
 
 // Cluster is a running simulated LOCUS network.
 type Cluster struct {
-	Net     *netsim.Network
-	Kernels map[SiteID]*fs.Kernel
-	Cfg     *fs.Config
-	sites   []SiteID // ascending
+	Net   *netsim.Network
+	Cfg   *fs.Config
+	site  map[SiteID]*Site
+	sites []SiteID // ascending
+}
+
+// Site is one machine running the LOCUS kernel stack.
+type Site struct {
+	// FS is the distributed filesystem kernel.
+	FS *fs.Kernel
+	// Proc is the process manager.
+	Proc *proc.Manager
+	// Txn is the nested-transaction manager.
+	Txn *txn.Manager
+	// Recon reconciles copies after a merge.
+	Recon *recon.Reconciler
+	// Topo runs the reconfiguration protocols.
+	Topo *topology.Manager
+}
+
+// SiteSpec describes one site.
+type SiteSpec struct {
+	ID SiteID
+	// MachineType names the CPU type for heterogeneous-load-module
+	// resolution (defaults to "vax").
+	MachineType string
 }
 
 // Options configures cluster construction.
@@ -32,7 +60,7 @@ type Options struct {
 	// Sites lists the sites to boot, in boot order; a site need not
 	// hold a pack (a pure using site). Empty means every pack site, in
 	// configuration order.
-	Sites []SiteID
+	Sites []SiteSpec
 }
 
 // Packs lays out one pack per site, in order, each with a 1e6-wide
@@ -65,8 +93,10 @@ func SimpleConfig(nSites int) *fs.Config {
 	return cfg
 }
 
-// New builds and formats a cluster from a configuration; the first
-// pack of each filegroup formats the root.
+// New builds and formats a cluster from a configuration (the first
+// pack of each filegroup formats the root), then attaches the process,
+// transaction, reconciliation and topology layers to every site, in
+// boot order.
 func New(cfg *fs.Config, opts Options) (*Cluster, error) {
 	costs := netsim.DefaultCosts()
 	boot := opts.Sites
@@ -76,14 +106,16 @@ func New(cfg *fs.Config, opts Options) (*Cluster, error) {
 			for _, p := range d.Packs {
 				if !seen[p.Site] {
 					seen[p.Site] = true
-					boot = append(boot, p.Site)
+					boot = append(boot, SiteSpec{ID: p.Site})
 				}
 			}
 		}
 	}
 	nw := netsim.New(costs)
-	cl := &Cluster{Net: nw, Kernels: make(map[SiteID]*fs.Kernel), Cfg: cfg}
-	for _, s := range boot {
+	cl := &Cluster{Net: nw, Cfg: cfg, site: make(map[SiteID]*Site)}
+	kernels := make(map[SiteID]*fs.Kernel)
+	for _, spec := range boot {
+		s := spec.ID
 		node := nw.AddSite(s)
 		k, err := fs.BootSite(node, cfg, nw.Meter(), storage.Costs{
 			DiskUs:  costs.DiskUs,
@@ -93,15 +125,45 @@ func New(cfg *fs.Config, opts Options) (*Cluster, error) {
 			nw.Close()
 			return nil, err
 		}
-		cl.Kernels[s] = k
+		kernels[s] = k
 		cl.sites = append(cl.sites, s)
 	}
 	sort.Slice(cl.sites, func(i, j int) bool { return cl.sites[i] < cl.sites[j] })
-	if err := fs.Format(cl.Kernels, cfg); err != nil {
+	if err := fs.Format(kernels, cfg); err != nil {
 		nw.Close()
 		return nil, err
 	}
+	for _, spec := range boot {
+		cl.site[spec.ID] = attach(kernels[spec.ID], spec.MachineType, cl.sites)
+	}
 	return cl, nil
+}
+
+// attach boots the layers above a site's kernel.
+func attach(k *fs.Kernel, machineType string, all []SiteID) *Site {
+	if machineType == "" {
+		machineType = "vax"
+	}
+	node := k.Node()
+	site := &Site{
+		FS:    k,
+		Proc:  proc.NewManager(node, k, machineType),
+		Txn:   txn.NewManager(k),
+		Recon: recon.New(k),
+		Topo:  topology.New(node, all),
+	}
+	// A membership change runs the §5.6 cleanup procedure in every
+	// kernel layer and requeues the propagations it stalled.
+	site.Topo.OnChange(func(p []SiteID) {
+		site.FS.CleanupAfterPartitionChange(p)
+		site.Proc.CleanupAfterPartitionChange(p)
+		site.Txn.CleanupAfterPartitionChange(p)
+		site.FS.RequeueStalledPropagations()
+	})
+	// A crash additionally discards the volatile transaction tables
+	// (proc registers its own crash hook in NewManager).
+	node.OnCrash(site.Txn.CrashLocal)
+	return site
 }
 
 // MustNew is New, panicking on error (test/bench setup).
@@ -120,7 +182,10 @@ func Simple(n int) *Cluster { return MustNew(SimpleConfig(n), Options{}) }
 func (c *Cluster) Close() { c.Net.Close() }
 
 // K returns the kernel for a site.
-func (c *Cluster) K(s SiteID) *fs.Kernel { return c.Kernels[s] }
+func (c *Cluster) K(s SiteID) *fs.Kernel { return c.site[s].FS }
+
+// Site returns a site's stack (nil if unknown).
+func (c *Cluster) Site(s SiteID) *Site { return c.site[s] }
 
 // Sites returns all site ids in ascending order.
 func (c *Cluster) Sites() []SiteID { return append([]SiteID(nil), c.sites...) }
@@ -140,7 +205,7 @@ func (c *Cluster) UpSites() []SiteID {
 // ascending site order (switching leases off sends).
 func (c *Cluster) SetFeatures(f fs.Features) {
 	for _, s := range c.sites {
-		c.Kernels[s].SetFeatures(f)
+		c.site[s].FS.SetFeatures(f)
 	}
 }
 
@@ -151,7 +216,7 @@ func (c *Cluster) SetFeatures(f fs.Features) {
 func (c *Cluster) Fsck(converged bool) []fs.FsckFinding {
 	kernels := make([]*fs.Kernel, len(c.sites))
 	for i, s := range c.sites {
-		kernels[i] = c.Kernels[s]
+		kernels[i] = c.site[s].FS
 	}
 	return fs.FsckCluster(kernels, fs.FsckOptions{Converged: converged})
 }
@@ -166,14 +231,14 @@ func (c *Cluster) Settle() int {
 		c.Net.Quiesce()
 		n := 0
 		for _, s := range c.sites {
-			n += c.Kernels[s].DrainPropagation()
+			n += c.site[s].FS.DrainPropagation()
 		}
 		total += n
 		if n == 0 {
 			c.Net.Quiesce()
 			pending := 0
 			for _, s := range c.sites {
-				pending += c.Kernels[s].PendingPropagations()
+				pending += c.site[s].FS.PendingPropagations()
 			}
 			if pending == 0 {
 				return total
@@ -183,52 +248,80 @@ func (c *Cluster) Settle() int {
 	return total
 }
 
-// Partition splits the network into groups and installs the matching
-// partition view in every kernel (what the reconfiguration protocols of
-// internal/topology do automatically; tests drive it directly for
-// determinism).
+// Partition severs the network into groups, each a fully connected
+// clique (a site in no group is isolated, a group of its own), and runs
+// the partition protocol (§5.4) in every clique from its lowest up
+// member; the new membership reaches every layer of each member through
+// its topology callback.
 func (c *Cluster) Partition(groups ...[]SiteID) {
 	c.Net.PartitionGroups(groups...)
-	for _, g := range groups {
-		for _, s := range g {
-			if k := c.Kernels[s]; k != nil {
-				k.CleanupAfterPartitionChange(g)
-			}
+	c.runPartitions()
+}
+
+// runPartitions runs the partition protocol once in every clique of up
+// sites, from the clique's lowest member.
+func (c *Cluster) runPartitions() {
+	done := make(map[SiteID]bool)
+	for _, s := range c.UpSites() {
+		if done[s] {
+			continue
 		}
+		for _, x := range c.sites {
+			done[x] = done[x] || c.Net.Connected(s, x)
+		}
+		c.site[s].Topo.RunPartitionProtocol()
 	}
 }
 
-// Heal restores full connectivity and installs the full-membership view
-// everywhere. Reconciliation (internal/recon) must run afterwards to
-// merge divergent copies; stalled propagations are requeued.
-func (c *Cluster) Heal() {
+// Heal restores every link and runs the merge protocol (§5.5) from the
+// lowest up site. It does not reconcile: Merge does.
+func (c *Cluster) Heal() error {
 	c.Net.HealAll()
 	up := c.UpSites()
-	for _, s := range up {
-		k := c.Kernels[s]
-		k.CleanupAfterPartitionChange(up)
-		k.RequeueStalledPropagations()
+	if len(up) == 0 {
+		return errors.New("cluster: no site up")
 	}
+	_, err := c.site[up[0]].Topo.RunMergeProtocol()
+	return err
 }
 
-// Crash takes a site down; surviving kernels get the shrunken view.
+// Merge heals the network, settles propagation, and runs two
+// reconciliation passes at every up site (each file is merged once, by
+// its lowest storing site; the second pass reaches the files a
+// directory merge exposed), settling after each. It returns the
+// combined reconciliation report.
+func (c *Cluster) Merge() (recon.Report, error) {
+	var rep recon.Report
+	if err := c.Heal(); err != nil {
+		return rep, err
+	}
+	c.Settle()
+	up := c.UpSites()
+	for pass := 0; pass < 2; pass++ {
+		for _, s := range up {
+			r, err := c.site[s].Recon.ReconcileAll()
+			rep = rep.Add(r)
+			if err != nil {
+				return rep, err
+			}
+		}
+		c.Settle()
+	}
+	return rep, nil
+}
+
+// Crash takes a site down abruptly (volatile state lost, disk kept)
+// and runs the partition protocol in every clique of survivors, as
+// Partition does: the victim's own clique drops it, and a site a fault
+// already crashed is announced to its survivors the same way.
 func (c *Cluster) Crash(s SiteID) {
 	c.Net.Crash(s)
-	up := c.UpSites()
-	for _, x := range up {
-		c.Kernels[x].CleanupAfterPartitionChange(up)
-	}
+	c.runPartitions()
 }
 
-// Restart brings a crashed site back and rejoins it to the full
-// partition (in-core state at the site was lost with the crash; its
-// disk survived).
-func (c *Cluster) Restart(s SiteID) {
+// Restart brings a crashed site back (its in-core state was lost with
+// the crash; its disk survived) and merges it in.
+func (c *Cluster) Restart(s SiteID) (recon.Report, error) {
 	c.Net.Restart(s)
-	c.Heal()
-}
-
-// String describes the cluster briefly.
-func (c *Cluster) String() string {
-	return fmt.Sprintf("cluster{%d sites, %d filegroups}", len(c.sites), len(c.Cfg.Filegroups))
+	return c.Merge()
 }

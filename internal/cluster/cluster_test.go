@@ -53,7 +53,9 @@ func TestClusterLifecycle(t *testing.T) {
 	if got := c.K(3).Partition(); len(got) != 1 {
 		t.Fatalf("site 3 view: %v", got)
 	}
-	c.Heal()
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	c.Settle()
 	g, err := c.K(3).Open(fs.DefaultCred("u"), "/x", fs.ModeRead)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fs"
 	"repro/internal/netsim"
-	"repro/internal/recon"
 	"repro/internal/storage"
 )
 
@@ -245,14 +244,9 @@ func TestDeleteNotificationCut(t *testing.T) {
 				c.Crash(cu.to) // the survivors learn of it
 				c.Net.Restart(cu.to)
 			}
-			c.Heal()
-			c.Settle()
-			for _, s := range c.Sites() {
-				if _, err := recon.New(c.K(s)).ReconcileAll(); err != nil {
-					t.Fatalf("reconcile at site %d: %v", s, err)
-				}
+			if _, err := c.Merge(); err != nil {
+				t.Fatal(err)
 			}
-			c.Settle()
 			c.K(1).CollectGarbage()
 			c.Settle()
 			noTasks(t, c)
@@ -299,7 +293,9 @@ func TestDeleteNoteOnConcurrentCopyMarksConflict(t *testing.T) {
 		if err := c.K(2).Unlink(cred(), "/f"); err != nil {
 			t.Fatal(err)
 		}
-		c.Heal()
+		if err := c.Heal(); err != nil {
+			t.Fatal(err)
+		}
 		settle(t, c)
 		modified, tomb := inodeAt(c, 3, r.ID), inodeAt(c, 2, r.ID)
 
@@ -323,7 +319,7 @@ func TestDeleteNoteOnConcurrentCopyMarksConflict(t *testing.T) {
 		}
 
 		for _, s := range c.Sites() {
-			if _, err := recon.New(c.K(s)).ReconcileAll(); err != nil {
+			if _, err := c.Site(s).Recon.ReconcileAll(); err != nil {
 				t.Fatalf("reconcile at site %d: %v", s, err)
 			}
 		}

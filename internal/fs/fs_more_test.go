@@ -345,7 +345,9 @@ func TestGCDeferredWhileSiteUnreachable(t *testing.T) {
 	if n := c.K(1).CollectGarbage(); n != 0 {
 		t.Fatalf("gc reclaimed %d with a pack unreachable, want 0", n)
 	}
-	c.Heal()
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	settle(t, c)
 	// The first GC pass after heal discovers site 3's stale live copy
 	// and schedules the tombstone pull; after it lands, collection

@@ -23,7 +23,11 @@ func newCluster(t *testing.T, nSites int) *cluster.Cluster {
 // explicit boot list (it may include sites that hold no pack).
 func newClusterCfg(t testing.TB, cfg *fs.Config, sites ...fs.SiteID) *cluster.Cluster {
 	t.Helper()
-	c, err := cluster.New(cfg, cluster.Options{Sites: sites})
+	var opts cluster.Options
+	for _, s := range sites {
+		opts.Sites = append(opts.Sites, cluster.SiteSpec{ID: s})
+	}
+	c, err := cluster.New(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +563,9 @@ func TestStaleReplicaRefusesToServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(t, c)
-	c.Heal()
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	// Before site 3 pulls, a read from site 3 must be served by a
 	// current site (1 or 2), not its own stale copy.
 	g, err := c.K(3).Open(cred(), "/f", fs.ModeRead)
@@ -772,7 +778,9 @@ func TestCleanupModifyOpenOnSSLoss(t *testing.T) {
 	w.Close() //nolint:errcheck
 
 	// The uncommitted version never becomes visible anywhere.
-	c.Heal()
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	settle(t, c)
 	if got := readFile(t, c.K(3), "/f"); string(got) != "v1" {
 		t.Fatalf("after heal read %q, want v1", got)
@@ -836,7 +844,9 @@ func TestConflictDetectionOnPartitionedUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Heal()
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	settle(t, c)
 
 	// Any open in the merged partition now reports the conflict.
@@ -910,11 +920,9 @@ func TestCrashDuringModifyLeavesCommittedVersion(t *testing.T) {
 	if err := w.WriteAll([]byte("never committed")); err != nil {
 		t.Fatal(err)
 	}
-	c.Net.Crash(2)
-	c.K(1).CleanupAfterPartitionChange([]fs.SiteID{1})
-	c.Net.Restart(2)
-	for _, s := range []fs.SiteID{1, 2} {
-		c.K(s).CleanupAfterPartitionChange([]fs.SiteID{1, 2})
+	c.Crash(2)
+	if _, err := c.Restart(2); err != nil {
+		t.Fatal(err)
 	}
 	if got := readFile(t, c.K(2), "/f"); string(got) != "committed" {
 		t.Fatalf("after crash read %q, want committed", got)

@@ -74,12 +74,10 @@ func TestLeaseHolderCrashDuringRevoke(t *testing.T) {
 		t.Fatalf("CSS still records %d delegates after the revoke round", got)
 	}
 
-	// Heal: restart the crashed site, run the §5.6 cleanup everywhere,
-	// settle propagation.
-	c.Net.Restart(2)
-	all := []fs.SiteID{1, 2, 3, 4}
-	for _, s := range all {
-		c.K(s).CleanupAfterPartitionChange(all)
+	// Heal: restart the crashed site and merge it in (the §5.6 cleanup
+	// runs everywhere), settle propagation.
+	if _, err := c.Restart(2); err != nil {
+		t.Fatal(err)
 	}
 	settle(t, c)
 
@@ -125,9 +123,7 @@ func TestWriterLeaseUnreachableHolderRefusesThenCleanupReclaims(t *testing.T) {
 
 	// The partition protocol observes the change: cleanup reclaims the
 	// writer slot for the lost site and the open proceeds.
-	for _, s := range []fs.SiteID{1, 3, 4} {
-		c.K(s).CleanupAfterPartitionChange([]fs.SiteID{1, 3, 4})
-	}
+	c.Crash(2)
 	w2, err := c.K(4).OpenID(id, fs.ModeModify)
 	if err != nil {
 		t.Fatalf("modify open after cleanup: %v", err)
@@ -138,10 +134,8 @@ func TestWriterLeaseUnreachableHolderRefusesThenCleanupReclaims(t *testing.T) {
 
 	// Heal. The restarted site lost its lease table with the rest of
 	// its volatile state; nothing may be stranded.
-	c.Net.Restart(2)
-	all := []fs.SiteID{1, 2, 3, 4}
-	for _, s := range all {
-		c.K(s).CleanupAfterPartitionChange(all)
+	if _, err := c.Restart(2); err != nil {
+		t.Fatal(err)
 	}
 	settle(t, c)
 	if findings := c.Fsck(true); len(findings) != 0 {
@@ -184,7 +178,9 @@ func TestPartitionMergeDiscardsLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.Heal()
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	settle(t, c)
 	if got := readFile(t, c.K(2), "/pin"); !bytes.Equal(got, bytes.Repeat([]byte{'z'}, storage.PageSize)) {
 		t.Fatalf("post-merge read at the partitioned site did not see the new version")
@@ -242,7 +238,9 @@ func TestPartitionChangeUnderOpenLeasedWriter(t *testing.T) {
 	// Site 4 missed the commit while away and catches up only at
 	// reconciliation, which this test does not run: fsck without the
 	// convergence checks.
-	c.Heal()
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	if got := readFile(t, c.K(4), "/pin"); !bytes.Equal(got, bytes.Repeat([]byte{'w'}, storage.PageSize)) {
 		t.Fatal("post-heal read at site 4 did not see the writer's commit")
 	}
@@ -260,6 +258,8 @@ func TestPartitionChangeUnderOpenLeasedWriter(t *testing.T) {
 func TestRevokeOvertakingGrantDeclinesOnce(t *testing.T) {
 	c, id := leaseCluster(t)
 	openClose(t, c.K(2), id, fs.ModeRead)
+	// No membership call: the crash's cleanup at the CSS would drop the
+	// delegation record this test needs it to keep.
 	c.Net.Crash(2)
 	c.Net.Restart(2)
 	c.K(2).SetPartition(c.Sites())

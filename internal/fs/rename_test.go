@@ -15,7 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fs"
 	"repro/internal/netsim"
-	"repro/internal/recon"
 	"repro/internal/storage"
 )
 
@@ -253,12 +252,8 @@ func TestRenameCutAtEveryExchange(t *testing.T) {
 // then be clean.
 func healAfterCut(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
-	c.Heal()
-	c.Settle()
-	for _, s := range c.Sites() {
-		if _, err := recon.New(c.K(s)).ReconcileAll(); err != nil {
-			t.Fatalf("reconcile at site %d: %v", s, err)
-		}
+	if _, err := c.Merge(); err != nil {
+		t.Fatal(err)
 	}
 	settle(t, c)
 	if findings := c.Fsck(true); len(findings) != 0 {

@@ -36,7 +36,7 @@ func TestRemoteDeviceTransparentAccess(t *testing.T) {
 	h := newHarness(t, 3)
 	// The line printer hangs off site 3.
 	lp := &printer{tape: []byte("status: ready")}
-	h.mgrs[3].RegisterDevice("lp0", lp)
+	h.m(3).RegisterDevice("lp0", lp)
 	if err := h.c.K(1).Mknod(cred(), "/dev-lp", 3, "lp0", 0666); err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,8 @@ func TestRemoteDeviceTransparentAccess(t *testing.T) {
 
 	// A process at site 2 opens and uses it with no knowledge of where
 	// it is (§2.4.2).
-	p2 := h.mgrs[2].InitProcess(cred())
-	dev, err := h.mgrs[2].OpenDevice(p2, "/dev-lp")
+	p2 := h.m(2).InitProcess(cred())
+	dev, err := h.m(2).OpenDevice(p2, "/dev-lp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,8 @@ func TestRemoteDeviceTransparentAccess(t *testing.T) {
 	}
 
 	// Local access uses the same path with zero messages.
-	p3 := h.mgrs[3].InitProcess(cred())
-	devLocal, err := h.mgrs[3].OpenDevice(p3, "/dev-lp")
+	p3 := h.m(3).InitProcess(cred())
+	devLocal, err := h.m(3).OpenDevice(p3, "/dev-lp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestRemoteDeviceTransparentAccess(t *testing.T) {
 
 func TestDeviceErrors(t *testing.T) {
 	h := newHarness(t, 2)
-	p1 := h.mgrs[1].InitProcess(cred())
+	p1 := h.m(1).InitProcess(cred())
 	// Not a device.
 	installModule(t, h.c.K(1), "/file", "x")
-	if _, err := h.mgrs[1].OpenDevice(p1, "/file"); err == nil {
+	if _, err := h.m(1).OpenDevice(p1, "/file"); err == nil {
 		t.Fatal("OpenDevice of a regular file should fail")
 	}
 	// Device with no driver registered at the host.
@@ -94,7 +94,7 @@ func TestDeviceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.c.Settle()
-	dev, err := h.mgrs[1].OpenDevice(p1, "/dev-ghost")
+	dev, err := h.m(1).OpenDevice(p1, "/dev-ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestDeviceErrors(t *testing.T) {
 		t.Fatalf("read from ghost device: %v", err)
 	}
 	// Device at a crashed site.
-	h.mgrs[2].RegisterDevice("real", &printer{})
+	h.m(2).RegisterDevice("real", &printer{})
 	if err := h.c.K(1).Mknod(cred(), "/dev-real", 2, "real", 0666); err != nil {
 		t.Fatal(err)
 	}
 	h.c.Settle()
-	dev2, err := h.mgrs[1].OpenDevice(p1, "/dev-real")
+	dev2, err := h.m(1).OpenDevice(p1, "/dev-real")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 	registerSitter := func(h *harness) {
 		for _, s := range h.c.Sites() {
-			h.mgrs[s].Register("sit", func(ctx *proc.Ctx) int {
+			h.m(s).Register("sit", func(ctx *proc.Ctx) int {
 				<-ctx.Signals()
 				return 0
 			})
@@ -38,9 +38,9 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				h.c.Settle()
 				registerSitter(h)
 				h.c.Crash(2)
-				shell := h.mgrs[1].InitProcess(cred())
+				shell := h.m(1).InitProcess(cred())
 				shell.SetAdvice(2)
-				_, err := h.mgrs[1].Run(shell, "/sit", nil)
+				_, err := h.m(1).Run(shell, "/sit", nil)
 				return err
 			},
 		},
@@ -61,9 +61,9 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 					},
 				})
 				defer h.c.Net.DisableFaults()
-				shell := h.mgrs[1].InitProcess(cred())
+				shell := h.m(1).InitProcess(cred())
 				shell.SetAdvice(2)
-				_, err := h.mgrs[1].Run(shell, "/sit", nil)
+				_, err := h.m(1).Run(shell, "/sit", nil)
 				return err
 			},
 		},
@@ -74,16 +74,14 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				installModule(t, h.c.K(1), "/sit", "sit")
 				h.c.Settle()
 				registerSitter(h)
-				shell := h.mgrs[1].InitProcess(cred())
+				shell := h.m(1).InitProcess(cred())
 				shell.SetAdvice(2)
-				pid, err := h.mgrs[1].Run(shell, "/sit", nil)
+				pid, err := h.m(1).Run(shell, "/sit", nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
-				h.mgrs[1].CleanupAfterPartitionChange([]proc.SiteID{1})
-				h.mgrs[2].CleanupAfterPartitionChange([]proc.SiteID{2})
-				return h.mgrs[1].Signal(pid, proc.SIGTERM)
+				return h.m(1).Signal(pid, proc.SIGTERM)
 			},
 		},
 		{
@@ -93,9 +91,9 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				installModule(t, h.c.K(1), "/sit", "sit")
 				h.c.Settle()
 				registerSitter(h)
-				shell := h.mgrs[1].InitProcess(cred())
+				shell := h.m(1).InitProcess(cred())
 				shell.SetAdvice(2)
-				pid, err := h.mgrs[1].Run(shell, "/sit", nil)
+				pid, err := h.m(1).Run(shell, "/sit", nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,10 +101,8 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				// register-then-recheck in waitRemote is what keeps this
 				// from hanging forever.
 				h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
-				h.mgrs[1].CleanupAfterPartitionChange([]proc.SiteID{1})
-				h.mgrs[2].CleanupAfterPartitionChange([]proc.SiteID{2})
 				stCh := make(chan proc.ExitStatus, 1)
-				go func() { stCh <- h.mgrs[1].Wait(shell, pid) }()
+				go func() { stCh <- h.m(1).Wait(shell, pid) }()
 				select {
 				case st := <-stCh:
 					return st.Err
@@ -128,9 +124,9 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				installModule(t, h.c.K(1), "/sit", "sit")
 				h.c.Settle()
 				registerSitter(h)
-				shell := h.mgrs[1].InitProcess(cred())
+				shell := h.m(1).InitProcess(cred())
 				shell.SetAdvice(2)
-				pid, err := h.mgrs[1].Run(shell, "/sit", nil)
+				pid, err := h.m(1).Run(shell, "/sit", nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,7 +135,7 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				// Site 1 is back and can reach the child's site, but the
 				// stale shell is a corpse from before the crash.
 				stCh := make(chan proc.ExitStatus, 1)
-				go func() { stCh <- h.mgrs[1].Wait(shell, pid) }()
+				go func() { stCh <- h.m(1).Wait(shell, pid) }()
 				select {
 				case st := <-stCh:
 					return st.Err
@@ -156,19 +152,19 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				installModule(t, h.c.K(1), "/sit", "sit")
 				h.c.Settle()
 				registerSitter(h)
-				shell := h.mgrs[1].InitProcess(cred())
-				pid, err := h.mgrs[1].Run(shell, "/sit", nil)
+				shell := h.m(1).InitProcess(cred())
+				pid, err := h.m(1).Run(shell, "/sit", nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, ok := h.mgrs[1].Process(pid.Num)
+				p, ok := h.m(1).Process(pid.Num)
 				if !ok {
 					t.Fatal("no process")
 				}
 				h.c.Crash(3)
-				err = h.mgrs[1].Migrate(p, 3)
+				err = h.m(1).Migrate(p, 3)
 				// The process must keep running at the origin.
-				if sErr := h.mgrs[1].Signal(pid, proc.SIGTERM); sErr != nil {
+				if sErr := h.m(1).Signal(pid, proc.SIGTERM); sErr != nil {
 					t.Fatalf("process gone after failed migrate: %v", sErr)
 				}
 				return err
@@ -189,24 +185,22 @@ func TestSignalQueuedAcrossPartitionReplaysAfterMerge(t *testing.T) {
 	installModule(t, h.c.K(1), "/sit", "sit")
 	h.c.Settle()
 	for _, s := range h.c.Sites() {
-		h.mgrs[s].Register("sit", func(ctx *proc.Ctx) int {
+		h.m(s).Register("sit", func(ctx *proc.Ctx) int {
 			<-ctx.Signals()
 			return 0
 		})
 	}
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	shell.SetAdvice(2)
-	pid, err := h.mgrs[1].Run(shell, "/sit", nil)
+	pid, err := h.m(1).Run(shell, "/sit", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stCh := make(chan proc.ExitStatus, 1)
-	go func() { stCh <- h.mgrs[1].Wait(shell, pid) }()
+	go func() { stCh <- h.m(1).Wait(shell, pid) }()
 	time.Sleep(10 * time.Millisecond)
 
 	h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
-	h.mgrs[1].CleanupAfterPartitionChange([]proc.SiteID{1})
-	h.mgrs[2].CleanupAfterPartitionChange([]proc.SiteID{2})
 	// The wait fails with the partition (§5.6)...
 	select {
 	case st := <-stCh:
@@ -217,22 +211,21 @@ func TestSignalQueuedAcrossPartitionReplaysAfterMerge(t *testing.T) {
 		t.Fatal("wait hung across partition")
 	}
 	// ...and the signal queues at the sender instead of vanishing.
-	if err := h.mgrs[1].Signal(pid, proc.SIGTERM); !errors.Is(err, proc.ErrSiteFailed) {
+	if err := h.m(1).Signal(pid, proc.SIGTERM); !errors.Is(err, proc.ErrSiteFailed) {
 		t.Fatalf("cross-partition signal = %v, want ErrSiteFailed", err)
 	}
-	if n := h.mgrs[1].QueuedSignals(); n != 1 {
+	if n := h.m(1).QueuedSignals(); n != 1 {
 		t.Fatalf("QueuedSignals = %d, want 1", n)
 	}
 
-	h.c.Heal()
-	all := []proc.SiteID{1, 2}
-	h.mgrs[1].CleanupAfterPartitionChange(all)
-	h.mgrs[2].CleanupAfterPartitionChange(all)
-	if n := h.mgrs[1].QueuedSignals(); n != 0 {
+	if err := h.c.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.m(1).QueuedSignals(); n != 0 {
 		t.Fatalf("QueuedSignals after merge = %d, want 0", n)
 	}
 	// The replayed SIGTERM lets the sitter exit.
-	h.mgrs[2].DrainPrograms()
+	h.m(2).DrainPrograms()
 	snap := h.c.Net.Stats()
 	if snap.SignalsQueued != 1 || snap.SignalsReplayed+snap.SignalsExpired != 1 {
 		t.Fatalf("signal counters %+v, want 1 queued and 1 replayed-or-expired", snap)

@@ -16,13 +16,13 @@ func migrateFixture(t *testing.T) (*harness, *proc.Process, proc.PID) {
 	installModule(t, h.c.K(1), "/sit", "sit")
 	h.c.Settle()
 	for _, s := range h.c.Sites() {
-		h.mgrs[s].Register("sit", func(ctx *proc.Ctx) int {
+		h.m(s).Register("sit", func(ctx *proc.Ctx) int {
 			<-ctx.Signals()
 			return 0
 		})
 	}
-	shell := h.mgrs[1].InitProcess(cred())
-	pid, err := h.mgrs[1].Run(shell, "/sit", nil)
+	shell := h.m(1).InitProcess(cred())
+	pid, err := h.m(1).Run(shell, "/sit", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,19 +32,19 @@ func migrateFixture(t *testing.T) (*harness, *proc.Process, proc.PID) {
 func TestMigrateSignalFollowsAndWaitGetsStatus(t *testing.T) {
 	h, shell, pid := migrateFixture(t)
 	stCh := make(chan proc.ExitStatus, 1)
-	go func() { stCh <- h.mgrs[1].Wait(shell, pid) }()
+	go func() { stCh <- h.m(1).Wait(shell, pid) }()
 	time.Sleep(10 * time.Millisecond)
 
-	p, ok := h.mgrs[1].Process(pid.Num)
+	p, ok := h.m(1).Process(pid.Num)
 	if !ok {
 		t.Fatal("no process")
 	}
-	if err := h.mgrs[1].Migrate(p, 2); err != nil {
+	if err := h.m(1).Migrate(p, 2); err != nil {
 		t.Fatal(err)
 	}
 	// The PID is unchanged and the origin forwards: a signal addressed
 	// to the origin reaches the incarnation at site 2.
-	if err := h.mgrs[3].Signal(pid, proc.SIGTERM); err != nil {
+	if err := h.m(3).Signal(pid, proc.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -55,9 +55,9 @@ func TestMigrateSignalFollowsAndWaitGetsStatus(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("wait never saw the migrant's exit")
 	}
-	h.mgrs[1].DrainPrograms()
-	h.mgrs[2].DrainPrograms()
-	if n := len(h.mgrs[2].LivePIDs()); n != 0 {
+	h.m(1).DrainPrograms()
+	h.m(2).DrainPrograms()
+	if n := len(h.m(2).LivePIDs()); n != 0 {
 		t.Fatalf("migrant leaked at host: %d live", n)
 	}
 }
@@ -65,18 +65,14 @@ func TestMigrateSignalFollowsAndWaitGetsStatus(t *testing.T) {
 func TestMigrateHostCrashFailsWaitWithSiteFailed(t *testing.T) {
 	h, shell, pid := migrateFixture(t)
 	stCh := make(chan proc.ExitStatus, 1)
-	go func() { stCh <- h.mgrs[1].Wait(shell, pid) }()
+	go func() { stCh <- h.m(1).Wait(shell, pid) }()
 	time.Sleep(10 * time.Millisecond)
 
-	p, _ := h.mgrs[1].Process(pid.Num)
-	if err := h.mgrs[1].Migrate(p, 2); err != nil {
+	p, _ := h.m(1).Process(pid.Num)
+	if err := h.m(1).Migrate(p, 2); err != nil {
 		t.Fatal(err)
 	}
 	h.c.Crash(2)
-	up := []proc.SiteID{1, 3}
-	for _, s := range up {
-		h.mgrs[s].CleanupAfterPartitionChange(up)
-	}
 	select {
 	case st := <-stCh:
 		if !errors.Is(st.Err, proc.ErrSiteFailed) {
@@ -92,30 +88,26 @@ func TestMigrateOriginCrashKillsMigrant(t *testing.T) {
 	installModule(t, h.c.K(1), "/sit", "sit")
 	h.c.Settle()
 	for _, s := range h.c.Sites() {
-		h.mgrs[s].Register("sit", func(ctx *proc.Ctx) int {
+		h.m(s).Register("sit", func(ctx *proc.Ctx) int {
 			<-ctx.Signals()
 			return 0
 		})
 	}
 	// Origin at site 2, so the shell's site survives.
-	shell2 := h.mgrs[2].InitProcess(cred())
-	pid, err := h.mgrs[2].Run(shell2, "/sit", nil)
+	shell2 := h.m(2).InitProcess(cred())
+	pid, err := h.m(2).Run(shell2, "/sit", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := h.mgrs[2].Process(pid.Num)
-	if err := h.mgrs[2].Migrate(p, 3); err != nil {
+	p, _ := h.m(2).Process(pid.Num)
+	if err := h.m(2).Migrate(p, 3); err != nil {
 		t.Fatal(err)
 	}
 	h.c.Crash(2)
-	up := []proc.SiteID{1, 3}
-	for _, s := range up {
-		h.mgrs[s].CleanupAfterPartitionChange(up)
-	}
 	// Home-site failure kills the migrant: no incarnation may survive
 	// the name authority.
-	h.mgrs[3].DrainPrograms()
-	if n := len(h.mgrs[3].LivePIDs()); n != 0 {
+	h.m(3).DrainPrograms()
+	if n := len(h.m(3).LivePIDs()); n != 0 {
 		t.Fatalf("migrant survived origin crash: %d live", n)
 	}
 }

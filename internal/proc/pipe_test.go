@@ -22,8 +22,8 @@ func pipeFixture(t *testing.T) (*harness, proc.SiteID) {
 		t.Fatal(err)
 	}
 	h.c.Settle()
-	probe := h.mgrs[1].InitProcess(cred())
-	pe, err := h.mgrs[1].OpenPipe(probe, "/fifo", true)
+	probe := h.m(1).InitProcess(cred())
+	pe, err := h.m(1).OpenPipe(probe, "/fifo", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +52,6 @@ func otherSite(t *testing.T, h *harness, not ...proc.SiteID) proc.SiteID {
 	return 0
 }
 
-// procCleanup runs the proc-layer §5.6 cleanup at every surviving site
-// (cluster.Crash only drives the fs kernels; proc tests own their
-// managers).
-func procCleanup(h *harness, up []proc.SiteID) {
-	for _, s := range up {
-		h.mgrs[s].CleanupAfterPartitionChange(up)
-	}
-}
-
 func survivors(h *harness, dead proc.SiteID) []proc.SiteID {
 	var up []proc.SiteID
 	for _, s := range h.c.Sites() {
@@ -75,13 +66,13 @@ func TestPipeWriterSiteCrashDeliversEOF(t *testing.T) {
 	h, server := pipeFixture(t)
 	wsite := otherSite(t, h, server, 1)
 
-	pr := h.mgrs[1].InitProcess(cred())
-	r, err := h.mgrs[1].OpenPipe(pr, "/fifo", false)
+	pr := h.m(1).InitProcess(cred())
+	r, err := h.m(1).OpenPipe(pr, "/fifo", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw := h.mgrs[wsite].InitProcess(cred())
-	w, err := h.mgrs[wsite].OpenPipe(pw, "/fifo", true)
+	pw := h.m(wsite).InitProcess(cred())
+	w, err := h.m(wsite).OpenPipe(pw, "/fifo", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +91,6 @@ func TestPipeWriterSiteCrashDeliversEOF(t *testing.T) {
 	// Let the read block at the server, then kill the writer's site.
 	time.Sleep(10 * time.Millisecond)
 	h.c.Crash(wsite)
-	procCleanup(h, survivors(h, wsite))
 
 	select {
 	case err := <-done:
@@ -116,13 +106,13 @@ func TestPipeReaderSiteCrashBreaksWriter(t *testing.T) {
 	h, server := pipeFixture(t)
 	rsite := otherSite(t, h, server, 1)
 
-	pw := h.mgrs[1].InitProcess(cred())
-	w, err := h.mgrs[1].OpenPipe(pw, "/fifo", true)
+	pw := h.m(1).InitProcess(cred())
+	w, err := h.m(1).OpenPipe(pw, "/fifo", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := h.mgrs[rsite].InitProcess(cred())
-	if _, err := h.mgrs[rsite].OpenPipe(pr, "/fifo", false); err != nil {
+	pr := h.m(rsite).InitProcess(cred())
+	if _, err := h.m(rsite).OpenPipe(pr, "/fifo", false); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Write([]byte("alive")); err != nil {
@@ -130,7 +120,6 @@ func TestPipeReaderSiteCrashBreaksWriter(t *testing.T) {
 	}
 
 	h.c.Crash(rsite)
-	procCleanup(h, survivors(h, rsite))
 
 	if err := w.Write([]byte("dead")); !errors.Is(err, proc.ErrPipeBroken) {
 		t.Fatalf("write after reader-site crash = %v, want ErrPipeBroken", err)
@@ -142,19 +131,18 @@ func TestPipeServerSiteCrashFailsBothEnds(t *testing.T) {
 	wsite := otherSite(t, h, server)
 	rsite := otherSite(t, h, server, wsite)
 
-	pw := h.mgrs[wsite].InitProcess(cred())
-	w, err := h.mgrs[wsite].OpenPipe(pw, "/fifo", true)
+	pw := h.m(wsite).InitProcess(cred())
+	w, err := h.m(wsite).OpenPipe(pw, "/fifo", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := h.mgrs[rsite].InitProcess(cred())
-	r, err := h.mgrs[rsite].OpenPipe(pr, "/fifo", false)
+	pr := h.m(rsite).InitProcess(cred())
+	r, err := h.m(rsite).OpenPipe(pr, "/fifo", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	h.c.Crash(server)
-	procCleanup(h, survivors(h, server))
 
 	if err := w.Write([]byte("x")); !errors.Is(err, proc.ErrSiteFailed) {
 		t.Fatalf("write to crashed server = %v, want ErrSiteFailed", err)
@@ -178,12 +166,12 @@ func parkRemoteReader(t *testing.T) (h *harness, server, rsite proc.SiteID, done
 	t.Helper()
 	h, server = pipeFixture(t)
 	rsite = otherSite(t, h, server)
-	pw := h.mgrs[server].InitProcess(cred())
-	if _, err := h.mgrs[server].OpenPipe(pw, "/fifo", true); err != nil {
+	pw := h.m(server).InitProcess(cred())
+	if _, err := h.m(server).OpenPipe(pw, "/fifo", true); err != nil {
 		t.Fatal(err)
 	}
-	pr := h.mgrs[rsite].InitProcess(cred())
-	r, err := h.mgrs[rsite].OpenPipe(pr, "/fifo", false)
+	pr := h.m(rsite).InitProcess(cred())
+	r, err := h.m(rsite).OpenPipe(pr, "/fifo", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +214,10 @@ func TestPipeServerCrashReleasesParkedRemoteReader(t *testing.T) {
 func TestPipeServerCleanupReleasesPartitionedRemoteReader(t *testing.T) {
 	h, server, rsite, done := parkRemoteReader(t)
 	rest := survivors(h, rsite)
+	// Unit level: the wire is cut and only the server's cleanup runs,
+	// for it alone can release the reader (locus's test above runs the
+	// whole partition protocol).
 	h.c.Net.PartitionGroups([]proc.SiteID{rsite}, rest)
-	h.mgrs[server].CleanupAfterPartitionChange(rest)
+	h.m(server).CleanupAfterPartitionChange(rest)
 	awaitSiteFailed(t, done, "the server's §5.6 cleanup dropped the reader's site")
 }

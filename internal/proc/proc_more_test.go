@@ -17,16 +17,16 @@ func TestRunPassesArguments(t *testing.T) {
 	h := newHarness(t, 1)
 	installModule(t, h.c.K(1), "/argtest", "argtest")
 	got := make(chan []string, 1)
-	h.mgrs[1].Register("argtest", func(ctx *proc.Ctx) int {
+	h.m(1).Register("argtest", func(ctx *proc.Ctx) int {
 		got <- ctx.Args
 		return 0
 	})
-	shell := h.mgrs[1].InitProcess(cred())
-	pid, err := h.mgrs[1].Run(shell, "/argtest", []string{"-v", "target"})
+	shell := h.m(1).InitProcess(cred())
+	pid, err := h.m(1).Run(shell, "/argtest", []string{"-v", "target"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := h.mgrs[1].Wait(shell, pid); st.Code != 0 {
+	if st := h.m(1).Wait(shell, pid); st.Code != 0 {
 		t.Fatalf("status %+v", st)
 	}
 	args := <-got
@@ -38,9 +38,9 @@ func TestRunPassesArguments(t *testing.T) {
 func TestExecRunsInCallingProcess(t *testing.T) {
 	h := newHarness(t, 1)
 	installModule(t, h.c.K(1), "/tool", "tool")
-	h.mgrs[1].Register("tool", func(ctx *proc.Ctx) int { return 42 })
-	shell := h.mgrs[1].InitProcess(cred())
-	code, err := h.mgrs[1].Exec(shell, "/tool", nil)
+	h.m(1).Register("tool", func(ctx *proc.Ctx) int { return 42 })
+	shell := h.m(1).InitProcess(cred())
+	code, err := h.m(1).Exec(shell, "/tool", nil)
 	if err != nil || code != 42 {
 		t.Fatalf("code=%d err=%v", code, err)
 	}
@@ -51,28 +51,28 @@ func TestEnvironmentShipsWithRun(t *testing.T) {
 	installModule(t, h.c.K(1), "/envy", "envy")
 	h.c.Settle()
 	got := make(chan string, 1)
-	h.mgrs[2].Register("envy", func(ctx *proc.Ctx) int {
+	h.m(2).Register("envy", func(ctx *proc.Ctx) int {
 		got <- ctx.Env["TERM"]
 		return 0
 	})
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	// Environment is inherited from the parent process.
-	child, err := h.mgrs[1].Fork(shell, func(ctx *proc.Ctx) int { return 0 })
+	child, err := h.m(1).Fork(shell, func(ctx *proc.Ctx) int { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.mgrs[1].Wait(shell, child.PID())
+	h.m(1).Wait(shell, child.PID())
 	// Run at site 2 with an explicit env via a process created there.
-	p := h.mgrs[1].InitProcess(cred())
+	p := h.m(1).InitProcess(cred())
 	p.SetAdvice(2)
 	_ = p
 	// Simplest: environment flows through runReq from the parent.
 	shell.SetAdvice(2)
-	pid, err := h.mgrs[1].Run(shell, "/envy", nil)
+	pid, err := h.m(1).Run(shell, "/envy", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.mgrs[1].Wait(shell, pid)
+	h.m(1).Wait(shell, pid)
 	select {
 	case v := <-got:
 		_ = v // shell had no env: empty is correct; the channel proves delivery
@@ -83,7 +83,7 @@ func TestEnvironmentShipsWithRun(t *testing.T) {
 
 func TestSignalToUnknownProcess(t *testing.T) {
 	h := newHarness(t, 2)
-	err := h.mgrs[1].Signal(proc.PID{Site: 2, Num: 999}, proc.SIGTERM)
+	err := h.m(1).Signal(proc.PID{Site: 2, Num: 999}, proc.SIGTERM)
 	if !errors.Is(err, proc.ErrNoProcess) {
 		t.Fatalf("err = %v", err)
 	}
@@ -91,8 +91,8 @@ func TestSignalToUnknownProcess(t *testing.T) {
 
 func TestWaitForUnknownLocalChild(t *testing.T) {
 	h := newHarness(t, 1)
-	shell := h.mgrs[1].InitProcess(cred())
-	st := h.mgrs[1].Wait(shell, proc.PID{Site: 1, Num: 12345})
+	shell := h.m(1).InitProcess(cred())
+	st := h.m(1).Wait(shell, proc.PID{Site: 1, Num: 12345})
 	if !errors.Is(st.Err, proc.ErrNoProcess) {
 		t.Fatalf("st = %+v", st)
 	}
@@ -104,15 +104,15 @@ func TestPipeMultipleWritersEOFAfterLastClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.c.Settle()
-	pr := h.mgrs[1].InitProcess(cred())
-	r, err := h.mgrs[1].OpenPipe(pr, "/p", false)
+	pr := h.m(1).InitProcess(cred())
+	r, err := h.m(1).OpenPipe(pr, "/p", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var writers []*proc.PipeEnd
 	for _, s := range []proc.SiteID{2, 3} {
-		p := h.mgrs[s].InitProcess(cred())
-		w, err := h.mgrs[s].OpenPipe(p, "/p", true)
+		p := h.m(s).InitProcess(cred())
+		w, err := h.m(s).OpenPipe(p, "/p", true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,8 +170,8 @@ func TestSharedFDWriteOffsetsInterleave(t *testing.T) {
 	}
 	h.c.Settle()
 
-	p1 := h.mgrs[1].InitProcess(cred())
-	fd1, _, err := h.mgrs[1].OpenShared(p1, "/log", fs.ModeModify)
+	p1 := h.m(1).InitProcess(cred())
+	fd1, _, err := h.m(1).OpenShared(p1, "/log", fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,25 +209,25 @@ func TestManyProcessesAcrossSites(t *testing.T) {
 		n  int
 	}
 	for _, s := range h.c.Sites() {
-		h.mgrs[s].Register("worker", func(*proc.Ctx) int {
+		h.m(s).Register("worker", func(*proc.Ctx) int {
 			counter.mu.Lock()
 			counter.n++
 			counter.mu.Unlock()
 			return 0
 		})
 	}
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	var pids []proc.PID
 	for i := 0; i < 20; i++ {
 		shell.SetAdvice(proc.SiteID(1 + i%4))
-		pid, err := h.mgrs[1].Run(shell, "/worker", nil)
+		pid, err := h.m(1).Run(shell, "/worker", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pids = append(pids, pid)
 	}
 	for _, pid := range pids {
-		if st := h.mgrs[1].Wait(shell, pid); st.Code != 0 || st.Err != nil {
+		if st := h.m(1).Wait(shell, pid); st.Code != 0 || st.Err != nil {
 			t.Fatalf("pid %v: %+v", pid, st)
 		}
 	}

@@ -15,26 +15,28 @@ import (
 )
 
 type harness struct {
-	c    *cluster.Cluster
-	mgrs map[proc.SiteID]*proc.Manager
+	c *cluster.Cluster
 }
 
-// newHarness builds an n-site cluster with process managers; odd sites
-// are "vax", even sites "pdp11".
+// newHarness builds an n-site cluster; odd sites are "vax", even sites
+// "pdp11".
 func newHarness(t *testing.T, n int) *harness {
 	t.Helper()
-	c := cluster.Simple(n)
-	t.Cleanup(c.Close)
-	h := &harness{c: c, mgrs: make(map[proc.SiteID]*proc.Manager)}
-	for _, s := range c.Sites() {
-		mt := "vax"
+	var opts cluster.Options
+	for s := 1; s <= n; s++ {
+		spec := cluster.SiteSpec{ID: proc.SiteID(s), MachineType: "vax"}
 		if s%2 == 0 {
-			mt = "pdp11"
+			spec.MachineType = "pdp11"
 		}
-		h.mgrs[s] = proc.NewManager(c.Net.Node(s), c.K(s), mt)
+		opts.Sites = append(opts.Sites, spec)
 	}
-	return h
+	c := cluster.MustNew(cluster.SimpleConfig(n), opts)
+	t.Cleanup(c.Close)
+	return &harness{c: c}
 }
+
+// m returns a site's process manager.
+func (h *harness) m(s proc.SiteID) *proc.Manager { return h.c.Site(s).Proc }
 
 func cred() *fs.Cred { return fs.DefaultCred("tester") }
 
@@ -60,7 +62,7 @@ func TestRunLocalAndRemote(t *testing.T) {
 
 	for _, s := range h.c.Sites() {
 		s := s
-		h.mgrs[s].Register("echo", func(ctx *proc.Ctx) int {
+		h.m(s).Register("echo", func(ctx *proc.Ctx) int {
 			// Record where we executed by writing a file via the
 			// transparent filesystem.
 			f, err := ctx.K().Create(ctx.Cred(), fmt.Sprintf("/ran-at-%d", s), storage.TypeRegular, 0644)
@@ -73,16 +75,16 @@ func TestRunLocalAndRemote(t *testing.T) {
 		})
 	}
 
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	// Local run.
-	pid, err := h.mgrs[1].Run(shell, "/bin-echo", nil)
+	pid, err := h.m(1).Run(shell, "/bin-echo", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pid.Site != 1 {
 		t.Fatalf("local run executed at site %d", pid.Site)
 	}
-	st := h.mgrs[1].Wait(shell, pid)
+	st := h.m(1).Wait(shell, pid)
 	if st.Code != 0 || st.Err != nil {
 		t.Fatalf("status %+v", st)
 	}
@@ -90,14 +92,14 @@ func TestRunLocalAndRemote(t *testing.T) {
 	// Remote run via the advice list: "one can dynamically, even just
 	// before process invocation, select the execution site" (§3.1).
 	shell.SetAdvice(3)
-	pid, err = h.mgrs[1].Run(shell, "/bin-echo", nil)
+	pid, err = h.m(1).Run(shell, "/bin-echo", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pid.Site != 3 {
 		t.Fatalf("remote run executed at site %d, want 3", pid.Site)
 	}
-	st = h.mgrs[1].Wait(shell, pid)
+	st = h.m(1).Wait(shell, pid)
 	if st.Code != 0 {
 		t.Fatalf("remote status %+v", st)
 	}
@@ -123,17 +125,17 @@ func TestHeterogeneousExecViaHiddenDirectory(t *testing.T) {
 	h.c.Settle()
 
 	ran := make(chan string, 2)
-	h.mgrs[1].Register("who-vax", func(*proc.Ctx) int { ran <- "vax"; return 0 })
-	h.mgrs[2].Register("who-pdp11", func(*proc.Ctx) int { ran <- "pdp11"; return 0 })
+	h.m(1).Register("who-vax", func(*proc.Ctx) int { ran <- "vax"; return 0 })
+	h.m(2).Register("who-pdp11", func(*proc.Ctx) int { ran <- "pdp11"; return 0 })
 
 	// The same command name, typed on either machine.
 	for _, s := range []proc.SiteID{1, 2} {
-		shell := h.mgrs[s].InitProcess(fs.DefaultCred("u"))
-		pid, err := h.mgrs[s].Run(shell, "/bin/who", nil)
+		shell := h.m(s).InitProcess(fs.DefaultCred("u"))
+		pid, err := h.m(s).Run(shell, "/bin/who", nil)
 		if err != nil {
 			t.Fatalf("site %d: %v", s, err)
 		}
-		st := h.mgrs[s].Wait(shell, pid)
+		st := h.m(s).Wait(shell, pid)
 		if st.Code != 0 {
 			t.Fatalf("site %d status %+v", s, st)
 		}
@@ -148,11 +150,11 @@ func TestRunRemoteWithWrongMachineTypeFails(t *testing.T) {
 	h := newHarness(t, 2)
 	installModule(t, h.c.K(1), "/vaxonly", "vax-prog")
 	h.c.Settle()
-	h.mgrs[1].Register("vax-prog", func(*proc.Ctx) int { return 0 })
+	h.m(1).Register("vax-prog", func(*proc.Ctx) int { return 0 })
 	// Not registered at site 2 (pdp11).
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	shell.SetAdvice(2)
-	if _, err := h.mgrs[1].Run(shell, "/vaxonly", nil); !errors.Is(err, proc.ErrNoProgram) {
+	if _, err := h.m(1).Run(shell, "/vaxonly", nil); !errors.Is(err, proc.ErrNoProgram) {
 		t.Fatalf("err = %v, want ErrNoProgram", err)
 	}
 }
@@ -171,7 +173,7 @@ func TestForkSharesDescriptors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := h.mgrs[1]
+	m := h.m(1)
 	parent := m.InitProcess(cred())
 	fd, _, err := m.OpenShared(parent, "/shared", fs.ModeRead)
 	if err != nil {
@@ -232,14 +234,14 @@ func TestCrossSiteSharedOffsetToken(t *testing.T) {
 	}
 	h.c.Settle()
 
-	p1 := h.mgrs[1].InitProcess(cred())
-	p2 := h.mgrs[2].InitProcess(cred())
-	fd1, _, err := h.mgrs[1].OpenShared(p1, "/log", fs.ModeRead)
+	p1 := h.m(1).InitProcess(cred())
+	p2 := h.m(2).InitProcess(cred())
+	fd1, _, err := h.m(1).OpenShared(p1, "/log", fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	home, id := fd1.HomeID()
-	fd2, _, err := h.mgrs[2].AttachShared(p2, home, id, "/log", fs.ModeRead)
+	fd2, _, err := h.m(2).AttachShared(p2, home, id, "/log", fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,7 @@ func TestSignalsAcrossNetwork(t *testing.T) {
 	installModule(t, h.c.K(1), "/waiter", "waiter")
 	h.c.Settle()
 	got := make(chan proc.Signal, 1)
-	h.mgrs[2].Register("waiter", func(ctx *proc.Ctx) int {
+	h.m(2).Register("waiter", func(ctx *proc.Ctx) int {
 		select {
 		case s := <-ctx.Signals():
 			got <- s
@@ -279,16 +281,16 @@ func TestSignalsAcrossNetwork(t *testing.T) {
 			return 1
 		}
 	})
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	shell.SetAdvice(2)
-	pid, err := h.mgrs[1].Run(shell, "/waiter", nil)
+	pid, err := h.m(1).Run(shell, "/waiter", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.mgrs[1].Signal(pid, proc.SIGUSR1); err != nil {
+	if err := h.m(1).Signal(pid, proc.SIGUSR1); err != nil {
 		t.Fatal(err)
 	}
-	st := h.mgrs[1].Wait(shell, pid)
+	st := h.m(1).Wait(shell, pid)
 	if st.Code != 0 {
 		t.Fatalf("status %+v", st)
 	}
@@ -303,25 +305,25 @@ func TestSignalsAcrossNetwork(t *testing.T) {
 func TestKill(t *testing.T) {
 	h := newHarness(t, 1)
 	installModule(t, h.c.K(1), "/sleeper", "sleeper")
-	h.mgrs[1].Register("sleeper", func(ctx *proc.Ctx) int {
+	h.m(1).Register("sleeper", func(ctx *proc.Ctx) int {
 		<-ctx.Signals() // blocks forever unless signalled
 		return 0
 	})
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	for round := 0; round < 200; round++ {
-		pid, err := h.mgrs[1].Run(shell, "/sleeper", nil)
+		pid, err := h.m(1).Run(shell, "/sleeper", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.mgrs[1].Signal(pid, proc.SIGKILL); err != nil {
+		if err := h.m(1).Signal(pid, proc.SIGKILL); err != nil {
 			t.Fatal(err)
 		}
-		st := h.mgrs[1].Wait(shell, pid)
+		st := h.m(1).Wait(shell, pid)
 		if st.Code != -int(proc.SIGKILL) {
 			t.Fatalf("round %d: status %+v", round, st)
 		}
 	}
-	h.mgrs[1].DrainPrograms()
+	h.m(1).DrainPrograms()
 }
 
 func TestNamedPipeAcrossSites(t *testing.T) {
@@ -331,13 +333,13 @@ func TestNamedPipeAcrossSites(t *testing.T) {
 	}
 	h.c.Settle()
 
-	pw := h.mgrs[2].InitProcess(cred())
-	pr := h.mgrs[3].InitProcess(cred())
-	w, err := h.mgrs[2].OpenPipe(pw, "/fifo", true)
+	pw := h.m(2).InitProcess(cred())
+	pr := h.m(3).InitProcess(cred())
+	w, err := h.m(2).OpenPipe(pw, "/fifo", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := h.mgrs[3].OpenPipe(pr, "/fifo", false)
+	r, err := h.m(3).OpenPipe(pr, "/fifo", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,24 +386,22 @@ func TestChildSiteFailureSignalsParent(t *testing.T) {
 	h := newHarness(t, 2)
 	installModule(t, h.c.K(1), "/forever", "forever")
 	h.c.Settle()
-	h.mgrs[2].Register("forever", func(ctx *proc.Ctx) int {
+	h.m(2).Register("forever", func(ctx *proc.Ctx) int {
 		<-ctx.Signals()
 		return 0
 	})
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	shell.SetAdvice(2)
-	pid, err := h.mgrs[1].Run(shell, "/forever", nil)
+	pid, err := h.m(1).Run(shell, "/forever", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone := make(chan proc.ExitStatus, 1)
-	go func() { waitDone <- h.mgrs[1].Wait(shell, pid) }()
+	go func() { waitDone <- h.m(1).Wait(shell, pid) }()
 
 	// Give the waiter a moment to register, then cut site 2 off.
 	time.Sleep(10 * time.Millisecond)
-	h.c.Net.PartitionGroups([]proc.SiteID{1}, []proc.SiteID{2})
-	h.c.K(1).CleanupAfterPartitionChange([]proc.SiteID{1})
-	h.mgrs[1].CleanupAfterPartitionChange([]proc.SiteID{1})
+	h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
 
 	select {
 	case st := <-waitDone:
@@ -430,36 +430,46 @@ func TestChildSiteFailureSignalsParent(t *testing.T) {
 // timing; the goroutine is only the guard that turns a hang into a
 // failure.
 func TestWaitAfterChildSiteRestarted(t *testing.T) {
-	h := newHarness(t, 2)
-	installModule(t, h.c.K(1), "/sitter", "sitter")
-	h.c.Settle()
-	h.mgrs[2].Register("sitter", func(ctx *proc.Ctx) int {
-		<-ctx.Signals()
-		return 0
-	})
-	shell := h.mgrs[1].InitProcess(cred())
-	shell.SetAdvice(2)
-	pid, err := h.mgrs[1].Run(shell, "/sitter", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.c.Crash(2)
-	h.mgrs[1].CleanupAfterPartitionChange([]proc.SiteID{1})
-	h.c.Restart(2)
-	h.mgrs[1].CleanupAfterPartitionChange([]proc.SiteID{1, 2})
-	h.mgrs[2].CleanupAfterPartitionChange([]proc.SiteID{1, 2})
+	for _, staleParent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stale parent view=%v", staleParent), func(t *testing.T) {
+			h := newHarness(t, 2)
+			installModule(t, h.c.K(1), "/sitter", "sitter")
+			h.c.Settle()
+			h.m(2).Register("sitter", func(ctx *proc.Ctx) int {
+				<-ctx.Signals()
+				return 0
+			})
+			if staleParent {
+				// The parent's site restarted and no merge has readmitted
+				// it: its layers count only itself, though the wire
+				// reaches site 2. The child's crash must still reach it.
+				h.c.Crash(1)
+				h.c.Net.Restart(1)
+			}
+			shell := h.m(1).InitProcess(cred())
+			shell.SetAdvice(2)
+			pid, err := h.m(1).Run(shell, "/sitter", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.c.Crash(2)
+			if _, err := h.c.Restart(2); err != nil {
+				t.Fatal(err)
+			}
 
-	waitDone := make(chan proc.ExitStatus, 1)
-	go func() { waitDone <- h.mgrs[1].Wait(shell, pid) }()
-	select {
-	case st := <-waitDone:
-		if !errors.Is(st.Err, proc.ErrSiteFailed) {
-			t.Fatalf("wait status %+v, want ErrSiteFailed", st)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Wait made after the child's site crashed and restarted never returned")
+			waitDone := make(chan proc.ExitStatus, 1)
+			go func() { waitDone <- h.m(1).Wait(shell, pid) }()
+			select {
+			case st := <-waitDone:
+				if !errors.Is(st.Err, proc.ErrSiteFailed) {
+					t.Fatalf("wait status %+v, want ErrSiteFailed", st)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Wait made after the child's site crashed and restarted never returned")
+			}
+			h.m(2).DrainPrograms()
+		})
 	}
-	h.mgrs[2].DrainPrograms()
 }
 
 func TestRunToDownSiteReturnsError(t *testing.T) {
@@ -468,11 +478,11 @@ func TestRunToDownSiteReturnsError(t *testing.T) {
 	h := newHarness(t, 2)
 	installModule(t, h.c.K(1), "/prog", "prog")
 	h.c.Settle()
-	h.mgrs[2].Register("prog", func(*proc.Ctx) int { return 0 })
+	h.m(2).Register("prog", func(*proc.Ctx) int { return 0 })
 	h.c.Crash(2)
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	shell.SetAdvice(2)
-	if _, err := h.mgrs[1].Run(shell, "/prog", nil); !errors.Is(err, proc.ErrSiteFailed) {
+	if _, err := h.m(1).Run(shell, "/prog", nil); !errors.Is(err, proc.ErrSiteFailed) {
 		t.Fatalf("err = %v, want ErrSiteFailed", err)
 	}
 }
@@ -490,11 +500,11 @@ func TestExecNotExecutable(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	shell := h.mgrs[1].InitProcess(cred())
-	if _, err := h.mgrs[1].Exec(shell, "/data.txt", nil); !errors.Is(err, proc.ErrNotExecutable) {
+	shell := h.m(1).InitProcess(cred())
+	if _, err := h.m(1).Exec(shell, "/data.txt", nil); !errors.Is(err, proc.ErrNotExecutable) {
 		t.Fatalf("err = %v, want ErrNotExecutable", err)
 	}
-	if _, err := h.mgrs[1].Exec(shell, "/missing", nil); !errors.Is(err, fs.ErrNotFound) {
+	if _, err := h.m(1).Exec(shell, "/missing", nil); !errors.Is(err, fs.ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -512,13 +522,13 @@ func TestDrainProgramsJoinsProgramBodies(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	h.mgrs[1].Register("blocker", func(*proc.Ctx) int {
+	h.m(1).Register("blocker", func(*proc.Ctx) int {
 		close(started)
 		<-release
 		return 7
 	})
-	shell := h.mgrs[1].InitProcess(cred())
-	pid, err := h.mgrs[1].Run(shell, "/blocker", nil)
+	shell := h.m(1).InitProcess(cred())
+	pid, err := h.m(1).Run(shell, "/blocker", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +536,7 @@ func TestDrainProgramsJoinsProgramBodies(t *testing.T) {
 
 	drained := make(chan struct{})
 	go func() {
-		h.mgrs[1].DrainPrograms()
+		h.m(1).DrainPrograms()
 		close(drained)
 	}()
 	select {
@@ -542,7 +552,7 @@ func TestDrainProgramsJoinsProgramBodies(t *testing.T) {
 	}
 	// The join covers exit processing too: the status is already
 	// recorded by the time DrainPrograms returns.
-	if st := h.mgrs[1].Wait(shell, pid); st.Code != 7 {
+	if st := h.m(1).Wait(shell, pid); st.Code != 7 {
 		t.Fatalf("exit status %+v, want code 7", st)
 	}
 }

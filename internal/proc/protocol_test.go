@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
+	"repro/internal/fs"
+	"repro/internal/netsim"
+	"repro/internal/storage"
 )
 
 // TestMethodTable pins the proc protocol's declared surface: the proc.*
@@ -14,10 +16,18 @@ import (
 // and every request/response method is at-most-once (each one changes
 // remote state). A reclassification must fail here, not pass a review.
 func TestMethodTable(t *testing.T) {
-	c := cluster.Simple(1)
-	t.Cleanup(c.Close)
-	node := c.Net.Node(1)
-	NewManager(node, c.K(1), "vax")
+	nw := netsim.New(netsim.DefaultCosts())
+	t.Cleanup(nw.Close)
+	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := nw.AddSite(1)
+	k, err := fs.BootSite(node, cfg, nw.Meter(), storage.Costs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewManager(node, k, "vax")
 
 	twoWay := []struct {
 		name       string

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fs"
+	"repro/internal/netsim"
 	"repro/internal/proc"
 	"repro/internal/storage"
 )
@@ -25,13 +26,13 @@ import (
 // Read/Write funnels used to pass netsim.ErrUnreachable through raw.
 func TestDeviceIOAfterHostCrashWrapsErrSiteFailed(t *testing.T) {
 	h := newHarness(t, 3)
-	h.mgrs[3].RegisterDevice("lp0", &printer{tape: []byte("ready")})
+	h.m(3).RegisterDevice("lp0", &printer{tape: []byte("ready")})
 	if err := h.c.K(1).Mknod(cred(), "/dev-lp", 3, "lp0", 0666); err != nil {
 		t.Fatal(err)
 	}
 	h.c.Settle()
-	p1 := h.mgrs[1].InitProcess(cred())
-	dev, err := h.mgrs[1].OpenDevice(p1, "/dev-lp")
+	p1 := h.m(1).InitProcess(cred())
+	dev, err := h.m(1).OpenDevice(p1, "/dev-lp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,23 +55,21 @@ func TestSharedFDTokenFetchAcrossPartitionWrapsErrSiteFailed(t *testing.T) {
 
 	// The descriptor is homed (and its token held) at site 2; site 1
 	// attaches.
-	p2 := h.mgrs[2].InitProcess(cred())
-	fd2, _, err := h.mgrs[2].OpenShared(p2, "/shared", fs.ModeRead)
+	p2 := h.m(2).InitProcess(cred())
+	fd2, _, err := h.m(2).OpenShared(p2, "/shared", fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fd2.Close() //nolint:errcheck
 	home, id := fd2.HomeID()
-	p1 := h.mgrs[1].InitProcess(cred())
-	fd1, _, err := h.mgrs[1].AttachShared(p1, home, id, "/shared", fs.ModeRead)
+	p1 := h.m(1).InitProcess(cred())
+	fd1, _, err := h.m(1).AttachShared(p1, home, id, "/shared", fs.ModeRead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fd1.Close() //nolint:errcheck
 
 	h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
-	h.mgrs[1].CleanupAfterPartitionChange([]proc.SiteID{1})
-	h.mgrs[2].CleanupAfterPartitionChange([]proc.SiteID{2})
 
 	buf := make([]byte, 4)
 	if _, err := fd1.Read(buf); !errors.Is(err, proc.ErrSiteFailed) {
@@ -84,11 +83,18 @@ func TestSharedFDTokenFetchAcrossPartitionWrapsErrSiteFailed(t *testing.T) {
 // netsim.ErrNoHandler, which must read as a site failure (and queue the
 // signal for replay) rather than leak the transport sentinel.
 func TestSignalToSiteWithoutManagerWrapsErrSiteFailed(t *testing.T) {
-	c := cluster.Simple(2)
-	t.Cleanup(c.Close)
-	m1 := proc.NewManager(c.Net.Node(1), c.K(1), "vax")
-	// Site 2 boots fs but no proc.Manager: no proc.* handlers exist.
-	err := m1.Signal(proc.PID{Site: 2, Num: 7}, proc.SIGTERM)
+	// A cluster boots a process manager at every site, so this network
+	// is built by hand: site 2 is on the wire but runs no proc.Manager,
+	// and no proc.* handlers exist there.
+	nw := netsim.New(netsim.DefaultCosts())
+	t.Cleanup(nw.Close)
+	k1, err := fs.BootSite(nw.AddSite(1), cluster.SimpleConfig(2), nw.Meter(), storage.Costs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.AddSite(2)
+	m1 := proc.NewManager(k1.Node(), k1, "vax")
+	err = m1.Signal(proc.PID{Site: 2, Num: 7}, proc.SIGTERM)
 	if !errors.Is(err, proc.ErrSiteFailed) {
 		t.Fatalf("signal to manager-less site = %v, want ErrSiteFailed", err)
 	}
@@ -124,7 +130,7 @@ func runExitCloseSchedule(t *testing.T) []string {
 		}
 	}
 	for _, s := range h.c.Sites() {
-		h.mgrs[s].Register("opener", func(ctx *proc.Ctx) int {
+		h.m(s).Register("opener", func(ctx *proc.Ctx) int {
 			for i := 0; i < 3; i++ {
 				if _, _, err := ctx.M.OpenShared(ctx.Self, fmt.Sprintf("/d%d", i), fs.ModeRead); err != nil {
 					return 1
@@ -138,15 +144,15 @@ func runExitCloseSchedule(t *testing.T) []string {
 	h.c.Net.SetTrace(func(from, to proc.SiteID, method string) {
 		sched = append(sched, fmt.Sprintf("%d->%d %s", from, to, method))
 	})
-	shell := h.mgrs[1].InitProcess(cred())
+	shell := h.m(1).InitProcess(cred())
 	shell.SetAdvice(2)
-	pid, err := h.mgrs[1].Run(shell, "/opener", nil)
+	pid, err := h.m(1).Run(shell, "/opener", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.mgrs[2].DrainPrograms()
+	h.m(2).DrainPrograms()
 	h.c.Net.SetTrace(nil)
-	if st := h.mgrs[1].Wait(shell, pid); st.Code != 0 {
+	if st := h.m(1).Wait(shell, pid); st.Code != 0 {
 		t.Fatalf("opener exited %d (err %v)", st.Code, st.Err)
 	}
 	return sched

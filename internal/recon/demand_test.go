@@ -22,7 +22,9 @@ func TestDemandReconcileDirectory(t *testing.T) {
 	write(t, h.c.K(2), "/hot/from2", "b")
 
 	// Heal the network but do NOT run the full reconciliation sweep.
-	h.c.Heal()
+	if err := h.c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	h.c.Settle()
 
 	// Demand-reconcile just /hot from site 1.
@@ -30,7 +32,7 @@ func TestDemandReconcileDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := h.recs[1].DemandReconcile(r.ID)
+	rep, err := h.r(1).DemandReconcile(r.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestDemandReconcileNoopWhenConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := h.recs[1].DemandReconcile(r.ID)
+	rep, err := h.r(1).DemandReconcile(r.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +71,11 @@ func TestDemandReconcilePathStaleCopy(t *testing.T) {
 	h.c.Settle()
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	update(t, h.c.K(1), "/f", "v2")
-	h.c.Heal()
+	if err := h.c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	// No sweep; demand only.
-	rep, err := h.recs[2].DemandReconcilePath(cred(), "/f")
+	rep, err := h.r(2).DemandReconcilePath(cred(), "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +89,7 @@ func TestDemandReconcilePathStaleCopy(t *testing.T) {
 
 func TestDemandReconcileMissingPath(t *testing.T) {
 	h := newHarness(t, 2)
-	if _, err := h.recs[1].DemandReconcilePath(cred(), "/nope"); !errors.Is(err, fs.ErrNotFound) {
+	if _, err := h.r(1).DemandReconcilePath(cred(), "/nope"); !errors.Is(err, fs.ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }

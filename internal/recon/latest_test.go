@@ -27,8 +27,10 @@ func resolvedBeforePull(t *testing.T) (*harness, storage.FileID) {
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2}, []fs.SiteID{3})
 	update(t, h.c.K(1), "/f", "A")
 	update(t, h.c.K(2), "/f", "B")
-	h.c.Heal()
-	if err := h.recs[3].ResolveKeep(res.ID, 1); err != nil {
+	if err := h.c.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.r(3).ResolveKeep(res.ID, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []fs.SiteID{1, 2} {
@@ -67,14 +69,14 @@ func TestOpenFindsDominatingCopyInAnyPackOrder(t *testing.T) {
 // marks and reports nothing.
 func TestDemandReconcilePropagatesDominatingCopy(t *testing.T) {
 	h, id := resolvedBeforePull(t)
-	rep, err := h.recs[1].DemandReconcile(id)
+	rep, err := h.r(1).DemandReconcile(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Propagated != 1 || rep.ConflictsReported != 0 {
 		t.Fatalf("report %+v, want 1 propagation and no conflict", rep)
 	}
-	if confs := h.recs[1].ListConflicts(); len(confs) != 0 {
+	if confs := h.r(1).ListConflicts(); len(confs) != 0 {
 		t.Fatalf("conflicts after demand recovery: %+v", confs)
 	}
 	h.c.Settle()

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fs"
-	"repro/internal/recon"
 	"repro/internal/storage"
 )
 
@@ -24,9 +23,6 @@ func TestPropertyRandomDivergenceConverges(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := cluster.Simple(2)
 		defer c.Close()
-		recs := map[fs.SiteID]*recon.Reconciler{
-			1: recon.New(c.K(1)), 2: recon.New(c.K(2)),
-		}
 		sessions := map[fs.SiteID]*fs.Cred{1: fs.DefaultCred("u"), 2: fs.DefaultCred("u")}
 
 		// Shared base files.
@@ -69,16 +65,8 @@ func TestPropertyRandomDivergenceConverges(t *testing.T) {
 			}
 		}
 
-		// Merge + reconcile (twice, as Merge does).
-		c.Heal()
-		c.Settle()
-		for pass := 0; pass < 2; pass++ {
-			for _, s := range []fs.SiteID{1, 2} {
-				if _, err := recs[s].ReconcileAll(); err != nil {
-					return false
-				}
-			}
-			c.Settle()
+		if _, err := c.Merge(); err != nil {
+			return false
 		}
 
 		// Invariant 1: identical root listings.
@@ -141,7 +129,7 @@ func TestHiddenDirectoryMerge(t *testing.T) {
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	write(t, h.c.K(1), "/cmd@@/vax", "vax module")
 	write(t, h.c.K(2), "/cmd@@/pdp11", "pdp module")
-	h.mergeAll(t)
+	h.merge(t)
 	ents, err := k1.ReadDir(cred(), "/cmd@@")
 	if err != nil {
 		t.Fatal(err)
@@ -183,8 +171,7 @@ func TestLinkSurvivesMergeOfRename(t *testing.T) {
 	if err := h.c.K(2).Link(cred(), "/orig", "/linked"); err != nil {
 		t.Fatal(err)
 	}
-	h.mergeAll(t)
-	h.mergeAll(t)
+	h.merge(t)
 
 	r1, err1 := h.c.K(1).Resolve(cred(), "/renamed")
 	r2, err2 := h.c.K(1).Resolve(cred(), "/linked")
@@ -207,16 +194,16 @@ func TestThreePackConflictMarksAllCopies(t *testing.T) {
 	for s := fs.SiteID(1); s <= 3; s++ {
 		update(t, h.c.K(s), "/f", fmt.Sprintf("way-%d", s))
 	}
-	rep := h.mergeAll(t)
+	rep := h.merge(t)
 	if rep.ConflictsReported != 1 {
 		t.Fatalf("reported %d conflicts, want 1", rep.ConflictsReported)
 	}
-	confs := h.recs[1].ListConflicts()
+	confs := h.r(1).ListConflicts()
 	if len(confs) != 1 || len(confs[0].Copies) != 3 {
 		t.Fatalf("conflicts: %+v", confs)
 	}
 	// ResolveKeep of the three-way conflict converges everywhere.
-	if err := h.recs[1].ResolveKeep(confs[0].ID, 2); err != nil {
+	if err := h.r(1).ResolveKeep(confs[0].ID, 2); err != nil {
 		t.Fatal(err)
 	}
 	h.c.Settle()
@@ -235,7 +222,7 @@ func TestMergeReportCountsAreExact(t *testing.T) {
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	update(t, h.c.K(1), "/mod", "v2") // plain staleness for site 2
 	write(t, h.c.K(2), "/fresh", "new")
-	rep := h.mergeAll(t)
+	rep := h.merge(t)
 	if rep.ConflictsReported != 0 || rep.NameConflicts != 0 || rep.DeletesUndone != 0 {
 		t.Fatalf("unexpected conflict counts: %+v", rep)
 	}

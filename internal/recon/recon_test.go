@@ -13,30 +13,41 @@ import (
 )
 
 type harness struct {
-	c    *cluster.Cluster
-	recs map[fs.SiteID]*recon.Reconciler
+	c *cluster.Cluster
 }
 
 func newHarness(t *testing.T, n int) *harness {
 	t.Helper()
 	c := cluster.Simple(n)
 	t.Cleanup(c.Close)
-	h := &harness{c: c, recs: make(map[fs.SiteID]*recon.Reconciler)}
-	for _, s := range c.Sites() {
-		h.recs[s] = recon.New(c.K(s))
-	}
-	return h
+	return &harness{c: c}
 }
 
-// mergeAll heals the network and runs the reconciliation pass at every
-// site (each file is merged once, by its lowest storing site).
-func (h *harness) mergeAll(t *testing.T) recon.Report {
+// r returns a site's reconciler.
+func (h *harness) r(s fs.SiteID) *recon.Reconciler { return h.c.Site(s).Recon }
+
+// merge runs the merge protocol and reconciliation (cluster.Merge).
+func (h *harness) merge(t *testing.T) recon.Report {
 	t.Helper()
-	h.c.Heal()
+	rep, err := h.c.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// mergeOnce runs the merge protocol and one reconciliation pass at
+// every site (cluster.Merge runs two), settling before and after, for
+// the tests that pin what a single pass reaches.
+func (h *harness) mergeOnce(t *testing.T) recon.Report {
+	t.Helper()
+	if err := h.c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	h.c.Settle()
 	var total recon.Report
 	for _, s := range h.c.Sites() {
-		rep, err := h.recs[s].ReconcileAll()
+		rep, err := h.r(s).ReconcileAll()
 		if err != nil {
 			t.Fatalf("reconcile at site %d: %v", s, err)
 		}
@@ -115,7 +126,7 @@ func TestDirectoryMergeIndependentInserts(t *testing.T) {
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	write(t, h.c.K(1), "/from1", "one")
 	write(t, h.c.K(2), "/from2", "two")
-	rep := h.mergeAll(t)
+	rep := h.merge(t)
 	if rep.DirsMerged == 0 {
 		t.Fatal("no directory merge performed")
 	}
@@ -140,7 +151,7 @@ func TestDirectoryMergeDeletePropagates(t *testing.T) {
 	if err := h.c.K(1).Unlink(cred(), "/doomed"); err != nil {
 		t.Fatal(err)
 	}
-	h.mergeAll(t)
+	h.merge(t)
 	for _, s := range h.c.Sites() {
 		if _, err := h.c.K(s).Open(cred(), "/doomed", fs.ModeRead); !errors.Is(err, fs.ErrNotFound) {
 			t.Fatalf("site %d still resolves deleted file: %v", s, err)
@@ -159,7 +170,7 @@ func TestDirectoryMergeDeleteModifyRaceUndoesDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	update(t, h.c.K(2), "/contested", "v2-modified")
-	rep := h.mergeAll(t)
+	rep := h.merge(t)
 	if rep.DeletesUndone == 0 {
 		t.Fatal("delete/modify race not detected")
 	}
@@ -169,7 +180,7 @@ func TestDirectoryMergeDeleteModifyRaceUndoesDelete(t *testing.T) {
 		}
 	}
 	// The file's owner got notification mail.
-	msgs, err := h.recs[1].ReadMail("tester")
+	msgs, err := h.r(1).ReadMail("tester")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +207,7 @@ func TestDirectoryMergeDeleteWinsWhenUnmodified(t *testing.T) {
 	}
 	// Partition 2 reads but does not modify.
 	_ = read(t, h.c.K(2), "/stale")
-	h.mergeAll(t)
+	h.merge(t)
 	for _, s := range h.c.Sites() {
 		if _, err := h.c.K(s).Open(cred(), "/stale", fs.ModeRead); !errors.Is(err, fs.ErrNotFound) {
 			t.Fatalf("site %d: delete did not propagate: %v", s, err)
@@ -211,7 +222,7 @@ func TestDirectoryMergeNameConflictRenamesBoth(t *testing.T) {
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	write(t, h.c.K(1), "/clash", "from partition 1")
 	write(t, h.c.K(2), "/clash", "from partition 2")
-	rep := h.mergeAll(t)
+	rep := h.merge(t)
 	if rep.NameConflicts == 0 {
 		t.Fatal("name conflict not detected")
 	}
@@ -237,7 +248,7 @@ func TestDirectoryMergeNameConflictRenamesBoth(t *testing.T) {
 		t.Fatalf("contents lost in rename: %v", bodies)
 	}
 	// Owner notified.
-	msgs, err := h.recs[1].ReadMail("tester")
+	msgs, err := h.r(1).ReadMail("tester")
 	if err != nil || len(msgs) == 0 {
 		t.Fatalf("no conflict mail: %v %v", msgs, err)
 	}
@@ -252,14 +263,14 @@ func TestUntypedConflictReportedAndBlocked(t *testing.T) {
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	update(t, h.c.K(1), "/data", "one way")
 	update(t, h.c.K(2), "/data", "other way")
-	rep := h.mergeAll(t)
+	rep := h.merge(t)
 	if rep.ConflictsReported != 1 {
 		t.Fatalf("ConflictsReported = %d, want 1", rep.ConflictsReported)
 	}
 	if _, err := h.c.K(1).Open(cred(), "/data", fs.ModeRead); !errors.Is(err, fs.ErrConflict) {
 		t.Fatalf("open conflicted file: %v, want ErrConflict", err)
 	}
-	msgs, err := h.recs[1].ReadMail("tester")
+	msgs, err := h.r(1).ReadMail("tester")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,7 @@ func TestUntypedConflictReportedAndBlocked(t *testing.T) {
 		t.Fatalf("owner not mailed: %+v", msgs)
 	}
 	// The conflict is listed by the tool.
-	confs := h.recs[1].ListConflicts()
+	confs := h.r(1).ListConflicts()
 	if len(confs) != 1 || len(confs[1-1].Copies) != 2 {
 		t.Fatalf("ListConflicts = %+v", confs)
 	}
@@ -286,13 +297,13 @@ func TestResolveKeep(t *testing.T) {
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	update(t, h.c.K(1), "/data", "winner")
 	update(t, h.c.K(2), "/data", "loser")
-	h.mergeAll(t)
+	h.merge(t)
 
-	confs := h.recs[1].ListConflicts()
+	confs := h.r(1).ListConflicts()
 	if len(confs) != 1 {
 		t.Fatalf("conflicts = %+v", confs)
 	}
-	if err := h.recs[1].ResolveKeep(confs[0].ID, 1); err != nil {
+	if err := h.r(1).ResolveKeep(confs[0].ID, 1); err != nil {
 		t.Fatal(err)
 	}
 	h.c.Settle()
@@ -301,7 +312,7 @@ func TestResolveKeep(t *testing.T) {
 			t.Fatalf("site %d reads %q", s, got)
 		}
 	}
-	if len(h.recs[1].ListConflicts()) != 0 {
+	if len(h.r(1).ListConflicts()) != 0 {
 		t.Fatal("conflict not cleared")
 	}
 }
@@ -313,9 +324,9 @@ func TestResolveSplit(t *testing.T) {
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	update(t, h.c.K(1), "/data", "version A")
 	update(t, h.c.K(2), "/data", "version B")
-	h.mergeAll(t)
+	h.merge(t)
 
-	names, err := h.recs[1].ResolveSplit(cred(), "/data")
+	names, err := h.r(1).ResolveSplit(cred(), "/data")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,33 +350,33 @@ func TestMailboxMergeUnionMinusDeletes(t *testing.T) {
 	// §4.5 / E9: after merge the mailbox is the union of both
 	// partitions' deliveries minus deletions, with no name conflicts.
 	h := newHarness(t, 2)
-	if err := h.recs[1].DeliverMail("bob", "alice", "pre-partition"); err != nil {
+	if err := h.r(1).DeliverMail("bob", "alice", "pre-partition"); err != nil {
 		t.Fatal(err)
 	}
 	h.c.Settle()
-	pre, err := h.recs[1].ReadMail("bob")
+	pre, err := h.r(1).ReadMail("bob")
 	if err != nil || len(pre) != 1 {
 		t.Fatalf("pre mail: %v %v", pre, err)
 	}
 	preID := pre[0].ID
 
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
-	if err := h.recs[1].DeliverMail("bob", "carol", "from partition 1"); err != nil {
+	if err := h.r(1).DeliverMail("bob", "carol", "from partition 1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.recs[2].DeliverMail("bob", "dave", "from partition 2"); err != nil {
+	if err := h.r(2).DeliverMail("bob", "dave", "from partition 2"); err != nil {
 		t.Fatal(err)
 	}
 	// Partition 2 also deletes the pre-partition message.
-	if err := h.recs[2].DeleteMail("bob", preID); err != nil {
+	if err := h.r(2).DeleteMail("bob", preID); err != nil {
 		t.Fatal(err)
 	}
-	rep := h.mergeAll(t)
+	rep := h.merge(t)
 	if rep.MailboxesMerged == 0 {
 		t.Fatal("mailbox not merged")
 	}
 	for _, s := range h.c.Sites() {
-		msgs, err := h.recs[s].ReadMail("bob")
+		msgs, err := h.r(s).ReadMail("bob")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,9 +427,9 @@ func TestDatabaseMergeManager(t *testing.T) {
 		return []byte(strings.Join(out, "\n") + "\n"), nil
 	}
 	for _, s := range h.c.Sites() {
-		h.recs[s].RegisterManager(storage.TypeDatabase, mgr)
+		h.r(s).RegisterManager(storage.TypeDatabase, mgr)
 	}
-	rep := h.mergeAll(t)
+	rep := h.merge(t)
 	if rep.ManagerMerged != 1 {
 		t.Fatalf("ManagerMerged = %d, want 1", rep.ManagerMerged)
 	}
@@ -436,8 +447,8 @@ func TestReconcileIdempotent(t *testing.T) {
 	h.c.Partition([]fs.SiteID{1}, []fs.SiteID{2})
 	write(t, h.c.K(1), "/a", "1")
 	write(t, h.c.K(2), "/b", "2")
-	h.mergeAll(t)
-	rep2 := h.mergeAll(t)
+	h.mergeOnce(t)
+	rep2 := h.mergeOnce(t)
 	if rep2.DirsMerged != 0 || rep2.ConflictsReported != 0 || rep2.Propagated != 0 {
 		t.Fatalf("second pass not idempotent: %+v", rep2)
 	}
@@ -451,11 +462,10 @@ func TestThreeWayPartitionMerge(t *testing.T) {
 	for s := fs.SiteID(1); s <= 3; s++ {
 		write(t, h.c.K(s), fmt.Sprintf("/file%d", s), fmt.Sprintf("site %d", s))
 	}
-	h.mergeAll(t)
-	// A second pass may be needed: the first merges pairwise histories
-	// into one dominant root, the second propagates files scheduled by
-	// directory merge.
-	h.mergeAll(t)
+	// Merge runs the two passes this needs: the first merges pairwise
+	// histories into one dominant root, the second propagates files
+	// scheduled by directory merge.
+	h.merge(t)
 	for s := fs.SiteID(1); s <= 3; s++ {
 		got := dirNames(t, h.c.K(s), "/")
 		for i := 1; i <= 3; i++ {

@@ -16,6 +16,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -100,7 +101,10 @@ type Manager struct {
 
 	mu        sync.Mutex
 	partition []SiteID // current partition set Pα, sorted
-	gen       uint64   // lamport-style generation of the installed set
+	// installed is the set last handed to onChange: the view the layers
+	// above hold, which a circuit failure does not change.
+	installed []SiteID
+	gen       uint64 // lamport-style generation of the installed set
 	stage     Stage
 	active    SiteID // the active site this site is following
 
@@ -121,6 +125,7 @@ func New(node *netsim.Node, allSites []SiteID) *Manager {
 		node:      node,
 		allSites:  sortedCopy(allSites),
 		partition: sortedCopy(allSites),
+		installed: sortedCopy(allSites),
 	}
 	node.Handle(mPoll, m.handlePoll)
 	node.Handle(mAnnounce, m.handleAnnounce)
@@ -131,7 +136,18 @@ func New(node *netsim.Node, allSites []SiteID) *Manager {
 	// partition" (§5.1). The protocols' iterative intersection relies
 	// on every site's table reflecting the failures it has observed.
 	node.OnLinkDown(m.noteLinkDown)
+	node.OnCrash(m.crashLocal)
 	return m
+}
+
+// crashLocal discards the site tables with the rest of the site's
+// volatile state: a restarted site knows only itself, as its layers do,
+// until a merge announces its partition.
+func (m *Manager) crashLocal() {
+	m.mu.Lock()
+	m.partition, m.installed = []SiteID{m.site}, []SiteID{m.site}
+	m.stage, m.active = StageNormal, vclock.NoSite
+	m.mu.Unlock()
 }
 
 // noteLinkDown records an observed circuit failure. It runs on the
@@ -182,19 +198,10 @@ func sortedCopy(s []SiteID) []SiteID {
 	return out
 }
 
-func contains(set []SiteID, s SiteID) bool {
-	for _, x := range set {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 func intersect(a, b []SiteID) []SiteID {
 	var out []SiteID
 	for _, x := range a {
-		if contains(b, x) {
+		if slices.Contains(b, x) {
 			out = append(out, x)
 		}
 	}
@@ -235,35 +242,20 @@ func (m *Manager) handleAnnounce(_ SiteID, p any) (any, error) {
 func (m *Manager) install(p []SiteID, gen uint64) {
 	sorted := sortedCopy(p)
 	m.mu.Lock()
-	if gen <= m.gen && equalSets(sorted, m.partition) {
-		m.stage = StageNormal
-		m.active = vclock.NoSite
-		m.mu.Unlock()
-		return
+	// A stale duplicate of the set both the layers and the site table
+	// hold changes nothing; a table a circuit failure shrank takes the
+	// set back.
+	changed := gen > m.gen || !slices.Equal(sorted, m.installed) || !slices.Equal(sorted, m.partition)
+	if changed {
+		m.gen = max(m.gen, gen)
+		m.partition, m.installed = sorted, sorted
 	}
-	if gen > m.gen {
-		m.gen = gen
-	}
-	m.partition = sorted
-	m.stage = StageNormal
-	m.active = vclock.NoSite
+	m.stage, m.active = StageNormal, vclock.NoSite
 	cb := m.onChange
 	m.mu.Unlock()
-	if cb != nil {
+	if changed && cb != nil {
 		cb(sorted)
 	}
-}
-
-func equalSets(a, b []SiteID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // handleMergePoll implements the arbitration of §5.5: a site joins the
@@ -309,7 +301,7 @@ func (m *Manager) RunPartitionProtocol() []SiteID {
 	m.active = m.site
 	p := append([]SiteID(nil), m.partition...)
 	m.mu.Unlock()
-	if !contains(p, m.site) {
+	if !slices.Contains(p, m.site) {
 		p = append(p, m.site)
 	}
 
@@ -318,7 +310,7 @@ func (m *Manager) RunPartitionProtocol() []SiteID {
 		// Pick the lowest unpolled member.
 		var next SiteID
 		for _, s := range p {
-			if !contains(pNew, s) {
+			if !slices.Contains(pNew, s) {
 				next = s
 				break
 			}
@@ -335,12 +327,12 @@ func (m *Manager) RunPartitionProtocol() []SiteID {
 		pNew = append(pNew, next)
 		// P := P ∩ P_polled (self always stays).
 		p = intersect(p, r.P)
-		if !contains(p, m.site) {
+		if !slices.Contains(p, m.site) {
 			p = append(p, m.site)
 		}
 		// Drop polled sites that fell out of P.
 		pNew = intersect(pNew, p)
-		if !contains(pNew, m.site) {
+		if !slices.Contains(pNew, m.site) {
 			pNew = append(pNew, m.site)
 		}
 	}
@@ -388,7 +380,7 @@ func (m *Manager) RunMergeProtocol() ([]SiteID, error) {
 		// not reach would violate the transitivity the low-level
 		// protocols enforce — and every such site is polled directly in
 		// this same loop anyway.
-		if r := resp.(*mergePollResp); r != nil && !contains(newP, s) {
+		if r := resp.(*mergePollResp); r != nil && !slices.Contains(newP, s) {
 			newP = append(newP, s)
 		}
 	}

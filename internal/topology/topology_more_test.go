@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestConcurrentPartitionProtocolsConverge(t *testing.T) {
 	// lowest site to normalize any interleaving).
 	tn.mgrs[1].RunPartitionProtocol()
 	for _, s := range []SiteID{1, 2, 3} {
-		if !equalSets(tn.mgrs[s].Partition(), []SiteID{1, 2, 3}) {
+		if !slices.Equal(tn.mgrs[s].Partition(), []SiteID{1, 2, 3}) {
 			t.Fatalf("site %d partition = %v", s, tn.mgrs[s].Partition())
 		}
 	}
@@ -37,7 +38,7 @@ func TestMergeAfterCrashAndRestart(t *testing.T) {
 	tn := newNet(t, 4)
 	tn.nw.Crash(3)
 	tn.mgrs[1].RunPartitionProtocol()
-	if !equalSets(tn.mgrs[1].Partition(), []SiteID{1, 2, 4}) {
+	if !slices.Equal(tn.mgrs[1].Partition(), []SiteID{1, 2, 4}) {
 		t.Fatalf("after crash: %v", tn.mgrs[1].Partition())
 	}
 	tn.nw.Restart(3)
@@ -46,7 +47,7 @@ func TestMergeAfterCrashAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalSets(p, []SiteID{1, 2, 3, 4}) {
+	if !slices.Equal(p, []SiteID{1, 2, 3, 4}) {
 		t.Fatalf("merge from restarted site = %v", p)
 	}
 	tn.assertConverged(t, map[SiteID][]SiteID{
@@ -84,7 +85,7 @@ func TestAnnounceOlderGenerationStillInstallsNewSet(t *testing.T) {
 		t.Fatalf("gen = %d", got)
 	}
 	m.install([]SiteID{1, 2}, 3) // same set, older gen: no-op
-	if !equalSets(m.Partition(), []SiteID{1, 2}) {
+	if !slices.Equal(m.Partition(), []SiteID{1, 2}) {
 		t.Fatalf("partition = %v", m.Partition())
 	}
 	if got := m.Generation(); got != 5 {
@@ -96,14 +97,14 @@ func TestLinkDownUpdatesBeliefWithoutProtocol(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 3)
 	tn.nw.SetLink(1, 3, false)
-	if contains(tn.mgrs[1].Partition(), 3) {
+	if slices.Contains(tn.mgrs[1].Partition(), 3) {
 		t.Fatalf("site 1 still believes 3 up: %v", tn.mgrs[1].Partition())
 	}
-	if contains(tn.mgrs[3].Partition(), 1) {
+	if slices.Contains(tn.mgrs[3].Partition(), 1) {
 		t.Fatalf("site 3 still believes 1 up: %v", tn.mgrs[3].Partition())
 	}
 	// Site 2 is unaffected.
-	if !equalSets(tn.mgrs[2].Partition(), []SiteID{1, 2, 3}) {
+	if !slices.Equal(tn.mgrs[2].Partition(), []SiteID{1, 2, 3}) {
 		t.Fatalf("site 2 belief: %v", tn.mgrs[2].Partition())
 	}
 }
@@ -118,7 +119,7 @@ func TestPollCrashesPolledSite(t *testing.T) {
 	tn.nw.EnableFaults(netsim.FaultConfig{
 		Points: []netsim.FaultPoint{{From: 1, To: 2, Method: mPoll, Action: netsim.FaultCrashBeforeReply}},
 	})
-	if p := tn.mgrs[1].RunPartitionProtocol(); !equalSets(p, []SiteID{1, 3}) {
+	if p := tn.mgrs[1].RunPartitionProtocol(); !slices.Equal(p, []SiteID{1, 3}) {
 		t.Fatalf("announced %v, want [1 3]", p)
 	}
 	tn.assertConverged(t, map[SiteID][]SiteID{1: {1, 3}, 3: {1, 3}})
@@ -146,7 +147,7 @@ func TestSeventeenSiteChurn(t *testing.T) {
 		tn.mgrs[sp[0][0]].RunPartitionProtocol()
 		tn.mgrs[sp[1][0]].RunPartitionProtocol()
 		for _, s := range sp[0] {
-			if !equalSets(tn.mgrs[s].Partition(), sortedCopy(sp[0])) {
+			if !slices.Equal(tn.mgrs[s].Partition(), sortedCopy(sp[0])) {
 				t.Fatalf("split %v: site %d has %v", sp[0], s, tn.mgrs[s].Partition())
 			}
 		}
@@ -159,7 +160,7 @@ func TestSeventeenSiteChurn(t *testing.T) {
 			all = append(all, SiteID(i))
 		}
 		for s, m := range tn.mgrs {
-			if !equalSets(m.Partition(), all) {
+			if !slices.Equal(m.Partition(), all) {
 				t.Fatalf("after merge site %d has %v", s, m.Partition())
 			}
 		}
@@ -198,5 +199,81 @@ func BenchmarkMergeProtocol17(b *testing.B) {
 		if _, err := tb.mgrs[1].RunMergeProtocol(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// recordChanges installs an OnChange callback at site s that records
+// every set handed to the layers above.
+func recordChanges(tn *testNet, s SiteID) func() [][]SiteID {
+	var mu sync.Mutex
+	var calls [][]SiteID
+	tn.mgrs[s].OnChange(func(p []SiteID) {
+		mu.Lock()
+		calls = append(calls, p)
+		mu.Unlock()
+	})
+	return func() [][]SiteID {
+		mu.Lock()
+		defer mu.Unlock()
+		return calls
+	}
+}
+
+// TestAnnounceReachesLayersAfterLinkDown: a circuit failure shrinks a
+// follower's site table to exactly the set the partition protocol then
+// announces, at a generation no newer than the follower's. The layers
+// above never saw the shrink, so the announcement must still reach them.
+func TestAnnounceReachesLayersAfterLinkDown(t *testing.T) {
+	t.Parallel()
+	tn := newNet(t, 3)
+	tn.mgrs[2].install([]SiteID{1, 2, 3}, 5)
+	changes := recordChanges(tn, 2)
+	tn.nw.PartitionGroups([]SiteID{1, 2}, []SiteID{3})
+	tn.mgrs[1].RunPartitionProtocol()
+	got := changes()
+	if len(got) != 1 || !slices.Equal(got[0], []SiteID{1, 2}) {
+		t.Fatalf("site 2's layers were handed %v, want [[1 2]]", got)
+	}
+}
+
+// TestAnnounceRestoresShrunkTable: a circuit failure shrank a site's
+// table below the set its layers hold, and a merge then announces that
+// same set at a generation no newer than the site's. The layers already
+// hold it, but the table must take it back too, or the site's next
+// poll answers with the shrunk set.
+func TestAnnounceRestoresShrunkTable(t *testing.T) {
+	t.Parallel()
+	tn := newNet(t, 3)
+	tn.mgrs[2].install([]SiteID{1, 2, 3}, 5)
+	tn.nw.PartitionGroups([]SiteID{1, 2}, []SiteID{3})
+	tn.nw.HealAll()
+	if _, err := tn.mgrs[1].RunMergeProtocol(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tn.mgrs[2].Partition(); !slices.Equal(got, []SiteID{1, 2, 3}) {
+		t.Fatalf("site 2's table = %v after the merge, want [1 2 3]", got)
+	}
+}
+
+// TestCrashForgetsSiteTables: a crash discards the site tables with the
+// layers' views, so the merge that readmits the site hands its layers
+// the partition even when the announced set and generation are what the
+// site held before it crashed.
+func TestCrashForgetsSiteTables(t *testing.T) {
+	t.Parallel()
+	tn := newNet(t, 3)
+	tn.mgrs[3].install([]SiteID{1, 2, 3}, 5)
+	changes := recordChanges(tn, 3)
+	tn.nw.Crash(3)
+	if got := tn.mgrs[3].Partition(); !slices.Equal(got, []SiteID{3}) {
+		t.Fatalf("crashed site's table = %v, want [3]", got)
+	}
+	tn.nw.Restart(3)
+	if _, err := tn.mgrs[1].RunMergeProtocol(); err != nil {
+		t.Fatal(err)
+	}
+	got := changes()
+	if len(got) != 1 || !slices.Equal(got[0], []SiteID{1, 2, 3}) {
+		t.Fatalf("restarted site's layers were handed %v, want [[1 2 3]]", got)
 	}
 }

@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,7 @@ func (tn *testNet) assertConverged(t *testing.T, want map[SiteID][]SiteID) {
 	t.Helper()
 	for s, p := range want {
 		got := tn.mgrs[s].Partition()
-		if !equalSets(got, sortedCopy(p)) {
+		if !slices.Equal(got, sortedCopy(p)) {
 			t.Errorf("site %d partition = %v, want %v", s, got, p)
 		}
 	}
@@ -46,11 +47,11 @@ func TestPartitionProtocolDetectsSplit(t *testing.T) {
 	tn.nw.PartitionGroups([]SiteID{1, 2, 3}, []SiteID{4, 5})
 
 	p := tn.mgrs[1].RunPartitionProtocol()
-	if !equalSets(p, []SiteID{1, 2, 3}) {
+	if !slices.Equal(p, []SiteID{1, 2, 3}) {
 		t.Fatalf("partition = %v, want [1 2 3]", p)
 	}
 	p = tn.mgrs[4].RunPartitionProtocol()
-	if !equalSets(p, []SiteID{4, 5}) {
+	if !slices.Equal(p, []SiteID{4, 5}) {
 		t.Fatalf("partition = %v, want [4 5]", p)
 	}
 	tn.assertConverged(t, map[SiteID][]SiteID{
@@ -64,7 +65,7 @@ func TestPartitionProtocolSingleSite(t *testing.T) {
 	tn := newNet(t, 3)
 	tn.nw.PartitionGroups([]SiteID{1}, []SiteID{2, 3})
 	p := tn.mgrs[1].RunPartitionProtocol()
-	if !equalSets(p, []SiteID{1}) {
+	if !slices.Equal(p, []SiteID{1}) {
 		t.Fatalf("partition = %v, want [1]", p)
 	}
 }
@@ -74,7 +75,7 @@ func TestPartitionProtocolAfterCrash(t *testing.T) {
 	tn := newNet(t, 4)
 	tn.nw.Crash(3)
 	p := tn.mgrs[1].RunPartitionProtocol()
-	if !equalSets(p, []SiteID{1, 2, 4}) {
+	if !slices.Equal(p, []SiteID{1, 2, 4}) {
 		t.Fatalf("partition = %v, want [1 2 4]", p)
 	}
 	tn.assertConverged(t, map[SiteID][]SiteID{
@@ -95,7 +96,7 @@ func TestMergeProtocolJoinsPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalSets(p, []SiteID{1, 2, 3, 4, 5}) {
+	if !slices.Equal(p, []SiteID{1, 2, 3, 4, 5}) {
 		t.Fatalf("merged partition = %v", p)
 	}
 	tn.assertConverged(t, map[SiteID][]SiteID{
@@ -112,7 +113,7 @@ func TestMergeSkipsDownSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalSets(p, []SiteID{1, 2, 3}) {
+	if !slices.Equal(p, []SiteID{1, 2, 3}) {
 		t.Fatalf("merged partition = %v, want [1 2 3]", p)
 	}
 }
@@ -137,7 +138,7 @@ func TestMergeArbitrationLowerSiteWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalSets(p, []SiteID{1, 2, 3}) {
+	if !slices.Equal(p, []SiteID{1, 2, 3}) {
 		t.Fatalf("partition = %v", p)
 	}
 }
@@ -156,7 +157,7 @@ func TestMergeArbitrationYieldsToLowerInitiator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalSets(p, []SiteID{1, 2, 3}) {
+	if !slices.Equal(p, []SiteID{1, 2, 3}) {
 		t.Fatalf("partition = %v", p)
 	}
 	st, active := tn.mgrs[3].Stage()
@@ -186,7 +187,7 @@ func TestOnChangeCallbackFires(t *testing.T) {
 		t.Fatalf("callbacks: %v", calls)
 	}
 	last := calls[1][len(calls[1])-1]
-	if !equalSets(last, []SiteID{1, 2}) {
+	if !slices.Equal(last, []SiteID{1, 2}) {
 		t.Fatalf("site 1 last change = %v", last)
 	}
 }
@@ -205,7 +206,7 @@ func TestCheckActiveRestartsOnActiveFailure(t *testing.T) {
 		t.Fatal("CheckActive should have restarted the protocol")
 	}
 	p := tn.mgrs[2].Partition()
-	if !equalSets(p, []SiteID{1, 2}) {
+	if !slices.Equal(p, []SiteID{1, 2}) {
 		t.Fatalf("partition after restart = %v, want [1 2]", p)
 	}
 	st, _ := tn.mgrs[2].Stage()
@@ -304,7 +305,7 @@ func TestPropertyPartitionConvergence(t *testing.T) {
 		for _, g := range nonEmpty {
 			want := sortedCopy(g)
 			for _, s := range g {
-				if !equalSets(mgrs[s].Partition(), want) {
+				if !slices.Equal(mgrs[s].Partition(), want) {
 					return false
 				}
 			}
@@ -351,7 +352,7 @@ func TestPropertyPartitionIsClique(t *testing.T) {
 				}
 			}
 		}
-		return contains(p, initiator)
+		return slices.Contains(p, initiator)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

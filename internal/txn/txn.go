@@ -396,9 +396,9 @@ func (t *Txn) releaseAborted() error {
 // CleanupAfterPartitionChange aborts every active transaction that
 // touched a file whose storage site left the partition — the
 // "Distributed Transaction: abort all related subtransactions in
-// partition" row of the §5.6 cleanup table. Returns the number of
-// transactions aborted.
-func (m *Manager) CleanupAfterPartitionChange(newPartition []SiteID) int {
+// partition" row of the §5.6 cleanup table; the network's
+// TxnPartitionAborts counts them.
+func (m *Manager) CleanupAfterPartitionChange(newPartition []SiteID) {
 	in := make(map[SiteID]bool, len(newPartition))
 	for _, s := range newPartition {
 		in[s] = true
@@ -430,7 +430,6 @@ func (m *Manager) CleanupAfterPartitionChange(newPartition []SiteID) int {
 	if len(doomed) > 0 {
 		m.kernel.Node().Network().Meter().AddTxnPartitionAborts(len(doomed))
 	}
-	return len(doomed)
 }
 
 // CrashLocal discards every active transaction when this site crashes

@@ -24,7 +24,7 @@ func TestConcurrentTransactionsDisjointFiles(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m := txn.NewManager(c.K(fs.SiteID(1 + i%3)))
+			m := c.Site(fs.SiteID(1 + i%3)).Txn
 			tx := m.Begin(cred())
 			if err := tx.WriteFile(fmt.Sprintf("/t%d", i), []byte("done")); err != nil {
 				errs <- err
@@ -52,7 +52,7 @@ func TestSiblingSubtransactions(t *testing.T) {
 	c := cluster.Simple(1)
 	defer c.Close()
 	seed(t, c.K(1), "/ledger", "")
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	root := m.Begin(cred())
 	// Three sibling subtransactions, sequentially (siblings may not
 	// run concurrently against the same file in this model).
@@ -87,7 +87,7 @@ func TestSiblingSubtransactions(t *testing.T) {
 func TestTxnCreateVisibleOnlyAfterTopCommit(t *testing.T) {
 	c := cluster.Simple(2)
 	defer c.Close()
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	tx := m.Begin(cred())
 	if err := tx.CreateFile("/staged", []byte("data")); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestAbortOfDeepSubtreeViaParent(t *testing.T) {
 	c := cluster.Simple(1)
 	defer c.Close()
 	seed(t, c.K(1), "/f", "base")
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	t0 := m.Begin(cred())
 	t1, _ := t0.Begin()
 	t2, _ := t1.Begin()
@@ -140,7 +140,7 @@ func TestAbortOfDeepSubtreeViaParent(t *testing.T) {
 func TestBeginOnCompletedTxnFails(t *testing.T) {
 	c := cluster.Simple(1)
 	defer c.Close()
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	tx := m.Begin(cred())
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestLockHeldAcrossSubtransactions(t *testing.T) {
 	defer c.Close()
 	seed(t, c.K(1), "/f", "x")
 	c.Settle()
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	root := m.Begin(cred())
 	sub, _ := root.Begin()
 	if err := sub.WriteFile("/f", []byte("sub")); err != nil {
@@ -192,7 +192,7 @@ func TestPartitionCleanupLeavesUnrelatedTxns(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Settle()
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	safe := m.Begin(cred())
 	if err := safe.WriteFile("/local", []byte("safe")); err != nil {
 		t.Fatal(err)
@@ -201,9 +201,10 @@ func TestPartitionCleanupLeavesUnrelatedTxns(t *testing.T) {
 	if err := doomed.WriteFile("/remote", []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
+	before := c.Net.Stats()
 	c.Partition([]fs.SiteID{1, 2}, []fs.SiteID{3})
-	if n := m.CleanupAfterPartitionChange([]fs.SiteID{1, 2}); n != 1 {
-		t.Fatalf("cleanup aborted %d, want 1", n)
+	if n := c.Net.Stats().Sub(before).TxnPartitionAborts; n != 1 {
+		t.Fatalf("partition aborted %d, want 1", n)
 	}
 	if safe.State() != txn.Active || doomed.State() != txn.Aborted {
 		t.Fatalf("safe=%v doomed=%v", safe.State(), doomed.State())

@@ -47,7 +47,7 @@ func TestCommitMakesAllChangesVisible(t *testing.T) {
 	seed(t, c.K(1), "/b", "b0")
 	c.Settle()
 
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	tx := m.Begin(cred())
 	if err := tx.WriteFile("/a", []byte("a1")); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestAbortUndoesEverything(t *testing.T) {
 	defer c.Close()
 	seed(t, c.K(1), "/a", "orig")
 
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	tx := m.Begin(cred())
 	if err := tx.WriteFile("/a", []byte("scribble")); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestNestedCommitIntoParentThenParentAbort(t *testing.T) {
 	defer c.Close()
 	seed(t, c.K(1), "/f", "base")
 
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	parent := m.Begin(cred())
 	sub, err := parent.Begin()
 	if err != nil {
@@ -131,7 +131,7 @@ func TestNestedAbortKeepsParentView(t *testing.T) {
 	defer c.Close()
 	seed(t, c.K(1), "/f", "base")
 
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	parent := m.Begin(cred())
 	if err := parent.WriteFile("/f", []byte("parent-change")); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestDeepNesting(t *testing.T) {
 	defer c.Close()
 	seed(t, c.K(1), "/f", "0")
 
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	t0 := m.Begin(cred())
 	t1, _ := t0.Begin()
 	t2, _ := t1.Begin()
@@ -184,7 +184,7 @@ func TestDeepNesting(t *testing.T) {
 func TestCommitWithActiveChildRefused(t *testing.T) {
 	c := cluster.Simple(1)
 	defer c.Close()
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	parent := m.Begin(cred())
 	sub, _ := parent.Begin()
 	if err := parent.Commit(); !errors.Is(err, txn.ErrChildActive) {
@@ -207,8 +207,8 @@ func TestTransactionIsolationViaLocks(t *testing.T) {
 	seed(t, c.K(1), "/f", "base")
 	c.Settle()
 
-	m1 := txn.NewManager(c.K(1))
-	m2 := txn.NewManager(c.K(2))
+	m1 := c.Site(1).Txn
+	m2 := c.Site(2).Txn
 	t1 := m1.Begin(cred())
 	if err := t1.WriteFile("/f", []byte("t1")); err != nil {
 		t.Fatal(err)
@@ -244,15 +244,16 @@ func TestPartitionAbortsTransactionsTouchingLostSites(t *testing.T) {
 	}
 	c.Settle()
 
-	m2 := txn.NewManager(c.K(2))
+	m2 := c.Site(2).Txn
 	tx := m2.Begin(cred())
 	if err := tx.WriteFile("/remote-only", []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	// Site 3 — the storage site — leaves the partition.
+	before := c.Net.Stats()
 	c.Partition([]fs.SiteID{1, 2}, []fs.SiteID{3})
-	if n := m2.CleanupAfterPartitionChange([]fs.SiteID{1, 2}); n != 1 {
-		t.Fatalf("cleanup aborted %d transactions, want 1", n)
+	if n := c.Net.Stats().Sub(before).TxnPartitionAborts; n != 1 {
+		t.Fatalf("partition aborted %d transactions, want 1", n)
 	}
 	if tx.State() != txn.Aborted {
 		t.Fatalf("state = %v, want Aborted", tx.State())
@@ -261,7 +262,9 @@ func TestPartitionAbortsTransactionsTouchingLostSites(t *testing.T) {
 		t.Fatalf("commit of aborted txn: %v", err)
 	}
 	// The doomed update never became visible.
-	c.Heal()
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	c.Settle()
 	if got := read(t, c.K(3), "/remote-only"); got != "base" {
 		t.Fatalf("content %q, want base", got)
@@ -272,7 +275,7 @@ func TestReadYourOwnWrites(t *testing.T) {
 	c := cluster.Simple(1)
 	defer c.Close()
 	seed(t, c.K(1), "/f", "v0")
-	m := txn.NewManager(c.K(1))
+	m := c.Site(1).Txn
 	tx := m.Begin(cred())
 	if err := tx.AppendFile("/f", []byte("+v1")); err != nil {
 		t.Fatal(err)

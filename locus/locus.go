@@ -31,11 +31,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fs"
 	"repro/internal/netsim"
-	"repro/internal/proc"
 	"repro/internal/recon"
 	"repro/internal/storage"
-	"repro/internal/topology"
-	"repro/internal/txn"
 	"repro/internal/vclock"
 )
 
@@ -71,13 +68,9 @@ var (
 	ErrIsDir         = fs.ErrIsDir
 )
 
-// SiteSpec describes one site.
-type SiteSpec struct {
-	ID SiteID
-	// MachineType names the CPU type for heterogeneous-load-module
-	// resolution (defaults to "vax").
-	MachineType string
-}
+// SiteSpec describes one site: its ID and its MachineType, the CPU
+// type for heterogeneous-load-module resolution (defaults to "vax").
+type SiteSpec = cluster.SiteSpec
 
 // FilegroupSpec describes one logical filegroup and its replication.
 type FilegroupSpec struct {
@@ -94,33 +87,20 @@ type ClusterSpec struct {
 	Filegroups []FilegroupSpec
 }
 
-// Cluster is a running LOCUS network: the internal/cluster assembly
-// (network, kernels, format) with the process, transaction,
-// reconciliation and topology layers attached to every site.
+// Cluster is a running LOCUS network: a facade over the
+// internal/cluster assembly, which boots every layer at every site and
+// changes membership only through the reconfiguration protocols.
 type Cluster struct {
 	cl    *cluster.Cluster
 	sites map[SiteID]*Site
 }
 
-// Site is one machine running the LOCUS kernel stack.
-type Site struct {
-	id      SiteID
-	cluster *Cluster
-
-	// FS is the distributed filesystem kernel.
-	FS *fs.Kernel
-	// Proc is the process manager.
-	Proc *proc.Manager
-	// Txn is the nested-transaction manager.
-	Txn *txn.Manager
-	// Recon is the reconciliation driver.
-	Recon *recon.Reconciler
-	// Topo runs the reconfiguration protocols.
-	Topo *topology.Manager
-}
+// Site is one machine running the LOCUS kernel stack: FS, Proc, Txn,
+// Recon and Topo.
+type Site struct{ *cluster.Site }
 
 // ID returns the site id.
-func (s *Site) ID() SiteID { return s.id }
+func (s *Site) ID() SiteID { return s.FS.Site() }
 
 // NewCluster builds, boots, and formats a cluster.
 func NewCluster(spec ClusterSpec) (*Cluster, error) {
@@ -135,42 +115,13 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts cluster.Options
-	for _, ss := range spec.Sites {
-		opts.Sites = append(opts.Sites, ss.ID)
-	}
-	cl, err := cluster.New(cfg, opts)
+	cl, err := cluster.New(cfg, cluster.Options{Sites: spec.Sites})
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{cl: cl, sites: make(map[SiteID]*Site)}
 	for _, ss := range spec.Sites {
-		k := cl.K(ss.ID)
-		mt := ss.MachineType
-		if mt == "" {
-			mt = "vax"
-		}
-		site := &Site{
-			id:      ss.ID,
-			cluster: c,
-			FS:      k,
-			Proc:    proc.NewManager(k.Node(), k, mt),
-			Txn:     txn.NewManager(k),
-			Recon:   recon.New(k),
-			Topo:    topology.New(k.Node(), cl.Sites()),
-		}
-		// Membership changes drive the §5.6 cleanup procedure in every
-		// kernel layer.
-		site.Topo.OnChange(func(p []SiteID) {
-			site.FS.CleanupAfterPartitionChange(p)
-			site.Proc.CleanupAfterPartitionChange(p)
-			site.Txn.CleanupAfterPartitionChange(p)
-			site.FS.RequeueStalledPropagations()
-		})
-		// A crash additionally discards the volatile transaction tables
-		// (proc registers its own crash hook in NewManager).
-		k.Node().OnCrash(site.Txn.CrashLocal)
-		c.sites[ss.ID] = site
+		c.sites[ss.ID] = &Site{cl.Site(ss.ID)}
 	}
 	return c, nil
 }
@@ -222,61 +173,21 @@ func (c *Cluster) Fsck(converged bool) []fs.FsckFinding { return c.cl.Fsck(conve
 func (c *Cluster) Settle() int { return c.cl.Settle() }
 
 // Partition severs the network into the given groups and runs the
-// partition protocol in each; every site's kernel runs the cleanup
-// procedure via the topology callback.
-func (c *Cluster) Partition(groups ...[]SiteID) {
-	c.cl.Net.PartitionGroups(groups...)
-	for _, g := range groups {
-		if len(g) > 0 {
-			c.sites[g[0]].Topo.RunPartitionProtocol()
-		}
-	}
-}
+// partition protocol in each; every layer of every site runs the
+// cleanup procedure via the topology callback.
+func (c *Cluster) Partition(groups ...[]SiteID) { c.cl.Partition(groups...) }
 
 // Merge heals the physical network, runs the merge protocol from the
-// lowest up site, reconciles every filegroup, and settles propagation.
+// lowest up site, settles propagation, and reconciles every filegroup.
 // It returns the combined reconciliation report.
-func (c *Cluster) Merge() (recon.Report, error) {
-	c.cl.Net.HealAll()
-	up := c.cl.UpSites()
-	var rep recon.Report
-	if len(up) == 0 {
-		return rep, errors.New("locus: no site up")
-	}
-	if _, err := c.sites[up[0]].Topo.RunMergeProtocol(); err != nil {
-		return rep, err
-	}
-	c.Settle()
-	// Reconciliation runs at every site; each file is merged once (by
-	// its lowest storing site). Two passes let directory merges expose
-	// files that then propagate.
-	for pass := 0; pass < 2; pass++ {
-		for _, id := range up {
-			r, err := c.sites[id].Recon.ReconcileAll()
-			rep = rep.Add(r)
-			if err != nil {
-				return rep, err
-			}
-		}
-		c.Settle()
-	}
-	return rep, nil
-}
+func (c *Cluster) Merge() (recon.Report, error) { return c.cl.Merge() }
 
 // Crash abruptly takes a site down (volatile state lost, disk kept);
-// the survivors run the partition protocol.
-func (c *Cluster) Crash(id SiteID) {
-	c.cl.Net.Crash(id)
-	if up := c.cl.UpSites(); len(up) > 0 {
-		c.sites[up[0]].Topo.RunPartitionProtocol()
-	}
-}
+// the survivors of its partition run the partition protocol.
+func (c *Cluster) Crash(id SiteID) { c.cl.Crash(id) }
 
 // Restart brings a crashed site back and merges it into the partition.
-func (c *Cluster) Restart(id SiteID) (recon.Report, error) {
-	c.cl.Net.Restart(id)
-	return c.Merge()
-}
+func (c *Cluster) Restart(id SiteID) (recon.Report, error) { return c.cl.Restart(id) }
 
 // String describes the cluster.
 func (c *Cluster) String() string {
