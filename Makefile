@@ -38,9 +38,12 @@ race:
 # sixteen writers on four sites create in one directory, so every
 # directory update waits at the CSS for the writer slot and every open
 # polls the using site last. It failed about 1 run in 1,000 while both
-# were wall-time retry loops.
+# were wall-time retry loops. It then runs the directory-slot wait test
+# 200 times (about 2.5 s): the wait runs at the CSS on behalf of the
+# site whose fs.dirop it serves, and must end when that site leaves.
 flakegate:
 	$(GO) test -count=2000 -run TestConcurrentWritersDifferentFilesAcrossSites ./internal/fs
+	$(GO) test -count=200 -run TestDirUpdateWaitsForWriter ./internal/fs
 
 # invariants runs the suite with the runtime assertion layer compiled
 # in (internal/lint/invariant): version-vector dominance on propagation

@@ -31,6 +31,13 @@ const crashWhilePartitionedSeed = 9
 // gone, and the run hung.
 const procHangSeed = 3
 
+// leaseRecallSeed also runs in TestChaosLeaseSeeds, which needs every
+// seed to recall a writer lease: seed 11 no longer does. Its recalls
+// were all of directory writer leases that sites 2 and 3 held for their
+// own directory updates; a directory is now updated at its CSS alone
+// (fs.dirop), which holds the lease itself and recalls nobody's.
+const leaseRecallSeed = 4
+
 // Replay flags: TestChaosExtraSeed rebuilds a Config from these, so
 // Result.ReplayCommand round-trips any failing run into one
 // copy-pasteable command.
@@ -119,12 +126,13 @@ func TestChaosSerialPullSeeds(t *testing.T) {
 // lease held at a site the CSS no longer tracks. Every seed must also
 // recall a writer registration (fs.recallwriter), the one exchange that
 // takes an idle writer lease back; the other regimes' seeds never meet
-// a recorded writer at open, so only this one can hold that line. And
+// a recorded writer at open, so only this one can hold that line (seed
+// 11 is excused: see leaseRecallSeed). And
 // leases must not multiply the storage-site polls: each seed's fs.ssopen
 // count stays within 2× of the same seed's without them (an open that
 // retried a stale replica once sent 12,051 on seed 1, against 55).
 func TestChaosLeaseSeeds(t *testing.T) {
-	for _, seed := range chaosSeeds {
+	for _, seed := range append(slices.Clip(chaosSeeds), leaseRecallSeed) {
 		seed := seed
 		t.Run(fmtSeed(seed), func(t *testing.T) {
 			t.Parallel()
@@ -145,7 +153,7 @@ func TestChaosLeaseSeeds(t *testing.T) {
 			if res.Stats.LeasesGranted == 0 {
 				t.Errorf("seed %d granted no leases; the schedule never exercised the lease layer", seed)
 			}
-			if res.Stats.ByMethod["fs.recallwriter"] == 0 {
+			if seed != 11 && res.Stats.ByMethod["fs.recallwriter"] == 0 {
 				t.Errorf("seed %d sent no fs.recallwriter; the schedule never recalled a writer registration", seed)
 			}
 		})

@@ -10,19 +10,18 @@ import (
 	"repro/internal/vclock"
 )
 
-// A chunk holds at most chunkTarget entries when it is decoded (a run of
-// decoded entries is cut evenly into as few chunks as that allows),
-// grows by one with each new name, and splits in two when it would
-// exceed chunkMax. Entries are never dropped (a removed name stays as a
-// tombstone), so a chunk never shrinks and every chunk holds between 1
-// and chunkMax entries. Decoded chunks are the small ones because every
-// later update of a chunk copies it: a stale site that cut its decoded
-// entries at chunkMax paid more in install than the smaller chunk table
-// saved (ROADMAP, item 4).
-const (
-	chunkTarget = 64
-	chunkMax    = 2 * chunkTarget
-)
+// A chunk holds at most chunkMax entries: a run of decoded entries is
+// cut evenly into as few chunks as that allows, and a chunk grows by one
+// with each new name and splits in two when it would exceed chunkMax.
+// Entries are never dropped (a removed name stays as a tombstone), so a
+// chunk never shrinks and every chunk holds between 1 and chunkMax
+// entries. Every update copies the chunk it changes, at the CSS that
+// makes it and at the using site that re-applies it, and the CSS's
+// snapshot of a directory it keeps current is built by inserts, so its
+// chunks run between half full and full: the one size is small enough
+// that those copies cost no more than the decode they replace (ROADMAP,
+// item 4 and "Recorded").
+const chunkMax = 48
 
 // dirChunk is one run of consecutive entries with its encoding. Neither
 // slice is written after the chunk is built: snapshots share chunks.
@@ -89,8 +88,8 @@ func DecodeDirSnapshot(prev *DirSnapshot, raw []byte) (*DirSnapshot, error) {
 		old = prev.chunks
 	}
 	// Room for a cold decode's chunks, or for prev's and a few more: a gap
-	// where prev had one chunk of more than chunkTarget entries makes two.
-	s.chunks = make([]dirChunk, 0, max((n+chunkTarget-1)/chunkTarget, len(old)+len(old)/4))
+	// where prev had one chunk of more than chunkMax entries makes two.
+	s.chunks = make([]dirChunk, 0, max((n+chunkMax-1)/chunkMax, len(old)+len(old)/4))
 	var d entryDecoder // the strict decoder the gaps share
 	gap, gapN := b, 0  // the open gap starts at gap and holds gapN entries so far
 	for s.n+gapN < n {
@@ -185,7 +184,7 @@ func skipUvarints(b []byte, count int) int {
 }
 
 // decodeGap decodes enc, which the skim found to hold n entries, and
-// appends them to s as chunks of chunkTarget entries or, cut evenly,
+// appends them to s as chunks of chunkMax entries or, cut evenly,
 // fewer. The chunks share one entry array, one copy of enc and one
 // string holding the names.
 func (d *entryDecoder) decodeGap(s *DirSnapshot, enc []byte, n int) error {
@@ -195,7 +194,7 @@ func (d *entryDecoder) decodeGap(s *DirSnapshot, enc []byte, n int) error {
 	entries := make([]DirEntry, n)
 	names := string(enc)
 	enc = []byte(names)
-	pieces := (n + chunkTarget - 1) / chunkTarget
+	pieces := (n + chunkMax - 1) / chunkMax
 	for p := 0; p < pieces; p++ {
 		es := entries[:(n-p+pieces-1)/pieces]
 		k, live, err := d.run(es, enc, names)

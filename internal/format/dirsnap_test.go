@@ -173,7 +173,7 @@ func TestSnapshotModel(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		flat := &Directory{}
 		if seed%2 == 1 {
-			flat = shapedDir(2*chunkTarget+int(seed), 5)
+			flat = shapedDir(2*chunkMax+int(seed), 5)
 		}
 		s := mustSnapshot(t, flat)
 		history := []*DirSnapshot{s} // the last five snapshots, oldest first
@@ -386,7 +386,7 @@ func staleCase(t testing.TB, touched int) (prev *DirSnapshot, raw []byte, want *
 	vv := vclock.New().Bump(1).Bump(2).Bump(3)
 	for i := 0; i < touched; i++ {
 		// Chunks 1, 5, 9 and 13: a create in one, an unlink in the next.
-		name := fmt.Sprintf("f%05d", chunkTarget*(1+4*i)+10)
+		name := fmt.Sprintf("f%05d", chunkMax*(1+4*i)+10)
 		if i%2 == 0 {
 			name += "x"
 			want.Insert(name, 7)

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -114,5 +115,57 @@ func TestMergePartialPageCopies(t *testing.T) {
 	}
 	if len(merged) != storage.PageSize {
 		t.Fatalf("merged page is %d bytes, want %d", len(merged), storage.PageSize)
+	}
+}
+
+// TestDirOpReappliesAtItsVersionOnly: a using site re-applies its entry
+// change to its cached snapshot, caching the result at the version the
+// CSS committed, only when the snapshot is the version the CSS changed
+// (dirOpResp.Prev). Behind another site's update it lacks that update,
+// and the result would be cached under a version whose content it is
+// not; the cache keeps what it held, and the next listing reads.
+func TestDirOpReappliesAtItsVersionOnly(t *testing.T) {
+	ks := bootSites(t, 3)
+	k1, k2, k3 := ks[0], ks[1], ks[2]
+	cr := DefaultCred("tester")
+	if err := k1.Mkdir(cr, "/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	r, err := k1.Resolve(cr, "/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k2.ReadDir(cr, "/d"); err != nil { // site 2 caches /d
+		t.Fatal(err)
+	}
+	if err := k2.dirInsert(r.ID, "a", 100); err != nil {
+		t.Fatal(err)
+	}
+	held := k2.dirs.entry(r.ID)
+	if at := k1.localGetVV(r.ID).VV; held.dir == nil || !held.vv.Equal(at) {
+		t.Fatalf("after its insert site 2 caches /d at %v, want the CSS's %v", held.vv, at)
+	}
+	if _, ok := held.dir.Lookup("a"); !ok {
+		t.Fatal("site 2's cached /d lacks its own insert")
+	}
+	if err := k3.dirInsert(r.ID, "b", 101); err != nil {
+		t.Fatal(err)
+	}
+	if err := k2.dirInsert(r.ID, "c", 102); err != nil {
+		t.Fatal(err)
+	}
+	if e := k2.dirs.entry(r.ID); e.dir != held.dir || !e.vv.Equal(held.vv) {
+		t.Errorf("behind site 3's insert site 2 cached /d at %v", e.vv)
+	}
+	ents, err := k2.ReadDir(cr, "/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name)
+	}
+	if !slices.Equal(names, []string{"a", "b", "c"}) {
+		t.Errorf("site 2 lists %v, want [a b c]", names)
 	}
 }

@@ -20,9 +20,10 @@ import (
 // deleteDir builds a 3-site cluster whose /d is stored at site 1 alone
 // and holds f, replicated at all three sites and settled, and g, stored
 // at site 1 and then re-replicated at all three without a settle: sites
-// 2 and 3 have queued a pull of g, a file they never held. /d's updates
-// are local to site 1, so what a delete of f or g sends is the file's
-// own traffic. It returns the cluster and the two files' ids.
+// 2 and 3 have queued a pull of g, a file they never held. /d's update
+// is one fs.dirop to site 1, the CSS, which commits it locally and
+// notifies nobody, so what a delete of f or g sends besides is the
+// file's own traffic. It returns the cluster and the two files' ids.
 func deleteDir(t testing.TB) (c *cluster.Cluster, f, g storage.FileID) {
 	t.Helper()
 	c, err := cluster.New(cluster.SimpleConfig(3), cluster.Options{})
@@ -112,16 +113,15 @@ func TestDeleteTravelsInNotification(t *testing.T) {
 		// The search looks at /d and reads it at site 1. Site 2 stores a
 		// current copy of f and serves its modify open, which asks the
 		// CSS, site 1; the commit notifies sites 1 and 3, and the close
-		// tells the CSS. /d's update at site 1 is its modify open, the
-		// truncate and the write, the read-back of the last page, the
-		// commit and the close.
+		// tells the CSS. /d's update is one fs.dirop to site 1, which
+		// stores /d and commits it there.
 		{"unlink f", func() error { return k.Unlink(cred(), "/d/f") }, map[string]int64{
-			"fs.open": 6, "fs.read": 4, "fs.write": 2, "fs.commit": 2, "fs.close": 2, "fs.ssclose": 2, "fs.propnotify": 2}},
+			"fs.open": 4, "fs.read": 2, "fs.ssclose": 2, "fs.dirop": 2, "fs.propnotify": 2}},
 		// The search looks at /d, now cached, and at g. g's only copy is
 		// at site 1, which serves its modify open, setattr and commit; the
 		// commit notifies sites 2 and 3. Then /d's update, as above.
 		{"unlink g", func() error { return k.Unlink(cred(), "/d/g") }, map[string]int64{
-			"fs.open": 8, "fs.setattr": 1, "fs.read": 2, "fs.write": 2, "fs.commit": 4, "fs.close": 4, "fs.propnotify": 2}},
+			"fs.open": 6, "fs.setattr": 1, "fs.commit": 2, "fs.close": 2, "fs.dirop": 2, "fs.propnotify": 2}},
 		{"settle", func() error { c.Settle(); return nil }, map[string]int64{}},
 	} {
 		before := c.Net.Stats()

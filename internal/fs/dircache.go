@@ -23,10 +23,12 @@ import (
 // of searches and listings share it with no copy and nothing in this
 // package can write through it. Both ways to the next version start
 // from the cached one and share every chunk the change left alone. The
-// site that makes an update (updateDir) derives the next snapshot and
-// installs it only after the commit assigns it a new version vector.
-// Every other site misses on that vector, reads the directory again,
-// and decodes the bytes against its now stale snapshot (load). A
+// CSS, which makes every update (updateDir), derives the next snapshot
+// and installs it only after the commit assigns it a new version
+// vector; the using site whose fs.dirop it was re-applies the same
+// change to its own snapshot (advance). Every other site misses on that
+// vector, reads the directory again, and decodes the bytes against its
+// now stale snapshot (load). A
 // snapshot holds no slice of the bytes it was decoded from: those sit
 // in a recycled buffer that load owns.
 //
@@ -102,6 +104,20 @@ func (c *dirCache) load(id storage.FileID, vv vclock.VV, read func(buf []byte) (
 	}
 	c.put(id, vv, d)
 	return d, nil
+}
+
+// advance caches the snapshot the CSS made from the one at prev for an
+// fs.dirop this site sent: muts re-applied to the cached snapshot, if
+// that is the one at prev, at the update's version vv. Otherwise nothing
+// changes, and the next search reads the directory again.
+func (c *dirCache) advance(id storage.FileID, prev, vv vclock.VV, muts []dirMut) {
+	e := c.entry(id)
+	if e.dir == nil || !e.vv.Equal(prev) {
+		return
+	}
+	if d, err := applyMuts(e.dir, muts); err == nil {
+		c.put(id, vv, d)
+	}
 }
 
 // dirBufPoison is the page pool's poison byte (storage.pagePoisonByte).

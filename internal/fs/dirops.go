@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/format"
@@ -24,10 +25,10 @@ func (k *Kernel) open(cred *Cred, path string, mode OpenMode) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, look, ss, err := k.openID(r.ID, mode, expand)
+	f, look, ss, err := k.openID(r.ID, mode, expand, vclock.NoSite)
 	if look != nil {
 		if _, _, err = k.expandHidden(cred, r.ID, look, ss, path, false, r); err == nil {
-			f, _, _, err = k.openID(r.ID, mode, false)
+			f, _, _, err = k.openID(r.ID, mode, false, vclock.NoSite)
 		}
 	}
 	return f, err
@@ -59,32 +60,35 @@ func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
 	return d.Live(), nil
 }
 
-// updateDir applies a mutation to a directory through the standard
+// updateDir applies entry changes to a directory through the standard
 // open-for-modify / commit machinery, so directory updates replicate
-// and synchronize exactly like file updates. Directory entry updates
-// are short kernel-internal critical sections, the only modify opens of
-// a directory (userHandle): when another holds the directory's writer
-// lock, the open waits at the CSS for its release (§2.3.2: "the kernel
-// ... can sleep on behalf of the process"). An update whose commit
-// fails lands nowhere: its close commits nothing.
+// and synchronize exactly like file updates. It runs at the CSS for the
+// site forSite whose fs.dirop sent them (handleDirOp). Directory entry
+// updates are short kernel-internal critical sections (userHandle):
+// when another holds the directory's writer lock, the open waits at the
+// CSS for its release (§2.3.2: "the kernel ... can sleep on behalf of
+// the process"), or until forSite leaves the partition. Every update
+// commits through here, so the CSS's cached snapshot is current as a
+// rule and the directory is neither read nor decoded. An update whose
+// commit fails lands nowhere: its close commits nothing.
 //
-// mutate maps the directory's snapshot at the version just opened to
-// the one to commit. The write is the whole serialization, assembled
-// from the snapshot's chunk encodings: only the chunk mutate touched
-// was encoded for it.
-func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (*format.DirSnapshot, error)) error {
-	f, _, _, err := k.openID(id, ModeModify, false)
+// The write is the whole serialization, assembled from the snapshot's
+// chunk encodings: only the chunks the mutations touched were encoded
+// for it. It returns the versions the directory went between.
+func (k *Kernel) updateDir(id storage.FileID, forSite SiteID, muts []dirMut) (*dirOpResp, error) {
+	f, _, _, err := k.openID(id, ModeModify, false, forSite)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close() //locus:vet-allow uncheckedcall commit already happened or failed below
-	d, err := k.dirs.load(id, f.ino.VV, f.readAllInto)
+	prev := f.ino.VV
+	d, err := k.dirs.load(id, prev, f.readAllInto)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if d, err = mutate(d); err != nil {
+	if d, err = applyMuts(d, muts); err != nil {
 		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
-		return err
+		return nil, err
 	}
 	buf := dirEncBufs.Get().(*[]byte)
 	*buf = d.AppendEncoded((*buf)[:0])
@@ -95,47 +99,77 @@ func (k *Kernel) updateDir(id storage.FileID, mutate func(*format.DirSnapshot) (
 		// half-written file; without the abort the deferred Close would
 		// commit it ("closing a file commits it").
 		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
-		return err
+		return nil, err
 	}
 	if err := f.Commit(); err != nil {
 		clear(f.dirty) // the storage site discards the update at close
-		return err
+		return nil, err
 	}
 	// Commit assigned the new content its version vector; hand the
-	// snapshot to the cache so the next pathname search does not re-read
-	// and re-parse what we just wrote.
+	// snapshot to the cache so the next update and pathname search do not
+	// re-read and re-parse what we just wrote.
 	k.dirs.put(id, f.ino.VV, d)
+	return &dirOpResp{Prev: prev, VV: f.ino.VV}, nil
+}
+
+// handleDirOp is the CSS side of fs.dirop.
+func (k *Kernel) handleDirOp(from SiteID, req *dirOpReq) (*dirOpResp, error) {
+	return k.updateDir(req.Dir, from, req.Muts)
+}
+
+// dirOp changes entries of directory dir: one fs.dirop exchange with
+// the filegroup's CSS, a procedure call when this site is the CSS. The
+// update is re-applied here to the cached snapshot it was made from, if
+// that is the one cached, so that this site's next search of the
+// directory reads nothing (the CSS's own cache already holds the result).
+func (k *Kernel) dirOp(dir storage.FileID, muts ...dirMut) error {
+	css, err := k.CSSOf(dir.FG)
+	if err != nil {
+		return err
+	}
+	r, err := netsim.CallAt(k.node, css, mDirOp, k.handleDirOp, &dirOpReq{Dir: dir, Muts: muts})
+	if err != nil {
+		return err
+	}
+	k.dirs.advance(dir, r.Prev, r.VV, muts)
 	return nil
+}
+
+// mayHaveApplied reports whether a dirOp that failed with err may have
+// changed the directory all the same: the CSS ran it and the reply was
+// lost with the circuit (the CSS crashed before it replied, say). The
+// operation then keeps what it did before, for the entry may name it; a
+// rollback runs on any other failure.
+func mayHaveApplied(err error) bool {
+	return errors.Is(err, netsim.ErrCircuitClosed)
 }
 
 // dirInsert adds a live entry, failing if the name exists.
 func (k *Kernel) dirInsert(dir storage.FileID, name string, ino storage.InodeNum) error {
-	return k.updateDir(dir, func(d *format.DirSnapshot) (*format.DirSnapshot, error) {
-		return insertEntry(d, name, ino)
-	})
+	return k.dirOp(dir, dirMut{Name: name, Ino: ino})
 }
 
 // dirRemove tombstones an entry, recording the file's delete-time
 // version vector.
 func (k *Kernel) dirRemove(dir storage.FileID, name string, delVV vclock.VV) error {
-	return k.updateDir(dir, func(d *format.DirSnapshot) (*format.DirSnapshot, error) {
-		return removeEntry(d, name, delVV)
-	})
+	return k.dirOp(dir, dirMut{Name: name, Remove: true, DelVV: delVV})
 }
 
-// insertEntry is dirInsert's mutation.
-func insertEntry(d *format.DirSnapshot, name string, ino storage.InodeNum) (*format.DirSnapshot, error) {
-	if _, exists := d.Lookup(name); exists {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	return d.Insert(name, ino), nil
-}
-
-// removeEntry is dirRemove's mutation.
-func removeEntry(d *format.DirSnapshot, name string, delVV vclock.VV) (*format.DirSnapshot, error) {
-	d, ok := d.Remove(name, delVV)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+// applyMuts maps a directory snapshot to the one with muts applied, in
+// order; d is left as it was.
+func applyMuts(d *format.DirSnapshot, muts []dirMut) (*format.DirSnapshot, error) {
+	for _, m := range muts {
+		if m.Remove {
+			var ok bool
+			if d, ok = d.Remove(m.Name, m.DelVV); !ok {
+				return nil, fmt.Errorf("%w: %q", ErrNotFound, m.Name)
+			}
+			continue
+		}
+		if _, exists := d.Lookup(m.Name); exists {
+			return nil, fmt.Errorf("%w: %q", ErrExists, m.Name)
+		}
+		d = d.Insert(m.Name, m.Ino)
 	}
 	return d, nil
 }
@@ -180,9 +214,11 @@ func (k *Kernel) create(cred *Cred, path string, typ storage.FileType, mode uint
 	}
 	if err := k.dirInsert(parent, name, f.id.Inode); err != nil {
 		// Roll the create back: mark the orphan inode deleted.
-		f.setAttr(&setAttrReq{ID: f.id, Nlink: 0, Mode: -1, SetDeleted: true})
-		f.Commit() //locus:vet-allow uncheckedcall rollback
-		f.Close()  //locus:vet-allow uncheckedcall rollback
+		if !mayHaveApplied(err) {
+			f.setAttr(&setAttrReq{ID: f.id, Nlink: 0, Mode: -1, SetDeleted: true})
+			f.Commit() //locus:vet-allow uncheckedcall rollback
+		}
+		f.Close() //locus:vet-allow uncheckedcall rollback
 		return nil, err
 	}
 	return f, nil
@@ -360,7 +396,7 @@ func (k *Kernel) Unlink(cred *Cred, path string) error {
 		}
 	}
 
-	f, _, _, err := k.openID(r.ID, ModeModify, false)
+	f, _, _, err := k.openID(r.ID, ModeModify, false, vclock.NoSite)
 	if err != nil {
 		return err
 	}
@@ -400,7 +436,7 @@ func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 	if parent.FG != r.ID.FG {
 		return fmt.Errorf("%w: %s -> %s", ErrCrossFilegroup, newpath, oldpath)
 	}
-	f, _, _, err := k.openID(r.ID, ModeModify, false)
+	f, _, _, err := k.openID(r.ID, ModeModify, false, vclock.NoSite)
 	if err != nil {
 		return err
 	}
@@ -416,8 +452,11 @@ func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 		return err
 	}
 	if err := k.dirInsert(parent, name, r.ID.Inode); err != nil {
+		if mayHaveApplied(err) {
+			return err
+		}
 		// Roll back the link count.
-		if g, _, _, e2 := k.openID(r.ID, ModeModify, false); e2 == nil {
+		if g, _, _, e2 := k.openID(r.ID, ModeModify, false, vclock.NoSite); e2 == nil {
 			g.setAttr(&setAttrReq{ID: g.id, Nlink: g.ino.Nlink - 1, Mode: -1}) // error unchecked by design: rollback
 			g.Commit()                                                         //locus:vet-allow uncheckedcall rollback
 			g.Close()                                                          //locus:vet-allow uncheckedcall rollback
@@ -467,20 +506,16 @@ func (k *Kernel) Rename(cred *Cred, oldpath, newpath string) error {
 		vv = ino.VV
 	}
 	if newParent == r.Parent {
-		return k.updateDir(newParent, func(d *format.DirSnapshot) (*format.DirSnapshot, error) {
-			d, err := insertEntry(d, newName, r.ID.Inode)
-			if err != nil {
-				return nil, err
-			}
-			return removeEntry(d, r.Name, vv)
-		})
+		return k.dirOp(newParent, dirMut{Name: newName, Ino: r.ID.Inode}, dirMut{Name: r.Name, Remove: true, DelVV: vv})
 	}
 	if err := k.dirInsert(newParent, newName, r.ID.Inode); err != nil {
 		return err
 	}
 	if err := k.dirRemove(r.Parent, r.Name, vv); err != nil {
 		// Roll back the insert.
-		k.dirRemove(newParent, newName, vv) // error unchecked by design: rollback
+		if !mayHaveApplied(err) {
+			k.dirRemove(newParent, newName, vv) // error unchecked by design: rollback
+		}
 		return err
 	}
 	return nil

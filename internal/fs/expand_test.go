@@ -91,7 +91,7 @@ func TestExpandOpenTakesNoLock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, _, _, err := ks[0].openID(hidden, ModeModify, false)
+		w, _, _, err := ks[0].openID(hidden, ModeModify, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestExpandOpenTakesNoLock(t *testing.T) {
 func TestExpandOpenPassesBusyHiddenDir(t *testing.T) {
 	ks := bootBystander(t)
 	hidden, vax := hiddenTree(t, ks)
-	w, _, _, err := ks[1].openID(hidden, ModeModify, false)
+	w, _, _, err := ks[1].openID(hidden, ModeModify, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

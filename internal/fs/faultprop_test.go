@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -258,8 +259,9 @@ func dirAtPack(t *testing.T, c *cluster.Cluster, site fs.SiteID, id storage.File
 // is dropped until its retry budget is gone. The handle is then dirty
 // with a truncated directory, and "closing a file commits it": the
 // update has to abort before its deferred close, or every name in the
-// directory is gone. The directory is stored at sites 1 and 3 and
-// updated from packless site 2, so its SS is remote from the updater.
+// directory is gone. The update runs at the CSS, site 1, for a create
+// at packless site 2 (fs.dirop), and the directory is stored at site 3
+// alone, so the CSS's SS is remote from it.
 func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
 	packs := []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 3, Lo: 1001, Hi: 2000}}
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: packs}})
@@ -268,7 +270,7 @@ func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
 	}
 	c := newClusterCfg(t, cfg, 1, 2, 3)
 	k2 := c.K(2)
-	if err := k2.Mkdir(cred(), "/d", 0755); err != nil {
+	if err := c.K(3).Mkdir(&fs.Cred{User: "tester", NCopies: 1}, "/d", 0755); err != nil {
 		t.Fatal(err)
 	}
 	writeFile(t, k2, "/d/a", []byte("a"))
@@ -278,28 +280,33 @@ func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldIno, _ := dirAtPack(t, c, 1, r.ID)
+	oldIno, _ := dirAtPack(t, c, 3, r.ID)
+	if !slices.Equal(oldIno.Sites, []fs.SiteID{3}) {
+		t.Fatalf("/d is stored at %v, want site 3 alone", oldIno.Sites)
+	}
 
-	// Site 2 made the last update, so its directory cache holds /d at the
-	// committed version and the next update reads nothing before it
+	// The CSS made the last update, so its directory cache holds /d at
+	// the committed version and the next update reads nothing before it
 	// writes: the only fs.read is the read-merge inside WriteAll.
 	var pts []netsim.FaultPoint
 	for i := 0; i < 8; i++ { // the retry budget of one exchange
-		pts = append(pts, netsim.FaultPoint{From: 2, Method: "fs.read", Action: netsim.FaultDropRequest})
+		pts = append(pts, netsim.FaultPoint{From: 1, To: 3, Method: "fs.read", Action: netsim.FaultDropRequest})
 	}
 	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+	before := c.Net.Stats()
 	f, err := k2.Create(cred(), "/d/c", storage.TypeRegular, 0644)
+	dropped := c.Net.Stats().Sub(before).MsgsDropped
 	c.Net.DisableFaults()
 	if err == nil {
 		f.Close() //nolint:errcheck
 		t.Fatal("create succeeded although the directory's last page could not be read back")
 	}
-	if !errors.Is(err, netsim.ErrTimeout) {
-		t.Fatalf("create failed with %v, want the read's timeout", err)
+	if !errors.Is(err, netsim.ErrTimeout) || dropped != 8 {
+		t.Fatalf("create failed with %v, %d requests dropped; want the read's timeout, 8", err, dropped)
 	}
 
 	settle(t, c)
-	for _, site := range []fs.SiteID{1, 3} {
+	for _, site := range []fs.SiteID{3} {
 		ino, names := dirAtPack(t, c, site, r.ID)
 		if !ino.VV.Equal(oldIno.VV) || ino.Size != oldIno.Size {
 			t.Errorf("site %d: /d is at version %v size %d after the failed update, was %v size %d",

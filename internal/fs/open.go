@@ -19,6 +19,7 @@ func (k *Kernel) registerHandlers() {
 	netsim.Handle(k.node, mClose, k.handleClose)
 	netsim.Handle(k.node, mSSClose, k.handleSSClose)
 	netsim.Handle(k.node, mCreate, k.handleCreate)
+	netsim.Handle(k.node, mDirOp, k.handleDirOp)
 	netsim.Handle(k.node, mSSCreate, k.handleSSCreate)
 	netsim.HandleCast(k.node, mPropNotify, k.handlePropNotify)
 	netsim.Handle(k.node, mPullOpen, k.handlePullOpen)
@@ -136,9 +137,10 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 			return nil, fmt.Errorf("%w: %v open for modification at site %d", ErrBusy, req.ID, holder)
 		}
 		for {
-			if !k.inPartitionLocked(req.US) || k.cssState[req.ID] != e {
-				// The waiter's site left, or the lock table was rebuilt
-				// (§5.6 cleanup, a crash) under it.
+			if !k.inPartitionLocked(req.US) || req.For != vclock.NoSite && !k.inPartitionLocked(req.For) || k.cssState[req.ID] != e {
+				// The waiter's site, or the site whose fs.dirop it serves,
+				// left, or the lock table was rebuilt (§5.6 cleanup, a
+				// crash) under it.
 				k.mu.Unlock()
 				return nil, fmt.Errorf("%w: %v: wait for the writer slot abandoned", ErrBusy, req.ID)
 			}
@@ -421,7 +423,7 @@ func containsSite(ss []SiteID, s SiteID) bool {
 // whose directory is not in the cache, readDirAt). A caller that only
 // wants what the inode says calls lookInternal and makes no handle.
 func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
-	f, _, _, err := k.openID(id, mode, false)
+	f, _, _, err := k.openID(id, mode, false, vclock.NoSite)
 	return userHandle(f, err)
 }
 
@@ -509,8 +511,9 @@ func (k *Kernel) internalHandle(id storage.FileID, ino *storage.Inode, ss SiteID
 // openID is OpenID for the kernel, which opens a directory for
 // modification too; expand marks an open that is a search's look
 // (openReq.Expand): a hidden directory comes back as that, inode and
-// storage site, with no handle.
-func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool) (*File, *storage.Inode, SiteID, error) {
+// storage site, with no handle. forSite is the site whose fs.dirop the
+// open serves (openReq.For), or NoSite.
+func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite SiteID) (*File, *storage.Inode, SiteID, error) {
 	if mode == ModeInternal {
 		ino, ss, err := k.lookInternal(id)
 		if err != nil || expand && ino.Type == storage.TypeHiddenDir {
@@ -550,7 +553,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool) (*File, *
 			}
 		}()
 	}
-	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Expand: expand})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Expand: expand, For: forSite})
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -42,7 +42,8 @@ func FuzzNextComp(f *testing.F) {
 // the looked-at one while the cache holds it, else — its pages are gone —
 // a fresh look's. The directory spans pages, and the commit, a name that
 // sorts first, moves every one of them, so a read that mixed versions
-// would show.
+// would show. The reader is site 2: site 1 is the CSS, which makes every
+// update and so always caches the newest version.
 func TestReadDirCarriedLookOvertaken(t *testing.T) {
 	ks := bootSites(t, 2)
 	k1, k2 := ks[0], ks[1]
@@ -66,21 +67,24 @@ func TestReadDirCarriedLookOvertaken(t *testing.T) {
 		}
 	}
 	drain()
-	look, ss, err := k1.lookInternal(r.ID)
+	look, ss, err := k2.lookInternal(r.ID)
 	if err != nil || look.Size <= storage.PageSize {
 		t.Fatalf("the look found %+v, %v; the test needs a directory of two pages or more", look, err)
 	}
-	if err := k2.dirInsert(r.ID, "a-first", 99); err != nil {
+	if _, _, err := k2.readDirByID(r.ID, look, ss); err != nil {
+		t.Fatal(err)
+	}
+	if err := k1.dirInsert(r.ID, "a-first", 99); err != nil {
 		t.Fatal(err)
 	}
 	drain()
-	if now, _, _ := k1.lookInternal(r.ID); now.VV.Equal(look.VV) {
-		t.Fatal("site 1's copy was not overtaken")
+	if now, _, _ := k2.lookInternal(r.ID); now.VV.Equal(look.VV) {
+		t.Fatal("site 2's copy was not overtaken")
 	}
 
 	read := func(what string) (*format.DirSnapshot, *storage.Inode) {
 		t.Helper()
-		d, ino, err := k1.readDirByID(r.ID, look, ss)
+		d, ino, err := k2.readDirByID(r.ID, look, ss)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -93,9 +97,9 @@ func TestReadDirCarriedLookOvertaken(t *testing.T) {
 	}
 	// It does not: the pages read are not of the looked-at version, and the
 	// retry reads the new one whole.
-	k1.dirs.mu.Lock()
-	k1.dirs.m = nil
-	k1.dirs.mu.Unlock()
+	k2.dirs.mu.Lock()
+	k2.dirs.m = nil
+	k2.dirs.mu.Unlock()
 	d, ino = read("uncached")
 	if _, fresh := d.Lookup("a-first"); ino.VV.Equal(look.VV) || !fresh || len(d.Live()) != n+1 {
 		t.Errorf("uncached: %d entries at %v, want the %d of the version after %v", len(d.Live()), ino.VV, n+1, look.VV)

@@ -36,6 +36,10 @@ type openReq struct {
 	// Expand marks an open that is Open's search's look at the file: a
 	// hidden directory to expand (§2.4.1) is served as an internal open.
 	Expand bool
+	// For is the site whose fs.dirop the CSS opens a directory for (zero
+	// for any other open): a wait for the writer slot ends when it, like
+	// the US, leaves the partition.
+	For SiteID
 }
 
 type openResp struct {
@@ -267,6 +271,35 @@ var mLeaseRelease = netsim.Method[leaseReleaseReq, netsim.Ack]{Name: "fs.leasere
 type leaseReleaseReq struct {
 	ID storage.FileID
 	US SiteID
+}
+
+// mDirOp is US → CSS: change entries of a directory (§2.3.4: "no
+// system call does more than just enter, delete, or change an entry
+// within a directory"). The CSS applies the mutations to the directory
+// in one update, one shadow-page commit (§2.3.6), so the US never opens
+// the directory for modification nor ships its pages.
+var mDirOp = netsim.Method[dirOpReq, dirOpResp]{Name: "fs.dirop", AtMostOnce: true}
+
+type dirOpReq struct {
+	Dir  storage.FileID
+	Muts []dirMut
+}
+
+// dirMut is one entry change: an insert of Name naming Ino (ErrExists
+// on a live name), or, Remove set, a tombstone of Name recording DelVV.
+type dirMut struct {
+	Name   string
+	Ino    storage.InodeNum
+	Remove bool
+	DelVV  vclock.VV
+}
+
+// dirOpResp names the versions the update went between, not the
+// content: the US re-applies its own mutations to a cached snapshot at
+// Prev and caches the result at VV. (A snapshot in the reply would be
+// pinned by the at-most-once table for as long as the reply is.)
+type dirOpResp struct {
+	Prev, VV vclock.VV
 }
 
 // mCreate is US → CSS: create a new file (placeholder for inode). It

@@ -29,6 +29,7 @@ func TestMethodTable(t *testing.T) {
 		{mSSClose.Name, mSSClose.AtMostOnce},
 		{mCreate.Name, mCreate.AtMostOnce},
 		{mSSCreate.Name, mSSCreate.AtMostOnce},
+		{mDirOp.Name, mDirOp.AtMostOnce},
 		{mPropNotify.Name, false},
 		{mPullOpen.Name, mPullOpen.AtMostOnce},
 		{mReadPhys.Name, mReadPhys.AtMostOnce},
@@ -62,7 +63,7 @@ func TestMethodTable(t *testing.T) {
 		t.Errorf("registered handlers differ from the declared descriptors:\n got  %v\n want %v", got, names)
 	}
 	want := []string{
-		"fs.close", "fs.commit", "fs.create", "fs.leaserelease", "fs.leaserevoke",
+		"fs.close", "fs.commit", "fs.create", "fs.dirop", "fs.leaserelease", "fs.leaserevoke",
 		"fs.open", "fs.recallwriter", "fs.ssclose", "fs.sscreate", "fs.ssopen",
 	}
 	sort.Strings(atMostOnce)

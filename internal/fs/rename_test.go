@@ -2,7 +2,7 @@ package fs_test
 
 // Rename within one directory is one directory update (§2.3.6: a
 // shadow-page commit makes one file atomic, and the directory is that
-// file): one modify open, one write, one commit, one close and one
+// file): one fs.dirop to the CSS, which makes one commit and one
 // propagation fan-out, after one search of the shared parent.
 
 import (
@@ -20,12 +20,14 @@ import (
 
 // renameDir builds a 3-site cluster whose replicated /d holds files
 // f0000 … f<n-1>, settled, and readies a rename at site us the way a
-// build does: us writes /d/tmp and unlinks /d/f0001, the target. stale
-// first has another site update /d, so us holds a pending propagation
-// of it and its directory updates go to a remote storage site (its
-// directory cache stays current: it made the last update itself).
-// It returns the cluster and tmp's inode.
-func renameDir(t testing.TB, n int, us fs.SiteID, stale bool) (*cluster.Cluster, storage.InodeNum) {
+// build does: us writes /d/tmp and unlinks /d/f0001, the target. Every
+// update of /d commits at the CSS, site 1, so any other us then holds a
+// pending propagation of /d, its cache current: it made the last update
+// itself. stale first has another site update /d, site 3 for us 2 and
+// the CSS for us 3. sites, when given, stores /d at those sites alone,
+// which the CSS polls in that order. It returns the cluster and tmp's
+// inode.
+func renameDir(t testing.TB, n int, us fs.SiteID, stale bool, sites ...fs.SiteID) (*cluster.Cluster, storage.InodeNum) {
 	t.Helper()
 	c, err := cluster.New(cluster.SimpleConfig(3), cluster.Options{})
 	if err != nil {
@@ -34,6 +36,11 @@ func renameDir(t testing.TB, n int, us fs.SiteID, stale bool) (*cluster.Cluster,
 	t.Cleanup(c.Close)
 	if err := c.K(1).Mkdir(cred(), "/d", 0755); err != nil {
 		t.Fatal(err)
+	}
+	if sites != nil {
+		if err := c.K(1).SetReplication(cred(), "/d", sites); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < n; i++ {
 		writeFile(t, c.K(1), fmt.Sprintf("/d/f%04d", i), []byte("x"))
@@ -54,35 +61,22 @@ func renameDir(t testing.TB, n int, us fs.SiteID, stale bool) (*cluster.Cluster,
 	return c, ino.Num
 }
 
-// TestRenameSameDirectoryIsOneUpdate pins what Rename("/d/tmp",
-// "/d/f0001") sends in a 1,024-entry directory: one directory update.
-// Made of two, an insert and then a removal, each with its own open,
-// write, commit, close and fan-out, it sends twice each count (in the
-// order of the table 4, 12, 44 and 32 messages, with 4 fs.commit
-// messages from the stale sites).
+// TestRenameSameDirectoryIsOneUpdate: Rename("/d/tmp", "/d/f0001") in a
+// 1,024-entry directory is one directory update, one fs.dirop carrying
+// both entry changes (none from the CSS, where it is a procedure call)
+// and one fan-out to the other two copies, from every site of
+// TestNamespaceOpCosts, which pins all it sends. Made of two, an insert
+// and then a removal, it sends two of each.
 func TestRenameSameDirectoryIsOneUpdate(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		us    fs.SiteID
 		stale bool
-		want  map[string]int64
 	}{
-		// Site 1 is the CSS and stores a current copy: the update is
-		// local but for the fan-out to the other two copies.
-		{"current/css", 1, false, map[string]int64{"fs.propnotify": 2}},
-		// Site 2 stores a current copy: the modify open asks the CSS,
-		// the close tells it.
-		{"current", 2, false, map[string]int64{"fs.open": 2, "fs.ssclose": 2, "fs.propnotify": 2}},
-		// A pending propagation of /d sends the search's look at it to the
-		// CSS, which polls the current storage site, site 3; then one
-		// modify open (polled the same way), the write and its read-back
-		// of the last page, one commit exchange, the close and the
-		// fan-out.
-		{"stale", 2, true, map[string]int64{"fs.open": 4, "fs.ssopen": 4, "fs.read": 2, "fs.write": 4,
-			"fs.commit": 2, "fs.close": 2, "fs.ssclose": 2, "fs.propnotify": 2}},
-		// Here the current storage site is the CSS, site 1.
-		{"stale/ss-is-css", 3, true, map[string]int64{"fs.open": 4, "fs.read": 2, "fs.write": 4,
-			"fs.commit": 2, "fs.close": 2, "fs.propnotify": 2}},
+		{"current/css", 1, false},
+		{"current", 2, false},
+		{"stale", 2, true},
+		{"stale/ss-is-css", 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, ino := renameDir(t, 1024, tc.us, tc.stale)
@@ -91,8 +85,12 @@ func TestRenameSameDirectoryIsOneUpdate(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := c.Net.Stats().Sub(before)
-			if !reflect.DeepEqual(d.ByMethod, tc.want) {
-				t.Errorf("the rename sent %d messages %v, want %v", d.Msgs, d.ByMethod, tc.want)
+			dirops := int64(2)
+			if tc.us == 1 {
+				dirops = 0
+			}
+			if d.ByMethod["fs.dirop"] != dirops || d.ByMethod["fs.propnotify"] != 2 {
+				t.Errorf("the rename sent %v, want %d fs.dirop and 2 fs.propnotify messages", d.ByMethod, dirops)
 			}
 			settle(t, c)
 			for _, s := range c.Sites() {
@@ -125,8 +123,15 @@ func namesOf(t *testing.T, k *fs.Kernel, dir string, ino storage.InodeNum) []str
 
 // TestRenameCutAtEveryExchange cuts a same-directory Rename from a site
 // with a pending propagation of the directory at each exchange it makes,
-// nested ones included, one exchange per case. Each is cut two ways: all
-// 8 transmissions of its request are dropped, or the using site crashes
+// nested ones included, one exchange per case. /d is stored at sites 3
+// and 2 and not at the CSS, site 1, so the CSS's update of it runs the
+// whole open for modification and commit at the current storage site,
+// site 3: the CSS polls it for the look and for the modify open,
+// writes, reads back the last page and commits there, site 3 notifies
+// site 2 and the CSS, and the CSS closes. (TestDirOpCutAtEveryExchange
+// cuts the same rename where the CSS stores /d, and every nested
+// exchange is a procedure call.) Each case is cut two ways: all 8
+// transmissions of its request are dropped, or the using site crashes
 // as it is sent (the request is delivered, the reply finds no caller).
 // After the network heals (or the site restarts) and propagation
 // settles, fsck must be clean and every site must name the file by
@@ -134,16 +139,18 @@ func namesOf(t *testing.T, k *fs.Kernel, dir string, ino storage.InodeNum) []str
 // that reported success must have left the new name, and one whose
 // request was dropped and that reported an error the old. A rename made
 // of two commits, an insert and then a removal, leaves both names when
-// it is cut between them. The last case drops a Create's directory
-// update commit the same way: the entry must land nowhere.
+// it is cut between them. The last cases drop a Create's fs.dirop, and
+// the fs.commit of the CSS's update for it, the same way: the entry
+// must land nowhere.
 func TestRenameCutAtEveryExchange(t *testing.T) {
 	const us = 2
+	offCSS := []fs.SiteID{3, 2}
 	type exchange struct {
 		from, to fs.SiteID
 		method   string
 		nth      int
 	}
-	c, _ := renameDir(t, 8, us, true)
+	c, _ := renameDir(t, 8, us, true, offCSS...)
 	var exchanges []exchange
 	seen := map[exchange]int{}
 	c.Net.SetTrace(func(from, to fs.SiteID, method string) {
@@ -164,7 +171,7 @@ func TestRenameCutAtEveryExchange(t *testing.T) {
 				how = "crash"
 			}
 			t.Run(fmt.Sprintf("%02d:%d->%d/%s#%d/%s", i, ex.from, ex.to, ex.method, ex.nth, how), func(t *testing.T) {
-				c, ino := renameDir(t, 8, us, true)
+				c, ino := renameDir(t, 8, us, true, offCSS...)
 				before := c.Net.Stats()
 				if crash {
 					sent := 0
@@ -221,29 +228,35 @@ func TestRenameCutAtEveryExchange(t *testing.T) {
 		}
 	}
 
-	// Every transmission of the directory update's fs.commit is lost: the
-	// create fails and rolls its inode back, and no site names it.
-	t.Run("create/fs.commit/drop", func(t *testing.T) {
-		c, _ := renameDir(t, 8, us, true)
-		var pts []netsim.FaultPoint
-		for j := 0; j < 8; j++ {
-			pts = append(pts, netsim.FaultPoint{From: us, Method: "fs.commit", Action: netsim.FaultDropRequest})
-		}
-		c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-		before := c.Net.Stats()
-		_, err := c.K(us).Create(cred(), "/d/new", storage.TypeRegular, 0644)
-		d := c.Net.Stats().Sub(before)
-		c.Net.DisableFaults()
-		if d.MsgsDropped != 8 || err == nil {
-			t.Fatalf("create = %v with %d requests dropped, want an error and 8", err, d.MsgsDropped)
-		}
-		healAfterCut(t, c)
-		for _, s := range c.Sites() {
-			if _, err := c.K(s).Stat(cred(), "/d/new"); !errors.Is(err, fs.ErrNotFound) {
-				t.Fatalf("site %d: the failed create left /d/new: %v", s, err)
+	// Every transmission of the create's fs.dirop, or of the fs.commit
+	// of the CSS's update of /d at site 3, is lost: the create fails and
+	// rolls its inode back, and no site names it.
+	for _, ex := range []struct {
+		from   fs.SiteID
+		method string
+	}{{us, "fs.dirop"}, {1, "fs.commit"}} {
+		t.Run("create/"+ex.method+"/drop", func(t *testing.T) {
+			c, _ := renameDir(t, 8, us, true, offCSS...)
+			var pts []netsim.FaultPoint
+			for j := 0; j < 8; j++ {
+				pts = append(pts, netsim.FaultPoint{From: ex.from, Method: ex.method, Action: netsim.FaultDropRequest})
 			}
-		}
-	})
+			c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+			before := c.Net.Stats()
+			_, err := c.K(us).Create(cred(), "/d/new", storage.TypeRegular, 0644)
+			d := c.Net.Stats().Sub(before)
+			c.Net.DisableFaults()
+			if d.MsgsDropped != 8 || err == nil {
+				t.Fatalf("create = %v with %d requests dropped, want an error and 8", err, d.MsgsDropped)
+			}
+			healAfterCut(t, c)
+			for _, s := range c.Sites() {
+				if _, err := c.K(s).Stat(cred(), "/d/new"); !errors.Is(err, fs.ErrNotFound) {
+					t.Fatalf("site %d: the failed create left /d/new: %v", s, err)
+				}
+			}
+		})
+	}
 }
 
 // healAfterCut heals and merges (§5.5), as a restart does — a restarted
@@ -315,8 +328,8 @@ func TestRenameGuards(t *testing.T) {
 	// The context-expanded name is the vax entry of the hidden directory,
 	// and the new name's parent is /bin: the entry moves up into /bin,
 	// across two directories, in two updates.
-	oneUpdate := map[string]int64{"fs.open": 2, "fs.ssclose": 2, "fs.propnotify": 2}
-	twoUpdates := map[string]int64{"fs.open": 4, "fs.ssclose": 4, "fs.propnotify": 4}
+	oneUpdate := map[string]int64{"fs.dirop": 2, "fs.propnotify": 2}
+	twoUpdates := map[string]int64{"fs.dirop": 4, "fs.propnotify": 4}
 	if sent, err := rename(vax, "/bin/who", "/bin/what"); err != nil || !reflect.DeepEqual(sent, twoUpdates) {
 		t.Fatalf("Rename(/bin/who, /bin/what) = %v, sent %v; want nil and %v", err, sent, twoUpdates)
 	}
@@ -363,8 +376,12 @@ func TestRenameGuards(t *testing.T) {
 	if err := k.Unlink(cred(), "/d/b"); err != nil {
 		t.Fatal(err)
 	}
-	if sent, err := rename(cred(), "/d/a", "/d/b"); err != nil || !reflect.DeepEqual(sent, oneUpdate) {
-		t.Fatalf("Rename(/d/a, /d/b) onto a tombstone = %v, sent %v; want nil and %v", err, sent, oneUpdate)
+	// The unlink's update committed at the CSS, and site 2's copy of /d
+	// awaits its pull: the search looks at /d at the CSS (its cache holds
+	// the version, so it reads nothing).
+	afterUnlink := map[string]int64{"fs.open": 2, "fs.dirop": 2, "fs.propnotify": 2}
+	if sent, err := rename(cred(), "/d/a", "/d/b"); err != nil || !reflect.DeepEqual(sent, afterUnlink) {
+		t.Fatalf("Rename(/d/a, /d/b) onto a tombstone = %v, sent %v; want nil and %v", err, sent, afterUnlink)
 	}
 	if got := list(cred(), "/d"); !slices.Equal(got, []string{"b", "c"}) {
 		t.Errorf("/d lists %v", got)

@@ -162,10 +162,12 @@ func TestResolvePathForms(t *testing.T) {
 // two-component path allocates the Resolved it returns, Stat the copy of
 // the inode besides, and neither makes a handle. A search that finds a
 // directory changed since it was cached reads it through a registered
-// handle, once. One P and no collector, as in TestOpenAllocations.
+// handle, once. One P and no collector, as in TestOpenAllocations. The
+// searching site is site 2: site 1 is the CSS, which makes every update
+// and so never finds a directory changed since it was cached.
 func TestResolveAllocations(t *testing.T) {
 	c := newCluster(t, 2)
-	k := c.K(1)
+	k := c.K(2)
 	if err := k.Mkdir(cred(), "/d", 0755); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestResolveAllocations(t *testing.T) {
 
 	// The other site adds a name to /d: this site's copy gets a version
 	// its cache does not hold, and the next search reads the directory.
-	writeFile(t, c.K(2), "/d/other", nil)
+	writeFile(t, c.K(1), "/d/other", nil)
 	settle(t, c)
 	open0, registered0 = k.OpenHandles()
 	resolve()
@@ -295,8 +297,8 @@ func TestLookInternalSendsWhatOpenSends(t *testing.T) {
 // fs.open exchange (two messages) with the CSS, and the look that found a
 // component's type serves what comes next — the next step's read of its
 // content, Stat's inode, ReadDir's listing, Create's read of the parent
-// and its site list. Create's modify open of the parent for the new entry
-// is the one synchronized open among them.
+// and its site list. Create's new entry is one fs.dirop to the CSS, no
+// open at all.
 func TestSearchLooksEachFileOnce(t *testing.T) {
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
 		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
@@ -333,10 +335,10 @@ func TestSearchLooksEachFileOnce(t *testing.T) {
 		// / and /d.
 		{`ReadDir("/d")`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, 4},
 		{`Resolve("/d/f")`, func() error { _, err := k.Resolve(cred(), "/d/f"); return err }, 6},
-		// / and /d, then the modify open of /d.
-		{`Create("/d/g")`, create("/d/g"), 6},
-		// /, looked at by ResolveParent, then the modify open of /.
-		{`Create("/g")`, create("/g"), 4},
+		// / and /d.
+		{`Create("/d/g")`, create("/d/g"), 4},
+		// /, looked at by ResolveParent.
+		{`Create("/g")`, create("/g"), 2},
 	} {
 		before := c.Net.Stats()
 		if err := tc.op(); err != nil {
