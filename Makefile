@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet locusvet test flakegate race invariants bench benchonce benchjson benchdiff benchmarkcheck examplesmoke workloadsmoke profile chaos ci
+.PHONY: all build fmt vet locusvet test flakegate race invariants bench benchonce benchjson benchdiff benchmarkcheck examplesmoke workloadsmoke fuzzsmoke profile chaos ci
 
 all: ci
 
@@ -101,6 +101,14 @@ workloadsmoke:
 	$(GO) test -race -tags locusinvariants -count=1 ./internal/workload ./internal/bench
 	$(GO) test -race -tags locusinvariants -run TestExperimentTables -count=1 .
 
+# fuzzsmoke fuzzes the directory decoders for 15 s from FuzzDecodeDir's
+# seeds (internal/format): `go test` runs only the seeds, and the
+# decoders are the trust boundary for bytes read from a torn read or a
+# damaged pack. -fuzzminimizetime 20x keeps the workers fuzzing rather
+# than minimizing each new input for a minute.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeDir -fuzztime 15s -fuzzminimizetime 20x ./internal/format
+
 # profile captures CPU and heap pprof data for a 60k-op workload run:
 # the workflow that found the directory-decode hot path documented in
 # DESIGN.md. Inspect with `go tool pprof cpu.prof` / `mem.prof`.
@@ -117,4 +125,4 @@ profile:
 chaos:
 	$(GO) test -run TestChaos -race -tags locusinvariants -count=1 ./internal/chaos
 
-ci: build fmt vet locusvet test flakegate race invariants benchonce examplesmoke workloadsmoke benchmarkcheck benchdiff chaos
+ci: build fmt vet locusvet test flakegate race invariants benchonce examplesmoke workloadsmoke fuzzsmoke benchmarkcheck benchdiff chaos

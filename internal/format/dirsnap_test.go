@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -17,11 +20,12 @@ import (
 // checkSnapshot states what a snapshot owes its readers, against the
 // flat directory holding the same entries: chunks within their size
 // bounds and in order, each carrying exactly its entries' encoding and
-// live count, totals that add up, the flat form's entries in its order,
-// its encoding byte for byte and its live listing in a slice of exactly
-// that size.
+// live count, totals that add up, the flat form's entries in its order
+// and its live listing in a slice of exactly that size; and a layout
+// (checkLayout) whose encoding decodes to the flat form's entries and
+// back to the same bytes, page by page as AppendPage assembles them.
 func checkSnapshot(s *DirSnapshot, want *Directory) error {
-	var n, live, encLen int
+	var n, live int
 	prev := ""
 	for ci, c := range s.chunks {
 		if !sameEntries(c.entries, want.Entries[min(n, len(want.Entries)):min(n+len(c.entries), len(want.Entries))]) {
@@ -40,23 +44,68 @@ func checkSnapshot(s *DirSnapshot, want *Directory) error {
 				cl++
 			}
 		}
-		if c.live != cl {
+		if int(c.live) != cl {
 			return fmt.Errorf("chunk %d counts %d live entries, has %d", ci, c.live, cl)
 		}
 		if !bytes.Equal(c.enc, appendEntries(nil, c.entries)) {
 			return fmt.Errorf("chunk %d does not carry its entries' encoding", ci)
 		}
-		n, live, encLen = n+len(c.entries), live+cl, encLen+len(c.enc)
+		n, live = n+len(c.entries), live+cl
 	}
-	if s.n != n || s.live != live || s.encLen != encLen {
-		return fmt.Errorf("totals n=%d live=%d encLen=%d, chunks add up to %d, %d, %d", s.n, s.live, s.encLen, n, live, encLen)
+	if s.n != n || s.live != live || n != len(want.Entries) {
+		return fmt.Errorf("totals n=%d live=%d, chunks add up to %d, %d; flat has %d entries", s.n, s.live, n, live, len(want.Entries))
 	}
-	if !bytes.Equal(s.AppendEncoded(nil), EncodeDir(want)) {
-		return fmt.Errorf("snapshot encodes differently from the flat directory")
+	if err := checkLayout(s); err != nil {
+		return err
+	}
+	raw := s.AppendEncoded(nil)
+	if back, err := DecodeDir(raw); err != nil || !sameEntries(back.Entries, want.Entries) {
+		return fmt.Errorf("the snapshot's encoding decodes to %+v, %v", back, err)
+	}
+	if again, err := DecodeDirSnapshot(nil, raw); err != nil || !bytes.Equal(again.AppendEncoded(nil), raw) {
+		return fmt.Errorf("the snapshot's encoding does not decode to a snapshot of the same bytes: %v", err)
+	}
+	var paged []byte
+	for pn := 0; pn < pagesOf(len(raw)); pn++ {
+		if paged = s.AppendPage(paged, pn); len(paged) != (pn+1)*PageSize {
+			return fmt.Errorf("page %d is %d bytes", pn, len(paged)-pn*PageSize)
+		}
+	}
+	if !bytes.Equal(paged[:len(raw)], raw) || slices.ContainsFunc(paged[len(raw):], func(b byte) bool { return b != 0 }) {
+		return fmt.Errorf("the pages do not assemble to the encoding")
 	}
 	got, wantLive := s.Live(), want.Live()
 	if !sameEntries(got, wantLive) || cap(got) != len(wantLive) || s.HasLive() != (len(wantLive) > 0) {
 		return fmt.Errorf("Live = %v (cap %d), HasLive = %v; flat has %v", got, cap(got), s.HasLive(), wantLive)
+	}
+	return nil
+}
+
+// checkLayout checks the page layout a snapshot keeps: every block
+// starts on the page after the ones its predecessor takes, holds one
+// entry or fits in a page, and the encoding ends where the last ends.
+func checkLayout(s *DirSnapshot) error {
+	if len(s.chunks) == 0 {
+		return nil
+	}
+	pg := 0
+	for lo := 0; lo < len(s.chunks); {
+		_, hi := s.block(lo)
+		n := 0
+		for _, c := range s.chunks[lo:hi] {
+			n += len(c.entries)
+		}
+		size := s.blockSize(lo, hi)
+		switch {
+		case int(s.chunks[lo].page) != pg:
+			return fmt.Errorf("chunk %d's block starts on page %d, want %d", lo, s.chunks[lo].page, pg)
+		case n > 1 && size > PageSize:
+			return fmt.Errorf("the block on page %d holds %d entries in %d bytes", pg, n, size)
+		case hi == len(s.chunks) && s.size != pg*PageSize+size:
+			return fmt.Errorf("the encoding is %d bytes, its last block ends at %d", s.size, pg*PageSize+size)
+		}
+		pg += pagesOf(size)
+		lo = hi
 	}
 	return nil
 }
@@ -107,7 +156,12 @@ func allNames(d *Directory) []string {
 
 func mustSnapshot(t testing.TB, d *Directory) *DirSnapshot {
 	t.Helper()
-	s, err := DecodeDirSnapshot(nil, EncodeDir(d))
+	return mustDecodeSnapshot(t, EncodeDir(d))
+}
+
+func mustDecodeSnapshot(t testing.TB, raw []byte) *DirSnapshot {
+	t.Helper()
+	s, err := DecodeDirSnapshot(nil, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +188,19 @@ func decodeAgainst(prev *DirSnapshot, raw []byte, want *Directory) (*DirSnapshot
 	return s, nil
 }
 
-// sharedChunks counts the chunks of s that are chunks of prev: the same
-// entry array, not an equal one.
+// sharedChunks counts the chunks of s that are chunks of prev, or the
+// pieces a block boundary cut them into: slices of the same entry array,
+// not equal entries.
 func sharedChunks(s, prev *DirSnapshot) int {
 	n := 0
 	for _, c := range s.chunks {
+	search:
 		for _, p := range prev.chunks {
-			if &c.entries[0] == &p.entries[0] && len(c.entries) == len(p.entries) {
-				n++
+			for i := range p.entries {
+				if &p.entries[i] == &c.entries[0] {
+					n++
+					break search
+				}
 			}
 		}
 	}
@@ -339,9 +398,16 @@ func TestSnapshotNeverChanges(t *testing.T) {
 // costs on the build_churn-shaped directory (1,088 entries, 64 of them
 // tombstones): the new snapshot, its chunk table, the touched chunk's
 // entries and their encoding — not the directory — and nothing at all
-// to assemble the bytes to write into a buffer that has been used
-// before.
+// to assemble the bytes to write, the encoding or a page of it, into a
+// buffer that has been used before. EncodeDir fills the pages, so both
+// updates overflow theirs and lay the pages after it out again, which
+// moves chunks and copies no entry.
 func TestSnapshotUpdateAllocationPins(t *testing.T) {
+	// Every update copies the chunk table: a chunk is two slices and the
+	// page and live count packed as two int32s.
+	if size := unsafe.Sizeof(dirChunk{}); size != 56 {
+		t.Errorf("a chunk is %d bytes, want 56", size)
+	}
 	s := mustSnapshot(t, shapedDir(1088, 17))
 	vv := vclock.New().Bump(1).Bump(2).Bump(3)
 	var sink *DirSnapshot
@@ -373,11 +439,15 @@ func TestSnapshotUpdateAllocationPins(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { buf = sink.AppendEncoded(buf[:0]) }); got != 0 {
 		t.Errorf("assembling the encoding into a used buffer allocates %v times, want 0", got)
 	}
+	page := make([]byte, 0, PageSize)
+	if got := testing.AllocsPerRun(100, func() { page = sink.AppendPage(page[:0], 1) }); got != 0 {
+		t.Errorf("assembling a page into a used buffer allocates %v times, want 0", got)
+	}
 }
 
 // staleCase is what a stale site is handed: the bytes of the build_churn
 // directory (1,088 entries, 64 tombstones) after updates in `touched` of
-// its 17 chunks, far enough apart that each is a gap of its own, and the
+// its chunks, far enough apart that each is a gap of its own, and the
 // snapshot it holds from before them.
 func staleCase(t testing.TB, touched int) (prev *DirSnapshot, raw []byte, want *Directory) {
 	want = shapedDir(1088, 17)
@@ -429,8 +499,10 @@ func TestStaleDecodeAllocationPins(t *testing.T) {
 		if err := checkSnapshot(sink, want); err != nil {
 			t.Fatalf("%d touched: the pinned decode: %v", c.touched, err)
 		}
-		if got, want := sharedChunks(sink, prev), len(prev.chunks)-c.touched; got != want {
-			t.Errorf("%d touched: the decode shares %d of the stale snapshot's %d chunks, want %d", c.touched, got, len(prev.chunks), want)
+		// The insert lays the pages after its own out again: the chunks a
+		// moved block boundary cut are shared in pieces.
+		if got := len(sink.chunks) - sharedChunks(sink, prev); got != c.touched {
+			t.Errorf("%d touched: the decode made %d of its %d chunks anew, want %d", c.touched, got, len(sink.chunks), c.touched)
 		}
 	}
 }
@@ -508,8 +580,11 @@ func TestStaleDecodeTornReads(t *testing.T) {
 // well-formed entries the stale snapshot holds, so that the decoder has
 // kept four chunks by the time it meets it: a defect in the header, in
 // the entry after a kept chunk, or in the count that chunk runs into is
-// refused as it is cold.
+// refused as it is cold. A case of more than a page breaks the layout
+// of twoPages, and is decoded against the snapshot of twoPages, whose
+// chunks it holds up to its defect.
 func TestStaleDecodeRejectsMalformed(t *testing.T) {
+	paged := mustDecodeSnapshot(t, twoPages)
 	held := &Directory{}
 	for i := 0; i < 200; i++ {
 		held.Insert(fmt.Sprintf("Z%03d", i), storage.InodeNum(1+i)) // sorts before the cases' "a" and "b"
@@ -519,13 +594,19 @@ func TestStaleDecodeRejectsMalformed(t *testing.T) {
 	behind := func(raw []byte) []byte {
 		_, k := binary.Uvarint(raw)
 		count, k2 := binary.Uvarint(raw[k:])
-		if hdr := raw[:k+k2]; !bytes.Equal(hdr, appendDirHeader(nil, int(count))) || count > 2 {
+		if hdr := raw[:k+k2]; !bytes.Equal(hdr, appendPageHeader(nil, 0, int(count))) || count > 2 {
 			// The header is the defect: keep it.
 			return append(append(bytes.Clone(hdr), body...), raw[k+k2:]...)
 		}
-		return append(append(appendDirHeader(nil, 200+int(count)), body...), raw[k+k2:]...)
+		return append(append(appendPageHeader(nil, 0, 200+int(count)), body...), raw[k+k2:]...)
 	}
 	for _, c := range malformedDirs {
+		if len(c.raw) > PageSize {
+			if s, err := DecodeDirSnapshot(paged, c.raw); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: against the snapshot of the pages it breaks, DecodeDirSnapshot = %+v, %v; want ErrCorrupt", c.name, s, err)
+			}
+			continue
+		}
 		raw := behind(c.raw)
 		if d, err := DecodeDir(raw); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: behind 200 entries DecodeDir = %+v, %v; want ErrCorrupt", c.name, d, err)
@@ -542,14 +623,14 @@ func TestStaleDecodeRejectsMalformed(t *testing.T) {
 	}
 	// One entry fewer than the kept chunks hold: the last chunk overshoots
 	// the declared count.
-	if ok, err := sameDecode(prev, append(appendDirHeader(nil, 199), body...)); ok || err != nil {
+	if ok, err := sameDecode(prev, append(appendPageHeader(nil, 0, 199), body...)); ok || err != nil {
 		t.Fatalf("a count of 199 over 200 held entries: accepted %v, %v", ok, err)
 	}
 }
 
 // BenchmarkDecodeStale is the stale-site row of the per-layer ledger
 // (ROADMAP): what dirCache.load pays when another site's update touched
-// 1, 2 or 4 of the 17 chunks of the build_churn directory, beside the
+// 1, 2 or 4 of the chunks of the build_churn directory, beside the
 // cold decode of the same bytes.
 func BenchmarkDecodeStale(b *testing.B) {
 	for _, touched := range []int{0, 1, 2, 4} {
@@ -591,5 +672,81 @@ func BenchmarkUpdateDir(b *testing.B) {
 			b.SetBytes(2 * int64(len(buf)))
 			sinkBytes = buf
 		})
+	}
+}
+
+// TestSnapshotPagesModel drives snapshots of a directory of several
+// pages through random inserts, removes and resurrections, with names of
+// all lengths, now and then one longer than a page, and checks each step
+// in full against the flat directory. Two things a page-by-page update
+// (fs.updateDir) rests on are checked besides:
+//
+//   - PagesChanged lists every page whose bytes the step changed: the
+//     pages it leaves out are byte for byte the previous snapshot's, so
+//     writing the listed pages onto the previous bytes yields the new.
+//   - The layout is the previous layout's and the step's alone, not the
+//     chunks': the step applied to a snapshot decoded cold from the
+//     previous bytes, chunked otherwise, yields the same bytes. A using
+//     site that re-applies its own update to its snapshot holds what the
+//     CSS wrote.
+//
+// And it checks that a step writes few pages of the three to five the
+// directory takes, where the flat encoding rewrote all of them: at most
+// 1.3 on average, the long names' re-layouts included.
+func TestSnapshotPagesModel(t *testing.T) {
+	t.Parallel()
+	const seeds, steps = 10, 300
+	pages, updates := 0, 0
+	for seed := int64(0); seed < seeds; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		flat := shapedDir(600+int(seed)*40, 11)
+		s := mustSnapshot(t, flat)
+		raw := s.AppendEncoded(nil)
+		name := func() string {
+			n := fmt.Sprintf("f%05d", r.Intn(900))
+			switch k := r.Intn(100); {
+			case k == 0:
+				n += strings.Repeat("L", PageSize-200+r.Intn(2*PageSize))
+			case k < 20:
+				n += strings.Repeat("m", r.Intn(60))
+			}
+			return n
+		}
+		for step := 0; step < steps; step++ {
+			n := name()
+			var op func(*DirSnapshot) *DirSnapshot
+			if _, live := flat.Lookup(n); live && r.Intn(2) == 0 {
+				vv := vclock.New().Bump(vclock.SiteID(1 + r.Intn(3)))
+				flat.Remove(n, vv)
+				op = func(d *DirSnapshot) *DirSnapshot { d, _ = d.Remove(n, vv); return d }
+			} else {
+				ino := 1 + randInode(r)
+				flat.Insert(n, ino)
+				op = func(d *DirSnapshot) *DirSnapshot { return d.Insert(n, ino) }
+			}
+			next := op(s)
+			if err := checkSnapshot(next, flat); err != nil {
+				t.Fatalf("seed %d step %d (%.12q): %v", seed, step, n, err)
+			}
+			nextRaw := next.AppendEncoded(nil)
+			changed := next.PagesChanged(s)
+			patched := padTo(bytes.Clone(raw[:min(len(raw), len(nextRaw))]), pagesOf(len(nextRaw))*PageSize)
+			for _, pn := range changed {
+				copy(patched[pn*PageSize:], next.AppendPage(nil, pn))
+			}
+			if !bytes.Equal(patched[:len(nextRaw)], nextRaw) {
+				t.Fatalf("seed %d step %d (%.12q): the previous bytes with pages %v written are not the new bytes", seed, step, n, changed)
+			}
+			if again := op(mustDecodeSnapshot(t, raw)).AppendEncoded(nil); !bytes.Equal(again, nextRaw) {
+				t.Fatalf("seed %d step %d (%.12q): the step on a snapshot decoded from the previous bytes lays out otherwise", seed, step, n)
+			}
+			pages, updates = pages+len(changed), updates+1
+			s, raw = next, nextRaw
+		}
+	}
+	avg := float64(pages) / float64(updates)
+	t.Logf("a step writes %.3f pages on average", avg)
+	if avg > 1.3 {
+		t.Errorf("a step writes %.3f pages on average, want at most 1.3", avg)
 	}
 }

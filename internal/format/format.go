@@ -16,6 +16,18 @@
 // (length-prefixed records, entries sorted by name) so that directory
 // pages flow through exactly the same page read/write protocols as
 // ordinary file data.
+//
+// A directory is laid out in pages the way a Unix directory is laid out
+// in blocks: each page starts a block with its own entry count (page 0
+// with the magic before it), and no entry straddles a page boundary.
+// The bytes between a block's last entry and the next page are zero;
+// the last block ends where the serialization does. The one exception
+// is an entry longer than a page by itself: it is a block of its own,
+// spanning the pages it needs, and the next entry starts a new page. So
+// an update changes the pages holding the entries it changes and no
+// other (§2.3.6: a commit "can indicate ... which explicit logical pages
+// were modified"), and a directory of one page encodes as a single
+// header of magic and count followed by the entries.
 package format
 
 import (
@@ -23,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -136,34 +149,122 @@ func (d *Directory) PutRaw(e DirEntry) {
 	d.Entries[i] = e
 }
 
-// EncodeDir serializes a directory: the magic and the entry count as
-// uvarints, then per entry a length-prefixed name, the inode number, a
-// delete flag byte and, for a tombstone, its vector in vclock's wire
-// form. The size is computed first so the result is one allocation.
+// EncodeDir serializes a directory, laid out greedily from page 0 (the
+// package comment has the layout, packer the rule): each block is its
+// entry count as a uvarint, after the magic on page 0, then per entry a
+// length-prefixed name, the inode number, a delete flag byte and, for a
+// tombstone, its vector in vclock's wire form. The size is computed
+// first so the result is one allocation.
 func EncodeDir(d *Directory) []byte {
-	b := make([]byte, 0, dirHeaderLen(len(d.Entries))+entriesLen(d.Entries))
-	b = appendDirHeader(b, len(d.Entries))
-	return appendEntries(b, d.Entries)
+	size, pg := 0, 0
+	for rest := d.Entries; ; {
+		n, l := nextBlock(pg, rest)
+		if rest = rest[n:]; len(rest) == 0 {
+			size = pg*PageSize + l
+			break
+		}
+		pg += pagesOf(l)
+	}
+	b := make([]byte, 0, size)
+	pg = 0
+	for rest := d.Entries; ; {
+		n, l := nextBlock(pg, rest)
+		b = padTo(b, pg*PageSize)
+		b = appendPageHeader(b, pg, n)
+		b = appendEntries(b, rest[:n])
+		if rest = rest[n:]; len(rest) == 0 {
+			return b
+		}
+		pg += pagesOf(l)
+	}
 }
 
-func dirHeaderLen(n int) int { return uvarintLen(dirMagic) + uvarintLen(uint64(n)) }
+// PageSize is the directory's page: storage's, the unit a directory
+// update writes and a propagation pull transfers.
+const PageSize = storage.PageSize
 
-func appendDirHeader(b []byte, n int) []byte {
-	b = binary.AppendUvarint(b, dirMagic)
+// pageHeaderLen is the length of the header of a block of n entries
+// starting on page pg: the magic first on page 0, then the count.
+func pageHeaderLen(pg, n int) int {
+	l := uvarintLen(uint64(n))
+	if pg == 0 {
+		l += uvarintLen(dirMagic)
+	}
+	return l
+}
+
+func appendPageHeader(b []byte, pg, n int) []byte {
+	if pg == 0 {
+		b = binary.AppendUvarint(b, dirMagic)
+	}
 	return binary.AppendUvarint(b, uint64(n))
+}
+
+// pagesOf is the number of pages l bytes from a page boundary take.
+func pagesOf(l int) int { return (l + PageSize - 1) / PageSize }
+
+// padTo appends zero bytes to b up to length n, the next block's start.
+func padTo(b []byte, n int) []byte {
+	k := len(b)
+	b = slices.Grow(b, n-k)[:n]
+	clear(b[k:])
+	return b
+}
+
+// packer is the one layout rule, behind EncodeDir and the snapshot's
+// re-layout: the block being filled starts on page pg and holds n
+// entries in body bytes. An entry joins it if the block, header
+// included, still fits in a page; otherwise it starts the next block,
+// on the page after the last one this block takes. A block's first
+// entry always joins, so an entry longer than a page by itself is a
+// block of its own and spans as many pages as it needs.
+type packer struct {
+	pg, n, body int
+}
+
+func (p *packer) fits(l int) bool {
+	return p.n == 0 || pageHeaderLen(p.pg, p.n+1)+p.body+l <= PageSize
+}
+
+func (p *packer) add(l int) { p.n, p.body = p.n+1, p.body+l }
+
+// size is the length of the block so far, header included.
+func (p *packer) size() int { return pageHeaderLen(p.pg, p.n) + p.body }
+
+// next closes the block and starts the one after it.
+func (p *packer) next() { p.pg, p.n, p.body = p.pg+pagesOf(p.size()), 0, 0 }
+
+// nextBlock is the block laid out greedily on page pg from es: how many
+// of es it holds and its length.
+func nextBlock(pg int, es []DirEntry) (n, size int) {
+	p := packer{pg: pg}
+	for n < len(es) {
+		l := entryLen(&es[n])
+		if !p.fits(l) {
+			break
+		}
+		p.add(l)
+		n++
+	}
+	return n, p.size()
 }
 
 // entriesLen is the length of what appendEntries writes for es.
 func entriesLen(es []DirEntry) int {
 	size := 0
 	for i := range es {
-		e := &es[i]
-		size += uvarintLen(uint64(len(e.Name))) + len(e.Name) + uvarintLen(uint64(e.Inode)) + 1
-		if e.Deleted {
-			size += e.DelVV.EncodedLen()
-		}
+		size += entryLen(&es[i])
 	}
 	return size
+}
+
+// entryLen is the length of what appendEntries writes for e.
+func entryLen(e *DirEntry) int {
+	l := uvarintLen(uint64(len(e.Name))) + len(e.Name) + uvarintLen(uint64(e.Inode)) + 1
+	if e.Deleted {
+		l += e.DelVV.EncodedLen()
+	}
+	return l
 }
 
 // appendEntries is the one entry encoder: the flat directory and every
@@ -203,14 +304,15 @@ const minDirEntryLen = 3
 // This is a trust boundary: the bytes may come from a torn
 // unsynchronized read (§2.3.4) or a damaged pack. Whatever decodes
 // satisfies the invariants the Directory methods search by — names
-// strictly ascending, hence unique — and anything EncodeDir could not
-// have produced is ErrCorrupt, before any allocation sized from a
-// count the input merely declares.
+// strictly ascending, hence unique — and is laid out in pages as the
+// package comment says, with exactly one serialization in that layout,
+// the bytes it came from. Anything else is ErrCorrupt, before any
+// allocation sized from a count the input merely declares.
 func DecodeDir(raw []byte) (*Directory, error) {
 	if len(raw) == 0 {
 		return &Directory{}, nil
 	}
-	n, b, err := decodeDirHeader(raw)
+	n, _, err := countDir(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -219,32 +321,112 @@ func DecodeDir(raw []byte) (*Directory, error) {
 	if n > 0 {
 		entries = make([]DirEntry, n)
 	}
+	names := string(raw)
 	var d entryDecoder
-	k, _, err := d.run(entries, b, string(raw)[len(raw)-len(b):])
-	if err != nil {
-		return nil, err
-	}
-	if k != len(b) {
-		return nil, fmt.Errorf("%w: %d bytes after the last directory entry", ErrCorrupt, len(b)-k)
+	for pg, i := 0, 0; pg >= 0; {
+		blk, err := readBlock(raw, pg)
+		if err != nil {
+			return nil, err
+		}
+		if i+blk.n > n {
+			return nil, ErrCorrupt // the count's walk and this one disagree on a block
+		}
+		k, _, err := d.run(entries[i:i+blk.n], raw[blk.start:blk.limit], names[blk.start:])
+		if err != nil {
+			return nil, err
+		}
+		i += blk.n
+		if pg, err = blockAfter(raw, blk.start+k); err != nil {
+			return nil, err
+		}
 	}
 	return &Directory{Entries: entries}, nil
 }
 
-// decodeDirHeader checks the magic and the entry count of a non-empty
-// serialization and returns the count with the bytes that follow. The
-// count is refused unless the bytes present could hold that many
-// entries, so a caller may size from it.
-func decodeDirHeader(raw []byte) (n int, rest []byte, err error) {
-	magic, k := binary.Uvarint(raw)
-	if k <= 0 || magic != dirMagic || padded(raw, k) {
-		return 0, nil, fmt.Errorf("%w: bad directory magic", ErrCorrupt)
+// dirBlock is one block of a serialization, as its header declares it.
+type dirBlock struct {
+	n     int // the entries the block declares
+	start int // where its first entry starts in the serialization
+	limit int // where its entries must end by: its page's end, or for a block of one entry the serialization's
+}
+
+// readBlock reads the header of the block that starts on page pg of raw,
+// a non-empty serialization that reaches that page. The count is
+// refused unless the bytes the block may take could hold that many
+// entries, so a caller may size from it, and a block of no entries is
+// refused unless it is the whole of an empty directory.
+func readBlock(raw []byte, pg int) (dirBlock, error) {
+	off := pg * PageSize
+	b := raw[off:]
+	if pg == 0 {
+		magic, k := binary.Uvarint(b)
+		if k <= 0 || magic != dirMagic || padded(b, k) {
+			return dirBlock{}, fmt.Errorf("%w: bad directory magic", ErrCorrupt)
+		}
+		b = b[k:]
 	}
-	b := raw[k:]
 	count, k := binary.Uvarint(b)
-	if k <= 0 || count > uint64(len(b)-k)/minDirEntryLen || padded(b, k) {
-		return 0, nil, fmt.Errorf("%w: directory entry count", ErrCorrupt)
+	if k <= 0 || padded(b, k) {
+		return dirBlock{}, fmt.Errorf("%w: directory entry count", ErrCorrupt)
 	}
-	return int(count), b[k:], nil
+	blk := dirBlock{start: len(raw) - len(b) + k, limit: min(len(raw), off+PageSize)}
+	if count == 1 {
+		blk.limit = len(raw) // an entry longer than a page by itself
+	}
+	if count > uint64(blk.limit-blk.start)/minDirEntryLen {
+		return dirBlock{}, fmt.Errorf("%w: directory entry count", ErrCorrupt)
+	}
+	if count == 0 && (pg != 0 || blk.start != len(raw)) {
+		return dirBlock{}, fmt.Errorf("%w: empty directory page %d", ErrCorrupt, pg)
+	}
+	blk.n = int(count)
+	return blk, nil
+}
+
+// blockAfter returns the page the block after the one whose entries end
+// at offset end of raw starts on, or -1 if that block is the last. It
+// refuses the bytes between the two unless they are zero padding up to a
+// page boundary with a block after it.
+func blockAfter(raw []byte, end int) (int, error) {
+	if end == len(raw) {
+		return -1, nil
+	}
+	next := pagesOf(end)
+	if next*PageSize >= len(raw) {
+		return 0, fmt.Errorf("%w: %d bytes after the last directory entry", ErrCorrupt, len(raw)-end)
+	}
+	for _, x := range raw[end : next*PageSize] {
+		if x != 0 {
+			return 0, fmt.Errorf("%w: directory page %d padding", ErrCorrupt, next-1)
+		}
+	}
+	return next, nil
+}
+
+// countDir walks the blocks of raw, a non-empty serialization, the way
+// the decoders do, and returns how many entries they declare and how
+// many blocks there are, for the decoders to size from. It reads the
+// headers, and skims the entry of each block of one entry for its
+// length; the decoders check the rest.
+func countDir(raw []byte) (n, blocks int, err error) {
+	for pg := 0; ; blocks++ {
+		blk, err := readBlock(raw, pg)
+		if err != nil {
+			return 0, 0, err
+		}
+		n += blk.n
+		end := blk.limit
+		if blk.n == 1 {
+			_, k, ok := skimEntry(raw[blk.start:])
+			if !ok {
+				return 0, 0, ErrCorrupt
+			}
+			end = blk.start + k
+		}
+		if pg = pagesOf(end); pg*PageSize >= len(raw) {
+			return n, blocks + 1, nil
+		}
+	}
 }
 
 // entryDecoder is the one strict decoder, behind DecodeDir and
@@ -432,7 +614,8 @@ func DecodeMailbox(b []byte) (*Mailbox, error) {
 }
 
 // ValidName reports whether a pathname component is legal: nonempty, no
-// slash, not "." or "..".
+// slash, not "." or "..". There is no length limit: an entry longer than
+// a page is laid out as a block of its own.
 func ValidName(name string) bool {
 	return name != "" && name != "." && name != ".." && !strings.Contains(name, "/")
 }

@@ -1,8 +1,11 @@
 package format
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -248,5 +251,95 @@ func TestPropertyMailboxRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOnePageEncodingUnchanged: a directory of one page encodes as it
+// did before directories were laid out in pages — the magic, the count,
+// the entries — so every directory of the experiments but the big ones
+// is byte for byte what it was. The bytes are pinned: a small directory
+// with a tombstone, and the digest of the largest one-page
+// build_churn-shaped directory, 400 entries in 4,047 bytes.
+func TestOnePageEncodingUnchanged(t *testing.T) {
+	d := &Directory{}
+	d.Insert("bin", 2)
+	d.Insert("etc", 3)
+	d.Insert("tmp", 300)
+	d.Remove("tmp", vclock.New().Bump(3).Bump(3))
+	if got, want := fmt.Sprintf("%x", EncodeDir(d)), "c49801030362696e020003657463030003746d70ac0201010302"; got != want {
+		t.Errorf("EncodeDir = %s, want %s", got, want)
+	}
+	raw := EncodeDir(shapedDir(400, 17))
+	if got, want := fmt.Sprintf("%d %x", len(raw), sha256.Sum256(raw)), "4047 353031b1a7186efb31b062f8a083d23d68c08e99c2ebb4ef22ee76cac339c59b"; got != want {
+		t.Errorf("the 400-entry directory encodes to %s, want %s", got, want)
+	}
+}
+
+// longC is a name whose entry, on a page of its own, fills two pages
+// exactly when live (page header 1, name length 2, name, inode number 1,
+// flag 1) and spills into a third as a tombstone.
+var longC = "c" + strings.Repeat("y", 2*PageSize-5-1)
+
+// longDir holds an entry longer than a page, a tombstone longer than two,
+// and short entries around them.
+func longDir() *Directory {
+	d := &Directory{}
+	d.Insert("a", 2)
+	d.Insert("b"+strings.Repeat("x", 5000), 3)
+	d.Insert(longC, 4)
+	d.Remove(longC, vclock.New().Bump(1).Bump(2))
+	d.Insert("d", 5)
+	return d
+}
+
+// TestDirLongEntryRoundTrip: an entry longer than a page is a block of
+// its own. It starts a page, after the page header's count of one, and
+// the next entry starts the page after its last byte. The directory
+// round trips through both decoders, and a snapshot updated around the
+// long entries lays out again what follows an entry whose pages change.
+func TestDirLongEntryRoundTrip(t *testing.T) {
+	t.Parallel()
+	d := longDir()
+	raw := EncodeDir(d)
+	// a on page 0; b's 5,004 bytes on pages 1-2; c's tombstone on 3-5; d on 6.
+	for _, blk := range []struct {
+		pg   int
+		head string
+	}{{0, "c4980101"}, {1, "01"}, {3, "01"}, {6, "0101"}} {
+		off := blk.pg * PageSize
+		if got := fmt.Sprintf("%x", raw[off:off+len(blk.head)/2]); got != blk.head {
+			t.Errorf("page %d starts %s, want %s", blk.pg, got, blk.head)
+		}
+	}
+	if len(raw) != 6*PageSize+5 {
+		t.Fatalf("the directory is %d bytes, want %d", len(raw), 6*PageSize+5)
+	}
+	got, err := DecodeDir(raw)
+	if err != nil || !reflect.DeepEqual(got, d) {
+		t.Fatalf("round trip: %+v, %v", got, err)
+	}
+	s, err := DecodeDirSnapshot(nil, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkSnapshot(s, d); err != nil {
+		t.Fatal(err)
+	}
+	// An entry after the long one starts a block of its own, on page 3,
+	// and what follows moves a page on; the long tombstone resurrected
+	// is two pages long, and d moves back to page 6.
+	for _, step := range []struct {
+		name string
+		ino  storage.InodeNum
+		size int
+	}{{"bz", 6, 7*PageSize + 5}, {longC, 7, 6*PageSize + 5}} {
+		s = s.Insert(step.name, step.ino)
+		d.Insert(step.name, step.ino)
+		if err := checkSnapshot(s, d); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Size(); got != step.size {
+			t.Errorf("after inserting %.4s… the directory is %d bytes, want %d", step.name, got, step.size)
+		}
 	}
 }

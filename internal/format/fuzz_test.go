@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -87,8 +88,15 @@ type rawEntry struct {
 	vv   []uint64 // site, count pairs; written only when flag != 0
 }
 
-func rawDir(count uint64, entries ...rawEntry) []byte {
-	b := binary.AppendUvarint(nil, dirMagic)
+func rawDir(count uint64, entries ...rawEntry) []byte { return rawBlock(0, count, entries...) }
+
+// rawBlock is the block that starts page pg, as rawDir writes it: the
+// page header (the magic first on page 0) with count, then the entries.
+func rawBlock(pg int, count uint64, entries ...rawEntry) []byte {
+	var b []byte
+	if pg == 0 {
+		b = binary.AppendUvarint(b, dirMagic)
+	}
 	b = binary.AppendUvarint(b, count)
 	for _, e := range entries {
 		b = binary.AppendUvarint(b, uint64(len(e.name)))
@@ -104,6 +112,33 @@ func rawDir(count uint64, entries ...rawEntry) []byte {
 	}
 	return b
 }
+
+// rawPages lays blocks out on consecutive pages, each padded with zeros
+// to the page's end but the last.
+func rawPages(blocks ...[]byte) []byte {
+	var b []byte
+	for i, blk := range blocks {
+		if i > 0 {
+			b = padTo(b, pagesOf(len(b))*PageSize)
+		}
+		b = append(b, blk...)
+	}
+	return b
+}
+
+// wide is entries i to j of a run whose 103-byte entries (a 100-byte
+// name) put 39 on page 0 and one more past its end.
+func wide(i, j int) []rawEntry {
+	var es []rawEntry
+	for ; i < j; i++ {
+		es = append(es, rawEntry{name: fmt.Sprintf("w%03d", i) + strings.Repeat("-", 96), ino: uint64(1 + i)})
+	}
+	return es
+}
+
+// twoPages is the well-formed directory the page cases of malformedDirs
+// break: 39 wide entries on page 0, one on page 1.
+var twoPages = rawPages(rawBlock(0, 39, wide(0, 39)...), rawBlock(1, 1, wide(39, 40)...))
 
 func setLast(b []byte, x byte) []byte {
 	b[len(b)-1] = x
@@ -132,6 +167,19 @@ var malformedDirs = []struct {
 	{"name-length-padded", append(rawDir(1), 0x81, 0x00, 'a', 1, 0)},
 	{"inode-padded", append(rawDir(1), 1, 'a', 0x81, 0x00, 0)},
 	{"tombstone-count-padded", append(rawDir(1), 1, 'a', 1, 1, 0x81, 0x00, 2, 1)},
+	// The page layout: twoPages, broken.
+	{"entry-straddles-page", rawBlock(0, 40, wide(0, 40)...)},
+	{"page-padding-nonzero", setAt(bytes.Clone(twoPages), PageSize-1, 1)},
+	{"page-padding-at-end", padTo(rawBlock(0, 39, wide(0, 39)...), PageSize)},
+	{"page-empty-not-last", rawPages(rawBlock(0, 39, wide(0, 39)...), rawBlock(1, 0), rawBlock(2, 1, wide(39, 40)...))},
+	{"page-count-short", rawPages(rawBlock(0, 38, wide(0, 39)...), rawBlock(1, 1, wide(39, 40)...))},
+	{"page-count-long", rawPages(rawBlock(0, 40, wide(0, 39)...), rawBlock(1, 1, wide(39, 40)...))},
+	{"page-count-zero", rawPages(rawBlock(0, 0), rawBlock(1, 1, wide(39, 40)...))},
+}
+
+func setAt(b []byte, i int, x byte) []byte {
+	b[i] = x
+	return b
 }
 
 func TestDecodeDirRejectsMalformed(t *testing.T) {
@@ -142,6 +190,10 @@ func TestDecodeDirRejectsMalformed(t *testing.T) {
 	}
 	if n := len(malformedDirs[0].raw); n != 12 {
 		t.Fatalf("the 2^40 case is %d bytes, want 12", n)
+	}
+	// What the page cases break is a directory.
+	if d, err := DecodeDir(twoPages); err != nil || len(d.Entries) != 40 {
+		t.Fatalf("the two pages the page cases break decode to %d entries, %v", len(d.Entries), err)
 	}
 	// A declared count is refused before anything is sized from it: 2^20
 	// entries would be a 56 MB slice, and rejecting them allocates no
@@ -165,11 +217,13 @@ func TestDecodeDirRejectsMalformed(t *testing.T) {
 // two have to do with each other the answer is the flat decoder's. The
 // seed corpus is the build_churn-shaped directory before and after an
 // update, small valid directories and every malformed case above, each
-// against itself, against nothing and against the big directory; `go
-// test` runs the seeds, `go test -fuzz FuzzDecodeDir -fuzzminimizetime
-// 20x ./internal/format` explores from them (with the default minute of
-// minimizing per new input, two 11 KB seeds keep the workers minimizing
-// and a 30 s run executes a few dozen inputs, not a million).
+// against itself, against nothing and against the big directory, and
+// directories of three pages laid out as only updates lay them out; `go
+// test` runs the seeds, `make fuzzsmoke` (`go test -fuzz FuzzDecodeDir
+// -fuzzminimizetime 20x ./internal/format`, for 15 s) explores from them
+// (with the default minute of minimizing per new input, two 11 KB seeds
+// keep the workers minimizing and a 30 s run executes a few dozen
+// inputs, not a million).
 func FuzzDecodeDir(f *testing.F) {
 	big := shapedDir(1088, 17)
 	bigRaw := EncodeDir(big)
@@ -186,6 +240,16 @@ func FuzzDecodeDir(f *testing.F) {
 		f.Add(c.raw, c.raw)
 		f.Add(c.raw, bigRaw)
 	}
+	// Three pages laid out otherwise than EncodeDir would: the big
+	// directory after an insert on its full first page laid it out again,
+	// and an entry longer than a page between two short ones.
+	relaid := mustSnapshot(f, shapedDir(1088, 17)).Insert("f00010x", 7).AppendEncoded(nil)
+	f.Add(relaid, bigRaw)
+	f.Add(bigRaw, relaid)
+	long := EncodeDir(longDir())
+	f.Add(long, []byte(nil))
+	f.Add(long, long)
+	f.Add(twoPages, long)
 	f.Fuzz(func(t *testing.T, raw, held []byte) {
 		prev, _ := DecodeDirSnapshot(nil, held) // nil if held does not decode: the cold decode
 		d, err := DecodeDir(raw)

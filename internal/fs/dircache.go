@@ -75,7 +75,7 @@ func (c *dirCache) entry(id storage.FileID) dirCacheEntry {
 //
 // load owns the buffer: read fills the empty recycled buffer it is
 // handed (growing it if it must) and returns it, the snapshot keeps
-// none of it, and it is back in dirEncBufs before load returns. read may
+// none of it, and it is back in dirReadBufs before load returns. read may
 // be an unsynchronized read that mixes versions (§2.3.4): bytes that do
 // not decode are a format.ErrCorrupt, nothing is cached, and the caller
 // may read again.
@@ -84,8 +84,8 @@ func (c *dirCache) load(id storage.FileID, vv vclock.VV, read func(buf []byte) (
 	if e.dir != nil && e.vv.Equal(vv) {
 		return e.dir, nil
 	}
-	buf := dirEncBufs.Get().(*[]byte)
-	defer dirEncBufs.Put(buf)
+	buf := dirReadBufs.Get().(*[]byte)
+	defer dirReadBufs.Put(buf)
 	raw, err := read((*buf)[:0])
 	if err != nil {
 		return nil, err
@@ -135,9 +135,7 @@ func (c *dirCache) put(id storage.FileID, vv vclock.VV, d *format.DirSnapshot) {
 	c.m[id] = dirCacheEntry{vv: vv, dir: d}
 }
 
-// dirEncBufs recycles the directory-sized buffers: the one load reads a
-// stale directory into and the one updateDir assembles the next
-// serialization in. Neither outlives its call: the decoder copies what it
-// keeps, and WriteAll copies what it is given into pages before it
-// returns.
-var dirEncBufs = sync.Pool{New: func() any { return new([]byte) }}
+// dirReadBufs recycles the directory-sized buffers load reads a stale
+// directory into. None outlives its call: the decoder copies what it
+// keeps.
+var dirReadBufs = sync.Pool{New: func() any { return new([]byte) }}

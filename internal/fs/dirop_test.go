@@ -7,8 +7,11 @@ package fs_test
 // makes leaves one name or none.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +19,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/netsim"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // nsOp is one namespace operation on renameDir's /d, run at k.
@@ -66,9 +70,9 @@ func TestNamespaceOpCosts(t *testing.T) {
 		// using site's current copy, its commit's note to the other two and
 		// the close's release; the tombstone; /d's fan-out.
 		"unlink": {"fs.open": 4, "fs.ssclose": 2, "fs.dirop": 2, "fs.propnotify": 4},
-		// As unlink, with a second look at /d: Link searches the new name's
-		// parent too.
-		"link": {"fs.open": 6, "fs.ssclose": 2, "fs.dirop": 2, "fs.propnotify": 4},
+		// As unlink: the new name's parent is spelled as the old one's, so
+		// Link does not search it again.
+		"link": {"fs.open": 4, "fs.ssclose": 2, "fs.dirop": 2, "fs.propnotify": 4},
 		// The look at /d, the one update and its fan-out.
 		"rename": {"fs.open": 2, "fs.dirop": 2, "fs.propnotify": 2},
 	}
@@ -116,6 +120,10 @@ func TestNamespaceOpCosts(t *testing.T) {
 // an unlink's (a link's) inode it leaves the committed delete (link
 // count) with the entry unchanged (ROADMAP item 9).
 //
+// The link's new name is spelled "/./d/new", so that Link searches its
+// parent again (newParent) and that search is cut too; the rename's
+// cuts cover the parent newParent takes from the old name's search.
+//
 // TestRenameCutAtEveryExchange drops every transmission of one exchange
 // instead, and cuts the nested exchanges of a CSS that stores no copy.
 func TestDirOpCutAtEveryExchange(t *testing.T) {
@@ -125,7 +133,13 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 		method   string
 		nth      int
 	}
-	for _, op := range nsOps {
+	ops := slices.Clone(nsOps)
+	for i := range ops {
+		if ops[i].name == "link" {
+			ops[i].run = func(k *fs.Kernel) error { return k.Link(cred(), "/d/f0003", "/./d/new") }
+		}
+	}
+	for _, op := range ops {
 		c, _ := renameDir(t, 8, us, true)
 		var exchanges []exchange
 		seen := map[exchange]int{}
@@ -293,4 +307,268 @@ func TestUsingSiteReappliesItsUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	readDir("after its rename", map[string]int64{"fs.open": 2}, "tmp", "b")
+}
+
+// TestNamespaceOpDiskCosts pins what each namespace operation writes to
+// the disk in renameDir's 1,024-entry /d, three pages long, settled
+// first, from the CSS (site 1) and from site 2: the CSS, which stores
+// /d, writes the pages holding the entries the operation changes —
+// shadow pages, so those and only those get new physical pages — and
+// commits /d once, and the next Settle pulls those pages to the other
+// two copies and no other page of /d. The new name sorts after f1023, on
+// the last page, as do tmp and f0003's link; f0001 and f0002 are on the
+// first, so the rename writes two pages. Where site 1 made the setup's
+// updates, f0002's tombstone no longer fits on the first page, and the
+// unlink lays /d out again from there: three pages. disk counts every
+// page transfer and inode commit the operation makes, the file's own
+// included (an unlink's tombstone is committed at all three copies, a
+// create's inode at its birth site); pulls counts /d's pages and the
+// link's one page of f0003, whose link count changed.
+func TestNamespaceOpDiskCosts(t *testing.T) {
+	for _, row := range []struct {
+		op          string
+		us          fs.SiteID
+		pages       []int
+		disk, pulls int64
+	}{
+		{"create", 1, []int{2}, 3, 2},
+		{"create", 2, []int{2}, 3, 2},
+		{"mkdir", 1, []int{2}, 3, 2},
+		{"mkdir", 2, []int{2}, 3, 2},
+		{"unlink", 1, []int{0, 1, 2}, 7, 6},
+		{"unlink", 2, []int{0}, 5, 2},
+		{"link", 1, []int{2}, 3, 4},
+		{"link", 2, []int{2}, 3, 4},
+		{"rename", 1, []int{0, 2}, 3, 4},
+		{"rename", 2, []int{0, 2}, 3, 4},
+	} {
+		t.Run(fmt.Sprintf("%s/site%d", row.op, row.us), func(t *testing.T) {
+			c, _ := renameDir(t, 1024, row.us, false)
+			settle(t, c)
+			r, err := c.K(1).Resolve(cred(), "/d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pack := c.K(1).Store().Container(r.ID.FG)
+			before, err := pack.GetInode(r.ID.Inode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := before.NPages(); n != 3 {
+				t.Fatalf("/d is %d pages, want 3", n)
+			}
+			var op nsOp
+			for _, o := range nsOps {
+				if o.name == row.op {
+					op = o
+				}
+			}
+			s0 := c.Net.Stats()
+			if err := op.run(c.K(row.us)); err != nil {
+				t.Fatal(err)
+			}
+			s1 := c.Net.Stats()
+			after, err := pack.GetInode(r.ID.Inode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var written []int
+			for pn := range after.Pages {
+				if pn >= len(before.Pages) || after.Pages[pn] != before.Pages[pn] {
+					written = append(written, pn)
+				}
+			}
+			if !slices.Equal(written, row.pages) || after.VV.Compare(before.VV.Bump(1)) != vclock.Equal {
+				t.Errorf("the CSS wrote pages %v of /d and went %v -> %v; want pages %v and one commit", written, before.VV, after.VV, row.pages)
+			}
+			if got := s1.Sub(s0).DiskUs / c.Net.Cost().DiskUs; got != row.disk {
+				t.Errorf("%s made %d disk transfers, want %d", row.op, got, row.disk)
+			}
+			settle(t, c)
+			if got := c.Net.Stats().Sub(s1).PullPagesSent; got != row.pulls {
+				t.Errorf("the settle after %s pulled %d pages, want %d", row.op, got, row.pulls)
+			}
+			if findings := c.Fsck(true); len(findings) != 0 {
+				t.Fatalf("fsck: %v", findings)
+			}
+		})
+	}
+}
+
+// pagedDirOp readies one of the two directory updates that lay /d out
+// again, in a /d stored at sites 3 and 2 and not at the CSS, site 1, as
+// TestRenameCutAtEveryExchange's is, so that the CSS's update writes,
+// truncates and commits at site 3 across the network. "relayout"
+// creates a name on /d's full first page (1,024 names, three pages):
+// the page overflows and /d is laid out again from there, so the update
+// writes all three pages. "droppage" re-creates a name whose entry fills
+// a page by itself as a live entry and does not as a tombstone: the
+// entry shrinks back to one page, the page after it moves up, /d loses a
+// page and the update truncates it first. It returns the cluster, the
+// path the op creates, and the page counts of /d before and after it.
+func pagedDirOp(t *testing.T, kind string) (c *cluster.Cluster, path string, pagesBefore, pagesAfter int) {
+	t.Helper()
+	const us = 2
+	switch kind {
+	case "relayout":
+		c, _ = renameDir(t, 1024, us, true, 3, 2)
+		return c, "/d/f0000x", 3, 3
+	case "droppage":
+		c, _ = renameDir(t, 8, us, true, 3, 2)
+		writeFile(t, c.K(us), "/d/h", nil)
+		st, err := c.K(us).Stat(cred(), "/d/h")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// On a page of its own, after a page header of 1 byte, the entry
+		// is the name's length (2 bytes), the name, the inode number (as
+		// wide as h's) and the flag byte: it fills the page exactly.
+		ino := binary.AppendUvarint(nil, uint64(st.Num))
+		path = "/d/g" + strings.Repeat("x", storage.PageSize-1-2-len(ino)-1-1)
+		writeFile(t, c.K(us), path, nil)
+		if err := c.K(us).Unlink(cred(), path); err != nil {
+			t.Fatal(err)
+		}
+		return c, path, 4, 3
+	}
+	t.Fatalf("no op %q", kind)
+	return
+}
+
+// dirPages returns /d's committed size at site 3, checking that site 2's
+// copy is byte for byte the same.
+func dirPages(t *testing.T, c *cluster.Cluster) int64 {
+	t.Helper()
+	r, err := c.K(3).Resolve(cred(), "/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := c.K(3).Store().Container(r.ID.FG).PeekFile(nil, r.ID.Inode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, err := c.K(2).Store().Container(r.ID.FG).PeekFile(nil, r.ID.Inode); err != nil || !bytes.Equal(other, raw) {
+		t.Fatalf("site 2's copy of /d is not site 3's (%v)", err)
+	}
+	return (int64(len(raw)) + storage.PageSize - 1) / storage.PageSize
+}
+
+// TestDirRelayoutCutAtEveryExchange cuts each update pagedDirOp readies,
+// run at site 2, at each exchange it makes, nested ones included, one
+// exchange per case, the two ways TestRenameCutAtEveryExchange cuts: all
+// 8 transmissions of its request are dropped, or the using site crashes
+// as it is sent. After the network heals (or the site restarts) and
+// propagation settles, fsck must be clean (no leaked page, no orphan,
+// every copy converged), both copies of /d must be byte for byte the
+// same, and /d must name the new file once, or not at all if the create
+// failed — once if it succeeded.
+func TestDirRelayoutCutAtEveryExchange(t *testing.T) {
+	const us = 2
+	type exchange struct {
+		from, to fs.SiteID
+		method   string
+		nth      int
+	}
+	create := func(k *fs.Kernel, path string) error {
+		f, err := k.Create(cred(), path, storage.TypeRegular, 0644)
+		if err != nil {
+			return err
+		}
+		return f.Close()
+	}
+	// The CSS's fs.write messages: the three pages /d is laid out on
+	// again; the truncation and the two pages after the first.
+	for _, kind := range []string{"relayout", "droppage"} {
+		writes := 3
+		c, path, pagesBefore, pagesAfter := pagedDirOp(t, kind)
+		settle(t, c)
+		if got := dirPages(t, c); got != int64(pagesBefore) {
+			t.Fatalf("%s: /d is %d pages before the update, want %d", kind, got, pagesBefore)
+		}
+		var exchanges []exchange
+		seen := map[exchange]int{}
+		c.Net.SetTrace(func(from, to fs.SiteID, method string) {
+			key := exchange{from: from, to: to, method: method}
+			seen[key]++
+			key.nth = seen[key]
+			exchanges = append(exchanges, key)
+		})
+		if err := create(c.K(us), path); err != nil {
+			t.Fatal(err)
+		}
+		c.Net.SetTrace(nil)
+		settle(t, c)
+		if got := dirPages(t, c); got != int64(pagesAfter) {
+			t.Fatalf("%s: /d is %d pages after the update, want %d", kind, got, pagesAfter)
+		}
+		if got := seen[exchange{from: 1, to: 3, method: "fs.write"}]; got != writes {
+			t.Fatalf("%s: the CSS sent %d fs.write, want %d", kind, got, writes)
+		}
+
+		// The update's exchanges: the fs.dirop and what follows it. (A cut
+		// of the new file's own creation is TestDirOpCutAtEveryExchange's.)
+		first := slices.IndexFunc(exchanges, func(ex exchange) bool { return ex.method == "fs.dirop" })
+		for i, ex := range exchanges {
+			if i < first {
+				continue
+			}
+			for _, crash := range []bool{false, true} {
+				how := "drop"
+				if crash {
+					how = "crash"
+				}
+				t.Run(fmt.Sprintf("%s/%02d:%d->%d/%s#%d/%s", kind, i, ex.from, ex.to, ex.method, ex.nth, how), func(t *testing.T) {
+					c, path, _, _ := pagedDirOp(t, kind)
+					settle(t, c)
+					before := c.Net.Stats()
+					if crash {
+						sent := 0
+						c.Net.SetTrace(func(fs.SiteID, fs.SiteID, string) {
+							if sent++; sent == i+1 {
+								c.Net.Crash(us)
+							}
+						})
+					} else {
+						var pts []netsim.FaultPoint
+						for j := 0; j < 8; j++ {
+							pts = append(pts, netsim.FaultPoint{From: ex.from, To: ex.to, Method: ex.method, Nth: ex.nth, Action: netsim.FaultDropRequest})
+						}
+						c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+					}
+					err := create(c.K(us), path)
+					c.Net.SetTrace(nil)
+					c.Net.DisableFaults()
+					if crash == c.Net.Up(us) {
+						t.Fatalf("using site up = %v after the cut, want %v: the cut missed the exchange", c.Net.Up(us), !crash)
+					}
+					if d := c.Net.Stats().Sub(before); !crash && d.MsgsDropped != 8 {
+						t.Fatalf("%d requests dropped, want 8: the fault missed the exchange", d.MsgsDropped)
+					}
+					t.Logf("create: %v", err)
+					if crash {
+						c.Crash(us) // the survivors learn of it
+						c.Net.Restart(us)
+					}
+					healAfterCut(t, c)
+					dirPages(t, c)
+					name := path[len("/d/"):]
+					for _, s := range c.Sites() {
+						ents, lerr := c.K(s).ReadDir(cred(), "/d")
+						if lerr != nil {
+							t.Fatal(lerr)
+						}
+						n := 0
+						for _, e := range ents {
+							if e.Name == name {
+								n++
+							}
+						}
+						if n > 1 || err == nil && n != 1 {
+							t.Fatalf("site %d: the create returned %v and /d names the file %d times", s, err, n)
+						}
+					}
+				})
+			}
+		}
+	}
 }

@@ -1,10 +1,12 @@
 package fs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
 	"repro/internal/format"
+	"repro/internal/lint/invariant"
 	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -72,9 +74,10 @@ func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
 // rule and the directory is neither read nor decoded. An update whose
 // commit fails lands nowhere: its close commits nothing.
 //
-// The write is the whole serialization, assembled from the snapshot's
-// chunk encodings: only the chunks the mutations touched were encoded
-// for it. It returns the versions the directory went between.
+// The write is the pages the change touched (writeDirPages), so the
+// commit's notification lists them and the other storage sites pull
+// only them (§2.3.6). It returns the versions the directory went
+// between.
 func (k *Kernel) updateDir(id storage.FileID, forSite SiteID, muts []dirMut) (*dirOpResp, error) {
 	f, _, _, err := k.openID(id, ModeModify, false, forSite)
 	if err != nil {
@@ -86,18 +89,18 @@ func (k *Kernel) updateDir(id storage.FileID, forSite SiteID, muts []dirMut) (*d
 	if err != nil {
 		return nil, err
 	}
-	if d, err = applyMuts(d, muts); err != nil {
+	next, err := applyMuts(d, muts)
+	if err != nil {
 		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
 		return nil, err
 	}
-	buf := dirEncBufs.Get().(*[]byte)
-	*buf = d.AppendEncoded((*buf)[:0])
-	err = f.WriteAll(*buf)
-	dirEncBufs.Put(buf)
-	if err != nil {
-		// WriteAll truncates first, so the handle is dirty with a cut or
-		// half-written file; without the abort the deferred Close would
-		// commit it ("closing a file commits it").
+	if invariant.Enabled {
+		k.assertDirBytes(f, d)
+	}
+	if err := writeDirPages(f, d, next); err != nil {
+		// The handle is dirty with some of the pages, or a cut file;
+		// without the abort the deferred Close would commit it ("closing
+		// a file commits it").
 		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
 		return nil, err
 	}
@@ -108,8 +111,55 @@ func (k *Kernel) updateDir(id storage.FileID, forSite SiteID, muts []dirMut) (*d
 	// Commit assigned the new content its version vector; hand the
 	// snapshot to the cache so the next update and pathname search do not
 	// re-read and re-parse what we just wrote.
-	k.dirs.put(id, f.ino.VV, d)
+	k.dirs.put(id, f.ino.VV, next)
 	return &dirOpResp{Prev: prev, VV: f.ino.VV}, nil
+}
+
+// writeDirPages writes through f, open for modification on the
+// directory d encodes, the pages of next that are not d's
+// (format.DirSnapshot.PagesChanged): each as a whole page, with no read
+// (§2.3.5), every other page left as committed. Only when the directory
+// loses a page, which a re-layout that packs it tighter can make it do,
+// is it first truncated to its new size.
+func writeDirPages(f *File, d, next *format.DirSnapshot) error {
+	size := int64(next.Size())
+	if pagesOf(size) < pagesOf(f.size) {
+		if err := f.Truncate(size); err != nil {
+			return err
+		}
+	}
+	page := storage.GetPageBuf()
+	defer storage.PutPageBuf(page)
+	for _, pn := range next.PagesChanged(d) {
+		if err := f.writePage(storage.PageNo(pn), next.AppendPage(page[:0], pn), size); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pagesOf is the number of pages a file of size bytes takes.
+func pagesOf(size int64) int64 { return (size + storage.PageSize - 1) / storage.PageSize }
+
+// assertDirBytes asserts that d, the snapshot updateDir is about to
+// patch page by page, encodes to the committed bytes of the directory f
+// has open: a layout that differed from the committed one would write
+// pages that do not fit the ones left as they are. Only a local storage
+// site is read, and for nothing, so that the check moves no counter.
+func (k *Kernel) assertDirBytes(f *File, d *format.DirSnapshot) {
+	c := k.container(f.id.FG)
+	if f.ss != k.site || c == nil {
+		return
+	}
+	raw, err := c.PeekFile(nil, f.id.Inode)
+	if err != nil {
+		return
+	}
+	if len(raw) == 0 {
+		raw = format.EncodeDir(&format.Directory{}) // a new directory has no pages
+	}
+	invariant.Assertf(bytes.Equal(d.AppendEncoded(nil), raw),
+		"fs: the snapshot of directory %v at %v does not encode to its committed %d bytes", f.id, f.ino.VV, len(raw))
 }
 
 // handleDirOp is the CSS side of fs.dirop.
@@ -423,13 +473,14 @@ func (k *Kernel) Unlink(cred *Cred, path string) error {
 }
 
 // Link adds a hard link newpath referring to oldpath's file. Links
-// cannot cross filegroup boundaries.
+// cannot cross filegroup boundaries. newpath's parent is not searched
+// when it is spelled as oldpath's (newParent, as Rename does).
 func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
-	r, err := k.Resolve(cred, oldpath)
+	_, _, dir, r, err := k.resolve(cred, oldpath, nil)
 	if err != nil {
 		return err
 	}
-	parent, name, _, err := k.ResolveParent(cred, newpath)
+	parent, name, err := k.newParent(cred, oldpath, newpath, dir)
 	if err != nil {
 		return err
 	}
@@ -466,6 +517,23 @@ func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 	return nil
 }
 
+// newParent returns newpath's parent directory and last component, for
+// Link and Rename of oldpath, which the search found in directory dir.
+// The parent is not searched when it is spelled as oldpath's: it is then
+// dir, which is not the old entry's directory when oldpath's last
+// component was a hidden directory the search expanded.
+func (k *Kernel) newParent(cred *Cred, oldpath, newpath string, dir storage.FileID) (storage.FileID, string, error) {
+	newDir, name, err := splitParent(newpath)
+	if err != nil {
+		return storage.FileID{}, "", err
+	}
+	if oldDir, _, err := splitParent(oldpath); err == nil && oldDir == newDir {
+		return dir, name, nil
+	}
+	_, _, parent, name, err := k.resolveParent(cred, newpath)
+	return parent, name, err
+}
+
 // Rename moves a name within one filegroup; the file's inode is
 // untouched. Within one directory it is one directory update, so one
 // commit (§2.3.6) inserts the new entry and tombstones the old: no cut
@@ -473,24 +541,16 @@ func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 // inserted first and the old removed after, and a failed removal rolls
 // the insert back.
 //
-// newpath's parent is not searched when it is spelled as oldpath's: it
-// is then the directory oldpath's last component was found in, which is
-// not the old entry's directory when that component was a hidden
-// directory the search expanded.
+// newpath's parent is not searched when it is spelled as oldpath's
+// (newParent).
 func (k *Kernel) Rename(cred *Cred, oldpath, newpath string) error {
 	ino, _, dir, r, err := k.resolve(cred, oldpath, nil)
 	if err != nil {
 		return err
 	}
-	newDir, newName, err := splitParent(newpath)
+	newParent, newName, err := k.newParent(cred, oldpath, newpath, dir)
 	if err != nil {
 		return err
-	}
-	newParent := dir
-	if oldDir, _, err := splitParent(oldpath); err != nil || oldDir != newDir {
-		if _, _, newParent, newName, err = k.resolveParent(cred, newpath); err != nil {
-			return err
-		}
 	}
 	if newParent.FG != r.ID.FG {
 		return fmt.Errorf("%w: rename %s -> %s", ErrCrossFilegroup, oldpath, newpath)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -254,14 +255,15 @@ func dirAtPack(t *testing.T, c *cluster.Cluster, site fs.SiteID, id storage.File
 }
 
 // A directory update whose write fails part-way must commit nothing.
-// WriteAll truncates, then writes; the last, partial page of the new
-// content is read back from the SS and merged first, and here that read
-// is dropped until its retry budget is gone. The handle is then dirty
-// with a truncated directory, and "closing a file commits it": the
-// update has to abort before its deferred close, or every name in the
-// directory is gone. The update runs at the CSS, site 1, for a create
-// at packless site 2 (fs.dirop), and the directory is stored at site 3
-// alone, so the CSS's SS is remote from it.
+// The update writes the pages it changes one by one: here it creates a
+// name longer than a page, a block of its own laid out after the page
+// holding a and b, so it writes three pages, and every transmission of
+// the second write is dropped. The handle is then dirty with the first
+// page, and "closing a file commits it": the update has to abort before
+// its deferred close, or the directory is left with a page that
+// declares what its other pages do not hold. The update runs at the
+// CSS, site 1, for a create at packless site 2 (fs.dirop), and the
+// directory is stored at site 3 alone, so the CSS's SS is remote from it.
 func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
 	packs := []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 3, Lo: 1001, Hi: 2000}}
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: packs}})
@@ -285,24 +287,22 @@ func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
 		t.Fatalf("/d is stored at %v, want site 3 alone", oldIno.Sites)
 	}
 
-	// The CSS made the last update, so its directory cache holds /d at
-	// the committed version and the next update reads nothing before it
-	// writes: the only fs.read is the read-merge inside WriteAll.
+	long := "/d/c" + strings.Repeat("x", storage.PageSize)
 	var pts []netsim.FaultPoint
 	for i := 0; i < 8; i++ { // the retry budget of one exchange
-		pts = append(pts, netsim.FaultPoint{From: 1, To: 3, Method: "fs.read", Action: netsim.FaultDropRequest})
+		pts = append(pts, netsim.FaultPoint{From: 1, To: 3, Method: "fs.write", Nth: 2, Action: netsim.FaultDropRequest})
 	}
 	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
 	before := c.Net.Stats()
-	f, err := k2.Create(cred(), "/d/c", storage.TypeRegular, 0644)
-	dropped := c.Net.Stats().Sub(before).MsgsDropped
+	f, err := k2.Create(cred(), long, storage.TypeRegular, 0644)
+	d := c.Net.Stats().Sub(before)
 	c.Net.DisableFaults()
 	if err == nil {
 		f.Close() //nolint:errcheck
-		t.Fatal("create succeeded although the directory's last page could not be read back")
+		t.Fatal("create succeeded although the directory's second page could not be written")
 	}
-	if !errors.Is(err, netsim.ErrTimeout) || dropped != 8 {
-		t.Fatalf("create failed with %v, %d requests dropped; want the read's timeout, 8", err, dropped)
+	if !errors.Is(err, netsim.ErrTimeout) || d.MsgsDropped != 8 || d.ByMethod["fs.write"] != 9 {
+		t.Fatalf("create failed with %v, %d requests dropped, %d fs.write sent; want the write's timeout, 8, 9", err, d.MsgsDropped, d.ByMethod["fs.write"])
 	}
 
 	settle(t, c)
@@ -320,8 +320,65 @@ func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
 		t.Fatalf("fsck after the failed update: %v", findings)
 	}
 	// The name is free and the directory writable again.
-	writeFile(t, k2, "/d/c", []byte("c"))
-	if got := readFile(t, c.K(1), "/d/c"); string(got) != "c" {
-		t.Fatalf("/d/c after the retry = %q", got)
+	writeFile(t, k2, long, []byte("c"))
+	if got := readFile(t, c.K(1), long); string(got) != "c" {
+		t.Fatalf("the long name after the retry = %q", got)
+	}
+	if findings := c.Fsck(true); len(findings) != 0 {
+		t.Fatalf("fsck after the retry: %v", findings)
+	}
+}
+
+// TestPagePullNeedsItsBase: a commit's notification lists the pages it
+// changed, and a storage site pulls only those onto its copy — which
+// must then be the version the commit was made on. Here every
+// transmission of the notification of one update of /d to site 3 is
+// lost — tmp renamed over f0001, which changes the first page and the
+// last — and the next update, f1000 renamed on the last page, reaches
+// it: site 3's copy is two versions behind, and pulling the last page
+// alone onto it would leave the first page as it was, a directory nobody
+// wrote. It pulls the whole of /d, and every copy is byte for byte the
+// CSS's.
+func TestPagePullNeedsItsBase(t *testing.T) {
+	c, _ := renameDir(t, 1024, 1, false)
+	settle(t, c)
+	var pts []netsim.FaultPoint
+	for j := 0; j < 8; j++ { // the retry budget of one send
+		pts = append(pts, netsim.FaultPoint{From: 1, To: 3, Method: "fs.propnotify", Nth: 1, Action: netsim.FaultDropRequest})
+	}
+	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+	if err := c.K(1).Rename(cred(), "/d/tmp", "/d/f0001"); err != nil {
+		t.Fatal(err)
+	}
+	dropped := c.Net.Stats().MsgsDropped
+	c.Net.DisableFaults()
+	if dropped != 8 {
+		t.Fatalf("%d notifications dropped, want 8", dropped)
+	}
+	if err := c.K(1).Rename(cred(), "/d/f1000", "/d/f1000x"); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Net.Stats()
+	settle(t, c)
+	// Site 2 pulls the two pages the updates changed, site 3 all three.
+	if got := c.Net.Stats().Sub(before).PullPagesSent; got != 5 {
+		t.Errorf("the settle pulled %d pages, want 5", got)
+	}
+	r, err := c.K(1).Resolve(cred(), "/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.K(1).Store().Container(r.ID.FG).PeekFile(nil, r.ID.Inode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []fs.SiteID{2, 3} {
+		raw, err := c.K(s).Store().Container(r.ID.FG).PeekFile(nil, r.ID.Inode)
+		if err != nil || !bytes.Equal(raw, want) {
+			t.Errorf("site %d's copy of /d is not the CSS's (%v)", s, err)
+		}
+	}
+	if findings := c.Fsck(true); len(findings) != 0 {
+		t.Fatalf("fsck: %v", findings)
 	}
 }

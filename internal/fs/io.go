@@ -343,6 +343,18 @@ func mergePartialPage(old []byte, off int, src []byte) []byte {
 // Append writes p at the current end of file.
 func (f *File) Append(p []byte) (int, error) { return f.WriteAt(p, f.size) }
 
+// writePage ships page, whole, as logical page pn of a file of size
+// bytes: WriteAt's one step for a page that changes entirely (§2.3.5),
+// for a caller that knows the size the write leaves.
+func (f *File) writePage(pn storage.PageNo, page []byte, size int64) error {
+	if err := f.sendWrite(pn, page, size); err != nil {
+		return err
+	}
+	f.size, f.ino.Size = size, size
+	f.dirty[pn] = true
+	return nil
+}
+
 func (f *File) sendWrite(pn storage.PageNo, page []byte, size int64) error {
 	// The caller's buffer crosses without a defensive copy: handleWrite
 	// copies it into a pooled shadow-page buffer, and it has run — as a

@@ -280,6 +280,9 @@ type propTask struct {
 	vv     vclock.VV
 	origin SiteID
 	pages  []storage.PageNo // nil = whole file
+	// base is the version of this pack's copy that pages lists the
+	// changes to: the pages are pulled onto that copy and no other.
+	base vclock.VV
 	// drop marks a replica-retirement task: this pack is no longer in
 	// the file's storage-site list, and may discard its copy once every
 	// listed site holds the current version ("a move of an object is

@@ -85,6 +85,13 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 	t := k.pendingProp[note.ID]
 	if t == nil {
 		t = &propTask{id: note.ID, vv: note.VV, origin: note.Origin, pages: note.Pages}
+		if t.pages != nil {
+			if stores && follows(cur.VV, note) {
+				t.base = cur.VV
+			} else {
+				t.pages = nil // the list is of changes to a version this pack lacks
+			}
+		}
 		k.pendingProp[note.ID] = t
 		k.propQueue = append(k.propQueue, note.ID)
 		return
@@ -100,17 +107,29 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 		t.pages = nil
 		return
 	}
-	if note.VV.Compare(t.vv) == vclock.Dominates {
-		t.vv = note.VV
-		t.origin = note.Origin
-	}
 	if t.pages != nil {
-		if note.Pages == nil {
+		if note.Pages == nil || !follows(t.vv, note) {
 			t.pages = nil // whole-file pull subsumes page list
 		} else {
 			t.pages = append(t.pages, note.Pages...)
 		}
 	}
+	if note.VV.Compare(t.vv) == vclock.Dominates {
+		t.vv = note.VV
+		t.origin = note.Origin
+	}
+}
+
+// follows reports whether note's commit was made on version vv: a
+// commit bumps the committing site's entry of the version it started
+// from (handleCommit), so a page list is the changes to that version
+// alone. A copy at any other version, one that missed a notification,
+// say, pulls the whole file. The test is vv.Bump(note.Origin) ==
+// note.VV, without building the vector: note.VV is ahead of vv by one
+// update in all, the origin's.
+func follows(vv vclock.VV, note *propNotify) bool {
+	return note.VV.Get(note.Origin) == vv.Get(note.Origin)+1 && note.VV.Total() == vv.Total()+1 &&
+		note.VV.Compare(vv) == vclock.Dominates
 }
 
 // takeTombstone is applyPropNotify's step for a delete (§2.3.7: the
@@ -172,7 +191,7 @@ func (k *Kernel) DrainPropagation() int {
 			continue
 		}
 		snap := &propTask{
-			id: t.id, vv: t.vv, origin: t.origin,
+			id: t.id, vv: t.vv, origin: t.origin, base: t.base,
 			pages: append([]storage.PageNo(nil), t.pages...),
 			drop:  t.drop, sites: append([]SiteID(nil), t.sites...),
 		}
@@ -257,12 +276,18 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		return k.retireReplica(c, t)
 	}
 
+	// The page list, if this pack's copy is still the version it lists
+	// the changes to.
+	pages := t.pages
+	if v, ok := c.Version(t.id.Inode); !ok || !v.VV.Equal(t.base) {
+		pages = nil
+	}
 	bulk := !k.Features().SerialPull
 	req := &pullOpenReq{ID: t.id}
 	if bulk {
 		req.Window = PullWindow
-		if t.pages != nil && c.HasInode(t.id.Inode) {
-			req.Need = uniquePages(t.pages)
+		if pages != nil {
+			req.Need = uniquePages(pages)
 		}
 	}
 	por, err := netsim.Call(k.node, t.origin, mPullOpen, req)
@@ -328,13 +353,13 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	}
 
 	// Build the new local page table. When the notification named the
-	// modified pages and we have a current base copy, only those pages
+	// modified pages and we have the copy they modify, only those pages
 	// are pulled; otherwise the whole file is.
-	pullAll := t.pages == nil || !c.HasInode(t.id.Inode)
+	pullAll := pages == nil
 	need := make(map[storage.PageNo]bool)
 	var localPages []storage.PhysPage
 	if !pullAll {
-		for _, pn := range t.pages {
+		for _, pn := range pages {
 			need[pn] = true
 		}
 		local, err := c.GetInode(t.id.Inode)

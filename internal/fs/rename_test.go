@@ -127,8 +127,8 @@ func namesOf(t *testing.T, k *fs.Kernel, dir string, ino storage.InodeNum) []str
 // and 2 and not at the CSS, site 1, so the CSS's update of it runs the
 // whole open for modification and commit at the current storage site,
 // site 3: the CSS polls it for the look and for the modify open,
-// writes, reads back the last page and commits there, site 3 notifies
-// site 2 and the CSS, and the CSS closes. (TestDirOpCutAtEveryExchange
+// writes the changed page and commits there, site 3 notifies site 2
+// and the CSS, and the CSS closes. (TestDirOpCutAtEveryExchange
 // cuts the same rename where the CSS stores /d, and every nested
 // exchange is a procedure call.) Each case is cut two ways: all 8
 // transmissions of its request are dropped, or the using site crashes

@@ -562,6 +562,29 @@ func (c *Container) ReadLogicalPage(n InodeNum, pn PageNo) ([]byte, error) {
 	return GetPageBuf(), nil
 }
 
+// PeekFile appends the committed content of file n to b and charges
+// nothing: it is for checks — runtime invariant checks
+// (internal/lint/invariant) and tests — which must leave every counter
+// as they found it. Holes read as zeros.
+func (c *Container) PeekFile(b []byte, n InodeNum) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ino, ok := c.inodes[n]
+	if !ok {
+		return b, fmt.Errorf("%w: %d in filegroup %d at site %d", ErrNoInode, n, c.fg, c.site)
+	}
+	start := len(b)
+	for _, p := range ino.Pages {
+		page := c.pages[p] // nil for a hole
+		b = append(b, page...)
+		b = append(b, make([]byte, PageSize-len(page))...)
+	}
+	if int64(len(b)-start) < ino.Size {
+		return b, fmt.Errorf("%w: %d-byte file %d holds %d pages", ErrBadPageIndex, ino.Size, n, len(ino.Pages))
+	}
+	return b[:start+int(ino.Size)], nil
+}
+
 // WritePage writes data to a freshly allocated shadow page and returns
 // its physical page id. The page becomes reachable (and protected from
 // reclamation) only when an inode referencing it is committed; until
