@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/format"
@@ -27,35 +28,33 @@ import (
 // and installs it only after the commit assigns it a new version
 // vector; the using site whose fs.dirop it was re-applies the same
 // change to its own snapshot (advance). Every other site misses on that
-// vector, reads the directory again, and decodes the bytes against its
-// now stale snapshot (load). A
-// snapshot holds no slice of the bytes it was decoded from: those sit
-// in a recycled buffer that load owns.
+// vector and reads the directory again (loadDir), but only the pages
+// that changed: an entry also names the storage site whose copy the
+// snapshot is and that copy's page table, and a physical page number
+// names the same bytes for as long as its container lives
+// (storage.Container.storePage), so a page the storage site of the new
+// version still holds under the same number is the snapshot's page and
+// is not read. A snapshot holds no slice of the bytes it was decoded
+// from: those sit in a recycled buffer that loadDir owns.
 //
 // The cache holds decoded form only; the page-level protocols and the
-// US page cache are unaffected, so disk/network byte accounting still
-// reflects first reads and every post-update re-read.
+// US page cache are unaffected, so disk/network byte accounting
+// reflects first reads and the pages each re-read fetches.
 const dirCacheCap = 512
 
 type dirCacheEntry struct {
 	vv  vclock.VV
 	dir *format.DirSnapshot
+	// ss and pages are the copy dir is: the storage site whose copy of
+	// version vv it encodes to, and that copy's page table (shared,
+	// frozen); nil pages when the table is not known.
+	ss    SiteID
+	pages []storage.PhysPage
 }
 
 type dirCache struct {
 	mu sync.Mutex
 	m  map[storage.FileID]dirCacheEntry
-}
-
-// get returns the cached snapshot of id at exactly version vv, or nil.
-// A pathname search asks this first, with the vector of the inode its
-// unsynchronized look found: on a hit it reads no page and so needs no
-// handle to read one through.
-func (c *dirCache) get(id storage.FileID, vv vclock.VV) *format.DirSnapshot {
-	if e := c.entry(id); e.dir != nil && e.vv.Equal(vv) {
-		return e.dir
-	}
-	return nil
 }
 
 // entry returns what the cache holds of id, at whatever version; the zero
@@ -66,32 +65,78 @@ func (c *dirCache) entry(id storage.FileID) dirCacheEntry {
 	return c.m[id]
 }
 
-// load returns id's content at exactly version vv: the cached snapshot,
-// or on a miss the one decoded from the bytes read returns, which it
-// caches. This is the one place raw bytes become a cached snapshot, and
-// it decodes them against whatever snapshot of id the cache holds — the
-// version another site's update just made stale, as a rule — so that
-// only the chunks that update changed are decoded (format.DecodeDirSnapshot).
+// loadDir returns directory id at exactly the version of the look
+// (ino, ss): the cached snapshot, or on a miss the one decoded from the
+// bytes of ss's copy, which it caches. The bytes are the cached
+// snapshot's, as a rule the version another site's update just made
+// stale, with the pages that differ read over them: a page ss holds
+// under the number the cached copy at ss has is not read. When no page
+// is read and the size is the same (an inode-only commit), the cached
+// snapshot is cached again at the new version, and no handle is made.
+// Otherwise the pages are read through a registered internal handle,
+// whose reads check the version of every page and which partition
+// cleanup knows of, and the bytes are decoded against the cached
+// snapshot, so that only the chunks the update changed are decoded
+// (format.DecodeDirSnapshot).
 //
-// load owns the buffer: read fills the empty recycled buffer it is
-// handed (growing it if it must) and returns it, the snapshot keeps
-// none of it, and it is back in dirReadBufs before load returns. read may
-// be an unsynchronized read that mixes versions (§2.3.4): bytes that do
+// A read may be unsynchronized and mix versions (§2.3.4): bytes that do
 // not decode are a format.ErrCorrupt, nothing is cached, and the caller
 // may read again.
-func (c *dirCache) load(id storage.FileID, vv vclock.VV, read func(buf []byte) ([]byte, error)) (*format.DirSnapshot, error) {
-	e := c.entry(id)
-	if e.dir != nil && e.vv.Equal(vv) {
+func (k *Kernel) loadDir(id storage.FileID, ino *storage.Inode, ss SiteID) (*format.DirSnapshot, error) {
+	e := k.dirs.entry(id)
+	if e.dir != nil && e.vv.Equal(ino.VV) {
 		return e.dir, nil
 	}
+	held := 0 // the cached copy's pages that are ino's pages at ss
+	if e.dir != nil && e.ss == ss {
+		held = min(int(pagesOf(int64(e.dir.Size()))), len(e.pages), len(ino.Pages))
+	}
+	reused := func(pn int) bool { return pn < held && ino.Pages[pn] == e.pages[pn] }
+	size, np, read := int(ino.Size), int(pagesOf(ino.Size)), 0
+	for pn := 0; pn < np; pn++ {
+		if !reused(pn) {
+			read++
+		}
+	}
+	if read == 0 && e.dir != nil && size == e.dir.Size() {
+		k.assertDirBytes(id, ss, ino.VV, e.dir)
+		k.dirs.put(id, dirCacheEntry{vv: ino.VV, dir: e.dir, ss: ss, pages: ino.Pages})
+		return e.dir, nil
+	}
+
+	// The cached snapshot's bytes, cut or zero-padded to size, with the
+	// pages read copied over them.
 	buf := dirReadBufs.Get().(*[]byte)
 	defer dirReadBufs.Put(buf)
-	raw, err := read((*buf)[:0])
-	if err != nil {
-		return nil, err
+	raw := (*buf)[:0]
+	if read < np {
+		raw = e.dir.AppendEncoded(raw)
+	}
+	if n := len(raw); n >= size {
+		raw = raw[:size]
+	} else {
+		raw = slices.Grow(raw, size-n)[:size]
+		clear(raw[n:])
+	}
+	*buf = raw
+	if read > 0 {
+		f := k.internalHandle(id, ino, ss)
+		defer f.Close() //locus:vet-allow uncheckedcall internal close is local bookkeeping
+		for pn := 0; pn < np; pn++ {
+			if reused(pn) {
+				continue
+			}
+			data, _, owned, err := f.fetchPage(storage.PageNo(pn))
+			if err != nil {
+				return nil, err
+			}
+			copy(raw[pn*storage.PageSize:], data[:min(storage.PageSize, size-pn*storage.PageSize)])
+			if owned {
+				storage.PutPageBuf(data)
+			}
+		}
 	}
 	d, err := format.DecodeDirSnapshot(e.dir, raw)
-	*buf = raw // recycle the buffer read grew, not the one it outgrew
 	if invariant.Enabled {
 		// A snapshot that kept a slice of the buffer reads as garbage from
 		// here on, not as whichever directory is read into it next.
@@ -102,40 +147,43 @@ func (c *dirCache) load(id storage.FileID, vv vclock.VV, read func(buf []byte) (
 	if err != nil {
 		return nil, err
 	}
-	c.put(id, vv, d)
+	if read < np {
+		k.assertDirBytes(id, ss, ino.VV, d)
+	}
+	k.dirs.put(id, dirCacheEntry{vv: ino.VV, dir: d, ss: ss, pages: ino.Pages})
 	return d, nil
 }
 
-// advance caches the snapshot the CSS made from the one at prev for an
+// advance caches the snapshot the CSS made from the one at r.Prev for an
 // fs.dirop this site sent: muts re-applied to the cached snapshot, if
-// that is the one at prev, at the update's version vv. Otherwise nothing
-// changes, and the next search reads the directory again.
-func (c *dirCache) advance(id storage.FileID, prev, vv vclock.VV, muts []dirMut) {
+// that is the one at r.Prev, at the update's version r.VV. Otherwise
+// nothing changes, and the next search reads the directory again.
+func (c *dirCache) advance(id storage.FileID, r *dirOpResp, muts []dirMut) {
 	e := c.entry(id)
-	if e.dir == nil || !e.vv.Equal(prev) {
+	if e.dir == nil || !e.vv.Equal(r.Prev) {
 		return
 	}
 	if d, err := applyMuts(e.dir, muts); err == nil {
-		c.put(id, vv, d)
+		c.put(id, dirCacheEntry{vv: r.VV, dir: d, ss: r.SS, pages: r.Pages})
 	}
 }
 
 // dirBufPoison is the page pool's poison byte (storage.pagePoisonByte).
 const dirBufPoison = 0xDB
 
-// put installs the snapshot for id at version vv. When the cache fills
-// it is dropped wholesale — deterministic, and directories are few
-// enough that refilling is cheap.
-func (c *dirCache) put(id storage.FileID, vv vclock.VV, d *format.DirSnapshot) {
+// put installs e for id. When the cache fills it is dropped wholesale —
+// deterministic, and directories are few enough that refilling is
+// cheap.
+func (c *dirCache) put(id storage.FileID, e dirCacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil || len(c.m) >= dirCacheCap {
 		c.m = make(map[storage.FileID]dirCacheEntry, 16)
 	}
-	c.m[id] = dirCacheEntry{vv: vv, dir: d}
+	c.m[id] = e
 }
 
-// dirReadBufs recycles the directory-sized buffers load reads a stale
+// dirReadBufs recycles the directory-sized buffers loadDir reads a stale
 // directory into. None outlives its call: the decoder copies what it
 // keeps.
 var dirReadBufs = sync.Pool{New: func() any { return new([]byte) }}

@@ -85,7 +85,7 @@ func (k *Kernel) updateDir(id storage.FileID, forSite SiteID, muts []dirMut) (*d
 	}
 	defer f.Close() //locus:vet-allow uncheckedcall commit already happened or failed below
 	prev := f.ino.VV
-	d, err := k.dirs.load(id, prev, f.readAllInto)
+	d, err := k.dirOpen(f)
 	if err != nil {
 		return nil, err
 	}
@@ -94,9 +94,7 @@ func (k *Kernel) updateDir(id storage.FileID, forSite SiteID, muts []dirMut) (*d
 		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
 		return nil, err
 	}
-	if invariant.Enabled {
-		k.assertDirBytes(f, d)
-	}
+	k.assertDirBytes(id, f.ss, prev, d)
 	if err := writeDirPages(f, d, next); err != nil {
 		// The handle is dirty with some of the pages, or a cut file;
 		// without the abort the deferred Close would commit it ("closing
@@ -104,15 +102,34 @@ func (k *Kernel) updateDir(id storage.FileID, forSite SiteID, muts []dirMut) (*d
 		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
 		return nil, err
 	}
-	if err := f.Commit(); err != nil {
+	cr, err := f.commitOrAbort(false)
+	if err != nil {
 		clear(f.dirty) // the storage site discards the update at close
 		return nil, err
 	}
 	// Commit assigned the new content its version vector; hand the
-	// snapshot to the cache so the next update and pathname search do not
-	// re-read and re-parse what we just wrote.
-	k.dirs.put(id, f.ino.VV, next)
-	return &dirOpResp{Prev: prev, VV: f.ino.VV}, nil
+	// snapshot to the cache, with the page table the commit installed, so
+	// the next update and pathname search do not re-read and re-parse
+	// what we just wrote, and a later re-read reads only what changes.
+	r := &dirOpResp{Prev: prev, VV: cr.VV, SS: f.ss, Pages: cr.Pages}
+	k.dirs.put(id, dirCacheEntry{vv: r.VV, dir: next, ss: r.SS, pages: r.Pages})
+	return r, nil
+}
+
+// dirOpen is the directory f has open for modification, at its
+// committed version: the cached snapshot, as a rule, or the whole
+// directory read through f and decoded against whatever snapshot the
+// cache holds.
+func (k *Kernel) dirOpen(f *File) (*format.DirSnapshot, error) {
+	e := k.dirs.entry(f.id)
+	if e.dir != nil && e.vv.Equal(f.ino.VV) {
+		return e.dir, nil
+	}
+	raw, err := f.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	return format.DecodeDirSnapshot(e.dir, raw)
 }
 
 // writeDirPages writes through f, open for modification on the
@@ -141,25 +158,34 @@ func writeDirPages(f *File, d, next *format.DirSnapshot) error {
 // pagesOf is the number of pages a file of size bytes takes.
 func pagesOf(size int64) int64 { return (size + storage.PageSize - 1) / storage.PageSize }
 
-// assertDirBytes asserts that d, the snapshot updateDir is about to
-// patch page by page, encodes to the committed bytes of the directory f
-// has open: a layout that differed from the committed one would write
-// pages that do not fit the ones left as they are. Only a local storage
-// site is read, and for nothing, so that the check moves no counter.
-func (k *Kernel) assertDirBytes(f *File, d *format.DirSnapshot) {
-	c := k.container(f.id.FG)
-	if f.ss != k.site || c == nil {
+// assertDirBytes asserts, under the invariant layer, that d encodes to
+// the committed bytes of version vv of directory id at storage site ss:
+// updateDir patches the snapshot it edits page by page, and a layout
+// that differed from the committed one would write pages that do not
+// fit the ones left as they are; loadDir builds a snapshot from the
+// pages it did not read, and a page number that named other bytes would
+// make it another directory. Only a local storage site is read, and for
+// nothing, so that the check moves no counter, and only while vv is the
+// version committed there.
+func (k *Kernel) assertDirBytes(id storage.FileID, ss SiteID, vv vclock.VV, d *format.DirSnapshot) {
+	if !invariant.Enabled || ss != k.site {
 		return
 	}
-	raw, err := c.PeekFile(nil, f.id.Inode)
-	if err != nil {
+	c := k.container(id.FG)
+	if c == nil {
+		return
+	}
+	before, _ := c.Version(id.Inode)
+	raw, err := c.PeekFile(nil, id.Inode)
+	after, _ := c.Version(id.Inode)
+	if err != nil || !before.VV.Equal(vv) || !after.VV.Equal(vv) {
 		return
 	}
 	if len(raw) == 0 {
 		raw = format.EncodeDir(&format.Directory{}) // a new directory has no pages
 	}
 	invariant.Assertf(bytes.Equal(d.AppendEncoded(nil), raw),
-		"fs: the snapshot of directory %v at %v does not encode to its committed %d bytes", f.id, f.ino.VV, len(raw))
+		"fs: the snapshot of directory %v at %v does not encode to its committed %d bytes", id, vv, len(raw))
 }
 
 // handleDirOp is the CSS side of fs.dirop.
@@ -181,7 +207,7 @@ func (k *Kernel) dirOp(dir storage.FileID, muts ...dirMut) error {
 	if err != nil {
 		return err
 	}
-	k.dirs.advance(dir, r.Prev, r.VV, muts)
+	k.dirs.advance(dir, r, muts)
 	return nil
 }
 

@@ -16,13 +16,13 @@ import (
 
 // TestStaleSiteDecodesAgainstItsSnapshot: every directory update makes
 // the snapshot the other two sites cache stale, and their next pathname
-// search decodes the new bytes against it (dirCache.load), keeping the
-// chunks the update left alone. Creates, unlinks and renames go round
+// search reads the pages that changed and decodes them against it
+// (Kernel.loadDir), keeping the chunks the update left alone. Creates, unlinks and renames go round
 // the three sites of a 1,100-entry replicated directory, so every site
 // is by turns the one that updates and one of the two that catch up,
 // and after each of them every site must list the directory and stat
 // the touched names exactly as a flat model has them. Under -tags
-// locusinvariants load poisons its read buffer before recycling it, so
+// locusinvariants loadDir poisons its read buffer before recycling it, so
 // a snapshot that kept a slice of it fails here, not in a later test.
 func TestStaleSiteDecodesAgainstItsSnapshot(t *testing.T) {
 	c := newCluster(t, 3)

@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"repro/internal/format"
 	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -63,4 +64,26 @@ func NotifyTombstone(from *Kernel, to SiteID, id storage.FileID) error {
 		return err
 	}
 	return netsim.Cast(from.node, to, mPropNotify, &propNotify{ID: id, VV: tomb.VV, Origin: from.site, Sites: tomb.Sites, Tomb: tomb})
+}
+
+// CachedDir reports the snapshot of directory id the directory cache
+// holds and the version it holds it at (nil, nil if none).
+func (k *Kernel) CachedDir(id storage.FileID) (*format.DirSnapshot, vclock.VV) {
+	e := k.dirs.entry(id)
+	return e.dir, e.vv
+}
+
+// ReadDirByID is readDirByID: directory id as a pathname search reads
+// it, from the look (ino, ss) when ino is not nil.
+func (k *Kernel) ReadDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (*format.DirSnapshot, error) {
+	d, _, err := k.readDirByID(id, ino, ss)
+	return d, err
+}
+
+// ForgeCachedDirPages makes the directory cache's entry of id claim the
+// page table pages, whatever storage site it names.
+func (k *Kernel) ForgeCachedDirPages(id storage.FileID, pages []storage.PhysPage) {
+	e := k.dirs.entry(id)
+	e.pages = pages
+	k.dirs.put(id, e)
 }

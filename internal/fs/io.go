@@ -465,29 +465,32 @@ func (f *File) Truncate(size int64) error {
 // the last commit (§2.3.6). On return the new version is durable at
 // the SS and propagation to the other storage sites has been scheduled.
 func (f *File) Commit() error {
-	return f.commitOrAbort(false)
+	_, err := f.commitOrAbort(false)
+	return err
 }
 
 // Abort undoes all changes back to the previous commit point.
 func (f *File) Abort() error {
-	return f.commitOrAbort(true)
+	_, err := f.commitOrAbort(true)
+	return err
 }
 
-func (f *File) commitOrAbort(abort bool) error {
+// commitOrAbort is Commit or Abort, returning the storage site's reply.
+func (f *File) commitOrAbort(abort bool) (*commitResp, error) {
 	if f.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if f.stale {
-		return fmt.Errorf("%w: %v", ErrStale, f.id)
+		return nil, fmt.Errorf("%w: %v", ErrStale, f.id)
 	}
 	if f.mode != ModeModify {
-		return ErrReadOnly
+		return nil, ErrReadOnly
 	}
 	k := f.k
 	req := &commitReq{ID: f.id, US: f.us, Abort: abort}
 	r, err := netsim.CallAt(k.node, f.ss, mCommit, k.handleCommit, req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	f.ino.VV = r.VV
 	// The committed image changed (or, on abort, reverted): any pages
@@ -498,7 +501,7 @@ func (f *File) commitOrAbort(abort bool) error {
 		f.refreshFromSS()
 	}
 	clear(f.dirty)
-	return nil
+	return r, nil
 }
 
 // refreshFromSS reloads a modify handle's in-core inode from the
@@ -587,7 +590,7 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 	k.mu.Unlock()
 
 	k.notifyCommit(req.ID, ino, pages)
-	return &commitResp{VV: ino.VV}, nil
+	return &commitResp{VV: ino.VV, Pages: ino.Pages}, nil
 }
 
 // notifyCommit sends the one-way commit notifications: to every other
@@ -735,16 +738,9 @@ func (k *Kernel) handleSSClose(_ SiteID, req *ssCloseReq) (*netsim.Ack, error) {
 }
 
 // ReadAll reads the whole file through the handle.
-func (f *File) ReadAll() ([]byte, error) { return f.readAllInto(nil) }
-
-// readAllInto is ReadAll into buf, which it replaces with a slice of the
-// file's size if it is smaller.
-func (f *File) readAllInto(buf []byte) ([]byte, error) {
-	size := int(f.size)
-	if cap(buf) < size {
-		buf = make([]byte, size)
-	}
-	n, err := f.ReadAt(buf[:size], 0)
+func (f *File) ReadAll() ([]byte, error) {
+	buf := make([]byte, f.size)
+	n, err := f.ReadAt(buf, 0)
 	if err != nil {
 		return nil, err
 	}

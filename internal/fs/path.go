@@ -89,8 +89,9 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 // served from whatever is committed when it is read, and one that is not
 // of the version the look found fails the read as corrupt (fetchPage).
 // Such a read is retried on a fresh look rather than surfaced as a
-// corrupt directory, as is a carried look's read from a site that has
-// become unreachable since. The inode returned is the committed one,
+// corrupt directory, as is a carried look's read that the network cut:
+// its site became unreachable since, or a message was lost, or the
+// circuit closed under it. The inode returned is the committed one,
 // shared: read it, never write through it.
 func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (d *format.DirSnapshot, _ *storage.Inode, err error) {
 	for attempt := 0; attempt < 4; attempt++ {
@@ -100,7 +101,7 @@ func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (
 				return nil, nil, err
 			}
 		}
-		if d, err = k.readDirAt(id, ino, ss); !errors.Is(err, format.ErrCorrupt) && !(carried && errors.Is(err, netsim.ErrUnreachable)) {
+		if d, err = k.readDirAt(id, ino, ss); !errors.Is(err, format.ErrCorrupt) && !(carried && cutByNetwork(err)) {
 			break
 		}
 		ino = nil // the version changed under the read, or its site went: look afresh
@@ -111,19 +112,18 @@ func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (
 	return d, ino, nil
 }
 
+// cutByNetwork reports an exchange the network cut: its destination unreachable,
+// a message lost, or the circuit closed while it ran.
+func cutByNetwork(err error) bool {
+	return errors.Is(err, netsim.ErrUnreachable) || errors.Is(err, netsim.ErrTimeout) || errors.Is(err, netsim.ErrCircuitClosed)
+}
+
 // readDirAt reads directory id at the version of the look (ino, ss).
 func (k *Kernel) readDirAt(id storage.FileID, ino *storage.Inode, ss SiteID) (*format.DirSnapshot, error) {
 	if !ino.Type.IsDir() {
 		return nil, fmt.Errorf("%w: %v is %v", ErrNotDir, id, ino.Type)
 	}
-	if d := k.dirs.get(id, ino.VV); d != nil {
-		return d, nil
-	}
-	// Pages must be read: through a registered handle, whose reads check
-	// the version of every page and which partition cleanup knows of.
-	f := k.internalHandle(id, ino, ss)
-	defer f.Close() //locus:vet-allow uncheckedcall internal close is local bookkeeping
-	return k.dirs.load(id, ino.VV, f.readAllInto)
+	return k.loadDir(id, ino, ss)
 }
 
 // statType is one search step's look at a file: its committed inode

@@ -164,8 +164,13 @@ type commitReq struct {
 	Abort bool
 }
 
+// commitResp is the version the commit installed (for an abort, the
+// one it kept) and, for a commit, that version's page table at the
+// storage site, shared and frozen: a directory's updater caches its
+// snapshot under it (dirCacheEntry).
 type commitResp struct {
-	VV vclock.VV
+	VV    vclock.VV
+	Pages []storage.PhysPage
 }
 
 // mClose is US → SS: first message of the 4-message close protocol. It
@@ -296,10 +301,14 @@ type dirMut struct {
 
 // dirOpResp names the versions the update went between, not the
 // content: the US re-applies its own mutations to a cached snapshot at
-// Prev and caches the result at VV. (A snapshot in the reply would be
-// pinned by the at-most-once table for as long as the reply is.)
+// Prev and caches the result at VV, as the copy at SS whose page table
+// is Pages (the commit's, shared and frozen). (A snapshot in the reply
+// would be pinned by the at-most-once table for as long as the reply
+// is.)
 type dirOpResp struct {
 	Prev, VV vclock.VV
+	SS       SiteID
+	Pages    []storage.PhysPage
 }
 
 // mCreate is US → CSS: create a new file (placeholder for inode). It

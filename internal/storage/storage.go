@@ -50,7 +50,13 @@ type InodeNum int64
 // PageNo is a logical page index within a file.
 type PageNo int32
 
-// PhysPage is a physical page id within one container.
+// PhysPage is a physical page id within one container. A container
+// never hands out a number twice (storePage) and never changes a page's
+// bytes once written, so for as long as the container lives — across
+// aborts, superseding commits, drops and its site's crashes — one
+// number names one page's bytes. fs's directory re-read rests on this:
+// a page of a later version that its storage site holds under the same
+// number is not read again (fs.dirCache).
 type PhysPage int64
 
 // PageSize is the size of one data page in bytes (VAX-era 4 KB).
@@ -600,6 +606,9 @@ func (c *Container) WritePage(data []byte) (PhysPage, error) {
 
 // storePage files buf, which the container owns from here on, under a
 // fresh physical page number and charges the page's transfer to disk.
+// The numbers come from a counter that only grows: a freed page's number
+// is never handed out again, so no page number ever names two different
+// contents (PhysPage; TestPhysicalPageNumbersNeverReused).
 func (c *Container) storePage(buf []byte) PhysPage {
 	c.mu.Lock()
 	p := c.nextPage
