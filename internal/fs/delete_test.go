@@ -110,18 +110,18 @@ func TestDeleteTravelsInNotification(t *testing.T) {
 		do   func() error
 		want map[string]int64
 	}{
-		// The search looks at /d and reads it at site 1. Site 2 stores a
-		// current copy of f and serves its modify open, which asks the
-		// CSS, site 1; the commit notifies sites 1 and 3, and the close
-		// tells the CSS. /d's update is one fs.dirop to site 1, which
-		// stores /d and commits it there.
+		// The search looks at /d and reads it at site 1, and finds f's
+		// copy at site 2 current. The unlink is one fs.dirop to site 1, the
+		// CSS, which stores /d and a current copy of f: it removes the name
+		// and commits /d, and commits f's delete there, which notifies
+		// sites 2 and 3.
 		{"unlink f", func() error { return k.Unlink(cred(), "/d/f") }, map[string]int64{
-			"fs.open": 4, "fs.read": 2, "fs.ssclose": 2, "fs.dirop": 2, "fs.propnotify": 2}},
-		// The search looks at /d, now cached, and at g. g's only copy is
-		// at site 1, which serves its modify open, setattr and commit; the
-		// commit notifies sites 2 and 3. Then /d's update, as above.
+			"fs.open": 2, "fs.read": 2, "fs.dirop": 2, "fs.propnotify": 2}},
+		// The search looks at /d, now cached, and at g, whose only copy is
+		// at site 1. Then the fs.dirop, as above: g's delete notifies sites
+		// 2 and 3.
 		{"unlink g", func() error { return k.Unlink(cred(), "/d/g") }, map[string]int64{
-			"fs.open": 6, "fs.setattr": 1, "fs.commit": 2, "fs.close": 2, "fs.dirop": 2, "fs.propnotify": 2}},
+			"fs.open": 4, "fs.dirop": 2, "fs.propnotify": 2}},
 		{"settle", func() error { c.Settle(); return nil }, map[string]int64{}},
 	} {
 		before := c.Net.Stats()
@@ -134,11 +134,11 @@ func TestDeleteTravelsInNotification(t *testing.T) {
 	}
 	noTasks(t, c)
 
-	origin := inodeAt(c, 2, f)
+	origin := inodeAt(c, 1, f)
 	if err := sameTombstone(origin, origin); err != nil {
-		t.Fatalf("site 2, f's origin: %v", err)
+		t.Fatalf("site 1, f's origin: %v", err)
 	}
-	for _, s := range []fs.SiteID{1, 3} {
+	for _, s := range []fs.SiteID{2, 3} {
 		if err := sameTombstone(inodeAt(c, s, f), origin); err != nil {
 			t.Errorf("site %d's copy of f: %v", s, err)
 		}
@@ -173,17 +173,18 @@ func TestDeleteTravelsInNotification(t *testing.T) {
 // TestDeleteNotificationCut cuts a delete's notification to one storage
 // site, two ways: all 8 transmissions of the note are dropped, or the
 // notified site crashes as the note reaches it, before its local commit
-// (the note is lost with it). The cut site holds a copy of f, whose
-// delete site 2 serves, or never held g, whose delete site 1 serves.
-// Right after the cut its copy, or its lack of one, must be as it was.
-// After the site restarts, the network heals, the merge runs and the
-// controlling pack's garbage collection nudges any pack that missed the
-// delete, the delete must have reached it (a tombstone equal to the
-// origin's, or no copy), fsck must be clean and no pull may be left
-// queued or stalled. Crashing site 1 under f's delete is left out: it is
-// the CSS and /d's only storage site, and a crash there between Unlink's
-// two commits, the file's and the directory's, leaves a dangling entry
-// whatever the note carries.
+// (the note is lost with it). The CSS, site 1, which stores /d alone,
+// commits each delete at the file's storage site: for f, site 2, which
+// wrote f last and so holds its one current copy (the CSS's own copy
+// awaits its pull, so the CSS polls and opens f there); for g, site 1.
+// The cut site holds a copy of f, or never held g. Right after the cut
+// its copy, or its lack of one, must be as it was. After the site
+// restarts, the network heals, the merge runs and the controlling pack's
+// garbage collection nudges any pack that missed the delete, the delete
+// must have reached it (a tombstone equal to the origin's, or no copy),
+// fsck must be clean and no pull may be left queued or stalled. Crashing
+// site 1 under f's delete is left out: it is the CSS, amid the unlink's
+// fs.dirop, where TestDirOpCutAtEveryExchange cuts it.
 func TestDeleteNotificationCut(t *testing.T) {
 	type cut struct {
 		path       string
@@ -208,6 +209,8 @@ func TestDeleteNotificationCut(t *testing.T) {
 			id := f
 			if cu.path == "/d/g" {
 				id = g
+			} else {
+				writeAt(t, c.K(2), cu.path, "f2")
 			}
 			old := inodeAt(c, cu.to, id)
 			var pts []netsim.FaultPoint

@@ -1,15 +1,17 @@
 package fs_test
 
-// A namespace operation changes its directory with one fs.dirop
-// exchange: the CSS applies the entry change and makes the one commit
-// (§2.3.4, §2.3.6). What an operation sends therefore does not depend on
-// the using site's copy of the directory, and a cut of any exchange it
-// makes leaves one name or none.
+// A namespace operation is one exchange with the CSS, fs.dirop or
+// fs.create: the CSS applies the entry change and the named file's
+// inode change, one commit each (§2.3.4, §2.3.6). What an operation
+// sends therefore depends neither on the using site's copy of the
+// directory nor on its copy of the file, and a cut of any exchange it
+// makes leaves one name or none, or reclaimable garbage.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"path"
 	"reflect"
 	"slices"
 	"strings"
@@ -40,99 +42,187 @@ var nsOps = []nsOp{
 	{"unlink", func(k *fs.Kernel) error { return k.Unlink(cred(), "/d/f0002") }},
 	{"link", func(k *fs.Kernel) error { return k.Link(cred(), "/d/f0003", "/d/new") }},
 	{"rename", func(k *fs.Kernel) error { return k.Rename(cred(), "/d/tmp", "/d/f0001") }},
+	{"xrename", func(k *fs.Kernel) error { return k.Rename(cred(), "/d/tmp", "/moved") }},
 }
+
+// regimes are the two feature configurations the namespace tables run
+// under, by the prefix of their subtests' names.
+var regimes = []struct {
+	prefix   string
+	features fs.Features
+}{{"", fs.Features{}}, {"leases/", fs.Features{Leases: true}}}
 
 // TestNamespaceOpCosts pins what each namespace operation sends in
 // renameDir's 1,024-entry /d from the sites of
-// TestRenameSameDirectoryIsOneUpdate. A using site that is not the CSS
-// holds a pending propagation of /d, so its search looks at /d at the
-// CSS, and its entry change is one fs.dirop; whether its cache is
-// current (it made the last update) or not, and wherever the current
-// copy is, it sends the same. Each operation's other traffic is the
-// file's own.
+// TestRenameSameDirectoryIsOneUpdate, under both regimes (switched on
+// after the set-up). A using site that is not the CSS holds a pending
+// propagation of /d, so its search looks at /d at the CSS, and the
+// operation is one exchange with the CSS: fs.dirop, or fs.create for a
+// create, which carries its parent and name. The CSS opens, changes and
+// commits every file the operation touches itself, its own current
+// copies as a rule, so whether the using site's cache is current (it
+// made the last update) or not, and wherever the current copy is, it
+// sends the same, and nothing of the file's own but its commit's fan-out.
 func TestNamespaceOpCosts(t *testing.T) {
-	// From the CSS the update is a procedure call; only its fan-out to the
-	// other two copies goes out, and a new file's birth note.
+	// From the CSS the operation is a procedure call; only its fan-out to
+	// the other two copies goes out, and a new file's birth note.
 	atCSS := map[string]map[string]int64{
-		"create": {"fs.propnotify": 4},
-		"mkdir":  {"fs.propnotify": 4},
-		"unlink": {"fs.propnotify": 4},
-		"link":   {"fs.propnotify": 4},
-		"rename": {"fs.propnotify": 2},
+		"create":  {"fs.propnotify": 4},
+		"mkdir":   {"fs.propnotify": 4},
+		"unlink":  {"fs.propnotify": 4},
+		"link":    {"fs.propnotify": 4},
+		"rename":  {"fs.propnotify": 2},
+		"xrename": {"fs.propnotify": 4},
 	}
 	elsewhere := map[string]map[string]int64{
 		// The look at /d; fs.create to the CSS, which has the using site,
 		// the birth site, allocate the inode, whose birth note goes to the
-		// other two copies; the entry; /d's fan-out; the close's release.
-		"create": {"fs.open": 2, "fs.create": 2, "fs.sscreate": 2, "fs.dirop": 2, "fs.propnotify": 4, "fs.ssclose": 2},
-		"mkdir":  {"fs.open": 2, "fs.create": 2, "fs.sscreate": 2, "fs.dirop": 2, "fs.propnotify": 4, "fs.ssclose": 2},
-		// The look at /d; f0002's modify open at the CSS, served by the
-		// using site's current copy, its commit's note to the other two and
-		// the close's release; the tombstone; /d's fan-out.
-		"unlink": {"fs.open": 4, "fs.ssclose": 2, "fs.dirop": 2, "fs.propnotify": 4},
-		// As unlink: the new name's parent is spelled as the old one's, so
-		// Link does not search it again.
-		"link": {"fs.open": 4, "fs.ssclose": 2, "fs.dirop": 2, "fs.propnotify": 4},
+		// other two copies, and enters the name; /d's fan-out; the close's
+		// release.
+		"create": {"fs.open": 2, "fs.create": 2, "fs.sscreate": 2, "fs.propnotify": 4, "fs.ssclose": 2},
+		"mkdir":  {"fs.open": 2, "fs.create": 2, "fs.sscreate": 2, "fs.propnotify": 4, "fs.ssclose": 2},
+		// The look at /d; the fs.dirop, for which the CSS removes the name,
+		// then commits f0002's delete on its own current copy; the two
+		// commits' fan-outs.
+		"unlink": {"fs.open": 2, "fs.dirop": 2, "fs.propnotify": 4},
+		// As unlink, the count raised first: the new name's parent is
+		// spelled as the old one's, so Link does not search it again.
+		"link": {"fs.open": 2, "fs.dirop": 2, "fs.propnotify": 4},
 		// The look at /d, the one update and its fan-out.
 		"rename": {"fs.open": 2, "fs.dirop": 2, "fs.propnotify": 2},
+		// The look at /d (/ is current here), one fs.dirop for the two
+		// updates, and their fan-outs.
+		"xrename": {"fs.open": 2, "fs.dirop": 2, "fs.propnotify": 4},
 	}
-	for _, row := range []struct {
-		name  string
-		us    fs.SiteID
-		stale bool
-		want  map[string]map[string]int64
-	}{
-		{"current/css", 1, false, atCSS},
-		{"current", 2, false, elsewhere},
-		{"stale", 2, true, elsewhere},
-		{"stale/ss-is-css", 3, true, elsewhere},
-	} {
-		for _, op := range nsOps {
-			t.Run(row.name+"/"+op.name, func(t *testing.T) {
-				c, _ := renameDir(t, 1024, row.us, row.stale)
-				before := c.Net.Stats()
-				if err := op.run(c.K(row.us)); err != nil {
-					t.Fatal(err)
+	for _, rg := range regimes {
+		for _, row := range []struct {
+			name  string
+			us    fs.SiteID
+			stale bool
+			want  map[string]map[string]int64
+		}{
+			{"current/css", 1, false, atCSS},
+			{"current", 2, false, elsewhere},
+			{"stale", 2, true, elsewhere},
+			{"stale/ss-is-css", 3, true, elsewhere},
+		} {
+			for _, op := range nsOps {
+				t.Run(rg.prefix+row.name+"/"+op.name, func(t *testing.T) {
+					c, _ := renameDir(t, 1024, row.us, row.stale)
+					c.SetFeatures(rg.features)
+					before := c.Net.Stats()
+					if err := op.run(c.K(row.us)); err != nil {
+						t.Fatal(err)
+					}
+					if d := c.Net.Stats().Sub(before); !reflect.DeepEqual(d.ByMethod, row.want[op.name]) {
+						t.Errorf("%s sent %d messages %v, want %v", op.name, d.Msgs, d.ByMethod, row.want[op.name])
+					}
+				})
+			}
+		}
+	}
+
+	// The rows where the target's state at the CSS is not the common
+	// case, unlinked and linked from site 2; want is what the row sends
+	// under the leases regime where it differs.
+	//   - target-stale: site 3 wrote the file last and nothing has
+	//     settled, so the CSS's own copy is stale, and so is site 2's: the
+	//     search looks at the file at the CSS, which polls site 3 for it,
+	//     and the CSS's open polls (§2.3.3) site 2, which refuses, and
+	//     site 3, which serves the open, the change, its commit (whose
+	//     note goes to sites 2 and 1) and the close. Under leases site 3
+	//     holds a writer lease on the file, which the CSS's open recalls,
+	//     revoking the serving state it kept, and the CSS keeps its own.
+	//   - delegate: site 3 holds a read delegation of the file, which the
+	//     CSS's open revokes.
+	//   - writer: site 3 holds a writer lease on it, which the CSS's open
+	//     recalls, revoking the serving state it kept at site 3.
+	//   - handback: site 2 holds the writer lease, and hands it back in
+	//     the fs.dirop: no recall, and its own serving state it drops.
+	for _, rg := range regimes {
+		for _, row := range []struct {
+			name        string
+			leasesOnly  bool
+			prep        func(t *testing.T, c *cluster.Cluster, path string)
+			want, lease map[string]int64
+		}{
+			{"target-stale", false, func(t *testing.T, c *cluster.Cluster, path string) {
+				writeAt(t, c.K(3), path, "w")
+			}, map[string]int64{"fs.open": 4, "fs.ssopen": 6, "fs.dirop": 2, "fs.setattr": 1, "fs.commit": 2, "fs.close": 2, "fs.ssclose": 2, "fs.propnotify": 4},
+				map[string]int64{"fs.open": 4, "fs.ssopen": 6, "fs.dirop": 2, "fs.recallwriter": 2, "fs.revokeserve": 2, "fs.setattr": 1, "fs.commit": 2, "fs.propnotify": 4}},
+			{"delegate", true, func(t *testing.T, c *cluster.Cluster, path string) {
+				readFile(t, c.K(3), path)
+			}, nil, map[string]int64{"fs.open": 2, "fs.dirop": 2, "fs.leaserevoke": 2, "fs.propnotify": 4}},
+			{"writer", true, func(t *testing.T, c *cluster.Cluster, path string) {
+				writeAt(t, c.K(3), path, "")
+			}, nil, map[string]int64{"fs.open": 2, "fs.dirop": 2, "fs.recallwriter": 2, "fs.revokeserve": 2, "fs.propnotify": 4}},
+			{"handback", true, func(t *testing.T, c *cluster.Cluster, path string) {
+				writeAt(t, c.K(2), path, "")
+			}, nil, map[string]int64{"fs.open": 2, "fs.dirop": 2, "fs.propnotify": 4}},
+		} {
+			want := row.want
+			if rg.features.Leases {
+				want = row.lease
+			} else if row.leasesOnly {
+				continue
+			}
+			for _, op := range nsOps {
+				path := map[string]string{"unlink": "/d/f0002", "link": "/d/f0003"}[op.name]
+				if path == "" {
+					continue
 				}
-				if d := c.Net.Stats().Sub(before); !reflect.DeepEqual(d.ByMethod, row.want[op.name]) {
-					t.Errorf("%s sent %d messages %v, want %v", op.name, d.Msgs, d.ByMethod, row.want[op.name])
-				}
-			})
+				t.Run(rg.prefix+row.name+"/"+op.name, func(t *testing.T) {
+					c, _ := renameDir(t, 1024, 2, false)
+					c.SetFeatures(rg.features)
+					row.prep(t, c, path)
+					before := c.Net.Stats()
+					if err := op.run(c.K(2)); err != nil {
+						t.Fatal(err)
+					}
+					if d := c.Net.Stats().Sub(before); !reflect.DeepEqual(d.ByMethod, want) {
+						t.Errorf("%s sent %d messages %v, want %v", op.name, d.Msgs, d.ByMethod, want)
+					}
+					settle(t, c)
+					if findings := c.Fsck(true); len(findings) != 0 {
+						t.Fatalf("fsck: %v", findings)
+					}
+				})
+			}
 		}
 	}
 }
 
-// TestDirOpCutAtEveryExchange cuts each namespace operation, run at site
-// 2 with a pending propagation of /d, at each exchange it makes, nested
-// ones included, one exchange per case: its request is dropped once, or
-// its response is, which the retransmission must find in the
-// at-most-once table rather than run the handler again (an insert run
-// twice fails ErrExists); and at its fs.dirop the CSS, site 1, crashes
-// after the update and before it replies. After the CSS restarts, the
-// network heals and propagation settles, fsck must be clean (no leaked
-// page, no dangling entry, no orphan, every copy converged) and every
-// site must name the operation's file by one name or, for create and
-// unlink, none: the new name where the operation reported success. A
-// linked file has as many links as names.
-//
-// A crash of the CSS at its other exchanges is not in the table: inside
-// fs.create it leaves the new inode an orphan, and at the fs.ssclose of
-// an unlink's (a link's) inode it leaves the committed delete (link
-// count) with the entry unchanged (ROADMAP item 9).
-//
-// The link's new name is spelled "/./d/new", so that Link searches its
-// parent again (newParent) and that search is cut too; the rename's
-// cuts cover the parent newParent takes from the old name's search.
-//
-// TestRenameCutAtEveryExchange drops every transmission of one exchange
-// instead, and cuts the nested exchanges of a CSS that stores no copy.
-func TestDirOpCutAtEveryExchange(t *testing.T) {
-	const us = 2
-	type exchange struct {
-		from, to fs.SiteID
-		method   string
-		nth      int
+// writeAt opens path for modification at k, writes data over its start
+// unless data is empty, and closes it.
+func writeAt(t *testing.T, k *fs.Kernel, path, data string) {
+	t.Helper()
+	f, err := k.Open(cred(), path, fs.ModeModify)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if data != "" {
+		if _, err := f.WriteAt([]byte(data), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cutOps are the operations TestDirOpCutAtEveryExchange cuts: nsOps,
+// with the link's new name spelled "/./d/new" so that Link searches its
+// parent again (newParent) and that search is cut too (the rename's cuts
+// cover the parent newParent takes from the old name's search), and an
+// unlink and a link of a file the CSS stores no copy of (offcss), so that
+// its open, change and commit at the storage site are exchanges the cut
+// reaches. (Moving the file settles the cluster, so their search looks
+// at nothing.) The test has the using site write the file of "link"
+// first, so that the CSS's own copy awaits its pull and the CSS polls
+// and has site 2 serve the count's change and commit, which the cut
+// reaches too; "link/atcss" links a file whose current copy the CSS
+// stores, as "unlink" unlinks one.
+func cutOps() []nsOp {
 	ops := slices.Clone(nsOps)
 	for i := range ops {
 		if ops[i].name == "link" {
@@ -140,61 +230,244 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 		}
 	}
 	for _, op := range ops {
-		c, _ := renameDir(t, 8, us, true)
-		var exchanges []exchange
-		seen := map[exchange]int{}
-		c.Net.SetTrace(func(from, to fs.SiteID, method string) {
-			key := exchange{from: from, to: to, method: method}
-			seen[key]++
-			key.nth = seen[key]
-			exchanges = append(exchanges, key)
-		})
-		if err := op.run(c.K(us)); err != nil {
-			t.Fatal(err)
+		switch op.name {
+		case "unlink":
+			ops = append(ops, nsOp{op.name + "/offcss", op.run})
+		case "link":
+			ops = append(ops, nsOp{op.name + "/offcss", op.run}, nsOp{op.name + "/atcss", op.run})
 		}
-		c.Net.SetTrace(nil)
+	}
+	return ops
+}
 
-		for i, ex := range exchanges {
-			for _, cut := range []string{"drop", "dropreply", "crash"} {
-				if cut == "crash" && ex.method != "fs.dirop" {
-					continue
+// TestDirOpCutAtEveryExchange cuts each operation of cutOps, run at site
+// 2 with a pending propagation of /d, under both regimes, at each
+// exchange it makes, nested ones included, one exchange per case: its
+// request is dropped once, or its response is, which the retransmission
+// must find in the at-most-once table rather than run the handler again
+// (an insert run twice fails ErrExists), and either way the operation
+// succeeds; or the CSS, site 1, crashes there: after the handler of an
+// exchange it is called with ran and before it replies, or as any other
+// exchange is sent. At the operation's one exchange with the CSS,
+// fs.dirop or fs.create, every transmission is lost, or every reply.
+// After the CSS restarts, the network heals and propagation settles,
+// fsck must be clean (no leaked page, no dangling entry, no orphan,
+// every copy converged) and every site must name the operation's file by
+// one name or, for create and unlink, none: the new name where the
+// operation reported success, the old where it never reached the CSS. A
+// linked file has as many links as names.
+//
+// The CSS commits each file of an operation in turn, so a crash between
+// two of its commits leaves what the first made: never a wrong name,
+// only reclaimable garbage, and only at the crashes the table at the end
+// pins: a file no name names (fsck's one orphan-inode finding: the new
+// inode of a create whose birth is done, the unlinked file whose name is
+// removed, the file a rename across directories removed from /d), or a
+// linked file with one link more than its names. Reclaiming either is
+// ROADMAP item 9's.
+//
+// TestRenameCutAtEveryExchange drops every transmission of one exchange
+// instead, and cuts the nested exchanges of a CSS that stores no copy of
+// the directory.
+func TestDirOpCutAtEveryExchange(t *testing.T) {
+	const us = 2
+	type exchange struct {
+		from, to fs.SiteID
+		method   string
+		nth      int
+	}
+	casts := map[string]bool{"fs.propnotify": true, "fs.write": true, "fs.setattr": true}
+	// A case is named by the exchange it cuts: its place among the
+	// operation's exchanges, counted from 00, its link and method, and
+	// which exchange of that link and method it is. The exchanges below
+	// keep the places they had when these cases were first written, when
+	// the using site opened, changed, committed and closed the file
+	// itself and sent the entry change after, in an fs.dirop of its own,
+	// so that their cases keep their names; every other exchange is
+	// numbered by its place now. The link's are those of a count that
+	// site 2 commits, as it did then.
+	createPlaces := map[exchange]int{
+		{from: 1, to: 2, method: "fs.propnotify", nth: 1}: 6, // /d's commit
+		{from: 1, to: 3, method: "fs.propnotify", nth: 1}: 7,
+		{from: us, to: 1, method: "fs.ssclose", nth: 1}:   8, // the new file's close
+	}
+	firstPlaces := map[string]map[exchange]int{
+		"create": createPlaces,
+		"mkdir":  createPlaces,
+		"unlink": {
+			{from: us, to: 1, method: "fs.dirop", nth: 1}:     5,
+			{from: 1, to: 2, method: "fs.propnotify", nth: 1}: 6, // /d's commit
+			{from: 1, to: 3, method: "fs.propnotify", nth: 1}: 7,
+		},
+		"link": {
+			{from: us, to: 1, method: "fs.propnotify", nth: 1}: 3, // the count's commit
+			{from: us, to: 3, method: "fs.propnotify", nth: 1}: 4,
+			{from: us, to: 1, method: "fs.ssclose", nth: 1}:    5, // the file's close
+			{from: us, to: 1, method: "fs.dirop", nth: 1}:      6,
+			{from: 1, to: 2, method: "fs.propnotify", nth: 1}:  7, // /d's commit
+			{from: 1, to: 3, method: "fs.propnotify", nth: 1}:  8,
+		},
+	}
+	garbage := map[string]map[int]string{}
+	for _, rg := range regimes {
+		for _, op := range cutOps() {
+			setup := func(t *testing.T) (*cluster.Cluster, storage.InodeNum) {
+				c, tmp := renameDir(t, 8, us, true)
+				switch {
+				case strings.HasSuffix(op.name, "/offcss"):
+					if err := c.K(1).SetReplication(cred(), nsPath(op.name), []fs.SiteID{3, 2}); err != nil {
+						t.Fatal(err)
+					}
+					settle(t, c)
+				case op.name == "link":
+					writeAt(t, c.K(us), nsPath(op.name), "w")
 				}
-				t.Run(fmt.Sprintf("%s/%02d:%d->%d/%s#%d/%s", op.name, i, ex.from, ex.to, ex.method, ex.nth, cut), func(t *testing.T) {
-					c, tmp := renameDir(t, 8, us, true)
-					target := fileAt(t, c, op.name, tmp)
-					var pts []netsim.FaultPoint
-					switch cut {
-					case "drop":
-						pts = []netsim.FaultPoint{{From: ex.from, To: ex.to, Method: ex.method, Nth: ex.nth, Action: netsim.FaultDropRequest}}
-					case "dropreply":
-						pts = []netsim.FaultPoint{{From: ex.from, To: ex.to, Method: ex.method, Nth: ex.nth, Action: netsim.FaultDropResponse}}
-					case "crash":
-						pts = []netsim.FaultPoint{{From: ex.from, To: ex.to, Method: ex.method, Nth: ex.nth, Action: netsim.FaultCrashBeforeReply}}
-					}
-					c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-					before := c.Net.Stats()
-					err := op.run(c.K(us))
-					d := c.Net.Stats().Sub(before)
-					c.Net.DisableFaults()
-					switch {
-					case cut == "crash" && c.Net.Up(1):
-						t.Fatal("the CSS is up after the cut: the cut missed the exchange")
-					case cut != "crash" && d.MsgsDropped != 1:
-						t.Fatalf("%d messages dropped, want 1: the fault missed the exchange", d.MsgsDropped)
-					case cut != "crash" && err != nil:
-						t.Fatalf("%s failed after one lost message: %v", op.name, err)
-					}
-					t.Logf("%s: %v", op.name, err)
-					if cut == "crash" {
-						c.Crash(1) // the survivors learn of it
-						c.Net.Restart(1)
-					}
-					healAfterCut(t, c)
-					checkNames(t, c, op.name, target, err)
-				})
+				c.SetFeatures(rg.features)
+				return c, fileAt(t, c, op.name, tmp)
+			}
+			c, _ := setup(t)
+			var exchanges []exchange
+			seen := map[exchange]int{}
+			c.Net.SetTrace(func(from, to fs.SiteID, method string) {
+				key := exchange{from: from, to: to, method: method}
+				seen[key]++
+				key.nth = seen[key]
+				exchanges = append(exchanges, key)
+			})
+			if err := op.run(c.K(us)); err != nil {
+				t.Fatal(err)
+			}
+			c.Net.SetTrace(nil)
+
+			for i, ex := range exchanges {
+				cuts := []string{"drop", "dropreply", "crash"}
+				if ex.from == us && ex.to == 1 && (ex.method == "fs.dirop" || ex.method == "fs.create") {
+					cuts = append(cuts, "dropall", "dropallreplies")
+				}
+				place, ok := firstPlaces[op.name][ex]
+				if !ok {
+					place = i
+				}
+				for _, cut := range cuts {
+					t.Run(fmt.Sprintf("%s%s/%02d:%d->%d/%s#%d/%s", rg.prefix, op.name, place, ex.from, ex.to, ex.method, ex.nth, cut), func(t *testing.T) {
+						c, target := setup(t)
+						var pts []netsim.FaultPoint
+						drops := 1
+						point := func(a netsim.FaultAction) {
+							for j := 0; j < drops; j++ {
+								pts = append(pts, netsim.FaultPoint{From: ex.from, To: ex.to, Method: ex.method, Nth: ex.nth, Action: a})
+							}
+						}
+						switch cut {
+						case "drop":
+							point(netsim.FaultDropRequest)
+						case "dropreply":
+							point(netsim.FaultDropResponse)
+						case "dropall":
+							drops = 8 // the retry budget of one exchange
+							point(netsim.FaultDropRequest)
+						case "dropallreplies":
+							drops = 8
+							point(netsim.FaultDropResponse)
+						case "crash":
+							if ex.to == 1 && !casts[ex.method] {
+								point(netsim.FaultCrashBeforeReply)
+								break
+							}
+							sent := 0
+							c.Net.SetTrace(func(fs.SiteID, fs.SiteID, string) {
+								if sent++; sent == i+1 {
+									c.Net.Crash(1)
+								}
+							})
+						}
+						c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+						before := c.Net.Stats()
+						err := op.run(c.K(us))
+						d := c.Net.Stats().Sub(before)
+						c.Net.SetTrace(nil)
+						c.Net.DisableFaults()
+						switch {
+						case cut == "crash" && c.Net.Up(1):
+							t.Fatal("the CSS is up after the cut: the cut missed the exchange")
+						case cut != "crash" && d.MsgsDropped != int64(drops):
+							t.Fatalf("%d messages dropped, want %d: the fault missed the exchange", d.MsgsDropped, drops)
+						case cut != "crash" && drops == 1 && err != nil:
+							t.Fatalf("%s failed after one lost message: %v", op.name, err)
+						case drops > 1 && err == nil:
+							t.Fatalf("%s succeeded with every %s lost", op.name, ex.method)
+						}
+						t.Logf("%s: %v", op.name, err)
+						if cut == "crash" {
+							c.Crash(1) // the survivors learn of it
+							c.Net.Restart(1)
+						}
+						left := healLeavingGarbage(t, c, op.name, target)
+						if left != "" && cut != "crash" {
+							t.Fatalf("%s left %s garbage at a cut that is no crash", op.name, left)
+						}
+						if left != "" {
+							key := rg.prefix + op.name
+							if garbage[key] == nil {
+								garbage[key] = map[int]string{}
+							}
+							garbage[key][place] = left
+						}
+						checkNames(t, c, op.name, target, err, cut == "dropall", left)
+					})
+				}
 			}
 		}
 	}
+	// The crashes that leave garbage, by the place of the exchange they
+	// cut, in both regimes: a create's at the birth site's allocation and
+	// at its birth notes, an unlink's and a rename's at the fan-out of /d's
+	// commit, a link's at the fan-out of the count's commit; and, with a
+	// file whose commit the CSS sends to another storage site, an
+	// unlink's at the change it sends, a link's at the commit it sends
+	// and at that commit's fan-out.
+	orphans := func(i ...int) map[int]string { return pinned("orphan", i) }
+	want := map[string]map[int]string{
+		"create":        orphans(2, 3, 4),
+		"mkdir":         orphans(2, 3, 4),
+		"unlink":        orphans(6, 7),
+		"link":          pinned("count", []int{3, 4, 5}),
+		"xrename":       orphans(2, 3),
+		"unlink/offcss": orphans(2, 3, 4),
+		"link/offcss":   pinned("count", []int{3, 4, 5}),
+		"link/atcss":    pinned("count", []int{3, 4}),
+	}
+	for _, rg := range regimes {
+		for _, op := range cutOps() {
+			if got := garbage[rg.prefix+op.name]; len(got)+len(want[op.name]) > 0 && !reflect.DeepEqual(got, want[op.name]) {
+				t.Errorf("%s%s: the crashes that leave garbage are %v, want %v", rg.prefix, op.name, got, want[op.name])
+			}
+		}
+	}
+}
+
+// pinned maps each exchange index of at to garbage.
+func pinned(garbage string, at []int) map[int]string {
+	m := map[int]string{}
+	for _, i := range at {
+		m[i] = garbage
+	}
+	return m
+}
+
+// nsPath is the path of the file op is about in renameDir's /d, "" for
+// a file yet to be made.
+func nsPath(op string) string {
+	op, _, _ = strings.Cut(op, "/")
+	switch op {
+	case "rename", "xrename":
+		return "/d/tmp"
+	case "unlink":
+		return "/d/f0002"
+	case "link":
+		return "/d/f0003"
+	}
+	return ""
 }
 
 // fileAt returns the inode op is about in renameDir's /d: the renamed
@@ -202,28 +475,55 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 // made.
 func fileAt(t *testing.T, c *cluster.Cluster, op string, tmp storage.InodeNum) storage.InodeNum {
 	t.Helper()
-	var path string
-	switch op {
-	case "rename":
-		return tmp
-	case "unlink":
-		path = "/d/f0002"
-	case "link":
-		path = "/d/f0003"
-	default:
+	switch path := nsPath(op); path {
+	case "":
 		return 0
+	case "/d/tmp":
+		return tmp
+	default:
+		ino, err := c.K(1).Stat(cred(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ino.Num
 	}
-	ino, err := c.K(1).Stat(cred(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ino.Num
 }
 
-// checkNames checks what a cut op left in /d at every site (see
-// TestDirOpCutAtEveryExchange); err is what the op returned.
-func checkNames(t *testing.T, c *cluster.Cluster, op string, ino storage.InodeNum, err error) {
+// healLeavingGarbage heals and settles the cluster after a cut of op, as
+// healAfterCut does, and returns the garbage the cut left: "orphan" when
+// fsck's one finding is an orphan inode, op's file or, for a create, a
+// new one; "count" when op's linked file has one link more than names;
+// "" when there is none. Any other finding fails the test.
+func healLeavingGarbage(t *testing.T, c *cluster.Cluster, op string, ino storage.InodeNum) string {
 	t.Helper()
+	if _, err := c.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, c)
+	findings := c.Fsck(true)
+	switch {
+	case len(findings) == 0:
+	case len(findings) == 1 && findings[0].Kind == "orphan-inode" && (ino == 0 || findings[0].ID.Inode == ino):
+		return "orphan"
+	default:
+		t.Fatalf("fsck after the cut: %v", findings)
+	}
+	if names := namesOf(t, c.K(1), "/d", ino); strings.HasPrefix(op, "link") && len(names) > 0 {
+		if st, err := c.K(1).Stat(cred(), "/d/"+names[0]); err == nil && st.Nlink == len(names)+1 {
+			return "count"
+		}
+	}
+	return ""
+}
+
+// checkNames checks what a cut op left at every site (see
+// TestDirOpCutAtEveryExchange); err is what the op returned, lost that
+// its one exchange with the CSS never reached it, and garbage what
+// healLeavingGarbage found.
+func checkNames(t *testing.T, c *cluster.Cluster, op string, ino storage.InodeNum, err error, lost bool, garbage string) {
+	t.Helper()
+	op, _, _ = strings.Cut(op, "/")
+	want := map[string]string{"create": "/d/new", "mkdir": "/d/new", "rename": "/d/f0001", "xrename": "/moved"}[op]
 	for _, s := range c.Sites() {
 		k := c.K(s)
 		var names []string
@@ -234,37 +534,41 @@ func checkNames(t *testing.T, c *cluster.Cluster, op string, ino storage.InodeNu
 			}
 			for _, e := range ents {
 				if strings.HasPrefix(e.Name, "new") {
-					names = append(names, e.Name)
+					names = append(names, "/d/"+e.Name)
 				}
 			}
 		} else {
-			names = namesOf(t, k, "/d", ino)
+			for _, dir := range []string{"/d", "/"} {
+				for _, name := range namesOf(t, k, dir, ino) {
+					names = append(names, path.Join(dir, name))
+				}
+			}
 		}
+		named := len(names) == 1 && names[0] == want
 		switch op {
-		case "create", "mkdir":
-			if len(names) > 1 || err == nil && len(names) != 1 {
-				t.Fatalf("site %d: %s returned %v and /d names %v", s, op, err, names)
-			}
 		case "unlink":
-			if len(names) > 1 || err == nil && len(names) != 0 {
-				t.Fatalf("site %d: unlink returned %v and f0002 is named %v", s, err, names)
-			}
+			named = len(names) == 0
 		case "link":
-			if len(names) < 1 || len(names) > 2 || err == nil && len(names) != 2 {
-				t.Fatalf("site %d: link returned %v and f0003 is named %v", s, err, names)
-			}
-		case "rename":
-			if len(names) != 1 || err == nil && names[0] != "f0001" {
-				t.Fatalf("site %d: rename returned %v and the file is named %v", s, err, names)
-			}
+			named = len(names) == 2
+		}
+		switch {
+		case garbage == "orphan" && len(names) != 0:
+			t.Fatalf("site %d: %s left an orphan, named %v", s, op, names)
+		case err == nil && !named, lost && named:
+			t.Fatalf("site %d: %s returned %v and the file is named %v", s, op, err, names)
+		case op == "link" && len(names) < 1, len(names) > 2:
+			t.Fatalf("site %d: %s returned %v and the file is named %v", s, op, err, names)
+		case len(names) > 1 && op != "link",
+			len(names) == 0 && garbage == "" && (op == "rename" || op == "xrename"):
+			t.Fatalf("site %d: %s returned %v and the file is named %v", s, op, err, names)
 		}
 		for _, name := range names {
-			st, serr := k.Stat(cred(), "/d/"+name)
+			st, serr := k.Stat(cred(), name)
 			if serr != nil {
-				t.Fatalf("site %d: /d/%s: %v", s, name, serr)
+				t.Fatalf("site %d: %s: %v", s, name, serr)
 			}
-			if ino != 0 && st.Nlink != len(names) {
-				t.Fatalf("site %d: /d/%s has %d links and %d names", s, name, st.Nlink, len(names))
+			if n := len(names); ino != 0 && st.Nlink != n && (garbage != "count" || st.Nlink != n+1) {
+				t.Fatalf("site %d: %s has %d links and %d names", s, name, st.Nlink, n)
 			}
 		}
 	}
@@ -317,9 +621,10 @@ func TestUsingSiteReappliesItsUpdate(t *testing.T) {
 // commits /d once, and the next Settle pulls those pages to the other
 // two copies and no other page of /d. The new name sorts after f1023, on
 // the last page, as do tmp and f0003's link; f0001 and f0002 are on the
-// first, so the rename writes two pages. Where site 1 made the setup's
-// updates, f0002's tombstone no longer fits on the first page, and the
-// unlink lays /d out again from there: three pages. disk counts every
+// first, so the rename writes two pages. The CSS commits every delete,
+// the set-up's of f0001 included, so f0002's tombstone no longer fits on
+// the first page, and the unlink lays /d out again from there: three
+// pages. disk counts every
 // page transfer and inode commit the operation makes, the file's own
 // included (an unlink's tombstone is committed at all three copies, a
 // create's inode at its birth site); pulls counts /d's pages and the
@@ -336,7 +641,7 @@ func TestNamespaceOpDiskCosts(t *testing.T) {
 		{"mkdir", 1, []int{2}, 3, 2},
 		{"mkdir", 2, []int{2}, 3, 2},
 		{"unlink", 1, []int{0, 1, 2}, 7, 6},
-		{"unlink", 2, []int{0}, 5, 2},
+		{"unlink", 2, []int{0, 1, 2}, 7, 6},
 		{"link", 1, []int{2}, 3, 4},
 		{"link", 2, []int{2}, 3, 4},
 		{"rename", 1, []int{0, 2}, 3, 4},
@@ -454,8 +759,9 @@ func dirPages(t *testing.T, c *cluster.Cluster) int64 {
 }
 
 // TestDirRelayoutCutAtEveryExchange cuts each update pagedDirOp readies,
-// run at site 2, at each exchange it makes, nested ones included, one
-// exchange per case, the two ways TestRenameCutAtEveryExchange cuts: all
+// a create's, run at site 2, at each exchange its update makes, nested
+// ones included, one exchange per case, the two ways
+// TestRenameCutAtEveryExchange cuts: all
 // 8 transmissions of its request are dropped, or the using site crashes
 // as it is sent. After the network heals (or the site restarts) and
 // propagation settles, fsck must be clean (no leaked page, no orphan,
@@ -505,19 +811,39 @@ func TestDirRelayoutCutAtEveryExchange(t *testing.T) {
 			t.Fatalf("%s: the CSS sent %d fs.write, want %d", kind, got, writes)
 		}
 
-		// The update's exchanges: the fs.dirop and what follows it. (A cut
-		// of the new file's own creation is TestDirOpCutAtEveryExchange's.)
-		first := slices.IndexFunc(exchanges, func(ex exchange) bool { return ex.method == "fs.dirop" })
+		// The update's exchanges: the fs.create, which makes the file and
+		// the update, and what follows it, but for the new file's birth at
+		// the using site, the allocation and its notes. (A cut of those is
+		// TestDirOpCutAtEveryExchange's.) A case is named as there
+		// (firstPlaces): the exchanges the update made when it was an
+		// fs.dirop of its own, sent after the birth, keep their places.
+		firstPlaces := map[exchange]int{
+			{from: 1, to: 3, method: "fs.ssopen", nth: 1}:     5,
+			{from: 1, to: 3, method: "fs.write", nth: 1}:      6,
+			{from: 1, to: 3, method: "fs.write", nth: 2}:      7,
+			{from: 1, to: 3, method: "fs.write", nth: 3}:      8,
+			{from: 1, to: 3, method: "fs.commit", nth: 1}:     9,
+			{from: 3, to: 2, method: "fs.propnotify", nth: 1}: 10,
+			{from: 3, to: 1, method: "fs.propnotify", nth: 1}: 11,
+			{from: 1, to: 3, method: "fs.close", nth: 1}:      12,
+			{from: 3, to: 1, method: "fs.ssclose", nth: 1}:    13,
+			{from: us, to: 1, method: "fs.ssclose", nth: 1}:   14, // the new file's close
+		}
+		first := slices.IndexFunc(exchanges, func(ex exchange) bool { return ex.method == "fs.create" })
 		for i, ex := range exchanges {
-			if i < first {
+			if i < first || ex.method == "fs.sscreate" || ex.from == us && ex.method == "fs.propnotify" {
 				continue
+			}
+			place, ok := firstPlaces[ex]
+			if !ok {
+				place = i
 			}
 			for _, crash := range []bool{false, true} {
 				how := "drop"
 				if crash {
 					how = "crash"
 				}
-				t.Run(fmt.Sprintf("%s/%02d:%d->%d/%s#%d/%s", kind, i, ex.from, ex.to, ex.method, ex.nth, how), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%02d:%d->%d/%s#%d/%s", kind, place, ex.from, ex.to, ex.method, ex.nth, how), func(t *testing.T) {
 					c, path, _, _ := pagedDirOp(t, kind)
 					settle(t, c)
 					before := c.Net.Stats()

@@ -2,8 +2,8 @@ package fs
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/format"
 	"repro/internal/lint/invariant"
@@ -62,43 +62,77 @@ func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
 	return d.Live(), nil
 }
 
-// updateDir applies entry changes to a directory through the standard
-// open-for-modify / commit machinery, so directory updates replicate
-// and synchronize exactly like file updates. It runs at the CSS for the
-// site forSite whose fs.dirop sent them (handleDirOp). Directory entry
-// updates are short kernel-internal critical sections (userHandle):
-// when another holds the directory's writer lock, the open waits at the
-// CSS for its release (§2.3.2: "the kernel ... can sleep on behalf of
-// the process"), or until forSite leaves the partition. Every update
-// commits through here, so the CSS's cached snapshot is current as a
-// rule and the directory is neither read nor decoded. An update whose
-// commit fails lands nowhere: its close commits nothing.
-//
-// The write is the pages the change touched (writeDirPages), so the
-// commit's notification lists them and the other storage sites pull
-// only them (§2.3.6). It returns the versions the directory went
-// between.
-func (k *Kernel) updateDir(id storage.FileID, forSite SiteID, muts []dirMut) (*dirOpResp, error) {
-	f, _, _, err := k.openID(id, ModeModify, false, forSite)
-	if err != nil {
-		return nil, err
+// openForUpdate opens the files ids name for modification at the CSS,
+// for the site forSite whose namespace operation they serve, and returns
+// them in the order of ids, nil for a zero id. It opens them in file
+// order, so that two operations never wait for each other's directories:
+// directory entry updates are short kernel-internal critical sections
+// (userHandle), and when another holds a directory's writer lock, the
+// open waits at the CSS for its release (§2.3.2: "the kernel ... can
+// sleep on behalf of the process"), or until forSite leaves the
+// partition. A file's open is refused at once.
+func (k *Kernel) openForUpdate(forSite SiteID, ids [3]storage.FileID) (files [3]*File, err error) {
+	order := make([]int, 0, len(ids))
+	for i, id := range ids {
+		if id != (storage.FileID{}) {
+			order = append(order, i)
+		}
 	}
-	defer f.Close() //locus:vet-allow uncheckedcall commit already happened or failed below
-	prev := f.ino.VV
+	slices.SortFunc(order, func(a, b int) int { return ids[a].Compare(ids[b]) })
+	for _, i := range order {
+		if files[i], _, _, err = k.openID(ids[i], ModeModify, false, forSite); err != nil {
+			closeAll(files)
+			return [3]*File{}, err
+		}
+	}
+	return files, nil
+}
+
+// closeAll closes what openForUpdate opened. Every change was committed,
+// or discarded when its commit failed, so a close commits nothing.
+func closeAll(files [3]*File) {
+	for _, f := range files {
+		if f != nil {
+			f.Close() //locus:vet-allow uncheckedcall commit already happened or failed
+		}
+	}
+}
+
+// dirUpdate is one directory's update at the CSS: the directory open
+// for modification, its snapshot at the committed version, and the
+// snapshot the update makes of it.
+type dirUpdate struct {
+	f       *File
+	d, next *format.DirSnapshot
+}
+
+// dirChange applies muts to the snapshot of the directory f has open for
+// modification, checking them before anything is written.
+func (k *Kernel) dirChange(f *File, muts []dirMut) (dirUpdate, error) {
 	d, err := k.dirOpen(f)
 	if err != nil {
-		return nil, err
+		return dirUpdate{}, err
 	}
 	next, err := applyMuts(d, muts)
-	if err != nil {
-		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
-		return nil, err
-	}
-	k.assertDirBytes(id, f.ss, prev, d)
-	if err := writeDirPages(f, d, next); err != nil {
+	return dirUpdate{f: f, d: d, next: next}, err
+}
+
+// updateDir writes and commits u through the standard open-for-modify /
+// commit machinery, so directory updates replicate and synchronize
+// exactly like file updates. The write is the pages the change touched
+// (writeDirPages), so the commit's notification lists them and the other
+// storage sites pull only them (§2.3.6). Every update commits through
+// here, at the CSS, so the CSS's cached snapshot is current as a rule
+// and the directory is neither read nor decoded. An update whose commit
+// fails lands nowhere: its close commits nothing. It returns the
+// versions the directory went between.
+func (k *Kernel) updateDir(u dirUpdate) (*dirOpResp, error) {
+	f, prev := u.f, u.f.ino.VV
+	k.assertDirBytes(f.id, f.ss, prev, u.d)
+	if err := writeDirPages(f, u.d, u.next); err != nil {
 		// The handle is dirty with some of the pages, or a cut file;
-		// without the abort the deferred Close would commit it ("closing
-		// a file commits it").
+		// without the abort the close would commit it ("closing a file
+		// commits it").
 		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
 		return nil, err
 	}
@@ -112,7 +146,7 @@ func (k *Kernel) updateDir(id storage.FileID, forSite SiteID, muts []dirMut) (*d
 	// the next update and pathname search do not re-read and re-parse
 	// what we just wrote, and a later re-read reads only what changes.
 	r := &dirOpResp{Prev: prev, VV: cr.VV, SS: f.ss, Pages: cr.Pages}
-	k.dirs.put(id, dirCacheEntry{vv: r.VV, dir: next, ss: r.SS, pages: r.Pages})
+	k.dirs.put(f.id, dirCacheEntry{vv: r.VV, dir: u.next, ss: r.SS, pages: r.Pages})
 	return r, nil
 }
 
@@ -188,54 +222,150 @@ func (k *Kernel) assertDirBytes(id storage.FileID, ss SiteID, vv vclock.VV, d *f
 		"fs: the snapshot of directory %v at %v does not encode to its committed %d bytes", id, vv, len(raw))
 }
 
-// handleDirOp is the CSS side of fs.dirop.
+// handleDirOp is the CSS side of fs.dirop: it opens every file the
+// operation changes (openForUpdate), checks every change, and then
+// commits each file at its own storage site in the order of the
+// soft-updates rule, so that a cut between two commits leaves
+// reclaimable garbage and never a wrong name: a link raises the count
+// before it adds the name, an unlink removes the name before it lowers
+// the count, its tombstone recording the version that change commits
+// (§5.5's delete/modify undo compares against it), and a rename across
+// directories removes the old name before it enters the new one.
 func (k *Kernel) handleDirOp(from SiteID, req *dirOpReq) (*dirOpResp, error) {
-	return k.updateDir(req.Dir, from, req.Muts)
+	var target storage.FileID
+	if req.Nlink != 0 {
+		target = storage.FileID{FG: req.Dir.FG, Inode: req.Ino}
+		k.takeBackLease(from, target, req.Lease)
+	}
+	files, err := k.openForUpdate(from, [3]storage.FileID{req.Dir, req.To, target})
+	if err != nil {
+		return nil, err
+	}
+	defer closeAll(files)
+	f, muts := files[2], req.Muts
+	var delVV vclock.VV
+	if req.Nlink < 0 {
+		if f.ino.Type.IsDir() {
+			d, err := k.dirOpen(f)
+			if err != nil {
+				return nil, err
+			}
+			if d.HasLive() {
+				return nil, fmt.Errorf("%w: %v", ErrNotEmpty, target)
+			}
+		}
+		// The storage site commits the change by bumping its own entry of
+		// the version f opened (handleCommit).
+		delVV = f.ino.VV.Bump(f.ss)
+		muts = slices.Clone(muts)
+		setDelVV(muts, delVV)
+	}
+	dir, err := k.dirChange(files[0], muts)
+	if err != nil {
+		return nil, err
+	}
+	var to dirUpdate
+	if files[1] != nil {
+		if to, err = k.dirChange(files[1], req.ToMuts); err != nil {
+			return nil, err
+		}
+	}
+	if req.Nlink > 0 {
+		if err := k.commitNlink(f, 1, nil); err != nil {
+			return nil, err
+		}
+	}
+	r, err := k.updateDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	if files[1] != nil {
+		if r.To, err = k.updateDir(to); err != nil {
+			return nil, err
+		}
+	}
+	if req.Nlink < 0 {
+		r.DelVV = delVV
+		return r, k.commitNlink(f, -1, delVV)
+	}
+	return r, nil
 }
 
-// dirOp changes entries of directory dir: one fs.dirop exchange with
-// the filegroup's CSS, a procedure call when this site is the CSS. The
-// update is re-applied here to the cached snapshot it was made from, if
-// that is the one cached, so that this site's next search of the
-// directory reads nothing (the CSS's own cache already holds the result).
-func (k *Kernel) dirOp(dir storage.FileID, muts ...dirMut) error {
-	css, err := k.CSSOf(dir.FG)
-	if err != nil {
+// commitNlink commits f's link count changed by delta, which deletes the
+// file when no link is left: the US "marks the inode and does a commit"
+// of §2.3.7, made by the CSS on the using site's behalf. delVV is what
+// an unlink's tombstone recorded as the version this commit makes.
+func (k *Kernel) commitNlink(f *File, delta int, delVV vclock.VV) error {
+	nlink, before := f.ino.Nlink+delta, k.peekCommitted(f)
+	if err := f.setAttr(&setAttrReq{ID: f.id, Nlink: max(nlink, 0), Mode: -1, SetDeleted: nlink <= 0}); err != nil {
 		return err
 	}
-	r, err := netsim.CallAt(k.node, css, mDirOp, k.handleDirOp, &dirOpReq{Dir: dir, Muts: muts})
+	cr, err := f.commitOrAbort(false)
 	if err != nil {
+		clear(f.dirty) // the storage site discards the change at close
 		return err
 	}
-	k.dirs.advance(dir, r, muts)
+	invariant.Assertf(delVV == nil || cr.VV.Equal(delVV), "fs: the tombstone of %v records %v, the change committed %v", f.id, delVV, cr.VV)
+	if after := k.peekCommitted(f); before != nil && after != nil && delta > 0 {
+		invariant.Assertf(after.Nlink == before.Nlink+delta, "fs: a link of %v committed %d links over %d", f.id, after.Nlink, before.Nlink)
+	}
 	return nil
 }
 
-// mayHaveApplied reports whether a dirOp that failed with err may have
-// changed the directory all the same: the CSS ran it and the reply was
-// lost with the circuit (the CSS crashed before it replied, say). The
-// operation then keeps what it did before, for the entry may name it; a
-// rollback runs on any other failure.
-func mayHaveApplied(err error) bool {
-	return errors.Is(err, netsim.ErrCircuitClosed)
+// peekCommitted is, under the invariant layer, the committed inode of
+// f's file when its storage site is this site, read for nothing; nil
+// otherwise.
+func (k *Kernel) peekCommitted(f *File) *storage.Inode {
+	if !invariant.Enabled || f.ss != k.site {
+		return nil
+	}
+	ino, err := k.container(f.id.FG).GetInode(f.id.Inode)
+	if err != nil {
+		return nil
+	}
+	return ino
 }
 
-// dirInsert adds a live entry, failing if the name exists.
-func (k *Kernel) dirInsert(dir storage.FileID, name string, ino storage.InodeNum) error {
-	return k.dirOp(dir, dirMut{Name: name, Ino: ino})
+// dirOp sends one namespace operation to the filegroup's CSS: one fs.dirop
+// exchange, a procedure call when this site is the CSS. Each entry change
+// is re-applied here to the cached snapshot it was made from, if that is
+// the one cached, so that this site's next search of the directory reads
+// nothing (the CSS's own cache already holds the result).
+func (k *Kernel) dirOp(req *dirOpReq) error {
+	css, err := k.CSSOf(req.Dir.FG)
+	if err != nil {
+		return err
+	}
+	r, err := netsim.CallAt(k.node, css, mDirOp, k.handleDirOp, req)
+	if err != nil {
+		return err
+	}
+	setDelVV(req.Muts, r.DelVV)
+	k.dirs.advance(req.Dir, r, req.Muts)
+	if r.To != nil {
+		k.dirs.advance(req.To, r.To, req.ToMuts)
+	}
+	return nil
 }
 
-// dirRemove tombstones an entry, recording the file's delete-time
-// version vector.
-func (k *Kernel) dirRemove(dir storage.FileID, name string, delVV vclock.VV) error {
-	return k.dirOp(dir, dirMut{Name: name, Remove: true, DelVV: delVV})
+// setDelVV makes every tombstone of muts record vv, unless vv is nil.
+func setDelVV(muts []dirMut, vv vclock.VV) {
+	for i := range muts {
+		if muts[i].Remove && vv != nil {
+			muts[i].DelVV = vv
+		}
+	}
 }
 
 // applyMuts maps a directory snapshot to the one with muts applied, in
-// order; d is left as it was.
+// order; d is left as it was. A removal that names an inode fails unless
+// the name names it.
 func applyMuts(d *format.DirSnapshot, muts []dirMut) (*format.DirSnapshot, error) {
 	for _, m := range muts {
 		if m.Remove {
+			if e, ok := d.Lookup(m.Name); ok && m.Ino != 0 && e.Inode != m.Ino {
+				return nil, fmt.Errorf("%w: %q no longer names inode %d", ErrNotFound, m.Name, m.Ino)
+			}
 			var ok bool
 			if d, ok = d.Remove(m.Name, m.DelVV); !ok {
 				return nil, fmt.Errorf("%w: %q", ErrNotFound, m.Name)
@@ -250,17 +380,6 @@ func applyMuts(d *format.DirSnapshot, muts []dirMut) (*format.DirSnapshot, error
 	return d, nil
 }
 
-// effectiveNCopies applies §2.3.7: "the initial replication factor of a
-// file is the minimum of the user settable number-of-copies variable
-// and the replication factor of the parent directory".
-func effectiveNCopies(cred *Cred, parentSites []SiteID) int {
-	n := cred.NCopies
-	if n <= 0 || n > len(parentSites) {
-		n = len(parentSites)
-	}
-	return n
-}
-
 // Create creates a regular (or typed) file at path and returns it open
 // for modification. The caller must Close (or Commit) it. A directory
 // type is ErrIsDir: Mkdir and MkHidden make directories.
@@ -271,33 +390,14 @@ func (k *Kernel) Create(cred *Cred, path string, typ storage.FileType, mode uint
 	return k.create(cred, path, typ, mode)
 }
 
-// create is Create for the kernel, which makes directories too.
+// create is Create for the kernel, which makes directories too. The CSS
+// checks the name and places the file (handleCreate).
 func (k *Kernel) create(cred *Cred, path string, typ storage.FileType, mode uint16) (*File, error) {
-	ino, ss, parent, name, err := k.resolveParent(cred, path)
+	_, _, parent, name, err := k.resolveParent(cred, path)
 	if err != nil {
 		return nil, err
 	}
-	d, ino, err := k.readDirByID(parent, ino, ss)
-	if err != nil {
-		return nil, err
-	}
-	if _, exists := d.Lookup(name); exists {
-		return nil, fmt.Errorf("%w: %s", ErrExists, path)
-	}
-	f, err := k.createID(parent.FG, typ, cred, mode, effectiveNCopies(cred, ino.Sites), ino.Sites)
-	if err != nil {
-		return nil, err
-	}
-	if err := k.dirInsert(parent, name, f.id.Inode); err != nil {
-		// Roll the create back: mark the orphan inode deleted.
-		if !mayHaveApplied(err) {
-			f.setAttr(&setAttrReq{ID: f.id, Nlink: 0, Mode: -1, SetDeleted: true})
-			f.Commit() //locus:vet-allow uncheckedcall rollback
-		}
-		f.Close() //locus:vet-allow uncheckedcall rollback
-		return nil, err
-	}
-	return f, nil
+	return k.createID(parent, name, typ, cred, mode)
 }
 
 // Mkdir creates an ordinary directory.
@@ -451,60 +551,38 @@ func (k *Kernel) attrOp(cred *Cred, path string, req *setAttrReq) error {
 }
 
 // Unlink removes a name. When the link count drops to zero the file
-// itself is deleted: the US "marks the inode and does a commit" and
-// the other storage sites release their pages as the delete propagates
-// (§2.3.7). Directories must be empty.
+// itself is deleted: §2.3.7's US "marks the inode and does a commit",
+// which the CSS now does on the using site's behalf in the same fs.dirop
+// that removes the name (handleDirOp), and the other storage sites
+// release their pages as the delete propagates. Directories must be
+// empty, which the CSS checks under the directory's modify open.
 func (k *Kernel) Unlink(cred *Cred, path string) error {
-	ino, ss, _, r, err := k.resolve(cred, path, nil)
+	_, _, _, r, err := k.resolve(cred, path, nil)
 	if err != nil {
 		return err
 	}
 	if r.Parent == (storage.FileID{}) {
 		return fmt.Errorf("%w: cannot unlink a filegroup root", ErrBadName)
 	}
-	if r.Type.IsDir() {
-		d, _, err := k.readDirByID(r.ID, ino, ss)
-		if err != nil {
-			return err
-		}
-		if d.HasLive() {
-			return fmt.Errorf("%w: %s", ErrNotEmpty, path)
-		}
-	}
-
-	f, _, _, err := k.openID(r.ID, ModeModify, false, vclock.NoSite)
-	if err != nil {
-		return err
-	}
-	nlink := f.ino.Nlink
-	var delVV vclock.VV
-	if nlink > 1 {
-		err = f.setAttr(&setAttrReq{ID: f.id, Nlink: nlink - 1, Mode: -1})
-	} else {
-		err = f.setAttr(&setAttrReq{ID: f.id, Nlink: 0, Mode: -1, SetDeleted: true})
-	}
-	if err != nil {
-		f.Close() //locus:vet-allow uncheckedcall nothing more to do
-		return err
-	}
-	if err := f.Commit(); err != nil {
-		f.Close() //locus:vet-allow uncheckedcall see above
-		return err
-	}
-	delVV = f.ino.VV
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return k.dirRemove(r.Parent, r.Name, delVV)
+	return k.dirOp(&dirOpReq{
+		Dir: r.Parent, Muts: []dirMut{{Name: r.Name, Ino: r.ID.Inode, Remove: true}},
+		Ino: r.ID.Inode, Nlink: -1, Lease: k.handBackLease(r.ID),
+	})
 }
 
-// Link adds a hard link newpath referring to oldpath's file. Links
-// cannot cross filegroup boundaries. newpath's parent is not searched
-// when it is spelled as oldpath's (newParent, as Rename does).
+// Link adds a hard link newpath referring to oldpath's file: one fs.dirop
+// that raises the link count and enters the name (handleDirOp). Links
+// cannot cross filegroup boundaries, and a directory cannot be linked,
+// as in Unix: a link into itself would have its update wait for its own
+// writer slot. newpath's parent is not searched when it is spelled as
+// oldpath's (newParent, as Rename does).
 func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 	_, _, dir, r, err := k.resolve(cred, oldpath, nil)
 	if err != nil {
 		return err
+	}
+	if r.Type.IsDir() {
+		return fmt.Errorf("%w: %s", ErrIsDir, oldpath)
 	}
 	parent, name, err := k.newParent(cred, oldpath, newpath, dir)
 	if err != nil {
@@ -513,34 +591,10 @@ func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 	if parent.FG != r.ID.FG {
 		return fmt.Errorf("%w: %s -> %s", ErrCrossFilegroup, newpath, oldpath)
 	}
-	f, _, _, err := k.openID(r.ID, ModeModify, false, vclock.NoSite)
-	if err != nil {
-		return err
-	}
-	if err := f.setAttr(&setAttrReq{ID: f.id, Nlink: f.ino.Nlink + 1, Mode: -1}); err != nil {
-		f.Close() //locus:vet-allow uncheckedcall abandoning
-		return err
-	}
-	if err := f.Commit(); err != nil {
-		f.Close() //locus:vet-allow uncheckedcall abandoning
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := k.dirInsert(parent, name, r.ID.Inode); err != nil {
-		if mayHaveApplied(err) {
-			return err
-		}
-		// Roll back the link count.
-		if g, _, _, e2 := k.openID(r.ID, ModeModify, false, vclock.NoSite); e2 == nil {
-			g.setAttr(&setAttrReq{ID: g.id, Nlink: g.ino.Nlink - 1, Mode: -1}) // error unchecked by design: rollback
-			g.Commit()                                                         //locus:vet-allow uncheckedcall rollback
-			g.Close()                                                          //locus:vet-allow uncheckedcall rollback
-		}
-		return err
-	}
-	return nil
+	return k.dirOp(&dirOpReq{
+		Dir: parent, Muts: []dirMut{{Name: name, Ino: r.ID.Inode}},
+		Ino: r.ID.Inode, Nlink: 1, Lease: k.handBackLease(r.ID),
+	})
 }
 
 // newParent returns newpath's parent directory and last component, for
@@ -561,11 +615,11 @@ func (k *Kernel) newParent(cred *Cred, oldpath, newpath string, dir storage.File
 }
 
 // Rename moves a name within one filegroup; the file's inode is
-// untouched. Within one directory it is one directory update, so one
-// commit (§2.3.6) inserts the new entry and tombstones the old: no cut
-// leaves both names or neither. Across directories the new entry is
-// inserted first and the old removed after, and a failed removal rolls
-// the insert back.
+// untouched. It is one fs.dirop. Within one directory it is one
+// directory update, so one commit (§2.3.6) inserts the new entry and
+// tombstones the old: no cut leaves both names or neither. Across
+// directories the CSS removes the old entry and then inserts the new
+// one (handleDirOp).
 //
 // newpath's parent is not searched when it is spelled as oldpath's
 // (newParent).
@@ -591,18 +645,9 @@ func (k *Kernel) Rename(cred *Cred, oldpath, newpath string) error {
 	} else if ino, _, err := k.lookInternal(r.ID); err == nil {
 		vv = ino.VV
 	}
+	insert, remove := dirMut{Name: newName, Ino: r.ID.Inode}, dirMut{Name: r.Name, Remove: true, DelVV: vv}
 	if newParent == r.Parent {
-		return k.dirOp(newParent, dirMut{Name: newName, Ino: r.ID.Inode}, dirMut{Name: r.Name, Remove: true, DelVV: vv})
+		return k.dirOp(&dirOpReq{Dir: newParent, Muts: []dirMut{insert, remove}})
 	}
-	if err := k.dirInsert(newParent, newName, r.ID.Inode); err != nil {
-		return err
-	}
-	if err := k.dirRemove(r.Parent, r.Name, vv); err != nil {
-		// Roll back the insert.
-		if !mayHaveApplied(err) {
-			k.dirRemove(newParent, newName, vv) // error unchecked by design: rollback
-		}
-		return err
-	}
-	return nil
+	return k.dirOp(&dirOpReq{Dir: r.Parent, Muts: []dirMut{remove}, To: newParent, ToMuts: []dirMut{insert}})
 }

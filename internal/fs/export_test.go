@@ -87,3 +87,9 @@ func (k *Kernel) ForgeCachedDirPages(id storage.FileID, pages []storage.PhysPage
 	e.pages = pages
 	k.dirs.put(id, e)
 }
+
+// dirInsert adds a live entry naming ino to directory dir with one
+// fs.dirop, failing if the name exists.
+func (k *Kernel) dirInsert(dir storage.FileID, name string, ino storage.InodeNum) error {
+	return k.dirOp(&dirOpReq{Dir: dir, Muts: []dirMut{{Name: name, Ino: ino}}})
+}

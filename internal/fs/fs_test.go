@@ -385,6 +385,13 @@ func TestLinkAndRename(t *testing.T) {
 	if ino.Nlink != 2 {
 		t.Fatalf("Nlink = %d, want 2", ino.Nlink)
 	}
+	// A directory cannot be linked, into itself least of all.
+	if err := k.Mkdir(cred(), "/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Link(cred(), "/d", "/d/self"); !errors.Is(err, fs.ErrIsDir) {
+		t.Fatalf("Link of a directory = %v, want ErrIsDir", err)
+	}
 	// Unlink one name: file persists under the other.
 	if err := k.Unlink(cred(), "/f"); err != nil {
 		t.Fatal(err)

@@ -176,6 +176,47 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, except SiteID) 
 	k.meter().AddBatchedRevoke()
 }
 
+// takeBackLease ends the writer registration that a writer lease site us
+// handed back in its request kept (handBackLease): the CSS folds in the
+// version the lease served, frees the writer slot, and revokes the
+// serving state at the storage site, unless that is us, which dropped
+// its own.
+func (k *Kernel) takeBackLease(us SiteID, id storage.FileID, h *leaseHandback) {
+	if h == nil {
+		return
+	}
+	ss := vclock.NoSite
+	k.mu.Lock()
+	if e := k.cssState[id]; e != nil && e.writerUS == us && e.writerSerial == h.Serial {
+		e.absorb(h.VV, h.Sites)
+		ss = e.writerSS
+		k.releaseWriterLocked(e, us, h.Serial)
+	}
+	k.mu.Unlock()
+	if ss != vclock.NoSite && ss != us {
+		netsim.CallAt(k.node, ss, mRevokeServe, k.handleRevokeServe, &revokeServeReq{ID: id, US: us, Serial: h.Serial}) //locus:vet-allow uncheckedcall best-effort revoke: the storage site validates the writer itself at its next modify open (setupServe)
+	}
+}
+
+// handBackLease gives back the writer lease this site holds on id, if no
+// open handle keeps its registration live, for a request that changes the
+// file at the CSS: the serving state it keeps here, when this site is its
+// storage site, is dropped now, and the CSS ends the rest (takeBackLease).
+func (k *Kernel) handBackLease(id storage.FileID) *leaseHandback {
+	k.mu.Lock()
+	l := k.leases[id]
+	if l == nil || l.mode != ModeModify || k.writerLiveLocked(id, l.wserial) {
+		k.mu.Unlock()
+		return nil
+	}
+	delete(k.leases, id)
+	k.mu.Unlock()
+	if l.ss == k.site {
+		k.handleRevokeServe(k.site, &revokeServeReq{ID: id, US: k.site, Serial: l.wserial})
+	}
+	return &leaseHandback{Serial: l.wserial, VV: l.vv, Sites: l.sites}
+}
+
 // recordLease installs the lease granted on f's open at the using
 // site. The grant is declined when the layer was switched off while
 // the open was in flight, when a revoke overtook the grant

@@ -615,21 +615,36 @@ func (k *Kernel) releaseCSSLock(css SiteID, id storage.FileID, mode OpenMode, se
 	netsim.CallAt(k.node, css, mSSClose, k.handleSSClose, req) //locus:vet-allow uncheckedcall best-effort release
 }
 
-// handleCreate is the CSS side of file creation (§2.3.7): choose the
-// initial storage sites, have the birth pack allocate an inode from its
-// private pool, and register the creating US as the writer.
-func (k *Kernel) handleCreate(_ SiteID, req *createReq) (*createResp, error) {
-	sites, birth, err := k.chooseStorageSites(req)
+// handleCreate is the CSS side of file creation (§2.3.7): under the
+// parent directory's modify open, check the name, choose the initial
+// storage sites, have the birth pack allocate an inode from its private
+// pool, register the creating US as the writer, and enter the name. A
+// cut after the birth leaves the inode with no name: reclaimable
+// garbage, never a name without a file.
+func (k *Kernel) handleCreate(from SiteID, req *createReq) (*createResp, error) {
+	files, err := k.openForUpdate(from, [3]storage.FileID{req.Parent})
+	if err != nil {
+		return nil, err
+	}
+	defer closeAll(files)
+	d, err := k.dirOpen(files[0])
+	if err != nil {
+		return nil, err
+	}
+	if _, exists := d.Lookup(req.Name); exists {
+		return nil, fmt.Errorf("%w: %q", ErrExists, req.Name)
+	}
+	sites, birth, err := k.chooseStorageSites(req, files[0].ino.Sites)
 	if err != nil {
 		return nil, err
 	}
 	r, err := netsim.CallAt(k.node, birth, mSSCreate, k.handleSSCreate,
-		&ssCreateReq{FG: req.FG, Type: req.Type, Owner: req.Owner, Mode: req.Mode, Sites: sites, US: req.US, Serial: req.Serial})
+		&ssCreateReq{FG: req.Parent.FG, Type: req.Type, Owner: req.Owner, Mode: req.Mode, Sites: sites, US: req.US, Serial: req.Serial})
 	if err != nil {
 		return nil, err
 	}
 	ino := r.Ino
-	id := storage.FileID{FG: req.FG, Inode: ino.Num}
+	id := storage.FileID{FG: req.Parent.FG, Inode: ino.Num}
 	e := &cssEntry{
 		id:           id,
 		typ:          req.Type,
@@ -644,25 +659,42 @@ func (k *Kernel) handleCreate(_ SiteID, req *createReq) (*createResp, error) {
 	k.mu.Lock()
 	k.cssState[id] = e
 	k.mu.Unlock()
-	return &createResp{ID: id, SS: birth, Ino: ino}, nil
+	dr, err := k.updateDir(dirUpdate{f: files[0], d: d, next: d.Insert(req.Name, ino.Num)})
+	if err != nil {
+		k.dropOrphan(req.US, id)
+		return nil, err
+	}
+	return &createResp{ID: id, SS: birth, Ino: ino, Dir: *dr}, nil
 }
 
-// chooseStorageSites applies the placement algorithm of §2.3.7:
+// dropOrphan deletes the inode a create made when its name could not be
+// entered. The creating site never got its handle, so the modify open's
+// recall of its writer registration finds it gone. What cannot be
+// deleted, with the creating site out of reach, say, is left as
+// reclaimable garbage.
+func (k *Kernel) dropOrphan(us SiteID, id storage.FileID) {
+	if files, err := k.openForUpdate(us, [3]storage.FileID{id}); err == nil {
+		k.commitNlink(files[0], -1, nil) // error unchecked by design: garbage either way
+		closeAll(files)
+	}
+}
+
+// chooseStorageSites applies the placement algorithm of §2.3.7 to a
+// directory stored at parentSites:
 // (a) every storage site must store the parent directory;
 // (b) the creating process's local site is used first if possible;
 // (c) then the parent directory's site order, currently inaccessible
 // sites chosen last.
-func (k *Kernel) chooseStorageSites(req *createReq) (sites []SiteID, birth SiteID, err error) {
-	n := req.NCopies
-	if n < 1 {
-		n = 1
-	}
+// "The initial replication factor of a file is the minimum of the user
+// settable number-of-copies variable and the replication factor of the
+// parent directory", the latter when the former is unset.
+func (k *Kernel) chooseStorageSites(req *createReq, parentSites []SiteID) (sites []SiteID, birth SiteID, err error) {
 	var order []SiteID
-	if containsSite(req.ParentSites, req.US) {
+	if containsSite(parentSites, req.US) {
 		order = append(order, req.US)
 	}
 	var unreachable []SiteID
-	for _, s := range req.ParentSites {
+	for _, s := range parentSites {
 		if s == req.US {
 			continue
 		}
@@ -676,7 +708,8 @@ func (k *Kernel) chooseStorageSites(req *createReq) (sites []SiteID, birth SiteI
 	if len(order) == 0 {
 		return nil, 0, fmt.Errorf("%w: no candidate storage sites", ErrNoStorageSite)
 	}
-	if n > len(order) {
+	n := req.NCopies
+	if n <= 0 || n > len(order) {
 		n = len(order)
 	}
 	sites = order[:n]
@@ -721,12 +754,10 @@ func (k *Kernel) handleSSCreate(_ SiteID, req *ssCreateReq) (*ssCreateResp, erro
 	return &ssCreateResp{Ino: ino}, nil
 }
 
-// createID creates a new file in a filegroup (the caller links it into
-// a directory separately). ncopies is the effective replication factor
-// and parentSites the parent directory's storage sites.
-func (k *Kernel) createID(fg storage.FilegroupID, typ storage.FileType, cred *Cred,
-	mode uint16, ncopies int, parentSites []SiteID) (*File, error) {
-	css, err := k.CSSOf(fg)
+// createID creates a new file named name in directory parent with one
+// fs.create exchange.
+func (k *Kernel) createID(parent storage.FileID, name string, typ storage.FileType, cred *Cred, mode uint16) (*File, error) {
+	css, err := k.CSSOf(parent.FG)
 	if err != nil {
 		return nil, err
 	}
@@ -735,12 +766,13 @@ func (k *Kernel) createID(fg storage.FilegroupID, typ storage.FileType, cred *Cr
 	wserial := k.openSerial
 	k.mu.Unlock()
 	r, err := netsim.Call(k.node, css, mCreate, &createReq{
-		FG: fg, Type: typ, US: k.site, Owner: cred.User, Mode: mode,
-		NCopies: ncopies, ParentSites: parentSites, Serial: wserial,
+		Type: typ, US: k.site, Owner: cred.User, Mode: mode,
+		NCopies: cred.NCopies, Parent: parent, Name: name, Serial: wserial,
 	})
 	if err != nil {
 		return nil, err
 	}
+	k.dirs.advance(parent, &r.Dir, []dirMut{{Name: name, Ino: r.ID.Inode}})
 	f := &File{
 		k: k, id: r.ID, mode: ModeModify, us: k.site, ss: r.SS, css: css,
 		wserial: wserial,

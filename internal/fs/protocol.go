@@ -278,20 +278,46 @@ type leaseReleaseReq struct {
 	US SiteID
 }
 
-// mDirOp is US → CSS: change entries of a directory (§2.3.4: "no
-// system call does more than just enter, delete, or change an entry
-// within a directory"). The CSS applies the mutations to the directory
-// in one update, one shadow-page commit (§2.3.6), so the US never opens
-// the directory for modification nor ships its pages.
+// mDirOp is US → CSS: one namespace operation (§2.3.4: "no system call
+// does more than just enter, delete, or change an entry within a
+// directory"). The CSS applies it whole: the entry changes to one
+// directory, or two for a rename across directories, each in one update,
+// one shadow-page commit (§2.3.6), and the named file's link-count change,
+// so the US opens neither the directories nor the file, nor ships their
+// pages.
 var mDirOp = netsim.Method[dirOpReq, dirOpResp]{Name: "fs.dirop", AtMostOnce: true}
 
 type dirOpReq struct {
 	Dir  storage.FileID
 	Muts []dirMut
+	// To and ToMuts are the second directory of a rename across
+	// directories and its entry changes; To is zero otherwise.
+	To     storage.FileID
+	ToMuts []dirMut
+	// Ino and Nlink are the named file's inode change: its link count
+	// raised by one for a link (Nlink 1), lowered by one for an unlink
+	// (Nlink -1), which deletes the file when no link is left. The
+	// unlink's tombstone records the version that change commits (Muts'
+	// DelVV is the CSS's to fill). Nlink 0 changes no inode.
+	Ino   storage.InodeNum
+	Nlink int
+	// Lease hands back the writer lease the sender holds on Ino, if any,
+	// so that the CSS's open of the file need not recall it.
+	Lease *leaseHandback
+}
+
+// leaseHandback is a writer lease its holder gives back in a request:
+// the registration it kept and, as a recall's answer would carry them,
+// the committed version and storage sites it served.
+type leaseHandback struct {
+	Serial uint64
+	VV     vclock.VV
+	Sites  []SiteID
 }
 
 // dirMut is one entry change: an insert of Name naming Ino (ErrExists
-// on a live name), or, Remove set, a tombstone of Name recording DelVV.
+// on a live name), or, Remove set, a tombstone of Name recording DelVV
+// (ErrNotFound unless Name names Ino, when Ino is set).
 type dirMut struct {
 	Name   string
 	Ino    storage.InodeNum
@@ -304,29 +330,37 @@ type dirMut struct {
 // Prev and caches the result at VV, as the copy at SS whose page table
 // is Pages (the commit's, shared and frozen). (A snapshot in the reply
 // would be pinned by the at-most-once table for as long as the reply
-// is.)
+// is.) DelVV is the version an unlink's tombstone records, which the
+// CSS chose; To is the second directory's update of a rename across
+// directories.
 type dirOpResp struct {
 	Prev, VV vclock.VV
 	SS       SiteID
 	Pages    []storage.PhysPage
+	DelVV    vclock.VV
+	To       *dirOpResp
 }
 
-// mCreate is US → CSS: create a new file (placeholder for inode). It
-// allocates a FileID.
+// mCreate is US → CSS: create a new file and enter it in its parent
+// directory (§2.3.7). The CSS checks the name under the parent's modify
+// open, has the birth pack allocate the inode and inserts the entry: one
+// exchange from the US.
 var mCreate = netsim.Method[createReq, createResp]{Name: "fs.create", AtMostOnce: true}
 
 type createReq struct {
-	FG    storage.FilegroupID
 	Type  storage.FileType
 	US    SiteID
 	Owner string
 	Mode  uint16
-	// NCopies is the effective replication factor (already min'ed with
-	// the parent directory's factor by the US).
+	// NCopies is the user settable number-of-copies variable (Cred), 0
+	// for unset: the CSS takes the minimum of it and the parent
+	// directory's replication factor (§2.3.7).
 	NCopies int
-	// ParentSites is the parent directory's storage-site list; initial
-	// placement is constrained to it (§2.3.7 rule a).
-	ParentSites []SiteID
+	// Parent and Name are the directory entry the new file gets. Initial
+	// placement is constrained to the parent's storage sites (§2.3.7
+	// rule a).
+	Parent storage.FileID
+	Name   string
 	// Serial registers the creating US as the new file's writer (see
 	// openReq.Serial).
 	Serial uint64
@@ -338,6 +372,8 @@ type createResp struct {
 	// Ino is the inode the birth pack committed (ssCreateResp.Ino passed
 	// on): the creating US Clones it for its in-core inode.
 	Ino *storage.Inode
+	// Dir is the parent directory's update that entered the name.
+	Dir dirOpResp
 }
 
 // mSSCreate is CSS → SS: allocate the inode at the birth pack and

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -139,7 +140,7 @@ func namesOf(t *testing.T, k *fs.Kernel, dir string, ino storage.InodeNum) []str
 // that reported success must have left the new name, and one whose
 // request was dropped and that reported an error the old. A rename made
 // of two commits, an insert and then a removal, leaves both names when
-// it is cut between them. The last cases drop a Create's fs.dirop, and
+// it is cut between them. The last cases drop a Create's fs.create, and
 // the fs.commit of the CSS's update for it, the same way: the entry
 // must land nowhere.
 func TestRenameCutAtEveryExchange(t *testing.T) {
@@ -228,13 +229,14 @@ func TestRenameCutAtEveryExchange(t *testing.T) {
 		}
 	}
 
-	// Every transmission of the create's fs.dirop, or of the fs.commit
-	// of the CSS's update of /d at site 3, is lost: the create fails and
-	// rolls its inode back, and no site names it.
+	// Every transmission of the create's fs.create, or of the fs.commit
+	// of the CSS's update of /d at site 3, is lost: the create fails, the
+	// CSS deletes the inode it had made in the second case, and no site
+	// names it.
 	for _, ex := range []struct {
 		from   fs.SiteID
 		method string
-	}{{us, "fs.dirop"}, {1, "fs.commit"}} {
+	}{{us, "fs.create"}, {1, "fs.commit"}} {
 		t.Run("create/"+ex.method+"/drop", func(t *testing.T) {
 			c, _ := renameDir(t, 8, us, true, offCSS...)
 			var pts []netsim.FaultPoint
@@ -277,7 +279,7 @@ func healAfterCut(t *testing.T, c *cluster.Cluster) {
 // TestRenameGuards pins names and errors of the renames the one-update
 // path must leave as they were: through a hidden directory, by its
 // escape, onto itself, onto a live name and onto a tombstone. A rename
-// across directories is still two updates.
+// across directories is still two updates, both made by one fs.dirop.
 func TestRenameGuards(t *testing.T) {
 	c := newCluster(t, 3)
 	k := c.K(2)
@@ -327,9 +329,9 @@ func TestRenameGuards(t *testing.T) {
 
 	// The context-expanded name is the vax entry of the hidden directory,
 	// and the new name's parent is /bin: the entry moves up into /bin,
-	// across two directories, in two updates.
+	// across two directories, in two updates of one fs.dirop.
 	oneUpdate := map[string]int64{"fs.dirop": 2, "fs.propnotify": 2}
-	twoUpdates := map[string]int64{"fs.dirop": 4, "fs.propnotify": 4}
+	twoUpdates := map[string]int64{"fs.dirop": 2, "fs.propnotify": 4}
 	if sent, err := rename(vax, "/bin/who", "/bin/what"); err != nil || !reflect.DeepEqual(sent, twoUpdates) {
 		t.Fatalf("Rename(/bin/who, /bin/what) = %v, sent %v; want nil and %v", err, sent, twoUpdates)
 	}
@@ -431,5 +433,68 @@ func BenchmarkRename(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(c.Net.Stats().Sub(before).Msgs)/float64(b.N), "msgs/op")
 		})
+	}
+}
+
+// TestCrossRenamesInOppositeDirections: a rename across directories
+// holds both directories open for modification at the CSS, and a
+// directory's modify open waits for the holder of its writer slot, so
+// renames from /a to /b and from /b to /a at once would wait for each
+// other for ever if each opened its old directory first. The CSS opens
+// them in file order (openForUpdate): eight renames each way, from
+// sites 2 and 3 at once, all finish, and every file is named once, in
+// its new directory.
+func TestCrossRenamesInOppositeDirections(t *testing.T) {
+	c := newCluster(t, 3)
+	for _, d := range []string{"/a", "/b"} {
+		if err := c.K(1).Mkdir(cred(), d, 0755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		writeFile(t, c.K(1), fmt.Sprintf("/a/x%d", i), nil)
+		writeFile(t, c.K(1), fmt.Sprintf("/b/y%d", i), nil)
+	}
+	settle(t, c)
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for _, mv := range []struct {
+		site          fs.SiteID
+		from, to, pre string
+	}{{2, "/a", "/b", "x"}, {3, "/b", "/a", "y"}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				name := fmt.Sprintf("/%s%d", mv.pre, i)
+				if err := c.K(mv.site).Rename(cred(), mv.from+name, mv.to+name); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	settle(t, c)
+	for _, s := range c.Sites() {
+		for dir, pre := range map[string]string{"/a": "y", "/b": "x"} {
+			ents, err := c.K(s).ReadDir(cred(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range ents {
+				names = append(names, e.Name)
+			}
+			if want := []string{pre + "0", pre + "1", pre + "2", pre + "3", pre + "4", pre + "5", pre + "6", pre + "7"}; !slices.Equal(names, want) {
+				t.Errorf("site %d: %s lists %v, want %v", s, dir, names, want)
+			}
+		}
+	}
+	if findings := c.Fsck(true); len(findings) != 0 {
+		t.Fatalf("fsck: %v", findings)
 	}
 }
