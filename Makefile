@@ -16,15 +16,16 @@ vet:
 	$(GO) vet ./...
 
 # locus-vet is this repository's own analyzer suite (cmd/locus-vet),
-# eight analyzers in three tiers: syntactic (the forbidden-call table,
+# six analyzers in three tiers: syntactic (the forbidden-call table,
 # whose rows report as simclock, rawcall and atomic; uncheckedcall;
-# panicdiscipline), intraprocedural dataflow (pageleak, inodealias),
-# and interprocedural summaries over the module's one call graph (the
-# lock walk, reporting lockorder and blockinglock; maporder;
-# sentinelerr), plus the suppression audits (vet-allow reasons,
-# staleallow). Always a full whole-module run (about 1.5 s); ci.yml
-# runs the same with -json, whose report tallies findings and allows
-# per analyzer.
+# panicdiscipline), intraprocedural dataflow (pageleak), and
+# interprocedural summaries over the module's one call graph (the lock
+# walk, reporting lockorder and blockinglock; maporder), plus the
+# suppression audits (vet-allow reasons, staleallow). Each stays
+# because a bug seeded for it passes every test (DESIGN.md §8). Always
+# a full whole-module run (about 1.5 s); ci.yml runs the same with
+# -json, whose report names the analyzers and tallies findings and
+# allows per analyzer.
 locusvet:
 	$(GO) run ./cmd/locus-vet ./...
 
@@ -46,8 +47,11 @@ flakegate:
 	$(GO) test -count=200 -run TestDirUpdateWaitsForWriter ./internal/fs
 
 # invariants runs the suite with the runtime assertion layer compiled
-# in (internal/lint/invariant): version-vector dominance on propagation
-# and shadow-page commit/free checks in storage.
+# in (internal/lint/invariant): version-vector dominance on propagation,
+# shadow-page commit/free checks in storage, and the shared-inode net —
+# the container's private twin of every committed inode, so a write
+# through a shared *storage.Inode anywhere a test reaches panics at the
+# inode's next use (no analyzer checks this). About 35 s on 2 vCPUs.
 invariants:
 	$(GO) test -tags locusinvariants ./...
 

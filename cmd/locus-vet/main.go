@@ -1,26 +1,21 @@
 // Command locus-vet runs the repository's custom static analyzers (see
-// internal/lint), eight of them: the forbidden-call table (its rows
-// report as simclock, rawcall and atomic), uncheckedcall and
-// panicdiscipline; the CFG dataflow pair pageleak and inodealias; and,
-// over the module's one call graph, the lock walk (lockorder,
-// blockinglock), maporder and sentinelerr. Then the allow-directive
-// audits: every suppression must carry a reason, and a suppression that
-// hides no finding is itself reported (staleallow).
+// internal/lint), six of them: the forbidden-call table (its rows
+// report as simclock, rawcall and atomic), uncheckedcall,
+// panicdiscipline, the CFG dataflow pageleak, and, over the module's
+// one call graph, the lock walk (lockorder, blockinglock) and maporder.
+// Then the allow audits: a suppression must carry a reason and must hide
+// a finding (staleallow).
 //
 // Usage:
 //
 //	go run ./cmd/locus-vet [-json] ./...
 //
-// The package pattern argument is accepted for familiarity but the tool
-// always analyzes the whole module containing the working directory —
-// several analyses are whole-program fixpoints and partial runs would
-// under-report.
-//
-// -json emits the findings plus every allow directive with its
-// position and reason, each also tallied per analyzer.
-//
-// Exit status: 0 clean, 1 findings, 2 load failure (any package that
-// fails to parse or type-check).
+// The package pattern is accepted for familiarity; the tool always
+// analyzes the whole module around the working directory, since several
+// analyses are whole-program fixpoints. -json emits the analyzers run,
+// the findings, and every allow directive with its position and reason,
+// each tallied per analyzer. Exit status: 0 clean, 1 findings, 2 load
+// failure (any package that fails to parse or type-check).
 package main
 
 import (
@@ -45,6 +40,7 @@ type jsonFinding struct {
 
 // report is the -json output shape; CI uploads it as an artifact.
 type report struct {
+	Analyzers  []string            `json:"analyzers"`
 	Findings   []jsonFinding       `json:"findings"`
 	ByAnalyzer map[string]int      `json:"findings_by_analyzer"`
 	Allows     []lint.Allow        `json:"allows"`
@@ -96,6 +92,9 @@ func run(jsonOut bool, stdout io.Writer) int {
 			ByAnalyzer: map[string]int{},
 			Allows:     allows,
 			AllowedBy:  map[string]int{},
+		}
+		for _, a := range lint.Analyzers() {
+			r.Analyzers = append(r.Analyzers, a.Name)
 		}
 		for _, f := range findings {
 			r.Findings = append(r.Findings, jsonFinding{

@@ -10,8 +10,9 @@ import (
 )
 
 // TestRunReportsCleanModule runs locus-vet as CI does, -json over the
-// whole module: it must exit 0 with no findings, and the report's
-// per-analyzer allow tally must be that of lint.CollectAllows.
+// whole module: it must exit 0 with no findings, name every analyzer it
+// ran, and its per-analyzer allow tally must be that of
+// lint.CollectAllows.
 func TestRunReportsCleanModule(t *testing.T) {
 	var buf bytes.Buffer
 	if code := run(true, &buf); code != 0 {
@@ -23,6 +24,9 @@ func TestRunReportsCleanModule(t *testing.T) {
 	}
 	if len(r.Findings) != 0 {
 		t.Errorf("report lists %d findings, want none: %+v", len(r.Findings), r.Findings)
+	}
+	if len(r.Analyzers) != len(lint.Analyzers()) {
+		t.Errorf("report lists analyzers %v, want the %d of lint.Analyzers", r.Analyzers, len(lint.Analyzers()))
 	}
 
 	root, err := lint.FindModuleRoot(".")

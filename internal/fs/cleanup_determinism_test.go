@@ -11,6 +11,7 @@ package fs_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,8 +23,13 @@ import (
 // runPartitionCleanupSchedule builds a fresh cluster whose packless
 // site 1 holds a spread of remote read handles served by site 2, drops
 // site 2 from the partition, and returns the wire schedule site 1's
-// cleanup produced while failing the handles over to site 3.
-func runPartitionCleanupSchedule(t *testing.T) []string {
+// cleanup produced while failing the handles over to site 3. Every
+// failover is a `1->3 fs.open`, so each send also lists the handles
+// failed over before it (by index in open order): the schedule shows
+// the order, not only the count. It returns that order too, and want, the
+// order cleanup promises: by file, then by registration serial (the
+// order the test opened its handles in).
+func runPartitionCleanupSchedule(t *testing.T) (sched []string, order, want []int) {
 	t.Helper()
 	packs := []fs.PackDesc{{Site: 2, Lo: 1, Hi: 1000}, {Site: 3, Lo: 1001, Hi: 2000}}
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: packs}})
@@ -56,41 +62,59 @@ func runPartitionCleanupSchedule(t *testing.T) []string {
 	// Replicate so site 3 holds the same versions, then lose the
 	// serving site.
 	settle(t, c)
-	var servedBy2 int
-	for _, f := range open {
+	for i, f := range open {
 		if f.SS() == 2 {
-			servedBy2++
+			want = append(want, i)
 		}
 	}
-	if servedBy2 < 2 {
-		t.Fatalf("only %d handles served by site 2; the schedule assertion needs several failovers", servedBy2)
+	if len(want) < 2 {
+		t.Fatalf("only %d handles served by site 2; the schedule assertion needs several failovers", len(want))
 	}
+	slices.SortStableFunc(want, func(a, b int) int { return open[a].ID().Compare(open[b].ID()) })
 	nw.PartitionGroups([]fs.SiteID{1, 3}, []fs.SiteID{2})
 
-	var sched []string
+	// A handle's SS changes when its reopen's reply arrives, so the
+	// handles that moved since the last send are the ones failed over
+	// in between.
+	moved := make([]bool, len(open))
+	noteMoved := func() {
+		for _, i := range want {
+			if !moved[i] && open[i].SS() != 2 {
+				moved[i] = true
+				order = append(order, i)
+			}
+		}
+	}
 	nw.SetTrace(func(from, to netsim.SiteID, method string) {
-		sched = append(sched, fmt.Sprintf("%d->%d %s", from, to, method))
+		noteMoved()
+		sched = append(sched, fmt.Sprintf("%d->%d %s after %v", from, to, method, order))
 	})
 	rep := k1.CleanupAfterPartitionChange([]fs.SiteID{1, 3})
 	nw.SetTrace(nil)
+	noteMoved()
 	if rep.ReadOpensReopened < 2 {
 		t.Fatalf("cleanup reopened %d read handles, want >= 2: %+v", rep.ReadOpensReopened, rep)
 	}
 	for _, f := range open {
 		f.Close() //nolint:errcheck
 	}
-	return sched
+	return sched, order, want
 }
 
 // TestPartitionCleanupScheduleDeterministic is the double-run check:
 // the same cluster history must yield the same cleanup wire schedule,
-// message for message. Before openFiles iteration was ordered this
-// flaked with the map hash seed.
+// message for message, with the handles failed over in (file, serial)
+// order. Before openFiles iteration was ordered this flaked with the
+// map hash seed.
 func TestPartitionCleanupScheduleDeterministic(t *testing.T) {
-	a := runPartitionCleanupSchedule(t)
-	b := runPartitionCleanupSchedule(t)
+	a, got, want := runPartitionCleanupSchedule(t)
+	b, _, _ := runPartitionCleanupSchedule(t)
 	if len(a) == 0 {
 		t.Fatal("cleanup produced no wire sends; the schedule assertion is vacuous")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("cleanup failed handles over in order %v, want %v (file, then registration serial):\n  %s",
+			got, want, strings.Join(a, "\n  "))
 	}
 	if strings.Join(a, "\n") != strings.Join(b, "\n") {
 		t.Fatalf("cleanup wire schedules differ across identical runs:\nrun 1:\n  %s\nrun 2:\n  %s",

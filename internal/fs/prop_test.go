@@ -70,12 +70,15 @@ func solo4(tb testing.TB) (k *Kernel, id storage.FileID, data []byte) {
 // TestOpenSharesOrOwnsItsInode: a read or internal handle holds the
 // committed inode itself, a modify open makes exactly two copies of it —
 // the in-core inode at the US and the one at the SS — and File.Inode
-// hands the caller a third that is nobody else's.
+// hands the caller a third that is nobody else's, as Stat does.
 func TestOpenSharesOrOwnsItsInode(t *testing.T) {
 	k, id, _ := solo4(t)
 	committed, err := k.container(id.FG).GetInode(id.Inode)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st, err := k.Stat(DefaultCred("tester"), "/f"); err != nil || st == committed {
+		t.Fatalf("Stat = %p, %v: want a copy of the committed inode %p", st, err, committed)
 	}
 	for _, mode := range []OpenMode{ModeRead, ModeInternal} {
 		f, err := k.OpenID(id, mode)
@@ -121,6 +124,28 @@ func TestOpenSharesOrOwnsItsInode(t *testing.T) {
 	}
 	if now, _ := k.container(id.FG).GetInode(id.Inode); now != committed {
 		t.Fatal("an aborted modify open replaced the committed inode")
+	}
+
+	// The same abort from a site that stores nothing reloads the
+	// handle's inode from the SS's reply, which carries the committed
+	// inode itself.
+	nw := k.node.Network()
+	k2, err := BootSite(nw.AddSite(2), k.cfg, nw.Meter(), storage.Costs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := k2.OpenID(id, ModeModify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if g.ino == committed {
+		t.Fatal("after a remote Abort the modify handle holds the committed inode")
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,10 +4,9 @@ import (
 	"go/ast"
 )
 
-// This file is the shared control-flow layer for the dataflow
-// analyzers (pageleak, inodealias). It builds a basic-block CFG for
-// one function body over the plain go/ast tree, then runs forward
-// may-analyses on it.
+// This file is the control-flow layer of the dataflow analyzer
+// (pageleak). It builds a basic-block CFG for one function body over
+// the plain go/ast tree, then runs forward may-analyses on it.
 //
 // Design notes:
 //

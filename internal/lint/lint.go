@@ -22,11 +22,17 @@
 //   - panicdiscipline: library code must fail through typed errors or
 //     the internal/lint/invariant assertion layer; a bare panic in a
 //     protocol path takes down the whole simulated network.
-//   - pageleak and inodealias, dataflow over each function's CFG.
+//   - pageleak, dataflow over each function's CFG: a shadow page or a
+//     reserved inode number is freed, committed or parked on every
+//     path.
 //   - over the module's one call graph: the lock walk (lockorder: mutex
 //     acquisitions follow the declared hierarchy; blockinglock: no guard
-//     mutex is held across a network exchange), maporder and
-//     sentinelerr.
+//     mutex is held across a network exchange) and maporder.
+//
+// A rule whose every seeded bug already fails a test has no analyzer
+// here (DESIGN §8's audit table): a write through a shared committed
+// inode is the locusinvariants twin's to catch, and a raw transport
+// sentinel escaping proc's API is proc's failure-path tests'.
 //
 // Findings are suppressed line-by-line with a trailing
 // `//locus:vet-allow <analyzer> <reason>` comment. Every suppression
@@ -91,23 +97,6 @@ func (c LockClass) String() string {
 	return c.PkgSuffix + "." + c.Type
 }
 
-// TypeSpec names a type by defining-package suffix and type name.
-type TypeSpec struct {
-	PkgSuffix string
-	Type      string
-}
-
-func (t TypeSpec) String() string { return t.PkgSuffix + "." + t.Type }
-
-// VarSpec names a package-level variable (a sentinel error) by
-// defining-package suffix and name.
-type VarSpec struct {
-	PkgSuffix string
-	Name      string
-}
-
-func (v VarSpec) String() string { return v.PkgSuffix + "." + v.Name }
-
 // Config parameterizes the analyzers. Production runs use
 // DefaultConfig; fixture tests substitute fixture packages and types.
 type Config struct {
@@ -134,22 +123,6 @@ type Config struct {
 	// facts may be parked in without counting as a release.
 	FreshFuncs []string
 
-	// AliasTypes are pointer types that must be Cloned before a write
-	// through them when they name a shared value (inodealias analyzer).
-	AliasTypes []TypeSpec
-	// AliasSourceCalls are the calls whose first result is a shared
-	// AliasTypes pointer (the container's committed inode, or the one a
-	// pathname search's unsynchronized look found).
-	AliasSourceCalls []MethodSpec
-	// AliasDecodeCalls are the typed exchanges whose first result is
-	// the peer's reply: AliasTypes fields read off it are the sender's.
-	AliasDecodeCalls []MethodSpec
-	// AliasCloneMethods are the methods that produce an owned copy of an
-	// AliasTypes value ("Clone").
-	AliasCloneMethods []string
-	// AliasPackages scopes the inodealias analyzer.
-	AliasPackages []string
-
 	// BlockingCalls are primitives that block on concurrent progress
 	// (network exchanges, simulated-clock backoff); the blockinglock
 	// analyzer forbids reaching one while holding a BlockingGuard mutex.
@@ -169,22 +142,6 @@ type Config struct {
 	OrderEffects []MethodSpec
 	// MapOrderPackages scopes the maporder analyzer.
 	MapOrderPackages []string
-
-	// SentinelVars are the raw transport/fs-site sentinels that must
-	// not escape an exported API without passing a wrap funnel
-	// (sentinelerr analyzer; the §5.6 failure-action discipline).
-	SentinelVars []VarSpec
-	// SentinelFunnels are the designated wrap functions that launder a
-	// raw sentinel into the classified form callers are promised
-	// (proc.wrapSiteErr, proc.wrapFsSiteErr).
-	SentinelFunnels []MethodSpec
-	// SentinelSources are calls whose error result is presumed tainted
-	// even without an analyzed body (fixtures use this; production
-	// relies on the transitive summary instead).
-	SentinelSources []MethodSpec
-	// SentinelAPIPackages are the packages whose exported functions and
-	// methods must never return a raw sentinel.
-	SentinelAPIPackages []string
 
 	// mu guards the interprocedural summary cache and the used-allow
 	// tracker below.
@@ -306,25 +263,6 @@ func DefaultConfig() *Config {
 		},
 		FreshFuncs: []string{"Clone"},
 
-		AliasTypes: []TypeSpec{{PkgSuffix: "internal/storage", Type: "Inode"}},
-		AliasSourceCalls: []MethodSpec{
-			{PkgSuffix: "internal/storage", Recv: "Container", Name: "GetInode"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "lookInternal"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "lookLocal"},
-			// Pathname search carries each look on to its next consumer.
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "statType"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "searchDir"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "expandHidden"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "resolve"},
-			{PkgSuffix: "internal/fs", Recv: "Kernel", Name: "resolveParent"},
-		},
-		AliasDecodeCalls: []MethodSpec{
-			{PkgSuffix: "internal/netsim", Name: "Call"},
-			{PkgSuffix: "internal/netsim", Name: "CallAt"},
-		},
-		AliasCloneMethods: []string{"Clone"},
-		AliasPackages:     []string{"internal/fs", "internal/proc"},
-
 		BlockingCalls: exchangesAnd(
 			MethodSpec{PkgSuffix: "internal/simclock", Recv: "Clock", Name: "Backoff"},
 		),
@@ -348,30 +286,6 @@ func DefaultConfig() *Config {
 			"internal/fs", "internal/proc", "internal/netsim", "internal/chaos",
 			"internal/cluster", "locus",
 		},
-
-		// §5.6 failure-action discipline: proc's exported API promises
-		// ErrSiteFailed (or a classified proc error), never a raw
-		// transport or fs-site sentinel. fs deliberately surfaces the
-		// raw sentinels — proc is the layer that wraps them.
-		SentinelVars: []VarSpec{
-			{PkgSuffix: "internal/netsim", Name: "ErrUnreachable"},
-			{PkgSuffix: "internal/netsim", Name: "ErrTimeout"},
-			{PkgSuffix: "internal/netsim", Name: "ErrCircuitClosed"},
-			{PkgSuffix: "internal/netsim", Name: "ErrSiteDown"},
-			{PkgSuffix: "internal/netsim", Name: "ErrNoHandler"},
-			{PkgSuffix: "internal/netsim", Name: "ErrCrashed"},
-			{PkgSuffix: "internal/fs", Name: "ErrNoCSS"},
-			{PkgSuffix: "internal/fs", Name: "ErrNoStorageSite"},
-		},
-		SentinelFunnels: []MethodSpec{
-			{PkgSuffix: "internal/proc", Name: "wrapSiteErr"},
-			{PkgSuffix: "internal/proc", Name: "wrapFsSiteErr"},
-		},
-		// The typed exchanges surface every transport sentinel Node.CallSeq
-		// and Node.Cast can; naming them keeps the taint independent of
-		// how much of netsim's body the summary pass resolves.
-		SentinelSources:     typedExchanges,
-		SentinelAPIPackages: []string{"internal/proc"},
 	}
 }
 
@@ -382,10 +296,8 @@ func Analyzers() []*Analyzer {
 		UncheckedCallAnalyzer(),
 		PanicDisciplineAnalyzer(),
 		PageLeakAnalyzer(),
-		InodeAliasAnalyzer(),
 		LockAnalyzer(),
 		MapOrderAnalyzer(),
-		SentinelErrAnalyzer(),
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 // same whole-program view locus-vet uses.
 var fixtureLeaves = []string{
 	"simclock_f", "unchecked_f", "lockorder_f", "panic_f", "rawcall_f",
-	"pageleak_f", "inodealias_f", "blockinglock_f",
-	"maporder_f", "sentinelerr_f", "atomiccounter_f",
+	"pageleak_f", "blockinglock_f", "maporder_f", "atomiccounter_f",
 	"staleallow_f",
 }
 
@@ -203,24 +202,6 @@ func TestPageLeakFixture(t *testing.T) {
 	checkFixture(t, PageLeakAnalyzer(), cfg, "pageleak_f")
 }
 
-func TestInodeAliasFixture(t *testing.T) {
-	t.Parallel()
-	cfg := &Config{
-		AliasTypes: []TypeSpec{{PkgSuffix: "inodealias_f", Type: "Inode"}},
-		AliasSourceCalls: []MethodSpec{
-			{PkgSuffix: "inodealias_f", Recv: "Container", Name: "GetInode"},
-			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "lookInternal"},
-			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "lookLocal"},
-			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "resolve"},
-			{PkgSuffix: "inodealias_f", Recv: "Kernel", Name: "expandHidden"},
-		},
-		AliasDecodeCalls:  []MethodSpec{{PkgSuffix: "inodealias_f", Name: "Call"}},
-		AliasCloneMethods: []string{"Clone"},
-		AliasPackages:     []string{"inodealias_f"},
-	}
-	checkFixture(t, InodeAliasAnalyzer(), cfg, "inodealias_f")
-}
-
 // TestBlockingLockFixture puts Kernel in both class lists, as
 // production does fs.Kernel, so one walk must report both rules.
 func TestBlockingLockFixture(t *testing.T) {
@@ -253,16 +234,6 @@ func TestMapOrderFixture(t *testing.T) {
 		},
 	}
 	checkFixture(t, MapOrderAnalyzer(), cfg, "maporder_f")
-}
-
-func TestSentinelErrFixture(t *testing.T) {
-	t.Parallel()
-	cfg := &Config{
-		SentinelAPIPackages: []string{"sentinelerr_f"},
-		SentinelVars:        []VarSpec{{PkgSuffix: "sentinelerr_f", Name: "ErrGone"}},
-		SentinelFunnels:     []MethodSpec{{PkgSuffix: "sentinelerr_f", Name: "wrapErr"}},
-	}
-	checkFixture(t, SentinelErrAnalyzer(), cfg, "sentinelerr_f")
 }
 
 // TestRepositoryIsClean is the lint gate inside the test suite: the

@@ -5,16 +5,74 @@ package proc_test
 // callers can dispatch on errors.Is without knowing the transport
 // details. The table covers crash, partition, and — the regression the
 // chaos checker found — retry-budget exhaustion under total message
-// loss, which used to leak the raw netsim.ErrTimeout.
+// loss, which used to leak the raw netsim.ErrTimeout — and, from a
+// site that stores nothing, every call whose own fs lookup or close
+// fails because the one storage site is gone.
 
 import (
 	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/fs"
 	"repro/internal/netsim"
 	"repro/internal/proc"
 )
+
+// dropAll makes the wire between sites 1 and 2 eat every message, both
+// ways, until the test ends.
+func dropAll(t *testing.T, h *harness) {
+	h.c.Net.EnableFaults(netsim.FaultConfig{
+		Seed:  1,
+		Links: map[[2]proc.SiteID]netsim.FaultRates{{1, 2}: {Drop: 1.0}, {2, 1}: {Drop: 1.0}},
+	})
+	t.Cleanup(h.c.Net.DisableFaults)
+}
+
+// pipeAtCSS1 is a two-site cluster whose pipe /fifo both sites store;
+// site 1, the CSS, is the pipe's server.
+func pipeAtCSS1(t *testing.T) *harness {
+	t.Helper()
+	h := newHarness(t, 2)
+	if err := h.c.K(1).Mkfifo(cred(), "/fifo", 0644); err != nil {
+		t.Fatal(err)
+	}
+	h.c.Settle()
+	return h
+}
+
+// newPacklessHarness boots sites 1..n with the root filegroup stored at
+// site n alone: once a site is cut off from n, every name it looks up
+// is a §5.6 site failure (no CSS, no storage site), not a bad pathname.
+// The files it needs — a load module /m naming "sit", a device /dev and
+// a pipe /fifo — are made before it returns.
+func newPacklessHarness(t *testing.T, n int) *harness {
+	t.Helper()
+	pack := fs.PackDesc{Site: proc.SiteID(n), Lo: 1, Hi: 1000}
+	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: []fs.PackDesc{pack}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts cluster.Options
+	for s := 1; s <= n; s++ {
+		opts.Sites = append(opts.Sites, cluster.SiteSpec{ID: proc.SiteID(s)})
+	}
+	c := cluster.MustNew(cfg, opts)
+	t.Cleanup(c.Close)
+	h := &harness{c: c}
+	installModule(t, c.K(1), "/m", "sit")
+	for _, s := range c.Sites() {
+		h.m(s).Register("sit", func(*proc.Ctx) int { return 0 })
+	}
+	if err := c.K(1).Mknod(cred(), "/dev", 2, "lp0", 0666); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.K(1).Mkfifo(cred(), "/fifo", 0644); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
 
 func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 	registerSitter := func(h *harness) {
@@ -167,6 +225,114 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				if sErr := h.m(1).Signal(pid, proc.SIGTERM); sErr != nil {
 					t.Fatalf("process gone after failed migrate: %v", sErr)
 				}
+				return err
+			},
+		},
+		{
+			// Site 2 stores the pipe and looks it up locally; the wire
+			// eats the open at its server, the CSS (site 1).
+			name: "open pipe under total message loss to its server",
+			err: func(t *testing.T) error {
+				h := pipeAtCSS1(t)
+				dropAll(t, h)
+				_, err := h.m(2).OpenPipe(h.m(2).InitProcess(cred()), "/fifo", false)
+				return err
+			},
+		},
+		{
+			name: "close pipe under total message loss to its server",
+			err: func(t *testing.T) error {
+				h := pipeAtCSS1(t)
+				pe, err := h.m(2).OpenPipe(h.m(2).InitProcess(cred()), "/fifo", false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dropAll(t, h)
+				return pe.Close()
+			},
+		},
+		// Each row below fails inside the fs layer (pathname search, open,
+		// close) at a site cut off from the only storage site; the
+		// wrapFsSiteErr funnel at each call is what classifies it.
+		{
+			name: "open device whose storage site is cut off",
+			err: func(t *testing.T) error {
+				h := newPacklessHarness(t, 2)
+				h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
+				_, err := h.m(1).OpenDevice(h.m(1).InitProcess(cred()), "/dev")
+				return err
+			},
+		},
+		{
+			name: "open shared descriptor whose storage site is cut off",
+			err: func(t *testing.T) error {
+				h := newPacklessHarness(t, 2)
+				h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
+				_, _, err := h.m(1).OpenShared(h.m(1).InitProcess(cred()), "/m", fs.ModeRead)
+				return err
+			},
+		},
+		{
+			name: "attach shared descriptor whose storage site is cut off",
+			err: func(t *testing.T) error {
+				h := newPacklessHarness(t, 2)
+				h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
+				_, _, err := h.m(1).AttachShared(h.m(1).InitProcess(cred()), 2, 1, "/m", fs.ModeRead)
+				return err
+			},
+		},
+		{
+			// The wire eats the close's commit before any cleanup has
+			// run: the fs handle's own exchange fails.
+			name: "last close of a shared descriptor under total message loss",
+			err: func(t *testing.T) error {
+				h := newPacklessHarness(t, 2)
+				fd, _, err := h.m(1).OpenShared(h.m(1).InitProcess(cred()), "/m", fs.ModeModify)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dropAll(t, h)
+				return fd.Close()
+			},
+		},
+		{
+			name: "open pipe whose storage site is cut off",
+			err: func(t *testing.T) error {
+				h := newPacklessHarness(t, 2)
+				h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
+				_, err := h.m(1).OpenPipe(h.m(1).InitProcess(cred()), "/fifo", false)
+				return err
+			},
+		},
+		{
+			name: "local run whose load module's storage site is cut off",
+			err: func(t *testing.T) error {
+				h := newPacklessHarness(t, 2)
+				h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
+				_, err := h.m(1).Run(h.m(1).InitProcess(cred()), "/m", nil)
+				return err
+			},
+		},
+		{
+			// Site 2 runs the child but cannot reach the module's storage
+			// site: its fs error comes back as the reply, not as a
+			// transport failure of the run itself.
+			name: "remote run whose load module's storage site the destination cannot reach",
+			err: func(t *testing.T) error {
+				h := newPacklessHarness(t, 3)
+				h.c.Partition([]proc.SiteID{1, 2}, []proc.SiteID{3})
+				shell := h.m(1).InitProcess(cred())
+				shell.SetAdvice(2)
+				_, err := h.m(1).Run(shell, "/m", nil)
+				return err
+			},
+		},
+		{
+			name: "exec whose load module's storage site is cut off",
+			err: func(t *testing.T) error {
+				h := newPacklessHarness(t, 2)
+				h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
+				_, err := h.m(1).Exec(h.m(1).InitProcess(cred()), "/m", nil)
 				return err
 			},
 		},

@@ -797,7 +797,7 @@ func (m *Manager) signalInfo(target PID, sig Signal, info string) error {
 	// Anything the queue predicate let through is either an application
 	// error (no such process) or a transport sentinel a future predicate
 	// misses; the funnel keeps the §5.6 classification airtight either
-	// way (sentinelerr pins this).
+	// way.
 	return wrapSiteErr(err, target.Site)
 }
 

@@ -1,9 +1,8 @@
 package proc_test
 
-// Regression tests for the sentinel-discipline holes the interprocedural
-// locus-vet pass (sentinelerr) surfaced: device I/O, shared-descriptor
-// token traffic, and signal dispatch all used to leak raw netsim
-// sentinels to callers on some failure paths. Each case pins the §5.6
+// Regression tests for sentinel-discipline holes: device I/O,
+// shared-descriptor token traffic, and signal dispatch all used to leak
+// raw netsim sentinels to callers on some failure paths. Each case pins the §5.6
 // contract — site-failure errors surface as errors.Is(err, ErrSiteFailed)
 // no matter which transport sentinel the wire produced. The last test
 // pins the exit-time descriptor teardown schedule, the proc-side half of
@@ -77,8 +76,8 @@ func TestSharedFDTokenFetchAcrossPartitionWrapsErrSiteFailed(t *testing.T) {
 	}
 }
 
-// TestSignalToSiteWithoutManagerWrapsErrSiteFailed pins the
-// classification fix sentinelerr forced: a site that is up on the wire
+// TestSignalToSiteWithoutManagerWrapsErrSiteFailed pins a
+// classification fix: a site that is up on the wire
 // but runs no process manager answers proc.signal with
 // netsim.ErrNoHandler, which must read as a site failure (and queue the
 // signal for replay) rather than leak the transport sentinel.

@@ -91,8 +91,9 @@ func getDirtyPageBuf() []byte {
 	p := pagePool.Get().(*[PageSize]byte)
 	if invariant.Enabled {
 		for i, b := range p {
-			invariant.Assertf(b == pagePoisonByte,
-				"storage: pooled page buffer corrupted at byte %d (0x%02x): write-after-free on a recycled page", i, b)
+			if b != pagePoisonByte {
+				invariant.Assertf(false, "storage: pooled page buffer corrupted at byte %d (0x%02x): write-after-free on a recycled page", i, b)
+			}
 		}
 	}
 	return p[:]

@@ -635,8 +635,9 @@ func (c *Container) AdoptPage(buf []byte) (PhysPage, error) {
 		// Two page numbers over one buffer would Put it twice.
 		c.mu.Lock()
 		for p, have := range c.pages {
-			invariant.Assertf(&have[0] != &buf[0],
-				"storage: adopting a buffer that is already page %d (fg %d site %d)", p, c.fg, c.site)
+			if &have[0] == &buf[0] {
+				invariant.Assertf(false, "storage: adopting a buffer that is already page %d (fg %d site %d)", p, c.fg, c.site)
+			}
 		}
 		c.mu.Unlock()
 	}
@@ -655,8 +656,9 @@ func (c *Container) FreePages(pp ...PhysPage) {
 		// version (§2.3.6's atomicity rests on this).
 		referenced := c.referencedPagesLocked()
 		for _, p := range pp {
-			invariant.Assertf(p == PhysPageNil || !referenced[p],
-				"storage: freeing page %d still referenced by a committed inode (fg %d site %d)", p, c.fg, c.site)
+			if p != PhysPageNil && referenced[p] {
+				invariant.Assertf(false, "storage: freeing page %d still referenced by a committed inode (fg %d site %d)", p, c.fg, c.site)
+			}
 		}
 	}
 	for _, p := range pp {
@@ -665,15 +667,13 @@ func (c *Container) FreePages(pp ...PhysPage) {
 }
 
 // referencedPagesLocked returns the set of physical pages referenced by
-// any committed inode. Caller holds c.mu. Used only by invariant
-// checks.
+// any committed inode (PhysPageNil among them, for a sparse one). Caller
+// holds c.mu. Used only by invariant checks.
 func (c *Container) referencedPagesLocked() map[PhysPage]bool {
 	ref := make(map[PhysPage]bool)
 	for _, ino := range c.inodes {
 		for _, p := range ino.Pages {
-			if p != PhysPageNil {
-				ref[p] = true
-			}
+			ref[p] = true
 		}
 	}
 	return ref
@@ -699,10 +699,9 @@ func (c *Container) CommitInode(ino *Inode) error {
 		// the commit "renames" shadow pages into the file, it never
 		// conjures them (§2.3.6).
 		for i, p := range clone.Pages {
-			_, ok := c.pages[p]
-			invariant.Assertf(p == PhysPageNil || ok,
-				"storage: committing inode %d with unallocated page %d at logical index %d (fg %d site %d)",
-				clone.Num, p, i, c.fg, c.site)
+			if _, ok := c.pages[p]; p != PhysPageNil && !ok {
+				invariant.Assertf(false, "storage: committing inode %d with unallocated page %d at logical index %d (fg %d site %d)", clone.Num, p, i, c.fg, c.site)
+			}
 		}
 	}
 	old := c.inodes[ino.Num]
