@@ -142,8 +142,8 @@ func TestDirOpReappliesAtItsVersionOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := k2.dirs.entry(r.ID)
-	if at := k1.localGetVV(r.ID).VV; held.dir == nil || !held.vv.Equal(at) {
-		t.Fatalf("after its insert site 2 caches /d at %v, want the CSS's %v", held.vv, at)
+	if at := k1.localGetVV(r.ID).VV; held.dir == nil || !held.ino.VV.Equal(at) {
+		t.Fatalf("after its insert site 2 caches /d at %v, want the CSS's %v", held.ino.VV, at)
 	}
 	if _, ok := held.dir.Lookup("a"); !ok {
 		t.Fatal("site 2's cached /d lacks its own insert")
@@ -154,8 +154,8 @@ func TestDirOpReappliesAtItsVersionOnly(t *testing.T) {
 	if err := k2.dirInsert(r.ID, "c", 102); err != nil {
 		t.Fatal(err)
 	}
-	if e := k2.dirs.entry(r.ID); e.dir != held.dir || !e.vv.Equal(held.vv) {
-		t.Errorf("behind site 3's insert site 2 cached /d at %v", e.vv)
+	if e := k2.dirs.entry(r.ID); e.dir != held.dir || !e.ino.VV.Equal(held.ino.VV) {
+		t.Errorf("behind site 3's insert site 2 cached /d at %v", e.ino.VV)
 	}
 	ents, err := k2.ReadDir(cr, "/d")
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/format"
 	"repro/internal/lint/invariant"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // dirCache caches directory content keyed by file and version vector.
@@ -27,15 +26,21 @@ import (
 // CSS, which makes every update (updateDir), derives the next snapshot
 // and installs it only after the commit assigns it a new version
 // vector; the using site whose fs.dirop it was re-applies the same
-// change to its own snapshot (advance). Every other site misses on that
-// vector and reads the directory again (loadDir), but only the pages
-// that changed: an entry also names the storage site whose copy the
-// snapshot is and that copy's page table, and a physical page number
-// names the same bytes for as long as its container lives
-// (storage.Container.storePage), so a page the storage site of the new
-// version still holds under the same number is the snapshot's page and
-// is not read. A snapshot holds no slice of the bytes it was decoded
-// from: those sit in a recycled buffer that loadDir owns.
+// change to its own snapshot (advance). Each entry keeps the committed
+// inode of its version (shared, frozen), so the cache also answers a
+// look: a site that stores the directory and awaits the pull of a
+// version the cache holds, as that using site does after its own
+// update, looks at the directory there with no message
+// (Kernel.lookCached). Every other site, and that one once it is told of
+// a newer commit, misses on the new vector and reads the directory again
+// (loadDir), but only the pages that changed: an entry also names the
+// storage site whose copy the snapshot is, whose page table the inode
+// holds, and a physical page number names the same bytes for as long as
+// its container lives (storage.Container.storePage), so a page the
+// storage site of the new version still holds under the same number is
+// the snapshot's page and is not read. A snapshot holds no slice of the
+// bytes it was decoded from: those sit in a recycled buffer that loadDir
+// owns.
 //
 // The cache holds decoded form only; the page-level protocols and the
 // US page cache are unaffected, so disk/network byte accounting
@@ -43,13 +48,12 @@ import (
 const dirCacheCap = 512
 
 type dirCacheEntry struct {
-	vv  vclock.VV
+	// ino and ss are the copy dir is: the committed inode of the version
+	// it encodes (shared, frozen), whose page table is that copy's at the
+	// storage site ss.
+	ino *storage.Inode
 	dir *format.DirSnapshot
-	// ss and pages are the copy dir is: the storage site whose copy of
-	// version vv it encodes to, and that copy's page table (shared,
-	// frozen); nil pages when the table is not known.
-	ss    SiteID
-	pages []storage.PhysPage
+	ss  SiteID
 }
 
 type dirCache struct {
@@ -84,14 +88,14 @@ func (c *dirCache) entry(id storage.FileID) dirCacheEntry {
 // may read again.
 func (k *Kernel) loadDir(id storage.FileID, ino *storage.Inode, ss SiteID) (*format.DirSnapshot, error) {
 	e := k.dirs.entry(id)
-	if e.dir != nil && e.vv.Equal(ino.VV) {
+	if e.dir != nil && e.ino.VV.Equal(ino.VV) {
 		return e.dir, nil
 	}
 	held := 0 // the cached copy's pages that are ino's pages at ss
 	if e.dir != nil && e.ss == ss {
-		held = min(int(pagesOf(int64(e.dir.Size()))), len(e.pages), len(ino.Pages))
+		held = min(int(pagesOf(int64(e.dir.Size()))), len(e.ino.Pages), len(ino.Pages))
 	}
-	reused := func(pn int) bool { return pn < held && ino.Pages[pn] == e.pages[pn] }
+	reused := func(pn int) bool { return pn < held && ino.Pages[pn] == e.ino.Pages[pn] }
 	size, np, read := int(ino.Size), int(pagesOf(ino.Size)), 0
 	for pn := 0; pn < np; pn++ {
 		if !reused(pn) {
@@ -100,7 +104,7 @@ func (k *Kernel) loadDir(id storage.FileID, ino *storage.Inode, ss SiteID) (*for
 	}
 	if read == 0 && e.dir != nil && size == e.dir.Size() {
 		k.assertDirBytes(id, ss, ino.VV, e.dir)
-		k.dirs.put(id, dirCacheEntry{vv: ino.VV, dir: e.dir, ss: ss, pages: ino.Pages})
+		k.dirs.put(id, dirCacheEntry{ino: ino, dir: e.dir, ss: ss})
 		return e.dir, nil
 	}
 
@@ -150,21 +154,22 @@ func (k *Kernel) loadDir(id storage.FileID, ino *storage.Inode, ss SiteID) (*for
 	if read < np {
 		k.assertDirBytes(id, ss, ino.VV, d)
 	}
-	k.dirs.put(id, dirCacheEntry{vv: ino.VV, dir: d, ss: ss, pages: ino.Pages})
+	k.dirs.put(id, dirCacheEntry{ino: ino, dir: d, ss: ss})
 	return d, nil
 }
 
 // advance caches the snapshot the CSS made from the one at r.Prev for an
 // fs.dirop this site sent: muts re-applied to the cached snapshot, if
-// that is the one at r.Prev, at the update's version r.VV. Otherwise
-// nothing changes, and the next search reads the directory again.
+// that is the one at r.Prev, under the update's committed inode r.Ino.
+// Otherwise nothing changes, and the next search reads the directory
+// again.
 func (c *dirCache) advance(id storage.FileID, r *dirOpResp, muts []dirMut) {
 	e := c.entry(id)
-	if e.dir == nil || !e.vv.Equal(r.Prev) {
+	if e.dir == nil || !e.ino.VV.Equal(r.Prev) {
 		return
 	}
 	if d, err := applyMuts(e.dir, muts); err == nil {
-		c.put(id, dirCacheEntry{vv: r.VV, dir: d, ss: r.SS, pages: r.Pages})
+		c.put(id, dirCacheEntry{ino: r.Ino, dir: d, ss: r.SS})
 	}
 }
 

@@ -41,7 +41,7 @@ func TestUpdateDirAssertsItsLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.dirs.put(r.ID, dirCacheEntry{vv: ino.VV, dir: other})
+	k.dirs.put(r.ID, dirCacheEntry{ino: ino, dir: other})
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "does not encode to its committed") {
 			t.Fatalf("the update panicked with %q", msg)
@@ -95,10 +95,12 @@ func TestReReadAssertsReusedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if held.ss != 2 || len(now.Pages) != 2 || now.Pages[0] == held.pages[0] || now.Pages[1] != held.pages[1] || now.Size != int64(held.dir.Size()) {
-		t.Fatalf("set-up: site 2 held /d from site %d on pages %v, stores %v of %d bytes now", held.ss, held.pages, now.Pages, now.Size)
+	if held.ss != 2 || len(now.Pages) != 2 || now.Pages[0] == held.ino.Pages[0] || now.Pages[1] != held.ino.Pages[1] || now.Size != int64(held.dir.Size()) {
+		t.Fatalf("set-up: site 2 held /d from site %d on pages %v, stores %v of %d bytes now", held.ss, held.ino.Pages, now.Pages, now.Size)
 	}
-	held.pages = now.Pages
+	forged := held.ino.Clone()
+	forged.Pages = now.Pages
+	held.ino = forged
 	ks[1].dirs.put(r.ID, held)
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "does not encode to its committed") {

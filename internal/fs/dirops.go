@@ -142,11 +142,11 @@ func (k *Kernel) updateDir(u dirUpdate) (*dirOpResp, error) {
 		return nil, err
 	}
 	// Commit assigned the new content its version vector; hand the
-	// snapshot to the cache, with the page table the commit installed, so
-	// the next update and pathname search do not re-read and re-parse
-	// what we just wrote, and a later re-read reads only what changes.
-	r := &dirOpResp{Prev: prev, VV: cr.VV, SS: f.ss, Pages: cr.Pages}
-	k.dirs.put(f.id, dirCacheEntry{vv: r.VV, dir: u.next, ss: r.SS, pages: r.Pages})
+	// snapshot to the cache under the inode the commit installed, so the
+	// next update and pathname search do not re-read and re-parse what we
+	// just wrote, and a later re-read reads only what changes.
+	r := &dirOpResp{Prev: prev, Ino: cr.Ino, SS: f.ss}
+	k.dirs.put(f.id, dirCacheEntry{ino: r.Ino, dir: u.next, ss: r.SS})
 	return r, nil
 }
 
@@ -156,7 +156,7 @@ func (k *Kernel) updateDir(u dirUpdate) (*dirOpResp, error) {
 // cache holds.
 func (k *Kernel) dirOpen(f *File) (*format.DirSnapshot, error) {
 	e := k.dirs.entry(f.id)
-	if e.dir != nil && e.vv.Equal(f.ino.VV) {
+	if e.dir != nil && e.ino.VV.Equal(f.ino.VV) {
 		return e.dir, nil
 	}
 	raw, err := f.ReadAll()
@@ -305,7 +305,7 @@ func (k *Kernel) commitNlink(f *File, delta int, delVV vclock.VV) error {
 		clear(f.dirty) // the storage site discards the change at close
 		return err
 	}
-	invariant.Assertf(delVV == nil || cr.VV.Equal(delVV), "fs: the tombstone of %v records %v, the change committed %v", f.id, delVV, cr.VV)
+	invariant.Assertf(delVV == nil || cr.Ino.VV.Equal(delVV), "fs: the tombstone of %v records %v, the change committed %v", f.id, delVV, cr.Ino.VV)
 	if after := k.peekCommitted(f); before != nil && after != nil && delta > 0 {
 		invariant.Assertf(after.Nlink == before.Nlink+delta, "fs: a link of %v committed %d links over %d", f.id, after.Nlink, before.Nlink)
 	}

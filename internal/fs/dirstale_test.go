@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -104,26 +105,38 @@ func TestStaleSiteDecodesAgainstItsSnapshot(t *testing.T) {
 	// What catching up costs: one create at site 1, then a stat at site 2,
 	// whose snapshot of /d that create made stale. The decode allocates the
 	// touched chunk, not the directory's 61 KB of entries and 11 KB each of
-	// names and read buffer. The median of nine, since a collection between
-	// two of them empties the pools the buffers come from. (Not under
-	// locusinvariants: the storage assertions build a map of every
-	// referenced page on each free.)
-	var grew []uint64
-	for i := 0; i < 9; i++ {
-		create(c.K(1), fmt.Sprintf("f0500p%d", i))
-		settle(t, c)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := c.K(2).Stat(cred(), "/d/f0001")
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+	// names and read buffer. The median of nine, with the collector off
+	// while they are taken: a collection between two of them empties the
+	// pools the buffers come from, and the next stat pays for new ones.
+	// (Not under locusinvariants: the storage assertions build a map of
+	// every referenced page on each free. Under the race detector, whose
+	// sync.Pool drops a quarter of what it is given, some readings pay for
+	// new buffers, so the bound holds the smallest of the nine: a stat
+	// that decodes the whole directory fails it on every reading.)
+	grew := func() (grew []uint64) {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		for i := 0; i < 9; i++ {
+			create(c.K(1), fmt.Sprintf("f0500p%d", i))
+			settle(t, c)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := c.K(2).Stat(cred(), "/d/f0001")
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grew = append(grew, after.TotalAlloc-before.TotalAlloc)
 		}
-		grew = append(grew, after.TotalAlloc-before.TotalAlloc)
-	}
+		return grew
+	}()
 	slices.Sort(grew)
-	if got := grew[len(grew)/2]; got > 24<<10 && !invariant.Enabled {
-		t.Errorf("a stat at a site one remote create made stale allocates %d bytes (all nine: %v), want at most 24 KB", got, grew)
+	t.Logf("the nine stats allocate %v bytes", grew)
+	pinned, which := grew[len(grew)/2], "median"
+	if raceEnabled {
+		pinned, which = grew[0], "smallest"
+	}
+	if pinned > 24<<10 && !invariant.Enabled {
+		t.Errorf("a stat at a site one remote create made stale allocates %d bytes (%s of nine: %v), want at most 24 KB", pinned, which, grew)
 	}
 	check("after the pinned stats")
 

@@ -66,11 +66,25 @@ func NotifyTombstone(from *Kernel, to SiteID, id storage.FileID) error {
 	return netsim.Cast(from.node, to, mPropNotify, &propNotify{ID: id, VV: tomb.VV, Origin: from.site, Sites: tomb.Sites, Tomb: tomb})
 }
 
+// NotifyCommit casts from's committed version of id to site to as its
+// commit's notification, for a site the notification did not reach: a
+// site that stores a copy and is not listed takes it as a retirement.
+func NotifyCommit(from *Kernel, to SiteID, id storage.FileID) error {
+	ino, err := from.container(id.FG).GetInode(id.Inode)
+	if err != nil {
+		return err
+	}
+	return netsim.Cast(from.node, to, mPropNotify, &propNotify{ID: id, VV: ino.VV, Origin: from.site, Sites: ino.Sites})
+}
+
 // CachedDir reports the snapshot of directory id the directory cache
 // holds and the version it holds it at (nil, nil if none).
 func (k *Kernel) CachedDir(id storage.FileID) (*format.DirSnapshot, vclock.VV) {
 	e := k.dirs.entry(id)
-	return e.dir, e.vv
+	if e.ino == nil {
+		return nil, nil
+	}
+	return e.dir, e.ino.VV
 }
 
 // ReadDirByID is readDirByID: directory id as a pathname search reads
@@ -84,7 +98,9 @@ func (k *Kernel) ReadDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (
 // page table pages, whatever storage site it names.
 func (k *Kernel) ForgeCachedDirPages(id storage.FileID, pages []storage.PhysPage) {
 	e := k.dirs.entry(id)
-	e.pages = pages
+	forged := e.ino.Clone()
+	forged.Pages = pages
+	e.ino = forged
 	k.dirs.put(id, e)
 }
 

@@ -492,7 +492,7 @@ func (f *File) commitOrAbort(abort bool) (*commitResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.ino.VV = r.VV
+	f.ino.VV = r.Ino.VV
 	// The committed image changed (or, on abort, reverted): any pages
 	// this US cached for the file are out of date.
 	k.cache.invalidateFile(f.id)
@@ -550,7 +550,7 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 		sv.committedPages = pageSet(ino.Pages)
 		clear(sv.dirty)
 		k.mu.Unlock()
-		return &commitResp{VV: ino.VV}, nil
+		return &commitResp{Ino: ino}, nil
 	}
 
 	// Commit: bump the version vector at this (storage) site and move
@@ -590,7 +590,7 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 	k.mu.Unlock()
 
 	k.notifyCommit(req.ID, ino, pages)
-	return &commitResp{VV: ino.VV, Pages: ino.Pages}, nil
+	return &commitResp{Ino: ino}, nil
 }
 
 // notifyCommit sends the one-way commit notifications: to every other

@@ -441,16 +441,21 @@ func userHandle(f *File, err error) (*File, error) {
 // caller that only looks: it returns the file's committed inode and the
 // site that stores it, and leaves nothing behind — no handle, no entry
 // in openFiles, no lock-table record. A locally stored file with no
-// propagation pending is looked at without informing the CSS; otherwise
-// the CSS is asked with the fs.open an internal open has always sent,
-// and answers with the inode or with "your copy is current". The inode
-// is the committed one, shared and frozen (storage.Inode): read it and
-// pass it on, Clone it before writing. Nothing holds it current: a
-// caller that goes on to read pages makes a handle (internalHandle),
-// whose reads check each page against the version found here.
+// propagation pending is looked at without informing the CSS, and so is
+// a locally stored directory whose pending pull the directory cache
+// already holds (lookCached); otherwise the CSS is asked with the fs.open
+// an internal open has always sent, and answers with the inode or with
+// "your copy is current". The inode is the committed one, shared and
+// frozen (storage.Inode): read it and pass it on, Clone it before
+// writing. Nothing holds it current: a caller that goes on to read pages
+// makes a handle (internalHandle), whose reads check each page against
+// the version found here.
 func (k *Kernel) lookInternal(id storage.FileID) (*storage.Inode, SiteID, error) {
 	if ino := k.lookLocal(id); ino != nil {
 		return ino, k.site, nil
+	}
+	if ino, ss := k.lookCached(id); ino != nil {
+		return ino, ss, nil
 	}
 	css, err := k.CSSOf(id.FG)
 	if err != nil {
@@ -481,6 +486,42 @@ func (k *Kernel) lookLocal(id storage.FileID) *storage.Inode {
 		}
 	}
 	return nil
+}
+
+// lookCached is the look at a directory this site stores while a pull of
+// it is pending, served with no message when the directory cache already
+// holds the version the pull is for or a newer one, as after this site's
+// own fs.dirop (advance) or its last look (loadDir): the committed inode
+// that version was cached under, and the storage site whose copy it is.
+// Every commit of a file notifies each site its storage-site list names
+// (notifyCommit), so while the cached version names this site, the
+// pull's vector is the newest version this site has been told of, as a
+// stored copy with no pull pending is (lookLocal), and this look is no
+// staler than that one. A retirement (propTask.drop), a cached version
+// that no longer names this site, and a deleted or conflicted copy go to
+// the CSS. It returns nil when the look is not free.
+func (k *Kernel) lookCached(id storage.FileID) (*storage.Inode, SiteID) {
+	var pulling vclock.VV
+	k.mu.Lock()
+	if t := k.pendingProp[id]; t != nil && !t.drop {
+		pulling = t.vv
+	}
+	k.mu.Unlock()
+	if pulling == nil {
+		return nil, 0
+	}
+	e := k.dirs.entry(id)
+	if e.ino == nil || !e.ino.VV.DominatesOrEqual(pulling) || !containsSite(e.ino.Sites, k.site) {
+		return nil, 0
+	}
+	c := k.container(id.FG)
+	if c == nil {
+		return nil, 0
+	}
+	if cur, stores := c.Version(id.Inode); !stores || cur.Deleted || cur.Conflict {
+		return nil, 0
+	}
+	return e.ino, e.ss
 }
 
 // usableVV is the version vector of this site's committed copy of id, the

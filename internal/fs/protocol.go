@@ -164,13 +164,11 @@ type commitReq struct {
 	Abort bool
 }
 
-// commitResp is the version the commit installed (for an abort, the
-// one it kept) and, for a commit, that version's page table at the
-// storage site, shared and frozen: a directory's updater caches its
-// snapshot under it (dirCacheEntry).
+// commitResp is the inode the commit installed (for an abort, the one it
+// kept), shared and frozen: a directory's updater caches its snapshot
+// under it (dirCacheEntry).
 type commitResp struct {
-	VV    vclock.VV
-	Pages []storage.PhysPage
+	Ino *storage.Inode
 }
 
 // mClose is US → SS: first message of the 4-message close protocol. It
@@ -327,18 +325,17 @@ type dirMut struct {
 
 // dirOpResp names the versions the update went between, not the
 // content: the US re-applies its own mutations to a cached snapshot at
-// Prev and caches the result at VV, as the copy at SS whose page table
-// is Pages (the commit's, shared and frozen). (A snapshot in the reply
-// would be pinned by the at-most-once table for as long as the reply
-// is.) DelVV is the version an unlink's tombstone records, which the
-// CSS chose; To is the second directory's update of a rename across
-// directories.
+// Prev and caches the result under Ino, the inode the commit installed
+// at SS (shared and frozen). (A snapshot in the reply would be pinned by
+// the at-most-once table for as long as the reply is.) DelVV is the
+// version an unlink's tombstone records, which the CSS chose; To is the
+// second directory's update of a rename across directories.
 type dirOpResp struct {
-	Prev, VV vclock.VV
-	SS       SiteID
-	Pages    []storage.PhysPage
-	DelVV    vclock.VV
-	To       *dirOpResp
+	Prev  vclock.VV
+	Ino   *storage.Inode
+	SS    SiteID
+	DelVV vclock.VV
+	To    *dirOpResp
 }
 
 // mCreate is US → CSS: create a new file and enter it in its parent

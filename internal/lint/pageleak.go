@@ -323,6 +323,9 @@ func (a *pageLeak) atomEffect(atom ast.Node, site *ast.CallExpr, set map[types.O
 			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && call == site {
 				continue // the alloc itself
 			}
+			if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
+				continue // _ = pp keeps nothing: the page is still the function's
+			}
 			root := exprRoot(lhs)
 			obj := a.identObj(root)
 			switch {

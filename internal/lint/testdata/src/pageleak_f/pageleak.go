@@ -169,6 +169,21 @@ func badInodeNumDropped(c *Container, takeIt bool) error {
 	return c.CommitInode(ino)
 }
 
+// badBlankDiscard leaks: assigning the page to the blank identifier
+// keeps it nowhere and hands it to no one.
+func badBlankDiscard(c *Container, data []byte, keep bool) error {
+	pp, err := c.WritePage(data) // want "result of Container.WritePage may leak"
+	if err != nil {
+		return err
+	}
+	if !keep {
+		_ = pp
+		return nil
+	}
+	ino := &Inode{Pages: []PhysPage{pp}}
+	return c.CommitInode(ino)
+}
+
 // allowedLeak exercises the suppression path: the leak is the point of
 // this case, so the directive must silence the finding.
 func allowedLeak(c *Container, data []byte) error {
