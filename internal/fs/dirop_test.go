@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"path"
 	"reflect"
 	"slices"
@@ -63,30 +64,35 @@ var regimes = []struct {
 // name. The CSS opens, changes and commits every file the operation
 // touches itself, its own current copies as a rule, so wherever the
 // current copy is, it sends the same, and nothing of the file's own but
-// its commit's fan-out.
+// its commit's note.
 func TestNamespaceOpCosts(t *testing.T) {
 	// From the CSS the operation is a procedure call; only its fan-out to
-	// the other two copies goes out, and a new file's birth note.
+	// the other two copies goes out: for a create or an unlink one
+	// fs.propnotify to each with the notes of every commit it made, a new
+	// file's birth note included, for a link or a rename one per commit.
 	atCSS := map[string]map[string]int64{
-		"create":  {"fs.propnotify": 4},
-		"mkdir":   {"fs.propnotify": 4},
-		"unlink":  {"fs.propnotify": 4},
+		"create":  {"fs.propnotify": 2},
+		"mkdir":   {"fs.propnotify": 2},
+		"unlink":  {"fs.propnotify": 2},
 		"link":    {"fs.propnotify": 4},
 		"rename":  {"fs.propnotify": 2},
 		"xrename": {"fs.propnotify": 4},
 	}
 	elsewhere := map[string]map[string]int64{
 		// fs.create to the CSS, which has the using site, the birth site,
-		// allocate the inode, whose birth note goes to the other two
-		// copies, and enters the name; /d's fan-out; the close's release.
-		"create": {"fs.create": 2, "fs.sscreate": 2, "fs.propnotify": 4, "fs.ssclose": 2},
-		"mkdir":  {"fs.create": 2, "fs.sscreate": 2, "fs.propnotify": 4, "fs.ssclose": 2},
+		// allocate the inode, and enters the name; the fan-out, in which
+		// the birth's note, which came back in the fs.sscreate reply, goes
+		// to site 3 with /d's, and /d's alone to the birth site; the
+		// close's release.
+		"create": {"fs.create": 2, "fs.sscreate": 2, "fs.propnotify": 2, "fs.ssclose": 2},
+		"mkdir":  {"fs.create": 2, "fs.sscreate": 2, "fs.propnotify": 2, "fs.ssclose": 2},
 		// The fs.dirop, for which the CSS removes the name, then commits
-		// f0002's delete on its own current copy; the two commits'
-		// fan-outs.
-		"unlink": {"fs.dirop": 2, "fs.propnotify": 4},
-		// As unlink, the count raised first: the new name's parent is
-		// spelled as the old one's, so Link does not search it again.
+		// f0002's delete on its own current copy; the two commits' one
+		// fan-out.
+		"unlink": {"fs.dirop": 2, "fs.propnotify": 2},
+		// As unlink, the count raised first, and each commit's own
+		// fan-out: the new name's parent is spelled as the old one's, so
+		// Link does not search it again.
 		"link": {"fs.dirop": 2, "fs.propnotify": 4},
 		// The one update and its fan-out.
 		"rename": {"fs.dirop": 2, "fs.propnotify": 2},
@@ -140,26 +146,31 @@ func TestNamespaceOpCosts(t *testing.T) {
 	//     recalls, revoking the serving state it kept at site 3.
 	//   - handback: site 2 holds the writer lease, and hands it back in
 	//     the fs.dirop: no recall, and its own serving state it drops.
+	// want and lease are the unlink's. The link's differ only where the
+	// CSS commits both files itself, which an unlink's notes reach each
+	// site together from, and a link's one commit at a time: linkNotes
+	// is the link's fs.propnotify count there.
 	for _, rg := range regimes {
 		for _, row := range []struct {
 			name        string
 			leasesOnly  bool
 			prep        func(t *testing.T, c *cluster.Cluster, path string)
 			want, lease map[string]int64
+			linkNotes   int64
 		}{
 			{"target-stale", false, func(t *testing.T, c *cluster.Cluster, path string) {
 				writeAt(t, c.K(3), path, "w")
 			}, map[string]int64{"fs.open": 2, "fs.ssopen": 6, "fs.dirop": 2, "fs.setattr": 1, "fs.commit": 2, "fs.close": 2, "fs.ssclose": 2, "fs.propnotify": 4},
-				map[string]int64{"fs.open": 2, "fs.ssopen": 6, "fs.dirop": 2, "fs.recallwriter": 2, "fs.revokeserve": 2, "fs.setattr": 1, "fs.commit": 2, "fs.propnotify": 4}},
+				map[string]int64{"fs.open": 2, "fs.ssopen": 6, "fs.dirop": 2, "fs.recallwriter": 2, "fs.revokeserve": 2, "fs.setattr": 1, "fs.commit": 2, "fs.propnotify": 4}, 0},
 			{"delegate", true, func(t *testing.T, c *cluster.Cluster, path string) {
 				readFile(t, c.K(3), path)
-			}, nil, map[string]int64{"fs.dirop": 2, "fs.leaserevoke": 2, "fs.propnotify": 4}},
+			}, nil, map[string]int64{"fs.dirop": 2, "fs.leaserevoke": 2, "fs.propnotify": 2}, 4},
 			{"writer", true, func(t *testing.T, c *cluster.Cluster, path string) {
 				writeAt(t, c.K(3), path, "")
-			}, nil, map[string]int64{"fs.dirop": 2, "fs.recallwriter": 2, "fs.revokeserve": 2, "fs.propnotify": 4}},
+			}, nil, map[string]int64{"fs.dirop": 2, "fs.recallwriter": 2, "fs.revokeserve": 2, "fs.propnotify": 2}, 4},
 			{"handback", true, func(t *testing.T, c *cluster.Cluster, path string) {
 				writeAt(t, c.K(2), path, "")
-			}, nil, map[string]int64{"fs.dirop": 2, "fs.propnotify": 4}},
+			}, nil, map[string]int64{"fs.dirop": 2, "fs.propnotify": 2}, 4},
 		} {
 			want := row.want
 			if rg.features.Leases {
@@ -171,6 +182,11 @@ func TestNamespaceOpCosts(t *testing.T) {
 				path := map[string]string{"unlink": "/d/f0002", "link": "/d/f0003"}[op.name]
 				if path == "" {
 					continue
+				}
+				want := want
+				if op.name == "link" && row.linkNotes != 0 {
+					want = maps.Clone(want)
+					want["fs.propnotify"] = row.linkNotes
 				}
 				t.Run(rg.prefix+row.name+"/"+op.name, func(t *testing.T) {
 					c, _ := renameDir(t, 1024, 2, false)
@@ -265,9 +281,11 @@ func cutOps() []nsOp {
 // only reclaimable garbage, and only at the crashes the table at the end
 // pins: a file no name names (fsck's one orphan-inode finding: the new
 // inode of a create whose birth is done, the unlinked file whose name is
-// removed, the file a rename across directories removed from /d), or a
-// linked file with one link more than its names. Reclaiming either is
-// ROADMAP item 9's.
+// removed before its storage site commits the delete, the file a rename
+// across directories removed from /d), or a linked file with one link
+// more than its names. The CSS sends the notes of a create's or an
+// unlink's own commits together after the last, so no exchange falls
+// between two of them. Reclaiming either is ROADMAP item 9's.
 //
 // TestRenameCutAtEveryExchange drops every transmission of one exchange
 // instead, and cuts the nested exchanges of a CSS that stores no copy of
@@ -291,7 +309,7 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 	// site 2 commits, as it did then.
 	createPlaces := map[exchange]int{
 		{from: 1, to: 2, method: "fs.propnotify", nth: 1}: 6, // /d's commit
-		{from: 1, to: 3, method: "fs.propnotify", nth: 1}: 7,
+		{from: 1, to: 3, method: "fs.propnotify", nth: 1}: 7, // the birth's and /d's
 		{from: us, to: 1, method: "fs.ssclose", nth: 1}:   8, // the new file's close
 	}
 	firstPlaces := map[string]map[exchange]int{
@@ -299,8 +317,18 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 		"mkdir":  createPlaces,
 		"unlink": {
 			{from: us, to: 1, method: "fs.dirop", nth: 1}:     5,
-			{from: 1, to: 2, method: "fs.propnotify", nth: 1}: 6, // /d's commit
+			{from: 1, to: 2, method: "fs.propnotify", nth: 1}: 6, // /d's commit and the delete
 			{from: 1, to: 3, method: "fs.propnotify", nth: 1}: 7,
+		},
+		// The CSS's note of /d's commit goes out once the last commit, the
+		// file's delete at site 3, is made, which sends its own.
+		"unlink/offcss": {
+			{from: 1, to: 2, method: "fs.propnotify", nth: 1}: 2, // /d's commit
+			{from: 1, to: 3, method: "fs.propnotify", nth: 1}: 3,
+			{from: 1, to: 3, method: "fs.setattr", nth: 1}:    4, // the file's delete
+			{from: 1, to: 3, method: "fs.commit", nth: 1}:     5,
+			{from: 3, to: 2, method: "fs.propnotify", nth: 1}: 6,
+			{from: 3, to: 1, method: "fs.propnotify", nth: 1}: 7,
 		},
 		"link": {
 			{from: us, to: 1, method: "fs.propnotify", nth: 1}: 3, // the count's commit
@@ -433,20 +461,22 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 		}
 	}
 	// The crashes that leave garbage, by the place of the exchange they
-	// cut, in both regimes: a create's at the birth site's allocation and
-	// at its birth notes, an unlink's and a rename's at the fan-out of /d's
-	// commit, a link's at the fan-out of the count's commit; and, with a
-	// file whose commit the CSS sends to another storage site, an
-	// unlink's at the change it sends, a link's at the commit it sends
-	// and at that commit's fan-out.
+	// cut, in both regimes: a create's at the birth site's allocation, a
+	// rename's at the fan-out of the old directory's commit, a link's at
+	// the fan-out of the count's commit; and, with a file whose commit
+	// the CSS sends to another storage site, an unlink's at the change it
+	// sends, a link's at the commit it sends and at that commit's
+	// fan-out. A create's and an unlink's own commits at the CSS send
+	// their notes together once the last is made, so no exchange
+	// separates two of them: a crash between them, which would leave
+	// garbage too, is one no exchange can cut (ROADMAP item 9).
 	orphans := func(i ...int) map[int]string { return pinned("orphan", i) }
 	want := map[string]map[int]string{
-		"create":        orphans(2, 3, 4),
-		"mkdir":         orphans(2, 3, 4),
-		"unlink":        orphans(6, 7),
+		"create":        orphans(2),
+		"mkdir":         orphans(2),
 		"link":          pinned("count", []int{3, 4, 5}),
 		"xrename":       orphans(2, 3),
-		"unlink/offcss": orphans(2, 3, 4),
+		"unlink/offcss": orphans(4),
 		"link/offcss":   pinned("count", []int{3, 4, 5}),
 		"link/atcss":    pinned("count", []int{3, 4}),
 	}

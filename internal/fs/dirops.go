@@ -124,9 +124,10 @@ func (k *Kernel) dirChange(f *File, muts []dirMut) (dirUpdate, error) {
 // storage sites pull only them (§2.3.6). Every update commits through
 // here, at the CSS, so the CSS's cached snapshot is current as a rule
 // and the directory is neither read nor decoded. An update whose commit
-// fails lands nowhere: its close commits nothing. It returns the
+// fails lands nowhere: its close commits nothing. The commit's note
+// goes in the operation's box, or out at once with none. It returns the
 // versions the directory went between.
-func (k *Kernel) updateDir(u dirUpdate) (*dirOpResp, error) {
+func (k *Kernel) updateDir(u dirUpdate, box *outbox) (*dirOpResp, error) {
 	f, prev := u.f, u.f.ino.VV
 	k.assertDirBytes(f.id, f.ss, prev, u.d)
 	if err := writeDirPages(f, u.d, u.next); err != nil {
@@ -136,7 +137,7 @@ func (k *Kernel) updateDir(u dirUpdate) (*dirOpResp, error) {
 		f.Abort() //locus:vet-allow uncheckedcall best-effort rollback
 		return nil, err
 	}
-	cr, err := f.commitOrAbort(false)
+	cr, err := f.commitOrAbort(false, box)
 	if err != nil {
 		clear(f.dirty) // the storage site discards the update at close
 		return nil, err
@@ -230,7 +231,13 @@ func (k *Kernel) assertDirBytes(id storage.FileID, ss SiteID, vv vclock.VV, d *f
 // before it adds the name, an unlink removes the name before it lowers
 // the count, its tombstone recording the version that change commits
 // (§5.5's delete/modify undo compares against it), and a rename across
-// directories removes the old name before it enters the new one.
+// directories removes the old name before it enters the new one. An
+// unlink's notes of the commits it makes itself reach each site in one
+// fs.propnotify, sent once the last is made, before it replies, on
+// every way out (outbox). A link's and a rename's go out as each commit
+// is made: a crash between a link's or a cross-directory rename's two
+// commits then falls at an exchange, where the cut tables reach it,
+// until a storage-level crash point can (ROADMAP items 1 and 9).
 func (k *Kernel) handleDirOp(from SiteID, req *dirOpReq) (*dirOpResp, error) {
 	var target storage.FileID
 	if req.Nlink != 0 {
@@ -242,6 +249,12 @@ func (k *Kernel) handleDirOp(from SiteID, req *dirOpReq) (*dirOpResp, error) {
 		return nil, err
 	}
 	defer closeAll(files)
+	var unlinkBox outbox
+	defer k.flush(&unlinkBox)
+	var box *outbox
+	if req.Nlink < 0 {
+		box = &unlinkBox
+	}
 	f, muts := files[2], req.Muts
 	var delVV vclock.VV
 	if req.Nlink < 0 {
@@ -271,22 +284,22 @@ func (k *Kernel) handleDirOp(from SiteID, req *dirOpReq) (*dirOpResp, error) {
 		}
 	}
 	if req.Nlink > 0 {
-		if err := k.commitNlink(f, 1, nil); err != nil {
+		if err := k.commitNlink(f, 1, nil, box); err != nil {
 			return nil, err
 		}
 	}
-	r, err := k.updateDir(dir)
+	r, err := k.updateDir(dir, box)
 	if err != nil {
 		return nil, err
 	}
 	if files[1] != nil {
-		if r.To, err = k.updateDir(to); err != nil {
+		if r.To, err = k.updateDir(to, box); err != nil {
 			return nil, err
 		}
 	}
 	if req.Nlink < 0 {
 		r.DelVV = delVV
-		return r, k.commitNlink(f, -1, delVV)
+		return r, k.commitNlink(f, -1, delVV, box)
 	}
 	return r, nil
 }
@@ -294,13 +307,14 @@ func (k *Kernel) handleDirOp(from SiteID, req *dirOpReq) (*dirOpResp, error) {
 // commitNlink commits f's link count changed by delta, which deletes the
 // file when no link is left: the US "marks the inode and does a commit"
 // of §2.3.7, made by the CSS on the using site's behalf. delVV is what
-// an unlink's tombstone recorded as the version this commit makes.
-func (k *Kernel) commitNlink(f *File, delta int, delVV vclock.VV) error {
+// an unlink's tombstone recorded as the version this commit makes. The
+// commit's note goes in the operation's box, or out at once with none.
+func (k *Kernel) commitNlink(f *File, delta int, delVV vclock.VV, box *outbox) error {
 	nlink, before := f.ino.Nlink+delta, k.peekCommitted(f)
 	if err := f.setAttr(&setAttrReq{ID: f.id, Nlink: max(nlink, 0), Mode: -1, SetDeleted: nlink <= 0}); err != nil {
 		return err
 	}
-	cr, err := f.commitOrAbort(false)
+	cr, err := f.commitOrAbort(false, box)
 	if err != nil {
 		clear(f.dirty) // the storage site discards the change at close
 		return err

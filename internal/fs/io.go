@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/format"
@@ -465,18 +466,20 @@ func (f *File) Truncate(size int64) error {
 // the last commit (§2.3.6). On return the new version is durable at
 // the SS and propagation to the other storage sites has been scheduled.
 func (f *File) Commit() error {
-	_, err := f.commitOrAbort(false)
+	_, err := f.commitOrAbort(false, nil)
 	return err
 }
 
 // Abort undoes all changes back to the previous commit point.
 func (f *File) Abort() error {
-	_, err := f.commitOrAbort(true)
+	_, err := f.commitOrAbort(true, nil)
 	return err
 }
 
 // commitOrAbort is Commit or Abort, returning the storage site's reply.
-func (f *File) commitOrAbort(abort bool) (*commitResp, error) {
+// A commit this site makes as the storage site posts its note to box
+// when box is not nil (commit); a remote storage site sends its own.
+func (f *File) commitOrAbort(abort bool, box *outbox) (*commitResp, error) {
 	if f.closed {
 		return nil, ErrClosed
 	}
@@ -488,7 +491,13 @@ func (f *File) commitOrAbort(abort bool) (*commitResp, error) {
 	}
 	k := f.k
 	req := &commitReq{ID: f.id, US: f.us, Abort: abort}
-	r, err := netsim.CallAt(k.node, f.ss, mCommit, k.handleCommit, req)
+	var r *commitResp
+	var err error
+	if f.ss == k.site {
+		r, err = k.commit(k.site, req, box)
+	} else {
+		r, err = netsim.Call(k.node, f.ss, mCommit, req)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -526,6 +535,12 @@ func (f *File) refreshFromSS() {
 // this site, and notifies the file's other storage sites and the CSS
 // (§2.3.6). Abort discards the in-core state and frees shadow pages.
 func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) {
+	return k.commit(from, req, nil)
+}
+
+// commit is handleCommit, the commit's note posted to box when box is
+// not nil, and sent at once otherwise (notifyCommit).
+func (k *Kernel) commit(from SiteID, req *commitReq, box *outbox) (*commitResp, error) {
 	c := k.container(req.ID.FG)
 	if c == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoStorageSite, req.ID)
@@ -571,15 +586,14 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 	sv.truncated = false
 	k.mu.Unlock()
 
-	if invariant.Enabled {
+	prev, stored := c.Version(req.ID.Inode)
+	if invariant.Enabled && stored {
 		// A commit must install a version that strictly dominates the
 		// committed one it replaces: the in-core inode started from the
 		// committed image and was just bumped at this site (§2.3.6), and
 		// the single-writer lock excludes concurrent committers.
-		if prev, err := c.GetInode(req.ID.Inode); err == nil {
-			invariant.Assertf(ino.VV.Compare(prev.VV) == vclock.Dominates,
-				"fs: commit of %v would install %v over non-dominated committed %v", req.ID, ino.VV, prev.VV)
-		}
+		invariant.Assertf(ino.VV.Compare(prev.VV) == vclock.Dominates,
+			"fs: commit of %v would install %v over non-dominated committed %v", req.ID, ino.VV, prev.VV)
 	}
 	if err := c.CommitInode(ino); err != nil {
 		return nil, err
@@ -589,40 +603,174 @@ func (k *Kernel) handleCommit(from SiteID, req *commitReq) (*commitResp, error) 
 	sv.committedPages = pageSet(ino.Pages)
 	k.mu.Unlock()
 
-	k.notifyCommit(req.ID, ino, pages)
+	k.notifyCommit(req.ID, ino, prev.Sites, pages, box)
 	return &commitResp{Ino: ino}, nil
 }
 
-// notifyCommit sends the one-way commit notifications: to every other
-// storage site of the file so they pull the new version, and to the
-// CSS so its latest-version knowledge stays current.
-func (k *Kernel) notifyCommit(id storage.FileID, ino *storage.Inode, pages []storage.PageNo) {
-	note := &propNotify{
-		ID: id, VV: ino.VV, Origin: k.site,
-		Pages: pages, Sites: ino.Sites,
-		InodeOnly: pages != nil && len(pages) == 0,
-	}
+// commitNote is the note of origin's commit of version ino of file id;
+// pages lists the logical pages the commit changed, nil meaning the
+// whole file.
+func commitNote(id storage.FileID, ino *storage.Inode, origin SiteID, pages []storage.PageNo) *propNotify {
+	note := &propNotify{ID: id, VV: ino.VV, Origin: origin, Pages: pages, Sites: ino.Sites}
 	if ino.Deleted {
 		// A delete ships its whole state, the tombstone: the packs commit
 		// it with no pull.
 		note.Pages, note.Tomb = nil, ino
 	}
-	// Three storage sites and the CSS at most, as a rule: a list on the
-	// stack, not a map.
-	sent := append(make([]SiteID, 0, 8), k.site)
-	for _, s := range ino.Sites {
-		if !slices.Contains(sent, s) && k.inPartition(s) {
-			sent = append(sent, s)
-			netsim.Cast(k.node, s, mPropNotify, note) //locus:vet-allow uncheckedcall unreachable peers pull at merge
+	return note
+}
+
+// notifyCommit sends the note of this site's commit of version ino of
+// id (§2.3.6): every storage site of the file pulls the new version, a
+// site the commit dropped from the list (prev is the list of the
+// version it replaced) retires its copy, and the CSS's latest-version
+// knowledge stays current. The note is posted to box, which the
+// namespace operation the commit is part of flushes once its last
+// commit is made, or, with no box, sent at once.
+func (k *Kernel) notifyCommit(id storage.FileID, ino *storage.Inode, prev []SiteID, pages []storage.PageNo, box *outbox) {
+	note := commitNote(id, ino, k.site, pages)
+	if box == nil {
+		var now outbox
+		k.post(&now, note, prev)
+		k.flush(&now)
+	} else {
+		k.post(box, note, prev)
+	}
+	// The committing site applies its own note locally (updates CSS
+	// knowledge if this site is the CSS; the pull is a no-op since our
+	// copy is the new version).
+	k.applyPropNotify(k.site, note)
+}
+
+// outbox gathers commit notes to be sent as one fs.propnotify per
+// destination site, each with the notes bound for it in commit order
+// (flush). A create or an unlink at the CSS (handleCreate, handleDirOp)
+// passes its own outbox down to every commit it makes, and flushes it
+// once, after the last commit and before it replies; an outbox is never
+// the kernel's, since two operations may run at one CSS at once. It
+// lives on its owner's stack: the notes are the only allocation.
+type outbox struct {
+	first, last *propNotify // the notes, chained in commit order
+	n           int
+	dests       [8]noteDest // in the order first named, nd of them
+	nd          int
+}
+
+// noteDest is a destination of an outbox's notes: bit i of notes is set
+// when the outbox's i-th note goes to site.
+type noteDest struct {
+	site  SiteID
+	notes uint32
+}
+
+// post adds note to box, bound for every site noteDests names; prev is
+// the storage-site list of the version the note's commit replaced.
+func (k *Kernel) post(box *outbox, note *propNotify, prev []SiteID) {
+	var buf [len(outbox{}.dests)]SiteID
+	to := k.noteDests(buf[:0], note, prev)
+	fresh := 0
+	for _, s := range to {
+		if box.dest(s) < 0 {
+			fresh++
 		}
 	}
-	if css, err := k.CSSOf(id.FG); err == nil && !slices.Contains(sent, css) {
-		netsim.Cast(k.node, css, mPropNotify, note) //locus:vet-allow uncheckedcall see above
+	if box.n == 32 || box.nd+fresh > len(box.dests) {
+		// Past the notes or sites an outbox routes, which no namespace
+		// operation in a filegroup of nine packs or fewer reaches: send
+		// what box holds, then this note alone, so that every site still
+		// gets its notes in commit order.
+		k.flush(box)
+		*box = outbox{}
+		for _, s := range to {
+			netsim.Cast(k.node, s, mPropNotify, note) //locus:vet-allow uncheckedcall unreachable peers pull at merge
+		}
+		return
 	}
-	// The committing site applies its own notification locally (updates
-	// CSS knowledge if this site is the CSS; the pull is a no-op since
-	// our copy is the new version).
-	k.applyPropNotify(k.site, note)
+	if box.first == nil {
+		box.first = note
+	} else {
+		box.last.Next = note
+	}
+	box.last = note
+	for _, s := range to {
+		j := box.dest(s)
+		if j < 0 {
+			j = box.nd
+			box.dests[j].site = s
+			box.nd++
+		}
+		box.dests[j].notes |= 1 << box.n
+	}
+	box.n++
+}
+
+// dest is the index of site s among box's destinations, -1 if none.
+func (box *outbox) dest(s SiteID) int {
+	for j := range box.nd {
+		if box.dests[j].site == s {
+			return j
+		}
+	}
+	return -1
+}
+
+// noteDests appends to dst the sites a commit note goes to, each once:
+// the storage sites of the new version, then those of the version the
+// commit replaced (prev), so that a site the commit dropped from the
+// list hears of it, then the CSS. It leaves out the note's origin and
+// this site, which apply the note themselves, and a storage site out of
+// this partition, which pulls at merge.
+func (k *Kernel) noteDests(dst []SiteID, note *propNotify, prev []SiteID) []SiteID {
+	skip := func(s SiteID) bool { return s == note.Origin || s == k.site || slices.Contains(dst, s) }
+	for _, sites := range [2][]SiteID{note.Sites, prev} {
+		for _, s := range sites {
+			if !skip(s) && k.inPartition(s) {
+				dst = append(dst, s)
+			}
+		}
+	}
+	if css, err := k.CSSOf(note.ID.FG); err == nil && !skip(css) {
+		dst = append(dst, css)
+	}
+	return dst
+}
+
+// flush sends box's notes: one fs.propnotify to each destination, with
+// the notes bound for it in commit order. A destination bound for the
+// chain's last notes gets them where they lie, from its first on (the
+// whole chain, as a rule); any other, a chain of copies.
+func (k *Kernel) flush(box *outbox) {
+	for _, d := range box.dests[:box.nd] {
+		first := bits.TrailingZeros32(d.notes)
+		msg, i := box.first, 0
+		for ; i < first; i++ {
+			msg = msg.Next
+		}
+		if all := uint32(1)<<box.n - 1; d.notes != all>>first<<first {
+			msg = copyNotes(msg, d.notes>>first)
+		}
+		netsim.Cast(k.node, d.site, mPropNotify, msg) //locus:vet-allow uncheckedcall unreachable peers pull at merge
+	}
+}
+
+// copyNotes chains copies of the notes of the chain from note on whose
+// bits are set in mask, bit 0 for note itself.
+func copyNotes(note *propNotify, mask uint32) *propNotify {
+	var first, last *propNotify
+	for ; note != nil; note, mask = note.Next, mask>>1 {
+		if mask&1 == 0 {
+			continue
+		}
+		cp := *note
+		cp.Next = nil
+		if first == nil {
+			first = &cp
+		} else {
+			last.Next = &cp
+		}
+		last = &cp
+	}
+	return first
 }
 
 // Close closes the handle. Closing a modify handle first commits

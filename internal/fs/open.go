@@ -661,13 +661,17 @@ func (k *Kernel) releaseCSSLock(css SiteID, id storage.FileID, mode OpenMode, se
 // storage sites, have the birth pack allocate an inode from its private
 // pool, register the creating US as the writer, and enter the name. A
 // cut after the birth leaves the inode with no name: reclaimable
-// garbage, never a name without a file.
+// garbage, never a name without a file. The birth's note comes back in
+// the birth pack's reply, and reaches each site with the entry's in one
+// fs.propnotify (outbox), as an unlink's do (handleDirOp).
 func (k *Kernel) handleCreate(from SiteID, req *createReq) (*createResp, error) {
 	files, err := k.openForUpdate(from, [3]storage.FileID{req.Parent})
 	if err != nil {
 		return nil, err
 	}
 	defer closeAll(files)
+	var box outbox
+	defer k.flush(&box)
 	d, err := k.dirOpen(files[0])
 	if err != nil {
 		return nil, err
@@ -686,6 +690,13 @@ func (k *Kernel) handleCreate(from SiteID, req *createReq) (*createResp, error) 
 	}
 	ino := r.Ino
 	id := storage.FileID{FG: req.Parent.FG, Inode: ino.Num}
+	// The birth pack applied the birth's note itself; this site is one
+	// of the note's destinations, and sends it on to the rest.
+	note := commitNote(id, ino, birth, nil)
+	if birth != k.site {
+		k.applyPropNotify(birth, note)
+	}
+	k.post(&box, note, nil)
 	e := &cssEntry{
 		id:           id,
 		typ:          req.Type,
@@ -700,9 +711,9 @@ func (k *Kernel) handleCreate(from SiteID, req *createReq) (*createResp, error) 
 	k.mu.Lock()
 	k.cssState[id] = e
 	k.mu.Unlock()
-	dr, err := k.updateDir(dirUpdate{f: files[0], d: d, next: d.Insert(req.Name, ino.Num)})
+	dr, err := k.updateDir(dirUpdate{f: files[0], d: d, next: d.Insert(req.Name, ino.Num)}, &box)
 	if err != nil {
-		k.dropOrphan(req.US, id)
+		k.dropOrphan(req.US, id, &box)
 		return nil, err
 	}
 	return &createResp{ID: id, SS: birth, Ino: ino, Dir: *dr}, nil
@@ -712,10 +723,10 @@ func (k *Kernel) handleCreate(from SiteID, req *createReq) (*createResp, error) 
 // entered. The creating site never got its handle, so the modify open's
 // recall of its writer registration finds it gone. What cannot be
 // deleted, with the creating site out of reach, say, is left as
-// reclaimable garbage.
-func (k *Kernel) dropOrphan(us SiteID, id storage.FileID) {
+// reclaimable garbage. The delete's note goes in the create's box.
+func (k *Kernel) dropOrphan(us SiteID, id storage.FileID, box *outbox) {
 	if files, err := k.openForUpdate(us, [3]storage.FileID{id}); err == nil {
-		k.commitNlink(files[0], -1, nil) // error unchecked by design: garbage either way
+		k.commitNlink(files[0], -1, nil, box) // error unchecked by design: garbage either way
 		closeAll(files)
 	}
 }
@@ -789,9 +800,11 @@ func (k *Kernel) handleSSCreate(_ SiteID, req *ssCreateReq) (*ssCreateResp, erro
 	if err := k.setupServe(id, ModeModify, req.US, req.Serial); err != nil {
 		return nil, err
 	}
-	// Announce the birth so the other chosen storage sites replicate
-	// the file even if it is never written (an empty directory, say).
-	k.notifyCommit(id, ino, nil)
+	// The birth's note, which tells the other chosen storage sites to
+	// replicate the file even if it is never written (an empty
+	// directory, say), is applied here and rides the reply: the CSS
+	// sends it on (handleCreate).
+	k.applyPropNotify(k.site, commitNote(id, ino, k.site, nil))
 	return &ssCreateResp{Ino: ino}, nil
 }
 

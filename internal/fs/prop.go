@@ -12,9 +12,12 @@ import (
 	"repro/internal/vclock"
 )
 
-// handlePropNotify receives the one-way commit notification (§2.3.6).
+// handlePropNotify receives the one-way commit notification (§2.3.6):
+// one or more commits' notes, applied in commit order.
 func (k *Kernel) handlePropNotify(from SiteID, note *propNotify) error {
-	k.applyPropNotify(from, note)
+	for ; note != nil; note = note.Next {
+		k.applyPropNotify(from, note)
+	}
 	return nil
 }
 
@@ -339,9 +342,17 @@ func (k *Kernel) pullFile(t *propTask) bool {
 		if src.Deleted && !installTombstone(c, t.id, src) {
 			return false
 		}
-		t.drop = true
-		t.sites = append([]SiteID(nil), src.Sites...)
-		t.vv = src.VV
+		// Mark the live task (not just this attempt's snapshot) a
+		// retirement too, unless a newer note changed it meanwhile: while
+		// a listed site lags, the next drain retries the retirement with
+		// no pull, and lookCached sees it.
+		pulled := t.vv
+		t.drop, t.sites, t.vv = true, slices.Clone(src.Sites), src.VV
+		k.mu.Lock()
+		if live := k.pendingProp[t.id]; live != nil && live.vv.Equal(pulled) {
+			live.drop, live.sites, live.vv = true, slices.Clone(src.Sites), src.VV
+		}
+		k.mu.Unlock()
 		return k.retireReplica(c, t)
 	}
 

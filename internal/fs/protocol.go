@@ -390,15 +390,34 @@ type ssCreateReq struct {
 
 type ssCreateResp struct {
 	// Ino is the literal handleSSCreate committed a copy of, which
-	// nothing writes again: read-only to whoever the reply reaches.
+	// nothing writes again: read-only to whoever the reply reaches. It
+	// is the birth's commit note too (commitNote), which the CSS sends
+	// on with the entry's (handleCreate): the birth pack casts none.
 	Ino *storage.Inode
 }
 
-// mPropNotify is SS → {other packs, CSS} (one-way): a new version
-// exists. A pack whose copy is out of date queues a pull of it, but for
-// a delete, whose tombstone the note carries and the pack commits itself.
+// mPropNotify is SS → {other packs, CSS} (one-way): new versions exist.
+// A pack whose copy is out of date queues a pull of it, but for a
+// delete, whose tombstone the note carries and the pack commits itself.
+// The message is a list of commit notes, chained by Next in commit
+// order: a create's or an unlink's commits at the CSS reach each site in
+// one message (outbox); any other commit's note travels alone.
 var mPropNotify = netsim.OneWay[propNotify]{Name: "fs.propnotify"}
 
+// WireSize charges each note of the message the allowance of an unsized
+// payload, which a note sent alone always cost, so that a message of one
+// note costs what it did, and each note more adds its payload but no
+// header.
+func (note *propNotify) WireSize() int {
+	size := 0
+	for ; note != nil; note = note.Next {
+		size += netsim.DefaultWireSize
+	}
+	return size
+}
+
+// propNotify is one commit note; a message is the chain of notes from
+// its first.
 type propNotify struct {
 	ID storage.FileID
 	VV vclock.VV
@@ -406,11 +425,9 @@ type propNotify struct {
 	Origin SiteID
 	// Pages lists the modified logical pages, or nil meaning the whole
 	// file (§2.3.6: the commit message "can indicate ... which explicit
-	// logical pages were modified").
+	// logical pages were modified"); an empty list means that no page
+	// changed, only the inode's descriptive information.
 	Pages []storage.PageNo
-	// InodeOnly indicates only descriptive information changed
-	// (ownership, permissions), not data.
-	InodeOnly bool
 	// Sites is the file's storage-site list so packs that should hold
 	// a new replica know to pull it.
 	Sites []SiteID
@@ -419,6 +436,8 @@ type propNotify struct {
 	// as pullOpenResp.Ino is. It rides in the per-message default
 	// allowance, so a delete's note costs what any other note does.
 	Tomb *storage.Inode
+	// Next is the message's next note, nil after its last.
+	Next *propNotify
 }
 
 // PullWindow caps the number of physical pages one bulk-pull message

@@ -181,11 +181,12 @@ func (k *Kernel) ReconcileCommit(id storage.FileID, ino *storage.Inode, content 
 	} else {
 		newIno.Size = 0
 	}
+	prev, _ := c.Version(id.Inode)
 	if err := c.CommitInode(newIno); err != nil {
 		c.FreePages(newIno.Pages...)
 		return err
 	}
-	k.notifyCommit(id, newIno, nil)
+	k.notifyCommit(id, newIno, prev.Sites, nil, nil)
 	return nil
 }
 

@@ -90,13 +90,13 @@ type Handler func(from SiteID, payload any) (any, error)
 
 // Sizer lets a payload report its approximate wire size in bytes for
 // byte accounting. Payloads that do not implement Sizer are charged
-// defaultWireSize.
+// DefaultWireSize.
 type Sizer interface{ WireSize() int }
 
-const (
-	defaultWireSize = 200 // bytes charged for an unsized payload
-	headerWireSize  = 64  // bytes charged per message for headers
-)
+// DefaultWireSize is the bytes charged for an unsized payload.
+const DefaultWireSize = 200
+
+const headerWireSize = 64 // bytes charged per message for headers
 
 // CostModel assigns simulated CPU microseconds to primitive operations.
 // The defaults are calibrated so the headline ratios reported in the
@@ -798,7 +798,7 @@ func payloadBytes(p any) int64 {
 	if s, ok := p.(Sizer); ok {
 		return int64(s.WireSize()) + headerWireSize
 	}
-	return defaultWireSize + headerWireSize
+	return DefaultWireSize + headerWireSize
 }
 
 // Node is one site's attachment to the network. Upper layers register

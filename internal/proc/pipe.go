@@ -164,9 +164,10 @@ func (m *Manager) OpenPipe(p *Process, path string, write bool) (*PipeEnd, error
 	if r.Type != storage.TypePipe {
 		return nil, fmt.Errorf("proc: %s is not a pipe", path)
 	}
+	// The search just reached the filegroup's CSS, which serves the pipe.
 	server, err := m.kernel.CSSOf(r.ID.FG)
 	if err != nil {
-		return nil, wrapFsSiteErr(err)
+		return nil, err
 	}
 	pe := &PipeEnd{m: m, id: r.ID, server: server, write: write}
 	if _, err := netsim.CallAt(m.node, server, mPipeOpen, m.handlePipeOpen, &pipeOpenMsg{ID: r.ID, Write: write}); err != nil {

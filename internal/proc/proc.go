@@ -794,11 +794,9 @@ func (m *Manager) signalInfo(target PID, sig Signal, info string) error {
 		m.node.Network().Meter().AddSignalsQueued()
 		return fmt.Errorf("%w: signal %d to %v queued for delivery after merge: %v", ErrSiteFailed, sig, target, err)
 	}
-	// Anything the queue predicate let through is either an application
-	// error (no such process) or a transport sentinel a future predicate
-	// misses; the funnel keeps the §5.6 classification airtight either
-	// way.
-	return wrapSiteErr(err, target.Site)
+	// Anything else is an application error (no such process):
+	// isSiteFailure took every error wrapSiteErr would classify.
+	return err
 }
 
 // QueuedSignals reports the number of cross-partition signals queued at
@@ -817,10 +815,11 @@ func (m *Manager) handleSignal(_ SiteID, msg *signalMsg) (*netsim.Ack, error) {
 		if proc == nil {
 			if rec, ok := m.migratedTo[msg.Target.Num]; ok {
 				// The origin stays the network-wide name authority for the
-				// PID (§3.1); forward to the current host.
+				// PID (§3.1); forward to the current host. A site failure
+				// comes back to signalInfo, which queues the signal.
 				m.mu.Unlock()
 				_, err := netsim.Call(m.node, rec.host, mSignal, msg)
-				return nil, wrapSiteErr(err, rec.host)
+				return nil, err
 			}
 		}
 	} else {
