@@ -41,10 +41,16 @@ race:
 # polls the using site last. It failed about 1 run in 1,000 while both
 # were wall-time retry loops. It then runs the directory-slot wait test
 # 200 times (about 2.5 s): the wait runs at the CSS on behalf of the
-# site whose fs.dirop it serves, and must end when that site leaves.
+# site whose fs.dirop it serves, and must end when that site leaves. Last
+# it runs the deferred-look rename test 200 times (about 1 s): a site that
+# stores no copy of /d opens /d/f from its directory cache while the CSS
+# renames files through that name, and every open must find what the name
+# named while it ran, the CSS refusing each cached version a rename made
+# stale.
 flakegate:
 	$(GO) test -count=2000 -run TestConcurrentWritersDifferentFilesAcrossSites ./internal/fs
 	$(GO) test -count=200 -run TestDirUpdateWaitsForWriter ./internal/fs
+	$(GO) test -count=200 -run TestDeferredLookUnderConcurrentRenames ./internal/fs
 
 # invariants runs the suite with the runtime assertion layer compiled
 # in (internal/lint/invariant): version-vector dominance on propagation,

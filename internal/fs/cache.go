@@ -56,13 +56,18 @@ func newPageCache(stats *netsim.Stats) *pageCache {
 }
 
 // get returns the cached page when it is present and at least as new as
-// needVV, the version the reading handle's open synchronized on.
-func (pc *pageCache) get(id storage.FileID, pn storage.PageNo, needVV vclock.VV) ([]byte, int64, bool) {
+// needVV, the version the reading handle's open synchronized on, or, when
+// exact, of that version and no other: an internal handle reads exactly
+// the version its look found (File.fetchPage), and a page cached at a
+// newer one need not even be of that file (an inode number reused after
+// its tombstone was dropped starts its versions again) nor of a copy the
+// handle's partition holds.
+func (pc *pageCache) get(id storage.FileID, pn storage.PageNo, needVV vclock.VV, exact bool) ([]byte, int64, bool) {
 	pc.mu.Lock()
 	el, ok := pc.ents[pageKey{id, pn}]
 	if ok {
 		e := el.Value.(*pageEnt)
-		if e.vv != nil && e.vv.DominatesOrEqual(needVV) {
+		if e.vv != nil && e.vv.DominatesOrEqual(needVV) && (!exact || e.vv.Equal(needVV)) {
 			pc.lru.MoveToFront(el)
 			if e.prefetched {
 				e.prefetched = false
@@ -74,8 +79,8 @@ func (pc *pageCache) get(id storage.FileID, pn storage.PageNo, needVV vclock.VV)
 			return data, size, true
 		}
 		// Stale for this handle: a newer version was committed elsewhere
-		// and the open synchronized on it. Drop the entry; the fresh
-		// fetch will repopulate it.
+		// and the open synchronized on it, or, for an exact read, another
+		// version. Drop the entry; the fresh fetch will repopulate it.
 		pc.removeLocked(el)
 		pc.stats.AddCacheInvals(1)
 	}

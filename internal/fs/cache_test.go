@@ -32,12 +32,12 @@ func TestPageCacheHitRequiresVVAtLeastHandleVV(t *testing.T) {
 	pc.put(fid(1), 0, pageBytes('a'), storage.PageSize, v1, false)
 
 	// A handle that synchronized on v1 is served the v1 page.
-	if data, size, ok := pc.get(fid(1), 0, v1); !ok || size != storage.PageSize || data[0] != 'a' {
+	if data, size, ok := pc.get(fid(1), 0, v1, false); !ok || size != storage.PageSize || data[0] != 'a' {
 		t.Fatalf("get(v1) = %v,%d,%v; want hit", data != nil, size, ok)
 	}
 	// A handle that synchronized on v2 must NOT be served the v1 page;
 	// the stale entry is evicted.
-	if _, _, ok := pc.get(fid(1), 0, v2); ok {
+	if _, _, ok := pc.get(fid(1), 0, v2, false); ok {
 		t.Fatal("stale v1 page served to a handle synchronized on v2")
 	}
 	if pc.len() != 0 {
@@ -46,11 +46,15 @@ func TestPageCacheHitRequiresVVAtLeastHandleVV(t *testing.T) {
 	// A v2 page serves both a v2 handle and an older v1 handle (newer
 	// than the open's sync point is allowed; older never is).
 	pc.put(fid(1), 0, pageBytes('b'), storage.PageSize, v2, false)
-	if _, _, ok := pc.get(fid(1), 0, v2); !ok {
+	if _, _, ok := pc.get(fid(1), 0, v2, false); !ok {
 		t.Fatal("v2 page should serve v2 handle")
 	}
-	if _, _, ok := pc.get(fid(1), 0, v1); !ok {
+	if _, _, ok := pc.get(fid(1), 0, v1, false); !ok {
 		t.Fatal("v2 page should serve v1 handle")
+	}
+	// An exact read (an internal handle's) takes its own version only.
+	if _, _, ok := pc.get(fid(1), 0, v1, true); ok {
+		t.Fatal("v2 page served to an exact v1 read")
 	}
 }
 
@@ -72,10 +76,10 @@ func TestPageCacheInvalidateFile(t *testing.T) {
 	if n := pc.invalidateFile(fid(1)); n != 4 {
 		t.Fatalf("invalidateFile dropped %d pages, want 4", n)
 	}
-	if _, _, ok := pc.get(fid(1), 0, v1); ok {
+	if _, _, ok := pc.get(fid(1), 0, v1, false); ok {
 		t.Fatal("invalidated page still served")
 	}
-	if _, _, ok := pc.get(fid(2), 0, v1); !ok {
+	if _, _, ok := pc.get(fid(2), 0, v1, false); !ok {
 		t.Fatal("other file's pages must survive invalidation")
 	}
 }
@@ -90,10 +94,10 @@ func TestPageCacheLRUEviction(t *testing.T) {
 		t.Fatalf("cache holds %d pages, cap is %d", pc.len(), cacheCapPages)
 	}
 	// The oldest entries were evicted; the newest survive.
-	if _, _, ok := pc.get(fid(1), 0, v1); ok {
+	if _, _, ok := pc.get(fid(1), 0, v1, false); ok {
 		t.Fatal("oldest entry should have been evicted")
 	}
-	if _, _, ok := pc.get(fid(storage.InodeNum(cacheCapPages+8)), 0, v1); !ok {
+	if _, _, ok := pc.get(fid(storage.InodeNum(cacheCapPages+8)), 0, v1, false); !ok {
 		t.Fatal("newest entry should still be cached")
 	}
 }

@@ -70,27 +70,35 @@ func (c *dirCache) entry(id storage.FileID) dirCacheEntry {
 }
 
 // loadDir returns directory id at exactly the version of the look
-// (ino, ss): the cached snapshot, or on a miss the one decoded from the
-// bytes of ss's copy, which it caches. The bytes are the cached
-// snapshot's, as a rule the version another site's update just made
-// stale, with the pages that differ read over them: a page ss holds
-// under the number the cached copy at ss has is not read. When no page
-// is read and the size is the same (an inode-only commit), the cached
-// snapshot is cached again at the new version, and no handle is made.
-// Otherwise the pages are read through a registered internal handle,
-// whose reads check the version of every page and which partition
-// cleanup knows of, and the bytes are decoded against the cached
-// snapshot, so that only the chunks the update changed are decoded
-// (format.DecodeDirSnapshot).
-//
-// A read may be unsynchronized and mix versions (§2.3.4): bytes that do
-// not decode are a format.ErrCorrupt, nothing is cached, and the caller
-// may read again.
+// (ino, ss): the cached snapshot, or on a miss the one rereadDir makes of
+// the cached one, which it caches. A read may be unsynchronized and mix
+// versions (§2.3.4): bytes that do not decode are a format.ErrCorrupt,
+// nothing is cached, and the caller may read again.
 func (k *Kernel) loadDir(id storage.FileID, ino *storage.Inode, ss SiteID) (*format.DirSnapshot, error) {
 	e := k.dirs.entry(id)
 	if e.dir != nil && e.ino.VV.Equal(ino.VV) {
 		return e.dir, nil
 	}
+	d, err := k.rereadDir(e, id, ino, ss, nil)
+	if err != nil {
+		return nil, err
+	}
+	k.dirs.put(id, dirCacheEntry{ino: ino, dir: d, ss: ss})
+	return d, nil
+}
+
+// rereadDir decodes version ino of directory id, whose copy at storage
+// site ss handle f reads, from e, what the cache holds of id: e's bytes,
+// as a rule the version another site's update just made stale, with the
+// pages that differ read over them. A page ss holds under the number the
+// cached copy at ss has is not read. When no page is read and the size is
+// the same (an inode-only commit), it is e's snapshot itself. Otherwise
+// the pages are read through f, or, when f is nil, a registered internal
+// handle, whose reads check the version of every page and which partition
+// cleanup knows of; the bytes are decoded against e's snapshot, so that
+// only the chunks the update changed are decoded
+// (format.DecodeDirSnapshot).
+func (k *Kernel) rereadDir(e dirCacheEntry, id storage.FileID, ino *storage.Inode, ss SiteID, f *File) (*format.DirSnapshot, error) {
 	held := 0 // the cached copy's pages that are ino's pages at ss
 	if e.dir != nil && e.ss == ss {
 		held = min(int(pagesOf(int64(e.dir.Size()))), len(e.ino.Pages), len(ino.Pages))
@@ -104,7 +112,6 @@ func (k *Kernel) loadDir(id storage.FileID, ino *storage.Inode, ss SiteID) (*for
 	}
 	if read == 0 && e.dir != nil && size == e.dir.Size() {
 		k.assertDirBytes(id, ss, ino.VV, e.dir)
-		k.dirs.put(id, dirCacheEntry{ino: ino, dir: e.dir, ss: ss})
 		return e.dir, nil
 	}
 
@@ -124,8 +131,10 @@ func (k *Kernel) loadDir(id storage.FileID, ino *storage.Inode, ss SiteID) (*for
 	}
 	*buf = raw
 	if read > 0 {
-		f := k.internalHandle(id, ino, ss)
-		defer f.Close() //locus:vet-allow uncheckedcall internal close is local bookkeeping
+		if f == nil {
+			f = k.internalHandle(id, ino, ss)
+			defer f.Close() //locus:vet-allow uncheckedcall internal close is local bookkeeping
+		}
 		for pn := 0; pn < np; pn++ {
 			if reused(pn) {
 				continue
@@ -154,7 +163,6 @@ func (k *Kernel) loadDir(id storage.FileID, ino *storage.Inode, ss SiteID) (*for
 	if read < np {
 		k.assertDirBytes(id, ss, ino.VV, d)
 	}
-	k.dirs.put(id, dirCacheEntry{ino: ino, dir: d, ss: ss})
 	return d, nil
 }
 

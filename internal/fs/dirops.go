@@ -15,22 +15,41 @@ import (
 // Open opens a file by pathname (§2.3.3). Open for modification requires
 // the CSS to grant the single-writer lock, and is ErrIsDir on a directory.
 // Unless a look at the file is free, the open is the search's look at
-// it, and a hidden directory to expand comes back as that (openReq.Expand).
+// it, and a hidden directory to expand comes back as that (openReq.Expand);
+// it carries the looks the search deferred, too (search).
 func (k *Kernel) Open(cred *Cred, path string, mode OpenMode) (*File, error) {
 	return userHandle(k.open(cred, path, mode))
 }
 
 // open is Open for the kernel, whose attrOp opens directories too.
 func (k *Kernel) open(cred *Cred, path string, mode OpenMode) (*File, error) {
-	expand := false
-	_, _, _, r, err := k.resolve(cred, path, &expand)
+	s := search{cred: cred, open: true}
+	for {
+		f, err := k.openBy(&s, path, mode)
+		if !s.again(err) {
+			return f, err
+		}
+	}
+}
+
+// openBy is open by one search s. Checks the open did not carry, because
+// a lease served it, go out in one look after it (confirm), and the handle
+// is closed if the CSS refuses them.
+func (k *Kernel) openBy(s *search, path string, mode OpenMode) (*File, error) {
+	_, _, _, r, err := k.walk(s, path)
 	if err != nil {
+		return nil, k.confirm(s, err)
+	}
+	f, look, ss, err := k.openID(r.ID, mode, s.expand, vclock.NoSite, s)
+	if err = k.confirm(s, err); err != nil {
+		if f != nil {
+			f.Close() //locus:vet-allow uncheckedcall a lease served the open: its close is local
+		}
 		return nil, err
 	}
-	f, look, ss, err := k.openID(r.ID, mode, expand, vclock.NoSite)
 	if look != nil {
-		if _, _, err = k.expandHidden(cred, r.ID, look, ss, path, false, r); err == nil {
-			f, _, _, err = k.openID(r.ID, mode, false, vclock.NoSite)
+		if _, _, err = k.expandHidden(s, r.ID, look, ss, path, false, r); err == nil {
+			f, _, _, err = k.openID(r.ID, mode, false, vclock.NoSite, nil)
 		}
 	}
 	return f, err
@@ -39,9 +58,9 @@ func (k *Kernel) open(cred *Cred, path string, mode OpenMode) (*File, error) {
 // Stat returns a snapshot of a file's inode by pathname, the caller's
 // own: a copy of what the search's last look found.
 func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
-	ino, _, _, r, err := k.resolve(cred, path, nil)
+	ino, _, _, r, err := k.resolve(cred, path)
 	if err == nil && ino == nil {
-		ino, _, err = k.lookInternal(r.ID)
+		ino, _, err = k.lookInternal(r.ID, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -51,7 +70,7 @@ func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
 
 // ReadDir lists the live entries of a directory.
 func (k *Kernel) ReadDir(cred *Cred, path string) ([]format.DirEntry, error) {
-	ino, ss, _, r, err := k.resolve(cred, path, nil)
+	ino, ss, _, r, err := k.resolve(cred, path)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +99,7 @@ func (k *Kernel) openForUpdate(forSite SiteID, ids [3]storage.FileID) (files [3]
 	}
 	slices.SortFunc(order, func(a, b int) int { return ids[a].Compare(ids[b]) })
 	for _, i := range order {
-		if files[i], _, _, err = k.openID(ids[i], ModeModify, false, forSite); err != nil {
+		if files[i], _, _, err = k.openID(ids[i], ModeModify, false, forSite, nil); err != nil {
 			closeAll(files)
 			return [3]*File{}, err
 		}
@@ -152,19 +171,15 @@ func (k *Kernel) updateDir(u dirUpdate, box *outbox) (*dirOpResp, error) {
 }
 
 // dirOpen is the directory f has open for modification, at its
-// committed version: the cached snapshot, as a rule, or the whole
-// directory read through f and decoded against whatever snapshot the
-// cache holds.
+// committed version: the cached snapshot, as a rule, or the one made of
+// it by reading through f only the pages it lacks (rereadDir), none after
+// a commit that changed only the inode (attrOp's).
 func (k *Kernel) dirOpen(f *File) (*format.DirSnapshot, error) {
 	e := k.dirs.entry(f.id)
 	if e.dir != nil && e.ino.VV.Equal(f.ino.VV) {
 		return e.dir, nil
 	}
-	raw, err := f.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return format.DecodeDirSnapshot(e.dir, raw)
+	return k.rereadDir(e, f.id, f.ino, f.ss, f)
 }
 
 // writeDirPages writes through f, open for modification on the
@@ -571,7 +586,7 @@ func (k *Kernel) attrOp(cred *Cred, path string, req *setAttrReq) error {
 // release their pages as the delete propagates. Directories must be
 // empty, which the CSS checks under the directory's modify open.
 func (k *Kernel) Unlink(cred *Cred, path string) error {
-	_, _, _, r, err := k.resolve(cred, path, nil)
+	_, _, _, r, err := k.resolve(cred, path)
 	if err != nil {
 		return err
 	}
@@ -591,7 +606,7 @@ func (k *Kernel) Unlink(cred *Cred, path string) error {
 // writer slot. newpath's parent is not searched when it is spelled as
 // oldpath's (newParent, as Rename does).
 func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
-	_, _, dir, r, err := k.resolve(cred, oldpath, nil)
+	_, _, dir, r, err := k.resolve(cred, oldpath)
 	if err != nil {
 		return err
 	}
@@ -638,7 +653,7 @@ func (k *Kernel) newParent(cred *Cred, oldpath, newpath string, dir storage.File
 // newpath's parent is not searched when it is spelled as oldpath's
 // (newParent).
 func (k *Kernel) Rename(cred *Cred, oldpath, newpath string) error {
-	ino, _, dir, r, err := k.resolve(cred, oldpath, nil)
+	ino, _, dir, r, err := k.resolve(cred, oldpath)
 	if err != nil {
 		return err
 	}
@@ -656,7 +671,7 @@ func (k *Kernel) Rename(cred *Cred, oldpath, newpath string) error {
 	vv := vclock.New()
 	if ino != nil {
 		vv = ino.VV
-	} else if ino, _, err := k.lookInternal(r.ID); err == nil {
+	} else if ino, _, err := k.lookInternal(r.ID, nil); err == nil {
 		vv = ino.VV
 	}
 	insert, remove := dirMut{Name: newName, Ino: r.ID.Inode}, dirMut{Name: r.Name, Remove: true, DelVV: vv}

@@ -91,7 +91,7 @@ func TestExpandOpenTakesNoLock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, _, _, err := ks[0].openID(hidden, ModeModify, false, 0)
+		w, _, _, err := ks[0].openID(hidden, ModeModify, false, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestExpandOpenTakesNoLock(t *testing.T) {
 func TestExpandOpenPassesBusyHiddenDir(t *testing.T) {
 	ks := bootBystander(t)
 	hidden, vax := hiddenTree(t, ks)
-	w, _, _, err := ks[1].openID(hidden, ModeModify, false, 0)
+	w, _, _, err := ks[1].openID(hidden, ModeModify, false, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestReadDirCarriedLookSiteGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	look, ss, err := k3.lookInternal(r.ID)
+	look, ss, err := k3.lookInternal(r.ID, nil)
 	if err != nil || ss != 1 {
 		t.Fatalf("the look found %+v at site %d, %v; the test needs site 1", look, ss, err)
 	}

@@ -44,7 +44,7 @@ func (k *Kernel) ServingWriter(id storage.FileID) SiteID {
 
 // LookInternal is lookInternal, for comparison with OpenID(ModeInternal).
 func (k *Kernel) LookInternal(id storage.FileID) (*storage.Inode, SiteID, error) {
-	return k.lookInternal(id)
+	return k.lookInternal(id, nil)
 }
 
 // StalledPropagations reports how many pulls wait for their origin to
@@ -109,3 +109,6 @@ func (k *Kernel) ForgeCachedDirPages(id storage.FileID, pages []storage.PhysPage
 func (k *Kernel) dirInsert(dir storage.FileID, name string, ino storage.InodeNum) error {
 	return k.dirOp(&dirOpReq{Dir: dir, Muts: []dirMut{{Name: name, Ino: ino}}})
 }
+
+// DirReadAttempts is dirReadAttempts.
+const DirReadAttempts = dirReadAttempts

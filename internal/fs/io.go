@@ -139,7 +139,7 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 	}
 
 	if cached {
-		if data, size, ok := k.cache.get(f.id, pn, f.ino.VV); ok {
+		if data, size, ok := k.cache.get(f.id, pn, f.ino.VV, f.internal); ok {
 			return data, size, false, nil
 		}
 	}

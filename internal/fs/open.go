@@ -100,8 +100,12 @@ func (k *Kernel) cssEntryFor(id storage.FileID) (*cssEntry, error) {
 // handleOpen is the CSS function of the open protocol (Figure 2). It
 // enforces the synchronization policy (a single simultaneous open for
 // modification), selects a storage site holding the latest version,
-// and records the open in the lock table.
+// and records the open in the lock table. An open that carries a search's
+// deferred looks is refused first, with nothing done, unless they hold.
 func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
+	if !k.checksHold(req.Checks) {
+		return nil, fmt.Errorf("%w: opening %v", errStaleLook, req.ID)
+	}
 	e, err := k.cssEntryFor(req.ID)
 	if err != nil {
 		return nil, err
@@ -301,6 +305,47 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	return nil, fmt.Errorf("%w: %v (latest %v)", ErrNoStorageSite, req.ID, latest)
 }
 
+// checksHold reports whether each deferred look of checks is what a look
+// at its directory, an internal open here, would have found. The file
+// must have a lock-table entry (one is built, as for a look, which fails
+// for a deleted or conflicted file), and the version the search read must
+// equal the latest the entry records: a look finds that version and no
+// other. A newer one is no better, since the copy read need not be a copy
+// of this file at all (an inode number reused after its tombstone was
+// dropped starts its versions again) nor one this partition holds (the
+// search's site cached it in another). Under leases a recorded writer
+// hides its commits from the entry, and the look asks the writer's
+// storage site first (handleOpen's pollFirst): the version read must then
+// equal this site's committed copy, when this site is that storage site,
+// as the CSS is for a directory update it made itself, and otherwise the
+// check fails.
+func (k *Kernel) checksHold(checks []dirCheck) bool {
+	if len(checks) == 0 {
+		return true
+	}
+	leasesOn := k.Features().Leases
+	for _, c := range checks {
+		e, err := k.cssEntryFor(c.ID)
+		if err != nil {
+			return false
+		}
+		k.mu.Lock()
+		newest, writer, writerSS := e.latestVV, leasesOn && e.writerUS != vclock.NoSite, e.writerSS
+		k.mu.Unlock()
+		if writer {
+			r := k.localGetVV(c.ID)
+			if writerSS != k.site || !r.Has || r.Deleted || r.Conflict {
+				return false
+			}
+			newest = r.VV
+		}
+		if !c.VV.Equal(newest) {
+			return false
+		}
+	}
+	return true
+}
+
 // handleSSOpen is the SS function: verify our copy is current, set up
 // serving state, and return the disk inode information.
 func (k *Kernel) handleSSOpen(_ SiteID, req *ssOpenReq) (*ssOpenResp, error) {
@@ -423,7 +468,7 @@ func containsSite(ss []SiteID, s SiteID) bool {
 // whose directory is not in the cache, readDirAt). A caller that only
 // wants what the inode says calls lookInternal and makes no handle.
 func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
-	f, _, _, err := k.openID(id, mode, false, vclock.NoSite)
+	f, _, _, err := k.openID(id, mode, false, vclock.NoSite, nil)
 	return userHandle(f, err)
 }
 
@@ -449,19 +494,26 @@ func userHandle(f *File, err error) (*File, error) {
 // frozen (storage.Inode): read it and pass it on, Clone it before
 // writing. Nothing holds it current: a caller that goes on to read pages
 // makes a handle (internalHandle), whose reads check each page against
-// the version found here.
-func (k *Kernel) lookInternal(id storage.FileID) (*storage.Inode, SiteID, error) {
+// the version found here. A look that pathname search s makes (s not
+// nil) carries the checks s holds on its exchange with the CSS, when it
+// makes one.
+func (k *Kernel) lookInternal(id storage.FileID, s *search) (*storage.Inode, SiteID, error) {
 	if ino := k.lookLocal(id); ino != nil {
 		return ino, k.site, nil
 	}
 	if ino, ss := k.lookCached(id); ino != nil {
 		return ino, ss, nil
 	}
+	return k.lookAtCSS(id, s)
+}
+
+// lookAtCSS is lookInternal's exchange with the CSS.
+func (k *Kernel) lookAtCSS(id storage.FileID, s *search) (*storage.Inode, SiteID, error) {
 	css, err := k.CSSOf(id.FG)
 	if err != nil {
 		return nil, 0, err
 	}
-	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: ModeInternal, US: k.site, USVV: k.usableVV(id)})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: ModeInternal, US: k.site, USVV: k.usableVV(id), Checks: s.carry(id.FG)})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -553,10 +605,11 @@ func (k *Kernel) internalHandle(id storage.FileID, ino *storage.Inode, ss SiteID
 // modification too; expand marks an open that is a search's look
 // (openReq.Expand): a hidden directory comes back as that, inode and
 // storage site, with no handle. forSite is the site whose fs.dirop the
-// open serves (openReq.For), or NoSite.
-func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite SiteID) (*File, *storage.Inode, SiteID, error) {
+// open serves (openReq.For), or NoSite. The checks of search s, when s is
+// not nil, ride the open's exchange with the CSS, if it makes one.
+func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite SiteID, s *search) (*File, *storage.Inode, SiteID, error) {
 	if mode == ModeInternal {
-		ino, ss, err := k.lookInternal(id)
+		ino, ss, err := k.lookInternal(id, s)
 		if err != nil || expand && ino.Type == storage.TypeHiddenDir {
 			return nil, ino, ss, err
 		}
@@ -594,7 +647,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 			}
 		}()
 	}
-	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Expand: expand, For: forSite})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Expand: expand, For: forSite, Checks: s.carry(id.FG)})
 	if err != nil {
 		return nil, nil, 0, err
 	}

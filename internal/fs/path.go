@@ -8,6 +8,7 @@ import (
 	"repro/internal/format"
 	"repro/internal/netsim"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // HiddenEscape is the suffix that makes a hidden directory visible in a
@@ -75,6 +76,12 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 	return storage.FileID{FG: fg, Inode: RootInode}, nil
 }
 
+// dirReadAttempts bounds the reads of one directory by readDirByID. With
+// four, about one run in 300 of TestDeferredLookUnderConcurrentRenames,
+// whose site 1 renames in /d as fast as site 3 searches it, failed a
+// search with a corrupt read.
+const dirReadAttempts = 16
+
 // readDirByID returns a directory's content as an internal
 // unsynchronized open finds it (§2.3.4): the kernel's directory cache
 // holds it, as a rule, at the version the look found, and then the search
@@ -89,27 +96,33 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 // served from whatever is committed when it is read, and one that is not
 // of the version the look found fails the read as corrupt (fetchPage).
 // Such a read is retried on a fresh look rather than surfaced as a
-// corrupt directory, as is a carried look's read that the network cut:
-// its site became unreachable since, or a message was lost, or the
-// circuit closed under it. The inode returned is the committed one,
-// shared: read it, never write through it.
+// corrupt directory, while each look finds a newer version than the read
+// that failed before it (a version no newer than one that failed is not
+// read again), and at most dirReadAttempts times in all: a directory that
+// other sites update faster than this one can read it fails the search
+// with the corrupt read rather than keeping it for ever
+// (TestDirReadAttemptsBounded). A carried look's read that the network
+// cut is retried too: its site became unreachable since, or a message was
+// lost, or the circuit closed under it. The inode returned is the
+// committed one, shared: read it, never write through it.
 func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (d *format.DirSnapshot, _ *storage.Inode, err error) {
-	for attempt := 0; attempt < 4; attempt++ {
+	var failed vclock.VV // the version of the last read that failed
+	for attempt := 1; ; attempt++ {
 		carried := ino != nil
 		if !carried {
-			if ino, ss, err = k.lookInternal(id); err != nil {
+			if ino, ss, err = k.lookInternal(id, nil); err != nil {
 				return nil, nil, err
 			}
 		}
-		if d, err = k.readDirAt(id, ino, ss); !errors.Is(err, format.ErrCorrupt) && !(carried && cutByNetwork(err)) {
-			break
+		if d, err = k.readDirAt(id, ino, ss); err == nil {
+			return d, ino, nil
 		}
-		ino = nil // the version changed under the read, or its site went: look afresh
+		newer := failed == nil || ino.VV.Compare(failed) == vclock.Dominates
+		if attempt == dirReadAttempts || !(errors.Is(err, format.ErrCorrupt) && newer) && !(carried && cutByNetwork(err)) {
+			return nil, nil, err
+		}
+		failed, ino = ino.VV, nil // the version changed under the read, or its site went: look afresh
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, ino, nil
 }
 
 // cutByNetwork reports an exchange the network cut: its destination unreachable,
@@ -131,8 +144,9 @@ func (k *Kernel) readDirAt(id storage.FileID, ino *storage.Inode, ss SiteID) (*f
 // and its type. A conflicted file still has a type — pathname searching
 // must be able to name it so the resolution tools can operate on it —
 // but no inode: whoever needs one looks again and meets the conflict.
-func (k *Kernel) statType(id storage.FileID) (*storage.Inode, SiteID, storage.FileType, error) {
-	ino, ss, err := k.lookInternal(id)
+// The checks s holds ride the look when it goes to the CSS.
+func (k *Kernel) statType(s *search, id storage.FileID) (*storage.Inode, SiteID, storage.FileType, error) {
+	ino, ss, err := k.lookInternal(id, s)
 	if err != nil {
 		if errors.Is(err, ErrConflict) {
 			if sums := k.ProbeAll(id); len(sums) > 0 {
@@ -145,6 +159,102 @@ func (k *Kernel) statType(id storage.FileID) (*storage.Inode, SiteID, storage.Fi
 	return ino, ss, ino.Type, nil
 }
 
+// search is one pathname search in progress. A step at a directory this
+// site stores no copy of searches the copy its directory cache holds, if
+// it holds one, without looking at it (freeLook): the first optimization
+// of §2.3.3, which has the using site send the version of its copy with
+// its message to the CSS, applied to §2.3.4's internal opens. The version
+// read is kept as a check, and the checks ride the search's next exchange
+// with the filegroup's CSS (openReq.Checks): a look at a file the cache
+// does not hold, the search's last look, or Open's open. The CSS refuses
+// that exchange, with nothing done, unless each check is the version a
+// look would have found (checksHold), and the search then starts over the
+// paper's way, looking at every directory. A search whose cached copies
+// are current so makes one exchange where the paper's makes one per file
+// on the path, and one that meets an out-of-date copy one more than the
+// paper's. Checks still held when the search leaves the filegroup, or
+// when its last look or open is free, go out in one look at the last
+// directory they name (confirm), and so do those behind what a search
+// finds in copies not yet confirmed (a missing name, a file that is not a
+// directory): the search returns that only once they hold.
+type search struct {
+	cred *Cred
+	// open marks Open's search, whose last step looks only where that is
+	// free (searchDir); expand is then what that step found for the open
+	// (openReq.Expand).
+	open, expand bool
+	// last marks the search's last step, whose look is made, not deferred.
+	last bool
+	// paper marks a search that defers nothing: the one after a refusal.
+	paper bool
+	// checks are the looks deferred and not yet sent, all in one
+	// filegroup.
+	checks []dirCheck
+}
+
+// freeLook is a search step's look at id where it sends no message: the
+// local or the cached look (lookLocal, lookCached), or, when this site
+// stores no copy of id and the directory cache holds one, the deferred
+// look: the cached version, kept as a check for the search's next
+// exchange with id's CSS. ok is false where the look must go to the CSS.
+func (k *Kernel) freeLook(s *search, id storage.FileID) (ino *storage.Inode, ss SiteID, ok bool) {
+	if ino := k.lookLocal(id); ino != nil {
+		return ino, k.site, true
+	}
+	if ino, ss := k.lookCached(id); ino != nil {
+		return ino, ss, true
+	}
+	if s.paper {
+		return nil, 0, false
+	}
+	if c := k.container(id.FG); c != nil && c.HasInode(id.Inode) {
+		return nil, 0, false
+	}
+	e := k.dirs.entry(id)
+	if e.dir == nil {
+		return nil, 0, false
+	}
+	if s.checks == nil {
+		s.checks = make([]dirCheck, 0, 4)
+	}
+	s.checks = append(s.checks, dirCheck{ID: id, VV: e.ino.VV})
+	return e.ino, e.ss, true
+}
+
+// carry hands the checks s holds to an exchange with the CSS of
+// filegroup fg, if they are in fg; s holds none after.
+func (s *search) carry(fg storage.FilegroupID) []dirCheck {
+	if s == nil || len(s.checks) == 0 || s.checks[0].ID.FG != fg {
+		return nil
+	}
+	checks := s.checks
+	s.checks = nil
+	return checks
+}
+
+// confirm sends the checks s holds in one look at the last directory they
+// name and returns err, what the search found, once they hold; the CSS's
+// refusal, or the look's own failure, where they do not.
+func (k *Kernel) confirm(s *search, err error) error {
+	if len(s.checks) == 0 {
+		return err
+	}
+	if _, _, lerr := k.lookAtCSS(s.checks[len(s.checks)-1].ID, s); lerr != nil {
+		return lerr
+	}
+	return err
+}
+
+// again reports whether the CSS refused s's checks with err, and readies s
+// to search again the paper's way, which sends none.
+func (s *search) again(err error) bool {
+	if !errors.Is(err, errStaleLook) {
+		return false
+	}
+	*s = search{cred: s.cred, open: s.open, paper: true}
+	return true
+}
+
 // Resolve performs pathname searching (§2.3.4): starting at the root,
 // each directory is opened with an internal unsynchronized read and
 // searched for the next component; mount points switch filegroups, and
@@ -153,12 +263,14 @@ func (k *Kernel) statType(id storage.FileID) (*storage.Inode, SiteID, storage.Fi
 //
 // Such an open only looks (lookInternal, searchDir), and at each file
 // once: the look that found a component's type serves the read of its
-// content in the next step. With the directories in the cache a search
-// makes no handle and allocates the Resolved it returns and nothing else.
-// The path is walked where it lies, after one pass that validates all of
-// it.
+// content in the next step. From a site that stores no copy of the
+// directories, the looks at those in the cache are deferred to the
+// search's last (search). With the directories in the cache a search
+// makes no handle and, where it stores them, allocates the Resolved it
+// returns and nothing else. The path is walked where it lies, after one
+// pass that validates all of it.
 func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
-	_, _, _, r, err := k.resolve(cred, path, nil)
+	_, _, _, r, err := k.resolve(cred, path)
 	return r, err
 }
 
@@ -167,10 +279,21 @@ func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
 // none: "/" is resolved without a look, and a conflicted file's type
 // without an inode. dir is the directory the last component was found
 // in: res.Parent, unless a hidden directory was expanded (res.Parent is
-// then that hidden directory), and zero for "/". A non-nil expand makes
-// it Open's search, whose last step looks at the file only where that is
-// free (searchDir).
-func (k *Kernel) resolve(cred *Cred, path string, expand *bool) (ino *storage.Inode, ss SiteID, dir storage.FileID, res *Resolved, err error) {
+// then that hidden directory), and zero for "/". Every look the search
+// deferred has been confirmed when it returns.
+func (k *Kernel) resolve(cred *Cred, path string) (ino *storage.Inode, ss SiteID, dir storage.FileID, res *Resolved, err error) {
+	s := search{cred: cred}
+	for {
+		ino, ss, dir, res, err = k.walk(&s, path)
+		if err = k.confirm(&s, err); !s.again(err) {
+			return ino, ss, dir, res, err
+		}
+	}
+}
+
+// walk is one search of path by s, resolve's but for its confirmation:
+// checks may still be held when it returns.
+func (k *Kernel) walk(s *search, path string) (ino *storage.Inode, ss SiteID, dir storage.FileID, res *Resolved, err error) {
 	n, err := checkPath(path)
 	if err != nil {
 		return nil, 0, storage.FileID{}, nil, err
@@ -188,6 +311,7 @@ func (k *Kernel) resolve(cred *Cred, path string, expand *bool) (ino *storage.In
 	// "@@" on.
 	res = new(Resolved)
 	curPath, canon := "", true
+	ino, ss, _ = k.freeLook(s, cur)
 	for i, at := 0, 0; i < n; i++ {
 		var comp string
 		comp, at = nextComp(path, at)
@@ -198,11 +322,8 @@ func (k *Kernel) resolve(cred *Cred, path string, expand *bool) (ino *storage.In
 		} else {
 			curPath, canon = curPath+"/"+name, false
 		}
-		step := expand // Open's form is the last step's only
-		if i < n-1 {
-			step = nil
-		}
-		if ino, ss, err = k.searchDir(cred, cur, ino, ss, curPath, name, escaped, step, res); err != nil {
+		s.last = i == n-1
+		if ino, ss, err = k.searchDir(s, cur, ino, ss, curPath, name, escaped, res); err != nil {
 			return nil, 0, storage.FileID{}, nil, err
 		}
 		if i < n-1 {
@@ -220,15 +341,15 @@ func (k *Kernel) resolvedRoot(root storage.FileID) *Resolved {
 	return &Resolved{ID: root, Name: "/", ParentSites: k.fgSites(root.FG), Type: storage.TypeDirectory}
 }
 
-// searchDir is one step of the search: it looks name up in directory dir,
+// searchDir is one step of search s: it looks name up in directory dir,
 // read at the look (dirIno, dirSS) when the previous step made one, sets
-// *res to what the name names and returns the look at that. childPath is
-// the canonical path of that entry (it ends in "/"+name) and escaped
-// whether the component carried the hidden escape.
-// A non-nil expand makes it Open's last step, which looks only where that
-// is free (lookLocal); otherwise the open is the look, and the step sets
-// no inode and no type, and *expand unless escaped (openReq.Expand).
-func (k *Kernel) searchDir(cred *Cred, dir storage.FileID, dirIno *storage.Inode, dirSS SiteID, childPath, name string, escaped bool, expand *bool, res *Resolved) (*storage.Inode, SiteID, error) {
+// *res to what the name names and returns the look at that (stepLook).
+// childPath is the canonical path of that entry (it ends in "/"+name) and
+// escaped whether the component carried the hidden escape.
+// Open's last step (s.open) looks only where that is free (lookLocal);
+// otherwise the open is the look, and the step sets no inode and no type,
+// and s.expand unless escaped (openReq.Expand).
+func (k *Kernel) searchDir(s *search, dir storage.FileID, dirIno *storage.Inode, dirSS SiteID, childPath, name string, escaped bool, res *Resolved) (*storage.Inode, SiteID, error) {
 	d, dirIno, err := k.readDirByID(dir, dirIno, dirSS)
 	if err != nil {
 		return nil, 0, err
@@ -240,48 +361,65 @@ func (k *Kernel) searchDir(cred *Cred, dir storage.FileID, dirIno *storage.Inode
 	child := storage.FileID{FG: dir.FG, Inode: e.Inode}
 
 	// Mount crossing: an entry covered by a mounted filegroup resolves to
-	// that filegroup's root.
+	// that filegroup's root. The search leaves dir's CSS with it, and the
+	// looks it deferred there go out now.
 	if fg, mounted := k.cfg.MountAt(childPath); mounted {
 		child = storage.FileID{FG: fg, Inode: RootInode}
+		if err := k.confirm(s, nil); err != nil {
+			return nil, 0, err
+		}
 	}
 	*res = Resolved{ID: child, Parent: dir, Name: name, ParentSites: dirIno.Sites}
 	var ino *storage.Inode
 	ss := k.site
-	if expand != nil {
+	if s.open && s.last {
 		if ino = k.lookLocal(child); ino == nil {
-			*expand = !escaped
+			s.expand = !escaped
 			return nil, 0, nil
 		}
 		res.Type = ino.Type
-	} else if ino, ss, res.Type, err = k.statType(child); err != nil {
+	} else if ino, ss, res.Type, err = k.stepLook(s, child); err != nil {
 		return nil, 0, err
 	}
 	if res.Type != storage.TypeHiddenDir || escaped {
 		return ino, ss, nil
 	}
-	return k.expandHidden(cred, child, ino, ss, childPath, true, res)
+	return k.expandHidden(s, child, ino, ss, childPath, true, res)
+}
+
+// stepLook is search s's look at id, a file a name it found names: free
+// where it can be (freeLook), unless it is the search's last, and
+// otherwise made.
+func (k *Kernel) stepLook(s *search, id storage.FileID) (*storage.Inode, SiteID, storage.FileType, error) {
+	if !s.last {
+		if ino, ss, ok := k.freeLook(s, id); ok {
+			return ino, ss, ino.Type, nil
+		}
+	}
+	return k.statType(s, id)
 }
 
 // expandHidden substitutes the context entry of hidden directory hd
-// (§2.4.1 rule c), read at the look (ino, ss) that found its type: it sets
-// *res to the entry and, when look asks, returns the look at it.
-func (k *Kernel) expandHidden(cred *Cred, hd storage.FileID, ino *storage.Inode, ss SiteID, hdPath string, look bool, res *Resolved) (*storage.Inode, SiteID, error) {
+// (§2.4.1 rule c) for search s, read at the look (ino, ss) that found its
+// type: it sets *res to the entry and, when look asks, returns the look
+// at it (stepLook).
+func (k *Kernel) expandHidden(s *search, hd storage.FileID, ino *storage.Inode, ss SiteID, hdPath string, look bool, res *Resolved) (*storage.Inode, SiteID, error) {
 	d, hdIno, err := k.readDirByID(hd, ino, ss)
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, ctx := range cred.HiddenCtx {
+	for _, ctx := range s.cred.HiddenCtx {
 		if e, ok := d.Lookup(ctx); ok {
 			*res = Resolved{ID: storage.FileID{FG: hd.FG, Inode: e.Inode}, Parent: hd, Name: e.Name, ParentSites: hdIno.Sites}
 			if !look {
 				return nil, 0, nil
 			}
-			ino, ss, res.Type, err = k.statType(res.ID)
+			ino, ss, res.Type, err = k.stepLook(s, res.ID)
 			return ino, ss, err
 		}
 	}
 	return nil, 0, fmt.Errorf("%w: no context match in hidden directory %s (context %v)",
-		ErrNotFound, hdPath, cred.HiddenCtx)
+		ErrNotFound, hdPath, s.cred.HiddenCtx)
 }
 
 func pathSoFar(p string) string {
@@ -311,7 +449,7 @@ func (k *Kernel) resolveParent(cred *Cred, path string) (ino *storage.Inode, ss 
 	if err != nil {
 		return nil, 0, storage.FileID{}, "", err
 	}
-	ino, ss, _, r, err := k.resolve(cred, dirPath, nil)
+	ino, ss, _, r, err := k.resolve(cred, dirPath)
 	if err != nil {
 		return nil, 0, storage.FileID{}, "", err
 	}
@@ -319,7 +457,7 @@ func (k *Kernel) resolveParent(cred *Cred, path string) (ino *storage.Inode, ss 
 		return nil, 0, storage.FileID{}, "", fmt.Errorf("%w: %s", ErrNotDir, dirPath)
 	}
 	if ino == nil {
-		ino, ss, _ = k.lookInternal(r.ID)
+		ino, ss, _ = k.lookInternal(r.ID, nil)
 	}
 	return ino, ss, r.ID, name, nil
 }

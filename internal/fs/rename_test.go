@@ -78,6 +78,44 @@ func lagCache(t testing.TB, c *cluster.Cluster) {
 	}
 }
 
+// TestAttrCommitKeepsCSSDirectoryCache: a chmod of /d is an inode-only
+// commit that attrOp makes through a plain modify open, which leaves the
+// CSS's cached snapshot at the version before. The CSS stores no copy of
+// /d (sites 3 and 2 do), and its next update of /d, a rename, makes the
+// snapshot of the new version from the cached one: every page is one the
+// cached copy at site 3 holds, so it reads none, where it read the whole
+// directory from site 3 before.
+func TestAttrCommitKeepsCSSDirectoryCache(t *testing.T) {
+	for _, rg := range regimes {
+		t.Run(rg.prefix+"chmod", func(t *testing.T) {
+			c, ino := renameDir(t, 8, 2, true, 3, 2)
+			c.SetFeatures(rg.features)
+			if err := c.K(1).Chmod(cred(), "/d", 0700); err != nil {
+				t.Fatal(err)
+			}
+			before := c.Net.Stats()
+			if err := c.K(2).Rename(cred(), "/d/tmp", "/d/f0001"); err != nil {
+				t.Fatal(err)
+			}
+			if d := c.Net.Stats().Sub(before); d.ByMethod["fs.read"] != 0 {
+				t.Errorf("the rename after the chmod sent %v, want no fs.read", d.ByMethod)
+			}
+			settle(t, c)
+			for _, s := range c.Sites() {
+				if got := namesOf(t, c.K(s), "/d", ino); !slices.Equal(got, []string{"f0001"}) {
+					t.Errorf("site %d: the renamed file is named %v in /d", s, got)
+				}
+				if st, err := c.K(s).Stat(cred(), "/d"); err != nil || st.Mode != 0700 {
+					t.Errorf("site %d: Stat(/d) = %+v, %v, want mode 0700", s, st, err)
+				}
+			}
+			if findings := c.Fsck(true); len(findings) != 0 {
+				t.Fatalf("fsck: %v", findings)
+			}
+		})
+	}
+}
+
 // TestRenameSameDirectoryIsOneUpdate: Rename("/d/tmp", "/d/f0001") in a
 // 1,024-entry directory is one directory update, one fs.dirop carrying
 // both entry changes (none from the CSS, where it is a procedure call)

@@ -228,7 +228,10 @@ func TestResolveAllocations(t *testing.T) {
 // TestLookInternalSendsWhatOpenSends: the look is the open it replaced,
 // less the handle. Where the internal open goes to the CSS — the site
 // stores no copy, or stores one with a propagation pending — the look
-// moves every transport counter exactly as OpenID + Close do.
+// moves every transport counter exactly as OpenID + Close do. A search's
+// look that carries the version of a directory the search read from the
+// cache (openReq.Checks) is that exchange too, with the check's bytes
+// besides: 12 for the file's name and the vector's wire form.
 func TestLookInternalSendsWhatOpenSends(t *testing.T) {
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
 		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
@@ -249,6 +252,7 @@ func TestLookInternalSendsWhatOpenSends(t *testing.T) {
 		t.Fatal("site 2 has no propagation pending")
 	}
 
+	lookBytes := map[fs.SiteID]int64{}
 	for _, tc := range []struct {
 		what string
 		site fs.SiteID
@@ -279,6 +283,7 @@ func TestLookInternalSendsWhatOpenSends(t *testing.T) {
 		}
 		open() // the CSS builds its lock-table entry on first use
 		opened, looked := delta(open), delta(look)
+		lookBytes[tc.site] = looked.Bytes
 		if !reflect.DeepEqual(opened, looked) {
 			t.Errorf("%s: the look moved the counters\n%+v\nthe open and close\n%+v", tc.what, looked, opened)
 		}
@@ -289,16 +294,33 @@ func TestLookInternalSendsWhatOpenSends(t *testing.T) {
 	if n := c.K(2).PendingPropagations(); n == 0 {
 		t.Fatal("site 2's propagation landed during the test: the second row did not go to the CSS")
 	}
+
+	k3 := c.K(3)
+	if _, err := k3.Resolve(cred(), "/f"); err != nil { // caches /
+		t.Fatal(err)
+	}
+	_, rootVV := k3.CachedDir(storage.FileID{FG: 1, Inode: fs.RootInode})
+	before := c.Net.Stats()
+	if _, err := k3.Resolve(cred(), "/f"); err != nil {
+		t.Fatal(err)
+	}
+	d := c.Net.Stats().Sub(before)
+	if want := lookBytes[3] + 12 + int64(rootVV.EncodedLen()); d.Msgs != 2 || d.ByMethod["fs.open"] != 2 || d.Bytes != want {
+		t.Errorf("the look carrying /'s version sent %d messages (%v) of %d bytes, want one fs.open exchange of %d", d.Msgs, d.ByMethod, d.Bytes, want)
+	}
 }
 
 // TestSearchLooksEachFileOnce counts the internal opens (§2.3.4) that a
 // pathname operation sends from a site that stores no copy, with the
-// directories in its cache: every file on the path is looked at once, one
-// fs.open exchange (two messages) with the CSS, and the look that found a
-// component's type serves what comes next — the next step's read of its
-// content, Stat's inode, ReadDir's listing, Create's read of the parent
-// and its site list. Create's new entry is one fs.dirop to the CSS, no
-// open at all.
+// directories in its cache: every file on the path is looked at once, and
+// the look that found a component's type serves what comes next — the
+// next step's read of its content, Stat's inode, ReadDir's listing,
+// Create's read of the parent and its site list. The looks at the
+// directories the search reads from the cache are deferred to its last
+// look, which carries their versions to the CSS: one fs.open exchange (two
+// messages) for the whole path, where each file on it was one (6 messages
+// for /d/f then). Create's new entry is one fs.dirop to the CSS, no open
+// at all.
 func TestSearchLooksEachFileOnce(t *testing.T) {
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
 		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
@@ -330,13 +352,13 @@ func TestSearchLooksEachFileOnce(t *testing.T) {
 		op    func() error
 		opens int64
 	}{
-		// /, /d and f.
-		{`Stat("/d/f")`, func() error { _, err := k.Stat(cred(), "/d/f"); return err }, 6},
-		// / and /d.
-		{`ReadDir("/d")`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, 4},
-		{`Resolve("/d/f")`, func() error { _, err := k.Resolve(cred(), "/d/f"); return err }, 6},
-		// / and /d.
-		{`Create("/d/g")`, create("/d/g"), 4},
+		// f, carrying / and /d.
+		{`Stat("/d/f")`, func() error { _, err := k.Stat(cred(), "/d/f"); return err }, 2},
+		// /d, carrying /.
+		{`ReadDir("/d")`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, 2},
+		{`Resolve("/d/f")`, func() error { _, err := k.Resolve(cred(), "/d/f"); return err }, 2},
+		// /d, carrying /.
+		{`Create("/d/g")`, create("/d/g"), 2},
 		// /, looked at by ResolveParent.
 		{`Create("/g")`, create("/g"), 2},
 	} {
@@ -357,11 +379,13 @@ func TestSearchLooksEachFileOnce(t *testing.T) {
 
 // TestOpenLooksLastComponentOnce counts the fs.open messages of an open
 // by pathname, with the directories in the cache. From a site that stores
-// no copy, the synchronized open is the last component's look: / and /d
-// are looked at, and the CSS answers the open of f with the inode the look
-// used to fetch first (8 messages then, 6 now). A hidden directory comes
-// back from that open as a look, with no lock taken, and its context entry
-// is opened (10 then, 8 now). From a site with a current copy every look
+// no copy, the synchronized open is the last component's look, and the
+// CSS answers the open of f with the inode the look used to fetch first
+// (8 messages then); the looks at / and /d are deferred to the open, which
+// carries the versions the search read from the cache (6 messages while
+// each was an exchange of its own, 2 now). A hidden directory comes back
+// from that open as a look, with no lock taken, and its context entry is
+// opened (10, then 8, now 4). From a site with a current copy every look
 // is free, and an open sends its own exchange and nothing else, as before.
 func TestOpenLooksLastComponentOnce(t *testing.T) {
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
@@ -398,15 +422,16 @@ func TestOpenLooksLastComponentOnce(t *testing.T) {
 		want  storage.FileID
 		opens int64
 	}{
-		// /, /d, then the open of f.
-		{3, "/d/f", fs.ModeRead, id("/d/f"), 6},
-		{3, "/d/f", fs.ModeModify, id("/d/f"), 6},
-		// /, /bin, then the open of the escaped hidden directory itself.
-		{3, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 6},
-		// /, /bin, the open that comes back as the hidden directory's look,
-		// then the open of vax.
-		{3, "/bin/who", fs.ModeRead, id("/bin/who"), 8},
-		{3, "/bin/who", fs.ModeModify, id("/bin/who"), 8},
+		// The open of f, carrying / and /d.
+		{3, "/d/f", fs.ModeRead, id("/d/f"), 2},
+		{3, "/d/f", fs.ModeModify, id("/d/f"), 2},
+		// The open of the escaped hidden directory itself, carrying / and
+		// /bin.
+		{3, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 2},
+		// The open that comes back as the hidden directory's look, carrying
+		// / and /bin, then the open of vax.
+		{3, "/bin/who", fs.ModeRead, id("/bin/who"), 4},
+		{3, "/bin/who", fs.ModeModify, id("/bin/who"), 4},
 		// Every look free: the open alone.
 		{2, "/d/f", fs.ModeRead, id("/d/f"), 2},
 		{2, "/d/f", fs.ModeModify, id("/d/f"), 2},
@@ -501,7 +526,9 @@ func TestHiddenDirectoryLookUnderDelegation(t *testing.T) {
 // BenchmarkResolve is one pathname search of a two-component path whose
 // directories are in the cache: at a site that stores them (no message,
 // one allocation) and at one that stores no copy of the filegroup, where
-// each of the three looks is an fs.open exchange with the CSS (6 msgs/op).
+// the look at the file is one fs.open exchange with the CSS, carrying the
+// versions of / and /d the search read from the cache (2 msgs/op; 6 while
+// each of the three looks was an exchange).
 func BenchmarkResolve(b *testing.B) {
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
 		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})

@@ -127,7 +127,7 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 	// waits for.
 	updating := func(t *testing.T, k *Kernel) *File {
 		t.Helper()
-		w, _, _, err := k.openID(rootID, ModeModify, false, 0)
+		w, _, _, err := k.openID(rootID, ModeModify, false, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

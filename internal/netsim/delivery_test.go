@@ -236,6 +236,55 @@ func TestCrashBeforeReplyHasRunOnCrash(t *testing.T) {
 	}
 }
 
+// TestTraceCrashLosesTheMessage: a trace hook that crashes a send's
+// destination, as the cut tests' hooks do, with no fault plane installed,
+// has the message lost, as a dropped one is: neither a Call's nor a
+// Cast's handler runs at the crashed site, the send times out, and the
+// loss is counted. A hook that crashes the sender does not stop the
+// message: it went out before the site died.
+func TestTraceCrashLosesTheMessage(t *testing.T) {
+	t.Parallel()
+	nw, a, b := twoSites(t)
+	ran := 0 // no lock: everything runs on this goroutine
+	b.Handle("commit", func(SiteID, any) (any, error) { ran++; return "ok", nil })
+	b.Handle("note", func(SiteID, any) (any, error) { ran++; return nil, nil })
+	for _, send := range []struct {
+		what string
+		do   func() error
+		msgs int64
+	}{
+		{"Call", func() error { _, err := a.Call(2, "commit", nil); return err }, 1},
+		{"Cast", func() error { return a.Cast(2, "note", nil) }, 1},
+	} {
+		nw.SetTrace(func(from, to SiteID, method string) {
+			if to == 2 {
+				nw.Crash(2)
+			}
+		})
+		before := nw.Stats()
+		err := send.do()
+		nw.SetTrace(nil)
+		d := nw.Stats().Sub(before)
+		if !errors.Is(err, ErrTimeout) {
+			t.Errorf("%s to a site the hook crashed: err = %v, want ErrTimeout", send.what, err)
+		}
+		if ran != 0 {
+			t.Fatalf("%s: the crashed site's handler ran %d times", send.what, ran)
+		}
+		if d.Msgs != send.msgs || d.MsgsDropped != 1 {
+			t.Errorf("%s: msgs=%d dropped=%d, want %d and 1", send.what, d.Msgs, d.MsgsDropped, send.msgs)
+		}
+		nw.Restart(2)
+	}
+
+	nw.SetTrace(func(from, to SiteID, method string) { nw.Crash(1) })
+	_, err := a.Call(2, "commit", nil)
+	nw.SetTrace(nil)
+	if !errors.Is(err, ErrCircuitClosed) || ran != 1 {
+		t.Fatalf("a Call whose sender the hook crashed: err = %v and %d runs, want ErrCircuitClosed after one", err, ran)
+	}
+}
+
 // TestLinkDownCallbacksHaveRunOnReturn: whatever closes a circuit runs
 // the link-down callbacks on its own goroutine, in the documented
 // order, before it returns — SetLink a-told-of-b then b-told-of-a;

@@ -158,7 +158,12 @@ func newFaults(cfg FaultConfig) *Faults {
 }
 
 // timeoutUs is the virtual cost of discovering a lost message.
-func (f *Faults) timeoutUs() int64 { return f.cfg.TimeoutUs }
+func (f *Faults) timeoutUs() int64 {
+	if f == nil { // a message lost with no fault plane installed
+		return defaultTimeoutUs
+	}
+	return f.cfg.TimeoutUs
+}
 
 func (f *Faults) rates(from, to SiteID) FaultRates {
 	if r, ok := f.cfg.Links[[2]SiteID{from, to}]; ok {
@@ -271,7 +276,8 @@ func (nw *Network) SetDedup(on bool) { nw.dedupOff.Store(!on) }
 // SetTrace installs fn as the wire-send observer (nil uninstalls). fn
 // runs once per remote exchange at send time, in issue order; the
 // deterministic-replay tests capture wire schedules through it. fn must
-// be fast and must not call back into the network.
+// be fast and must not send; it may crash a site, as the cut tests do,
+// and a message to a site it crashed is lost, as a dropped one is.
 func (nw *Network) SetTrace(fn func(from, to SiteID, method string)) {
 	if fn == nil {
 		nw.trace.Store(nil)

@@ -950,16 +950,19 @@ func (v *connView) unreachable(from, to SiteID) error {
 
 // circuit starts a remote send: it returns the view the send goes out
 // under, having shown the send to the trace hook, or the typed error for
-// why no circuit can carry it.
-func (n *Node) circuit(to SiteID, method string) (*connView, error) {
-	view := n.nw.view()
+// why no circuit can carry it. lost reports a destination the hook
+// crashed (the cut tests crash sites from it): the message is then lost,
+// as a dropped one is, and no handler runs at the crashed site.
+func (n *Node) circuit(to SiteID, method string) (view *connView, lost bool, err error) {
+	view = n.nw.view()
 	if n.nw.closed.Load() || !view.connected(n.id, to) {
-		return nil, view.unreachable(n.id, to)
+		return nil, false, view.unreachable(n.id, to)
 	}
 	if tr := n.nw.trace.Load(); tr != nil {
 		(*tr)(n.id, to, method)
+		lost = !n.nw.view().up[to]
 	}
-	return view, nil
+	return view, lost, nil
 }
 
 // Call performs a request/response exchange with site to: exactly two
@@ -1004,7 +1007,7 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 	}
 
 	nw := n.nw
-	view, err := n.circuit(to, method)
+	view, lost, err := n.circuit(to, method)
 	if err != nil {
 		return nil, err
 	}
@@ -1018,14 +1021,14 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 		if dec.delayUs > 0 {
 			nw.stats.addFaultDelay(dec.delayUs)
 		}
-		if dec.action == FaultDropRequest {
-			// The request went onto the wire and vanished: one message
-			// charged, circuit resets after the timeout.
-			bytes := payloadBytes(payload)
-			nw.stats.chargeExchange(method, 1, bytes, nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, true)
-			nw.stats.addFaultDrop(f.timeoutUs())
-			return nil, fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
-		}
+	}
+	if dec.action == FaultDropRequest || lost {
+		// The request went onto the wire and vanished: one message
+		// charged, circuit resets after the timeout.
+		bytes := payloadBytes(payload)
+		nw.stats.chargeExchange(method, 1, bytes, nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, true)
+		nw.stats.addFaultDrop(f.timeoutUs())
+		return nil, fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
 	}
 
 	// A Call is two wire messages: the request and the response.
@@ -1095,30 +1098,32 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 		return err
 	}
 	nw := n.nw
-	view, err := n.circuit(to, method)
+	view, lost, err := n.circuit(to, method)
 	if err != nil {
 		return err
 	}
 	bytes := payloadBytes(payload)
 	nw.stats.chargeExchange(method, 1, bytes, nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, false)
 
-	deliveries := 1
-	if f := nw.faults.Load(); f != nil {
-		dec := f.decide(n.id, to, method, false)
+	var dec decision
+	f := nw.faults.Load()
+	if f != nil {
+		dec = f.decide(n.id, to, method, false)
 		if dec.delayUs > 0 {
 			nw.stats.addFaultDelay(dec.delayUs)
 		}
-		switch dec.action {
-		case FaultDropRequest, FaultDropResponse:
-			// The message is gone. The low-level acknowledgement of
-			// §2.3.5 never arrives, so the sender does learn the
-			// circuit reset and may retransmit.
-			nw.stats.addFaultDrop(f.timeoutUs())
-			return fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
-		case FaultDupRequest:
-			nw.stats.addFaultDup(method)
-			deliveries = 2
-		}
+	}
+	deliveries := 1
+	switch {
+	case lost || dec.action == FaultDropRequest || dec.action == FaultDropResponse:
+		// The message is gone. The low-level acknowledgement of §2.3.5
+		// never arrives, so the sender does learn the circuit reset and
+		// may retransmit.
+		nw.stats.addFaultDrop(f.timeoutUs())
+		return fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
+	case dec.action == FaultDupRequest:
+		nw.stats.addFaultDup(method)
+		deliveries = 2
 	}
 	if h := view.nodes[to].handler(method); h != nil {
 		for ; deliveries > 0; deliveries-- {
