@@ -46,11 +46,15 @@ race:
 # stores no copy of /d opens /d/f from its directory cache while the CSS
 # renames files through that name, and every open must find what the name
 # named while it ran, the CSS refusing each cached version a rename made
-# stale.
+# stale. Then the concurrent revoke test 200 times (about 5 s): sites 2-4
+# re-open and read a file under read delegations while site 1 commits new
+# versions of it, and every read must find a version no older than the
+# last commit finished before its open began, every revoke round ending.
 flakegate:
 	$(GO) test -count=2000 -run TestConcurrentWritersDifferentFilesAcrossSites ./internal/fs
 	$(GO) test -count=200 -run TestDirUpdateWaitsForWriter ./internal/fs
 	$(GO) test -count=200 -run TestDeferredLookUnderConcurrentRenames ./internal/fs
+	$(GO) test -count=200 -run TestRevokeRoundsUnderConcurrentReopens ./internal/fs
 
 # invariants runs the suite with the runtime assertion layer compiled
 # in (internal/lint/invariant): version-vector dominance on propagation,

@@ -138,10 +138,10 @@ func Experiments() []Experiment {
 			Paper:   "a kernel process services the propagation queue; pulling pages one exchange at a time is the naive cost",
 			Headers: []string{"regime", "pulls", "msgs", "KB", "pull windows", "pull pages", "virtual ms"}},
 		{ID: "E14", Body: e14,
-			Title: "§2.3.3 at scale — hot-file open storm: per-open CSS exchanges vs lease/intent delegations",
-			Paper: "every open involves the CSS; a read lease lets the using site repeat open/read/close with no network traffic until a writer appears",
+			Title: "§2.3.3 at scale — hot-file open storm: per-open CSS exchanges vs read delegations",
+			Paper: "every open involves the CSS; a read delegation lets the using site repeat open/read/close with no network traffic until a writer appears",
 			Headers: []string{"regime", "first opens msgs", "reopen msgs", "msgs/reopen",
-				"leases granted", "writer open msgs", "revoke rounds", "writer commit+close msgs"}},
+				"delegations granted", "writer open msgs", "revoke rounds", "writer commit+close msgs"}},
 		{ID: "E15", Body: e15,
 			Title: "§5.6 failure actions — kill the executing site: orphan notices, pipe EOF, txn aborts, signal queue/replay",
 			Paper: "remote operations return site-failure errors, orphaned processes are notified, pipes deliver EOF (never a hang), partitioned transactions abort, and undeliverable signals queue until merge",
@@ -185,6 +185,7 @@ func page(b byte) []byte {
 // foreign service, with per-stage message and simulated-cost deltas.
 func e1(h *Harness) {
 	c := h.Cluster(2)
+	c.SetFeatures(fs.Features{NoDelegations: true}) // Figure 1's close is the paper's 4-message teardown
 	u1 := c.Site(1).Login("u")
 	s2 := c.Site(2).Login("u")
 	mustWrite(u1, "/f", page('x'))
@@ -215,6 +216,7 @@ func e1(h *Harness) {
 // commit and close.
 func e2(h *Harness) {
 	c := h.Cluster(3)
+	c.SetFeatures(fs.Features{NoDelegations: true}) // Figure 2 is the paper's protocol
 	u1 := c.Site(1).Login("u")
 	// fileA stored only at site 3 (CSS=1 stores nothing): general case.
 	mustWrite(u1, "/a", page('a'))
@@ -286,8 +288,9 @@ func e3(h *Harness) {
 		// Measure the raw §2.3.3 protocol cost: with the using-site page
 		// cache on, every repeat read after the first is a cache hit and
 		// the remote/local ratio collapses to ≈1 (that effect is E11's
-		// subject, not this table's).
-		k.SetFeatures(fs.Features{NoPageCache: true})
+		// subject, not this table's), and under a read delegation every
+		// repeat open is free (E14's).
+		k.SetFeatures(fs.Features{NoPageCache: true, NoDelegations: true})
 		defer k.SetFeatures(fs.Features{})
 		// Warm CSS state.
 		f, err := k.OpenID(rl.ID, fs.ModeRead)
@@ -923,15 +926,16 @@ func e13(h *Harness) {
 		float64(serial.virtUs)/float64(bulk.virtUs))
 }
 
-// e14 measures the lease/intent layer on a hot-file open storm (§2.3.3
+// e14 measures read delegations on a hot-file open storm (§2.3.3
 // applied at scale): a file stored at a single site, four remote using
 // sites each opening and reading it repeatedly, then one writer
-// transition. Without leases every open is a wire exchange at the CSS;
-// with intent-based read delegations the first open per site piggybacks
-// a lease on the open reply and every repeat open+read+close is served
-// site-locally (zero messages), while the conflicting writer recalls
-// all outstanding delegations in one batched revoke round and later
-// closes under its writer lease without a wire close.
+// transition. Under the paper's protocol (the ablation) every open is a
+// wire exchange at the CSS; with delegations, the default, the first
+// open per site piggybacks a delegation on the open reply and every
+// repeat open+read+close is served site-locally (zero messages), while
+// the conflicting writer recalls all outstanding delegations in one
+// batched revoke round. The writer's commit and close are the paper's
+// in both regimes.
 func e14(h *Harness) {
 	const (
 		readers = 4 // using sites 2..5
@@ -943,9 +947,9 @@ func e14(h *Harness) {
 		wopen  netsim.Snapshot // conflicting open for modification
 		wclose netsim.Snapshot // writer commit + close
 	}
-	run := func(leases bool) outcome {
+	run := func(noDelegations bool) outcome {
 		c := h.Cluster(6)
-		c.SetFeatures(fs.Features{Leases: leases})
+		c.SetFeatures(fs.Features{NoDelegations: noDelegations})
 		u := c.Site(6).Login("u")
 		mustWrite(u, "/hot", page('a'))
 		must(c.Site(6).FS.SetReplication(u.Cred(), "/hot", []SiteID{6}))
@@ -992,13 +996,13 @@ func e14(h *Harness) {
 
 	reopens := readers * (repeats - 1)
 	var off, on outcome
-	for _, leases := range []bool{false, true} {
-		o := run(leases)
-		name := "no leases (ablation)"
-		if leases {
-			name, on = "read delegations + writer lease", o
-		} else {
+	for _, noDelegations := range []bool{true, false} {
+		o := run(noDelegations)
+		name := "paper protocol (ablation)"
+		if noDelegations {
 			off = o
+		} else {
+			name, on = "read delegations", o
 		}
 		h.Row(
 			name,

@@ -77,6 +77,10 @@ func e16(opsPerTenant int) func(*Harness) {
 		for op := workload.OpRead; op <= workload.OpStat; op++ {
 			h.Row("op "+op.String(), cell("%d (%d err)", res.OpCount[op], res.OpErrs[op]))
 		}
+		for op := workload.OpRead; op <= workload.OpStat; op++ {
+			msgs, us := res.PerOp(op)
+			h.Row("op "+op.String()+" per op", cell("%.2f msgs, %.0f us", msgs, us))
+		}
 		for _, tr := range res.Tenant {
 			h.Row("tenant "+tr.Name, cell("%d ops (%d err)", tr.Ops, tr.Errs))
 		}

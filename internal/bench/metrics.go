@@ -33,8 +33,8 @@ type Result struct {
 	// triggers windowed replica pulls).
 	PullWindowsSent int64 `json:"pull_windows_sent"`
 	PullPagesSent   int64 `json:"pull_pages_sent"`
-	// Lease-layer counters (nonzero once an experiment's workload runs
-	// with the lease/intent layer enabled, i.e. E14).
+	// Read-delegation counters (nonzero once an experiment opens a file
+	// for reading, since delegations are the default).
 	LeasesGranted  int64 `json:"leases_granted"`
 	LeasesRevoked  int64 `json:"leases_revoked"`
 	BatchedRevokes int64 `json:"batched_revokes"`

@@ -43,12 +43,13 @@ type Config struct {
 	// deliberate regression the harness exists to catch: retried
 	// mutations replay and the invariant checks report the damage.
 	DisableDedup bool
-	// Features is installed at every site. The pinned seeds run
-	// SerialPull (the legacy one-exchange-per-page pull path, so both
-	// protocol variants are exercised under faults) and Leases
-	// (delegation grants, batched revocation, and lease reclaim across
-	// crashes and partitions; the post-heal fsck then also checks for
-	// stranded lease records).
+	// Features is installed at every site. The default runs read
+	// delegations (grants, batched revocation, and reclaim across crashes
+	// and partitions; the post-heal fsck also checks for stranded
+	// delegations). The pinned seeds also run SerialPull (the legacy
+	// one-exchange-per-page pull path, so both protocol variants are
+	// exercised under faults) and NoDelegations (the paper's open and
+	// close, every one through the CSS).
 	Features fs.Features
 	// Procs enables the process-level adversarial plane: remote run,
 	// cross-site signals, named pipes spanning sites, migration, and
@@ -121,8 +122,8 @@ func (r *Result) ReplayCommand() string {
 	if c.Features.SerialPull {
 		b.WriteString(" -chaos.serialpull")
 	}
-	if c.Features.Leases {
-		b.WriteString(" -chaos.leases")
+	if c.Features.NoDelegations {
+		b.WriteString(" -chaos.nodelegations")
 	}
 	if c.Procs {
 		b.WriteString(" -chaos.procs")

@@ -25,18 +25,22 @@ var chaosSeeds = []uint64{1, 7, 11}
 // covers a partition the crash did not touch.
 const crashWhilePartitionedSeed = 9
 
+// revokeSeed is the pinned seed whose schedule reads a file at one site
+// and then writes it at another with no partition change between, so
+// the writer's open revokes a read delegation (three times). The other
+// pinned seeds grant delegations but never revoke one: a crash or a
+// partition change reclaims each first, or nobody writes the file again.
+const revokeSeed = 7
+
+// leaseSeed also runs in TestChaosLeaseSeeds: one more schedule for the
+// paper's open and close, which no other chaos test runs.
+const leaseSeed = 4
+
 // procHangSeed also runs in TestChaosProcSeeds: while a crash or a
 // partition could skip a site's §5.6 cleanup, its schedule left a pipe
 // reader parked at a server that never learned the reader's site was
 // gone, and the run hung.
 const procHangSeed = 3
-
-// leaseRecallSeed also runs in TestChaosLeaseSeeds, which needs every
-// seed to recall a writer lease: seed 11 no longer does. Its recalls
-// were all of directory writer leases that sites 2 and 3 held for their
-// own directory updates; a directory is now updated at its CSS alone
-// (fs.dirop), which holds the lease itself and recalls nobody's.
-const leaseRecallSeed = 4
 
 // Replay flags: TestChaosExtraSeed rebuilds a Config from these, so
 // Result.ReplayCommand round-trips any failing run into one
@@ -50,7 +54,7 @@ var (
 	delayFlag      = flag.Float64("chaos.delay", 0, "fault-burst delay rate for -chaos.seed (0 = default)")
 	dedupOffFlag   = flag.Bool("chaos.dedupoff", false, "disable at-most-once dedup for -chaos.seed")
 	serialPullFlag = flag.Bool("chaos.serialpull", false, "disable bulk propagation for -chaos.seed")
-	leasesFlag     = flag.Bool("chaos.leases", false, "enable the lease layer for -chaos.seed")
+	noDelegFlag    = flag.Bool("chaos.nodelegations", false, "disable read delegations for -chaos.seed")
 	procsFlag      = flag.Bool("chaos.procs", false, "enable the process plane for -chaos.seed")
 	workloadFlag   = flag.Bool("chaos.workload", false, "drive the workload engine for -chaos.seed")
 )
@@ -73,7 +77,11 @@ func reportFailure(t *testing.T, what string, res *Result) {
 
 // TestChaosSeeds runs the fixed CI seeds: with the at-most-once plane
 // on, every randomized fault schedule must end with all invariants
-// intact. A failure prints the seed and the full schedule replay log.
+// intact — including the fsck stranded-lease check, which fails any run
+// that ends with a delegation held at a site the CSS no longer tracks.
+// Every seed must also grant read delegations, and revokeSeed revoke
+// some, so the default open path is chaos-covered. A failure prints the
+// seed and the full schedule replay log.
 func TestChaosSeeds(t *testing.T) {
 	for _, seed := range append(slices.Clip(chaosSeeds), crashWhilePartitionedSeed) {
 		seed := seed
@@ -89,6 +97,12 @@ func TestChaosSeeds(t *testing.T) {
 			if res.Stats.MsgsDropped == 0 && res.Stats.MsgsDuped == 0 && res.Stats.MsgsDelayed == 0 {
 				t.Errorf("seed %d injected no faults (dropped=%d duped=%d delayed=%d); schedule never exercised the fault plane",
 					seed, res.Stats.MsgsDropped, res.Stats.MsgsDuped, res.Stats.MsgsDelayed)
+			}
+			if res.Stats.LeasesGranted == 0 {
+				t.Errorf("seed %d granted no read delegation; the schedule never exercised the default open", seed)
+			}
+			if seed == revokeSeed && res.Stats.LeasesRevoked == 0 {
+				t.Errorf("seed %d revoked no read delegation; the schedule never revoked one", seed)
 			}
 			if seed == crashWhilePartitionedSeed && res.PartitionedCrashChecks == 0 {
 				t.Errorf("seed %d no longer crashes a site while partitioned with the views checked", seed)
@@ -118,43 +132,34 @@ func TestChaosSerialPullSeeds(t *testing.T) {
 	}
 }
 
-// TestChaosLeaseSeeds reruns the fixed seeds with the lease/intent
-// layer enabled at every site: delegation grants, batched revocations,
-// writer-lease recalls, and lease reclaim across crashes, partitions,
-// and fault bursts must uphold the same invariants — including the
-// fsck stranded-lease check, which fails any run that ends with a
-// lease held at a site the CSS no longer tracks. Every seed must also
-// recall a writer registration (fs.recallwriter), the one exchange that
-// takes an idle writer lease back; the other regimes' seeds never meet
-// a recorded writer at open, so only this one can hold that line (seed
-// 11 is excused: see leaseRecallSeed). And
-// leases must not multiply the storage-site polls: each seed's fs.ssopen
-// count stays within 2× of the same seed's without them (an open that
-// retried a stale replica once sent 12,051 on seed 1, against 55).
+// TestChaosLeaseSeeds reruns the fixed seeds, and leaseSeed, with read
+// delegations off at every site: the paper's open and close, every one
+// through the CSS, must uphold the same invariants, and grant nothing.
+// And delegations must not multiply the storage-site polls: each seed's
+// fs.ssopen count under the default stays within 2× of the same seed's
+// without them (an open that retried a stale replica once sent 12,051 on
+// seed 1, against 55).
 func TestChaosLeaseSeeds(t *testing.T) {
-	for _, seed := range append(slices.Clip(chaosSeeds), leaseRecallSeed) {
+	for _, seed := range append(slices.Clip(chaosSeeds), leaseSeed) {
 		seed := seed
 		t.Run(fmtSeed(seed), func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{Seed: seed, Features: fs.Features{Leases: true}})
+			res, err := Run(Config{Seed: seed, Features: fs.Features{NoDelegations: true}})
 			if err != nil {
 				t.Fatalf("chaos run failed to execute: %v", err)
 			}
-			plain, err := Run(Config{Seed: seed})
+			deleg, err := Run(Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("chaos run failed to execute: %v", err)
 			}
-			if got, base := res.Stats.ByMethod["fs.ssopen"], plain.Stats.ByMethod["fs.ssopen"]; got > 2*base {
-				t.Errorf("seed %d sent %d fs.ssopen with leases on, more than 2× the %d without", seed, got, base)
+			if got, base := deleg.Stats.ByMethod["fs.ssopen"], res.Stats.ByMethod["fs.ssopen"]; got > 2*base {
+				t.Errorf("seed %d sent %d fs.ssopen with delegations, more than 2× the %d without", seed, got, base)
 			}
 			if len(res.Violations) != 0 {
-				reportFailure(t, "invariants violated with leases on", res)
+				reportFailure(t, "invariants violated with delegations off", res)
 			}
-			if res.Stats.LeasesGranted == 0 {
-				t.Errorf("seed %d granted no leases; the schedule never exercised the lease layer", seed)
-			}
-			if seed != 11 && res.Stats.ByMethod["fs.recallwriter"] == 0 {
-				t.Errorf("seed %d sent no fs.recallwriter; the schedule never recalled a writer registration", seed)
+			if res.Stats.LeasesGranted != 0 {
+				t.Errorf("seed %d granted %d read delegations with delegations off", seed, res.Stats.LeasesGranted)
 			}
 		})
 	}
@@ -292,7 +297,7 @@ func TestChaosExtraSeed(t *testing.T) {
 		Dup:          *dupFlag,
 		Delay:        *delayFlag,
 		DisableDedup: *dedupOffFlag,
-		Features:     fs.Features{SerialPull: *serialPullFlag, Leases: *leasesFlag},
+		Features:     fs.Features{SerialPull: *serialPullFlag, NoDelegations: *noDelegFlag},
 		Procs:        *procsFlag,
 		Workload:     *workloadFlag,
 	})

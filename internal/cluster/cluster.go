@@ -202,7 +202,7 @@ func (c *Cluster) UpSites() []SiteID {
 }
 
 // SetFeatures installs one feature selection at every site, in
-// ascending site order (switching leases off sends).
+// ascending site order (switching delegations off sends).
 func (c *Cluster) SetFeatures(f fs.Features) {
 	for _, s := range c.sites {
 		c.site[s].FS.SetFeatures(f)

@@ -25,11 +25,11 @@ type CleanupReport struct {
 	ServesDiscarded int
 	// LocksReleased counts CSS lock-table records for lost sites.
 	LocksReleased int
-	// LeasesReclaimed counts leases and delegate records discarded by
-	// the conservative merge rule: after a partition change the merged
-	// version vector may no longer support a lease's stamp, so all of
-	// them are released (idle writer leases perform their deferred
-	// close; read delegations are returned to the CSS best-effort).
+	// LeasesReclaimed counts read delegations and delegate records
+	// discarded by the conservative merge rule: after a partition change
+	// the merged version vector may no longer support a delegation's
+	// stamp, so all of them are released (returned to the CSS
+	// best-effort).
 	LeasesReclaimed int
 }
 
@@ -45,10 +45,10 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 	}
 	var rep CleanupReport
 
-	// --- Lease layer: discard every held lease (§5.6 applied to the
-	// lease table — leases are reclaimed exactly like lock-table
-	// records). Releasing is best-effort: an unreachable CSS or SS runs
-	// its own cleanup, which drops the matching records for sites
+	// --- Read delegations: discard every one held (§5.6 applied to the
+	// delegation table — delegations are reclaimed exactly like
+	// lock-table records). Releasing is best-effort: an unreachable CSS
+	// runs its own cleanup, which drops the matching records for sites
 	// outside *its* partition.
 	rep.LeasesReclaimed = k.releaseAllLeases(true)
 

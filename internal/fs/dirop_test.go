@@ -47,11 +47,13 @@ var nsOps = []nsOp{
 }
 
 // regimes are the two feature configurations the namespace tables run
-// under, by the prefix of their subtests' names.
+// under, by the prefix of their subtests' names: the paper's open and
+// close, unprefixed, and the default, whose read delegations are the
+// lease layer, under "leases/".
 var regimes = []struct {
 	prefix   string
 	features fs.Features
-}{{"", fs.Features{}}, {"leases/", fs.Features{Leases: true}}}
+}{{"", fs.Features{NoDelegations: true}}, {"leases/", fs.Features{}}}
 
 // TestNamespaceOpCosts pins what each namespace operation sends in
 // renameDir's 1,024-entry /d from the sites of
@@ -129,53 +131,48 @@ func TestNamespaceOpCosts(t *testing.T) {
 	}
 
 	// The rows where the target's state at the CSS is not the common
-	// case, unlinked and linked from site 2; want is what the row sends
-	// under the leases regime where it differs.
+	// case, unlinked and linked from site 2.
 	//   - target-stale: site 3 wrote the file last and nothing has
 	//     settled, so the CSS's own copy is stale, and so is site 2's: the
 	//     search (its look at /d is the cache's) looks at the file at the
 	//     CSS, which polls site 3 for it,
 	//     and the CSS's open polls (§2.3.3) site 2, which refuses, and
 	//     site 3, which serves the open, the change, its commit (whose
-	//     note goes to sites 2 and 1) and the close. Under leases site 3
-	//     holds a writer lease on the file, which the CSS's open recalls,
-	//     revoking the serving state it kept, and the CSS keeps its own.
-	//   - delegate: site 3 holds a read delegation of the file, which the
-	//     CSS's open revokes.
-	//   - writer: site 3 holds a writer lease on it, which the CSS's open
-	//     recalls, revoking the serving state it kept at site 3.
-	//   - handback: site 2 holds the writer lease, and hands it back in
-	//     the fs.dirop: no recall, and its own serving state it drops.
-	// want and lease are the unlink's. The link's differ only where the
-	// CSS commits both files itself, which an unlink's notes reach each
-	// site together from, and a link's one commit at a time: linkNotes
-	// is the link's fs.propnotify count there.
+	//     note goes to sites 2 and 1) and the close.
+	//   - delegate (the default regime only): site 3 holds a read
+	//     delegation of the file, which the CSS's open revokes.
+	//   - writer (the default regime only): site 3 opened the file for
+	//     modification and closed it unchanged; the close leaves no
+	//     writer registration behind, so the CSS recalls nobody.
+	//   - handback (the default regime only): site 2 did the same, and
+	//     its fs.dirop has nothing to hand back.
+	// want is the unlink's. The link's differs only where the CSS commits
+	// both files itself, which an unlink's notes reach each site together
+	// from, and a link's one commit at a time: linkNotes is the link's
+	// fs.propnotify count there.
 	for _, rg := range regimes {
 		for _, row := range []struct {
-			name        string
-			leasesOnly  bool
-			prep        func(t *testing.T, c *cluster.Cluster, path string)
-			want, lease map[string]int64
-			linkNotes   int64
+			name      string
+			delegOnly bool
+			prep      func(t *testing.T, c *cluster.Cluster, path string)
+			want      map[string]int64
+			linkNotes int64
 		}{
 			{"target-stale", false, func(t *testing.T, c *cluster.Cluster, path string) {
 				writeAt(t, c.K(3), path, "w")
-			}, map[string]int64{"fs.open": 2, "fs.ssopen": 6, "fs.dirop": 2, "fs.setattr": 1, "fs.commit": 2, "fs.close": 2, "fs.ssclose": 2, "fs.propnotify": 4},
-				map[string]int64{"fs.open": 2, "fs.ssopen": 6, "fs.dirop": 2, "fs.recallwriter": 2, "fs.revokeserve": 2, "fs.setattr": 1, "fs.commit": 2, "fs.propnotify": 4}, 0},
+			}, map[string]int64{"fs.open": 2, "fs.ssopen": 6, "fs.dirop": 2, "fs.setattr": 1, "fs.commit": 2, "fs.close": 2, "fs.ssclose": 2, "fs.propnotify": 4}, 0},
 			{"delegate", true, func(t *testing.T, c *cluster.Cluster, path string) {
 				readFile(t, c.K(3), path)
-			}, nil, map[string]int64{"fs.dirop": 2, "fs.leaserevoke": 2, "fs.propnotify": 2}, 4},
+			}, map[string]int64{"fs.dirop": 2, "fs.leaserevoke": 2, "fs.propnotify": 2}, 4},
 			{"writer", true, func(t *testing.T, c *cluster.Cluster, path string) {
 				writeAt(t, c.K(3), path, "")
-			}, nil, map[string]int64{"fs.dirop": 2, "fs.recallwriter": 2, "fs.revokeserve": 2, "fs.propnotify": 2}, 4},
+			}, map[string]int64{"fs.dirop": 2, "fs.propnotify": 2}, 4},
 			{"handback", true, func(t *testing.T, c *cluster.Cluster, path string) {
 				writeAt(t, c.K(2), path, "")
-			}, nil, map[string]int64{"fs.dirop": 2, "fs.propnotify": 2}, 4},
+			}, map[string]int64{"fs.dirop": 2, "fs.propnotify": 2}, 4},
 		} {
 			want := row.want
-			if rg.features.Leases {
-				want = row.lease
-			} else if row.leasesOnly {
+			if row.delegOnly && rg.features.NoDelegations {
 				continue
 			}
 			for _, op := range nsOps {

@@ -33,8 +33,8 @@ func (k *Kernel) open(cred *Cred, path string, mode OpenMode) (*File, error) {
 }
 
 // openBy is open by one search s. Checks the open did not carry, because
-// a lease served it, go out in one look after it (confirm), and the handle
-// is closed if the CSS refuses them.
+// a delegation served it, go out in one look after it (confirm), and the
+// handle is closed if the CSS refuses them.
 func (k *Kernel) openBy(s *search, path string, mode OpenMode) (*File, error) {
 	_, _, _, r, err := k.walk(s, path)
 	if err != nil {
@@ -43,7 +43,7 @@ func (k *Kernel) openBy(s *search, path string, mode OpenMode) (*File, error) {
 	f, look, ss, err := k.openID(r.ID, mode, s.expand, vclock.NoSite, s)
 	if err = k.confirm(s, err); err != nil {
 		if f != nil {
-			f.Close() //locus:vet-allow uncheckedcall a lease served the open: its close is local
+			f.Close() //locus:vet-allow uncheckedcall a delegation served the open: its close is local
 		}
 		return nil, err
 	}
@@ -257,7 +257,6 @@ func (k *Kernel) handleDirOp(from SiteID, req *dirOpReq) (*dirOpResp, error) {
 	var target storage.FileID
 	if req.Nlink != 0 {
 		target = storage.FileID{FG: req.Dir.FG, Inode: req.Ino}
-		k.takeBackLease(from, target, req.Lease)
 	}
 	files, err := k.openForUpdate(from, [3]storage.FileID{req.Dir, req.To, target})
 	if err != nil {
@@ -595,7 +594,7 @@ func (k *Kernel) Unlink(cred *Cred, path string) error {
 	}
 	return k.dirOp(&dirOpReq{
 		Dir: r.Parent, Muts: []dirMut{{Name: r.Name, Ino: r.ID.Inode, Remove: true}},
-		Ino: r.ID.Inode, Nlink: -1, Lease: k.handBackLease(r.ID),
+		Ino: r.ID.Inode, Nlink: -1,
 	})
 }
 
@@ -622,7 +621,7 @@ func (k *Kernel) Link(cred *Cred, oldpath, newpath string) error {
 	}
 	return k.dirOp(&dirOpReq{
 		Dir: parent, Muts: []dirMut{{Name: name, Ino: r.ID.Inode}},
-		Ino: r.ID.Inode, Nlink: 1, Lease: k.handBackLease(r.ID),
+		Ino: r.ID.Inode, Nlink: 1,
 	})
 }
 

@@ -81,7 +81,7 @@ func lockState(ks []*Kernel, id storage.FileID) string {
 // every reader and writer record are as they were — here a reader at site
 // 2 and a directory update's writer at site 1.
 func TestExpandOpenTakesNoLock(t *testing.T) {
-	for _, ft := range []Features{{}, {Leases: true}} {
+	for _, ft := range []Features{{}, {NoDelegations: true}} {
 		ks := bootBystander(t)
 		hidden, _ := hiddenTree(t, ks)
 		for _, k := range ks {
@@ -98,7 +98,7 @@ func TestExpandOpenTakesNoLock(t *testing.T) {
 		before := lockState(ks, hidden)
 		for _, mode := range []OpenMode{ModeRead, ModeModify} {
 			resp, err := ks[0].handleOpen(3, &openReq{ID: hidden, Mode: mode, US: 3, Serial: 99, Expand: true})
-			if err != nil || resp.Ino == nil || resp.Ino.Type != storage.TypeHiddenDir || resp.Delegation != nil {
+			if err != nil || resp.Ino == nil || resp.Ino.Type != storage.TypeHiddenDir || resp.Delegated {
 				t.Fatalf("%+v: Expand %v open = %+v, %v; want the hidden directory's inode, no lease", ft, mode, resp, err)
 			}
 			if after := lockState(ks, hidden); after != before {

@@ -30,8 +30,8 @@ func TestStreamingReadaheadCutsSequentialReadMessages(t *testing.T) {
 		rereads   int64 // fs.read messages of a scan through a second handle
 	}{
 		{"no-page-cache", fs.Features{NoPageCache: true}, fs.ModeRead, false, 16, 0, 16},
-		{"read", fs.Features{}, fs.ModeRead, false, 6, 5, 0},
-		{"delegated", fs.Features{Leases: true}, fs.ModeRead, true, 6, 5, 0},
+		{"read", fs.Features{NoDelegations: true}, fs.ModeRead, false, 6, 5, 0},
+		{"delegated", fs.Features{}, fs.ModeRead, true, 6, 5, 0},
 		{"modify", fs.Features{}, fs.ModeModify, false, 16, 0, 16},
 		{"internal", fs.Features{}, fs.ModeInternal, false, 16, 0, 0},
 	} {
@@ -49,8 +49,8 @@ func TestStreamingReadaheadCutsSequentialReadMessages(t *testing.T) {
 			}
 			if tc.delegated {
 				openClose(t, c.K(2), r.ID, fs.ModeRead)
-				if len(c.K(2).Leases()) != 1 {
-					t.Fatalf("setup: site 2 holds %v, want one read delegation", c.K(2).Leases())
+				if len(c.K(2).Delegations()) != 1 {
+					t.Fatalf("setup: site 2 holds %v, want one read delegation", c.K(2).Delegations())
 				}
 			}
 			scan := func() netsim.Snapshot {
@@ -80,20 +80,20 @@ func TestStreamingReadaheadCutsSequentialReadMessages(t *testing.T) {
 }
 
 // TestSetFeaturesTransitions pins the two state transitions
-// SetFeatures owns: switching leases off leaves no held lease and no
-// CSS delegate record, and switching the page cache off flushes it and
-// keeps it empty.
+// SetFeatures owns: switching delegations off leaves no held delegation
+// and no CSS delegate record, and switching the page cache off flushes
+// it and keeps it empty.
 func TestSetFeaturesTransitions(t *testing.T) {
-	c, id := leaseCluster(t) // leases on; file stored at sites 3, 4; CSS = 1
+	c, id := leaseCluster(t) // file stored at sites 3, 4; CSS = 1
 	openClose(t, c.K(2), id, fs.ModeRead)
-	if len(c.K(2).Leases()) != 1 || len(c.K(1).Delegates()) != 1 {
+	if len(c.K(2).Delegations()) != 1 || len(c.K(1).Delegates()) != 1 {
 		t.Fatalf("setup: want one delegation at site 2 recorded at the CSS, got %v / %v",
-			c.K(2).Leases(), c.K(1).Delegates())
+			c.K(2).Delegations(), c.K(1).Delegates())
 	}
-	c.SetFeatures(fs.Features{})
+	c.SetFeatures(fs.Features{NoDelegations: true})
 	for _, s := range c.Sites() {
-		if l, d := c.K(s).Leases(), c.K(s).Delegates(); len(l) != 0 || len(d) != 0 {
-			t.Fatalf("site %d after {Leases} -> {}: leases %v, delegates %v", s, l, d)
+		if l, d := c.K(s).Delegations(), c.K(s).Delegates(); len(l) != 0 || len(d) != 0 {
+			t.Fatalf("site %d after {} -> {NoDelegations}: delegations %v, delegates %v", s, l, d)
 		}
 	}
 
@@ -114,7 +114,7 @@ func TestSetFeaturesTransitions(t *testing.T) {
 	}
 	c.K(2).SetFeatures(fs.Features{NoPageCache: true})
 	if n := c.K(2).CachedPages(); n != 0 {
-		t.Fatalf("{} -> {NoPageCache}: %d pages still cached", n)
+		t.Fatalf("{NoDelegations} -> {NoPageCache}: %d pages still cached", n)
 	}
 	readAll()
 	if n := c.K(2).CachedPages(); n != 0 {

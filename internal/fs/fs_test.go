@@ -657,8 +657,10 @@ func TestOpenMessageCountMatrix(t *testing.T) {
 
 func TestReadWriteCloseMessageCounts(t *testing.T) {
 	// §2.3.3/.5: network read = 2 messages, write = 1 message, close of
-	// a remotely stored file = 4 messages (US, SS, CSS all distinct).
+	// a remotely stored file = 4 messages (US, SS, CSS all distinct): the
+	// paper's protocol, read delegations off.
 	c := newCluster(t, 3)
+	c.SetFeatures(fs.Features{NoDelegations: true})
 	writeFile(t, c.K(1), "/f", bytes.Repeat([]byte{'x'}, storage.PageSize))
 	if err := c.K(1).SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
 		t.Fatal(err)

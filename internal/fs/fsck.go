@@ -207,25 +207,23 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 		}
 	}
 
-	// Stranded leases: every lease held at a using site must be backed
-	// by the matching record at the file's CSS. The dangerous direction
-	// is a holder the CSS no longer tracks — it would serve stale reads
-	// (or squat the writer slot) unsupervised, since no revoke round
-	// will ever visit it. The reverse direction (a CSS record with no
-	// holder) is self-healing — the next conflicting open recalls it
-	// and the holder answers that it is gone — so it is not flagged.
+	// Stranded delegations: every delegation held at a using site must
+	// be backed by the matching record at the file's CSS. The dangerous
+	// direction is a holder the CSS no longer tracks — it would serve
+	// stale reads unsupervised, since no revoke round will ever visit it.
+	// The reverse direction (a CSS record with no holder) is
+	// self-healing — the next revoke round finds nothing to drop — so it
+	// is not flagged.
 	byID := make(map[SiteID]*Kernel, len(kernels))
 	for _, k := range kernels {
 		byID[k.site] = k
 	}
 	for _, k := range kernels {
-		held := k.Leases()
-		for _, id := range sortedFileIDs(held) {
-			mode := held[id]
+		for _, id := range sortedFileIDs(k.Delegations()) {
 			css, err := k.CSSOf(id.FG)
 			if err != nil {
 				out = append(out, FsckFinding{Site: k.site, ID: id, Kind: "stranded-lease",
-					Msg: fmt.Sprintf("%v lease held with no CSS reachable in the partition", mode)})
+					Msg: "read delegation held with no CSS reachable in the partition"})
 				continue
 			}
 			ck := byID[css]
@@ -235,16 +233,12 @@ func FsckCluster(kernels []*Kernel, opts FsckOptions) []FsckFinding {
 			ck.mu.Lock()
 			ok := false
 			if e := ck.cssState[id]; e != nil {
-				if mode == ModeModify {
-					ok = e.writerUS == k.site
-				} else {
-					_, ok = e.delegates[k.site]
-				}
+				ok = e.delegates[k.site]
 			}
 			ck.mu.Unlock()
 			if !ok {
 				out = append(out, FsckFinding{Site: k.site, ID: id, Kind: "stranded-lease",
-					Msg: fmt.Sprintf("%v lease held at site %d but CSS site %d has no matching record", mode, k.site, css)})
+					Msg: fmt.Sprintf("read delegation held at site %d but CSS site %d has no matching record", k.site, css)})
 			}
 		}
 	}

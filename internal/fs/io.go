@@ -803,12 +803,10 @@ func (f *File) Close() error {
 	if f.internal {
 		return nil
 	}
-	if (f.delegated || f.leased) && k.closeUnderLease(f) {
-		// Zero wire messages: a delegated reader holds no serving
-		// state, and a leased writer's commit is already durable — the
-		// serving state stays live for the next local open and the CSS
-		// recalls the registration with fs.recallwriter when a
-		// conflicting open needs it.
+	if f.delegated {
+		// Zero wire messages: a delegated reader holds no serving state
+		// and no lock-table record, even if its delegation was revoked
+		// while it read.
 		return nil
 	}
 	_, err := netsim.CallAt(k.node, f.ss, mClose, k.handleClose,

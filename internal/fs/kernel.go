@@ -237,14 +237,13 @@ type cssEntry struct {
 	// sites is the packs storing the file, from the disk inode. The list
 	// is replaced whole under k.mu and never edited in place, so an open
 	// reads the slice header under the lock and goes on using the list
-	// after it (handleOpen); what crosses to a using site that keeps it
-	// (a lease grant) is a copy.
+	// after it (handleOpen).
 	sites []SiteID
-	// delegates maps using sites holding a read delegation to the VV it
-	// was stamped with. A delegate is not in readers: it opens, reads,
-	// and closes locally, and the CSS only hears from it again on a
-	// revoke round or a voluntary release.
-	delegates map[SiteID]vclock.VV
+	// delegates is the set of using sites holding a read delegation. A
+	// delegate is not in readers: it opens, reads, and closes locally,
+	// and the CSS only hears from it again on a revoke round or a
+	// voluntary release.
+	delegates map[SiteID]bool
 }
 
 // releaseWriterLocked frees e's writer slot if it still records the
@@ -335,14 +334,13 @@ type Kernel struct {
 	// when it ends (giveBackRecalled), since an open may be waiting for
 	// it at the CSS.
 	recalledSerials map[uint64]bool
-	// leases is the US-side lease table: files this site may re-open,
-	// read, and close locally without contacting the CSS (read
-	// delegations and held writer leases).
+	// leases is the US-side table of read delegations: files this site
+	// may re-open, read, and close locally without contacting the CSS.
 	leases map[storage.FileID]*usLease
-	// leaseDropped remembers files whose lease was revoked before the
-	// grant arrived (the two travel on independent exchanges); the
-	// late grant is declined instead of installing a lease the CSS no
-	// longer tracks.
+	// leaseDropped remembers files whose delegation was revoked before
+	// the grant arrived (the two travel on independent exchanges); the
+	// late grant is declined instead of installing a delegation the CSS
+	// no longer tracks.
 	leaseDropped map[storage.FileID]bool
 
 	// cache is the using-site page cache of committed pages (§2.2.1).
@@ -359,8 +357,10 @@ type Kernel struct {
 
 // Features selects the protocol extensions a kernel runs. The zero
 // value is the paper's protocol plus bulk pull, the using-site page
-// cache and streaming readahead: what every pin and every benchmark
-// workload runs.
+// cache, streaming readahead and read delegations: what every benchmark
+// workload runs. Each field switches one of them off (or, SerialPull,
+// back to the paper's pull), for the pins of the paper's figures and
+// the ablations.
 type Features struct {
 	// SerialPull makes pullFile pay the original one-fs.readphys-
 	// exchange-per-page cost instead of the windowed fs.pullpages
@@ -369,24 +369,24 @@ type Features struct {
 	// NoPageCache turns the using-site page cache (§2.2.1) off, and
 	// with it streaming readahead, which deposits into the cache.
 	NoPageCache bool
-	// Leases enables the lease/intent layer (lease.go).
-	Leases bool
+	// NoDelegations turns read delegations (lease.go) off: every open
+	// and close then goes through the CSS, as §2.3.3 has it.
+	NoDelegations bool
 }
 
 // Features returns the kernel's current feature selection.
 func (k *Kernel) Features() Features { return *k.features.Load() }
 
 // SetFeatures installs a feature selection on a live kernel.
-// Switching the page cache off flushes it. Switching leases off
-// releases every held lease — read delegations are returned to the CSS
-// and writer leases perform their deferred close — so the cluster drops
-// back to exactly the lease-free protocol state.
+// Switching the page cache off flushes it. Switching delegations off
+// returns every held delegation to its CSS, so the cluster drops back to
+// exactly the paper's protocol state.
 func (k *Kernel) SetFeatures(f Features) {
 	old := *k.features.Swap(&f)
 	if f.NoPageCache && !old.NoPageCache {
 		k.cache.purge()
 	}
-	if old.Leases && !f.Leases {
+	if f.NoDelegations && !old.NoDelegations {
 		k.releaseAllLeases(false)
 	}
 }
@@ -588,16 +588,10 @@ type File struct {
 	// paper's cleanup table calls this "set error in local file
 	// descriptor" (§5.6).
 	stale bool
-	// delegated marks a read handle opened under a held read
-	// delegation: it was built from the lease's frozen inode snapshot,
-	// holds no CSS lock entry and no SS serving state, and its close is
-	// pure local bookkeeping.
+	// delegated marks a read handle opened under a read delegation, or
+	// by the open that was granted one: it holds no CSS lock entry and no
+	// SS serving state, and its close is pure local bookkeeping.
 	delegated bool
-	// leased marks a modify handle opened under this site's writer
-	// lease: its close commits as usual but skips the wire close,
-	// leaving the SS serving state and CSS writer slot in place for the
-	// next local open.
-	leased bool
 	// raNext is the page a sequential reader would fetch next; raWindow
 	// is the current streaming-readahead window of a read handle
 	// (§2.3.3): the SS piggybacks up to raWindow following pages on each
@@ -608,8 +602,7 @@ type File struct {
 	// serial is the handle's registration number (see Kernel.openSerial).
 	serial uint64
 	// wserial names the writer registration a modify handle writes
-	// through (openReq.Serial): drawn for this open, or inherited from
-	// the writer lease it was opened under.
+	// through (openReq.Serial), drawn for this open.
 	wserial uint64
 }
 

@@ -2,7 +2,11 @@ package fs_test
 
 import (
 	"bytes"
-	"errors"
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -11,9 +15,8 @@ import (
 	"repro/internal/vclock"
 )
 
-// leaseCluster builds the standard 4-site lease fixture: /pin stored at
-// sites 3 and 4 (CSS = 1, site 2 a pure using site), leases enabled
-// everywhere after the setup writes so no setup lease lingers.
+// leaseCluster builds the standard 4-site delegation fixture: /pin
+// stored at sites 3 and 4 (CSS = 1, site 2 a pure using site).
 func leaseCluster(t *testing.T) (*cluster.Cluster, storage.FileID) {
 	t.Helper()
 	c := newCluster(t, 4)
@@ -22,7 +25,6 @@ func leaseCluster(t *testing.T) (*cluster.Cluster, storage.FileID) {
 		t.Fatal(err)
 	}
 	settle(t, c)
-	c.SetFeatures(fs.Features{Leases: true})
 	r, err := c.K(2).Resolve(cred(), "/pin")
 	if err != nil {
 		t.Fatal(err)
@@ -89,62 +91,8 @@ func TestLeaseHolderCrashDuringRevoke(t *testing.T) {
 	}
 }
 
-// TestWriterLeaseUnreachableHolderRefusesThenCleanupReclaims pins the
-// two halves of writer-lease failure handling: while the holder is
-// merely unreachable (no topology change observed), the revoke gets no
-// answer and the conflicting open must fail busy — we cannot tell a
-// dead holder from a slow one; once the partition change is processed,
-// the §5.6 cleanup reclaims the lease like any lock-table record and
-// the open succeeds.
-func TestWriterLeaseUnreachableHolderRefusesThenCleanupReclaims(t *testing.T) {
-	c, id := leaseCluster(t)
-
-	// Writer lease at site 2 (leased close keeps it).
-	w, err := c.K(2).OpenID(id, fs.ModeModify)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.WriteAt(bytes.Repeat([]byte{'m'}, storage.PageSize), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if c.K(2).Leases()[id] != fs.ModeModify {
-		t.Fatal("site 2 holds no writer lease after the leased close")
-	}
-
-	c.Net.Crash(2)
-	// No cleanup has run yet: the holder is unreachable, the revoke is
-	// unanswered, and unreachable counts as still holding.
-	if _, err := c.K(4).OpenID(id, fs.ModeModify); !errors.Is(err, fs.ErrBusy) {
-		t.Fatalf("modify open with unreachable lease holder: %v, want ErrBusy", err)
-	}
-
-	// The partition protocol observes the change: cleanup reclaims the
-	// writer slot for the lost site and the open proceeds.
-	c.Crash(2)
-	w2, err := c.K(4).OpenID(id, fs.ModeModify)
-	if err != nil {
-		t.Fatalf("modify open after cleanup: %v", err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Heal. The restarted site lost its lease table with the rest of
-	// its volatile state; nothing may be stranded.
-	if _, err := c.Restart(2); err != nil {
-		t.Fatal(err)
-	}
-	settle(t, c)
-	if findings := c.Fsck(true); len(findings) != 0 {
-		t.Fatalf("fsck after writer-holder crash: %v", findings)
-	}
-}
-
 // TestPartitionMergeDiscardsLeases pins the conservative merge rule:
-// a partition change discards every lease and delegate record on both
+// a partition change discards every delegation and delegate record on both
 // sides (CleanupReport.LeasesReclaimed counts them), and the holder's
 // next open renegotiates from the lock table instead of serving a
 // possibly stale snapshot.
@@ -152,15 +100,15 @@ func TestPartitionMergeDiscardsLeases(t *testing.T) {
 	c, id := leaseCluster(t)
 
 	openClose(t, c.K(2), id, fs.ModeRead)
-	if c.K(2).Leases()[id] != fs.ModeRead {
+	if _, held := c.K(2).Delegations()[id]; !held {
 		t.Fatal("site 2 holds no read delegation")
 	}
 
-	// Partition site 2 away. Its own cleanup reclaims the held lease;
-	// the CSS side discards the delegate record.
+	// Partition site 2 away. Its own cleanup reclaims the held
+	// delegation; the CSS side discards the delegate record.
 	c.Partition([]fs.SiteID{1, 3, 4}, []fs.SiteID{2})
-	if n := len(c.K(2).Leases()); n != 0 {
-		t.Fatalf("site 2 still holds %d lease(s) after partition cleanup", n)
+	if n := len(c.K(2).Delegations()); n != 0 {
+		t.Fatalf("site 2 still holds %d delegation(s) after partition cleanup", n)
 	}
 	if n := len(c.K(1).Delegates()); n != 0 {
 		t.Fatalf("CSS still records %d delegate file(s) after partition cleanup", n)
@@ -190,18 +138,27 @@ func TestPartitionMergeDiscardsLeases(t *testing.T) {
 	}
 }
 
-// TestPartitionChangeUnderOpenLeasedWriter: a partition change arrives
-// while a handle is open under site 2's writer lease. Cleanup discards
-// the lease but must not run its deferred close — the registration is
-// live — so the handle's own close, finding no lease, runs the full
-// close protocol and leaves no writer record at the CSS and no serving
-// state at the SS.
+// TestPartitionChangeUnderOpenLeasedWriter: site 2 holds a read
+// delegation on a file and opens it for modification, which gives the
+// delegation up, and a partition change arrives while the handle is open.
+// Cleanup must not release the live writer's records, and the handle's
+// own close runs the full close protocol and leaves no writer record at
+// the CSS and no serving state at the SS.
 func TestPartitionChangeUnderOpenLeasedWriter(t *testing.T) {
 	c, id := leaseCluster(t)
-	openClose(t, c.K(2), id, fs.ModeModify) // writer lease at site 2
+	openClose(t, c.K(2), id, fs.ModeRead)
+	if _, held := c.K(2).Delegations()[id]; !held {
+		t.Fatal("site 2 holds no read delegation")
+	}
 	w, err := c.K(2).OpenID(id, fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, held := c.K(2).Delegations()[id]; held {
+		t.Fatal("site 2 still holds its read delegation with a writer open")
+	}
+	if n := len(c.K(1).Delegates()); n != 0 {
+		t.Fatalf("CSS still records %d delegate file(s) with a writer open", n)
 	}
 	ss := w.SS()
 
@@ -210,9 +167,6 @@ func TestPartitionChangeUnderOpenLeasedWriter(t *testing.T) {
 		t.Fatalf("writer's SS = %d, want 3", ss)
 	}
 	c.Partition([]fs.SiteID{1, 2, 3}, []fs.SiteID{4})
-	if _, held := c.K(2).Leases()[id]; held {
-		t.Fatal("site 2 still holds its writer lease after the partition change")
-	}
 	if c.K(1).CSSWriter(id) != 2 || c.K(ss).ServingWriter(id) != 2 {
 		t.Fatal("cleanup released the live writer's records")
 	}
@@ -225,7 +179,7 @@ func TestPartitionChangeUnderOpenLeasedWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := c.Net.Stats().Sub(before); d.ByMethod["fs.close"] != 2 || d.ByMethod["fs.ssclose"] != 2 {
-		t.Errorf("close after losing the lease sent fs.close %d, fs.ssclose %d messages; want the full close (2, 2)",
+		t.Errorf("close after the partition change sent fs.close %d, fs.ssclose %d messages; want the full close (2, 2)",
 			d.ByMethod["fs.close"], d.ByMethod["fs.ssclose"])
 	}
 	if got := c.K(1).CSSWriter(id); got != vclock.NoSite {
@@ -270,17 +224,17 @@ func TestRevokeOvertakingGrantDeclinesOnce(t *testing.T) {
 	// The next read open at site 2 is granted a delegation and declines
 	// it: the handle is an ordinary read handle.
 	openClose(t, c.K(2), id, fs.ModeRead)
-	if _, held := c.K(2).Leases()[id]; held {
-		t.Fatal("site 2 accepted the first grant after a revoke that found no lease")
+	if _, held := c.K(2).Delegations()[id]; held {
+		t.Fatal("site 2 accepted the first grant after a revoke that found no delegation")
 	}
 	// The one after that is accepted.
 	openClose(t, c.K(2), id, fs.ModeRead)
-	if c.K(2).Leases()[id] != fs.ModeRead {
+	if _, held := c.K(2).Delegations()[id]; !held {
 		t.Fatal("site 2 declined the second grant too; the mark must decline exactly one")
 	}
 }
 
-// TestFsckFlagsStrandedLease guards the fsck check itself: a lease held
+// TestFsckFlagsStrandedLease guards the fsck check itself: a delegation held
 // at a using site with no matching CSS record is the dangerous
 // direction (the holder would serve stale reads unsupervised), and the
 // deep check must report it.
@@ -290,12 +244,8 @@ func TestFsckFlagsStrandedLease(t *testing.T) {
 	openClose(t, c.K(2), id, fs.ModeRead)
 
 	// Strand it: wipe the CSS record from behind the holder's back (the
-	// damage a lost cleanup or a buggy merge would leave).
-	c.K(1).SetFeatures(fs.Features{})
-	c.K(1).SetFeatures(fs.Features{Leases: true})
-	// Switching leases off only drops the CSS's own held leases; force the
-	// delegate record away via a partition change the holder never
-	// observes.
+	// damage a lost cleanup or a buggy merge would leave), by a partition
+	// change the holder never observes.
 	c.K(1).CleanupAfterPartitionChange([]fs.SiteID{1, 3, 4})
 	c.Net.HealAll()
 
@@ -307,6 +257,96 @@ func TestFsckFlagsStrandedLease(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("fsck did not flag the stranded lease at site 2: %v", findings)
+		t.Fatalf("fsck did not flag the stranded delegation at site 2: %v", findings)
+	}
+}
+
+// TestRevokeRoundsUnderConcurrentReopens: sites 2–4 re-open and read /pin
+// (stored at site 1, the CSS, alone) under read delegations while site 1
+// commits new versions of it, each a page of its version number. Every
+// read must find a version no older than the last commit that finished
+// before its open began: a writer's open revokes every delegation before
+// the writer proceeds, and no delegation is granted while it holds the
+// file. Every revoke round must end, or the writer's open hangs; and the
+// run must revoke some: the writer starts once every reader has read
+// once, under a delegation its first open was granted.
+func TestRevokeRoundsUnderConcurrentReopens(t *testing.T) {
+	const commits = 20
+	c := newCluster(t, 4)
+	page := func(v uint64) []byte {
+		return bytes.Repeat(binary.BigEndian.AppendUint64(nil, v), storage.PageSize/8)
+	}
+	writeFile(t, c.K(1), "/pin", page(0))
+	if err := c.K(1).SetReplication(cred(), "/pin", []fs.SiteID{1}); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, c)
+	id := func() storage.FileID {
+		r, err := c.K(1).Resolve(cred(), "/pin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.ID
+	}()
+	before := c.Net.Stats()
+
+	var done atomic.Uint64 // the last version whose commit has finished
+	var stop atomic.Bool
+	errs := make(chan error, 8)
+	var wg, started sync.WaitGroup
+	for s := fs.SiteID(2); s <= 4; s++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(k *fs.Kernel) {
+			defer wg.Done()
+			read := sync.OnceFunc(started.Done)
+			defer read()
+			for first := true; first || !stop.Load(); first = false {
+				floor := done.Load()
+				f, err := k.OpenID(id, fs.ModeRead)
+				if err != nil {
+					errs <- fmt.Errorf("site %d open: %w", k.Site(), err)
+					return
+				}
+				data, err := f.ReadAll()
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil || len(data) < 8 {
+					errs <- fmt.Errorf("site %d read %d bytes: %v", k.Site(), len(data), err)
+					return
+				}
+				if v := binary.BigEndian.Uint64(data); v < floor {
+					errs <- fmt.Errorf("site %d read version %d, opened after version %d was committed", k.Site(), v, floor)
+					return
+				}
+				read()
+			}
+		}(c.K(s))
+	}
+	started.Wait()
+	for v := uint64(1); v <= commits; v++ {
+		w, err := c.K(1).OpenID(id, fs.ModeModify)
+		if err != nil {
+			t.Errorf("writer open %d: %v", v, err)
+			break
+		}
+		if err := w.WriteAll(page(v)); err != nil {
+			t.Errorf("write %d: %v", v, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Errorf("commit %d: %v", v, err)
+		}
+		done.Store(v)
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if d := c.Net.Stats().Sub(before); d.BatchedRevokes == 0 {
+		t.Errorf("%d commits made no revoke round (%d delegations granted)", commits, d.LeasesGranted)
 	}
 }

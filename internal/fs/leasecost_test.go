@@ -9,8 +9,8 @@ import (
 	"repro/internal/storage"
 )
 
-// TestLeaseProtocolCostsPinned pins the wire message counts of the
-// lease/intent layer, the exact economics the layer exists for:
+// TestLeaseProtocolCostsPinned pins the wire message counts of read
+// delegations, the exact economics they exist for:
 //
 //   - first read open piggybacks a delegation on the ordinary 4-message
 //     open (zero extra messages);
@@ -18,10 +18,9 @@ import (
 //     (zero wire messages — the per-open CSS round trip is gone);
 //   - a conflicting modify open recalls all outstanding delegations in
 //     exactly one batched revoke round (2 messages per delegate);
-//   - the leased writer's close commits but skips the 4-message close
-//     protocol entirely, and its repeat modify opens are free;
-//   - a later read open recalls the idle writer lease with a single
-//     revoke exchange and delegation economics resume.
+//   - the writer's commit and close are the paper's, and a later read
+//     open is granted a delegation again, after which the delegation
+//     economics resume.
 //
 // Counts are pinned with the fault plane armed at zero rates, like the
 // legacy pins: the at-most-once plumbing under fs.leaserevoke and
@@ -37,9 +36,6 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(t, c)
-	// Enable leases only now: the setup writes above must not leave a
-	// writer lease parked on the file before the measured sequence.
-	c.SetFeatures(fs.Features{Leases: true})
 	r, err := c.K(2).Resolve(cred(), "/pin")
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +120,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 	}
 
 	// Conflicting modify open at site 3 (its own SS): one batched round
-	// recalls both delegations — 2 messages per remote delegate — and
-	// the writer lease rides back on the open reply.
+	// recalls both delegations — 2 messages per remote delegate.
 	var w *fs.File
 	d = delta(func() {
 		w, err = c.K(3).OpenID(r.ID, fs.ModeModify)
@@ -134,7 +129,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 		}
 	})
 	check("open(modify), 2 delegates out", d, 6,
-		map[string]int64{"fs.open": 2, "fs.leaserevoke": 4}, 1, 2, 1)
+		map[string]int64{"fs.open": 2, "fs.leaserevoke": 4}, 0, 2, 1)
 
 	// Write and commit cost exactly what they always cost — here the
 	// writer is its own SS, so only the commit notifications (one to
@@ -147,33 +142,19 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	check("write+commit under writer lease", d, 2,
-		map[string]int64{"fs.propnotify": 2}, 0, 0, 0)
+	check("write+commit", d, 2, map[string]int64{"fs.propnotify": 2}, 0, 0, 0)
 
-	// The leased writer's close skips the 4-message close protocol.
+	// The writer's close is the paper's: its own storage site tells the
+	// CSS.
 	d = delta(func() {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	check("close under writer lease", d, 0, nil, 0, 0, 0)
+	check("close(modify)", d, 2, map[string]int64{"fs.ssclose": 2}, 0, 0, 0)
 
-	// Repeat modify opens at the leaseholder are free.
-	d = delta(func() {
-		w2, err := c.K(3).OpenID(r.ID, fs.ModeModify)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	check("reopen(modify) under writer lease", d, 0, nil, 0, 0, 0)
-
-	// A read open elsewhere recalls the idle writer lease with a single
-	// recall exchange (which also tears down the serving state the
-	// skipped close left at the writer's SS), then proceeds as an
-	// ordinary delegated open.
+	// A read open elsewhere is granted a delegation again, on the
+	// ordinary open, and the delegation economics resume.
 	d = delta(func() {
 		f2, err := c.K(2).OpenID(r.ID, fs.ModeRead)
 		if err != nil {
@@ -183,15 +164,7 @@ func TestLeaseProtocolCostsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if d.ByMethod["fs.recallwriter"] != 2 {
-		t.Errorf("read after writer: %d fs.recallwriter messages, want 2 (single recall of the idle writer lease)",
-			d.ByMethod["fs.recallwriter"])
-	}
-	if d.LeasesGranted != 1 || d.LeasesRevoked != 1 {
-		t.Errorf("read after writer: granted=%d revoked=%d, want 1/1", d.LeasesGranted, d.LeasesRevoked)
-	}
-
-	// And the delegation economics have resumed.
+	check("open(read)+close after the writer", d, 4, map[string]int64{"fs.open": 2, "fs.ssopen": 2}, 1, 0, 0)
 	d = delta(func() {
 		f3, err := c.K(2).OpenID(r.ID, fs.ModeRead)
 		if err != nil {

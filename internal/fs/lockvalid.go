@@ -12,9 +12,8 @@ package fs
 // its name, (US, serial). The using site refuses while the registration
 // is live, and then gives the slot back when it ends, for the open that
 // may be waiting (a directory's, whose slot only a kernel update holds);
-// otherwise it gives back the writer lease that kept the registration
-// alive, if it holds one, and the record is reclaimed, revoking any
-// serving state left at the storage site.
+// otherwise the record is reclaimed, revoking any serving state left at
+// the storage site.
 
 import (
 	"repro/internal/netsim"
@@ -42,8 +41,7 @@ func (k *Kernel) writerLiveLocked(id storage.FileID, serial uint64) bool {
 
 // handleRecallWriter is the using site's side of a recall: refuse while
 // the named registration is live, and mark it to give its slot back
-// when it ends; otherwise give back the writer lease that keeps it
-// alive (if this site holds one) and report the committed version.
+// when it ends; otherwise report the committed version.
 func (k *Kernel) handleRecallWriter(_ SiteID, req *recallWriterReq) (*recallWriterResp, error) {
 	k.mu.Lock()
 	if k.writerLiveLocked(req.ID, req.Serial) {
@@ -51,30 +49,14 @@ func (k *Kernel) handleRecallWriter(_ SiteID, req *recallWriterReq) (*recallWrit
 		k.mu.Unlock()
 		return &recallWriterResp{Live: true}, nil
 	}
-	l := k.takeWriterLeaseLocked(req.ID, req.Serial)
 	k.mu.Unlock()
 
-	// Both site lists are read-only from here on; the CSS absorbs a copy.
+	// The site list is read-only from here on; the CSS absorbs a copy.
 	resp := &recallWriterResp{}
-	if l != nil {
-		resp.VV, resp.Sites = l.vv, l.sites
-	} else if r := k.localGetVV(req.ID); r.Has {
+	if r := k.localGetVV(req.ID); r.Has {
 		resp.VV, resp.Sites = r.VV, r.Sites
 	}
 	return resp, nil
-}
-
-// takeWriterLeaseLocked removes and returns the writer lease that keeps
-// this site's registration (id, serial), if it holds one, counting it
-// revoked. Caller holds k.mu.
-func (k *Kernel) takeWriterLeaseLocked(id storage.FileID, serial uint64) *usLease {
-	l := k.leases[id]
-	if l == nil || l.mode != ModeModify || l.wserial != serial {
-		return nil
-	}
-	delete(k.leases, id)
-	k.meter().AddLeasesRevoked(1)
-	return l
 }
 
 // recallWriter validates the writer registration (holder, serial)
@@ -109,26 +91,16 @@ func (k *Kernel) recallWriter(id storage.FileID, e *cssEntry, holder SiteID, ser
 // once nothing holds it live: its last modify handle has closed, or its
 // open failed. If a recall found it live, an open may be waiting at the
 // CSS for its slot, and what would release the slot may not have run:
-// a writer lease skips the close protocol, a failed commit or open
-// skips it, and any of its messages can be lost. So the writer lease
-// that keeps the registration, if any, performs its deferred close, and
-// the CSS is then told directly (releaseCSSLock).
+// a failed commit or open skips the close protocol, and any of its
+// messages can be lost. So the CSS is told directly (releaseCSSLock).
 func (k *Kernel) giveBackRecalled(css SiteID, id storage.FileID, serial uint64) {
 	k.mu.Lock()
-	if !k.recalledSerials[serial] {
-		k.mu.Unlock()
-		return
-	}
-	if k.writerLiveLocked(id, serial) {
+	if !k.recalledSerials[serial] || k.writerLiveLocked(id, serial) {
 		k.mu.Unlock()
 		return
 	}
 	delete(k.recalledSerials, serial)
-	l := k.takeWriterLeaseLocked(id, serial)
 	k.mu.Unlock()
-	if l != nil {
-		k.releaseLease(l)
-	}
 	k.releaseCSSLock(css, id, ModeModify, serial)
 }
 

@@ -12,31 +12,16 @@ import (
 	"repro/internal/vclock"
 )
 
-// forWriterRegimes runs body under the two ways a writer registration
-// outlives its handle: the paper's protocol, where only a lost close
-// strands it, and the lease layer's, where an idle writer lease keeps it
-// on purpose.
+// forWriterRegimes runs body under the paper's protocol and under the
+// default, whose read delegations a writer's open revokes: under both
+// only a lost close strands a writer registration.
 func forWriterRegimes(t *testing.T, body func(t *testing.T, ft fs.Features)) {
 	for _, r := range []struct {
 		name string
 		ft   fs.Features
-	}{{"paper", fs.Features{}}, {"leases", fs.Features{Leases: true}}} {
+	}{{"paper", fs.Features{NoDelegations: true}}, {"leases", fs.Features{}}} {
 		t.Run(r.name, func(t *testing.T) { body(t, r.ft) })
 	}
-}
-
-// loseClose closes w while the faults the caller armed lose its
-// messages, and returns the close's error. Under leases the close is
-// free — the writer lease keeps the registration — so the holder then
-// switches the layer off and on again: the deferred close that runs is
-// the one lost.
-func loseClose(c *cluster.Cluster, w *fs.File, holder fs.SiteID, ft fs.Features) error {
-	err := w.Close()
-	if ft.Leases {
-		c.K(holder).SetFeatures(fs.Features{})
-		c.K(holder).SetFeatures(ft)
-	}
-	return err
 }
 
 // TestStrandedWriterLockReclaimedOnOpen is the regression test for the
@@ -69,7 +54,7 @@ func TestStrandedWriterLockReclaimedOnOpen(t *testing.T) {
 			Seed:  1,
 			Links: map[[2]fs.SiteID]netsim.FaultRates{{3, 1}: {Drop: 1}},
 		})
-		if err := loseClose(c, w, 3, ft); err != nil {
+		if err := w.Close(); err != nil {
 			t.Fatalf("close with lost mSSClose: %v", err)
 		}
 		c.Net.DisableFaults()
@@ -137,18 +122,15 @@ func TestStrandedWriterLockReclaimedBySameSite(t *testing.T) {
 		}
 
 		// The close itself is lost on the wire: both the SS serving state
-		// and the CSS writer record are stranded. Under the paper's
-		// protocol the US sees a timeout; a leased close sends nothing.
+		// and the CSS writer record are stranded, and the US sees a
+		// timeout.
 		c.Net.EnableFaults(netsim.FaultConfig{
 			Seed:  1,
 			Links: map[[2]fs.SiteID]netsim.FaultRates{{2, 3}: {Drop: 1}},
 		})
-		err = loseClose(c, w, 2, ft)
+		err = w.Close()
 		c.Net.DisableFaults()
-		if ft.Leases && err != nil {
-			t.Fatalf("leased close: %v", err)
-		}
-		if !ft.Leases && !errors.Is(err, netsim.ErrTimeout) {
+		if !errors.Is(err, netsim.ErrTimeout) {
 			t.Fatalf("close over dead link: %v, want ErrTimeout", err)
 		}
 		if css, ss := c.K(1).CSSWriter(w.ID()), c.K(3).ServingWriter(w.ID()); css != 2 || ss != 2 {

@@ -115,15 +115,13 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	}
 
 	// Policy check + writer reservation.
-	leasesOn := k.Features().Leases
 	k.mu.Lock()
 	for req.Mode == ModeModify && e.writerUS != vclock.NoSite {
 		holder, hserial, ssHolder := e.writerUS, e.writerSerial, e.writerSS
 		k.mu.Unlock()
-		// Before refusing, recall the recorded registration: it may be an
-		// idle writer lease, or a close lost to the network (with no
-		// partition change to trigger §5.6 cleanup) that strands the
-		// writer slot forever otherwise.
+		// Before refusing, recall the recorded registration: a close lost
+		// to the network (with no partition change to trigger §5.6
+		// cleanup) strands the writer slot forever otherwise.
 		gone, live := k.recallWriter(req.ID, e, holder, hserial, ssHolder)
 		k.mu.Lock()
 		if gone {
@@ -157,41 +155,19 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	if req.Mode == ModeModify {
 		e.writerUS, e.writerSerial = req.US, req.Serial
 	}
-	// Under leases a recorded writer hides the newest committed version
-	// from the lock table (its close was skipped), and its presence
-	// blocks read delegations. A read open first recalls the writer
-	// registration — an idle writer lease comes back in one exchange and
-	// the read proceeds with full delegation economics. A refused
-	// recall means the writer handle is genuinely live: the read is
-	// then served through the writer's SS (the commit point), where the
-	// §2.3.3 shortcuts are unsafe and no delegation is granted.
-	pollFirst := vclock.NoSite
-	if leasesOn && req.Mode != ModeModify && e.writerUS != vclock.NoSite {
-		holder, hserial, ssHolder := e.writerUS, e.writerSerial, e.writerSS
-		if req.Mode == ModeRead && holder != req.US {
-			k.mu.Unlock()
-			gone, _ := k.recallWriter(req.ID, e, holder, hserial, ssHolder)
-			k.mu.Lock()
-			if gone {
-				k.releaseWriterLocked(e, holder, hserial)
-			}
-		}
-		if e.writerUS != vclock.NoSite {
-			pollFirst = e.writerSS
-		}
-	}
 	latest, sites := e.latestVV, e.sites // both replaced whole, never edited: shared
 	k.mu.Unlock()
 
-	if req.Mode == ModeModify && leasesOn {
+	if req.Mode == ModeModify {
 		// Recall every outstanding read delegation in one batched round
 		// before the writer proceeds (the opener's own record, if any,
 		// is dropped without a callback).
 		k.revokeDelegates(req.ID, e, req.US)
 	}
 	// wantDelegate: answer this read open with a read delegation
-	// piggybacked on the reply (zero extra messages).
-	wantDelegate := leasesOn && req.Mode == ModeRead && pollFirst == vclock.NoSite
+	// piggybacked on the reply (zero extra messages), if register grants
+	// it.
+	wantDelegate := req.Mode == ModeRead && !k.Features().NoDelegations
 
 	rollback := func() {
 		if req.Mode == ModeModify {
@@ -201,46 +177,44 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 		}
 	}
 
-	// register records the open in the lock table and returns the lease
-	// to piggyback on the reply, if any. The delegation decision is
-	// re-checked under the lock: if a writer claimed the slot while
-	// this open was being served, the US is recorded as a plain reader
-	// and no lease is granted.
-	register := func(ss SiteID) *leaseGrant {
+	// register records the open, served by ss with the version vv, in
+	// the lock table, and reports whether a read delegation is granted
+	// on the reply. One is granted only if, under the lock, no writer
+	// holds the slot and vv is still the latest version: a writer revokes
+	// the delegates it finds once it has claimed the slot, so an open
+	// that met a writer claiming it, or whose version a writer has since
+	// committed over, is recorded as a plain reader instead.
+	register := func(ss SiteID, vv vclock.VV) bool {
 		if req.Mode == ModeInternal {
-			return nil // unsynchronized: no lock-table record
+			return false // unsynchronized: no lock-table record
 		}
 		k.mu.Lock()
 		defer k.mu.Unlock()
 		if req.Mode == ModeModify {
 			e.writerSS = ss
-			if !leasesOn {
-				return nil
-			}
-			k.meter().AddLeaseGranted()
-			return &leaseGrant{VV: e.latestVV, Sites: append([]SiteID(nil), e.sites...)}
+			return false
 		}
-		if wantDelegate && e.writerUS == vclock.NoSite {
+		if wantDelegate && e.writerUS == vclock.NoSite && vv.DominatesOrEqual(e.latestVV) {
 			if e.delegates == nil {
-				e.delegates = make(map[SiteID]vclock.VV)
+				e.delegates = make(map[SiteID]bool)
 			}
-			e.delegates[req.US] = e.latestVV
+			e.delegates[req.US] = true
 			k.meter().AddLeaseGranted()
-			return &leaseGrant{VV: e.latestVV, Sites: append([]SiteID(nil), e.sites...)}
+			return true
 		}
 		e.readers[req.US]++
 		e.readerSS[req.US] = ss
-		return nil
+		return false
 	}
 
 	// Optimization 1 (§2.3.3): the US's own copy is the latest — tell
 	// it to serve itself; no storage-site message needed.
-	if pollFirst == vclock.NoSite && req.USVV != nil && req.USVV.DominatesOrEqual(latest) && containsSite(sites, req.US) {
-		return &openResp{SS: req.US, Delegation: register(req.US)}, nil
+	if req.USVV != nil && req.USVV.DominatesOrEqual(latest) && containsSite(sites, req.US) {
+		return &openResp{SS: req.US, Delegated: register(req.US, req.USVV)}, nil
 	}
 
 	// Optimization 2: the CSS itself stores the latest version.
-	if r := k.localGetVV(req.ID); pollFirst == vclock.NoSite && r.Has && !r.Deleted && r.VV.DominatesOrEqual(latest) {
+	if r := k.localGetVV(req.ID); r.Has && !r.Deleted && r.VV.DominatesOrEqual(latest) {
 		// A delegated read installs no serving state: committed pages
 		// are served statelessly and the delegate closes locally.
 		if !wantDelegate {
@@ -254,52 +228,33 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 			rollback()
 			return nil, err
 		}
-		return &openResp{SS: k.site, Ino: ino, ServeReady: true, Delegation: register(k.site)}, nil
+		return &openResp{SS: k.site, Ino: ino, ServeReady: true, Delegated: register(k.site, ino.VV)}, nil
 	}
 
 	// General case: poll potential storage sites (§2.3.3: "The
 	// potential sites are polled to see if they will act as storage
-	// sites"). A read under a held writer lease polls the writer's SS
-	// first — the commit point holds the newest committed version.
-	// Otherwise the CSS's own copy was ruled out above, and the US's is
+	// sites"). The CSS's own copy was ruled out above, and the US's is
 	// polled last, not skipped: optimization 1 judged it by the USVV read
 	// before the request left, and a commit since by another process at
 	// the US can have made it the latest.
 	order := make([]SiteID, 0, 8)
-	if pollFirst != vclock.NoSite {
-		order = append(order, pollFirst)
-	}
 	for _, s := range sites {
-		if s != pollFirst && (pollFirst != vclock.NoSite || s != k.site && s != req.US) {
+		if s != k.site && s != req.US {
 			order = append(order, s)
 		}
 	}
-	if pollFirst == vclock.NoSite && req.US != k.site && containsSite(sites, req.US) {
+	if req.US != k.site && containsSite(sites, req.US) {
 		order = append(order, req.US)
 	}
 	for _, cand := range order {
 		if !k.inPartition(cand) {
 			continue // unreachable
 		}
-		if cand == k.site {
-			// CSS as SS through the local handler (a read forced onto
-			// the writer's SS).
-			if !wantDelegate {
-				if err := k.setupServe(req.ID, req.Mode, req.US, req.Serial); err != nil {
-					continue
-				}
-			}
-			ino, err := k.container(req.ID.FG).GetInode(req.ID.Inode)
-			if err != nil {
-				continue
-			}
-			return &openResp{SS: k.site, Ino: ino, ServeReady: true, Delegation: register(k.site)}, nil
-		}
 		r, err := netsim.Call(k.node, cand, mSSOpen, &ssOpenReq{ID: req.ID, Mode: req.Mode, US: req.US, Serial: req.Serial, NeedVV: latest, Delegated: wantDelegate})
 		if err != nil {
 			continue
 		}
-		return &openResp{SS: cand, Ino: r.Ino, ServeReady: true, Delegation: register(cand)}, nil
+		return &openResp{SS: cand, Ino: r.Ino, ServeReady: true, Delegated: register(cand, r.Ino.VV)}, nil
 	}
 	rollback()
 	return nil, fmt.Errorf("%w: %v (latest %v)", ErrNoStorageSite, req.ID, latest)
@@ -310,35 +265,17 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 // must have a lock-table entry (one is built, as for a look, which fails
 // for a deleted or conflicted file), and the version the search read must
 // equal the latest the entry records: a look finds that version and no
-// other. A newer one is no better, since the copy read need not be a copy
-// of this file at all (an inode number reused after its tombstone was
-// dropped starts its versions again) nor one this partition holds (the
-// search's site cached it in another). Under leases a recorded writer
-// hides its commits from the entry, and the look asks the writer's
-// storage site first (handleOpen's pollFirst): the version read must then
-// equal this site's committed copy, when this site is that storage site,
-// as the CSS is for a directory update it made itself, and otherwise the
-// check fails.
+// other. A newer one is no better, since the copy read need not be one
+// this partition holds (the search's site cached it in another).
 func (k *Kernel) checksHold(checks []dirCheck) bool {
-	if len(checks) == 0 {
-		return true
-	}
-	leasesOn := k.Features().Leases
 	for _, c := range checks {
 		e, err := k.cssEntryFor(c.ID)
 		if err != nil {
 			return false
 		}
 		k.mu.Lock()
-		newest, writer, writerSS := e.latestVV, leasesOn && e.writerUS != vclock.NoSite, e.writerSS
+		newest := e.latestVV
 		k.mu.Unlock()
-		if writer {
-			r := k.localGetVV(c.ID)
-			if writerSS != k.site || !r.Has || r.Deleted || r.Conflict {
-				return false
-			}
-			newest = r.VV
-		}
 		if !c.VV.Equal(newest) {
 			return false
 		}
@@ -615,13 +552,9 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 		}
 		return k.internalHandle(id, ino, ss), nil, 0, nil
 	}
-	// Lease fast path: a held writer lease serves any open, a read
-	// delegation serves read opens — zero wire messages, no CSS round
-	// trip (the point of the lease layer).
+	// Delegated fast path: a held read delegation serves a read open
+	// with zero wire messages, no CSS round trip.
 	if f, look, ss := k.openUnderLease(id, mode, expand); f != nil || look != nil {
-		if f != nil && mode == ModeModify {
-			k.cache.invalidateFile(id)
-		}
 		return f, look, ss, nil
 	}
 	css, err := k.CSSOf(id.FG)
@@ -675,7 +608,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 	// did when this site is also the CSS and selected itself) or the open
 	// is a delegated read, which holds no serving state anywhere, set it
 	// up now.
-	if r.SS == k.site && !r.ServeReady && (r.Delegation == nil || mode != ModeRead) {
+	if r.SS == k.site && !r.ServeReady && !r.Delegated {
 		if err := k.setupServe(id, mode, k.site, wserial); err != nil {
 			k.releaseCSSLock(css, id, mode, wserial)
 			return nil, nil, 0, err
@@ -686,12 +619,8 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 		// other handle reads the committed one where it lies.
 		f.ino, f.dirty = f.ino.Clone(), make(map[storage.PageNo]bool)
 	}
-	if r.Delegation != nil && k.recordLease(f, r.Delegation) {
-		if mode == ModeModify {
-			f.leased = true
-		} else {
-			f.delegated = true
-		}
+	if r.Delegated && k.recordLease(f) {
+		f.delegated = true
 	}
 	k.mu.Lock()
 	k.registerOpenLocked(f)
@@ -844,7 +773,7 @@ func (k *Kernel) handleSSCreate(_ SiteID, req *ssCreateReq) (*ssCreateResp, erro
 		Mode:  req.Mode,
 		Nlink: 1,
 		Sites: req.Sites,
-		VV:    vclock.New().Bump(k.site),
+		VV:    c.Floor(num).Bump(k.site),
 	}
 	if err := c.CommitInode(ino); err != nil {
 		return nil, err

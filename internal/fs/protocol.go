@@ -79,12 +79,11 @@ type openResp struct {
 	// only when the CSS selects the US itself must the US install its
 	// own serving state.
 	ServeReady bool
-	// Delegation, when non-nil, piggybacks a lease on the open reply:
-	// the US may re-open, read, and close this file locally without
-	// contacting the CSS for as long as the lease is held (read
-	// delegation on a read open; exclusive writer lease on a modify
-	// open). Only granted when the lease layer is enabled.
-	Delegation *leaseGrant
+	// Delegated piggybacks a read delegation on a read open's reply: the
+	// US may re-open, read, and close this file locally without
+	// contacting the CSS for as long as it holds the delegation
+	// (lease.go).
+	Delegated bool
 }
 
 // mSSOpen is CSS → SS: "request for storage site" of Figure 2. It
@@ -235,8 +234,7 @@ type ssCloseReq struct {
 
 // mRecallWriter is CSS/SS → US: recall one writer registration
 // (lock-table validation, §5.6 applied on demand). The using site
-// answers whether the registration is still live; if it is not, the
-// registration's writer lease, if held, comes back with the answer.
+// answers whether the registration is still live.
 var mRecallWriter = netsim.Method[recallWriterReq, recallWriterResp]{Name: "fs.recallwriter", AtMostOnce: true}
 
 type recallWriterReq struct {
@@ -252,10 +250,9 @@ type recallWriterResp struct {
 	// handle carrying it still open: the recall is refused, and the
 	// registration gives its slot back when it ends.
 	Live bool
-	// VV/Sites are the holder's committed version and storage-site list
-	// (the returned writer lease's, else its stored copy's): the
-	// analogue of the close protocol's VV piggyback, folded into the CSS
-	// lock table before the slot is reclaimed.
+	// VV/Sites are the holder's stored copy's version and storage-site
+	// list: the analogue of the close protocol's VV piggyback, folded
+	// into the CSS lock table before the slot is reclaimed.
 	VV    vclock.VV
 	Sites []SiteID
 }
@@ -273,18 +270,9 @@ type revokeServeReq struct {
 	Serial uint64
 }
 
-// leaseGrant is the VV-stamped lease piggybacked on an open reply. The
-// stamp freezes the version the holder may serve locally: a propagation
-// notification carrying a dominating VV invalidates the delegation.
-type leaseGrant struct {
-	VV    vclock.VV
-	Sites []SiteID
-}
-
 // mLeaseRevoke is CSS → delegate: one callback of a batched round
 // demanding a read delegation back before a writer proceeds (the
-// Lustre-style intent lock revocation). A writer lease is recalled by
-// its registration instead (mRecallWriter).
+// Lustre-style intent lock revocation).
 var mLeaseRevoke = netsim.Method[leaseRevokeReq, netsim.Ack]{Name: "fs.leaserevoke", AtMostOnce: true}
 
 type leaseRevokeReq struct {
@@ -292,8 +280,8 @@ type leaseRevokeReq struct {
 }
 
 // mLeaseRelease is US → CSS: voluntary return of a read delegation,
-// sent when §5.6 cleanup or switching the layer off discards the
-// holder's lease table. It removes the CSS delegate record.
+// sent when §5.6 cleanup or switching delegations off discards the
+// holder's delegations. It removes the CSS delegate record.
 var mLeaseRelease = netsim.Method[leaseReleaseReq, netsim.Ack]{Name: "fs.leaserelease", AtMostOnce: true}
 
 type leaseReleaseReq struct {
@@ -324,18 +312,6 @@ type dirOpReq struct {
 	// DelVV is the CSS's to fill). Nlink 0 changes no inode.
 	Ino   storage.InodeNum
 	Nlink int
-	// Lease hands back the writer lease the sender holds on Ino, if any,
-	// so that the CSS's open of the file need not recall it.
-	Lease *leaseHandback
-}
-
-// leaseHandback is a writer lease its holder gives back in a request:
-// the registration it kept and, as a recall's answer would carry them,
-// the committed version and storage sites it served.
-type leaseHandback struct {
-	Serial uint64
-	VV     vclock.VV
-	Sites  []SiteID
 }
 
 // dirMut is one entry change: an insert of Name naming Ino (ErrExists

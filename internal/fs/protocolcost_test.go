@@ -14,8 +14,9 @@ import (
 // TestProtocolMessageCostsPinned pins the paper's per-operation wire
 // message counts (§2.3.3–§2.3.6: general open = 4, read = 2, write = 1,
 // commit = 2 + one notification per other replica plus the CSS,
-// close = 4) via Snapshot.Sub, so transport-layer refactors provably
-// change no wire traffic.
+// close = 4) via Snapshot.Sub, with read delegations off (the paper's
+// protocol), so transport-layer refactors provably change no wire
+// traffic.
 func TestProtocolMessageCostsPinned(t *testing.T) {
 	pinProtocolCosts(t, false, nil)
 }
@@ -30,32 +31,31 @@ func TestProtocolCostsUnchangedWithFaultPlaneArmed(t *testing.T) {
 }
 
 // TestProtocolCostsUnchangedAfterLeaseCycle re-pins the exact legacy
-// counts on a cluster that ran a full lease cycle first and was then
-// switched back with SetFeatures(Features{}). The zero value must
-// reproduce the paper's protocol byte for byte: no lease state may
-// linger and change a single wire message.
+// counts on a cluster that ran a full delegation cycle first, under the
+// default, and was then switched to SetFeatures(Features{NoDelegations:
+// true}). That must reproduce the paper's protocol byte for byte: no
+// delegation state may linger and change a single wire message.
 func TestProtocolCostsUnchangedAfterLeaseCycle(t *testing.T) {
 	pinProtocolCosts(t, false, func(c *cluster.Cluster) {
-		featureCycle(t, c, fs.Features{Leases: true}, 2, 3)
+		featureCycle(t, c, fs.Features{}, 2, 3)
 	})
 }
 
-// TestPinsUnchangedAfterAllFeaturesCycle does the same with every
-// Features field on during the cycle, and re-pins the bulk-pull costs
-// as well as the 4/2/1/4 protocol costs afterwards.
+// TestPinsUnchangedAfterAllFeaturesCycle does the same with delegations
+// on and every other Features field set during the cycle, and re-pins the
+// bulk-pull costs as well as the 4/2/1/4 protocol costs afterwards.
 func TestPinsUnchangedAfterAllFeaturesCycle(t *testing.T) {
-	all := fs.Features{SerialPull: true, NoPageCache: true, Leases: true}
+	all := fs.Features{SerialPull: true, NoPageCache: true}
 	pinProtocolCosts(t, false, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 3) })
 	pinPropagationCosts(t, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 1) })
 }
 
 // featureCycle runs ft on every site of c through an
 // open/read/write/commit/close cycle — a read delegation at the reader
-// site (grant, local reopen, local closes), then a writer lease at the
-// writer site (recalls the delegation, then a leased wire-free close)
-// — and switches back to Features{}, which releases every held lease
-// (the writer lease performs its deferred close). No lease state may
-// be left anywhere.
+// site (grant, local reopen, local closes), then a writer at the writer
+// site (recalls the delegation) — and switches to the paper's protocol,
+// Features{NoDelegations: true}, which returns every held delegation. No
+// delegation state may be left anywhere.
 func featureCycle(t *testing.T, c *cluster.Cluster, ft fs.Features, readerSite, writerSite fs.SiteID) {
 	t.Helper()
 	reader, writer := c.K(readerSite), c.K(writerSite)
@@ -88,20 +88,21 @@ func featureCycle(t *testing.T, c *cluster.Cluster, ft fs.Features, readerSite, 
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.SetFeatures(fs.Features{})
+	c.SetFeatures(fs.Features{NoDelegations: true})
 	settle(t, c)
 	for _, s := range c.Sites() {
-		if n := len(c.K(s).Leases()); n != 0 {
-			t.Fatalf("site %d still holds %d lease(s) after SetFeatures(Features{})", s, n)
+		if n := len(c.K(s).Delegations()); n != 0 {
+			t.Fatalf("site %d still holds %d delegation(s) after SetFeatures(Features{NoDelegations: true})", s, n)
 		}
 		if n := len(c.K(s).Delegates()); n != 0 {
-			t.Fatalf("site %d still records %d delegate file(s) after SetFeatures(Features{})", s, n)
+			t.Fatalf("site %d still records %d delegate file(s) after SetFeatures(Features{NoDelegations: true})", s, n)
 		}
 	}
 }
 
 func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *cluster.Cluster)) {
 	c := newCluster(t, 4) // CSS = site 1
+	c.SetFeatures(fs.Features{NoDelegations: true})
 	if armFaultPlane {
 		c.Net.EnableFaults(netsim.FaultConfig{Seed: 1})
 	}

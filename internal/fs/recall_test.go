@@ -21,8 +21,6 @@ func recallAt(t *testing.T, k *Kernel, id storage.FileID, serial uint64) *recall
 	return resp
 }
 
-func leasesRevoked(k *Kernel) int64 { return k.node.Network().Stats().LeasesRevoked }
-
 func TestRecallWriterAnswers(t *testing.T) {
 	// The grant-in-flight race: the CSS has recorded the writer
 	// registration, its reply has not reached the using site yet, and a
@@ -40,9 +38,6 @@ func TestRecallWriterAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		id := f.ID()
-		for _, k := range ks {
-			k.SetFeatures(Features{Leases: true})
-		}
 		r, err := k3.OpenID(id, ModeRead)
 		if err != nil {
 			t.Fatal(err)
@@ -136,73 +131,6 @@ func TestRecallWriterAnswers(t *testing.T) {
 			t.Errorf("CSS writer serial = %d, want B's %d", serial, w.wserial)
 		}
 		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("idle writer lease comes back", func(t *testing.T) {
-		k, id, _ := solo4(t)
-		k.SetFeatures(Features{Leases: true})
-		w, err := k.OpenID(id, ModeModify)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.WriteAt([]byte("leased"), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if k.Leases()[id] != ModeModify {
-			t.Fatal("no writer lease held after the leased close")
-		}
-		before := leasesRevoked(k)
-
-		// Another registration's recall leaves the lease alone.
-		if resp := recallAt(t, k, id, w.wserial+1000); resp.Live {
-			t.Error("an unknown registration answered live")
-		}
-		if k.Leases()[id] != ModeModify || leasesRevoked(k) != before {
-			t.Fatal("a recall naming another serial took the writer lease")
-		}
-
-		resp := recallAt(t, k, id, w.wserial)
-		if resp.Live {
-			t.Fatal("an idle writer lease's registration answered live")
-		}
-		if _, held := k.Leases()[id]; held {
-			t.Error("the writer lease is still held after its recall")
-		}
-		if got := leasesRevoked(k) - before; got != 1 {
-			t.Errorf("leases_revoked moved by %d, want 1", got)
-		}
-		if committed := k.localGetVV(id).VV; !resp.VV.Equal(committed) {
-			t.Errorf("recall reported VV %v, want the committed %v", resp.VV, committed)
-		}
-	})
-
-	t.Run("leased handle open keeps its lease", func(t *testing.T) {
-		k, id, _ := solo4(t)
-		k.SetFeatures(Features{Leases: true})
-		w, err := k.OpenID(id, ModeModify)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		h, err := k.OpenID(id, ModeModify) // under the lease, same registration
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := leasesRevoked(k)
-		if !recallAt(t, k, id, h.wserial).Live {
-			t.Error("a writer lease with a handle open under it answered not live")
-		}
-		if k.Leases()[id] != ModeModify || leasesRevoked(k) != before {
-			t.Error("the recall took a writer lease a live handle uses")
-		}
-		if err := h.Close(); err != nil {
 			t.Fatal(err)
 		}
 	})

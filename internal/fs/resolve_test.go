@@ -482,7 +482,6 @@ func TestHiddenDirectoryLookUnderDelegation(t *testing.T) {
 	if k2.PendingPropagations() == 0 {
 		t.Fatal("site 2 has no pull pending")
 	}
-	c.SetFeatures(fs.Features{Leases: true})
 	vax := &fs.Cred{User: "u", HiddenCtx: []string{"vax"}}
 	for _, path := range []string{"/bin/who@@", "/bin/who@@/vax"} {
 		f, err := k2.Open(vax, path, fs.ModeRead)
@@ -496,8 +495,8 @@ func TestHiddenDirectoryLookUnderDelegation(t *testing.T) {
 	if _, err := k2.ReadDir(vax, "/bin/who@@"); err != nil { // caches the new version
 		t.Fatal(err)
 	}
-	if got := k2.Leases(); len(got) != 2 {
-		t.Fatalf("site 2 holds leases %v, want read delegations on /bin/who@@ and its vax", got)
+	if got := k2.Delegations(); len(got) != 2 {
+		t.Fatalf("site 2 holds delegations %v, want read delegations on /bin/who@@ and its vax", got)
 	}
 	want, err := k1.Resolve(vax, "/bin/who")
 	if err != nil {

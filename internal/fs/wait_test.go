@@ -160,68 +160,6 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 		exists(t, ks[2], "/x", true)
 	})
 
-	// A leased close sends nothing. The recall marks the live lease
-	// instead of taking it, and its last handle's close gives it back.
-	t.Run("granted when a leased holder closes", func(t *testing.T) {
-		ks, w := holdRoot(t, Features{Leases: true})
-		if ks[1].Leases()[rootID] != ModeModify {
-			t.Fatal("the holder got no writer lease")
-		}
-		done := createAsync(ks[2], "/x")
-		awaitParked(t)
-		if ks[1].Leases()[rootID] != ModeModify {
-			t.Error("the recall took the writer lease of a live registration")
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := await(t, done, "create behind a leased writer"); err != nil {
-			t.Fatalf("create behind a leased writer: %v", err)
-		}
-		if _, held := ks[1].Leases()[rootID]; held {
-			t.Error("the recalled writer lease outlived its last handle")
-		}
-		exists(t, ks[2], "/x", true)
-	})
-
-	// Two updates at the leaseholder share its registration. The first
-	// close must leave the second's serving state alone; the second close
-	// frees the slot.
-	t.Run("granted when the last of two leased handles closes", func(t *testing.T) {
-		ks := boot(t, Features{Leases: true})
-		if err := updating(t, ks[1]).Close(); err != nil {
-			t.Fatal(err)
-		}
-		h1, h2 := updating(t, ks[1]), updating(t, ks[1])
-		if !h1.leased || !h2.leased || h1.wserial != h2.wserial {
-			t.Fatal("the two handles do not share the writer lease's registration")
-		}
-		done := createAsync(ks[2], "/x")
-		awaitParked(t)
-		if err := h1.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ks[0].mu.Lock()
-		holder, serial := ks[0].cssState[rootID].writerUS, ks[0].cssState[rootID].writerSerial
-		ks[0].mu.Unlock()
-		if holder != 2 || serial != h2.wserial {
-			t.Errorf("after the first close the CSS records writer (%d, %d), want the live (2, %d)", holder, serial, h2.wserial)
-		}
-		if _, err := h2.WriteAt([]byte("x"), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := h2.Abort(); err != nil {
-			t.Fatalf("the second handle's abort after the first closed: %v", err)
-		}
-		if err := h2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := await(t, done, "create behind two leased handles"); err != nil {
-			t.Fatalf("create behind two leased handles: %v", err)
-		}
-		exists(t, ks[2], "/x", true)
-	})
-
 	// The holder's close reaches its storage site (itself) but every
 	// transmission of the fs.ssclose that would free the slot is lost.
 	// The holder then tells the CSS itself.

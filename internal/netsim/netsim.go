@@ -151,10 +151,10 @@ type Stats struct {
 	pullWins  atomic.Int64
 	pullPages atomic.Int64
 
-	// Lease-layer counters, charged by the fs layer: delegations and
-	// writer leases granted by a CSS, leases recalled by revocation
-	// callbacks, and batched revoke rounds (one round per writer
-	// transition, however many delegates it recalls).
+	// Read-delegation counters, charged by the fs layer: delegations
+	// granted by a CSS, delegations recalled by revocation callbacks, and
+	// batched revoke rounds (one round per writer transition, however
+	// many delegates it recalls).
 	leasesGranted  atomic.Int64
 	leasesRevoked  atomic.Int64
 	batchedRevokes atomic.Int64
@@ -180,6 +180,10 @@ type Stats struct {
 	sigsReplayed  atomic.Int64
 	sigsExpired   atomic.Int64
 }
+
+// Msgs returns the messages sent so far: Snapshot.Msgs without the
+// snapshot's copy of every counter.
+func (s *Stats) Msgs() int64 { return s.msgs.Load() }
 
 // Snapshot is an immutable copy of the counters at a point in time.
 type Snapshot struct {
@@ -209,10 +213,9 @@ type Snapshot struct {
 	PullWindowsSent int64
 	PullPagesSent   int64
 
-	// LeasesGranted counts read delegations and writer leases granted
-	// by a CSS; LeasesRevoked counts read delegations recalled by
-	// batched revoke rounds plus writer leases given back to a writer
-	// recall; BatchedRevokes counts batched revoke rounds.
+	// LeasesGranted counts read delegations granted by a CSS;
+	// LeasesRevoked counts read delegations recalled by batched revoke
+	// rounds; BatchedRevokes counts batched revoke rounds.
 	LeasesGranted  int64
 	LeasesRevoked  int64
 	BatchedRevokes int64
@@ -334,11 +337,11 @@ func (s *Stats) AddPullWindow(n int) {
 	s.pullPages.Add(int64(n))
 }
 
-// AddLeaseGranted records one read delegation or writer lease granted
-// by a CSS.
+// AddLeaseGranted records one read delegation granted by a CSS.
 func (s *Stats) AddLeaseGranted() { s.leasesGranted.Add(1) }
 
-// AddLeasesRevoked records n leases recalled by revocation callbacks.
+// AddLeasesRevoked records n read delegations recalled by revocation
+// callbacks.
 func (s *Stats) AddLeasesRevoked(n int) { s.leasesRevoked.Add(int64(n)) }
 
 // AddBatchedRevoke records one batched revoke round.

@@ -297,8 +297,16 @@ type Container struct {
 	// bytes a concurrent reader is still copying.
 	shared map[PhysPage]bool
 	// reserved tracks numbers handed out by AllocInode but not yet
-	// committed, so reallocation never double-issues a live number.
+	// committed, and numbers of live files whose copy this owner pack
+	// dropped (DropInode), so reallocation never double-issues a live
+	// number.
 	reserved map[InodeNum]bool
+	// retired holds, for each number in this container's range whose
+	// delete tombstone DropInode removed, the tombstone's version vector:
+	// the floor the next file under the number starts above (Floor).
+	// Written only when a tombstone is dropped, so it stays empty until
+	// tombstones are collected.
+	retired map[InodeNum]vclock.VV
 
 	nextPage PhysPage
 
@@ -375,6 +383,22 @@ func (c *Container) AllocInode() (InodeNum, error) {
 		}
 	}
 	return 0, fmt.Errorf("%w: filegroup %d site %d", ErrInodeSpace, c.fg, c.site)
+}
+
+// Floor returns the version vector a new file numbered n starts above:
+// the last version of the file the number named before, once DropInode
+// removed its tombstone, or the empty vector. A file's first version is its floor
+// bumped at its birth site, so it dominates every version of every file
+// the number named before, and versions never restart under a number: a
+// cache keyed by (FileID, version vector) cannot take a dead file's
+// content for a live one's.
+func (c *Container) Floor(n InodeNum) vclock.VV {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if vv := c.retired[n]; vv != nil {
+		return vv
+	}
+	return vclock.New()
 }
 
 // Owns reports whether the inode number lies in this container's
@@ -734,7 +758,11 @@ func (c *Container) CommitInode(ino *Inode) error {
 
 // DropInode removes an inode and all its pages entirely (used when a
 // delete tombstone has been seen by all packs and the inode number is
-// reallocated, and by tests).
+// reallocated, when a replica is retired from a pack the file's storage
+// sites no longer list, and by tests). A number in this container's
+// range keeps a dropped tombstone's version vector as its floor (Floor);
+// a live file's number stays reserved, since the file lives on at the
+// packs still listed.
 func (c *Container) DropInode(n InodeNum) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -743,12 +771,22 @@ func (c *Container) DropInode(n InodeNum) {
 		return
 	}
 	c.checkFrozenLocked(ino)
+	if ino.Deleted && c.Owns(n) {
+		if c.retired == nil {
+			c.retired = make(map[InodeNum]vclock.VV)
+		}
+		c.retired[n] = ino.VV
+	}
 	for _, p := range ino.Pages {
 		c.releasePageLocked(p)
 	}
 	delete(c.inodes, n)
 	delete(c.twins, n)
-	delete(c.reserved, n)
+	if !ino.Deleted && c.Owns(n) {
+		c.reserved[n] = true
+	} else {
+		delete(c.reserved, n)
+	}
 }
 
 // PageCount returns the number of allocated physical pages (for leak

@@ -262,6 +262,61 @@ func TestDropInodeFreesEverything(t *testing.T) {
 	}
 }
 
+// TestFloorKeepsADroppedNumbersVersion: a number whose tombstone
+// DropInode removed keeps the tombstone's version vector as its floor, so
+// the next file under it starts above every version of the last; a
+// number never dropped, a live copy dropped (a retired replica), and a
+// number outside the container's range have the empty floor.
+func TestFloorKeepsADroppedNumbersVersion(t *testing.T) {
+	c := MustContainer(1, 1, 1, 10, nil, Costs{})
+	last := vclock.New().Bump(1).Bump(2).Bump(1)
+	for _, ino := range []*Inode{{Num: 3, Deleted: true}, {Num: 4}, {Num: 20, Deleted: true}} {
+		ino.VV = last
+		if err := c.CommitInode(ino); err != nil {
+			t.Fatal(err)
+		}
+		if f := c.Floor(ino.Num); !f.Equal(vclock.New()) {
+			t.Fatalf("floor of stored number %d = %v, want empty", ino.Num, f)
+		}
+		c.DropInode(ino.Num)
+	}
+	if f := c.Floor(3); !f.Equal(last) {
+		t.Fatalf("floor of dropped tombstone 3 = %v, want %v", f, last)
+	}
+	for _, n := range []InodeNum{4, 20} {
+		if f := c.Floor(n); !f.Equal(vclock.New()) {
+			t.Fatalf("floor of number %d, a live copy or outside the range, = %v, want empty", n, f)
+		}
+	}
+	if next := c.Floor(3).Bump(1); next.Compare(last) != vclock.Dominates {
+		t.Fatalf("a new file's first version %v does not dominate the dropped %v", next, last)
+	}
+}
+
+// TestDroppedLiveNumberIsNotReallocated: an owner pack that drops a live
+// file's copy (a replica retired from it) keeps the number out of
+// AllocInode's reach, since the file lives on at other packs; a dropped
+// tombstone's number is reallocated.
+func TestDroppedLiveNumberIsNotReallocated(t *testing.T) {
+	c := MustContainer(1, 1, 1, 2, nil, Costs{})
+	for _, deleted := range []bool{false, true} {
+		n, err := c.AllocInode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CommitInode(&Inode{Num: n, VV: vclock.New().Bump(1), Deleted: deleted}); err != nil {
+			t.Fatal(err)
+		}
+		c.DropInode(n)
+	}
+	if n, err := c.AllocInode(); err != nil || n != 2 {
+		t.Fatalf("AllocInode = %d, %v; want 2, the dropped tombstone's number, and not 1, the live file's", n, err)
+	}
+	if n, err := c.AllocInode(); !errors.Is(err, ErrInodeSpace) {
+		t.Fatalf("AllocInode = %d, %v; want ErrInodeSpace", n, err)
+	}
+}
+
 func TestListInodesSorted(t *testing.T) {
 	c := newTestContainer()
 	for i := 0; i < 5; i++ {

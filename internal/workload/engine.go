@@ -167,6 +167,18 @@ type Result struct {
 	// delays).
 	SimUs int64
 	Lat   Hist // per-op latency in charged simulated µs
+	// OpUs and OpMsgs are each op class's share of the run: the charged
+	// simulated µs of its ops (Lat's samples, by class) and the messages
+	// they sent.
+	OpUs   [nOps]int64
+	OpMsgs [nOps]int64
+}
+
+// PerOp returns op class op's mean messages and mean charged simulated
+// µs per op.
+func (r *Result) PerOp(op Op) (msgs, us float64) {
+	n := float64(max(r.OpCount[op], 1))
+	return float64(r.OpMsgs[op]) / n, float64(r.OpUs[op]) / n
 }
 
 // TenantResult is one tenant's slice of the counters.
@@ -190,7 +202,7 @@ func (r *Result) CounterTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ops=%d errors=%d sim_us=%d\n", r.Ops, r.Errors, r.SimUs)
 	for op := 0; op < nOps; op++ {
-		fmt.Fprintf(&b, "op %s n=%d err=%d\n", opNames[op], r.OpCount[op], r.OpErrs[op])
+		fmt.Fprintf(&b, "op %s n=%d err=%d us=%d msgs=%d\n", opNames[op], r.OpCount[op], r.OpErrs[op], r.OpUs[op], r.OpMsgs[op])
 	}
 	for _, t := range r.Tenant {
 		fmt.Fprintf(&b, "tenant %s ops=%d err=%d\n", t.Name, t.Ops, t.Errs)
@@ -328,12 +340,14 @@ func (e *Engine) Step() bool {
 	// Latency is the charged simulated cost of the op (CostUs): what
 	// the op's own CPU, disk and messages cost, without the time a
 	// fault-plane timeout or delay adds to the clock.
-	start := nw.CostUs()
+	start, msgs := nw.CostUs(), nw.Meter().Msgs()
 	err := e.issue(a, t, op)
 	lat := nw.CostUs() - start
 
 	e.res.Ops++
 	e.res.OpCount[op]++
+	e.res.OpUs[op] += lat
+	e.res.OpMsgs[op] += nw.Meter().Msgs() - msgs
 	e.res.Tenant[a.tenant].Ops++
 	e.res.Lat.Record(lat)
 	e.res.SimUs = nw.CostUs() - e.costStart
