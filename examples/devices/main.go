@@ -64,16 +64,16 @@ func main() {
 	must(err)
 	fmt.Print(string(out))
 
-	// --- Sequential readahead: half the message count for a scan.
+	// --- Sequential readahead: half the message count for a scan. The
+	// scan without it runs on a second cluster, booted without the
+	// using-site page cache that readahead deposits into.
 	fmt.Println("== sequential readahead ==")
-	big := make([]byte, 16*storage.PageSize)
-	must(op.WriteFile("/big.dat", big))
-	must(op.SetReplication("/big.dat", 1))
-	c.Settle()
-	reader := c.Site(2).Login("reader")
-	scan := func(ft fs.Features) int64 {
-		c.Site(2).FS.SetFeatures(ft)
-		f, err := reader.Open("/big.dat", locus.Read)
+	scan := func(c *locus.Cluster) int64 {
+		op := c.Site(1).Login("operator")
+		must(op.WriteFile("/big.dat", make([]byte, 16*storage.PageSize)))
+		must(op.SetReplication("/big.dat", 1))
+		c.Settle()
+		f, err := c.Site(2).Login("reader").Open("/big.dat", locus.Read)
 		must(err)
 		defer f.Close() //locus:vet-allow uncheckedcall example: read-only handle, nothing to lose
 		before := c.Stats().Msgs
@@ -84,8 +84,14 @@ func main() {
 		}
 		return c.Stats().Msgs - before
 	}
-	fmt.Printf("16-page remote scan: %d msgs without readahead, %d with\n",
-		scan(fs.Features{NoPageCache: true}), scan(fs.Features{}))
+	spec := locus.SimpleSpec(3)
+	spec.Features = fs.Features{NoPageCache: true}
+	plain, err := locus.NewCluster(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer plain.Close()
+	fmt.Printf("16-page remote scan: %d msgs without readahead, %d with\n", scan(plain), scan(c))
 
 	// --- Demand recovery: reconcile one hot directory immediately.
 	fmt.Println("== demand recovery ==")

@@ -184,8 +184,7 @@ func page(b byte) []byte {
 // e1 regenerates Figure 1: the control flow of a system call requiring
 // foreign service, with per-stage message and simulated-cost deltas.
 func e1(h *Harness) {
-	c := h.Cluster(2)
-	c.SetFeatures(fs.Features{NoDelegations: true}) // Figure 1's close is the paper's 4-message teardown
+	c := h.FeatureCluster(2, fs.Features{NoDelegations: true}) // Figure 1's close is the paper's 4-message teardown
 	u1 := c.Site(1).Login("u")
 	s2 := c.Site(2).Login("u")
 	mustWrite(u1, "/f", page('x'))
@@ -215,8 +214,7 @@ func e1(h *Harness) {
 // protocol in every US/CSS/SS role combination, plus read, write,
 // commit and close.
 func e2(h *Harness) {
-	c := h.Cluster(3)
-	c.SetFeatures(fs.Features{NoDelegations: true}) // Figure 2 is the paper's protocol
+	c := h.FeatureCluster(3, fs.Features{NoDelegations: true}) // Figure 2 is the paper's protocol
 	u1 := c.Site(1).Login("u")
 	// fileA stored only at site 3 (CSS=1 stores nothing): general case.
 	mustWrite(u1, "/a", page('a'))
@@ -275,7 +273,12 @@ func e2(h *Harness) {
 // remote page is twice local access, and the cost of a remote open is
 // significantly more than ... local".
 func e3(h *Harness) {
-	c := h.Cluster(2)
+	// Measure the raw §2.3.3 protocol cost: with the using-site page
+	// cache on, every repeat read after the first is a cache hit and the
+	// remote/local ratio collapses to ≈1 (that effect is E11's subject,
+	// not this table's), and under a read delegation every repeat open is
+	// free (E14's).
+	c := h.FeatureCluster(2, fs.Features{NoPageCache: true, NoDelegations: true})
 	u1 := c.Site(1).Login("u")
 	mustWrite(u1, "/local", page('l'))
 	must(c.Site(1).FS.SetReplication(u1.Cred(), "/local", []SiteID{1}))
@@ -285,13 +288,6 @@ func e3(h *Harness) {
 	const iters = 200
 	measure := func(site SiteID) (openCPU, pageCPU int64) {
 		k := c.Site(site).FS
-		// Measure the raw §2.3.3 protocol cost: with the using-site page
-		// cache on, every repeat read after the first is a cache hit and
-		// the remote/local ratio collapses to ≈1 (that effect is E11's
-		// subject, not this table's), and under a read delegation every
-		// repeat open is free (E14's).
-		k.SetFeatures(fs.Features{NoPageCache: true, NoDelegations: true})
-		defer k.SetFeatures(fs.Features{})
 		// Warm CSS state.
 		f, err := k.OpenID(rl.ID, fs.ModeRead)
 		must(err)
@@ -765,38 +761,41 @@ func (m *localMeter) AddDisk(us int64) { m.disk += us }
 // baseline, and the cache/readahead layer is the optimisation this
 // table quantifies.
 func e11(h *Harness) {
-	c := h.Cluster(2)
-	u1 := c.Site(1).Login("u")
 	const pages = 16
 	data := make([]byte, pages*storage.PageSize)
 	for i := range data {
 		data[i] = byte('a' + i/int(storage.PageSize)%26)
 	}
-	mustWrite(u1, "/seq", data)
-	must(c.Site(1).FS.SetReplication(u1.Cred(), "/seq", []SiteID{1}))
-	c.Settle()
-	rid, err := c.Site(1).FS.Resolve(u1.Cred(), "/seq")
-	must(err)
-	k := c.Site(2).FS
-
-	scan := func(ft fs.Features) netsim.Snapshot {
-		k.SetFeatures(ft)
-		f, err := k.OpenID(rid.ID, fs.ModeRead)
+	// scanner builds a cluster running ft whose /seq is stored at site
+	// 1 only, and returns a sequential scan of it from site 2.
+	scanner := func(ft fs.Features) func() netsim.Snapshot {
+		c := h.FeatureCluster(2, ft)
+		u1 := c.Site(1).Login("u")
+		mustWrite(u1, "/seq", data)
+		must(c.Site(1).FS.SetReplication(u1.Cred(), "/seq", []SiteID{1}))
+		c.Settle()
+		rid, err := c.Site(1).FS.Resolve(u1.Cred(), "/seq")
 		must(err)
-		d := delta(c, func() {
-			got, err := f.ReadAll()
+		k := c.Site(2).FS
+		return func() netsim.Snapshot {
+			f, err := k.OpenID(rid.ID, fs.ModeRead)
 			must(err)
-			if len(got) != len(data) {
-				must(fmt.Errorf("E11: short read: %d of %d bytes", len(got), len(data)))
-			}
-		})
-		f.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
-		return d
+			d := delta(c, func() {
+				got, err := f.ReadAll()
+				must(err)
+				if len(got) != len(data) {
+					must(fmt.Errorf("E11: short read: %d of %d bytes", len(got), len(data)))
+				}
+			})
+			f.Close() //locus:vet-allow uncheckedcall bench harness: a failure here surfaces as wrong pinned counts
+			return d
+		}
 	}
 
-	base := scan(fs.Features{NoPageCache: true}) // pure §2.3.3: 2 messages per page
-	cold := scan(fs.Features{})                  // streaming readahead fills the US cache
-	warm := scan(fs.Features{})                  // second pass served entirely from the cache
+	base := scanner(fs.Features{NoPageCache: true})() // pure §2.3.3: 2 messages per page
+	scan := scanner(fs.Features{})
+	cold := scan() // streaming readahead fills the US cache
+	warm := scan() // second pass served entirely from the cache
 
 	row := func(name string, d netsim.Snapshot) {
 		h.Row(name, cell("%d", d.Msgs), cell("%d", d.ByMethod["fs.read"]),
@@ -898,8 +897,7 @@ func e13(h *Harness) {
 		pulls  int
 	}
 	run := func(serial bool) outcome {
-		c := h.Cluster(3)
-		c.SetFeatures(fs.Features{SerialPull: serial})
+		c := h.FeatureCluster(3, fs.Features{SerialPull: serial})
 		u := c.Site(1).Login("u")
 		// Seed the file and let the creation propagate so every site
 		// holds a replica; the measured run is then a pure pull of the
@@ -948,8 +946,7 @@ func e14(h *Harness) {
 		wclose netsim.Snapshot // writer commit + close
 	}
 	run := func(noDelegations bool) outcome {
-		c := h.Cluster(6)
-		c.SetFeatures(fs.Features{NoDelegations: noDelegations})
+		c := h.FeatureCluster(6, fs.Features{NoDelegations: noDelegations})
 		u := c.Site(6).Login("u")
 		mustWrite(u, "/hot", page('a'))
 		must(c.Site(6).FS.SetReplication(u.Cred(), "/hot", []SiteID{6}))

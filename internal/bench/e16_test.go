@@ -27,12 +27,13 @@ const delegationCheckOps = 3000
 func TestDelegationsOpClassCosts(t *testing.T) {
 	run := func(ft fs.Features) *workload.Result {
 		t.Helper()
-		c, err := locus.Simple(3)
+		spec := locus.SimpleSpec(3)
+		spec.Features = ft
+		c, err := locus.NewCluster(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		c.SetFeatures(ft)
 		eng, err := workload.New(c, e16Config(delegationCheckOps))
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/fs"
 	"repro/internal/netsim"
 	"repro/locus"
 )
@@ -19,8 +20,13 @@ type Harness struct {
 // Cluster builds an n-site cluster (locus.Simple) and records it, so
 // RunWithMetrics closes it and counts its traffic. A body may Close it
 // early; closing twice is harmless.
-func (h *Harness) Cluster(n int) *locus.Cluster {
-	c, err := locus.Simple(n)
+func (h *Harness) Cluster(n int) *locus.Cluster { return h.FeatureCluster(n, fs.Features{}) }
+
+// FeatureCluster is Cluster booted with the feature selection ft.
+func (h *Harness) FeatureCluster(n int, ft fs.Features) *locus.Cluster {
+	spec := locus.SimpleSpec(n)
+	spec.Features = ft
+	c, err := locus.NewCluster(spec)
 	must(err)
 	h.clusters = append(h.clusters, c)
 	return c

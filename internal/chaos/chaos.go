@@ -43,7 +43,7 @@ type Config struct {
 	// deliberate regression the harness exists to catch: retried
 	// mutations replay and the invariant checks report the damage.
 	DisableDedup bool
-	// Features is installed at every site. The default runs read
+	// Features is the cluster's feature selection. The default runs read
 	// delegations (grants, batched revocation, and reclaim across crashes
 	// and partitions; the post-heal fsck also checks for stranded
 	// delegations). The pinned seeds also run SerialPull (the legacy
@@ -212,7 +212,9 @@ func (r *run) disturbed() bool {
 // invariant failures land in Result.Violations.
 func Run(cfg Config) (*Result, error) {
 	cfg.fill()
-	c, err := locus.Simple(cfg.Sites)
+	spec := locus.SimpleSpec(cfg.Sites)
+	spec.Features = cfg.Features
+	c, err := locus.NewCluster(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +222,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.DisableDedup {
 		c.Network().SetDedup(false)
 	}
-	c.SetFeatures(cfg.Features)
 
 	r := &run{
 		cfg:       cfg,

@@ -201,14 +201,6 @@ func (c *Cluster) UpSites() []SiteID {
 	return up
 }
 
-// SetFeatures installs one feature selection at every site, in
-// ascending site order (switching delegations off sends).
-func (c *Cluster) SetFeatures(f fs.Features) {
-	for _, s := range c.sites {
-		c.site[s].FS.SetFeatures(f)
-	}
-}
-
 // Fsck runs the deep structural check across every site's on-disk
 // state (see fs.FsckCluster). converged additionally requires all
 // copies of every file to agree — valid only after a full heal, merge

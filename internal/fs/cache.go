@@ -138,8 +138,7 @@ func (pc *pageCache) invalidateFile(id storage.FileID) int {
 	return n
 }
 
-// purge empties the cache (site crash: all volatile state is lost; or
-// Features.NoPageCache switched on).
+// purge empties the cache (site crash: all volatile state is lost).
 func (pc *pageCache) purge() {
 	pc.mu.Lock()
 	pc.ents = make(map[pageKey]*list.Element)

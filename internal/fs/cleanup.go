@@ -28,8 +28,7 @@ type CleanupReport struct {
 	// LeasesReclaimed counts read delegations and delegate records
 	// discarded by the conservative merge rule: after a partition change
 	// the merged version vector may no longer support a delegation's
-	// stamp, so all of them are released (returned to the CSS
-	// best-effort).
+	// stamp, so every site discards all it holds and all it records.
 	LeasesReclaimed int
 }
 
@@ -47,10 +46,9 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 
 	// --- Read delegations: discard every one held (§5.6 applied to the
 	// delegation table — delegations are reclaimed exactly like
-	// lock-table records). Releasing is best-effort: an unreachable CSS
-	// runs its own cleanup, which drops the matching records for sites
-	// outside *its* partition.
-	rep.LeasesReclaimed = k.releaseAllLeases(true)
+	// lock-table records). Nothing is sent: each CSS's own cleanup,
+	// below, discards its delegate records.
+	rep.LeasesReclaimed = k.dropAllLeases()
 
 	// --- US side: open files whose storage site left the partition.
 	// The failover order is part of the deterministic replay schedule

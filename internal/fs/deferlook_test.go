@@ -36,8 +36,8 @@ func noCopyCluster(t *testing.T, features fs.Features) *cluster.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Features = features
 	c := newClusterCfg(t, cfg, 1, 2, 3)
-	c.SetFeatures(features)
 	k1 := c.K(1)
 	if err := k1.Mkdir(cred(), "/d", 0755); err != nil {
 		t.Fatal(err)
@@ -403,8 +403,8 @@ func TestDeferredLookReusedInode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cfg.Features = rg.features
 			c := newClusterCfg(t, cfg, 1, 3)
-			c.SetFeatures(rg.features)
 			k1, k3 := c.K(1), c.K(3)
 			if err := k1.Mkdir(cred(), "/a", 0755); err != nil {
 				t.Fatal(err)

@@ -57,13 +57,13 @@ var regimes = []struct {
 
 // TestNamespaceOpCosts pins what each namespace operation sends in
 // renameDir's 1,024-entry /d from the sites of
-// TestRenameSameDirectoryIsOneUpdate, under both regimes (switched on
-// after the set-up). A using site that is not the CSS holds a pending
-// propagation of /d, and its cache holds the version that pull is for
-// (it made the last update), so its search looks at /d in the cache
-// with no message, and the operation is one exchange with the CSS:
-// fs.dirop, or fs.create for a create, which carries its parent and
-// name. The CSS opens, changes and commits every file the operation
+// TestRenameSameDirectoryIsOneUpdate, under both regimes (each cluster
+// booted with its regime's features). A using site that is not the CSS
+// holds a pending propagation of /d, and its cache holds the version
+// that pull is for (it made the last update), so its search looks at /d
+// in the cache with no message, and the operation is one exchange with
+// the CSS: fs.dirop, or fs.create for a create, which carries its
+// parent and name. The CSS opens, changes and commits every file the operation
 // touches itself, its own current copies as a rule, so wherever the
 // current copy is, it sends the same, and nothing of the file's own but
 // its commit's note.
@@ -116,8 +116,7 @@ func TestNamespaceOpCosts(t *testing.T) {
 		} {
 			for _, op := range nsOps {
 				t.Run(rg.prefix+row.name+"/"+op.name, func(t *testing.T) {
-					c, _ := renameDir(t, 1024, row.us, row.stale)
-					c.SetFeatures(rg.features)
+					c, _ := featureRenameDir(t, rg.features, 1024, row.us, row.stale)
 					before := c.Net.Stats()
 					if err := op.run(c.K(row.us)); err != nil {
 						t.Fatal(err)
@@ -186,8 +185,7 @@ func TestNamespaceOpCosts(t *testing.T) {
 					want["fs.propnotify"] = row.linkNotes
 				}
 				t.Run(rg.prefix+row.name+"/"+op.name, func(t *testing.T) {
-					c, _ := renameDir(t, 1024, 2, false)
-					c.SetFeatures(rg.features)
+					c, _ := featureRenameDir(t, rg.features, 1024, 2, false)
 					row.prep(t, c, path)
 					before := c.Net.Stats()
 					if err := op.run(c.K(2)); err != nil {
@@ -345,7 +343,7 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 	for _, rg := range regimes {
 		for _, op := range cutOps() {
 			setup := func(t *testing.T) (*cluster.Cluster, storage.InodeNum) {
-				c, tmp := renameDir(t, 8, us, true)
+				c, tmp := featureRenameDir(t, rg.features, 8, us, true)
 				if strings.HasSuffix(op.name, "/offcss") {
 					if err := c.K(1).SetReplication(cred(), nsPath(op.name), []fs.SiteID{3, 2}); err != nil {
 						t.Fatal(err)
@@ -357,7 +355,6 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 					}
 					lagCache(t, c)
 				}
-				c.SetFeatures(rg.features)
 				return c, fileAt(t, c, op.name, tmp)
 			}
 			c, _ := setup(t)

@@ -10,11 +10,11 @@ import (
 	"repro/internal/storage"
 )
 
-// bootBystander is bootSites(t, 2) plus site 3, which stores no pack: every
-// look it makes goes to the CSS, site 1.
-func bootBystander(t *testing.T) []*Kernel {
+// bootBystander is bootFeatureSites(t, 2, ft) plus site 3, which stores
+// no pack: every look it makes goes to the CSS, site 1.
+func bootBystander(t *testing.T, ft Features) []*Kernel {
 	t.Helper()
-	ks := bootSites(t, 2)
+	ks := bootFeatureSites(t, 2, ft)
 	nw := ks[0].node.Network()
 	k3, err := BootSite(nw.AddSite(3), ks[0].cfg, nw.Meter(), storage.Costs{})
 	if err != nil {
@@ -82,11 +82,8 @@ func lockState(ks []*Kernel, id storage.FileID) string {
 // 2 and a directory update's writer at site 1.
 func TestExpandOpenTakesNoLock(t *testing.T) {
 	for _, ft := range []Features{{}, {NoDelegations: true}} {
-		ks := bootBystander(t)
+		ks := bootBystander(t, ft)
 		hidden, _ := hiddenTree(t, ks)
-		for _, k := range ks {
-			k.SetFeatures(ft)
-		}
 		r, err := ks[1].OpenID(hidden, ModeRead)
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +116,7 @@ func TestExpandOpenTakesNoLock(t *testing.T) {
 // directory's open is only the search's look, so it neither waits for the
 // slot nor fails with ErrBusy.
 func TestExpandOpenPassesBusyHiddenDir(t *testing.T) {
-	ks := bootBystander(t)
+	ks := bootBystander(t, Features{})
 	hidden, vax := hiddenTree(t, ks)
 	w, _, _, err := ks[1].openID(hidden, ModeModify, false, 0, nil)
 	if err != nil {
@@ -144,7 +141,7 @@ func TestExpandOpenPassesBusyHiddenDir(t *testing.T) {
 // and nothing cached, the read goes to the site that left, fails as
 // unreachable, and is retried on a fresh look, which names the other copy.
 func TestReadDirCarriedLookSiteGone(t *testing.T) {
-	ks := bootBystander(t)
+	ks := bootBystander(t, Features{})
 	k3 := ks[2]
 	if err := ks[0].Mkdir(DefaultCred("tester"), "/d", 0755); err != nil {
 		t.Fatal(err)

@@ -162,8 +162,7 @@ func TestPullInterruptedAtEveryExchange(t *testing.T) {
 					how = "crash"
 				}
 				t.Run(fmt.Sprintf("%s/%s#%d/%s", rg.name, ex.method, ex.nth, how), func(t *testing.T) {
-					c := newCluster(t, 2)
-					c.SetFeatures(rg.features)
+					c := featureCluster(t, 2, rg.features)
 					writeFile(t, c.K(1), "/f", oldData)
 					settle(t, c)
 					r, err := c.K(1).Resolve(cred(), "/f")

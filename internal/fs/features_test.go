@@ -36,13 +36,12 @@ func TestStreamingReadaheadCutsSequentialReadMessages(t *testing.T) {
 		{"internal", fs.Features{}, fs.ModeInternal, false, 16, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCluster(t, 2)
+			c := featureCluster(t, 2, tc.ft)
 			writeFile(t, c.K(1), "/seq", data)
 			if err := c.K(1).SetReplication(cred(), "/seq", []fs.SiteID{1}); err != nil {
 				t.Fatal(err)
 			}
 			settle(t, c)
-			c.SetFeatures(tc.ft)
 			r, err := c.K(2).Resolve(cred(), "/seq")
 			if err != nil {
 				t.Fatal(err)
@@ -76,49 +75,6 @@ func TestStreamingReadaheadCutsSequentialReadMessages(t *testing.T) {
 				t.Fatalf("re-read = %d fs.read msgs, want %d", d.ByMethod["fs.read"], tc.rereads)
 			}
 		})
-	}
-}
-
-// TestSetFeaturesTransitions pins the two state transitions
-// SetFeatures owns: switching delegations off leaves no held delegation
-// and no CSS delegate record, and switching the page cache off flushes
-// it and keeps it empty.
-func TestSetFeaturesTransitions(t *testing.T) {
-	c, id := leaseCluster(t) // file stored at sites 3, 4; CSS = 1
-	openClose(t, c.K(2), id, fs.ModeRead)
-	if len(c.K(2).Delegations()) != 1 || len(c.K(1).Delegates()) != 1 {
-		t.Fatalf("setup: want one delegation at site 2 recorded at the CSS, got %v / %v",
-			c.K(2).Delegations(), c.K(1).Delegates())
-	}
-	c.SetFeatures(fs.Features{NoDelegations: true})
-	for _, s := range c.Sites() {
-		if l, d := c.K(s).Delegations(), c.K(s).Delegates(); len(l) != 0 || len(d) != 0 {
-			t.Fatalf("site %d after {} -> {NoDelegations}: delegations %v, delegates %v", s, l, d)
-		}
-	}
-
-	readAll := func() {
-		t.Helper()
-		f, err := c.K(2).OpenID(id, fs.ModeRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close() //nolint:errcheck
-		if _, err := f.ReadAll(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	readAll()
-	if c.K(2).CachedPages() == 0 {
-		t.Fatal("setup: a remote read should have populated the using-site cache")
-	}
-	c.K(2).SetFeatures(fs.Features{NoPageCache: true})
-	if n := c.K(2).CachedPages(); n != 0 {
-		t.Fatalf("{NoDelegations} -> {NoPageCache}: %d pages still cached", n)
-	}
-	readAll()
-	if n := c.K(2).CachedPages(); n != 0 {
-		t.Fatalf("cache accepted %d pages while off", n)
 	}
 }
 

@@ -16,7 +16,15 @@ import (
 // import it), and closes it at test cleanup.
 func newCluster(t *testing.T, nSites int) *cluster.Cluster {
 	t.Helper()
-	return newClusterCfg(t, cluster.SimpleConfig(nSites))
+	return featureCluster(t, nSites, fs.Features{})
+}
+
+// featureCluster is newCluster booted with the feature selection ft.
+func featureCluster(t testing.TB, nSites int, ft fs.Features) *cluster.Cluster {
+	t.Helper()
+	cfg := cluster.SimpleConfig(nSites)
+	cfg.Features = ft
+	return newClusterCfg(t, cfg)
 }
 
 // newClusterCfg builds a cluster for cfg. sites, when given, is the
@@ -659,8 +667,7 @@ func TestReadWriteCloseMessageCounts(t *testing.T) {
 	// §2.3.3/.5: network read = 2 messages, write = 1 message, close of
 	// a remotely stored file = 4 messages (US, SS, CSS all distinct): the
 	// paper's protocol, read delegations off.
-	c := newCluster(t, 3)
-	c.SetFeatures(fs.Features{NoDelegations: true})
+	c := featureCluster(t, 3, fs.Features{NoDelegations: true})
 	writeFile(t, c.K(1), "/f", bytes.Repeat([]byte{'x'}, storage.PageSize))
 	if err := c.K(1).SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func (f *File) fetchPage(pn storage.PageNo) (data []byte, size int64, owned bool
 	// holds no lock and a piggybacked page's version goes unchecked.
 	sequential := pn == f.raNext
 	f.raNext = pn + 1
-	cached := !k.Features().NoPageCache
+	cached := !k.cfg.Features.NoPageCache
 	ra := f.mode == ModeRead && cached
 	if ra {
 		if !sequential {

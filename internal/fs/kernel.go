@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/netsim"
 	"repro/internal/storage"
@@ -91,6 +90,9 @@ const RootInode storage.InodeNum = 1
 // everywhere (§5.1); we model that by sharing one immutable Config.
 type Config struct {
 	Filegroups []FilegroupDesc
+	// Features is the cluster's one protocol-extension selection, set
+	// before the kernels boot and fixed for the cluster's lifetime.
+	Features Features
 
 	mountByPath map[string]storage.FilegroupID
 	byFG        map[storage.FilegroupID]FilegroupDesc
@@ -349,18 +351,14 @@ type Kernel struct {
 	// so pathname searching does not re-parse an unchanged directory on
 	// every component of every path (see dircache.go).
 	dirs dirCache
-
-	// features is the protocol-extension selection (see Features). It
-	// is never nil; readers load it without taking mu.
-	features atomic.Pointer[Features]
 }
 
-// Features selects the protocol extensions a kernel runs. The zero
-// value is the paper's protocol plus bulk pull, the using-site page
-// cache, streaming readahead and read delegations: what every benchmark
-// workload runs. Each field switches one of them off (or, SerialPull,
-// back to the paper's pull), for the pins of the paper's figures and
-// the ablations.
+// Features selects the protocol extensions every kernel of a cluster
+// runs (Config.Features). The zero value is the paper's protocol plus
+// bulk pull, the using-site page cache, streaming readahead and read
+// delegations: what every benchmark workload runs. Each field switches
+// one of them off (or, SerialPull, back to the paper's pull), for the
+// pins of the paper's figures and the ablations.
 type Features struct {
 	// SerialPull makes pullFile pay the original one-fs.readphys-
 	// exchange-per-page cost instead of the windowed fs.pullpages
@@ -372,23 +370,6 @@ type Features struct {
 	// NoDelegations turns read delegations (lease.go) off: every open
 	// and close then goes through the CSS, as §2.3.3 has it.
 	NoDelegations bool
-}
-
-// Features returns the kernel's current feature selection.
-func (k *Kernel) Features() Features { return *k.features.Load() }
-
-// SetFeatures installs a feature selection on a live kernel.
-// Switching the page cache off flushes it. Switching delegations off
-// returns every held delegation to its CSS, so the cluster drops back to
-// exactly the paper's protocol state.
-func (k *Kernel) SetFeatures(f Features) {
-	old := *k.features.Swap(&f)
-	if f.NoPageCache && !old.NoPageCache {
-		k.cache.purge()
-	}
-	if f.NoDelegations && !old.NoDelegations {
-		k.releaseAllLeases(false)
-	}
 }
 
 // meter returns the network-wide cost meter (cache/readahead counters).
@@ -413,7 +394,6 @@ func NewKernel(node *netsim.Node, store *storage.Store, cfg *Config) *Kernel {
 		leaseDropped:    make(map[storage.FileID]bool),
 	}
 	k.writerFreed.L = &k.mu
-	k.features.Store(&Features{})
 	k.cache = newPageCache(node.Network().Meter())
 	seen := map[SiteID]bool{}
 	for _, d := range cfg.Filegroups {

@@ -23,15 +23,15 @@ package fs
 // Failure handling reuses the existing reclaim machinery: a crashed
 // holder loses its delegations with the rest of its volatile state and
 // the CSS record self-heals on the next revoke round (a revoke that
-// finds nothing is answered all the same); partition changes drop all
-// delegations and delegate records on both sides
-// (CleanupAfterPartitionChange), exactly like lock-table records; a
-// propagation notification whose VV dominates a delegation's stamp
-// invalidates it.
+// finds nothing is answered all the same); a partition change drops all
+// delegations and delegate records on both sides, each site its own
+// (CleanupAfterPartitionChange), exactly like lock-table records and
+// with no message; a propagation notification whose VV dominates a
+// delegation's stamp invalidates it.
 //
-// Delegations are the default. Features.NoDelegations switches them off,
-// and every pinned message count of the paper's protocol is then
-// reproduced exactly (protocolcost_test.go).
+// Delegations are the default. A cluster booted with
+// Features.NoDelegations runs none, and every pinned message count of
+// the paper's protocol is then reproduced exactly (protocolcost_test.go).
 
 import (
 	"slices"
@@ -53,37 +53,18 @@ type usLease struct {
 	ino *storage.Inode
 }
 
-// releaseAllLeases returns every delegation this site holds, in file-id
-// order, and reports how many: SetFeatures switching delegations off,
-// and partition cleanup, which also forgets the revocations that outran
-// their grants (forgetDropped).
-func (k *Kernel) releaseAllLeases(forgetDropped bool) int {
+// dropAllLeases discards every delegation this site holds, and the
+// revocations that outran their grants (leaseDropped), and reports how
+// many delegations it discarded: §5.6 partition cleanup's US side. It
+// sends nothing, since each CSS's own cleanup discards its delegate
+// records, as every site rebuilds its lock tables locally.
+func (k *Kernel) dropAllLeases() int {
 	k.mu.Lock()
-	drop := make([]*usLease, 0, len(k.leases))
-	for _, l := range k.leases {
-		drop = append(drop, l)
-	}
+	defer k.mu.Unlock()
+	n := len(k.leases)
 	k.leases = make(map[storage.FileID]*usLease)
-	if forgetDropped {
-		k.leaseDropped = make(map[storage.FileID]bool)
-	}
-	k.mu.Unlock()
-	slices.SortFunc(drop, func(a, b *usLease) int { return a.id.Compare(b.id) })
-	for _, l := range drop {
-		req := &leaseReleaseReq{ID: l.id, US: k.site}
-		netsim.CallAt(k.node, l.css, mLeaseRelease, k.handleLeaseRelease, req) //locus:vet-allow uncheckedcall best-effort return; the CSS record self-heals on its next revoke round
-	}
-	return len(drop)
-}
-
-// handleLeaseRelease is the CSS side of a voluntary delegation return.
-func (k *Kernel) handleLeaseRelease(_ SiteID, req *leaseReleaseReq) (*netsim.Ack, error) {
-	k.mu.Lock()
-	if e := k.cssState[req.ID]; e != nil {
-		delete(e.delegates, req.US)
-	}
-	k.mu.Unlock()
-	return nil, nil
+	k.leaseDropped = make(map[storage.FileID]bool)
+	return n
 }
 
 // handleLeaseRevoke is the delegate side of a batched revoke round: it
@@ -133,13 +114,12 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, except SiteID) 
 }
 
 // recordLease installs the read delegation granted on f's open at the
-// using site, on the inode the open found. The grant is declined when
-// delegations were switched off while the open was in flight, or when a
-// revoke overtook the grant (leaseDropped).
+// using site, on the inode the open found. The grant is declined when a
+// revoke overtook it (leaseDropped).
 func (k *Kernel) recordLease(f *File) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.Features().NoDelegations || k.leaseDropped[f.id] {
+	if k.leaseDropped[f.id] {
 		delete(k.leaseDropped, f.id)
 		return false
 	}

@@ -93,31 +93,49 @@ func TestLeaseHolderCrashDuringRevoke(t *testing.T) {
 
 // TestPartitionMergeDiscardsLeases pins the conservative merge rule:
 // a partition change discards every delegation and delegate record on both
-// sides (CleanupReport.LeasesReclaimed counts them), and the holder's
-// next open renegotiates from the lock table instead of serving a
-// possibly stale snapshot.
+// sides (CleanupReport.LeasesReclaimed counts them), each site its own
+// with no message, and the holder's next open renegotiates from the lock
+// table instead of serving a possibly stale snapshot.
 func TestPartitionMergeDiscardsLeases(t *testing.T) {
 	c, id := leaseCluster(t)
 
+	// Delegations at sites 2 and 4.
 	openClose(t, c.K(2), id, fs.ModeRead)
-	if _, held := c.K(2).Delegations()[id]; !held {
-		t.Fatal("site 2 holds no read delegation")
+	openClose(t, c.K(4), id, fs.ModeRead)
+	if got := c.K(1).Delegates()[id]; len(got) != 2 {
+		t.Fatalf("CSS records delegates %v, want sites 2 and 4", got)
+	}
+	noLeases := func(when string) {
+		t.Helper()
+		for _, s := range c.Sites() {
+			if n := len(c.K(s).Delegations()); n != 0 {
+				t.Fatalf("site %d still holds %d delegation(s) %s", s, n, when)
+			}
+			if n := len(c.K(s).Delegates()); n != 0 {
+				t.Fatalf("site %d still records %d delegate file(s) %s", s, n, when)
+			}
+		}
 	}
 
-	// Partition site 2 away. Its own cleanup reclaims the held
-	// delegation; the CSS side discards the delegate record.
+	// Partition site 2 away. Each holder's own cleanup reclaims its
+	// delegation, the CSS's its delegate records.
 	c.Partition([]fs.SiteID{1, 3, 4}, []fs.SiteID{2})
-	if n := len(c.K(2).Delegations()); n != 0 {
-		t.Fatalf("site 2 still holds %d delegation(s) after partition cleanup", n)
-	}
-	if n := len(c.K(1).Delegates()); n != 0 {
-		t.Fatalf("CSS still records %d delegate file(s) after partition cleanup", n)
-	}
+	noLeases("after partition cleanup")
 
-	// Majority side writes a new version while 2 is away.
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, c)
+	noLeases("after the merge")
+
+	// The first modify open after the merge finds no delegate to revoke.
+	before := c.Net.Stats()
 	w, err := c.K(3).OpenID(id, fs.ModeModify)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := c.Net.Stats().Sub(before).ByMethod["fs.leaserevoke"]; n != 0 {
+		t.Fatalf("the first modify open after the merge sent %d fs.leaserevoke messages, want 0", n)
 	}
 	if _, err := w.WriteAt(bytes.Repeat([]byte{'z'}, storage.PageSize), 0); err != nil {
 		t.Fatal(err)
@@ -125,13 +143,9 @@ func TestPartitionMergeDiscardsLeases(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	if err := c.Heal(); err != nil {
-		t.Fatal(err)
-	}
 	settle(t, c)
 	if got := readFile(t, c.K(2), "/pin"); !bytes.Equal(got, bytes.Repeat([]byte{'z'}, storage.PageSize)) {
-		t.Fatalf("post-merge read at the partitioned site did not see the new version")
+		t.Fatalf("post-merge read at the formerly partitioned holder did not see the new version")
 	}
 	if findings := c.Fsck(true); len(findings) != 0 {
 		t.Fatalf("fsck after merge: %v", findings)

@@ -23,8 +23,8 @@ import (
 //     economics resume.
 //
 // Counts are pinned with the fault plane armed at zero rates, like the
-// legacy pins: the at-most-once plumbing under fs.leaserevoke and
-// fs.leaserelease must add no wire traffic of its own.
+// legacy pins: the at-most-once plumbing under fs.leaserevoke must add
+// no wire traffic of its own.
 func TestLeaseProtocolCostsPinned(t *testing.T) {
 	c := newCluster(t, 4) // CSS = site 1
 	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1})

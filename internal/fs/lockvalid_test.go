@@ -32,10 +32,9 @@ func forWriterRegimes(t *testing.T, body func(t *testing.T, ft fs.Features)) {
 // registration on refusal and reclaim the stale lock.
 func TestStrandedWriterLockReclaimedOnOpen(t *testing.T) {
 	forWriterRegimes(t, func(t *testing.T, ft fs.Features) {
-		c := newCluster(t, 3)
+		c := featureCluster(t, 3, ft)
 		writeFile(t, c.K(1), "/f", []byte("v1"))
 		settle(t, c)
-		c.SetFeatures(ft)
 
 		// Site 3 opens for modify; its copy is current, so it serves
 		// itself (SS = 3). CSS for the root filegroup is site 1.
@@ -86,17 +85,16 @@ func TestStrandedWriterLockReclaimedOnOpen(t *testing.T) {
 }
 
 // onlyAtSite3 builds a three-site layout whose writers go through a
-// remote storage site: /f stored at site 3 only (CSS = 1), with ft
-// switched on after the set-up writes.
+// remote storage site: /f stored at site 3 only (CSS = 1), on a
+// cluster booted with ft.
 func onlyAtSite3(t *testing.T, ft fs.Features) (*cluster.Cluster, storage.FileID) {
 	t.Helper()
-	c := newCluster(t, 3)
+	c := featureCluster(t, 3, ft)
 	writeFile(t, c.K(1), "/f", []byte("v1"))
 	if err := c.K(1).SetReplication(cred(), "/f", []fs.SiteID{3}); err != nil {
 		t.Fatal(err)
 	}
 	settle(t, c)
-	c.SetFeatures(ft)
 	r, err := c.K(1).Resolve(cred(), "/f")
 	if err != nil {
 		t.Fatal(err)

@@ -72,14 +72,13 @@ func TestNamespaceOpSendsOneNotePerSite(t *testing.T) {
 		} {
 			for _, op := range row.ops {
 				t.Run(rg.prefix+row.name+"/"+op.name, func(t *testing.T) {
-					c, _ := renameDir(t, 8, row.us, row.stale)
+					c, _ := featureRenameDir(t, rg.features, 8, row.us, row.stale)
 					if strings.HasSuffix(op.name, "/narrow") {
 						if err := c.K(1).SetReplication(cred(), "/d/f0002", []fs.SiteID{1, 3}); err != nil {
 							t.Fatal(err)
 						}
 						settle(t, c)
 					}
-					c.SetFeatures(rg.features)
 					to, _ := propNotifiesTo(t, c, func() error { return op.run(c.K(row.us)) })
 					if len(to) == 0 {
 						t.Fatalf("%s sent no fs.propnotify", op.name)
@@ -107,8 +106,7 @@ func TestNamespaceOpSendsOneNotePerSite(t *testing.T) {
 func TestMkdirBirthNoteReachesEveryPack(t *testing.T) {
 	for _, rg := range regimes {
 		t.Run(rg.prefix+"mkdir", func(t *testing.T) {
-			c := newCluster(t, 3)
-			c.SetFeatures(rg.features)
+			c := featureCluster(t, 3, rg.features)
 			to, from := propNotifiesTo(t, c, func() error { return c.K(2).Mkdir(cred(), "/new", 0755) })
 			if from[2] != 0 || from[1] != 2 || to[2] != 1 || to[3] != 1 {
 				t.Errorf("the mkdir sent fs.propnotify to %v, from %v; want one from site 1 to each of sites 2 and 3", to, from)
@@ -149,8 +147,7 @@ func TestBundledNoteCut(t *testing.T) {
 		}{{"drop", false, true}, {"crash", true, true}, {"crash/nodrop", true, false}} {
 			crash := cut.crash
 			t.Run(rg.prefix+cut.how, func(t *testing.T) {
-				c, _ := renameDir(t, 8, 2, false)
-				c.SetFeatures(rg.features)
+				c, _ := featureRenameDir(t, rg.features, 8, 2, false)
 				settle(t, c)
 				file, err := c.K(1).Resolve(cred(), "/d/f0002")
 				if err != nil {

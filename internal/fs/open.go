@@ -30,7 +30,6 @@ func (k *Kernel) registerHandlers() {
 	netsim.Handle(k.node, mRecallWriter, k.handleRecallWriter)
 	netsim.Handle(k.node, mRevokeServe, k.handleRevokeServe)
 	netsim.Handle(k.node, mLeaseRevoke, k.handleLeaseRevoke)
-	netsim.Handle(k.node, mLeaseRelease, k.handleLeaseRelease)
 	k.registerReconHandlers()
 }
 
@@ -167,7 +166,7 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	// wantDelegate: answer this read open with a read delegation
 	// piggybacked on the reply (zero extra messages), if register grants
 	// it.
-	wantDelegate := req.Mode == ModeRead && !k.Features().NoDelegations
+	wantDelegate := req.Mode == ModeRead && !k.cfg.Features.NoDelegations
 
 	rollback := func() {
 		if req.Mode == ModeModify {

@@ -285,7 +285,7 @@ func (k *Kernel) pullFile(t *propTask) bool {
 	if v, ok := c.Version(t.id.Inode); !ok || !v.VV.Equal(t.base) {
 		pages = nil
 	}
-	bulk := !k.Features().SerialPull
+	bulk := !k.cfg.Features.SerialPull
 	req := &pullOpenReq{ID: t.id}
 	if bulk {
 		req.Window = PullWindow

@@ -22,6 +22,12 @@ func bootSolo(t testing.TB) *Kernel {
 // the root filegroup; the kernel of site i+1 is at index i.
 func bootSites(t testing.TB, n int) []*Kernel {
 	t.Helper()
+	return bootFeatureSites(t, n, Features{})
+}
+
+// bootFeatureSites is bootSites booted with the feature selection ft.
+func bootFeatureSites(t testing.TB, n int, ft Features) []*Kernel {
+	t.Helper()
 	nw := netsim.New(netsim.DefaultCosts())
 	t.Cleanup(nw.Close)
 	packs := make([]PackDesc, n)
@@ -33,6 +39,7 @@ func bootSites(t testing.TB, n int) []*Kernel {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Features = ft
 	ks := make([]*Kernel, n)
 	byID := make(map[SiteID]*Kernel, n)
 	for i, p := range packs {

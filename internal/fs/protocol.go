@@ -279,16 +279,6 @@ type leaseRevokeReq struct {
 	ID storage.FileID
 }
 
-// mLeaseRelease is US → CSS: voluntary return of a read delegation,
-// sent when §5.6 cleanup or switching delegations off discards the
-// holder's delegations. It removes the CSS delegate record.
-var mLeaseRelease = netsim.Method[leaseReleaseReq, netsim.Ack]{Name: "fs.leaserelease", AtMostOnce: true}
-
-type leaseReleaseReq struct {
-	ID storage.FileID
-	US SiteID
-}
-
 // mDirOp is US → CSS: one namespace operation (§2.3.4: "no system call
 // does more than just enter, delete, or change an entry within a
 // directory"). The CSS applies it whole: the entry changes to one

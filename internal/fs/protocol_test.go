@@ -39,7 +39,6 @@ func TestMethodTable(t *testing.T) {
 		{mRecallWriter.Name, mRecallWriter.AtMostOnce},
 		{mRevokeServe.Name, mRevokeServe.AtMostOnce},
 		{mLeaseRevoke.Name, mLeaseRevoke.AtMostOnce},
-		{mLeaseRelease.Name, mLeaseRelease.AtMostOnce},
 		{mListInodes.Name, mListInodes.AtMostOnce},
 		{mMarkConflict.Name, false},
 	}
@@ -63,7 +62,7 @@ func TestMethodTable(t *testing.T) {
 		t.Errorf("registered handlers differ from the declared descriptors:\n got  %v\n want %v", got, names)
 	}
 	want := []string{
-		"fs.close", "fs.commit", "fs.create", "fs.dirop", "fs.leaserelease", "fs.leaserevoke",
+		"fs.close", "fs.commit", "fs.create", "fs.dirop", "fs.leaserevoke",
 		"fs.open", "fs.recallwriter", "fs.ssclose", "fs.sscreate", "fs.ssopen",
 	}
 	sort.Strings(atMostOnce)

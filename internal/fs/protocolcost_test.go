@@ -3,6 +3,7 @@ package fs_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -18,7 +19,7 @@ import (
 // protocol), so transport-layer refactors provably change no wire
 // traffic.
 func TestProtocolMessageCostsPinned(t *testing.T) {
-	pinProtocolCosts(t, false, nil)
+	pinProtocolCosts(t, false)
 }
 
 // TestProtocolCostsUnchangedWithFaultPlaneArmed re-pins the same exact
@@ -27,87 +28,13 @@ func TestProtocolMessageCostsPinned(t *testing.T) {
 // numbers on every mutating call, and the callee-side dedup tables must
 // add zero wire messages and zero fault events.
 func TestProtocolCostsUnchangedWithFaultPlaneArmed(t *testing.T) {
-	pinProtocolCosts(t, true, nil)
+	pinProtocolCosts(t, true)
 }
 
-// TestProtocolCostsUnchangedAfterLeaseCycle re-pins the exact legacy
-// counts on a cluster that ran a full delegation cycle first, under the
-// default, and was then switched to SetFeatures(Features{NoDelegations:
-// true}). That must reproduce the paper's protocol byte for byte: no
-// delegation state may linger and change a single wire message.
-func TestProtocolCostsUnchangedAfterLeaseCycle(t *testing.T) {
-	pinProtocolCosts(t, false, func(c *cluster.Cluster) {
-		featureCycle(t, c, fs.Features{}, 2, 3)
-	})
-}
-
-// TestPinsUnchangedAfterAllFeaturesCycle does the same with delegations
-// on and every other Features field set during the cycle, and re-pins the
-// bulk-pull costs as well as the 4/2/1/4 protocol costs afterwards.
-func TestPinsUnchangedAfterAllFeaturesCycle(t *testing.T) {
-	all := fs.Features{SerialPull: true, NoPageCache: true}
-	pinProtocolCosts(t, false, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 3) })
-	pinPropagationCosts(t, func(c *cluster.Cluster) { featureCycle(t, c, all, 2, 1) })
-}
-
-// featureCycle runs ft on every site of c through an
-// open/read/write/commit/close cycle — a read delegation at the reader
-// site (grant, local reopen, local closes), then a writer at the writer
-// site (recalls the delegation) — and switches to the paper's protocol,
-// Features{NoDelegations: true}, which returns every held delegation. No
-// delegation state may be left anywhere.
-func featureCycle(t *testing.T, c *cluster.Cluster, ft fs.Features, readerSite, writerSite fs.SiteID) {
-	t.Helper()
-	reader, writer := c.K(readerSite), c.K(writerSite)
-	c.SetFeatures(ft)
-	writeFile(t, c.K(1), "/warm", bytes.Repeat([]byte{'w'}, storage.PageSize))
-	settle(t, c)
-	r, err := reader.Resolve(cred(), "/warm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		f, err := reader.OpenID(r.ID, fs.ModeRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.ReadAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w, err := writer.OpenID(r.ID, fs.ModeModify)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.WriteAt(bytes.Repeat([]byte{'x'}, storage.PageSize), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c.SetFeatures(fs.Features{NoDelegations: true})
-	settle(t, c)
-	for _, s := range c.Sites() {
-		if n := len(c.K(s).Delegations()); n != 0 {
-			t.Fatalf("site %d still holds %d delegation(s) after SetFeatures(Features{NoDelegations: true})", s, n)
-		}
-		if n := len(c.K(s).Delegates()); n != 0 {
-			t.Fatalf("site %d still records %d delegate file(s) after SetFeatures(Features{NoDelegations: true})", s, n)
-		}
-	}
-}
-
-func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *cluster.Cluster)) {
-	c := newCluster(t, 4) // CSS = site 1
-	c.SetFeatures(fs.Features{NoDelegations: true})
+func pinProtocolCosts(t *testing.T, armFaultPlane bool) {
+	c := featureCluster(t, 4, fs.Features{NoDelegations: true}) // CSS = site 1
 	if armFaultPlane {
 		c.Net.EnableFaults(netsim.FaultConfig{Seed: 1})
-	}
-	if prepare != nil {
-		prepare(c)
 	}
 	writeFile(t, c.K(3), "/pin", bytes.Repeat([]byte{'p'}, 2*storage.PageSize))
 	// Store the file at sites 3 and 4 only: the CSS (1) holds no copy
@@ -208,43 +135,7 @@ func pinProtocolCosts(t *testing.T, armFaultPlane bool, prepare func(c *cluster.
 // bound of the windowed protocol. Under Features.SerialPull it costs
 // the legacy 1+P pairs, so the old per-page accounting stays pinnable.
 func TestPropagationCostsPinned(t *testing.T) {
-	pinPropagationCosts(t, nil)
-}
-
-func pinPropagationCosts(t *testing.T, prepare func(c *cluster.Cluster)) {
 	const W = fs.PullWindow // 8
-	c := newCluster(t, 2)
-	if prepare != nil {
-		prepare(c)
-	}
-	writeFile(t, c.K(1), "/pin", bytes.Repeat([]byte{'a'}, 12*storage.PageSize))
-	settle(t, c)
-	r, err := c.K(1).Resolve(cred(), "/pin")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// modify overwrites the first p pages at site 1 and commits.
-	modify := func(p int, fill byte) {
-		t.Helper()
-		w, err := c.K(1).OpenID(r.ID, fs.ModeModify)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < p; i++ {
-			if _, err := w.WriteAt(bytes.Repeat([]byte{fill}, storage.PageSize), int64(i)*storage.PageSize); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pull := func() netsim.Snapshot {
-		before := c.Net.Stats()
-		settle(t, c)
-		return c.Net.Stats().Sub(before)
-	}
 	check := func(what string, d netsim.Snapshot, msgs int64, byMeth map[string]int64, windows, pages int64) {
 		t.Helper()
 		if d.Msgs != msgs {
@@ -264,6 +155,7 @@ func pinPropagationCosts(t *testing.T, prepare func(c *cluster.Cluster)) {
 	// P=10 > W: 1+⌈(10−8)/8⌉ = 2 pairs — the open (piggybacking the
 	// first 8 of the 10 needed pages, not all 12 stored ones) plus one
 	// fs.pullpages window with the remaining 2.
+	c, modify, pull := pullCluster(t, fs.Features{})
 	modify(10, 'b')
 	check("bulk pull P=10", pull(), 4,
 		map[string]int64{"fs.pullopen": 2, "fs.pullpages": 2}, 2, 10)
@@ -272,19 +164,63 @@ func pinPropagationCosts(t *testing.T, prepare func(c *cluster.Cluster)) {
 	modify(3, 'c')
 	check("bulk pull P=3", pull(), 2,
 		map[string]int64{"fs.pullopen": 2}, 1, 3)
+	checkPinContent(t, c, "ccc"+strings.Repeat("b", 7)+"aa")
 
-	// Ablation: the legacy protocol pays 1+P pairs, one fs.readphys
-	// exchange per modified page, and sends no bulk windows.
-	c.K(2).SetFeatures(fs.Features{SerialPull: true})
+	// Ablation, on a cluster booted with it: the legacy protocol pays
+	// 1+P pairs, one fs.readphys exchange per modified page, and sends
+	// no bulk windows.
+	c, modify, pull = pullCluster(t, fs.Features{SerialPull: true})
 	modify(10, 'd')
 	check("serial pull P=10", pull(), 22,
 		map[string]int64{"fs.pullopen": 2, "fs.readphys": 20}, 0, 0)
-	c.K(2).SetFeatures(fs.Features{})
+	checkPinContent(t, c, strings.Repeat("d", 10)+"aa")
+}
 
-	got := readFile(t, c.K(2), "/pin")
-	want := append(bytes.Repeat([]byte{'d'}, 10*storage.PageSize), bytes.Repeat([]byte{'a'}, 2*storage.PageSize)...)
-	if !bytes.Equal(got, want) {
-		t.Fatal("replica content diverged across pull variants")
+// pullCluster boots a two-site cluster with ft and a 12-page /pin of
+// 'a's settled at both sites. modify overwrites the first p pages of
+// /pin at site 1 with fill and commits; pull settles the cluster, site
+// 2 pulling the new version, and returns what that sent.
+func pullCluster(t *testing.T, ft fs.Features) (c *cluster.Cluster, modify func(p int, fill byte), pull func() netsim.Snapshot) {
+	c = featureCluster(t, 2, ft)
+	writeFile(t, c.K(1), "/pin", bytes.Repeat([]byte{'a'}, 12*storage.PageSize))
+	settle(t, c)
+	r, err := c.K(1).Resolve(cred(), "/pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	modify = func(p int, fill byte) {
+		t.Helper()
+		w, err := c.K(1).OpenID(r.ID, fs.ModeModify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < p; i++ {
+			if _, err := w.WriteAt(bytes.Repeat([]byte{fill}, storage.PageSize), int64(i)*storage.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull = func() netsim.Snapshot {
+		before := c.Net.Stats()
+		settle(t, c)
+		return c.Net.Stats().Sub(before)
+	}
+	return c, modify, pull
+}
+
+// checkPinContent fails the test unless /pin read at site 2 holds,
+// page by page, the fill bytes pages names.
+func checkPinContent(t *testing.T, c *cluster.Cluster, pages string) {
+	t.Helper()
+	var want []byte
+	for _, fill := range []byte(pages) {
+		want = append(want, bytes.Repeat([]byte{fill}, storage.PageSize)...)
+	}
+	if got := readFile(t, c.K(2), "/pin"); !bytes.Equal(got, want) {
+		t.Fatalf("/pin read at site 2 is not the pages %q", pages)
 	}
 }
 

@@ -30,11 +30,13 @@ import (
 // inode.
 func renameDir(t testing.TB, n int, us fs.SiteID, stale bool, sites ...fs.SiteID) (*cluster.Cluster, storage.InodeNum) {
 	t.Helper()
-	c, err := cluster.New(cluster.SimpleConfig(3), cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	return featureRenameDir(t, fs.Features{}, n, us, stale, sites...)
+}
+
+// featureRenameDir is renameDir on a cluster booted with ft.
+func featureRenameDir(t testing.TB, ft fs.Features, n int, us fs.SiteID, stale bool, sites ...fs.SiteID) (*cluster.Cluster, storage.InodeNum) {
+	t.Helper()
+	c := featureCluster(t, 3, ft)
 	if err := c.K(1).Mkdir(cred(), "/d", 0755); err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +90,7 @@ func lagCache(t testing.TB, c *cluster.Cluster) {
 func TestAttrCommitKeepsCSSDirectoryCache(t *testing.T) {
 	for _, rg := range regimes {
 		t.Run(rg.prefix+"chmod", func(t *testing.T) {
-			c, ino := renameDir(t, 8, 2, true, 3, 2)
-			c.SetFeatures(rg.features)
+			c, ino := featureRenameDir(t, rg.features, 8, 2, true, 3, 2)
 			if err := c.K(1).Chmod(cred(), "/d", 0700); err != nil {
 				t.Fatal(err)
 			}

@@ -29,8 +29,8 @@ func TestReusedInodeNumberServesNoDeadContent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.Features = ft
 		c := newClusterCfg(t, cfg, 1, 3)
-		c.SetFeatures(ft)
 		k1, k3 := c.K(1), c.K(3)
 		writeFile(t, k1, "/x", []byte("Old"))
 		for _, data := range []string{"Old!", "Old"} { // a few versions of /x

@@ -115,13 +115,6 @@ func createAsync(k *Kernel, path string) <-chan error {
 
 func TestDirUpdateWaitsForWriter(t *testing.T) {
 	all := []SiteID{1, 2, 3}
-	boot := func(t *testing.T, ft Features) []*Kernel {
-		ks := bootSites(t, 3)
-		for _, k := range ks {
-			k.SetFeatures(ft)
-		}
-		return ks
-	}
 	// updating opens the root directory for modification at k the way a
 	// directory update does: a registration a directory's modify open
 	// waits for.
@@ -136,7 +129,7 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 	// holdRoot boots three sites (site 1 is the CSS) with a directory
 	// update of the root in progress at site 2.
 	holdRoot := func(t *testing.T, ft Features) ([]*Kernel, *File) {
-		ks := boot(t, ft)
+		ks := bootFeatureSites(t, 3, ft)
 		return ks, updating(t, ks[1])
 	}
 	exists := func(t *testing.T, k *Kernel, path string, want bool) {
@@ -248,7 +241,7 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 	// The wait is the directory's alone: a file's modify open behind a
 	// live writer is refused at once (§2.3.1).
 	t.Run("a file's modify open behind a live writer is ErrBusy at once", func(t *testing.T) {
-		ks := boot(t, Features{})
+		ks := bootSites(t, 3)
 		f, err := ks[1].Create(DefaultCred("tester"), "/f", storage.TypeRegular, 0644)
 		if err != nil {
 			t.Fatal(err)

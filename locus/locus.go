@@ -85,6 +85,9 @@ type FilegroupSpec struct {
 type ClusterSpec struct {
 	Sites      []SiteSpec
 	Filegroups []FilegroupSpec
+	// Features is the protocol-extension selection every site runs,
+	// fixed for the cluster's lifetime; the zero value runs them all.
+	Features fs.Features
 }
 
 // Cluster is a running LOCUS network: a facade over the
@@ -115,6 +118,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.Features = spec.Features
 	cl, err := cluster.New(cfg, cluster.Options{Sites: spec.Sites})
 	if err != nil {
 		return nil, err
@@ -126,19 +130,22 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	return c, nil
 }
 
-// Simple builds an n-site cluster (ids 1..n) with one filegroup
-// replicated everywhere and mounted at "/".
-func Simple(n int) (*Cluster, error) {
+// Simple builds the cluster SimpleSpec(n) describes.
+func Simple(n int) (*Cluster, error) { return NewCluster(SimpleSpec(n)) }
+
+// SimpleSpec describes an n-site cluster (ids 1..n) with one filegroup
+// replicated everywhere and mounted at "/", running every feature.
+func SimpleSpec(n int) ClusterSpec {
 	var sites []SiteSpec
 	var reps []SiteID
 	for i := 1; i <= n; i++ {
 		sites = append(sites, SiteSpec{ID: SiteID(i)})
 		reps = append(reps, SiteID(i))
 	}
-	return NewCluster(ClusterSpec{
+	return ClusterSpec{
 		Sites:      sites,
 		Filegroups: []FilegroupSpec{{ID: 1, MountPath: "/", Replicas: reps}},
-	})
+	}
 }
 
 // Close shuts the cluster down.
@@ -149,9 +156,6 @@ func (c *Cluster) Site(id SiteID) *Site { return c.sites[id] }
 
 // Sites returns all site ids, ascending.
 func (c *Cluster) Sites() []SiteID { return c.cl.Sites() }
-
-// SetFeatures installs one fs feature selection at every site.
-func (c *Cluster) SetFeatures(f fs.Features) { c.cl.SetFeatures(f) }
 
 // Network exposes the underlying simulated network (for tests,
 // benchmarks, and fault injection).
