@@ -16,8 +16,9 @@ import (
 // the CSS checks both against what it committed, and panics on a
 // mismatch. Here the CSS, site 1, opens /d/f and then /d (FileID order:
 // site 2 made /d from its higher inode range), and the revoke round of
-// /d's open, to site 2, which holds a read delegation on /d, forges the
-// inode of the CSS's handle on /d/f: another version than the committed
+// /d's open, to site 3, which holds a read delegation on /d (site 2's
+// own is dropped, not called back), forges the inode of the CSS's
+// handle on /d/f: another version than the committed
 // one for site 2's unlink, which then records the successor of the
 // forged version and commits the delete of the real one, and another
 // link count for its link, which commits the forged count plus one over
@@ -37,7 +38,7 @@ func TestDirOpAssertsItsInodeChange(t *testing.T) {
 			func(k *Kernel, cred *Cred) error { return k.Link(cred, "/d/f", "/d/g") }},
 	} {
 		t.Run(tc.op, func(t *testing.T) {
-			ks := bootSites(t, 2)
+			ks := bootSites(t, 3)
 			cred := DefaultCred("tester")
 			if err := ks[1].Mkdir(cred, "/d", 0755); err != nil {
 				t.Fatal(err)
@@ -56,15 +57,15 @@ func TestDirOpAssertsItsInodeChange(t *testing.T) {
 			if f.id.Compare(d.ID) >= 0 {
 				t.Fatalf("set-up: /d/f is %v, not before /d's %v", f.id, d.ID)
 			}
-			r, err := ks[1].OpenID(d.ID, ModeRead) // site 2 takes a delegation on /d
+			r, err := ks[2].OpenID(d.ID, ModeRead) // site 3 takes a delegation on /d
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, held := ks[1].Delegations()[d.ID]; !held {
-				t.Fatal("set-up: site 2 holds no delegation on /d")
+			if _, held := ks[2].Delegations()[d.ID]; !held {
+				t.Fatal("set-up: site 3 holds no delegation on /d")
 			}
 			forged := false
 			ks[0].node.Network().SetTrace(func(_, _ SiteID, method string) {

@@ -22,12 +22,14 @@ func long(p string) string { return p + strings.Repeat("x", 990) }
 // which stores nothing, so that each of its directory pages crosses the
 // network: page 0 holds a0..a3, page 1 b0..b3, page 2 c0 and c1, each
 // name long. Site 1 is the CSS and the storage site site 3 reads from.
-func rereadCluster(t *testing.T) (*cluster.Cluster, storage.FileID) {
+// The cluster is booted with features.
+func rereadCluster(t *testing.T, features fs.Features) (*cluster.Cluster, storage.FileID) {
 	t.Helper()
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: cluster.Packs([]fs.SiteID{1, 2})}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Features = features
 	c := newClusterCfg(t, cfg, 1, 2, 3)
 	if err := c.K(1).Mkdir(cred(), "/d", 0755); err != nil {
 		t.Fatal(err)
@@ -116,7 +118,7 @@ func checkCached(t *testing.T, c *cluster.Cluster, ss fs.SiteID, d storage.FileI
 // still keeps the chunks of the pages that are byte for byte the ones
 // it held.
 func TestStaleReReadReadsOnlyChangedPages(t *testing.T) {
-	c, d := rereadCluster(t)
+	c, d := rereadCluster(t, fs.Features{})
 	k1 := c.K(1)
 	z := "z" + strings.Repeat("y", 8185) // a block of its own on two pages, its tombstone on three
 	for _, row := range []struct {
@@ -206,36 +208,45 @@ func TestStaleReReadReadsOnlyChangedPages(t *testing.T) {
 // versions, and fsck stays clean.
 func TestPartialReReadCut(t *testing.T) {
 	relayout := func(t *testing.T) (*cluster.Cluster, storage.FileID) {
-		c, d := rereadCluster(t)
+		c, d := rereadCluster(t, fs.Features{})
 		writeFile(t, c.K(1), "/d/"+long("b1y"), nil)
 		return c, d
 	}
 	for _, n := range []int{1, 2} {
-		t.Run(fmt.Sprintf("drop read %d", n), func(t *testing.T) {
-			c, d := relayout(t)
-			var pts []netsim.FaultPoint
-			for i := 0; i < 8; i++ {
-				pts = append(pts, netsim.FaultPoint{From: 3, To: 1, Method: "fs.read", Nth: n, Action: netsim.FaultDropRequest})
-			}
-			c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-			got := search(t, c, 3, long("a0"))
-			c.Net.DisableFaults()
-			if got.MsgsDropped != 8 {
-				t.Fatalf("read %d: %d requests dropped, want 8", n, got.MsgsDropped)
-			}
-			// The search from the cache sends the look at the file with
-			// the versions of / and /d it read there, which the CSS
-			// refuses for /d; the search again looks at /, /d and the file,
-			// and its retry at /d again.
-			if opens := got.ByMethod["fs.open"] / 2; opens != 5 {
-				t.Errorf("read %d dropped: %d fs.open exchanges, want 5", n, opens)
-			}
-			checkCached(t, c, 1, d)
-			settle(t, c)
-			if findings := c.Fsck(true); len(findings) > 0 {
-				t.Fatalf("fsck: %v", findings)
-			}
-		})
+		// The search from the cache sends the look at the file with the
+		// versions of / and /d it read there, which the CSS refuses for
+		// /d; the search again looks at /, /d and the file, and its retry
+		// at /d again. Under delegations the one on / answers both looks
+		// at it, and the cut read drops the one the look at /d was
+		// granted, so the retry's look goes to the CSS.
+		for _, rg := range regimes {
+			t.Run(fmt.Sprintf("%sdrop read %d", rg.prefix, n), func(t *testing.T) {
+				c, d := rereadCluster(t, rg.features)
+				writeFile(t, c.K(1), "/d/"+long("b1y"), nil)
+				var pts []netsim.FaultPoint
+				for i := 0; i < 8; i++ {
+					pts = append(pts, netsim.FaultPoint{From: 3, To: 1, Method: "fs.read", Nth: n, Action: netsim.FaultDropRequest})
+				}
+				c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+				got := search(t, c, 3, long("a0"))
+				c.Net.DisableFaults()
+				if got.MsgsDropped != 8 {
+					t.Fatalf("read %d: %d requests dropped, want 8", n, got.MsgsDropped)
+				}
+				want := int64(5)
+				if !rg.features.NoDelegations {
+					want = 4
+				}
+				if opens := got.ByMethod["fs.open"] / 2; opens != want {
+					t.Errorf("read %d dropped: %d fs.open exchanges, want %d", n, opens, want)
+				}
+				checkCached(t, c, 1, d)
+				settle(t, c)
+				if findings := c.Fsck(true); len(findings) > 0 {
+					t.Fatalf("fsck: %v", findings)
+				}
+			})
+		}
 		t.Run(fmt.Sprintf("crash at read %d", n), func(t *testing.T) {
 			c, d := relayout(t)
 			_, heldVV := c.K(3).CachedDir(d)

@@ -344,6 +344,10 @@ type Kernel struct {
 	// late grant is declined instead of installing a delegation the CSS
 	// no longer tracks.
 	leaseDropped map[storage.FileID]bool
+	// grantWaits counts, per file, the requests in flight whose reply
+	// may grant this site a delegation (awaitGrant); an entry lives only
+	// while one is.
+	grantWaits map[storage.FileID]grantWait
 
 	// cache is the using-site page cache of committed pages (§2.2.1).
 	cache *pageCache
@@ -392,6 +396,7 @@ func NewKernel(node *netsim.Node, store *storage.Store, cfg *Config) *Kernel {
 		recalledSerials: make(map[uint64]bool),
 		leases:          make(map[storage.FileID]*usLease),
 		leaseDropped:    make(map[storage.FileID]bool),
+		grantWaits:      make(map[storage.FileID]grantWait),
 	}
 	k.writerFreed.L = &k.mu
 	k.cache = newPageCache(node.Network().Meter())
@@ -431,6 +436,7 @@ func (k *Kernel) crashLocal() {
 	k.cssState = make(map[storage.FileID]*cssEntry)
 	k.leases = make(map[storage.FileID]*usLease)
 	k.leaseDropped = make(map[storage.FileID]bool)
+	k.grantWaits = make(map[storage.FileID]grantWait)
 	k.pendingProp = make(map[storage.FileID]*propTask)
 	k.propQueue = nil
 	k.stalledProp = nil

@@ -1,6 +1,6 @@
 package fs
 
-// Read delegations: a re-open that sends no message.
+// Read delegations: a re-open, or a look, that sends no message.
 //
 // LOCUS routes every open and close through the CSS (§2.3.3), which the
 // pinned protocol costs make explicit: 4 messages per open, 4 per
@@ -14,26 +14,54 @@ package fs
 // installs no reader serving state (committed pages are served
 // statelessly anyway).
 //
+// A directory that the looking site stores no copy of is delegated the
+// same way on the internal open of pathname search (§2.3.4): the CSS
+// answers the look's exchange with a grant, records no reader, and the
+// site's later looks at the directory (lookInternal, freeLook) are
+// answered from the delegation, so a search through delegated
+// directories sends nothing. A site that stores a copy looks at it
+// locally and is granted nothing on a look.
+//
 // A modify open recalls every delegation of the file in one *batched*
 // round of fs.leaserevoke callbacks (one round per writer transition,
 // however many delegates exist), before the writer proceeds. No
 // delegation is granted while a writer is recorded; a read open then
-// takes the paper's path.
+// takes the paper's path. Every commit of a directory is made under
+// such an open at the CSS, so the round runs before it. Two delegates
+// are not called back: the opener, which dropped its own delegation
+// before it sent the open, and the site whose fs.dirop or fs.create the
+// CSS serves (openReq.For), whose record is dropped on every file the
+// operation changes: that site drops its delegations on them itself,
+// before it sends the request and again once it is answered, and
+// declines every grant on them still in flight then, which the CSS may
+// have made before it dropped the record (dropOwnLeases).
 //
-// Failure handling reuses the existing reclaim machinery: a crashed
-// holder loses its delegations with the rest of its volatile state and
-// the CSS record self-heals on the next revoke round (a revoke that
-// finds nothing is answered all the same); a partition change drops all
-// delegations and delegate records on both sides, each site its own
-// (CleanupAfterPartitionChange), exactly like lock-table records and
-// with no message; a propagation notification whose VV dominates a
-// delegation's stamp invalidates it.
+// A revoke that does not reach its delegate while the delegate is still
+// reachable (every transmission lost) refuses the modify open with
+// ErrBusy and keeps the delegate on record, so that the next modify
+// open calls it back again: a delegate that stores no copy would
+// otherwise read the old version for good, since no propagation
+// notification ever reaches it. An unreachable delegate is dropped: it
+// crashed, and lost its delegations with its other volatile state, or
+// its partition's change runs cleanup on its side.
+//
+// Failure handling otherwise reuses the existing reclaim machinery: the
+// CSS record of a crashed holder self-heals on the next revoke round (a
+// revoke that finds nothing is answered all the same); a partition
+// change drops all delegations and delegate records on both sides, each
+// site its own (CleanupAfterPartitionChange), exactly like lock-table
+// records and with no message; a propagation notification whose VV
+// dominates a delegation's stamp invalidates it; a read that the network
+// cuts through a delegated look drops the delegation before it looks
+// again (readDirByID).
 //
 // Delegations are the default. A cluster booted with
 // Features.NoDelegations runs none, and every pinned message count of
 // the paper's protocol is then reproduced exactly (protocolcost_test.go).
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 
 	"repro/internal/netsim"
@@ -84,47 +112,148 @@ func (k *Kernel) handleLeaseRevoke(_ SiteID, req *leaseRevokeReq) (*netsim.Ack, 
 }
 
 // revokeDelegates runs one batched revoke round over every read
-// delegation of e except the opener's own (the opener discarded its
-// local record before contacting the CSS, so its entry is just
-// dropped). However many delegates exist, one writer transition
-// triggers exactly one round. Unreachable delegates are dropped
-// without an answer: a partitioned delegate reads stale committed data
-// until its own partition-change cleanup fires, which LOCUS partition
-// semantics already permit.
-func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, except SiteID) {
+// delegation of e but two, which are just dropped from the record: the
+// opener's own (us), which it discarded before contacting the CSS, and
+// that of the site whose namespace operation the open serves (forSite),
+// which discards it itself (dropOwnLeases). However many delegates
+// exist, one writer transition triggers exactly one round. A delegate
+// the round does not reach is dropped when the network finds it
+// unreachable (down, or in another partition), which leaves it to crash
+// recovery or partition cleanup; one that may still be up and
+// connected, its revoke lost or its circuit closed, stays on record, and
+// the round fails with ErrBusy: the open must not proceed while that
+// delegate may read the version it is about to replace.
+// leases_revoked counts the delegations the round took off the record.
+func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, us, forSite SiteID) error {
 	k.mu.Lock()
 	var targets []SiteID
-	for us := range e.delegates {
-		if us != except {
-			targets = append(targets, us)
+	for s := range e.delegates {
+		if s != us && s != forSite {
+			targets = append(targets, s)
 		}
 	}
 	e.delegates = nil
 	k.mu.Unlock()
 	if len(targets) == 0 {
-		return
+		return nil
 	}
 	slices.Sort(targets)
-	for _, us := range targets {
-		req := &leaseRevokeReq{ID: id}
-		netsim.CallAt(k.node, us, mLeaseRevoke, k.handleLeaseRevoke, req) //locus:vet-allow uncheckedcall unreachable delegates are reclaimed by partition cleanup
+	var lost error
+	revoked := 0
+	for _, s := range targets {
+		_, err := netsim.CallAt(k.node, s, mLeaseRevoke, k.handleLeaseRevoke, &leaseRevokeReq{ID: id})
+		if err == nil || errors.Is(err, netsim.ErrUnreachable) {
+			revoked++
+			continue
+		}
+		k.mu.Lock()
+		if e.delegates == nil {
+			e.delegates = make(map[SiteID]bool)
+		}
+		e.delegates[s] = true
+		k.mu.Unlock()
+		if lost == nil {
+			// The network error is named, not wrapped: an error that
+			// wraps ErrTimeout is a lost message to every transport
+			// retry loop, and the opener's would send the open again.
+			lost = fmt.Errorf("%w: %v: revoking site %d's delegation: %v", ErrBusy, id, s, err)
+		}
 	}
-	k.meter().AddLeasesRevoked(len(targets))
+	k.meter().AddLeasesRevoked(revoked)
 	k.meter().AddBatchedRevoke()
+	return lost
 }
 
-// recordLease installs the read delegation granted on f's open at the
-// using site, on the inode the open found. The grant is declined when a
-// revoke overtook it (leaseDropped).
-func (k *Kernel) recordLease(f *File) bool {
+// grantWait counts the requests this site has in flight to a CSS whose
+// reply may grant it a read delegation on one file (awaitGrant), and
+// whether every grant they bring is to be declined (dropOwnLeases).
+type grantWait struct {
+	n    int
+	void bool
+}
+
+// awaitGrant counts a request whose reply may grant a delegation on id,
+// about to be sent; endGrant ends it, after its recordLease.
+func (k *Kernel) awaitGrant(id storage.FileID) {
+	k.mu.Lock()
+	w := k.grantWaits[id]
+	w.n++
+	k.grantWaits[id] = w
+	k.mu.Unlock()
+}
+
+// endGrant ends a request awaitGrant counted.
+func (k *Kernel) endGrant(id storage.FileID) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.leaseDropped[f.id] {
-		delete(k.leaseDropped, f.id)
+	w, ok := k.grantWaits[id]
+	switch {
+	case !ok: // the site crashed since, and forgot it
+	case w.n <= 1:
+		delete(k.grantWaits, id)
+	default:
+		w.n--
+		k.grantWaits[id] = w
+	}
+}
+
+// recordLease installs a read delegation granted on a reply from css:
+// of the file id, stored at ss, at the committed inode ino. The grant is
+// declined when a revoke overtook it (leaseDropped), or when this site
+// gave up its delegate record while the request was in flight
+// (dropOwnLeases).
+func (k *Kernel) recordLease(id storage.FileID, ss, css SiteID, ino *storage.Inode) bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.leaseDropped[id] {
+		delete(k.leaseDropped, id)
 		return false
 	}
-	k.leases[f.id] = &usLease{id: f.id, ss: f.ss, css: f.css, ino: f.ino}
+	if k.grantWaits[id].void {
+		return false
+	}
+	k.leases[id] = &usLease{id: id, ss: ss, css: css, ino: ino}
 	return true
+}
+
+// leaseLook is the look at id that a held read delegation answers, with
+// no message: the delegation's inode and storage site, or a nil inode.
+func (k *Kernel) leaseLook(id storage.FileID) (*storage.Inode, SiteID) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if l := k.leases[id]; l != nil {
+		return l.ino, l.ss
+	}
+	return nil, 0
+}
+
+// dropLease discards the read delegation of id, if one is held, and
+// reports whether one was.
+func (k *Kernel) dropLease(id storage.FileID) bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	_, held := k.leases[id]
+	delete(k.leases, id)
+	return held
+}
+
+// dropOwnLeases gives up this site's read delegations on the files ids
+// that its fs.dirop or fs.create changes, whose records the CSS drops
+// without a revoke (revokeDelegates): it discards them, and declines
+// every grant on them still in flight, which the CSS may have made
+// before it dropped the record. dirOp and createID call it before they
+// send the request and again once it is answered, so only the requests
+// in flight then are affected, and nothing is left behind once they end.
+func (k *Kernel) dropOwnLeases(ids ...storage.FileID) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for _, id := range ids {
+		delete(k.leases, id)
+		if w, ok := k.grantWaits[id]; ok {
+			w.void = true
+			k.grantWaits[id] = w
+		}
+	}
 }
 
 // openUnderLease serves a read open locally under a held delegation,

@@ -157,17 +157,6 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	latest, sites := e.latestVV, e.sites // both replaced whole, never edited: shared
 	k.mu.Unlock()
 
-	if req.Mode == ModeModify {
-		// Recall every outstanding read delegation in one batched round
-		// before the writer proceeds (the opener's own record, if any,
-		// is dropped without a callback).
-		k.revokeDelegates(req.ID, e, req.US)
-	}
-	// wantDelegate: answer this read open with a read delegation
-	// piggybacked on the reply (zero extra messages), if register grants
-	// it.
-	wantDelegate := req.Mode == ModeRead && !k.cfg.Features.NoDelegations
-
 	rollback := func() {
 		if req.Mode == ModeModify {
 			k.mu.Lock()
@@ -175,6 +164,22 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 			k.mu.Unlock()
 		}
 	}
+	if req.Mode == ModeModify {
+		// Recall every outstanding read delegation in one batched round
+		// before the writer proceeds (the opener's own record, if any,
+		// is dropped without a callback, and the one of the site whose
+		// namespace operation this open serves is kept on a directory).
+		if err := k.revokeDelegates(req.ID, e, req.US, req.For); err != nil {
+			rollback()
+			return nil, err
+		}
+	}
+	// wantDelegate: answer this read open, or this look at a directory
+	// the looking site stores no copy of, with a read delegation
+	// piggybacked on the reply (zero extra messages), if register grants
+	// it.
+	lookDelegate := req.Mode == ModeInternal && e.typ.IsDir() && req.USVV == nil && req.US != k.site
+	wantDelegate := (req.Mode == ModeRead || lookDelegate) && !k.cfg.Features.NoDelegations
 
 	// register records the open, served by ss with the version vv, in
 	// the lock table, and reports whether a read delegation is granted
@@ -182,27 +187,25 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	// holds the slot and vv is still the latest version: a writer revokes
 	// the delegates it finds once it has claimed the slot, so an open
 	// that met a writer claiming it, or whose version a writer has since
-	// committed over, is recorded as a plain reader instead.
+	// committed over, is recorded as a plain reader instead. A look is
+	// unsynchronized: it leaves no record but the delegate's.
 	register := func(ss SiteID, vv vclock.VV) bool {
-		if req.Mode == ModeInternal {
-			return false // unsynchronized: no lock-table record
-		}
 		k.mu.Lock()
 		defer k.mu.Unlock()
-		if req.Mode == ModeModify {
+		switch {
+		case req.Mode == ModeModify:
 			e.writerSS = ss
-			return false
-		}
-		if wantDelegate && e.writerUS == vclock.NoSite && vv.DominatesOrEqual(e.latestVV) {
+		case wantDelegate && e.writerUS == vclock.NoSite && vv.DominatesOrEqual(e.latestVV):
 			if e.delegates == nil {
 				e.delegates = make(map[SiteID]bool)
 			}
 			e.delegates[req.US] = true
 			k.meter().AddLeaseGranted()
 			return true
+		case req.Mode == ModeRead:
+			e.readers[req.US]++
+			e.readerSS[req.US] = ss
 		}
-		e.readers[req.US]++
-		e.readerSS[req.US] = ss
 		return false
 	}
 
@@ -424,10 +427,12 @@ func userHandle(f *File, err error) (*File, error) {
 // in openFiles, no lock-table record. A locally stored file with no
 // propagation pending is looked at without informing the CSS, and so is
 // a locally stored directory whose pending pull the directory cache
-// already holds (lookCached); otherwise the CSS is asked with the fs.open
-// an internal open has always sent, and answers with the inode or with
-// "your copy is current". The inode is the committed one, shared and
-// frozen (storage.Inode): read it and pass it on, Clone it before
+// already holds (lookCached), and a file or directory this site holds a
+// read delegation on (leaseLook); otherwise the CSS is asked with the
+// fs.open an internal open has always sent, and answers with the inode
+// or with "your copy is current", and, at a directory this site stores
+// no copy of, with a delegation (lookAtCSS). The inode is the committed
+// one, shared and frozen (storage.Inode): read it and pass it on, Clone it before
 // writing. Nothing holds it current: a caller that goes on to read pages
 // makes a handle (internalHandle), whose reads check each page against
 // the version found here. A look that pathname search s makes (s not
@@ -440,26 +445,38 @@ func (k *Kernel) lookInternal(id storage.FileID, s *search) (*storage.Inode, Sit
 	if ino, ss := k.lookCached(id); ino != nil {
 		return ino, ss, nil
 	}
+	if ino, ss := k.leaseLook(id); ino != nil {
+		return ino, ss, nil
+	}
 	return k.lookAtCSS(id, s)
 }
 
-// lookAtCSS is lookInternal's exchange with the CSS.
+// lookAtCSS is lookInternal's exchange with the CSS. It records the read
+// delegation the CSS grants on a look at a directory this site stores
+// no copy of, unless a revoke overtook it (recordLease).
 func (k *Kernel) lookAtCSS(id storage.FileID, s *search) (*storage.Inode, SiteID, error) {
 	css, err := k.CSSOf(id.FG)
 	if err != nil {
 		return nil, 0, err
 	}
+	k.awaitGrant(id)
+	defer k.endGrant(id)
 	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: ModeInternal, US: k.site, USVV: k.usableVV(id), Checks: s.carry(id.FG)})
 	if err != nil {
 		return nil, 0, err
 	}
-	if r.SS != k.site {
-		return r.Ino, r.SS, nil
+	ino := r.Ino
+	if r.SS == k.site {
+		// The CSS found this site's copy current (a pending propagation
+		// that has in fact landed, say).
+		if ino, err = k.container(id.FG).GetInode(id.Inode); err != nil {
+			return nil, 0, err
+		}
 	}
-	// The CSS found this site's copy current (a pending propagation that
-	// has in fact landed, say).
-	ino, err := k.container(id.FG).GetInode(id.Inode)
-	return ino, k.site, err
+	if r.Delegated {
+		k.recordLease(id, r.SS, css, ino)
+	}
+	return ino, r.SS, nil
 }
 
 // lookLocal is lookInternal's free half: the committed inode of a locally
@@ -579,6 +596,10 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 			}
 		}()
 	}
+	if mode == ModeRead || expand {
+		k.awaitGrant(id)
+		defer k.endGrant(id)
+	}
 	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Expand: expand, For: forSite, Checks: s.carry(id.FG)})
 	if err != nil {
 		return nil, nil, 0, err
@@ -592,7 +613,12 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 		}
 	}
 	if expand && ino.Type == storage.TypeHiddenDir {
-		return nil, ino, r.SS, nil // the CSS served it as an internal open
+		// The CSS served it as an internal open, a look that may carry a
+		// delegation.
+		if r.Delegated {
+			k.recordLease(id, r.SS, css, ino)
+		}
+		return nil, ino, r.SS, nil
 	}
 	if mode == ModeModify {
 		// The file is about to change through this US; cached committed
@@ -618,7 +644,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 		// other handle reads the committed one where it lies.
 		f.ino, f.dirty = f.ino.Clone(), make(map[storage.PageNo]bool)
 	}
-	if r.Delegated && k.recordLease(f) {
+	if r.Delegated && k.recordLease(id, f.ss, css, f.ino) {
 		f.delegated = true
 	}
 	k.mu.Lock()
@@ -790,7 +816,8 @@ func (k *Kernel) handleSSCreate(_ SiteID, req *ssCreateReq) (*ssCreateResp, erro
 }
 
 // createID creates a new file named name in directory parent with one
-// fs.create exchange.
+// fs.create exchange, giving up this site's delegation on parent as
+// dirOp does (dropOwnLeases).
 func (k *Kernel) createID(parent storage.FileID, name string, typ storage.FileType, cred *Cred, mode uint16) (*File, error) {
 	css, err := k.CSSOf(parent.FG)
 	if err != nil {
@@ -800,6 +827,8 @@ func (k *Kernel) createID(parent storage.FileID, name string, typ storage.FileTy
 	k.openSerial++
 	wserial := k.openSerial
 	k.mu.Unlock()
+	k.dropOwnLeases(parent)
+	defer k.dropOwnLeases(parent)
 	r, err := netsim.Call(k.node, css, mCreate, &createReq{
 		Type: typ, US: k.site, Owner: cred.User, Mode: mode,
 		NCopies: cred.NCopies, Parent: parent, Name: name, Serial: wserial,

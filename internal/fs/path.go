@@ -103,7 +103,9 @@ const dirReadAttempts = 16
 // with the corrupt read rather than keeping it for ever
 // (TestDirReadAttemptsBounded). A carried look's read that the network
 // cut is retried too: its site became unreachable since, or a message was
-// lost, or the circuit closed under it. The inode returned is the
+// lost, or the circuit closed under it; and so is a read the network cut
+// through a delegated look, once the delegation is dropped, since the
+// next look would otherwise find the same site. The inode returned is the
 // committed one, shared: read it, never write through it.
 func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (d *format.DirSnapshot, _ *storage.Inode, err error) {
 	var failed vclock.VV // the version of the last read that failed
@@ -117,8 +119,10 @@ func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (
 		if d, err = k.readDirAt(id, ino, ss); err == nil {
 			return d, ino, nil
 		}
+		cut := cutByNetwork(err)
+		delegated := cut && k.dropLease(id)
 		newer := failed == nil || ino.VV.Compare(failed) == vclock.Dominates
-		if attempt == dirReadAttempts || !(errors.Is(err, format.ErrCorrupt) && newer) && !(carried && cutByNetwork(err)) {
+		if attempt == dirReadAttempts || !(errors.Is(err, format.ErrCorrupt) && newer) && !(cut && (carried || delegated)) {
 			return nil, nil, err
 		}
 		failed, ino = ino.VV, nil // the version changed under the read, or its site went: look afresh
@@ -193,15 +197,19 @@ type search struct {
 }
 
 // freeLook is a search step's look at id where it sends no message: the
-// local or the cached look (lookLocal, lookCached), or, when this site
-// stores no copy of id and the directory cache holds one, the deferred
-// look: the cached version, kept as a check for the search's next
-// exchange with id's CSS. ok is false where the look must go to the CSS.
+// local or the cached look (lookLocal, lookCached), the one a held read
+// delegation answers (leaseLook), or, when this site stores no copy of
+// id and the directory cache holds one, the deferred look: the cached
+// version, kept as a check for the search's next exchange with id's CSS.
+// ok is false where the look must go to the CSS.
 func (k *Kernel) freeLook(s *search, id storage.FileID) (ino *storage.Inode, ss SiteID, ok bool) {
 	if ino := k.lookLocal(id); ino != nil {
 		return ino, k.site, true
 	}
 	if ino, ss := k.lookCached(id); ino != nil {
+		return ino, ss, true
+	}
+	if ino, ss := k.leaseLook(id); ino != nil {
 		return ino, ss, true
 	}
 	if s.paper {

@@ -158,10 +158,11 @@ func TestOpenSharesOrOwnsItsInode(t *testing.T) {
 
 // BenchmarkOpenReadClose is the scan workloads' inner step by pathname:
 // Kernel.Open, ReadAll and Close of a 4-page file, at the site that stores
-// it (local: no message) and at one that stores nothing (no-copy, 4
-// msgs/op: the open that is f's look, carrying the version of / the search
-// read from the cache, and the close; the pages come from the using-site
-// cache. 6 while the look at / was an exchange of its own).
+// it (local: no message) and at one that stores nothing (no-copy, no
+// message either: the look at / is the delegation its first look was
+// granted, and f's read delegation serves the open and the close; the
+// pages come from the using-site cache. 2 while the look at / was a
+// confirming exchange, 4 while the open and close went to the CSS).
 func BenchmarkOpenReadClose(b *testing.B) {
 	k1, _, data := solo4(b)
 	nw := k1.node.Network()

@@ -234,41 +234,52 @@ func checkPinContent(t *testing.T, c *cluster.Cluster, pages string) {
 // content (12 fs.open messages then, 14 before that). The second search
 // reads / and /bin from the cache and defers their looks to the look at
 // the hidden directory, the search's last step: two opens (four while /
-// and /bin were looked at in exchanges of their own).
+// and /bin were looked at in exchanges of their own). Under delegations
+// the first search's looks at the three directories were granted
+// delegations, and the second looks only at vax: one open.
 func TestHiddenDirectoryOpenedOnce(t *testing.T) {
-	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
-		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newClusterCfg(t, cfg, 1, 2, 3)
-	k1 := c.K(1)
-	if err := k1.Mkdir(cred(), "/bin", 0755); err != nil {
-		t.Fatal(err)
-	}
-	if err := k1.MkHidden(cred(), "/bin/who", 0755); err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, k1, "/bin/who@@/vax", []byte("VAX load module"))
-	settle(t, c)
-	hidden, err := k1.Resolve(cred(), "/bin/who@@")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vax := &fs.Cred{User: "u", HiddenCtx: []string{"vax"}}
-	for _, pass := range []struct{ opens, reads int64 }{{8, 6}, {4, 0}} {
-		opens, reads := pass.opens, pass.reads
-		before := c.Net.Stats()
-		r, err := c.K(3).Resolve(vax, "/bin/who")
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := c.Net.Stats().Sub(before)
-		if r.Name != "vax" || r.Parent != hidden.ID || !reflect.DeepEqual(r.ParentSites, []fs.SiteID{1, 2}) {
-			t.Errorf("Resolve = %+v, want the vax entry of %v, stored at sites 1 and 2", *r, hidden.ID)
-		}
-		if d.ByMethod["fs.open"] != opens || d.ByMethod["fs.read"] != reads || d.Msgs != opens+reads {
-			t.Errorf("the search sent %d messages (%v), want %d fs.open and %d fs.read", d.Msgs, d.ByMethod, opens, reads)
-		}
+	for _, rg := range regimes {
+		t.Run(rg.prefix+"resolve", func(t *testing.T) {
+			cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
+				Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Features = rg.features
+			c := newClusterCfg(t, cfg, 1, 2, 3)
+			k1 := c.K(1)
+			if err := k1.Mkdir(cred(), "/bin", 0755); err != nil {
+				t.Fatal(err)
+			}
+			if err := k1.MkHidden(cred(), "/bin/who", 0755); err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, k1, "/bin/who@@/vax", []byte("VAX load module"))
+			settle(t, c)
+			hidden, err := k1.Resolve(cred(), "/bin/who@@")
+			if err != nil {
+				t.Fatal(err)
+			}
+			second := int64(4)
+			if !rg.features.NoDelegations {
+				second = 2
+			}
+			vax := &fs.Cred{User: "u", HiddenCtx: []string{"vax"}}
+			for _, pass := range []struct{ opens, reads int64 }{{8, 6}, {second, 0}} {
+				opens, reads := pass.opens, pass.reads
+				before := c.Net.Stats()
+				r, err := c.K(3).Resolve(vax, "/bin/who")
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := c.Net.Stats().Sub(before)
+				if r.Name != "vax" || r.Parent != hidden.ID || !reflect.DeepEqual(r.ParentSites, []fs.SiteID{1, 2}) {
+					t.Errorf("Resolve = %+v, want the vax entry of %v, stored at sites 1 and 2", *r, hidden.ID)
+				}
+				if d.ByMethod["fs.open"] != opens || d.ByMethod["fs.read"] != reads || d.Msgs != opens+reads {
+					t.Errorf("the search sent %d messages (%v), want %d fs.open and %d fs.read", d.Msgs, d.ByMethod, opens, reads)
+				}
+			}
+		})
 	}
 }

@@ -231,13 +231,22 @@ func TestResolveAllocations(t *testing.T) {
 // moves every transport counter exactly as OpenID + Close do. A search's
 // look that carries the version of a directory the search read from the
 // cache (openReq.Checks) is that exchange too, with the check's bytes
-// besides: 12 for the file's name and the vector's wire form.
+// besides: 12 for the file's name and the vector's wire form. Under
+// delegations the search's look at / was granted one, which answers the
+// next search's look at /: the look at f carries no check.
 func TestLookInternalSendsWhatOpenSends(t *testing.T) {
+	for _, rg := range regimes {
+		t.Run(rg.prefix+"look", func(t *testing.T) { lookSendsWhatOpenSends(t, rg.features) })
+	}
+}
+
+func lookSendsWhatOpenSends(t *testing.T, features fs.Features) {
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
 		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Features = features
 	c := newClusterCfg(t, cfg, 1, 2, 3)
 	data := bytes.Repeat([]byte{'x'}, 2*storage.PageSize)
 	writeFile(t, c.K(1), "/f", data)
@@ -305,8 +314,12 @@ func TestLookInternalSendsWhatOpenSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := c.Net.Stats().Sub(before)
-	if want := lookBytes[3] + 12 + int64(rootVV.EncodedLen()); d.Msgs != 2 || d.ByMethod["fs.open"] != 2 || d.Bytes != want {
-		t.Errorf("the look carrying /'s version sent %d messages (%v) of %d bytes, want one fs.open exchange of %d", d.Msgs, d.ByMethod, d.Bytes, want)
+	want := lookBytes[3]
+	if features.NoDelegations {
+		want += 12 + int64(rootVV.EncodedLen())
+	}
+	if d.Msgs != 2 || d.ByMethod["fs.open"] != 2 || d.Bytes != want {
+		t.Errorf("the second search of /f sent %d messages (%v) of %d bytes, want one fs.open exchange of %d", d.Msgs, d.ByMethod, d.Bytes, want)
 	}
 }
 
@@ -320,60 +333,77 @@ func TestLookInternalSendsWhatOpenSends(t *testing.T) {
 // look, which carries their versions to the CSS: one fs.open exchange (two
 // messages) for the whole path, where each file on it was one (6 messages
 // for /d/f then). Create's new entry is one fs.dirop to the CSS, no open
-// at all.
+// at all. Under delegations the looks that filled the cache were granted
+// delegations on / and /d, which answer every look at them: only the
+// look at the file f is an exchange, until a create in a directory drops
+// the creating site's delegation on it.
 func TestSearchLooksEachFileOnce(t *testing.T) {
-	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
-		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newClusterCfg(t, cfg, 1, 2, 3)
-	if err := c.K(1).Mkdir(cred(), "/d", 0755); err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, c.K(1), "/d/f", []byte("f"))
-	settle(t, c)
-	k := c.K(3)
-	if _, err := k.ReadDir(cred(), "/d"); err != nil { // fills the directory cache
-		t.Fatal(err)
-	}
-	var created []*fs.File
-	create := func(path string) func() error {
-		return func() error {
-			f, err := k.Create(cred(), path, storage.TypeRegular, 0644)
-			if err == nil {
-				created = append(created, f)
+	for _, rg := range regimes {
+		t.Run(rg.prefix+"search", func(t *testing.T) {
+			cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
+				Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return err
-		}
-	}
-	for _, tc := range []struct {
-		what  string
-		op    func() error
-		opens int64
-	}{
-		// f, carrying / and /d.
-		{`Stat("/d/f")`, func() error { _, err := k.Stat(cred(), "/d/f"); return err }, 2},
-		// /d, carrying /.
-		{`ReadDir("/d")`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, 2},
-		{`Resolve("/d/f")`, func() error { _, err := k.Resolve(cred(), "/d/f"); return err }, 2},
-		// /d, carrying /.
-		{`Create("/d/g")`, create("/d/g"), 2},
-		// /, looked at by ResolveParent.
-		{`Create("/g")`, create("/g"), 2},
-	} {
-		before := c.Net.Stats()
-		if err := tc.op(); err != nil {
-			t.Fatalf("%s: %v", tc.what, err)
-		}
-		if d := c.Net.Stats().Sub(before); d.ByMethod["fs.open"] != tc.opens {
-			t.Errorf("%s sent %d fs.open messages (%v), want %d", tc.what, d.ByMethod["fs.open"], d.ByMethod, tc.opens)
-		}
-	}
-	for _, f := range created {
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+			cfg.Features = rg.features
+			c := newClusterCfg(t, cfg, 1, 2, 3)
+			if err := c.K(1).Mkdir(cred(), "/d", 0755); err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, c.K(1), "/d/f", []byte("f"))
+			settle(t, c)
+			k := c.K(3)
+			if _, err := k.ReadDir(cred(), "/d"); err != nil { // fills the directory cache
+				t.Fatal(err)
+			}
+			// dir is a row's count where only a look at a directory is
+			// made: the paper's, or none under delegations.
+			dir := int64(2)
+			if !rg.features.NoDelegations {
+				dir = 0
+			}
+			var created []*fs.File
+			create := func(path string) func() error {
+				return func() error {
+					f, err := k.Create(cred(), path, storage.TypeRegular, 0644)
+					if err == nil {
+						created = append(created, f)
+					}
+					return err
+				}
+			}
+			for _, tc := range []struct {
+				what  string
+				op    func() error
+				opens int64
+			}{
+				// f, carrying / and /d.
+				{`Stat("/d/f")`, func() error { _, err := k.Stat(cred(), "/d/f"); return err }, 2},
+				// /d, carrying /.
+				{`ReadDir("/d")`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, dir},
+				{`Resolve("/d/f")`, func() error { _, err := k.Resolve(cred(), "/d/f"); return err }, 2},
+				// /d, carrying /.
+				{`Create("/d/g")`, create("/d/g"), dir},
+				// /, looked at by ResolveParent.
+				{`Create("/g")`, create("/g"), dir},
+				// /d again, at the version the create made, carrying /:
+				// the creates dropped both delegations.
+				{`ReadDir("/d") after the create`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, 2},
+			} {
+				before := c.Net.Stats()
+				if err := tc.op(); err != nil {
+					t.Fatalf("%s: %v", tc.what, err)
+				}
+				if d := c.Net.Stats().Sub(before); d.ByMethod["fs.open"] != tc.opens {
+					t.Errorf("%s sent %d fs.open messages (%v), want %d", tc.what, d.ByMethod["fs.open"], d.ByMethod, tc.opens)
+				}
+			}
+			for _, f := range created {
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -387,12 +417,23 @@ func TestSearchLooksEachFileOnce(t *testing.T) {
 // from that open as a look, with no lock taken, and its context entry is
 // opened (10, then 8, now 4). From a site with a current copy every look
 // is free, and an open sends its own exchange and nothing else, as before.
+// Under delegations (leases) the search that fills the cache is granted
+// delegations on the directories it looks at, the hidden one among them:
+// a read open of the hidden directory is then served by its delegation,
+// and so is the look an open through it makes.
 func TestOpenLooksLastComponentOnce(t *testing.T) {
+	for _, rg := range regimes {
+		t.Run(rg.prefix+"open", func(t *testing.T) { openLooksLastComponentOnce(t, rg.features) })
+	}
+}
+
+func openLooksLastComponentOnce(t *testing.T, features fs.Features) {
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
 		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Features = features
 	c := newClusterCfg(t, cfg, 1, 2, 3)
 	k1 := c.K(1)
 	for _, dir := range []string{"/d", "/bin"} {
@@ -421,23 +462,29 @@ func TestOpenLooksLastComponentOnce(t *testing.T) {
 		mode  fs.OpenMode
 		want  storage.FileID
 		opens int64
+		// leases is the count under delegations.
+		leases int64
 	}{
 		// The open of f, carrying / and /d.
-		{3, "/d/f", fs.ModeRead, id("/d/f"), 2},
-		{3, "/d/f", fs.ModeModify, id("/d/f"), 2},
+		{3, "/d/f", fs.ModeRead, id("/d/f"), 2, 2},
+		{3, "/d/f", fs.ModeModify, id("/d/f"), 2, 2},
 		// The open of the escaped hidden directory itself, carrying / and
-		// /bin.
-		{3, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 2},
+		// /bin; under delegations the one on it serves the open.
+		{3, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 2, 0},
 		// The open that comes back as the hidden directory's look, carrying
-		// / and /bin, then the open of vax.
-		{3, "/bin/who", fs.ModeRead, id("/bin/who"), 4},
-		{3, "/bin/who", fs.ModeModify, id("/bin/who"), 4},
+		// / and /bin, then the open of vax; under delegations the look is
+		// the hidden directory's delegation.
+		{3, "/bin/who", fs.ModeRead, id("/bin/who"), 4, 2},
+		{3, "/bin/who", fs.ModeModify, id("/bin/who"), 4, 2},
 		// Every look free: the open alone.
-		{2, "/d/f", fs.ModeRead, id("/d/f"), 2},
-		{2, "/d/f", fs.ModeModify, id("/d/f"), 2},
-		{2, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 2},
-		{2, "/bin/who", fs.ModeRead, id("/bin/who"), 2},
+		{2, "/d/f", fs.ModeRead, id("/d/f"), 2, 2},
+		{2, "/d/f", fs.ModeModify, id("/d/f"), 2, 2},
+		{2, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 2, 2},
+		{2, "/bin/who", fs.ModeRead, id("/bin/who"), 2, 2},
 	} {
+		if !features.NoDelegations {
+			tc.opens = tc.leases
+		}
 		k := c.K(tc.site)
 		what := fmt.Sprintf("site %d: Open(%q, %v)", tc.site, tc.path, tc.mode)
 		if _, err := k.Resolve(vax, tc.path); err != nil { // fills the directory cache
@@ -525,9 +572,10 @@ func TestHiddenDirectoryLookUnderDelegation(t *testing.T) {
 // BenchmarkResolve is one pathname search of a two-component path whose
 // directories are in the cache: at a site that stores them (no message,
 // one allocation) and at one that stores no copy of the filegroup, where
-// the look at the file is one fs.open exchange with the CSS, carrying the
-// versions of / and /d the search read from the cache (2 msgs/op; 6 while
-// each of the three looks was an exchange).
+// the looks at / and /d are the delegations their first looks were
+// granted and the look at the file is one fs.open exchange with the CSS
+// (2 msgs/op; 6 while each of the three looks was an exchange, then 2
+// with the versions of / and /d read from the cache riding the last).
 func BenchmarkResolve(b *testing.B) {
 	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/",
 		Packs: []fs.PackDesc{{Site: 1, Lo: 1, Hi: 1000}, {Site: 2, Lo: 1001, Hi: 2000}}}})
