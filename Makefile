@@ -40,13 +40,14 @@ race:
 # directory update waits at the CSS for the writer slot and every open
 # polls the using site last. It failed about 1 run in 1,000 while both
 # were wall-time retry loops. It then runs the directory-slot wait test
-# 200 times (about 2.5 s): the wait runs at the CSS on behalf of the
-# site whose fs.dirop it serves, and must end when that site leaves. Last
-# it runs the deferred-look rename test 200 times (about 1 s): a site that
-# stores no copy of /d opens /d/f from its directory cache while the CSS
-# renames files through that name, and every open must find what the name
-# named while it ran, the CSS refusing each cached version a rename made
-# stale. Then the concurrent revoke test 200 times (about 5 s): sites 2-4
+# 200 times (about 2.5 s): the wait runs at the CSS on behalf of the site
+# whose fs.dirop it serves, and must end when that site leaves. Then it
+# runs the no-copy rename test 200 times (about 1 s): a site that stores
+# no copy of /d opens /d/f by name while the CSS renames files through
+# that name, each rename calling back the site's read delegation on /d
+# before it commits (without delegations each look at /d is an exchange
+# with the CSS), and every open must find what the name named while it
+# ran. Then the concurrent revoke test 200 times (about 5 s): sites 2-4
 # re-open and read a file under read delegations while site 1 commits new
 # versions of it, and every read must find a version no older than the
 # last commit finished before its open began, every revoke round ending.

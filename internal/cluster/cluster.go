@@ -129,6 +129,11 @@ func New(cfg *fs.Config, opts Options) (*Cluster, error) {
 		cl.sites = append(cl.sites, s)
 	}
 	sort.Slice(cl.sites, func(i, j int) bool { return cl.sites[i] < cl.sites[j] })
+	// Every kernel's partition view starts as the sites booted, as its
+	// topology manager's does, whether or not they store a pack.
+	for _, s := range cl.sites {
+		kernels[s].SetPartition(cl.sites)
+	}
 	if err := fs.Format(kernels, cfg); err != nil {
 		nw.Close()
 		return nil, err

@@ -84,6 +84,24 @@ func TestMembershipViewsAgree(t *testing.T) {
 	}
 }
 
+// TestBootViewsAgree: a site that stores no pack is in every view from
+// boot on, its own and every other site's, as in every topology
+// manager's.
+func TestBootViewsAgree(t *testing.T) {
+	cfg, err := fs.NewConfig([]fs.FilegroupDesc{{FG: 1, MountPath: "/", Packs: cluster.Packs(sites{1, 2})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(cfg, cluster.Options{Sites: []cluster.SiteSpec{{ID: 1}, {ID: 2}, {ID: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if d := viewsDisagree(c); d != "" {
+		t.Fatalf("at boot: %s", d)
+	}
+}
+
 // TestCrashWhilePartitionedFreesWriterSlot crashes a site that holds a
 // modify open while the network is partitioned: the crash is announced
 // in the site's own partition, so the survivor there frees the writer

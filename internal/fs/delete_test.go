@@ -117,12 +117,13 @@ func TestDeleteTravelsInNotification(t *testing.T) {
 		// sites 2 and 3.
 		{"unlink f", func() error { return k.Unlink(cred(), "/d/f") }, map[string]int64{
 			"fs.open": 2, "fs.read": 2, "fs.dirop": 2, "fs.propnotify": 2}},
-		// The search reads /d from the cache and looks at g, whose only
-		// copy is at site 1, in one exchange that carries the version of
-		// /d it read (two while the look at /d was one of its own). Then
-		// the fs.dirop, as above: g's delete notifies sites 2 and 3.
+		// The search looks at /d again, since site 2's own unlink dropped
+		// its delegation on it, and reads it from the cache at the version
+		// that unlink made; then it looks at g, whose only copy is at
+		// site 1. Then the fs.dirop, as above: g's delete notifies sites 2
+		// and 3.
 		{"unlink g", func() error { return k.Unlink(cred(), "/d/g") }, map[string]int64{
-			"fs.open": 2, "fs.dirop": 2, "fs.propnotify": 2}},
+			"fs.open": 4, "fs.dirop": 2, "fs.propnotify": 2}},
 		{"settle", func() error { c.Settle(); return nil }, map[string]int64{}},
 	} {
 		before := c.Net.Stats()

@@ -33,7 +33,7 @@ func TestUpdateDirAssertsItsLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ino, _, err := k.lookInternal(r.ID, nil)
+	ino, _, err := k.lookInternal(r.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

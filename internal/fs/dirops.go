@@ -15,8 +15,7 @@ import (
 // Open opens a file by pathname (§2.3.3). Open for modification requires
 // the CSS to grant the single-writer lock, and is ErrIsDir on a directory.
 // Unless a look at the file is free, the open is the search's look at
-// it, and a hidden directory to expand comes back as that (openReq.Expand);
-// it carries the looks the search deferred, too (search).
+// it, and a hidden directory to expand comes back as that (openReq.Expand).
 func (k *Kernel) Open(cred *Cred, path string, mode OpenMode) (*File, error) {
 	return userHandle(k.open(cred, path, mode))
 }
@@ -24,34 +23,18 @@ func (k *Kernel) Open(cred *Cred, path string, mode OpenMode) (*File, error) {
 // open is Open for the kernel, whose attrOp opens directories too.
 func (k *Kernel) open(cred *Cred, path string, mode OpenMode) (*File, error) {
 	s := search{cred: cred, open: true}
-	for {
-		f, err := k.openBy(&s, path, mode)
-		if !s.again(err) {
-			return f, err
-		}
-	}
-}
-
-// openBy is open by one search s. Checks the open did not carry, because
-// a delegation served it, go out in one look after it (confirm), and the
-// handle is closed if the CSS refuses them.
-func (k *Kernel) openBy(s *search, path string, mode OpenMode) (*File, error) {
-	_, _, _, r, err := k.walk(s, path)
+	_, _, _, r, err := k.walk(&s, path)
 	if err != nil {
-		return nil, k.confirm(s, err)
-	}
-	f, look, ss, err := k.openID(r.ID, mode, s.expand, vclock.NoSite, s)
-	if err = k.confirm(s, err); err != nil {
-		if f != nil {
-			f.Close() //locus:vet-allow uncheckedcall a delegation served the open: its close is local
-		}
 		return nil, err
 	}
-	if look != nil {
-		if _, _, err = k.expandHidden(s, r.ID, look, ss, path, false, r); err == nil {
-			f, _, _, err = k.openID(r.ID, mode, false, vclock.NoSite, nil)
-		}
+	f, look, ss, err := k.openID(r.ID, mode, s.expand, vclock.NoSite)
+	if err != nil || look == nil {
+		return f, err
 	}
+	if _, _, err = k.expandHidden(&s, r.ID, look, ss, path, false, r); err != nil {
+		return nil, err
+	}
+	f, _, _, err = k.openID(r.ID, mode, false, vclock.NoSite)
 	return f, err
 }
 
@@ -60,7 +43,7 @@ func (k *Kernel) openBy(s *search, path string, mode OpenMode) (*File, error) {
 func (k *Kernel) Stat(cred *Cred, path string) (*storage.Inode, error) {
 	ino, _, _, r, err := k.resolve(cred, path)
 	if err == nil && ino == nil {
-		ino, _, err = k.lookInternal(r.ID, nil)
+		ino, _, err = k.lookInternal(r.ID)
 	}
 	if err != nil {
 		return nil, err
@@ -99,7 +82,7 @@ func (k *Kernel) openForUpdate(forSite SiteID, ids [3]storage.FileID) (files [3]
 	}
 	slices.SortFunc(order, func(a, b int) int { return ids[a].Compare(ids[b]) })
 	for _, i := range order {
-		if files[i], _, _, err = k.openID(ids[i], ModeModify, false, forSite, nil); err != nil {
+		if files[i], _, _, err = k.openID(ids[i], ModeModify, false, forSite); err != nil {
 			closeAll(files)
 			return [3]*File{}, err
 		}
@@ -676,7 +659,7 @@ func (k *Kernel) Rename(cred *Cred, oldpath, newpath string) error {
 	vv := vclock.New()
 	if ino != nil {
 		vv = ino.VV
-	} else if ino, _, err := k.lookInternal(r.ID, nil); err == nil {
+	} else if ino, _, err := k.lookInternal(r.ID); err == nil {
 		vv = ino.VV
 	}
 	insert, remove := dirMut{Name: newName, Ino: r.ID.Inode}, dirMut{Name: r.Name, Remove: true, DelVV: vv}

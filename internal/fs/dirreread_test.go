@@ -213,12 +213,11 @@ func TestPartialReReadCut(t *testing.T) {
 		return c, d
 	}
 	for _, n := range []int{1, 2} {
-		// The search from the cache sends the look at the file with the
-		// versions of / and /d it read there, which the CSS refuses for
-		// /d; the search again looks at /, /d and the file, and its retry
-		// at /d again. Under delegations the one on / answers both looks
-		// at it, and the cut read drops the one the look at /d was
-		// granted, so the retry's look goes to the CSS.
+		// The search looks at /, /d and the file, and its retry at /d
+		// again: the paper's walk and the fresh look. Under delegations
+		// the one on / answers the look at it, and the cut read drops the
+		// one the look at /d was granted, so the retry's look goes to the
+		// CSS.
 		for _, rg := range regimes {
 			t.Run(fmt.Sprintf("%sdrop read %d", rg.prefix, n), func(t *testing.T) {
 				c, d := rereadCluster(t, rg.features)
@@ -233,9 +232,9 @@ func TestPartialReReadCut(t *testing.T) {
 				if got.MsgsDropped != 8 {
 					t.Fatalf("read %d: %d requests dropped, want 8", n, got.MsgsDropped)
 				}
-				want := int64(5)
+				want := int64(4)
 				if !rg.features.NoDelegations {
-					want = 4
+					want = 3
 				}
 				if opens := got.ByMethod["fs.open"] / 2; opens != want {
 					t.Errorf("read %d dropped: %d fs.open exchanges, want %d", n, opens, want)

@@ -44,9 +44,3 @@ var (
 	// ErrDeleted: operation on a file whose inode is a delete tombstone.
 	ErrDeleted = errors.New("fs: file has been deleted")
 )
-
-// errStaleLook is the CSS's refusal of an exchange whose deferred looks
-// (openReq.Checks) a look would not have confirmed. It never reaches a
-// caller: the search that sent them searches again, looking at every
-// directory (resolve).
-var errStaleLook = errors.New("fs: a deferred look is out of date")

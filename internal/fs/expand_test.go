@@ -88,7 +88,7 @@ func TestExpandOpenTakesNoLock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, _, _, err := ks[0].openID(hidden, ModeModify, false, 0, nil)
+		w, _, _, err := ks[0].openID(hidden, ModeModify, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestExpandOpenTakesNoLock(t *testing.T) {
 func TestExpandOpenPassesBusyHiddenDir(t *testing.T) {
 	ks := bootBystander(t, Features{})
 	hidden, vax := hiddenTree(t, ks)
-	w, _, _, err := ks[1].openID(hidden, ModeModify, false, 0, nil)
+	w, _, _, err := ks[1].openID(hidden, ModeModify, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestReadDirCarriedLookSiteGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	look, ss, err := k3.lookInternal(r.ID, nil)
+	look, ss, err := k3.lookInternal(r.ID)
 	if err != nil || ss != 1 {
 		t.Fatalf("the look found %+v at site %d, %v; the test needs site 1", look, ss, err)
 	}

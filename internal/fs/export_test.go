@@ -53,7 +53,7 @@ func (k *Kernel) LeaseMarks() (dropped, waits int) {
 
 // LookInternal is lookInternal, for comparison with OpenID(ModeInternal).
 func (k *Kernel) LookInternal(id storage.FileID) (*storage.Inode, SiteID, error) {
-	return k.lookInternal(id, nil)
+	return k.lookInternal(id)
 }
 
 // StalledPropagations reports how many pulls wait for their origin to
@@ -121,3 +121,13 @@ func (k *Kernel) dirInsert(dir storage.FileID, name string, ino storage.InodeNum
 
 // DirReadAttempts is dirReadAttempts.
 const DirReadAttempts = dirReadAttempts
+
+// Parked is parked: whether an open waits at a CSS for a writer slot.
+var Parked = parked
+
+// OpenForUpdate opens id for modification as a directory update does:
+// the handle holds the writer slot until it is closed.
+func (k *Kernel) OpenForUpdate(id storage.FileID) (*File, error) {
+	f, _, _, err := k.openID(id, ModeModify, false, vclock.NoSite)
+	return f, err
+}

@@ -32,7 +32,7 @@ func TestDirOpDeclinesGrantInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ino, ss, err := k.lookInternal(r.ID, nil)
+	ino, ss, err := k.lookInternal(r.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,5 +56,48 @@ func TestDirOpDeclinesGrantInFlight(t *testing.T) {
 	}
 	if _, held := k.Delegations()[r.ID]; !held {
 		t.Error("a read open after the link was not granted a delegation")
+	}
+}
+
+// TestModifyOpenDeclinesGrantInFlight: as TestDirOpDeclinesGrantInFlight,
+// for the site's own modify open, whose delegate record the CSS drops
+// without a revoke as it drops a namespace operation's. A grant in flight
+// across the open and its close is declined, and nothing is left behind.
+func TestModifyOpenDeclinesGrantInFlight(t *testing.T) {
+	ks := bootSites(t, 3)
+	cred := DefaultCred("tester")
+	if err := ks[0].Mkdir(cred, "/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	w, err := ks[0].Create(cred, "/d/f", storage.TypeRegular, 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	k := ks[2]
+	r, err := k.Resolve(cred, "/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino, ss, err := k.lookInternal(r.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.awaitGrant(r.ID)
+	f, err := k.Open(cred, "/d/f", ModeModify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if k.recordLease(r.ID, ss, 1, ino) {
+		t.Error("a grant in flight across the site's own modify open was recorded")
+	}
+	k.endGrant(r.ID)
+	if dropped, waits := k.LeaseMarks(); dropped != 0 || waits != 0 {
+		t.Errorf("%d remembered revocations, %d grant waits left, want none", dropped, waits)
 	}
 }

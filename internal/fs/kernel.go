@@ -381,7 +381,8 @@ func (k *Kernel) meter() *netsim.Stats { return k.node.Network().Meter() }
 
 // NewKernel creates the filesystem kernel for one site and registers
 // its network handlers. The initial partition view is all sites of all
-// packs in the configuration (a fully-up network).
+// packs in the configuration and this one (a fully-up network); a
+// cluster sets it to the sites it booted (SetPartition).
 func NewKernel(node *netsim.Node, store *storage.Store, cfg *Config) *Kernel {
 	k := &Kernel{
 		site:            node.ID(),

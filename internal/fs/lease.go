@@ -28,13 +28,12 @@ package fs
 // delegation is granted while a writer is recorded; a read open then
 // takes the paper's path. Every commit of a directory is made under
 // such an open at the CSS, so the round runs before it. Two delegates
-// are not called back: the opener, which dropped its own delegation
-// before it sent the open, and the site whose fs.dirop or fs.create the
-// CSS serves (openReq.For), whose record is dropped on every file the
-// operation changes: that site drops its delegations on them itself,
-// before it sends the request and again once it is answered, and
-// declines every grant on them still in flight then, which the CSS may
-// have made before it dropped the record (dropOwnLeases).
+// are not called back: the opener, and the site whose fs.dirop or
+// fs.create the CSS serves (openReq.For), whose record is dropped on
+// every file the operation changes. Each drops its delegations on those
+// files itself, before it sends the request and again once it is
+// answered, and declines every grant on them still in flight then, which
+// the CSS may have made before it dropped the record (dropOwnLeases).
 //
 // A revoke that does not reach its delegate while the delegate is still
 // reachable (every transmission lost) refuses the modify open with
@@ -238,12 +237,13 @@ func (k *Kernel) dropLease(id storage.FileID) bool {
 }
 
 // dropOwnLeases gives up this site's read delegations on the files ids
-// that its fs.dirop or fs.create changes, whose records the CSS drops
-// without a revoke (revokeDelegates): it discards them, and declines
-// every grant on them still in flight, which the CSS may have made
-// before it dropped the record. dirOp and createID call it before they
-// send the request and again once it is answered, so only the requests
-// in flight then are affected, and nothing is left behind once they end.
+// that its modify open, fs.dirop or fs.create changes, whose records the
+// CSS drops without a revoke (revokeDelegates): it discards them, and
+// declines every grant on them still in flight, which the CSS may have
+// made before it dropped the record. openID, dirOp and createID call it
+// before they send the request and again once it is answered, so only
+// the requests in flight then are affected, and nothing is left behind
+// once they end.
 func (k *Kernel) dropOwnLeases(ids ...storage.FileID) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -258,11 +258,10 @@ func (k *Kernel) dropOwnLeases(ids ...storage.FileID) {
 
 // openUnderLease serves a read open locally under a held delegation,
 // with zero wire messages. It returns nil when the open must go to the
-// CSS: no delegation, an internal open (which takes the unsynchronized
-// path), or a modify open — in which case the delegation is discarded
-// first, since the CSS drops its own record when the modify open
-// arrives. expand is the open's openReq.Expand: under it a delegated
-// hidden directory is the look (openID).
+// CSS: no delegation, or an open that is not for reading (a modify open
+// gives the delegation up itself, openID). expand is the open's
+// openReq.Expand: under it a delegated hidden directory is the look
+// (openID).
 func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, expand bool) (*File, *storage.Inode, SiteID) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -272,9 +271,6 @@ func (k *Kernel) openUnderLease(id storage.FileID, mode OpenMode, expand bool) (
 		return nil, nil, 0
 	case expand && l.ino.Type == storage.TypeHiddenDir:
 		return nil, l.ino, l.ss
-	case mode == ModeModify:
-		delete(k.leases, id)
-		return nil, nil, 0
 	case mode != ModeRead:
 		return nil, nil, 0
 	}

@@ -99,12 +99,8 @@ func (k *Kernel) cssEntryFor(id storage.FileID) (*cssEntry, error) {
 // handleOpen is the CSS function of the open protocol (Figure 2). It
 // enforces the synchronization policy (a single simultaneous open for
 // modification), selects a storage site holding the latest version,
-// and records the open in the lock table. An open that carries a search's
-// deferred looks is refused first, with nothing done, unless they hold.
+// and records the open in the lock table.
 func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
-	if !k.checksHold(req.Checks) {
-		return nil, fmt.Errorf("%w: opening %v", errStaleLook, req.ID)
-	}
 	e, err := k.cssEntryFor(req.ID)
 	if err != nil {
 		return nil, err
@@ -262,29 +258,6 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	return nil, fmt.Errorf("%w: %v (latest %v)", ErrNoStorageSite, req.ID, latest)
 }
 
-// checksHold reports whether each deferred look of checks is what a look
-// at its directory, an internal open here, would have found. The file
-// must have a lock-table entry (one is built, as for a look, which fails
-// for a deleted or conflicted file), and the version the search read must
-// equal the latest the entry records: a look finds that version and no
-// other. A newer one is no better, since the copy read need not be one
-// this partition holds (the search's site cached it in another).
-func (k *Kernel) checksHold(checks []dirCheck) bool {
-	for _, c := range checks {
-		e, err := k.cssEntryFor(c.ID)
-		if err != nil {
-			return false
-		}
-		k.mu.Lock()
-		newest := e.latestVV
-		k.mu.Unlock()
-		if !c.VV.Equal(newest) {
-			return false
-		}
-	}
-	return true
-}
-
 // handleSSOpen is the SS function: verify our copy is current, set up
 // serving state, and return the disk inode information.
 func (k *Kernel) handleSSOpen(_ SiteID, req *ssOpenReq) (*ssOpenResp, error) {
@@ -407,7 +380,7 @@ func containsSite(ss []SiteID, s SiteID) bool {
 // whose directory is not in the cache, readDirAt). A caller that only
 // wants what the inode says calls lookInternal and makes no handle.
 func (k *Kernel) OpenID(id storage.FileID, mode OpenMode) (*File, error) {
-	f, _, _, err := k.openID(id, mode, false, vclock.NoSite, nil)
+	f, _, _, err := k.openID(id, mode, false, vclock.NoSite)
 	return userHandle(f, err)
 }
 
@@ -435,33 +408,25 @@ func userHandle(f *File, err error) (*File, error) {
 // one, shared and frozen (storage.Inode): read it and pass it on, Clone it before
 // writing. Nothing holds it current: a caller that goes on to read pages
 // makes a handle (internalHandle), whose reads check each page against
-// the version found here. A look that pathname search s makes (s not
-// nil) carries the checks s holds on its exchange with the CSS, when it
-// makes one.
-func (k *Kernel) lookInternal(id storage.FileID, s *search) (*storage.Inode, SiteID, error) {
-	if ino := k.lookLocal(id); ino != nil {
-		return ino, k.site, nil
-	}
-	if ino, ss := k.lookCached(id); ino != nil {
+// the version found here.
+func (k *Kernel) lookInternal(id storage.FileID) (*storage.Inode, SiteID, error) {
+	if ino, ss, ok := k.freeLook(id); ok {
 		return ino, ss, nil
 	}
-	if ino, ss := k.leaseLook(id); ino != nil {
-		return ino, ss, nil
-	}
-	return k.lookAtCSS(id, s)
+	return k.lookAtCSS(id)
 }
 
 // lookAtCSS is lookInternal's exchange with the CSS. It records the read
 // delegation the CSS grants on a look at a directory this site stores
 // no copy of, unless a revoke overtook it (recordLease).
-func (k *Kernel) lookAtCSS(id storage.FileID, s *search) (*storage.Inode, SiteID, error) {
+func (k *Kernel) lookAtCSS(id storage.FileID) (*storage.Inode, SiteID, error) {
 	css, err := k.CSSOf(id.FG)
 	if err != nil {
 		return nil, 0, err
 	}
 	k.awaitGrant(id)
 	defer k.endGrant(id)
-	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: ModeInternal, US: k.site, USVV: k.usableVV(id), Checks: s.carry(id.FG)})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: ModeInternal, US: k.site, USVV: k.usableVV(id)})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -558,11 +523,10 @@ func (k *Kernel) internalHandle(id storage.FileID, ino *storage.Inode, ss SiteID
 // modification too; expand marks an open that is a search's look
 // (openReq.Expand): a hidden directory comes back as that, inode and
 // storage site, with no handle. forSite is the site whose fs.dirop the
-// open serves (openReq.For), or NoSite. The checks of search s, when s is
-// not nil, ride the open's exchange with the CSS, if it makes one.
-func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite SiteID, s *search) (*File, *storage.Inode, SiteID, error) {
+// open serves (openReq.For), or NoSite.
+func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite SiteID) (*File, *storage.Inode, SiteID, error) {
 	if mode == ModeInternal {
-		ino, ss, err := k.lookInternal(id, s)
+		ino, ss, err := k.lookInternal(id)
 		if err != nil || expand && ino.Type == storage.TypeHiddenDir {
 			return nil, ino, ss, err
 		}
@@ -578,8 +542,14 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 		return nil, nil, 0, err
 	}
 	var wserial uint64
-	registered := false
+	registered, looked := false, false
 	if mode == ModeModify {
+		// The CSS drops this site's delegate record on the file without a
+		// revoke (revokeDelegates): give up the delegation, and decline
+		// every grant on it in flight, before the open is sent and once it
+		// is answered, as dirOp does (dropOwnLeases), unless the answer is
+		// a hidden directory's look, which opens nothing for modification.
+		k.dropOwnLeases(id)
 		// Mark the registration in flight so a recall racing the CSS's
 		// response does not reclaim the grant (lockvalid.go).
 		k.mu.Lock()
@@ -591,6 +561,9 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 			k.mu.Lock()
 			delete(k.inflightSerials, wserial)
 			k.mu.Unlock()
+			if !looked {
+				k.dropOwnLeases(id)
+			}
 			if !registered {
 				k.giveBackRecalled(css, id, wserial)
 			}
@@ -600,7 +573,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 		k.awaitGrant(id)
 		defer k.endGrant(id)
 	}
-	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Expand: expand, For: forSite, Checks: s.carry(id.FG)})
+	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Expand: expand, For: forSite})
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -615,6 +588,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 	if expand && ino.Type == storage.TypeHiddenDir {
 		// The CSS served it as an internal open, a look that may carry a
 		// delegation.
+		looked = true
 		if r.Delegated {
 			k.recordLease(id, r.SS, css, ino)
 		}

@@ -77,9 +77,9 @@ func (k *Kernel) rootID() (storage.FileID, error) {
 }
 
 // dirReadAttempts bounds the reads of one directory by readDirByID. With
-// four, about one run in 300 of TestDeferredLookUnderConcurrentRenames,
-// whose site 1 renames in /d as fast as site 3 searches it, failed a
-// search with a corrupt read.
+// four, one run in 1,000 of TestDeferredLookUnderConcurrentRenames, whose
+// site 1 renames in /d as fast as site 3 looks at it and reads it, failed
+// a search with a corrupt read.
 const dirReadAttempts = 16
 
 // readDirByID returns a directory's content as an internal
@@ -112,7 +112,7 @@ func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (
 	for attempt := 1; ; attempt++ {
 		carried := ino != nil
 		if !carried {
-			if ino, ss, err = k.lookInternal(id, nil); err != nil {
+			if ino, ss, err = k.lookInternal(id); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -148,9 +148,8 @@ func (k *Kernel) readDirAt(id storage.FileID, ino *storage.Inode, ss SiteID) (*f
 // and its type. A conflicted file still has a type — pathname searching
 // must be able to name it so the resolution tools can operate on it —
 // but no inode: whoever needs one looks again and meets the conflict.
-// The checks s holds ride the look when it goes to the CSS.
-func (k *Kernel) statType(s *search, id storage.FileID) (*storage.Inode, SiteID, storage.FileType, error) {
-	ino, ss, err := k.lookInternal(id, s)
+func (k *Kernel) statType(id storage.FileID) (*storage.Inode, SiteID, storage.FileType, error) {
+	ino, ss, err := k.lookInternal(id)
 	if err != nil {
 		if errors.Is(err, ErrConflict) {
 			if sums := k.ProbeAll(id); len(sums) > 0 {
@@ -163,46 +162,25 @@ func (k *Kernel) statType(s *search, id storage.FileID) (*storage.Inode, SiteID,
 	return ino, ss, ino.Type, nil
 }
 
-// search is one pathname search in progress. A step at a directory this
-// site stores no copy of searches the copy its directory cache holds, if
-// it holds one, without looking at it (freeLook): the first optimization
-// of §2.3.3, which has the using site send the version of its copy with
-// its message to the CSS, applied to §2.3.4's internal opens. The version
-// read is kept as a check, and the checks ride the search's next exchange
-// with the filegroup's CSS (openReq.Checks): a look at a file the cache
-// does not hold, the search's last look, or Open's open. The CSS refuses
-// that exchange, with nothing done, unless each check is the version a
-// look would have found (checksHold), and the search then starts over the
-// paper's way, looking at every directory. A search whose cached copies
-// are current so makes one exchange where the paper's makes one per file
-// on the path, and one that meets an out-of-date copy one more than the
-// paper's. Checks still held when the search leaves the filegroup, or
-// when its last look or open is free, go out in one look at the last
-// directory they name (confirm), and so do those behind what a search
-// finds in copies not yet confirmed (a missing name, a file that is not a
-// directory): the search returns that only once they hold.
+// search is one pathname search in progress. Each step looks at the
+// file a name it found names with the internal open of §2.3.4 (statType):
+// free where this site stores the file or holds a read delegation on it
+// (freeLook), and otherwise the open's exchange with the CSS.
 type search struct {
 	cred *Cred
 	// open marks Open's search, whose last step looks only where that is
 	// free (searchDir); expand is then what that step found for the open
 	// (openReq.Expand).
 	open, expand bool
-	// last marks the search's last step, whose look is made, not deferred.
+	// last marks the search's last step.
 	last bool
-	// paper marks a search that defers nothing: the one after a refusal.
-	paper bool
-	// checks are the looks deferred and not yet sent, all in one
-	// filegroup.
-	checks []dirCheck
 }
 
 // freeLook is a search step's look at id where it sends no message: the
-// local or the cached look (lookLocal, lookCached), the one a held read
-// delegation answers (leaseLook), or, when this site stores no copy of
-// id and the directory cache holds one, the deferred look: the cached
-// version, kept as a check for the search's next exchange with id's CSS.
-// ok is false where the look must go to the CSS.
-func (k *Kernel) freeLook(s *search, id storage.FileID) (ino *storage.Inode, ss SiteID, ok bool) {
+// local or the cached look (lookLocal, lookCached), or the one a held read
+// delegation answers (leaseLook). ok is false where the look must go to
+// the CSS.
+func (k *Kernel) freeLook(id storage.FileID) (ino *storage.Inode, ss SiteID, ok bool) {
 	if ino := k.lookLocal(id); ino != nil {
 		return ino, k.site, true
 	}
@@ -212,55 +190,7 @@ func (k *Kernel) freeLook(s *search, id storage.FileID) (ino *storage.Inode, ss 
 	if ino, ss := k.leaseLook(id); ino != nil {
 		return ino, ss, true
 	}
-	if s.paper {
-		return nil, 0, false
-	}
-	if c := k.container(id.FG); c != nil && c.HasInode(id.Inode) {
-		return nil, 0, false
-	}
-	e := k.dirs.entry(id)
-	if e.dir == nil {
-		return nil, 0, false
-	}
-	if s.checks == nil {
-		s.checks = make([]dirCheck, 0, 4)
-	}
-	s.checks = append(s.checks, dirCheck{ID: id, VV: e.ino.VV})
-	return e.ino, e.ss, true
-}
-
-// carry hands the checks s holds to an exchange with the CSS of
-// filegroup fg, if they are in fg; s holds none after.
-func (s *search) carry(fg storage.FilegroupID) []dirCheck {
-	if s == nil || len(s.checks) == 0 || s.checks[0].ID.FG != fg {
-		return nil
-	}
-	checks := s.checks
-	s.checks = nil
-	return checks
-}
-
-// confirm sends the checks s holds in one look at the last directory they
-// name and returns err, what the search found, once they hold; the CSS's
-// refusal, or the look's own failure, where they do not.
-func (k *Kernel) confirm(s *search, err error) error {
-	if len(s.checks) == 0 {
-		return err
-	}
-	if _, _, lerr := k.lookAtCSS(s.checks[len(s.checks)-1].ID, s); lerr != nil {
-		return lerr
-	}
-	return err
-}
-
-// again reports whether the CSS refused s's checks with err, and readies s
-// to search again the paper's way, which sends none.
-func (s *search) again(err error) bool {
-	if !errors.Is(err, errStaleLook) {
-		return false
-	}
-	*s = search{cred: s.cred, open: s.open, paper: true}
-	return true
+	return nil, 0, false
 }
 
 // Resolve performs pathname searching (§2.3.4): starting at the root,
@@ -272,11 +202,11 @@ func (s *search) again(err error) bool {
 // Such an open only looks (lookInternal, searchDir), and at each file
 // once: the look that found a component's type serves the read of its
 // content in the next step. From a site that stores no copy of the
-// directories, the looks at those in the cache are deferred to the
-// search's last (search). With the directories in the cache a search
-// makes no handle and, where it stores them, allocates the Resolved it
-// returns and nothing else. The path is walked where it lies, after one
-// pass that validates all of it.
+// directories, the looks at those it holds read delegations on send
+// nothing (leaseLook). With the directories in the cache a search makes
+// no handle and, where it stores them, allocates the Resolved it returns
+// and nothing else. The path is walked where it lies, after one pass that
+// validates all of it.
 func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
 	_, _, _, r, err := k.resolve(cred, path)
 	return r, err
@@ -287,20 +217,12 @@ func (k *Kernel) Resolve(cred *Cred, path string) (*Resolved, error) {
 // none: "/" is resolved without a look, and a conflicted file's type
 // without an inode. dir is the directory the last component was found
 // in: res.Parent, unless a hidden directory was expanded (res.Parent is
-// then that hidden directory), and zero for "/". Every look the search
-// deferred has been confirmed when it returns.
+// then that hidden directory), and zero for "/".
 func (k *Kernel) resolve(cred *Cred, path string) (ino *storage.Inode, ss SiteID, dir storage.FileID, res *Resolved, err error) {
-	s := search{cred: cred}
-	for {
-		ino, ss, dir, res, err = k.walk(&s, path)
-		if err = k.confirm(&s, err); !s.again(err) {
-			return ino, ss, dir, res, err
-		}
-	}
+	return k.walk(&search{cred: cred}, path)
 }
 
-// walk is one search of path by s, resolve's but for its confirmation:
-// checks may still be held when it returns.
+// walk is the search of path by s: resolve, or Open's search.
 func (k *Kernel) walk(s *search, path string) (ino *storage.Inode, ss SiteID, dir storage.FileID, res *Resolved, err error) {
 	n, err := checkPath(path)
 	if err != nil {
@@ -319,7 +241,7 @@ func (k *Kernel) walk(s *search, path string) (ino *storage.Inode, ss SiteID, di
 	// "@@" on.
 	res = new(Resolved)
 	curPath, canon := "", true
-	ino, ss, _ = k.freeLook(s, cur)
+	ino, ss, _ = k.freeLook(cur)
 	for i, at := 0, 0; i < n; i++ {
 		var comp string
 		comp, at = nextComp(path, at)
@@ -351,7 +273,7 @@ func (k *Kernel) resolvedRoot(root storage.FileID) *Resolved {
 
 // searchDir is one step of search s: it looks name up in directory dir,
 // read at the look (dirIno, dirSS) when the previous step made one, sets
-// *res to what the name names and returns the look at that (stepLook).
+// *res to what the name names and returns the look at that (statType).
 // childPath is the canonical path of that entry (it ends in "/"+name) and
 // escaped whether the component carried the hidden escape.
 // Open's last step (s.open) looks only where that is free (lookLocal);
@@ -369,13 +291,9 @@ func (k *Kernel) searchDir(s *search, dir storage.FileID, dirIno *storage.Inode,
 	child := storage.FileID{FG: dir.FG, Inode: e.Inode}
 
 	// Mount crossing: an entry covered by a mounted filegroup resolves to
-	// that filegroup's root. The search leaves dir's CSS with it, and the
-	// looks it deferred there go out now.
+	// that filegroup's root.
 	if fg, mounted := k.cfg.MountAt(childPath); mounted {
 		child = storage.FileID{FG: fg, Inode: RootInode}
-		if err := k.confirm(s, nil); err != nil {
-			return nil, 0, err
-		}
 	}
 	*res = Resolved{ID: child, Parent: dir, Name: name, ParentSites: dirIno.Sites}
 	var ino *storage.Inode
@@ -386,7 +304,7 @@ func (k *Kernel) searchDir(s *search, dir storage.FileID, dirIno *storage.Inode,
 			return nil, 0, nil
 		}
 		res.Type = ino.Type
-	} else if ino, ss, res.Type, err = k.stepLook(s, child); err != nil {
+	} else if ino, ss, res.Type, err = k.statType(child); err != nil {
 		return nil, 0, err
 	}
 	if res.Type != storage.TypeHiddenDir || escaped {
@@ -395,22 +313,10 @@ func (k *Kernel) searchDir(s *search, dir storage.FileID, dirIno *storage.Inode,
 	return k.expandHidden(s, child, ino, ss, childPath, true, res)
 }
 
-// stepLook is search s's look at id, a file a name it found names: free
-// where it can be (freeLook), unless it is the search's last, and
-// otherwise made.
-func (k *Kernel) stepLook(s *search, id storage.FileID) (*storage.Inode, SiteID, storage.FileType, error) {
-	if !s.last {
-		if ino, ss, ok := k.freeLook(s, id); ok {
-			return ino, ss, ino.Type, nil
-		}
-	}
-	return k.statType(s, id)
-}
-
 // expandHidden substitutes the context entry of hidden directory hd
 // (§2.4.1 rule c) for search s, read at the look (ino, ss) that found its
 // type: it sets *res to the entry and, when look asks, returns the look
-// at it (stepLook).
+// at it (statType).
 func (k *Kernel) expandHidden(s *search, hd storage.FileID, ino *storage.Inode, ss SiteID, hdPath string, look bool, res *Resolved) (*storage.Inode, SiteID, error) {
 	d, hdIno, err := k.readDirByID(hd, ino, ss)
 	if err != nil {
@@ -422,7 +328,7 @@ func (k *Kernel) expandHidden(s *search, hd storage.FileID, ino *storage.Inode, 
 			if !look {
 				return nil, 0, nil
 			}
-			ino, ss, res.Type, err = k.stepLook(s, res.ID)
+			ino, ss, res.Type, err = k.statType(res.ID)
 			return ino, ss, err
 		}
 	}
@@ -465,7 +371,7 @@ func (k *Kernel) resolveParent(cred *Cred, path string) (ino *storage.Inode, ss 
 		return nil, 0, storage.FileID{}, "", fmt.Errorf("%w: %s", ErrNotDir, dirPath)
 	}
 	if ino == nil {
-		ino, ss, _ = k.lookInternal(r.ID, nil)
+		ino, ss, _ = k.lookInternal(r.ID)
 	}
 	return ino, ss, r.ID, name, nil
 }

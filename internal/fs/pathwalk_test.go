@@ -67,7 +67,7 @@ func TestReadDirCarriedLookOvertaken(t *testing.T) {
 		}
 	}
 	drain()
-	look, ss, err := k2.lookInternal(r.ID, nil)
+	look, ss, err := k2.lookInternal(r.ID)
 	if err != nil || look.Size <= storage.PageSize {
 		t.Fatalf("the look found %+v, %v; the test needs a directory of two pages or more", look, err)
 	}
@@ -78,7 +78,7 @@ func TestReadDirCarriedLookOvertaken(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain()
-	if now, _, _ := k2.lookInternal(r.ID, nil); now.VV.Equal(look.VV) {
+	if now, _, _ := k2.lookInternal(r.ID); now.VV.Equal(look.VV) {
 		t.Fatal("site 2's copy was not overtaken")
 	}
 

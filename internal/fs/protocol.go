@@ -40,31 +40,6 @@ type openReq struct {
 	// for any other open): a wait for the writer slot ends when it, like
 	// the US, leaves the partition.
 	For SiteID
-	// Checks are the looks at directories of ID's filegroup that the
-	// sender's pathname search deferred to this exchange (search): the
-	// versions it searched from its directory cache. The CSS refuses the
-	// open, with no side effect, unless each is the version a look would
-	// have found (checksHold).
-	Checks []dirCheck
-}
-
-// dirCheck is one deferred look: the directory and the version of it
-// that the search read.
-type dirCheck struct {
-	ID storage.FileID
-	VV vclock.VV
-}
-
-// WireSize charges an open without checks the allowance of an unsized
-// payload, as it always cost, and each check its file's low-level name
-// (a 4-byte filegroup and an 8-byte inode number) and the wire form of its
-// version vector.
-func (r *openReq) WireSize() int {
-	n := netsim.DefaultWireSize
-	for _, c := range r.Checks {
-		n += 12 + c.VV.EncodedLen()
-	}
-	return n
 }
 
 type openResp struct {

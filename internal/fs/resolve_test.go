@@ -228,12 +228,12 @@ func TestResolveAllocations(t *testing.T) {
 // TestLookInternalSendsWhatOpenSends: the look is the open it replaced,
 // less the handle. Where the internal open goes to the CSS — the site
 // stores no copy, or stores one with a propagation pending — the look
-// moves every transport counter exactly as OpenID + Close do. A search's
-// look that carries the version of a directory the search read from the
-// cache (openReq.Checks) is that exchange too, with the check's bytes
-// besides: 12 for the file's name and the vector's wire form. Under
-// delegations the search's look at / was granted one, which answers the
-// next search's look at /: the look at f carries no check.
+// moves every transport counter exactly as OpenID + Close do. A search
+// sends its looks and nothing else: a second search of /f from the site
+// that stores no copy is the look at / and the look at f, each the
+// exchange a LookInternal of the file sends. Under delegations the first
+// search's look at / was granted one, which answers the look at /: the
+// search is the look at f alone.
 func TestLookInternalSendsWhatOpenSends(t *testing.T) {
 	for _, rg := range regimes {
 		t.Run(rg.prefix+"look", func(t *testing.T) { lookSendsWhatOpenSends(t, rg.features) })
@@ -308,18 +308,26 @@ func lookSendsWhatOpenSends(t *testing.T, features fs.Features) {
 	if _, err := k3.Resolve(cred(), "/f"); err != nil { // caches /
 		t.Fatal(err)
 	}
-	_, rootVV := k3.CachedDir(storage.FileID{FG: 1, Inode: fs.RootInode})
 	before := c.Net.Stats()
+	if _, _, err := k3.LookInternal(storage.FileID{FG: 1, Inode: fs.RootInode}); err != nil {
+		t.Fatal(err)
+	}
+	root := c.Net.Stats().Sub(before)
+	wantRoot := int64(0)
+	if features.NoDelegations {
+		wantRoot = 2
+	}
+	if root.Msgs != wantRoot {
+		t.Errorf("the look at / sent %d messages (%v), want %d", root.Msgs, root.ByMethod, wantRoot)
+	}
+	before = c.Net.Stats()
 	if _, err := k3.Resolve(cred(), "/f"); err != nil {
 		t.Fatal(err)
 	}
 	d := c.Net.Stats().Sub(before)
-	want := lookBytes[3]
-	if features.NoDelegations {
-		want += 12 + int64(rootVV.EncodedLen())
-	}
-	if d.Msgs != 2 || d.ByMethod["fs.open"] != 2 || d.Bytes != want {
-		t.Errorf("the second search of /f sent %d messages (%v) of %d bytes, want one fs.open exchange of %d", d.Msgs, d.ByMethod, d.Bytes, want)
+	wantMsgs, wantBytes := 2+root.Msgs, lookBytes[3]+root.Bytes
+	if d.Msgs != wantMsgs || d.ByMethod["fs.open"] != wantMsgs || d.Bytes != wantBytes {
+		t.Errorf("the second search of /f sent %d messages (%v) of %d bytes, want %d fs.open messages of %d", d.Msgs, d.ByMethod, d.Bytes, wantMsgs, wantBytes)
 	}
 }
 
@@ -328,15 +336,13 @@ func lookSendsWhatOpenSends(t *testing.T, features fs.Features) {
 // directories in its cache: every file on the path is looked at once, and
 // the look that found a component's type serves what comes next — the
 // next step's read of its content, Stat's inode, ReadDir's listing,
-// Create's read of the parent and its site list. The looks at the
-// directories the search reads from the cache are deferred to its last
-// look, which carries their versions to the CSS: one fs.open exchange (two
-// messages) for the whole path, where each file on it was one (6 messages
-// for /d/f then). Create's new entry is one fs.dirop to the CSS, no open
-// at all. Under delegations the looks that filled the cache were granted
-// delegations on / and /d, which answer every look at them: only the
-// look at the file f is an exchange, until a create in a directory drops
-// the creating site's delegation on it.
+// Create's read of the parent and its site list. Each look is one fs.open
+// exchange (two messages) with the CSS: six messages for /d/f. Create's
+// new entry is one fs.dirop to the CSS, no open at all. Under delegations
+// the looks that filled the cache were granted delegations on / and /d,
+// which answer every look at them: only the look at the file f is an
+// exchange, until a create in a directory drops the creating site's
+// delegation on it.
 func TestSearchLooksEachFileOnce(t *testing.T) {
 	for _, rg := range regimes {
 		t.Run(rg.prefix+"search", func(t *testing.T) {
@@ -356,11 +362,12 @@ func TestSearchLooksEachFileOnce(t *testing.T) {
 			if _, err := k.ReadDir(cred(), "/d"); err != nil { // fills the directory cache
 				t.Fatal(err)
 			}
-			// dir is a row's count where only a look at a directory is
-			// made: the paper's, or none under delegations.
-			dir := int64(2)
-			if !rg.features.NoDelegations {
-				dir = 0
+			// want picks a row's count: the paper's, or under delegations.
+			want := func(paper, leases int64) int64 {
+				if rg.features.NoDelegations {
+					return paper
+				}
+				return leases
 			}
 			var created []*fs.File
 			create := func(path string) func() error {
@@ -377,18 +384,18 @@ func TestSearchLooksEachFileOnce(t *testing.T) {
 				op    func() error
 				opens int64
 			}{
-				// f, carrying / and /d.
-				{`Stat("/d/f")`, func() error { _, err := k.Stat(cred(), "/d/f"); return err }, 2},
-				// /d, carrying /.
-				{`ReadDir("/d")`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, dir},
-				{`Resolve("/d/f")`, func() error { _, err := k.Resolve(cred(), "/d/f"); return err }, 2},
-				// /d, carrying /.
-				{`Create("/d/g")`, create("/d/g"), dir},
+				// /, /d and f.
+				{`Stat("/d/f")`, func() error { _, err := k.Stat(cred(), "/d/f"); return err }, want(6, 2)},
+				// / and /d.
+				{`ReadDir("/d")`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, want(4, 0)},
+				{`Resolve("/d/f")`, func() error { _, err := k.Resolve(cred(), "/d/f"); return err }, want(6, 2)},
+				// / and /d.
+				{`Create("/d/g")`, create("/d/g"), want(4, 0)},
 				// /, looked at by ResolveParent.
-				{`Create("/g")`, create("/g"), dir},
-				// /d again, at the version the create made, carrying /:
-				// the creates dropped both delegations.
-				{`ReadDir("/d") after the create`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, 2},
+				{`Create("/g")`, create("/g"), want(2, 0)},
+				// / and /d again, /d at the version the create made: the
+				// creates dropped both delegations.
+				{`ReadDir("/d") after the create`, func() error { _, err := k.ReadDir(cred(), "/d"); return err }, 4},
 			} {
 				before := c.Net.Stats()
 				if err := tc.op(); err != nil {
@@ -411,12 +418,11 @@ func TestSearchLooksEachFileOnce(t *testing.T) {
 // by pathname, with the directories in the cache. From a site that stores
 // no copy, the synchronized open is the last component's look, and the
 // CSS answers the open of f with the inode the look used to fetch first
-// (8 messages then); the looks at / and /d are deferred to the open, which
-// carries the versions the search read from the cache (6 messages while
-// each was an exchange of its own, 2 now). A hidden directory comes back
-// from that open as a look, with no lock taken, and its context entry is
-// opened (10, then 8, now 4). From a site with a current copy every look
-// is free, and an open sends its own exchange and nothing else, as before.
+// (8 messages then): the looks at / and /d and the open, 6 messages. A
+// hidden directory comes back from that open as a look, with no lock
+// taken, and its context entry is opened (10 messages then, 8 now). From
+// a site with a current copy every look is free, and an open sends its
+// own exchange and nothing else, as before.
 // Under delegations (leases) the search that fills the cache is granted
 // delegations on the directories it looks at, the hidden one among them:
 // a read open of the hidden directory is then served by its delegation,
@@ -465,17 +471,18 @@ func openLooksLastComponentOnce(t *testing.T, features fs.Features) {
 		// leases is the count under delegations.
 		leases int64
 	}{
-		// The open of f, carrying / and /d.
-		{3, "/d/f", fs.ModeRead, id("/d/f"), 2, 2},
-		{3, "/d/f", fs.ModeModify, id("/d/f"), 2, 2},
-		// The open of the escaped hidden directory itself, carrying / and
-		// /bin; under delegations the one on it serves the open.
-		{3, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 2, 0},
-		// The open that comes back as the hidden directory's look, carrying
-		// / and /bin, then the open of vax; under delegations the look is
-		// the hidden directory's delegation.
-		{3, "/bin/who", fs.ModeRead, id("/bin/who"), 4, 2},
-		{3, "/bin/who", fs.ModeModify, id("/bin/who"), 4, 2},
+		// The looks at / and /d, and the open of f.
+		{3, "/d/f", fs.ModeRead, id("/d/f"), 6, 2},
+		{3, "/d/f", fs.ModeModify, id("/d/f"), 6, 2},
+		// The looks at / and /bin, and the open of the escaped hidden
+		// directory itself; under delegations the one on it serves the
+		// open.
+		{3, "/bin/who@@", fs.ModeRead, id("/bin/who@@"), 6, 0},
+		// The looks at / and /bin, the open that comes back as the hidden
+		// directory's look, then the open of vax; under delegations the
+		// look is the hidden directory's delegation.
+		{3, "/bin/who", fs.ModeRead, id("/bin/who"), 8, 2},
+		{3, "/bin/who", fs.ModeModify, id("/bin/who"), 8, 2},
 		// Every look free: the open alone.
 		{2, "/d/f", fs.ModeRead, id("/d/f"), 2, 2},
 		{2, "/d/f", fs.ModeModify, id("/d/f"), 2, 2},

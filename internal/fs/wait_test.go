@@ -75,16 +75,24 @@ func TestOpenPollsUsingSiteLast(t *testing.T) {
 // writer slot.
 func awaitParked(t *testing.T) {
 	t.Helper()
-	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		n := runtime.Stack(buf, true)
-		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "fs.(*Kernel).handleOpen") {
-				return
-			}
+		if parked() {
+			return
 		}
 	}
 	t.Fatal("no open parked for the writer slot")
+}
+
+// parked reports whether an open waits at a CSS for a writer slot now.
+func parked() bool {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "fs.(*Kernel).handleOpen") {
+			return true
+		}
+	}
+	return false
 }
 
 // await returns what done delivers, failing the test if nothing arrives.
@@ -120,7 +128,7 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 	// waits for.
 	updating := func(t *testing.T, k *Kernel) *File {
 		t.Helper()
-		w, _, _, err := k.openID(rootID, ModeModify, false, 0, nil)
+		w, _, _, err := k.openID(rootID, ModeModify, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
