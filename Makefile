@@ -51,16 +51,21 @@ race:
 # re-open and read a file under read delegations while site 1 commits new
 # versions of it, and every read must find a version no older than the
 # last commit finished before its open began, every revoke round ending.
-# Last the directory-delegation listing test 200 times (about 7 s): sites
+# Then the directory-delegation listing test 200 times (about 7 s): sites
 # 2 and 3 list /d, site 3 under a read delegation on it, while site 1
 # creates and unlinks there, and every listing must hold every name
-# created, and no name unlinked, before it began.
+# created, and no name unlinked, before it began. Last the commit-at-close
+# test 200 times (about 2 s): sites 2 and 3 rewrite one replicated file,
+# each close committing it, while sites 1 and 4 read it, and every read
+# must find a version no older than the last close returned before its
+# open began.
 flakegate:
 	$(GO) test -count=2000 -run TestConcurrentWritersDifferentFilesAcrossSites ./internal/fs
 	$(GO) test -count=200 -run TestDirUpdateWaitsForWriter ./internal/fs
 	$(GO) test -count=200 -run TestDeferredLookUnderConcurrentRenames ./internal/fs
 	$(GO) test -count=200 -run TestRevokeRoundsUnderConcurrentReopens ./internal/fs
 	$(GO) test -count=200 -run TestDirListingsUnderConcurrentUpdates ./internal/fs
+	$(GO) test -count=200 -run TestCommitAtCloseUnderConcurrentOpens ./internal/fs
 
 # invariants runs the suite with the runtime assertion layer compiled
 # in (internal/lint/invariant): version-vector dominance on propagation,

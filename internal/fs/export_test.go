@@ -42,6 +42,34 @@ func (k *Kernel) ServingWriter(id storage.FileID) SiteID {
 	return vclock.NoSite
 }
 
+// LoseServing drops this storage site's serving state for id, freeing
+// the writer's shadow pages, as a storage site that lost its in-core
+// state would: the writer's next commit here fails with ErrStale.
+func (k *Kernel) LoseServing(id storage.FileID) {
+	k.mu.Lock()
+	var freed []storage.PhysPage
+	if sv := k.ssState[id]; sv != nil {
+		freed = sv.dropWriter()
+		delete(k.ssState, id)
+	}
+	k.mu.Unlock()
+	k.freeShadow(id.FG, freed)
+}
+
+// ServedBy reports the storage site the handle reads from.
+func (f *File) ServedBy() SiteID { return f.ss }
+
+// CSSLatest reports the latest version of id this kernel's lock table
+// knows of (nil when it keeps no entry for id).
+func (k *Kernel) CSSLatest(id storage.FileID) vclock.VV {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if e := k.cssState[id]; e != nil {
+		return e.latestVV
+	}
+	return nil
+}
+
 // LeaseMarks reports how many revocations this kernel remembers to
 // decline a grant in flight by (leaseDropped) and how many files it
 // awaits a grant on (grantWaits).

@@ -739,7 +739,11 @@ func (k *Kernel) noteDests(dst []SiteID, note *propNotify, prev []SiteID) []Site
 // the notes bound for it in commit order. A destination bound for the
 // chain's last notes gets them where they lie, from its first on (the
 // whole chain, as a rule); any other, a chain of copies.
-func (k *Kernel) flush(box *outbox) {
+func (k *Kernel) flush(box *outbox) { k.flushExcept(box, vclock.NoSite) }
+
+// flushExcept is flush holding back the notes bound for site hold, which
+// it returns (nil when none) for a message to hold that carries them.
+func (k *Kernel) flushExcept(box *outbox, hold SiteID) (held *propNotify) {
 	for _, d := range box.dests[:box.nd] {
 		first := bits.TrailingZeros32(d.notes)
 		msg, i := box.first, 0
@@ -749,8 +753,13 @@ func (k *Kernel) flush(box *outbox) {
 		if all := uint32(1)<<box.n - 1; d.notes != all>>first<<first {
 			msg = copyNotes(msg, d.notes>>first)
 		}
+		if d.site == hold {
+			held = msg
+			continue
+		}
 		netsim.Cast(k.node, d.site, mPropNotify, msg) //locus:vet-allow uncheckedcall unreachable peers pull at merge
 	}
+	return held
 }
 
 // copyNotes chains copies of the notes of the chain from note on whose
@@ -773,10 +782,13 @@ func copyNotes(note *propNotify, mask uint32) *propNotify {
 	return first
 }
 
-// Close closes the handle. Closing a modify handle first commits
-// outstanding changes ("closing a file commits it" — §2.3.6), then
-// runs the 4-message close protocol of §2.3.3 so the SS and CSS can
-// deallocate in-core state. Internal opens close with no messages.
+// Close closes the handle. Closing a modify handle commits its
+// outstanding changes ("closing a file commits it" — §2.3.6) in the
+// 4-message close protocol of §2.3.3 itself: the fs.close asks the SS
+// to commit before it deallocates in-core state, and the SS's fs.ssclose
+// carries the commit's note to the CSS. The commit's error is the
+// close's, returned once serving state is released. Internal opens close
+// with no messages.
 func (f *File) Close() error {
 	if f.closed {
 		return ErrClosed
@@ -795,11 +807,6 @@ func (f *File) Close() error {
 	if f.stale {
 		return nil // error already delivered through the descriptor
 	}
-	if f.mode == ModeModify && len(f.dirty) > 0 {
-		if err := f.Commit(); err != nil {
-			return err
-		}
-	}
 	if f.internal {
 		return nil
 	}
@@ -809,22 +816,36 @@ func (f *File) Close() error {
 		// while it read.
 		return nil
 	}
+	commit := f.mode == ModeModify && len(f.dirty) > 0
 	_, err := netsim.CallAt(k.node, f.ss, mClose, k.handleClose,
-		&closeReq{ID: f.id, US: f.us, Mode: f.mode, Serial: f.wserial})
+		&closeReq{ID: f.id, US: f.us, Mode: f.mode, Serial: f.wserial, Commit: commit})
+	if commit {
+		// The committed image changed: any pages this US cached for the
+		// file are out of date.
+		k.cache.invalidateFile(f.id)
+	}
 	return err
 }
 
-// handleClose is the SS side of the close protocol: release serving
-// state, then inform the CSS (the response ordering fixes the reopen
-// race described in the paper's close footnote).
+// handleClose is the SS side of the close protocol: commit the writer's
+// changes when asked, release serving state, then inform the CSS (the
+// response ordering fixes the reopen race described in the paper's close
+// footnote). The commit's notes go out before the CSS hears of the
+// close, the CSS's own riding the fs.ssclose, and a commit that fails is
+// the close's error once the writer is released.
 func (k *Kernel) handleClose(from SiteID, req *closeReq) (*netsim.Ack, error) {
+	var box outbox
+	var cerr error
+	if req.Commit {
+		_, cerr = k.commit(from, &commitReq{ID: req.ID, US: req.US}, &box)
+	}
 	k.mu.Lock()
 	sv := k.ssState[req.ID]
 	var freed []storage.PhysPage
 	if sv != nil {
 		if req.Mode == ModeModify && sv.writerUS == from && sv.writerSerial == req.Serial {
-			// Uncommitted changes at close are discarded (the US
-			// commits before closing in the normal path).
+			// Uncommitted changes at close are discarded (a close with
+			// changes outstanding committed them above).
 			freed = sv.dropWriter()
 		} else if req.Mode == ModeRead {
 			if sv.readers[from] > 1 {
@@ -845,21 +866,32 @@ func (k *Kernel) handleClose(from SiteID, req *closeReq) (*netsim.Ack, error) {
 	// CSS has answered, closing the reopen race.
 	css, err := k.CSSOf(req.ID.FG)
 	if err != nil {
-		return nil, nil // no CSS in partition: nothing to tell
+		k.flush(&box)
+		return nil, cerr // no CSS in partition: nothing to tell
 	}
-	screq := &ssCloseReq{ID: req.ID, SS: k.site, US: from, Mode: req.Mode, Serial: req.Serial}
+	screq := &ssCloseReq{ID: req.ID, SS: k.site, US: from, Mode: req.Mode, Serial: req.Serial,
+		Notes: k.flushExcept(&box, css)}
 	if c := k.container(req.ID.FG); c != nil {
 		if cur, ok := c.Version(req.ID.Inode); ok {
 			screq.VV = cur.VV
 			screq.Sites = cur.Sites
 		}
 	}
-	netsim.CallAt(k.node, css, mSSClose, k.handleSSClose, screq) //locus:vet-allow uncheckedcall CSS unreachable: partition cleanup will fix the lock table
-	return nil, nil
+	if _, err := netsim.CallAt(k.node, css, mSSClose, k.handleSSClose, screq); err != nil && screq.Notes != nil {
+		// The notes are idempotent: cast them as the fs.propnotify they
+		// would have been, lest a lost close cost the CSS a version.
+		netsim.Cast(k.node, css, mPropNotify, screq.Notes) //locus:vet-allow uncheckedcall CSS unreachable: it learns the version at merge
+	}
+	return nil, cerr
 }
 
-// handleSSClose is the CSS side of the close protocol.
-func (k *Kernel) handleSSClose(_ SiteID, req *ssCloseReq) (*netsim.Ack, error) {
+// handleSSClose is the CSS side of the close protocol. The commit notes
+// the close carries are applied first, as their fs.propnotify would
+// have been.
+func (k *Kernel) handleSSClose(from SiteID, req *ssCloseReq) (*netsim.Ack, error) {
+	for note := req.Notes; note != nil; note = note.Next {
+		k.applyPropNotify(from, note)
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	e := k.cssState[req.ID]
@@ -883,14 +915,21 @@ func (k *Kernel) handleSSClose(_ SiteID, req *ssCloseReq) (*netsim.Ack, error) {
 	return nil, nil
 }
 
-// ReadAll reads the whole file through the handle.
+// ReadAll reads the whole file through the handle. A reader learns the
+// file's size from the SS with each page (ReadAt), so a file that a
+// commit or a pull at the SS made longer since the handle last read is
+// read again at its new size, not cut at the old one.
 func (f *File) ReadAll() ([]byte, error) {
-	buf := make([]byte, f.size)
-	n, err := f.ReadAt(buf, 0)
-	if err != nil {
-		return nil, err
+	for {
+		buf := make([]byte, f.size)
+		n, err := f.ReadAt(buf, 0)
+		if err != nil {
+			return nil, err
+		}
+		if f.size <= int64(len(buf)) {
+			return buf[:n], nil
+		}
 	}
-	return buf[:n], nil
 }
 
 // WriteAll truncates the file to exactly p and leaves it uncommitted.

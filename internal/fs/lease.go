@@ -153,8 +153,8 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, us, forSite Sit
 		k.mu.Unlock()
 		if lost == nil {
 			// The network error is named, not wrapped: an error that
-			// wraps ErrTimeout is a lost message to every transport
-			// retry loop, and the opener's would send the open again.
+			// wraps ErrTimeout reads as a cut of the caller's own
+			// exchange to fs (cutByNetwork).
 			lost = fmt.Errorf("%w: %v: revoking site %d's delegation: %v", ErrBusy, id, s, err)
 		}
 	}

@@ -91,8 +91,8 @@ func (k *Kernel) recallWriter(id storage.FileID, e *cssEntry, holder SiteID, ser
 // once nothing holds it live: its last modify handle has closed, or its
 // open failed. If a recall found it live, an open may be waiting at the
 // CSS for its slot, and what would release the slot may not have run:
-// a failed commit or open skips the close protocol, and any of its
-// messages can be lost. So the CSS is told directly (releaseCSSLock).
+// a failed open skips the close protocol, and any of its messages can
+// be lost. So the CSS is told directly (releaseCSSLock).
 func (k *Kernel) giveBackRecalled(css SiteID, id storage.FileID, serial uint64) {
 	k.mu.Lock()
 	if !k.recalledSerials[serial] || k.writerLiveLocked(id, serial) {

@@ -171,7 +171,8 @@ type commitResp struct {
 }
 
 // mClose is US → SS: first message of the 4-message close protocol. It
-// tears down serving state.
+// tears down serving state, and commits first when the handle has
+// changes outstanding ("closing a file commits it", §2.3.6).
 var mClose = netsim.Method[closeReq, netsim.Ack]{Name: "fs.close", AtMostOnce: true}
 
 type closeReq struct {
@@ -182,6 +183,9 @@ type closeReq struct {
 	// for any other registration is ignored (its state was already
 	// reclaimed and possibly re-acquired).
 	Serial uint64
+	// Commit asks the SS to commit the writer's changes before it tears
+	// down: the close of a modify handle with dirty pages.
+	Commit bool
 }
 
 // mSSClose is SS → CSS: second message of the close protocol. It
@@ -205,7 +209,16 @@ type ssCloseReq struct {
 	// Sites is the storage-site list at close time (replication may
 	// have changed during the open).
 	Sites []SiteID
+	// Notes are the CSS's notes of the commit the close made (closeReq.
+	// Commit), which the CSS applies before it releases the writer: the
+	// fs.propnotify the commit would have sent it rides the close.
+	Notes *propNotify
 }
+
+// WireSize charges the notes an fs.ssclose carries on top of the
+// allowance of an unsized payload, so that a close that carries none
+// costs what it always did.
+func (r *ssCloseReq) WireSize() int { return netsim.DefaultWireSize + r.Notes.WireSize() }
 
 // mRecallWriter is CSS/SS → US: recall one writer registration
 // (lock-table validation, §5.6 applied on demand). The using site

@@ -128,6 +128,58 @@ func pinProtocolCosts(t *testing.T, armFaultPlane bool) {
 	check("close(modify)", d, 4, map[string]int64{"fs.close": 2, "fs.ssclose": 2})
 }
 
+// TestCloseCommitCostPinned pins the close of a modify handle with
+// changes outstanding, in TestProtocolMessageCostsPinned's cluster: the
+// commit rides the fs.close, and its note to the CSS the fs.ssclose, so
+// the close costs the 4-message protocol plus the note to the other
+// replica, and no fs.commit exchange. At the storage site itself the
+// fs.close is a procedure call.
+func TestCloseCommitCostPinned(t *testing.T) {
+	c := featureCluster(t, 4, fs.Features{NoDelegations: true}) // CSS = site 1
+	writeFile(t, c.K(3), "/pin", bytes.Repeat([]byte{'p'}, 2*storage.PageSize))
+	if err := c.K(3).SetReplication(cred(), "/pin", []fs.SiteID{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, c)
+	r, err := c.K(2).Resolve(cred(), "/pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		what   string
+		us, ss fs.SiteID
+		msgs   int64
+		byMeth map[string]int64
+	}{
+		{"close(modify, dirty), remote SS", 2, 3, 5, map[string]int64{"fs.close": 2, "fs.ssclose": 2, "fs.propnotify": 1, "fs.commit": 0}},
+		{"close(modify, dirty), US is the SS", 3, 3, 3, map[string]int64{"fs.close": 0, "fs.ssclose": 2, "fs.propnotify": 1, "fs.commit": 0}},
+	} {
+		w, err := c.K(row.us).OpenID(r.ID, fs.ModeModify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.K(row.ss).ServingWriter(r.ID); got != row.us {
+			t.Fatalf("%s: site %d serves writer %d, want site %d", row.what, row.ss, got, row.us)
+		}
+		if _, err := w.WriteAt(bytes.Repeat([]byte{'q'}, storage.PageSize), 0); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Net.Stats()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d := c.Net.Stats().Sub(before)
+		if d.Msgs != row.msgs {
+			t.Errorf("%s: %d wire messages, want %d (%v)", row.what, d.Msgs, row.msgs, d.ByMethod)
+		}
+		for m, n := range row.byMeth {
+			if d.ByMethod[m] != n {
+				t.Errorf("%s: %d %s messages, want %d", row.what, d.ByMethod[m], m, n)
+			}
+		}
+	}
+}
+
 // TestPropagationCostsPinned pins the wire cost of bringing a replica
 // current (§2.3.6 pull propagation). With bulk pull on, the open
 // piggybacks the first window, so a pull of P modified pages costs

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"errors"
-	"sort"
-)
+import "sort"
 
 // Typed kernel-to-kernel messages.
 //
@@ -21,7 +18,8 @@ import (
 //
 // Error taxonomy Call and Cast enforce for callers:
 //   - ErrTimeout:       message lost, retried here; surfaces only after
-//     the budget is exhausted.
+//     the budget is exhausted. A handler's error that wraps it (the
+//     handler lost a message of its own) is not retried.
 //   - ErrUnreachable:   no circuit (partition) — not retried; the
 //     partition/merge protocols own recovery.
 //   - ErrCrashed:       destination down — not retried; wraps
@@ -81,9 +79,11 @@ func HandleCast[Msg any](n *Node, m OneWay[Msg], h func(from SiteID, msg *Msg) e
 }
 
 // Call performs the exchange m with site to under LOCUS retry
-// semantics: ErrTimeout alone is retried, under the simulated clock's
-// backoff, and an AtMostOnce method draws one sequence number that all
-// its retransmissions share.
+// semantics: a message of this exchange lost on the wire alone is
+// retried, under the simulated clock's backoff, and an AtMostOnce method
+// draws one sequence number that all its retransmissions share. The
+// handler's own error, though it wrap ErrTimeout, is its answer and is
+// returned as it is.
 func Call[Req, Resp any](n *Node, to SiteID, m Method[Req, Resp], req *Req) (*Resp, error) {
 	var seq int64
 	if m.AtMostOnce {
@@ -92,8 +92,9 @@ func Call[Req, Resp any](n *Node, to SiteID, m Method[Req, Resp], req *Req) (*Re
 	var err error
 	for attempt := 0; attempt < retryBudget; attempt++ {
 		var v any
-		v, err = n.CallSeq(to, m.Name, req, seq)
-		if err == nil || !errors.Is(err, ErrTimeout) {
+		var lost bool
+		v, lost, err = n.callSeq(to, m.Name, req, seq)
+		if !lost {
 			if v == nil {
 				return nil, err
 			}
@@ -116,12 +117,14 @@ func CallAt[Req, Resp any](n *Node, to SiteID, m Method[Req, Resp],
 	return Call(n, to, m, req)
 }
 
-// Cast sends the one-way m to site to, retrying ErrTimeout like Call.
+// Cast sends the one-way m to site to, retrying a lost message like
+// Call.
 func Cast[Msg any](n *Node, to SiteID, m OneWay[Msg], msg *Msg) error {
 	var err error
 	for attempt := 0; attempt < retryBudget; attempt++ {
-		err = n.Cast(to, m.Name, msg)
-		if err == nil || !errors.Is(err, ErrTimeout) {
+		var lost bool
+		lost, err = n.cast(to, m.Name, msg)
+		if !lost {
 			return err
 		}
 		n.nw.clock.Backoff()

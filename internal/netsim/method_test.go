@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -194,5 +195,44 @@ func TestCastAtLocalIsAProcedureCall(t *testing.T) {
 	}
 	if d := nw.Stats().Sub(before); d.Msgs != 1 {
 		t.Fatalf("a remote CastAt cost %d msgs, want 1", d.Msgs)
+	}
+}
+
+// TestHandlerTimeoutIsNotRetried pins that Call and Cast retry only a
+// message of their own exchange lost on the wire: a handler that lost a
+// message further on and passes that up wrapping ErrTimeout has answered,
+// and its request is not sent again. Where the handler is the caller's
+// own site the call is a procedure call with no dedup table, so a retry
+// would run its side effect again.
+func TestHandlerTimeoutIsNotRetried(t *testing.T) {
+	t.Parallel()
+	nw, a, b := twoSites(t)
+	m := Method[echoReq, echoResp]{Name: "t.commit", AtMostOnce: true}
+	downstream := fmt.Errorf("%w: t.onward 2 -> 3", ErrTimeout)
+	local := servedEcho(a, m, downstream)
+	if _, err := Call(a, 1, m, &echoReq{}); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("local Call = %v, want the handler's wrapped timeout", err)
+	}
+	if local.Load() != 1 {
+		t.Fatalf("a local handler returning a wrapped timeout ran %d times, want 1", local.Load())
+	}
+
+	remote := servedEcho(b, m, downstream)
+	before := nw.Stats()
+	if _, err := Call(a, 2, m, &echoReq{}); err == nil || err.Error() != downstream.Error() {
+		t.Fatalf("remote Call = %v, want the handler's own error %v", err, downstream)
+	}
+	if d := nw.Stats().Sub(before); d.Msgs != 2 || remote.Load() != 1 {
+		t.Fatalf("a remote handler's wrapped timeout cost %d msgs and %d runs, want one exchange (2) and 1 run", d.Msgs, remote.Load())
+	}
+
+	n := OneWay[echoReq]{Name: "t.note"}
+	var noted atomic.Int64
+	HandleCast(a, n, func(SiteID, *echoReq) error {
+		noted.Add(1)
+		return downstream
+	})
+	if err := Cast(a, 1, n, &echoReq{}); !errors.Is(err, ErrTimeout) || noted.Load() != 1 {
+		t.Fatalf("local Cast = %v after %d runs, want the handler's wrapped timeout after 1", err, noted.Load())
 	}
 }

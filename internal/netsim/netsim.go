@@ -997,22 +997,32 @@ func (n *Node) Call(to SiteID, method string, payload any) (any, error) {
 // so the caller must hold no lock a handler chain can take
 // (blockinglock).
 func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, error) {
+	v, _, err := n.callSeq(to, method, payload, seq)
+	return v, err
+}
+
+// callSeq is CallSeq, also reporting whether its error is a message of
+// this exchange lost on the wire (lost): only that is what Call retries.
+// A handler's error, even one that wraps ErrTimeout because the handler
+// lost a message of its own further on, is the handler's answer.
+func (n *Node) callSeq(to SiteID, method string, payload any, seq int64) (v any, lost bool, err error) {
 	if to == n.id {
 		if !n.nw.Up(n.id) {
-			return nil, ErrSiteDown
+			return nil, false, ErrSiteDown
 		}
 		h := n.handler(method)
 		if h == nil {
-			return nil, fmt.Errorf("%w: %s at site %d", ErrNoHandler, method, to)
+			return nil, false, fmt.Errorf("%w: %s at site %d", ErrNoHandler, method, to)
 		}
 		n.nw.stats.AddCPU(n.nw.cost.LocalCall)
-		return h(n.id, payload)
+		v, err = h(n.id, payload)
+		return v, false, err
 	}
 
 	nw := n.nw
 	view, lost, err := n.circuit(to, method)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	// Roll the fault plane before committing any accounting. The
@@ -1031,7 +1041,7 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 		bytes := payloadBytes(payload)
 		nw.stats.chargeExchange(method, 1, bytes, nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, true)
 		nw.stats.addFaultDrop(f.timeoutUs())
-		return nil, fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
+		return nil, true, fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
 	}
 
 	// A Call is two wire messages: the request and the response.
@@ -1042,7 +1052,7 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 		nw.stats.addFaultDup(method)
 	}
 	dest := view.nodes[to]
-	v, err := dest.apply(n.id, method, payload, seq)
+	v, err = dest.apply(n.id, method, payload, seq)
 	switch dec.action {
 	case FaultDupRequest:
 		// The duplicate arrives right behind the original: the callee
@@ -1061,14 +1071,14 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 	if after := nw.view(); after != view &&
 		(!after.connected(n.id, to) || after.link[n.id][to].closes != view.link[n.id][to].closes) {
 		nw.stats.addReset()
-		return nil, ErrCircuitClosed
+		return nil, false, ErrCircuitClosed
 	}
 	if dec.action == FaultDropResponse {
 		// The response went onto the wire and vanished; the circuit
 		// resets after the timeout. The handler ran — a retry with the
 		// same seq is what the dedup table absorbs.
 		nw.stats.addFaultDrop(f.timeoutUs())
-		return nil, fmt.Errorf("%w: %s response %d -> %d", ErrTimeout, method, to, n.id)
+		return nil, true, fmt.Errorf("%w: %s response %d -> %d", ErrTimeout, method, to, n.id)
 	}
 	if err == nil {
 		// Data-carrying responses (page transfers) are byte-metered; the
@@ -1078,7 +1088,7 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 			nw.stats.chargeResponse(bytes, bytes*nw.cost.PerKBCPU/1024)
 		}
 	}
-	return v, err
+	return v, false, err
 }
 
 // Cast sends a one-way message: one message on the wire, with only a
@@ -1091,19 +1101,27 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 // lost. A handler may Cast in turn, even back to this site, so the
 // caller must hold no lock a handler takes (blockinglock).
 func (n *Node) Cast(to SiteID, method string, payload any) error {
+	_, err := n.cast(to, method, payload)
+	return err
+}
+
+// cast is Cast, also reporting whether its error is the message lost on
+// the wire (lost), which is all that the typed Cast retries: a local
+// handler's error is its own.
+func (n *Node) cast(to SiteID, method string, payload any) (lost bool, err error) {
 	if to == n.id {
 		h := n.handler(method)
 		if h == nil {
-			return fmt.Errorf("%w: %s at site %d", ErrNoHandler, method, to)
+			return false, fmt.Errorf("%w: %s at site %d", ErrNoHandler, method, to)
 		}
 		n.nw.stats.AddCPU(n.nw.cost.LocalCall)
 		_, err := h(n.id, payload)
-		return err
+		return false, err
 	}
 	nw := n.nw
 	view, lost, err := n.circuit(to, method)
 	if err != nil {
-		return err
+		return false, err
 	}
 	bytes := payloadBytes(payload)
 	nw.stats.chargeExchange(method, 1, bytes, nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, false)
@@ -1123,7 +1141,7 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 		// never arrives, so the sender does learn the circuit reset and
 		// may retransmit.
 		nw.stats.addFaultDrop(f.timeoutUs())
-		return fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
+		return true, fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
 	case dec.action == FaultDupRequest:
 		nw.stats.addFaultDup(method)
 		deliveries = 2
@@ -1133,7 +1151,7 @@ func (n *Node) Cast(to SiteID, method string, payload any) error {
 			h(n.id, payload) // error unchecked by design: one-way: no reply path
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // apply runs the handler for a request at most once per (caller, seq):
