@@ -47,14 +47,18 @@ race:
 # that name, each rename calling back the site's read delegation on /d
 # before it commits (without delegations each look at /d is an exchange
 # with the CSS), and every open must find what the name named while it
-# ran. Then the concurrent revoke test 200 times (about 5 s): sites 2-4
-# re-open and read a file under read delegations while site 1 commits new
-# versions of it, and every read must find a version no older than the
-# last commit finished before its open began, every revoke round ending.
-# Then the directory-delegation listing test 200 times (about 7 s): sites
-# 2 and 3 list /d, site 3 under a read delegation on it, while site 1
-# creates and unlinks there, and every listing must hold every name
-# created, and no name unlinked, before it began. Last the commit-at-close
+# ran. Then the concurrent revoke test 200 times (about 7 s): sites 2-4
+# re-open and read a file under read delegations, site 3 from two
+# goroutines, while site 1 commits new versions of it, and every read
+# must find a version no older than the last commit finished before its
+# open began, every revoke round ending. Then the own-link test 200 times
+# (about 1 s): site 3 links and unlinks a file while it reads it under
+# read delegations and site 2 commits new versions of it, with the same
+# check. Then the directory-delegation listing test 200 times (about
+# 7 s): sites 2 and 3 list /d, site 3 under a read delegation on it,
+# while site 1 creates and unlinks there, and every listing must hold
+# every name created, and no name unlinked, before it began. Last the
+# commit-at-close
 # test 200 times (about 2 s): sites 2 and 3 rewrite one replicated file,
 # each close committing it, while sites 1 and 4 read it, and every read
 # must find a version no older than the last close returned before its
@@ -64,6 +68,7 @@ flakegate:
 	$(GO) test -count=200 -run TestDirUpdateWaitsForWriter ./internal/fs
 	$(GO) test -count=200 -run TestDeferredLookUnderConcurrentRenames ./internal/fs
 	$(GO) test -count=200 -run TestRevokeRoundsUnderConcurrentReopens ./internal/fs
+	$(GO) test -count=200 -run TestOwnLinksUnderConcurrentReopens ./internal/fs
 	$(GO) test -count=200 -run TestDirListingsUnderConcurrentUpdates ./internal/fs
 	$(GO) test -count=200 -run TestCommitAtCloseUnderConcurrentOpens ./internal/fs
 

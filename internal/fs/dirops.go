@@ -343,8 +343,8 @@ func (k *Kernel) peekCommitted(f *File) *storage.Inode {
 // the one cached, so that this site's next search of the directory reads
 // nothing (the CSS's own cache already holds the result). This site's
 // read delegations on the files the operation changes are given up
-// before the request leaves and again once it is answered, since the CSS
-// drops its records of them without a revoke (dropOwnLeases).
+// before the request leaves, since the CSS drops its records of them
+// without a revoke (dropOwnLeases).
 func (k *Kernel) dirOp(req *dirOpReq) error {
 	css, err := k.CSSOf(req.Dir.FG)
 	if err != nil {
@@ -352,7 +352,7 @@ func (k *Kernel) dirOp(req *dirOpReq) error {
 	}
 	target := storage.FileID{FG: req.Dir.FG, Inode: req.Ino}
 	k.dropOwnLeases(req.Dir, req.To, target)
-	defer k.dropOwnLeases(req.Dir, req.To, target)
+	defer k.endOwnOp()
 	r, err := netsim.CallAt(k.node, css, mDirOp, k.handleDirOp, req)
 	if err != nil {
 		return err

@@ -70,15 +70,6 @@ func (k *Kernel) CSSLatest(id storage.FileID) vclock.VV {
 	return nil
 }
 
-// LeaseMarks reports how many revocations this kernel remembers to
-// decline a grant in flight by (leaseDropped) and how many files it
-// awaits a grant on (grantWaits).
-func (k *Kernel) LeaseMarks() (dropped, waits int) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.leaseDropped), len(k.grantWaits)
-}
-
 // LookInternal is lookInternal, for comparison with OpenID(ModeInternal).
 func (k *Kernel) LookInternal(id storage.FileID) (*storage.Inode, SiteID, error) {
 	return k.lookInternal(id)

@@ -339,15 +339,13 @@ type Kernel struct {
 	// leases is the US-side table of read delegations: files this site
 	// may re-open, read, and close locally without contacting the CSS.
 	leases map[storage.FileID]*usLease
-	// leaseDropped remembers files whose delegation was revoked before
-	// the grant arrived (the two travel on independent exchanges); the
-	// late grant is declined instead of installing a delegation the CSS
-	// no longer tracks.
-	leaseDropped map[storage.FileID]bool
-	// grantWaits counts, per file, the requests in flight whose reply
-	// may grant this site a delegation (awaitGrant); an entry lives only
-	// while one is.
-	grantWaits map[storage.FileID]grantWait
+	// leaseEpoch moves whenever a CSS may have dropped this site's
+	// delegate record without the site seeing its delegation go, and
+	// ownOps counts the site's own operations in flight whose CSS drops
+	// them (dropOwnLeases): a grant is recorded only if the epoch has not
+	// moved since its request left and none is (recordLease).
+	leaseEpoch uint64
+	ownOps     int
 
 	// cache is the using-site page cache of committed pages (§2.2.1).
 	cache *pageCache
@@ -396,8 +394,6 @@ func NewKernel(node *netsim.Node, store *storage.Store, cfg *Config) *Kernel {
 		inflightSerials: make(map[uint64]bool),
 		recalledSerials: make(map[uint64]bool),
 		leases:          make(map[storage.FileID]*usLease),
-		leaseDropped:    make(map[storage.FileID]bool),
-		grantWaits:      make(map[storage.FileID]grantWait),
 	}
 	k.writerFreed.L = &k.mu
 	k.cache = newPageCache(node.Network().Meter())
@@ -436,8 +432,7 @@ func (k *Kernel) crashLocal() {
 	k.ssState = make(map[storage.FileID]*ssServe)
 	k.cssState = make(map[storage.FileID]*cssEntry)
 	k.leases = make(map[storage.FileID]*usLease)
-	k.leaseDropped = make(map[storage.FileID]bool)
-	k.grantWaits = make(map[storage.FileID]grantWait)
+	k.leaseEpoch++ // a grant in flight is declined
 	k.pendingProp = make(map[storage.FileID]*propTask)
 	k.propQueue = nil
 	k.stalledProp = nil

@@ -30,10 +30,20 @@ package fs
 // such an open at the CSS, so the round runs before it. Two delegates
 // are not called back: the opener, and the site whose fs.dirop or
 // fs.create the CSS serves (openReq.For), whose record is dropped on
-// every file the operation changes. Each drops its delegations on those
-// files itself, before it sends the request and again once it is
-// answered, and declines every grant on them still in flight then, which
-// the CSS may have made before it dropped the record (dropOwnLeases).
+// every file the operation changes. Each gives up its delegations on
+// those files itself, before it sends the request (dropOwnLeases).
+//
+// A grant travels on a reply while the CSS may drop the record it made:
+// a revoke round, the grantee's own modify open or namespace operation,
+// partition cleanup, a crash of the grantee. One per-site counter, the
+// lease epoch, covers them all: it moves whenever a CSS may have dropped
+// this site's delegate record without the site seeing its delegation go
+// (handleLeaseRevoke, endOwnOp, dropAllLeases, crashLocal). A request
+// that may bring a grant reads it before it leaves, and recordLease
+// installs the grant only if it has not moved since and no operation of
+// the site's own is in flight, whose CSS may drop the record of a grant
+// made meanwhile. A declined grant is safe: the CSS keeps a record with
+// nothing behind it, which a later revoke drops.
 //
 // A revoke that does not reach its delegate while the delegate is still
 // reachable (every transmission lost) refuses the modify open with
@@ -70,7 +80,6 @@ import (
 
 // usLease is a read delegation held at the using site for one file.
 type usLease struct {
-	id  storage.FileID
 	ss  SiteID // storage site the delegated opens read from
 	css SiteID // grantor
 	// ino is the committed inode local re-opens share, frozen like any
@@ -80,48 +89,44 @@ type usLease struct {
 	ino *storage.Inode
 }
 
-// dropAllLeases discards every delegation this site holds, and the
-// revocations that outran their grants (leaseDropped), and reports how
-// many delegations it discarded: §5.6 partition cleanup's US side. It
-// sends nothing, since each CSS's own cleanup discards its delegate
-// records, as every site rebuilds its lock tables locally.
+// dropAllLeases discards every delegation this site holds, and declines
+// every grant in flight (leaseEpoch), and reports how many delegations
+// it discarded: §5.6 partition cleanup's US side. It sends nothing,
+// since each CSS's own cleanup discards its delegate records, as every
+// site rebuilds its lock tables locally.
 func (k *Kernel) dropAllLeases() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	n := len(k.leases)
 	k.leases = make(map[storage.FileID]*usLease)
-	k.leaseDropped = make(map[storage.FileID]bool)
+	k.leaseEpoch++
 	return n
 }
 
 // handleLeaseRevoke is the delegate side of a batched revoke round: it
-// drops the read delegation. A revoke that finds none is remembered, so
-// a grant still in flight to this site is declined when it arrives (the
-// grant and the revoke travel on independent exchanges and may be
-// reordered).
+// drops the read delegation and declines every grant in flight, since
+// the CSS has dropped its record whether or not the revoke found the
+// delegation (a grant and the revoke travel on independent exchanges
+// and may be reordered).
 func (k *Kernel) handleLeaseRevoke(_ SiteID, req *leaseRevokeReq) (*netsim.Ack, error) {
 	k.mu.Lock()
-	if k.leases[req.ID] != nil {
-		delete(k.leases, req.ID)
-	} else {
-		k.leaseDropped[req.ID] = true
-	}
+	delete(k.leases, req.ID)
+	k.leaseEpoch++
 	k.mu.Unlock()
 	return nil, nil
 }
 
 // revokeDelegates runs one batched revoke round over every read
 // delegation of e but two, which are just dropped from the record: the
-// opener's own (us), which it discarded before contacting the CSS, and
-// that of the site whose namespace operation the open serves (forSite),
-// which discards it itself (dropOwnLeases). However many delegates
-// exist, one writer transition triggers exactly one round. A delegate
-// the round does not reach is dropped when the network finds it
-// unreachable (down, or in another partition), which leaves it to crash
-// recovery or partition cleanup; one that may still be up and
-// connected, its revoke lost or its circuit closed, stays on record, and
-// the round fails with ErrBusy: the open must not proceed while that
-// delegate may read the version it is about to replace.
+// opener's own (us), and that of the site whose namespace operation the
+// open serves (forSite), which each discards itself (dropOwnLeases).
+// However many delegates exist, one writer transition triggers exactly
+// one round. A delegate the round does not reach is dropped when the
+// network finds it unreachable (down, or in another partition), which
+// leaves it to crash recovery or partition cleanup; one that may still
+// be up and connected, its revoke lost or its circuit closed, stays on
+// record, and the round fails with ErrBusy: the open must not proceed
+// while that delegate may read the version it is about to replace.
 // leases_revoked counts the delegations the round took off the record.
 func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, us, forSite SiteID) error {
 	k.mu.Lock()
@@ -163,55 +168,26 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, us, forSite Sit
 	return lost
 }
 
-// grantWait counts the requests this site has in flight to a CSS whose
-// reply may grant it a read delegation on one file (awaitGrant), and
-// whether every grant they bring is to be declined (dropOwnLeases).
-type grantWait struct {
-	n    int
-	void bool
-}
-
-// awaitGrant counts a request whose reply may grant a delegation on id,
-// about to be sent; endGrant ends it, after its recordLease.
-func (k *Kernel) awaitGrant(id storage.FileID) {
-	k.mu.Lock()
-	w := k.grantWaits[id]
-	w.n++
-	k.grantWaits[id] = w
-	k.mu.Unlock()
-}
-
-// endGrant ends a request awaitGrant counted.
-func (k *Kernel) endGrant(id storage.FileID) {
+// grantEpoch is the lease epoch a request that may bring a grant reads
+// before it leaves, for its recordLease.
+func (k *Kernel) grantEpoch() uint64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	w, ok := k.grantWaits[id]
-	switch {
-	case !ok: // the site crashed since, and forgot it
-	case w.n <= 1:
-		delete(k.grantWaits, id)
-	default:
-		w.n--
-		k.grantWaits[id] = w
-	}
+	return k.leaseEpoch
 }
 
 // recordLease installs a read delegation granted on a reply from css:
-// of the file id, stored at ss, at the committed inode ino. The grant is
-// declined when a revoke overtook it (leaseDropped), or when this site
-// gave up its delegate record while the request was in flight
-// (dropOwnLeases).
-func (k *Kernel) recordLease(id storage.FileID, ss, css SiteID, ino *storage.Inode) bool {
+// of the file id, stored at ss, at the committed inode ino, to a request
+// sent at the lease epoch epoch. The grant is declined when the epoch
+// has moved since, or while an operation of this site's own is in flight
+// (dropOwnLeases): the CSS may have dropped its record of it.
+func (k *Kernel) recordLease(id storage.FileID, ss, css SiteID, ino *storage.Inode, epoch uint64) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.leaseDropped[id] {
-		delete(k.leaseDropped, id)
+	if k.leaseEpoch != epoch || k.ownOps > 0 {
 		return false
 	}
-	if k.grantWaits[id].void {
-		return false
-	}
-	k.leases[id] = &usLease{id: id, ss: ss, css: css, ino: ino}
+	k.leases[id] = &usLease{ss: ss, css: css, ino: ino}
 	return true
 }
 
@@ -236,24 +212,28 @@ func (k *Kernel) dropLease(id storage.FileID) bool {
 	return held
 }
 
-// dropOwnLeases gives up this site's read delegations on the files ids
-// that its modify open, fs.dirop or fs.create changes, whose records the
-// CSS drops without a revoke (revokeDelegates): it discards them, and
-// declines every grant on them still in flight, which the CSS may have
-// made before it dropped the record. openID, dirOp and createID call it
-// before they send the request and again once it is answered, so only
-// the requests in flight then are affected, and nothing is left behind
-// once they end.
+// dropOwnLeases begins a modify open, fs.dirop or fs.create of this
+// site's own, whose CSS drops the site's delegate records on the files
+// ids without a revoke (revokeDelegates): it discards the site's
+// delegations on them, and every grant is declined until endOwnOp, once
+// the request is answered, moves the lease epoch.
 func (k *Kernel) dropOwnLeases(ids ...storage.FileID) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for _, id := range ids {
 		delete(k.leases, id)
-		if w, ok := k.grantWaits[id]; ok {
-			w.void = true
-			k.grantWaits[id] = w
-		}
 	}
+	k.ownOps++
+}
+
+// endOwnOp ends an operation dropOwnLeases began, declining every grant
+// still in flight, which the CSS may have made before it dropped the
+// records.
+func (k *Kernel) endOwnOp() {
+	k.mu.Lock()
+	k.ownOps--
+	k.leaseEpoch++
+	k.mu.Unlock()
 }
 
 // openUnderLease serves a read open locally under a held delegation,

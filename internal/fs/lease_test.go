@@ -3,6 +3,7 @@ package fs_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -217,13 +218,13 @@ func TestPartitionChangeUnderOpenLeasedWriter(t *testing.T) {
 	}
 }
 
-// TestRevokeOvertakingGrantDeclinesOnce pins the reorder mark: a
-// delegation revoke that finds no delegation (it overtook the grant, or
-// the holder lost its lease table) makes the holder decline the next
-// grant for that file — once, and only once. Here site 2 restarts
+// TestGrantAfterMissedRevokeAccepted: a delegation revoke that finds no
+// delegation (the holder lost its lease table, or the revoke overtook
+// the grant) declines only the grants in flight when it arrives: the
+// next grant, requested after it, is accepted. Here site 2 restarts
 // holding a delegation the CSS still records, and a writer's revoke
 // round then finds it gone.
-func TestRevokeOvertakingGrantDeclinesOnce(t *testing.T) {
+func TestGrantAfterMissedRevokeAccepted(t *testing.T) {
 	c, id := leaseCluster(t)
 	openClose(t, c.K(2), id, fs.ModeRead)
 	// No membership call: the crash's cleanup at the CSS would drop the
@@ -235,16 +236,13 @@ func TestRevokeOvertakingGrantDeclinesOnce(t *testing.T) {
 	// The writer at site 3 recalls site 2's delegation, which is gone.
 	openClose(t, c.K(3), id, fs.ModeModify)
 
-	// The next read open at site 2 is granted a delegation and declines
-	// it: the handle is an ordinary read handle.
-	openClose(t, c.K(2), id, fs.ModeRead)
-	if _, held := c.K(2).Delegations()[id]; held {
-		t.Fatal("site 2 accepted the first grant after a revoke that found no delegation")
-	}
-	// The one after that is accepted.
+	// The next read open at site 2 is granted a delegation and keeps it.
 	openClose(t, c.K(2), id, fs.ModeRead)
 	if _, held := c.K(2).Delegations()[id]; !held {
-		t.Fatal("site 2 declined the second grant too; the mark must decline exactly one")
+		t.Fatal("site 2 declined a grant requested after the revoke that found no delegation")
+	}
+	if findings := c.Fsck(false); len(findings) != 0 {
+		t.Fatalf("fsck: %v", findings)
 	}
 }
 
@@ -277,7 +275,9 @@ func TestFsckFlagsStrandedLease(t *testing.T) {
 
 // TestRevokeRoundsUnderConcurrentReopens: sites 2–4 re-open and read /pin
 // (stored at site 1, the CSS, alone) under read delegations while site 1
-// commits new versions of it, each a page of its version number. Every
+// commits new versions of it, each a page of its version number; site 3
+// runs two readers, so that one's grant can be in flight while the
+// writer's revoke finds the other's delegation. Every
 // read must find a version no older than the last commit that finished
 // before its open began: a writer's open revokes every delegation before
 // the writer proceeds, and no delegation is granted while it holds the
@@ -308,7 +308,7 @@ func TestRevokeRoundsUnderConcurrentReopens(t *testing.T) {
 	var stop atomic.Bool
 	errs := make(chan error, 8)
 	var wg, started sync.WaitGroup
-	for s := fs.SiteID(2); s <= 4; s++ {
+	for _, s := range []fs.SiteID{2, 3, 3, 4} {
 		wg.Add(1)
 		started.Add(1)
 		go func(k *fs.Kernel) {
@@ -362,5 +362,112 @@ func TestRevokeRoundsUnderConcurrentReopens(t *testing.T) {
 	}
 	if d := c.Net.Stats().Sub(before); d.BatchedRevokes == 0 {
 		t.Errorf("%d commits made no revoke round (%d delegations granted)", commits, d.LeasesGranted)
+	}
+}
+
+// TestOwnLinksUnderConcurrentReopens: site 3 links and unlinks /d/f
+// (stored at site 1, the CSS, alone) while it re-opens and reads the
+// file under read delegations and site 2 commits new versions of it,
+// each a page of its version number. The CSS drops site 3's delegate
+// record on the file at each link and unlink without a revoke, and site
+// 2's next revoke round skips site 3; so site 3 must hold no delegation
+// on the file while one is in flight, neither the one it holds when the
+// run starts nor one granted to a read open sent meanwhile. Every read
+// must find a version no older than the last commit that finished before
+// its open began.
+func TestOwnLinksUnderConcurrentReopens(t *testing.T) {
+	const commits = 100
+	c := newCluster(t, 3)
+	page := func(v uint64) []byte {
+		return bytes.Repeat(binary.BigEndian.AppendUint64(nil, v), storage.PageSize/8)
+	}
+	if err := c.K(1).Mkdir(cred(), "/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, c.K(1), "/d/f", page(0))
+	if err := c.K(1).SetReplication(cred(), "/d/f", []fs.SiteID{1}); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, c)
+	r, err := c.K(1).Resolve(cred(), "/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, k3 := r.ID, c.K(3)
+	openClose(t, k3, id, fs.ModeRead)
+	if _, held := k3.Delegations()[id]; !held {
+		t.Fatal("site 3 holds no read delegation")
+	}
+
+	var done atomic.Uint64 // the last version whose commit has finished
+	var stop atomic.Bool
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			name := fmt.Sprintf("/d/l%d", i)
+			if err := k3.Link(cred(), "/d/f", name); errors.Is(err, fs.ErrBusy) {
+				continue
+			} else if err != nil {
+				errs <- fmt.Errorf("link: %w", err)
+				return
+			}
+			for err := k3.Unlink(cred(), name); err != nil; err = k3.Unlink(cred(), name) {
+				if !errors.Is(err, fs.ErrBusy) {
+					errs <- fmt.Errorf("unlink: %w", err)
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			floor := done.Load()
+			f, err := k3.OpenID(id, fs.ModeRead)
+			if err != nil {
+				errs <- fmt.Errorf("read open: %w", err)
+				return
+			}
+			data, err := f.ReadAll()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil || len(data) < 8 {
+				errs <- fmt.Errorf("read %d bytes: %v", len(data), err)
+				return
+			}
+			if v := binary.BigEndian.Uint64(data); v < floor {
+				errs <- fmt.Errorf("site 3 read version %d, opened after version %d was committed", v, floor)
+				return
+			}
+		}
+	}()
+	for v := uint64(1); v <= commits; {
+		w, err := c.K(2).OpenID(id, fs.ModeModify)
+		if errors.Is(err, fs.ErrBusy) {
+			runtime.Gosched()
+			continue // a link or unlink holds the file
+		}
+		if err != nil {
+			t.Errorf("writer open %d: %v", v, err)
+			break
+		}
+		if err := w.WriteAll(page(v)); err != nil {
+			t.Errorf("write %d: %v", v, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Errorf("commit %d: %v", v, err)
+		}
+		done.Store(v)
+		v++
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

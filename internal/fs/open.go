@@ -418,14 +418,13 @@ func (k *Kernel) lookInternal(id storage.FileID) (*storage.Inode, SiteID, error)
 
 // lookAtCSS is lookInternal's exchange with the CSS. It records the read
 // delegation the CSS grants on a look at a directory this site stores
-// no copy of, unless a revoke overtook it (recordLease).
+// no copy of, unless the lease epoch moved meanwhile (recordLease).
 func (k *Kernel) lookAtCSS(id storage.FileID) (*storage.Inode, SiteID, error) {
 	css, err := k.CSSOf(id.FG)
 	if err != nil {
 		return nil, 0, err
 	}
-	k.awaitGrant(id)
-	defer k.endGrant(id)
+	epoch := k.grantEpoch()
 	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: ModeInternal, US: k.site, USVV: k.usableVV(id)})
 	if err != nil {
 		return nil, 0, err
@@ -439,7 +438,7 @@ func (k *Kernel) lookAtCSS(id storage.FileID) (*storage.Inode, SiteID, error) {
 		}
 	}
 	if r.Delegated {
-		k.recordLease(id, r.SS, css, ino)
+		k.recordLease(id, r.SS, css, ino, epoch)
 	}
 	return ino, r.SS, nil
 }
@@ -542,13 +541,10 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 		return nil, nil, 0, err
 	}
 	var wserial uint64
-	registered, looked := false, false
+	registered := false
 	if mode == ModeModify {
 		// The CSS drops this site's delegate record on the file without a
-		// revoke (revokeDelegates): give up the delegation, and decline
-		// every grant on it in flight, before the open is sent and once it
-		// is answered, as dirOp does (dropOwnLeases), unless the answer is
-		// a hidden directory's look, which opens nothing for modification.
+		// revoke (revokeDelegates).
 		k.dropOwnLeases(id)
 		// Mark the registration in flight so a recall racing the CSS's
 		// response does not reclaim the grant (lockvalid.go).
@@ -561,18 +557,13 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 			k.mu.Lock()
 			delete(k.inflightSerials, wserial)
 			k.mu.Unlock()
-			if !looked {
-				k.dropOwnLeases(id)
-			}
+			k.endOwnOp()
 			if !registered {
 				k.giveBackRecalled(css, id, wserial)
 			}
 		}()
 	}
-	if mode == ModeRead || expand {
-		k.awaitGrant(id)
-		defer k.endGrant(id)
-	}
+	epoch := k.grantEpoch()
 	r, err := netsim.Call(k.node, css, mOpen, &openReq{ID: id, Mode: mode, US: k.site, Serial: wserial, USVV: k.usableVV(id), Expand: expand, For: forSite})
 	if err != nil {
 		return nil, nil, 0, err
@@ -587,10 +578,9 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 	}
 	if expand && ino.Type == storage.TypeHiddenDir {
 		// The CSS served it as an internal open, a look that may carry a
-		// delegation.
-		looked = true
+		// delegation (declined under a modify open: recordLease).
 		if r.Delegated {
-			k.recordLease(id, r.SS, css, ino)
+			k.recordLease(id, r.SS, css, ino, epoch)
 		}
 		return nil, ino, r.SS, nil
 	}
@@ -618,7 +608,7 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 		// other handle reads the committed one where it lies.
 		f.ino, f.dirty = f.ino.Clone(), make(map[storage.PageNo]bool)
 	}
-	if r.Delegated && k.recordLease(id, f.ss, css, f.ino) {
+	if r.Delegated && k.recordLease(id, f.ss, css, f.ino, epoch) {
 		f.delegated = true
 	}
 	k.mu.Lock()
@@ -802,7 +792,7 @@ func (k *Kernel) createID(parent storage.FileID, name string, typ storage.FileTy
 	wserial := k.openSerial
 	k.mu.Unlock()
 	k.dropOwnLeases(parent)
-	defer k.dropOwnLeases(parent)
+	defer k.endOwnOp()
 	r, err := netsim.Call(k.node, css, mCreate, &createReq{
 		Type: typ, US: k.site, Owner: cred.User, Mode: mode,
 		NCopies: cred.NCopies, Parent: parent, Name: name, Serial: wserial,
