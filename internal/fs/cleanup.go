@@ -2,53 +2,29 @@ package fs
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
 
-// CleanupReport summarizes the actions the cleanup procedure took,
-// mirroring the failure-action table of §5.6.
-type CleanupReport struct {
-	// ModifyOpensAborted counts US-side modify handles whose SS was
-	// lost: "Discard pages, set error in local file descriptor".
-	ModifyOpensAborted int
-	// ReadOpensReopened counts read handles transparently switched to
-	// another storage site holding the same version: "Internal close,
-	// attempt to reopen at other site".
-	ReadOpensReopened int
-	// ReadOpensLost counts read handles with no substitute copy.
-	ReadOpensLost int
-	// ServesDiscarded counts SS-side serving states for lost using
-	// sites: "Discard pages, close file and abort updates".
-	ServesDiscarded int
-	// LocksReleased counts CSS lock-table records for lost sites.
-	LocksReleased int
-	// LeasesReclaimed counts read delegations and delegate records
-	// discarded by the conservative merge rule: after a partition change
-	// the merged version vector may no longer support a delegation's
-	// stamp, so every site discards all it holds and all it records.
-	LeasesReclaimed int
-}
-
 // CleanupAfterPartitionChange installs a new partition view and runs
 // the cleanup procedure of §5.6: every resource in use across a lost
 // circuit is released or failed over, on both the local and remote
 // sides, before normal operation resumes.
-func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupReport {
+func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) {
 	k.SetPartition(newPartition)
 	in := make(map[SiteID]bool, len(newPartition))
 	for _, s := range newPartition {
 		in[s] = true
 	}
-	var rep CleanupReport
 
 	// --- Read delegations: discard every one held (§5.6 applied to the
 	// delegation table — delegations are reclaimed exactly like
 	// lock-table records). Nothing is sent: each CSS's own cleanup,
 	// below, discards its delegate records.
-	rep.LeasesReclaimed = k.dropAllLeases()
+	k.dropAllLeases()
 
 	// --- US side: open files whose storage site left the partition.
 	// The failover order is part of the deterministic replay schedule
@@ -78,15 +54,11 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 			f.stale = true
 			clear(f.dirty)
 			k.mu.Unlock()
-			rep.ModifyOpensAborted++
 		default: // ModeRead
-			if k.reopenElsewhere(f) {
-				rep.ReadOpensReopened++
-			} else {
+			if !k.reopenElsewhere(f) {
 				k.mu.Lock()
 				f.stale = true
 				k.mu.Unlock()
-				rep.ReadOpensLost++
 			}
 		}
 	}
@@ -102,56 +74,34 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 		sv := k.ssState[id]
 		if sv.writerUS != vclock.NoSite && !in[sv.writerUS] {
 			drops = append(drops, drop{id: id, pages: sv.dropWriter()})
-			rep.ServesDiscarded++
 		}
-		for _, us := range sortedSiteIDs(sv.readers) {
-			if !in[us] {
-				delete(sv.readers, us)
-				rep.ServesDiscarded++
-			}
-		}
+		maps.DeleteFunc(sv.readers, func(us SiteID, _ int) bool { return !in[us] })
 		if sv.idle() {
 			delete(k.ssState, id)
 		}
 	}
 
 	// --- CSS side: rebuild the lock table. Entries for filegroups we
-	// no longer synchronize are dropped; records naming lost sites are
-	// released.
+	// no longer synchronize are dropped, and so is every entry that
+	// records no writer: the first open after the change rebuilds it by
+	// polling the packs now in the partition — the lock-table
+	// reconstruction of §5.6, which is also what detects
+	// cross-partition version conflicts. Every delegate record goes
+	// (the conservative merge rule: the in-partition holders discard
+	// their own delegations in their cleanup; out-of-partition holders
+	// cannot be revoked).
 	for _, id := range sortedFileIDs(k.cssState) {
 		e := k.cssState[id]
 		css, err := k.cssOfLocked(id.FG)
-		if err != nil || css != k.site {
+		if err != nil || css != k.site || e.writerUS == vclock.NoSite {
 			delete(k.cssState, id)
 			continue
 		}
-		// Conservative merge rule, CSS side: all delegate records are
-		// discarded (the in-partition holders discard their own copies
-		// in their cleanup; out-of-partition holders cannot be revoked).
-		if n := len(e.delegates); n > 0 {
-			e.delegates = nil
-			rep.LeasesReclaimed += n
-		}
-		if e.writerUS == vclock.NoSite && len(e.readers) == 0 {
-			// No ongoing opens: drop the entry so the first open after
-			// the change rebuilds it by polling the packs now in the
-			// partition — the lock-table reconstruction of §5.6, which
-			// is also what detects cross-partition version conflicts.
-			delete(k.cssState, id)
-			continue
-		}
+		e.delegates = nil
 		// A writer whose site is gone, or whose storage site is (the
 		// writer's own cleanup aborts its handle), is released.
-		if e.writerUS != vclock.NoSite && !in[e.writerUS] || e.writerSS != vclock.NoSite && !in[e.writerSS] {
+		if !in[e.writerUS] || e.writerSS != vclock.NoSite && !in[e.writerSS] {
 			k.releaseWriterLocked(e, e.writerUS, e.writerSerial)
-			rep.LocksReleased++
-		}
-		for _, us := range sortedSiteIDs(e.readers) {
-			if !in[us] || !in[e.readerSS[us]] {
-				delete(e.readers, us)
-				delete(e.readerSS, us)
-				rep.LocksReleased++
-			}
 		}
 	}
 	k.writerFreed.Broadcast() // a waiter whose site is gone must fail
@@ -160,7 +110,6 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) CleanupRepor
 	for _, d := range drops {
 		k.freeShadow(d.id.FG, d.pages)
 	}
-	return rep
 }
 
 // sortedFileIDs returns m's keys in (filegroup, inode) order so state

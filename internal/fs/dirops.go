@@ -351,8 +351,7 @@ func (k *Kernel) dirOp(req *dirOpReq) error {
 		return err
 	}
 	target := storage.FileID{FG: req.Dir.FG, Inode: req.Ino}
-	k.dropOwnLeases(req.Dir, req.To, target)
-	defer k.endOwnOp()
+	defer k.endOwnOp(k.dropOwnLeases(req.Dir, req.To, target))
 	r, err := netsim.CallAt(k.node, css, mDirOp, k.handleDirOp, req)
 	if err != nil {
 		return err

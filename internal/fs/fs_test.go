@@ -840,6 +840,65 @@ func TestCleanupReadOpenFailsOverToOtherCopy(t *testing.T) {
 	r.Close() //nolint:errcheck
 }
 
+// TestCleanupRebuildsEntryWithoutWriter: §5.6 cleanup keeps a CSS
+// lock-table entry only for a recorded writer. The CSS keeps no record
+// of a read open, so an entry that a reader alone uses is dropped, and
+// the next open rebuilds it by polling the packs; the reader's close
+// still succeeds. Delegations are off, so the read open is the paper's
+// and leaves no delegate record behind either. Cleanup runs at site 1
+// alone with every site still in, the lock-table rebuild on its own.
+func TestCleanupRebuildsEntryWithoutWriter(t *testing.T) {
+	c := featureCluster(t, 3, fs.Features{NoDelegations: true})
+	writeFile(t, c.K(1), "/f", []byte("read"))
+	writeFile(t, c.K(1), "/g", []byte("written"))
+	settle(t, c)
+	r, err := c.K(2).Open(cred(), "/f", fs.ModeRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.K(3).Open(cred(), "/g", fs.ModeModify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.K(1).CSSLatest(r.ID()) == nil || c.K(1).CSSLatest(w.ID()) == nil {
+		t.Fatal("the CSS keeps no entry for an open file before cleanup")
+	}
+
+	c.K(1).CleanupAfterPartitionChange(c.Sites())
+	if vv := c.K(1).CSSLatest(r.ID()); vv != nil {
+		t.Errorf("cleanup kept the entry of a file only read (latest %v)", vv)
+	}
+	if c.K(1).CSSLatest(w.ID()) == nil {
+		t.Error("cleanup dropped the entry of a file with a recorded writer")
+	}
+	if _, err := c.K(2).Open(cred(), "/g", fs.ModeModify); !errors.Is(err, fs.ErrBusy) {
+		t.Errorf("modify open beside the writer cleanup kept: %v, want ErrBusy", err)
+	}
+	if got, err := r.ReadAll(); err != nil || string(got) != "read" {
+		t.Errorf("read after cleanup: %q, %v", got, err)
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("close of a read handle whose entry cleanup dropped: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := c.K(3).Open(cred(), "/f", fs.ModeRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.K(1).CSSLatest(g.ID()); !got.Equal(g.Inode().VV) {
+		t.Errorf("rebuilt entry's latest version %v, want the committed %v", got, g.Inode().VV)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if findings := c.Fsck(true); len(findings) != 0 {
+		t.Fatalf("fsck: %v", findings)
+	}
+}
+
 func TestConflictDetectionOnPartitionedUpdate(t *testing.T) {
 	// §4.2: copies modified in different partitions are in conflict
 	// after merge; normal opens fail until reconciled.

@@ -904,13 +904,6 @@ func (k *Kernel) handleSSClose(from SiteID, req *ssCloseReq) (*netsim.Ack, error
 	e.absorb(req.VV, req.Sites)
 	if req.Mode == ModeModify {
 		k.releaseWriterLocked(e, req.US, req.Serial)
-	} else if req.Mode == ModeRead {
-		if e.readers[req.US] > 1 {
-			e.readers[req.US]--
-		} else {
-			delete(e.readers, req.US)
-			delete(e.readerSS, req.US)
-		}
 	}
 	return nil, nil
 }

@@ -230,8 +230,6 @@ type cssEntry struct {
 	// site re-opens a hot directory within microseconds of closing it,
 	// so the site id alone cannot tell a registration from its successor.
 	writerSerial uint64
-	readers      map[SiteID]int // US -> count of read opens
-	readerSS     map[SiteID]SiteID
 	// latestVV is the most current version the CSS knows of (§2.3.1:
 	// the CSS "must have knowledge of ... what the most current
 	// version of the file is").
@@ -242,9 +240,8 @@ type cssEntry struct {
 	// after it (handleOpen).
 	sites []SiteID
 	// delegates is the set of using sites holding a read delegation. A
-	// delegate is not in readers: it opens, reads, and closes locally,
-	// and the CSS only hears from it again on a revoke round or a
-	// voluntary release.
+	// delegate opens, reads, and closes locally, and the CSS only hears
+	// from it again on a revoke round.
 	delegates map[SiteID]bool
 }
 
@@ -322,14 +319,16 @@ type Kernel struct {
 	openFiles map[*File]bool
 	// openSerial numbers handles as they register, giving cleanup a
 	// total iteration order (two handles on one file are otherwise
-	// indistinguishable and map order is random). A modify open also
-	// draws one before it asks the CSS, to name its writer registration
-	// (openReq.Serial).
+	// indistinguishable and map order is random). Each own operation
+	// also draws one before it asks the CSS (dropOwnLeases), which names
+	// the writer registration of a modify open or a create
+	// (openReq.Serial, createReq.Serial).
 	openSerial uint64
-	// inflightSerials holds the registration serials of modify opens
-	// this site has requested but not yet recorded in openFiles, so a
-	// recall (mRecallWriter) arriving between the CSS's grant and our
-	// receipt of the response does not take the open for a stale lock.
+	// inflightSerials holds the serials of this site's own modify opens,
+	// fs.dirops and fs.creates whose request has not been answered yet:
+	// a recall (mRecallWriter) arriving between the CSS's grant and our
+	// receipt of the response does not take the registration for a
+	// stale lock, and no delegation is granted meanwhile (recordLease).
 	inflightSerials map[uint64]bool
 	// recalledSerials holds the serials of this site's writer
 	// registrations that a recall found live. Each gives its slot back
@@ -340,12 +339,10 @@ type Kernel struct {
 	// may re-open, read, and close locally without contacting the CSS.
 	leases map[storage.FileID]*usLease
 	// leaseEpoch moves whenever a CSS may have dropped this site's
-	// delegate record without the site seeing its delegation go, and
-	// ownOps counts the site's own operations in flight whose CSS drops
-	// them (dropOwnLeases): a grant is recorded only if the epoch has not
-	// moved since its request left and none is (recordLease).
+	// delegate record without the site seeing its delegation go: a
+	// grant is recorded only if the epoch has not moved since its
+	// request left (recordLease).
 	leaseEpoch uint64
-	ownOps     int
 
 	// cache is the using-site page cache of committed pages (§2.2.1).
 	cache *pageCache

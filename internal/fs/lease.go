@@ -10,17 +10,16 @@ package fs
 // piggybacked on the reply: a VV-stamped grant letting the US re-open,
 // read (through its page cache), and close the file locally — zero wire
 // messages — for as long as the delegation is valid. The CSS records the
-// delegate instead of a per-open reader entry, and the polled SS
-// installs no reader serving state (committed pages are served
-// statelessly anyway).
+// delegate, and the polled SS installs no reader serving state
+// (committed pages are served statelessly anyway).
 //
 // A directory that the looking site stores no copy of is delegated the
 // same way on the internal open of pathname search (§2.3.4): the CSS
-// answers the look's exchange with a grant, records no reader, and the
-// site's later looks at the directory (lookInternal, freeLook) are
-// answered from the delegation, so a search through delegated
-// directories sends nothing. A site that stores a copy looks at it
-// locally and is granted nothing on a look.
+// answers the look's exchange with a grant, and the site's later looks
+// at the directory (lookInternal, freeLook) are answered from the
+// delegation, so a search through delegated directories sends nothing.
+// A site that stores a copy looks at it locally and is granted nothing
+// on a look.
 //
 // A modify open recalls every delegation of the file in one *batched*
 // round of fs.leaserevoke callbacks (one round per writer transition,
@@ -41,9 +40,9 @@ package fs
 // (handleLeaseRevoke, endOwnOp, dropAllLeases, crashLocal). A request
 // that may bring a grant reads it before it leaves, and recordLease
 // installs the grant only if it has not moved since and no operation of
-// the site's own is in flight, whose CSS may drop the record of a grant
-// made meanwhile. A declined grant is safe: the CSS keeps a record with
-// nothing behind it, which a later revoke drops.
+// the site's own is in flight (inflightSerials), whose CSS may drop the
+// record of a grant made meanwhile. A declined grant is safe: the CSS
+// keeps a record with nothing behind it, which a later revoke drops.
 //
 // A revoke that does not reach its delegate while the delegate is still
 // reachable (every transmission lost) refuses the modify open with
@@ -90,17 +89,14 @@ type usLease struct {
 }
 
 // dropAllLeases discards every delegation this site holds, and declines
-// every grant in flight (leaseEpoch), and reports how many delegations
-// it discarded: §5.6 partition cleanup's US side. It sends nothing,
-// since each CSS's own cleanup discards its delegate records, as every
-// site rebuilds its lock tables locally.
-func (k *Kernel) dropAllLeases() int {
+// every grant in flight (leaseEpoch): §5.6 partition cleanup's US side.
+// It sends nothing, since each CSS's own cleanup discards its delegate
+// records, as every site rebuilds its lock tables locally.
+func (k *Kernel) dropAllLeases() {
 	k.mu.Lock()
-	defer k.mu.Unlock()
-	n := len(k.leases)
 	k.leases = make(map[storage.FileID]*usLease)
 	k.leaseEpoch++
-	return n
+	k.mu.Unlock()
 }
 
 // handleLeaseRevoke is the delegate side of a batched revoke round: it
@@ -180,11 +176,11 @@ func (k *Kernel) grantEpoch() uint64 {
 // of the file id, stored at ss, at the committed inode ino, to a request
 // sent at the lease epoch epoch. The grant is declined when the epoch
 // has moved since, or while an operation of this site's own is in flight
-// (dropOwnLeases): the CSS may have dropped its record of it.
+// (inflightSerials): the CSS may have dropped its record of it.
 func (k *Kernel) recordLease(id storage.FileID, ss, css SiteID, ino *storage.Inode, epoch uint64) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.leaseEpoch != epoch || k.ownOps > 0 {
+	if k.leaseEpoch != epoch || len(k.inflightSerials) > 0 {
 		return false
 	}
 	k.leases[id] = &usLease{ss: ss, css: css, ino: ino}
@@ -215,23 +211,27 @@ func (k *Kernel) dropLease(id storage.FileID) bool {
 // dropOwnLeases begins a modify open, fs.dirop or fs.create of this
 // site's own, whose CSS drops the site's delegate records on the files
 // ids without a revoke (revokeDelegates): it discards the site's
-// delegations on them, and every grant is declined until endOwnOp, once
-// the request is answered, moves the lease epoch.
-func (k *Kernel) dropOwnLeases(ids ...storage.FileID) {
+// delegations on them and returns the serial it marks in flight
+// (inflightSerials), which names the operation's writer registration,
+// if it makes one. Every grant is declined until endOwnOp, once the
+// request is answered, moves the lease epoch.
+func (k *Kernel) dropOwnLeases(ids ...storage.FileID) uint64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for _, id := range ids {
 		delete(k.leases, id)
 	}
-	k.ownOps++
+	k.openSerial++
+	k.inflightSerials[k.openSerial] = true
+	return k.openSerial
 }
 
-// endOwnOp ends an operation dropOwnLeases began, declining every grant
-// still in flight, which the CSS may have made before it dropped the
-// records.
-func (k *Kernel) endOwnOp() {
+// endOwnOp ends the operation dropOwnLeases began under serial,
+// declining every grant still in flight, which the CSS may have made
+// before it dropped the records.
+func (k *Kernel) endOwnOp(serial uint64) {
 	k.mu.Lock()
-	k.ownOps--
+	delete(k.inflightSerials, serial)
 	k.leaseEpoch++
 	k.mu.Unlock()
 }

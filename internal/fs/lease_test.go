@@ -94,9 +94,9 @@ func TestLeaseHolderCrashDuringRevoke(t *testing.T) {
 
 // TestPartitionMergeDiscardsLeases pins the conservative merge rule:
 // a partition change discards every delegation and delegate record on both
-// sides (CleanupReport.LeasesReclaimed counts them), each site its own
-// with no message, and the holder's next open renegotiates from the lock
-// table instead of serving a possibly stale snapshot.
+// sides, each site its own with no message, and the holder's next open
+// renegotiates from the lock table instead of serving a possibly stale
+// snapshot.
 func TestPartitionMergeDiscardsLeases(t *testing.T) {
 	c, id := leaseCluster(t)
 

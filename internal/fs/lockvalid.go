@@ -22,9 +22,9 @@ import (
 )
 
 // writerLiveLocked reports whether this site's writer registration
-// serial for id is live: its open is still in flight (the CSS granted
-// it but the reply has not been recorded yet), or a modify handle
-// carrying it is open. Stale handles do not count — their close sends
+// serial for id is live: its modify open or create is still in flight
+// (the CSS granted it but the reply has not been recorded yet), or a
+// modify handle carrying it is open. Stale handles do not count — their close sends
 // no messages, so nothing will ever release a lock recorded for them.
 // Caller holds k.mu.
 func (k *Kernel) writerLiveLocked(id storage.FileID, serial uint64) bool {

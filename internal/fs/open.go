@@ -71,8 +71,6 @@ func (k *Kernel) buildCSSEntry(id storage.FileID) (*cssEntry, error) {
 	e := &cssEntry{
 		id:       id,
 		typ:      sums[best].Type,
-		readers:  make(map[SiteID]int),
-		readerSS: make(map[SiteID]SiteID),
 		latestVV: sums[best].VV,
 		sites:    sums[best].Sites,
 	}
@@ -177,14 +175,14 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	lookDelegate := req.Mode == ModeInternal && e.typ.IsDir() && req.USVV == nil && req.US != k.site
 	wantDelegate := (req.Mode == ModeRead || lookDelegate) && !k.cfg.Features.NoDelegations
 
-	// register records the open, served by ss with the version vv, in
-	// the lock table, and reports whether a read delegation is granted
-	// on the reply. One is granted only if, under the lock, no writer
-	// holds the slot and vv is still the latest version: a writer revokes
-	// the delegates it finds once it has claimed the slot, so an open
-	// that met a writer claiming it, or whose version a writer has since
-	// committed over, is recorded as a plain reader instead. A look is
-	// unsynchronized: it leaves no record but the delegate's.
+	// register records a modify open's storage site ss in the lock
+	// table, and reports whether a read delegation is granted on the
+	// reply to a read open or a look served the version vv. One is
+	// granted only if, under the lock, no writer holds the slot and vv is
+	// still the latest version: a writer revokes the delegates it finds
+	// once it has claimed the slot, so an open that met a writer claiming
+	// it, or whose version a writer has since committed over, is served
+	// without one. A read open leaves no record but the delegate's.
 	register := func(ss SiteID, vv vclock.VV) bool {
 		k.mu.Lock()
 		defer k.mu.Unlock()
@@ -198,9 +196,6 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 			e.delegates[req.US] = true
 			k.meter().AddLeaseGranted()
 			return true
-		case req.Mode == ModeRead:
-			e.readers[req.US]++
-			e.readerSS[req.US] = ss
 		}
 		return false
 	}
@@ -544,20 +539,12 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 	registered := false
 	if mode == ModeModify {
 		// The CSS drops this site's delegate record on the file without a
-		// revoke (revokeDelegates).
-		k.dropOwnLeases(id)
-		// Mark the registration in flight so a recall racing the CSS's
-		// response does not reclaim the grant (lockvalid.go).
-		k.mu.Lock()
-		k.openSerial++
-		wserial = k.openSerial
-		k.inflightSerials[wserial] = true
-		k.mu.Unlock()
+		// revoke (revokeDelegates), and the registration is in flight, so
+		// a recall racing the CSS's response does not reclaim the grant
+		// (lockvalid.go).
+		wserial = k.dropOwnLeases(id)
 		defer func() {
-			k.mu.Lock()
-			delete(k.inflightSerials, wserial)
-			k.mu.Unlock()
-			k.endOwnOp()
+			k.endOwnOp(wserial)
 			if !registered {
 				k.giveBackRecalled(css, id, wserial)
 			}
@@ -674,8 +661,6 @@ func (k *Kernel) handleCreate(from SiteID, req *createReq) (*createResp, error) 
 		writerUS:     req.US,
 		writerSS:     birth,
 		writerSerial: req.Serial,
-		readers:      make(map[SiteID]int),
-		readerSS:     make(map[SiteID]SiteID),
 		latestVV:     ino.VV,
 		sites:        sites,
 	}
@@ -684,6 +669,13 @@ func (k *Kernel) handleCreate(from SiteID, req *createReq) (*createResp, error) 
 	k.mu.Unlock()
 	dr, err := k.updateDir(dirUpdate{f: files[0], d: d, next: d.Insert(req.Name, ino.Num)}, &box)
 	if err != nil {
+		// The creating site's registration is live until this reply
+		// reaches it (inflightSerials), so the create releases it itself
+		// before dropOrphan's modify open meets it.
+		netsim.CallAt(k.node, birth, mRevokeServe, k.handleRevokeServe, &revokeServeReq{ID: id, US: req.US, Serial: req.Serial}) //locus:vet-allow uncheckedcall best-effort revoke: an unreachable birth pack is reclaimed by the partition protocol
+		k.mu.Lock()
+		k.releaseWriterLocked(e, req.US, req.Serial)
+		k.mu.Unlock()
 		k.dropOrphan(req.US, id, &box)
 		return nil, err
 	}
@@ -691,9 +683,8 @@ func (k *Kernel) handleCreate(from SiteID, req *createReq) (*createResp, error) 
 }
 
 // dropOrphan deletes the inode a create made when its name could not be
-// entered. The creating site never got its handle, so the modify open's
-// recall of its writer registration finds it gone. What cannot be
-// deleted, with the creating site out of reach, say, is left as
+// entered, once the create has released its writer registration. What
+// cannot be deleted, with the birth pack out of reach, say, is left as
 // reclaimable garbage. The delete's note goes in the create's box.
 func (k *Kernel) dropOrphan(us SiteID, id storage.FileID, box *outbox) {
 	if files, err := k.openForUpdate(us, [3]storage.FileID{id}); err == nil {
@@ -781,25 +772,25 @@ func (k *Kernel) handleSSCreate(_ SiteID, req *ssCreateReq) (*ssCreateResp, erro
 
 // createID creates a new file named name in directory parent with one
 // fs.create exchange, giving up this site's delegation on parent as
-// dirOp does (dropOwnLeases).
+// dirOp does (dropOwnLeases). The new file's writer registration is in
+// flight until its handle is registered: a recall the CSS makes for
+// another site's modify open meanwhile finds it live.
 func (k *Kernel) createID(parent storage.FileID, name string, typ storage.FileType, cred *Cred, mode uint16) (*File, error) {
 	css, err := k.CSSOf(parent.FG)
 	if err != nil {
 		return nil, err
 	}
-	k.mu.Lock()
-	k.openSerial++
-	wserial := k.openSerial
-	k.mu.Unlock()
-	k.dropOwnLeases(parent)
-	defer k.endOwnOp()
+	wserial := k.dropOwnLeases(parent)
 	r, err := netsim.Call(k.node, css, mCreate, &createReq{
 		Type: typ, US: k.site, Owner: cred.User, Mode: mode,
 		NCopies: cred.NCopies, Parent: parent, Name: name, Serial: wserial,
 	})
 	if err != nil {
+		k.endOwnOp(wserial) // first: a serial in flight is live
+		k.giveBackCreated(css, parent, name, wserial)
 		return nil, err
 	}
+	defer k.endOwnOp(wserial)
 	k.dirs.advance(parent, &r.Dir, []dirMut{{Name: name, Ino: r.ID.Inode}})
 	f := &File{
 		k: k, id: r.ID, mode: ModeModify, us: k.site, ss: r.SS, css: css,
@@ -810,4 +801,21 @@ func (k *Kernel) createID(parent storage.FileID, name string, typ storage.FileTy
 	k.registerOpenLocked(f)
 	k.mu.Unlock()
 	return f, nil
+}
+
+// giveBackCreated is giveBackRecalled for a create whose reply was lost
+// after a recall found its registration live: the new file, which the
+// site never learnt, is found by its name, if the create entered it.
+func (k *Kernel) giveBackCreated(css SiteID, parent storage.FileID, name string, serial uint64) {
+	k.mu.Lock()
+	recalled := k.recalledSerials[serial]
+	k.mu.Unlock()
+	if !recalled {
+		return
+	}
+	if d, _, err := k.readDirByID(parent, nil, 0); err == nil {
+		if e, ok := d.Lookup(name); ok {
+			k.giveBackRecalled(css, storage.FileID{FG: parent.FG, Inode: e.Inode}, serial)
+		}
+	}
 }

@@ -135,3 +135,65 @@ func TestRecallWriterAnswers(t *testing.T) {
 		}
 	})
 }
+
+// TestCreateRegistrationLiveWhileReplyInFlight: a create registers the
+// creating site as the new file's writer at the CSS, and that
+// registration is live from the moment the request leaves, as a modify
+// open's is. Site 3's modify open of /d/x, run at the CSS's first
+// fs.propnotify of site 2's create, when the name is entered and the
+// reply not yet sent, recalls the registration: it must find it live
+// and fail with ErrBusy, not take the file over, and site 2's write and
+// close must then succeed.
+func TestCreateRegistrationLiveWhileReplyInFlight(t *testing.T) {
+	ks := bootSites(t, 3)
+	k1, k2, k3 := ks[0], ks[1], ks[2]
+	cred := DefaultCred("tester")
+	if err := k1.Mkdir(cred, "/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range ks {
+		k.DrainPropagation()
+	}
+
+	var fired bool
+	var foreign error
+	nw := k1.node.Network()
+	nw.SetTrace(func(from, _ SiteID, method string) {
+		if fired || from != 1 || method != mPropNotify.Name {
+			return
+		}
+		fired = true
+		r, err := k1.Resolve(cred, "/d/x")
+		if err != nil {
+			t.Errorf("resolve /d/x at the CSS during the create: %v", err)
+			return
+		}
+		var f *File
+		if f, foreign = k3.OpenID(r.ID, ModeModify); foreign == nil {
+			f.Close() //nolint:errcheck
+		}
+	})
+	w, err := k2.Create(cred, "/d/x", storage.TypeRegular, 0644)
+	nw.SetTrace(nil)
+	if err != nil {
+		t.Fatalf("create at site 2: %v", err)
+	}
+	if !fired {
+		t.Fatal("the CSS sent no fs.propnotify while site 2's create was in flight")
+	}
+	if !errors.Is(foreign, ErrBusy) {
+		t.Errorf("site 3's modify open during the create's reply: %v, want ErrBusy", foreign)
+	}
+	if _, err := w.WriteAt([]byte("created"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close of the created file: %v", err)
+	}
+	for _, k := range ks {
+		k.DrainPropagation()
+	}
+	for _, f := range FsckCluster(ks, FsckOptions{}) {
+		t.Errorf("fsck: %v", f)
+	}
+}

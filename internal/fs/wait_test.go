@@ -9,6 +9,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -308,4 +309,60 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 			t.Fatalf("re-executed open: %v, want ErrBusy", err)
 		}
 	})
+}
+
+// TestLostCreateReplyFreesWaitingUpdate: site 1 creates /d/x/y while
+// site 2's Mkdir("/d/x") is between the CSS's entry of the name and the
+// reply, so the directory insert parks at the CSS behind site 2's
+// registration, which a recall finds live. Every transmission of the
+// reply is then lost. Site 2 never learns the directory's inode, so it
+// finds the directory by its name and gives the slot back, as a modify
+// open whose reply is lost does, and the parked create finishes.
+func TestLostCreateReplyFreesWaitingUpdate(t *testing.T) {
+	ks := bootSites(t, 3)
+	k1, k2 := ks[0], ks[1]
+	cred := DefaultCred("tester")
+	if err := k1.Mkdir(cred, "/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range ks {
+		k.DrainPropagation()
+	}
+	nw := k1.node.Network()
+	var pts []netsim.FaultPoint
+	for j := 0; j < 8; j++ {
+		pts = append(pts, netsim.FaultPoint{From: 2, To: 1, Method: mCreate.Name, Nth: 1, Action: netsim.FaultDropResponse})
+	}
+	nw.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+	// The hook runs on the parked create's goroutine too, which sends no
+	// fs.propnotify before it is freed.
+	var once sync.Once
+	var done <-chan error
+	nw.SetTrace(func(from, _ SiteID, method string) {
+		if from != 1 || method != mPropNotify.Name {
+			return
+		}
+		once.Do(func() {
+			done = createAsync(k1, "/d/x/y")
+			awaitParked(t)
+		})
+	})
+	err := k2.Mkdir(cred, "/d/x", 0755)
+	nw.SetTrace(nil)
+	nw.DisableFaults()
+	if !errors.Is(err, netsim.ErrTimeout) {
+		t.Fatalf("Mkdir with every reply lost: %v, want ErrTimeout", err)
+	}
+	if done == nil {
+		t.Fatal("the CSS sent no fs.propnotify while site 2's create was in flight")
+	}
+	if err := await(t, done, "create in the directory whose create reply was lost"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range ks {
+		k.DrainPropagation()
+	}
+	for _, f := range FsckCluster(ks, FsckOptions{}) {
+		t.Errorf("fsck: %v", f)
+	}
 }

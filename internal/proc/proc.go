@@ -53,20 +53,24 @@ var (
 	ErrMigrated = errors.New("proc: process migrated")
 )
 
-// wrapSiteErr converts a transport-level failure (unreachable,
-// circuit closed, or a retry budget exhausted by message loss) into the
-// §5.6 ErrSiteFailed sentinel: every "remote site fails -> return error
-// to caller" row of the failure-action table reports through it.
-// Application-level errors pass through unchanged.
-func wrapSiteErr(err error, site SiteID) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, netsim.ErrUnreachable) || errors.Is(err, netsim.ErrCircuitClosed) ||
+// isTransportFailure reports whether err is (or wraps) one of the
+// transport-level site-failure sentinels: unreachable, circuit closed,
+// a retry budget exhausted by message loss, site down, or no handler —
+// the site answers but its proc subsystem is gone, which from the
+// caller's §5.6 viewpoint is a failed site too.
+func isTransportFailure(err error) bool {
+	return errors.Is(err, netsim.ErrUnreachable) || errors.Is(err, netsim.ErrCircuitClosed) ||
 		errors.Is(err, netsim.ErrTimeout) || errors.Is(err, netsim.ErrSiteDown) ||
-		errors.Is(err, netsim.ErrNoHandler) {
-		// ErrNoHandler: the site answers but its proc subsystem is gone —
-		// from the caller's §5.6 viewpoint that site has failed.
+		errors.Is(err, netsim.ErrNoHandler)
+}
+
+// wrapSiteErr converts a transport-level failure (isTransportFailure)
+// into the §5.6 ErrSiteFailed sentinel: every "remote site fails ->
+// return error to caller" row of the failure-action table reports
+// through it. Application-level errors, and an ErrSiteFailed a handler
+// returned, pass through unchanged.
+func wrapSiteErr(err error, site SiteID) error {
+	if isTransportFailure(err) {
 		return fmt.Errorf("%w: site %d: %v", ErrSiteFailed, site, err)
 	}
 	return err
@@ -777,9 +781,7 @@ func (m *Manager) Signal(target PID, sig Signal) error {
 // site-failure sentinels — transport-level or the proc-layer
 // ErrSiteFailed, whose wrapping flattens the transport chain.
 func isSiteFailure(err error) bool {
-	return errors.Is(err, ErrSiteFailed) || errors.Is(err, netsim.ErrUnreachable) ||
-		errors.Is(err, netsim.ErrCircuitClosed) || errors.Is(err, netsim.ErrTimeout) ||
-		errors.Is(err, netsim.ErrSiteDown) || errors.Is(err, netsim.ErrNoHandler)
+	return errors.Is(err, ErrSiteFailed) || isTransportFailure(err)
 }
 
 func (m *Manager) signalInfo(target PID, sig Signal, info string) error {
