@@ -57,12 +57,14 @@ race:
 # check. Then the directory-delegation listing test 200 times (about
 # 7 s): sites 2 and 3 list /d, site 3 under a read delegation on it,
 # while site 1 creates and unlinks there, and every listing must hold
-# every name created, and no name unlinked, before it began. Last the
-# commit-at-close
-# test 200 times (about 2 s): sites 2 and 3 rewrite one replicated file,
-# each close committing it, while sites 1 and 4 read it, and every read
-# must find a version no older than the last close returned before its
-# open began.
+# every name created, and no name unlinked, before it began. Then the
+# commit-at-close test 200 times (about 2 s): sites 2 and 3 rewrite one
+# replicated file, each close committing it, while sites 1 and 4 read
+# it, and every read must find a version no older than the last close
+# returned before its open began. Last the replica-move test 200 times
+# (about 1 s): sites 2 and 4 read a file that never changes while site 1
+# moves it between {3, 4} and {3}, so site 4's copy is retired under
+# reads it serves, and every read must return the whole file or ErrStale.
 flakegate:
 	$(GO) test -count=2000 -run TestConcurrentWritersDifferentFilesAcrossSites ./internal/fs
 	$(GO) test -count=200 -run TestDirUpdateWaitsForWriter ./internal/fs
@@ -71,6 +73,7 @@ flakegate:
 	$(GO) test -count=200 -run TestOwnLinksUnderConcurrentReopens ./internal/fs
 	$(GO) test -count=200 -run TestDirListingsUnderConcurrentUpdates ./internal/fs
 	$(GO) test -count=200 -run TestCommitAtCloseUnderConcurrentOpens ./internal/fs
+	$(GO) test -count=200 -run TestReadsUnderReplicaMoves ./internal/fs
 
 # invariants runs the suite with the runtime assertion layer compiled
 # in (internal/lint/invariant): version-vector dominance on propagation,

@@ -2,7 +2,6 @@ package fs
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 
 	"repro/internal/storage"
@@ -55,15 +54,11 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) {
 			clear(f.dirty)
 			k.mu.Unlock()
 		default: // ModeRead
-			if !k.reopenElsewhere(f) {
-				k.mu.Lock()
-				f.stale = true
-				k.mu.Unlock()
-			}
+			k.reopenElsewhere(f)
 		}
 	}
 
-	// --- SS side: serving state for using sites that are gone.
+	// --- SS side: the sessions of writers whose sites are gone.
 	k.mu.Lock()
 	type drop struct {
 		id    storage.FileID
@@ -71,13 +66,8 @@ func (k *Kernel) CleanupAfterPartitionChange(newPartition []SiteID) {
 	}
 	var drops []drop
 	for _, id := range sortedFileIDs(k.ssState) {
-		sv := k.ssState[id]
-		if sv.writerUS != vclock.NoSite && !in[sv.writerUS] {
-			drops = append(drops, drop{id: id, pages: sv.dropWriter()})
-		}
-		maps.DeleteFunc(sv.readers, func(us SiteID, _ int) bool { return !in[us] })
-		if sv.idle() {
-			delete(k.ssState, id)
+		if sv := k.ssState[id]; !in[sv.writerUS] {
+			drops = append(drops, drop{id: id, pages: k.dropWriterLocked(sv)})
 		}
 	}
 
@@ -134,19 +124,23 @@ func sortedSiteIDs[V any](m map[SiteID]V) []SiteID {
 }
 
 // reopenElsewhere tries to substitute another storage site holding the
-// same version of the file for a read handle whose SS vanished ("If a
-// process loses contact with a file it was reading remotely, the
-// system will attempt to reopen a different copy of the same version"
-// — §5.1).
+// same version of the file for a read handle whose SS vanished or
+// dropped its copy ("If a process loses contact with a file it was
+// reading remotely, the system will attempt to reopen a different copy
+// of the same version" — §5.1). A handle it cannot substitute is marked
+// stale ("set error in local file descriptor" — §5.6), and it reports
+// false.
 func (k *Kernel) reopenElsewhere(f *File) bool {
 	g, err := k.OpenID(f.id, ModeRead)
-	if err != nil {
-		return false
-	}
 	// Same version required: the paper substitutes only equal versions
 	// for a continuing read.
-	if !g.ino.VV.Equal(f.ino.VV) {
-		g.Close() //locus:vet-allow uncheckedcall substitute rejected
+	if err != nil || !g.ino.VV.Equal(f.ino.VV) {
+		if err == nil {
+			g.Close() //locus:vet-allow uncheckedcall substitute rejected
+		}
+		k.mu.Lock()
+		f.stale = true
+		k.mu.Unlock()
 		return false
 	}
 	f.ss, f.ino, f.size = g.ss, g.ino, g.size

@@ -519,7 +519,7 @@ func (k *Kernel) handleSetAttr(from SiteID, req *setAttrReq) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	sv := k.ssState[req.ID]
-	if sv == nil || sv.writerUS != from || sv.incore == nil {
+	if sv == nil || sv.writerUS != from {
 		return nil // modify open gone; drop like a late write
 	}
 	if req.SetDeleted {

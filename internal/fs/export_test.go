@@ -49,8 +49,7 @@ func (k *Kernel) LoseServing(id storage.FileID) {
 	k.mu.Lock()
 	var freed []storage.PhysPage
 	if sv := k.ssState[id]; sv != nil {
-		freed = sv.dropWriter()
-		delete(k.ssState, id)
+		freed = k.dropWriterLocked(sv)
 	}
 	k.mu.Unlock()
 	k.freeShadow(id.FG, freed)

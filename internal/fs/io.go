@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -40,6 +41,14 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		}
 		pn := storage.PageNo(cur / storage.PageSize)
 		data, ssSize, owned, err := f.fetchPage(pn)
+		if err != nil && f.mode == ModeRead && errors.Is(err, storage.ErrNoInode) {
+			// The storage site's copy is gone, retired after a move, say:
+			// read on from another copy of the same version (§5.1).
+			if !f.k.reopenElsewhere(f) {
+				return total, fmt.Errorf("%w: %v", ErrStale, f.id)
+			}
+			data, ssSize, owned, err = f.fetchPage(pn)
+		}
 		if err != nil {
 			return total, err
 		}
@@ -193,7 +202,7 @@ func (k *Kernel) localPage(id storage.FileID, pn storage.PageNo, incore bool, us
 	}
 	if incore {
 		k.mu.Lock()
-		if sv := k.ssState[id]; sv != nil && sv.writerUS == us && sv.incore != nil {
+		if sv := k.ssState[id]; sv != nil && sv.writerUS == us {
 			pp, size := storage.PhysPageNil, sv.incore.Size
 			if int(pn) < len(sv.incore.Pages) {
 				pp = sv.incore.Pages[pn]
@@ -376,7 +385,7 @@ func (k *Kernel) handleWrite(from SiteID, req *writeReq) error {
 	}
 	k.mu.Lock()
 	sv := k.ssState[req.ID]
-	if sv == nil || sv.writerUS != from || sv.incore == nil {
+	if sv == nil || sv.writerUS != from {
 		k.mu.Unlock()
 		// The modify open is gone (e.g. cleaned up after a partition
 		// change); the one-way write is dropped, and the US will learn
@@ -390,8 +399,8 @@ func (k *Kernel) handleWrite(from SiteID, req *writeReq) error {
 		nPages := int((req.Size + storage.PageSize - 1) / storage.PageSize)
 		var drop []storage.PhysPage
 		for i := nPages; i < len(ino.Pages); i++ {
-			if pp := ino.Pages[i]; pp != storage.PhysPageNil && !sv.committedPages[pp] {
-				drop = append(drop, pp)
+			if sv.shadow(i) {
+				drop = append(drop, ino.Pages[i])
 			}
 		}
 		ino.Pages = ino.Pages[:min(nPages, len(ino.Pages))]
@@ -401,18 +410,13 @@ func (k *Kernel) handleWrite(from SiteID, req *writeReq) error {
 		c.FreePages(drop...)
 		return nil
 	}
-	k.mu.Unlock()
-
 	// If this logical page was already shadowed during this modify
 	// session, reuse the shadow page in place (§2.3.6: "After the first
 	// time the page is modified, it is marked as being a shadow page
 	// and reused in place").
-	k.mu.Lock()
 	var reuse storage.PhysPage
-	if int(req.Page) < len(ino.Pages) {
-		if pp := ino.Pages[req.Page]; pp != storage.PhysPageNil && !sv.committedPages[pp] {
-			reuse = pp
-		}
+	if int(req.Page) < len(ino.Pages) && sv.shadow(int(req.Page)) {
+		reuse = ino.Pages[req.Page]
 	}
 	k.mu.Unlock()
 
@@ -422,8 +426,8 @@ func (k *Kernel) handleWrite(from SiteID, req *writeReq) error {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.ssState[req.ID] != sv || sv.writerUS != from {
-		// Serving state torn down while we wrote: discard the page.
+	if k.ssState[req.ID] != sv {
+		// The session ended while we wrote: discard the page.
 		c.FreePages(pp)
 		return nil
 	}
@@ -547,12 +551,12 @@ func (k *Kernel) commit(from SiteID, req *commitReq, box *outbox) (*commitResp, 
 	}
 	k.mu.Lock()
 	sv := k.ssState[req.ID]
-	if sv == nil || sv.writerUS != from || sv.incore == nil {
+	if sv == nil || sv.writerUS != from {
 		k.mu.Unlock()
 		return nil, fmt.Errorf("%w: no modify open of %v from site %d", ErrStale, req.ID, from)
 	}
 	if req.Abort {
-		// Free shadow pages; keep serving state for further writes.
+		// Free shadow pages; keep the session for further writes.
 		drop := sv.shadowPages()
 		k.mu.Unlock()
 		c.FreePages(drop...)
@@ -561,8 +565,7 @@ func (k *Kernel) commit(from SiteID, req *commitReq, box *outbox) (*commitResp, 
 			return nil, err
 		}
 		k.mu.Lock()
-		sv.incore = ino.Clone()
-		sv.committedPages = pageSet(ino.Pages)
+		sv.committed, sv.incore = ino, ino.Clone()
 		clear(sv.dirty)
 		k.mu.Unlock()
 		return &commitResp{Ino: ino}, nil
@@ -600,7 +603,7 @@ func (k *Kernel) commit(from SiteID, req *commitReq, box *outbox) (*commitResp, 
 	}
 
 	k.mu.Lock()
-	sv.committedPages = pageSet(ino.Pages)
+	sv.committed = ino
 	k.mu.Unlock()
 
 	k.notifyCommit(req.ID, ino, prev.Sites, pages, box)
@@ -787,7 +790,7 @@ func copyNotes(note *propNotify, mask uint32) *propNotify {
 // 4-message close protocol of §2.3.3 itself: the fs.close asks the SS
 // to commit before it deallocates in-core state, and the SS's fs.ssclose
 // carries the commit's note to the CSS. The commit's error is the
-// close's, returned once serving state is released. Internal opens close
+// close's, returned once the writer's session has ended. Internal opens close
 // with no messages.
 func (f *File) Close() error {
 	if f.closed {
@@ -811,8 +814,9 @@ func (f *File) Close() error {
 		return nil
 	}
 	if f.delegated {
-		// Zero wire messages: a delegated reader holds no serving state
-		// and no lock-table record, even if its delegation was revoked
+		// Zero wire messages: no reader holds a lock-table record or a
+		// session at its storage site, and a delegated one's close, like
+		// its open, sends nothing, even if its delegation was revoked
 		// while it read.
 		return nil
 	}
@@ -828,7 +832,7 @@ func (f *File) Close() error {
 }
 
 // handleClose is the SS side of the close protocol: commit the writer's
-// changes when asked, release serving state, then inform the CSS (the
+// changes when asked, end the writer's session, then inform the CSS (the
 // response ordering fixes the reopen race described in the paper's close
 // footnote). The commit's notes go out before the CSS hears of the
 // close, the CSS's own riding the fs.ssclose, and a commit that fails is
@@ -840,23 +844,11 @@ func (k *Kernel) handleClose(from SiteID, req *closeReq) (*netsim.Ack, error) {
 		_, cerr = k.commit(from, &commitReq{ID: req.ID, US: req.US}, &box)
 	}
 	k.mu.Lock()
-	sv := k.ssState[req.ID]
 	var freed []storage.PhysPage
-	if sv != nil {
-		if req.Mode == ModeModify && sv.writerUS == from && sv.writerSerial == req.Serial {
-			// Uncommitted changes at close are discarded (a close with
-			// changes outstanding committed them above).
-			freed = sv.dropWriter()
-		} else if req.Mode == ModeRead {
-			if sv.readers[from] > 1 {
-				sv.readers[from]--
-			} else {
-				delete(sv.readers, from)
-			}
-		}
-		if sv.idle() {
-			delete(k.ssState, req.ID)
-		}
+	if sv := k.ssState[req.ID]; sv != nil && req.Mode == ModeModify && sv.writerUS == from && sv.writerSerial == req.Serial {
+		// Uncommitted changes at close are discarded (a close with
+		// changes outstanding committed them above).
+		freed = k.dropWriterLocked(sv)
 	}
 	k.mu.Unlock()
 	k.freeShadow(req.ID.FG, freed)

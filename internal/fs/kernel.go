@@ -161,57 +161,54 @@ type Cred struct {
 // DefaultCred returns a usable credential for user u.
 func DefaultCred(u string) *Cred { return &Cred{User: u} }
 
-// ssServe is SS-side state for one file with at least one remote or
-// local open being served from this storage site.
+// ssServe is a writer's session at its storage site (§2.3.6): an entry
+// exists exactly while a modify open is being served from here. A read
+// open leaves nothing here: committed pages are served with no per-open
+// record.
 type ssServe struct {
 	id storage.FileID
-	// incore is the in-core inode: for a writer it accumulates shadow
-	// pages; for readers it is a snapshot of the committed inode.
-	incore *storage.Inode
-	// committedPages remembers the committed page table at open time so
-	// abort can release only true shadow pages.
-	committedPages map[storage.PhysPage]bool
-	writerUS       SiteID // NoSite when no open-for-modify in progress
-	writerSerial   uint64 // that open's registration serial at writerUS
-	dirty          map[storage.PageNo]bool
-	truncated      bool           // a truncate happened: propagate the whole file
-	readers        map[SiteID]int // US -> open count being served
+	// committed is the committed inode the session started from or last
+	// committed, shared and frozen; incore is the writer's in-core inode,
+	// a Clone of it that accumulates shadow pages.
+	committed, incore *storage.Inode
+	writerUS          SiteID // the writer being served
+	writerSerial      uint64 // that open's registration serial at writerUS
+	dirty             map[storage.PageNo]bool
+	truncated         bool // a truncate happened: propagate the whole file
 }
 
-// shadowPages returns the writer's uncommitted pages: those of the
-// in-core inode that the committed page table does not hold. Caller
+// shadow reports whether page i of the in-core inode is a shadow page:
+// one the committed inode does not hold at index i. Physical page
+// numbers are never reused and no page moves to another index, so a
+// page the committed inode holds is held at the same index. Caller
 // holds k.mu.
+func (sv *ssServe) shadow(i int) bool {
+	pp := sv.incore.Pages[i]
+	return pp != storage.PhysPageNil && (i >= len(sv.committed.Pages) || sv.committed.Pages[i] != pp)
+}
+
+// shadowPages returns the writer's uncommitted pages. Caller holds k.mu.
 func (sv *ssServe) shadowPages() []storage.PhysPage {
-	if sv.incore == nil {
-		return nil
-	}
 	var out []storage.PhysPage
-	for _, pp := range sv.incore.Pages {
-		if pp != storage.PhysPageNil && !sv.committedPages[pp] {
+	for i, pp := range sv.incore.Pages {
+		if sv.shadow(i) {
 			out = append(out, pp)
 		}
 	}
 	return out
 }
 
-// dropWriter ends the writer's session at this storage site, discarding
-// its uncommitted changes, and returns the shadow pages for the caller to
-// free once k.mu is released. Every path that releases a writer's
-// serving state — close, lock-table validation's revoke, §5.6 cleanup —
-// goes through here. Caller holds k.mu.
-func (sv *ssServe) dropWriter() []storage.PhysPage {
-	pages := sv.shadowPages()
-	sv.writerUS = vclock.NoSite
-	sv.incore = nil
-	sv.committedPages = nil
-	sv.dirty = nil
-	return pages
+// dropWriterLocked ends the writer's session sv at this storage site,
+// discarding its uncommitted changes, and returns the shadow pages for
+// the caller to free once k.mu is released. Every path that ends a
+// session — close, lock-table validation's revoke, §5.6 cleanup — goes
+// through here. Caller holds k.mu.
+func (k *Kernel) dropWriterLocked(sv *ssServe) []storage.PhysPage {
+	delete(k.ssState, sv.id)
+	return sv.shadowPages()
 }
 
-// idle reports whether the entry serves nobody any more and can go.
-func (sv *ssServe) idle() bool { return sv.writerUS == vclock.NoSite && len(sv.readers) == 0 }
-
-// freeShadow frees shadow pages a dropWriter or an abort returned, with
+// freeShadow frees shadow pages dropWriterLocked or an abort returned, with
 // k.mu released.
 func (k *Kernel) freeShadow(fg storage.FilegroupID, pages []storage.PhysPage) {
 	if c := k.container(fg); c != nil && len(pages) > 0 {
@@ -568,8 +565,8 @@ type File struct {
 	// descriptor" (§5.6).
 	stale bool
 	// delegated marks a read handle opened under a read delegation, or
-	// by the open that was granted one: it holds no CSS lock entry and no
-	// SS serving state, and its close is pure local bookkeeping.
+	// by the open that was granted one: its close is pure local
+	// bookkeeping, with none of the close protocol's messages.
 	delegated bool
 	// raNext is the page a sequential reader would fetch next; raWindow
 	// is the current streaming-readahead window of a read handle

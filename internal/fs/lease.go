@@ -10,8 +10,8 @@ package fs
 // piggybacked on the reply: a VV-stamped grant letting the US re-open,
 // read (through its page cache), and close the file locally — zero wire
 // messages — for as long as the delegation is valid. The CSS records the
-// delegate, and the polled SS installs no reader serving state
-// (committed pages are served statelessly anyway).
+// delegate; the polled SS, as for every read open, checks its copy and
+// records nothing (committed pages are served with no per-open record).
 //
 // A directory that the looking site stores no copy of is delegated the
 // same way on the internal open of pathname search (§2.3.4): the CSS

@@ -12,8 +12,8 @@ package fs
 // its name, (US, serial). The using site refuses while the registration
 // is live, and then gives the slot back when it ends, for the open that
 // may be waiting (a directory's, whose slot only a kernel update holds);
-// otherwise the record is reclaimed, revoking any serving state left at
-// the storage site.
+// otherwise the record is reclaimed, ending any session left at the
+// storage site.
 
 import (
 	"repro/internal/netsim"
@@ -63,7 +63,7 @@ func (k *Kernel) handleRecallWriter(_ SiteID, req *recallWriterReq) (*recallWrit
 // recorded against id, on behalf of an open that meets it. It returns
 // gone when the registration is gone: the holder's committed version
 // has been folded into e (the CSS's entry; nil at a storage site) and
-// the serving state the registration left at ss has been revoked, so
+// the session the registration left at ss has been ended, so
 // the caller may reclaim its record; live when the holder answered that
 // the registration is live. An unreachable holder is neither: we cannot
 // tell a lost close from a slow one, so the lock is kept and the
@@ -104,7 +104,7 @@ func (k *Kernel) giveBackRecalled(css SiteID, id storage.FileID, serial uint64) 
 	k.releaseCSSLock(css, id, ModeModify, serial)
 }
 
-// handleRevokeServe discards SS serving state for a writer registration
+// handleRevokeServe ends the SS session of a writer registration
 // a recall found gone: uncommitted shadow pages are freed and the
 // writer slot cleared, exactly as handleClose would have done had the
 // close arrived. The recall ran unlocked, so by now the registration
@@ -112,13 +112,9 @@ func (k *Kernel) giveBackRecalled(css SiteID, id storage.FileID, serial uint64) 
 // is what keeps the revoke off that successor.
 func (k *Kernel) handleRevokeServe(_ SiteID, req *revokeServeReq) (*netsim.Ack, error) {
 	k.mu.Lock()
-	sv := k.ssState[req.ID]
 	var freed []storage.PhysPage
-	if sv != nil && sv.writerUS == req.US && sv.writerSerial == req.Serial {
-		freed = sv.dropWriter()
-		if sv.idle() {
-			delete(k.ssState, req.ID)
-		}
+	if sv := k.ssState[req.ID]; sv != nil && sv.writerUS == req.US && sv.writerSerial == req.Serial {
+		freed = k.dropWriterLocked(sv)
 	}
 	k.mu.Unlock()
 	k.freeShadow(req.ID.FG, freed)

@@ -208,15 +208,10 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 
 	// Optimization 2: the CSS itself stores the latest version.
 	if r := k.localGetVV(req.ID); r.Has && !r.Deleted && r.VV.DominatesOrEqual(latest) {
-		// A delegated read installs no serving state: committed pages
-		// are served statelessly and the delegate closes locally.
-		if !wantDelegate {
-			if err := k.setupServe(req.ID, req.Mode, req.US, req.Serial); err != nil {
-				rollback()
-				return nil, err
-			}
-		}
 		ino, err := k.container(req.ID.FG).GetInode(req.ID.Inode)
+		if err == nil {
+			err = k.setupServe(req.ID, ino, req.Mode, req.US, req.Serial)
+		}
 		if err != nil {
 			rollback()
 			return nil, err
@@ -243,7 +238,7 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 		if !k.inPartition(cand) {
 			continue // unreachable
 		}
-		r, err := netsim.Call(k.node, cand, mSSOpen, &ssOpenReq{ID: req.ID, Mode: req.Mode, US: req.US, Serial: req.Serial, NeedVV: latest, Delegated: wantDelegate})
+		r, err := netsim.Call(k.node, cand, mSSOpen, &ssOpenReq{ID: req.ID, Mode: req.Mode, US: req.US, Serial: req.Serial, NeedVV: latest})
 		if err != nil {
 			continue
 		}
@@ -253,8 +248,9 @@ func (k *Kernel) handleOpen(_ SiteID, req *openReq) (*openResp, error) {
 	return nil, fmt.Errorf("%w: %v (latest %v)", ErrNoStorageSite, req.ID, latest)
 }
 
-// handleSSOpen is the SS function: verify our copy is current, set up
-// serving state, and return the disk inode information.
+// handleSSOpen is the SS function: verify our copy is current and in
+// service, start a modify open's writer session, and return the disk
+// inode information.
 func (k *Kernel) handleSSOpen(_ SiteID, req *ssOpenReq) (*ssOpenResp, error) {
 	c := k.container(req.ID.FG)
 	if c == nil || !c.HasInode(req.ID.Inode) {
@@ -268,93 +264,49 @@ func (k *Kernel) handleSSOpen(_ SiteID, req *ssOpenReq) (*ssOpenResp, error) {
 		// Our copy is out of date: refuse to act as storage site.
 		return nil, fmt.Errorf("%w: site %d stores %v, need %v", ErrNoStorageSite, k.site, ino.VV, req.NeedVV)
 	}
-	if !req.Delegated {
-		// A delegated read installs no reader serving state: committed
-		// pages are served statelessly and the delegate closes locally.
-		if err := k.setupServe(req.ID, req.Mode, req.US, req.Serial); err != nil {
-			return nil, err
-		}
+	if err := k.setupServe(req.ID, ino, req.Mode, req.US, req.Serial); err != nil {
+		return nil, err
 	}
 	return &ssOpenResp{Ino: ino}, nil
 }
 
-// setupServe installs SS-side serving state for an open; serial is a
-// modify open's registration serial at us. Internal (unsynchronized)
-// opens take no serving state.
-func (k *Kernel) setupServe(id storage.FileID, mode OpenMode, us SiteID, serial uint64) error {
-	if mode == ModeInternal {
+// setupServe is a storage site's check of committed, its copy of id,
+// for an open: a deleted or conflicted copy serves nothing. A read open
+// leaves nothing behind, delegated or not; a modify open starts the
+// writer's session (§2.3.6), whose in-core inode, a Clone of committed,
+// shadow pages are written into. serial is a modify open's registration
+// serial at us. Internal (unsynchronized) opens are not checked.
+func (k *Kernel) setupServe(id storage.FileID, committed *storage.Inode, mode OpenMode, us SiteID, serial uint64) error {
+	switch {
+	case mode == ModeInternal:
+		return nil
+	case committed.Deleted:
+		return fmt.Errorf("%w: %v", ErrDeleted, id)
+	case committed.Conflict:
+		return fmt.Errorf("%w: %v", ErrConflict, id)
+	case mode != ModeModify:
 		return nil
 	}
-	c := k.container(id.FG)
-	if c == nil {
-		return fmt.Errorf("%w: site %d stores no pack of filegroup %d", ErrNoStorageSite, k.site, id.FG)
-	}
-	// A read open needs only the two marks that take a copy out of
-	// service; a modify open also needs the storage site's in-core inode
-	// (§2.3.6), which shadow pages are written into: a Clone of the
-	// committed one.
-	var committed *storage.Inode
-	var deleted, conflict bool
-	if mode == ModeModify {
-		ino, err := c.GetInode(id.Inode)
-		if err != nil {
-			return err
-		}
-		committed, deleted, conflict = ino, ino.Deleted, ino.Conflict
-	} else {
-		cur, ok := c.Version(id.Inode)
-		if !ok {
-			return fmt.Errorf("%w: %v at site %d", storage.ErrNoInode, id, k.site)
-		}
-		deleted, conflict = cur.Deleted, cur.Conflict
-	}
-	if deleted {
-		return fmt.Errorf("%w: %v", ErrDeleted, id)
-	}
-	if conflict {
-		return fmt.Errorf("%w: %v", ErrConflict, id)
-	}
 	k.mu.Lock()
-	if mode == ModeModify {
-		if sv := k.ssState[id]; sv != nil && sv.writerUS != vclock.NoSite {
-			holder, hserial := sv.writerUS, sv.writerSerial
-			k.mu.Unlock()
-			// Validate before refusing (see lockvalid.go): a lost close
-			// leaves serving state for a writer that no longer exists.
-			if gone, _ := k.recallWriter(id, nil, holder, hserial, k.site); !gone {
-				return fmt.Errorf("%w: %v already being modified", ErrBusy, id)
-			}
-			k.mu.Lock()
-		}
-	}
-	defer k.mu.Unlock()
-	sv := k.ssState[id]
-	if sv == nil {
-		sv = &ssServe{id: id, readers: make(map[SiteID]int)}
-		k.ssState[id] = sv
-	}
-	if mode == ModeModify {
-		if sv.writerUS != vclock.NoSite {
+	if sv := k.ssState[id]; sv != nil {
+		holder, hserial := sv.writerUS, sv.writerSerial
+		k.mu.Unlock()
+		// Validate before refusing (see lockvalid.go): a lost close
+		// leaves a session for a writer that no longer exists.
+		if gone, _ := k.recallWriter(id, nil, holder, hserial, k.site); !gone {
 			return fmt.Errorf("%w: %v already being modified", ErrBusy, id)
 		}
-		sv.writerUS, sv.writerSerial = us, serial
-		sv.incore = committed.Clone()
-		sv.committedPages = pageSet(committed.Pages)
-		sv.dirty = make(map[storage.PageNo]bool)
-	} else {
-		sv.readers[us]++
+		k.mu.Lock()
+	}
+	defer k.mu.Unlock()
+	if k.ssState[id] != nil {
+		return fmt.Errorf("%w: %v already being modified", ErrBusy, id)
+	}
+	k.ssState[id] = &ssServe{
+		id: id, committed: committed, incore: committed.Clone(),
+		writerUS: us, writerSerial: serial, dirty: make(map[storage.PageNo]bool),
 	}
 	return nil
-}
-
-func pageSet(pages []storage.PhysPage) map[storage.PhysPage]bool {
-	s := make(map[storage.PhysPage]bool, len(pages))
-	for _, p := range pages {
-		if p != storage.PhysPageNil {
-			s[p] = true
-		}
-	}
-	return s
 }
 
 func containsSite(ss []SiteID, s SiteID) bool {
@@ -555,12 +507,22 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	// abandon ends an open the CSS sent to this site's own copy that the
+	// site cannot serve, releasing its registration. A read open whose
+	// copy was retired since (a move) lost its storage site, as a read
+	// handle's read would (ReadAt): ErrStale.
+	abandon := func(err error) error {
+		k.releaseCSSLock(css, id, mode, wserial)
+		if mode == ModeRead && errors.Is(err, storage.ErrNoInode) {
+			return fmt.Errorf("%w: %w", ErrStale, err)
+		}
+		return err
+	}
 	ino := r.Ino
 	if r.SS == k.site {
 		// We are our own storage site, and read our own inode.
 		if ino, err = k.container(id.FG).GetInode(id.Inode); err != nil {
-			k.releaseCSSLock(css, id, mode, wserial)
-			return nil, nil, 0, err
+			return nil, nil, 0, abandon(err)
 		}
 	}
 	if expand && ino.Type == storage.TypeHiddenDir {
@@ -580,14 +542,12 @@ func (k *Kernel) openID(id storage.FileID, mode OpenMode, expand bool, forSite S
 		k: k, id: id, mode: mode, us: k.site, ss: r.SS, css: css,
 		ino: ino, size: ino.Size, wserial: wserial,
 	}
-	// Unless the CSS already installed the serving state at this site (it
-	// did when this site is also the CSS and selected itself) or the open
-	// is a delegated read, which holds no serving state anywhere, set it
-	// up now.
-	if r.SS == k.site && !r.ServeReady && !r.Delegated {
-		if err := k.setupServe(id, mode, k.site, wserial); err != nil {
-			k.releaseCSSLock(css, id, mode, wserial)
-			return nil, nil, 0, err
+	// Unless the CSS already had this site check its copy (it did when
+	// this site is also the CSS and selected itself, or polled it), check
+	// it now, and start a modify open's session.
+	if r.SS == k.site && !r.ServeReady {
+		if err := k.setupServe(id, ino, mode, k.site, wserial); err != nil {
+			return nil, nil, 0, abandon(err)
 		}
 	}
 	if mode == ModeModify {
@@ -759,7 +719,7 @@ func (k *Kernel) handleSSCreate(_ SiteID, req *ssCreateReq) (*ssCreateResp, erro
 		return nil, err
 	}
 	id := storage.FileID{FG: req.FG, Inode: num}
-	if err := k.setupServe(id, ModeModify, req.US, req.Serial); err != nil {
+	if err := k.setupServe(id, ino, ModeModify, req.US, req.Serial); err != nil {
 		return nil, err
 	}
 	// The birth's note, which tells the other chosen storage sites to

@@ -69,12 +69,18 @@ func (k *Kernel) applyPropNotify(_ SiteID, note *propNotify) {
 		// Replica retirement: discard our copy once the listed sites
 		// all hold the new version.
 		k.mu.Lock()
-		if k.pendingProp[note.ID] == nil {
+		if t := k.pendingProp[note.ID]; t == nil {
 			k.pendingProp[note.ID] = &propTask{
 				id: note.ID, vv: note.VV, origin: note.Origin,
 				drop: true, sites: append([]SiteID(nil), note.Sites...),
 			}
 			k.propQueue = append(k.propQueue, note.ID)
+		} else if t.drop && note.VV.Compare(t.vv) == vclock.Dominates {
+			// A writer served from this copy committed a newer version
+			// (the CSS's own copy serves a modify open until it is
+			// retired): the copy may go only once the listed sites hold
+			// that one.
+			t.vv, t.sites = note.VV, append([]SiteID(nil), note.Sites...)
 		}
 		k.mu.Unlock()
 		return
@@ -551,12 +557,13 @@ func (k *Kernel) retireReplica(c *storage.Container, t *propTask) bool {
 	if !stores {
 		return true
 	}
-	// A file still being served from here must not vanish underneath
-	// its opens; retry later.
+	// A writer's session here must not lose its copy underneath it;
+	// retry later. A reader served from here reopens another copy of its
+	// version (ReadAt, reopenElsewhere).
 	k.mu.Lock()
-	_, serving := k.ssState[t.id]
+	_, writing := k.ssState[t.id]
 	k.mu.Unlock()
-	if serving {
+	if writing {
 		return false
 	}
 	var remote []SiteID

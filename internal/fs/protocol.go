@@ -15,8 +15,9 @@ import (
 // revoke (revoking twice leaves the same state) — are safe to replay,
 // and exempting them keeps page payloads out of the dedup tables.
 
-// mOpen is US → CSS: the OPEN request of Figure 2. It installs CSS
-// lock-table and SS serving state.
+// mOpen is US → CSS: the OPEN request of Figure 2. A modify open is
+// recorded in the CSS lock table and starts the writer's session at the
+// SS.
 var mOpen = netsim.Method[openReq, openResp]{Name: "fs.open", AtMostOnce: true}
 
 type openReq struct {
@@ -25,7 +26,7 @@ type openReq struct {
 	US   SiteID
 	// Serial is the using site's registration serial for a modify open.
 	// (US, Serial) names this open's writer registration in the CSS lock
-	// table and the SS serving state, so a close or revoke that outlives
+	// table and its session at the SS, so a close or revoke that outlives
 	// the open cannot be taken for its successor from the same site.
 	Serial uint64
 	// USVV is the version vector of the copy stored at the US, if any
@@ -49,10 +50,10 @@ type openResp struct {
 	// it and every handle built from it may share it. A modify open
 	// Clones it for its in-core inode.
 	Ino *storage.Inode
-	// ServeReady reports that the serving state already exists at the
-	// SS (the CSS installed it, either at itself or via the SS poll);
-	// only when the CSS selects the US itself must the US install its
-	// own serving state.
+	// ServeReady reports that the SS has already checked its copy and
+	// started a modify open's session (the CSS did it at itself or by the
+	// SS poll); only when the CSS selects the US by its USVV must the US
+	// do so itself.
 	ServeReady bool
 	// Delegated piggybacks a read delegation on a read open's reply: the
 	// US may re-open, read, and close this file locally without
@@ -61,8 +62,8 @@ type openResp struct {
 	Delegated bool
 }
 
-// mSSOpen is CSS → SS: "request for storage site" of Figure 2. It
-// installs SS serving state.
+// mSSOpen is CSS → SS: "request for storage site" of Figure 2. The
+// polled site checks its copy and starts a modify open's session.
 var mSSOpen = netsim.Method[ssOpenReq, ssOpenResp]{Name: "fs.ssopen", AtMostOnce: true}
 
 type ssOpenReq struct {
@@ -75,11 +76,6 @@ type ssOpenReq struct {
 	// yet store the latest version, they refuse to act as a storage
 	// site").
 	NeedVV vclock.VV
-	// Delegated marks the poll of a read open that will be answered
-	// with a read delegation: the SS returns its inode snapshot but
-	// installs no reader serving state, because the delegate reads
-	// committed pages (which need none) and closes locally.
-	Delegated bool
 }
 
 type ssOpenResp struct {
@@ -171,8 +167,8 @@ type commitResp struct {
 }
 
 // mClose is US → SS: first message of the 4-message close protocol. It
-// tears down serving state, and commits first when the handle has
-// changes outstanding ("closing a file commits it", §2.3.6).
+// ends a modify open's session at the SS, committing first when the
+// handle has changes outstanding ("closing a file commits it", §2.3.6).
 var mClose = netsim.Method[closeReq, netsim.Ack]{Name: "fs.close", AtMostOnce: true}
 
 type closeReq struct {
@@ -245,15 +241,15 @@ type recallWriterResp struct {
 	Sites []SiteID
 }
 
-// mRevokeServe is CSS → SS: discard serving state for a writer whose
-// handle is gone (its close was lost to the network).
+// mRevokeServe is CSS → SS: end the session of a writer whose handle
+// is gone (its close was lost to the network).
 var mRevokeServe = netsim.Method[revokeServeReq, netsim.Ack]{Name: "fs.revokeserve"}
 
 type revokeServeReq struct {
 	ID storage.FileID
-	// US and Serial name the writer registration whose serving state is
-	// to be discarded; a revoke for any other is ignored (the state was
-	// already reclaimed and possibly re-acquired, even by the same site).
+	// US and Serial name the writer registration whose session is to
+	// be ended; a revoke for any other is ignored (the session was
+	// already ended and possibly re-acquired, even by the same site).
 	US     SiteID
 	Serial uint64
 }

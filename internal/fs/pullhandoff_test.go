@@ -328,68 +328,84 @@ func TestPullAllocations(t *testing.T) {
 }
 
 // TestOpenAllocations pins what an open costs the allocator now that it
-// copies no inode it only reads and makes a dirty-page map for a writer
-// alone: open + ReadAll + close of a local 4-page file by low-level name
-// allocates the handle and the result buffer on the unsynchronized path,
-// and through the CSS the open and close messages and the SS's reader
-// record besides (9, was 10: the lock table's site list is shared with
-// the open, not copied). A modify open and its close make 13 (was 14):
-// the two in-core inodes (US and SS), the SS's page set and the two dirty
-// maps are a writer's to have. Where the CSS is another site the counts
-// are the same 9 and 13 (were 12 and 16): the open and the close each
-// cross as an at-most-once call, and from a full dedup window such a call
-// reuses the entry it evicts. One P and no collector, as in
-// TestPullAllocations: the pages ReadAll copies out of come from the page
-// pool.
+// copies no inode it only reads, makes a dirty-page map for a writer
+// alone, and leaves no record of a reader at the storage site: open +
+// ReadAll + close of a local 4-page file by low-level name allocates the
+// handle and the result buffer on the unsynchronized path, and so does a
+// read open under a read delegation (2, was 9 when every read open took
+// the paper's path). Under the paper's protocol the open and close
+// messages come besides (6, was 9 with the SS's reader record). A modify
+// open and its close make 10 (was 13 with the SS's copied page set): the
+// two in-core inodes (US and SS) and the two dirty maps are a writer's to
+// have. Where the CSS is another site the counts are the same (they were
+// 3 higher): the open and the close each cross as an at-most-once call,
+// and from a full dedup window such a call reuses the entry it evicts.
+// One P and no collector, as in TestPullAllocations: the pages ReadAll
+// copies out of come from the page pool.
 func TestOpenAllocations(t *testing.T) {
 	if invariant.Enabled || raceEnabled {
 		t.Skip("the storage assertions allocate on their own account; the race detector's sync.Pool drops buffers")
 	}
-	c := newCluster(t, 2)
 	data := bytes.Repeat([]byte{'x'}, 4*storage.PageSize)
-	writeFile(t, c.K(1), "/f", data)
-	settle(t, c)
-	r, err := c.K(1).Resolve(cred(), "/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	openClose := func(k *fs.Kernel, mode fs.OpenMode, read bool) func() {
-		return func() {
-			f, err := k.OpenID(r.ID, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if read {
-				if got, err := f.ReadAll(); err != nil || len(got) != len(data) {
-					t.Fatalf("ReadAll = %d bytes, %v", len(got), err)
+	defer holdCollector()()
+	for _, regime := range []struct {
+		name string
+		ft   fs.Features
+		rows []openAllocRow
+	}{
+		{"leases", fs.Features{}, []openAllocRow{
+			{"internal open + ReadAll + close", 1, fs.ModeInternal, 2},
+			{"read open + ReadAll + close at the CSS", 1, fs.ModeRead, 2},
+			{"modify open + close at the CSS", 1, fs.ModeModify, 10},
+			{"read open + ReadAll + close through a remote CSS", 2, fs.ModeRead, 2},
+			{"modify open + close through a remote CSS", 2, fs.ModeModify, 10},
+		}},
+		{"paper", fs.Features{NoDelegations: true}, []openAllocRow{
+			{"read open + ReadAll + close at the CSS", 1, fs.ModeRead, 6},
+			{"read open + ReadAll + close through a remote CSS", 2, fs.ModeRead, 6},
+		}},
+	} {
+		c := featureCluster(t, 2, regime.ft)
+		writeFile(t, c.K(1), "/f", data)
+		settle(t, c)
+		r, err := c.K(1).Resolve(cred(), "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range regime.rows {
+			run := func() {
+				f, err := c.K(row.site).OpenID(r.ID, row.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if row.mode != fs.ModeModify {
+					if got, err := f.ReadAll(); err != nil || len(got) != len(data) {
+						t.Fatalf("ReadAll = %d bytes, %v", len(got), err)
+					}
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
+			// Size the kernels' maps and fill the CSS's dedup window
+			// (1,024 requests of one caller).
+			for i := 0; i < 1100; i++ {
+				run()
+			}
+			if got := testing.AllocsPerRun(200, run); got > row.max {
+				t.Errorf("%s: %s makes %v allocations, want at most %v", regime.name, row.what, got, row.max)
 			}
 		}
 	}
-	defer holdCollector()()
-	for _, pin := range []struct {
-		what string
-		run  func()
-		max  float64
-	}{
-		{"internal open + ReadAll + close", openClose(c.K(1), fs.ModeInternal, true), 2},
-		{"read open + ReadAll + close at the CSS", openClose(c.K(1), fs.ModeRead, true), 9},
-		{"modify open + close at the CSS", openClose(c.K(1), fs.ModeModify, false), 13},
-		{"read open + ReadAll + close through a remote CSS", openClose(c.K(2), fs.ModeRead, true), 9},
-		{"modify open + close through a remote CSS", openClose(c.K(2), fs.ModeModify, false), 13},
-	} {
-		// Size the kernels' maps and fill the CSS's dedup window (1,024
-		// requests of one caller).
-		for i := 0; i < 1100; i++ {
-			pin.run()
-		}
-		if got := testing.AllocsPerRun(200, pin.run); got > pin.max {
-			t.Errorf("%s makes %v allocations, want at most %v", pin.what, got, pin.max)
-		}
-	}
+}
+
+// openAllocRow is one of TestOpenAllocations' pins: an open in mode at
+// site and its close, with a ReadAll between unless mode is ModeModify.
+type openAllocRow struct {
+	what string
+	site fs.SiteID
+	mode fs.OpenMode
+	max  float64
 }
 
 // BenchmarkPullFile is the per-pull figure with a one-line reproduction
