@@ -105,11 +105,12 @@ func settleSchedule(t *testing.T) string {
 		}
 	}
 	var sched strings.Builder
-	c.Net.SetTrace(func(from, to netsim.SiteID, method string) {
-		fmt.Fprintf(&sched, "%d->%d %s\n", from, to, method)
+	c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		fmt.Fprintf(&sched, "%+v\n", p)
+		return netsim.FaultNone
 	})
 	c.Settle()
-	c.Net.SetTrace(nil)
+	c.Net.SetObserver(nil)
 	return sched.String()
 }
 

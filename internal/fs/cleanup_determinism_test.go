@@ -23,10 +23,10 @@ import (
 // runPartitionCleanupSchedule builds a fresh cluster whose packless
 // site 1 holds a spread of remote read handles served by site 2, drops
 // site 2 from the partition, and returns the wire schedule site 1's
-// cleanup produced while failing the handles over to site 3. Every
-// failover is a `1->3 fs.open`, so each send also lists the handles
-// failed over before it (by index in open order): the schedule shows
-// the order, not only the count. It returns that order too, and want, the
+// cleanup produced while failing the handles over to site 3: every
+// request and reply point, in order. Every failover is a `1->3 fs.open`,
+// so each point also lists the handles failed over before it (by index
+// in open order): the schedule shows the order, not only the count. It returns that order too, and want, the
 // order cleanup promises: by file, then by registration serial (the
 // order the test opened its handles in).
 func runPartitionCleanupSchedule(t *testing.T) (sched []string, order, want []int) {
@@ -74,7 +74,7 @@ func runPartitionCleanupSchedule(t *testing.T) (sched []string, order, want []in
 	nw.PartitionGroups([]fs.SiteID{1, 3}, []fs.SiteID{2})
 
 	// A handle's SS changes when its reopen's reply arrives, so the
-	// handles that moved since the last send are the ones failed over
+	// handles that moved since the last point are the ones failed over
 	// in between.
 	moved := make([]bool, len(open))
 	noteMoved := func() {
@@ -85,12 +85,13 @@ func runPartitionCleanupSchedule(t *testing.T) (sched []string, order, want []in
 			}
 		}
 	}
-	nw.SetTrace(func(from, to netsim.SiteID, method string) {
+	nw.SetObserver(func(p netsim.Point) netsim.FaultAction {
 		noteMoved()
-		sched = append(sched, fmt.Sprintf("%d->%d %s after %v", from, to, method, order))
+		sched = append(sched, fmt.Sprintf("%+v after %v", p, order))
+		return netsim.FaultNone
 	})
 	k1.CleanupAfterPartitionChange([]fs.SiteID{1, 3})
-	nw.SetTrace(nil)
+	nw.SetObserver(nil)
 	noteMoved()
 	if len(order) < 2 {
 		t.Fatalf("cleanup reopened %d read handles, want >= 2: %v", len(order), order)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fs"
-	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -93,18 +92,14 @@ func TestClosesNoteReachesCSSWhenSSCloseIsLost(t *testing.T) {
 	if err := w.WriteAll([]byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	lost := make([]netsim.FaultPoint, 8) // every transmission of one Call
-	for i := range lost {
-		lost[i] = netsim.FaultPoint{From: 2, To: 1, Method: "fs.ssclose", Action: netsim.FaultDropRequest}
-	}
-	c.Net.EnableFaults(netsim.FaultConfig{Points: lost})
+	lost := fs.Cut{At: fs.NthRequest(2, 1, "fs.ssclose", 1), Drop: 8} // every transmission of one Call
 	before := c.Net.Stats()
-	if err := w.Close(); err != nil {
+	lost.Run(c.Net, func() { err = w.Close() })
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.Net.DisableFaults()
-	if d := c.Net.Stats().Sub(before); d.MsgsDropped != int64(len(lost)) {
-		t.Errorf("%d messages dropped, want the %d fs.ssclose transmissions", d.MsgsDropped, len(lost))
+	if d := c.Net.Stats().Sub(before); d.MsgsDropped != int64(lost.Drop) {
+		t.Errorf("%d messages dropped, want the %d fs.ssclose transmissions", d.MsgsDropped, lost.Drop)
 	}
 	ino, err := c.K(2).Stat(cred(), "/f")
 	if err != nil {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/format"
 	"repro/internal/fs"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -471,18 +472,19 @@ func TestDirReadAttemptsBounded(t *testing.T) {
 			settle(t, c)
 			names := [2]string{"/d/x", "/d/y"}
 			var reads, renames int
-			c.Net.SetTrace(func(from, to fs.SiteID, method string) {
-				if from != 3 || method != "fs.read" {
-					return
+			c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+				if p.Kind != netsim.PointRequest || p.From != 3 || p.Method != "fs.read" {
+					return netsim.FaultNone
 				}
 				reads++
 				if err := k1.Rename(cred(), names[renames%2], names[(renames+1)%2]); err != nil {
 					t.Error(err)
 				}
 				renames++
+				return netsim.FaultNone
 			})
 			_, err := c.K(3).Stat(cred(), "/d/f")
-			c.Net.SetTrace(nil)
+			c.Net.SetObserver(nil)
 			if !errors.Is(err, format.ErrCorrupt) {
 				t.Errorf(`Stat("/d/f") = %v, want format.ErrCorrupt`, err)
 			}

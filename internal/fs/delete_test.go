@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fs"
-	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -215,22 +214,13 @@ func TestDeleteNotificationCut(t *testing.T) {
 				writeAt(t, c.K(2), cu.path, "f2")
 			}
 			old := inodeAt(c, cu.to, id)
-			var pts []netsim.FaultPoint
-			for j := 0; j < 8; j++ {
-				pts = append(pts, netsim.FaultPoint{From: cu.origin, To: cu.to, Method: "fs.propnotify", Nth: 1, Action: netsim.FaultDropRequest})
-			}
-			c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+			cut := fs.Cut{At: fs.NthRequest(cu.origin, cu.to, "fs.propnotify", 1), Drop: 8}
 			if cu.crash {
-				c.Net.SetTrace(func(from, to fs.SiteID, method string) {
-					if from == cu.origin && to == cu.to && method == "fs.propnotify" {
-						c.Net.Crash(cu.to)
-					}
-				})
+				cut.Crash = cu.to
 			}
 			before := c.Net.Stats()
-			err := c.K(cu.origin).Unlink(cred(), cu.path)
-			c.Net.SetTrace(nil)
-			c.Net.DisableFaults()
+			var err error
+			cut.Run(c.Net, func() { err = c.K(cu.origin).Unlink(cred(), cu.path) })
 			if err != nil {
 				t.Fatalf("unlink: %v", err)
 			}

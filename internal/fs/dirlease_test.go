@@ -21,15 +21,11 @@ import (
 	"repro/internal/storage"
 )
 
-// dropRevokes makes the network lose every transmission of the next
-// fs.leaserevoke call from site 1 to site 3: eight requests, all of a
-// call's tries.
-func dropRevokes(c *cluster.Cluster) {
-	var pts []netsim.FaultPoint
-	for i := 0; i < 8; i++ {
-		pts = append(pts, netsim.FaultPoint{From: 1, To: 3, Method: "fs.leaserevoke", Action: netsim.FaultDropRequest})
-	}
-	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+// dropRevokes runs run while the network loses every transmission of
+// the next fs.leaserevoke call from site 1 to site 3: eight requests,
+// all of a call's tries.
+func dropRevokes(c *cluster.Cluster, run func()) {
+	fs.Cut{At: fs.NthRequest(1, 3, "fs.leaserevoke", 1), Drop: 8}.Run(c.Net, run)
 }
 
 // resolveID is what path names, resolved at site 1.
@@ -61,9 +57,8 @@ func TestLostRevokeRefusesModifyOpen(t *testing.T) {
 		if _, held := c.K(3).Delegations()[id]; !held {
 			t.Fatal("site 3 holds no delegation on /d/f")
 		}
-		dropRevokes(c)
-		_, err := c.K(1).Open(cred(), "/d/f", fs.ModeModify)
-		c.Net.DisableFaults()
+		var err error
+		dropRevokes(c, func() { _, err = c.K(1).Open(cred(), "/d/f", fs.ModeModify) })
 		if !errors.Is(err, fs.ErrBusy) || errors.Is(err, netsim.ErrTimeout) {
 			t.Fatalf("modify open with its revoke lost = %v, want ErrBusy, which the transport does not retry", err)
 		}
@@ -85,9 +80,8 @@ func TestLostRevokeRefusesModifyOpen(t *testing.T) {
 		if _, held := c.K(3).Delegations()[d]; !held {
 			t.Fatal("site 3 holds no delegation on /d")
 		}
-		dropRevokes(c)
-		_, err := c.K(1).Create(cred(), "/d/g", storage.TypeRegular, 0644)
-		c.Net.DisableFaults()
+		var err error
+		dropRevokes(c, func() { _, err = c.K(1).Create(cred(), "/d/g", storage.TypeRegular, 0644) })
 		if !errors.Is(err, fs.ErrBusy) || errors.Is(err, netsim.ErrTimeout) {
 			t.Fatalf("create with its revoke lost = %v, want ErrBusy, which the transport does not retry", err)
 		}

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fs"
-	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -287,11 +286,6 @@ func cutOps() []nsOp {
 // the directory.
 func TestDirOpCutAtEveryExchange(t *testing.T) {
 	const us = 2
-	type exchange struct {
-		from, to fs.SiteID
-		method   string
-		nth      int
-	}
 	casts := map[string]bool{"fs.propnotify": true, "fs.write": true, "fs.setattr": true}
 	// A case is named by the exchange it cuts: its place among the
 	// operation's exchanges, counted from 00, its link and method, and
@@ -302,36 +296,36 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 	// so that their cases keep their names; every other exchange is
 	// numbered by its place now. The link's are those of a count that
 	// site 2 commits, as it did then.
-	createPlaces := map[exchange]int{
-		{from: 1, to: 2, method: "fs.propnotify", nth: 1}: 6, // /d's commit
-		{from: 1, to: 3, method: "fs.propnotify", nth: 1}: 7, // the birth's and /d's
-		{from: us, to: 1, method: "fs.ssclose", nth: 1}:   8, // the new file's close
+	createPlaces := map[string]int{
+		"1->2/fs.propnotify#1": 6, // /d's commit
+		"1->3/fs.propnotify#1": 7, // the birth's and /d's
+		"2->1/fs.ssclose#1":    8, // the new file's close
 	}
-	firstPlaces := map[string]map[exchange]int{
+	firstPlaces := map[string]map[string]int{
 		"create": createPlaces,
 		"mkdir":  createPlaces,
 		"unlink": {
-			{from: us, to: 1, method: "fs.dirop", nth: 1}:     5,
-			{from: 1, to: 2, method: "fs.propnotify", nth: 1}: 6, // /d's commit and the delete
-			{from: 1, to: 3, method: "fs.propnotify", nth: 1}: 7,
+			"2->1/fs.dirop#1":      5,
+			"1->2/fs.propnotify#1": 6, // /d's commit and the delete
+			"1->3/fs.propnotify#1": 7,
 		},
 		// The CSS's note of /d's commit goes out once the last commit, the
 		// file's delete at site 3, is made, which sends its own.
 		"unlink/offcss": {
-			{from: 1, to: 2, method: "fs.propnotify", nth: 1}: 2, // /d's commit
-			{from: 1, to: 3, method: "fs.propnotify", nth: 1}: 3,
-			{from: 1, to: 3, method: "fs.setattr", nth: 1}:    4, // the file's delete
-			{from: 1, to: 3, method: "fs.commit", nth: 1}:     5,
-			{from: 3, to: 2, method: "fs.propnotify", nth: 1}: 6,
-			{from: 3, to: 1, method: "fs.propnotify", nth: 1}: 7,
+			"1->2/fs.propnotify#1": 2, // /d's commit
+			"1->3/fs.propnotify#1": 3,
+			"1->3/fs.setattr#1":    4, // the file's delete
+			"1->3/fs.commit#1":     5,
+			"3->2/fs.propnotify#1": 6,
+			"3->1/fs.propnotify#1": 7,
 		},
 		"link": {
-			{from: us, to: 1, method: "fs.propnotify", nth: 1}: 3, // the count's commit
-			{from: us, to: 3, method: "fs.propnotify", nth: 1}: 4,
-			{from: us, to: 1, method: "fs.ssclose", nth: 1}:    5, // the file's close
-			{from: us, to: 1, method: "fs.dirop", nth: 1}:      6,
-			{from: 1, to: 2, method: "fs.propnotify", nth: 1}:  7, // /d's commit
-			{from: 1, to: 3, method: "fs.propnotify", nth: 1}:  8,
+			"2->1/fs.propnotify#1": 3, // the count's commit
+			"2->3/fs.propnotify#1": 4,
+			"2->1/fs.ssclose#1":    5, // the file's close
+			"2->1/fs.dirop#1":      6,
+			"1->2/fs.propnotify#1": 7, // /d's commit
+			"1->3/fs.propnotify#1": 8,
 		},
 	}
 	// The link's search of its new name's parent looked at /d again, at
@@ -358,87 +352,58 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 				return c, fileAt(t, c, op.name, tmp)
 			}
 			c, _ := setup(t)
-			var exchanges []exchange
-			seen := map[exchange]int{}
-			c.Net.SetTrace(func(from, to fs.SiteID, method string) {
-				key := exchange{from: from, to: to, method: method}
-				seen[key]++
-				key.nth = seen[key]
-				exchanges = append(exchanges, key)
+			script := fs.Record(c.Net, func() {
+				if err := op.run(c.K(us)); err != nil {
+					t.Fatal(err)
+				}
 			})
-			if err := op.run(c.K(us)); err != nil {
-				t.Fatal(err)
-			}
-			c.Net.SetTrace(nil)
 
-			for i, ex := range exchanges {
+			for i, ex := range script.Exchanges() {
 				cuts := []string{"drop", "dropreply", "crash"}
-				if ex.from == us && ex.to == 1 && (ex.method == "fs.dirop" || ex.method == "fs.create") {
+				if ex.From == us && ex.To == 1 && (ex.Method == "fs.dirop" || ex.Method == "fs.create") {
 					cuts = append(cuts, "dropall", "dropallreplies")
 				}
-				place, ok := firstPlaces[op.name][ex]
+				place, ok := firstPlaces[op.name][ex.String()]
 				if !ok {
 					place = i
 					if at, served := servedLook[op.name]; served && i >= at {
 						place++
 					}
 				}
-				for _, cut := range cuts {
-					t.Run(fmt.Sprintf("%s%s/%02d:%d->%d/%s#%d/%s", rg.prefix, op.name, place, ex.from, ex.to, ex.method, ex.nth, cut), func(t *testing.T) {
+				for _, how := range cuts {
+					t.Run(fmt.Sprintf("%s%s/%02d:%v/%s", rg.prefix, op.name, place, ex, how), func(t *testing.T) {
 						c, target := setup(t)
-						var pts []netsim.FaultPoint
-						drops := 1
-						point := func(a netsim.FaultAction) {
-							for j := 0; j < drops; j++ {
-								pts = append(pts, netsim.FaultPoint{From: ex.from, To: ex.to, Method: ex.method, Nth: ex.nth, Action: a})
-							}
-						}
-						switch cut {
-						case "drop":
-							point(netsim.FaultDropRequest)
-						case "dropreply":
-							point(netsim.FaultDropResponse)
-						case "dropall":
-							drops = 8 // the retry budget of one exchange
-							point(netsim.FaultDropRequest)
-						case "dropallreplies":
-							drops = 8
-							point(netsim.FaultDropResponse)
-						case "crash":
-							if ex.to == 1 && !casts[ex.method] {
-								point(netsim.FaultCrashBeforeReply)
-								break
-							}
-							sent := 0
-							c.Net.SetTrace(func(fs.SiteID, fs.SiteID, string) {
-								if sent++; sent == i+1 {
-									c.Net.Crash(1)
-								}
-							})
-						}
-						c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
+						// A cast has no reply: its one message is what a
+						// dropped reply drops. A crash of the CSS as it
+						// replies comes after its handler ran.
+						cut := map[string]fs.Cut{
+							"drop":           {At: ex, Drop: 1},
+							"dropreply":      {At: ex, Drop: 1, Reply: !casts[ex.Method]},
+							"dropall":        {At: ex, Drop: 8}, // the retry budget of one exchange
+							"dropallreplies": {At: ex, Drop: 8, Reply: true},
+							"crash":          {At: ex, Crash: 1, Reply: ex.To == 1 && !casts[ex.Method]},
+						}[how]
 						before := c.Net.Stats()
-						err := op.run(c.K(us))
+						var err error
+						cut.Run(c.Net, func() { err = op.run(c.K(us)) })
 						d := c.Net.Stats().Sub(before)
-						c.Net.SetTrace(nil)
-						c.Net.DisableFaults()
 						switch {
-						case cut == "crash" && c.Net.Up(1):
+						case how == "crash" && c.Net.Up(1):
 							t.Fatal("the CSS is up after the cut: the cut missed the exchange")
-						case cut != "crash" && d.MsgsDropped != int64(drops):
-							t.Fatalf("%d messages dropped, want %d: the fault missed the exchange", d.MsgsDropped, drops)
-						case cut != "crash" && drops == 1 && err != nil:
+						case how != "crash" && d.MsgsDropped != int64(cut.Drop):
+							t.Fatalf("%d messages dropped, want %d: the fault missed the exchange", d.MsgsDropped, cut.Drop)
+						case how != "crash" && cut.Drop == 1 && err != nil:
 							t.Fatalf("%s failed after one lost message: %v", op.name, err)
-						case drops > 1 && err == nil:
-							t.Fatalf("%s succeeded with every %s lost", op.name, ex.method)
+						case cut.Drop > 1 && err == nil:
+							t.Fatalf("%s succeeded with every %s lost", op.name, ex.Method)
 						}
 						t.Logf("%s: %v", op.name, err)
-						if cut == "crash" {
+						if how == "crash" {
 							c.Crash(1) // the survivors learn of it
 							c.Net.Restart(1)
 						}
 						left := healLeavingGarbage(t, c, op.name, target)
-						if left != "" && cut != "crash" {
+						if left != "" && how != "crash" {
 							t.Fatalf("%s left %s garbage at a cut that is no crash", op.name, left)
 						}
 						if left != "" {
@@ -448,7 +413,7 @@ func TestDirOpCutAtEveryExchange(t *testing.T) {
 							}
 							garbage[key][place] = left
 						}
-						checkNames(t, c, op.name, target, err, cut == "dropall", left)
+						checkNames(t, c, op.name, target, err, how == "dropall", left)
 					})
 				}
 			}
@@ -808,11 +773,6 @@ func dirPages(t *testing.T, c *cluster.Cluster) int64 {
 // failed — once if it succeeded.
 func TestDirRelayoutCutAtEveryExchange(t *testing.T) {
 	const us = 2
-	type exchange struct {
-		from, to fs.SiteID
-		method   string
-		nth      int
-	}
 	create := func(k *fs.Kernel, path string) error {
 		f, err := k.Create(cred(), path, storage.TypeRegular, 0644)
 		if err != nil {
@@ -829,24 +789,24 @@ func TestDirRelayoutCutAtEveryExchange(t *testing.T) {
 		if got := dirPages(t, c); got != int64(pagesBefore) {
 			t.Fatalf("%s: /d is %d pages before the update, want %d", kind, got, pagesBefore)
 		}
-		var exchanges []exchange
-		seen := map[exchange]int{}
-		c.Net.SetTrace(func(from, to fs.SiteID, method string) {
-			key := exchange{from: from, to: to, method: method}
-			seen[key]++
-			key.nth = seen[key]
-			exchanges = append(exchanges, key)
+		script := fs.Record(c.Net, func() {
+			if err := create(c.K(us), path); err != nil {
+				t.Fatal(err)
+			}
 		})
-		if err := create(c.K(us), path); err != nil {
-			t.Fatal(err)
-		}
-		c.Net.SetTrace(nil)
 		settle(t, c)
 		if got := dirPages(t, c); got != int64(pagesAfter) {
 			t.Fatalf("%s: /d is %d pages after the update, want %d", kind, got, pagesAfter)
 		}
-		if got := seen[exchange{from: 1, to: 3, method: "fs.write"}]; got != writes {
-			t.Fatalf("%s: the CSS sent %d fs.write, want %d", kind, got, writes)
+		exchanges := script.Exchanges()
+		sent := 0
+		for _, ex := range exchanges {
+			if ex.From == 1 && ex.To == 3 && ex.Method == "fs.write" {
+				sent++
+			}
+		}
+		if sent != writes {
+			t.Fatalf("%s: the CSS sent %d fs.write, want %d", kind, sent, writes)
 		}
 
 		// The update's exchanges: the fs.create, which makes the file and
@@ -855,53 +815,38 @@ func TestDirRelayoutCutAtEveryExchange(t *testing.T) {
 		// TestDirOpCutAtEveryExchange's.) A case is named as there
 		// (firstPlaces): the exchanges the update made when it was an
 		// fs.dirop of its own, sent after the birth, keep their places.
-		firstPlaces := map[exchange]int{
-			{from: 1, to: 3, method: "fs.ssopen", nth: 1}:     5,
-			{from: 1, to: 3, method: "fs.write", nth: 1}:      6,
-			{from: 1, to: 3, method: "fs.write", nth: 2}:      7,
-			{from: 1, to: 3, method: "fs.write", nth: 3}:      8,
-			{from: 1, to: 3, method: "fs.commit", nth: 1}:     9,
-			{from: 3, to: 2, method: "fs.propnotify", nth: 1}: 10,
-			{from: 3, to: 1, method: "fs.propnotify", nth: 1}: 11,
-			{from: 1, to: 3, method: "fs.close", nth: 1}:      12,
-			{from: 3, to: 1, method: "fs.ssclose", nth: 1}:    13,
-			{from: us, to: 1, method: "fs.ssclose", nth: 1}:   14, // the new file's close
+		firstPlaces := map[string]int{
+			"1->3/fs.ssopen#1":     5,
+			"1->3/fs.write#1":      6,
+			"1->3/fs.write#2":      7,
+			"1->3/fs.write#3":      8,
+			"1->3/fs.commit#1":     9,
+			"3->2/fs.propnotify#1": 10,
+			"3->1/fs.propnotify#1": 11,
+			"1->3/fs.close#1":      12,
+			"3->1/fs.ssclose#1":    13,
+			"2->1/fs.ssclose#1":    14, // the new file's close
 		}
-		first := slices.IndexFunc(exchanges, func(ex exchange) bool { return ex.method == "fs.create" })
+		first := slices.IndexFunc(exchanges, func(ex fs.Exchange) bool { return ex.Method == "fs.create" })
 		for i, ex := range exchanges {
-			if i < first || ex.method == "fs.sscreate" || ex.from == us && ex.method == "fs.propnotify" {
+			if i < first || ex.Method == "fs.sscreate" || ex.From == us && ex.Method == "fs.propnotify" {
 				continue
 			}
-			place, ok := firstPlaces[ex]
+			place, ok := firstPlaces[ex.String()]
 			if !ok {
 				place = i
 			}
 			for _, crash := range []bool{false, true} {
-				how := "drop"
+				how, cut := "drop", fs.Cut{At: ex, Drop: 8}
 				if crash {
-					how = "crash"
+					how, cut = "crash", fs.Cut{At: ex, Crash: us}
 				}
-				t.Run(fmt.Sprintf("%s/%02d:%d->%d/%s#%d/%s", kind, place, ex.from, ex.to, ex.method, ex.nth, how), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%02d:%v/%s", kind, place, ex, how), func(t *testing.T) {
 					c, path, _, _ := pagedDirOp(t, kind)
 					settle(t, c)
 					before := c.Net.Stats()
-					if crash {
-						sent := 0
-						c.Net.SetTrace(func(fs.SiteID, fs.SiteID, string) {
-							if sent++; sent == i+1 {
-								c.Net.Crash(us)
-							}
-						})
-					} else {
-						var pts []netsim.FaultPoint
-						for j := 0; j < 8; j++ {
-							pts = append(pts, netsim.FaultPoint{From: ex.from, To: ex.to, Method: ex.method, Nth: ex.nth, Action: netsim.FaultDropRequest})
-						}
-						c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-					}
-					err := create(c.K(us), path)
-					c.Net.SetTrace(nil)
-					c.Net.DisableFaults()
+					var err error
+					cut.Run(c.Net, func() { err = create(c.K(us), path) })
 					if crash == c.Net.Up(us) {
 						t.Fatalf("using site up = %v after the cut, want %v: the cut missed the exchange", c.Net.Up(us), !crash)
 					}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/lint/invariant"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -68,9 +69,9 @@ func TestDirOpAssertsItsInodeChange(t *testing.T) {
 				t.Fatal("set-up: site 3 holds no delegation on /d")
 			}
 			forged := false
-			ks[0].node.Network().SetTrace(func(_, _ SiteID, method string) {
-				if method != mLeaseRevoke.Name || forged {
-					return
+			ks[0].node.Network().SetObserver(func(p netsim.Point) netsim.FaultAction {
+				if p.Kind != netsim.PointRequest || p.Method != mLeaseRevoke.Name || forged {
+					return netsim.FaultNone
 				}
 				ks[0].mu.Lock()
 				for h := range ks[0].openFiles {
@@ -81,6 +82,7 @@ func TestDirOpAssertsItsInodeChange(t *testing.T) {
 					}
 				}
 				ks[0].mu.Unlock()
+				return netsim.FaultNone
 			})
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.panic) {

@@ -207,8 +207,8 @@ func TestStaleReReadReadsOnlyChangedPages(t *testing.T) {
 // search retries on a fresh look, caches no snapshot that mixes
 // versions, and fsck stays clean.
 func TestPartialReReadCut(t *testing.T) {
-	relayout := func(t *testing.T) (*cluster.Cluster, storage.FileID) {
-		c, d := rereadCluster(t, fs.Features{})
+	relayout := func(t *testing.T, features fs.Features) (*cluster.Cluster, storage.FileID) {
+		c, d := rereadCluster(t, features)
 		writeFile(t, c.K(1), "/d/"+long("b1y"), nil)
 		return c, d
 	}
@@ -220,15 +220,9 @@ func TestPartialReReadCut(t *testing.T) {
 		// CSS.
 		for _, rg := range regimes {
 			t.Run(fmt.Sprintf("%sdrop read %d", rg.prefix, n), func(t *testing.T) {
-				c, d := rereadCluster(t, rg.features)
-				writeFile(t, c.K(1), "/d/"+long("b1y"), nil)
-				var pts []netsim.FaultPoint
-				for i := 0; i < 8; i++ {
-					pts = append(pts, netsim.FaultPoint{From: 3, To: 1, Method: "fs.read", Nth: n, Action: netsim.FaultDropRequest})
-				}
-				c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-				got := search(t, c, 3, long("a0"))
-				c.Net.DisableFaults()
+				c, d := relayout(t, rg.features)
+				var got netsim.Snapshot
+				fs.Cut{At: fs.NthRequest(3, 1, "fs.read", n), Drop: 8}.Run(c.Net, func() { got = search(t, c, 3, long("a0")) })
 				if got.MsgsDropped != 8 {
 					t.Fatalf("read %d: %d requests dropped, want 8", n, got.MsgsDropped)
 				}
@@ -247,11 +241,10 @@ func TestPartialReReadCut(t *testing.T) {
 			})
 		}
 		t.Run(fmt.Sprintf("crash at read %d", n), func(t *testing.T) {
-			c, d := relayout(t)
+			c, d := relayout(t, fs.Features{})
 			_, heldVV := c.K(3).CachedDir(d)
-			c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: []netsim.FaultPoint{{From: 3, To: 1, Method: "fs.read", Nth: n, Action: netsim.FaultCrashBeforeReply}}})
-			_, err := c.K(3).Stat(cred(), "/d/"+long("a0"))
-			c.Net.DisableFaults()
+			var err error
+			fs.Cut{At: fs.NthRequest(3, 1, "fs.read", n), Reply: true, Crash: 1}.Run(c.Net, func() { _, err = c.K(3).Stat(cred(), "/d/"+long("a0")) })
 			if c.Net.Up(1) {
 				t.Fatalf("read %d: the storage site did not crash", n)
 			}
@@ -276,7 +269,7 @@ func TestPartialReReadCut(t *testing.T) {
 		})
 	}
 	t.Run("commit between look and read", func(t *testing.T) {
-		c, d := relayout(t)
+		c, d := relayout(t, fs.Features{})
 		look, ss, err := c.K(3).LookInternal(d)
 		if err != nil {
 			t.Fatal(err)

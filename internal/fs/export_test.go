@@ -1,6 +1,8 @@
 package fs
 
 import (
+	"fmt"
+
 	"repro/internal/format"
 	"repro/internal/netsim"
 	"repro/internal/storage"
@@ -148,4 +150,114 @@ var Parked = parked
 func (k *Kernel) OpenForUpdate(id storage.FileID) (*File, error) {
 	f, _, _, err := k.openID(id, ModeModify, false, vclock.NoSite)
 	return f, err
+}
+
+// A Script is the points one run of a test's script made, in order: the
+// places where the cut tables interrupt it.
+type Script []netsim.Point
+
+// Record runs run under an observer of nw and returns its points.
+func Record(nw *netsim.Network, run func()) Script {
+	var s Script
+	nw.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		s = append(s, p)
+		return netsim.FaultNone
+	})
+	defer nw.SetObserver(nil)
+	run()
+	return s
+}
+
+// Exchange is a request point of a script and its number among the
+// script's requests on its link and method, from 1.
+type Exchange struct {
+	netsim.Point
+	Nth int
+}
+
+// String names the exchange as the cut tables name their rows.
+func (e Exchange) String() string {
+	return fmt.Sprintf("%d->%d/%s#%d", e.From, e.To, e.Method, e.Nth)
+}
+
+// Exchanges returns the script's request points in order.
+func (s Script) Exchanges() []Exchange {
+	type link struct {
+		from, to SiteID
+		method   string
+	}
+	seen := map[link]int{}
+	var exs []Exchange
+	for _, p := range s {
+		if p.Kind == netsim.PointRequest {
+			k := link{p.From, p.To, p.Method}
+			seen[k]++
+			exs = append(exs, Exchange{p, seen[k]})
+		}
+	}
+	return exs
+}
+
+// NthRequest names the nth request from `from` to to carrying method,
+// for a cut of a run that was not recorded.
+func NthRequest(from, to SiteID, method string, nth int) Exchange {
+	return Exchange{netsim.Point{Kind: netsim.PointRequest, From: from, To: to, Method: method}, nth}
+}
+
+// A Cut interrupts a run of a script at one of its exchanges. It drops
+// the request, or with Reply its reply, and the same message of each of
+// the next Drop-1 retransmissions; it crashes a site at the first
+// message it cuts; or both. A recorded exchange is found by its Seq,
+// one named by NthRequest by its Nth. The observer touches the cut's
+// state only at the exchange's own messages, so other goroutines may
+// send while it runs.
+type Cut struct {
+	At    Exchange
+	Reply bool   // cut at the reply to At's request
+	Drop  int    // messages to drop: 8 is every transmission of a typed Call or Cast
+	Crash SiteID // the site to crash at the first message cut, if any
+}
+
+// Run runs run with the cut installed on nw. A run that has gone
+// another way by a recorded At's point is not cut, so the table's check
+// that its cut hit says so.
+func (c Cut) Run(nw *netsim.Network, run func()) {
+	at := c.At
+	seen, requests, replies := 0, max(c.Drop, 1), 0
+	crash := c.Crash
+	nw.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		switch {
+		case p.Seq < at.Seq:
+			return netsim.FaultNone
+		case p.Seq == at.Seq && p != at.Point:
+			requests = 0
+			return netsim.FaultNone
+		case p.Kind == netsim.PointRequest && p.From == at.From && p.To == at.To && p.Method == at.Method:
+			if seen++; at.Seq == 0 && seen < at.Nth || requests == 0 {
+				return netsim.FaultNone
+			}
+			requests--
+			if c.Reply {
+				replies++
+				return netsim.FaultNone
+			}
+		case p.Kind == netsim.PointReply && p.From == at.To && p.To == at.From && p.Method == at.Method && replies > 0:
+			replies--
+		default:
+			return netsim.FaultNone
+		}
+		if crash != 0 {
+			nw.Crash(crash)
+			crash = 0
+		}
+		switch {
+		case c.Drop == 0:
+			return netsim.FaultNone
+		case p.Kind == netsim.PointReply:
+			return netsim.FaultDropResponse
+		}
+		return netsim.FaultDropRequest
+	})
+	defer nw.SetObserver(nil)
+	run()
 }

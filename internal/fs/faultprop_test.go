@@ -1,6 +1,6 @@
 package fs_test
 
-// Commits under the fault plane. A lost bulk-pull window must leave the
+// Commits under lost messages. A lost bulk-pull window must leave the
 // old coherent committed copy at the puller and nothing else (§2.3.6 —
 // the pull commits via the standard shadow-page mechanism, so a failure
 // mid-transfer changes nothing, and the pages it had adopted are freed),
@@ -56,18 +56,12 @@ func TestPullWindowLossLeavesOldCopyAndNoPages(t *testing.T) {
 	// Drop the second fs.pullpages window and every at-most-once retry
 	// of it (sends 2..9 of the method on the 2→1 link: the retry budget
 	// is 8 transmissions), so the pull genuinely fails after the first
-	// window landed. Each point keeps its own match counter and a
-	// firing point ends that send's scan, so eight Nth=2 points fire on
-	// eight consecutive matching sends starting at the second.
-	var pts []netsim.FaultPoint
-	for i := 0; i < 8; i++ {
-		pts = append(pts, netsim.FaultPoint{From: 2, To: 1, Method: "fs.pullpages", Nth: 2, Action: netsim.FaultDropRequest})
-	}
-	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-	if n := c.K(2).DrainPropagation(); n != 0 {
+	// window landed.
+	n := 0
+	fs.Cut{At: fs.NthRequest(2, 1, "fs.pullpages", 2), Drop: 8}.Run(c.Net, func() { n = c.K(2).DrainPropagation() })
+	if n != 0 {
 		t.Fatalf("pull succeeded through a dead window: %d", n)
 	}
-	c.Net.DisableFaults()
 
 	// The interrupted pull must not have touched the committed copy:
 	// same version vector, same readable bytes, no conflict. Nor may it
@@ -176,19 +170,13 @@ func TestPullInterruptedAtEveryExchange(t *testing.T) {
 					}
 					rewriteFile(t, c.K(1), "/f", newData)
 
-					pts := []netsim.FaultPoint{{From: 2, To: 1, Method: ex.method, Nth: ex.nth, Action: netsim.FaultCrashBeforeReply}}
-					if !crash {
-						// Eight points of one Nth fire on eight consecutive
-						// sends: the request and its every retransmission.
-						pts = nil
-						for i := 0; i < 8; i++ {
-							pts = append(pts, netsim.FaultPoint{From: 2, To: 1, Method: ex.method, Nth: ex.nth, Action: netsim.FaultDropRequest})
-						}
+					cut := fs.Cut{At: fs.NthRequest(2, 1, ex.method, ex.nth), Drop: 8}
+					if crash {
+						cut = fs.Cut{At: cut.At, Reply: true, Crash: 1}
 					}
 					before := c.Net.Stats()
-					c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-					done := c.K(2).DrainPropagation()
-					c.Net.DisableFaults()
+					done := 0
+					cut.Run(c.Net, func() { done = c.K(2).DrainPropagation() })
 					if done != 0 {
 						t.Fatalf("the pull completed through the interruption")
 					}
@@ -287,15 +275,12 @@ func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
 	}
 
 	long := "/d/c" + strings.Repeat("x", storage.PageSize)
-	var pts []netsim.FaultPoint
-	for i := 0; i < 8; i++ { // the retry budget of one exchange
-		pts = append(pts, netsim.FaultPoint{From: 1, To: 3, Method: "fs.write", Nth: 2, Action: netsim.FaultDropRequest})
-	}
-	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
 	before := c.Net.Stats()
-	f, err := k2.Create(cred(), long, storage.TypeRegular, 0644)
+	var f *fs.File
+	fs.Cut{At: fs.NthRequest(1, 3, "fs.write", 2), Drop: 8}.Run(c.Net, func() { // the retry budget of one exchange
+		f, err = k2.Create(cred(), long, storage.TypeRegular, 0644)
+	})
 	d := c.Net.Stats().Sub(before)
-	c.Net.DisableFaults()
 	if err == nil {
 		f.Close() //nolint:errcheck
 		t.Fatal("create succeeded although the directory's second page could not be written")
@@ -341,16 +326,14 @@ func TestFailedDirectoryWriteCommitsNothing(t *testing.T) {
 func TestPagePullNeedsItsBase(t *testing.T) {
 	c, _ := renameDir(t, 1024, 1, false)
 	settle(t, c)
-	var pts []netsim.FaultPoint
-	for j := 0; j < 8; j++ { // the retry budget of one send
-		pts = append(pts, netsim.FaultPoint{From: 1, To: 3, Method: "fs.propnotify", Nth: 1, Action: netsim.FaultDropRequest})
-	}
-	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-	if err := c.K(1).Rename(cred(), "/d/tmp", "/d/f0001"); err != nil {
+	var err error
+	fs.Cut{At: fs.NthRequest(1, 3, "fs.propnotify", 1), Drop: 8}.Run(c.Net, func() { // the retry budget of one send
+		err = c.K(1).Rename(cred(), "/d/tmp", "/d/f0001")
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	dropped := c.Net.Stats().MsgsDropped
-	c.Net.DisableFaults()
 	if dropped != 8 {
 		t.Fatalf("%d notifications dropped, want 8", dropped)
 	}

@@ -3,6 +3,7 @@ package fs
 import (
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -177,22 +178,26 @@ func TestOwnOpInFlightHoldsNoDelegation(t *testing.T) {
 	var epoch uint64
 	sends, fromCSS := 0, 0
 	nw := k.node.Network()
-	nw.SetTrace(func(from, _ SiteID, method string) {
+	nw.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		if p.Kind != netsim.PointRequest {
+			return netsim.FaultNone
+		}
 		sends++
 		if sends == 1 {
 			epoch = k.grantEpoch() // a read open sent now
 		}
-		if from == 1 {
+		if p.From == 1 {
 			if fromCSS++; fromCSS == 1 {
 				k.recordLease(id, ss, 1, ino, epoch)
 			}
 		}
 		if _, held := k.Delegations()[id]; held {
-			t.Errorf("site 3 holds a delegation on the file at send %d (%s) of its link", sends, method)
+			t.Errorf("site 3 holds a delegation on the file at send %d (%s) of its link", sends, p.Method)
 		}
+		return netsim.FaultNone
 	})
 	err = k.Link(cred, "/d/f", "/d/g")
-	nw.SetTrace(nil)
+	nw.SetObserver(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

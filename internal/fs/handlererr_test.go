@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fs"
 	"repro/internal/netsim"
 	"repro/internal/storage"
 )
@@ -17,13 +18,10 @@ import (
 func TestCreateRefusedByLostBirthIsOneExchange(t *testing.T) {
 	c := newCluster(t, 3) // CSS = site 1
 	settle(t, c)
-	lost := make([]netsim.FaultPoint, 8) // every transmission of one Call
-	for i := range lost {
-		lost[i] = netsim.FaultPoint{From: 1, To: 2, Method: "fs.sscreate", Action: netsim.FaultDropRequest}
-	}
-	c.Net.EnableFaults(netsim.FaultConfig{Points: lost})
+	lost := fs.Cut{At: fs.NthRequest(1, 2, "fs.sscreate", 1), Drop: 8} // every transmission of one Call
 	before := c.Net.Stats()
-	_, err := c.K(2).Create(cred(), "/b", storage.TypeRegular, 0644)
+	var err error
+	lost.Run(c.Net, func() { _, err = c.K(2).Create(cred(), "/b", storage.TypeRegular, 0644) })
 	d := c.Net.Stats().Sub(before)
 	if !errors.Is(err, netsim.ErrTimeout) || !strings.Contains(err.Error(), "fs.sscreate 1 -> 2") {
 		t.Fatalf("create whose birth pack is cut off: %v, want the CSS's fs.sscreate timeout", err)
@@ -31,7 +29,7 @@ func TestCreateRefusedByLostBirthIsOneExchange(t *testing.T) {
 	if d.ByMethod["fs.create"] != 2 {
 		t.Errorf("%d fs.create messages, want one exchange (2): the CSS's answer was retried (%v)", d.ByMethod["fs.create"], d.ByMethod)
 	}
-	if d.MsgsDropped != int64(len(lost)) {
-		t.Errorf("%d messages dropped, want the %d fs.sscreate transmissions", d.MsgsDropped, len(lost))
+	if d.MsgsDropped != int64(lost.Drop) {
+		t.Errorf("%d messages dropped, want the %d fs.sscreate transmissions", d.MsgsDropped, lost.Drop)
 	}
 }

@@ -24,6 +24,19 @@ func forWriterRegimes(t *testing.T, body func(t *testing.T, ft fs.Features)) {
 	}
 }
 
+// loseLink runs run while the network loses every message sent from
+// site from to site to.
+func loseLink(c *cluster.Cluster, from, to fs.SiteID, run func()) {
+	c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		if p.Kind == netsim.PointRequest && p.From == from && p.To == to {
+			return netsim.FaultDropRequest
+		}
+		return netsim.FaultNone
+	})
+	defer c.Net.SetObserver(nil)
+	run()
+}
+
 // TestStrandedWriterLockReclaimedOnOpen is the regression test for the
 // lock leak the chaos harness found: a close whose mSSClose message is
 // lost to the network (with no partition change, so §5.6 cleanup never
@@ -49,14 +62,10 @@ func TestStrandedWriterLockReclaimedOnOpen(t *testing.T) {
 		// Every message from 3 to the CSS is lost: handleClose's mSSClose
 		// exhausts its retries, the error is swallowed (the US cannot act
 		// on it), and the CSS writer record is stranded.
-		c.Net.EnableFaults(netsim.FaultConfig{
-			Seed:  1,
-			Links: map[[2]fs.SiteID]netsim.FaultRates{{3, 1}: {Drop: 1}},
-		})
-		if err := w.Close(); err != nil {
+		loseLink(c, 3, 1, func() { err = w.Close() })
+		if err != nil {
 			t.Fatalf("close with lost mSSClose: %v", err)
 		}
-		c.Net.DisableFaults()
 		if got := c.K(1).CSSWriter(w.ID()); got != 3 {
 			t.Fatalf("CSS writer record = site %d after the lost close, want 3 (stranded)", got)
 		}
@@ -122,12 +131,7 @@ func TestStrandedWriterLockReclaimedBySameSite(t *testing.T) {
 		// The close itself is lost on the wire: both the SS serving state
 		// and the CSS writer record are stranded, and the US sees a
 		// timeout.
-		c.Net.EnableFaults(netsim.FaultConfig{
-			Seed:  1,
-			Links: map[[2]fs.SiteID]netsim.FaultRates{{2, 3}: {Drop: 1}},
-		})
-		err = w.Close()
-		c.Net.DisableFaults()
+		loseLink(c, 2, 3, func() { err = w.Close() })
 		if !errors.Is(err, netsim.ErrTimeout) {
 			t.Fatalf("close over dead link: %v, want ErrTimeout", err)
 		}
@@ -223,30 +227,20 @@ func TestStorageSiteReclaimsAfterLostRevoke(t *testing.T) {
 		if _, err := w.WriteAt(bytes.Repeat([]byte{'x'}, storage.PageSize), 0); err != nil {
 			t.Fatal(err)
 		}
-		c.Net.EnableFaults(netsim.FaultConfig{
-			Seed:  1,
-			Links: map[[2]fs.SiteID]netsim.FaultRates{{2, 3}: {Drop: 1}},
-		})
-		if err := w.Close(); err == nil {
+		loseLink(c, 2, 3, func() { err = w.Close() })
+		if err == nil {
 			t.Fatal("close over a dead link to the SS succeeded")
 		}
-		c.Net.DisableFaults()
 		if got := c.K(3).ServingWriter(id); got != 2 {
 			t.Fatalf("SS writer site %d after the lost close, want 2 (stranded)", got)
 		}
 
-		// Every transmission of the CSS's fs.revokeserve to SS 3 is lost:
-		// a point fires once, at its first match, so one per transmission.
+		// Every transmission of the CSS's fs.revokeserve to SS 3 is lost.
 		const transmissions = 8
-		lose := make([]netsim.FaultPoint, transmissions)
-		for i := range lose {
-			lose[i] = netsim.FaultPoint{From: 1, To: 3, Method: "fs.revokeserve", Action: netsim.FaultDropRequest}
-		}
-		c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: lose})
 		before := c.Net.Stats()
-		g, err := c.K(1).OpenID(id, fs.ModeModify)
+		var g *fs.File
+		fs.Cut{At: fs.NthRequest(1, 3, "fs.revokeserve", 1), Drop: transmissions}.Run(c.Net, func() { g, err = c.K(1).OpenID(id, fs.ModeModify) })
 		d := c.Net.Stats().Sub(before)
-		c.Net.DisableFaults()
 		if err != nil {
 			t.Fatalf("modify open after the lost revoke: %v", err)
 		}

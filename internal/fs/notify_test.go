@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fs"
-	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -23,16 +22,15 @@ import (
 func propNotifiesTo(t *testing.T, c *cluster.Cluster, op func() error) (to, from map[fs.SiteID]int) {
 	t.Helper()
 	to, from = map[fs.SiteID]int{}, map[fs.SiteID]int{}
-	c.Net.SetTrace(func(src, dst fs.SiteID, method string) {
-		if method == "fs.propnotify" {
-			to[dst]++
-			from[src]++
+	for _, ex := range fs.Record(c.Net, func() {
+		if err := op(); err != nil {
+			t.Fatal(err)
 		}
-	})
-	err := op()
-	c.Net.SetTrace(nil)
-	if err != nil {
-		t.Fatal(err)
+	}).Exchanges() {
+		if ex.Method == "fs.propnotify" {
+			to[ex.To]++
+			from[ex.From]++
+		}
 	}
 	return to, from
 }
@@ -133,19 +131,20 @@ func TestMkdirBirthNoteReachesEveryPack(t *testing.T) {
 // ways, as TestDeleteNotificationCut cuts a note sent alone: all 8
 // transmissions of it are dropped, or site 3 crashes as it reaches it,
 // the message dropped too or not (crash/nodrop: netsim loses a message to
-// a site the trace hook crashed, as a dropped one). Site 3's copies must
+// a site the observer crashed, as a dropped one). Site 3's copies must
 // be as they were right after the cut. After the site restarts, the
 // network heals, the merge runs and the controlling pack's garbage
 // collection nudges any pack that missed the delete, site 3 must hold the
 // file's tombstone (or no copy) and /d's version at the CSS, fsck must be
 // clean and no pull may be left.
 func TestBundledNoteCut(t *testing.T) {
+	note := fs.NthRequest(1, 3, "fs.propnotify", 1)
 	for _, rg := range regimes {
 		for _, cut := range []struct {
-			how         string
-			crash, drop bool
-		}{{"drop", false, true}, {"crash", true, true}, {"crash/nodrop", true, false}} {
-			crash := cut.crash
+			how string
+			cut fs.Cut
+		}{{"drop", fs.Cut{At: note, Drop: 8}}, {"crash", fs.Cut{At: note, Drop: 8, Crash: 3}}, {"crash/nodrop", fs.Cut{At: note, Crash: 3}}} {
+			crash := cut.cut.Crash != 0
 			t.Run(rg.prefix+cut.how, func(t *testing.T) {
 				c, _ := featureRenameDir(t, rg.features, 8, 2, false)
 				settle(t, c)
@@ -158,23 +157,9 @@ func TestBundledNoteCut(t *testing.T) {
 					t.Fatal(err)
 				}
 				oldFile, oldDir := inodeAt(c, 3, file.ID), inodeAt(c, 3, dir.ID)
-				var pts []netsim.FaultPoint
-				for j := 0; cut.drop && j < 8; j++ {
-					pts = append(pts, netsim.FaultPoint{From: 1, To: 3, Method: "fs.propnotify", Nth: 1, Action: netsim.FaultDropRequest})
-				}
-				c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-				if crash {
-					c.Net.SetTrace(func(from, to fs.SiteID, method string) {
-						if from == 1 && to == 3 && method == "fs.propnotify" {
-							c.Net.Crash(3)
-						}
-					})
-				}
 				before := c.Net.Stats()
-				err = c.K(2).Unlink(cred(), "/d/f0002")
+				cut.cut.Run(c.Net, func() { err = c.K(2).Unlink(cred(), "/d/f0002") })
 				d := c.Net.Stats().Sub(before)
-				c.Net.SetTrace(nil)
-				c.Net.DisableFaults()
 				if err != nil {
 					t.Fatalf("unlink: %v", err)
 				}

@@ -23,8 +23,8 @@ func TestProtocolMessageCostsPinned(t *testing.T) {
 }
 
 // TestProtocolCostsUnchangedWithFaultPlaneArmed re-pins the same exact
-// counts with the fault plane constructed but disabled (zero rates, no
-// scripted points): arming the adversary, the at-most-once sequence
+// counts with the fault plane constructed but disabled (zero rates):
+// arming the adversary, the at-most-once sequence
 // numbers on every mutating call, and the callee-side dedup tables must
 // add zero wire messages and zero fault events.
 func TestProtocolCostsUnchangedWithFaultPlaneArmed(t *testing.T) {

@@ -6,8 +6,8 @@ package fs_test
 // container adopts that buffer, and the origin's committed page is
 // never marked shared — so the commit that supersedes it gives its
 // buffer back to the pool. The tests here pin the three things that
-// rests on: one owner per buffer even when the fault plane duplicates
-// a request or loses a response, a pool that stops growing, and what
+// rests on: one owner per buffer even when a request is duplicated or
+// a response lost, a pool that stops growing, and what
 // one pull allocates.
 
 import (
@@ -89,7 +89,7 @@ func committedBufs(t *testing.T, c *cluster.Cluster, site fs.SiteID, id storage.
 	return bufs
 }
 
-// TestPulledPagesHaveOneOwner arms the fault plane on the two pull
+// TestPulledPagesHaveOneOwner has the observer cut the two pull
 // exchanges and pulls a 4-page file (all of it rides the open) and a
 // 12-page one (a window on the open, then fs.pullpages). A duplicated
 // request runs the origin's handler twice and a lost response makes the
@@ -112,28 +112,43 @@ func TestPulledPagesHaveOneOwner(t *testing.T) {
 	}
 	settle(t, c)
 
-	var pts []netsim.FaultPoint
-	for _, puller := range []netsim.SiteID{2, 3} {
-		// /four's open is duplicated; /twelve's loses its response and is
-		// sent again; so is its window, and the resend is duplicated. (A
-		// point that fires ends the scan of its send, so the second point
-		// of a method first sees that method's second send.)
-		pts = append(pts,
-			netsim.FaultPoint{From: puller, To: 1, Method: "fs.pullopen", Action: netsim.FaultDupRequest},
-			netsim.FaultPoint{From: puller, To: 1, Method: "fs.pullopen", Action: netsim.FaultDropResponse},
-			netsim.FaultPoint{From: puller, To: 1, Method: "fs.pullpages", Action: netsim.FaultDropResponse},
-			netsim.FaultPoint{From: puller, To: 1, Method: "fs.pullpages", Action: netsim.FaultDupRequest},
-		)
+	// What each puller's first and second request of a method to site 1
+	// suffers: /four's open is duplicated; /twelve's loses its reply and
+	// is sent again; so is its window, and the resend is duplicated.
+	plan := map[string][2]netsim.FaultAction{
+		"fs.pullopen":  {netsim.FaultDupRequest, netsim.FaultDropResponse},
+		"fs.pullpages": {netsim.FaultDropResponse, netsim.FaultDupRequest},
 	}
+	type pull struct {
+		puller fs.SiteID
+		method string
+	}
+	sent := map[pull]int{}
+	c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		k, reply := pull{p.From, p.Method}, p.Kind == netsim.PointReply
+		if reply {
+			k.puller = p.To
+		}
+		acts, ok := plan[p.Method]
+		if !ok || k.puller == 1 {
+			return netsim.FaultNone
+		}
+		if !reply {
+			sent[k]++
+		}
+		if n := sent[k]; n <= len(acts) && (acts[n-1] == netsim.FaultDropResponse) == reply {
+			return acts[n-1]
+		}
+		return netsim.FaultNone
+	})
 	before := c.Net.Stats()
-	c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
 	for _, f := range files {
 		rewriteFile(t, c.K(1), f.path, f.want)
 	}
 	settle(t, c)
-	c.Net.DisableFaults()
+	c.Net.SetObserver(nil)
 	if d := c.Net.Stats().Sub(before); d.MsgsDuped != 4 || d.MsgsDropped != 4 {
-		t.Fatalf("the fault plane duplicated %d and dropped %d messages, want 4 and 4: the points missed the pulls", d.MsgsDuped, d.MsgsDropped)
+		t.Fatalf("the observer duplicated %d and dropped %d messages, want 4 and 4: it missed the pulls", d.MsgsDuped, d.MsgsDropped)
 	}
 
 	for _, f := range files {

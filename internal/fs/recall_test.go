@@ -7,6 +7,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -50,9 +51,9 @@ func TestRecallWriterAnswers(t *testing.T) {
 		var inflight *recallWriterResp
 		var competing error
 		nw := k1.node.Network()
-		nw.SetTrace(func(_, _ SiteID, method string) {
-			if fired || method != mLeaseRevoke.Name {
-				return
+		nw.SetObserver(func(p netsim.Point) netsim.FaultAction {
+			if fired || p.Kind != netsim.PointRequest || p.Method != mLeaseRevoke.Name {
+				return netsim.FaultNone
 			}
 			fired = true
 			k1.mu.Lock()
@@ -60,9 +61,10 @@ func TestRecallWriterAnswers(t *testing.T) {
 			k1.mu.Unlock()
 			inflight = recallAt(t, k2, id, serial)
 			_, competing = k3.OpenID(id, ModeModify)
+			return netsim.FaultNone
 		})
 		w, err := k2.OpenID(id, ModeModify)
-		nw.SetTrace(nil)
+		nw.SetObserver(nil)
 		if err != nil {
 			t.Fatalf("modify open at site 2: %v", err)
 		}
@@ -158,23 +160,24 @@ func TestCreateRegistrationLiveWhileReplyInFlight(t *testing.T) {
 	var fired bool
 	var foreign error
 	nw := k1.node.Network()
-	nw.SetTrace(func(from, _ SiteID, method string) {
-		if fired || from != 1 || method != mPropNotify.Name {
-			return
+	nw.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		if fired || p.Kind != netsim.PointRequest || p.From != 1 || p.Method != mPropNotify.Name {
+			return netsim.FaultNone
 		}
 		fired = true
 		r, err := k1.Resolve(cred, "/d/x")
 		if err != nil {
 			t.Errorf("resolve /d/x at the CSS during the create: %v", err)
-			return
+			return netsim.FaultNone
 		}
 		var f *File
 		if f, foreign = k3.OpenID(r.ID, ModeModify); foreign == nil {
 			f.Close() //nolint:errcheck
 		}
+		return netsim.FaultNone
 	})
 	w, err := k2.Create(cred, "/d/x", storage.TypeRegular, 0644)
-	nw.SetTrace(nil)
+	nw.SetObserver(nil)
 	if err != nil {
 		t.Fatalf("create at site 2: %v", err)
 	}

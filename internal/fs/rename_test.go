@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fs"
-	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -202,55 +201,26 @@ func namesOf(t *testing.T, k *fs.Kernel, dir string, ino storage.InodeNum) []str
 func TestRenameCutAtEveryExchange(t *testing.T) {
 	const us = 2
 	offCSS := []fs.SiteID{3, 2}
-	type exchange struct {
-		from, to fs.SiteID
-		method   string
-		nth      int
-	}
 	c, _ := renameDir(t, 8, us, true, offCSS...)
 	lagCache(t, c)
-	var exchanges []exchange
-	seen := map[exchange]int{}
-	c.Net.SetTrace(func(from, to fs.SiteID, method string) {
-		key := exchange{from: from, to: to, method: method}
-		seen[key]++
-		key.nth = seen[key]
-		exchanges = append(exchanges, key)
+	script := fs.Record(c.Net, func() {
+		if err := c.K(us).Rename(cred(), "/d/tmp", "/d/f0001"); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if err := c.K(us).Rename(cred(), "/d/tmp", "/d/f0001"); err != nil {
-		t.Fatal(err)
-	}
-	c.Net.SetTrace(nil)
 
-	for i, ex := range exchanges {
+	for i, ex := range script.Exchanges() {
 		for _, crash := range []bool{false, true} {
-			how := "drop"
+			how, cut := "drop", fs.Cut{At: ex, Drop: 8}
 			if crash {
-				how = "crash"
+				how, cut = "crash", fs.Cut{At: ex, Crash: us}
 			}
-			t.Run(fmt.Sprintf("%02d:%d->%d/%s#%d/%s", i, ex.from, ex.to, ex.method, ex.nth, how), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%02d:%v/%s", i, ex, how), func(t *testing.T) {
 				c, ino := renameDir(t, 8, us, true, offCSS...)
 				lagCache(t, c)
 				before := c.Net.Stats()
-				if crash {
-					sent := 0
-					c.Net.SetTrace(func(fs.SiteID, fs.SiteID, string) {
-						if sent++; sent == i+1 {
-							c.Net.Crash(us)
-						}
-					})
-				} else {
-					// Eight points of one Nth fire on eight consecutive sends:
-					// the request and its every retransmission.
-					var pts []netsim.FaultPoint
-					for j := 0; j < 8; j++ {
-						pts = append(pts, netsim.FaultPoint{From: ex.from, To: ex.to, Method: ex.method, Nth: ex.nth, Action: netsim.FaultDropRequest})
-					}
-					c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-				}
-				err := c.K(us).Rename(cred(), "/d/tmp", "/d/f0001")
-				c.Net.SetTrace(nil)
-				c.Net.DisableFaults()
+				var err error
+				cut.Run(c.Net, func() { err = c.K(us).Rename(cred(), "/d/tmp", "/d/f0001") })
 				if crash == c.Net.Up(us) {
 					t.Fatalf("using site up = %v after the cut, want %v: the cut missed the exchange", c.Net.Up(us), !crash)
 				}
@@ -291,21 +261,13 @@ func TestRenameCutAtEveryExchange(t *testing.T) {
 	// of the CSS's update of /d at site 3, is lost: the create fails, the
 	// CSS deletes the inode it had made in the second case, and no site
 	// names it.
-	for _, ex := range []struct {
-		from   fs.SiteID
-		method string
-	}{{us, "fs.create"}, {1, "fs.commit"}} {
-		t.Run("create/"+ex.method+"/drop", func(t *testing.T) {
+	for _, ex := range []fs.Exchange{fs.NthRequest(us, 1, "fs.create", 1), fs.NthRequest(1, 3, "fs.commit", 1)} {
+		t.Run("create/"+ex.Method+"/drop", func(t *testing.T) {
 			c, _ := renameDir(t, 8, us, true, offCSS...)
-			var pts []netsim.FaultPoint
-			for j := 0; j < 8; j++ {
-				pts = append(pts, netsim.FaultPoint{From: ex.from, Method: ex.method, Action: netsim.FaultDropRequest})
-			}
-			c.Net.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
 			before := c.Net.Stats()
-			_, err := c.K(us).Create(cred(), "/d/new", storage.TypeRegular, 0644)
+			var err error
+			fs.Cut{At: ex, Drop: 8}.Run(c.Net, func() { _, err = c.K(us).Create(cred(), "/d/new", storage.TypeRegular, 0644) })
 			d := c.Net.Stats().Sub(before)
-			c.Net.DisableFaults()
 			if d.MsgsDropped != 8 || err == nil {
 				t.Fatalf("create = %v with %d requests dropped, want an error and 8", err, d.MsgsDropped)
 			}

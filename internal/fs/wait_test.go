@@ -172,21 +172,18 @@ func TestDirUpdateWaitsForWriter(t *testing.T) {
 		}
 		done := createAsync(ks[2], "/x")
 		awaitParked(t)
-		lost := make([]netsim.FaultPoint, 8) // every transmission of one Call
-		for i := range lost {
-			lost[i] = netsim.FaultPoint{From: 2, To: 1, Method: mSSClose.Name, Action: netsim.FaultDropRequest}
-		}
 		nw := ks[0].node.Network()
-		nw.EnableFaults(netsim.FaultConfig{Points: lost})
-		defer nw.DisableFaults()
-		if err := w.Close(); err != nil {
+		lost := Cut{At: NthRequest(2, 1, mSSClose.Name, 1), Drop: 8} // every transmission of one Call
+		var err error
+		lost.Run(nw, func() { err = w.Close() })
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := await(t, done, "create behind a writer whose close was lost"); err != nil {
 			t.Fatalf("create behind a writer whose close was lost: %v", err)
 		}
-		if got := nw.Stats().MsgsDropped; got != int64(len(lost)) {
-			t.Errorf("%d messages dropped, want the %d fs.ssclose transmissions", got, len(lost))
+		if got := nw.Stats().MsgsDropped; got != int64(lost.Drop) {
+			t.Errorf("%d messages dropped, want the %d fs.ssclose transmissions", got, lost.Drop)
 		}
 		exists(t, ks[2], "/x", true)
 	})
@@ -329,27 +326,27 @@ func TestLostCreateReplyFreesWaitingUpdate(t *testing.T) {
 		k.DrainPropagation()
 	}
 	nw := k1.node.Network()
-	var pts []netsim.FaultPoint
-	for j := 0; j < 8; j++ {
-		pts = append(pts, netsim.FaultPoint{From: 2, To: 1, Method: mCreate.Name, Nth: 1, Action: netsim.FaultDropResponse})
-	}
-	nw.EnableFaults(netsim.FaultConfig{Seed: 1, Points: pts})
-	// The hook runs on the parked create's goroutine too, which sends no
-	// fs.propnotify before it is freed.
+	// Every reply to site 2's fs.create is lost. The observer runs on the
+	// parked create's goroutine too, which sends no fs.propnotify before
+	// it is freed.
 	var once sync.Once
 	var done <-chan error
-	nw.SetTrace(func(from, _ SiteID, method string) {
-		if from != 1 || method != mPropNotify.Name {
-			return
+	lost := 0
+	nw.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		switch {
+		case p.Kind == netsim.PointReply && p.To == 2 && p.Method == mCreate.Name && lost < 8:
+			lost++
+			return netsim.FaultDropResponse
+		case p.Kind == netsim.PointRequest && p.From == 1 && p.Method == mPropNotify.Name:
+			once.Do(func() {
+				done = createAsync(k1, "/d/x/y")
+				awaitParked(t)
+			})
 		}
-		once.Do(func() {
-			done = createAsync(k1, "/d/x/y")
-			awaitParked(t)
-		})
+		return netsim.FaultNone
 	})
 	err := k2.Mkdir(cred, "/d/x", 0755)
-	nw.SetTrace(nil)
-	nw.DisableFaults()
+	nw.SetObserver(nil)
 	if !errors.Is(err, netsim.ErrTimeout) {
 		t.Fatalf("Mkdir with every reply lost: %v, want ErrTimeout", err)
 	}

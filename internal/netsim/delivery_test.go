@@ -44,13 +44,16 @@ func TestCastUnderFaultPlane(t *testing.T) {
 	nw, a, b := twoSites(t)
 	ran := 0
 	b.Handle("write", func(SiteID, any) (any, error) { ran++; return nil, nil })
-	nw.EnableFaults(FaultConfig{
-		Rates: FaultRates{Delay: 1, DelayMaxUs: 300},
-		// A point counts only the sends no earlier point claimed.
-		Points: []FaultPoint{
-			{Method: "write", Nth: 1, Action: FaultDupRequest},
-			{Method: "write", Nth: 1, Action: FaultDropRequest},
-		},
+	nw.EnableFaults(FaultConfig{Rates: FaultRates{Delay: 1, DelayMaxUs: 300}})
+	// The observer duplicates the first write and drops the second.
+	nw.SetObserver(func(p Point) FaultAction {
+		switch p.Seq {
+		case 1:
+			return FaultDupRequest
+		case 2:
+			return FaultDropRequest
+		}
+		return FaultNone
 	})
 
 	before := nw.Stats()
@@ -75,8 +78,8 @@ func TestCastUnderFaultPlane(t *testing.T) {
 		t.Fatalf("dropped cast: dropped=%d msgs=%d, want 1/1 (sent, then lost)", d.MsgsDropped, d.Msgs)
 	}
 
-	// A delay moves the clock and nothing else: the points are spent,
-	// the rate delays every message.
+	// A delay moves the clock and nothing else: the observer lets the
+	// third write through, the rate delays every message.
 	before, clk := nw.Stats(), nw.Clock().NowUs()
 	if err := a.Cast(2, "write", nil); err != nil {
 		t.Fatal(err)
@@ -208,8 +211,8 @@ func TestCallNeedsTheCircuitItWentOutOn(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeReplyHasRunOnCrash: the scripted crash happens on the
-// caller's goroutine, so the callee's OnCrash callbacks have returned —
+// TestCrashBeforeReplyHasRunOnCrash: the observer's crash at the reply
+// happens on the caller's goroutine, so the callee's OnCrash callbacks have returned —
 // its volatile state is gone — when the caller sees ErrCircuitClosed.
 func TestCrashBeforeReplyHasRunOnCrash(t *testing.T) {
 	t.Parallel()
@@ -221,9 +224,7 @@ func TestCrashBeforeReplyHasRunOnCrash(t *testing.T) {
 	})
 	b.OnCrash(func() { log = append(log, "fs discarded") })
 	b.OnCrash(func() { log = append(log, "proc discarded") })
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{From: 1, To: 2, Method: "commit", Action: FaultCrashBeforeReply}},
-	})
+	crashAt(nw, PointReply, "commit", 1, 2)
 	before := nw.Stats()
 	if _, err := a.Call(2, "commit", nil); !errors.Is(err, ErrCircuitClosed) {
 		t.Fatalf("err = %v, want ErrCircuitClosed", err)
@@ -236,61 +237,12 @@ func TestCrashBeforeReplyHasRunOnCrash(t *testing.T) {
 	}
 }
 
-// TestTraceCrashLosesTheMessage: a trace hook that crashes a send's
-// destination, as the cut tests' hooks do, with no fault plane installed,
-// has the message lost, as a dropped one is: neither a Call's nor a
-// Cast's handler runs at the crashed site, the send times out, and the
-// loss is counted. A hook that crashes the sender does not stop the
-// message: it went out before the site died.
-func TestTraceCrashLosesTheMessage(t *testing.T) {
-	t.Parallel()
-	nw, a, b := twoSites(t)
-	ran := 0 // no lock: everything runs on this goroutine
-	b.Handle("commit", func(SiteID, any) (any, error) { ran++; return "ok", nil })
-	b.Handle("note", func(SiteID, any) (any, error) { ran++; return nil, nil })
-	for _, send := range []struct {
-		what string
-		do   func() error
-		msgs int64
-	}{
-		{"Call", func() error { _, err := a.Call(2, "commit", nil); return err }, 1},
-		{"Cast", func() error { return a.Cast(2, "note", nil) }, 1},
-	} {
-		nw.SetTrace(func(from, to SiteID, method string) {
-			if to == 2 {
-				nw.Crash(2)
-			}
-		})
-		before := nw.Stats()
-		err := send.do()
-		nw.SetTrace(nil)
-		d := nw.Stats().Sub(before)
-		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("%s to a site the hook crashed: err = %v, want ErrTimeout", send.what, err)
-		}
-		if ran != 0 {
-			t.Fatalf("%s: the crashed site's handler ran %d times", send.what, ran)
-		}
-		if d.Msgs != send.msgs || d.MsgsDropped != 1 {
-			t.Errorf("%s: msgs=%d dropped=%d, want %d and 1", send.what, d.Msgs, d.MsgsDropped, send.msgs)
-		}
-		nw.Restart(2)
-	}
-
-	nw.SetTrace(func(from, to SiteID, method string) { nw.Crash(1) })
-	_, err := a.Call(2, "commit", nil)
-	nw.SetTrace(nil)
-	if !errors.Is(err, ErrCircuitClosed) || ran != 1 {
-		t.Fatalf("a Call whose sender the hook crashed: err = %v and %d runs, want ErrCircuitClosed after one", err, ran)
-	}
-}
-
 // TestLinkDownCallbacksHaveRunOnReturn: whatever closes a circuit runs
 // the link-down callbacks on its own goroutine, in the documented
 // order, before it returns — SetLink a-told-of-b then b-told-of-a;
 // PartitionGroups pair by pair, ascending; Crash the site's OnCrash
 // callbacks, then its peers in ascending site order, also when it is a
-// Call's fault that crashes the callee.
+// Call's observer that crashes the callee.
 func TestLinkDownCallbacksHaveRunOnReturn(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -305,9 +257,7 @@ func TestLinkDownCallbacksHaveRunOnReturn(t *testing.T) {
 		{"Crash", func(_ *testing.T, nw *Network) { nw.Crash(2) },
 			"crash2 1<-2 3<-2 4<-2"},
 		{"CrashBeforeReply", func(t *testing.T, nw *Network) {
-			nw.EnableFaults(FaultConfig{
-				Points: []FaultPoint{{From: 4, To: 2, Method: "op", Action: FaultCrashBeforeReply}},
-			})
+			crashAt(nw, PointReply, "op", 1, 2)
 			if _, err := nw.Node(4).Call(2, "op", nil); !errors.Is(err, ErrCircuitClosed) {
 				t.Fatalf("err = %v, want ErrCircuitClosed", err)
 			}
@@ -369,10 +319,11 @@ func TestNestedCallsFailFrameByFrame(t *testing.T) {
 // TestCallAllocations pins what an exchange costs the allocator: an
 // idempotent call is a function call, and so is an at-most-once one
 // measured from a full window — where a caller spends its life — because
-// there the request records its outcome in the slot it evicts. Not
+// there the request records its outcome in the slot it evicts; and a
+// remote Call or Cast under an observer that lets it through. Not
 // parallel: AllocsPerRun.
 func TestCallAllocations(t *testing.T) {
-	_, a, b := twoSites(t)
+	nw, a, b := twoSites(t)
 	b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
 	req := &echoReq{}
 	if got := testing.AllocsPerRun(200, func() {
@@ -392,6 +343,18 @@ func TestCallAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, atMostOnce); got != 0 {
 		t.Errorf("at-most-once remote Call from a full window: %v allocations, want 0", got)
+	}
+	// An installed observer costs a point nothing but its call.
+	nw.SetObserver(func(Point) FaultAction { return FaultNone })
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := a.Call(2, "op", req); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Cast(2, "op", req); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("remote Call and Cast under a no-op observer: %v allocations, want 0", got)
 	}
 }
 

@@ -1,38 +1,40 @@
-// Fault-injection plane for netsim.
+// Fault-injection plane and point observer for netsim.
 //
 // The LOCUS protocols are explicitly designed to survive a lossy
 // transport without low-level acknowledgements: "a lost message closes
 // the circuit" (§5.1), and every problem-oriented protocol in §2.3 must
-// recover from the circuit reset that follows. The fault plane is the
-// adversary that exercises those paths: a deterministic, seeded source
-// of message drops, duplications, and bounded virtual-time delays, plus
-// scripted fault points ("drop the 3rd commit request from site 2",
-// "crash the callee after the handler ran but before the response was
-// sent").
+// recover from the circuit reset that follows. Two adversaries exercise
+// those paths. The fault plane is a deterministic, seeded source of
+// message drops, duplications, and bounded virtual-time delays. The
+// observer sees every point where a run can be interrupted — each
+// request as it is sent, each reply before it is sent — numbered in
+// program order, and says what happens to that message: a test records
+// a script's points on one run and cuts one of them on the next.
 //
 // Determinism: every probabilistic decision is a pure function of
 // (seed, from, to, method, occurrence#), where occurrence# counts the
 // sends between that (from, to, method) triple. Replaying the same
 // workload against the same seed reproduces the same faults, message
 // for message — which is what lets the chaos harness print a seed as a
-// complete repro.
+// complete repro. Sends, calls and handlers all run on the caller's
+// goroutine, so point i of one script is the same message on every run.
 //
-// A nil fault plane (the default) costs one atomic load per exchange;
-// an enabled-but-zero-rate plane makes no decisions and injects
-// nothing, so protocol message counts are bit-identical to a faultless
-// network (pinned by internal/fs/protocolcost_test.go).
+// With neither installed a send costs one atomic load for each; an
+// enabled-but-zero-rate plane makes no decisions and injects nothing,
+// so protocol message counts are bit-identical to a faultless network
+// (pinned by internal/fs/protocolcost_test.go).
 package netsim
 
 import (
-	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
-// FaultAction is a scripted fault applied to one specific message.
+// FaultAction is what happens to one message.
 type FaultAction int
 
 const (
-	// FaultNone is the zero action: no scripted fault.
+	// FaultNone is the zero action: the message goes through.
 	FaultNone FaultAction = iota
 	// FaultDropRequest drops the request on the wire; the caller times
 	// out with ErrTimeout and the virtual circuit resets.
@@ -46,54 +48,59 @@ const (
 	// message), the duplicate right behind the original and before the
 	// one reply. Without callee-side dedup the handler runs twice.
 	FaultDupRequest
-	// FaultCrashBeforeReply crashes the callee after the handler has
-	// run (the operation is applied, durably if the handler committed)
-	// but before the response is sent. The caller observes
-	// ErrCircuitClosed, after the callee's OnCrash callbacks and its
-	// peers' link-down callbacks (the caller's own among them) have run
-	// on the caller's goroutine.
-	FaultCrashBeforeReply
 )
 
-func (a FaultAction) String() string {
-	switch a {
-	case FaultNone:
-		return "none"
-	case FaultDropRequest:
-		return "drop-request"
-	case FaultDropResponse:
-		return "drop-response"
-	case FaultDupRequest:
-		return "dup-request"
-	case FaultCrashBeforeReply:
-		return "crash-before-reply"
-	}
-	return fmt.Sprintf("FaultAction(%d)", int(a))
+// PointKind says which message of an exchange a Point is.
+type PointKind uint8
+
+const (
+	// PointRequest is a message as it is sent: a remote Call's request,
+	// each retransmission a point of its own, or a Cast.
+	PointRequest PointKind = iota + 1
+	// PointReply is a Call's reply, after the handler returned and
+	// before the reply is sent.
+	PointReply
+)
+
+// Point is one place where a run can be interrupted: one message.
+type Point struct {
+	Seq      uint64 // its place in the run, from 1 when the observer was installed
+	Kind     PointKind
+	From, To SiteID // the message's sender and destination: a reply's From is the callee
+	Method   string
 }
 
-// AnySite is the wildcard for FaultPoint.From / FaultPoint.To.
-// (Site ids are 1-based everywhere in this repo.)
-const AnySite SiteID = 0
-
-// FaultPoint scripts one fault at an exact protocol moment: the Nth
-// send matching (From, To, Method) suffers Action. Each point keeps its
-// own match counter and fires exactly once.
-type FaultPoint struct {
-	From   SiteID // AnySite matches any sender
-	To     SiteID // AnySite matches any destination
-	Method string // "" matches any method
-	Nth    int    // 1-based; 0 means 1st
-	Action FaultAction
+// observer is an installed observer and the count of the points it saw.
+type observer struct {
+	fn  func(Point) FaultAction
+	seq atomic.Uint64
 }
 
-func (p FaultPoint) matches(from, to SiteID, method string) bool {
-	if p.From != AnySite && p.From != from {
-		return false
+// SetObserver installs fn as the observer of every point (nil
+// uninstalls); Seq starts at 1. fn runs on the sending goroutine, in
+// program order, and its action applies to that message before the
+// fault plane's roll: FaultDropRequest or FaultDupRequest at a request,
+// FaultDropResponse at a reply. The roll still runs, so the rates'
+// occurrence counters do not move. A drop is charged as the fault
+// plane's are. fn must not send; it may crash a site. A request to a
+// site it crashed is lost, as a dropped one is, while one whose sender
+// it crashed is still delivered; a callee it crashed at the reply never
+// answers (ErrCircuitClosed, after its handler ran).
+func (nw *Network) SetObserver(fn func(Point) FaultAction) {
+	if fn == nil {
+		nw.observer.Store(nil)
+		return
 	}
-	if p.To != AnySite && p.To != to {
-		return false
+	nw.observer.Store(&observer{fn: fn})
+}
+
+// see shows one point to the observer o and returns its action,
+// FaultNone when o is nil (none is installed).
+func (o *observer) see(kind PointKind, from, to SiteID, method string) FaultAction {
+	if o == nil {
+		return FaultNone
 	}
-	return p.Method == "" || p.Method == method
+	return o.fn(Point{Seq: o.seq.Add(1), Kind: kind, From: from, To: to, Method: method})
 }
 
 // FaultRates are probabilistic per-message fault probabilities. A
@@ -111,33 +118,25 @@ func (r FaultRates) zero() bool {
 	return r.Drop == 0 && r.Dup == 0 && r.Delay == 0
 }
 
-// FaultConfig configures the fault plane.
+// FaultConfig configures the fault plane: its rates apply to every
+// directed link.
 type FaultConfig struct {
-	Seed uint64
-	// Rates applies to every directed link without an override.
+	Seed  uint64
 	Rates FaultRates
-	// Links overrides Rates for specific directed (from, to) pairs.
-	Links map[[2]SiteID]FaultRates
-	// Points are scripted one-shot faults, checked before the
-	// probabilistic rates.
-	Points []FaultPoint
-	// TimeoutUs is the virtual time a caller burns discovering a lost
-	// message (the circuit-reset timeout). Defaults to 5000µs.
-	TimeoutUs int64
 }
 
-const defaultTimeoutUs = 5000
+// timeoutUs is the virtual time a caller burns discovering a lost
+// message (the circuit-reset timeout).
+const timeoutUs = 5000
 
-// Faults is an installed fault plane. All decision state (occurrence
-// counters, per-point fire state) lives here, not in the Network, so
-// tests can swap planes without disturbing traffic counters.
+// Faults is an installed fault plane. Its occurrence counters live
+// here, not in the Network, so tests can swap planes without disturbing
+// traffic counters.
 type Faults struct {
 	cfg FaultConfig
 
-	mu     sync.Mutex
-	occ    map[occKey]uint64 // per-(from,to,method) send counter
-	pocc   []int             // per-point match counters
-	pfired []bool            // per-point fired flags
+	mu  sync.Mutex
+	occ map[occKey]uint64 // per-(from,to,method) send counter
 }
 
 type occKey struct {
@@ -145,90 +144,31 @@ type occKey struct {
 	method   string
 }
 
-func newFaults(cfg FaultConfig) *Faults {
-	if cfg.TimeoutUs <= 0 {
-		cfg.TimeoutUs = defaultTimeoutUs
-	}
-	return &Faults{
-		cfg:    cfg,
-		occ:    make(map[occKey]uint64),
-		pocc:   make([]int, len(cfg.Points)),
-		pfired: make([]bool, len(cfg.Points)),
-	}
-}
-
-// timeoutUs is the virtual cost of discovering a lost message.
-func (f *Faults) timeoutUs() int64 {
-	if f == nil { // a message lost with no fault plane installed
-		return defaultTimeoutUs
-	}
-	return f.cfg.TimeoutUs
-}
-
-func (f *Faults) rates(from, to SiteID) FaultRates {
-	if r, ok := f.cfg.Links[[2]SiteID{from, to}]; ok {
-		return r
-	}
-	return f.cfg.Rates
-}
-
-// decision is the fault plan for one exchange, computed at send time.
-type decision struct {
-	action  FaultAction // FaultNone for the common path
-	delayUs int64       // >0: charge this much virtual latency
-}
-
-// decide rolls the fate of one send. It is the only entry point on the
-// hot path and is called with the plane already known non-nil.
-func (f *Faults) decide(from, to SiteID, method string, isCall bool) decision {
+// decide rolls the fate of one send: its action and the virtual delay
+// to charge, if any.
+func (f *Faults) decide(from, to SiteID, method string, isCall bool) (act FaultAction, delayUs int64) {
 	f.mu.Lock()
 	k := occKey{from, to, method}
 	f.occ[k]++
 	occ := f.occ[k]
-
-	// Scripted points take priority and fire exactly once.
-	for i := range f.cfg.Points {
-		p := &f.cfg.Points[i]
-		if f.pfired[i] || !p.matches(from, to, method) {
-			continue
-		}
-		f.pocc[i]++
-		nth := p.Nth
-		if nth <= 0 {
-			nth = 1
-		}
-		if f.pocc[i] == nth {
-			f.pfired[i] = true
-			f.mu.Unlock()
-			return decision{action: p.Action}
-		}
-	}
-	r := f.rates(from, to)
 	f.mu.Unlock()
 
+	r := f.cfg.Rates
 	if r.zero() {
-		return decision{}
+		return FaultNone, 0
 	}
-	var d decision
 	if roll(f.cfg.Seed, k, occ, 1) < r.Drop {
-		d.action = FaultDropRequest
+		act = FaultDropRequest
 	} else if isCall && roll(f.cfg.Seed, k, occ, 2) < r.Drop {
 		// The response is a wire message too; it rolls independently.
-		d.action = FaultDropResponse
+		act = FaultDropResponse
 	} else if roll(f.cfg.Seed, k, occ, 3) < r.Dup {
-		d.action = FaultDupRequest
+		act = FaultDupRequest
 	}
 	if r.Delay > 0 && roll(f.cfg.Seed, k, occ, 4) < r.Delay {
-		d.delayUs = 1 + int64(hash(f.cfg.Seed, k, occ, 5)%uint64(max64(r.DelayMaxUs, 1)))
+		delayUs = 1 + int64(hash(f.cfg.Seed, k, occ, 5)%uint64(max(r.DelayMaxUs, 1)))
 	}
-	return d
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return act, delayUs
 }
 
 // hash mixes the message coordinates with the seed (splitmix64
@@ -256,11 +196,10 @@ func roll(seed uint64, k occKey, occ uint64, salt uint64) float64 {
 }
 
 // EnableFaults installs a fault plane built from cfg and returns it.
-// Passing a zero-rate, point-free config arms the plane without
-// injecting anything (the zero-overhead off position verified by the
-// protocol-cost tests).
+// Passing a zero-rate config arms the plane without injecting anything
+// (the zero-overhead off position verified by the protocol-cost tests).
 func (nw *Network) EnableFaults(cfg FaultConfig) *Faults {
-	f := newFaults(cfg)
+	f := &Faults{cfg: cfg, occ: make(map[occKey]uint64)}
 	nw.faults.Store(f)
 	return f
 }
@@ -272,16 +211,3 @@ func (nw *Network) DisableFaults() { nw.faults.Store(nil) }
 // network-wide. They are on by default; chaos regression tests switch
 // them off to prove the harness catches retried-mutation replay.
 func (nw *Network) SetDedup(on bool) { nw.dedupOff.Store(!on) }
-
-// SetTrace installs fn as the wire-send observer (nil uninstalls). fn
-// runs once per remote exchange at send time, in issue order; the
-// deterministic-replay tests capture wire schedules through it. fn must
-// be fast and must not send; it may crash a site, as the cut tests do,
-// and a message to a site it crashed is lost, as a dropped one is.
-func (nw *Network) SetTrace(fn func(from, to SiteID, method string)) {
-	if fn == nil {
-		nw.trace.Store(nil)
-		return
-	}
-	nw.trace.Store(&fn)
-}

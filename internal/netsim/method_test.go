@@ -30,9 +30,7 @@ func TestCallAtMostOnceReplaysRecordedReply(t *testing.T) {
 	nw, a, b := twoSites(t)
 	m := Method[echoReq, echoResp]{Name: "t.commit", AtMostOnce: true}
 	served := servedEcho(b, m, nil)
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{From: 1, To: 2, Method: m.Name, Nth: 1, Action: FaultDropResponse}},
-	})
+	cutAt(nw, PointReply, m.Name, 1, FaultDropResponse)
 	seq0 := a.NextSeq()
 
 	resp, err := Call(a, 2, m, &echoReq{N: 40})
@@ -55,9 +53,7 @@ func TestCallIdempotentRerunsAndDrawsNoSeq(t *testing.T) {
 	nw, a, b := twoSites(t)
 	m := Method[echoReq, echoResp]{Name: "t.read"}
 	served := servedEcho(b, m, nil)
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{From: 1, To: 2, Method: m.Name, Nth: 1, Action: FaultDropResponse}},
-	})
+	cutAt(nw, PointReply, m.Name, 1, FaultDropResponse)
 	seq0 := a.NextSeq()
 
 	resp, err := Call(a, 2, m, &echoReq{N: 40})
@@ -107,9 +103,7 @@ func TestCastRetriesTimeoutOnly(t *testing.T) {
 		served.Add(1)
 		return nil
 	})
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{From: 1, To: 2, Method: m.Name, Nth: 1, Action: FaultDropRequest}},
-	})
+	cutAt(nw, PointRequest, m.Name, 1, FaultDropRequest)
 	if err := Cast(a, 2, m, &echoReq{}); err != nil {
 		t.Fatalf("Cast across a dropped message: %v", err)
 	}

@@ -372,7 +372,7 @@ func (s *Stats) AddSignalsExpired(n int) { s.sigsExpired.Add(int64(n)) }
 
 // addFaultDrop counts a message lost to injected loss; the caller's
 // circuit resets after timeoutUs of virtual time.
-func (s *Stats) addFaultDrop(timeoutUs int64) {
+func (s *Stats) addFaultDrop() {
 	s.fltDropped.Add(1)
 	s.resets.Add(1)
 	s.tick(timeoutUs)
@@ -498,16 +498,14 @@ type Network struct {
 	// closed is set by Close: no circuit carries a message afterwards.
 	closed atomic.Bool
 
-	// faults is the installed fault plane; nil (the default) costs one
-	// atomic load per exchange and injects nothing.
-	faults atomic.Pointer[Faults]
+	// faults is the installed fault plane and observer the installed
+	// point observer; nil (the default) costs one atomic load per send
+	// and injects nothing.
+	faults   atomic.Pointer[Faults]
+	observer atomic.Pointer[observer]
 	// dedupOff disables the callee-side at-most-once dedup tables
 	// (chaos regression testing only).
 	dedupOff atomic.Bool
-	// trace, when set, observes every remote send in issue order; the
-	// determinism tests use it to capture the wire schedule two runs
-	// must reproduce byte for byte.
-	trace atomic.Pointer[func(from, to SiteID, method string)]
 }
 
 // New creates an empty network with the given cost model.
@@ -952,20 +950,31 @@ func (v *connView) unreachable(from, to SiteID) error {
 }
 
 // circuit starts a remote send: it returns the view the send goes out
-// under, having shown the send to the trace hook, or the typed error for
-// why no circuit can carry it. lost reports a destination the hook
-// crashed (the cut tests crash sites from it): the message is then lost,
-// as a dropped one is, and no handler runs at the crashed site.
-func (n *Node) circuit(to SiteID, method string) (view *connView, lost bool, err error) {
-	view = n.nw.view()
-	if n.nw.closed.Load() || !view.connected(n.id, to) {
-		return nil, false, view.unreachable(n.id, to)
+// under and what happens to the message — the observer's action at its
+// request point, else the fault plane's roll — or the typed error for
+// why no circuit can carry it. A message to a site the observer crashed
+// is lost, as a dropped one is, and no handler runs at the crashed site.
+func (n *Node) circuit(to SiteID, method string, isCall bool) (view *connView, act FaultAction, err error) {
+	nw := n.nw
+	view = nw.view()
+	if nw.closed.Load() || !view.connected(n.id, to) {
+		return nil, FaultNone, view.unreachable(n.id, to)
 	}
-	if tr := n.nw.trace.Load(); tr != nil {
-		(*tr)(n.id, to, method)
-		lost = !n.nw.view().up[to]
+	if o := nw.observer.Load(); o != nil {
+		if act = o.see(PointRequest, n.id, to, method); !nw.view().up[to] {
+			act = FaultDropRequest
+		}
 	}
-	return view, lost, nil
+	if f := nw.faults.Load(); f != nil {
+		rolled, delayUs := f.decide(n.id, to, method, isCall)
+		if delayUs > 0 {
+			nw.stats.addFaultDelay(delayUs)
+		}
+		if act == FaultNone {
+			act = rolled
+		}
+	}
+	return view, act, nil
 }
 
 // Call performs a request/response exchange with site to: exactly two
@@ -1020,27 +1029,16 @@ func (n *Node) callSeq(to SiteID, method string, payload any, seq int64) (v any,
 	}
 
 	nw := n.nw
-	view, lost, err := n.circuit(to, method)
+	view, act, err := n.circuit(to, method, true)
 	if err != nil {
 		return nil, false, err
 	}
-
-	// Roll the fault plane before committing any accounting. The
-	// decision covers the whole exchange.
-	var dec decision
-	f := nw.faults.Load()
-	if f != nil {
-		dec = f.decide(n.id, to, method, true)
-		if dec.delayUs > 0 {
-			nw.stats.addFaultDelay(dec.delayUs)
-		}
-	}
-	if dec.action == FaultDropRequest || lost {
+	if act == FaultDropRequest {
 		// The request went onto the wire and vanished: one message
 		// charged, circuit resets after the timeout.
 		bytes := payloadBytes(payload)
 		nw.stats.chargeExchange(method, 1, bytes, nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, true)
-		nw.stats.addFaultDrop(f.timeoutUs())
+		nw.stats.addFaultDrop()
 		return nil, true, fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
 	}
 
@@ -1048,22 +1046,18 @@ func (n *Node) callSeq(to SiteID, method string, payload any, seq int64) (v any,
 	bytes := payloadBytes(payload) + headerWireSize
 	nw.stats.chargeExchange(method, 2, bytes, 2*nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, true)
 
-	if dec.action == FaultDupRequest {
-		nw.stats.addFaultDup(method)
-	}
 	dest := view.nodes[to]
 	v, err = dest.apply(n.id, method, payload, seq)
-	switch dec.action {
-	case FaultDupRequest:
+	if act == FaultDupRequest {
 		// The duplicate arrives right behind the original: the callee
 		// sees the same seq twice, and without dedup the handler runs
 		// twice — the hazard the at-most-once table exists to absorb.
 		// The first run's reply is the reply.
+		nw.stats.addFaultDup(method)
 		dest.apply(n.id, method, payload, seq) // error unchecked by design: a duplicate's reply is discarded
-	case FaultCrashBeforeReply:
-		// The operation is applied (durably, if the handler committed)
-		// but the callee dies before the response goes out.
-		nw.Crash(to)
+	}
+	if nw.observer.Load().see(PointReply, to, n.id, method) == FaultDropResponse {
+		act = FaultDropResponse
 	}
 
 	// The reply needs the circuit the request went out on (no topology
@@ -1073,11 +1067,11 @@ func (n *Node) callSeq(to SiteID, method string, payload any, seq int64) (v any,
 		nw.stats.addReset()
 		return nil, false, ErrCircuitClosed
 	}
-	if dec.action == FaultDropResponse {
+	if act == FaultDropResponse {
 		// The response went onto the wire and vanished; the circuit
 		// resets after the timeout. The handler ran — a retry with the
 		// same seq is what the dedup table absorbs.
-		nw.stats.addFaultDrop(f.timeoutUs())
+		nw.stats.addFaultDrop()
 		return nil, true, fmt.Errorf("%w: %s response %d -> %d", ErrTimeout, method, to, n.id)
 	}
 	if err == nil {
@@ -1119,30 +1113,22 @@ func (n *Node) cast(to SiteID, method string, payload any) (lost bool, err error
 		return false, err
 	}
 	nw := n.nw
-	view, lost, err := n.circuit(to, method)
+	view, act, err := n.circuit(to, method, false)
 	if err != nil {
 		return false, err
 	}
 	bytes := payloadBytes(payload)
 	nw.stats.chargeExchange(method, 1, bytes, nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, false)
 
-	var dec decision
-	f := nw.faults.Load()
-	if f != nil {
-		dec = f.decide(n.id, to, method, false)
-		if dec.delayUs > 0 {
-			nw.stats.addFaultDelay(dec.delayUs)
-		}
-	}
 	deliveries := 1
-	switch {
-	case lost || dec.action == FaultDropRequest || dec.action == FaultDropResponse:
+	switch act {
+	case FaultDropRequest:
 		// The message is gone. The low-level acknowledgement of §2.3.5
 		// never arrives, so the sender does learn the circuit reset and
 		// may retransmit.
-		nw.stats.addFaultDrop(f.timeoutUs())
+		nw.stats.addFaultDrop()
 		return true, fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
-	case dec.action == FaultDupRequest:
+	case FaultDupRequest:
 		nw.stats.addFaultDup(method)
 		deliveries = 2
 	}

@@ -2,47 +2,152 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
 
-func TestScriptedDropRequestTimesOut(t *testing.T) {
-	t.Parallel()
-	nw, a, b := twoSites(t)
-	var served atomic.Int64
-	b.Handle("commit", func(SiteID, any) (any, error) {
-		served.Add(1)
-		return "ok", nil
+// cutAt installs an observer that answers act at the nth point of kind
+// carrying method and FaultNone everywhere else.
+func cutAt(nw *Network, kind PointKind, method string, nth int, act FaultAction) {
+	seen := 0
+	nw.SetObserver(func(p Point) FaultAction {
+		if p.Kind == kind && p.Method == method {
+			if seen++; seen == nth {
+				return act
+			}
+		}
+		return FaultNone
 	})
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{From: 1, To: 2, Method: "commit", Nth: 1, Action: FaultDropRequest}},
-	})
+}
 
-	before := nw.Stats()
-	clk0 := nw.Clock().NowUs()
-	_, err := a.Call(2, "commit", nil)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("dropped request: err = %v, want ErrTimeout", err)
+// crashAt installs an observer that crashes site at the nth point of
+// kind carrying method.
+func crashAt(nw *Network, kind PointKind, method string, nth int, site SiteID) {
+	seen := 0
+	nw.SetObserver(func(p Point) FaultAction {
+		if p.Kind == kind && p.Method == method {
+			if seen++; seen == nth {
+				nw.Crash(site)
+			}
+		}
+		return FaultNone
+	})
+}
+
+// TestObserverContract is what the observer's action, or a crash it
+// makes, does to one exchange from site 1 to site 2, one row per kind
+// of point and act: the send's error, how many times the handler ran,
+// the points seen, and what is charged. A drop costs what a fault-plane
+// drop costs: the message sent, one MsgsDropped, one circuit reset and
+// the 5,000 µs timeout. A message to a site crashed at its request is
+// lost, as a dropped one is; one whose sender crashed went out before
+// the site died. A crash at the reply closes the circuit after the
+// handler ran.
+func TestObserverContract(t *testing.T) {
+	t.Parallel()
+	const (
+		req = "1->2 request"
+		rep = "2->1 reply"
+	)
+	for _, tc := range []struct {
+		name                         string
+		cast                         bool
+		kind                         PointKind
+		act                          FaultAction
+		crash                        SiteID
+		err                          error
+		ran                          int
+		points                       []string
+		msgs, dropped, duped, resets int64
+	}{
+		{name: "request/drop", kind: PointRequest, act: FaultDropRequest, err: ErrTimeout,
+			points: []string{req}, msgs: 1, dropped: 1, resets: 1},
+		{name: "request/dup", kind: PointRequest, act: FaultDupRequest, ran: 1,
+			points: []string{req, rep}, msgs: 3, duped: 1},
+		{name: "reply/drop", kind: PointReply, act: FaultDropResponse, err: ErrTimeout, ran: 1,
+			points: []string{req, rep}, msgs: 2, dropped: 1, resets: 1},
+		{name: "request/crash callee", kind: PointRequest, crash: 2, err: ErrTimeout,
+			points: []string{req}, msgs: 1, dropped: 1, resets: 1},
+		{name: "request/crash caller", kind: PointRequest, crash: 1, err: ErrCircuitClosed, ran: 1,
+			points: []string{req, rep}, msgs: 2, resets: 1},
+		{name: "reply/crash callee", kind: PointReply, crash: 2, err: ErrCircuitClosed, ran: 1,
+			points: []string{req, rep}, msgs: 2, resets: 1},
+		{name: "reply/crash caller", kind: PointReply, crash: 1, err: ErrCircuitClosed, ran: 1,
+			points: []string{req, rep}, msgs: 2, resets: 1},
+		{name: "cast/drop", cast: true, kind: PointRequest, act: FaultDropRequest, err: ErrTimeout,
+			points: []string{req}, msgs: 1, dropped: 1, resets: 1},
+		{name: "cast/dup", cast: true, kind: PointRequest, act: FaultDupRequest, ran: 2,
+			points: []string{req}, msgs: 2, duped: 1},
+		{name: "cast/crash callee", cast: true, kind: PointRequest, crash: 2, err: ErrTimeout,
+			points: []string{req}, msgs: 1, dropped: 1, resets: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			nw, a, b := twoSites(t)
+			ran := 0 // no lock: everything runs on this goroutine
+			b.Handle("op", func(SiteID, any) (any, error) { ran++; return "ok", nil })
+			var points []string
+			nw.SetObserver(func(p Point) FaultAction {
+				if want := uint64(len(points) + 1); p.Seq != want {
+					t.Errorf("point %d has Seq %d", want, p.Seq)
+				}
+				points = append(points, fmt.Sprintf("%d->%d %s", p.From, p.To, map[PointKind]string{PointRequest: "request", PointReply: "reply"}[p.Kind]))
+				if p.Kind != tc.kind {
+					return FaultNone
+				}
+				if tc.crash != 0 {
+					nw.Crash(tc.crash)
+				}
+				return tc.act
+			})
+			before, clk := nw.Stats(), nw.Clock().NowUs()
+			var err error
+			if tc.cast {
+				err = a.Cast(2, "op", nil)
+			} else {
+				_, err = a.CallSeq(2, "op", nil, a.NextSeq())
+			}
+			d := nw.Stats().Sub(before)
+			if !errors.Is(err, tc.err) || errors.Is(err, ErrUnreachable) {
+				t.Errorf("err = %v, want %v", err, tc.err)
+			}
+			if ran != tc.ran || !slices.Equal(points, tc.points) {
+				t.Errorf("the handler ran %d times and the observer saw %q, want %d and %q", ran, points, tc.ran, tc.points)
+			}
+			if d.Msgs != tc.msgs || d.MsgsDropped != tc.dropped || d.MsgsDuped != tc.duped || d.CircuitResets != tc.resets {
+				t.Errorf("msgs/dropped/duped/resets = %d/%d/%d/%d, want %d/%d/%d/%d",
+					d.Msgs, d.MsgsDropped, d.MsgsDuped, d.CircuitResets, tc.msgs, tc.dropped, tc.duped, tc.resets)
+			}
+			if waited := nw.Clock().NowUs() - clk - d.CPUUs; waited != 5000*tc.dropped {
+				t.Errorf("the clock moved %d µs beyond its CPU charge, want %d", waited, 5000*tc.dropped)
+			}
+		})
 	}
-	if errors.Is(err, ErrUnreachable) {
-		t.Fatalf("ErrTimeout must be distinct from ErrUnreachable, got %v", err)
+}
+
+// TestObserverKeepsTheRollsInStep: an observer's action replaces the
+// fault plane's roll for its message, and the roll still runs, so every
+// later message rolls as it would have.
+func TestObserverKeepsTheRollsInStep(t *testing.T) {
+	t.Parallel()
+	outcomes := func(observe bool) []bool {
+		nw, a, b := twoSites(t)
+		b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
+		nw.EnableFaults(FaultConfig{Seed: 5, Rates: FaultRates{Drop: 0.3}})
+		if observe {
+			cutAt(nw, PointRequest, "op", 1, FaultDupRequest)
+		}
+		var ok []bool
+		for i := 0; i < 40; i++ {
+			_, err := a.Call(2, "op", nil)
+			ok = append(ok, err == nil)
+		}
+		return ok[1:]
 	}
-	if served.Load() != 0 {
-		t.Fatalf("handler ran %d times for a dropped request", served.Load())
-	}
-	d := nw.Stats().Sub(before)
-	if d.MsgsDropped != 1 || d.CircuitResets != 1 {
-		t.Fatalf("MsgsDropped=%d CircuitResets=%d, want 1/1", d.MsgsDropped, d.CircuitResets)
-	}
-	if d.Msgs != 1 {
-		t.Fatalf("a dropped request charges %d messages, want 1 (sent, never answered)", d.Msgs)
-	}
-	if nw.Clock().NowUs() <= clk0 {
-		t.Fatal("timeout did not advance virtual time")
-	}
-	// The point fired once; the retry goes through.
-	if v, err := a.Call(2, "commit", nil); err != nil || v != "ok" {
-		t.Fatalf("retry after scripted drop: v=%v err=%v", v, err)
+	if plain, observed := outcomes(false), outcomes(true); !slices.Equal(plain, observed) {
+		t.Fatalf("the calls after the observed one fared differently:\n%v\n%v", plain, observed)
 	}
 }
 
@@ -54,9 +159,7 @@ func TestDropResponseDedupReturnsCachedOutcome(t *testing.T) {
 		served.Add(1)
 		return "applied", nil
 	})
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{From: 1, To: 2, Method: "commit", Nth: 1, Action: FaultDropResponse}},
-	})
+	cutAt(nw, PointReply, "commit", 1, FaultDropResponse)
 
 	seq := a.NextSeq()
 	_, err := a.CallSeq(2, "commit", nil, seq)
@@ -85,9 +188,7 @@ func TestDedupOffReplaysMutation(t *testing.T) {
 		served.Add(1)
 		return nil, nil
 	})
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{Method: "commit", Nth: 1, Action: FaultDropResponse}},
-	})
+	cutAt(nw, PointReply, "commit", 1, FaultDropResponse)
 	nw.SetDedup(false)
 
 	seq := a.NextSeq()
@@ -110,9 +211,7 @@ func TestDupRequestDedupAbsorbsDuplicate(t *testing.T) {
 		served.Add(1)
 		return nil, nil
 	})
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{Method: "mkdir", Nth: 1, Action: FaultDupRequest}},
-	})
+	cutAt(nw, PointRequest, "mkdir", 1, FaultDupRequest)
 
 	before := nw.Stats()
 	if _, err := a.CallSeq(2, "mkdir", nil, a.NextSeq()); err != nil {
@@ -138,9 +237,7 @@ func TestDupRequestWithoutSeqRunsTwice(t *testing.T) {
 		served.Add(1)
 		return nil, nil
 	})
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{Method: "read", Nth: 1, Action: FaultDupRequest}},
-	})
+	cutAt(nw, PointRequest, "read", 1, FaultDupRequest)
 	if _, err := a.Call(2, "read", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +259,7 @@ func TestDedupWindowContract(t *testing.T) {
 	const (
 		noCrash = iota
 		crashAfterReply
-		crashBeforeReply // FaultCrashBeforeReply on the request itself
+		crashBeforeReply // the observer crashes the callee at the first reply
 	)
 	for _, tc := range []struct {
 		name     string
@@ -197,9 +294,7 @@ func TestDedupWindowContract(t *testing.T) {
 			}
 			nw.SetDedup(!tc.dedupOff)
 			if tc.crash == crashBeforeReply {
-				nw.EnableFaults(FaultConfig{
-					Points: []FaultPoint{{From: 1, To: 2, Method: "op", Nth: 1, Action: FaultCrashBeforeReply}},
-				})
+				crashAt(nw, PointReply, "op", 1, 2)
 			}
 
 			// Requests 1 .. 1+behind; request 1+i goes to callee i mod
@@ -218,7 +313,7 @@ func TestDedupWindowContract(t *testing.T) {
 				}
 			}
 			if tc.crash != noCrash {
-				nw.Crash(2) // a no-op after FaultCrashBeforeReply
+				nw.Crash(2) // a no-op after a crash at the reply
 				nw.Restart(2)
 			}
 
@@ -283,42 +378,6 @@ func TestDedupForgetsARequestRunningAtTheCrash(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeReplyMidCall is the white-box mid-call crash test: a
-// scripted fault point crashes the callee after the request is applied
-// but before the response is sent. The caller must get a typed error
-// (ErrCircuitClosed — it cannot know whether the operation happened).
-func TestCrashBeforeReplyMidCall(t *testing.T) {
-	t.Parallel()
-	nw, a, b := twoSites(t)
-	var applied atomic.Int64
-	b.Handle("commit", func(SiteID, any) (any, error) {
-		applied.Add(1)
-		return "ok", nil
-	})
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{From: 1, To: 2, Method: "commit", Nth: 1, Action: FaultCrashBeforeReply}},
-	})
-
-	_, err := a.Call(2, "commit", nil)
-	if !errors.Is(err, ErrCircuitClosed) {
-		t.Fatalf("mid-call crash: err = %v, want ErrCircuitClosed", err)
-	}
-	if applied.Load() != 1 {
-		t.Fatalf("operation applied %d times, want 1 (crash is after apply)", applied.Load())
-	}
-	if nw.Up(2) {
-		t.Fatal("callee should be down after FaultCrashBeforeReply")
-	}
-	// Restarted callee lost its dedup table (volatile state).
-	nw.Restart(2)
-	b.dedupMu.Lock()
-	entries := len(b.dedup)
-	b.dedupMu.Unlock()
-	if entries != 0 {
-		t.Fatalf("dedup table survived a crash: %d caller tables", entries)
-	}
-}
-
 func TestErrCrashedDistinctFromUnreachable(t *testing.T) {
 	t.Parallel()
 	nw, a, _ := twoSites(t)
@@ -350,9 +409,7 @@ func TestCastDropReturnsTimeout(t *testing.T) {
 		served.Add(1)
 		return nil, nil
 	})
-	nw.EnableFaults(FaultConfig{
-		Points: []FaultPoint{{Method: "write", Nth: 2, Action: FaultDropRequest}},
-	})
+	cutAt(nw, PointRequest, "write", 2, FaultDropRequest)
 	if err := a.Cast(2, "write", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -397,30 +454,6 @@ func TestProbabilisticFaultsAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestPerLinkRatesOverrideGlobal(t *testing.T) {
-	t.Parallel()
-	nw := New(DefaultCosts())
-	t.Cleanup(nw.Close)
-	a := nw.AddSite(1)
-	b := nw.AddSite(2)
-	c := nw.AddSite(3)
-	h := func(SiteID, any) (any, error) { return nil, nil }
-	b.Handle("op", h)
-	c.Handle("op", h)
-	// Global loss is total, but the 1->3 link is overridden clean.
-	nw.EnableFaults(FaultConfig{
-		Seed:  7,
-		Rates: FaultRates{Drop: 1},
-		Links: map[[2]SiteID]FaultRates{{1, 3}: {}},
-	})
-	if _, err := a.Call(2, "op", nil); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("1->2 should drop: %v", err)
-	}
-	if _, err := a.Call(3, "op", nil); err != nil {
-		t.Fatalf("1->3 is overridden clean: %v", err)
-	}
-}
-
 func TestDisabledFaultPlaneIsZeroOverhead(t *testing.T) {
 	t.Parallel()
 	nw, a, b := twoSites(t)
@@ -432,7 +465,7 @@ func TestDisabledFaultPlaneIsZeroOverhead(t *testing.T) {
 	}
 	noPlane := nw.Stats().Sub(baseline)
 
-	// Armed but zero-rate, point-free: message accounting must be
+	// Armed but zero-rate: message accounting must be
 	// bit-identical, and no fault counters move.
 	nw.EnableFaults(FaultConfig{Seed: 99})
 	before := nw.Stats()

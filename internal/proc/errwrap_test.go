@@ -23,11 +23,13 @@ import (
 // dropAll makes the wire between sites 1 and 2 eat every message, both
 // ways, until the test ends.
 func dropAll(t *testing.T, h *harness) {
-	h.c.Net.EnableFaults(netsim.FaultConfig{
-		Seed:  1,
-		Links: map[[2]proc.SiteID]netsim.FaultRates{{1, 2}: {Drop: 1.0}, {2, 1}: {Drop: 1.0}},
+	h.c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		if p.Kind == netsim.PointRequest && (p.From == 1 && p.To == 2 || p.From == 2 && p.To == 1) {
+			return netsim.FaultDropRequest
+		}
+		return netsim.FaultNone
 	})
-	t.Cleanup(h.c.Net.DisableFaults)
+	t.Cleanup(func() { h.c.Net.SetObserver(nil) })
 }
 
 // pipeAtCSS1 is a two-site cluster whose pipe /fifo both sites store;
@@ -112,13 +114,13 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				// Both sites are up; the wire eats every proc.run
 				// exchange. The retry budget runs out with ErrTimeout,
 				// which must still surface as ErrSiteFailed.
-				h.c.Net.EnableFaults(netsim.FaultConfig{
-					Seed: 1,
-					Links: map[[2]proc.SiteID]netsim.FaultRates{
-						{1, 2}: {Drop: 1.0},
-					},
+				h.c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+					if p.Kind == netsim.PointRequest && p.From == 1 && p.To == 2 {
+						return netsim.FaultDropRequest
+					}
+					return netsim.FaultNone
 				})
-				defer h.c.Net.DisableFaults()
+				defer h.c.Net.SetObserver(nil)
 				shell := h.m(1).InitProcess(cred())
 				shell.SetAdvice(2)
 				_, err := h.m(1).Run(shell, "/sit", nil)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/proc"
 )
 
@@ -176,10 +177,11 @@ func parkRemoteReader(t *testing.T) (h *harness, server, rsite proc.SiteID, done
 		t.Fatal(err)
 	}
 	sent := make(chan struct{})
-	h.c.Net.SetTrace(func(from, to proc.SiteID, method string) {
-		if method == "proc.piperead" && from == rsite && to == server {
+	h.c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		if p.Kind == netsim.PointRequest && p.Method == "proc.piperead" && p.From == rsite && p.To == server {
 			close(sent)
 		}
+		return netsim.FaultNone
 	})
 	errc := make(chan error, 1)
 	go func() {
@@ -187,7 +189,7 @@ func parkRemoteReader(t *testing.T) (h *harness, server, rsite proc.SiteID, done
 		errc <- err
 	}()
 	<-sent
-	h.c.Net.SetTrace(nil)
+	h.c.Net.SetObserver(nil)
 	time.Sleep(10 * time.Millisecond)
 	return h, server, rsite, errc
 }

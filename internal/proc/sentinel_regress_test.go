@@ -104,10 +104,11 @@ func TestSignalToSiteWithoutManagerWrapsErrSiteFailed(t *testing.T) {
 
 // runExitCloseSchedule runs a program at site 2 that opens three
 // remote-served descriptors and exits without closing them, capturing
-// the wire schedule of the whole run. Every send comes from one
-// goroutine at a time (the Run call, then the program and its exit
-// teardown), so the capture is deterministic iff the exit path closes
-// descriptors in a fixed order.
+// the wire schedule of the whole run: every request and reply point.
+// The program starts once Run has returned, so every point comes from
+// one goroutine at a time (the Run call and its reply, then the program
+// and its exit teardown), and the capture is deterministic iff the exit
+// path closes descriptors in a fixed order.
 func runExitCloseSchedule(t *testing.T) []string {
 	t.Helper()
 	h := newHarness(t, 2)
@@ -128,8 +129,10 @@ func runExitCloseSchedule(t *testing.T) []string {
 			t.Fatal(err)
 		}
 	}
+	ran := make(chan struct{})
 	for _, s := range h.c.Sites() {
 		h.m(s).Register("opener", func(ctx *proc.Ctx) int {
+			<-ran
 			for i := 0; i < 3; i++ {
 				if _, _, err := ctx.M.OpenShared(ctx.Self, fmt.Sprintf("/d%d", i), fs.ModeRead); err != nil {
 					return 1
@@ -140,17 +143,19 @@ func runExitCloseSchedule(t *testing.T) []string {
 	}
 
 	var sched []string
-	h.c.Net.SetTrace(func(from, to proc.SiteID, method string) {
-		sched = append(sched, fmt.Sprintf("%d->%d %s", from, to, method))
+	h.c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		sched = append(sched, fmt.Sprintf("%+v", p))
+		return netsim.FaultNone
 	})
 	shell := h.m(1).InitProcess(cred())
 	shell.SetAdvice(2)
 	pid, err := h.m(1).Run(shell, "/opener", nil)
+	close(ran)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.m(2).DrainPrograms()
-	h.c.Net.SetTrace(nil)
+	h.c.Net.SetObserver(nil)
 	if st := h.m(1).Wait(shell, pid); st.Code != 0 {
 		t.Fatalf("opener exited %d (err %v)", st.Code, st.Err)
 	}

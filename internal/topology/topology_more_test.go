@@ -116,8 +116,11 @@ func TestLinkDownUpdatesBeliefWithoutProtocol(t *testing.T) {
 func TestPollCrashesPolledSite(t *testing.T) {
 	t.Parallel()
 	tn := newNet(t, 3)
-	tn.nw.EnableFaults(netsim.FaultConfig{
-		Points: []netsim.FaultPoint{{From: 1, To: 2, Method: mPoll, Action: netsim.FaultCrashBeforeReply}},
+	tn.nw.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		if p.Kind == netsim.PointReply && p.From == 2 && p.To == 1 && p.Method == mPoll {
+			tn.nw.Crash(2)
+		}
+		return netsim.FaultNone
 	})
 	if p := tn.mgrs[1].RunPartitionProtocol(); !slices.Equal(p, []SiteID{1, 3}) {
 		t.Fatalf("announced %v, want [1 3]", p)

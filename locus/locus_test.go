@@ -8,6 +8,7 @@ import (
 
 	"repro/locus"
 
+	"repro/internal/netsim"
 	"repro/internal/proc"
 )
 
@@ -307,10 +308,11 @@ func TestPartitionReleasesReaderParkedAtRemotePipeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := make(chan struct{})
-	c.Network().SetTrace(func(from, to locus.SiteID, method string) {
-		if method == "proc.piperead" && from == rsite {
+	c.Network().SetObserver(func(p netsim.Point) netsim.FaultAction {
+		if p.Kind == netsim.PointRequest && p.Method == "proc.piperead" && p.From == rsite {
 			close(sent)
 		}
+		return netsim.FaultNone
 	})
 	done := make(chan error, 1)
 	go func() {
@@ -318,7 +320,7 @@ func TestPartitionReleasesReaderParkedAtRemotePipeServer(t *testing.T) {
 		done <- err
 	}()
 	<-sent
-	c.Network().SetTrace(nil)
+	c.Network().SetObserver(nil)
 	time.Sleep(10 * time.Millisecond) // let the handler park
 
 	var rest []locus.SiteID
