@@ -40,54 +40,79 @@ func resolveID(t *testing.T, c *cluster.Cluster, path string) storage.FileID {
 
 // TestLostRevokeRefusesModifyOpen: site 3, which stores no copy, holds a
 // read delegation, and the network loses every transmission of the
-// revoke that site 1's modify open sends it. Site 3 is still reachable,
-// so the open is refused with ErrBusy and the CSS keeps site 3 on
-// record; the next modify open revokes it and commits, and site 3 then
-// reads the new version. Were the open let through, site 3 would read
-// the old version for good: no propagation notification reaches a site
-// that stores no copy. The file's delegation is a read open's, the
-// directory's the one the look at /d was granted.
+// revoke that the CSS (site 1) sends it for a modify open. Site 3 is
+// still reachable, so the open is refused with ErrBusy and the CSS keeps
+// site 3 on record; the next modify open revokes it and commits, and
+// site 3 then reads the new version. Were the open let through, site 3
+// would read the old version for good: no propagation notification
+// reaches a site that stores no copy. The file's delegation is a read
+// open's, the directory's the one the look at /d was granted. The
+// refusal wraps the lost revoke's hop, the CSS's own exchange, which is
+// no cut of another opener's: that opener sends its request once, and
+// the revoke round runs once.
 func TestLostRevokeRefusesModifyOpen(t *testing.T) {
-	t.Run("file", func(t *testing.T) {
-		c := noCopyCluster(t, fs.Features{})
-		id := resolveID(t, c, "/d/f")
-		if got := readFile(t, c.K(3), "/d/f"); string(got) != "f" {
-			t.Fatalf("site 3 reads %q, want f", got)
-		}
-		if _, held := c.K(3).Delegations()[id]; !held {
-			t.Fatal("site 3 holds no delegation on /d/f")
-		}
+	// refused runs open at site opener with the revoke lost and checks
+	// the refusal; it returns the messages the open sent, by method.
+	refused := func(t *testing.T, c *cluster.Cluster, id storage.FileID, opener fs.SiteID, open func() error) map[string]int64 {
+		t.Helper()
+		before := c.Net.Stats()
 		var err error
-		dropRevokes(c, func() { _, err = c.K(1).Open(cred(), "/d/f", fs.ModeModify) })
-		if !errors.Is(err, fs.ErrBusy) || errors.Is(err, netsim.ErrTimeout) {
-			t.Fatalf("modify open with its revoke lost = %v, want ErrBusy, which the transport does not retry", err)
+		dropRevokes(c, func() { err = open() })
+		sent := c.Net.Stats().Sub(before).ByMethod
+		var hop *netsim.Error
+		if !errors.Is(err, fs.ErrBusy) || !errors.As(err, &hop) || hop.Method != "fs.leaserevoke" || hop.To != 3 {
+			t.Fatalf("modify open with its revoke lost = %v, want ErrBusy wrapping the fs.leaserevoke hop to site 3", err)
+		}
+		if cut := netsim.IsCut(err, opener); cut != (opener == 1) {
+			t.Errorf("IsCut(err, %d) = %v, want %v: the revoke is the CSS's (site 1's) own exchange", opener, cut, !cut)
+		}
+		if n := sent["fs.leaserevoke"]; n != 8 {
+			t.Errorf("the open sent %d fs.leaserevoke messages, want 8: one call's transmissions", n)
 		}
 		if !slices.Contains(c.K(1).Delegates()[id], 3) {
 			t.Fatalf("the CSS dropped site 3's unrevoked delegation: %v", c.K(1).Delegates()[id])
 		}
-		rewriteFile(t, c.K(1), "/d/f", []byte("N"))
-		settle(t, c)
-		if got := readFile(t, c.K(3), "/d/f"); string(got) != "N" {
-			t.Errorf("site 3 reads %q after the commit, want N", got)
+		return sent
+	}
+	file := func(opener fs.SiteID) func(t *testing.T) {
+		return func(t *testing.T) {
+			c := noCopyCluster(t, fs.Features{})
+			id := resolveID(t, c, "/d/f")
+			if got := readFile(t, c.K(3), "/d/f"); string(got) != "f" {
+				t.Fatalf("site 3 reads %q, want f", got)
+			}
+			if _, held := c.K(3).Delegations()[id]; !held {
+				t.Fatal("site 3 holds no delegation on /d/f")
+			}
+			sent := refused(t, c, id, opener, func() error {
+				_, err := c.K(opener).Open(cred(), "/d/f", fs.ModeModify)
+				return err
+			})
+			if want := map[fs.SiteID]int64{1: 0, 2: 2}[opener]; sent["fs.open"] != want {
+				t.Errorf("site %d sent %d fs.open messages, want %d", opener, sent["fs.open"], want)
+			}
+			rewriteFile(t, c.K(opener), "/d/f", []byte("N"))
+			settle(t, c)
+			if got := readFile(t, c.K(3), "/d/f"); string(got) != "N" {
+				t.Errorf("site 3 reads %q after the commit, want N", got)
+			}
+			if findings := c.Fsck(true); len(findings) > 0 {
+				t.Fatalf("fsck: %v", findings)
+			}
 		}
-		if findings := c.Fsck(true); len(findings) > 0 {
-			t.Fatalf("fsck: %v", findings)
-		}
-	})
+	}
+	t.Run("file", file(1))
+	t.Run("file opened at site 2", file(2))
 	t.Run("directory", func(t *testing.T) {
 		c := noCopyCluster(t, fs.Features{})
 		d := resolveID(t, c, "/d")
 		if _, held := c.K(3).Delegations()[d]; !held {
 			t.Fatal("site 3 holds no delegation on /d")
 		}
-		var err error
-		dropRevokes(c, func() { _, err = c.K(1).Create(cred(), "/d/g", storage.TypeRegular, 0644) })
-		if !errors.Is(err, fs.ErrBusy) || errors.Is(err, netsim.ErrTimeout) {
-			t.Fatalf("create with its revoke lost = %v, want ErrBusy, which the transport does not retry", err)
-		}
-		if !slices.Contains(c.K(1).Delegates()[d], 3) {
-			t.Fatalf("the CSS dropped site 3's unrevoked delegation: %v", c.K(1).Delegates()[d])
-		}
+		refused(t, c, d, 1, func() error {
+			_, err := c.K(1).Create(cred(), "/d/g", storage.TypeRegular, 0644)
+			return err
+		})
 		writeFile(t, c.K(1), "/d/g", nil)
 		settle(t, c)
 		if names := listNames(t, c.K(3), "/d"); !slices.Contains(names, "g") {

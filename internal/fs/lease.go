@@ -68,7 +68,6 @@ package fs
 // the paper's protocol is then reproduced exactly (protocolcost_test.go).
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -142,7 +141,8 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, us, forSite Sit
 	revoked := 0
 	for _, s := range targets {
 		_, err := netsim.CallAt(k.node, s, mLeaseRevoke, k.handleLeaseRevoke, &leaseRevokeReq{ID: id})
-		if err == nil || errors.Is(err, netsim.ErrUnreachable) {
+		// handleLeaseRevoke never fails: an error is the transport's own.
+		if ne, ok := err.(*netsim.Error); err == nil || ok && ne.Err == netsim.ErrUnreachable {
 			revoked++
 			continue
 		}
@@ -153,10 +153,7 @@ func (k *Kernel) revokeDelegates(id storage.FileID, e *cssEntry, us, forSite Sit
 		e.delegates[s] = true
 		k.mu.Unlock()
 		if lost == nil {
-			// The network error is named, not wrapped: an error that
-			// wraps ErrTimeout reads as a cut of the caller's own
-			// exchange to fs (cutByNetwork).
-			lost = fmt.Errorf("%w: %v: revoking site %d's delegation: %v", ErrBusy, id, s, err)
+			lost = fmt.Errorf("%w: %v: revoking site %d's delegation: %w", ErrBusy, id, s, err)
 		}
 	}
 	k.meter().AddLeasesRevoked(revoked)

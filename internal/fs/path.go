@@ -102,10 +102,10 @@ const dirReadAttempts = 16
 // other sites update faster than this one can read it fails the search
 // with the corrupt read rather than keeping it for ever
 // (TestDirReadAttemptsBounded). A carried look's read that the network
-// cut is retried too: its site became unreachable since, or a message was
-// lost, or the circuit closed under it; and so is a read the network cut
-// through a delegated look, once the delegation is dropped, since the
-// next look would otherwise find the same site. The inode returned is the
+// cut (netsim.IsCut: its site became unreachable since, or a message of
+// this site's was lost, or the circuit closed under it) is retried too,
+// and so is one through a delegated look, once the delegation is
+// dropped, since the next look would otherwise find the same site. The inode returned is the
 // committed one, shared: read it, never write through it.
 func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (d *format.DirSnapshot, _ *storage.Inode, err error) {
 	var failed vclock.VV // the version of the last read that failed
@@ -119,7 +119,7 @@ func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (
 		if d, err = k.readDirAt(id, ino, ss); err == nil {
 			return d, ino, nil
 		}
-		cut := cutByNetwork(err)
+		cut := netsim.IsCut(err, k.site)
 		delegated := cut && k.dropLease(id)
 		newer := failed == nil || ino.VV.Compare(failed) == vclock.Dominates
 		if attempt == dirReadAttempts || !(errors.Is(err, format.ErrCorrupt) && newer) && !(cut && (carried || delegated)) {
@@ -127,12 +127,6 @@ func (k *Kernel) readDirByID(id storage.FileID, ino *storage.Inode, ss SiteID) (
 		}
 		failed, ino = ino.VV, nil // the version changed under the read, or its site went: look afresh
 	}
-}
-
-// cutByNetwork reports an exchange the network cut: its destination unreachable,
-// a message lost, or the circuit closed while it ran.
-func cutByNetwork(err error) bool {
-	return errors.Is(err, netsim.ErrUnreachable) || errors.Is(err, netsim.ErrTimeout) || errors.Is(err, netsim.ErrCircuitClosed)
 }
 
 // readDirAt reads directory id at the version of the look (ino, ss).

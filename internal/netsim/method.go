@@ -16,18 +16,22 @@ import "sort"
 // and the at-most-once class travels with the name instead of living in
 // a side table.
 //
-// Error taxonomy Call and Cast enforce for callers:
+// Error taxonomy Call and Cast enforce for callers: every error the
+// transport makes is an *Error naming the hop that failed (From, To,
+// Method) and unwrapping to one of
 //   - ErrTimeout:       message lost, retried here; surfaces only after
 //     the budget is exhausted. A handler's error that wraps it (the
 //     handler lost a message of its own) is not retried.
-//   - ErrUnreachable:   no circuit (partition) — not retried; the
-//     partition/merge protocols own recovery.
-//   - ErrCrashed:       destination down — not retried; wraps
-//     ErrUnreachable.
+//   - ErrUnreachable:   no circuit (partitioned, or the destination
+//     down) — not retried; the partition/merge protocols own recovery.
 //   - ErrCircuitClosed: the circuit the request went out on closed
 //     while the handler ran; reported when the handler returns. Not
 //     retried blindly (the operation may have applied); cleanup (§5.6)
 //     decides per resource.
+//   - ErrNoHandler, ErrSiteDown: no handler, or the caller itself down.
+//
+// IsCut(err, site) is true for the first three when site sent the
+// exchange, not for a handler's answer that wraps a cut further on.
 
 // Method declares one request/response message. AtMostOnce marks a
 // request that changes remote state: every transmission of one logical

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,31 +57,61 @@ import (
 // and the transport agree on site naming.
 type SiteID = vclock.SiteID
 
-// Errors returned by the transport.
+// The sentinels an Error unwraps to, one per reason an exchange fails;
+// method.go's error taxonomy says what each means to a caller.
 var (
-	// ErrUnreachable reports that no virtual circuit can be opened to
-	// the destination: it is down or in a different partition.
-	ErrUnreachable = errors.New("netsim: site unreachable")
-	// ErrCircuitClosed reports that the virtual circuit failed while an
-	// exchange was in flight; the caller cannot know whether the remote
-	// operation happened.
-	ErrCircuitClosed = errors.New("netsim: virtual circuit closed")
-	// ErrNoHandler reports that the destination has no handler bound
-	// for the requested method.
-	ErrNoHandler = errors.New("netsim: no handler for method")
-	// ErrSiteDown reports an operation on a crashed site.
-	ErrSiteDown = errors.New("netsim: site is down")
-	// ErrTimeout reports that a message was lost on the wire and the
-	// circuit reset after the timeout (§5.1: "a lost message closes the
-	// circuit"). Unlike ErrUnreachable the destination may well be up;
-	// the exchange is worth retrying after a backoff.
+	ErrUnreachable   = errors.New("netsim: site unreachable")       // no circuit: down or in another partition
+	ErrCircuitClosed = errors.New("netsim: virtual circuit closed") // closed while the exchange was in flight
+	ErrNoHandler     = errors.New("netsim: no handler for method")  // none bound at the destination
+	ErrSiteDown      = errors.New("netsim: site is down")           // the caller's own site
+	// ErrTimeout: a message was lost on the wire and the circuit reset
+	// after the timeout (§5.1: "a lost message closes the circuit").
 	ErrTimeout = errors.New("netsim: timed out (message lost, circuit reset)")
-	// ErrCrashed reports that the destination site is down (crashed),
-	// as opposed to partitioned away. It wraps ErrUnreachable so
-	// existing errors.Is(err, ErrUnreachable) call sites keep treating
-	// it as "no circuit", while retry policy can tell the cases apart.
-	ErrCrashed = fmt.Errorf("%w: site crashed", ErrUnreachable)
 )
+
+// Error is every error the transport makes itself: the exchange that
+// site From sent to Method at site To failed for Err, one of the
+// sentinels above. It unwraps to Err, so errors.Is reads the sentinel
+// through any chain, and errors.As finds the hop that failed.
+type Error struct {
+	Err      error
+	From, To SiteID
+	Method   string
+	reply    bool // the reply was lost, not the request
+}
+
+func (e *Error) Unwrap() error { return e.Err }
+
+func (e *Error) Error() string {
+	switch e.Err {
+	case ErrUnreachable:
+		return fmt.Sprintf("%v: %d -> %d", e.Err, e.From, e.To)
+	case ErrNoHandler:
+		return fmt.Sprintf("%v: %s at site %d", e.Err, e.Method, e.To)
+	case ErrTimeout:
+		if e.reply {
+			return fmt.Sprintf("%v: %s response %d -> %d", e.Err, e.Method, e.To, e.From)
+		}
+		return fmt.Sprintf("%v: %s %d -> %d", e.Err, e.Method, e.From, e.To)
+	}
+	return e.Err.Error()
+}
+
+// IsCut reports whether the network cut an exchange that site sent:
+// err is, or wraps, an Error from site for no circuit, a message lost
+// (past Call's retry budget) or a closed circuit. A handler's answer
+// that wraps a cut of its own onward exchange is not its caller's cut.
+func IsCut(err error, site SiteID) bool {
+	switch e := err.(type) {
+	case nil:
+		return false
+	case *Error:
+		return e.From == site && (e.Err == ErrUnreachable || e.Err == ErrTimeout || e.Err == ErrCircuitClosed)
+	case interface{ Unwrap() []error }:
+		return slices.ContainsFunc(e.Unwrap(), func(w error) bool { return IsCut(w, site) })
+	}
+	return IsCut(errors.Unwrap(err), site)
+}
 
 // Handler services one inbound message. from is the requesting site.
 // For Cast messages the returned value is discarded. Payloads and
@@ -939,16 +970,6 @@ func (n *Node) runRestart() {
 // transmission so the callee's dedup table can recognize it.
 func (n *Node) NextSeq() int64 { return n.seqGen.Add(1) }
 
-// unreachable builds the typed no-circuit error for a destination: a
-// crashed site yields ErrCrashed (retry after it restarts may succeed),
-// a partitioned or unknown one ErrUnreachable.
-func (v *connView) unreachable(from, to SiteID) error {
-	if _, known := v.nodes[to]; known && !v.up[to] {
-		return fmt.Errorf("%w: %d -> %d", ErrCrashed, from, to)
-	}
-	return fmt.Errorf("%w: %d -> %d", ErrUnreachable, from, to)
-}
-
 // circuit starts a remote send: it returns the view the send goes out
 // under and what happens to the message — the observer's action at its
 // request point, else the fault plane's roll — or the typed error for
@@ -958,7 +979,7 @@ func (n *Node) circuit(to SiteID, method string, isCall bool) (view *connView, a
 	nw := n.nw
 	view = nw.view()
 	if nw.closed.Load() || !view.connected(n.id, to) {
-		return nil, FaultNone, view.unreachable(n.id, to)
+		return nil, FaultNone, &Error{Err: ErrUnreachable, From: n.id, To: to, Method: method}
 	}
 	if o := nw.observer.Load(); o != nil {
 		if act = o.see(PointRequest, n.id, to, method); !nw.view().up[to] {
@@ -1017,11 +1038,11 @@ func (n *Node) CallSeq(to SiteID, method string, payload any, seq int64) (any, e
 func (n *Node) callSeq(to SiteID, method string, payload any, seq int64) (v any, lost bool, err error) {
 	if to == n.id {
 		if !n.nw.Up(n.id) {
-			return nil, false, ErrSiteDown
+			return nil, false, &Error{Err: ErrSiteDown, From: n.id, To: to, Method: method}
 		}
 		h := n.handler(method)
 		if h == nil {
-			return nil, false, fmt.Errorf("%w: %s at site %d", ErrNoHandler, method, to)
+			return nil, false, &Error{Err: ErrNoHandler, From: n.id, To: to, Method: method}
 		}
 		n.nw.stats.AddCPU(n.nw.cost.LocalCall)
 		v, err = h(n.id, payload)
@@ -1039,7 +1060,7 @@ func (n *Node) callSeq(to SiteID, method string, payload any, seq int64) (v any,
 		bytes := payloadBytes(payload)
 		nw.stats.chargeExchange(method, 1, bytes, nw.cost.MsgCPU+bytes*nw.cost.PerKBCPU/1024, true)
 		nw.stats.addFaultDrop()
-		return nil, true, fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
+		return nil, true, &Error{Err: ErrTimeout, From: n.id, To: to, Method: method}
 	}
 
 	// A Call is two wire messages: the request and the response.
@@ -1065,14 +1086,14 @@ func (n *Node) callSeq(to SiteID, method string, payload any, seq int64) (v any,
 	if after := nw.view(); after != view &&
 		(!after.connected(n.id, to) || after.link[n.id][to].closes != view.link[n.id][to].closes) {
 		nw.stats.addReset()
-		return nil, false, ErrCircuitClosed
+		return nil, false, &Error{Err: ErrCircuitClosed, From: n.id, To: to, Method: method}
 	}
 	if act == FaultDropResponse {
 		// The response went onto the wire and vanished; the circuit
 		// resets after the timeout. The handler ran — a retry with the
 		// same seq is what the dedup table absorbs.
 		nw.stats.addFaultDrop()
-		return nil, true, fmt.Errorf("%w: %s response %d -> %d", ErrTimeout, method, to, n.id)
+		return nil, true, &Error{Err: ErrTimeout, From: n.id, To: to, Method: method, reply: true}
 	}
 	if err == nil {
 		// Data-carrying responses (page transfers) are byte-metered; the
@@ -1106,7 +1127,7 @@ func (n *Node) cast(to SiteID, method string, payload any) (lost bool, err error
 	if to == n.id {
 		h := n.handler(method)
 		if h == nil {
-			return false, fmt.Errorf("%w: %s at site %d", ErrNoHandler, method, to)
+			return false, &Error{Err: ErrNoHandler, From: n.id, To: to, Method: method}
 		}
 		n.nw.stats.AddCPU(n.nw.cost.LocalCall)
 		_, err := h(n.id, payload)
@@ -1127,7 +1148,7 @@ func (n *Node) cast(to SiteID, method string, payload any) (lost bool, err error
 		// never arrives, so the sender does learn the circuit reset and
 		// may retransmit.
 		nw.stats.addFaultDrop()
-		return true, fmt.Errorf("%w: %s %d -> %d", ErrTimeout, method, n.id, to)
+		return true, &Error{Err: ErrTimeout, From: n.id, To: to, Method: method}
 	case FaultDupRequest:
 		nw.stats.addFaultDup(method)
 		deliveries = 2
@@ -1151,7 +1172,7 @@ func (n *Node) cast(to SiteID, method string, payload any) (lost bool, err error
 func (n *Node) apply(from SiteID, method string, payload any, seq int64) (any, error) {
 	h := n.handler(method)
 	if h == nil {
-		return nil, fmt.Errorf("%w: %s at site %d", ErrNoHandler, method, n.id)
+		return nil, &Error{Err: ErrNoHandler, From: from, To: n.id, Method: method}
 	}
 	if seq == 0 || n.nw.dedupOff.Load() {
 		return h(from, payload)

@@ -378,26 +378,140 @@ func TestDedupForgetsARequestRunningAtTheCrash(t *testing.T) {
 	}
 }
 
-func TestErrCrashedDistinctFromUnreachable(t *testing.T) {
+// TestCrashedSiteIsUnreachable: a call or cast to a crashed site finds
+// no circuit, exactly as one across a cut link does.
+func TestCrashedSiteIsUnreachable(t *testing.T) {
 	t.Parallel()
 	nw, a, _ := twoSites(t)
 	nw.Crash(2)
-	_, err := a.Call(2, "op", nil)
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatalf("call to crashed site: err = %v, want ErrCrashed", err)
+	if _, err := a.Call(2, "op", nil); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("call to crashed site: err = %v, want ErrUnreachable", err)
 	}
-	if !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("ErrCrashed must wrap ErrUnreachable for existing call sites, got %v", err)
-	}
-	if err := a.Cast(2, "op", nil); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("cast to crashed site: err = %v, want ErrCrashed", err)
+	if err := a.Cast(2, "op", nil); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("cast to crashed site: err = %v, want ErrUnreachable", err)
 	}
 
 	nw.Restart(2)
 	nw.SetLink(1, 2, false)
-	_, err = a.Call(2, "op", nil)
-	if !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrCrashed) {
-		t.Fatalf("call across cut link: err = %v, want plain ErrUnreachable (not ErrCrashed)", err)
+	if _, err := a.Call(2, "op", nil); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("call across cut link: err = %v, want ErrUnreachable", err)
+	}
+}
+
+// TestTransportErrors pins every error the transport makes, one row per
+// place that makes one: its sentinel, the hop it names, its text, and
+// whether it is a cut of the caller's own exchange.
+func TestTransportErrors(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name     string
+		err      func(nw *Network, a *Node) error
+		sentinel error
+		from, to SiteID
+		method   string
+		text     string
+		cut      bool
+	}{
+		{"no circuit", func(nw *Network, a *Node) error {
+			nw.SetLink(1, 2, false)
+			_, err := a.Call(2, "op", nil)
+			return err
+		}, ErrUnreachable, 1, 2, "op", "netsim: site unreachable: 1 -> 2", true},
+		{"lost request", func(nw *Network, a *Node) error {
+			cutAt(nw, PointRequest, "op", 1, FaultDropRequest)
+			_, err := a.Call(2, "op", nil)
+			return err
+		}, ErrTimeout, 1, 2, "op", "netsim: timed out (message lost, circuit reset): op 1 -> 2", true},
+		{"lost reply", func(nw *Network, a *Node) error {
+			cutAt(nw, PointReply, "op", 1, FaultDropResponse)
+			_, err := a.Call(2, "op", nil)
+			return err
+		}, ErrTimeout, 1, 2, "op", "netsim: timed out (message lost, circuit reset): op response 2 -> 1", true},
+		{"lost cast", func(nw *Network, a *Node) error {
+			cutAt(nw, PointRequest, "op", 1, FaultDropRequest)
+			return a.Cast(2, "op", nil)
+		}, ErrTimeout, 1, 2, "op", "netsim: timed out (message lost, circuit reset): op 1 -> 2", true},
+		{"closed circuit", func(nw *Network, a *Node) error {
+			_, err := a.Call(2, "bounce", nil)
+			return err
+		}, ErrCircuitClosed, 1, 2, "bounce", "netsim: virtual circuit closed", true},
+		{"no handler at the callee", func(nw *Network, a *Node) error {
+			_, err := a.Call(2, "nope", nil)
+			return err
+		}, ErrNoHandler, 1, 2, "nope", "netsim: no handler for method: nope at site 2", false},
+		{"no handler for a local call", func(nw *Network, a *Node) error {
+			_, err := a.Call(1, "nope", nil)
+			return err
+		}, ErrNoHandler, 1, 1, "nope", "netsim: no handler for method: nope at site 1", false},
+		{"no handler for a local cast", func(nw *Network, a *Node) error {
+			return a.Cast(1, "nope", nil)
+		}, ErrNoHandler, 1, 1, "nope", "netsim: no handler for method: nope at site 1", false},
+		{"caller down", func(nw *Network, a *Node) error {
+			nw.Crash(1)
+			_, err := a.Call(1, "op", nil)
+			return err
+		}, ErrSiteDown, 1, 1, "op", "netsim: site is down", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, a, b := twoSites(t)
+			b.Handle("op", func(SiteID, any) (any, error) { return nil, nil })
+			b.Handle("bounce", func(SiteID, any) (any, error) {
+				nw.SetLink(1, 2, false)
+				nw.SetLink(1, 2, true)
+				return nil, nil
+			})
+			err := tc.err(nw, a)
+			var e *Error
+			if !errors.Is(err, tc.sentinel) || !errors.As(err, &e) {
+				t.Fatalf("err = %v, want an *Error wrapping %v", err, tc.sentinel)
+			}
+			if e.From != tc.from || e.To != tc.to || e.Method != tc.method {
+				t.Errorf("hop = %d -> %d %q, want %d -> %d %q", e.From, e.To, e.Method, tc.from, tc.to, tc.method)
+			}
+			if err.Error() != tc.text {
+				t.Errorf("text = %q, want %q", err.Error(), tc.text)
+			}
+			if IsCut(err, 1) != tc.cut {
+				t.Errorf("IsCut(err, 1) = %v, want %v", !tc.cut, tc.cut)
+			}
+		})
+	}
+}
+
+// TestHandlersOnwardCutIsNotItsCallers: site 2's handler calls site 3,
+// every transmission of that call is lost, and the handler passes the
+// error up wrapped. Site 1 reads a timeout in the chain but no cut of
+// its own exchange, which it does not send again; the cut is site 2's.
+func TestHandlersOnwardCutIsNotItsCallers(t *testing.T) {
+	t.Parallel()
+	nw := New(DefaultCosts())
+	t.Cleanup(nw.Close)
+	a, b, c := nw.AddSite(1), nw.AddSite(2), nw.AddSite(3)
+	op := Method[Ack, Ack]{Name: "op"}
+	relay := Method[Ack, Ack]{Name: "relay"}
+	Handle(c, op, func(SiteID, *Ack) (*Ack, error) { return nil, nil })
+	runs := 0
+	Handle(b, relay, func(SiteID, *Ack) (*Ack, error) {
+		runs++
+		_, err := Call(b, 3, op, &Ack{})
+		return nil, fmt.Errorf("relay: %w", err)
+	})
+	nw.SetObserver(func(p Point) FaultAction {
+		if p.Kind == PointRequest && p.From == 2 && p.To == 3 {
+			return FaultDropRequest
+		}
+		return FaultNone
+	})
+	_, err := Call(a, 2, relay, &Ack{})
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want a timeout in its chain", err)
+	}
+	if IsCut(err, 1) || !IsCut(err, 2) {
+		t.Errorf("IsCut(err, 1) = %v, IsCut(err, 2) = %v, want false, true", IsCut(err, 1), IsCut(err, 2))
+	}
+	if runs != 1 {
+		t.Errorf("the relay handler ran %d times, want 1", runs)
 	}
 }
 

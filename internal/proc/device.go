@@ -91,7 +91,7 @@ func (m *Manager) OpenDevice(p *Process, path string) (*DeviceHandle, error) {
 	if err != nil {
 		// The name's CSS or storage site being gone is a §5.6 site
 		// failure, not a bad pathname.
-		return nil, wrapFsSiteErr(err)
+		return nil, siteFailed(err)
 	}
 	if ino.Type != storage.TypeDevice {
 		return nil, fmt.Errorf("proc: %s is not a device", path)
@@ -111,7 +111,7 @@ func (d *DeviceHandle) Read(max int) ([]byte, error) {
 	req := &devReadReq{Name: d.name, Max: max}
 	resp, err := netsim.CallAt(d.m.node, d.host, mDevRead, d.m.handleDevRead, req)
 	if err != nil {
-		return nil, wrapSiteErr(err, d.host)
+		return nil, siteFailed(err)
 	}
 	return resp.Data, nil
 }
@@ -121,7 +121,7 @@ func (d *DeviceHandle) Write(data []byte) (int, error) {
 	req := &devWriteReq{Name: d.name, Data: append([]byte(nil), data...)}
 	resp, err := netsim.CallAt(d.m.node, d.host, mDevWrite, d.m.handleDevWrite, req)
 	if err != nil {
-		return 0, wrapSiteErr(err, d.host)
+		return 0, siteFailed(err)
 	}
 	return resp.N, nil
 }

@@ -88,10 +88,12 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 
 	cases := []struct {
 		name string
+		hop  proc.SiteID // the failed hop's To, when a transport failure caused the error
 		err  func(t *testing.T) error
 	}{
 		{
 			name: "run to crashed site",
+			hop:  2,
 			err: func(t *testing.T) error {
 				h := newHarness(t, 2)
 				installModule(t, h.c.K(1), "/sit", "sit")
@@ -106,6 +108,7 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 		},
 		{
 			name: "run under total message loss (retry budget exhausted)",
+			hop:  2,
 			err: func(t *testing.T) error {
 				h := newHarness(t, 2)
 				installModule(t, h.c.K(1), "/sit", "sit")
@@ -129,6 +132,7 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 		},
 		{
 			name: "signal to partitioned site",
+			hop:  2,
 			err: func(t *testing.T) error {
 				h := newHarness(t, 2)
 				installModule(t, h.c.K(1), "/sit", "sit")
@@ -207,6 +211,7 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 		},
 		{
 			name: "migrate to crashed site",
+			hop:  3,
 			err: func(t *testing.T) error {
 				h := newHarness(t, 3)
 				installModule(t, h.c.K(1), "/sit", "sit")
@@ -234,6 +239,7 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 			// Site 2 stores the pipe and looks it up locally; the wire
 			// eats the open at its server, the CSS (site 1).
 			name: "open pipe under total message loss to its server",
+			hop:  1,
 			err: func(t *testing.T) error {
 				h := pipeAtCSS1(t)
 				dropAll(t, h)
@@ -243,6 +249,7 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 		},
 		{
 			name: "close pipe under total message loss to its server",
+			hop:  1,
 			err: func(t *testing.T) error {
 				h := pipeAtCSS1(t)
 				pe, err := h.m(2).OpenPipe(h.m(2).InitProcess(cred()), "/fifo", false)
@@ -253,9 +260,44 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 				return pe.Close()
 			},
 		},
+		{
+			// Site 3 holds a read delegation on /m, and the wire eats
+			// every transmission of the revoke that site 2's modify open
+			// has the CSS (site 1) send it. fs refuses the open with
+			// ErrBusy, which wraps the lost revoke.
+			name: "modify open of a shared descriptor whose revoke is lost",
+			hop:  3,
+			err: func(t *testing.T) error {
+				h := newHarness(t, 3)
+				installModule(t, h.c.K(1), "/m", "sit")
+				h.c.Settle()
+				f, err := h.c.K(3).Open(cred(), "/m", fs.ModeRead)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if len(h.c.K(3).Delegations()) == 0 {
+					t.Fatal("site 3 holds no delegation")
+				}
+				h.c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+					if p.Kind == netsim.PointRequest && p.Method == "fs.leaserevoke" {
+						return netsim.FaultDropRequest
+					}
+					return netsim.FaultNone
+				})
+				defer h.c.Net.SetObserver(nil)
+				_, _, err = h.m(2).OpenShared(h.m(2).InitProcess(cred()), "/m", fs.ModeModify)
+				if !errors.Is(err, fs.ErrBusy) {
+					t.Errorf("err = %v, want fs.ErrBusy too", err)
+				}
+				return err
+			},
+		},
 		// Each row below fails inside the fs layer (pathname search, open,
 		// close) at a site cut off from the only storage site; the
-		// wrapFsSiteErr funnel at each call is what classifies it.
+		// siteFailed funnel at each call is what classifies it.
 		{
 			name: "open device whose storage site is cut off",
 			err: func(t *testing.T) error {
@@ -287,6 +329,7 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 			// The wire eats the close's commit before any cleanup has
 			// run: the fs handle's own exchange fails.
 			name: "last close of a shared descriptor under total message loss",
+			hop:  2,
 			err: func(t *testing.T) error {
 				h := newPacklessHarness(t, 2)
 				fd, _, err := h.m(1).OpenShared(h.m(1).InitProcess(cred()), "/m", fs.ModeModify)
@@ -341,8 +384,13 @@ func TestSiteFailurePathsWrapErrSiteFailed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.err(t); !errors.Is(err, proc.ErrSiteFailed) {
+			err := tc.err(t)
+			if !errors.Is(err, proc.ErrSiteFailed) {
 				t.Fatalf("err = %v, want errors.Is(_, ErrSiteFailed)", err)
+			}
+			var hop *netsim.Error
+			if found := errors.As(err, &hop); found != (tc.hop != 0) || found && hop.To != tc.hop {
+				t.Fatalf("err = %v, want the hop to site %d that failed in its chain (0: none)", err, tc.hop)
 			}
 		})
 	}
@@ -398,4 +446,48 @@ func TestSignalQueuedAcrossPartitionReplaysAfterMerge(t *testing.T) {
 	if snap.SignalsQueued != 1 || snap.SignalsReplayed+snap.SignalsExpired != 1 {
 		t.Fatalf("signal counters %+v, want 1 queued and 1 replayed-or-expired", snap)
 	}
+}
+
+// TestLostSignalReplayStaysQueued: a signal queued across a partition
+// whose replay at the merge the wire eats stays queued at the sender,
+// like one whose target is still cut off; it does not expire as though
+// the target had answered that no such process exists.
+func TestLostSignalReplayStaysQueued(t *testing.T) {
+	h := newHarness(t, 2)
+	installModule(t, h.c.K(1), "/sit", "sit")
+	h.c.Settle()
+	for _, s := range h.c.Sites() {
+		h.m(s).Register("sit", func(ctx *proc.Ctx) int {
+			<-ctx.Signals()
+			return 0
+		})
+	}
+	shell := h.m(1).InitProcess(cred())
+	shell.SetAdvice(2)
+	pid, err := h.m(1).Run(shell, "/sit", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
+	if err := h.m(1).Signal(pid, proc.SIGTERM); !errors.Is(err, proc.ErrSiteFailed) {
+		t.Fatalf("cross-partition signal = %v, want ErrSiteFailed", err)
+	}
+	h.c.Net.SetObserver(func(p netsim.Point) netsim.FaultAction {
+		if p.Kind == netsim.PointRequest && p.Method == "proc.signal" {
+			return netsim.FaultDropRequest
+		}
+		return netsim.FaultNone
+	})
+	if err := h.c.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	h.c.Net.SetObserver(nil)
+	if n := h.m(1).QueuedSignals(); n != 1 {
+		t.Fatalf("QueuedSignals after a merge whose replay was lost = %d, want 1", n)
+	}
+	if snap := h.c.Net.Stats(); snap.SignalsExpired != 0 {
+		t.Fatalf("SignalsExpired = %d, want 0", snap.SignalsExpired)
+	}
+	// The partition ended the sitter: its parent's site was lost.
+	h.m(2).DrainPrograms()
 }

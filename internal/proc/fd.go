@@ -76,7 +76,7 @@ func (m *Manager) OpenShared(p *Process, path string, mode fs.OpenMode) (*FD, in
 	if err != nil {
 		// A lost CSS/storage site surfaces as a §5.6 site failure, not a
 		// raw fs sentinel.
-		return nil, 0, wrapFsSiteErr(err)
+		return nil, 0, siteFailed(err)
 	}
 	m.mu.Lock()
 	m.nextFDID++
@@ -99,7 +99,7 @@ func (m *Manager) OpenShared(p *Process, path string, mode fs.OpenMode) (*FD, in
 func (m *Manager) AttachShared(p *Process, homeSite SiteID, homeID int, path string, mode fs.OpenMode) (*FD, int, error) {
 	f, err := m.kernel.Open(p.cred, path, mode)
 	if err != nil {
-		return nil, 0, wrapFsSiteErr(err)
+		return nil, 0, siteFailed(err)
 	}
 	s := &fdState{
 		m: m, homeSite: homeSite, homeID: homeID,
@@ -147,7 +147,7 @@ func (s *fdState) fetchToken() (int64, error) {
 	if err != nil {
 		// Token negotiation failing because the home site is gone is the
 		// §5.6 "site failed" row, not a raw transport error.
-		return 0, wrapSiteErr(err, s.homeSite)
+		return 0, siteFailed(err)
 	}
 	return resp.Offset, nil
 }
@@ -293,7 +293,7 @@ func (fd *FD) Close() error {
 	if last {
 		// The final close can cross the network (remote storage site);
 		// classify its failure like every other proc-layer site error.
-		return wrapFsSiteErr(s.file.Close())
+		return siteFailed(s.file.Close())
 	}
 	return nil
 }

@@ -75,7 +75,7 @@ func (m *Manager) Migrate(p *Process, target SiteID) error {
 		m.rollbackMigrate(p)
 		// §5.6: target site failed mid-migration -> error to caller; the
 		// process keeps running at the origin.
-		return wrapSiteErr(err, target)
+		return siteFailed(err)
 	}
 	m.mu.Lock()
 	delete(m.procs, p.pid.Num)

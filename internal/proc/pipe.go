@@ -159,7 +159,7 @@ func (m *Manager) OpenPipe(p *Process, path string, write bool) (*PipeEnd, error
 	if err != nil {
 		// Resolution can fail because the name's CSS or storage site is
 		// gone — a §5.6 site failure, not a bad pathname.
-		return nil, wrapFsSiteErr(err)
+		return nil, siteFailed(err)
 	}
 	if r.Type != storage.TypePipe {
 		return nil, fmt.Errorf("proc: %s is not a pipe", path)
@@ -171,7 +171,7 @@ func (m *Manager) OpenPipe(p *Process, path string, write bool) (*PipeEnd, error
 	}
 	pe := &PipeEnd{m: m, id: r.ID, server: server, write: write}
 	if _, err := netsim.CallAt(m.node, server, mPipeOpen, m.handlePipeOpen, &pipeOpenMsg{ID: r.ID, Write: write}); err != nil {
-		return nil, wrapSiteErr(err, server)
+		return nil, siteFailed(err)
 	}
 	return pe, nil
 }
@@ -199,7 +199,7 @@ func (pe *PipeEnd) Read(max int) ([]byte, error) {
 	}
 	r, err := netsim.CallAt(pe.m.node, pe.server, mPipeRead, pe.m.handlePipeRead, &pipeReadReq{ID: pe.id, Max: max})
 	if err != nil {
-		return nil, wrapSiteErr(err, pe.server)
+		return nil, siteFailed(err)
 	}
 	if r.EOF {
 		return nil, io.EOF
@@ -218,7 +218,7 @@ func (pe *PipeEnd) Write(data []byte) error {
 		return fmt.Errorf("proc: pipe opened for reading")
 	}
 	_, err := netsim.CallAt(pe.m.node, pe.server, mPipeWrite, pe.m.handlePipeWrite, &pipeWriteReq{ID: pe.id, Data: append([]byte(nil), data...)})
-	return wrapSiteErr(err, pe.server)
+	return siteFailed(err)
 }
 
 // Close closes this end; the last writer's close delivers EOF to
@@ -229,7 +229,7 @@ func (pe *PipeEnd) Close() error {
 	}
 	pe.closed = true
 	_, err := netsim.CallAt(pe.m.node, pe.server, mPipeClose, pe.m.handlePipeClose, &pipeCloseReq{ID: pe.id, Write: pe.write})
-	return wrapSiteErr(err, pe.server)
+	return siteFailed(err)
 }
 
 func (m *Manager) handlePipeOpen(from SiteID, msg *pipeOpenMsg) (*netsim.Ack, error) {

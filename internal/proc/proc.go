@@ -53,42 +53,18 @@ var (
 	ErrMigrated = errors.New("proc: process migrated")
 )
 
-// isTransportFailure reports whether err is (or wraps) one of the
-// transport-level site-failure sentinels: unreachable, circuit closed,
-// a retry budget exhausted by message loss, site down, or no handler —
-// the site answers but its proc subsystem is gone, which from the
-// caller's §5.6 viewpoint is a failed site too.
-func isTransportFailure(err error) bool {
-	return errors.Is(err, netsim.ErrUnreachable) || errors.Is(err, netsim.ErrCircuitClosed) ||
-		errors.Is(err, netsim.ErrTimeout) || errors.Is(err, netsim.ErrSiteDown) ||
-		errors.Is(err, netsim.ErrNoHandler)
-}
-
-// wrapSiteErr converts a transport-level failure (isTransportFailure)
-// into the §5.6 ErrSiteFailed sentinel: every "remote site fails ->
-// return error to caller" row of the failure-action table reports
-// through it. Application-level errors, and an ErrSiteFailed a handler
-// returned, pass through unchanged.
-func wrapSiteErr(err error, site SiteID) error {
-	if isTransportFailure(err) {
-		return fmt.Errorf("%w: site %d: %v", ErrSiteFailed, site, err)
-	}
-	return err
-}
-
-// wrapFsSiteErr converts a filesystem error that was itself caused by a
-// site failure — the fs layer's own remote exchange failing mid-call, or
-// every storage/synchronization site for the file being unreachable —
-// into the §5.6 ErrSiteFailed sentinel. A local run call whose load
-// module lives on a crashed site fails exactly like a remote run to that
-// site. Genuine application errors (no such file, not executable, no
-// such program) pass through unchanged.
-func wrapFsSiteErr(err error) error {
+// siteFailed is proc's one §5.6 funnel: every "remote site fails ->
+// return error to caller" row reports through it. An error a transport
+// failure caused (a netsim.Error anywhere in its chain: proc's own
+// exchange, fs's, or a handler's onward one) and an fs error that finds
+// no CSS or storage site become ErrSiteFailed, the chain kept so the
+// error names the hop that failed. Other errors pass through unchanged.
+func siteFailed(err error) error {
 	if err == nil || errors.Is(err, ErrSiteFailed) {
 		return err
 	}
-	if isSiteFailure(err) || errors.Is(err, fs.ErrNoCSS) || errors.Is(err, fs.ErrNoStorageSite) {
-		return fmt.Errorf("%w: %v", ErrSiteFailed, err)
+	if errors.As(err, new(*netsim.Error)) || errors.Is(err, fs.ErrNoCSS) || errors.Is(err, fs.ErrNoStorageSite) {
+		return fmt.Errorf("%w: %w", ErrSiteFailed, err)
 	}
 	return err
 }
@@ -436,21 +412,20 @@ func (m *Manager) Run(parent *Process, path string, args []string) (PID, error) 
 		r, err := m.handleRun(m.site, req)
 		if err != nil {
 			// Even a local run can fail because a site died: the load
-			// module's storage site or CSS may be gone (wrapFsSiteErr).
-			return PID{}, wrapFsSiteErr(err)
+			// module's storage site or CSS may be gone.
+			return PID{}, siteFailed(err)
 		}
 		return r.PID, nil
 	}
 	resp, err := netsim.Call(m.node, target, mRun, req)
 	if err != nil {
 		// §5.6: "Remote Fork/Exec, remote site fails -> return error to
-		// caller". wrapSiteErr also covers the retry budget exhausted by
-		// message loss (ErrTimeout), which previously leaked the raw
-		// transport error and lost the sentinel. Application-level
-		// failures (no such program, no such file) pass through
-		// unchanged — unless they are themselves a site failure the
-		// destination hit while resolving the load module.
-		return PID{}, wrapFsSiteErr(wrapSiteErr(err, target))
+		// caller": the run's own exchange cut (no circuit, its circuit
+		// closed, or every transmission lost within Call's retry
+		// budget), or a site failure the destination hit while
+		// resolving the load module. Application-level failures (no
+		// such program, no such file) pass through unchanged.
+		return PID{}, siteFailed(err)
 	}
 	parent.mu.Lock()
 	parent.remoteChildLocked(resp.PID)
@@ -542,7 +517,7 @@ func (m *Manager) DrainPrograms() {
 func (m *Manager) Exec(p *Process, path string, args []string) (int, error) {
 	prog, _, argv, err := m.loadModule(p.cred, path, args)
 	if err != nil {
-		return -1, wrapFsSiteErr(err)
+		return -1, siteFailed(err)
 	}
 	code := prog(&Ctx{M: m, Self: p, Args: argv, Env: p.env})
 	return code, nil
@@ -777,27 +752,19 @@ func (m *Manager) Signal(target PID, sig Signal) error {
 	return m.signalInfo(target, sig, "")
 }
 
-// isSiteFailure reports whether err is (or wraps) any of the
-// site-failure sentinels — transport-level or the proc-layer
-// ErrSiteFailed, whose wrapping flattens the transport chain.
-func isSiteFailure(err error) bool {
-	return errors.Is(err, ErrSiteFailed) || isTransportFailure(err)
-}
-
 func (m *Manager) signalInfo(target PID, sig Signal, info string) error {
 	msg := &signalMsg{Target: target, Sig: sig, Info: info}
 	_, err := netsim.CallAt(m.node, target.Site, mSignal, m.handleSignal, msg)
-	if err != nil && isSiteFailure(err) {
+	if errors.Is(siteFailed(err), ErrSiteFailed) {
 		// §2.4.2: signals are supported across the network; a partition
 		// only defers them. Queue at the sender and replay after merge.
 		m.sigMu.Lock()
 		m.sigQueue = append(m.sigQueue, msg)
 		m.sigMu.Unlock()
 		m.node.Network().Meter().AddSignalsQueued()
-		return fmt.Errorf("%w: signal %d to %v queued for delivery after merge: %v", ErrSiteFailed, sig, target, err)
+		return fmt.Errorf("%w: signal %d to %v queued for delivery after merge: %w", ErrSiteFailed, sig, target, err)
 	}
-	// Anything else is an application error (no such process):
-	// isSiteFailure took every error wrapSiteErr would classify.
+	// Anything else is an application error (no such process).
 	return err
 }
 
@@ -1007,7 +974,7 @@ func (m *Manager) replaySignals(in map[SiteID]bool, meter *netsim.Stats) {
 		switch {
 		case err == nil:
 			meter.AddSignalsReplayed(1)
-		case isSiteFailure(err):
+		case errors.Is(siteFailed(err), ErrSiteFailed):
 			keep = append(keep, msg)
 		default:
 			// ErrNoProcess or another definitive answer: the target is

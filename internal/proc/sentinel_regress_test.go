@@ -21,6 +21,15 @@ import (
 	"repro/internal/storage"
 )
 
+// wantHop fails t unless err holds the hop to site to that failed.
+func wantHop(t *testing.T, err error, to proc.SiteID) {
+	t.Helper()
+	var hop *netsim.Error
+	if !errors.As(err, &hop) || hop.To != to {
+		t.Fatalf("err = %v, want the hop to site %d that failed in its chain", err, to)
+	}
+}
+
 // TestDeviceIOAfterHostCrashWrapsErrSiteFailed: the device handle's
 // Read/Write funnels used to pass netsim.ErrUnreachable through raw.
 func TestDeviceIOAfterHostCrashWrapsErrSiteFailed(t *testing.T) {
@@ -36,12 +45,16 @@ func TestDeviceIOAfterHostCrashWrapsErrSiteFailed(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.c.Crash(3)
-	if _, err := dev.Read(8); !errors.Is(err, proc.ErrSiteFailed) {
+	_, err = dev.Read(8)
+	if !errors.Is(err, proc.ErrSiteFailed) {
 		t.Fatalf("device read from crashed host = %v, want ErrSiteFailed", err)
 	}
-	if _, err := dev.Write([]byte("x")); !errors.Is(err, proc.ErrSiteFailed) {
+	wantHop(t, err, 3)
+	_, err = dev.Write([]byte("x"))
+	if !errors.Is(err, proc.ErrSiteFailed) {
 		t.Fatalf("device write to crashed host = %v, want ErrSiteFailed", err)
 	}
+	wantHop(t, err, 3)
 }
 
 // TestSharedFDTokenFetchAcrossPartitionWrapsErrSiteFailed: the token
@@ -71,9 +84,11 @@ func TestSharedFDTokenFetchAcrossPartitionWrapsErrSiteFailed(t *testing.T) {
 	h.c.Partition([]proc.SiteID{1}, []proc.SiteID{2})
 
 	buf := make([]byte, 4)
-	if _, err := fd1.Read(buf); !errors.Is(err, proc.ErrSiteFailed) {
+	_, err = fd1.Read(buf)
+	if !errors.Is(err, proc.ErrSiteFailed) {
 		t.Fatalf("token fetch across partition = %v, want ErrSiteFailed", err)
 	}
+	wantHop(t, err, 2)
 }
 
 // TestSignalToSiteWithoutManagerWrapsErrSiteFailed pins a
@@ -97,6 +112,7 @@ func TestSignalToSiteWithoutManagerWrapsErrSiteFailed(t *testing.T) {
 	if !errors.Is(err, proc.ErrSiteFailed) {
 		t.Fatalf("signal to manager-less site = %v, want ErrSiteFailed", err)
 	}
+	wantHop(t, err, 2)
 	if n := m1.QueuedSignals(); n != 1 {
 		t.Fatalf("QueuedSignals = %d, want 1 (no-handler failures must queue like partitions)", n)
 	}

@@ -135,9 +135,6 @@ var (
 	ErrNoInode      = errors.New("storage: no such inode")
 	ErrNoPage       = errors.New("storage: no such page")
 	ErrInodeSpace   = errors.New("storage: inode allocation space exhausted")
-	ErrInodeExists  = errors.New("storage: inode already exists")
-	ErrOutOfRange   = errors.New("storage: inode outside this container's allocation range")
-	ErrFileDeleted  = errors.New("storage: file is deleted")
 	ErrBadPageIndex = errors.New("storage: logical page index out of range")
 	// ErrBadRange reports a container configured with an invalid inode
 	// allocation range.
